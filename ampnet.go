@@ -223,14 +223,6 @@ const (
 // ParseWireVersion resolves "v1"/"v2"/"auto" flag values.
 func ParseWireVersion(s string) (WireVersion, error) { return wire.Parse(s) }
 
-// RunShardWorkerFromEnv serves as a shard worker (and then exits the
-// process) when the ampshard launch environment is present; it returns
-// false when it is not. Options.Transport "socket" launches
-// Options.ShardWorker once per shard with that environment set, so the
-// worker command — cmd/ampshard, or any test binary naming itself —
-// just calls this first thing in main (or TestMain).
-func RunShardWorkerFromEnv() bool { return core.RunShardWorkerFromEnv() }
-
 // Node is one AmpNet node (kernel + NIC model).
 type Node = ampdk.Node
 

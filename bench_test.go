@@ -7,7 +7,6 @@
 package ampnet
 
 import (
-	"os"
 	"testing"
 
 	"repro/internal/core"
@@ -20,15 +19,6 @@ import (
 	"repro/internal/telemetry"
 	"repro/internal/wire"
 )
-
-// TestMain doubles this test binary as the shard-worker command for the
-// socket-transport benchmark (BenchmarkE15WireScaleSocket512 passes
-// os.Args[0] as Options.ShardWorker). Without the ampshard environment
-// this is a plain test run.
-func TestMain(m *testing.M) {
-	RunShardWorkerFromEnv()
-	os.Exit(m.Run())
-}
 
 // --- E1/E2: MicroPacket codec ---
 
@@ -294,23 +284,23 @@ func benchParsim(b *testing.B, nodes, shards int, rec *telemetry.Recorder) {
 	}
 }
 
-func BenchmarkE14ParsimSerial64(b *testing.B)  { benchParsim(b, 64, 1, nil) }
+func BenchmarkE14ParsimSerial64(b *testing.B) { benchParsim(b, 64, 1, nil) }
+
+// BenchmarkE14ParsimSharded64 doubles as the frame-accounting overhead
+// guard: its baseline was captured with the conservation ledger
+// threaded through every frame create/destroy site, and CI holds this
+// entry to a tighter 25% gate (its own benchguard invocation) than the
+// fleet's shared tolerance. Accounting is always on, so any future
+// growth of the ledger's hot-path cost — new counters, heavier cause
+// classification — lands here first.
 func BenchmarkE14ParsimSharded64(b *testing.B) { benchParsim(b, 64, 8, nil) }
 
-// BenchmarkE14Parsim64 is the frame-accounting overhead guard: the
-// same 8-shard 64-node scenario, but its baseline was captured with
-// the conservation ledger threaded through every frame create/destroy
-// site, and CI holds this entry to a tighter 25% gate (its own
-// benchguard invocation) than the fleet's shared tolerance. Accounting
-// is always on, so any future growth of the ledger's hot-path cost —
-// new counters, heavier cause classification — lands here first.
-func BenchmarkE14Parsim64(b *testing.B) { benchParsim(b, 64, 8, nil) }
-
 // BenchmarkE14Parsim64Telemetry is the telemetry-overhead guard: the
-// exact BenchmarkE14Parsim64 scenario with a wall-clock span recorder
-// attached. CI's benchguard holds the Parsim64/Parsim64Telemetry ratio
-// to ≥0.95 — recording every window/run/exchange span may cost at most
-// 5% — so the flight recorder stays cheap enough to leave on.
+// exact BenchmarkE14ParsimSharded64 scenario with a wall-clock span
+// recorder attached. CI's benchguard holds the
+// ParsimSharded64/Parsim64Telemetry ratio to ≥0.95 — recording every
+// window/run/exchange span may cost at most 5% — so the flight recorder
+// stays cheap enough to leave on.
 func BenchmarkE14Parsim64Telemetry(b *testing.B) {
 	benchParsim(b, 64, 8, telemetry.NewRecorder(nil))
 }
@@ -383,16 +373,12 @@ func BenchmarkE16ScalingSharded8(b *testing.B) { benchE16Scaling(b, 8) }
 // heavyweight and excluded from the CI bench guard; its baseline
 // entries record the on-demand serial-vs-sharded speedup at a size
 // wire v1 cannot address at all.
-func benchWireScale(b *testing.B, nodes, shards int, transport string) {
+func benchWireScale(b *testing.B, nodes, shards int) {
 	var events uint64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var cl *core.Cluster
 		sc := experiments.E15Scenario(nodes, 1, shards)
-		if transport != "" {
-			sc.Opts.Transport = transport
-			sc.Opts.ShardWorker = []string{os.Args[0]}
-		}
 		sc.OnCluster = func(c *core.Cluster) { cl = c }
 		rep, err := sc.Run()
 		if err != nil {
@@ -408,17 +394,8 @@ func benchWireScale(b *testing.B, nodes, shards int, transport string) {
 	}
 }
 
-func BenchmarkE15WireScaleSerial512(b *testing.B)  { benchWireScale(b, 512, 1, "") }
-func BenchmarkE15WireScaleSharded512(b *testing.B) { benchWireScale(b, 512, 8, "") }
-
-// BenchmarkE15WireScaleSocket512 is the distributed leg of E15: the
-// same 512-node scenario with its 8 shards as separate OS processes
-// (this test binary, see TestMain) speaking length-prefixed wire v2
-// over loopback TCP. The gap to Sharded512 is the price of the socket
-// barrier protocol — per-window control frames, capture encoding and
-// the coordinator's replica cross-check — at a size where every
-// window carries real cross-shard traffic.
-func BenchmarkE15WireScaleSocket512(b *testing.B) { benchWireScale(b, 512, 8, "socket") }
+func BenchmarkE15WireScaleSerial512(b *testing.B)  { benchWireScale(b, 512, 1) }
+func BenchmarkE15WireScaleSharded512(b *testing.B) { benchWireScale(b, 512, 8) }
 
 // --- substrate micro-benchmarks ---
 

@@ -35,11 +35,9 @@ func main() {
 	switches := flag.Int("switches", 0, "switch-count override for single runs")
 	fiber := flag.Float64("fiber", 0, "fiber-meters override for single runs")
 	shards := flag.Int("shards", 0,
-		"run shard-aware experiments (e13, e14) on the parallel sharded engine (internal/parsim) with this many shards (0/1 = serial; others ignore it)")
+		"run shard-aware experiments (e13, e14) on this many shards (0/1 = one shard; others ignore it)")
 	timeline := flag.String("timeline", "",
-		"single runs: write each run's engine span timeline as Chrome trace-event JSON to this file (multiple experiments insert their id before the extension); needs a parallel sharded run to have spans")
-	ampshard := flag.String("ampshard", "",
-		"path to the cmd/ampshard worker binary; enables the socket-transport leg of wall-clock experiments (e17)")
+		"single runs: write each run's engine span timeline as Chrome trace-event JSON to this file (multiple experiments insert their id before the extension); needs a sharded run (-shards > 1) to have spans")
 
 	sweep := flag.Bool("sweep", false, "sweep experiments × seeds × topology variants")
 	seeds := flag.Int("seeds", 8, "sweep: seeds per variant")
@@ -85,9 +83,6 @@ func main() {
 	}
 
 	p := experiments.Params{Seed: *seed, Nodes: *nodes, Switches: *switches, FiberM: *fiber, Shards: *shards}
-	if *ampshard != "" {
-		p.ShardWorker = []string{*ampshard}
-	}
 	if *exp != "" {
 		ids := strings.Split(*exp, ",")
 		for _, id := range ids {
@@ -139,7 +134,7 @@ func run(s experiments.Spec, p experiments.Params, timeline string) {
 func writeTimeline(path, id string, rec *telemetry.Recorder) {
 	spans := rec.Spans()
 	if len(spans) == 0 {
-		fmt.Fprintf(os.Stderr, "ampbench: %s recorded no spans (timelines need a parallel sharded run, e.g. -shards 4 or a wall-clock experiment)\n", id)
+		fmt.Fprintf(os.Stderr, "ampbench: %s recorded no spans (timelines need a sharded run, e.g. -shards 4 or a wall-clock experiment)\n", id)
 		return
 	}
 	writeFile(path, func(w io.Writer) error { return telemetry.WriteTrace(w, spans) })

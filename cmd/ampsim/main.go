@@ -14,7 +14,7 @@
 //	ampsim -nodes 6 -switches 4 -plan "5ms crash-node 3; 20ms reboot-node 3" -traffic -report run.json
 //	ampsim -fabric dualring -nodes 6 -plan "10ms fail-switch 0" -traffic
 //	ampsim -fabric sharded -nodes 8 -switches 4 -plan "5ms fail-trunk 0; 20ms restore-trunk 0"
-//	ampsim -fabric sharded -nodes 16 -switches 8 -shards 8 -transport socket -plan "5ms fail-trunk 0"
+//	ampsim -fabric sharded -nodes 16 -switches 8 -shards 8 -plan "5ms fail-trunk 0" -timeline run.trace.json
 package main
 
 import (
@@ -22,8 +22,6 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"os/exec"
-	"path/filepath"
 	"time"
 
 	ampnet "repro"
@@ -32,25 +30,6 @@ import (
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
-
-// findAmpshard resolves the worker binary for -transport socket: the
-// -ampshard flag if given, else an ampshard sibling of this binary,
-// else $PATH.
-func findAmpshard(flagValue string) (string, error) {
-	if flagValue != "" {
-		return flagValue, nil
-	}
-	if self, err := os.Executable(); err == nil {
-		cand := filepath.Join(filepath.Dir(self), "ampshard")
-		if _, err := os.Stat(cand); err == nil {
-			return cand, nil
-		}
-	}
-	if w, err := exec.LookPath("ampshard"); err == nil {
-		return w, nil
-	}
-	return "", fmt.Errorf("ampsim: -transport socket needs the ampshard worker binary: build cmd/ampshard and pass -ampshard, or put ampshard next to ampsim or on $PATH")
-}
 
 func main() {
 	nodes := flag.Int("nodes", 6, "number of nodes")
@@ -70,11 +49,7 @@ func main() {
 	showTrace := flag.Bool("trace", false, "print the event timeline at exit")
 	deep := flag.Bool("deepphy", false, "run every frame through the real 8b/10b datapath")
 	shards := flag.Int("shards", 0,
-		"run on the parallel sharded engine with this many shards (0/1 = serial; reports are byte-identical either way)")
-	transport := flag.String("transport", "inproc",
-		"barrier transport for the sharded engine: inproc (in-process, the default) or socket (one ampshard worker process per shard over loopback TCP)")
-	ampshard := flag.String("ampshard", "",
-		"path to the ampshard worker binary for -transport socket (default: ampshard next to this binary, then $PATH)")
+		"partition the fabric into this many shards, one OS thread each (0/1 = one shard; reports are byte-identical either way)")
 	wireV := flag.String("wire", "v2",
 		"MicroPacket wire-format version: v1 (one-byte addresses, ≤255 nodes), v2 (uint16 addresses, ≤65535 nodes), or auto")
 	report := flag.String("report", "", "write the deterministic scenario report JSON to this file")
@@ -112,19 +87,10 @@ func main() {
 		log.Fatal(err)
 	}
 
-	var worker []string
-	if *transport == "socket" {
-		w, err := findAmpshard(*ampshard)
-		if err != nil {
-			log.Fatal(err)
-		}
-		worker = []string{w}
-	}
-
 	var rec *telemetry.Recorder
 	if *timeline != "" {
 		if *shards <= 1 {
-			log.Fatal("ampsim: -timeline needs -shards > 1 (the serial engine has no windows or barriers to record)")
+			log.Fatal("ampsim: -timeline needs -shards > 1 (a one-shard run records no windows or barriers)")
 		}
 		rec = telemetry.NewRecorder(nil)
 	}
@@ -136,7 +102,6 @@ func main() {
 		Opts: ampnet.Options{
 			Fabric: &topo, FiberMeters: *fiber, Seed: *seed,
 			DeepPHY: *deep, Shards: *shards,
-			Transport: *transport, ShardWorker: worker,
 			Telemetry: rec,
 		},
 		Plan: p,

@@ -8,6 +8,8 @@ import (
 
 // The cmd tools must surface address-space overflows as clear errors —
 // naming the wire-format version and its ceiling — never as panics.
+// The same holds for a retired socket-transport flag (now unknown to
+// flag, which names it) and for -timeline at one shard.
 func TestCmdsSurfaceWireErrors(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the cmd tools via `go run`")
@@ -26,6 +28,12 @@ func TestCmdsSurfaceWireErrors(t *testing.T) {
 		{"ampbench-overflow",
 			[]string{"run", "./cmd/ampbench", "-exp", "e7", "-nodes", "70000"},
 			[]string{"65535"}},
+		{"ampsim-retired-transport",
+			[]string{"run", "./cmd/ampsim", "-shards", "2", "-transport", "socket"},
+			[]string{"flag provided but not defined: -transport"}},
+		{"ampsim-timeline-one-shard",
+			[]string{"run", "./cmd/ampsim", "-shards", "1", "-timeline", "t.json"},
+			[]string{"-timeline needs -shards > 1"}},
 	}
 	for _, c := range cases {
 		c := c

@@ -1,5 +1,5 @@
 // Package shardshare defines the ampvet analyzer that forbids
-// shard-goroutine writes to coordinator state in the parallel engine.
+// shard-goroutine writes to coordinator state in the engine.
 //
 // The rule: parsim's determinism contract (DESIGN.md, "determinism
 // under parallelism") is that between barriers a shard goroutine may
@@ -11,14 +11,11 @@
 // direct write to shared state from shard context is at best a data
 // race the -race batteries may or may not catch on a sampled seed,
 // and at worst a deterministic-looking heisenbug whose effect order
-// depends on the host scheduler, breaking serial/parallel Report
-// equality.
+// depends on the host scheduler, breaking Report equality across shard
+// counts.
 //
-// The rule covers both halves of the engine: repro/internal/parsim
-// (the barrier engine) and repro/internal/shardnet (the transport
-// subsystem whose Inproc implementation owns the shard goroutines and
-// the capture queues, and whose Socket implementation mirrors them to
-// worker processes).
+// The rule covers repro/internal/parsim: the barrier engine and, in
+// the same package, the shard goroutines and capture queues it hosts.
 //
 // Shard context is computed statically: every function launched by a
 // `go` statement in the package, every method of a type that
@@ -47,20 +44,13 @@ var Analyzer = &analysis.Analyzer{
 	Name: "shardshare",
 	Doc: "forbid shard-goroutine writes to coordinator/cluster state: between barriers a shard " +
 		"may mutate only its own kernel's world; cross-shard effects go through the " +
-		"RemoteExchange capture or a coordinator action (Engine.ScheduleAt)",
+		"RemoteExchange capture or a coordinator action (Engine.Schedule)",
 	Run: run,
 }
 
-// inScope reports whether the package is a parallel-engine package:
-// parsim (the barrier engine) or shardnet (the transport subsystem the
-// shard goroutines and capture queues moved into).
+// inScope reports whether the package is the engine package, parsim.
 func inScope(path string) bool {
-	for _, pkg := range []string{"parsim", "shardnet"} {
-		if path == "repro/internal/"+pkg || path == pkg || strings.HasSuffix(path, "/"+pkg) {
-			return true
-		}
-	}
-	return false
+	return path == "parsim" || strings.HasSuffix(path, "/parsim")
 }
 
 // sanctioned names the capture APIs that are allowed to append into
@@ -227,7 +217,7 @@ func report(pass *analysis.Pass, pos token.Pos) {
 		"write to shared coordinator state from a shard goroutine: between barriers a shard may "+
 			"mutate only its own kernel's world; route cross-shard effects through the "+
 			"RemoteExchange capture (RemoteFrame/DeferRoute) or a coordinator action "+
-			"(Engine.ScheduleAt), which run with all shards parked")
+			"(Engine.Schedule), which run with all shards parked")
 }
 
 // isSharedWrite reports whether the write target reaches state beyond

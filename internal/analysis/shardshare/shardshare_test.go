@@ -8,5 +8,5 @@ import (
 )
 
 func TestShardshare(t *testing.T) {
-	analysistest.Run(t, "testdata", shardshare.Analyzer, "parsim", "shardnet")
+	analysistest.Run(t, "testdata", shardshare.Analyzer, "parsim")
 }

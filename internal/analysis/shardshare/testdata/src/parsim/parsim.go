@@ -6,6 +6,7 @@ type Engine struct {
 	now    int
 	frames [][]int
 	seq    []int
+	routes [][]int
 	stats  int
 	work   []chan int
 	done   chan struct{}
@@ -38,8 +39,14 @@ func (e *Engine) worker(i int, ch chan int) {
 }
 
 // helper is shard context by propagation: worker calls it.
-func (e *Engine) helper() {
+func (e *Engine) helper() (err error) {
+	defer func() {
+		if recover() != nil {
+			err = nil // named result: a plain local, fine
+		}
+	}()
 	e.stats++ // want `write to shared coordinator state`
+	return nil
 }
 
 // coordinatorDrain is never reached from shard context.
@@ -61,7 +68,14 @@ func (x *exchange) RemoteFrame(v int) {
 	x.e.seq[x.shard]++
 }
 
+// DeferRoute is the sanctioned route-capture path, on the engine
+// itself; sideDoor calling it makes it shard context.
+func (e *Engine) DeferRoute(srcShard, op int) {
+	e.routes[srcShard] = append(e.routes[srcShard], op)
+}
+
 func (x *exchange) sideDoor(v int) {
+	x.e.DeferRoute(x.shard, v)
 	x.e.stats = v // want `write to shared coordinator state`
 }
 

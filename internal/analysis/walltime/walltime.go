@@ -5,7 +5,7 @@
 // A wall-clock read (time.Now, time.Since) or wall-clock wait
 // (time.Sleep, time.After, timers, tickers) couples simulation
 // behavior to host speed and scheduling, so two runs of the same seed
-// — or the serial engine versus the sharded one, whose goroutines
+// — or a one-shard run versus a sharded one, whose goroutines
 // interleave differently — stop producing byte-identical Reports.
 // Durations and constants (time.Duration, time.Millisecond) are fine:
 // they are plain arithmetic, not clock reads.

@@ -15,8 +15,8 @@ import (
 	"repro/internal/enc8b10b"
 	"repro/internal/failover"
 	"repro/internal/frameacct"
+	"repro/internal/parsim"
 	"repro/internal/phys"
-	"repro/internal/shardnet"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/wire"
@@ -61,39 +61,18 @@ type Options struct {
 	HeartbeatInterval sim.Time
 	HeartbeatMiss     int
 
-	// Shards selects the parallel sharded engine (internal/parsim):
-	// the fabric is partitioned by switch into this many shards, each
-	// simulated on a private kernel, advancing in conservative
-	// lookahead windows on its own OS thread. 0 or 1 run the serial
-	// engine. A sharded run's Report is byte-identical to the serial
-	// run's for the same seed; see DESIGN.md ("determinism under
-	// parallelism") for the loads and options the parallel engine
-	// supports.
+	// Shards partitions the fabric by switch into this many shards, each
+	// simulated on a private kernel, advancing in conservative lookahead
+	// windows on its own OS thread (internal/parsim). 0 means 1: the
+	// whole fabric on one kernel, run on the caller's goroutine. The
+	// Report is byte-identical at every shard count for the same seed;
+	// see DESIGN.md ("One engine") for the loads and options that need
+	// one shard.
 	Shards int
-	// Parallel is convenience sugar: when true and Shards is 0, one
-	// shard per switch is used. The shard count — not the machine —
-	// determines the partition, so results stay machine-independent.
-	Parallel bool
-	// Transport selects how the parallel engine's shards are hosted:
-	// "" or "inproc" keeps them as goroutines of this process (the
-	// default — bit-for-bit the engine Shards alone selects), "socket"
-	// additionally runs every shard in its own worker process
-	// (Options.ShardWorker) speaking the internal/wire control protocol
-	// over loopback TCP, with the workers' replicas byte-checked
-	// against the coordinator's at every barrier. Requires Shards > 1
-	// and a fabric with a machine-readable shape (Options.Fabric built
-	// by a phys constructor, or the default shapes).
-	Transport string
-	// ShardWorker is the worker argv for Transport "socket" — typically
-	// the cmd/ampshard binary. The connect address and shard id travel
-	// in the AMPSHARD_ADDR/AMPSHARD_SHARD environment variables.
-	ShardWorker []string
 
 	// JoinTimeout, KeepaliveInterval and SilenceTimeout retune the
 	// per-node liveness cadences for fabric size (big fabrics drown in
 	// the room-sized defaults). Zero keeps each component's default.
-	// They are declarative — part of the cluster spec — so they cross
-	// to socket-transport shard workers, unlike an OnCluster closure.
 	JoinTimeout       sim.Time
 	KeepaliveInterval sim.Time
 	SilenceTimeout    sim.Time
@@ -110,13 +89,10 @@ type Options struct {
 	BER float64
 
 	// Telemetry, if set, receives the run's wall-clock span timeline
-	// (window grant → shard run → barrier exchange, plus socket-
-	// transport round-trips) on the parallel engine; see
+	// (window grant → shard run → barrier exchange); see
 	// internal/telemetry. Attaching a recorder changes no simulation
 	// behavior and no Report bytes — wall readings live only in the
-	// recorder. Ignored on the serial engine. Not part of the cluster
-	// spec: socket shard workers measure their own runs and ship
-	// summaries in the MsgDone telemetry block.
+	// recorder. Ignored at one shard.
 	Telemetry *telemetry.Recorder
 	// TelemetryInReport opts the deterministic telemetry plane
 	// (per-shard window/event counters, heal-latency histograms — all
@@ -125,7 +101,7 @@ type Options struct {
 	// the plane still prints in Report.Summary() either way. Note that
 	// the opted-in JSON names shard structure, so it only byte-matches
 	// across runs with the same Shards value — unlike the base report,
-	// which is byte-identical serial vs sharded.
+	// which is byte-identical at every shard count.
 	TelemetryInReport bool
 }
 
@@ -157,9 +133,6 @@ func (o *Options) fill() {
 	if o.Version == 0 {
 		o.Version = 0x0100
 	}
-	if o.Parallel && o.Shards == 0 {
-		o.Shards = o.Switches
-	}
 	if o.Shards < 1 {
 		o.Shards = 1
 	}
@@ -186,24 +159,20 @@ func (o *Options) topology() phys.Topology {
 // Cluster is a fully assembled AmpNet network.
 type Cluster struct {
 	Opts Options
-	// K is the simulation kernel on the serial engine. Under
+	// K is the simulation kernel of a one-shard cluster. Under
 	// Options.Shards > 1 it is nil — each node runs on its shard's
 	// kernel (Nodes[i].K), and driver-level time control goes through
 	// the engine (Run, WaitUntil, Install). Nets lists every shard's
-	// physical network (one entry on the serial engine); fabric-wide
-	// counters are summed over it.
+	// physical network; fabric-wide counters are summed over it.
 	K    *sim.Kernel
 	Net  *phys.Net
 	Nets []*phys.Net
 	Phys *phys.Cluster
-	// Assign is the shard assignment the parallel engine runs under
-	// (nil on the serial engine) — observability for reports and tools.
+	// Assign is the shard assignment of a sharded cluster (nil at one
+	// shard) — observability for reports and tools.
 	Assign *phys.Assignment
 
-	// eng abstracts serial vs parallel time control; par is non-nil
-	// only under the parallel engine.
-	eng engine
-	par *parsimEngine
+	eng *parsim.Engine
 
 	Nodes    []*ampdk.Node
 	Services []*ampdc.Services
@@ -220,69 +189,131 @@ type Cluster struct {
 	// booted flips once Boot has been called; plan validation assumes
 	// all nodes up until then.
 	booted bool
-	// loads lists every started load in start order; the index is the
-	// cross-process identity actLoadQuiesce mirrors by.
-	loads []*ActiveLoad
 }
 
 // New assembles a cluster. Nothing runs until Boot (or manual Node
-// boots) and Run. With Options.Shards > 1 the cluster is built over
-// the parallel sharded engine (see newParallel); the resulting Cluster
-// drives and reports identically — call Close when done with a
-// directly-driven parallel cluster to release its worker threads
+// boots) and Run. Misconfigured options panic (Scenario.Run returns
+// the same conditions as errors). Call Close when done with a
+// directly-driven sharded cluster to release its worker threads
 // (Scenario.Run does so automatically).
 func New(opts Options) *Cluster {
-	opts.fill()
-	if opts.Shards > 1 {
-		return newParallel(opts)
-	}
-	if opts.transportName() == "socket" {
-		panic("core: Options.Transport \"socket\" needs Options.Shards > 1 (the serial engine has no shards to distribute)")
-	}
-	c := &Cluster{Opts: opts}
-	c.K = sim.NewKernel(opts.Seed)
-	c.eng = serialEngine{c.K}
-	c.Net = phys.NewNet(c.K)
-	c.Nets = []*phys.Net{c.Net}
-	c.Net.DeepPHY = opts.DeepPHY
-	if opts.DeepPHY && opts.BER > 0 {
-		rng := c.K.RNG().Split()
-		ber := opts.BER
-		c.Net.Corrupt = func(_ phys.Frame, syms []enc8b10b.Symbol) {
-			for i := range syms {
-				if rng.Float64() < ber {
-					syms[i] ^= 1 << rng.Intn(10)
-				}
-			}
-		}
-	}
-	ph, err := phys.BuildFabric(c.Net, opts.topology())
-	if err != nil { // a malformed Topology is a programming error
+	c, err := build(opts)
+	if err != nil {
 		panic(err)
 	}
-	c.Phys = ph
-	c.buildNodes(func(int) *sim.Kernel { return c.K })
 	return c
 }
 
-// buildNodes assembles the per-node software stacks; kernelOf names
-// the kernel each node's components schedule on (the single kernel on
-// the serial engine, the node's shard kernel under parsim).
-func (c *Cluster) buildNodes(kernelOf func(node int) *sim.Kernel) {
+// build is the one constructor: the fabric split by phys.AssignShards
+// over one kernel and one phys.Net per shard, every node built on its
+// shard's kernel, and a parsim.Engine coordinating lookahead windows
+// and barrier exchange. One shard is the same build with nothing cut:
+// the lookahead is unbounded and the engine runs the single kernel
+// directly.
+func build(opts Options) (*Cluster, error) {
+	opts.fill()
+	topo := opts.topology()
+	if err := topo.Validate(); err != nil {
+		return nil, err
+	}
+	if opts.Shards > 1 && opts.DeepPHY && opts.BER > 0 {
+		return nil, fmt.Errorf("core: Options.BER is not supported with Shards > 1 (the symbol-error RNG is a single stream shards cannot share deterministically)")
+	}
+	assign, err := phys.AssignShards(&topo, opts.Shards)
+	if err != nil {
+		return nil, err
+	}
+	lookahead, err := phys.Lookahead(&topo, assign)
+	if err != nil {
+		return nil, err
+	}
+	kernels := make([]*sim.Kernel, opts.Shards)
+	nets := make([]*phys.Net, opts.Shards)
+	for i := range kernels {
+		// Every shard derives its seed from the run seed; only shard 0's
+		// stream is consumed (BER, one shard only), the rest are kept
+		// distinct for any future per-shard noise.
+		kernels[i] = sim.NewKernel(opts.Seed + uint64(i)<<32)
+		nets[i] = phys.NewNet(kernels[i])
+		nets[i].DeepPHY = opts.DeepPHY
+	}
+	eng, err := parsim.New(kernels, nets, lookahead)
+	if err != nil {
+		return nil, err
+	}
+	ph, err := phys.BuildFabricSharded(nets, topo, assign)
+	if err != nil {
+		eng.Shutdown()
+		return nil, err
+	}
+	c := &Cluster{Opts: opts, Phys: ph, Net: nets[0], Nets: nets, eng: eng}
+	if opts.Shards == 1 {
+		// A one-shard fabric is not sharded: no assignment means every
+		// Program call applies synchronously and the partition stays out
+		// of reports.
+		ph.Assign = nil
+		c.K = kernels[0]
+		if opts.DeepPHY && opts.BER > 0 {
+			rng := c.K.RNG().Split()
+			ber := opts.BER
+			c.Net.Corrupt = func(_ phys.Frame, syms []enc8b10b.Symbol) {
+				for i := range syms {
+					if rng.Float64() < ber {
+						syms[i] ^= 1 << rng.Intn(10)
+					}
+				}
+			}
+		}
+	} else {
+		c.Assign = assign
+		ph.RouteSink = eng.DeferRoute
+		eng.BindRoutes(func(at sim.Time, op phys.RouteOp) {
+			// A zero timestamp is the historical apply-on-receipt write.
+			// A timestamped write lands at its exact instant on the owning
+			// shard's kernel — the same instant a one-shard run applies
+			// it — ahead of any model event there (priority -1).
+			// Program's flight arithmetic guarantees at is still in the
+			// owning kernel's future at the barrier.
+			if at == 0 {
+				op.Apply(ph)
+				return
+			}
+			k := kernels[assign.SwitchShard[op.Switch]]
+			if at <= k.Now() {
+				op.Apply(ph)
+				return
+			}
+			k.AtPri(at, -1, 0, func() { op.Apply(ph) })
+		})
+		if opts.Telemetry != nil {
+			// Wall-clock plane only: the recorder observes
+			// window/run/barrier spans and changes neither simulation
+			// behavior nor Report bytes.
+			eng.SetRecorder(opts.Telemetry)
+		}
+	}
+	c.buildNodes()
+	return c, nil
+}
+
+// buildNodes assembles the per-node software stacks, each on its
+// shard's kernel.
+func (c *Cluster) buildNodes() {
 	opts := c.Opts
 	for i := 0; i < opts.Nodes; i++ {
 		ver := opts.Version
 		if opts.VersionOf != nil {
 			ver = opts.VersionOf(i)
 		}
-		nd := ampdk.NewNode(kernelOf(i), c.Phys, ampdk.Config{
+		shard := c.Phys.ShardOfNode(i)
+		nd := ampdk.NewNode(c.eng.Kernels[shard], c.Phys, ampdk.Config{
 			ID: i, Version: ver, Regions: opts.Regions,
 			HeartbeatInterval: opts.HeartbeatInterval,
 			HeartbeatMiss:     opts.HeartbeatMiss,
 			JoinTimeout:       opts.JoinTimeout,
 			FiberM:            opts.FiberMeters,
 		})
-		nd.Agent.Shard = c.Phys.ShardOfNode(i)
+		nd.Agent.Shard = shard
 		if opts.KeepaliveInterval != 0 {
 			nd.Agent.KeepaliveInterval = opts.KeepaliveInterval
 		}
@@ -306,11 +337,6 @@ func (c *Cluster) Boot(window sim.Time) error {
 		nd := nd
 		nd.K.After(0, func() { nd.Boot() })
 	}
-	// Distributed shard workers schedule the same boots at the same
-	// parked instant, in the same node order.
-	if err := c.mirror(shardnet.Action{Kind: actBootAll}); err != nil {
-		return err
-	}
 	if window == 0 {
 		window = 50 * sim.Millisecond
 	}
@@ -319,7 +345,7 @@ func (c *Cluster) Boot(window sim.Time) error {
 	if c.stepUntil(c.allSettled, c.Now()+window, sim.Millisecond) {
 		return nil
 	}
-	// A transport failure mid-boot surfaces as itself, not as the
+	// An engine failure mid-boot surfaces as itself, not as the
 	// stuck-node symptom it leaves behind.
 	if err := c.Err(); err != nil {
 		return err
@@ -347,29 +373,15 @@ func (c *Cluster) Run(d sim.Time) { c.eng.RunUntil(c.eng.Now() + d) }
 // Now returns the current virtual time.
 func (c *Cluster) Now() sim.Time { return c.eng.Now() }
 
-// Err returns the engine's sticky failure, if any: a shard panic, a
-// worker-process death, or a replica divergence on the socket
-// transport. Once set, the simulation refuses to advance; Scenario.Run
-// surfaces it as the run's error. Always nil on the serial engine.
-func (c *Cluster) Err() error {
-	if c.par != nil {
-		return c.par.e.Err()
-	}
-	return nil
-}
+// Err returns the engine's sticky failure, if any (a shard panic).
+// Once set, the simulation refuses to advance; Scenario.Run surfaces it
+// as the run's error.
+func (c *Cluster) Err() error { return c.eng.Err() }
 
-// Distributed reports whether the cluster's shards also run in worker
-// processes (Options.Transport "socket").
-func (c *Cluster) Distributed() bool { return c.par != nil && c.par.e.Distributed() }
-
-// Close releases engine resources (the parallel engine's worker
+// Close releases engine resources (a sharded cluster's worker
 // threads). It is safe to call on any cluster, more than once, and is
 // called automatically by Scenario.Run.
-func (c *Cluster) Close() {
-	if c.par != nil {
-		c.par.e.Shutdown()
-	}
-}
+func (c *Cluster) Close() { c.eng.Shutdown() }
 
 // Roster returns the current logical ring as seen by the lowest online
 // node (all live nodes converge to the same roster; crashed nodes hold

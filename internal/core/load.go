@@ -3,13 +3,11 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 
 	"repro/internal/ampip"
 	"repro/internal/micropacket"
 	"repro/internal/netcache"
-	"repro/internal/shardnet"
 	"repro/internal/sim"
 )
 
@@ -24,15 +22,10 @@ type Load interface {
 	kindName() (kind, name string)
 	// check validates the load's node ids against the cluster, so a
 	// misconfigured load fails up front instead of panicking
-	// mid-simulation (mirroring Plan.Validate). On a distributed
-	// cluster it also verifies the load can be serialized (remoteSpec).
+	// mid-simulation (mirroring Plan.Validate).
 	check(c *Cluster) error
 	// begin installs the load and starts generating.
 	begin(c *Cluster, a *ActiveLoad)
-	// remoteSpec returns the load's plain-data JSON form for
-	// socket-transport shard workers, or an error when the load holds
-	// closures (or other state) that cannot cross a process boundary.
-	remoteSpec() ([]byte, error)
 }
 
 // checkLoadNode validates one node id of a load.
@@ -87,11 +80,6 @@ type LoadReport struct {
 
 // ActiveLoad is a started load: poll Done, stop it, read its report.
 type ActiveLoad struct {
-	// c and idx locate the load on its cluster (start order); they are
-	// how Quiesce mirrors itself to distributed shard workers.
-	c   *Cluster
-	idx int
-
 	rep       LoadReport
 	halted    bool
 	done      bool
@@ -112,30 +100,12 @@ func (c *Cluster) StartLoad(l Load) *ActiveLoad {
 
 // startLoad starts an already-validated load.
 func (c *Cluster) startLoad(l Load) *ActiveLoad {
-	a := &ActiveLoad{c: c, idx: len(c.loads)}
-	c.loads = append(c.loads, a)
+	a := &ActiveLoad{}
 	a.rep.Kind, a.rep.Name = l.kindName()
 	if a.rep.Name == "" {
 		a.rep.Name = a.rep.Kind
 	}
 	l.begin(c, a)
-	if c.Distributed() {
-		// Mirror the start so shard workers install the identical load
-		// at the same parked instant (check has already proven the load
-		// serializes).
-		kind, _ := l.kindName()
-		js, err := l.remoteSpec()
-		if err != nil {
-			panic(err)
-		}
-		data, err := json.Marshal(loadSpec{Kind: kind, Spec: js})
-		if err != nil {
-			panic(err)
-		}
-		// A fence failure is sticky on the engine; the driver's next
-		// advance (or Scenario.Run's error check) surfaces it.
-		_ = c.mirror(shardnet.Action{Kind: actLoadStart, Data: data})
-	}
 	return a
 }
 
@@ -153,11 +123,6 @@ func (a *ActiveLoad) Quiesce() {
 	}
 	a.halted = true
 	a.done = true
-	if a.c != nil && a.c.Distributed() {
-		var le [4]byte
-		binary.LittleEndian.PutUint32(le[:], uint32(a.idx))
-		_ = a.c.mirror(shardnet.Action{Kind: actLoadQuiesce, Data: le[:]})
-	}
 }
 
 // Report finalizes (first call) and returns the load's report.
@@ -209,8 +174,8 @@ type PubSubLoad struct {
 	// exponential distribution, giving deterministic but bursty,
 	// non-uniform traffic. The stream is derived from the cluster seed
 	// and the load's publisher/topic, so it is identical run to run —
-	// and identical across serial and sharded engines, which is why it
-	// does not touch the kernel RNG.
+	// and identical at every shard count, which is why it does not
+	// touch the kernel RNG.
 	Poisson bool
 	// Count bounds the stream; 0 means publish until quiesced.
 	Count int
@@ -218,21 +183,12 @@ type PubSubLoad struct {
 	// seq+timestamp header.
 	Payload int
 	// Fill, if set, fills the application payload for each message.
-	// Closure fields do not cross to socket-transport shard workers;
-	// a distributed run rejects loads that set them.
-	Fill func(seq uint64, payload []byte) `json:"-"`
+	Fill func(seq uint64, payload []byte)
 	// OnDeliver, if set, observes every delivery (after accounting).
-	OnDeliver func(node int, seq uint64, payload []byte) `json:"-"`
+	OnDeliver func(node int, seq uint64, payload []byte)
 }
 
 func (l *PubSubLoad) kindName() (string, string) { return "pubsub", l.Name }
-
-func (l *PubSubLoad) remoteSpec() ([]byte, error) {
-	if l.Fill != nil || l.OnDeliver != nil {
-		return nil, fmt.Errorf("core: pubsub load %q sets Fill/OnDeliver closures, which cannot cross to shard worker processes", l.Name)
-	}
-	return json.Marshal(l)
-}
 
 func (l *PubSubLoad) check(c *Cluster) error {
 	if err := checkLoadNode(c, "pubsub", "publisher", l.Publisher); err != nil {
@@ -240,11 +196,6 @@ func (l *PubSubLoad) check(c *Cluster) error {
 	}
 	for _, s := range l.Subscribers {
 		if err := checkLoadNode(c, "pubsub", "subscriber", s); err != nil {
-			return err
-		}
-	}
-	if c.Distributed() {
-		if _, err := l.remoteSpec(); err != nil {
 			return err
 		}
 	}
@@ -276,9 +227,8 @@ func (l *PubSubLoad) begin(c *Cluster, a *ActiveLoad) {
 		st := &subState{node: node}
 		states[si] = st
 		// The delivery callback runs on the subscriber's kernel (its
-		// shard under the parallel engine) and touches only this
-		// subscriber's state, so accounting is race-free and identical
-		// on both engines.
+		// shard) and touches only this subscriber's state, so
+		// accounting is race-free and identical at every shard count.
 		subK := c.Nodes[node].K
 		c.Services[node].Sub.Subscribe(l.Topic, func(_ micropacket.NodeID, data []byte) {
 			if len(data) < pubSubHeader {
@@ -383,30 +333,13 @@ type CacheChurn struct {
 	Count int
 	// Fill, if set, fills each write's buffer; the default stamps the
 	// little-endian sequence number into the buffer's first bytes.
-	// Closure fields do not cross to socket-transport shard workers; a
-	// distributed run rejects loads that set them.
-	Fill func(seq uint64, buf []byte) `json:"-"`
+	Fill func(seq uint64, buf []byte)
 }
 
 func (l *CacheChurn) kindName() (string, string) { return "cache-churn", l.Name }
 
-func (l *CacheChurn) remoteSpec() ([]byte, error) {
-	if l.Fill != nil {
-		return nil, fmt.Errorf("core: cache-churn load %q sets a Fill closure, which cannot cross to shard worker processes", l.Name)
-	}
-	return json.Marshal(l)
-}
-
 func (l *CacheChurn) check(c *Cluster) error {
-	if err := checkLoadNode(c, "cache-churn", "writer", l.Writer); err != nil {
-		return err
-	}
-	if c.Distributed() {
-		if _, err := l.remoteSpec(); err != nil {
-			return err
-		}
-	}
-	return nil
+	return checkLoadNode(c, "cache-churn", "writer", l.Writer)
 }
 
 func (l *CacheChurn) begin(c *Cluster, a *ActiveLoad) {
@@ -477,22 +410,16 @@ type CollectiveLoad struct {
 	// Iters bounds the job; 0 means iterate until quiesced.
 	Iters int
 	// OnIter, if set, observes each completed iteration's global sum.
-	OnIter func(iter int, sum uint64) `json:"-"`
+	OnIter func(iter int, sum uint64)
 }
 
 func (l *CollectiveLoad) kindName() (string, string) { return "collective", l.Name }
 
-func (l *CollectiveLoad) remoteSpec() ([]byte, error) {
-	// Unreachable in practice: check rejects the load on any parallel
-	// engine, distributed or not.
-	return nil, fmt.Errorf("core: collective load is not supported with Options.Shards > 1")
-}
-
 func (l *CollectiveLoad) check(c *Cluster) error {
-	if c.par != nil {
+	if c.K == nil {
 		// The collective driver advances shared iteration state from
 		// every rank's completion callback — cross-shard shared memory
-		// the parallel engine cannot order deterministically.
+		// the engine cannot order deterministically.
 		return fmt.Errorf("core: collective load is not supported with Options.Shards > 1 (its iteration driver spans shards)")
 	}
 	for _, r := range l.Ranks {
@@ -582,22 +509,16 @@ type FileStream struct {
 	// Gap is the pause between files.
 	Gap sim.Time
 	// OnFile, if set, observes each completed transfer.
-	OnFile func(i int, ok bool, took sim.Time) `json:"-"`
+	OnFile func(i int, ok bool, took sim.Time)
 }
 
 func (l *FileStream) kindName() (string, string) { return "filestream", l.Name }
 
-func (l *FileStream) remoteSpec() ([]byte, error) {
-	// Unreachable in practice: check rejects the load on any parallel
-	// engine, distributed or not.
-	return nil, fmt.Errorf("core: filestream load is not supported with Options.Shards > 1")
-}
-
 func (l *FileStream) check(c *Cluster) error {
-	if c.par != nil {
+	if c.K == nil {
 		// Each completed file schedules the next send from the
 		// receiver's delivery callback — a cross-shard hop the
-		// parallel engine cannot replay at serial fidelity.
+		// engine cannot replay at one-shard fidelity.
 		return fmt.Errorf("core: filestream load is not supported with Options.Shards > 1 (completion drives the sender from the receiver's shard)")
 	}
 	if err := checkLoadNode(c, "filestream", "sender", l.From); err != nil {

@@ -1,257 +1,52 @@
 package core
 
 import (
-	"fmt"
-
 	"repro/internal/parsim"
-	"repro/internal/phys"
-	"repro/internal/shardnet"
 	"repro/internal/sim"
 )
 
-// engine abstracts driver-level time control so the Scenario/Cluster
-// API is identical over the serial kernel and the parallel sharded
-// engine. RunUntil is inclusive and leaves the clock exactly on its
-// deadline; ScheduleAt runs fn at t ordered like a timer installed at
-// the moment of the call (the contract plan events rely on).
-// ScheduleAction is ScheduleAt plus the action's serialized descriptor,
-// which distributed transports mirror to their shard workers (nil desc
-// marks a read-only action that never needs mirroring).
-type engine interface {
-	Now() sim.Time
-	RunUntil(t sim.Time) sim.Time
-	ScheduleAt(t sim.Time, fn func())
-	ScheduleAction(t sim.Time, fn func(), desc *shardnet.Action)
-}
-
-// serialEngine drives the single kernel of a serial cluster.
-type serialEngine struct{ k *sim.Kernel }
-
-func (s serialEngine) Now() sim.Time                    { return s.k.Now() }
-func (s serialEngine) RunUntil(t sim.Time) sim.Time     { return s.k.RunUntil(t) }
-func (s serialEngine) ScheduleAt(t sim.Time, fn func()) { s.k.At(t, fn) }
-func (s serialEngine) ScheduleAction(t sim.Time, fn func(), _ *shardnet.Action) {
-	// One process, one replica: the descriptor has nowhere to go. The
-	// priority key is load-bearing: the parallel engine fires actions at
-	// a window fence, before ANY model event at the same instant, so the
-	// serial twin must sort them the same way. Model events carry
-	// priT ≥ 0 (their transmit/schedule time); priT = -1 puts actions
-	// ahead of all of them at the shared instant, with installation
-	// order (seq) breaking action-vs-action ties exactly like the
-	// fence's schedule order does.
-	s.k.AtPri(t, -1, 0, fn)
-}
-
-// parsimEngine adapts parsim.Engine to the core engine interface.
-type parsimEngine struct{ e *parsim.Engine }
-
-func (p *parsimEngine) Now() sim.Time                    { return p.e.Now() }
-func (p *parsimEngine) RunUntil(t sim.Time) sim.Time     { return p.e.RunUntil(t) }
-func (p *parsimEngine) ScheduleAt(t sim.Time, fn func()) { p.e.ScheduleAt(t, fn) }
-func (p *parsimEngine) ScheduleAction(t sim.Time, fn func(), desc *shardnet.Action) {
-	if desc == nil {
-		p.e.ScheduleRead(t, fn)
-		return
-	}
-	p.e.ScheduleAction(t, fn, *desc)
-}
-
-// ValidateParallel reports whether the options can run on the parallel
-// sharded engine: enough switches to own every shard, a positive
-// fabric lookahead, and no BER injection (its fault stream is a single
-// shared RNG, which shards cannot consume deterministically). It is a
-// no-op for serial options.
-func (o Options) ValidateParallel() error {
-	o.fill()
-	if o.Shards <= 1 {
-		if o.transportName() == "socket" {
-			return fmt.Errorf("core: Options.Transport \"socket\" needs Options.Shards > 1 (the serial engine has no shards to distribute)")
-		}
-		return nil
-	}
-	if o.DeepPHY && o.BER > 0 {
-		return fmt.Errorf("core: Options.BER is not supported with Shards > 1 (the symbol-error RNG is a single stream shards cannot share deterministically)")
-	}
-	switch o.transportName() {
-	case "inproc":
-	case "socket":
-		if _, err := buildSocketSpec(o); err != nil {
-			return err
-		}
-	default:
-		return fmt.Errorf("core: unknown Options.Transport %q (want \"inproc\" or \"socket\")", o.Transport)
-	}
-	topo := o.topology()
-	if err := topo.Validate(); err != nil {
-		return err
-	}
-	assign, err := phys.AssignShards(&topo, o.Shards)
-	if err != nil {
-		return err
-	}
-	if _, err := phys.Lookahead(&topo, assign); err != nil {
-		return err
-	}
-	return nil
-}
-
-// newParallel assembles a cluster over the parallel sharded engine:
-// one kernel and one phys.Net per shard, the fabric split by
-// phys.AssignShards, every node built on its shard's kernel, and a
-// parsim.Engine coordinating lookahead windows and barrier exchange.
-// Misconfigured options panic, mirroring New; Scenario.Run surfaces
-// the same conditions as errors via ValidateParallel.
-func newParallel(opts Options) *Cluster {
-	// The checks below are exactly ValidateParallel's, derived once
-	// from the assignment/lookahead this build needs anyway; Scenario
-	// surfaces the same conditions as errors before reaching here.
-	if opts.DeepPHY && opts.BER > 0 {
-		panic("core: Options.BER is not supported with Shards > 1 (the symbol-error RNG is a single stream shards cannot share deterministically)")
-	}
-	c := &Cluster{Opts: opts}
-	topo := opts.topology()
-	if err := topo.Validate(); err != nil {
-		panic(err)
-	}
-	assign, err := phys.AssignShards(&topo, opts.Shards)
-	if err != nil {
-		panic(err)
-	}
-	lookahead, err := phys.Lookahead(&topo, assign)
-	if err != nil {
-		panic(err)
-	}
-	kernels := make([]*sim.Kernel, opts.Shards)
-	nets := make([]*phys.Net, opts.Shards)
-	for i := range kernels {
-		// Every shard derives its seed from the run seed; the streams
-		// are unused by the sharded model (see ValidateParallel's BER
-		// gate) but kept distinct for any future per-shard noise.
-		kernels[i] = sim.NewKernel(opts.Seed + uint64(i)<<32)
-		nets[i] = phys.NewNet(kernels[i])
-		nets[i].DeepPHY = opts.DeepPHY
-	}
-	// The transport hosts the shards: in-process goroutines by default,
-	// plus one worker process per shard on the socket transport. The
-	// socket workers rebuild this exact cluster from the serialized spec
-	// and launch lazily on the first barrier, so a launch failure flows
-	// down the engine's normal failure path.
-	var tr shardnet.Transport
-	var sock *shardnet.Socket
-	var spec []byte
-	switch opts.transportName() {
-	case "inproc":
-	case "socket":
-		spec, err = buildSocketSpec(opts)
-		if err != nil {
-			panic(err)
-		}
-		sock = shardnet.NewSocket(kernels, nets, shardnet.SocketConfig{
-			Cmd:       opts.ShardWorker,
-			Spec:      spec,
-			Seed:      opts.Seed,
-			Wire:      topo.WireVersion(),
-			Lookahead: lookahead,
-		})
-		tr = sock
-	default:
-		panic(fmt.Sprintf("core: unknown Options.Transport %q (want \"inproc\" or \"socket\")", opts.Transport))
-	}
-	eng, err := parsim.NewWithTransport(kernels, nets, lookahead, tr)
-	if err != nil {
-		panic(err)
-	}
-	ph, err := phys.BuildFabricSharded(nets, topo, assign)
-	if err != nil {
-		eng.Shutdown()
-		panic(err)
-	}
-	ph.RouteSink = eng.DeferRoute
-	eng.Transport().BindRoutes(func(at sim.Time, op phys.RouteOp) {
-		// A zero timestamp is the historical apply-on-receipt write.
-		// A timestamped write lands at its exact instant on the owning
-		// shard's kernel — the same instant the serial engine applies
-		// it — ahead of any model event there (priority -1, like plan
-		// actions). Program's flight arithmetic guarantees at is still
-		// in the owning kernel's future at the barrier.
-		if at == 0 {
-			op.Apply(ph)
-			return
-		}
-		k := kernels[assign.SwitchShard[op.Switch]]
-		if at <= k.Now() {
-			op.Apply(ph)
-			return
-		}
-		k.AtPri(at, -1, 0, func() { op.Apply(ph) })
-	})
-	if sock != nil {
-		sock.SetFingerprint(shardnet.Fingerprint(ph, opts.Seed, lookahead, spec))
-	}
-	if opts.Telemetry != nil {
-		// Wall-clock plane only: the recorder observes window/run/barrier
-		// spans and changes neither simulation behavior nor Report bytes.
-		// It stays out of the shard-worker spec — each worker measures
-		// its own runs and ships summaries in the MsgDone telemetry
-		// block.
-		eng.SetRecorder(opts.Telemetry)
-	}
-	c.Phys = ph
-	c.Net = nets[0]
-	c.Nets = nets
-	c.Assign = assign
-	c.par = &parsimEngine{eng}
-	c.eng = c.par
-	c.buildNodes(func(n int) *sim.Kernel { return kernels[assign.NodeShard[n]] })
-	return c
-}
-
 // EventsFired returns the total number of simulation events executed,
-// summed over every shard's kernel (one kernel on the serial engine).
+// summed over every shard's kernel.
 func (c *Cluster) EventsFired() uint64 {
 	var n uint64
-	seen := map[*sim.Kernel]bool{}
-	for _, nd := range c.Nodes {
-		if !seen[nd.K] {
-			seen[nd.K] = true
-			n += nd.K.Fired
-		}
+	for _, k := range c.eng.Kernels {
+		n += k.Fired
 	}
 	return n
 }
 
-// ParStats returns the parallel engine's window/barrier statistics
-// (fabric-wide sums), or nil on the serial engine.
+// ParStats returns the engine's window/barrier statistics (fabric-wide
+// sums), or nil at one shard.
 func (c *Cluster) ParStats() *parsim.Stats {
-	if c.par == nil {
+	if c.Assign == nil {
 		return nil
 	}
-	st := c.par.e.Stats
+	st := c.eng.Stats
 	return &st
 }
 
 // ShardParStats returns the deterministic per-shard telemetry plane —
-// one parsim.ShardStat per shard — or nil on the serial engine. Safe
-// whenever the driver may observe the simulation (shards parked).
+// one parsim.ShardStat per shard — or nil at one shard. Safe whenever
+// the driver may observe the simulation (shards parked).
 func (c *Cluster) ShardParStats() []parsim.ShardStat {
-	if c.par == nil {
+	if c.Assign == nil {
 		return nil
 	}
-	return c.par.e.ShardStats()
+	return c.eng.ShardStats()
 }
 
-// OnBarrier installs fn as an observer of the parallel engine's
-// barriers, chained before any previously installed observer; it
-// reports false on the serial engine. fn runs on the driver goroutine
-// with all kernels parked on at; frames/routes are the barrier drain's
-// batch sizes and action marks fences forced by coordinator work.
-// Observing is behavior-neutral — fn must not mutate model state.
+// OnBarrier installs fn as an observer of the engine's barriers,
+// chained before any previously installed observer; it reports false
+// at one shard. fn runs on the driver goroutine with all kernels parked
+// on at; frames/routes are the barrier drain's batch sizes and action
+// marks fences forced by coordinator work. Observing is
+// behavior-neutral — fn must not mutate model state.
 func (c *Cluster) OnBarrier(fn func(at sim.Time, frames, routes int, action bool)) bool {
-	if c.par == nil {
+	if c.Assign == nil {
 		return false
 	}
-	prev := c.par.e.OnFence
-	c.par.e.OnFence = func(at sim.Time, frames, routes int, action bool) {
+	prev := c.eng.OnFence
+	c.eng.OnFence = func(at sim.Time, frames, routes int, action bool) {
 		fn(at, frames, routes, action)
 		if prev != nil {
 			prev(at, frames, routes, action)
@@ -260,11 +55,10 @@ func (c *Cluster) OnBarrier(fn func(at sim.Time, frames, routes int, action bool
 	return true
 }
 
-// Lookahead returns the parallel engine's window bound (0 on the
-// serial engine).
+// Lookahead returns the engine's window bound (0 at one shard).
 func (c *Cluster) Lookahead() sim.Time {
-	if c.par == nil {
+	if c.Assign == nil {
 		return 0
 	}
-	return c.par.e.Lookahead()
+	return c.eng.Lookahead()
 }

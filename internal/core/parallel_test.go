@@ -88,11 +88,10 @@ func TestEquivalenceBattery(t *testing.T) {
 // TestOnGridFaultEquivalence pins the same-instant plan-action ordering
 // contract: a fault scheduled at the exact instant of a model event
 // (here, the fleet-wide keepalive tick, armed before boot) must still
-// produce byte-identical serial and parallel reports. The parallel
-// engine fires plan actions at a window fence before any model event at
-// that instant; the serial engine must sort them the same way (see
-// serialEngine.ScheduleAction). Historically scenarios dodged this by
-// skewing fault instants off the timer grid; this test aims dead-on.
+// produce byte-identical one-shard and sharded reports. The engine
+// fires plan actions at a window fence before any model event at that
+// instant, at every shard count (see parsim.Engine.Schedule), so fault
+// instants need no skew off the timer grid; this test aims dead-on.
 func TestOnGridFaultEquivalence(t *testing.T) {
 	topo := phys.Sharded(2, 4, 2, 50)
 	const keepalive = 2 * sim.Millisecond
@@ -180,35 +179,102 @@ func TestDecoupledPartitionRuns(t *testing.T) {
 	}
 }
 
-// TestParallelRejectsUnsupportedLoads pins the engine's stated limits:
-// loads whose drivers span shards, and BER injection, fail up front
-// with actionable errors instead of racing mid-run.
+// TestParallelRejectsUnsupportedLoads pins the one-shard contract and
+// the engine's stated limits on one table: a default cluster is one
+// shard — K set, no assignment, no engine stats — and accepts the
+// loads whose drivers span shards and BER injection; the same three
+// under Shards: 2 fail up front with their named errors instead of
+// racing mid-run.
 func TestParallelRejectsUnsupportedLoads(t *testing.T) {
-	topo := phys.Sharded(2, 3, 1, 50)
-	base := Scenario{
-		Opts: Options{Fabric: &topo, Shards: 2},
-		For:  2 * sim.Millisecond,
+	c := New(Options{})
+	defer c.Close()
+	if c.K == nil || c.Assign != nil || c.Phys.Assign != nil || c.ParStats() != nil ||
+		c.ShardParStats() != nil || c.Lookahead() != 0 {
+		t.Fatalf("New(Options{}): K=%v Assign=%v Phys.Assign=%v ParStats=%v ShardParStats=%v Lookahead=%v; want the one-shard contract",
+			c.K, c.Assign, c.Phys.Assign, c.ParStats(), c.ShardParStats(), c.Lookahead())
 	}
-	col := base
-	col.Loads = []Load{&CollectiveLoad{Iters: 1}}
-	if _, err := col.Run(); err == nil || !strings.Contains(err.Error(), "collective") {
-		t.Fatalf("collective load under shards: err = %v, want unsupported", err)
+
+	topo := phys.Uniform(4, 2, 50)
+	cases := []struct {
+		name  string
+		apply func(*Scenario)
+		want  string // named error under Shards: 2
+	}{
+		{"collective", func(s *Scenario) { s.Loads = []Load{&CollectiveLoad{Iters: 1}} },
+			"core: collective load is not supported with Options.Shards > 1"},
+		{"filestream", func(s *Scenario) { s.Loads = []Load{&FileStream{From: 0, To: 1, Size: 4096}} },
+			"core: filestream load is not supported with Options.Shards > 1"},
+		{"BER", func(s *Scenario) { s.Opts.DeepPHY, s.Opts.BER = true, 1e-6 },
+			"core: Options.BER is not supported with Shards > 1"},
 	}
-	fs := base
-	fs.Loads = []Load{&FileStream{From: 0, To: 1}}
-	if _, err := fs.Run(); err == nil || !strings.Contains(err.Error(), "filestream") {
-		t.Fatalf("filestream load under shards: err = %v, want unsupported", err)
+	for _, tc := range cases {
+		for _, shards := range []int{1, 2} {
+			sc := Scenario{Opts: Options{Fabric: &topo, Shards: shards}, For: 2 * sim.Millisecond}
+			tc.apply(&sc)
+			rep, err := sc.Run()
+			switch {
+			case shards == 1 && err != nil:
+				t.Errorf("%s at one shard: %v, want accepted", tc.name, err)
+			case shards == 1 && rep.Det != nil:
+				t.Errorf("%s at one shard: report grew an engine telemetry plane", tc.name)
+			case shards == 2 && (err == nil || !strings.Contains(err.Error(), tc.want)):
+				t.Errorf("%s under shards: err = %v, want %q", tc.name, err, tc.want)
+			}
+		}
 	}
-	ber := base
-	ber.Opts.DeepPHY = true
-	ber.Opts.BER = 1e-6
-	if _, err := ber.Run(); err == nil || !strings.Contains(err.Error(), "BER") {
-		t.Fatalf("BER under shards: err = %v, want unsupported", err)
-	}
-	over := base
-	over.Opts.Shards = 3 // only 2 switches: a shard would own none
+	// New panics with the very error Scenario.Run returns.
+	func() {
+		defer func() {
+			if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "core: Options.BER is not supported with Shards > 1") {
+				t.Errorf("New with BER under shards: panic = %v, want the BER error", r)
+			}
+		}()
+		New(Options{Fabric: &topo, Shards: 2, DeepPHY: true, BER: 1e-6})
+	}()
+	over := Scenario{Opts: Options{Fabric: &topo, Shards: 3}} // only 2 switches: a shard would own none
 	if _, err := over.Run(); err == nil || !strings.Contains(err.Error(), "shard") {
 		t.Fatalf("more shards than switches: err = %v, want error", err)
+	}
+}
+
+// TestInstallFromEventCallbackRefused: Install is driver-context only.
+// From inside a model event the action queue is coordinator state (a
+// data race under shards) and an action landing before the running
+// window's end would pull the clock backwards, so the engine refuses
+// with one named panic — raised to the caller at one shard, surfaced as
+// the sticky engine error under shards.
+func TestInstallFromEventCallbackRefused(t *testing.T) {
+	const want = "parsim: action scheduled from inside a window; install plans from driver context"
+	topo := phys.Sharded(2, 4, 2, 50)
+	for _, shards := range []int{1, 2} {
+		c := New(Options{Fabric: &topo, Shards: shards})
+		defer c.Close()
+		if err := c.Boot(0); err != nil {
+			t.Fatal(err)
+		}
+		c.Nodes[0].K.After(sim.Millisecond, func() {
+			_ = c.Install(Plan{CrashNode(sim.Millisecond, topo.Nodes-1)})
+		})
+		start := c.Now()
+		got := func() (msg string) {
+			defer func() {
+				if r := recover(); r != nil {
+					msg = fmt.Sprint(r)
+				}
+			}()
+			c.Run(5 * sim.Millisecond)
+			c.Run(5 * sim.Millisecond)
+			if err := c.Err(); err != nil {
+				return err.Error()
+			}
+			return ""
+		}()
+		if !strings.Contains(got, want) {
+			t.Errorf("shards=%d: in-window Install ended with %q, want %q", shards, got, want)
+		}
+		if c.Now() < start || len(c.Applied()) != 0 {
+			t.Errorf("shards=%d: clock %v (started %v), applied %v; the refused plan must not run", shards, c.Now(), start, c.Applied())
+		}
 	}
 }
 
@@ -246,7 +312,7 @@ func TestPoissonLoadDeterministicAndBursty(t *testing.T) {
 
 // TestLargeFabricSmoke boots the largest addressable fabric — 248
 // nodes over 8 sharded switch groups, the ceiling of the one-byte
-// MicroPacket address space — on the parallel engine, and requires it
+// MicroPacket address space — on 8 shards, and requires it
 // to heal to a full ring within a wall-clock budget. This is the
 // scale smoke CI runs; the serial-vs-parallel speedup at this size is
 // recorded by the E14 benchmarks.

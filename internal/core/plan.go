@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 	"strconv"
@@ -9,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/ampdk"
-	"repro/internal/shardnet"
 	"repro/internal/sim"
 )
 
@@ -268,10 +266,17 @@ type AppliedEvent struct {
 
 // Install validates the plan — against the cluster's state and any
 // events still pending from earlier installs — and schedules every
-// event on the kernel. The installation is atomic: an invalid plan
-// schedules nothing. Event offsets are relative to the current virtual
-// time. Fired events are recorded (see Applied) and reported through
-// OnEvent if set.
+// event as a coordinator action: the fault fires single-threaded with
+// every shard parked on the event's instant, after all model events
+// before it and ahead of any at it — the only moment shared fabric
+// state (link light, switch health) may change. The installation is
+// atomic: an invalid plan schedules nothing. Event offsets are relative
+// to the current virtual time. Fired events are recorded (see Applied)
+// and reported through OnEvent if set.
+//
+// Install is driver-context only: call it between Run/Wait* calls (or
+// from OnEvent), never from inside a model event callback — the engine
+// panics with "parsim: action scheduled from inside a window".
 func (c *Cluster) Install(p Plan) error {
 	if err := p.Validate(c); err != nil {
 		return err
@@ -279,19 +284,7 @@ func (c *Cluster) Install(p Plan) error {
 	for _, e := range p {
 		e := e
 		c.pending = append(c.pending, AppliedEvent{At: c.Now() + e.At, Event: e})
-		// On the serial engine this is a plain kernel timer. On the
-		// parallel engine it is a coordinator action: the fault fires
-		// single-threaded at a window barrier, with every shard parked
-		// on the event's instant — the only moment shared fabric state
-		// (link light, switch health) may change. The descriptor is the
-		// event itself, so distributed shard workers replay the same
-		// fault against their replicas at the same fence.
-		desc, err := json.Marshal(e)
-		if err != nil { // Event is plain data; see its declaration
-			panic(err)
-		}
-		c.eng.ScheduleAction(c.Now()+e.At, func() { c.apply(e) },
-			&shardnet.Action{Kind: actPlanEvent, Data: desc})
+		c.eng.Schedule(c.Now()+e.At, func() { c.apply(e) })
 	}
 	return nil
 }

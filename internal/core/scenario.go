@@ -93,17 +93,17 @@ type Report struct {
 	// Frames is the frame-lifecycle ledger: where every frame the run
 	// created ended up, by typed cause (see internal/frameacct). Like
 	// the counters above it is a fabric-wide sum, so it is part of the
-	// serial/sharded byte-identical surface.
+	// surface that is byte-identical across shard counts.
 	Frames *FrameReport `json:"frame_accounting,omitempty"`
 	// Events are the fired plan events with their heal windows.
 	Events []EventReport `json:"events,omitempty"`
 	// Loads are the per-load delivery reports.
 	Loads []LoadReport `json:"loads,omitempty"`
 
-	// Partition observability (parallel engine only; zero values on
-	// serial). Excluded from the JSON on purpose: the defining
-	// equivalence property is that serial and sharded reports are
-	// byte-identical, so anything engine-specific may only surface in
+	// Partition observability (sharded runs only; zero values at one
+	// shard). Excluded from the JSON on purpose: the defining
+	// equivalence property is that reports are byte-identical at every
+	// shard count, so anything shard-specific may only surface in
 	// Summary.
 	Shards       int     `json:"-"` // shard count the run used
 	Partition    string  `json:"-"` // switch→shard map, "0,0,1,1"
@@ -111,11 +111,11 @@ type Report struct {
 	CutLinks     int     `json:"-"` // links crossing shards
 	MinCutFiberM float64 `json:"-"` // shortest cross-shard fiber, meters
 
-	// Det is the deterministic telemetry plane (parallel engine only;
-	// nil on serial): per-shard, per-window sim-time metrics sampled at
+	// Det is the deterministic telemetry plane (sharded runs only; nil
+	// at one shard): per-shard, per-window sim-time metrics sampled at
 	// barriers, byte-reproducible for a given simulation. Like the
-	// partition fields above it stays out of the JSON so serial and
-	// sharded reports remain byte-identical; it prints in Summary.
+	// partition fields above it stays out of the JSON so reports remain
+	// byte-identical across shard counts; it prints in Summary.
 	// Telemetry is the same plane copied into the JSON when
 	// Options.TelemetryInReport opts in — such reports only byte-match
 	// other runs with the same Shards value.
@@ -123,20 +123,19 @@ type Report struct {
 	Telemetry *TelemetryReport `json:"telemetry,omitempty"`
 }
 
-// TelemetryReport is the deterministic telemetry plane of a parallel
+// TelemetryReport is the deterministic telemetry plane of a sharded
 // run: the engine's fabric-wide window/barrier counters, the per-shard
 // detail, and the heal-span latency histogram over the run's plan
 // events. Every field derives from virtual-plane quantities only
 // (kernel fired counts, barrier batch sizes, sim-time spans), so the
-// section is byte-reproducible across runs and transports; the socket
-// transport's I/O byte counters are deliberately excluded.
+// section is byte-reproducible across runs.
 type TelemetryReport struct {
 	// Per-window counters: Windows are granted parallel windows,
 	// Advances dead-time clock hops that granted no execution.
 	Windows  uint64 `json:"windows"`
 	Advances uint64 `json:"advances,omitempty"`
 	// Per-barrier counters: Barriers are all synchronization points,
-	// Fences the subset forced by mutating coordinator work; Frames and
+	// Fences the subset forced by coordinator actions; Frames and
 	// Routes sum the barrier drains' cross-shard batch sizes.
 	Barriers uint64 `json:"barriers"`
 	Fences   uint64 `json:"fences,omitempty"`
@@ -166,8 +165,8 @@ type ShardTelemetry struct {
 	EvPerWindow telemetry.HistReport `json:"events_per_window"`
 }
 
-// telemetryReport assembles the deterministic plane from the parallel
-// engine's counters; nil on the serial engine. events supplies the
+// telemetryReport assembles the deterministic plane from the engine's
+// counters; nil at one shard. events supplies the
 // heal-span latencies.
 func telemetryReport(c *Cluster, events []EventReport) *TelemetryReport {
 	st := c.ParStats()
@@ -404,23 +403,13 @@ func reportWire(c *Cluster) string {
 
 // Run executes the scenario and returns its report.
 func (s Scenario) Run() (*Report, error) {
-	// A scenario is user input end to end, so a malformed fabric is an
-	// error here, not the panic New reserves for programmatic misuse.
-	// The resolved topology is validated — Options.Wire included — so
-	// e.g. an explicit v1 on a >255-node fabric fails with the
-	// per-version address-space error instead of panicking in New.
-	{
-		opts := s.Opts
-		opts.fill()
-		topo := opts.topology()
-		if err := topo.Validate(); err != nil {
-			return nil, err
-		}
-	}
-	if err := s.Opts.ValidateParallel(); err != nil {
+	// A scenario is user input end to end, so what New panics on — a
+	// malformed fabric, an explicit v1 on a >255-node fabric, BER or too
+	// few switches for the shard count — is an error here.
+	c, err := build(s.Opts)
+	if err != nil {
 		return nil, err
 	}
-	c := New(s.Opts)
 	defer c.Close()
 	if s.OnCluster != nil {
 		s.OnCluster(c)
@@ -428,7 +417,7 @@ func (s Scenario) Run() (*Report, error) {
 	// Record every roster adoption (chaining any hooks OnCluster
 	// installed) to attribute heal windows to plan events. Adoptions
 	// are kept per node: each node's hook fires on its own shard's
-	// kernel under the parallel engine, so the slices are single-writer
+	// kernel, so the slices are single-writer
 	// (and the heal-window scan below is order-insensitive).
 	adopts := make([][]sim.Time, len(c.Nodes))
 	for i, nd := range c.Nodes {

@@ -11,10 +11,10 @@ import (
 )
 
 // TestTelemetryEquivalence is the telemetry plane's battery leg: for
-// serial, in-process sharded and socket-transport runs of the same
-// scenario, attaching a wall-clock recorder must change NOTHING in the
-// Report bytes — telemetry-on and telemetry-off runs are byte-identical
-// to each other and to the serial engine. This is the structural
+// one-shard and sharded runs of the same scenario, attaching a
+// wall-clock recorder must change NOTHING in the Report bytes —
+// telemetry-on and telemetry-off runs are byte-identical to each other
+// and to the one-shard run. This is the structural
 // guarantee that lets the recorder stay on in production runs without
 // weakening the determinism story the engine is built on.
 func TestTelemetryEquivalence(t *testing.T) {
@@ -27,20 +27,20 @@ func TestTelemetryEquivalence(t *testing.T) {
 	}
 	serial := serialRep.JSON()
 	if serialRep.Det != nil {
-		t.Fatal("serial run grew a deterministic telemetry plane (must be parallel-only)")
+		t.Fatal("one-shard run grew a deterministic telemetry plane (must be sharded-only)")
 	}
 
 	for _, shards := range []int{2} {
 		off, err := equivalenceScenario(&topo, seed, shards).Run()
 		if err != nil {
-			t.Fatalf("inproc shards=%d: %v", shards, err)
+			t.Fatalf("shards=%d: %v", shards, err)
 		}
 		rec := telemetry.NewRecorder(telemetry.NewManualClock(1000, 7))
 		onSc := equivalenceScenario(&topo, seed, shards)
 		onSc.Opts.Telemetry = rec
 		on, err := onSc.Run()
 		if err != nil {
-			t.Fatalf("inproc+telemetry shards=%d: %v", shards, err)
+			t.Fatalf("telemetry shards=%d: %v", shards, err)
 		}
 		if rec.Len() == 0 {
 			t.Fatalf("shards=%d: recorder attached but no spans recorded", shards)
@@ -56,33 +56,6 @@ func TestTelemetryEquivalence(t *testing.T) {
 		}
 		if !strings.Contains(on.Summary(), "engine:") {
 			t.Fatalf("Summary does not surface the deterministic plane:\n%s", on.Summary())
-		}
-	}
-
-	if !testing.Short() {
-		rec := telemetry.NewRecorder(telemetry.NewManualClock(1000, 7))
-		sockSc := equivalenceScenario(&topo, seed, 2)
-		sockSc.Opts.Transport = "socket"
-		sockSc.Opts.ShardWorker = socketWorker()
-		sockSc.Opts.Telemetry = rec
-		sockRep, err := sockSc.Run()
-		if err != nil {
-			t.Fatalf("socket+telemetry: %v", err)
-		}
-		if !bytes.Equal(serial, sockRep.JSON()) {
-			t.Fatal("socket telemetry-on report diverged from serial")
-		}
-		if rec.Len() == 0 {
-			t.Fatal("socket run recorded no spans")
-		}
-		// The socket transport adds round-trip and worker-side spans from
-		// the MsgDone telemetry summaries.
-		kinds := map[telemetry.SpanKind]bool{}
-		for _, s := range rec.Spans() {
-			kinds[s.Kind] = true
-		}
-		if !kinds[telemetry.SpanRTT] || !kinds[telemetry.SpanWorkerRun] {
-			t.Fatalf("socket span kinds missing rtt/worker-run: %v", kinds)
 		}
 	}
 }

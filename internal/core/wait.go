@@ -89,9 +89,7 @@ func (c *Cluster) Every(d sim.Time, fn func() bool) {
 }
 
 // everyOn is Every pinned to one kernel — the node-affine form the
-// loads use, so a generator runs on its node's shard under the
-// parallel engine (and on the single kernel, identically, on the
-// serial one).
+// loads use, so a generator runs on its node's shard.
 func everyOn(k *sim.Kernel, d sim.Time, fn func() bool) {
 	if d <= 0 {
 		panic("core: Every with non-positive interval")

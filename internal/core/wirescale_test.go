@@ -46,9 +46,9 @@ func hugeScenario(nodes int, seed uint64, shards int) Scenario {
 			HeartbeatInterval: 5 * sim.Millisecond},
 		BootWindow: sim.Time(nodes) * 2 * sim.Millisecond,
 		// On-grid plan instants: plan actions carry their own canonical
-		// priority (before every model event at their instant, on both
-		// engines — see serialEngine.ScheduleAction), so faults may
-		// land dead-on the periodic timer grid without skew.
+		// priority (before every model event at their instant, at every
+		// shard count — see parsim.Engine.Schedule), so faults may land
+		// dead-on the periodic timer grid without skew.
 		Plan: Plan{
 			CrashNode(2*sim.Millisecond, nodes-1),
 			RebootNode(4*sim.Millisecond, nodes-1),
@@ -70,7 +70,7 @@ func hugeScenario(nodes int, seed uint64, shards int) Scenario {
 
 // TestEquivalenceHugeFabric extends the equivalence battery past the
 // v1 address ceiling: at 512 nodes (auto wire v2) the sharded engine's
-// Report JSON must stay byte-identical to the serial engine's. This is
+// Report JSON must stay byte-identical to the one-shard run's. This is
 // the determinism half of the E15 scaling story; CI runs it under
 // -race like the main battery.
 func TestEquivalenceHugeFabric(t *testing.T) {

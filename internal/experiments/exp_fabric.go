@@ -75,7 +75,7 @@ func E13FabricHealP(p Params) *Table {
 			}
 			// Params.Shards rides along where the shape can carry it
 			// (a shard must own at least one switch); the report — and
-			// so the table — is byte-identical to the serial engine's.
+			// so the table — is byte-identical to the one-shard run's.
 			shards := p.Shards
 			if shards > topo.Switches {
 				shards = topo.Switches

@@ -14,7 +14,7 @@ import (
 // cross-shard exchange volume, the window count the conservative
 // lookahead dictates, the total event work, the heal time under a
 // switch fault — and, the defining property, whether the sharded
-// Report stays byte-identical to the serial engine's.
+// Report stays byte-identical to the one-shard run's.
 //
 // Everything in the table is a pure function of the seed, so the sweep
 // harness can aggregate it; wall-clock speedup is inherently

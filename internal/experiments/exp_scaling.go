@@ -13,7 +13,7 @@ import (
 // partition the cut-aware assigner chose, its cut size and the
 // lookahead window it buys, and the window/barrier/exchange volume the
 // engine then pays — ending, as always, with the byte-identical check
-// against the serial engine. Wall-clock speedup itself is machine-bound
+// against the one-shard run. Wall-clock speedup itself is machine-bound
 // and measured by the BenchmarkE16Scaling* family (BENCH_baseline.json,
 // enforced by benchguard); this table is the seed-pure part the sweep
 // harness can aggregate.

@@ -36,9 +36,7 @@ func E15Scenario(nodes int, seed uint64, shards int) core.Scenario {
 		Name: "e15-scale",
 		// The liveness cadences are slowed to big-fabric values: the
 		// defaults are calibrated for room-sized rings and would drown a
-		// thousand-node fabric in heartbeat and keepalive chatter. They
-		// are Options (not an OnCluster hook) so the spec serializer can
-		// ship them to socket-transport shard workers.
+		// thousand-node fabric in heartbeat and keepalive chatter.
 		Opts: core.Options{Fabric: &topo, Seed: seed, Shards: shards,
 			HeartbeatInterval: 5 * sim.Millisecond,
 			JoinTimeout:       20 * sim.Millisecond,

@@ -15,17 +15,11 @@ type Params struct {
 	Nodes    int     // node count; 0 → experiment default
 	Switches int     // switch count (2=dual, 4=quad redundant); 0 → default
 	FiberM   float64 // fiber meters per link; 0 → default
-	// Shards runs cluster-level experiments on the parallel sharded
-	// engine (internal/parsim) with this many shards; 0/1 is the
-	// serial engine. Reports are byte-identical either way, so this is
-	// a wall-clock knob, not a semantic one.
+	// Shards runs cluster-level experiments on this many shards
+	// (internal/parsim); 0/1 is one shard. Reports are byte-identical
+	// either way, so this is a wall-clock knob, not a semantic one.
 	Shards int
-	// ShardWorker is the worker command for the socket transport
-	// (cmd/ampshard argv); nil restricts wall-clock experiments to the
-	// in-process transport. Excluded from JSON and Label: it names a
-	// host binary, not a topology.
-	ShardWorker []string `json:"-"`
-	// Telemetry, when set, is attached to every parallel cluster the
+	// Telemetry, when set, is attached to every sharded cluster the
 	// experiment builds (Options.Telemetry), collecting wall-clock
 	// window/run/barrier spans for timeline export. Reports stay
 	// byte-identical with or without it.
@@ -56,9 +50,6 @@ func (p Params) Merged(d Params) Params {
 	}
 	if p.Shards == 0 {
 		p.Shards = d.Shards
-	}
-	if p.ShardWorker == nil {
-		p.ShardWorker = d.ShardWorker
 	}
 	if p.Telemetry == nil {
 		p.Telemetry = d.Telemetry
@@ -97,10 +88,10 @@ type Spec struct {
 	Short    string
 	Defaults Params   // base topology; zero fields fall back to in-code defaults
 	Variants []Params // optional topology variants for -sweep (merged over Defaults)
-	// Sharded marks experiments whose Run honors Params.Shards (drives
-	// its clusters through the scenario layer's engine selection). The
-	// sweep harness only stamps a shard count onto these, so a "pN"
-	// variant label always means the parallel engine actually ran.
+	// Sharded marks experiments whose Run honors Params.Shards (passes
+	// it to its clusters' Options.Shards). The sweep harness only stamps
+	// a shard count onto these, so a "pN" variant label always means
+	// the run really used N shards.
 	Sharded bool
 	// Wall marks experiments whose tables contain wall-clock
 	// measurements (speedup curves, span decompositions). The sweep
@@ -180,7 +171,7 @@ func All() []Spec {
 			Variants: []Params{{Nodes: 96, Switches: 8}},
 			Sharded:  true,
 			Run:      E16ScalingEfficiencyP},
-		{ID: "e17", Short: "multi-core speedup study: wall time, busy/wait decomposition vs shards × transport",
+		{ID: "e17", Short: "multi-core speedup study: wall time, busy/wait decomposition vs shards",
 			Defaults: Params{Nodes: 96, Switches: 8},
 			Sharded:  true,
 			Wall:     true,

@@ -31,13 +31,10 @@
 // Per-Net gauges of a sharded fabric may go negative (a cross-shard
 // frame launches on the source Net and arrives on the destination
 // Net); only the fabric-wide Sum balances, which is what Violations
-// checks. The fixed-size Snapshot is byte-compared across processes by
-// the socket transport, so a shard worker's ledger must equal the
-// coordinator's at every window.
+// checks.
 package frameacct
 
 import (
-	"encoding/binary"
 	"fmt"
 )
 
@@ -373,98 +370,4 @@ func (a *Acct) ConsumeMap() map[string]uint64 {
 		}
 	}
 	return m
-}
-
-// SnapshotLen is the byte length of the fixed little-endian ledger
-// snapshot the socket transport byte-compares per window.
-const SnapshotLen = (4 + int(NumCauses) + int(NumConsumes) + 3) * 8
-
-// AppendSnapshot appends the ledger's fixed-size little-endian
-// snapshot: the four monotone scalars, the loss array, the consume
-// array, then the three gauges in two's complement. The layout is part
-// of the shard-worker protocol (bump shardnet.ProtoVersion when it
-// changes).
-func (a *Acct) AppendSnapshot(b []byte) []byte {
-	u := func(v uint64) { b = binary.LittleEndian.AppendUint64(b, v) }
-	u(a.Offered)
-	u(a.WireDelivered)
-	u(a.Relaunched)
-	u(a.HostCopies)
-	for _, v := range a.Losses {
-		u(v)
-	}
-	for _, v := range a.Consumed {
-		u(v)
-	}
-	u(uint64(a.InFifo))
-	u(uint64(a.InFlight))
-	u(uint64(a.InDevice))
-	return b
-}
-
-// Snapshot returns the ledger's fixed-size snapshot.
-func (a *Acct) Snapshot() []byte { return a.AppendSnapshot(make([]byte, 0, SnapshotLen)) }
-
-// DecodeSnapshot parses a snapshot produced by AppendSnapshot.
-func DecodeSnapshot(p []byte) (Acct, error) {
-	var a Acct
-	if len(p) != SnapshotLen {
-		return a, fmt.Errorf("frameacct: snapshot is %d bytes, want %d", len(p), SnapshotLen)
-	}
-	u := func() uint64 {
-		v := binary.LittleEndian.Uint64(p)
-		p = p[8:]
-		return v
-	}
-	a.Offered = u()
-	a.WireDelivered = u()
-	a.Relaunched = u()
-	a.HostCopies = u()
-	for i := range a.Losses {
-		a.Losses[i] = u()
-	}
-	for i := range a.Consumed {
-		a.Consumed[i] = u()
-	}
-	a.InFifo = int64(u())
-	a.InFlight = int64(u())
-	a.InDevice = int64(u())
-	return a, nil
-}
-
-// SnapshotDiff names the first counter differing between two
-// snapshots — the divergence diagnostic the socket transport prints.
-// It returns "" when the snapshots are equal.
-func SnapshotDiff(local, remote []byte) string {
-	la, errL := DecodeSnapshot(local)
-	ra, errR := DecodeSnapshot(remote)
-	if errL != nil || errR != nil {
-		return fmt.Sprintf("undecodable snapshot (local %d bytes, remote %d)", len(local), len(remote))
-	}
-	type field struct {
-		name          string
-		local, remote int64
-	}
-	fields := []field{
-		{"offered", int64(la.Offered), int64(ra.Offered)},
-		{"wire_delivered", int64(la.WireDelivered), int64(ra.WireDelivered)},
-		{"relaunched", int64(la.Relaunched), int64(ra.Relaunched)},
-		{"host_copies", int64(la.HostCopies), int64(ra.HostCopies)},
-	}
-	for c := LossCause(0); c < NumCauses; c++ {
-		fields = append(fields, field{"loss/" + c.String(), int64(la.Losses[c]), int64(ra.Losses[c])})
-	}
-	for k := ConsumeKind(0); k < NumConsumes; k++ {
-		fields = append(fields, field{"consumed/" + k.String(), int64(la.Consumed[k]), int64(ra.Consumed[k])})
-	}
-	fields = append(fields,
-		field{"in_fifo", la.InFifo, ra.InFifo},
-		field{"in_flight", la.InFlight, ra.InFlight},
-		field{"in_device", la.InDevice, ra.InDevice})
-	for _, f := range fields {
-		if f.local != f.remote {
-			return fmt.Sprintf("%s: coordinator %d, worker %d", f.name, f.local, f.remote)
-		}
-	}
-	return ""
 }

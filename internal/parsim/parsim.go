@@ -1,7 +1,6 @@
-// Package parsim is AmpNet's parallel sharded simulation engine: a
-// conservative time-windowed discrete-event scheduler that runs the
-// shards of a fabric on all cores without giving up byte-reproducible
-// determinism.
+// Package parsim is AmpNet's simulation engine: a conservative
+// time-windowed discrete-event scheduler that runs the shards of a
+// fabric on all cores without giving up byte-reproducible determinism.
 //
 // The fabric is partitioned by switch (phys.AssignShards): each shard
 // owns its switches, their attached nodes, and every intra-shard link,
@@ -17,12 +16,12 @@
 // the window barrier the coordinator drains every queue in a canonical
 // order — (arrival, transmit time, source shard, capture sequence) —
 // and schedules each frame on the destination kernel at precisely the
-// arrival time a serial run would have delivered it. Crossbar
+// arrival time a one-shard run would have delivered it. Crossbar
 // programming aimed at a remote switch (ring hops healing across
 // trunks) is deferred the same way; the first frame that could need
 // the route is always at least one cross-shard flight away, so the
-// barrier application is invisible. The result is a parallel run whose
-// Report is byte-identical to the serial engine's for the same seed.
+// barrier application is invisible. The result is a run whose Report
+// is byte-identical at every shard count for the same seed.
 //
 // Driver-level work — plan events (faults/repairs), condition probes —
 // runs in coordinator actions: single-threaded closures executed with
@@ -32,13 +31,12 @@
 // between barriers it is read-only, which is what makes the mid-window
 // reads of the rostering layer race-free.
 //
-// The barrier protocol itself — grants, capture batches, deferred
-// routes, action fences — lives behind shardnet.Transport. The default
-// in-process transport is the engine's historical channel machinery;
-// the socket transport runs every shard additionally in its own worker
-// process (cmd/ampshard), mirroring each coordinator action from its
-// serialized descriptor and byte-checking the workers' captures at
-// every barrier.
+// One shard is the ordinary degenerate case, and it is how every
+// unsharded cluster runs: the lookahead is unbounded, so a window spans
+// the whole distance to the next action or deadline, the single kernel
+// runs on the driver goroutine with no worker, and nothing is ever
+// captured. The shard hosting — worker goroutines, capture queues,
+// barrier hand-off — is shards.go.
 package parsim
 
 import (
@@ -47,7 +45,6 @@ import (
 	"sort"
 
 	"repro/internal/phys"
-	"repro/internal/shardnet"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
@@ -61,11 +58,10 @@ import (
 // shard execution.
 //
 // Per-barrier counters, incremented at every synchronization point:
-// Barriers (one per window, plus one per action or driver fence that
-// drained), and Frames/Routes, which accumulate each barrier drain's
-// cross-shard frame and deferred crossbar-write batch sizes. Fences is
-// the subset of barriers forced by mutating coordinator work (action
-// fences and driver fences).
+// Barriers (one per window, plus one per action fence), and
+// Frames/Routes, which accumulate each barrier drain's cross-shard
+// frame and deferred crossbar-write batch sizes. Fences is the subset
+// of barriers forced by coordinator actions.
 //
 // Actions counts executed coordinator closures; several same-instant
 // actions share one fence, so Actions ≥ Fences on action-heavy runs.
@@ -80,49 +76,41 @@ type Stats struct {
 }
 
 // ShardStat is one shard's deterministic telemetry: virtual-plane
-// quantities only (kernel fired counts sampled at barriers, transport
-// capture counters), byte-reproducible for a given simulation. The
-// exception is BytesOut/BytesIn — socket-transport I/O totals, zero on
-// the in-process transport — which report surfaces claiming cross-
-// transport byte equality must exclude.
+// quantities only (kernel fired counts sampled at barriers, capture
+// counters), byte-reproducible for a given simulation.
 type ShardStat struct {
 	Shard       int
-	Events      uint64 // kernel events executed on this shard
-	Windows     uint64 // windows granted (transport view)
-	BusyWindows uint64 // windows in which the shard executed ≥1 event
-	Frames      uint64 // cross-shard frames this shard captured
-	Routes      uint64 // deferred crossbar writes this shard captured
-	BytesOut    uint64
-	BytesIn     uint64
+	Events      uint64         // kernel events executed on this shard
+	Windows     uint64         // windows granted
+	BusyWindows uint64         // windows in which the shard executed ≥1 event
+	Frames      uint64         // cross-shard frames this shard captured
+	Routes      uint64         // deferred crossbar writes this shard captured
 	EvPerWindow telemetry.Hist // events-per-window occupancy histogram
 }
 
 // action is one coordinator closure, run at `at` with all shards
 // parked on that instant. Same-instant actions keep registration
-// order (the sort below is stable). desc is the action's serialized
-// descriptor for distributed transports; read marks an explicitly
-// read-only action that never needs mirroring.
+// order (the sort below is stable).
 type action struct {
-	at   sim.Time
-	fn   func()
-	desc *shardnet.Action
-	read bool
+	at sim.Time
+	fn func()
 }
 
-// Engine coordinates the shard kernels of one parallel simulation.
-// It is driven from a single goroutine (the scenario driver); shard
-// context only ever runs inside RunUntil, behind the transport's
-// Grant.
+// Engine coordinates the shard kernels of one simulation. It is driven
+// from a single goroutine (the scenario driver); shard context only
+// ever runs inside RunUntil, behind a window grant.
 type Engine struct {
 	Kernels []*sim.Kernel
-	Nets    []*phys.Net
 
-	tr shardnet.Transport
+	sh *shards
 
 	lookahead sim.Time
 	now       sim.Time
 
 	actions []action
+	// inWindow is set while a window is granted: the only time shard
+	// context runs, and the only time Schedule must refuse.
+	inWindow bool
 
 	failed error
 
@@ -134,14 +122,14 @@ type Engine struct {
 
 	// rec is the wall-clock telemetry plane: nil (the default) records
 	// nothing; when set, the coordinator stamps window/exchange/action
-	// spans here and the transport adds shard-run and round-trip spans.
+	// spans here and each shard adds its run spans.
 	// Wall readings never reach Stats, ShardStats, or any Report field.
 	rec *telemetry.Recorder
 
 	// OnFence, if set, observes every barrier after its drain, with all
 	// kernels parked on at: frames/routes are the batch sizes the drain
 	// delivered, action marks fences forced by coordinator work (plan
-	// events, driver fences) as opposed to plain window barriers. Purely
+	// events) as opposed to plain window barriers. Purely
 	// observational — the hook must not mutate model state.
 	OnFence func(at sim.Time, frames, routes int, action bool)
 }
@@ -154,31 +142,20 @@ type shardDet struct {
 	evPerWindow telemetry.Hist
 }
 
-// New builds an engine over one kernel+Net pair per shard on the
-// default in-process transport. lookahead is the fabric's conservative
-// window bound (phys.Lookahead); it must be positive. Call Shutdown
-// when the simulation is done.
+// New builds an engine over one kernel+Net pair per shard, installing
+// its capture queues as every Net's RemoteExchange. lookahead is the
+// fabric's conservative window bound (phys.Lookahead); it must be
+// positive. Call Shutdown when the simulation is done.
 func New(kernels []*sim.Kernel, nets []*phys.Net, lookahead sim.Time) (*Engine, error) {
-	return NewWithTransport(kernels, nets, lookahead, nil)
-}
-
-// NewWithTransport builds an engine over an explicit transport (nil
-// means the in-process default). The transport must have been built
-// over the same kernel+Net pairs.
-func NewWithTransport(kernels []*sim.Kernel, nets []*phys.Net, lookahead sim.Time, tr shardnet.Transport) (*Engine, error) {
 	if len(kernels) != len(nets) || len(kernels) == 0 {
 		return nil, fmt.Errorf("parsim: %d kernels vs %d nets", len(kernels), len(nets))
 	}
 	if lookahead <= 0 {
 		return nil, fmt.Errorf("parsim: non-positive lookahead %v", lookahead)
 	}
-	if tr == nil {
-		tr = shardnet.NewInproc(kernels, nets)
-	}
 	e := &Engine{
 		Kernels:   kernels,
-		Nets:      nets,
-		tr:        tr,
+		sh:        newShards(kernels, nets),
 		lookahead: lookahead,
 		det:       make([]shardDet, len(kernels)),
 	}
@@ -189,68 +166,41 @@ func NewWithTransport(kernels []*sim.Kernel, nets []*phys.Net, lookahead sim.Tim
 }
 
 // SetRecorder attaches the wall-clock span recorder (nil detaches).
-// Call before the first RunUntil; the recorder is handed to the
-// transport too, so shard goroutines and socket peers stamp their own
-// spans. Attaching a recorder changes no simulation behavior and no
-// Report bytes — the equivalence battery pins that.
+// Call before the first RunUntil. Attaching a recorder changes no
+// simulation behavior and no Report bytes — the equivalence battery
+// pins that.
 func (e *Engine) SetRecorder(r *telemetry.Recorder) {
 	r.EnsureShards(len(e.Kernels))
 	e.rec = r
-	if tr, ok := e.tr.(interface {
-		SetRecorder(*telemetry.Recorder)
-	}); ok {
-		tr.SetRecorder(r)
-	}
+	e.sh.rec = r
 }
 
-// ShardStats returns the deterministic per-shard telemetry plane,
-// merging the engine's barrier-sampled kernel metrics with the
-// transport's capture counters. Safe to call whenever the driver may
-// observe the simulation (shards parked).
+// ShardStats returns the deterministic per-shard telemetry plane. Safe
+// to call whenever the driver may observe the simulation (shards
+// parked).
 func (e *Engine) ShardStats() []ShardStat {
-	ts := e.tr.ShardStats()
 	out := make([]ShardStat, len(e.det))
 	for i := range e.det {
 		d := &e.det[i]
-		s := ShardStat{
+		out[i] = ShardStat{
 			Shard:       i,
 			Events:      d.events,
+			Windows:     e.Stats.Windows,
 			BusyWindows: d.busyWindows,
+			Frames:      e.sh.captured[i].frames,
+			Routes:      e.sh.captured[i].routes,
 			EvPerWindow: d.evPerWindow,
 		}
-		if i < len(ts) {
-			s.Windows = ts[i].Windows
-			s.Frames = ts[i].Frames
-			s.Routes = ts[i].Routes
-			s.BytesOut = ts[i].BytesOut
-			s.BytesIn = ts[i].BytesIn
-		}
-		out[i] = s
 	}
 	return out
 }
 
-// Shutdown closes the transport (stopping the shard workers, and on
-// the socket transport dismissing the worker processes). The engine
-// must not be run afterwards.
-func (e *Engine) Shutdown() {
-	if err := e.tr.Close(); err != nil {
-		e.fail(err)
-	}
-}
+// Shutdown stops the shard workers. The engine must not be run
+// afterwards.
+func (e *Engine) Shutdown() { e.sh.close() }
 
-// Transport exposes the engine's transport (for route binding and
-// stats).
-func (e *Engine) Transport() shardnet.Transport { return e.tr }
-
-// Distributed reports whether the shards also live in other processes,
-// in which case every mutating coordinator action must carry a
-// serialized descriptor.
-func (e *Engine) Distributed() bool { return e.tr.Distributed() }
-
-// Err returns the sticky engine failure, if any: a shard panic, a
-// worker-process death, or a replica divergence. Once set, RunUntil
-// refuses to advance.
+// Err returns the sticky engine failure, if any (a shard panic). Once
+// set, RunUntil refuses to advance.
 func (e *Engine) Err() error { return e.failed }
 
 func (e *Engine) fail(err error) {
@@ -259,57 +209,54 @@ func (e *Engine) fail(err error) {
 	}
 }
 
-// Now returns the engine's global virtual time (every kernel is at
-// this instant whenever the driver can observe the simulation).
-func (e *Engine) Now() sim.Time { return e.now }
+// Now returns the engine's virtual time: every kernel is at this
+// instant whenever the driver can observe the simulation. With one
+// kernel it is that kernel's clock, so a callback reading it from
+// inside an event sees the firing event's instant, not the window
+// start.
+func (e *Engine) Now() sim.Time {
+	if len(e.Kernels) == 1 {
+		return e.Kernels[0].Now()
+	}
+	return e.now
+}
 
 // Lookahead returns the window bound the engine runs with.
 func (e *Engine) Lookahead() sim.Time { return e.lookahead }
 
-// ScheduleAt registers a coordinator action: fn runs single-threaded
-// at virtual time t, after every event before t and before any model
+// Schedule registers a coordinator action: fn runs single-threaded at
+// virtual time t, after every event before t and before any model
 // event at t, with all shard kernels parked on t. Actions at the same
 // instant run in registration order. Scheduling in the past panics,
 // mirroring sim.Kernel.At.
 //
-// On a distributed transport an action registered this way fails the
-// run when it comes due — the coordinator cannot know how to mirror an
-// opaque closure. Use ScheduleAction (mutating, with a serialized
-// descriptor) or ScheduleRead (explicitly read-only) instead.
-func (e *Engine) ScheduleAt(t sim.Time, fn func()) {
-	e.schedule(t, fn, nil, false)
-}
-
-// ScheduleAction registers a mutating coordinator action together with
-// its serialized descriptor; distributed transports mirror the
-// descriptor to every shard worker at the fence.
-func (e *Engine) ScheduleAction(t sim.Time, fn func(), desc shardnet.Action) {
-	d := desc
-	e.schedule(t, fn, &d, false)
-}
-
-// ScheduleRead registers an explicitly read-only coordinator action
-// (condition probes, report sampling): it runs only on the
-// coordinator's replica and is never mirrored. A read action that
-// mutates model state diverges the replicas — which the socket
-// transport's capture cross-check then catches at the next barrier.
-func (e *Engine) ScheduleRead(t sim.Time, fn func()) {
-	e.schedule(t, fn, nil, true)
-}
-
-func (e *Engine) schedule(t sim.Time, fn func(), desc *shardnet.Action, read bool) {
+// Schedule is driver-context only (between RunUntil calls, or from
+// another action). From inside a window — an event callback — it
+// panics: the queue is coordinator state, and an action landing before
+// the running window's end would pull the clock backwards.
+func (e *Engine) Schedule(t sim.Time, fn func()) {
+	if e.inWindow {
+		panic("parsim: action scheduled from inside a window; install plans from driver context")
+	}
 	if t < e.now {
 		panic(fmt.Sprintf("parsim: action at %v before now %v", t, e.now))
 	}
-	e.actions = append(e.actions, action{at: t, fn: fn, desc: desc, read: read})
+	e.actions = append(e.actions, action{at: t, fn: fn})
 	sort.SliceStable(e.actions, func(a, b int) bool { return e.actions[a].at < e.actions[b].at })
 }
 
-// DeferRoute forwards a barrier-deferred crossbar write from srcShard
-// to the transport's capture queue, tagged with the virtual instant it
-// lands; wire it to phys.Cluster.RouteSink.
+// BindRoutes sets how drained RouteOps are applied at a barrier (core
+// binds them to the built phys.Cluster, scheduling timestamped writes
+// on the owning shard's kernel).
+func (e *Engine) BindRoutes(apply func(at sim.Time, op phys.RouteOp)) { e.sh.applyRoute = apply }
+
+// DeferRoute captures a crossbar write aimed at a remote switch on
+// srcShard's queue, landing at virtual time at (0 = on receipt, at the
+// barrier); wire it to phys.Cluster.RouteSink. With RemoteFrame it is
+// the sanctioned capture surface (see the ampvet shardshare analyzer):
+// the only engine state shard context may write.
 func (e *Engine) DeferRoute(srcShard int, at sim.Time, op phys.RouteOp) {
-	e.tr.DeferRoute(srcShard, at, op)
+	e.sh.routes[srcShard] = append(e.sh.routes[srcShard], routeRec{at: at, op: op})
 }
 
 // drain collects everything captured since the last barrier and
@@ -318,62 +265,62 @@ func (e *Engine) DeferRoute(srcShard int, at sim.Time, op phys.RouteOp) {
 // shard, sequence) order, each scheduled on its destination kernel at
 // its exact arrival time. Runs single-threaded with all kernels
 // parked. Returns the batch sizes for the barrier observer.
-func (e *Engine) drain() (nframes, nroutes int, err error) {
-	frames, routes, err := e.tr.Collect()
-	if err != nil {
-		return 0, 0, err
-	}
+func (e *Engine) drain() (nframes, nroutes int) {
+	frames, routes := e.sh.collect()
 	e.Stats.Routes += uint64(len(routes))
 	e.Stats.Frames += uint64(len(frames))
-	nframes, nroutes = len(frames), len(routes)
 	if len(frames) == 0 && len(routes) == 0 {
 		// Nothing crossed this barrier — common during decoupled
-		// phases; skip the sort and the transport's delivery pass.
-		return 0, 0, nil
+		// phases, and always at one shard; skip the sort and delivery.
+		return 0, 0
 	}
 	// Canonical batch order: arrival, then the wire key (transmit
 	// start, sending-port identity by way of source shard and capture
 	// sequence) — slotting each arrival into exactly the same
-	// same-instant order the serial engine would have used.
+	// same-instant order a one-shard run gives it.
 	// slices.SortFunc, unlike sort.Slice, needs no reflection-based
 	// swapper allocation per barrier.
-	slices.SortFunc(frames, func(pa, pb shardnet.FrameRec) int {
+	slices.SortFunc(frames, func(pa, pb frameRec) int {
 		switch {
-		case pa.Arrival != pb.Arrival:
-			if pa.Arrival < pb.Arrival {
+		case pa.arrival != pb.arrival:
+			if pa.arrival < pb.arrival {
 				return -1
 			}
 			return 1
-		case pa.TxAt != pb.TxAt:
-			if pa.TxAt < pb.TxAt {
+		case pa.txAt != pb.txAt:
+			if pa.txAt < pb.txAt {
 				return -1
 			}
 			return 1
-		case pa.Src != pb.Src:
-			return pa.Src - pb.Src
-		case pa.Seq != pb.Seq:
-			if pa.Seq < pb.Seq {
+		case pa.src != pb.src:
+			return pa.src - pb.src
+		case pa.seq != pb.seq:
+			if pa.seq < pb.seq {
 				return -1
 			}
 			return 1
 		}
 		return 0
 	})
-	return nframes, nroutes, e.tr.Deliver(frames, routes)
+	e.sh.deliver(frames, routes)
+	return len(frames), len(routes)
 }
 
 // runWindow executes all shards in parallel up to target (inclusive),
 // then drains the barrier.
 func (e *Engine) runWindow(target sim.Time) error {
 	w0 := e.rec.Begin()
-	if err := e.tr.Grant(target); err != nil {
+	e.inWindow = true
+	err := e.sh.grant(target)
+	e.inWindow = false
+	if err != nil {
 		return err
 	}
 	e.Stats.Windows++
 	e.Stats.Barriers++
 	// Sample the deterministic plane: every kernel is parked on target,
 	// so the fired deltas are the exact per-shard event counts of this
-	// window regardless of transport or host scheduling.
+	// window regardless of host scheduling.
 	for i, k := range e.Kernels {
 		d := &e.det[i]
 		delta := k.Fired - d.lastFired
@@ -389,10 +336,7 @@ func (e *Engine) runWindow(target sim.Time) error {
 	// read halves the coordinator's per-window clock cost.
 	x0 := e.rec.Begin()
 	e.rec.CoordSpan(-1, telemetry.SpanWindow, w0, x0, int64(target))
-	nf, nr, err := e.drain()
-	if err != nil {
-		return err
-	}
+	nf, nr := e.drain()
 	// An empty drain returns without sorting or delivering; its span
 	// would be zero-length noise, and skipping it saves a clock read on
 	// every decoupled-phase window.
@@ -420,79 +364,27 @@ func (e *Engine) nextEvent() (sim.Time, bool) {
 // runActionsAtNow executes every action due at the current instant.
 // Kernels must already be parked on e.now with no pending events
 // before it. Actions may send cross-shard traffic (a rebooted node
-// solicits immediately), so the barrier is drained afterwards; on a
-// distributed transport the mutating actions' descriptors are fenced
-// to every shard worker first.
-func (e *Engine) runActionsAtNow() error {
-	ran := false
-	var descs []shardnet.Action
-	mirror := false
+// solicits immediately), so the barrier is drained afterwards.
+func (e *Engine) runActionsAtNow() {
+	if len(e.actions) == 0 || e.actions[0].at != e.now {
+		return
+	}
 	a0 := e.rec.Begin()
 	for len(e.actions) > 0 && e.actions[0].at == e.now {
 		a := e.actions[0]
 		e.actions = e.actions[1:]
-		if !a.read {
-			if a.desc == nil && e.tr.Distributed() {
-				return fmt.Errorf("parsim: action at %v has no serialized descriptor and is not marked read-only; "+
-					"it cannot be mirrored to distributed shard workers", e.now)
-			}
-			if a.desc != nil {
-				descs = append(descs, *a.desc)
-			}
-			mirror = true
-		}
 		a.fn()
 		e.Stats.Actions++
-		ran = true
-	}
-	if !ran {
-		return nil
 	}
 	e.rec.Coord(telemetry.SpanAction, a0, int64(e.now))
-	if mirror {
-		e.Stats.Fences++
-		if err := e.tr.Fence(e.now, descs); err != nil {
-			return err
-		}
-	}
-	x0 := e.rec.Begin()
-	nf, nr, err := e.drain()
-	if err != nil {
-		return err
-	}
-	e.rec.Coord(telemetry.SpanExchange, x0, int64(e.now))
-	e.Stats.Barriers++
-	if e.OnFence != nil {
-		e.OnFence(e.now, nf, nr, true)
-	}
-	return nil
-}
-
-// DriverFence mirrors out-of-band driver work (boot scheduling, load
-// starts, quiesce cuts — applied to the coordinator's replica by the
-// layer above) to distributed shard workers and drains the resulting
-// barrier. On the in-process transport it is a plain barrier drain.
-func (e *Engine) DriverFence(acts []shardnet.Action) error {
-	if e.failed != nil {
-		return e.failed
-	}
 	e.Stats.Fences++
-	if err := e.tr.Fence(e.now, acts); err != nil {
-		e.fail(err)
-		return e.failed
-	}
 	x0 := e.rec.Begin()
-	nf, nr, err := e.drain()
-	if err != nil {
-		e.fail(err)
-		return e.failed
-	}
+	nf, nr := e.drain()
 	e.rec.Coord(telemetry.SpanExchange, x0, int64(e.now))
 	e.Stats.Barriers++
 	if e.OnFence != nil {
 		e.OnFence(e.now, nf, nr, true)
 	}
-	return nil
 }
 
 // RunUntil advances the whole simulation to deadline (inclusive),
@@ -500,22 +392,18 @@ func (e *Engine) DriverFence(acts []shardnet.Action) error {
 // deadline — the same clock contract as sim.Kernel.RunUntil. The
 // driver may freely read cross-shard state after it returns.
 //
-// A transport failure — shard panic, worker death, replica divergence
-// — stops the run where it stands; the error is sticky and available
-// from Err.
+// A shard panic stops the run where it stands; the error is sticky and
+// available from Err.
 func (e *Engine) RunUntil(deadline sim.Time) sim.Time {
 	if e.failed != nil || deadline < e.now {
 		return e.now
 	}
 	for {
-		if err := e.runActionsAtNow(); err != nil {
-			e.fail(err)
-			return e.now
-		}
+		e.runActionsAtNow()
 		if e.now >= deadline {
 			// RunUntil is inclusive: model events at the deadline
 			// instant (including any the actions just scheduled) still
-			// run, exactly as the serial kernel would.
+			// run, exactly as sim.Kernel.RunUntil would.
 			if m, any := e.nextEvent(); any && m <= deadline {
 				if err := e.runWindow(deadline); err != nil {
 					e.fail(err)
@@ -575,9 +463,8 @@ func (e *Engine) RunUntil(deadline sim.Time) sim.Time {
 			}
 		}
 		at := e.actions[0].at
-		if err := e.tr.Advance(at); err != nil {
-			e.fail(err)
-			return e.now
+		for _, k := range e.Kernels {
+			k.AdvanceTo(at)
 		}
 		e.Stats.Advances++
 		e.now = at

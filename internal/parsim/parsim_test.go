@@ -1,6 +1,8 @@
 package parsim
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -93,8 +95,8 @@ func TestActionsRunBeforeInstantEvents(t *testing.T) {
 	var order []string
 	r.k[0].At(4999, func() { order = append(order, "before") })
 	r.k[1].At(5000, func() { order = append(order, "model-at-t") })
-	r.e.ScheduleAt(5000, func() { order = append(order, "action-1") })
-	r.e.ScheduleAt(5000, func() { order = append(order, "action-2") })
+	r.e.Schedule(5000, func() { order = append(order, "action-1") })
+	r.e.Schedule(5000, func() { order = append(order, "action-2") })
 	r.e.RunUntil(6000)
 	want := []string{"before", "action-1", "action-2", "model-at-t"}
 	if len(order) != len(want) {
@@ -110,12 +112,52 @@ func TestActionsRunBeforeInstantEvents(t *testing.T) {
 	}
 }
 
+// TestOneKernelContract pins the scheduling contract every unsharded
+// cluster runs on — a one-kernel engine with unbounded lookahead: events
+// before t, then the action at t, then model events at t (including a
+// zero-delay event the action schedules); RunUntil inclusive with the
+// clock exactly on the deadline; Now inside an event is the event's
+// instant; and the MaxTime lookahead never overflows a window end.
+func TestOneKernelContract(t *testing.T) {
+	k := sim.NewKernel(1)
+	e, err := New([]*sim.Kernel{k}, []*phys.Net{phys.NewNet(k)}, sim.MaxTime)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(e.Shutdown)
+	var order []string
+	note := func(s string) func() {
+		return func() { order = append(order, fmt.Sprintf("%s@%d", s, e.Now())) }
+	}
+	k.At(4999, note("before"))
+	k.At(5000, note("model"))
+	e.Schedule(5000, func() {
+		note("action")()
+		k.After(0, note("zero-delay"))
+	})
+	k.At(6000, note("on-deadline"))
+	k.At(6001, note("past-deadline"))
+	if got := e.RunUntil(6000); got != 6000 || e.Now() != 6000 || k.Now() != 6000 {
+		t.Fatalf("RunUntil(6000) = %v, engine %v, kernel %v; want all on the deadline", got, e.Now(), k.Now())
+	}
+	want := []string{"before@4999", "action@5000", "model@5000", "zero-delay@5000", "on-deadline@6000"}
+	if !slices.Equal(order, want) {
+		t.Fatalf("order = %v, want %v", order, want)
+	}
+	if e.Stats.Windows > 3 {
+		t.Fatalf("windows = %d; an unbounded lookahead should span to the next action or deadline", e.Stats.Windows)
+	}
+	if got := e.RunUntil(sim.MaxTime); got != sim.MaxTime || order[len(order)-1] != "past-deadline@6001" {
+		t.Fatalf("RunUntil(MaxTime) = %v, order %v", got, order)
+	}
+}
+
 // TestDeferredRoutesApplyAtBarrier: deferred RouteOps apply at the
 // next barrier, in source-shard FIFO order.
 func TestDeferredRoutesApplyAtBarrier(t *testing.T) {
 	r := newRig(t)
 	var applied []int
-	r.e.Transport().BindRoutes(func(_ sim.Time, op phys.RouteOp) { applied = append(applied, op.In) })
+	r.e.BindRoutes(func(_ sim.Time, op phys.RouteOp) { applied = append(applied, op.In) })
 	r.k[0].At(100, func() {
 		r.e.DeferRoute(0, 0, phys.RouteOp{Switch: 0, In: 1, Out: 7})
 		r.e.DeferRoute(0, 0, phys.RouteOp{Switch: 0, In: 2, Out: 7})

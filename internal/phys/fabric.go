@@ -31,14 +31,6 @@ const MaxNodes = 65535
 type Topology struct {
 	// Name labels the fabric in reports ("uniform", "dualring", ...).
 	Name string
-	// Shape is the machine-readable constructor spec the topology was
-	// built from ("uniform", "dualring", "mesh", "sharded:4", ...),
-	// stamped by the named constructors and parsed back by
-	// FabricByName. It is what lets a fabric be reconstructed
-	// byte-identically in another process (the socket transport's shard
-	// workers); hand-rolled topologies have an empty Shape and cannot
-	// cross a process boundary.
-	Shape string
 	// Nodes and Switches size the fabric.
 	Nodes    int
 	Switches int
@@ -141,7 +133,7 @@ func (t *Topology) IsAttached(n, s int) bool {
 // one port to every switch, no trunks. With 2 switches the segment is
 // dual-redundant; with 4, quad-redundant.
 func Uniform(nodes, switches int, fiberM float64) Topology {
-	return Topology{Name: "uniform", Shape: "uniform", Nodes: nodes, Switches: switches, FiberM: fiberM}
+	return Topology{Name: "uniform", Nodes: nodes, Switches: switches, FiberM: fiberM}
 }
 
 // DualRing is a pair of counter-rotating rings: two switches, every
@@ -152,7 +144,7 @@ func Uniform(nodes, switches int, fiberM float64) Topology {
 // trunk.
 func DualRing(nodes int, fiberM float64) Topology {
 	return Topology{
-		Name: "dualring", Shape: "dualring", Nodes: nodes, Switches: 2, FiberM: fiberM,
+		Name: "dualring", Nodes: nodes, Switches: 2, FiberM: fiberM,
 		Trunks:          []TrunkSpec{{A: 0, B: 1}},
 		CounterRotating: true,
 	}
@@ -171,7 +163,7 @@ func Mesh(nodes, switches int, fiberM float64) Topology {
 		}
 	}
 	return Topology{
-		Name: "mesh", Shape: "mesh", Nodes: nodes, Switches: switches, FiberM: fiberM,
+		Name: "mesh", Nodes: nodes, Switches: switches, FiberM: fiberM,
 		Attached: func(n, sw int) bool { return sw == n%s || sw == (n+1)%s },
 		Trunks:   trunks,
 	}
@@ -199,8 +191,7 @@ func Sharded(shards, nodesPerShard, switchesPerShard int, fiberM float64) Topolo
 		}
 	}
 	return Topology{
-		Name: "sharded", Shape: fmt.Sprintf("sharded:%d", shards),
-		Nodes: shards * nodesPerShard, Switches: shards * sps, FiberM: fiberM,
+		Name: "sharded", Nodes: shards * nodesPerShard, Switches: shards * sps, FiberM: fiberM,
 		Attached: func(n, sw int) bool { return sw/sps == n/nodesPerShard },
 		Trunks:   trunks,
 	}
@@ -214,9 +205,7 @@ func Sharded(shards, nodesPerShard, switchesPerShard int, fiberM float64) Topolo
 // so callers can hand it straight to a cluster builder.
 //
 // "sharded" takes an optional group count parameter, "sharded:4"; the
-// bare name keeps its historical meaning of two groups. The accepted
-// strings are exactly the Shape values the constructors stamp, so any
-// named topology round-trips through FabricByName(t.Shape, ...).
+// bare name keeps its historical meaning of two groups.
 func FabricByName(name string, nodes, switches int, fiberM float64) (Topology, error) {
 	var t Topology
 	base, param, hasParam := strings.Cut(name, ":")

@@ -10,7 +10,7 @@ import (
 
 // Cut-aware shard partitioning.
 //
-// The conservative window the parallel engine runs with is
+// The conservative window the engine runs with is
 // phys.Lookahead: the minimum propagation delay over every cross-shard
 // fiber. A partition that happens to cut a short fiber strangles every
 // shard's window to that fiber's flight time, no matter how long the

@@ -96,7 +96,7 @@ type RemoteExchange interface {
 	// the sending link and its epoch at transmit start; the receiver
 	// re-checks them at arrival exactly as a local delivery would, and
 	// schedules the arrival under src's wire key (transmit start, port
-	// identity) so same-instant ordering matches the serial engine.
+	// identity) so same-instant ordering matches a one-shard run.
 	RemoteFrame(src, dst *Port, f Frame, link *Link, epoch uint64, arrival sim.Time)
 }
 
@@ -159,7 +159,6 @@ type Net struct {
 	// complete account.
 	Acct frameacct.Acct
 
-	ports []*Port
 	links []*Link
 
 	// Hot-path event pools (see pool.go). Per-Net and therefore
@@ -206,7 +205,6 @@ type Port struct {
 // then counted but discarded); use SetHandler to attach later.
 func (n *Net) NewPort(name string, handler Handler) *Port {
 	p := &Port{Name: name, net: n, onFrame: handler, cap: n.FIFOCap, uid: nameHash(name)}
-	n.ports = append(n.ports, p)
 	return p
 }
 
@@ -237,11 +235,6 @@ func (p *Port) SetTxDone(h func()) { p.onTxDone = h }
 
 // Connected reports whether the port is attached to a link.
 func (p *Port) Connected() bool { return p.link != nil }
-
-// Link returns the fiber the port is attached to, nil when dangling.
-// Shard workers of the socket transport use it to resolve a decoded
-// cross-shard frame's link from the frame's port UIDs.
-func (p *Port) Link() *Link { return p.link }
 
 // Net returns the Net (and thereby the shard kernel) owning this port.
 func (p *Port) Net() *Net { return p.net }
@@ -557,6 +550,3 @@ func (l *Link) Restore() {
 
 // Links returns all links (for failure-injection sweeps).
 func (n *Net) Links() []*Link { return n.links }
-
-// Ports returns all ports.
-func (n *Net) Ports() []*Port { return n.ports }

@@ -60,7 +60,7 @@ func (d *delivery) dispatch() {
 // ScheduleDelivery queues a pooled frame arrival on this Net's kernel
 // at the absolute time arrival, under the wire key (txAt, srcUID). It
 // is the shared scheduling path for local hops (Port.startTx) and for
-// the transports' cross-shard barrier injection, so both cost zero
+// the engine's cross-shard barrier injection, so both cost zero
 // allocations and land in the identical same-instant order.
 func (n *Net) ScheduleDelivery(arrival, txAt sim.Time, srcUID uint32, dst *Port, f Frame, link *Link, epoch uint64) {
 	d := n.newDelivery(dst, f, link, epoch)

@@ -26,21 +26,19 @@ type Cluster struct {
 	Trunks []*Trunk
 
 	// Assign is the shard assignment of a sharded fabric (nil when the
-	// whole fabric runs on one kernel). RouteSink, set by the parallel
-	// engine's transport, receives crossbar programming aimed at a
-	// switch owned by another shard together with the virtual instant
-	// the write lands (see Program); the transport carries it across
-	// the next window barrier and schedules it on the owning shard's
-	// kernel at exactly that instant.
+	// whole fabric runs on one kernel). RouteSink, set by the engine,
+	// receives crossbar programming aimed at a switch owned by another
+	// shard together with the virtual instant the write lands (see
+	// Program); the engine carries it across the next window barrier
+	// and schedules it on the owning shard's kernel at exactly that
+	// instant.
 	Assign    *Assignment
 	RouteSink func(srcShard int, at sim.Time, op RouteOp)
 }
 
 // RouteOp is one crossbar write as a plain record: which switch, which
 // ingress, which egress, and — for trunk forwarding — which virtual
-// circuit. Keeping route programming as data rather than a closure is
-// what lets a barrier-deferred write cross a process boundary on the
-// socket transport byte-for-byte.
+// circuit — the form a barrier-deferred write is queued in.
 type RouteOp struct {
 	Switch int
 	In     int
@@ -84,7 +82,7 @@ func BuildCluster(net *Net, nodes, switches int, fiberM float64) *Cluster {
 // ports and links for every attachment, and trunk ports and fibers for
 // every TrunkSpec. Node-side handlers are attached afterwards by the
 // MAC layer. It is exactly the one-shard case of BuildFabricSharded —
-// a single builder, so the serial and sharded fabrics cannot drift.
+// a single builder, so one-shard and sharded fabrics cannot drift.
 func BuildFabric(net *Net, topo Topology) (*Cluster, error) {
 	if err := topo.Validate(); err != nil {
 		return nil, err
@@ -190,7 +188,7 @@ func (c *Cluster) ShardOfNode(n int) int {
 // the stale route — in serial and sharded runs alike. (Deferring such
 // a write to the barrier instead is NOT invisible: a frame launched
 // before the write can be received mid-window, see the stale table,
-// and die at a port the serial engine's immediate write would have
+// and die at a port a one-shard run's immediate write would have
 // steered it away from.) The timestamp is always honorable on the
 // sharded engine because a remote write's path crosses a cut fiber,
 // so the accumulated flight is at least one lookahead window.

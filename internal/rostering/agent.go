@@ -27,10 +27,10 @@ type Agent struct {
 	Cluster *phys.Cluster
 	Station *insertion.Station
 
-	// Shard is the shard this agent's node runs on in a parallel
-	// sharded simulation (0 on the serial engine). Crossbar programming
-	// aimed at a remote shard's switch is routed through the cluster's
-	// barrier-deferred path; see phys.Cluster.Program.
+	// Shard is the shard this agent's node runs on (0 at one shard).
+	// Crossbar programming aimed at a remote shard's switch is routed
+	// through the cluster's barrier-deferred path; see
+	// phys.Cluster.Program.
 	Shard int
 
 	// SettleWindow is how long the link-state database must stay quiet

@@ -70,7 +70,7 @@ func (t Time) Millis() float64 { return float64(t) / float64(Millisecond) }
 // (transmit-start time, port identity) explicitly, so that
 // same-instant arrivals are ordered by when their bits hit the fiber —
 // a property of the modeled hardware that is identical whether the
-// fabric runs on one kernel or on the sharded parallel engine, whose
+// fabric runs on one kernel or on several shards, whose
 // cross-shard frames are scheduled at window barriers (with late local
 // sequence numbers) but with their true wire keys.
 //
@@ -331,7 +331,7 @@ func (k *Kernel) RunUntil(deadline Time) Time {
 }
 
 // NextEventTime returns the time of the earliest pending event, or
-// (MaxTime, false) when the queue is empty. The parallel engine uses it
+// (MaxTime, false) when the queue is empty. The engine uses it
 // to skip dead time between lookahead windows.
 func (k *Kernel) NextEventTime() (Time, bool) {
 	if len(k.events) == 0 {
@@ -342,7 +342,7 @@ func (k *Kernel) NextEventTime() (Time, bool) {
 
 // AdvanceTo moves the clock forward to t without executing anything.
 // It panics if an event is still pending before t — advancing over it
-// would break causality. The parallel engine uses it to line every
+// would break causality. The engine uses it to line every
 // shard's clock up on a window boundary before injecting cross-shard
 // work at that instant.
 func (k *Kernel) AdvanceTo(t Time) {
@@ -353,21 +353,6 @@ func (k *Kernel) AdvanceTo(t Time) {
 		panic(fmt.Sprintf("sim: AdvanceTo %v over pending event at %v", t, k.events[0].at))
 	}
 	k.now = t
-}
-
-// Park moves the clock forward to t without executing anything — even
-// over pending events, which AdvanceTo refuses. It exists for mirrored
-// replicas (the internal/core shard workers): a worker keeps every
-// remote shard's kernel as construction context only and never runs
-// it, but must keep its clock on the barrier instant so coordinator
-// actions applied from a remote node's context (a reboot's join
-// broadcast, say) stamp the same virtual times the coordinator stamps.
-// Events left pending behind the clock stay queued and must never run;
-// a parked-over kernel is clock-and-schedule context only.
-func (k *Kernel) Park(t Time) {
-	if t > k.now {
-		k.now = t
-	}
 }
 
 // Step executes exactly one pending event and returns true, or returns

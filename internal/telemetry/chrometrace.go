@@ -100,15 +100,12 @@ func sortSpans(spans []Span) {
 // coordinator-serial share so barrier wait proper is
 // WaitFrac − serial share.
 type Decomposition struct {
-	Shards       int
-	Windows      int
-	WindowNS     int64
-	RunNS        int64
-	ExchangeNS   int64
-	ActionNS     int64
-	RTTNS        int64
-	WorkerRunNS  int64
-	WorkerIdleNS int64
+	Shards     int
+	Windows    int
+	WindowNS   int64
+	RunNS      int64
+	ExchangeNS int64
+	ActionNS   int64
 }
 
 // Decompose aggregates spans (from Recorder.Spans).
@@ -128,12 +125,6 @@ func Decompose(spans []Span) Decomposition {
 			d.ExchangeNS += s.Dur()
 		case SpanAction:
 			d.ActionNS += s.Dur()
-		case SpanRTT:
-			d.RTTNS += s.Dur()
-		case SpanWorkerRun:
-			d.WorkerRunNS += s.Dur()
-		case SpanWorkerIdle:
-			d.WorkerIdleNS += s.Dur()
 		}
 	}
 	return d

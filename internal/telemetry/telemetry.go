@@ -15,7 +15,7 @@
 //
 // Recorder is lock-free in the engine's sense: each shard goroutine
 // appends spans only to its own buffer (the same single-writer
-// discipline the transport uses for capture queues), and the
+// discipline the engine uses for capture queues), and the
 // coordinator owns a separate buffer. Spans() merges them and must only
 // be called while the shards are parked — between windows, or after the
 // run.
@@ -89,30 +89,16 @@ const (
 	// SpanAction: coordinator — one fence's action batch (plan events,
 	// loads) executing with all shards parked.
 	SpanAction
-	// SpanRTT: coordinator — a socket-transport MsgRun→MsgDone
-	// round-trip for one worker process.
-	SpanRTT
-	// SpanWorkerRun: a worker-process-measured kernel run, shipped back
-	// in the ControlV1 telemetry summary and re-anchored at the
-	// coordinator's round-trip start.
-	SpanWorkerRun
-	// SpanWorkerIdle: worker-measured wait between its previous done
-	// send and the next granted window — the worker-side view of
-	// barrier wait plus coordinator latency.
-	SpanWorkerIdle
 	// SpanMark: a generic interval (CLI progress, experiment phases).
 	SpanMark
 )
 
 var spanKindNames = [...]string{
-	SpanWindow:     "window",
-	SpanRun:        "run",
-	SpanExchange:   "exchange",
-	SpanAction:     "action",
-	SpanRTT:        "rtt",
-	SpanWorkerRun:  "worker-run",
-	SpanWorkerIdle: "worker-idle",
-	SpanMark:       "mark",
+	SpanWindow:   "window",
+	SpanRun:      "run",
+	SpanExchange: "exchange",
+	SpanAction:   "action",
+	SpanMark:     "mark",
 }
 
 func (k SpanKind) String() string {
@@ -229,8 +215,7 @@ func (r *Recorder) Coord(k SpanKind, start, vt int64) {
 }
 
 // CoordSpan records an explicit [start, end] interval from the driver
-// goroutine, displayed on shard's row (use for worker-shipped durations
-// and socket round-trips; shard -1 is the coordinator row).
+// goroutine, displayed on shard's row (shard -1 is the coordinator row).
 func (r *Recorder) CoordSpan(shard int, k SpanKind, start, end, vt int64) {
 	if r == nil {
 		return

@@ -30,11 +30,11 @@ const (
 	KindTakeover
 	KindFrameLoss
 	KindTrunkFail
-	// KindWindowFence marks a parallel-engine barrier that moved state:
-	// a drain that delivered cross-shard frames or deferred routes, or a
-	// fence forced by mutating coordinator work. Pure-idle barriers are
-	// not recorded, so the timeline stays proportional to activity.
-	// Absent on the serial engine (it has no barriers).
+	// KindWindowFence marks an engine barrier that moved state: a drain
+	// that delivered cross-shard frames or deferred routes, or a fence
+	// forced by a coordinator action. Pure-idle barriers are not
+	// recorded, so the timeline stays proportional to activity. Absent
+	// at one shard (barriers are not observed there).
 	KindWindowFence
 	// KindActionRun marks a fired plan event (a coordinator action), so
 	// engine fences interleave with the roster/liveness timeline they
@@ -86,7 +86,7 @@ type Tracer struct {
 	perNode [][]Event
 	// perNet buffers the frame-loss timeline per shard Net: the ledger
 	// Observer fires on the owning shard's kernel, so these buffers too
-	// are single-writer under the parallel engine.
+	// are single-writer under shards.
 	perNet [][]Event
 	// fabric buffers fabric-scoped events (trunk failures). Plan events
 	// fire single-threaded — on the serial kernel, or at a window
@@ -137,8 +137,8 @@ func Attach(c *core.Cluster) *Tracer {
 			prevEvent(e)
 		}
 	}
-	// Engine barriers (parallel engine only; OnBarrier is a no-op that
-	// reports false on serial). Only barriers that moved state are kept —
+	// Engine barriers (sharded runs only; OnBarrier is a no-op that
+	// reports false at one shard). Only barriers that moved state are kept —
 	// a drain that delivered something, or a coordinator-work fence — so
 	// quiet runs don't flood the timeline with idle window crossings. The
 	// hook runs on the driver goroutine with all shards parked, so the
@@ -210,7 +210,7 @@ func (t *Tracer) capped(buf []Event) []Event {
 // group's OnTakeover hooks (the tracer cannot see group registration).
 func (t *Tracer) NoteTakeover(node int, group uint8) {
 	// Stamped with the observing node's clock: takeover hooks fire on
-	// that node's kernel (its shard under the parallel engine).
+	// that node's kernel (its shard).
 	t.add(Event{At: t.c.Nodes[node].K.Now(), Kind: KindTakeover, Node: node, Arg: int(group),
 		Text: fmt.Sprintf("node %d takes control of group %d", node, group)})
 }
@@ -221,7 +221,7 @@ func (t *Tracer) NoteTakeover(node int, group uint8) {
 // Run/Wait calls, or after Scenario.Run returns.
 func (t *Tracer) Events() []Event {
 	// Rebuilt on every call rather than cached: add runs on shard
-	// kernels under the parallel engine, and the per-node buffers are
+	// kernels under shards, and the per-node buffers are
 	// the only state it may touch (single-writer; a shared cache
 	// invalidation would be a data race).
 	var out []Event
