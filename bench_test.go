@@ -302,8 +302,13 @@ func BenchmarkE14ParsimSharded64(b *testing.B) { benchParsim(b, 64, 8, nil) }
 // window/run/exchange span may cost at most 5% — so the flight recorder
 // stays cheap enough to leave on.
 func BenchmarkE14Parsim64Telemetry(b *testing.B) {
-	benchParsim(b, 64, 8, telemetry.NewRecorder(nil))
+	benchParsim(b, 64, 8, benchRecorder)
 }
+
+// benchRecorder outlives the testing package's b.N probes, so its span
+// buffers grow once, in the one-iteration probe, and every timed run —
+// two iterations at CI's -benchtime 0.5s — records at steady state.
+var benchRecorder = telemetry.NewRecorder(nil)
 
 func BenchmarkE14ParsimSerial128(b *testing.B)  { benchParsim(b, 128, 1, nil) }
 func BenchmarkE14ParsimSharded128(b *testing.B) { benchParsim(b, 128, 8, nil) }
@@ -397,6 +402,11 @@ func benchWireScale(b *testing.B, nodes, shards int) {
 func BenchmarkE15WireScaleSerial512(b *testing.B)  { benchWireScale(b, 512, 1) }
 func BenchmarkE15WireScaleSharded512(b *testing.B) { benchWireScale(b, 512, 8) }
 
+// At 1024 nodes a window holds ~4 500 events, enough for the engine's
+// helpers to pay. On demand (minutes per iteration): run with -cpu 1,2
+// for the two sides of parsim's wakeWork — one core has no helpers.
+func BenchmarkE15WireScaleSharded1024(b *testing.B) { benchWireScale(b, 1024, 8) }
+
 // --- substrate micro-benchmarks ---
 
 func BenchmarkSimKernelEventThroughput(b *testing.B) {
@@ -442,4 +452,41 @@ func BenchmarkPhysPointToPoint(b *testing.B) {
 func healOnce(seed uint64) (sim.Time, sim.Time) {
 	h := experiments.NewHealBench(seed, 8, 4, 1000)
 	return h.HealOnce()
+}
+
+// BenchmarkSimKernelSameInstantBurst is the queue's worst-case guard for
+// bursts: 100 k events at one instant whose keys arrive in descending
+// order, so every insert belongs at the front of everything queued
+// before it.
+func BenchmarkSimKernelSameInstantBurst(b *testing.B) {
+	const burst = 100_000
+	fired := 0
+	fn := func() { fired++ }
+	for i := 0; i < b.N; i++ {
+		k := sim.NewKernel(1)
+		for j := burst; j > 0; j-- {
+			k.DoPri(1000, sim.Time(j), 0, fn)
+		}
+		k.Run()
+	}
+	if fired != b.N*burst {
+		b.Fatalf("fired %d of %d events", fired, b.N*burst)
+	}
+}
+
+// BenchmarkSimKernelFarTimerReset is the worst-case guard for watchdog
+// churn: 4 k pending millisecond-scale timers, one Reset per op.
+func BenchmarkSimKernelFarTimerReset(b *testing.B) {
+	const timers = 4096
+	k := sim.NewKernel(1)
+	rng := sim.NewRNG(2)
+	tms := make([]*sim.Timer, timers)
+	for i := range tms {
+		tms[i] = k.After(sim.Millisecond+sim.Time(rng.Intn(int(sim.Millisecond))), func() {})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tms[i%timers].Reset(sim.Millisecond + sim.Time(rng.Intn(int(sim.Millisecond))))
+	}
 }

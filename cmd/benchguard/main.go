@@ -7,8 +7,8 @@
 //
 // Usage:
 //
-//	go test -run '^$' -bench '^BenchmarkE([1-7][A-Z]|14Parsim((Serial|Sharded)(64|128)|64)$|16Scaling)' . | go run ./cmd/benchguard -baseline BENCH_baseline.json
-//	go test -run '^$' -bench '^BenchmarkE([1-7][A-Z]|14Parsim((Serial|Sharded)(64|128)|64)$|16Scaling)' . | go run ./cmd/benchguard -baseline BENCH_baseline.json -update
+//	go test -run '^$' -bench '^BenchmarkE([1-7][A-Z]|14Parsim((Serial|Sharded)(64|128)|64Telemetry)$|16Scaling)' . | go run ./cmd/benchguard -baseline BENCH_baseline.json
+//	go test -run '^$' -bench '^BenchmarkE([1-7][A-Z]|14Parsim((Serial|Sharded)(64|128)|64Telemetry)$|16Scaling)' . | go run ./cmd/benchguard -baseline BENCH_baseline.json -update
 //
 // Host benchmarks are noisy, so the guard compares only ns/op with a
 // generous default tolerance (25%) and reports improvements without
@@ -90,7 +90,7 @@ func main() {
 		// replace-everything behavior.
 		fresh := len(results)
 		merged := results
-		note := "ns/op baseline for the guarded hot paths (E1–E7 experiments, E14 parsim at 64/128 nodes plus the E14Parsim64 accounting-overhead entry, E16 scaling at 96 nodes); regenerate with: go test -run '^$' -bench '^BenchmarkE([1-7][A-Z]|14Parsim((Serial|Sharded)(64|128)|64)$|16Scaling)' . | go run ./cmd/benchguard -update"
+		note := "ns/op baseline for the guarded hot paths (E1–E7 experiments, E14 parsim at 64/128 nodes — E14ParsimSharded64 doubles as the accounting-overhead entry — plus the E14Parsim64Telemetry recorder-overhead entry, E16 scaling at 96 nodes); regenerate with: go test -run '^$' -bench '^BenchmarkE([1-7][A-Z]|14Parsim((Serial|Sharded)(64|128)|64Telemetry)$|16Scaling)' . | go run ./cmd/benchguard -update"
 		tol := *tolerance
 		if prev, err := benchparse.ReadBaseline(*baselinePath); err == nil {
 			// The stored tolerance survives a regeneration unless the

@@ -194,7 +194,7 @@ type Cluster struct {
 // New assembles a cluster. Nothing runs until Boot (or manual Node
 // boots) and Run. Misconfigured options panic (Scenario.Run returns
 // the same conditions as errors). Call Close when done with a
-// directly-driven sharded cluster to release its worker threads
+// directly-driven sharded cluster to release its helper goroutines
 // (Scenario.Run does so automatically).
 func New(opts Options) *Cluster {
 	c, err := build(opts)
@@ -378,8 +378,8 @@ func (c *Cluster) Now() sim.Time { return c.eng.Now() }
 // as the run's error.
 func (c *Cluster) Err() error { return c.eng.Err() }
 
-// Close releases engine resources (a sharded cluster's worker
-// threads). It is safe to call on any cluster, more than once, and is
+// Close releases engine resources (a sharded cluster's helper
+// goroutines). It is safe to call on any cluster, more than once, and is
 // called automatically by Scenario.Run.
 func (c *Cluster) Close() { c.eng.Shutdown() }
 

@@ -34,8 +34,8 @@
 // One shard is the ordinary degenerate case, and it is how every
 // unsharded cluster runs: the lookahead is unbounded, so a window spans
 // the whole distance to the next action or deadline, the single kernel
-// runs on the driver goroutine with no worker, and nothing is ever
-// captured. The shard hosting — worker goroutines, capture queues,
+// runs on the driver goroutine with no helper, and nothing is ever
+// captured. The shard hosting — helper goroutines, capture queues,
 // barrier hand-off — is shards.go.
 package parsim
 
@@ -195,7 +195,7 @@ func (e *Engine) ShardStats() []ShardStat {
 	return out
 }
 
-// Shutdown stops the shard workers. The engine must not be run
+// Shutdown stops the helper goroutines. The engine must not be run
 // afterwards.
 func (e *Engine) Shutdown() { e.sh.close() }
 
@@ -321,6 +321,7 @@ func (e *Engine) runWindow(target sim.Time) error {
 	// Sample the deterministic plane: every kernel is parked on target,
 	// so the fired deltas are the exact per-shard event counts of this
 	// window regardless of host scheduling.
+	e.sh.lastWork = 0
 	for i, k := range e.Kernels {
 		d := &e.det[i]
 		delta := k.Fired - d.lastFired
@@ -330,6 +331,7 @@ func (e *Engine) runWindow(target sim.Time) error {
 			d.busyWindows++
 		}
 		d.evPerWindow.Observe(delta)
+		e.sh.lastWork += delta
 	}
 	// One clock read ends the window span and starts the exchange span:
 	// the two intervals are adjacent by construction, and the shared

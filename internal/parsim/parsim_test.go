@@ -171,7 +171,7 @@ func TestDeferredRoutesApplyAtBarrier(t *testing.T) {
 	}
 }
 
-// TestShardPanicPropagates: a model panic inside a shard worker must
+// TestShardPanicPropagates: a model panic inside a shard's window must
 // surface as a sticky engine error naming the shard and window — never
 // a hang, never a torn-down process.
 func TestShardPanicPropagates(t *testing.T) {
@@ -191,6 +191,48 @@ func TestShardPanicPropagates(t *testing.T) {
 	before := r.e.Now()
 	if r.e.RunUntil(20*sim.Microsecond) != before {
 		t.Fatal("engine advanced past a sticky failure")
+	}
+}
+
+// TestClaimedWindowsRunEveryShardOnce: twelve unconnected shards, more
+// than most test hosts have helpers for, with uneven work — shard s
+// ticks every (s+1)·100 ns, ≈ 3 000 events a window between them, so
+// every window after the first is heavy enough to wake the helpers.
+// Whoever claims a shard, each must fire exactly its own ticks and end
+// every run parked on the deadline. Under -race this is also the check
+// that one shard's kernel is never run from two goroutines without the
+// barrier between them.
+func TestClaimedWindowsRunEveryShardOnce(t *testing.T) {
+	const shards, window = 12, 100 * sim.Microsecond
+	kernels := make([]*sim.Kernel, shards)
+	nets := make([]*phys.Net, shards)
+	ticks := make([]int, shards)
+	for s := range kernels {
+		k := sim.NewKernel(uint64(s))
+		kernels[s], nets[s] = k, phys.NewNet(k)
+		period := sim.Time(s+1) * 100
+		var tick func()
+		tick = func() { ticks[s]++; k.Do(k.Now()+period, tick) }
+		k.Do(period, tick)
+	}
+	e, err := New(kernels, nets, window)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Shutdown()
+	for _, deadline := range []sim.Time{sim.Millisecond, 2 * sim.Millisecond} {
+		e.RunUntil(deadline)
+		if err := e.Err(); err != nil {
+			t.Fatal(err)
+		}
+		for s, k := range kernels {
+			if k.Now() != deadline {
+				t.Fatalf("shard %d parked at %v, want %v", s, k.Now(), deadline)
+			}
+			if want := int(deadline / (sim.Time(s+1) * 100)); ticks[s] != want {
+				t.Fatalf("shard %d fired %d ticks by %v, want %d", s, ticks[s], deadline, want)
+			}
+		}
 	}
 }
 

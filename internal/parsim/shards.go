@@ -2,8 +2,10 @@ package parsim
 
 import (
 	"fmt"
+	"runtime"
 	"runtime/debug"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/phys"
 	"repro/internal/sim"
@@ -36,10 +38,11 @@ type routeRec struct {
 	op phys.RouteOp
 }
 
-// shards hosts the engine's shard kernels: one worker goroutine per
-// shard (none at one shard), captures in per-shard slices. A shard that
-// panics mid-window does not strand the barrier; the panic is recovered
-// in the worker and surfaces as a grant error naming the shard and
+// shards hosts the engine's shard kernels: captures in per-shard slices,
+// and a pool of helper goroutines (none at one shard) that run a
+// window's busy shards beside the coordinator. A shard that panics
+// mid-window does not strand the barrier; the panic is recovered where
+// the shard ran and surfaces as a grant error naming the shard and
 // window.
 type shards struct {
 	kernels []*sim.Kernel
@@ -52,13 +55,24 @@ type shards struct {
 
 	applyRoute func(at sim.Time, op phys.RouteOp)
 
-	// Window hand-off: one target send and one done receive per worker
-	// per window. Workers park between windows, so driver read phases
-	// and single-core hosts cost nothing; on multicore the wakeups
-	// overlap and the per-window barrier stays in the low microseconds
-	// against window workloads hundreds of events deep.
-	work []chan sim.Time
-	done chan error
+	// Window hand-off. grant lists the window's busy shards and resets
+	// the claim counter; the coordinator and the helpers it wakes then
+	// each claim the next unclaimed busy shard and run it, until none is
+	// left. Claiming balances uneven shards over the cores that a fixed
+	// shard-to-goroutine split would leave idle, and costs one wake send
+	// and one done receive per woken helper, not per shard. Helpers park
+	// between windows; a host with one core has none, and the coordinator
+	// runs every shard itself — as it does on any host while windows are
+	// lighter than wakeWork. lastWork, the events the previous window
+	// fired (the engine's barrier sample), is the estimate of this
+	// window's work.
+	busy     []int
+	lastWork uint64
+	target   sim.Time
+	claimed  atomic.Int32
+	helpers  int
+	wake     chan struct{}
+	done     chan error
 
 	// collectFrames/collectRoutes are the reused barrier-exchange
 	// buffers: collect concatenates into them instead of allocating a
@@ -71,15 +85,24 @@ type shards struct {
 	closed sync.Once
 
 	// rec is the wall-clock telemetry recorder (nil: record nothing).
-	// Each shard worker stamps its own run spans into its private
-	// buffer — the same single-writer discipline as the capture queues —
-	// so recording takes no locks on the window hot path.
+	// Whoever claims a shard stamps its run span into that shard's
+	// private buffer — one writer at a time, ordered by the barrier, the
+	// same discipline as the capture queues — so recording takes no
+	// locks on the window hot path.
 	rec *telemetry.Recorder
 }
 
+// wakeWork is the least number of events the previous window must have
+// fired for a window to wake helpers. Measured on a 2-vCPU host, helpers
+// against the coordinator alone (EXPERIMENTS.md, E15): at 60–400 events
+// a window (64–128 nodes) waking costs 1.7× the wall, at ~1 300 (512
+// nodes) it changes nothing, at ~4 500 (1 024 nodes) it wins 1.45×.
+const wakeWork = 2048
+
 // newShards hosts one kernel+Net pair per shard, installing a capture
 // queue as every Net's RemoteExchange. With more than one shard it
-// starts one worker goroutine per shard; close stops them.
+// starts a helper goroutine per spare core, at most one per shard
+// beyond the coordinator's; close stops them.
 func newShards(kernels []*sim.Kernel, nets []*phys.Net) *shards {
 	t := &shards{
 		kernels:  kernels,
@@ -92,20 +115,20 @@ func newShards(kernels []*sim.Kernel, nets []*phys.Net) *shards {
 		n.Shard = i
 		n.Remote = &capture{t: t, shard: i}
 	}
-	if len(kernels) > 1 {
-		t.done = make(chan error, len(kernels))
-		for i := range kernels {
-			ch := make(chan sim.Time)
-			t.work = append(t.work, ch)
-			go t.worker(i, ch)
+	t.helpers = min(runtime.GOMAXPROCS(0), len(kernels)) - 1
+	if t.helpers > 0 {
+		t.wake = make(chan struct{}, t.helpers)
+		t.done = make(chan error, t.helpers)
+		for i := 0; i < t.helpers; i++ {
+			go t.helper()
 		}
 	}
 	return t
 }
 
 // capture is the per-shard phys.RemoteExchange: it appends cross-shard
-// frames to the source shard's private queue. Only the shard's own
-// worker appends during a window, so no locking is needed.
+// frames to the source shard's private queue. Only the goroutine that
+// claimed the shard appends during a window, so no locking is needed.
 type capture struct {
 	t     *shards
 	shard int
@@ -124,41 +147,56 @@ func (x *capture) RemoteFrame(src, dst *phys.Port, f phys.Frame, link *phys.Link
 	t.frameSeq[x.shard]++
 }
 
-// worker runs shard i's kernel window by window.
-func (t *shards) worker(i int, ch chan sim.Time) {
-	for target := range ch {
-		t.done <- t.runShard(i, target)
+// helper joins the coordinator in each window it is woken for.
+func (t *shards) helper() {
+	for range t.wake {
+		t.done <- t.runClaimed()
 	}
 }
 
-// runShard executes one shard's window, converting a model panic into
-// an error that names the shard and window instead of tearing the
-// process down (or, worse, stranding the other shards at the barrier).
-func (t *shards) runShard(i int, target sim.Time) (err error) {
+// runClaimed claims and runs busy shards until none is left, returning
+// the first error. Its run spans are adjacent: one clock read ends a
+// shard's span and starts the next one's.
+func (t *shards) runClaimed() (first error) {
+	now := t.rec.Begin()
+	for {
+		j := int(t.claimed.Add(1)) - 1
+		if j >= len(t.busy) {
+			return first
+		}
+		var err error
+		if now, err = t.runShard(t.busy[j], t.target, now); first == nil {
+			first = err
+		}
+	}
+}
+
+// runShard executes one shard's window, recording its run span from
+// start and returning the span's end. A model panic becomes an error
+// that names the shard and window instead of tearing the process down
+// (or, worse, stranding the other shards at the barrier).
+func (t *shards) runShard(i int, target sim.Time, start int64) (end int64, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("parsim: shard %d panicked in window ending %v: %v\n%s", i, target, r, debug.Stack())
 		}
 	}()
-	start := t.rec.Begin()
 	t.kernels[i].RunUntil(target)
-	t.rec.Shard(i, telemetry.SpanRun, start, int64(target))
-	return nil
+	return t.rec.Shard(i, telemetry.SpanRun, start, int64(target)), nil
 }
 
 // grant runs every shard to target (inclusive) and returns when all
 // are parked there.
 //
-// Shards with no event due in the window are not woken: cross-shard
+// Shards with no event due in the window are not run: cross-shard
 // work only ever arrives at barriers, so a shard whose next event lies
 // beyond target provably executes nothing — its clock is advanced
-// directly on the coordinator, skipping the worker round-trip. During
-// a decoupled phase (traffic localized to a few shards) this removes
-// two channel hops and a goroutine wakeup per idle shard per window;
-// the skipped shard ends the window in the identical state (clock on
-// target, nothing fired) a granted run would have left.
+// directly, and it ends the window in the identical state (clock on
+// target, nothing fired) a run would have left. A window with at most
+// one busy shard (a decoupled phase, traffic localized) wakes nobody,
+// nor does one that follows a light window.
 func (t *shards) grant(target sim.Time) error {
-	if len(t.work) == 0 {
+	if len(t.kernels) == 1 {
 		// One shard: run it here, on the driver goroutine; a model
 		// panic propagates to the caller with its own stack.
 		start := t.rec.Begin()
@@ -166,22 +204,30 @@ func (t *shards) grant(target sim.Time) error {
 		t.rec.Shard(0, telemetry.SpanRun, start, int64(target))
 		return nil
 	}
-	granted := 0
-	for i, ch := range t.work {
-		if nt, ok := t.kernels[i].NextEventTime(); ok && nt <= target {
-			ch <- target
-			granted++
+	t.busy = t.busy[:0]
+	for i, k := range t.kernels {
+		if nt, ok := k.NextEventTime(); ok && nt <= target {
+			t.busy = append(t.busy, i)
 		} else {
-			t.kernels[i].AdvanceTo(target)
+			k.AdvanceTo(target)
 		}
 	}
-	var firstErr error
-	for ; granted > 0; granted-- {
-		if err := <-t.done; err != nil && firstErr == nil {
-			firstErr = err
+	t.target = target
+	t.claimed.Store(0)
+	woken := 0
+	if t.lastWork >= wakeWork {
+		woken = min(t.helpers, len(t.busy)-1)
+	}
+	for i := 0; i < woken; i++ {
+		t.wake <- struct{}{}
+	}
+	first := t.runClaimed()
+	for ; woken > 0; woken-- {
+		if err := <-t.done; first == nil {
+			first = err
 		}
 	}
-	return firstErr
+	return first
 }
 
 // collect drains the capture queues: frames concatenated per source
@@ -223,11 +269,11 @@ func (t *shards) deliver(frames []frameRec, routes []routeRec) {
 	}
 }
 
-// close stops the worker goroutines.
+// close stops the helper goroutines.
 func (t *shards) close() {
 	t.closed.Do(func() {
-		for _, ch := range t.work {
-			close(ch)
+		if t.wake != nil {
+			close(t.wake)
 		}
 	})
 }

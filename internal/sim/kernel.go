@@ -11,6 +11,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // Time is virtual simulation time in nanoseconds since the start of the
@@ -58,10 +59,10 @@ func (t Time) Micros() float64 { return float64(t) / float64(Microsecond) }
 // Millis returns t as a floating-point number of milliseconds.
 func (t Time) Millis() float64 { return float64(t) / float64(Millisecond) }
 
-// entry is a scheduled callback, stored inline in the kernel's heap
-// slice. Ties at the same instant are broken by the priority key
-// (priT, priH) and then FIFO by seq, so two events scheduled for the
-// same instant fire in a deterministic order.
+// entry is a scheduled callback, stored in the kernel's event arena.
+// Ties at the same instant are broken by the priority key (priT, priH)
+// and then FIFO by seq, so two events scheduled for the same instant
+// fire in a deterministic order.
 //
 // Plain At/After/Do events key priT with their scheduling time, which
 // makes (at, priT, seq) order identical to the historical (at, seq)
@@ -74,11 +75,14 @@ func (t Time) Millis() float64 { return float64(t) / float64(Millisecond) }
 // cross-shard frames are scheduled at window barriers (with late local
 // sequence numbers) but with their true wire keys.
 //
-// Entries live in the heap slice itself: the slice is the per-shard
-// event pool (it subsumes the earlier pointer-based free list), so the
-// steady-state hot path — Do/DoPri scheduling and event pop — does not
-// allocate. Only At/AtPri/After allocate, one Timer handle each, and
-// only because they hand out a cancellation handle.
+// An entry never moves: it keeps its arena index from push until it
+// fires or is cancelled, the queue tiers link or list it by that index,
+// and its Timer handle holds the same index — nothing updates a handle
+// while its event is queued. Freed slots go on a free list threaded
+// through next, so the steady-state hot path — Do/DoPri scheduling and
+// event pop — does not allocate. Only At/AtPri/After allocate, one
+// Timer handle each, and only because they hand out a cancellation
+// handle.
 type entry struct {
 	at   Time
 	priT Time // primary tie-break: transmit start (scheduling time for plain events)
@@ -86,11 +90,19 @@ type entry struct {
 	fn   func()
 	tm   *Timer // cancellation handle, nil for Do/DoPri events
 	priH uint32 // secondary tie-break: stable port identity hash
+	// next and prev link the entry into its wheel bucket (next doubles
+	// as the free-list link); 0 is the nil link, arena slot 0 is unused.
+	next, prev int32
+	// pos is the entry's index in the far heap, or inWheel.
+	pos int32
 }
 
+const inWheel int32 = -1
+
 // entryLess is the kernel's total event order: (at, priT, priH, seq).
-// seq is unique per kernel, so the order is strict — heap pop order is
-// a pure function of the scheduled keys, independent of heap layout.
+// seq is unique per kernel, so the order is strict — pop order is a
+// pure function of the scheduled keys, independent of where and how
+// the queue stores them.
 func entryLess(a, b *entry) bool {
 	if a.at != b.at {
 		return a.at < b.at
@@ -104,24 +116,58 @@ func entryLess(a, b *entry) bool {
 	return a.seq < b.seq
 }
 
+// Wheel geometry: wheelSize buckets of 1<<wheelShift ns each, a horizon
+// of ≈ 33 µs. Frame hops — serialization, fiber flight, switch
+// forwarding, the bulk of all events — are scheduled 32 ns to a few µs
+// ahead and ring keepalives 20 µs ahead, so only the millisecond-scale
+// liveness timers fall beyond it. Buckets are narrow because a fabric
+// of identical rings packs tens of events into any 32 ns, scheduled out
+// of time order; 8 ns keeps most buckets to one instant. walkBound caps
+// the sorted insert's walk from a bucket's tail; an insert that would
+// walk further goes to the far heap instead, so same-instant bursts and
+// adversarial key orders stay O(log n).
+const (
+	wheelShift = 3
+	wheelSize  = 4096
+	wheelMask  = wheelSize - 1
+	walkBound  = 8
+)
+
 // Kernel is a single-threaded discrete-event scheduler. It is not safe
 // for concurrent use; all model code runs inside event callbacks on the
 // kernel's (single) logical thread, which is the standard DES discipline
 // and what makes the simulation deterministic.
 //
-// The event queue is a hand-rolled 4-ary heap over inline entries: no
-// container/heap interface dispatch, no per-event heap node allocation,
-// and sift comparisons walk contiguous memory instead of chasing event
-// pointers. The 4-ary shape halves tree depth against a binary heap,
-// which is where the simulator spends its time at scale (pop is the
-// hot operation; a wider node trades cheap sequential compares for
-// fewer cache-missing levels).
+// The event queue has two tiers over one entry arena. The near tier is
+// a wheel of fixed-width time buckets: an event whose bucket number
+// at>>wheelShift lies within wheelSize of now's is linked into slot
+// (at>>wheelShift)&wheelMask, each slot a doubly-linked list kept in
+// entryLess order by inserting from the tail, with an occupancy bitmap
+// to find the first non-empty slot at or after now's. The far tier is
+// a 4-ary heap of arena indices holding everything else. The next
+// event is the lesser of the first occupied bucket's head and the far
+// root.
+//
+// Every wheel event's bucket number lies in [now>>wheelShift,
+// now>>wheelShift+wheelSize): it did when the event was inserted, and
+// as now advances (never past a pending event) the lower bound still
+// holds and the upper only loosens. So a slot never mixes two bucket
+// numbers, slot order from now's slot is time order, and no event ever
+// needs to migrate between tiers.
 type Kernel struct {
 	now     Time
 	seq     uint64
-	events  []entry
 	rng     *RNG
 	stopped bool
+
+	arena []entry // slot 0 unused (the nil link)
+	free  int32   // free-list head, linked through entry.next
+	n     int     // pending events, both tiers
+
+	far []int32 // 4-ary heap of arena indices, entryLess order
+
+	occ     [wheelSize / 64]uint64 // bit s set: slot s non-empty
+	buckets [wheelSize]struct{ head, tail int32 }
 
 	// Fired counts events executed; useful for run-cost reporting.
 	Fired uint64
@@ -130,7 +176,7 @@ type Kernel struct {
 // NewKernel returns a kernel with virtual time 0 and an RNG seeded with
 // seed (deterministic for a given seed).
 func NewKernel(seed uint64) *Kernel {
-	return &Kernel{rng: NewRNG(seed)}
+	return &Kernel{rng: NewRNG(seed), arena: make([]entry, 1, 64)}
 }
 
 // Now returns the current virtual time.
@@ -140,132 +186,229 @@ func (k *Kernel) Now() Time { return k.now }
 func (k *Kernel) RNG() *RNG { return k.rng }
 
 // Pending returns the number of scheduled events. Cancelled events are
-// removed from the heap eagerly, so this is an O(1) live count.
-func (k *Kernel) Pending() int { return len(k.events) }
+// removed from the queue eagerly, so this is an O(1) live count.
+func (k *Kernel) Pending() int { return k.n }
 
 // push queues fn at absolute time t with tie-break key (priT, priH)
-// and optional Timer handle tm. The entry is placed by siftUp, which
-// also records the final heap index in tm.
+// and optional Timer handle tm, which is pointed at the new entry.
 func (k *Kernel) push(t, priT Time, priH uint32, fn func(), tm *Timer) {
 	if t < k.now {
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", t, k.now))
 	}
-	k.events = append(k.events, entry{at: t, priT: priT, priH: priH, seq: k.seq, fn: fn, tm: tm})
+	i := k.free
+	if i != 0 {
+		k.free = k.arena[i].next
+	} else {
+		k.arena = append(k.arena, entry{})
+		i = int32(len(k.arena) - 1)
+	}
+	e := &k.arena[i]
+	e.at, e.priT, e.priH, e.seq, e.fn, e.tm = t, priT, priH, k.seq, fn, tm
+	if tm != nil {
+		tm.idx = i
+	}
 	k.seq++
-	k.siftUp(len(k.events) - 1)
+	k.n++
+	if uint64(t>>wheelShift)-uint64(k.now>>wheelShift) >= wheelSize || !k.wheelInsert(i) {
+		k.far = append(k.far, i)
+		k.farUp(len(k.far) - 1)
+	}
 }
 
-// siftUp restores the heap property for a (possibly too-small) entry at
-// index j, updating Timer indices along the move path.
-func (k *Kernel) siftUp(j int) {
-	ev := k.events
-	e := ev[j]
+// release returns a fired or cancelled entry's slot to the free list,
+// dropping its closure reference and deactivating its Timer handle.
+func (k *Kernel) release(i int32) {
+	e := &k.arena[i]
+	if e.tm != nil {
+		e.tm.idx = 0
+		e.tm = nil
+	}
+	e.fn = nil
+	e.next = k.free
+	k.free = i
+	k.n--
+}
+
+// slot returns the wheel slot of the bucket that holds time t.
+func slot(t Time) uint { return uint(t>>wheelShift) & wheelMask }
+
+// wheelInsert links entry i into its bucket in entryLess order, walking
+// from the tail. It reports false, leaving the wheel untouched, when
+// the entry belongs more than walkBound entries from the tail.
+func (k *Kernel) wheelInsert(i int32) bool {
+	a := k.arena
+	e := &a[i]
+	s := slot(e.at)
+	b := &k.buckets[s]
+	after := b.tail
+	for steps := 0; after != 0 && entryLess(e, &a[after]); after = a[after].prev {
+		if steps++; steps > walkBound {
+			return false
+		}
+	}
+	e.pos = inWheel
+	e.prev = after
+	if after != 0 {
+		e.next = a[after].next
+		a[after].next = i
+	} else {
+		e.next = b.head
+		b.head = i
+		k.occ[s>>6] |= 1 << (s & 63)
+	}
+	if e.next != 0 {
+		a[e.next].prev = i
+	} else {
+		b.tail = i
+	}
+	return true
+}
+
+// wheelRemove unlinks entry i from its bucket.
+func (k *Kernel) wheelRemove(i int32) {
+	a := k.arena
+	e := &a[i]
+	s := slot(e.at)
+	if e.prev != 0 {
+		a[e.prev].next = e.next
+	} else {
+		k.buckets[s].head = e.next
+	}
+	if e.next != 0 {
+		a[e.next].prev = e.prev
+	} else {
+		k.buckets[s].tail = e.prev
+		if e.prev == 0 {
+			k.occ[s>>6] &^= 1 << (s & 63)
+		}
+	}
+}
+
+// wheelMin returns the earliest wheel entry, or 0 when the wheel is
+// empty: the head of the first occupied slot at or after now's,
+// scanning the occupancy bitmap circularly a word at a time.
+func (k *Kernel) wheelMin() int32 {
+	if k.n == len(k.far) {
+		return 0
+	}
+	s := slot(k.now)
+	w := s >> 6
+	if m := k.occ[w] >> (s & 63); m != 0 {
+		return k.buckets[(s+uint(bits.TrailingZeros64(m)))&wheelMask].head
+	}
+	// The last step revisits now's word for the slots below now's own,
+	// which the shift above excluded: they are the far end of the wheel.
+	for range len(k.occ) {
+		w = (w + 1) % uint(len(k.occ))
+		if m := k.occ[w]; m != 0 {
+			return k.buckets[(w<<6+uint(bits.TrailingZeros64(m)))&wheelMask].head
+		}
+	}
+	return 0
+}
+
+// farUp restores the heap property for a (possibly too-small) entry at
+// heap index j, recording heap positions along the move path.
+func (k *Kernel) farUp(j int) {
+	a, h := k.arena, k.far
+	i := h[j]
+	e := &a[i]
 	for j > 0 {
 		p := (j - 1) >> 2
-		if !entryLess(&e, &ev[p]) {
+		if !entryLess(e, &a[h[p]]) {
 			break
 		}
-		ev[j] = ev[p]
-		if tm := ev[j].tm; tm != nil {
-			tm.idx = j
-		}
+		h[j] = h[p]
+		a[h[j]].pos = int32(j)
 		j = p
 	}
-	ev[j] = e
-	if e.tm != nil {
-		e.tm.idx = j
-	}
+	h[j] = i
+	e.pos = int32(j)
 }
 
-// siftDown restores the heap property for a (possibly too-large) entry
-// at index j. It reports whether the entry moved, which Remove-style
-// callers use to decide whether a siftUp is still needed.
-func (k *Kernel) siftDown(j int) bool {
-	ev := k.events
-	n := len(ev)
+// farDown restores the heap property for a (possibly too-large) entry
+// at heap index j. It reports whether the entry moved, which farRemove
+// uses to decide whether a farUp is still needed.
+func (k *Kernel) farDown(j int) bool {
+	a, h := k.arena, k.far
+	n := len(h)
 	j0 := j
-	e := ev[j]
+	i := h[j]
+	e := &a[i]
 	for {
 		c := j<<2 + 1
 		if c >= n {
 			break
 		}
 		m := c
-		end := c + 4
-		if end > n {
-			end = n
-		}
-		for i := c + 1; i < end; i++ {
-			if entryLess(&ev[i], &ev[m]) {
-				m = i
+		end := min(c+4, n)
+		for x := c + 1; x < end; x++ {
+			if entryLess(&a[h[x]], &a[h[m]]) {
+				m = x
 			}
 		}
-		if !entryLess(&ev[m], &e) {
+		if !entryLess(&a[h[m]], e) {
 			break
 		}
-		ev[j] = ev[m]
-		if tm := ev[j].tm; tm != nil {
-			tm.idx = j
-		}
+		h[j] = h[m]
+		a[h[j]].pos = int32(j)
 		j = m
 	}
-	ev[j] = e
-	if e.tm != nil {
-		e.tm.idx = j
-	}
+	h[j] = i
+	e.pos = int32(j)
 	return j > j0
 }
 
-// takeRoot removes and returns the earliest entry. The vacated tail
-// slot is zeroed so the slice does not retain closure references.
-func (k *Kernel) takeRoot() (Time, func()) {
-	ev := k.events
-	at, fn := ev[0].at, ev[0].fn
-	if tm := ev[0].tm; tm != nil {
-		tm.idx = -1
+// farRemove deletes the far-heap node at heap index j.
+func (k *Kernel) farRemove(j int) {
+	h := k.far
+	n := len(h) - 1
+	h[j] = h[n]
+	k.far = h[:n]
+	if j < n && !k.farDown(j) {
+		k.farUp(j)
 	}
-	n := len(ev) - 1
-	if n > 0 {
-		ev[0] = ev[n]
-	}
-	ev[n] = entry{}
-	k.events = ev[:n]
-	if n > 1 {
-		k.siftDown(0)
-	} else if n == 1 {
-		if tm := k.events[0].tm; tm != nil {
-			tm.idx = 0
-		}
-	}
-	return at, fn
 }
 
-// removeAt deletes the entry at heap index i (Timer cancellation).
-func (k *Kernel) removeAt(i int) {
-	ev := k.events
-	if tm := ev[i].tm; tm != nil {
-		tm.idx = -1
-	}
-	n := len(ev) - 1
-	if i != n {
-		ev[i] = ev[n]
-		ev[n] = entry{}
-		k.events = ev[:n]
-		if !k.siftDown(i) {
-			k.siftUp(i)
+// peek returns the arena index of the earliest pending event, or 0 when
+// the queue is empty.
+func (k *Kernel) peek() int32 {
+	i := k.wheelMin()
+	if len(k.far) > 0 {
+		if f := k.far[0]; i == 0 || entryLess(&k.arena[f], &k.arena[i]) {
+			return f
 		}
-	} else {
-		ev[n] = entry{}
-		k.events = ev[:n]
 	}
+	return i
+}
+
+// remove takes pending entry i off whichever tier holds it and frees
+// its slot.
+func (k *Kernel) remove(i int32) {
+	if pos := k.arena[i].pos; pos == inWheel {
+		k.wheelRemove(i)
+	} else {
+		k.farRemove(int(pos))
+	}
+	k.release(i)
+}
+
+// fire removes the pending entry i (the one peek returned), moves the
+// clock to its instant and runs it. The slot is freed first, so the
+// callback sees its own Timer inactive and may reuse the slot.
+func (k *Kernel) fire(i int32) {
+	e := &k.arena[i]
+	at, fn := e.at, e.fn
+	k.remove(i)
+	k.now = at
+	k.Fired++
+	fn()
 }
 
 // At schedules fn to run at absolute virtual time t. Scheduling in the
 // past panics: it indicates a model bug that would break causality.
 func (k *Kernel) At(t Time, fn func()) *Timer {
-	tm := &Timer{k: k, idx: -1, fn: fn}
-	k.push(t, k.now, 0, fn, tm)
-	return tm
+	return k.AtPri(t, k.now, 0, fn)
 }
 
 // AtPri schedules fn at absolute time t with an explicit same-instant
@@ -276,7 +419,7 @@ func (k *Kernel) At(t Time, fn func()) *Timer {
 // key frame deliveries by transmit start and port identity, keeping
 // the order engine-independent.
 func (k *Kernel) AtPri(t, priT Time, priH uint32, fn func()) *Timer {
-	tm := &Timer{k: k, idx: -1, fn: fn}
+	tm := &Timer{k: k, fn: fn}
 	k.push(t, priT, priH, fn, tm)
 	return tm
 }
@@ -307,22 +450,28 @@ func (k *Kernel) Stop() { k.stopped = true }
 // It returns the final virtual time.
 func (k *Kernel) Run() Time { return k.RunUntil(MaxTime) }
 
-// RunUntil executes events with at <= deadline. The clock is left at
-// min(deadline, time of last event) — or advanced to deadline when the
-// queue empties first, so RunUntil composes with subsequent After calls.
+// RunUntil executes events with at <= deadline. When nothing more is
+// due by the deadline the clock is advanced to it, so RunUntil composes
+// with subsequent After calls; when Stop ends the run early the clock
+// stays on the last event executed, with later events still pending.
 func (k *Kernel) RunUntil(deadline Time) Time {
 	k.stopped = false
-	for len(k.events) > 0 && !k.stopped {
-		if k.events[0].at > deadline {
+	for {
+		if k.stopped {
+			return k.now
+		}
+		i := k.peek()
+		if i == 0 {
 			break
 		}
-		at, fn := k.takeRoot()
+		at := k.arena[i].at
+		if at > deadline {
+			break
+		}
 		if at < k.now {
 			panic("sim: time went backwards")
 		}
-		k.now = at
-		k.Fired++
-		fn()
+		k.fire(i)
 	}
 	if k.now < deadline && deadline != MaxTime {
 		k.now = deadline
@@ -334,10 +483,11 @@ func (k *Kernel) RunUntil(deadline Time) Time {
 // (MaxTime, false) when the queue is empty. The engine uses it
 // to skip dead time between lookahead windows.
 func (k *Kernel) NextEventTime() (Time, bool) {
-	if len(k.events) == 0 {
+	i := k.peek()
+	if i == 0 {
 		return MaxTime, false
 	}
-	return k.events[0].at, true
+	return k.arena[i].at, true
 }
 
 // AdvanceTo moves the clock forward to t without executing anything.
@@ -349,8 +499,8 @@ func (k *Kernel) AdvanceTo(t Time) {
 	if t < k.now {
 		panic(fmt.Sprintf("sim: AdvanceTo %v before now %v", t, k.now))
 	}
-	if len(k.events) > 0 && k.events[0].at < t {
-		panic(fmt.Sprintf("sim: AdvanceTo %v over pending event at %v", t, k.events[0].at))
+	if at, ok := k.NextEventTime(); ok && at < t {
+		panic(fmt.Sprintf("sim: AdvanceTo %v over pending event at %v", t, at))
 	}
 	k.now = t
 }
@@ -358,13 +508,11 @@ func (k *Kernel) AdvanceTo(t Time) {
 // Step executes exactly one pending event and returns true, or returns
 // false if the queue is empty.
 func (k *Kernel) Step() bool {
-	if len(k.events) == 0 {
+	i := k.peek()
+	if i == 0 {
 		return false
 	}
-	at, fn := k.takeRoot()
-	k.now = at
-	k.Fired++
-	fn()
+	k.fire(i)
 	return true
 }
 
@@ -372,29 +520,28 @@ func (k *Kernel) Step() bool {
 // rescheduled. The zero Timer and the nil *Timer are inert: Cancel,
 // Active and Reset are all safe no-ops on them.
 //
-// idx is the event's current heap index, maintained by the heap on
-// every move and set to -1 the moment the event fires or is cancelled
-// — so a handle can never touch an entry that is no longer its own.
+// idx is the event's arena index, fixed while it is scheduled and
+// zeroed by the kernel the moment the event fires or is cancelled — so
+// a handle can never touch an entry that is no longer its own.
 type Timer struct {
 	k   *Kernel
-	idx int    // heap index while scheduled; -1 once fired or cancelled
 	fn  func() // retained so Reset can re-arm after the event fired
+	idx int32  // arena index while scheduled; 0 once fired or cancelled
 }
 
 // Cancel prevents the timer's callback from running. The event is
-// removed from the heap immediately (no dead entries accumulate under
+// removed from the queue immediately (no dead entries accumulate under
 // cancel-heavy workloads). It is safe to call more than once and after
 // the event has fired.
 func (t *Timer) Cancel() {
-	if t == nil || t.k == nil || t.idx < 0 {
-		return
+	if t.Active() {
+		t.k.remove(t.idx)
 	}
-	t.k.removeAt(t.idx)
 }
 
 // Active reports whether the callback is still scheduled to run.
 func (t *Timer) Active() bool {
-	return t != nil && t.k != nil && t.idx >= 0
+	return t != nil && t.idx != 0
 }
 
 // Reset cancels the timer (if still pending) and reschedules its

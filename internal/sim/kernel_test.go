@@ -139,6 +139,22 @@ func TestStop(t *testing.T) {
 	}
 }
 
+// Stop inside RunUntil leaves events pending before the deadline, so
+// the clock must stay on the last event executed: moved to the deadline
+// it would sit past them, and the next run would go backwards in time.
+func TestStopInRunUntilKeepsClockBehindPending(t *testing.T) {
+	k := NewKernel(1)
+	n := 0
+	k.At(10, func() { n++; k.Stop() })
+	k.At(20, func() { n++ })
+	if now := k.RunUntil(100); now != 10 || n != 1 {
+		t.Fatalf("stopped RunUntil returned %v after %d events, want 10 after 1", now, n)
+	}
+	if now := k.RunUntil(100); now != 100 || n != 2 {
+		t.Fatalf("resumed RunUntil returned %v after %d events, want 100 after 2", now, n)
+	}
+}
+
 func TestStep(t *testing.T) {
 	k := NewKernel(1)
 	n := 0

@@ -13,9 +13,10 @@
 // excluded from Report bytes. Tests inject ManualClock to make span
 // timelines reproducible; production code uses Wall.
 //
-// Recorder is lock-free in the engine's sense: each shard goroutine
-// appends spans only to its own buffer (the same single-writer
-// discipline the engine uses for capture queues), and the
+// Recorder is lock-free in the engine's sense: a shard's buffer is
+// appended to only by the goroutine running that shard's window (the
+// same one-writer-at-a-time discipline the engine uses for capture
+// queues), and the
 // coordinator owns a separate buffer. Spans() merges them and must only
 // be called while the shards are parked — between windows, or after the
 // run.
@@ -151,7 +152,7 @@ func (b *spanBuf) add(shard int, k SpanKind, start, end, vt int64) {
 // Recorder collects wall-clock spans for one run. All methods are
 // nil-receiver-safe no-ops, so engine hot paths stay branch-cheap when
 // telemetry is off. Shard(i, ...) appends to shard i's private buffer
-// and must be called only from that shard's goroutine; Coord and
+// and must be called only by the goroutine running shard i; Coord and
 // CoordSpan append to the coordinator's buffer and must be called only
 // from the driver goroutine. EnsureShards sizes the shard buffers and
 // must run before the shard goroutines do.
@@ -197,13 +198,19 @@ func (r *Recorder) Begin() int64 {
 	return r.clock.Now()
 }
 
-// Shard records [start, now] on shard's own buffer. Spans for shards
-// EnsureShards never sized are dropped.
-func (r *Recorder) Shard(shard int, k SpanKind, start, vt int64) {
-	if r == nil || shard < 0 || shard >= len(r.shards) {
-		return
+// Shard records [start, now] on shard's own buffer and returns now, so
+// a goroutine running shards back to back starts the next span on the
+// reading that ended this one. Spans for shards EnsureShards never
+// sized are dropped; a nil recorder returns 0.
+func (r *Recorder) Shard(shard int, k SpanKind, start, vt int64) int64 {
+	if r == nil {
+		return 0
 	}
-	r.shards[shard].add(shard, k, start, r.clock.Now(), vt)
+	now := r.clock.Now()
+	if shard >= 0 && shard < len(r.shards) {
+		r.shards[shard].add(shard, k, start, now, vt)
+	}
+	return now
 }
 
 // Coord records [start, now] on the coordinator row.
