@@ -76,8 +76,10 @@ func New(n *ampdk.Node) *Services {
 // broadcast on a dedicated DMA channel and delivered to every
 // subscriber on every node (including the publisher's own node).
 type Subscribe struct {
-	svc  *Services
-	subs map[uint8][]func(src micropacket.NodeID, data []byte)
+	svc *Services
+	// subs[topic] lists the topic's callbacks; indexed by topic and
+	// grown on demand (every delivery looks its topic up here).
+	subs [][]func(src micropacket.NodeID, data []byte)
 	// assembly buffers per (source, topic) for multi-segment payloads.
 	asm map[asmKey][]byte
 
@@ -92,11 +94,14 @@ type asmKey struct {
 }
 
 func newSubscribe(svc *Services) *Subscribe {
-	return &Subscribe{svc: svc, subs: map[uint8][]func(micropacket.NodeID, []byte){}, asm: map[asmKey][]byte{}}
+	return &Subscribe{svc: svc, asm: map[asmKey][]byte{}}
 }
 
 // Subscribe registers cb for a topic.
 func (s *Subscribe) Subscribe(topic uint8, cb func(src micropacket.NodeID, data []byte)) {
+	if int(topic) >= len(s.subs) {
+		s.subs = append(s.subs, make([][]func(micropacket.NodeID, []byte), int(topic)+1-len(s.subs))...)
+	}
 	s.subs[topic] = append(s.subs[topic], cb)
 }
 
@@ -114,6 +119,12 @@ func (s *Subscribe) Publish(topic uint8, data []byte) {
 
 func (s *Subscribe) handleDMA(src micropacket.NodeID, hdr micropacket.DMAHeader, data []byte, last bool) {
 	topic := uint8(hdr.Offset >> 24)
+	if last && len(s.asm) == 0 {
+		// A whole payload in one segment and nothing half-assembled:
+		// hand subscribers their copy without a trip through asm.
+		s.deliver(src, topic, append([]byte(nil), data...))
+		return
+	}
 	k := asmKey{src, topic}
 	s.asm[k] = append(s.asm[k], data...)
 	if last {
@@ -124,6 +135,9 @@ func (s *Subscribe) handleDMA(src micropacket.NodeID, hdr micropacket.DMAHeader,
 }
 
 func (s *Subscribe) deliver(src micropacket.NodeID, topic uint8, data []byte) {
+	if int(topic) >= len(s.subs) {
+		return
+	}
 	for _, cb := range s.subs[topic] {
 		s.Delivered++
 		cb(src, data)

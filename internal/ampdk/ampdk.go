@@ -175,8 +175,9 @@ type Node struct {
 	OnRoster func(*rostering.Roster)
 	// RegionHandler overrides delivery of DMA writes for specific
 	// regions (registered app memory); unhandled regions apply to the
-	// cache replica.
-	RegionHandler map[uint8]dma.WriteHandler
+	// cache replica. A table, not a map: every arriving DMA packet
+	// looks its region up here.
+	RegionHandler [256]dma.WriteHandler
 
 	peers      map[int]*Peer
 	sponsoring map[int]bool // joiners whose refresh stream is in flight
@@ -223,9 +224,8 @@ func NewNode(k *sim.Kernel, cluster *phys.Cluster, cfg Config) *Node {
 	cfg.fill()
 	n := &Node{
 		Cfg: cfg, K: k, Cluster: cluster,
-		peers:         map[int]*Peer{},
-		sponsoring:    map[int]bool{},
-		RegionHandler: map[uint8]dma.WriteHandler{},
+		peers:      map[int]*Peer{},
+		sponsoring: map[int]bool{},
 	}
 	n.Station = insertion.NewStation(k, micropacket.NodeID(cfg.ID), cluster.NodePorts[cfg.ID])
 	// The hop budget tracks the fabric size: a broadcast must survive a
@@ -569,7 +569,7 @@ func (n *Node) streamRefresh(dst micropacket.NodeID) {
 // dmaWrite routes arriving DMA payloads: registered app regions first,
 // then the cache replica (with assimilation buffering).
 func (n *Node) dmaWrite(src micropacket.NodeID, hdr micropacket.DMAHeader, data []byte, last bool) {
-	if h, ok := n.RegionHandler[hdr.Region]; ok {
+	if h := n.RegionHandler[hdr.Region]; h != nil {
 		h(src, hdr, data, last)
 		return
 	}

@@ -59,8 +59,10 @@ type Engine struct {
 
 	// txSeq[c] is the next sequence number for channel c.
 	txSeq [NumChannels]uint8
-	// rxSeq[src][c] tracks the expected next sequence from src on c.
-	rxSeq map[micropacket.NodeID]*[NumChannels]uint8
+	// rxSeq[src][c] tracks the expected next sequence from src on c:
+	// indexed by source id, grown on demand, nil until src is first
+	// heard (every arriving packet looks its source up here).
+	rxSeq []*[NumChannels]uint8
 
 	// Sent and Recv count DMA packets; Gaps counts sequence gaps
 	// observed on receive (losses to be repaired by refresh).
@@ -77,8 +79,7 @@ type Engine struct {
 const DefaultWindow = 4
 
 func NewEngine(k *sim.Kernel, st *insertion.Station) *Engine {
-	return &Engine{ID: st.ID, K: k, St: st, Window: DefaultWindow,
-		rxSeq: map[micropacket.NodeID]*[NumChannels]uint8{}}
+	return &Engine{ID: st.ID, K: k, St: st, Window: DefaultWindow}
 }
 
 // MaxSegment is the largest payload per DMA MicroPacket.
@@ -204,8 +205,11 @@ func (t CacheTransport) Broadcast(region uint8, off uint32, data []byte) bool {
 // delivery demux).
 func (e *Engine) HandleDMA(p *micropacket.Packet) {
 	e.Recv++
-	seqs, ok := e.rxSeq[p.Src]
-	if !ok {
+	if int(p.Src) >= len(e.rxSeq) {
+		e.rxSeq = append(e.rxSeq, make([]*[NumChannels]uint8, int(p.Src)+1-len(e.rxSeq))...)
+	}
+	seqs := e.rxSeq[p.Src]
+	if seqs == nil {
 		seqs = new([NumChannels]uint8)
 		// Adopt the stream at whatever sequence it is on: a node that
 		// just assimilated starts mid-stream by design (the refresh

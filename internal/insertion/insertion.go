@@ -123,6 +123,8 @@ type Station struct {
 	LastRx sim.Time
 
 	insertQ []phys.Frame
+	// holding mirrors len(insertQ) > 0 onto the ports (syncHold).
+	holding bool
 	pace    sim.Time
 	paceTmr *sim.Timer
 
@@ -217,9 +219,30 @@ func (s *Station) Send(p *micropacket.Packet) bool {
 	return true
 }
 
+// syncHold keeps the ports' tx-done hold on exactly while host frames
+// wait to insert: a transmit completion on any port is an insertion
+// opportunity then, and provably a no-op otherwise — which is what lets
+// the ports not spend a kernel event on it (phys.Port.HoldTxDone).
+func (s *Station) syncHold() {
+	if on := len(s.insertQ) > 0; on != s.holding {
+		s.holding = on
+		for _, p := range s.Ports {
+			if p != nil {
+				p.HoldTxDone(on)
+			}
+		}
+	}
+}
+
 // tryInsert inserts the head host frame if the MAC rules allow it now,
 // otherwise arms the adaptive pacing timer.
 func (s *Station) tryInsert() {
+	s.insert()
+	s.syncHold()
+}
+
+// insert is tryInsert's decision; only tryInsert calls it.
+func (s *Station) insert() {
 	if s.egress == nil || len(s.insertQ) == 0 {
 		return
 	}
@@ -232,6 +255,9 @@ func (s *Station) tryInsert() {
 		}
 		f := s.insertQ[0]
 		s.insertQ = s.insertQ[1:]
+		// Before the Send: if that was the last waiting frame, its own
+		// completion is no opportunity for anything.
+		s.syncHold()
 		if s.egress.Send(f) {
 			s.Inserted++
 		}

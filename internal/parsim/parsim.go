@@ -111,6 +111,9 @@ type Engine struct {
 	// inWindow is set while a window is granted: the only time shard
 	// context runs, and the only time Schedule must refuse.
 	inWindow bool
+	// parked is set while the kernels stand on an action's instant they
+	// were advanced to and no window has run through it yet.
+	parked bool
 
 	failed error
 
@@ -139,6 +142,7 @@ type shardDet struct {
 	events      uint64
 	busyWindows uint64
 	lastFired   uint64
+	lastDelta   uint64 // events fired in the latest window
 	evPerWindow telemetry.Hist
 }
 
@@ -313,6 +317,7 @@ func (e *Engine) runWindow(target sim.Time) error {
 	e.inWindow = true
 	err := e.sh.grant(target)
 	e.inWindow = false
+	e.parked = false
 	if err != nil {
 		return err
 	}
@@ -326,6 +331,7 @@ func (e *Engine) runWindow(target sim.Time) error {
 		d := &e.det[i]
 		delta := k.Fired - d.lastFired
 		d.lastFired = k.Fired
+		d.lastDelta = delta
 		d.events += delta
 		if delta > 0 {
 			d.busyWindows++
@@ -338,6 +344,9 @@ func (e *Engine) runWindow(target sim.Time) error {
 	// read halves the coordinator's per-window clock cost.
 	x0 := e.rec.Begin()
 	e.rec.CoordSpan(-1, telemetry.SpanWindow, w0, x0, int64(target))
+	if e.sh.solo {
+		e.soloRunSpans(w0, x0, target)
+	}
 	nf, nr := e.drain()
 	// An empty drain returns without sorting or delivering; its span
 	// would be zero-length noise, and skipping it saves a clock read on
@@ -350,6 +359,26 @@ func (e *Engine) runWindow(target sim.Time) error {
 		e.OnFence(target, nf, nr, false)
 	}
 	return nil
+}
+
+// soloRunSpans records the run spans of a window the coordinator ran
+// alone. It ran the busy shards back to back in shard order between w0
+// and x0, untimed; each gets the share of that interval its share of
+// the window's events comes to — an estimate of where one shard ended
+// and the next began, inside a measured whole.
+func (e *Engine) soloRunSpans(w0, x0 int64, target sim.Time) {
+	if e.rec == nil || e.sh.lastWork == 0 {
+		return
+	}
+	at, fired := w0, uint64(0)
+	for i := range e.det {
+		if d := e.det[i].lastDelta; d > 0 {
+			fired += d
+			end := w0 + int64(float64(x0-w0)*float64(fired)/float64(e.sh.lastWork))
+			e.rec.CoordSpan(i, telemetry.SpanRun, at, end, int64(target))
+			at = end
+		}
+	}
 }
 
 // nextEvent returns the earliest pending event time across all shards.
@@ -405,8 +434,13 @@ func (e *Engine) RunUntil(deadline sim.Time) sim.Time {
 		if e.now >= deadline {
 			// RunUntil is inclusive: model events at the deadline
 			// instant (including any the actions just scheduled) still
-			// run, exactly as sim.Kernel.RunUntil would.
-			if m, any := e.nextEvent(); any && m <= deadline {
+			// run, exactly as sim.Kernel.RunUntil would. Kernels parked
+			// on the instant for an action run through it even with
+			// nothing queued, so that the driver finds them as any
+			// other RunUntil leaves them: everything at the deadline
+			// has happened, a transmitter's lazy completion included
+			// (sim.Kernel.Passed).
+			if m, any := e.nextEvent(); e.parked || any && m <= deadline {
 				if err := e.runWindow(deadline); err != nil {
 					e.fail(err)
 					return e.now
@@ -468,6 +502,7 @@ func (e *Engine) RunUntil(deadline sim.Time) sim.Time {
 		for _, k := range e.Kernels {
 			k.AdvanceTo(at)
 		}
+		e.parked = true
 		e.Stats.Advances++
 		e.now = at
 	}

@@ -9,6 +9,7 @@ import (
 	"repro/internal/micropacket"
 	"repro/internal/phys"
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 	"repro/internal/wire"
 )
 
@@ -288,5 +289,100 @@ func TestAssignShardsAndLookahead(t *testing.T) {
 	}
 	if _, err := phys.Lookahead(&bad, assign2); err == nil {
 		t.Fatal("zero-fiber fabric produced a lookahead")
+	}
+}
+
+// TestLazyCompletionAtBarriers: a port's transmit completion is a
+// timestamp the port settles against its kernel's firing position
+// (sim.Kernel.Passed), so the engine must leave every kernel where a
+// run with the completion queued as an event would have: an action at
+// the completion's instant runs before it, and a RunUntil that ends on
+// that instant has been through it — on a shard that had nothing to run
+// in the window, and after an action parked the kernels there.
+func TestLazyCompletionAtBarriers(t *testing.T) {
+	f := frame()
+	txEnd := phys.SerTime(f.Wire + phys.DefaultIFG)
+	for _, tc := range []struct {
+		name string
+		rig  func(t *testing.T) (*Engine, *phys.Port)
+	}{
+		{"one-shard", func(t *testing.T) (*Engine, *phys.Port) {
+			k := sim.NewKernel(1)
+			n := phys.NewNet(k)
+			e, err := New([]*sim.Kernel{k}, []*phys.Net{n}, sim.MaxTime)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(e.Shutdown)
+			pa := n.NewPort("a", nil)
+			n.Connect(pa, n.NewPort("b", nil), 200)
+			return e, pa
+		}},
+		// The delivery is captured for shard 1, so the sender's shard
+		// holds no event at all.
+		{"idle-shard", func(t *testing.T) (*Engine, *phys.Port) { r := newRig(t); return r.e, r.pa }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e, pa := tc.rig(t)
+			pa.Send(f)
+			e.RunUntil(txEnd - 1)
+			if got := pa.QueueLen(); got != 1 {
+				t.Fatalf("one tick before the completion: QueueLen = %d, want 1", got)
+			}
+			e.RunUntil(txEnd)
+			if got := pa.QueueLen(); got != 0 {
+				t.Fatalf("after RunUntil(txEnd): QueueLen = %d, want 0", got)
+			}
+
+			e, pa = tc.rig(t)
+			pa.Send(f)
+			inAction := -1
+			e.Schedule(txEnd, func() { inAction = pa.QueueLen() })
+			e.RunUntil(txEnd)
+			if got := pa.QueueLen(); inAction != 1 || got != 0 {
+				t.Fatalf("action at txEnd read %d, the driver after the run %d; want 1 and 0", inAction, got)
+			}
+		})
+	}
+}
+
+// TestSoloWindowRunSpans: a window the coordinator runs alone is timed
+// as a whole — three clock reads, whatever the shard count — and its
+// interval divided among the shards that ran, back to back in shard
+// order, by the events each fired.
+func TestSoloWindowRunSpans(t *testing.T) {
+	r := newRig(t)
+	clock := telemetry.NewManualClock(1000, 100)
+	rec := telemetry.NewRecorder(clock)
+	r.e.SetRecorder(rec)
+	for i := 0; i < 3; i++ {
+		r.k[0].Do(10, func() {})
+	}
+	r.k[1].Do(20, func() {})
+	r.e.RunUntil(50)
+
+	var window telemetry.Span
+	var runs []telemetry.Span
+	for _, s := range rec.Spans() {
+		switch s.Kind {
+		case telemetry.SpanWindow:
+			if window.End == 0 {
+				window = s
+			}
+		case telemetry.SpanRun:
+			runs = append(runs, s)
+		}
+	}
+	if len(runs) != 2 || runs[0].Shard != 0 || runs[1].Shard != 1 {
+		t.Fatalf("run spans %+v, want one per shard", runs)
+	}
+	if runs[0].Start != window.Start || runs[0].End != runs[1].Start || runs[1].End != window.End {
+		t.Fatalf("run spans %+v do not tile the window %+v", runs, window)
+	}
+	if got, want := runs[0].Dur(), window.Dur()*3/4; got != want {
+		t.Fatalf("shard 0 fired 3 of the window's 4 events and got %d of its %d ns, want %d", got, window.Dur(), want)
+	}
+	if window.Dur() != 100 {
+		t.Fatalf("the window took %d ns of a clock that steps 100 a reading: the shards were timed one by one", window.Dur())
 	}
 }

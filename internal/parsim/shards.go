@@ -68,6 +68,7 @@ type shards struct {
 	// window's work.
 	busy     []int
 	lastWork uint64
+	solo     bool // the coordinator runs this window alone
 	target   sim.Time
 	claimed  atomic.Int32
 	helpers  int
@@ -158,14 +159,22 @@ func (t *shards) helper() {
 // the first error. Its run spans are adjacent: one clock read ends a
 // shard's span and starts the next one's.
 func (t *shards) runClaimed() (first error) {
-	now := t.rec.Begin()
+	// A window the coordinator runs alone is timed as a whole (the
+	// engine divides its span among the shards afterwards): at a few
+	// microseconds a window, a clock read per shard is what the
+	// recorder costs.
+	rec := t.rec
+	if t.solo {
+		rec = nil
+	}
+	now := rec.Begin()
 	for {
 		j := int(t.claimed.Add(1)) - 1
 		if j >= len(t.busy) {
 			return first
 		}
 		var err error
-		if now, err = t.runShard(t.busy[j], t.target, now); first == nil {
+		if now, err = t.runShard(rec, t.busy[j], t.target, now); first == nil {
 			first = err
 		}
 	}
@@ -175,26 +184,28 @@ func (t *shards) runClaimed() (first error) {
 // start and returning the span's end. A model panic becomes an error
 // that names the shard and window instead of tearing the process down
 // (or, worse, stranding the other shards at the barrier).
-func (t *shards) runShard(i int, target sim.Time, start int64) (end int64, err error) {
+func (t *shards) runShard(rec *telemetry.Recorder, i int, target sim.Time, start int64) (end int64, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("parsim: shard %d panicked in window ending %v: %v\n%s", i, target, r, debug.Stack())
 		}
 	}()
 	t.kernels[i].RunUntil(target)
-	return t.rec.Shard(i, telemetry.SpanRun, start, int64(target)), nil
+	return rec.Shard(i, telemetry.SpanRun, start, int64(target)), nil
 }
 
 // grant runs every shard to target (inclusive) and returns when all
 // are parked there.
 //
-// Shards with no event due in the window are not run: cross-shard
-// work only ever arrives at barriers, so a shard whose next event lies
-// beyond target provably executes nothing — its clock is advanced
-// directly, and it ends the window in the identical state (clock on
-// target, nothing fired) a run would have left. A window with at most
-// one busy shard (a decoupled phase, traffic localized) wakes nobody,
-// nor does one that follows a light window.
+// Shards with no event due in the window are not handed out:
+// cross-shard work only ever arrives at barriers, so a shard whose next
+// event lies beyond target provably executes nothing, and the
+// coordinator runs it on the spot. It is still a run, not a bare clock
+// move — the window has gone through target on that shard too, which is
+// what a port settling a lazy transmit completion at exactly target
+// asks the kernel (sim.Kernel.Passed). A window with at most one busy
+// shard (a decoupled phase, traffic localized) wakes nobody, nor does
+// one that follows a light window.
 func (t *shards) grant(target sim.Time) error {
 	if len(t.kernels) == 1 {
 		// One shard: run it here, on the driver goroutine; a model
@@ -209,7 +220,7 @@ func (t *shards) grant(target sim.Time) error {
 		if nt, ok := k.NextEventTime(); ok && nt <= target {
 			t.busy = append(t.busy, i)
 		} else {
-			k.AdvanceTo(target)
+			k.RunUntil(target)
 		}
 	}
 	t.target = target
@@ -218,6 +229,7 @@ func (t *shards) grant(target sim.Time) error {
 	if t.lastWork >= wakeWork {
 		woken = min(t.helpers, len(t.busy)-1)
 	}
+	t.solo = woken <= 0
 	for i := 0; i < woken; i++ {
 		t.wake <- struct{}{}
 	}

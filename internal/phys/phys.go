@@ -195,11 +195,27 @@ type Port struct {
 	fifo     []Frame
 	fifoHead int
 	cap      int
-	txBusy   bool
-	// Sent and Received count frames for diagnostics.
-	Sent     uint64
-	Received uint64
+
+	// Transmitter state. While busy, the head-of-line frame is being
+	// serialized and the transmitter frees at the completion key
+	// (txEnd, txAt, uid). txLazy means that completion is only a
+	// timestamp — no kernel event exists for it, and every observer of
+	// the transmitter settles the port first; it implies exactly one
+	// frame in the FIFO and hold off. txArmed means a txDone event is
+	// queued under the key. hold is the MAC's standing request to be
+	// called at completions (HoldTxDone).
+	tx          txState
+	hold        bool
+	txEnd, txAt sim.Time
 }
+
+type txState uint8
+
+const (
+	txIdle txState = iota
+	txLazy
+	txArmed
+)
 
 // NewPort creates an unconnected port. handler may be nil (frames are
 // then counted but discarded); use SetHandler to attach later.
@@ -209,8 +225,9 @@ func (n *Net) NewPort(name string, handler Handler) *Port {
 }
 
 // nameHash is FNV-1a over the port name: an engine-independent port
-// identity (the serial and sharded builders create ports in different
-// orders, but with identical names).
+// identity (a fabric's ports are created in a different order at every
+// shard count, but with identical names). The fabric builder makes the
+// identities of one fabric non-zero and distinct (resolveUIDs).
 func nameHash(s string) uint32 {
 	h := uint32(2166136261)
 	for i := 0; i < len(s); i++ {
@@ -228,10 +245,27 @@ func (p *Port) SetHandler(h Handler) { p.onFrame = h }
 // SetStatusHandler attaches the link status callback.
 func (p *Port) SetStatusHandler(h StatusHandler) { p.onStatus = h }
 
-// SetTxDone attaches a callback invoked each time the transmitter
-// finishes serializing a frame; MAC layers use it to schedule insertion
-// opportunities.
+// SetTxDone attaches the callback invoked when the transmitter finishes
+// serializing a frame while HoldTxDone is on; MAC layers use it to
+// schedule insertion opportunities.
 func (p *Port) SetTxDone(h func()) { p.onTxDone = h }
+
+// HoldTxDone turns the tx-done callback on or off. A completion calls
+// the callback only while the hold is on, and only a held (or
+// contended) transmitter spends a kernel event on its completion, so a
+// MAC must hold exactly while a completion could let it act — the
+// insertion station holds while it has frames waiting to insert.
+// Turning the hold on mid-frame takes effect for that frame's
+// completion.
+func (p *Port) HoldTxDone(on bool) {
+	p.hold = on
+	if !on {
+		return
+	}
+	if p.settle(); p.tx == txLazy {
+		p.arm()
+	}
+}
 
 // Connected reports whether the port is attached to a link.
 func (p *Port) Connected() bool { return p.link != nil }
@@ -252,7 +286,39 @@ func (p *Port) Peer() *Port {
 
 // QueueLen returns the number of frames waiting in the egress FIFO
 // (including the frame currently being serialized).
-func (p *Port) QueueLen() int { return len(p.fifo) - p.fifoHead }
+func (p *Port) QueueLen() int {
+	p.settle()
+	return p.queued()
+}
+
+// queued is QueueLen of an already settled port.
+func (p *Port) queued() int { return len(p.fifo) - p.fifoHead }
+
+// settle realizes a lazy transmit completion the kernel's firing order
+// has gone beyond: the head frame leaves the FIFO and the transmitter
+// is idle, exactly what the completion event would have left behind.
+// Everything that reads or changes transmitter state settles first.
+func (p *Port) settle() {
+	if p.tx == txLazy && p.net.K.Passed(p.txEnd, p.txAt, p.uid) {
+		p.popFrame()
+		p.tx = txIdle
+	}
+}
+
+// arm queues the completion of the frame being serialized as a kernel
+// event, under the key it has always had. The port must be settled: the
+// key then lies ahead of the firing position, so the event lands where
+// it would have had it been queued at transmit start; only its seq is
+// later, and (at, priT, priH) is already unique for it — plain events
+// carry priH 0, another port another uid, and the same transmission's
+// delivery on a zero-length fiber was pushed before it either way. A
+// link failure bumps the epoch and clears the FIFO, so a stale
+// completion must not pop the new queue.
+func (p *Port) arm() {
+	p.tx = txArmed
+	td := p.net.newTxDone(p, p.link, p.link.epoch)
+	p.net.K.DoPri(p.txEnd, p.txAt, p.uid, td.run)
+}
 
 // popFrame removes the head-of-line frame, reusing the backing array:
 // the vacated slot is zeroed (dropping the packet reference) and the
@@ -298,11 +364,21 @@ func (p *Port) Send(f Frame) bool {
 		return false
 	}
 	p.fifo = append(p.fifo, f)
-	p.net.Acct.Enqueue()
-	if !p.txBusy {
-		p.startTx()
-	}
+	p.enqueued()
 	return true
+}
+
+// enqueued follows a frame into the FIFO of a settled port: an idle
+// transmitter starts on it, and a lazy one now has a frame waiting for
+// its completion to happen.
+func (p *Port) enqueued() {
+	p.net.Acct.Enqueue()
+	switch p.tx {
+	case txIdle:
+		p.startTx()
+	case txLazy:
+		p.arm()
+	}
 }
 
 // SendPriority enqueues a frame ahead of queued frames (behind the one
@@ -318,7 +394,7 @@ func (p *Port) SendPriority(f Frame) bool {
 		return false
 	}
 	f.Prio = true
-	if p.txBusy && p.QueueLen() > 0 {
+	if p.QueueLen() > 0 {
 		// Insert behind the frame being serialized and behind any
 		// earlier priority frames (priority is FIFO among itself).
 		pos := p.fifoHead + 1
@@ -331,20 +407,15 @@ func (p *Port) SendPriority(f Frame) bool {
 	} else {
 		p.fifo = append(p.fifo, f)
 	}
-	p.net.Acct.Enqueue()
-	if !p.txBusy {
-		p.startTx()
-	}
+	p.enqueued()
 	return true
 }
 
-// startTx begins serializing the head-of-line frame.
+// startTx begins serializing the head-of-line frame of an idle,
+// non-empty port. The completion stays a timestamp unless somebody is
+// already waiting for it: a frame queued behind the head, or the MAC's
+// hold.
 func (p *Port) startTx() {
-	if p.QueueLen() == 0 {
-		p.txBusy = false
-		return
-	}
-	p.txBusy = true
 	p.net.Acct.Launch()
 	f := p.fifo[p.fifoHead]
 	ser := SerTime(f.Wire + p.net.IFG)
@@ -370,11 +441,13 @@ func (p *Port) startTx() {
 		// steady-state frame hop does not allocate.
 		p.net.ScheduleDelivery(txAt+ser+link.prop, txAt, p.uid, dst, f, link, epoch)
 	}
-	// Transmitter frees at tx end, under the same wire key. A link
-	// failure bumps the epoch and clears the FIFO, so a stale
-	// completion must not pop the new queue.
-	td := p.net.newTxDone(p, link, epoch)
-	p.net.K.DoPri(txAt+ser, txAt, p.uid, td.run)
+	// Transmitter frees at tx end, under the same wire key.
+	p.txEnd, p.txAt = txAt+ser, txAt
+	if p.hold || p.queued() > 1 {
+		p.arm()
+	} else {
+		p.tx = txLazy
+	}
 }
 
 // CompleteDelivery is the receive side of a frame's flight: it runs at
@@ -401,7 +474,6 @@ func (n *Net) CompleteDelivery(dst *Port, f Frame, link *Link, epoch uint64) {
 		f = n.NewFrame(pkt)
 		f.Hops = hops
 	}
-	dst.Received++
 	n.Delivered.Inc()
 	n.Acct.Deliver()
 	if dst.onFrame != nil {
@@ -501,9 +573,11 @@ func (l *Link) Fail() {
 		// Frames queued behind the serializing head die here, uncounted
 		// by any delivery event; the head itself (if the transmitter was
 		// busy) is already launched and its scheduled arrival dies as a
-		// counted stale-epoch LossLinkCut.
-		cleared := p.QueueLen()
-		if p.txBusy {
+		// counted stale-epoch LossLinkCut. No need to settle first: a
+		// lazy completion that has passed leaves the head in the FIFO
+		// and the state busy, which comes to the same count.
+		cleared := p.queued()
+		if p.tx != txIdle {
 			cleared--
 		}
 		p.net.Acct.ClearFifo(cleared)
@@ -511,7 +585,7 @@ func (l *Link) Fail() {
 			p.fifo[i] = Frame{}
 		}
 		p.fifo, p.fifoHead = p.fifo[:0], 0
-		p.txBusy = false
+		p.tx = txIdle
 	}
 	l.notify(false)
 }

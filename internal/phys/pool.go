@@ -67,11 +67,12 @@ func (n *Net) ScheduleDelivery(arrival, txAt sim.Time, srcUID uint32, dst *Port,
 	n.K.DoPri(arrival, txAt, srcUID, d.run)
 }
 
-// txDone carries one scheduled transmitter-free event. It is pooled —
-// not a single reusable record per port — because two can be in flight
-// for one port at once: a link failure clears the FIFO mid-frame and a
-// restore lets a new transmission start before the stale completion
-// (which the epoch check parries) has fired.
+// txDone carries one armed transmitter-free event (Port.arm; most
+// completions stay a timestamp on the port and never get one). It is
+// pooled — not a single reusable record per port — because two can be
+// in flight for one port at once: a link failure clears the FIFO
+// mid-frame and a restore lets a new transmission start before the
+// stale completion (which the epoch check parries) has fired.
 type txDone struct {
 	n     *Net
 	p     *Port
@@ -100,10 +101,12 @@ func (t *txDone) dispatch() {
 	if link.epoch != epoch {
 		return
 	}
-	p.Sent++
 	p.popFrame()
-	p.startTx()
-	if p.onTxDone != nil {
+	p.tx = txIdle
+	if p.queued() > 0 {
+		p.startTx()
+	}
+	if p.hold && p.onTxDone != nil {
 		p.onTxDone()
 	}
 }

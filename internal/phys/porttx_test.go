@@ -1,0 +1,708 @@
+package phys
+
+import (
+	"fmt"
+	"slices"
+	"strings"
+	"testing"
+
+	"repro/internal/frameacct"
+	"repro/internal/micropacket"
+	"repro/internal/sim"
+)
+
+// A port's transmit completion is lazy: usually a timestamp the port
+// settles against the kernel's firing position, an event only once
+// somebody waits for it. None of that may show. These tests drive a
+// byte-coded op stream against a real port pair and against refPort —
+// the same transmitter with its completion always scheduled, the
+// behaviour's definition — each on its own kernel, and compare
+// everything observable after every op: delivery times and order, every
+// QueueLen reading, every tx-done call, Drops/Lost/Delivered and the
+// frame ledger.
+
+// txPort is what the op stream drives on either side.
+type txPort interface {
+	Send(Frame) bool
+	SendPriority(Frame) bool
+	QueueLen() int
+	HoldTxDone(on bool)
+}
+
+// refNet, refLink and refPort are the eager reference: Port, Link and
+// the Net counters as they are specified, with a kernel event for every
+// completion.
+type refNet struct {
+	k                      *sim.Kernel
+	ifg                    int
+	detect                 sim.Time
+	drops, lost, delivered uint64
+	acct                   frameacct.Acct
+}
+
+type refLink struct {
+	n     *refNet
+	ports [2]*refPort
+	prop  sim.Time
+	up    bool
+	epoch uint64
+}
+
+type refPort struct {
+	n   *refNet
+	l   *refLink
+	end int
+	uid uint32
+	cap int
+
+	fifo []Frame
+	busy bool
+	hold bool
+	// txEnd, txAt key the completion of the frame being serialized; the
+	// op decoder aims readers at them.
+	txEnd, txAt sim.Time
+
+	onFrame  func(Frame)
+	onStatus func(up bool)
+	onTxDone func()
+}
+
+func (p *refPort) QueueLen() int      { return len(p.fifo) }
+func (p *refPort) HoldTxDone(on bool) { p.hold = on }
+
+func (p *refPort) offer() bool {
+	p.n.acct.Offer()
+	if !p.l.up {
+		p.n.lost++
+		p.n.acct.Lose(frameacct.LossDarkPort)
+		return false
+	}
+	return true
+}
+
+func (p *refPort) enqueued() {
+	p.n.acct.Enqueue()
+	if !p.busy {
+		p.startTx()
+	}
+}
+
+func (p *refPort) Send(f Frame) bool {
+	if !p.offer() {
+		return false
+	}
+	if len(p.fifo) >= p.cap {
+		p.n.drops++
+		p.n.acct.Lose(frameacct.LossFifoFull)
+		return false
+	}
+	p.fifo = append(p.fifo, f)
+	p.enqueued()
+	return true
+}
+
+func (p *refPort) SendPriority(f Frame) bool {
+	if !p.offer() {
+		return false
+	}
+	f.Prio = true
+	pos := len(p.fifo)
+	if p.busy {
+		for pos = 1; pos < len(p.fifo) && p.fifo[pos].Prio; pos++ {
+		}
+	}
+	p.fifo = slices.Insert(p.fifo, pos, f)
+	p.enqueued()
+	return true
+}
+
+func (p *refPort) startTx() {
+	if len(p.fifo) == 0 {
+		p.busy = false
+		return
+	}
+	p.busy = true
+	n, l := p.n, p.l
+	n.acct.Launch()
+	f, epoch, dst := p.fifo[0], l.epoch, l.ports[1-p.end]
+	p.txAt = n.k.Now()
+	p.txEnd = p.txAt + SerTime(f.Wire+n.ifg)
+	n.k.DoPri(p.txEnd+l.prop, p.txAt, p.uid, func() {
+		n.acct.Arrive()
+		if l.epoch != epoch || !l.up {
+			n.lost++
+			n.acct.Lose(frameacct.LossLinkCut)
+			return
+		}
+		n.delivered++
+		n.acct.Deliver()
+		dst.onFrame(f)
+	})
+	n.k.DoPri(p.txEnd, p.txAt, p.uid, func() {
+		if l.epoch != epoch {
+			return
+		}
+		p.fifo = p.fifo[1:]
+		p.startTx()
+		if p.hold {
+			p.onTxDone()
+		}
+	})
+}
+
+func (l *refLink) fail() {
+	if !l.up {
+		return
+	}
+	l.up = false
+	l.epoch++
+	for _, p := range l.ports {
+		cleared := len(p.fifo)
+		if p.busy {
+			cleared--
+		}
+		l.n.acct.ClearFifo(cleared)
+		p.fifo, p.busy = nil, false
+	}
+	l.notify(false)
+}
+
+func (l *refLink) restore() {
+	if l.up {
+		return
+	}
+	l.up = true
+	l.notify(true)
+}
+
+func (l *refLink) notify(up bool) {
+	for _, p := range l.ports {
+		l.n.k.Do(l.n.k.Now()+l.n.detect, func() { p.onStatus(up) })
+	}
+}
+
+// txSide is one side of the comparison: a kernel, the port pair on it,
+// and the log of everything the model code on that side observed.
+type txSide struct {
+	k             *sim.Kernel
+	ports         [2]txPort
+	fail, restore func()
+	counters      func() string
+	log           []string
+	// hostQ holds frames a port's tx-done callback sends, one per call —
+	// the insertion MAC's use of the callback.
+	hostQ [2][]Frame
+}
+
+func (s *txSide) logf(format string, args ...any) {
+	s.log = append(s.log, fmt.Sprintf("%d "+format, append([]any{int64(s.k.Now())}, args...)...))
+}
+
+// Frame tags carry what the receiver does with the frame in their low
+// two bits: reply on its own port, send on the port the frame came from
+// (whose completion, on a zero-length fiber, is this very instant and
+// not yet passed), or nothing.
+const (
+	tagReplyOwn = iota
+	tagReplyPeer
+	tagQuiet
+	tagReply // a reply: quiet
+)
+
+func (s *txSide) onFrame(i int, f Frame) {
+	s.logf("rx p%d tag=%d own=%d peer=%d", i, f.Pkt.Tag, s.ports[i].QueueLen(), s.ports[1-i].QueueLen())
+	switch reply := txFrame(f.Pkt.Tag|tagReply, 0); f.Pkt.Tag & 3 {
+	case tagReplyOwn:
+		s.logf("reply p%d ok=%v", i, s.ports[i].Send(reply))
+	case tagReplyPeer:
+		s.logf("reply p%d ok=%v", 1-i, s.ports[1-i].Send(reply))
+	}
+}
+
+func (s *txSide) onTxDone(i int) {
+	s.logf("txdone p%d", i)
+	if q := s.hostQ[i]; len(q) > 0 {
+		s.hostQ[i] = q[1:]
+		s.logf("insert p%d ok=%v", i, s.ports[i].Send(q[0]))
+	}
+}
+
+func txFrame(tag uint8, size int) Frame {
+	p := micropacket.NewDMA(1, 2, micropacket.DMAHeader{}, make([]byte, size))
+	p.Tag = tag
+	return newFrameV1(p)
+}
+
+// portAction is one thing the stream does to a port — from driver
+// context at once, or from inside a scheduled event.
+type portAction struct {
+	kind int
+	port int
+	f    Frame
+}
+
+const (
+	actQueueLen = iota
+	actSend
+	actSendPriority
+	actHoldOn
+	actHoldOff
+	actFail
+	actRestore
+	actStop
+	numActs
+)
+
+func (s *txSide) do(a portAction) {
+	p := s.ports[a.port]
+	switch a.kind {
+	case actQueueLen:
+		s.logf("qlen p%d = %d", a.port, p.QueueLen())
+	case actSend:
+		s.logf("send p%d tag=%d ok=%v", a.port, a.f.Pkt.Tag, p.Send(a.f))
+	case actSendPriority:
+		s.logf("sendpri p%d tag=%d ok=%v", a.port, a.f.Pkt.Tag, p.SendPriority(a.f))
+	case actHoldOn:
+		p.HoldTxDone(true)
+	case actHoldOff:
+		p.HoldTxDone(false)
+	case actFail:
+		s.fail()
+	case actRestore:
+		s.restore()
+	case actStop:
+		// Leaves the kernel mid-instant, as Kernel.Step would: the two
+		// kernels hold different events (that is the point), so a
+		// literal Step cannot be applied to both in lockstep, but a
+		// scheduled Stop lands at the same key on both.
+		s.logf("stop")
+		s.k.Stop()
+	}
+}
+
+// txHarness applies each op to both sides.
+type txHarness struct {
+	t     testing.TB
+	real  txSide
+	ref   txSide
+	rp    [2]*Port    // the real ports, for the corpus' white-box hit checks
+	refp  [2]*refPort // the reference ports, whose txEnd the decoder aims at
+	tag   uint8
+	lastK int // kind of the previous op
+	hits  map[string]bool
+
+	stopped bool // the last run ended in a Stop
+
+	failedLazyUntil sim.Time // stale txEnd of a port that was lazy when the link failed
+	heldLazy        [2]sim.Time
+}
+
+const txCap = 4
+
+func newTxHarness(t testing.TB, meters float64) *txHarness {
+	h := &txHarness{t: t, hits: map[string]bool{}}
+
+	k := sim.NewKernel(1)
+	n := NewNet(k)
+	a, b := n.NewPort("a", nil), n.NewPort("b", nil)
+	link := n.Connect(a, b, meters)
+	h.rp = [2]*Port{a, b}
+	h.real = txSide{k: k, ports: [2]txPort{a, b}, fail: link.Fail, restore: link.Restore,
+		counters: func() string {
+			return fmt.Sprint(n.Drops.N, n.Lost.N, n.Delivered.N, acctFields(&n.Acct))
+		}}
+
+	rn := &refNet{k: sim.NewKernel(1), ifg: n.IFG, detect: n.Detect}
+	rl := &refLink{n: rn, prop: PropTime(meters), up: true}
+	h.ref = txSide{k: rn.k, fail: rl.fail, restore: rl.restore,
+		counters: func() string {
+			return fmt.Sprint(rn.drops, rn.lost, rn.delivered, acctFields(&rn.acct))
+		}}
+	for i, p := range h.rp {
+		p.SetCapacity(txCap)
+		p.SetHandler(func(_ *Port, f Frame) {
+			if f.Pkt.Tag&3 == tagReplyPeer {
+				h.note(portAction{kind: actSend, port: 1 - i})
+			}
+			h.real.onFrame(i, f)
+		})
+		p.SetStatusHandler(func(_ *Port, up bool) { h.real.logf("status p%d up=%v", i, up) })
+		p.SetTxDone(func() { h.real.onTxDone(i) })
+
+		r := &refPort{n: rn, l: rl, end: i, uid: p.uid, cap: txCap}
+		r.onFrame = func(f Frame) { h.ref.onFrame(i, f) }
+		r.onStatus = func(up bool) { h.ref.logf("status p%d up=%v", i, up) }
+		r.onTxDone = func() { h.ref.onTxDone(i) }
+		rl.ports[i], h.refp[i], h.ref.ports[i] = r, r, r
+	}
+	return h
+}
+
+func acctFields(a *frameacct.Acct) string {
+	return fmt.Sprint(a.Offered, a.WireDelivered, a.Losses, a.InFifo, a.InFlight)
+}
+
+const (
+	opAct       = iota // an action from driver context, now
+	opSchedule         // an action from inside an event
+	opHostQueue        // a frame for the port's tx-done callback to send
+	opRunUntil
+	opAdvanceTo
+	numTxOps
+)
+
+// Key modes of a scheduled action; the modes below keyBelowH are plain.
+const (
+	keyBelowH = 4 + iota
+	keyAboveH
+	keyBelowT
+	keyAboveT
+)
+
+// when decodes an absolute time at or after now: a few ns or a few
+// frame times ahead, now itself, or on and around the instant port
+// a&1's transmitter frees.
+func (h *txHarness) when(a, b byte) sim.Time {
+	now := h.ref.k.Now()
+	switch b % 4 {
+	case 0:
+		return now + sim.Time(a)
+	case 1:
+		return now + sim.Time(a)*16
+	case 2:
+		return max(now, h.refp[a&1].txEnd+sim.Time(a>>1&3)-1)
+	}
+	return now
+}
+
+// apply executes one four-byte op on both sides.
+func (h *txHarness) apply(op, a, b, c byte) {
+	kind := int(op) % numTxOps
+	switch kind {
+	case opAct:
+		act := h.action(a)
+		h.noteDriver(act)
+		h.real.do(act)
+		h.ref.do(act)
+	case opSchedule:
+		// The rest of the op byte picks the event's key: plain, or one
+		// notch below or above the completion key (txAt, uid) of the
+		// port acted on.
+		act, at, mode := h.action(c), h.when(a, b), int(op)/numTxOps%8
+		if mode < keyBelowH {
+			h.real.k.Do(at, func() { h.noteEvent(act, mode); h.real.do(act) })
+			h.ref.k.Do(at, func() { h.ref.do(act) })
+			break
+		}
+		p := h.refp[act.port]
+		priT, priH := p.txAt, p.uid
+		switch mode {
+		case keyBelowH:
+			priH--
+		case keyAboveH:
+			priH++
+		case keyBelowT:
+			priT--
+		case keyAboveT:
+			priT++
+		}
+		h.real.k.DoPri(at, priT, priH, func() { h.noteEvent(act, mode); h.real.do(act) })
+		h.ref.k.DoPri(at, priT, priH, func() { h.ref.do(act) })
+	case opHostQueue:
+		f := h.frame(a)
+		h.real.hostQ[a&1] = append(h.real.hostQ[a&1], f)
+		h.ref.hostQ[a&1] = append(h.ref.hostQ[a&1], f)
+	case opRunUntil:
+		at := h.when(a, b)
+		h.stopped = false
+		h.real.k.RunUntil(at)
+		h.ref.k.RunUntil(at)
+	case opAdvanceTo:
+		// The reference holds every event the real kernel does and the
+		// completions besides, so its next event bounds both.
+		at := h.when(a, b)
+		if next, ok := h.ref.k.NextEventTime(); ok {
+			at = min(at, next)
+		}
+		h.real.k.AdvanceTo(at)
+		h.ref.k.AdvanceTo(at)
+	}
+	h.lastK = kind
+	h.check()
+}
+
+// frame builds the next frame: size and receiver behaviour from a.
+func (h *txHarness) frame(a byte) Frame {
+	h.tag += 4
+	return txFrame(h.tag|a>>1&3, [...]int{0, 16, 40, 64}[a>>3&3])
+}
+
+func (h *txHarness) action(a byte) portAction {
+	act := portAction{kind: int(a>>5) % numActs, port: int(a & 1)}
+	if act.kind == actSend || act.kind == actSendPriority {
+		act.f = h.frame(a)
+	}
+	return act
+}
+
+// noteDriver and noteEvent record, from the real port's internals,
+// which of the states the seed corpus is there for an action met.
+func (h *txHarness) noteDriver(a portAction) {
+	p, now := h.rp[a.port], h.real.k.Now()
+	if a.kind == actQueueLen && p.tx == txLazy && p.txEnd == now {
+		switch {
+		case h.stopped:
+			h.hits["driver-read-after-stop-at-txEnd"] = true
+		case h.lastK == opRunUntil:
+			h.hits["driver-read-after-run-ended-on-txEnd"] = true
+		case h.lastK == opAdvanceTo:
+			h.hits["driver-read-after-advance-to-txEnd"] = true
+		}
+	}
+	h.note(a)
+}
+
+func (h *txHarness) noteEvent(a portAction, mode int) {
+	p, now := h.rp[a.port], h.real.k.Now()
+	if a.kind == actQueueLen && p.tx == txLazy && p.txEnd == now {
+		passed := h.real.k.Passed(p.txEnd, p.txAt, p.uid)
+		switch {
+		case (mode == keyBelowH || mode == keyBelowT) && !passed:
+			h.hits["read-at-txEnd-key-below"] = true
+		case (mode == keyAboveH || mode == keyAboveT) && passed:
+			h.hits["read-at-txEnd-key-above"] = true
+		}
+	}
+	h.note(a)
+}
+
+func (h *txHarness) note(a portAction) {
+	p, now := h.rp[a.port], h.real.k.Now()
+	pending := p.tx == txLazy && !h.real.k.Passed(p.txEnd, p.txAt, p.uid)
+	switch a.kind {
+	case actSend, actSendPriority:
+		if pending && p.txEnd == now {
+			h.hits["arm-at-txEnd"] = true
+		}
+		if p.Up() && now < h.failedLazyUntil {
+			h.hits["fail-lazy-restore-send-before-stale"] = true
+		}
+	case actFail:
+		for _, q := range h.rp {
+			if q.Up() && q.tx == txLazy && !h.real.k.Passed(q.txEnd, q.txAt, q.uid) {
+				h.failedLazyUntil = q.txEnd
+			}
+		}
+	case actStop:
+		h.stopped = true
+	case actHoldOn:
+		if pending {
+			h.heldLazy[a.port] = p.txEnd
+		}
+	case actHoldOff:
+		if now < h.heldLazy[a.port] {
+			h.hits["hold-on-while-lazy-off-before-txEnd"] = true
+		}
+	}
+}
+
+// check compares the two sides' logs and counters.
+func (h *txHarness) check() {
+	h.t.Helper()
+	if !slices.Equal(h.real.log, h.ref.log) {
+		i := 0
+		for i < len(h.real.log) && i < len(h.ref.log) && h.real.log[i] == h.ref.log[i] {
+			i++
+		}
+		h.t.Fatalf("observations diverge at #%d:\n  real %q\n  ref  %q", i, h.real.log[i:], h.ref.log[i:])
+	}
+	if got, want := h.real.counters(), h.ref.counters(); got != want {
+		h.t.Fatalf("counters at %v: real %s, ref %s", h.ref.k.Now(), got, want)
+	}
+	if got, want := h.real.k.Now(), h.ref.k.Now(); got != want {
+		h.t.Fatalf("clocks: real %v, ref %v", got, want)
+	}
+}
+
+// runPortTxOps runs a whole op stream (a fiber-length byte, then four
+// bytes per op), drains both kernels and compares the final queues.
+func runPortTxOps(t testing.TB, data []byte) *txHarness {
+	if len(data) == 0 {
+		return nil
+	}
+	// A zero-length fiber puts a frame's delivery on its completion's
+	// own key; 10 m (50 ns) lands it mid-way through the next frame.
+	h := newTxHarness(t, float64(data[0]%2)*10)
+	for data = data[1:]; len(data) >= 4; data = data[4:] {
+		h.apply(data[0], data[1], data[2], data[3])
+	}
+	h.real.k.Run()
+	h.ref.k.Run()
+	h.check()
+	for i := range h.rp {
+		if got, want := h.real.ports[i].QueueLen(), h.ref.ports[i].QueueLen(); got != want {
+			t.Fatalf("drained: port %d QueueLen = %d, reference %d", i, got, want)
+		}
+	}
+	return h
+}
+
+// Builders for the seed corpus. An action byte is kind<<5 | frame
+// size<<3 | receiver behaviour<<1 | port; a time is two bytes (when).
+const (
+	aQueueLen = actQueueLen << 5
+	aSend     = actSend<<5 | tagQuiet<<1
+	aHoldOn   = actHoldOn << 5
+	aHoldOff  = actHoldOff << 5
+	aFail     = actFail << 5
+	aRestore  = actRestore << 5
+	aStop     = actStop << 5
+)
+
+type txOp = [4]byte
+
+func doNow(action byte) txOp        { return txOp{opAct, action} }
+func hostQueue(port byte) txOp      { return txOp{opHostQueue, aSend | port} }
+func runFor(ns byte) txOp           { return txOp{opRunUntil, ns, 0} }
+func runOut() txOp                  { return txOp{opRunUntil, 255, 1} }
+func runToTxEnd(port byte) txOp     { return txOp{opRunUntil, port | 1<<1, 2} }
+func advanceToTxEnd(port byte) txOp { return txOp{opAdvanceTo, port | 1<<1, 2} }
+func atTxEnd(mode int, action byte) txOp {
+	return txOp{byte(opSchedule + numTxOps*mode), action&1 | 1<<1, 2, action}
+}
+func txStream(fiber byte, ops ...txOp) []byte {
+	data := []byte{fiber}
+	for _, op := range ops {
+		data = append(data, op[:]...)
+	}
+	return data
+}
+
+// portTxSeeds is the fuzz corpus: each stream aims at one corner of the
+// lazy completion, and TestPortTxSeeds asserts that it gets there.
+var portTxSeeds = []struct {
+	name string
+	ops  []byte
+}{{
+	// Readers inside events at exactly txEnd, keyed one notch below
+	// the completion (not passed: they read 1) …
+	name: "read-at-txEnd-key-below",
+	ops: txStream(1, doNow(aSend),
+		atTxEnd(keyBelowH, aQueueLen), atTxEnd(keyBelowT, aQueueLen), runOut()),
+}, {
+	// … and one notch above (passed: they read 0).
+	name: "read-at-txEnd-key-above",
+	ops: txStream(1, doNow(aSend),
+		atTxEnd(keyAboveH, aQueueLen), atTxEnd(keyAboveT, aQueueLen), runOut()),
+}, {
+	// A Send from an event at the completion instant, keyed below it:
+	// the frame queues behind the head and the completion is armed at
+	// now.
+	name: "arm-at-txEnd",
+	ops:  txStream(1, doNow(aSend), atTxEnd(keyBelowH, aSend), runOut()),
+}, {
+	// The same from the frame's own delivery on a zero-length fiber,
+	// whose key equals the completion's.
+	name: "arm-at-txEnd/own-delivery",
+	ops:  txStream(0, doNow(actSend<<5|tagReplyPeer<<1), runOut()),
+}, {
+	// The link fails mid-frame while the completion is lazy, comes
+	// back, and new frames start before the dead one's txEnd.
+	name: "fail-lazy-restore-send-before-stale",
+	ops: txStream(1, doNow(aSend|3<<3), runFor(100), doNow(aFail), doNow(aRestore),
+		doNow(aSend), doNow(aSend), runOut(), runOut()),
+}, {
+	// The hold goes on mid-frame (arming the completion) and off again
+	// before it fires: an armed completion that calls nobody. Then held
+	// for good, with frames for the callback to insert.
+	name: "hold-on-while-lazy-off-before-txEnd",
+	ops: txStream(1, doNow(aSend), runFor(100), doNow(aHoldOn), runFor(100), doNow(aHoldOff),
+		hostQueue(0), hostQueue(0), runOut(), doNow(aHoldOn), doNow(aSend), runOut()),
+}, {
+	// Driver context between runs: a run that ended exactly on txEnd
+	// has been through the completion …
+	name: "driver-read-after-run-ended-on-txEnd",
+	ops:  txStream(1, doNow(aSend), runToTxEnd(0), doNow(aQueueLen), doNow(aSend), runOut()),
+}, {
+	// … and a clock moved onto txEnd has not.
+	name: "driver-read-after-advance-to-txEnd",
+	ops:  txStream(1, doNow(aSend), advanceToTxEnd(0), doNow(aQueueLen), doNow(aSend), runOut()),
+}, {
+	// A Stop mid-instant at txEnd, keyed below the completion and then
+	// above it: driver-context reads and sends with the instant half
+	// done.
+	name: "driver-read-after-stop-at-txEnd",
+	ops: txStream(1, doNow(aSend), atTxEnd(keyBelowT, aStop), atTxEnd(keyAboveH, aStop),
+		runOut(), doNow(aQueueLen), runOut(), doNow(aQueueLen), doNow(aSend), runOut()),
+}}
+
+func TestPortTxSeeds(t *testing.T) {
+	for _, s := range portTxSeeds {
+		t.Run(s.name, func(t *testing.T) {
+			h := runPortTxOps(t, s.ops)
+			want, _, _ := strings.Cut(s.name, "/")
+			if !h.hits[want] {
+				t.Fatalf("the stream never reached the state it is in the corpus for (reached %v)", h.hits)
+			}
+		})
+	}
+}
+
+// TestPortTxRandom runs seeded random op streams on both fiber lengths.
+func TestPortTxRandom(t *testing.T) {
+	rng := sim.NewRNG(15)
+	for stream := 0; stream < 400; stream++ {
+		data := make([]byte, 1+4*300)
+		for i := range data {
+			data[i] = byte(rng.Intn(256))
+		}
+		runPortTxOps(t, data)
+	}
+}
+
+func FuzzPortTx(f *testing.F) {
+	for _, s := range portTxSeeds {
+		f.Add(s.ops)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		runPortTxOps(t, data[:min(len(data), 1+4*1024)])
+	})
+}
+
+// The point of the lazy completion, in kernel events: a transmitter
+// nobody waits for costs one event per frame (the delivery), one that
+// always has a frame queued behind the head costs two.
+func TestUncontendedStreamFiresOneEventPerFrame(t *testing.T) {
+	k, n := testNet()
+	a, b := n.NewPort("a", nil), n.NewPort("b", func(*Port, Frame) {})
+	n.Connect(a, b, 10)
+	const frames = 100
+	f := dataFrame(1, 2)
+	gap := SerTime(f.Wire+n.IFG) + 1
+	for i := range frames {
+		k.Do(sim.Time(i)*gap, func() { a.Send(f) })
+	}
+	k.Run()
+	if got := k.Fired - frames; got != frames || n.Delivered.N != frames {
+		t.Fatalf("%d frames, sent one at a time: %d events beside the %d sends, %d delivered; want %d and %d",
+			frames, got, frames, n.Delivered.N, frames, frames)
+	}
+}
+
+func TestBackloggedStreamFiresTwoEventsPerFrame(t *testing.T) {
+	k, n := testNet()
+	a, b := n.NewPort("a", nil), n.NewPort("b", func(*Port, Frame) {})
+	n.Connect(a, b, 10)
+	const frames = 100
+	a.SetCapacity(frames)
+	f := dataFrame(1, 2)
+	for range frames {
+		a.Send(f)
+	}
+	k.Run()
+	// The last frame has nothing behind it: its completion stays lazy.
+	if want := uint64(2*frames - 1); k.Fired != want || n.Delivered.N != frames {
+		t.Fatalf("%d frames queued at once: %d events, %d delivered; want %d and %d",
+			frames, k.Fired, n.Delivered.N, want, frames)
+	}
+}

@@ -1,7 +1,11 @@
 package phys
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
+	"strconv"
+	"strings"
 
 	"repro/internal/sim"
 )
@@ -152,7 +156,58 @@ func BuildFabricSharded(nets []*Net, topo Topology, assign *Assignment) (*Cluste
 		t.Link = pa.net.Connect(pa, pb, fiber)
 		c.Trunks = append(c.Trunks, t)
 	}
+	var ports []*Port
+	for _, sw := range c.Switches {
+		ports = append(ports, sw.ports...)
+	}
+	for _, np := range c.NodePorts {
+		for _, p := range np {
+			if p != nil {
+				ports = append(ports, p)
+			}
+		}
+	}
+	resolveUIDs(ports)
 	return c, nil
+}
+
+// resolveUIDs makes the wire-order identities of a fabric's ports
+// non-zero and distinct. Same-instant events are ordered by
+// (transmit start, uid) on every engine — frame arrivals, and the
+// question whether a lazy transmit completion has passed — and only
+// fall through to the kernel's scheduling sequence, which depends on
+// build order and therefore on the shard count, when two uids are
+// equal. The 32-bit name hash has no collision among the builder's
+// names up to 4 096 nodes × 8 switches, but 278 pairs at wire v2's
+// 65 535-node ceiling. Of a colliding group the first port by name keeps
+// the hash; the others (and a port hashing to the plain events' 0) are
+// re-hashed with a salt until free — a function of the set of names
+// alone, so every engine resolves alike.
+func resolveUIDs(ports []*Port) {
+	slices.SortFunc(ports, func(a, b *Port) int {
+		if c := cmp.Compare(a.uid, b.uid); c != 0 {
+			return c
+		}
+		return strings.Compare(a.Name, b.Name)
+	})
+	var used map[uint32]bool
+	var prev uint32 // the hash of the port before, 0 before the first
+	for _, p := range ports {
+		hash := p.uid
+		if hash == prev { // zero, or the same as an earlier name's
+			if used == nil {
+				used = make(map[uint32]bool, len(ports))
+				for _, q := range ports {
+					used[q.uid] = true
+				}
+			}
+			for salt := 1; p.uid == 0 || used[p.uid]; salt++ {
+				p.uid = nameHash(p.Name + "#" + strconv.Itoa(salt))
+			}
+			used[p.uid] = true
+		}
+		prev = hash
+	}
 }
 
 // ShardOfSwitch returns the shard owning switch s (0 when unsharded).

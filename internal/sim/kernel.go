@@ -169,6 +169,15 @@ type Kernel struct {
 	occ     [wheelSize / 64]uint64 // bit s set: slot s non-empty
 	buckets [wheelSize]struct{ head, tail int32 }
 
+	// horT, horH are the horizon: how far into the instant now the
+	// firing order has got. Every event at now whose (priT, priH) lies
+	// below it has fired (see Passed). fire raises it to the firing
+	// event's key; a run that ends with nothing more due sets it to
+	// (+∞, +∞), everything at now has fired; a clock move that executes
+	// nothing (AdvanceTo) resets it to (−∞, 0), nothing at now has.
+	horT Time
+	horH uint32
+
 	// Fired counts events executed; useful for run-cost reporting.
 	Fired uint64
 }
@@ -176,7 +185,7 @@ type Kernel struct {
 // NewKernel returns a kernel with virtual time 0 and an RNG seeded with
 // seed (deterministic for a given seed).
 func NewKernel(seed uint64) *Kernel {
-	return &Kernel{rng: NewRNG(seed), arena: make([]entry, 1, 64)}
+	return &Kernel{rng: NewRNG(seed), arena: make([]entry, 1, 64), horT: math.MinInt64}
 }
 
 // Now returns the current virtual time.
@@ -399,10 +408,32 @@ func (k *Kernel) remove(i int32) {
 func (k *Kernel) fire(i int32) {
 	e := &k.arena[i]
 	at, fn := e.at, e.fn
+	// The horizon only ever rises within an instant: an event pushed at
+	// now behind the firing position fires late, and must not pull
+	// Passed back over keys an earlier event already went beyond.
+	if at != k.now || e.priT > k.horT || (e.priT == k.horT && e.priH > k.horH) {
+		k.horT, k.horH = e.priT, e.priH
+	}
 	k.remove(i)
 	k.now = at
 	k.Fired++
 	fn()
+}
+
+// Passed reports whether the firing order has gone beyond the key
+// (t, priT, priH): whether an event queued under that key before the
+// firing position reached it would have fired by now. It is exact at
+// same-instant ties — inside an event callback it compares against the
+// firing event's own key, between runs against what the last run or
+// clock move left behind — so a model can treat "busy until t" as a
+// timestamp and ask whether t has happened, without ever queuing the
+// event. A key equal to the firing event's has not passed (such an
+// event would have been pushed after the firing one).
+func (k *Kernel) Passed(t, priT Time, priH uint32) bool {
+	if t != k.now {
+		return t < k.now
+	}
+	return priT < k.horT || (priT == k.horT && priH < k.horH)
 }
 
 // At schedules fn to run at absolute virtual time t. Scheduling in the
@@ -473,8 +504,13 @@ func (k *Kernel) RunUntil(deadline Time) Time {
 		}
 		k.fire(i)
 	}
-	if k.now < deadline && deadline != MaxTime {
-		k.now = deadline
+	if deadline >= k.now {
+		// Nothing at or before the deadline is left, so everything at
+		// the instant the clock ends on has fired.
+		k.horT, k.horH = MaxTime, math.MaxUint32
+		if deadline != MaxTime {
+			k.now = deadline
+		}
 	}
 	return k.now
 }
@@ -502,7 +538,10 @@ func (k *Kernel) AdvanceTo(t Time) {
 	if at, ok := k.NextEventTime(); ok && at < t {
 		panic(fmt.Sprintf("sim: AdvanceTo %v over pending event at %v", t, at))
 	}
-	k.now = t
+	if t > k.now {
+		k.now = t
+		k.horT, k.horH = math.MinInt64, 0
+	}
 }
 
 // Step executes exactly one pending event and returns true, or returns

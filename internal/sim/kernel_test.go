@@ -155,6 +155,22 @@ func TestStopInRunUntilKeepsClockBehindPending(t *testing.T) {
 	}
 }
 
+// A RunUntil with a deadline behind the clock fires nothing and learns
+// nothing: events at now that a Step left pending have still not passed.
+func TestPassedAfterRunUntilBehindClock(t *testing.T) {
+	k := NewKernel(1)
+	k.DoPri(10, 3, 0, func() {})
+	k.DoPri(10, 7, 0, func() {})
+	k.Step()
+	if now := k.RunUntil(5); now != 10 || k.Pending() != 1 {
+		t.Fatalf("RunUntil(5) at 10: now %v, pending %d", now, k.Pending())
+	}
+	if !k.Passed(10, 2, 0) || k.Passed(10, 5, 0) {
+		t.Fatalf("at 10 inside key (3,0): Passed(2) = %v, Passed(5) = %v, want true, false",
+			k.Passed(10, 2, 0), k.Passed(10, 5, 0))
+	}
+}
+
 func TestStep(t *testing.T) {
 	k := NewKernel(1)
 	n := 0

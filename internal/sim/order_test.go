@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"slices"
 	"testing"
 )
@@ -27,6 +28,56 @@ type refModel struct {
 	q      []refEvent // sorted by entryLess
 	fired  []int
 	timers []int // id logged by each handle's callback
+
+	// What Passed must answer, kept as two high-water marks that only
+	// ever rise: the greatest key popped so far, and the latest instant
+	// a run or clock move has gone wholly through.
+	popped     refKey
+	ranThrough Time
+	passed     []bool // the answers for probeKeys inside each popped event
+}
+
+// refKey is an event key without its seq: what Passed is asked about.
+type refKey struct {
+	at, priT Time
+	priH     uint32
+}
+
+func (a refKey) less(b refKey) bool {
+	return entryLess(&entry{at: a.at, priT: a.priT, priH: a.priH}, &entry{at: b.at, priT: b.priT, priH: b.priH})
+}
+
+func newRefModel() refModel {
+	return refModel{popped: refKey{at: math.MinInt64}, ranThrough: -1}
+}
+
+// hasPassed is the definition Kernel.Passed is held to: the model has
+// popped something beyond the key, or has run through its instant.
+func (m *refModel) hasPassed(key refKey) bool {
+	return key.at <= m.ranThrough || key.less(m.popped)
+}
+
+// probeKeys returns four keys around now — the instant before, the
+// instant after, and now itself with tie-breaks on either side of what
+// the op stream schedules (priT 0–15 or a scheduling time, priH 0–15).
+func probeKeys(now Time, salt int) (keys [4]refKey) {
+	x := uint64(salt)*0x9E3779B97F4A7C15 + uint64(now)
+	for i := range keys {
+		x ^= x >> 29
+		x *= 0xBF58476D1CE4E5B9
+		x ^= x >> 32
+		k := refKey{at: now, priT: Time(x >> 8 & 15), priH: uint32(x >> 12 & 15)}
+		switch x & 7 {
+		case 0:
+			k.at--
+		case 1:
+			k.at += min(1, MaxTime-now)
+		case 2, 3:
+			k.priT = now - Time(x>>16&3)
+		}
+		keys[i] = k
+	}
+	return keys
 }
 
 func (m *refModel) push(ev refEvent) {
@@ -59,6 +110,12 @@ func (m *refModel) step() bool {
 	m.q = slices.Delete(m.q, 0, 1)
 	m.now = ev.at
 	m.fired = append(m.fired, ev.id)
+	if key := (refKey{ev.at, ev.priT, ev.priH}); m.popped.less(key) {
+		m.popped = key
+	}
+	for _, key := range probeKeys(m.now, len(m.fired)) {
+		m.passed = append(m.passed, m.hasPassed(key))
+	}
 	if ev.respawn > 0 && ev.respD <= MaxTime-m.now {
 		ev.at, ev.priT, ev.priH = m.now+ev.respD, m.now, 0
 		ev.respawn--
@@ -76,6 +133,12 @@ func (m *refModel) runUntil(deadline Time) {
 	if m.now < deadline && deadline != MaxTime {
 		m.now = deadline
 	}
+	// Nothing at or before the deadline is left. A run to the end of
+	// time leaves the clock on its last event, and so its reach.
+	if deadline == MaxTime {
+		deadline = m.now
+	}
+	m.ranThrough = max(m.ranThrough, deadline)
 }
 
 // orderHarness applies each op to both sides.
@@ -84,6 +147,7 @@ type orderHarness struct {
 	k      *Kernel
 	m      refModel
 	fired  []int
+	passed []bool
 	timers []*Timer
 }
 
@@ -92,6 +156,9 @@ func (h *orderHarness) callback(ev refEvent) func() {
 	var fn func()
 	fn = func() {
 		h.fired = append(h.fired, ev.id)
+		for _, key := range probeKeys(h.k.Now(), len(h.fired)) {
+			h.passed = append(h.passed, h.k.Passed(key.at, key.priT, key.priH))
+		}
 		if ev.respawn > 0 && ev.respD <= MaxTime-h.k.Now() {
 			ev.respawn--
 			h.k.Do(h.k.Now()+ev.respD, fn)
@@ -216,6 +283,7 @@ func (h *orderHarness) apply(op, a, b, c byte) {
 		}
 		k.AdvanceTo(to)
 		m.now = to
+		m.ranThrough = max(m.ranThrough, to-1)
 	}
 	h.check()
 }
@@ -237,6 +305,16 @@ func (h *orderHarness) check() {
 	if k.Now() != m.now {
 		h.t.Fatalf("Now = %v, model at %v", k.Now(), m.now)
 	}
+	if !slices.Equal(h.passed, m.passed) {
+		h.t.Fatalf("Passed asked inside the last %d fired events: kernel %v, model %v", len(m.passed)/4, h.passed, m.passed)
+	}
+	h.passed, m.passed = h.passed[:0], m.passed[:0]
+	for _, key := range probeKeys(m.now, len(m.fired)+int(m.seq)) {
+		if got, want := k.Passed(key.at, key.priT, key.priH), m.hasPassed(key); got != want {
+			h.t.Fatalf("between ops at %v: Passed(%v, %v, %d) = %v, model says %v (popped %v/%v/%d, ran through %v)",
+				m.now, key.at, key.priT, key.priH, got, want, m.popped.at, m.popped.priT, m.popped.priH, m.ranThrough)
+		}
+	}
 	wantAt, wantOK := MaxTime, len(m.q) > 0
 	if wantOK {
 		wantAt = m.q[0].at
@@ -254,7 +332,7 @@ func (h *orderHarness) check() {
 // runOrderOps runs a whole op stream (four bytes per op) and drains the
 // queue at the end. probe, if set, is evaluated after every op.
 func runOrderOps(t testing.TB, data []byte, probe func(*Kernel)) {
-	h := &orderHarness{t: t, k: NewKernel(1)}
+	h := &orderHarness{t: t, k: NewKernel(1), m: newRefModel()}
 	for ; len(data) >= 4; data = data[4:] {
 		h.apply(data[0], data[1], data[2], data[3])
 		if probe != nil {

@@ -82,7 +82,9 @@ const (
 	SpanWindow SpanKind = iota
 	// SpanRun: shard — its kernel executing inside one window. The gap
 	// between a shard's run span and the enclosing window span is that
-	// shard's barrier wait.
+	// shard's barrier wait. In a window the coordinator ran alone, the
+	// shards' run spans are the window's interval divided by the events
+	// each fired, not timed one by one (parsim.Engine.soloRunSpans).
 	SpanRun
 	// SpanExchange: coordinator — the barrier drain: collect captures,
 	// canonical sort, deliver cross-shard frames and route writes.
