@@ -120,7 +120,11 @@ func FabricByName(name string, nodes, switches int, fiberM float64) (Topology, e
 // reproducible run; see core.Scenario.
 type Scenario = core.Scenario
 
-// Report is a Scenario's deterministic machine-readable outcome.
+// Report is a Scenario's deterministic machine-readable outcome: its
+// JSON is byte-identical at every Options.Shards for the same seed.
+// What the engine itself did — shard partition, windows, barriers,
+// per-shard occupancy — rides along in Report.Det at every shard count,
+// one included, outside the JSON, and prints in Summary.
 type Report = core.Report
 
 // EventReport is one fired plan event in a Report.

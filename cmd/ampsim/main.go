@@ -54,7 +54,7 @@ func main() {
 		"MicroPacket wire-format version: v1 (one-byte addresses, ≤255 nodes), v2 (uint16 addresses, ≤65535 nodes), or auto")
 	report := flag.String("report", "", "write the deterministic scenario report JSON to this file")
 	timeline := flag.String("timeline", "",
-		"write the engine's wall-clock span timeline (per-shard window/run/barrier-exchange spans) as Chrome trace-event JSON to this file, loadable in Perfetto or chrome://tracing; requires -shards > 1")
+		"write the engine's wall-clock span timeline (per-shard window/run/barrier-exchange spans) as Chrome trace-event JSON to this file, loadable in Perfetto or chrome://tracing")
 	flag.Parse()
 
 	vd := func(d time.Duration) sim.Time { return sim.Time(d.Nanoseconds()) }
@@ -89,9 +89,6 @@ func main() {
 
 	var rec *telemetry.Recorder
 	if *timeline != "" {
-		if *shards <= 1 {
-			log.Fatal("ampsim: -timeline needs -shards > 1 (a one-shard run records no windows or barriers)")
-		}
 		rec = telemetry.NewRecorder(nil)
 	}
 
@@ -139,21 +136,18 @@ func main() {
 	fmt.Printf("  failure losses      %d (in-flight frames destroyed by cut fibers)\n", rep.Lost)
 	fmt.Printf("  frames delivered    %d\n", rep.Delivered)
 	fmt.Printf("  events executed     %d\n", c.EventsFired())
-	if st := c.ParStats(); st != nil {
-		la := fmt.Sprint(c.Lookahead())
-		if c.Lookahead() == sim.MaxTime {
-			la = "unbounded (shards fully decoupled)"
-		}
-		fmt.Printf("  parallel engine     %d shards, lookahead %s\n", c.Opts.Shards, la)
-		if c.Assign != nil {
-			fmt.Printf("    partition         [%s], cut %d links (min fiber %.0f m)\n",
-				c.Assign.Partition(), c.Assign.CutLinks, c.Assign.MinCutFiberM)
-		}
-		fmt.Printf("    windows           %d (%.0f events/window/shard)\n", st.Windows,
-			float64(c.EventsFired())/float64(max(st.Windows, 1))/float64(c.Opts.Shards))
-		fmt.Printf("    barrier exchange  %d frames, %d deferred routes, %d plan actions\n",
-			st.Frames, st.Routes, st.Actions)
+	d := rep.Det
+	la := d.Lookahead.String()
+	if d.Lookahead == sim.MaxTime {
+		la = "unbounded (no link crosses shards)"
 	}
+	fmt.Printf("  engine              shards: %d, lookahead %s\n", rep.Shards, la)
+	fmt.Printf("    partition         [%s], cut %d links (min fiber %.0f m)\n",
+		rep.Partition, rep.CutLinks, rep.MinCutFiberM)
+	fmt.Printf("    windows           %d (%.0f events/window/shard)\n", d.Windows,
+		float64(c.EventsFired())/float64(max(d.Windows, 1))/float64(rep.Shards))
+	fmt.Printf("    barrier exchange  %d frames, %d deferred routes, %d plan actions\n",
+		d.Frames, d.Routes, d.Actions)
 	if fr := rep.Frames; fr != nil {
 		status := "conserved"
 		if !fr.Conserved {

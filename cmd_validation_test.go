@@ -9,7 +9,8 @@ import (
 // The cmd tools must surface address-space overflows as clear errors —
 // naming the wire-format version and its ceiling — never as panics.
 // The same holds for a retired socket-transport flag (now unknown to
-// flag, which names it) and for -timeline at one shard.
+// flag, which names it) and for negative sizes and durations, which
+// are refused by name instead of running as some default.
 func TestCmdsSurfaceWireErrors(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the cmd tools via `go run`")
@@ -31,9 +32,15 @@ func TestCmdsSurfaceWireErrors(t *testing.T) {
 		{"ampsim-retired-transport",
 			[]string{"run", "./cmd/ampsim", "-shards", "2", "-transport", "socket"},
 			[]string{"flag provided but not defined: -transport"}},
-		{"ampsim-timeline-one-shard",
-			[]string{"run", "./cmd/ampsim", "-shards", "1", "-timeline", "t.json"},
-			[]string{"-timeline needs -shards > 1"}},
+		{"ampsim-negative-shards",
+			[]string{"run", "./cmd/ampsim", "-shards", "-3"},
+			[]string{"Options.Shards", "-3"}},
+		{"ampsim-negative-fiber",
+			[]string{"run", "./cmd/ampsim", "-fiber", "-10"},
+			[]string{"FiberM", "-10"}},
+		{"ampsim-negative-run",
+			[]string{"run", "./cmd/ampsim", "-run", "-5ms"},
+			[]string{"Scenario.For", "-5"}},
 	}
 	for _, c := range cases {
 		c := c

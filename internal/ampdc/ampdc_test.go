@@ -236,8 +236,8 @@ func TestSlide7FilesAndMessagesConcurrently(t *testing.T) {
 	if fileAt == 0 {
 		t.Fatal("no file completion time")
 	}
-	if r.net.Drops.N != 0 {
-		t.Fatalf("drops = %d", r.net.Drops.N)
+	if r.net.Acct.CongestionDrops() != 0 {
+		t.Fatalf("drops = %d", r.net.Acct.CongestionDrops())
 	}
 }
 

@@ -96,6 +96,10 @@ const (
 	RefreshChannel = 14
 )
 
+// missedBeats is how many consecutive heartbeat intervals of silence
+// declare a peer down.
+const missedBeats = 3
+
 // Config parameterizes a node.
 type Config struct {
 	ID      int
@@ -104,12 +108,11 @@ type Config struct {
 	// always present (the configuration database).
 	Regions map[uint8]int
 
-	// HeartbeatInterval and HeartbeatMiss set failure detection: a
-	// peer is declared down after Miss consecutive intervals of
-	// silence. The defaults give sub-millisecond detection (slide 19:
-	// "millisecond application failure detection").
+	// HeartbeatInterval sets failure detection: a peer is declared down
+	// after missedBeats consecutive intervals of silence. The default
+	// gives sub-millisecond detection (slide 19: "millisecond
+	// application failure detection").
 	HeartbeatInterval sim.Time
-	HeartbeatMiss     int
 
 	// JoinTimeout is how long a booting node solicits sponsors before
 	// concluding it is the first node up.
@@ -122,9 +125,6 @@ type Config struct {
 func (c *Config) fill() {
 	if c.HeartbeatInterval == 0 {
 		c.HeartbeatInterval = 250 * sim.Microsecond
-	}
-	if c.HeartbeatMiss == 0 {
-		c.HeartbeatMiss = 3
 	}
 	if c.JoinTimeout == 0 {
 		c.JoinTimeout = 2 * sim.Millisecond
@@ -415,12 +415,12 @@ func (n *Node) heartbeatLoop() {
 	n.K.After(n.Cfg.HeartbeatInterval, n.heartbeatLoop)
 }
 
-// detectLoop declares peers down after HeartbeatMiss silent intervals.
+// detectLoop declares peers down after missedBeats silent intervals.
 func (n *Node) detectLoop() {
 	if n.stopped {
 		return
 	}
-	deadline := sim.Time(n.Cfg.HeartbeatMiss) * n.Cfg.HeartbeatInterval
+	deadline := missedBeats * n.Cfg.HeartbeatInterval
 	now := n.K.Now()
 	// Sorted so OnPeerDown fires in id order when several peers expire
 	// in the same interval — the callback schedules failover elections,

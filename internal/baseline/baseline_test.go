@@ -27,8 +27,8 @@ func TestTokenRingDelivers(t *testing.T) {
 	if got != 1 {
 		t.Fatalf("deliveries = %d", got)
 	}
-	if net.Drops.N != 0 {
-		t.Fatalf("drops = %d", net.Drops.N)
+	if net.Acct.CongestionDrops() != 0 {
+		t.Fatalf("drops = %d", net.Acct.CongestionDrops())
 	}
 }
 
@@ -114,7 +114,7 @@ func TestDropTailDropsUnderAllToAll(t *testing.T) {
 		}
 	}
 	k.RunUntil(10 * sim.Millisecond)
-	if net.Drops.N == 0 {
+	if net.Acct.CongestionDrops() == 0 {
 		t.Fatal("drop-tail baseline dropped nothing under saturation — not a valid strawman")
 	}
 }
@@ -126,8 +126,8 @@ func TestDropTailDeliversWhenIdle(t *testing.T) {
 	sts[2].OnDeliver = func(*micropacket.Packet) { got++ }
 	sts[0].Send(micropacket.NewData(0, 2, 0, nil))
 	k.RunUntil(sim.Millisecond)
-	if got != 1 || net.Drops.N != 0 {
-		t.Fatalf("idle delivery got=%d drops=%d", got, net.Drops.N)
+	if got != 1 || net.Acct.CongestionDrops() != 0 {
+		t.Fatalf("idle delivery got=%d drops=%d", got, net.Acct.CongestionDrops())
 	}
 }
 

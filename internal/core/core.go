@@ -57,9 +57,9 @@ type Options struct {
 	Version ampdk.Version
 	// VersionOf, if set, overrides Version per node id.
 	VersionOf func(id int) ampdk.Version
-	// HeartbeatInterval and HeartbeatMiss tune failure detection.
+	// HeartbeatInterval tunes failure detection (a peer is down after
+	// three silent intervals).
 	HeartbeatInterval sim.Time
-	HeartbeatMiss     int
 
 	// Shards partitions the fabric by switch into this many shards, each
 	// simulated on a private kernel, advancing in conservative lookahead
@@ -92,20 +92,19 @@ type Options struct {
 	// (window grant → shard run → barrier exchange); see
 	// internal/telemetry. Attaching a recorder changes no simulation
 	// behavior and no Report bytes — wall readings live only in the
-	// recorder. Ignored at one shard.
+	// recorder. Works at every shard count.
 	Telemetry *telemetry.Recorder
-	// TelemetryInReport opts the deterministic telemetry plane
-	// (per-shard window/event counters, heal-latency histograms — all
-	// virtual-time quantities) into Report JSON as a "telemetry"
-	// object. Off by default so existing report bytes are unchanged;
-	// the plane still prints in Report.Summary() either way. Note that
-	// the opted-in JSON names shard structure, so it only byte-matches
-	// across runs with the same Shards value — unlike the base report,
-	// which is byte-identical at every shard count.
-	TelemetryInReport bool
 }
 
-func (o *Options) fill() {
+// fill resolves zero values to their defaults; negative sizes are not
+// defaults in disguise and are refused.
+func (o *Options) fill() error {
+	if o.Shards < 0 {
+		return fmt.Errorf("core: negative Options.Shards %d", o.Shards)
+	}
+	if o.FiberMeters < 0 {
+		return fmt.Errorf("core: negative Options.FiberMeters %v", o.FiberMeters)
+	}
 	if o.Fabric != nil {
 		// The topology is authoritative; mirror its sizes so reports
 		// and plan validation see the real fabric shape.
@@ -133,9 +132,10 @@ func (o *Options) fill() {
 	if o.Version == 0 {
 		o.Version = 0x0100
 	}
-	if o.Shards < 1 {
+	if o.Shards == 0 {
 		o.Shards = 1
 	}
+	return nil
 }
 
 // topology resolves the fabric to build: the declared Fabric, or the
@@ -164,13 +164,11 @@ type Cluster struct {
 	// kernel (Nodes[i].K), and driver-level time control goes through
 	// the engine (Run, WaitUntil, Install). Nets lists every shard's
 	// physical network; fabric-wide counters are summed over it.
+	// Phys.Assign is the shard assignment.
 	K    *sim.Kernel
 	Net  *phys.Net
 	Nets []*phys.Net
 	Phys *phys.Cluster
-	// Assign is the shard assignment of a sharded cluster (nil at one
-	// shard) — observability for reports and tools.
-	Assign *phys.Assignment
 
 	eng *parsim.Engine
 
@@ -211,7 +209,9 @@ func New(opts Options) *Cluster {
 // the lookahead is unbounded and the engine runs the single kernel
 // directly.
 func build(opts Options) (*Cluster, error) {
-	opts.fill()
+	if err := opts.fill(); err != nil {
+		return nil, err
+	}
 	topo := opts.topology()
 	if err := topo.Validate(); err != nil {
 		return nil, err
@@ -248,10 +248,8 @@ func build(opts Options) (*Cluster, error) {
 	}
 	c := &Cluster{Opts: opts, Phys: ph, Net: nets[0], Nets: nets, eng: eng}
 	if opts.Shards == 1 {
-		// A one-shard fabric is not sharded: no assignment means every
-		// Program call applies synchronously and the partition stays out
-		// of reports.
-		ph.Assign = nil
+		// What needs the one kernel: direct kernel access for the
+		// one-shard-only loads, and the BER stream.
 		c.K = kernels[0]
 		if opts.DeepPHY && opts.BER > 0 {
 			rng := c.K.RNG().Split()
@@ -264,33 +262,34 @@ func build(opts Options) (*Cluster, error) {
 				}
 			}
 		}
-	} else {
-		c.Assign = assign
-		ph.RouteSink = eng.DeferRoute
-		eng.BindRoutes(func(at sim.Time, op phys.RouteOp) {
-			// A zero timestamp is the historical apply-on-receipt write.
-			// A timestamped write lands at its exact instant on the owning
-			// shard's kernel — the same instant a one-shard run applies
-			// it — ahead of any model event there (priority -1).
-			// Program's flight arithmetic guarantees at is still in the
-			// owning kernel's future at the barrier.
-			if at == 0 {
-				op.Apply(ph)
-				return
-			}
-			k := kernels[assign.SwitchShard[op.Switch]]
-			if at <= k.Now() {
-				op.Apply(ph)
-				return
-			}
-			k.AtPri(at, -1, 0, func() { op.Apply(ph) })
-		})
-		if opts.Telemetry != nil {
-			// Wall-clock plane only: the recorder observes
-			// window/run/barrier spans and changes neither simulation
-			// behavior nor Report bytes.
-			eng.SetRecorder(opts.Telemetry)
+	}
+	// Crossbar writes aimed at another shard's switch cross the next
+	// barrier (phys.Cluster.Program); with one shard every switch is
+	// shard 0 and nothing is ever deferred.
+	ph.RouteSink = eng.DeferRoute
+	eng.BindRoutes(func(at sim.Time, op phys.RouteOp) {
+		// A zero timestamp is the historical apply-on-receipt write.
+		// A timestamped write lands at its exact instant on the owning
+		// shard's kernel — the same instant a one-shard run applies
+		// it — ahead of any model event there (priority -1).
+		// Program's flight arithmetic guarantees at is still in the
+		// owning kernel's future at the barrier.
+		if at == 0 {
+			op.Apply(ph)
+			return
 		}
+		k := kernels[assign.SwitchShard[op.Switch]]
+		if at <= k.Now() {
+			op.Apply(ph)
+			return
+		}
+		k.AtPri(at, -1, 0, func() { op.Apply(ph) })
+	})
+	if opts.Telemetry != nil {
+		// Wall-clock plane only: the recorder observes
+		// window/run/barrier spans and changes neither simulation
+		// behavior nor Report bytes.
+		eng.SetRecorder(opts.Telemetry)
 	}
 	c.buildNodes()
 	return c, nil
@@ -309,7 +308,6 @@ func (c *Cluster) buildNodes() {
 		nd := ampdk.NewNode(c.eng.Kernels[shard], c.Phys, ampdk.Config{
 			ID: i, Version: ver, Regions: opts.Regions,
 			HeartbeatInterval: opts.HeartbeatInterval,
-			HeartbeatMiss:     opts.HeartbeatMiss,
 			JoinTimeout:       opts.JoinTimeout,
 			FiberM:            opts.FiberMeters,
 		})
@@ -443,32 +441,12 @@ func (c *Cluster) CrashNode(n int)  { c.Nodes[n].Crash() }
 func (c *Cluster) RebootNode(n int) { c.Nodes[n].Reboot() }
 
 // Drops returns congestion drops on the fabric (must stay 0 under
-// AmpNet MACs), summed over every shard's network.
-func (c *Cluster) Drops() uint64 {
-	var n uint64
-	for _, net := range c.Nets {
-		n += net.Drops.N
-	}
-	return n
-}
-
-// Lost returns frames destroyed by failures, summed over shards.
-func (c *Cluster) Lost() uint64 {
-	var n uint64
-	for _, net := range c.Nets {
-		n += net.Lost.N
-	}
-	return n
-}
-
-// Delivered returns frames handed to receivers, summed over shards.
-func (c *Cluster) Delivered() uint64 {
-	var n uint64
-	for _, net := range c.Nets {
-		n += net.Delivered.N
-	}
-	return n
-}
+// AmpNet MACs); Lost returns frames destroyed by failures; Delivered
+// returns frames handed to receivers — each read from the fabric-wide
+// ledger.
+func (c *Cluster) Drops() uint64     { a := c.FrameAcct(); return a.CongestionDrops() }
+func (c *Cluster) Lost() uint64      { a := c.FrameAcct(); return a.FailureLosses() }
+func (c *Cluster) Delivered() uint64 { return c.FrameAcct().WireDelivered }
 
 // FrameAcct returns the fabric-wide frame-lifecycle ledger: the sum of
 // every shard Net's Acct. Per-Net ledgers of a sharded fabric do not

@@ -38,8 +38,8 @@ func TestDeepPHYFullStack(t *testing.T) {
 	if c.RingSize() != 4 {
 		t.Fatalf("heal over deep PHY: ring = %d", c.RingSize())
 	}
-	if c.Net.CRCDrops.N != 0 {
-		t.Fatalf("CRC drops on clean links: %d", c.Net.CRCDrops.N)
+	if c.Net.Acct.CRCDrops() != 0 {
+		t.Fatalf("CRC drops on clean links: %d", c.Net.Acct.CRCDrops())
 	}
 	if c.Drops() != 0 {
 		t.Fatalf("congestion drops: %d", c.Drops())
@@ -72,7 +72,7 @@ func TestDeepPHYWithBitErrors(t *testing.T) {
 	c.K.After(0, tick)
 	c.Run(80 * sim.Millisecond)
 
-	if c.Net.CRCDrops.N == 0 {
+	if c.Net.Acct.CRCDrops() == 0 {
 		t.Skip("no frame hit a bit error at this BER/seed; nothing exercised")
 	}
 	want := bytes.Repeat([]byte{100}, 16)
@@ -80,7 +80,7 @@ func TestDeepPHYWithBitErrors(t *testing.T) {
 		got, ok := nd.Cache.TryRead(rec)
 		if !ok || !bytes.Equal(got, want) {
 			t.Fatalf("node %d did not converge under bit errors (CRC drops=%d): %v ok=%v",
-				id, c.Net.CRCDrops.N, got[:2], ok)
+				id, c.Net.Acct.CRCDrops(), got[:2], ok)
 		}
 	}
 }

@@ -6,6 +6,8 @@ import (
 	"strings"
 
 	"repro/internal/detmap"
+	"repro/internal/frameacct"
+	"repro/internal/parsim"
 	"repro/internal/rostering"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
@@ -86,124 +88,52 @@ type Report struct {
 	Healed bool `json:"healed"`
 	// Drops are congestion drops (must stay 0 — the slide-8
 	// guarantee); Lost are frames destroyed by failures; Delivered is
-	// total fabric deliveries.
+	// total fabric deliveries. All three are read from the ledger
+	// below (fifo_full; dark_port + link_cut; wire_delivered).
 	Drops     uint64 `json:"congestion_drops"`
 	Lost      uint64 `json:"failure_losses"`
 	Delivered uint64 `json:"frames_delivered"`
 	// Frames is the frame-lifecycle ledger: where every frame the run
-	// created ended up, by typed cause (see internal/frameacct). Like
-	// the counters above it is a fabric-wide sum, so it is part of the
-	// surface that is byte-identical across shard counts.
+	// created ended up, by typed cause (see internal/frameacct). It is
+	// a fabric-wide sum, so it is part of the surface that is
+	// byte-identical across shard counts.
 	Frames *FrameReport `json:"frame_accounting,omitempty"`
 	// Events are the fired plan events with their heal windows.
 	Events []EventReport `json:"events,omitempty"`
 	// Loads are the per-load delivery reports.
 	Loads []LoadReport `json:"loads,omitempty"`
 
-	// Partition observability (sharded runs only; zero values at one
-	// shard). Excluded from the JSON on purpose: the defining
-	// equivalence property is that reports are byte-identical at every
-	// shard count, so anything shard-specific may only surface in
-	// Summary.
+	// Partition observability. Excluded from the JSON on purpose: the
+	// defining equivalence property is that reports are byte-identical
+	// at every shard count, so anything shard-specific may only surface
+	// in Summary.
 	Shards       int     `json:"-"` // shard count the run used
 	Partition    string  `json:"-"` // switch→shard map, "0,0,1,1"
-	LookaheadNS  int64   `json:"-"` // window bound; sim.MaxTime = decoupled
 	CutLinks     int     `json:"-"` // links crossing shards
 	MinCutFiberM float64 `json:"-"` // shortest cross-shard fiber, meters
 
-	// Det is the deterministic telemetry plane (sharded runs only; nil
-	// at one shard): per-shard, per-window sim-time metrics sampled at
-	// barriers, byte-reproducible for a given simulation. Like the
-	// partition fields above it stays out of the JSON so reports remain
-	// byte-identical across shard counts; it prints in Summary.
-	// Telemetry is the same plane copied into the JSON when
-	// Options.TelemetryInReport opts in — such reports only byte-match
-	// other runs with the same Shards value.
-	Det       *TelemetryReport `json:"-"`
-	Telemetry *TelemetryReport `json:"telemetry,omitempty"`
+	// Det is the deterministic telemetry plane: the engine's own
+	// counters, sampled at barriers from virtual-plane quantities only
+	// and byte-reproducible for a given simulation at a given shard
+	// count. Like the partition fields above it stays out of the JSON
+	// so reports remain byte-identical across shard counts; it prints
+	// in Summary.
+	Det *TelemetryReport `json:"-"`
 }
 
-// TelemetryReport is the deterministic telemetry plane of a sharded
-// run: the engine's fabric-wide window/barrier counters, the per-shard
-// detail, and the heal-span latency histogram over the run's plan
-// events. Every field derives from virtual-plane quantities only
-// (kernel fired counts, barrier batch sizes, sim-time spans), so the
-// section is byte-reproducible across runs.
+// TelemetryReport is the deterministic telemetry plane of a run, as the
+// engine keeps it: the fabric-wide window/barrier counters, the
+// per-shard detail, the window bound, and the heal-span latency
+// histogram over the run's plan events (the nonzero EventReport.HealNS
+// values). Everything derives from virtual-plane quantities only
+// (kernel fired counts, barrier batch sizes, sim-time spans).
 type TelemetryReport struct {
-	// Per-window counters: Windows are granted parallel windows,
-	// Advances dead-time clock hops that granted no execution.
-	Windows  uint64 `json:"windows"`
-	Advances uint64 `json:"advances,omitempty"`
-	// Per-barrier counters: Barriers are all synchronization points,
-	// Fences the subset forced by coordinator actions; Frames and
-	// Routes sum the barrier drains' cross-shard batch sizes.
-	Barriers uint64 `json:"barriers"`
-	Fences   uint64 `json:"fences,omitempty"`
-	Frames   uint64 `json:"frames"`
-	Routes   uint64 `json:"routes"`
-	// Actions counts executed coordinator closures.
-	Actions uint64 `json:"actions,omitempty"`
-	// LookaheadNS is the window bound the engine ran under.
-	LookaheadNS int64 `json:"lookahead_ns"`
-	// Shards is the per-shard detail, indexed by shard id.
-	Shards []ShardTelemetry `json:"shards"`
-	// HealNS is the distribution of the run's heal-span latencies (the
-	// nonzero EventReport.HealNS values), as fixed power-of-two buckets.
-	HealNS *telemetry.HistReport `json:"heal_ns,omitempty"`
-}
-
-// ShardTelemetry is one shard's slice of the deterministic plane.
-type ShardTelemetry struct {
-	Shard       int    `json:"shard"`
-	Events      uint64 `json:"events"`
-	Windows     uint64 `json:"windows"`
-	BusyWindows uint64 `json:"busy_windows"`
-	Frames      uint64 `json:"frames,omitempty"`
-	Routes      uint64 `json:"routes,omitempty"`
-	// EvPerWindow is the shard's window-occupancy histogram: events
-	// executed per granted window, bucket 0 counting idle windows.
-	EvPerWindow telemetry.HistReport `json:"events_per_window"`
-}
-
-// telemetryReport assembles the deterministic plane from the engine's
-// counters; nil at one shard. events supplies the
-// heal-span latencies.
-func telemetryReport(c *Cluster, events []EventReport) *TelemetryReport {
-	st := c.ParStats()
-	if st == nil {
-		return nil
-	}
-	tr := &TelemetryReport{
-		Windows:     st.Windows,
-		Advances:    st.Advances,
-		Barriers:    st.Barriers,
-		Fences:      st.Fences,
-		Frames:      st.Frames,
-		Routes:      st.Routes,
-		Actions:     st.Actions,
-		LookaheadNS: int64(c.Lookahead()),
-	}
-	for _, s := range c.ShardParStats() {
-		tr.Shards = append(tr.Shards, ShardTelemetry{
-			Shard:       s.Shard,
-			Events:      s.Events,
-			Windows:     s.Windows,
-			BusyWindows: s.BusyWindows,
-			Frames:      s.Frames,
-			Routes:      s.Routes,
-			EvPerWindow: *s.EvPerWindow.Report(),
-		})
-	}
-	var heal telemetry.Hist
-	for _, e := range events {
-		if e.HealNS > 0 {
-			heal.Observe(uint64(e.HealNS))
-		}
-	}
-	if heal.N > 0 {
-		tr.HealNS = heal.Report()
-	}
-	return tr
+	parsim.Stats
+	Shards []parsim.ShardStat
+	// Lookahead is the window bound; sim.MaxTime when nothing crosses
+	// shards (always at one shard).
+	Lookahead sim.Time
+	Heal      telemetry.Hist
 }
 
 // FrameReport is the Report's frame-accounting section: the fabric-wide
@@ -241,9 +171,9 @@ type FrameReport struct {
 	SwitchLosses map[string]uint64 `json:"switch_losses,omitempty"`
 }
 
-// frameReport builds the Report section from the cluster's ledger.
-func frameReport(c *Cluster) *FrameReport {
-	a := c.FrameAcct()
+// frameReport builds the Report section from the fabric-wide ledger a
+// and the per-device diagnostic counters.
+func frameReport(c *Cluster, a *frameacct.Acct) *FrameReport {
 	fr := &FrameReport{
 		Origins:       a.Origins(),
 		Offered:       a.Offered,
@@ -303,24 +233,22 @@ func (r *Report) Summary() string {
 	}
 	fmt.Fprintf(&b, "%s: %d nodes × %d switches%s, seed %d\n", name, r.Nodes, r.Switches, fabric, r.Seed)
 	fmt.Fprintf(&b, "  online after %v\n", sim.Time(r.BootNS))
-	if r.Shards > 1 {
-		la := "unbounded (shards fully decoupled)"
-		if r.LookaheadNS != int64(sim.MaxTime) {
-			la = sim.Time(r.LookaheadNS).String()
-		}
-		fmt.Fprintf(&b, "  %d shards: partition [%s], cut %d links (min fiber %.0f m), lookahead %s\n",
-			r.Shards, r.Partition, r.CutLinks, r.MinCutFiberM, la)
-	}
 	if d := r.Det; d != nil {
+		la := "unbounded (no link crosses shards)"
+		if d.Lookahead != sim.MaxTime {
+			la = d.Lookahead.String()
+		}
+		fmt.Fprintf(&b, "  shards: %d, partition [%s], cut %d links (min fiber %.0f m), lookahead %s\n",
+			r.Shards, r.Partition, r.CutLinks, r.MinCutFiberM, la)
 		fmt.Fprintf(&b, "  engine: %d windows (%d advances), %d barriers (%d fences), %d actions; %d frames + %d routes crossed shards\n",
 			d.Windows, d.Advances, d.Barriers, d.Fences, d.Actions, d.Frames, d.Routes)
 		for _, s := range d.Shards {
 			fmt.Fprintf(&b, "    shard %d: %d events, busy %d/%d windows, occupancy %s ev/window\n",
-				s.Shard, s.Events, s.BusyWindows, s.Windows, histLine(s.EvPerWindow))
+				s.Shard, s.Events, s.BusyWindows, s.Windows, histLine(&s.EvPerWindow))
 		}
-		if h := d.HealNS; h != nil && h.Count > 0 {
+		if h := d.Heal; h.N > 0 {
 			fmt.Fprintf(&b, "    heal spans: %d observed, mean %v, max %v\n",
-				h.Count, sim.Time(h.Sum/h.Count), sim.Time(h.Max))
+				h.N, sim.Time(h.Sum/h.N), sim.Time(h.Max))
 		}
 	}
 	for _, e := range r.Events {
@@ -371,12 +299,12 @@ func (r *Report) Summary() string {
 	return b.String()
 }
 
-// histLine renders a HistReport as a compact mean/max digest.
-func histLine(h telemetry.HistReport) string {
-	if h.Count == 0 {
+// histLine renders a Hist as a compact mean/max digest.
+func histLine(h *telemetry.Hist) string {
+	if h.N == 0 {
 		return "mean 0, max 0"
 	}
-	return fmt.Sprintf("mean %d, max %d", h.Sum/h.Count, h.Max)
+	return fmt.Sprintf("mean %d, max %d", h.Sum/h.N, h.Max)
 }
 
 // countLine renders a counter map as "name 3, name 7" in key order.
@@ -405,7 +333,16 @@ func reportWire(c *Cluster) string {
 func (s Scenario) Run() (*Report, error) {
 	// A scenario is user input end to end, so what New panics on — a
 	// malformed fabric, an explicit v1 on a >255-node fabric, BER or too
-	// few switches for the shard count — is an error here.
+	// few switches for the shard count — is an error here, and so is a
+	// negative duration (zero selects the default).
+	for _, d := range []struct {
+		name string
+		v    sim.Time
+	}{{"For", s.For}, {"Settle", s.Settle}, {"BootWindow", s.BootWindow}} {
+		if d.v < 0 {
+			return nil, fmt.Errorf("core: negative Scenario.%s %v", d.name, d.v)
+		}
+	}
 	c, err := build(s.Opts)
 	if err != nil {
 		return nil, err
@@ -447,11 +384,11 @@ func (s Scenario) Run() (*Report, error) {
 	}
 	bootNS := c.Now()
 	runFor := s.For
-	if runFor <= 0 {
+	if runFor == 0 {
 		runFor = 30 * sim.Millisecond
 	}
 	settle := s.Settle
-	if settle <= 0 {
+	if settle == 0 {
 		settle = 5 * sim.Millisecond
 	}
 	// Every plan event must fit in the run: an event past For+Settle
@@ -486,31 +423,8 @@ func (s Scenario) Run() (*Report, error) {
 		return nil, err
 	}
 
-	rep := &Report{
-		Name:      s.Name,
-		Seed:      c.Opts.Seed,
-		Nodes:     c.Opts.Nodes,
-		Switches:  c.Opts.Switches,
-		Fabric:    c.FabricName(),
-		Trunks:    c.Phys.NumTrunks(),
-		Wire:      reportWire(c),
-		BootNS:    int64(bootNS),
-		EndNS:     int64(c.Now()),
-		RingSize:  c.RingSize(),
-		Roster:    c.Roster(),
-		Healed:    c.Healed(),
-		Drops:     c.Drops(),
-		Lost:      c.Lost(),
-		Delivered: c.Delivered(),
-		Frames:    frameReport(c),
-	}
-	if c.Assign != nil {
-		rep.Shards = c.Assign.Shards
-		rep.Partition = c.Assign.Partition()
-		rep.LookaheadNS = int64(c.Lookahead())
-		rep.CutLinks = c.Assign.CutLinks
-		rep.MinCutFiberM = c.Assign.MinCutFiberM
-	}
+	rep := c.report(s.Name)
+	rep.BootNS = int64(bootNS)
 	applied := c.Applied()
 	for i, ae := range applied {
 		er := EventReport{AtNS: int64(ae.At), Event: ae.Event.String()}
@@ -530,9 +444,10 @@ func (s Scenario) Run() (*Report, error) {
 	for _, a := range actives {
 		rep.Loads = append(rep.Loads, *a.Report())
 	}
-	rep.Det = telemetryReport(c, rep.Events)
-	if c.Opts.TelemetryInReport {
-		rep.Telemetry = rep.Det
+	for _, e := range rep.Events {
+		if e.HealNS > 0 {
+			rep.Det.Heal.Observe(uint64(e.HealNS))
+		}
 	}
 	return rep, nil
 }
@@ -544,32 +459,46 @@ func (s Scenario) Run() (*Report, error) {
 // attribution; pass each finished load's ActiveLoad to append its
 // delivery report.
 func (c *Cluster) Snapshot(name string, loads ...*ActiveLoad) *Report {
-	rep := &Report{
-		Name:      name,
-		Seed:      c.Opts.Seed,
-		Nodes:     c.Opts.Nodes,
-		Switches:  c.Opts.Switches,
-		Fabric:    c.FabricName(),
-		Trunks:    c.Phys.NumTrunks(),
-		Wire:      reportWire(c),
-		EndNS:     int64(c.Now()),
-		RingSize:  c.RingSize(),
-		Roster:    c.Roster(),
-		Healed:    c.Healed(),
-		Drops:     c.Drops(),
-		Lost:      c.Lost(),
-		Delivered: c.Delivered(),
-		Frames:    frameReport(c),
-	}
+	rep := c.report(name)
 	for _, ae := range c.Applied() {
 		rep.Events = append(rep.Events, EventReport{AtNS: int64(ae.At), Event: ae.Event.String()})
 	}
 	for _, a := range loads {
 		rep.Loads = append(rep.Loads, *a.Report())
 	}
-	rep.Det = telemetryReport(c, nil)
-	if c.Opts.TelemetryInReport {
-		rep.Telemetry = rep.Det
-	}
 	return rep
+}
+
+// report fills everything a Report says about the cluster as it stands
+// now — the header, the frame ledger, the partition and the engine's
+// counters; events, loads and the boot time are the caller's.
+func (c *Cluster) report(name string) *Report {
+	a := c.FrameAcct()
+	assign := c.Phys.Assign
+	return &Report{
+		Name:         name,
+		Seed:         c.Opts.Seed,
+		Nodes:        c.Opts.Nodes,
+		Switches:     c.Opts.Switches,
+		Fabric:       c.FabricName(),
+		Trunks:       c.Phys.NumTrunks(),
+		Wire:         reportWire(c),
+		EndNS:        int64(c.Now()),
+		RingSize:     c.RingSize(),
+		Roster:       c.Roster(),
+		Healed:       c.Healed(),
+		Drops:        a.CongestionDrops(),
+		Lost:         a.FailureLosses(),
+		Delivered:    a.WireDelivered,
+		Frames:       frameReport(c, &a),
+		Shards:       assign.Shards,
+		Partition:    assign.Partition(),
+		CutLinks:     assign.CutLinks,
+		MinCutFiberM: assign.MinCutFiberM,
+		Det: &TelemetryReport{
+			Stats:     c.eng.Stats,
+			Shards:    c.eng.ShardStats(),
+			Lookahead: c.eng.Lookahead(),
+		},
+	}
 }

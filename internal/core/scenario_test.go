@@ -2,9 +2,12 @@ package core
 
 import (
 	"bytes"
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/netcache"
+	"repro/internal/phys"
 	"repro/internal/sim"
 )
 
@@ -131,14 +134,35 @@ func TestScenarioReportsAreSane(t *testing.T) {
 	}
 }
 
+// Scenario.Run returns malformed input as an error naming the field —
+// a negative size or duration is never run as the default — and New
+// panics with the same error.
 func TestScenarioRejectsInvalidPlan(t *testing.T) {
-	_, err := Scenario{
-		Opts: Options{Nodes: 4, Switches: 2},
-		Plan: Plan{CrashNode(0, 99)},
-	}.Run()
-	if err == nil {
-		t.Fatal("Scenario.Run with out-of-range plan = nil error")
+	opts := Options{Nodes: 4, Switches: 2}
+	trunk := phys.Topology{Name: "x", Nodes: 2, Switches: 2, Trunks: []phys.TrunkSpec{{A: 0, B: 1, FiberM: -1}}}
+	for _, tc := range []struct {
+		sc   Scenario
+		want string
+	}{
+		{Scenario{Opts: opts, Plan: Plan{CrashNode(0, 99)}}, "out of range"},
+		{Scenario{Opts: Options{Nodes: 4, Switches: 2, Shards: -3}}, "negative Options.Shards -3"},
+		{Scenario{Opts: Options{Nodes: 4, Switches: 2, FiberMeters: -10}}, "negative Options.FiberMeters -10"},
+		{Scenario{Opts: Options{Fabric: &phys.Topology{Nodes: 4, Switches: 2, FiberM: -10}}}, "negative Topology.FiberM -10"},
+		{Scenario{Opts: Options{Fabric: &trunk}}, "negative TrunkSpec.FiberM -1"},
+		{Scenario{Opts: opts, For: -5 * sim.Millisecond}, "negative Scenario.For -5"},
+		{Scenario{Opts: opts, Settle: -1}, "negative Scenario.Settle"},
+		{Scenario{Opts: opts, BootWindow: -1}, "negative Scenario.BootWindow"},
+	} {
+		if _, err := tc.sc.Run(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("Scenario.Run: err = %v, want %q", err, tc.want)
+		}
 	}
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "negative Options.Shards -3") {
+			t.Errorf("New with Shards: -3: panic = %v, want the named error", r)
+		}
+	}()
+	New(Options{Shards: -3})
 }
 
 // An event scheduled past For+Settle would never fire; the scenario

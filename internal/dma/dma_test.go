@@ -223,8 +223,8 @@ func TestBackpressureRetries(t *testing.T) {
 	if !bytes.Equal(dst.buf[:len(data)], data) {
 		t.Fatal("data lost under backpressure")
 	}
-	if r.net.Drops.N != 0 {
-		t.Fatalf("wire drops = %d", r.net.Drops.N)
+	if r.net.Acct.CongestionDrops() != 0 {
+		t.Fatalf("wire drops = %d", r.net.Acct.CongestionDrops())
 	}
 	if r.engines[1].Gaps != 0 {
 		t.Fatalf("gaps = %d", r.engines[1].Gaps)

@@ -100,10 +100,7 @@ func E14ParsimScaleP(p Params) *Table {
 				continue
 			}
 			events := cl.EventsFired()
-			windows, xframes := uint64(0), uint64(0)
-			if st := cl.ParStats(); st != nil {
-				windows, xframes = st.Windows, st.Frames
-			}
+			windows, xframes := rep.Det.Windows, rep.Det.Frames
 			var worst int64
 			for _, e := range rep.Events {
 				if e.HealNS > worst {

@@ -72,30 +72,18 @@ func E16ScalingEfficiencyP(p Params) *Table {
 				identicalAll = 0
 				continue
 			}
-			partition, cut, lookahead := "-", "-", "-"
-			windows, barriers, xframes := uint64(0), uint64(0), uint64(0)
-			evPerWin := "-"
-			if cl.Assign != nil {
-				partition = cl.Assign.Partition()
-				cut = fmt.Sprint(cl.Assign.CutLinks)
-				if la := cl.Lookahead(); la == sim.MaxTime {
-					lookahead = "∞"
-				} else {
-					lookahead = la.String()
-				}
-			}
+			d := rep.Det
+			lookahead := "∞"
 			events := cl.EventsFired()
-			if st := cl.ParStats(); st != nil {
-				windows, barriers, xframes = st.Windows, st.Barriers, st.Frames
-				if windows > 0 {
-					ev := float64(events) / float64(windows)
-					evPerWin = fmt.Sprintf("%.0f", ev)
-					if ev > maxEvPerWin {
-						maxEvPerWin = ev
-					}
-				}
-				if la := cl.Lookahead(); la != sim.MaxTime && (minLookahead == 0 || float64(la) < minLookahead) {
-					minLookahead = float64(la)
+			evPerWin := float64(events) / float64(max(d.Windows, 1))
+			// The ev/win metric is about windows the lookahead bounds;
+			// an unbounded window (one shard) is as long as the driver's
+			// step and would swamp it.
+			if d.Lookahead != sim.MaxTime {
+				lookahead = d.Lookahead.String()
+				maxEvPerWin = max(maxEvPerWin, evPerWin)
+				if minLookahead == 0 || float64(d.Lookahead) < minLookahead {
+					minLookahead = float64(d.Lookahead)
 				}
 			}
 			identical := "serial"
@@ -107,9 +95,9 @@ func E16ScalingEfficiencyP(p Params) *Table {
 				identical = "NO"
 				identicalAll = 0
 			}
-			t.Add(shape, fmt.Sprint(shards), partition, cut, lookahead,
-				fmt.Sprint(windows), fmt.Sprint(barriers), fmt.Sprint(xframes),
-				fmt.Sprint(events), evPerWin, identical)
+			t.Add(shape, fmt.Sprint(shards), rep.Partition, fmt.Sprint(rep.CutLinks), lookahead,
+				fmt.Sprint(d.Windows), fmt.Sprint(d.Barriers), fmt.Sprint(d.Frames),
+				fmt.Sprint(events), fmt.Sprintf("%.0f", evPerWin), identical)
 		}
 	}
 	t.Metric("all_identical", identicalAll)

@@ -84,9 +84,9 @@ func E3MultiStreamP(p Params, framesPerStream int) *Table {
 		el := k.Now()
 		bits := float64(n*framesPerStream*wireB) * 8
 		t.Add("AmpNet insertion ring", fmt.Sprint(n), fmt.Sprint(framesPerStream),
-			el.String(), fmt.Sprintf("%.0f", bits/el.Seconds()/1e6), fmt.Sprint(net.Drops.N))
+			el.String(), fmt.Sprintf("%.0f", bits/el.Seconds()/1e6), fmt.Sprint(net.Acct.CongestionDrops()))
 		t.Metric("ampnet_mbps", bits/el.Seconds()/1e6)
-		t.Metric("ampnet_drops", float64(net.Drops.N))
+		t.Metric("ampnet_drops", float64(net.Acct.CongestionDrops()))
 	}
 
 	// Token ring: same offered pattern, one transmitter at a time.
@@ -118,7 +118,7 @@ func E3MultiStreamP(p Params, framesPerStream int) *Table {
 		el := k.Now()
 		bits := float64(n*framesPerStream*wireB) * 8
 		t.Add("token ring (baseline)", fmt.Sprint(n), fmt.Sprint(framesPerStream),
-			el.String(), fmt.Sprintf("%.0f", bits/el.Seconds()/1e6), fmt.Sprint(net.Drops.N))
+			el.String(), fmt.Sprintf("%.0f", bits/el.Seconds()/1e6), fmt.Sprint(net.Acct.CongestionDrops()))
 		t.Metric("baseline_mbps", bits/el.Seconds()/1e6)
 	}
 	t.Note("insertion ring wins by overlapping streams on disjoint arcs; token ring is rotation-bound")
@@ -157,13 +157,13 @@ func E4AllToAllP(p Params, perNode int) *Table {
 		}
 		k.Run()
 		verdict := "LOSSLESS"
-		if net.Drops.N != 0 || delivered != expected {
+		if net.Acct.CongestionDrops() != 0 || delivered != expected {
 			verdict = "FAIL"
 		}
 		t.Add("AmpNet insertion ring", fmt.Sprint(n), fmt.Sprint(perNode),
-			fmt.Sprint(delivered), fmt.Sprint(expected), fmt.Sprint(net.Drops.N), verdict)
+			fmt.Sprint(delivered), fmt.Sprint(expected), fmt.Sprint(net.Acct.CongestionDrops()), verdict)
 		t.Metric("ampnet_delivered", float64(delivered))
-		t.Metric("ampnet_drops", float64(net.Drops.N))
+		t.Metric("ampnet_drops", float64(net.Acct.CongestionDrops()))
 		t.Metric("completion_ns", float64(k.Now()))
 	}
 
@@ -188,12 +188,12 @@ func E4AllToAllP(p Params, perNode int) *Table {
 		}
 		k.Run()
 		verdict := "drops frames"
-		if net.Drops.N == 0 && delivered == expected {
+		if net.Acct.CongestionDrops() == 0 && delivered == expected {
 			verdict = "lossless?!"
 		}
 		t.Add("drop-tail ring (baseline)", fmt.Sprint(n), fmt.Sprint(perNode),
-			fmt.Sprint(delivered), fmt.Sprint(expected), fmt.Sprint(net.Drops.N), verdict)
-		t.Metric("baseline_drops", float64(net.Drops.N))
+			fmt.Sprint(delivered), fmt.Sprint(expected), fmt.Sprint(net.Acct.CongestionDrops()), verdict)
+		t.Metric("baseline_drops", float64(net.Acct.CongestionDrops()))
 	}
 	t.Note("AmpNet's losslessness comes from transit priority + insert-when-idle + host backpressure")
 	return t
@@ -258,7 +258,7 @@ func E4aLoadSweepP(p Params) *Table {
 				k.After(sim.Time(i)*perNodeInterval/sim.Time(n), tick)
 			}
 			k.RunUntil(window + 5*sim.Millisecond)
-			return delivered, net.Drops.N
+			return delivered, net.Acct.CongestionDrops()
 		}
 		offered := load * capacityFPS
 		dA, dropA := run(true)

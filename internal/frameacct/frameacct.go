@@ -159,8 +159,8 @@ func (k ConsumeKind) String() string {
 
 // Acct is one Net's frame ledger. All fields are plain integers
 // mutated from the owning shard's kernel context (or a parked
-// barrier); the hot-path methods are field increments so accounting
-// stays inside the 25% benchguard gate.
+// barrier); the hot-path methods are field increments, so the ledger is
+// cheap enough to be the only frame counter a Net keeps.
 type Acct struct {
 	// Offered counts Send/SendPriority calls (origins + relaunches).
 	Offered uint64
@@ -275,6 +275,21 @@ func (a *Acct) Add(b *Acct) {
 // Origins returns the fresh-traffic count: offers minus transit
 // relaunches.
 func (a *Acct) Origins() uint64 { return a.Offered - a.Relaunched }
+
+// CongestionDrops returns the frames refused by a full egress FIFO —
+// the loss AmpNet's insertion-ring flow control must keep at zero
+// (slide 8).
+func (a *Acct) CongestionDrops() uint64 { return a.Losses[LossFifoFull] }
+
+// FailureLosses returns the frames a link failure destroyed at the
+// moment they touched the wire: offered to a dark port, or in flight
+// when the fiber was cut. Frames a Link.Fail cleared out of a FIFO
+// before they launched are LossFifoClear and not part of it. Higher
+// layers recover these (DMA sequence numbers, cache refresh).
+func (a *Acct) FailureLosses() uint64 { return a.Losses[LossDarkPort] + a.Losses[LossLinkCut] }
+
+// CRCDrops returns the frames the DeepPHY receive datapath discarded.
+func (a *Acct) CRCDrops() uint64 { return a.Losses[LossCRC] }
 
 // WireLosses sums the wire-level causes.
 func (a *Acct) WireLosses() uint64 {

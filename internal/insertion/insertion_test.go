@@ -55,8 +55,8 @@ func TestUnicastDeliveredAndStripped(t *testing.T) {
 	if st[3].Forwarded != 0 {
 		t.Fatalf("node 3 forwarded = %d, want 0 (no spatial leak)", st[3].Forwarded)
 	}
-	if net.Drops.N != 0 {
-		t.Fatalf("drops = %d", net.Drops.N)
+	if net.Acct.CongestionDrops() != 0 {
+		t.Fatalf("drops = %d", net.Acct.CongestionDrops())
 	}
 }
 
@@ -77,8 +77,8 @@ func TestBroadcastFullTour(t *testing.T) {
 	if st[1].Stripped != 1 {
 		t.Fatalf("source stripped = %d, want 1", st[1].Stripped)
 	}
-	if net.Drops.N != 0 || net.Lost.N != 0 {
-		t.Fatalf("drops=%d lost=%d", net.Drops.N, net.Lost.N)
+	if net.Acct.CongestionDrops() != 0 || net.Acct.FailureLosses() != 0 {
+		t.Fatalf("drops=%d lost=%d", net.Acct.CongestionDrops(), net.Acct.FailureLosses())
 	}
 }
 
@@ -135,11 +135,11 @@ func TestAllToAllBroadcastLossless(t *testing.T) {
 		})
 	}
 	k.Run()
-	if net.Drops.N != 0 {
-		t.Fatalf("CONGESTION DROPS = %d; slide-8 guarantee violated", net.Drops.N)
+	if net.Acct.CongestionDrops() != 0 {
+		t.Fatalf("CONGESTION DROPS = %d; slide-8 guarantee violated", net.Acct.CongestionDrops())
 	}
-	if net.Lost.N != 0 {
-		t.Fatalf("lost = %d with no failures", net.Lost.N)
+	if net.Acct.FailureLosses() != 0 {
+		t.Fatalf("lost = %d with no failures", net.Acct.FailureLosses())
 	}
 	for i, c := range counts {
 		want := (n - 1) * per
@@ -170,8 +170,8 @@ func TestHostBackpressureNotWireDrops(t *testing.T) {
 		t.Fatal("Refused counter not incremented")
 	}
 	k.Run()
-	if net.Drops.N != 0 {
-		t.Fatalf("backpressure leaked to wire drops: %d", net.Drops.N)
+	if net.Acct.CongestionDrops() != 0 {
+		t.Fatalf("backpressure leaked to wire drops: %d", net.Acct.CongestionDrops())
 	}
 }
 
@@ -280,7 +280,7 @@ func TestInsertThresholdAblation(t *testing.T) {
 		})
 	}
 	k.Run()
-	if net.Drops.N != 0 {
-		t.Fatalf("drops with threshold 8 = %d", net.Drops.N)
+	if net.Acct.CongestionDrops() != 0 {
+		t.Fatalf("drops with threshold 8 = %d", net.Acct.CongestionDrops())
 	}
 }

@@ -35,8 +35,8 @@ func TestPerSourceFIFOUnderLoad(t *testing.T) {
 		})
 	}
 	k.Run()
-	if net.Drops.N != 0 {
-		t.Fatalf("drops = %d", net.Drops.N)
+	if net.Acct.CongestionDrops() != 0 {
+		t.Fatalf("drops = %d", net.Acct.CongestionDrops())
 	}
 	for i := range lastSeen {
 		for src, last := range lastSeen[i] {
@@ -103,8 +103,8 @@ func TestLosslessAcrossFIFOSizes(t *testing.T) {
 			})
 		}
 		k.Run()
-		if net.Drops.N != 0 {
-			t.Fatalf("cap %d: drops = %d", cap, net.Drops.N)
+		if net.Acct.CongestionDrops() != 0 {
+			t.Fatalf("cap %d: drops = %d", cap, net.Acct.CongestionDrops())
 		}
 	}
 }

@@ -48,8 +48,8 @@ func TestBroadcastToursRingPast255Nodes(t *testing.T) {
 			t.Fatalf("node %d expired %d transit frames on a healthy ring", i, stations[i].Expired)
 		}
 	}
-	if net.Drops.N != 0 {
-		t.Fatalf("congestion drops: %d", net.Drops.N)
+	if net.Acct.CongestionDrops() != 0 {
+		t.Fatalf("congestion drops: %d", net.Acct.CongestionDrops())
 	}
 }
 

@@ -251,7 +251,7 @@ func TestSplitLinkFailDropsInFlight(t *testing.T) {
 	if len(r.arrivals) != 0 {
 		t.Fatalf("frame survived a mid-flight fiber cut: %v", r.arrivals)
 	}
-	if r.n[0].Lost.N+r.n[1].Lost.N == 0 {
+	if r.n[0].Acct.FailureLosses()+r.n[1].Acct.FailureLosses() == 0 {
 		t.Fatal("in-flight loss not counted")
 	}
 }

@@ -43,8 +43,8 @@ func TestDeepPHYCleanDelivery(t *testing.T) {
 			t.Fatalf("frame %d mutated through deep PHY:\n  sent %v\n  got  %v", i, p, q)
 		}
 	}
-	if n.CRCDrops.N != 0 {
-		t.Fatalf("CRC drops on clean link: %d", n.CRCDrops.N)
+	if n.Acct.CRCDrops() != 0 {
+		t.Fatalf("CRC drops on clean link: %d", n.Acct.CRCDrops())
 	}
 }
 
@@ -86,7 +86,7 @@ func TestDeepPHYCorruptionDiscarded(t *testing.T) {
 			if !ok {
 				t.Fatalf("corrupted frame DELIVERED with wrong contents (sym %d bit %d)", si, bi)
 			}
-			dropped += int(n.CRCDrops.N)
+			dropped += int(n.Acct.CRCDrops())
 		}
 	}
 	if delivered != 0 {
@@ -137,8 +137,8 @@ func TestDeepPHYBurstErrors(t *testing.T) {
 	if delivered < 200 || delivered > 205 {
 		t.Fatalf("delivered %d of %d; expected ≈200 (every third corrupted)", delivered, total)
 	}
-	if n.CRCDrops.N < 95 {
-		t.Fatalf("CRC drops = %d, want ≈100", n.CRCDrops.N)
+	if n.Acct.CRCDrops() < 95 {
+		t.Fatalf("CRC drops = %d, want ≈100", n.Acct.CRCDrops())
 	}
 }
 

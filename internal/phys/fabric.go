@@ -64,11 +64,14 @@ type TrunkSpec struct {
 }
 
 // Validate checks the topology for structural sanity: positive sizes,
-// the switch-mask limit, trunk endpoints in range, and every node
-// attached to at least one switch.
+// no negative fiber length, the switch-mask limit, trunk endpoints in
+// range, and every node attached to at least one switch.
 func (t *Topology) Validate() error {
 	if t.Nodes <= 0 || t.Switches <= 0 {
 		return fmt.Errorf("phys: topology %q needs at least one node and one switch", t.Name)
+	}
+	if t.FiberM < 0 {
+		return fmt.Errorf("phys: topology %q has negative Topology.FiberM %v", t.Name, t.FiberM)
 	}
 	if t.Switches > MaxSwitches {
 		return fmt.Errorf("phys: topology %q has %d switches; the rostering link-state mask allows at most %d",
@@ -92,6 +95,9 @@ func (t *Topology) Validate() error {
 		}
 		if tr.A == tr.B {
 			return fmt.Errorf("phys: topology %q trunk %d is a self-loop on switch %d", t.Name, i, tr.A)
+		}
+		if tr.FiberM < 0 {
+			return fmt.Errorf("phys: topology %q trunk %d has negative TrunkSpec.FiberM %v", t.Name, i, tr.FiberM)
 		}
 	}
 	for n := 0; n < t.Nodes; n++ {

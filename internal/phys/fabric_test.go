@@ -21,6 +21,8 @@ func TestTopologyValidate(t *testing.T) {
 		{"too many switches", Uniform(4, 9, 50), "at most 8"},
 		{"trunk out of range", Topology{Name: "x", Nodes: 2, Switches: 2, Trunks: []TrunkSpec{{A: 0, B: 5}}}, "out of range"},
 		{"trunk self-loop", Topology{Name: "x", Nodes: 2, Switches: 2, Trunks: []TrunkSpec{{A: 1, B: 1}}}, "self-loop"},
+		{"negative fiber", Uniform(6, 4, -10), "negative Topology.FiberM -10"},
+		{"negative trunk fiber", Topology{Name: "x", Nodes: 2, Switches: 2, Trunks: []TrunkSpec{{A: 0, B: 1, FiberM: -1}}}, "negative TrunkSpec.FiberM -1"},
 		{"orphan node", Topology{Name: "x", Nodes: 2, Switches: 2,
 			Attached: func(n, s int) bool { return n == 0 }}, "no switch attachment"},
 	} {

@@ -132,31 +132,19 @@ type Net struct {
 	// full MicroPacket wire codec and the 8b/10b line code and decodes
 	// it at the receiver — the hardware datapath, bit for bit. Frames
 	// that fail to decode (code violation, bad CRC, broken ordered
-	// sets) are discarded and counted in CRCDrops, exactly as the NIC
+	// sets) are discarded and counted as LossCRC, exactly as the NIC
 	// hardware discards them; higher layers recover via sequence gaps
 	// and cache refresh. Corrupt, if set, may mutate the symbol stream
 	// in flight (bit-error injection).
 	DeepPHY bool
 	Corrupt func(f Frame, syms []enc8b10b.Symbol)
-	// CRCDrops counts frames discarded by the receive-side decode.
-	CRCDrops sim.Counter
 
-	// Drops counts frames rejected because an egress FIFO was full —
-	// congestion loss, which AmpNet's insertion-ring flow control must
-	// keep at zero (slide 8).
-	Drops sim.Counter
-	// Lost counts frames destroyed by link failures: in flight when the
-	// fiber was cut, or offered to a dark port. These are recovered at
-	// higher layers (DMA sequence numbers, cache refresh).
-	Lost sim.Counter
-	// Delivered counts frames handed to receivers.
-	Delivered sim.Counter
-
-	// Acct is the Net's frame-lifecycle ledger: every creation and
-	// typed death of a frame on this Net, plus the residual gauges that
-	// make the conservation invariant exact mid-flight. The legacy
-	// counters above keep their historical semantics; Acct is the
-	// complete account.
+	// Acct is the Net's frame-lifecycle ledger, and its only frame
+	// counter: every creation, delivery and typed death of a frame on
+	// this Net, plus the residual gauges that make the conservation
+	// invariant exact mid-flight. Congestion drops, failure losses and
+	// CRC discards are read from it (Acct.CongestionDrops,
+	// FailureLosses, CRCDrops; deliveries are Acct.WireDelivered).
 	Acct frameacct.Acct
 
 	links []*Link
@@ -348,18 +336,16 @@ func (p *Port) Capacity() int { return p.cap }
 func (p *Port) SetCapacity(c int) { p.cap = c }
 
 // Send enqueues a frame for transmission. It returns false — and counts
-// a drop — if the FIFO is full or the port is not connected. The MAC
+// a typed loss — if the FIFO is full or the port is not connected. The MAC
 // layer above is responsible for avoiding drops via flow control; the
 // experiments assert the drop counter stays at zero for AmpNet MACs.
 func (p *Port) Send(f Frame) bool {
 	p.net.Acct.Offer()
 	if p.link == nil || !p.link.up {
-		p.net.Lost.Inc()
 		p.net.Acct.Lose(frameacct.LossDarkPort)
 		return false
 	}
 	if p.QueueLen() >= p.cap {
-		p.net.Drops.Inc()
 		p.net.Acct.Lose(frameacct.LossFifoFull)
 		return false
 	}
@@ -389,7 +375,6 @@ func (p *Port) enqueued() {
 func (p *Port) SendPriority(f Frame) bool {
 	p.net.Acct.Offer()
 	if p.link == nil || !p.link.up {
-		p.net.Lost.Inc()
 		p.net.Acct.Lose(frameacct.LossDarkPort)
 		return false
 	}
@@ -459,14 +444,12 @@ func (p *Port) startTx() {
 func (n *Net) CompleteDelivery(dst *Port, f Frame, link *Link, epoch uint64) {
 	n.Acct.Arrive()
 	if link.epoch != epoch || !link.up {
-		n.Lost.Inc()
 		n.Acct.Lose(frameacct.LossLinkCut)
 		return
 	}
 	if n.DeepPHY {
 		pkt, ok := n.deepPath(f)
 		if !ok {
-			n.CRCDrops.Inc()
 			n.Acct.Lose(frameacct.LossCRC)
 			return
 		}
@@ -474,7 +457,6 @@ func (n *Net) CompleteDelivery(dst *Port, f Frame, link *Link, epoch uint64) {
 		f = n.NewFrame(pkt)
 		f.Hops = hops
 	}
-	n.Delivered.Inc()
 	n.Acct.Deliver()
 	if dst.onFrame != nil {
 		dst.onFrame(dst, f)

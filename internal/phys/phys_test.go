@@ -3,6 +3,8 @@ package phys
 import (
 	"testing"
 
+	"repro/internal/enc8b10b"
+	"repro/internal/frameacct"
 	"repro/internal/micropacket"
 	"repro/internal/sim"
 	"repro/internal/wire"
@@ -67,8 +69,8 @@ func TestPointToPointDelivery(t *testing.T) {
 	if got.Pkt.Src != 1 {
 		t.Fatalf("wrong frame delivered: %v", got.Pkt)
 	}
-	if n.Delivered.N != 1 || n.Drops.N != 0 || n.Lost.N != 0 {
-		t.Fatalf("counters: %+v %+v %+v", n.Delivered, n.Drops, n.Lost)
+	if n.Acct.WireDelivered != 1 || n.Acct.CongestionDrops() != 0 || n.Acct.FailureLosses() != 0 {
+		t.Fatalf("ledger: %+v", n.Acct)
 	}
 }
 
@@ -129,8 +131,8 @@ func TestFIFOOverflowDrops(t *testing.T) {
 	if ok != 4 {
 		t.Fatalf("accepted %d, want 4", ok)
 	}
-	if n.Drops.N != 6 {
-		t.Fatalf("drops = %d, want 6", n.Drops.N)
+	if n.Acct.CongestionDrops() != 6 {
+		t.Fatalf("drops = %d, want 6", n.Acct.CongestionDrops())
 	}
 	k.Run()
 }
@@ -141,7 +143,7 @@ func TestUnconnectedSendFails(t *testing.T) {
 	if a.Send(dataFrame(1, 2)) {
 		t.Fatal("send on unconnected port succeeded")
 	}
-	if n.Lost.N != 1 {
+	if n.Acct.FailureLosses() != 1 {
 		t.Fatal("loss not counted")
 	}
 }
@@ -159,8 +161,8 @@ func TestLinkFailLosesInFlight(t *testing.T) {
 	if delivered != 0 {
 		t.Fatal("frame delivered across failed link")
 	}
-	if n.Lost.N != 1 {
-		t.Fatalf("lost = %d, want 1", n.Lost.N)
+	if n.Acct.FailureLosses() != 1 {
+		t.Fatalf("lost = %d, want 1", n.Acct.FailureLosses())
 	}
 }
 
@@ -418,6 +420,68 @@ func TestFailRestoreNode(t *testing.T) {
 	for s := 0; s < 2; s++ {
 		if !c.NodeLinks[1][s].Up() {
 			t.Fatal("node link down after RestoreNode")
+		}
+	}
+}
+
+// TestCountingSites drives each place a Net counts a frame's fate —
+// the six that used to feed separate drop/lost/delivered counters, and
+// the FIFO clear that never did — and pins what the ledger's named
+// accessors read afterwards.
+func TestCountingSites(t *testing.T) {
+	type counts struct{ drops, lost, crc, delivered, fifoClear uint64 }
+	for _, tc := range []struct {
+		name  string
+		drive func(k *sim.Kernel, n *Net, a *Port, l *Link)
+		want  counts
+	}{
+		{"dark port on Send", func(k *sim.Kernel, n *Net, a *Port, l *Link) {
+			l.Fail()
+			a.Send(dataFrame(1, 2))
+		}, counts{lost: 1}},
+		{"dark port on SendPriority", func(k *sim.Kernel, n *Net, a *Port, l *Link) {
+			l.Fail()
+			a.SendPriority(dataFrame(1, 2))
+		}, counts{lost: 1}},
+		{"full FIFO", func(k *sim.Kernel, n *Net, a *Port, l *Link) {
+			a.SetCapacity(1)
+			a.Send(dataFrame(1, 2))
+			a.Send(dataFrame(1, 2))
+		}, counts{drops: 1, delivered: 1}},
+		{"fiber cut in flight", func(k *sim.Kernel, n *Net, a *Port, l *Link) {
+			a.Send(dataFrame(1, 2))
+			k.After(10*sim.Microsecond, l.Fail)
+		}, counts{lost: 1}},
+		{"DeepPHY CRC discard", func(k *sim.Kernel, n *Net, a *Port, l *Link) {
+			n.DeepPHY = true
+			n.Corrupt = func(_ Frame, s []enc8b10b.Symbol) { s[len(s)/2] ^= 1 }
+			a.Send(dataFrame(1, 2))
+		}, counts{crc: 1}},
+		{"delivery", func(k *sim.Kernel, n *Net, a *Port, l *Link) {
+			a.Send(dataFrame(1, 2))
+		}, counts{delivered: 1}},
+		// The serializing head is launched and dies at its arrival as a
+		// failure loss; the two queued behind it are cleared and are not.
+		{"Link.Fail FIFO clear", func(k *sim.Kernel, n *Net, a *Port, l *Link) {
+			for i := 0; i < 3; i++ {
+				a.Send(dataFrame(1, 2))
+			}
+			l.Fail()
+		}, counts{lost: 1, fifoClear: 2}},
+	} {
+		k, n := testNet()
+		a := n.NewPort("a", nil)
+		b := n.NewPort("b", nil)    // a delivered frame ends as a counted no_handler
+		l := n.Connect(a, b, 10000) // 50 µs propagation
+		tc.drive(k, n, a, l)
+		k.Run()
+		got := counts{n.Acct.CongestionDrops(), n.Acct.FailureLosses(), n.Acct.CRCDrops(),
+			n.Acct.WireDelivered, n.Acct.Losses[frameacct.LossFifoClear]}
+		if got != tc.want {
+			t.Errorf("%s: {drops lost crc delivered fifoClear} = %v, want %v", tc.name, got, tc.want)
+		}
+		if !n.Acct.Conserved() {
+			t.Errorf("%s: %v", tc.name, n.Acct.Violations())
 		}
 	}
 }

@@ -309,7 +309,7 @@ func newTxHarness(t testing.TB, meters float64) *txHarness {
 	h.rp = [2]*Port{a, b}
 	h.real = txSide{k: k, ports: [2]txPort{a, b}, fail: link.Fail, restore: link.Restore,
 		counters: func() string {
-			return fmt.Sprint(n.Drops.N, n.Lost.N, n.Delivered.N, acctFields(&n.Acct))
+			return fmt.Sprint(n.Acct.CongestionDrops(), n.Acct.FailureLosses(), n.Acct.WireDelivered, acctFields(&n.Acct))
 		}}
 
 	rn := &refNet{k: sim.NewKernel(1), ifg: n.IFG, detect: n.Detect}
@@ -683,9 +683,9 @@ func TestUncontendedStreamFiresOneEventPerFrame(t *testing.T) {
 		k.Do(sim.Time(i)*gap, func() { a.Send(f) })
 	}
 	k.Run()
-	if got := k.Fired - frames; got != frames || n.Delivered.N != frames {
+	if got := k.Fired - frames; got != frames || n.Acct.WireDelivered != frames {
 		t.Fatalf("%d frames, sent one at a time: %d events beside the %d sends, %d delivered; want %d and %d",
-			frames, got, frames, n.Delivered.N, frames, frames)
+			frames, got, frames, n.Acct.WireDelivered, frames, frames)
 	}
 }
 
@@ -701,8 +701,8 @@ func TestBackloggedStreamFiresTwoEventsPerFrame(t *testing.T) {
 	}
 	k.Run()
 	// The last frame has nothing behind it: its completion stays lazy.
-	if want := uint64(2*frames - 1); k.Fired != want || n.Delivered.N != frames {
+	if want := uint64(2*frames - 1); k.Fired != want || n.Acct.WireDelivered != frames {
 		t.Fatalf("%d frames queued at once: %d events, %d delivered; want %d and %d",
-			frames, k.Fired, n.Delivered.N, want, frames)
+			frames, k.Fired, n.Acct.WireDelivered, want, frames)
 	}
 }

@@ -69,8 +69,8 @@ func TestSendPriorityOnDarkLink(t *testing.T) {
 	if a.SendPriority(newFrameV1(micropacket.NewRostering(1, 0, [8]byte{}))) {
 		t.Fatal("priority send on dark link accepted")
 	}
-	if n.Lost.N != 1 {
-		t.Fatalf("lost = %d", n.Lost.N)
+	if n.Acct.FailureLosses() != 1 {
+		t.Fatalf("lost = %d", n.Acct.FailureLosses())
 	}
 	k.Run()
 }

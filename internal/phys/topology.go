@@ -29,8 +29,8 @@ type Cluster struct {
 	// Trunks are the built inter-switch trunks, in TrunkSpec order.
 	Trunks []*Trunk
 
-	// Assign is the shard assignment of a sharded fabric (nil when the
-	// whole fabric runs on one kernel). RouteSink, set by the engine,
+	// Assign is the shard assignment (with one shard: everything on
+	// shard 0, nothing cut). RouteSink, set by the engine,
 	// receives crossbar programming aimed at a switch owned by another
 	// shard together with the virtual instant the write lands (see
 	// Program); the engine carries it across the next window barrier
@@ -95,14 +95,7 @@ func BuildFabric(net *Net, topo Topology) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	c, err := BuildFabricSharded([]*Net{net}, topo, assign)
-	if err != nil {
-		return nil, err
-	}
-	// A one-shard fabric is not sharded: no assignment means every
-	// Program call applies synchronously and ShardOf* report 0.
-	c.Assign = nil
-	return c, nil
+	return BuildFabricSharded([]*Net{net}, topo, assign)
 }
 
 // BuildFabricSharded builds topo with its components spread over the
@@ -210,28 +203,18 @@ func resolveUIDs(ports []*Port) {
 	}
 }
 
-// ShardOfSwitch returns the shard owning switch s (0 when unsharded).
-func (c *Cluster) ShardOfSwitch(s int) int {
-	if c.Assign == nil {
-		return 0
-	}
-	return c.Assign.SwitchShard[s]
-}
+// ShardOfSwitch returns the shard owning switch s.
+func (c *Cluster) ShardOfSwitch(s int) int { return c.Assign.SwitchShard[s] }
 
-// ShardOfNode returns the shard owning node n (0 when unsharded).
-func (c *Cluster) ShardOfNode(n int) int {
-	if c.Assign == nil {
-		return 0
-	}
-	return c.Assign.NodeShard[n]
-}
+// ShardOfNode returns the shard owning node n.
+func (c *Cluster) ShardOfNode(n int) int { return c.Assign.NodeShard[n] }
 
 // Program applies a crossbar write aimed at op.Switch on behalf of
 // shard srcShard, landing at virtual time at.
 //
-// at == 0 is the historical node-port semantics: a local switch (or an
-// unsharded fabric) is programmed immediately; a remote switch's write
-// is applied when it crosses the next window barrier.
+// at == 0 is the historical node-port semantics: a local switch (with
+// one shard, every switch) is programmed immediately; a remote switch's
+// write is applied when it crosses the next window barrier.
 //
 // A positive at models programming that propagates to the switch like
 // a circuit-setup cell: the write lands at exactly at on every engine.
@@ -248,7 +231,7 @@ func (c *Cluster) ShardOfNode(n int) int {
 // sharded engine because a remote write's path crosses a cut fiber,
 // so the accumulated flight is at least one lookahead window.
 func (c *Cluster) Program(srcShard int, at sim.Time, op RouteOp) {
-	if c.Assign == nil || c.Assign.SwitchShard[op.Switch] == srcShard || c.RouteSink == nil {
+	if c.Assign.SwitchShard[op.Switch] == srcShard || c.RouteSink == nil {
 		k := c.Switches[op.Switch].net.K
 		if at <= k.Now() {
 			op.Apply(c)

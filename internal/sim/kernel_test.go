@@ -395,12 +395,3 @@ func TestHistogram(t *testing.T) {
 		t.Fatalf("mean = %v, want %v", h.Mean(), want)
 	}
 }
-
-func TestCounter(t *testing.T) {
-	c := &Counter{Name: "c"}
-	c.Inc()
-	c.Add(4)
-	if c.N != 5 {
-		t.Fatalf("counter = %d, want 5", c.N)
-	}
-}

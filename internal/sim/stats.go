@@ -6,18 +6,6 @@ import (
 	"sort"
 )
 
-// Counter is a monotonically increasing event count.
-type Counter struct {
-	Name string
-	N    uint64
-}
-
-// Add increments the counter by n.
-func (c *Counter) Add(n uint64) { c.N += n }
-
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.N++ }
-
 // Sample accumulates scalar observations and reports summary statistics.
 // It keeps all values so exact percentiles can be reported; experiments
 // in this repository observe at most a few million samples.

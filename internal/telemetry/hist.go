@@ -94,33 +94,6 @@ func (h *Hist) String() string {
 		h.N, h.Sum/h.N, h.Quantile(0.50), h.Quantile(0.99), h.Max)
 }
 
-// HistBucket is one occupied bucket in a HistReport.
-type HistBucket struct {
-	Lo uint64 `json:"lo"`
-	Hi uint64 `json:"hi"`
-	N  uint64 `json:"n"`
-}
-
-// HistReport is the JSON projection of a Hist: only occupied buckets,
-// in ascending order, so the encoding is canonical.
-type HistReport struct {
-	Count   uint64       `json:"count"`
-	Sum     uint64       `json:"sum"`
-	Max     uint64       `json:"max"`
-	Buckets []HistBucket `json:"buckets,omitempty"`
-}
-
-// Report builds the canonical JSON projection.
-func (h *Hist) Report() *HistReport {
-	r := &HistReport{Count: h.N, Sum: h.Sum, Max: h.Max}
-	for k, n := range h.B {
-		if n != 0 {
-			r.Buckets = append(r.Buckets, HistBucket{Lo: bucketLo(k), Hi: bucketHi(k), N: n})
-		}
-	}
-	return r
-}
-
 // Buckets renders the occupied buckets as "[lo,hi]:n" pairs — the
 // long-form companion to String for tables and debug dumps.
 func (h *Hist) Buckets() string {

@@ -3,7 +3,7 @@
 // The deterministic plane (Hist, and the per-shard counters the engine
 // packages feed from virtual-time quantities) is byte-reproducible: it
 // derives only from simulated state and may therefore surface in
-// Report.Summary() or — behind an explicit opt-in — in Report JSON.
+// Report.Det and Report.Summary().
 //
 // The wall-clock plane (Clock, Recorder, Span, Stopwatch) measures real
 // time. It is the ONE package in the tree that may read the wall clock:

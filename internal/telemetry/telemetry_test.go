@@ -95,9 +95,8 @@ func TestHist(t *testing.T) {
 	if h.N != 6 || h.B[3] != 1 {
 		t.Fatalf("merge: %+v", h)
 	}
-	rep := h.Report()
-	if len(rep.Buckets) != 5 || rep.Buckets[0] != (HistBucket{0, 0, 1}) {
-		t.Fatalf("report buckets: %+v", rep.Buckets)
+	if b := h.Buckets(); b != "[0,0]:1 [1,1]:2 [2,3]:1 [4,7]:1 [128,255]:1" {
+		t.Fatalf("occupied buckets: %s", b)
 	}
 	if s := h.String(); s != "n=6 mean=35 p50<=1 p99<=200 max=200" {
 		t.Fatalf("String: %q", s)

@@ -137,10 +137,10 @@ func Attach(c *core.Cluster) *Tracer {
 			prevEvent(e)
 		}
 	}
-	// Engine barriers (sharded runs only; OnBarrier is a no-op that
-	// reports false at one shard). Only barriers that moved state are kept —
-	// a drain that delivered something, or a coordinator-work fence — so
-	// quiet runs don't flood the timeline with idle window crossings. The
+	// Engine barriers. Only barriers that moved state are kept — a drain
+	// that delivered something, or a coordinator-work fence (the only
+	// kind a one-shard run has) — so quiet runs don't flood the timeline
+	// with idle window crossings. The
 	// hook runs on the driver goroutine with all shards parked, so the
 	// fabric buffer stays single-writer.
 	c.OnBarrier(func(at sim.Time, frames, routes int, action bool) {

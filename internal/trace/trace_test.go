@@ -172,10 +172,11 @@ func TestObserverChainingPreserved(t *testing.T) {
 	}
 }
 
-// TestEngineFenceTimeline runs the same faulted scenario sharded and
-// serial: the sharded timeline must interleave the plan event (ACTION)
-// with state-moving engine barriers (FENCE), while the serial timeline
-// — which has no barriers — records the ACTION only.
+// TestEngineFenceTimeline runs the same faulted scenario on two shards
+// and on one: the sharded timeline must interleave the plan event
+// (ACTION) with state-moving engine barriers (FENCE), while the
+// one-shard timeline — where nothing crosses a barrier — records the
+// ACTION and the one coordinator fence it forced.
 func TestEngineFenceTimeline(t *testing.T) {
 	c := core.New(core.Options{Nodes: 4, Switches: 2, Shards: 2})
 	defer c.Close()
@@ -213,8 +214,8 @@ func TestEngineFenceTimeline(t *testing.T) {
 	if len(trs.Filter(KindActionRun)) != 1 {
 		t.Fatalf("serial action events = %+v", trs.Filter(KindActionRun))
 	}
-	if got := trs.Filter(KindWindowFence); len(got) != 0 {
-		t.Fatalf("serial run recorded engine fences: %+v", got)
+	if got := trs.Filter(KindWindowFence); len(got) != 1 || got[0].Arg != 0 || !strings.Contains(got[0].Text, "coordinator fence") {
+		t.Fatalf("one-shard run's engine fences = %+v, want the crash's coordinator fence alone", got)
 	}
 }
 
