@@ -1,5 +1,5 @@
 // Benchmarks regenerating every table/figure of the AmpNet paper, one
-// per experiment in DESIGN.md §2 (E1–E12; recorded results and sweep
+// per experiment of the registry (E1–E12; recorded results and sweep
 // aggregates live in EXPERIMENTS.md), plus micro-benchmarks of the
 // substrates. The printable tables come from cmd/ampbench; these
 // benchmarks time the same code paths and report domain metrics
@@ -79,7 +79,7 @@ func Benchmark8b10bDecode(b *testing.B) {
 
 func BenchmarkE3MultiStream(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t := experiments.E3MultiStream(100)
+		t := experiments.E3MultiStream(experiments.Params{}, 100)
 		if len(t.Rows) != 2 {
 			b.Fatal("bad table")
 		}
@@ -90,7 +90,7 @@ func BenchmarkE3MultiStream(b *testing.B) {
 
 func BenchmarkE4AllToAllLossless(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t := experiments.E4AllToAll(8, 50)
+		t := experiments.E4AllToAll(experiments.Params{Nodes: 8}, 50)
 		if len(t.Rows) != 2 {
 			b.Fatal("bad table")
 		}
@@ -145,7 +145,7 @@ func BenchmarkE5HostRecordReadUnderWrites(b *testing.B) {
 
 func BenchmarkE6Semaphores(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t := experiments.E6Semaphores(4, 5)
+		t := experiments.E6Semaphores(experiments.Params{Nodes: 4}, 5)
 		if t.Rows[0][4] != "YES" {
 			b.Fatalf("mutual exclusion violated: %v", t.Rows[0])
 		}
@@ -156,7 +156,7 @@ func BenchmarkE6Semaphores(b *testing.B) {
 
 func BenchmarkE7Redundancy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t := experiments.E7Redundancy(6)
+		t := experiments.E7Redundancy(experiments.Params{Nodes: 6})
 		for _, row := range t.Rows {
 			if row[3] != "yes" {
 				b.Fatalf("ring not full: %v", row)
@@ -185,7 +185,7 @@ func BenchmarkE8Rostering(b *testing.B) {
 
 func BenchmarkE9Assimilation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t := experiments.E9Assimilation()
+		t := experiments.E9Assimilation(experiments.Params{})
 		last := t.Rows[len(t.Rows)-1]
 		if last[3] != "rejected (correct)" {
 			b.Fatalf("version gate failed: %v", last)
@@ -197,7 +197,7 @@ func BenchmarkE9Assimilation(b *testing.B) {
 
 func BenchmarkE10Failover(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t := experiments.E10Failover()
+		t := experiments.E10Failover(experiments.Params{})
 		for _, row := range t.Rows {
 			if row[5] != "NONE" {
 				b.Fatalf("data loss: %v", row)
@@ -210,7 +210,7 @@ func BenchmarkE10Failover(b *testing.B) {
 
 func BenchmarkE11SelfHealVsBaseline(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t := experiments.E11SelfHealVsBaseline()
+		t := experiments.E11SelfHealVsBaseline(experiments.Params{})
 		if len(t.Rows) != 2 {
 			b.Fatal("bad table")
 		}
@@ -221,7 +221,7 @@ func BenchmarkE11SelfHealVsBaseline(b *testing.B) {
 
 func BenchmarkE12AmpIPCollectives(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t := experiments.E12Collectives(4)
+		t := experiments.E12Collectives(experiments.Params{Nodes: 4})
 		for _, row := range t.Rows {
 			if row[2] == "INCOMPLETE" {
 				b.Fatalf("collective incomplete: %v", row)
@@ -402,7 +402,7 @@ func benchWireScale(b *testing.B, nodes, shards int) {
 func BenchmarkE15WireScaleSerial512(b *testing.B)  { benchWireScale(b, 512, 1) }
 func BenchmarkE15WireScaleSharded512(b *testing.B) { benchWireScale(b, 512, 8) }
 
-// At 1024 nodes a window holds ~4 500 events, enough for the engine's
+// At 1024 nodes a window holds ~3 500 events, enough for the engine's
 // helpers to pay. On demand (minutes per iteration): run with -cpu 1,2
 // for the two sides of parsim's wakeWork — one core has no helpers.
 func BenchmarkE15WireScaleSharded1024(b *testing.B) { benchWireScale(b, 1024, 8) }

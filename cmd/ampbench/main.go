@@ -1,6 +1,6 @@
 // Command ampbench regenerates every table, figure and quantitative
-// claim of the AmpNet paper (see DESIGN.md §2 for the experiment index
-// and EXPERIMENTS.md for recorded results), and sweeps the whole
+// claim of the AmpNet paper (-list prints the experiment index,
+// EXPERIMENTS.md has recorded results), and sweeps the whole
 // experiment matrix over seeds × topology variants in parallel.
 //
 // Usage:
@@ -59,6 +59,15 @@ func main() {
 	}
 	if *switches > phys.MaxSwitches {
 		fmt.Fprintf(os.Stderr, "ampbench: -switches %d exceeds the rostering link-state mask (max %d switches)\n", *switches, phys.MaxSwitches)
+		os.Exit(1)
+	}
+
+	if *seeds < 1 {
+		fmt.Fprintf(os.Stderr, "ampbench: -seeds %d: a sweep needs at least one seed per variant\n", *seeds)
+		os.Exit(1)
+	}
+	if *par < 1 {
+		fmt.Fprintf(os.Stderr, "ampbench: -par %d: a sweep needs at least one worker\n", *par)
 		os.Exit(1)
 	}
 

@@ -4,8 +4,7 @@
 //
 // Fault schedules are declarative plans: -plan takes semicolon-
 // separated "<offset> <op> <ids>" entries (offsets are relative to the
-// end of boot) and the legacy single-fault flags compile onto the same
-// plan. -report writes the scenario's deterministic JSON report.
+// end of boot). -report writes the scenario's deterministic JSON report.
 //
 // Usage examples:
 //
@@ -40,11 +39,6 @@ func main() {
 	seed := flag.Uint64("seed", 1, "deterministic seed")
 	runFor := flag.Duration("run", 30*time.Millisecond, "virtual time to run after boot")
 	plan := flag.String("plan", "", `fault plan, e.g. "10ms fail-switch 0; 20ms restore-switch 0"`)
-	failSwitch := flag.Int("fail-switch", -1, "switch to fail (legacy sugar for -plan)")
-	failLinkN := flag.Int("fail-link-node", -1, "node side of a link to fail (legacy sugar)")
-	failLinkS := flag.Int("fail-link-switch", 0, "switch side of the failed link (legacy sugar)")
-	crashNode := flag.Int("crash-node", -1, "node to crash (legacy sugar)")
-	failAt := flag.Duration("fail-at", 10*time.Millisecond, "virtual time of the legacy-flag failure")
 	traffic := flag.Bool("traffic", false, "run a pub/sub load during the scenario")
 	showTrace := flag.Bool("trace", false, "print the event timeline at exit")
 	deep := flag.Bool("deepphy", false, "run every frame through the real 8b/10b datapath")
@@ -61,14 +55,6 @@ func main() {
 	p, err := ampnet.ParsePlan(*plan)
 	if err != nil {
 		log.Fatal(err)
-	}
-	switch {
-	case *failSwitch >= 0:
-		p = append(p, ampnet.FailSwitch(vd(*failAt), *failSwitch))
-	case *failLinkN >= 0:
-		p = append(p, ampnet.FailLink(vd(*failAt), *failLinkN, *failLinkS))
-	case *crashNode >= 0:
-		p = append(p, ampnet.CrashNode(vd(*failAt), *crashNode))
 	}
 
 	wv, err := ampnet.ParseWireVersion(*wireV)

@@ -3,15 +3,13 @@
 // behind byte-identical serial/parallel Reports — rules the
 // equivalence batteries can only sample by seed.
 //
-// Two modes:
+// It speaks the go vet separate-compilation protocol and is run as
 //
-//	ampvet ./...                     # standalone, loads packages itself
-//	go vet -vettool=$PWD/ampvet ./...  # go vet separate-compilation protocol
+//	go build -o /tmp/ampvet ./cmd/ampvet && go vet -vettool=/tmp/ampvet ./...
 //
-// The standalone mode resolves types from the go tool's own export
-// data (`go list -export`), so both modes see exactly the types the
-// compiler builds. Either invocation exits non-zero if any rule
-// fires; waive a line with `//ampvet:allow <analyzer> <reason>`.
+// so it sees exactly the types the compiler builds. go vet exits
+// non-zero if any rule fires; waive a line with
+// `//ampvet:allow <analyzer> <reason>`.
 //
 // The analyzers (see each package's doc for the full rule):
 //
@@ -65,25 +63,16 @@ func main() {
 	// go vet unit mode: the last argument is a JSON vet config.
 	if n := len(args); n > 0 && strings.HasSuffix(args[n-1], ".cfg") {
 		count, err := analysis.RunUnit(os.Stderr, args[n-1], suite)
-		exit(count, err)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "ampvet: %v\n", err)
+			os.Exit(2)
+		}
+		if count > 0 {
+			os.Exit(1)
+		}
+		return
 	}
 
-	// Standalone mode over go list patterns.
-	patterns := args
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-	count, err := analysis.RunStandalone(os.Stderr, patterns, suite)
-	exit(count, err)
-}
-
-func exit(count int, err error) {
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "ampvet: %v\n", err)
-		os.Exit(2)
-	}
-	if count > 0 {
-		os.Exit(1)
-	}
-	os.Exit(0)
+	fmt.Fprintln(os.Stderr, "usage: go build -o /tmp/ampvet ./cmd/ampvet && go vet -vettool=/tmp/ampvet ./...")
+	os.Exit(2)
 }

@@ -8,9 +8,10 @@ import (
 
 // The cmd tools must surface address-space overflows as clear errors —
 // naming the wire-format version and its ceiling — never as panics.
-// The same holds for a retired socket-transport flag (now unknown to
-// flag, which names it) and for negative sizes and durations, which
-// are refused by name instead of running as some default.
+// The same holds for retired flags (the socket transport, the
+// single-fault sugar -plan replaced: unknown to flag, which names them)
+// and for negative sizes, durations and sweep counts, which are refused
+// by name instead of running as some default.
 func TestCmdsSurfaceWireErrors(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the cmd tools via `go run`")
@@ -41,6 +42,15 @@ func TestCmdsSurfaceWireErrors(t *testing.T) {
 		{"ampsim-negative-run",
 			[]string{"run", "./cmd/ampsim", "-run", "-5ms"},
 			[]string{"Scenario.For", "-5"}},
+		{"ampsim-retired-fault-flag",
+			[]string{"run", "./cmd/ampsim", "-fail-switch", "0"},
+			[]string{"flag provided but not defined: -fail-switch"}},
+		{"ampbench-zero-seeds",
+			[]string{"run", "./cmd/ampbench", "-sweep", "-exp", "e1", "-seeds", "0"},
+			[]string{"-seeds 0"}},
+		{"ampbench-negative-par",
+			[]string{"run", "./cmd/ampbench", "-sweep", "-exp", "e1", "-par", "-3"},
+			[]string{"-par -3"}},
 	}
 	for _, c := range cases {
 		c := c

@@ -541,15 +541,7 @@ func (n *Node) handleJoinReq(p *micropacket.Packet) {
 // queued to the MAC after the final refresh segment has been accepted,
 // so it cannot overtake the stream.
 func (n *Node) streamRefresh(dst micropacket.NodeID) {
-	regions := n.Cache.Regions()
-	// Deterministic order.
-	for i := 0; i < len(regions); i++ {
-		for j := i + 1; j < len(regions); j++ {
-			if regions[j] < regions[i] {
-				regions[i], regions[j] = regions[j], regions[i]
-			}
-		}
-	}
+	regions := n.Cache.Regions() // ascending: a deterministic stream order
 	remaining := len(regions)
 	for _, id := range regions {
 		buf := n.Cache.Region(id)

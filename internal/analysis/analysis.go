@@ -1,7 +1,6 @@
 // Package analysis is the foundation of ampvet, AmpNet's determinism
-// lint suite: a minimal analyzer framework plus the drivers that run
-// it, both standalone (`ampvet ./...`) and under the `go vet -vettool`
-// separate-compilation protocol.
+// lint suite: a minimal analyzer framework plus the driver that runs
+// it under the `go vet -vettool` separate-compilation protocol.
 //
 // The API deliberately mirrors golang.org/x/tools/go/analysis
 // (Analyzer / Pass / Diagnostic) so the suite can migrate onto the

@@ -11,9 +11,8 @@
 // can also pin the escape hatch's behavior.
 //
 // Fixtures live under <dir>/src/<pkg>/*.go and are type-checked for
-// real — standard-library imports resolve through the go tool's
-// export data, so analyzers exercise the same types.Info they see in
-// production.
+// real — standard-library imports are type-checked from GOROOT source
+// — so analyzers exercise the same types.Info they see in production.
 package analysistest
 
 import (
@@ -47,7 +46,7 @@ func runPackage(t *testing.T, dir, pkgPath string, a *analysis.Analyzer) {
 	sort.Strings(names)
 
 	fset := token.NewFileSet()
-	files, err := analysis.ParseFixture(fset, names)
+	files, err := analysis.ParseFiles(fset, names)
 	if err != nil {
 		t.Fatalf("%s: %v", dir, err)
 	}

@@ -1,90 +1,20 @@
 package analysis
 
 import (
-	"bytes"
-	"encoding/json"
-	"fmt"
 	"go/ast"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
-	"io"
-	"os"
-	"os/exec"
-	"path/filepath"
-	"sort"
-	"strconv"
 )
 
-// listedPackage is the subset of `go list -json` output the drivers
-// consume.
-type listedPackage struct {
-	ImportPath string
-	Dir        string
-	Export     string
-	GoFiles    []string
-	Standard   bool
-	DepOnly    bool
-	Incomplete bool
-	Error      *struct{ Err string }
-}
-
-// goList runs `go list -export -deps -json` over the patterns and
-// returns every listed package. Export data is produced by the go
-// tool's own build cache, so the importer below reads exactly the
-// type information the compiler would — no source re-typechecking and
-// no network access.
-func goList(patterns []string) ([]*listedPackage, error) {
-	args := []string{"list", "-export", "-deps", "-json=ImportPath,Dir,Export,GoFiles,Standard,DepOnly,Incomplete,Error"}
-	args = append(args, patterns...)
-	cmd := exec.Command("go", args...)
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
-	out, err := cmd.Output()
-	if err != nil {
-		return nil, fmt.Errorf("go list %v: %v\n%s", patterns, err, stderr.String())
-	}
-	var pkgs []*listedPackage
-	dec := json.NewDecoder(bytes.NewReader(out))
-	for {
-		var p listedPackage
-		if err := dec.Decode(&p); err == io.EOF {
-			break
-		} else if err != nil {
-			return nil, fmt.Errorf("go list: decoding output: %v", err)
-		}
-		if p.Error != nil {
-			return nil, fmt.Errorf("go list: %s: %s", p.ImportPath, p.Error.Err)
-		}
-		pkgs = append(pkgs, &p)
-	}
-	return pkgs, nil
-}
-
-// exportImporter returns a types.Importer that resolves every import
-// from compiler export data files, via the given package path -> file
-// map. The gc importer caches, so one importer serves many packages.
-func exportImporter(fset *token.FileSet, exports map[string]string) types.Importer {
-	return importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
-		file, ok := exports[path]
-		if !ok {
-			return nil, fmt.Errorf("no export data for %q", path)
-		}
-		return os.Open(file)
-	})
-}
-
-// parseFiles parses the named files with comments (the suppressor
-// needs them).
-func parseFiles(fset *token.FileSet, dir string, names []string) ([]*ast.File, error) {
+// ParseFiles parses the named files with comments (the suppressor
+// needs them): a compilation unit's for RunUnit, a fixture package's
+// for analysistest.
+func ParseFiles(fset *token.FileSet, names []string) ([]*ast.File, error) {
 	var files []*ast.File
 	for _, name := range names {
-		path := name
-		if dir != "" && !filepath.IsAbs(name) {
-			path = filepath.Join(dir, name)
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
+		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments)
 		if err != nil {
 			return nil, err
 		}
@@ -93,50 +23,13 @@ func parseFiles(fset *token.FileSet, dir string, names []string) ([]*ast.File, e
 	return files, nil
 }
 
-// ParseFixture parses the named fixture files with comments, for
-// analysistest.
-func ParseFixture(fset *token.FileSet, names []string) ([]*ast.File, error) {
-	return parseFiles(fset, "", names)
-}
-
 // CheckFixture type-checks a fixture package under the given package
-// path. Standard-library imports are resolved through the go tool's
-// export data, so fixtures exercise real types (time.Time, math/rand
-// identifiers) exactly as production code does.
+// path. Standard-library imports are type-checked from GOROOT source,
+// so fixtures exercise real types (time.Time, math/rand identifiers)
+// exactly as production code does, with no go command in the loop.
 func CheckFixture(fset *token.FileSet, path string, files []*ast.File) (*types.Package, *types.Info, error) {
-	seen := map[string]bool{}
-	var imports []string
-	for _, f := range files {
-		for _, imp := range f.Imports {
-			p, err := strconv.Unquote(imp.Path.Value)
-			if err != nil || p == "unsafe" || seen[p] {
-				continue
-			}
-			seen[p] = true
-			imports = append(imports, p)
-		}
-	}
-	sort.Strings(imports)
-	exports := map[string]string{}
-	if len(imports) > 0 {
-		pkgs, err := goList(imports)
-		if err != nil {
-			return nil, nil, err
-		}
-		for _, p := range pkgs {
-			if p.Export != "" {
-				exports[p.ImportPath] = p.Export
-			}
-		}
-	}
-	return checkPackage(fset, path, files, exportImporter(fset, exports))
-}
-
-// checkPackage type-checks one package's files under the given import
-// path using imp for dependencies.
-func checkPackage(fset *token.FileSet, path string, files []*ast.File, imp types.Importer) (*types.Package, *types.Info, error) {
 	info := NewInfo()
-	conf := &types.Config{Importer: imp}
+	conf := &types.Config{Importer: importer.ForCompiler(fset, "source", nil)}
 	pkg, err := conf.Check(path, fset, files, info)
 	if err != nil {
 		return nil, nil, err

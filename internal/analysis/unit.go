@@ -97,7 +97,7 @@ func RunUnit(w io.Writer, cfgFile string, analyzers []*Analyzer) (int, error) {
 	}
 
 	fset := token.NewFileSet()
-	files, err := parseFiles(fset, "", cfg.GoFiles)
+	files, err := ParseFiles(fset, cfg.GoFiles)
 	if err != nil {
 		if cfg.SucceedOnTypecheckFailure {
 			return 0, nil

@@ -72,7 +72,9 @@ type Options struct {
 
 	// JoinTimeout, KeepaliveInterval and SilenceTimeout retune the
 	// per-node liveness cadences for fabric size (big fabrics drown in
-	// the room-sized defaults). Zero keeps each component's default.
+	// the room-sized defaults). Zero keeps each component's default,
+	// except that a zero SilenceTimeout follows a set KeepaliveInterval
+	// at the defaults' 3× ratio; a pair closer than 2× is refused.
 	JoinTimeout       sim.Time
 	KeepaliveInterval sim.Time
 	SilenceTimeout    sim.Time
@@ -134,6 +136,17 @@ func (o *Options) fill() error {
 	}
 	if o.Shards == 0 {
 		o.Shards = 1
+	}
+	// The ring watchdog must outlast the keepalives that feed it: a
+	// keepalive slowed on its own would leave the 60 µs default
+	// watchdog re-rostering an idle ring between every two of them.
+	if o.KeepaliveInterval != 0 {
+		if o.SilenceTimeout == 0 {
+			o.SilenceTimeout = 3 * o.KeepaliveInterval
+		} else if o.SilenceTimeout < 2*o.KeepaliveInterval {
+			return fmt.Errorf("core: Options.SilenceTimeout %v is under twice Options.KeepaliveInterval %v: an idle ring would re-roster between keepalives",
+				o.SilenceTimeout, o.KeepaliveInterval)
+		}
 	}
 	return nil
 }

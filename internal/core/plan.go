@@ -14,7 +14,8 @@ import (
 // EventKind classifies a plan event.
 type EventKind uint8
 
-// Plan event kinds: faults and their repairs.
+// Plan event kinds: faults and their repairs. Each has one row in
+// kinds and one constructor below; nothing else names a kind.
 const (
 	EvCrashNode EventKind = iota
 	EvRebootNode
@@ -24,30 +25,58 @@ const (
 	EvRestoreLink
 	EvFailTrunk
 	EvRestoreTrunk
+	evKinds // sentinel: the number of kinds
 )
+
+// target is the class of thing a kind acts on. It fixes which Event
+// fields carry ids (a trunk index rides in Switch), hence the script
+// arity, and which state vector Validate tracks the event in.
+type target uint8
+
+const (
+	onNode target = iota
+	onSwitch
+	onLink
+	onTrunk
+)
+
+func (t target) usesNode() bool   { return t == onNode || t == onLink }
+func (t target) usesSwitch() bool { return t != onNode }
+
+// kinds is the one definition of every plan-event kind. String,
+// Event.String, Validate, Cluster.apply and ParsePlan are all derived
+// from it: a new kind is one row here and one constructor.
+var kinds = [evKinds]struct {
+	name   string // plan-script spelling
+	target target
+	up     bool   // the state the event leaves its target in
+	pre    string // Validate's message when the target is already in that state, a format over the event's ids
+	apply  func(*Cluster, Event)
+}{
+	EvCrashNode: {"crash-node", onNode, false, "node %d is already crashed (double crash without a reboot)",
+		func(c *Cluster, e Event) { c.CrashNode(e.Node) }},
+	EvRebootNode: {"reboot-node", onNode, true, "node %d is not crashed",
+		func(c *Cluster, e Event) { c.RebootNode(e.Node) }},
+	EvFailSwitch: {"fail-switch", onSwitch, false, "switch %d is already failed",
+		func(c *Cluster, e Event) { c.FailSwitch(e.Switch) }},
+	EvRestoreSwitch: {"restore-switch", onSwitch, true, "switch %d is not failed",
+		func(c *Cluster, e Event) { c.RestoreSwitch(e.Switch) }},
+	EvFailLink: {"fail-link", onLink, false, "link %d-%d is already cut",
+		func(c *Cluster, e Event) { c.FailLink(e.Node, e.Switch) }},
+	EvRestoreLink: {"restore-link", onLink, true, "link %d-%d is not cut",
+		func(c *Cluster, e Event) { c.RestoreLink(e.Node, e.Switch) }},
+	EvFailTrunk: {"fail-trunk", onTrunk, false, "trunk %d is already cut",
+		func(c *Cluster, e Event) { c.FailTrunk(e.Switch) }},
+	EvRestoreTrunk: {"restore-trunk", onTrunk, true, "trunk %d is not cut",
+		func(c *Cluster, e Event) { c.RestoreTrunk(e.Switch) }},
+}
 
 // String names the kind in the plan-script spelling.
 func (k EventKind) String() string {
-	switch k {
-	case EvCrashNode:
-		return "crash-node"
-	case EvRebootNode:
-		return "reboot-node"
-	case EvFailSwitch:
-		return "fail-switch"
-	case EvRestoreSwitch:
-		return "restore-switch"
-	case EvFailLink:
-		return "fail-link"
-	case EvRestoreLink:
-		return "restore-link"
-	case EvFailTrunk:
-		return "fail-trunk"
-	case EvRestoreTrunk:
-		return "restore-trunk"
-	default:
-		return fmt.Sprintf("EventKind(%d)", uint8(k))
+	if k < evKinds {
+		return kinds[k].name
 	}
+	return fmt.Sprintf("EventKind(%d)", uint8(k))
 }
 
 // Event is one scheduled fault or repair. At is an offset from the
@@ -62,62 +91,72 @@ type Event struct {
 	Switch int
 }
 
+// newEvent places ids in the fields the kind's target uses; ids is its
+// inverse, in script order.
+func newEvent(at sim.Time, k EventKind, ids ...int) Event {
+	e := Event{At: at, Kind: k, Node: -1, Switch: -1}
+	t := kinds[k].target
+	if t.usesNode() {
+		e.Node, ids = ids[0], ids[1:]
+	}
+	if t.usesSwitch() {
+		e.Switch = ids[0]
+	}
+	return e
+}
+
+func (e Event) ids() []any {
+	t := onLink // an unknown kind shows both fields
+	if e.Kind < evKinds {
+		t = kinds[e.Kind].target
+	}
+	var ids []any
+	if t.usesNode() {
+		ids = append(ids, e.Node)
+	}
+	if t.usesSwitch() {
+		ids = append(ids, e.Switch)
+	}
+	return ids
+}
+
 // String renders the event in plan-script syntax (without the time),
 // e.g. "crash-node 3" or "fail-link 3 0".
 func (e Event) String() string {
-	switch e.Kind {
-	case EvCrashNode, EvRebootNode:
-		return fmt.Sprintf("%v %d", e.Kind, e.Node)
-	case EvFailSwitch, EvRestoreSwitch, EvFailTrunk, EvRestoreTrunk:
-		return fmt.Sprintf("%v %d", e.Kind, e.Switch)
-	default:
-		return fmt.Sprintf("%v %d %d", e.Kind, e.Node, e.Switch)
+	s := e.Kind.String()
+	for _, id := range e.ids() {
+		s += fmt.Sprintf(" %d", id)
 	}
+	return s
 }
 
 // CrashNode schedules node n to die (NIC and all) at offset at.
-func CrashNode(at sim.Time, n int) Event {
-	return Event{At: at, Kind: EvCrashNode, Node: n, Switch: -1}
-}
+func CrashNode(at sim.Time, n int) Event { return newEvent(at, EvCrashNode, n) }
 
 // RebootNode schedules crashed node n to boot back through
 // assimilation at offset at.
-func RebootNode(at sim.Time, n int) Event {
-	return Event{At: at, Kind: EvRebootNode, Node: n, Switch: -1}
-}
+func RebootNode(at sim.Time, n int) Event { return newEvent(at, EvRebootNode, n) }
 
 // FailSwitch schedules switch s to go dark at offset at.
-func FailSwitch(at sim.Time, s int) Event {
-	return Event{At: at, Kind: EvFailSwitch, Node: -1, Switch: s}
-}
+func FailSwitch(at sim.Time, s int) Event { return newEvent(at, EvFailSwitch, s) }
 
 // RestoreSwitch schedules failed switch s to re-light at offset at.
-func RestoreSwitch(at sim.Time, s int) Event {
-	return Event{At: at, Kind: EvRestoreSwitch, Node: -1, Switch: s}
-}
+func RestoreSwitch(at sim.Time, s int) Event { return newEvent(at, EvRestoreSwitch, s) }
 
 // FailLink schedules the fiber between node n and switch s to be cut
 // at offset at.
-func FailLink(at sim.Time, n, s int) Event {
-	return Event{At: at, Kind: EvFailLink, Node: n, Switch: s}
-}
+func FailLink(at sim.Time, n, s int) Event { return newEvent(at, EvFailLink, n, s) }
 
 // RestoreLink schedules the cut fiber between node n and switch s to
 // be re-spliced at offset at.
-func RestoreLink(at sim.Time, n, s int) Event {
-	return Event{At: at, Kind: EvRestoreLink, Node: n, Switch: s}
-}
+func RestoreLink(at sim.Time, n, s int) Event { return newEvent(at, EvRestoreLink, n, s) }
 
 // FailTrunk schedules inter-switch trunk t to be cut at offset at.
 // Trunks exist only on fabrics that declare them (Options.Fabric).
-func FailTrunk(at sim.Time, t int) Event {
-	return Event{At: at, Kind: EvFailTrunk, Node: -1, Switch: t}
-}
+func FailTrunk(at sim.Time, t int) Event { return newEvent(at, EvFailTrunk, t) }
 
 // RestoreTrunk schedules cut trunk t to be re-spliced at offset at.
-func RestoreTrunk(at sim.Time, t int) Event {
-	return Event{At: at, Kind: EvRestoreTrunk, Node: -1, Switch: t}
-}
+func RestoreTrunk(at sim.Time, t int) Event { return newEvent(at, EvRestoreTrunk, t) }
 
 // Plan is an ordered schedule of faults and repairs. Build one from
 // the event constructors (CrashNode, FailSwitch, ...) or ParsePlan,
@@ -159,28 +198,26 @@ func (p Plan) Validate(c *Cluster) error {
 	}
 	sort.SliceStable(items, func(a, b int) bool { return items[a].at < items[b].at })
 
+	// One up/down vector per target class, links flattened to
+	// node*switches+switch.
 	trunks := len(c.Phys.Trunks)
-	nodeUp := make([]bool, nodes)
-	swUp := make([]bool, switches)
-	linkUp := make([][]bool, nodes)
-	linkExists := make([][]bool, nodes)
-	trunkUp := make([]bool, trunks)
-	for i := range nodeUp {
-		nodeUp[i] = !c.booted || c.Nodes[i].State != ampdk.StateOffline
-		linkUp[i] = make([]bool, switches)
-		linkExists[i] = make([]bool, switches)
-		for s := range linkUp[i] {
-			if l := c.Phys.NodeLinks[i][s]; l != nil {
-				linkExists[i][s] = true
-				linkUp[i][s] = l.Up()
-			}
+	up := [...][]bool{
+		onNode:   make([]bool, nodes),
+		onSwitch: make([]bool, switches),
+		onLink:   make([]bool, nodes*switches),
+		onTrunk:  make([]bool, trunks),
+	}
+	for i := range up[onNode] {
+		up[onNode][i] = !c.booted || c.Nodes[i].State != ampdk.StateOffline
+		for s, l := range c.Phys.NodeLinks[i] {
+			up[onLink][i*switches+s] = l != nil && l.Up()
 		}
 	}
-	for i := range swUp {
-		swUp[i] = !c.Phys.Switches[i].Failed()
+	for i := range up[onSwitch] {
+		up[onSwitch][i] = !c.Phys.Switches[i].Failed()
 	}
-	for i := range trunkUp {
-		trunkUp[i] = c.Phys.TrunkUp(i)
+	for i := range up[onTrunk] {
+		up[onTrunk][i] = c.Phys.TrunkUp(i)
 	}
 
 	for _, it := range items {
@@ -194,65 +231,35 @@ func (p Plan) Validate(c *Cluster) error {
 			}
 			return fmt.Errorf("core: %s: %s", what, fmt.Sprintf(format, args...))
 		}
-		needNode := e.Kind == EvCrashNode || e.Kind == EvRebootNode || e.Kind == EvFailLink || e.Kind == EvRestoreLink
-		needSwitch := e.Kind == EvFailSwitch || e.Kind == EvRestoreSwitch || e.Kind == EvFailLink || e.Kind == EvRestoreLink
-		needTrunk := e.Kind == EvFailTrunk || e.Kind == EvRestoreTrunk
-		if needNode && (e.Node < 0 || e.Node >= nodes) {
-			return fail("node id out of range [0,%d)", nodes)
-		}
-		if needSwitch && (e.Switch < 0 || e.Switch >= switches) {
-			return fail("switch id out of range [0,%d)", switches)
-		}
-		if needTrunk && (e.Switch < 0 || e.Switch >= trunks) {
-			return fail("trunk id out of range [0,%d) (this fabric has %d trunks)", trunks, trunks)
-		}
-		if (e.Kind == EvFailLink || e.Kind == EvRestoreLink) && !linkExists[e.Node][e.Switch] {
-			return fail("the fabric has no link between node %d and switch %d", e.Node, e.Switch)
-		}
-		switch e.Kind {
-		case EvCrashNode:
-			if !nodeUp[e.Node] {
-				return fail("node %d is already crashed (double crash without a reboot)", e.Node)
-			}
-			nodeUp[e.Node] = false
-		case EvRebootNode:
-			if nodeUp[e.Node] {
-				return fail("node %d is not crashed", e.Node)
-			}
-			nodeUp[e.Node] = true
-		case EvFailSwitch:
-			if !swUp[e.Switch] {
-				return fail("switch %d is already failed", e.Switch)
-			}
-			swUp[e.Switch] = false
-		case EvRestoreSwitch:
-			if swUp[e.Switch] {
-				return fail("switch %d is not failed", e.Switch)
-			}
-			swUp[e.Switch] = true
-		case EvFailLink:
-			if !linkUp[e.Node][e.Switch] {
-				return fail("link %d-%d is already cut", e.Node, e.Switch)
-			}
-			linkUp[e.Node][e.Switch] = false
-		case EvRestoreLink:
-			if linkUp[e.Node][e.Switch] {
-				return fail("link %d-%d is not cut", e.Node, e.Switch)
-			}
-			linkUp[e.Node][e.Switch] = true
-		case EvFailTrunk:
-			if !trunkUp[e.Switch] {
-				return fail("trunk %d is already cut", e.Switch)
-			}
-			trunkUp[e.Switch] = false
-		case EvRestoreTrunk:
-			if trunkUp[e.Switch] {
-				return fail("trunk %d is not cut", e.Switch)
-			}
-			trunkUp[e.Switch] = true
-		default:
+		if e.Kind >= evKinds {
 			return fail("unknown event kind")
 		}
+		k := kinds[e.Kind]
+		if k.target.usesNode() && (e.Node < 0 || e.Node >= nodes) {
+			return fail("node id out of range [0,%d)", nodes)
+		}
+		if (k.target == onSwitch || k.target == onLink) && (e.Switch < 0 || e.Switch >= switches) {
+			return fail("switch id out of range [0,%d)", switches)
+		}
+		if k.target == onTrunk && (e.Switch < 0 || e.Switch >= trunks) {
+			return fail("trunk id out of range [0,%d) (this fabric has %d trunks)", trunks, trunks)
+		}
+		slot := e.Switch
+		if k.target.usesNode() {
+			slot = e.Node
+		}
+		if k.target == onLink {
+			slot = e.Node*switches + e.Switch
+			if !c.Phys.HasLink(e.Node, e.Switch) {
+				return fail("the fabric has no link between node %d and switch %d", e.Node, e.Switch)
+			}
+		}
+		// A fault needs its target up and a repair needs it down: the
+		// event must find the opposite of the state it leaves.
+		if up[k.target][slot] == k.up {
+			return fail(k.pre, e.ids()...)
+		}
+		up[k.target][slot] = k.up
 	}
 	return nil
 }
@@ -296,24 +303,7 @@ func (c *Cluster) apply(e Event) {
 			break
 		}
 	}
-	switch e.Kind {
-	case EvCrashNode:
-		c.CrashNode(e.Node)
-	case EvRebootNode:
-		c.RebootNode(e.Node)
-	case EvFailSwitch:
-		c.FailSwitch(e.Switch)
-	case EvRestoreSwitch:
-		c.RestoreSwitch(e.Switch)
-	case EvFailLink:
-		c.FailLink(e.Node, e.Switch)
-	case EvRestoreLink:
-		c.RestoreLink(e.Node, e.Switch)
-	case EvFailTrunk:
-		c.FailTrunk(e.Switch)
-	case EvRestoreTrunk:
-		c.RestoreTrunk(e.Switch)
-	}
+	kinds[e.Kind].apply(c, e)
 	c.applied = append(c.applied, AppliedEvent{At: c.Now(), Event: e})
 	if c.OnEvent != nil {
 		c.OnEvent(e)
@@ -358,43 +348,21 @@ func ParsePlan(s string) (Plan, error) {
 			}
 			args[i] = v
 		}
-		one := func(mk func(sim.Time, int) Event) error {
-			if len(args) != 1 {
-				return fmt.Errorf("core: plan entry %q: op %s takes one id", strings.TrimSpace(entry), fields[1])
+		k := EventKind(0)
+		for k < evKinds && kinds[k].name != fields[1] {
+			k++
+		}
+		if k == evKinds {
+			return nil, fmt.Errorf("core: plan entry %q: unknown op %q", strings.TrimSpace(entry), fields[1])
+		}
+		if len(args) != len(Event{Kind: k}.ids()) {
+			takes := "one id"
+			if kinds[k].target == onLink {
+				takes = "a node and a switch id"
 			}
-			p = append(p, mk(at, args[0]))
-			return nil
+			return nil, fmt.Errorf("core: plan entry %q: op %s takes %s", strings.TrimSpace(entry), fields[1], takes)
 		}
-		two := func(mk func(sim.Time, int, int) Event) error {
-			if len(args) != 2 {
-				return fmt.Errorf("core: plan entry %q: op %s takes a node and a switch id", strings.TrimSpace(entry), fields[1])
-			}
-			p = append(p, mk(at, args[0], args[1]))
-			return nil
-		}
-		switch fields[1] {
-		case "crash-node":
-			err = one(CrashNode)
-		case "reboot-node":
-			err = one(RebootNode)
-		case "fail-switch":
-			err = one(FailSwitch)
-		case "restore-switch":
-			err = one(RestoreSwitch)
-		case "fail-link":
-			err = two(FailLink)
-		case "restore-link":
-			err = two(RestoreLink)
-		case "fail-trunk":
-			err = one(FailTrunk)
-		case "restore-trunk":
-			err = one(RestoreTrunk)
-		default:
-			err = fmt.Errorf("core: plan entry %q: unknown op %q", strings.TrimSpace(entry), fields[1])
-		}
-		if err != nil {
-			return nil, err
-		}
+		p = append(p, newEvent(at, k, args...))
 	}
 	return p, nil
 }

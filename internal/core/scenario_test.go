@@ -165,6 +165,37 @@ func TestScenarioRejectsInvalidPlan(t *testing.T) {
 	New(Options{Shards: -3})
 }
 
+// A keepalive slowed on its own must not keep the 60 µs default
+// watchdog: an idle ring would re-roster between every two keepalives
+// (14 adoptions per node in these 20 ms). The silence timeout follows
+// the keepalive, and a pair that spells the same mistake out is refused
+// by name.
+func TestSlowKeepaliveAloneKeepsIdleRingQuiet(t *testing.T) {
+	var c *Cluster
+	sc := Scenario{
+		Opts:      Options{Nodes: 16, Switches: 4, Seed: 7, KeepaliveInterval: 2 * sim.Millisecond},
+		For:       20 * sim.Millisecond,
+		OnCluster: func(cl *Cluster) { c = cl },
+	}
+	if _, err := sc.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.Opts.SilenceTimeout; got != 6*sim.Millisecond {
+		t.Errorf("derived SilenceTimeout = %v, want 3 × the keepalive", got)
+	}
+	for i, nd := range c.Nodes {
+		if nd.Agent.Adoptions != 1 {
+			t.Errorf("node %d adopted %d rosters on an idle ring, want the boot roster only", i, nd.Agent.Adoptions)
+		}
+	}
+
+	sc.Opts.SilenceTimeout = 3 * sim.Millisecond
+	_, err := sc.Run()
+	if err == nil || !strings.Contains(err.Error(), "Options.SilenceTimeout") || !strings.Contains(err.Error(), "Options.KeepaliveInterval") {
+		t.Errorf("SilenceTimeout under 2 × KeepaliveInterval: err = %v, want an error naming both fields", err)
+	}
+}
+
 // An event scheduled past For+Settle would never fire; the scenario
 // must refuse it instead of reporting a fault-free run.
 func TestScenarioRejectsEventsBeyondRun(t *testing.T) {

@@ -42,7 +42,7 @@ func TestAllSpecsDeterministic(t *testing.T) {
 // are present. Wall numbers themselves are machine-bound
 // and not asserted.
 func TestE17SpeedupStructure(t *testing.T) {
-	tab := E17SpeedupP(Params{
+	tab := E17Speedup(Params{
 		Seed: 7, Nodes: 12, Switches: 4,
 		Telemetry: telemetry.NewRecorder(telemetry.NewManualClock(0, 1000)),
 	})
@@ -77,11 +77,11 @@ func TestSeededRunsKeepInvariants(t *testing.T) {
 		t.Skip("multiple seeded experiment runs")
 	}
 	for _, seed := range []uint64{2, 9} {
-		tab := E4AllToAllP(Params{Seed: seed, Nodes: 8}, 40)
+		tab := E4AllToAll(Params{Seed: seed, Nodes: 8}, 40)
 		if tab.Rows[0][6] != "LOSSLESS" {
 			t.Fatalf("seed %d: AmpNet dropped frames: %v", seed, tab.Rows[0])
 		}
-		tab = E10FailoverP(Params{Seed: seed})
+		tab = E10Failover(Params{Seed: seed})
 		for _, row := range tab.Rows {
 			if row[5] != "NONE" {
 				t.Fatalf("seed %d: data loss: %v", seed, row)

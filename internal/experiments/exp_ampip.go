@@ -11,12 +11,7 @@ import (
 // E12Collectives reproduces the slide-3/12 stack figures functionally:
 // IP-style datagrams and MPI-style collectives running over the
 // MicroPacket network, with a latency/bandwidth table.
-func E12Collectives(nodes int) *Table {
-	return E12CollectivesP(Params{Nodes: nodes})
-}
-
-// E12CollectivesP is the parameterized form of E12Collectives.
-func E12CollectivesP(p Params) *Table {
+func E12Collectives(p Params) *Table {
 	p = p.Merged(Params{Nodes: 8, Switches: 2})
 	nodes := p.Nodes
 	t := &Table{

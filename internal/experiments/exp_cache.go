@@ -13,12 +13,7 @@ import (
 // another node polls its local replica. Readers must never observe a
 // torn value; the retry fraction grows with the write rate — the cost
 // profile of the "if they agree read, else wait and go to Start" rule.
-func E5Seqlock() *Table {
-	return E5SeqlockP(Params{})
-}
-
-// E5SeqlockP is the parameterized form of E5Seqlock.
-func E5SeqlockP(p Params) *Table {
+func E5Seqlock(p Params) *Table {
 	p = p.Merged(Params{Nodes: 3, Switches: 2})
 	t := &Table{
 		ID:     "E5",
@@ -82,12 +77,7 @@ func E5SeqlockP(p Params) *Table {
 // AmpNet locking primitives. N nodes increment an unprotected shared
 // record under a network semaphore; the final count must be exact, and
 // the table reports lock acquisition latency.
-func E6Semaphores(nodes, opsPerNode int) *Table {
-	return E6SemaphoresP(Params{Nodes: nodes}, opsPerNode)
-}
-
-// E6SemaphoresP is the parameterized form of E6Semaphores.
-func E6SemaphoresP(p Params, opsPerNode int) *Table {
+func E6Semaphores(p Params, opsPerNode int) *Table {
 	p = p.Merged(Params{Nodes: 5, Switches: 2})
 	nodes := p.Nodes
 	t := &Table{
@@ -147,12 +137,7 @@ func E6SemaphoresP(p Params, opsPerNode int) *Table {
 // E6aWriteThrough measures the write-through propagation latency of a
 // cache record update to every replica (slide 10: "no caching is
 // allowed in local host cache" — every write goes to the wire).
-func E6aWriteThrough(nodes int) *Table {
-	return E6aWriteThroughP(Params{Nodes: nodes})
-}
-
-// E6aWriteThroughP is the parameterized form of E6aWriteThrough.
-func E6aWriteThroughP(p Params) *Table {
+func E6aWriteThrough(p Params) *Table {
 	p = p.Merged(Params{Nodes: 6, Switches: 2})
 	nodes := p.Nodes
 	t := &Table{

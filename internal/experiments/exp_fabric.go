@@ -8,17 +8,6 @@ import (
 	"repro/internal/sim"
 )
 
-// E13FabricHeal measures what the fabric generalization buys: heal time
-// and delivered pub/sub throughput across fabric shapes (the paper's
-// uniform segment, dual counter-rotating rings, a trunked switch mesh,
-// a sharded multi-ring cluster) crossed with fault schedules (switch
-// death, switch blip, trunk cut and re-merge, node crash and reboot).
-// The paper's slide-14 topologies can only express the first column;
-// the trunked shapes heal hops across surviving rings.
-func E13FabricHeal() *Table {
-	return E13FabricHealP(Params{})
-}
-
 // fabricSchedule is one fault schedule of the E13 grid.
 type fabricSchedule struct {
 	name       string
@@ -26,9 +15,17 @@ type fabricSchedule struct {
 	plan       func(nodes int) core.Plan
 }
 
-// E13FabricHealP is the parameterized form of E13FabricHeal. Nodes and
-// Switches size every shape; the seed drives the whole simulation.
-func E13FabricHealP(p Params) *Table {
+// E13FabricHeal measures what the fabric generalization buys: heal time
+// and delivered pub/sub throughput across fabric shapes (the paper's
+// uniform segment, dual counter-rotating rings, a trunked switch mesh,
+// a sharded multi-ring cluster) crossed with fault schedules (switch
+// death, switch blip, trunk cut and re-merge, node crash and reboot).
+// The paper's slide-14 topologies can only express the first column;
+// the trunked shapes heal hops across surviving rings.
+//
+// Nodes and Switches size every shape; the seed drives the whole
+// simulation.
+func E13FabricHeal(p Params) *Table {
 	p = p.Merged(Params{Nodes: 6, Switches: 4, FiberM: 50})
 	t := &Table{
 		ID:     "E13",

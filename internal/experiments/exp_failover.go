@@ -17,12 +17,7 @@ import (
 // E9Assimilation reproduces slide 17: a new node self-boots, passes the
 // assimilation rules, receives a cache refresh and joins. The table
 // sweeps cache size; version-incompatible nodes must be rejected.
-func E9Assimilation() *Table {
-	return E9AssimilationP(Params{})
-}
-
-// E9AssimilationP is the parameterized form of E9Assimilation.
-func E9AssimilationP(p Params) *Table {
+func E9Assimilation(p Params) *Table {
 	p = p.Merged(Params{Nodes: 4, Switches: 2})
 	t := &Table{
 		ID:     "E9",
@@ -77,14 +72,11 @@ func E9AssimilationP(p Params) *Table {
 // qualified node, and no data loss. A primary checkpoints a counter,
 // dies mid-run (a planned CrashNode event), and the survivor must
 // recover the last committed value.
-func E10Failover() *Table {
-	return E10FailoverP(Params{})
-}
-
-// E10FailoverP is the parameterized form of E10Failover. The group
-// membership stays at 4 nodes (rank table below); the seed varies
-// heartbeat phasing and therefore where the crash cuts a checkpoint.
-func E10FailoverP(p Params) *Table {
+//
+// The group membership stays at 4 nodes (rank table below); the seed
+// varies heartbeat phasing and therefore where the crash cuts a
+// checkpoint.
+func E10Failover(p Params) *Table {
 	p = p.Merged(Params{Switches: 2})
 	t := &Table{
 		ID:     "E10",
@@ -177,13 +169,7 @@ func E10FailoverP(p Params) *Table {
 // argument (slides 2, 13, 18): under continuous traffic, a switch
 // failure interrupts AmpNet for ring-tour-scale microseconds, while the
 // conventional static network is down for its protection delay.
-func E11SelfHealVsBaseline() *Table {
-	return E11SelfHealVsBaselineP(Params{})
-}
-
-// E11SelfHealVsBaselineP is the parameterized form of
-// E11SelfHealVsBaseline.
-func E11SelfHealVsBaselineP(p Params) *Table {
+func E11SelfHealVsBaseline(p Params) *Table {
 	t := &Table{
 		ID:     "E11",
 		Title:  "self-healing vs conventional network under switch failure (paper slides 2, 13, 18)",

@@ -72,12 +72,7 @@ func (r *healRig) ringSize() int {
 // E7Redundancy reproduces the slide-14/15 topology figures as a
 // survivability table: ring size after k switch failures for the
 // dual-redundant (2-switch) and quad-redundant (4-switch) segments.
-func E7Redundancy(nodes int) *Table {
-	return E7RedundancyP(Params{Nodes: nodes})
-}
-
-// E7RedundancyP is the parameterized form of E7Redundancy.
-func E7RedundancyP(p Params) *Table {
+func E7Redundancy(p Params) *Table {
 	p = p.Merged(Params{Nodes: 6, FiberM: 50})
 	nodes := p.Nodes
 	t := &Table{
@@ -112,14 +107,10 @@ func E7RedundancyP(p Params) *Table {
 
 // E7aLinkFailures samples random link failure sets and reports the
 // largest logical ring the rostering algorithm salvages.
-func E7aLinkFailures(nodes, switches, maxFail, samples int) *Table {
-	return E7aLinkFailuresP(Params{Nodes: nodes, Switches: switches}, maxFail, samples)
-}
-
-// E7aLinkFailuresP is the parameterized form of E7aLinkFailures. The
-// seed drives the random failure sets, so sweeping seeds explores
+//
+// The seed drives the random failure sets, so sweeping seeds explores
 // different failure patterns on the same topology.
-func E7aLinkFailuresP(p Params, maxFail, samples int) *Table {
+func E7aLinkFailures(p Params, maxFail, samples int) *Table {
 	p = p.Merged(Params{Nodes: 8, Switches: 4, FiberM: 50})
 	nodes, switches := p.Nodes, p.Switches
 	t := &Table{
@@ -168,14 +159,11 @@ func E7aLinkFailuresP(p Params, maxFail, samples int) *Table {
 // E8Rostering reproduces slide 16's headline numbers: "rostering
 // completes in two ring-tour times — 1 to 2 milliseconds, depending on
 // the number of nodes and the length of the fiber."
-func E8Rostering() *Table {
-	return E8RosteringP(Params{})
-}
-
-// E8RosteringP is the parameterized form: a non-zero p.Nodes or
-// p.FiberM narrows the sweep to that single node count / fiber length,
-// which is how topology variants select one configuration each.
-func E8RosteringP(p Params) *Table {
+//
+// A non-zero p.Nodes or p.FiberM narrows the sweep to that single node
+// count / fiber length, which is how topology variants select one
+// configuration each.
+func E8Rostering(p Params) *Table {
 	t := &Table{
 		ID:     "E8",
 		Title:  "rostering completion vs nodes and fiber length (paper slide 16)",
@@ -267,13 +255,7 @@ func (h *HealBench) HealOnce() (sim.Time, sim.Time) {
 
 // E8aDetectionSensitivity is the ablation: how the PHY's loss-of-light
 // detection latency shifts total heal time.
-func E8aDetectionSensitivity() *Table {
-	return E8aDetectionSensitivityP(Params{})
-}
-
-// E8aDetectionSensitivityP is the parameterized form of
-// E8aDetectionSensitivity.
-func E8aDetectionSensitivityP(p Params) *Table {
+func E8aDetectionSensitivity(p Params) *Table {
 	p = p.Merged(Params{Nodes: 8, Switches: 4, FiberM: 1000})
 	t := &Table{
 		ID:     "E8a",

@@ -9,21 +9,6 @@ import (
 	"repro/internal/sim"
 )
 
-// E14ParsimScale measures what the parallel sharded engine
-// (internal/parsim) does to a scenario as shards multiply: the
-// cross-shard exchange volume, the window count the conservative
-// lookahead dictates, the total event work, the heal time under a
-// switch fault — and, the defining property, whether the sharded
-// Report stays byte-identical to the one-shard run's.
-//
-// Everything in the table is a pure function of the seed, so the sweep
-// harness can aggregate it; wall-clock speedup is inherently
-// machine-bound and is measured by the E14 benchmarks in bench_test.go
-// (ns/event, serial vs sharded, recorded in BENCH_baseline.json).
-func E14ParsimScale() *Table {
-	return E14ParsimScaleP(Params{})
-}
-
 // e14Fabric builds the shape for one row: the paper's uniform segment,
 // or the sharded multi-ring cluster with 200 m inter-shard trunks
 // (the longer trunk fiber is the realistic machine-room assumption —
@@ -46,11 +31,22 @@ func e14Fabric(shape string, nodes, switches int, fiberM float64) (phys.Topology
 	}
 }
 
-// E14ParsimScaleP is the parameterized form. Nodes sizes both shapes
-// (default 64); Switches fixes the switch/shard-group count (default
-// 8, the link-state ceiling). Shard counts swept are 1 (the serial
-// engine), 2, 4 and Switches.
-func E14ParsimScaleP(p Params) *Table {
+// E14ParsimScale measures what the parallel sharded engine
+// (internal/parsim) does to a scenario as shards multiply: the
+// cross-shard exchange volume, the window count the conservative
+// lookahead dictates, the total event work, the heal time under a
+// switch fault — and, the defining property, whether the sharded
+// Report stays byte-identical to the one-shard run's.
+//
+// Everything in the table is a pure function of the seed, so the sweep
+// harness can aggregate it; wall-clock speedup is inherently
+// machine-bound and is measured by the E14 benchmarks in bench_test.go
+// (ns/event, serial vs sharded, recorded in BENCH_baseline.json).
+//
+// Nodes sizes both shapes (default 64); Switches fixes the
+// switch/shard-group count (default 8, the link-state ceiling). Shard
+// counts swept are 1 (the serial engine), 2, 4 and Switches.
+func E14ParsimScale(p Params) *Table {
 	p = p.Merged(Params{Nodes: 64, Switches: 8, FiberM: 50})
 	t := &Table{
 		ID:     "E14",

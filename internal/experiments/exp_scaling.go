@@ -17,14 +17,11 @@ import (
 // and measured by the BenchmarkE16Scaling* family (BENCH_baseline.json,
 // enforced by benchguard); this table is the seed-pure part the sweep
 // harness can aggregate.
-func E16ScalingEfficiency() *Table {
-	return E16ScalingEfficiencyP(Params{})
-}
-
-// E16ScalingEfficiencyP is the parameterized form. Nodes sizes both
-// shapes (default 96); Switches fixes the switch/shard-group count
-// (default 8). Shard counts swept are 1 (serial), 2, 4 and Switches.
-func E16ScalingEfficiencyP(p Params) *Table {
+//
+// Nodes sizes both shapes (default 96); Switches fixes the
+// switch/shard-group count (default 8). Shard counts swept are 1
+// (serial), 2, 4 and Switches.
+func E16ScalingEfficiency(p Params) *Table {
 	p = p.Merged(Params{Nodes: 96, Switches: 8, FiberM: 50})
 	t := &Table{
 		ID:     "E16",

@@ -24,17 +24,13 @@ import (
 // single-core run never masquerades as a parallelism result. The
 // deterministic half of the run is still checked: every sharded report
 // must be byte-identical to the one-shard one.
-func E17Speedup() *Table {
-	return E17SpeedupP(Params{})
-}
-
-// E17SpeedupP is the parameterized form. Nodes/Switches size the
-// sharded fabric (default 96×8); shard counts swept are 1, 2, 4 and
-// Switches. When Params.Telemetry is set, its recorder (and
-// clock) is used — the hook that makes the table reproducible under an
-// injected telemetry.ManualClock, and that lets cmd/ampbench export the
-// accumulated spans as a timeline profile.
-func E17SpeedupP(p Params) *Table {
+//
+// Nodes/Switches size the sharded fabric (default 96×8); shard counts
+// swept are 1, 2, 4 and Switches. When Params.Telemetry is set, its
+// recorder (and clock) is used — the hook that makes the table
+// reproducible under an injected telemetry.ManualClock, and that lets
+// cmd/ampbench export the accumulated spans as a timeline profile.
+func E17Speedup(p Params) *Table {
 	p = p.Merged(Params{Nodes: 96, Switches: 8, FiberM: 50})
 	cores := runtime.NumCPU()
 	procs := runtime.GOMAXPROCS(0)

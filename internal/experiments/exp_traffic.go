@@ -47,13 +47,10 @@ func pump(k *sim.Kernel, send func(*micropacket.Packet) bool, count int, mk func
 // onto one segment simultaneously. The register-insertion MAC lets all
 // four streams progress concurrently (spatial reuse); the token-ring
 // baseline serializes them behind one rotating transmit opportunity.
-func E3MultiStream(framesPerStream int) *Table {
-	return E3MultiStreamP(Params{}, framesPerStream)
-}
-
-// E3MultiStreamP is the parameterized form: p.Nodes streams (default 4)
-// on p.FiberM meters of fiber (default 50), seeded by p.Seed.
-func E3MultiStreamP(p Params, framesPerStream int) *Table {
+//
+// It runs p.Nodes streams (default 4) on p.FiberM meters of fiber
+// (default 50), seeded by p.Seed.
+func E3MultiStream(p Params, framesPerStream int) *Table {
 	p = p.Merged(Params{Nodes: 4, FiberM: 50})
 	t := &Table{
 		ID:     "E3",
@@ -128,12 +125,7 @@ func E3MultiStreamP(p Params, framesPerStream int) *Table {
 // E4AllToAll reproduces slide 8's guarantee: "even if everyone does a
 // broadcast at the same time the network is guaranteed to not drop
 // packets" — and shows the drop-tail baseline failing the same test.
-func E4AllToAll(n, perNode int) *Table {
-	return E4AllToAllP(Params{Nodes: n}, perNode)
-}
-
-// E4AllToAllP is the parameterized form of E4AllToAll.
-func E4AllToAllP(p Params, perNode int) *Table {
+func E4AllToAll(p Params, perNode int) *Table {
 	p = p.Merged(Params{Nodes: 16, FiberM: 50})
 	n := p.Nodes
 	t := &Table{
@@ -201,12 +193,7 @@ func E4AllToAllP(p Params, perNode int) *Table {
 
 // E4aLoadSweep is the ablation: offered load factor vs achieved goodput
 // and drops for both MACs.
-func E4aLoadSweep(n int) *Table {
-	return E4aLoadSweepP(Params{Nodes: n})
-}
-
-// E4aLoadSweepP is the parameterized form of E4aLoadSweep.
-func E4aLoadSweepP(p Params) *Table {
+func E4aLoadSweep(p Params) *Table {
 	p = p.Merged(Params{Nodes: 8, FiberM: 50})
 	n := p.Nodes
 	t := &Table{

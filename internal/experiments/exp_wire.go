@@ -9,18 +9,6 @@ import (
 	"repro/internal/sim"
 )
 
-// E15WireScale measures scaling past the one-byte MicroPacket address
-// space: fabrics the v1 wire format cannot address at all (>255 nodes,
-// auto-selecting wire v2) booting, healing through a node crash and
-// delivering seeded Poisson pub-sub traffic — serial vs sharded, with
-// the defining byte-identical-Report check at every size. It is the
-// E14 story continued past the address ceiling the seed recorded in
-// ROADMAP.md; wall-clock speedup is machine-bound and measured by
-// BenchmarkE15* (BENCH_baseline.json).
-func E15WireScale() *Table {
-	return E15WireScaleP(Params{})
-}
-
 // E15Scenario is one E15 run: an 8-ring sharded fabric (200 m
 // inter-shard trunks), a crash+reboot of the highest node, and a
 // Poisson pub-sub stream spanning the shards. It is exported so
@@ -58,10 +46,19 @@ func E15Scenario(nodes int, seed uint64, shards int) core.Scenario {
 	}
 }
 
-// E15WireScaleP is the parameterized form. Nodes must divide over the
-// 8 shard rings and exceed the v1 ceiling to be meaningful (default
-// 320); shard counts swept are 1 (serial) and 8.
-func E15WireScaleP(p Params) *Table {
+// E15WireScale measures scaling past the one-byte MicroPacket address
+// space: fabrics the v1 wire format cannot address at all (>255 nodes,
+// auto-selecting wire v2) booting, healing through a node crash and
+// delivering seeded Poisson pub-sub traffic — serial vs sharded, with
+// the defining byte-identical-Report check at every size. It is the
+// E14 story continued past the address ceiling the seed recorded in
+// ROADMAP.md; wall-clock speedup is machine-bound and measured by
+// BenchmarkE15* (BENCH_baseline.json).
+//
+// Nodes must divide over the 8 shard rings and exceed the v1 ceiling
+// to be meaningful (default 320); shard counts swept are 1 (serial)
+// and 8.
+func E15WireScale(p Params) *Table {
 	p = p.Merged(Params{Nodes: 320})
 	t := &Table{
 		ID:     "E15",

@@ -51,7 +51,7 @@ func TestE2Sizes(t *testing.T) {
 }
 
 func TestE3InsertionBeatsTokenRing(t *testing.T) {
-	tab := E3MultiStream(100)
+	tab := E3MultiStream(Params{}, 100)
 	if len(tab.Rows) != 2 {
 		t.Fatalf("rows: %d", len(tab.Rows))
 	}
@@ -61,7 +61,7 @@ func TestE3InsertionBeatsTokenRing(t *testing.T) {
 }
 
 func TestE4Lossless(t *testing.T) {
-	tab := E4AllToAll(8, 40)
+	tab := E4AllToAll(Params{Nodes: 8}, 40)
 	if tab.Rows[0][6] != "LOSSLESS" {
 		t.Fatalf("AmpNet verdict: %v", tab.Rows[0])
 	}
@@ -71,7 +71,7 @@ func TestE4Lossless(t *testing.T) {
 }
 
 func TestE5NoTornValues(t *testing.T) {
-	tab := E5Seqlock()
+	tab := E5Seqlock(Params{})
 	for _, row := range tab.Rows {
 		if row[5] != "0" {
 			t.Fatalf("torn values: %v", row)
@@ -80,14 +80,14 @@ func TestE5NoTornValues(t *testing.T) {
 }
 
 func TestE6Exact(t *testing.T) {
-	tab := E6Semaphores(3, 5)
+	tab := E6Semaphores(Params{Nodes: 3}, 5)
 	if tab.Rows[0][4] != "YES" {
 		t.Fatalf("mutual exclusion: %v", tab.Rows[0])
 	}
 }
 
 func TestE6aCompletes(t *testing.T) {
-	tab := E6aWriteThrough(4)
+	tab := E6aWriteThrough(Params{Nodes: 4})
 	for _, row := range tab.Rows {
 		if row[2] == "INCOMPLETE" {
 			t.Fatalf("replication incomplete: %v", row)
@@ -96,7 +96,7 @@ func TestE6aCompletes(t *testing.T) {
 }
 
 func TestE7QuadSurvivesThree(t *testing.T) {
-	tab := E7Redundancy(6)
+	tab := E7Redundancy(Params{Nodes: 6})
 	for _, row := range tab.Rows {
 		if row[3] != "yes" {
 			t.Fatalf("ring not full: %v", row)
@@ -105,7 +105,7 @@ func TestE7QuadSurvivesThree(t *testing.T) {
 }
 
 func TestE7aConsistent(t *testing.T) {
-	tab := E7aLinkFailures(6, 4, 4, 2)
+	tab := E7aLinkFailures(Params{Nodes: 6, Switches: 4}, 4, 2)
 	for _, row := range tab.Rows {
 		if row[4] != "yes" {
 			t.Fatalf("inconsistent rosters: %v", row)
@@ -125,7 +125,7 @@ func TestE8TwoTours(t *testing.T) {
 func TestE9VersionGate(t *testing.T) {
 	// Run only the version-gate portion cheaply via the full table
 	// (the sweep itself is bounded).
-	tab := E9Assimilation()
+	tab := E9Assimilation(Params{})
 	last := tab.Rows[len(tab.Rows)-1]
 	if last[3] != "rejected (correct)" {
 		t.Fatalf("version gate: %v", last)
@@ -138,7 +138,7 @@ func TestE9VersionGate(t *testing.T) {
 }
 
 func TestE10NoDataLoss(t *testing.T) {
-	tab := E10Failover()
+	tab := E10Failover(Params{})
 	if len(tab.Rows) != 3 {
 		t.Fatalf("rows: %d", len(tab.Rows))
 	}
@@ -150,7 +150,7 @@ func TestE10NoDataLoss(t *testing.T) {
 }
 
 func TestE11AmpNetBeatsBaseline(t *testing.T) {
-	tab := E11SelfHealVsBaseline()
+	tab := E11SelfHealVsBaseline(Params{})
 	// AmpNet outage must be µs-scale; baseline must be its protection
 	// delay (1 s).
 	if !strings.Contains(tab.Rows[0][1], "µs") && !strings.Contains(tab.Rows[0][1], "ms") {
@@ -162,7 +162,7 @@ func TestE11AmpNetBeatsBaseline(t *testing.T) {
 }
 
 func TestE12AllComplete(t *testing.T) {
-	tab := E12Collectives(4)
+	tab := E12Collectives(Params{Nodes: 4})
 	for _, row := range tab.Rows {
 		if row[2] == "INCOMPLETE" {
 			t.Fatalf("incomplete: %v", row)
@@ -204,7 +204,7 @@ func TestTableRendering(t *testing.T) {
 }
 
 func TestE15RejectsIndivisibleNodeCounts(t *testing.T) {
-	tab := E15WireScaleP(Params{Nodes: 300}) // not divisible over 8 rings
+	tab := E15WireScale(Params{Nodes: 300}) // not divisible over 8 rings
 	if len(tab.Rows) != 1 || tab.Rows[0][3] != "ERROR" {
 		t.Fatalf("expected an error row: %v", tab.Rows)
 	}
@@ -218,7 +218,7 @@ func TestE15ScalesPast255Nodes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("264-node serial+sharded runs skipped in -short")
 	}
-	tab := E15WireScaleP(Params{Nodes: 264})
+	tab := E15WireScale(Params{Nodes: 264})
 	if len(tab.Rows) != 2 {
 		t.Fatalf("rows: %v", tab.Rows)
 	}

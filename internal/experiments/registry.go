@@ -102,8 +102,9 @@ type Spec struct {
 	Run  func(Params) *Table
 }
 
-// All returns every experiment in DESIGN.md §2 order, with the default
-// parameters used by cmd/ampbench and recorded in EXPERIMENTS.md.
+// All is the experiment index (DESIGN.md §2 points here; ampbench -list
+// prints it): every experiment in id order, with the default parameters
+// used by cmd/ampbench and recorded in EXPERIMENTS.md.
 func All() []Spec {
 	return []Spec{
 		{ID: "e1", Short: "MicroPacket type table (slide 4)",
@@ -113,69 +114,69 @@ func All() []Spec {
 		{ID: "e3", Short: "multi-stream segment insertion (slide 7)",
 			Defaults: Params{Nodes: 4, FiberM: 50},
 			Variants: []Params{{Nodes: 4}, {Nodes: 8}, {Nodes: 8, FiberM: 1000}},
-			Run:      func(p Params) *Table { return E3MultiStreamP(p, 400) }},
+			Run:      func(p Params) *Table { return E3MultiStream(p, 400) }},
 		{ID: "e4", Short: "all-to-all broadcast losslessness (slide 8)",
 			Defaults: Params{Nodes: 16, FiberM: 50},
 			Variants: []Params{{Nodes: 8}, {Nodes: 16}, {Nodes: 24}},
-			Run:      func(p Params) *Table { return E4AllToAllP(p, 100) }},
+			Run:      func(p Params) *Table { return E4AllToAll(p, 100) }},
 		{ID: "e4a", Short: "offered-load sweep ablation",
 			Defaults: Params{Nodes: 8, FiberM: 50},
-			Run:      E4aLoadSweepP},
+			Run:      E4aLoadSweep},
 		{ID: "e5", Short: "Lamport-counter cache consistency (slide 9)",
-			Run: E5SeqlockP},
+			Run: E5Seqlock},
 		{ID: "e6", Short: "network semaphores mutual exclusion (slide 10)",
 			Defaults: Params{Nodes: 5},
-			Run:      func(p Params) *Table { return E6SemaphoresP(p, 20) }},
+			Run:      func(p Params) *Table { return E6Semaphores(p, 20) }},
 		{ID: "e6a", Short: "write-through replication latency (slide 10)",
 			Defaults: Params{Nodes: 6},
-			Run:      E6aWriteThroughP},
+			Run:      E6aWriteThrough},
 		{ID: "e7", Short: "dual/quad redundancy survivability (slides 14–15)",
 			Defaults: Params{Nodes: 6},
 			Variants: []Params{{Nodes: 6}, {Nodes: 10}},
-			Run:      func(p Params) *Table { return E7RedundancyP(p) }},
+			Run:      E7Redundancy},
 		{ID: "e7a", Short: "random link-failure ring salvage",
 			Defaults: Params{Nodes: 8, Switches: 4},
-			Run:      func(p Params) *Table { return E7aLinkFailuresP(p, 8, 5) }},
+			Run:      func(p Params) *Table { return E7aLinkFailures(p, 8, 5) }},
 		{ID: "e8", Short: "rostering: two ring-tours, 1–2 ms (slide 16)",
 			Variants: []Params{{Nodes: 8, FiberM: 1000}, {Nodes: 32, FiberM: 5000}},
-			Run:      E8RosteringP},
+			Run:      E8Rostering},
 		{ID: "e8a", Short: "detection-latency ablation",
-			Run: E8aDetectionSensitivityP},
+			Run: E8aDetectionSensitivity},
 		{ID: "e9", Short: "assimilation & cache refresh (slide 17)",
-			Run: E9AssimilationP},
+			Run: E9Assimilation},
 		{ID: "e10", Short: "failover: detection, period, no data loss (slides 18–19)",
-			Run: E10FailoverP},
+			Run: E10Failover},
 		{ID: "e11", Short: "self-healing vs static network (slides 2, 13, 18)",
-			Run: E11SelfHealVsBaselineP},
+			Run: E11SelfHealVsBaseline},
 		{ID: "e12", Short: "AmpIP + collectives stack (slides 3, 12)",
 			Defaults: Params{Nodes: 8, Switches: 2},
 			Variants: []Params{{Nodes: 4}, {Nodes: 8}},
-			Run:      E12CollectivesP},
+			Run:      E12Collectives},
 		{ID: "e13", Short: "fabric shapes × fault schedules: heal time, delivered throughput",
 			Defaults: Params{Nodes: 6, Switches: 4},
 			Variants: []Params{{Nodes: 6, Switches: 4}, {Nodes: 8, Switches: 4}},
 			Sharded:  true,
-			Run:      E13FabricHealP},
+			Run:      E13FabricHeal},
 		{ID: "e14", Short: "parallel sharded engine: serial-identical reports, exchange volume vs shards",
 			Defaults: Params{Nodes: 64, Switches: 8},
 			Variants: []Params{{Nodes: 64, Switches: 8}, {Nodes: 128, Switches: 8}},
 			Sharded:  true,
-			Run:      E14ParsimScaleP},
+			Run:      E14ParsimScale},
 		{ID: "e15", Short: "wire v2 scaling past 255 nodes: serial-identical reports beyond the v1 ceiling",
 			Defaults: Params{Nodes: 320},
 			Variants: []Params{{Nodes: 320}},
 			Sharded:  true,
-			Run:      E15WireScaleP},
+			Run:      E15WireScale},
 		{ID: "e16", Short: "scaling efficiency: cut-aware partition, lookahead and barrier economics vs shards",
 			Defaults: Params{Nodes: 96, Switches: 8},
 			Variants: []Params{{Nodes: 96, Switches: 8}},
 			Sharded:  true,
-			Run:      E16ScalingEfficiencyP},
+			Run:      E16ScalingEfficiency},
 		{ID: "e17", Short: "multi-core speedup study: wall time, busy/wait decomposition vs shards",
 			Defaults: Params{Nodes: 96, Switches: 8},
 			Sharded:  true,
 			Wall:     true,
-			Run:      E17SpeedupP},
+			Run:      E17Speedup},
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package experiments implements the reproduction of every table,
 // figure and quantitative claim in the AmpNet paper (the per-experiment
-// index lives in DESIGN.md §2; measured-vs-paper results are recorded
+// index is All, in registry.go; measured-vs-paper results are recorded
 // in EXPERIMENTS.md). Each experiment is a pure function from
 // parameters to a Table, shared by cmd/ampbench (which prints them) and
 // the root bench_test.go (which times them).

@@ -24,7 +24,7 @@ type Config struct {
 	// Experiments filters by experiment id; empty means all registered
 	// experiments.
 	Experiments []string `json:"experiments,omitempty"`
-	// Seeds is the number of seeds per variant; each run uses
+	// Seeds is the number of seeds per variant (0 → 1); each run uses
 	// BaseSeed+i for i in [0,Seeds).
 	Seeds int `json:"seeds"`
 	// BaseSeed is the first seed (0 → 1).
@@ -47,17 +47,25 @@ type Config struct {
 	OnResult func(Result) `json:"-"`
 }
 
-func (c Config) normalized() Config {
-	if c.Seeds <= 0 {
+// normalized resolves zero values to their defaults; a negative count
+// is not a default in disguise and is refused.
+func (c Config) normalized() (Config, error) {
+	if c.Seeds < 0 {
+		return c, fmt.Errorf("harness: negative Config.Seeds %d", c.Seeds)
+	}
+	if c.Parallel < 0 {
+		return c, fmt.Errorf("harness: negative Config.Parallel %d", c.Parallel)
+	}
+	if c.Seeds == 0 {
 		c.Seeds = 1
 	}
 	if c.BaseSeed == 0 {
 		c.BaseSeed = 1
 	}
-	if c.Parallel <= 0 {
+	if c.Parallel == 0 {
 		c.Parallel = 4
 	}
-	return c
+	return c, nil
 }
 
 // Run identifies one (experiment, variant, seed) execution.
@@ -134,7 +142,10 @@ func variantsOf(s experiments.Spec, noVariants bool) []experiments.Params {
 // Plan expands a Config into the ordered run list without executing
 // anything. The order is the deterministic result order of Sweep.
 func Plan(cfg Config) ([]Run, error) {
-	cfg = cfg.normalized()
+	cfg, err := cfg.normalized()
+	if err != nil {
+		return nil, err
+	}
 	specs := experiments.All()
 	if len(cfg.Experiments) > 0 {
 		var filtered []experiments.Spec
@@ -177,7 +188,10 @@ func Plan(cfg Config) ([]Run, error) {
 // the aggregated report. Results are ordered by plan position, never by
 // completion time, so the report is independent of scheduling.
 func Sweep(cfg Config) (*Report, error) {
-	cfg = cfg.normalized()
+	cfg, err := cfg.normalized()
+	if err != nil {
+		return nil, err
+	}
 	runs, err := Plan(cfg)
 	if err != nil {
 		return nil, err

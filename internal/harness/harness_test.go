@@ -3,6 +3,7 @@ package harness
 import (
 	"bytes"
 	"encoding/json"
+	"strings"
 	"testing"
 
 	"repro/internal/experiments"
@@ -40,6 +41,22 @@ func TestPlanShape(t *testing.T) {
 func TestPlanUnknownExperiment(t *testing.T) {
 	if _, err := Plan(Config{Experiments: []string{"nope"}}); err == nil {
 		t.Fatal("unknown experiment did not error")
+	}
+}
+
+// Zero counts mean the defaults; negative ones are refused by field
+// name rather than run as some default.
+func TestConfigRefusesNegativeCounts(t *testing.T) {
+	for field, cfg := range map[string]Config{
+		"Config.Seeds":    {Experiments: []string{"e1"}, Seeds: -1},
+		"Config.Parallel": {Experiments: []string{"e1"}, Parallel: -3},
+	} {
+		if _, err := Sweep(cfg); err == nil || !strings.Contains(err.Error(), field) {
+			t.Errorf("Sweep with negative %s: err = %v, want an error naming it", field, err)
+		}
+	}
+	if runs, err := Plan(Config{Experiments: []string{"e1"}}); err != nil || len(runs) != 1 {
+		t.Errorf("zero Config: %d runs, err %v; want the one default-seed run", len(runs), err)
 	}
 }
 

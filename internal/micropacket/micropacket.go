@@ -246,14 +246,6 @@ func (p *Packet) SetWord64(v uint64) {
 	binary.LittleEndian.PutUint64(p.Payload[:8], v)
 }
 
-// PayloadLen returns the number of meaningful payload bytes.
-func (p *Packet) PayloadLen() int {
-	if p.Type.Variable() {
-		return len(p.Data)
-	}
-	return FixedPayload
-}
-
 // Clone returns a deep copy (Data is copied, not aliased). The ring MAC
 // clones packets when replicating broadcasts.
 func (p *Packet) Clone() *Packet {

@@ -95,9 +95,9 @@ type shards struct {
 
 // wakeWork is the least number of events the previous window must have
 // fired for a window to wake helpers. Measured on a 2-vCPU host, helpers
-// against the coordinator alone (EXPERIMENTS.md, E15): at 60–400 events
-// a window (64–128 nodes) waking costs 1.7× the wall, at ~1 300 (512
-// nodes) it changes nothing, at ~4 500 (1 024 nodes) it wins 1.45×.
+// against the coordinator alone (EXPERIMENTS.md, E15): at 70–260 events
+// a window (64–128 nodes) waking costs 1.5–1.9× the wall, at ~1 000 (512
+// nodes) it buys nothing, at ~3 500 (1 024 nodes) it wins 1.5×.
 const wakeWork = 2048
 
 // newShards hosts one kernel+Net pair per shard, installing a capture

@@ -147,8 +147,6 @@ type Net struct {
 	// FailureLosses, CRCDrops; deliveries are Acct.WireDelivered).
 	Acct frameacct.Acct
 
-	links []*Link
-
 	// Hot-path event pools (see pool.go). Per-Net and therefore
 	// per-shard: only ever touched from this Net's kernel context.
 	delFree []*delivery
@@ -255,9 +253,6 @@ func (p *Port) HoldTxDone(on bool) {
 	}
 }
 
-// Connected reports whether the port is attached to a link.
-func (p *Port) Connected() bool { return p.link != nil }
-
 // Net returns the Net (and thereby the shard kernel) owning this port.
 func (p *Port) Net() *Net { return p.net }
 
@@ -328,9 +323,6 @@ func (p *Port) popFrame() {
 		p.fifo, p.fifoHead = p.fifo[:n], 0
 	}
 }
-
-// Capacity returns the egress FIFO capacity.
-func (p *Port) Capacity() int { return p.cap }
 
 // SetCapacity adjusts the egress FIFO capacity.
 func (p *Port) SetCapacity(c int) { p.cap = c }
@@ -513,9 +505,8 @@ type Link struct {
 
 // Connect joins two ports with meters of fiber. Both ports must be
 // unconnected. The ports may belong to different Nets (a split link of
-// a sharded fabric); the link is then registered with both Nets, and
-// state flips (Fail/Restore) must only happen while both shards are
-// parked on a window barrier.
+// a sharded fabric); state flips (Fail/Restore) must then only happen
+// while both shards are parked on a window barrier.
 func (n *Net) Connect(a, b *Port, meters float64) *Link {
 	if a.link != nil || b.link != nil {
 		panic(fmt.Sprintf("phys: port already connected (%s / %s)", a.Name, b.Name))
@@ -523,10 +514,6 @@ func (n *Net) Connect(a, b *Port, meters float64) *Link {
 	l := &Link{ports: [2]*Port{a, b}, prop: PropTime(meters), up: true, net: n, Meters: meters}
 	a.link, a.end = l, 0
 	b.link, b.end = l, 1
-	n.links = append(n.links, l)
-	if b.net != n {
-		b.net.links = append(b.net.links, l)
-	}
 	return l
 }
 
@@ -603,6 +590,3 @@ func (l *Link) Restore() {
 	l.up = true
 	l.notify(true)
 }
-
-// Links returns all links (for failure-injection sweeps).
-func (n *Net) Links() []*Link { return n.links }

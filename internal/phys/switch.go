@@ -95,14 +95,8 @@ func (s *Switch) addTrunkPort(tag string) (*Port, int) {
 // Port returns the i-th switch port (node ports first, then trunks).
 func (s *Switch) Port(i int) *Port { return s.ports[i] }
 
-// NumPorts returns the total port count (node ports plus trunk ends).
-func (s *Switch) NumPorts() int { return len(s.ports) }
-
 // NumNodePorts returns the node-facing port count.
 func (s *Switch) NumNodePorts() int { return s.nodePorts }
-
-// SetLatency overrides the cut-through latency.
-func (s *Switch) SetLatency(d sim.Time) { s.latency = d }
 
 // newXbar builds an all-unrouted crossbar for n ingress ports. The
 // crossbar is a dense slice, not a map: data forwarding hits it once

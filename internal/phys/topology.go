@@ -203,9 +203,6 @@ func resolveUIDs(ports []*Port) {
 	}
 }
 
-// ShardOfSwitch returns the shard owning switch s.
-func (c *Cluster) ShardOfSwitch(s int) int { return c.Assign.SwitchShard[s] }
-
 // ShardOfNode returns the shard owning node n.
 func (c *Cluster) ShardOfNode(n int) int { return c.Assign.NodeShard[n] }
 

@@ -72,9 +72,6 @@ type Agent struct {
 
 	// exploring reports a rostering round is in progress.
 	exploring bool
-	// startedAt is when the current round began (for completion-time
-	// measurements).
-	startedAt sim.Time
 }
 
 // NewAgent wires a rostering agent to its station. The station's
@@ -127,9 +124,6 @@ func (a *Agent) Stop() {
 // Roster returns the currently adopted roster (nil before the first
 // adoption).
 func (a *Agent) Roster() *Roster { return a.current }
-
-// Exploring reports whether a rostering round is in progress.
-func (a *Agent) Exploring() bool { return a.exploring }
 
 // Epoch returns the agent's current rostering epoch.
 func (a *Agent) Epoch() uint32 { return a.epoch }
@@ -208,7 +202,6 @@ func (a *Agent) mask() LinkState {
 func (a *Agent) beginEpoch(e uint32) {
 	a.epoch = e
 	a.exploring = true
-	a.startedAt = a.K.Now()
 	a.lsdb = map[int]Announcement{}
 	a.lsdb[a.ID] = Announcement{Origin: a.ID, Mask: a.mask(), Seq: a.seq}
 	a.resetSettle()
@@ -284,7 +277,6 @@ func (a *Agent) handleControl(port *phys.Port, f phys.Frame) {
 		// happens at most once per new announcement (duplicates are
 		// filtered above), so floods cannot storm.
 		a.exploring = true
-		a.startedAt = a.K.Now()
 		a.seq++
 		a.lsdb[a.ID] = Announcement{Origin: a.ID, Mask: a.mask(), Seq: a.seq}
 		a.Announced++
@@ -385,9 +377,6 @@ func (a *Agent) adopt() {
 		a.OnAdopt(r)
 	}
 }
-
-// RoundStart returns when the current/last round began.
-func (a *Agent) RoundStart() sim.Time { return a.startedAt }
 
 // --- announcement wire encoding (8-byte Rostering payload) ---
 //

@@ -191,13 +191,6 @@ func common(a, b LinkState) int {
 	return -1
 }
 
-// BuildRoster deterministically computes the largest logical ring the
-// link-state database allows on a trunkless fabric. It is the
-// historical entry point; BuildRosterFabric is the general form.
-func BuildRoster(epoch uint32, lsdb map[int]LinkState) *Roster {
-	return BuildRosterFabric(epoch, lsdb, nil)
-}
-
 // BuildRosterFabric deterministically computes the largest logical ring
 // the link-state database and the fabric's live trunks allow: nodes are
 // inserted in ascending id order into the cycle at the first feasible
@@ -210,7 +203,8 @@ func BuildRoster(epoch uint32, lsdb map[int]LinkState) *Roster {
 //
 // On counter-rotating fabrics the ring orientation follows the lowest
 // live switch: when it is odd (the primary ring's switch is gone), the
-// node order is reversed, so the backup ring rotates the other way.
+// node order is reversed, so the backup ring rotates the other way. A
+// nil view is a trunkless fabric.
 func BuildRosterFabric(epoch uint32, lsdb map[int]LinkState, view *phys.FabricView) *Roster {
 	ids := make([]int, 0, len(lsdb))
 	for _, id := range detmap.SortedKeys(lsdb) {
@@ -348,17 +342,10 @@ func switchPath(a, b LinkState, view *phys.FabricView) []int {
 	return nil
 }
 
-// Valid checks the roster against a link-state database on a trunkless
-// fabric: every hop must cross a switch live at both endpoints. See
-// ValidInFabric for fabrics with trunks.
-func (r *Roster) Valid(lsdb map[int]LinkState) bool {
-	return r.ValidInFabric(lsdb, nil)
-}
-
 // ValidInFabric checks the roster against a link-state database and a
 // fabric view: each hop's path must start at a switch live for the
 // source, end at one live for the destination, and cross only live
-// trunks in between.
+// trunks in between. A nil view is a trunkless fabric.
 func (r *Roster) ValidInFabric(lsdb map[int]LinkState, view *phys.FabricView) bool {
 	if len(r.Nodes) < 2 {
 		return true

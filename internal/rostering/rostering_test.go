@@ -91,7 +91,7 @@ func (h *harness) requireConsistent(t *testing.T, wantSize int) *Roster {
 		}
 		lsdb[i] = m
 	}
-	if !ref.Valid(lsdb) {
+	if !ref.ValidInFabric(lsdb, nil) {
 		t.Fatalf("roster uses dead links: %v", ref)
 	}
 	return ref
@@ -277,7 +277,7 @@ func TestFailureDuringRostering(t *testing.T) {
 	h.requireConsistent(t, 6)
 }
 
-// --- BuildRoster unit tests ---
+// --- BuildRosterFabric unit tests (nil view: a trunkless fabric) ---
 
 func fullMask(switches int) LinkState { return LinkState(1<<switches) - 1 }
 
@@ -286,11 +286,11 @@ func TestBuildRosterAllConnected(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		lsdb[i] = fullMask(4)
 	}
-	r := BuildRoster(1, lsdb)
+	r := BuildRosterFabric(1, lsdb, nil)
 	if r.Size() != 6 {
 		t.Fatalf("size = %d", r.Size())
 	}
-	if !r.Valid(lsdb) {
+	if !r.ValidInFabric(lsdb, nil) {
 		t.Fatal("invalid roster")
 	}
 }
@@ -302,7 +302,7 @@ func TestBuildRosterExcludesIsolated(t *testing.T) {
 		4: 0b0010, // lives only on switch 1, unreachable from 0/1/2's ring? it
 		// shares no switch with anyone — cannot join.
 	}
-	r := BuildRoster(1, lsdb)
+	r := BuildRosterFabric(1, lsdb, nil)
 	if r.Contains(3) {
 		t.Fatal("dark node rostered")
 	}
@@ -315,21 +315,21 @@ func TestBuildRosterExcludesIsolated(t *testing.T) {
 }
 
 func TestBuildRosterSingleAndPair(t *testing.T) {
-	r := BuildRoster(1, map[int]LinkState{7: 0b1})
+	r := BuildRosterFabric(1, map[int]LinkState{7: 0b1}, nil)
 	if r.Size() != 1 || len(r.Via) != 0 {
 		t.Fatalf("singleton: %v", r)
 	}
-	r = BuildRoster(1, map[int]LinkState{1: 0b01, 2: 0b01})
+	r = BuildRosterFabric(1, map[int]LinkState{1: 0b01, 2: 0b01}, nil)
 	if r.Size() != 2 || len(r.Via) != 2 {
 		t.Fatalf("pair: %v", r)
 	}
-	if !r.Valid(map[int]LinkState{1: 0b01, 2: 0b01}) {
+	if !r.ValidInFabric(map[int]LinkState{1: 0b01, 2: 0b01}, nil) {
 		t.Fatal("pair roster invalid")
 	}
 }
 
 func TestBuildRosterEmpty(t *testing.T) {
-	r := BuildRoster(1, map[int]LinkState{})
+	r := BuildRosterFabric(1, map[int]LinkState{}, nil)
 	if r.Size() != 0 {
 		t.Fatalf("empty lsdb: %v", r)
 	}
@@ -337,9 +337,9 @@ func TestBuildRosterEmpty(t *testing.T) {
 
 func TestBuildRosterDeterministic(t *testing.T) {
 	lsdb := map[int]LinkState{0: 0b11, 1: 0b01, 2: 0b10, 3: 0b11, 4: 0b11}
-	a := BuildRoster(9, lsdb)
+	a := BuildRosterFabric(9, lsdb, nil)
 	for i := 0; i < 20; i++ {
-		b := BuildRoster(9, lsdb)
+		b := BuildRosterFabric(9, lsdb, nil)
 		if !a.Equal(b) {
 			t.Fatalf("nondeterministic: %v vs %v", a, b)
 		}
@@ -358,11 +358,11 @@ func TestBuildRosterPropertyCommonSwitch(t *testing.T) {
 		for i, m := range masks {
 			lsdb[i] = LinkState(m) | 0b100 // switch 2 live everywhere
 		}
-		r := BuildRoster(1, lsdb)
+		r := BuildRosterFabric(1, lsdb, nil)
 		if r.Size() != len(masks) {
 			return false
 		}
-		return r.Valid(lsdb)
+		return r.ValidInFabric(lsdb, nil)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -380,7 +380,7 @@ func TestBuildRosterPropertyAlwaysValid(t *testing.T) {
 		for i, m := range masks {
 			lsdb[i] = LinkState(m)
 		}
-		return BuildRoster(1, lsdb).Valid(lsdb)
+		return BuildRosterFabric(1, lsdb, nil).ValidInFabric(lsdb, nil)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)

@@ -74,21 +74,6 @@ func TestIntnPanicsOnNonPositive(t *testing.T) {
 	NewRNG(1).Intn(0)
 }
 
-func TestShuffle(t *testing.T) {
-	r := NewRNG(2)
-	vals := []int{0, 1, 2, 3, 4, 5, 6, 7}
-	r.Shuffle(len(vals), func(i, j int) { vals[i], vals[j] = vals[j], vals[i] })
-	seen := make([]bool, 8)
-	for _, v := range vals {
-		seen[v] = true
-	}
-	for i, s := range seen {
-		if !s {
-			t.Fatalf("value %d lost in shuffle", i)
-		}
-	}
-}
-
 func TestSampleSumAndObserveTime(t *testing.T) {
 	s := NewSample("x")
 	s.ObserveTime(1500)
@@ -98,13 +83,5 @@ func TestSampleSumAndObserveTime(t *testing.T) {
 	}
 	if s.String() == "" {
 		t.Fatal("empty String")
-	}
-}
-
-func TestHistogramUnsortedBounds(t *testing.T) {
-	h := NewHistogram("h", []float64{100, 10}) // constructor sorts
-	h.Observe(50)
-	if h.Counts[1] != 1 {
-		t.Fatalf("bucketing after sort: %v", h.Counts)
 	}
 }

@@ -56,9 +56,6 @@ func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 // Micros returns t as a floating-point number of microseconds.
 func (t Time) Micros() float64 { return float64(t) / float64(Microsecond) }
 
-// Millis returns t as a floating-point number of milliseconds.
-func (t Time) Millis() float64 { return float64(t) / float64(Millisecond) }
-
 // entry is a scheduled callback, stored in the kernel's event arena.
 // Ties at the same instant are broken by the priority key (priT, priH)
 // and then FIFO by seq, so two events scheduled for the same instant
