@@ -145,6 +145,13 @@ type Peer struct {
 	Online  bool
 }
 
+// peerSlot is one row of a node's peer table; known marks the ids it
+// has heard from (a heartbeat or a join request).
+type peerSlot struct {
+	Peer
+	known bool
+}
+
 // Node is one AmpNet node: NIC model plus distributed kernel.
 type Node struct {
 	Cfg     Config
@@ -179,7 +186,19 @@ type Node struct {
 	// looks its region up here.
 	RegionHandler [256]dma.WriteHandler
 
-	peers      map[int]*Peer
+	// peers is indexed by node id: the ids of a fabric are 0..NumNodes-1,
+	// fixed by the ubiquitous configuration database (slide 2), so the
+	// table is dense and walking it is walking ids in ascending order.
+	// lowerOnline counts the online peers with an id below this node's —
+	// whether somebody else is the sponsor.
+	peers       []peerSlot
+	lowerOnline int
+	// Each periodic activity owns one Timer, first armed when the
+	// activity first runs, re-armed with Reset, cancelled by halt.
+	heartbeat *sim.Timer
+	detect    *sim.Timer
+	joinRetry *sim.Timer
+
 	sponsoring map[int]bool // joiners whose refresh stream is in flight
 	hbSeq      uint32
 	stopped    bool
@@ -224,7 +243,7 @@ func NewNode(k *sim.Kernel, cluster *phys.Cluster, cfg Config) *Node {
 	cfg.fill()
 	n := &Node{
 		Cfg: cfg, K: k, Cluster: cluster,
-		peers:      map[int]*Peer{},
+		peers:      make([]peerSlot, cluster.NumNodes()),
 		sponsoring: map[int]bool{},
 	}
 	n.Station = insertion.NewStation(k, micropacket.NodeID(cfg.ID), cluster.NodePorts[cfg.ID])
@@ -280,11 +299,37 @@ func (n *Node) Boot() {
 // Online reports whether the node completed assimilation.
 func (n *Node) Online() bool { return n.State == StateOnline }
 
+// peer returns id's row of the peer table. Ids are below NumNodes; the
+// table grows rather than trust a frame's claim to that.
+func (n *Node) peer(id int) *peerSlot {
+	if id >= len(n.peers) {
+		n.peers = append(n.peers, make([]peerSlot, id+1-len(n.peers))...)
+	}
+	return &n.peers[id]
+}
+
+// setOnline flips a peer's liveness verdict.
+func (n *Node) setOnline(p *peerSlot, online bool) {
+	if p.Online == online {
+		return
+	}
+	p.Online = online
+	if p.ID < n.Cfg.ID {
+		if online {
+			n.lowerOnline++
+		} else {
+			n.lowerOnline--
+		}
+	}
+}
+
 // Peers returns a snapshot of known peers, in ascending id order.
 func (n *Node) Peers() []Peer {
 	out := make([]Peer, 0, len(n.peers))
-	for _, id := range detmap.SortedKeys(n.peers) {
-		out = append(out, *n.peers[id])
+	for i := range n.peers {
+		if n.peers[i].known {
+			out = append(out, n.peers[i].Peer)
+		}
 	}
 	return out
 }
@@ -297,7 +342,7 @@ func (n *Node) OnlinePeerIDs() []int {
 	if n.Online() {
 		out = append(out, n.Cfg.ID)
 	}
-	for _, id := range detmap.SortedKeys(n.peers) {
+	for id := range n.peers {
 		if n.peers[id].Online {
 			out = append(out, id)
 		}
@@ -308,25 +353,32 @@ func (n *Node) OnlinePeerIDs() []int {
 // Crash kills the node entirely: kernel stops and all its fibers go
 // dark (NIC death). Peers heal via rostering and heartbeat timeout.
 func (n *Node) Crash() {
-	n.stopped = true
-	n.State = StateOffline
+	n.halt()
 	n.Agent.Stop()
 	n.Cluster.FailNode(n.Cfg.ID)
+}
+
+// halt stops the kernel: offline, and no periodic activity left queued
+// to carry on beside the chains a later Boot starts.
+func (n *Node) halt() {
+	n.stopped = true
+	n.State = StateOffline
+	n.heartbeat.Cancel()
+	n.detect.Cancel()
+	n.joinRetry.Cancel()
 }
 
 // AppFail models an application/host failure with a healthy NIC: the
 // kernel stops heartbeating (so peers fail it over) but the ring keeps
 // forwarding — the paper's scenario for application failover with the
 // network intact.
-func (n *Node) AppFail() {
-	n.stopped = true
-	n.State = StateOffline
-}
+func (n *Node) AppFail() { n.halt() }
 
 // Reboot restores fibers (if dark) and boots again.
 func (n *Node) Reboot() {
 	n.Cluster.RestoreNode(n.Cfg.ID)
-	n.peers = map[int]*Peer{}
+	clear(n.peers)
+	n.lowerOnline = 0
 	n.Boot()
 }
 
@@ -343,29 +395,41 @@ func (n *Node) solicit() {
 	pl[2] = byte(n.joinTry)
 	pkt := micropacket.NewData(micropacket.NodeID(n.Cfg.ID), micropacket.Broadcast, TagJoinReq, pl[:])
 	n.Station.Send(pkt) // may be refused pre-roster; we retry below
-	retry := n.Cfg.JoinTimeout / 4
-	if retry <= 0 {
-		retry = 500 * sim.Microsecond
+	if n.joinRetry == nil {
+		n.joinRetry = n.K.After(n.retryEvery(), n.solicitAgain)
+	} else {
+		n.joinRetry.Reset(n.retryEvery())
 	}
-	n.K.After(retry, func() {
-		if n.stopped || n.State != StateAssimilating {
-			return
-		}
-		if n.joinTry*int(retry) >= int(n.Cfg.JoinTimeout) && !n.sawPeers && n.lowestBooting() {
-			n.found()
-			return
-		}
-		n.solicit()
-	})
+}
+
+// retryEvery is the pace of join requests: a quarter of the founding
+// timeout.
+func (n *Node) retryEvery() sim.Time {
+	if retry := n.Cfg.JoinTimeout / 4; retry > 0 {
+		return retry
+	}
+	return 500 * sim.Microsecond
+}
+
+// solicitAgain is the join retry timer's callback: found the network
+// once the timeout has passed in silence, solicit again otherwise.
+func (n *Node) solicitAgain() {
+	if n.stopped || n.State != StateAssimilating {
+		return
+	}
+	if n.joinTry*int(n.retryEvery()) >= int(n.Cfg.JoinTimeout) && !n.sawPeers && n.lowestBooting() {
+		n.found()
+		return
+	}
+	n.solicit()
 }
 
 // lowestBooting reports whether this node has the lowest id among the
 // nodes it has heard booting (including itself) — the founding
 // tiebreak when a whole cluster powers on at once.
 func (n *Node) lowestBooting() bool {
-	//ampvet:allow detmap order-free predicate: any qualifying key returns
-	for id := range n.peers {
-		if id < n.Cfg.ID {
+	for id := range min(n.Cfg.ID, len(n.peers)) {
+		if n.peers[id].known {
 			return false
 		}
 	}
@@ -412,7 +476,11 @@ func (n *Node) heartbeatLoop() {
 	pkt := micropacket.NewData(micropacket.NodeID(n.Cfg.ID), micropacket.Broadcast, TagHeartbeat, pl[:])
 	n.Station.Send(pkt)
 	n.HBSent++
-	n.K.After(n.Cfg.HeartbeatInterval, n.heartbeatLoop)
+	if n.heartbeat == nil {
+		n.heartbeat = n.K.After(n.Cfg.HeartbeatInterval, n.heartbeatLoop)
+	} else {
+		n.heartbeat.Reset(n.Cfg.HeartbeatInterval)
+	}
 }
 
 // detectLoop declares peers down after missedBeats silent intervals.
@@ -422,19 +490,22 @@ func (n *Node) detectLoop() {
 	}
 	deadline := missedBeats * n.Cfg.HeartbeatInterval
 	now := n.K.Now()
-	// Sorted so OnPeerDown fires in id order when several peers expire
-	// in the same interval — the callback schedules failover elections,
-	// and map order here would leak into the Report.
-	for _, id := range detmap.SortedKeys(n.peers) {
-		p := n.peers[id]
-		if p.Online && now-p.LastHB > deadline {
-			p.Online = false
+	// Ascending, so OnPeerDown fires in id order when several peers
+	// expire in the same interval — the callback schedules failover
+	// elections, and any other order here would leak into the Report.
+	for id := range n.peers {
+		if p := &n.peers[id]; p.Online && now-p.LastHB > deadline {
+			n.setOnline(p, false)
 			if n.OnPeerDown != nil {
 				n.OnPeerDown(id)
 			}
 		}
 	}
-	n.K.After(n.Cfg.HeartbeatInterval, n.detectLoop)
+	if n.detect == nil {
+		n.detect = n.K.After(n.Cfg.HeartbeatInterval, n.detectLoop)
+	} else {
+		n.detect.Reset(n.Cfg.HeartbeatInterval)
+	}
 }
 
 // --- delivery demux ---
@@ -484,15 +555,12 @@ func (n *Node) noteHeartbeat(p *micropacket.Packet) {
 	n.sawPeers = true
 	id := int(p.Src)
 	ver := Version(binary.LittleEndian.Uint16(p.Payload[0:2]))
-	pe, ok := n.peers[id]
-	if !ok {
-		pe = &Peer{ID: id, Version: ver}
-		n.peers[id] = pe
-	}
+	pe := n.peer(id)
+	pe.ID, pe.known = id, true
 	pe.Version = ver
 	pe.LastHB = n.K.Now()
 	if !pe.Online {
-		pe.Online = true
+		n.setOnline(pe, true)
 		if n.OnPeerUp != nil {
 			n.OnPeerUp(id)
 		}
@@ -507,18 +575,15 @@ func (n *Node) handleJoinReq(p *micropacket.Packet) {
 		return
 	}
 	// Track booting peers for the founding tiebreak.
-	if _, ok := n.peers[src]; !ok {
-		n.peers[src] = &Peer{ID: src, LastHB: n.K.Now()}
+	if pe := n.peer(src); !pe.known {
+		*pe = peerSlot{Peer: Peer{ID: src, LastHB: n.K.Now()}, known: true}
 	}
 	if n.State != StateOnline {
 		return
 	}
-	// Only the sponsor responds.
-	//ampvet:allow detmap order-free predicate: any lower online id suppresses
-	for id, pe := range n.peers {
-		if pe.Online && id < n.Cfg.ID {
-			return
-		}
+	// Only the sponsor — the lowest online node — responds.
+	if n.lowerOnline > 0 {
+		return
 	}
 	ver := Version(binary.LittleEndian.Uint16(p.Payload[0:2]))
 	if !Compatible(ver, n.Cfg.Version) {

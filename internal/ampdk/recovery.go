@@ -43,20 +43,15 @@ func (n *Node) RequestRefresh(region uint8) {
 // sponsorID returns the lowest online node this node knows of
 // (including itself).
 func (n *Node) sponsorID() int {
-	lo := -1
-	if n.Online() {
-		lo = n.Cfg.ID
+	if n.Online() && n.lowerOnline == 0 {
+		return n.Cfg.ID
 	}
-	//ampvet:allow detmap order-free min over keys
-	for id, p := range n.peers {
-		if p.Online && (lo < 0 || id < lo) {
-			lo = id
+	for id := range n.peers {
+		if n.peers[id].Online {
+			return id // ascending: the first online id is the lowest
 		}
 	}
-	if lo < 0 {
-		lo = n.Cfg.ID
-	}
-	return lo
+	return n.Cfg.ID
 }
 
 // handleRefreshReq streams one region to the requester.
@@ -83,8 +78,8 @@ func (n *Node) EnableAutoRecovery(interval sim.Time) {
 		interval = 5 * sim.Millisecond
 	}
 	seen := uint64(0)
-	var loop func()
-	loop = func() {
+	var tick *sim.Timer
+	tick = n.K.After(interval, func() {
 		if n.stopped {
 			return
 		}
@@ -95,7 +90,6 @@ func (n *Node) EnableAutoRecovery(interval sim.Time) {
 			}
 			n.AutoRecoveries++
 		}
-		n.K.After(interval, loop)
-	}
-	n.K.After(interval, loop)
+		tick.Reset(interval)
+	})
 }

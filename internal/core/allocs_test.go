@@ -1,0 +1,46 @@
+package core
+
+import (
+	"testing"
+
+	"repro/internal/sim"
+)
+
+// TestHealedAllocatesNoStrings: Healed is polled by every wait loop, so
+// a settled fabric must answer at the cost of liveComponents and one
+// idealRoster build — 29 allocations on 32 × 4 — not by rendering every
+// node's roster (4 330 allocations when it compared strings).
+func TestHealedAllocatesNoStrings(t *testing.T) {
+	c := New(Options{Nodes: 32, Switches: 4, Seed: 5})
+	defer c.Close()
+	if err := c.Boot(0); err != nil {
+		t.Fatal(err)
+	}
+	c.Run(5 * sim.Millisecond)
+	if !c.Healed() {
+		t.Fatalf("32 x 4 did not settle: %v", c.InvariantViolations())
+	}
+	if n := testing.AllocsPerRun(10, func() { c.Healed() }); n > 40 {
+		t.Fatalf("Healed allocates %.0f times on a settled 32 x 4 fabric, want <= 40", n)
+	}
+}
+
+// TestIdleRingAllocationsPerEvent: a booted, idle 16 × 4 ring allocates
+// its heartbeat MicroPackets (16 nodes × 4 beats a millisecond) and
+// nothing else — 0.008 allocations per event; the bound is 0.01. With a
+// Timer per tick and a keepalive packet per interval it was 0.17.
+func TestIdleRingAllocationsPerEvent(t *testing.T) {
+	c := New(Options{Nodes: 16, Switches: 4, Seed: 5})
+	defer c.Close()
+	if err := c.Boot(0); err != nil {
+		t.Fatal(err)
+	}
+	c.Run(5 * sim.Millisecond)
+	const runs = 10
+	before := c.EventsFired()
+	allocs := testing.AllocsPerRun(runs, func() { c.Run(sim.Millisecond) })
+	events := float64(c.EventsFired()-before) / (runs + 1) // AllocsPerRun warms up once
+	if per := allocs / events; per > 0.01 {
+		t.Fatalf("idle 16 x 4 ring: %.0f allocations over %.0f events a millisecond = %.4f per event, want <= 0.01", allocs, events, per)
+	}
+}

@@ -161,10 +161,11 @@ func (c *Cluster) idealRoster(comp []int) *rostering.Roster {
 }
 
 // componentViolation checks one live partition and returns a violation
-// description, or "" when the partition is settled.
+// description, or "" when the partition is settled. Rosters are rendered
+// only to describe a violation: Healed is polled, and a settled
+// partition is the common answer.
 func (c *Cluster) componentViolation(comp []int) string {
 	var agreed *rostering.Roster
-	agreedStr := ""
 	for _, i := range comp {
 		nd := c.Nodes[i]
 		if nd.State != ampdk.StateOnline {
@@ -175,27 +176,27 @@ func (c *Cluster) componentViolation(comp []int) string {
 			return fmt.Sprintf("partition %v: node %d has no roster", comp, i)
 		}
 		if agreed == nil {
-			agreed, agreedStr = r, r.String()
-		} else if s := r.String(); s != agreedStr {
-			return fmt.Sprintf("partition %v: node %d roster %q disagrees with %q", comp, i, s, agreedStr)
+			agreed = r
+		} else if !r.Identical(agreed) {
+			return fmt.Sprintf("partition %v: node %d roster %q disagrees with %q", comp, i, r, agreed)
 		}
 	}
 	if ideal := c.idealRoster(comp); !agreed.Equal(ideal) {
-		return fmt.Sprintf("partition %v: adopted roster %q != ideal roster %q", comp, agreedStr, ideal)
+		return fmt.Sprintf("partition %v: adopted roster %q != ideal roster %q", comp, agreed, ideal)
 	}
-	seen := map[int]bool{}
-	inComp := map[int]bool{}
+	// mark[n]: 1 a partition member, 2 a member seen on the roster.
+	mark := make([]uint8, len(c.Nodes))
 	for _, i := range comp {
-		inComp[i] = true
+		mark[i] = 1
 	}
 	for _, n := range agreed.Nodes {
-		if seen[n] {
-			return fmt.Sprintf("partition %v: duplicate node %d on roster %s", comp, n, agreedStr)
+		switch {
+		case n < 0 || n >= len(mark) || mark[n] == 0:
+			return fmt.Sprintf("partition %v: foreign node %d on roster %s", comp, n, agreed)
+		case mark[n] == 2:
+			return fmt.Sprintf("partition %v: duplicate node %d on roster %s", comp, n, agreed)
 		}
-		seen[n] = true
-		if !inComp[n] {
-			return fmt.Sprintf("partition %v: foreign node %d on roster %s", comp, n, agreedStr)
-		}
+		mark[n] = 2
 	}
 	// A stale roster can still "agree" right after a fault; the ring is
 	// healed only when every arc it routes traverses live hardware.
@@ -209,16 +210,16 @@ func (c *Cluster) componentViolation(comp []int) string {
 			first, last := path[0], path[len(path)-1]
 			if c.Phys.Switches[first].Failed() ||
 				c.Phys.NodeLinks[n][first] == nil || !c.Phys.NodeLinks[n][first].Up() {
-				return fmt.Sprintf("partition %v: arc %d-s%d dark at source (roster %s)", comp, n, first, agreedStr)
+				return fmt.Sprintf("partition %v: arc %d-s%d dark at source (roster %s)", comp, n, first, agreed)
 			}
 			if c.Phys.Switches[last].Failed() ||
 				c.Phys.NodeLinks[next][last] == nil || !c.Phys.NodeLinks[next][last].Up() {
-				return fmt.Sprintf("partition %v: arc s%d-%d dark at destination (roster %s)", comp, last, next, agreedStr)
+				return fmt.Sprintf("partition %v: arc s%d-%d dark at destination (roster %s)", comp, last, next, agreed)
 			}
 			for j := 0; j+1 < len(path); j++ {
 				if c.Phys.Switches[path[j+1]].Failed() || c.Phys.TrunkBetween(path[j], path[j+1]) == nil {
 					return fmt.Sprintf("partition %v: arc %d->%d trunk s%d-s%d dark (roster %s)",
-						comp, n, next, path[j], path[j+1], agreedStr)
+						comp, n, next, path[j], path[j+1], agreed)
 				}
 			}
 		}

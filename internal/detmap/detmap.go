@@ -11,18 +11,21 @@ package detmap
 
 import (
 	"cmp"
-	"sort"
+	"slices"
 )
 
 // SortedKeys returns m's keys in ascending order. The returned slice
-// is freshly allocated; iterating it yields a deterministic order for
-// any run, seed, engine and Go release.
+// is freshly allocated (nil for an empty map); iterating it yields a
+// deterministic order for any run, seed, engine and Go release.
 func SortedKeys[M ~map[K]V, K cmp.Ordered, V any](m M) []K {
+	if len(m) == 0 {
+		return nil
+	}
 	keys := make([]K, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool { return cmp.Less(keys[i], keys[j]) })
+	slices.Sort(keys)
 	return keys
 }
 
@@ -34,6 +37,14 @@ func SortedKeysFunc[M ~map[K]V, K comparable, V any](m M, less func(a, b K) bool
 	for k := range m {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool { return less(keys[i], keys[j]) })
+	slices.SortFunc(keys, func(a, b K) int {
+		switch {
+		case less(a, b):
+			return -1
+		case less(b, a):
+			return 1
+		}
+		return 0
+	})
 	return keys
 }

@@ -15,6 +15,8 @@
 package dma
 
 import (
+	"slices"
+
 	"repro/internal/insertion"
 	"repro/internal/micropacket"
 	"repro/internal/sim"
@@ -35,6 +37,30 @@ type request struct {
 	done func()
 }
 
+// queue is one channel's pending segments, reqs[head:]. It pops the
+// way phys.Port.popFrame pops its FIFO — head index, zeroed slot,
+// rewind when empty, compaction once the dead prefix dominates — so a
+// long transfer reuses the backing array instead of abandoning a slot
+// per segment.
+type queue struct {
+	reqs []request
+	head int
+}
+
+func (q *queue) len() int { return len(q.reqs) - q.head }
+
+func (q *queue) pop() {
+	q.reqs[q.head] = request{}
+	q.head++
+	if q.head == len(q.reqs) {
+		q.reqs, q.head = q.reqs[:0], 0
+	} else if q.head >= 32 && q.head*2 >= len(q.reqs) {
+		n := copy(q.reqs, q.reqs[q.head:])
+		clear(q.reqs[n:])
+		q.reqs, q.head = q.reqs[:n], 0
+	}
+}
+
 // Engine is one node's DMA controller.
 type Engine struct {
 	ID micropacket.NodeID
@@ -45,11 +71,12 @@ type Engine struct {
 	OnWrite WriteHandler
 
 	// queues[c] holds pending segments for channel c.
-	queues [NumChannels][]request
+	queues [NumChannels]queue
 	// rrNext is the round-robin cursor over channels.
 	rrNext int
-	// pumping marks an armed retry timer.
-	pumping bool
+	// retry is the one backpressure retry timer, re-armed with Reset;
+	// active means a retry is pending.
+	retry *sim.Timer
 	// Window bounds how many segments the engine keeps in the MAC's
 	// insertion queue at once. Keeping it shallow is what makes the
 	// multiplexing fine-grained: segments wait in their per-channel
@@ -96,14 +123,16 @@ func (e *Engine) Write(ch int, dst micropacket.NodeID, region uint8, off uint32,
 	if ch < 0 || ch >= NumChannels {
 		panic("dma: channel out of range")
 	}
+	// The caller may reuse data once Write returns: the transfer is
+	// copied once, and the segments are windows onto the copy.
+	data = slices.Clone(data)
 	n := 0
 	for i := 0; ; i += MaxSegment {
 		endI := i + MaxSegment
 		if endI > len(data) {
 			endI = len(data)
 		}
-		seg := make([]byte, endI-i)
-		copy(seg, data[i:endI])
+		seg := data[i:endI:endI]
 		last := endI == len(data)
 		req := request{
 			dst: dst,
@@ -116,10 +145,11 @@ func (e *Engine) Write(ch int, dst micropacket.NodeID, region uint8, off uint32,
 		if last {
 			req.done = done
 		}
-		e.queues[ch] = append(e.queues[ch], req)
+		q := &e.queues[ch]
+		q.reqs = append(q.reqs, req)
 		n++
-		if len(e.queues[ch]) > e.QueueHighWater {
-			e.QueueHighWater = len(e.queues[ch])
+		if q.len() > e.QueueHighWater {
+			e.QueueHighWater = q.len()
 		}
 		if last {
 			break
@@ -133,7 +163,7 @@ func (e *Engine) Write(ch int, dst micropacket.NodeID, region uint8, off uint32,
 func (e *Engine) Pending() int {
 	n := 0
 	for c := range e.queues {
-		n += len(e.queues[c])
+		n += e.queues[c].len()
 	}
 	return n
 }
@@ -146,28 +176,23 @@ func (e *Engine) pump() {
 		if ch < 0 {
 			return // all drained
 		}
-		full := e.St.QueueLen() >= e.Window
-		req := e.queues[ch][0]
-		pkt := micropacket.NewDMA(e.ID, req.dst, req.hdr, req.data)
-		pkt.DMA.Seq = e.txSeq[ch]
-		if req.last {
-			pkt.Flags |= micropacket.FlagLast
-		}
-		if full || !e.St.Send(pkt) {
+		q := &e.queues[ch]
+		req := q.reqs[q.head]
+		// The window test comes first: a back-pressured attempt builds
+		// no packet.
+		if e.St.QueueLen() >= e.Window || !e.St.Send(e.packet(ch, req)) {
 			// Backpressure: retry shortly. The segment stays queued, so
 			// nothing is lost and per-channel order is preserved.
-			if !e.pumping {
-				e.pumping = true
-				e.K.After(pumpInterval, func() {
-					e.pumping = false
-					e.pump()
-				})
+			if e.retry == nil {
+				e.retry = e.K.After(pumpInterval, e.pump)
+			} else if !e.retry.Active() {
+				e.retry.Reset(pumpInterval)
 			}
 			return
 		}
 		e.txSeq[ch]++
 		e.Sent++
-		e.queues[ch] = e.queues[ch][1:]
+		q.pop()
 		e.rrNext = (ch + 1) % NumChannels
 		if req.done != nil {
 			req.done()
@@ -175,12 +200,22 @@ func (e *Engine) pump() {
 	}
 }
 
+// packet builds the MicroPacket of channel ch's head segment.
+func (e *Engine) packet(ch int, req request) *micropacket.Packet {
+	pkt := micropacket.NewDMA(e.ID, req.dst, req.hdr, req.data)
+	pkt.DMA.Seq = e.txSeq[ch]
+	if req.last {
+		pkt.Flags |= micropacket.FlagLast
+	}
+	return pkt
+}
+
 // nextNonEmpty returns the next channel with queued work, starting the
 // round-robin scan at rrNext; -1 if all empty.
 func (e *Engine) nextNonEmpty() int {
 	for i := 0; i < NumChannels; i++ {
 		c := (e.rrNext + i) % NumChannels
-		if len(e.queues[c]) > 0 {
+		if e.queues[c].len() > 0 {
 			return c
 		}
 	}

@@ -274,3 +274,46 @@ func TestPendingAndHighWater(t *testing.T) {
 		t.Fatalf("high water = %d", r.engines[0].QueueHighWater)
 	}
 }
+
+// TestBackpressuredPumpAllocatesNothing: while the MAC window is full a
+// pump attempt neither builds a MicroPacket nor a retry Timer.
+func TestBackpressuredPumpAllocatesNothing(t *testing.T) {
+	r := newRig(3)
+	e := r.engines[0]
+	e.Write(1, 1, 0, 0, pattern(64*MaxSegment), nil)
+	if e.St.QueueLen() < e.Window || !e.retry.Active() {
+		t.Fatalf("rig is not back-pressured: MAC queue %d, window %d", e.St.QueueLen(), e.Window)
+	}
+	if n := testing.AllocsPerRun(100, e.pump); n != 0 {
+		t.Fatalf("a back-pressured pump allocates %.0f times, want 0", n)
+	}
+	r.k.Run()
+	if e.Pending() != 0 || e.Sent != 64 {
+		t.Fatalf("transfer incomplete: %d pending, %d sent", e.Pending(), e.Sent)
+	}
+}
+
+// TestQueueReusesBacking: a channel queue that never drains keeps FIFO
+// order and a bounded backing array.
+func TestQueueReusesBacking(t *testing.T) {
+	var q queue
+	next, want := uint32(0), uint32(0)
+	push := func() {
+		q.reqs = append(q.reqs, request{hdr: micropacket.DMAHeader{Offset: next}})
+		next++
+	}
+	for range 40 {
+		push()
+	}
+	for range 10_000 {
+		push()
+		if got := q.reqs[q.head].hdr.Offset; got != want {
+			t.Fatalf("head is segment %d, want %d", got, want)
+		}
+		q.pop()
+		want++
+	}
+	if q.len() != 40 || cap(q.reqs) > 256 {
+		t.Fatalf("after 10 000 pops: len %d, cap %d (want 40, <= 256)", q.len(), cap(q.reqs))
+	}
+}

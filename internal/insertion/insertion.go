@@ -122,10 +122,15 @@ type Station struct {
 	// fibers lit, so loss-of-light alone cannot catch it).
 	LastRx sim.Time
 
-	insertQ []phys.Frame
-	// holding mirrors len(insertQ) > 0 onto the ports (syncHold).
+	// insertQ[insertHead:] are the host frames waiting to insert: the
+	// queue pops by advancing a head index, like the port FIFO, so its
+	// backing array is reused instead of abandoned a slot per frame.
+	insertQ    []phys.Frame
+	insertHead int
+	// holding mirrors QueueLen() > 0 onto the ports (syncHold).
 	holding bool
 	pace    sim.Time
+	// paceTmr is the one paced-retry timer, re-armed with Reset.
 	paceTmr *sim.Timer
 
 	// fwdFree pools transit-forward events: the per-forward closure +
@@ -200,7 +205,7 @@ func (s *Station) Net() *phys.Net { return s.net }
 func (s *Station) OnRing() bool { return s.egress != nil }
 
 // QueueLen returns the host insertion queue length.
-func (s *Station) QueueLen() int { return len(s.insertQ) }
+func (s *Station) QueueLen() int { return len(s.insertQ) - s.insertHead }
 
 // LocalView returns the station's current congestion estimate (EWMA of
 // egress occupancy; 0 = idle ring).
@@ -210,7 +215,7 @@ func (s *Station) LocalView() float64 { return float64(s.viewX16) / 16 }
 // returns false (backpressure) when the insertion queue is full or the
 // station is off-ring.
 func (s *Station) Send(p *micropacket.Packet) bool {
-	if s.egress == nil || len(s.insertQ) >= s.MaxInsertQueue {
+	if s.egress == nil || s.QueueLen() >= s.MaxInsertQueue {
 		s.Refused++
 		return false
 	}
@@ -224,7 +229,7 @@ func (s *Station) Send(p *micropacket.Packet) bool {
 // opportunity then, and provably a no-op otherwise — which is what lets
 // the ports not spend a kernel event on it (phys.Port.HoldTxDone).
 func (s *Station) syncHold() {
-	if on := len(s.insertQ) > 0; on != s.holding {
+	if on := s.QueueLen() > 0; on != s.holding {
 		s.holding = on
 		for _, p := range s.Ports {
 			if p != nil {
@@ -243,18 +248,14 @@ func (s *Station) tryInsert() {
 
 // insert is tryInsert's decision; only tryInsert calls it.
 func (s *Station) insert() {
-	if s.egress == nil || len(s.insertQ) == 0 {
+	if s.egress == nil || s.QueueLen() == 0 {
 		return
 	}
 	if s.egress.QueueLen() <= s.InsertThreshold {
 		// The egress is idle: insert now, even if a paced retry was
 		// pending (a tx completion beat the timer to the opportunity).
-		if s.paceTmr != nil {
-			s.paceTmr.Cancel()
-			s.paceTmr = nil
-		}
-		f := s.insertQ[0]
-		s.insertQ = s.insertQ[1:]
+		s.paceTmr.Cancel()
+		f := s.popInsert()
 		// Before the Send: if that was the last waiting frame, its own
 		// completion is no opportunity for anything.
 		s.syncHold()
@@ -268,7 +269,7 @@ func (s *Station) insert() {
 		}
 		return
 	}
-	if s.paceTmr != nil && s.paceTmr.Active() {
+	if s.paceTmr.Active() {
 		return // a paced attempt is already scheduled
 	}
 	// Local view says the ring is busy: back off and retry later.
@@ -280,7 +281,29 @@ func (s *Station) insert() {
 			s.pace = DefaultMaxPace
 		}
 	}
-	s.paceTmr = s.K.After(s.pace, func() { s.tryInsert() })
+	if s.paceTmr == nil {
+		s.paceTmr = s.K.After(s.pace, s.tryInsert)
+	} else {
+		s.paceTmr.Reset(s.pace)
+	}
+}
+
+// popInsert removes the head host frame the way phys.Port.popFrame
+// pops its FIFO: the vacated slot is zeroed, the slice rewinds once it
+// empties, and a queue that never drains is compacted once the dead
+// prefix dominates.
+func (s *Station) popInsert() phys.Frame {
+	f := s.insertQ[s.insertHead]
+	s.insertQ[s.insertHead] = phys.Frame{}
+	s.insertHead++
+	if s.insertHead == len(s.insertQ) {
+		s.insertQ, s.insertHead = s.insertQ[:0], 0
+	} else if s.insertHead >= 32 && s.insertHead*2 >= len(s.insertQ) {
+		n := copy(s.insertQ, s.insertQ[s.insertHead:])
+		clear(s.insertQ[n:])
+		s.insertQ, s.insertHead = s.insertQ[:n], 0
+	}
+	return f
 }
 
 // KeepaliveTag marks Diagnostic MicroPackets used as ring keepalives;

@@ -287,8 +287,38 @@ func NewDMA(src, dst NodeID, hdr DMAHeader, data []byte) *Packet {
 		panic("micropacket: DMA payload over 64 bytes")
 	}
 	hdr.Length = uint8(len(data))
-	p := &Packet{Type: TypeDMA, Src: src, Dst: dst, DMA: hdr}
-	p.Data = make([]byte, len(data))
+	// Packet and payload are one allocation, in the smallest of four
+	// sizes that holds the payload.
+	var p *Packet
+	switch n := len(data); {
+	case n == 0:
+		p = &Packet{Data: []byte{}}
+	case n <= 16:
+		b := new(struct {
+			Packet
+			buf [16]byte
+		})
+		p, b.Data = &b.Packet, b.buf[:n:n]
+	case n <= 32:
+		b := new(struct {
+			Packet
+			buf [32]byte
+		})
+		p, b.Data = &b.Packet, b.buf[:n:n]
+	case n <= 48:
+		b := new(struct {
+			Packet
+			buf [48]byte
+		})
+		p, b.Data = &b.Packet, b.buf[:n:n]
+	default:
+		b := new(struct {
+			Packet
+			buf [MaxPayload]byte
+		})
+		p, b.Data = &b.Packet, b.buf[:n:n]
+	}
+	p.Type, p.Src, p.Dst, p.DMA = TypeDMA, src, dst, hdr
 	copy(p.Data, data)
 	return p
 }

@@ -37,10 +37,33 @@ const (
 )
 
 // SerTime returns the serialization time of n bytes at the line rate
-// (10 baud per byte under 8b/10b).
+// (10 baud per byte under 8b/10b). Every transmission asks, so the
+// sizes a frame can have are answered from a table.
 func SerTime(n int) sim.Time {
+	if uint(n) < uint(len(serTable)) {
+		return serTable[n]
+	}
+	return serTime(n)
+}
+
+func serTime(n int) sim.Time {
 	return sim.Time(float64(n)*10*1e9/BaudRate + 0.5)
 }
+
+// serTable holds serTime(n) for every n up to the largest frame of any
+// wire-format version plus the default inter-frame gap, rounded up to a
+// multiple of 64.
+var serTable = func() []sim.Time {
+	largest := 0
+	for _, v := range wire.Versions() {
+		largest = max(largest, wire.Size(v, micropacket.TypeDMA, micropacket.MaxPayload))
+	}
+	t := make([]sim.Time, (largest+DefaultIFG)/64*64+64)
+	for n := range t {
+		t[n] = serTime(n)
+	}
+	return t
+}()
 
 // PropTime returns the propagation delay across meters of fiber.
 func PropTime(meters float64) sim.Time {
@@ -149,9 +172,10 @@ type Net struct {
 
 	// Hot-path event pools (see pool.go). Per-Net and therefore
 	// per-shard: only ever touched from this Net's kernel context.
-	delFree []*delivery
-	txFree  []*txDone
-	swFree  []*swForward
+	delFree   []*delivery
+	txFree    []*txDone
+	swFree    []*swForward
+	floodFree []*swFlood
 }
 
 // NewNet creates a physical network on kernel k with default parameters.

@@ -485,3 +485,24 @@ func TestCountingSites(t *testing.T) {
 		}
 	}
 }
+
+// TestSerTimeTable: the table answers exactly what the expression does,
+// at every index and on both sides of its end.
+func TestSerTimeTable(t *testing.T) {
+	top := len(serTable) - 1
+	for _, v := range wire.Versions() {
+		if n := wire.Size(v, micropacket.TypeDMA, micropacket.MaxPayload) + DefaultIFG; n > top {
+			t.Fatalf("table ends at %d, below wire %v's largest frame plus gap %d", top, v, n)
+		}
+	}
+	for n := range serTable {
+		if serTable[n] != serTime(n) {
+			t.Fatalf("serTable[%d] = %v, expression gives %v", n, serTable[n], serTime(n))
+		}
+	}
+	for _, n := range []int{0, 1, top, top + 1, 10 * top, -1} {
+		if got, want := SerTime(n), sim.Time(float64(n)*10*1e9/BaudRate+0.5); got != want {
+			t.Fatalf("SerTime(%d) = %v, want %v", n, got, want)
+		}
+	}
+}

@@ -12,10 +12,11 @@ import (
 // scale (millions of frame hops) those allocations — and the GC scan
 // load of the closures they retain — dominate the profile next to heap
 // operations. The records below make the steady state allocation-free:
-// each Net keeps free lists of delivery / tx-done / switch-forward
-// records whose dispatch closure is built once, when the record is
-// first created, and reused for the record's whole life. Scheduling
-// goes through the kernel's Do/DoPri fast path, which issues no Timer.
+// each Net keeps free lists of delivery / tx-done / switch-forward /
+// switch-flood records whose dispatch closure is built once, when the
+// record is first created, and reused for the record's whole life.
+// Scheduling goes through the kernel's Do/DoPri fast path, which issues
+// no Timer.
 //
 // Records are recycled at the top of dispatch (fields copied to locals,
 // record pushed back on the free list, then the work runs), so a model
@@ -147,5 +148,49 @@ func (w *swForward) dispatch() {
 		s.ports[out].Send(f)
 	} else {
 		s.net.Acct.Lose(frameacct.LossEgressDark)
+	}
+}
+
+// swFlood carries one scheduled rostering flood fan-out: the frame that
+// arrived on port in leaves on every other live port.
+type swFlood struct {
+	s   *Switch
+	in  int
+	f   Frame
+	run func()
+}
+
+func (n *Net) newSwFlood(s *Switch, in int, f Frame) *swFlood {
+	var w *swFlood
+	if m := len(n.floodFree); m > 0 {
+		w = n.floodFree[m-1]
+		n.floodFree = n.floodFree[:m-1]
+	} else {
+		w = &swFlood{}
+		w.run = w.dispatch
+	}
+	w.s, w.in, w.f = s, in, f
+	return w
+}
+
+func (w *swFlood) dispatch() {
+	s, in, f := w.s, w.in, w.f
+	w.s, w.f = nil, Frame{}
+	s.net.floodFree = append(s.net.floodFree, w)
+	s.net.Acct.Exit()
+	if s.failed {
+		s.net.Acct.Lose(frameacct.LossSwitchDead)
+		return
+	}
+	// The fan-out stage absorbs the arriving wave; every copy it emits
+	// is a fresh origin with its own ledger life (zero live egress ports
+	// simply means zero offspring).
+	s.net.Acct.Consume(frameacct.ConsumeFloodFanout)
+	for i, p := range s.ports {
+		if i == in || !p.Up() {
+			continue
+		}
+		s.Flooded++
+		p.SendPriority(f)
 	}
 }

@@ -212,9 +212,8 @@ func (s *Switch) floodAdmit(f Frame) bool {
 
 // receiveFlood handles a rostering flood frame arriving on port index
 // in: hop-expire, wave-dedup, then flood to every other live port
-// after the cut-through delay. Floods are a rostering-transition
-// burst, not the data hot path; the closure is fine, but Do skips the
-// Timer.
+// after the cut-through delay, via a pooled record like the data path's
+// (a boot or heal floods every announcement through every switch).
 func (s *Switch) receiveFlood(in int, f Frame) {
 	if f.Hops >= MaxFloodHops {
 		s.FloodExpired++
@@ -228,24 +227,8 @@ func (s *Switch) receiveFlood(in int, f Frame) {
 	}
 	f.Hops++
 	s.net.Acct.Enter()
-	s.net.K.Do(s.net.K.Now()+s.latency, func() {
-		s.net.Acct.Exit()
-		if s.failed {
-			s.net.Acct.Lose(frameacct.LossSwitchDead)
-			return
-		}
-		// The fan-out stage absorbs the arriving wave; every copy it
-		// emits is a fresh origin with its own ledger life (zero live
-		// egress ports simply means zero offspring).
-		s.net.Acct.Consume(frameacct.ConsumeFloodFanout)
-		for i, p := range s.ports {
-			if i == in || !p.Up() {
-				continue
-			}
-			s.Flooded++
-			p.SendPriority(f)
-		}
-	})
+	w := s.net.newSwFlood(s, in, f)
+	s.net.K.Do(s.net.K.Now()+s.latency, w.run)
 }
 
 // receive handles a frame arriving on port index in.
@@ -255,9 +238,6 @@ func (s *Switch) receive(in int, f Frame) {
 		return
 	}
 	if f.Pkt.Type == micropacket.TypeRostering {
-		// Kept out of line: the flood closure captures f, and a
-		// captured parameter heap-escapes at function entry on every
-		// call — including the data-path calls that never flood.
 		s.receiveFlood(in, f)
 		return
 	}

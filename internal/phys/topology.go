@@ -338,8 +338,9 @@ func (c *Cluster) View() *FabricView {
 		return v
 	}
 	v.TrunkUp = make([][]bool, v.Switches)
+	cells := make([]bool, v.Switches*v.Switches)
 	for i := range v.TrunkUp {
-		v.TrunkUp[i] = make([]bool, v.Switches)
+		v.TrunkUp[i] = cells[i*v.Switches : (i+1)*v.Switches]
 	}
 	for _, t := range c.Trunks {
 		if t.Link.Up() && !c.Switches[t.A].Failed() && !c.Switches[t.B].Failed() {

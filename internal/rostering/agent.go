@@ -17,6 +17,15 @@ type Announcement struct {
 	Seq    uint8
 }
 
+// lsRecord is one slot of an agent's database, which is indexed by
+// origin id: the ids of a fabric are 0..NumNodes-1, part of the
+// ubiquitous configuration database (slide 2).
+type lsRecord struct {
+	mask  LinkState
+	seq   uint8
+	known bool // announced in the current round
+}
+
 // Agent runs the rostering protocol on one node. It owns the node's
 // Rostering MicroPackets (delivered by the Station's OnControl hook) and
 // reprograms the Station and its hop's switch when a new roster is
@@ -54,17 +63,25 @@ type Agent struct {
 	// OnAdopt is called after this agent adopts a new roster.
 	OnAdopt func(*Roster)
 
-	epoch  uint32
-	seq    uint8
-	lsdb   map[int]Announcement
-	settle *sim.Timer
-	// keepaliveFn/watchdogFn are the loop method values, bound once in
-	// Start so periodic re-arming does not allocate.
-	keepaliveFn func()
-	watchdogFn  func()
-	current     *Roster
-	adoptedAt   sim.Time
-	stopped     bool
+	epoch uint32
+	seq   uint8
+	lsdb  []lsRecord
+	// ids and masks are adopt's scratch: the round's database in the
+	// dense form buildRoster takes.
+	ids   []int
+	masks []LinkState
+	// Each periodic activity owns one Timer, first armed in Start (the
+	// settle timer in the first round), re-armed with Reset, cancelled by
+	// Stop.
+	settle    *sim.Timer
+	keepalive *sim.Timer
+	watchdog  *sim.Timer
+	// kaFrame is the keepalive to the current roster's downstream
+	// neighbor, built once per adoption; Pkt is nil off the ring.
+	kaFrame   phys.Frame
+	current   *Roster
+	adoptedAt sim.Time
+	stopped   bool
 
 	// Adoptions counts rosters adopted; Announced counts own floods.
 	Adoptions uint64
@@ -91,7 +108,7 @@ func NewAgent(k *sim.Kernel, id int, cluster *phys.Cluster, st *insertion.Statio
 		SettleWindow:      2 * EstimateTour(cluster.NumNodes(), fiberM, cluster.Net),
 		KeepaliveInterval: DefaultKeepalive,
 		SilenceTimeout:    DefaultSilenceTimeout,
-		lsdb:              map[int]Announcement{},
+		lsdb:              make([]lsRecord, cluster.NumNodes()),
 		stopped:           true, // dark until Start (NIC not yet booted)
 	}
 	st.OnControl = a.handleControl
@@ -116,9 +133,9 @@ func NewAgent(k *sim.Kernel, id int, cluster *phys.Cluster, st *insertion.Statio
 // no longer reacts to port status changes or emits keepalives.
 func (a *Agent) Stop() {
 	a.stopped = true
-	if a.settle != nil {
-		a.settle.Cancel()
-	}
+	a.settle.Cancel()
+	a.keepalive.Cancel()
+	a.watchdog.Cancel()
 }
 
 // Roster returns the currently adopted roster (nil before the first
@@ -132,13 +149,6 @@ func (a *Agent) Epoch() uint32 { return a.epoch }
 // the keepalive and silence-watchdog loops.
 func (a *Agent) Start() {
 	a.stopped = false
-	// Bind the loop method values once: re-arming with a fresh method
-	// value every tick allocated a closure (and a Timer) per node per
-	// interval, a top allocation site at fabric scale.
-	if a.keepaliveFn == nil {
-		a.keepaliveFn = a.keepaliveLoop
-		a.watchdogFn = a.watchdogLoop
-	}
 	a.Trigger()
 	a.keepaliveLoop()
 	a.watchdogLoop()
@@ -150,15 +160,16 @@ func (a *Agent) keepaliveLoop() {
 	if a.stopped {
 		return
 	}
-	if r := a.current; r != nil && a.Station.OnRing() {
-		if next, _, ok := r.Next(a.ID); ok {
-			ka := micropacket.NewDiagnostic(micropacket.NodeID(a.ID), micropacket.NodeID(next), insertion.KeepaliveTag)
-			if p := a.Station.Ports[a.Station.EgressSwitch()]; p.Up() {
-				p.SendPriority(p.Net().NewFrame(ka))
-			}
+	if a.kaFrame.Pkt != nil && a.Station.OnRing() {
+		if p := a.Station.Ports[a.Station.EgressSwitch()]; p.Up() {
+			p.SendPriority(a.kaFrame)
 		}
 	}
-	a.K.Do(a.K.Now()+a.KeepaliveInterval, a.keepaliveFn)
+	if a.keepalive == nil {
+		a.keepalive = a.K.After(a.KeepaliveInterval, a.keepaliveLoop)
+	} else {
+		a.keepalive.Reset(a.KeepaliveInterval)
+	}
 }
 
 // watchdogLoop detects upstream silence: if the node sits on a ring but
@@ -176,7 +187,11 @@ func (a *Agent) watchdogLoop() {
 		now-a.adoptedAt > grace {
 		a.Trigger()
 	}
-	a.K.Do(a.K.Now()+a.SilenceTimeout/2, a.watchdogFn)
+	if a.watchdog == nil {
+		a.watchdog = a.K.After(a.SilenceTimeout/2, a.watchdogLoop)
+	} else {
+		a.watchdog.Reset(a.SilenceTimeout / 2)
+	}
 }
 
 // Trigger starts a new rostering round: failure detected, light
@@ -202,19 +217,35 @@ func (a *Agent) mask() LinkState {
 func (a *Agent) beginEpoch(e uint32) {
 	a.epoch = e
 	a.exploring = true
-	a.lsdb = map[int]Announcement{}
-	a.lsdb[a.ID] = Announcement{Origin: a.ID, Mask: a.mask(), Seq: a.seq}
+	clear(a.lsdb)
+	a.record(Announcement{Origin: a.ID, Mask: a.mask(), Seq: a.seq})
 	a.resetSettle()
+}
+
+// record stores an announcement in the round's database. Origins are
+// node ids below NumNodes; the table grows rather than trust a frame's
+// claim to that.
+func (a *Agent) record(ann Announcement) {
+	if ann.Origin >= len(a.lsdb) {
+		a.lsdb = append(a.lsdb, make([]lsRecord, ann.Origin+1-len(a.lsdb))...)
+	}
+	a.lsdb[ann.Origin] = lsRecord{mask: ann.Mask, seq: ann.Seq, known: true}
 }
 
 // announce floods this node's link-state record out every live port.
 func (a *Agent) announce() {
-	a.seq++
-	a.lsdb[a.ID] = Announcement{Origin: a.ID, Mask: a.mask(), Seq: a.seq}
-	pkt := encodeAnnouncement(a.ID, a.epoch, a.lsdb[a.ID])
-	a.Announced++
-	a.floodExcept(pkt, nil)
+	a.floodOwn()
 	a.resetSettle()
+}
+
+// floodOwn records this node's link state under a fresh sequence number
+// and floods it out every live port.
+func (a *Agent) floodOwn() {
+	a.seq++
+	own := Announcement{Origin: a.ID, Mask: a.mask(), Seq: a.seq}
+	a.record(own)
+	a.Announced++
+	a.floodExcept(encodeAnnouncement(a.ID, a.epoch, own), nil)
 }
 
 // floodExcept sends the packet on every live port except skip.
@@ -251,23 +282,21 @@ func (a *Agent) handleControl(port *phys.Port, f phys.Frame) {
 		// own link state.
 		acct.Consume(frameacct.ConsumeControl)
 		a.beginEpoch(epoch)
-		a.lsdb[origin] = ann
+		a.record(ann)
 		a.floodExcept(f.Pkt, port)
-		a.seq++
-		a.lsdb[a.ID] = Announcement{Origin: a.ID, Mask: a.mask(), Seq: a.seq}
-		a.Announced++
-		a.floodExcept(encodeAnnouncement(a.ID, a.epoch, a.lsdb[a.ID]), nil)
+		a.floodOwn()
 		a.resetSettle()
 		return
 	}
 	// Same epoch: accept if new origin or newer sequence.
-	prev, seen := a.lsdb[origin]
-	if seen && !newerSeq(ann.Seq, prev.Seq) {
-		acct.Lose(frameacct.LossDupAnnounce)
-		return // duplicate: do not re-flood (this breaks flood loops)
+	if origin < len(a.lsdb) {
+		if prev := a.lsdb[origin]; prev.known && !newerSeq(ann.Seq, prev.seq) {
+			acct.Lose(frameacct.LossDupAnnounce)
+			return // duplicate: do not re-flood (this breaks flood loops)
+		}
 	}
 	acct.Consume(frameacct.ConsumeControl)
-	a.lsdb[origin] = ann
+	a.record(ann)
 	a.floodExcept(f.Pkt, port)
 	if !a.exploring {
 		// New information for an epoch we had already adopted — a
@@ -277,10 +306,7 @@ func (a *Agent) handleControl(port *phys.Port, f phys.Frame) {
 		// happens at most once per new announcement (duplicates are
 		// filtered above), so floods cannot storm.
 		a.exploring = true
-		a.seq++
-		a.lsdb[a.ID] = Announcement{Origin: a.ID, Mask: a.mask(), Seq: a.seq}
-		a.Announced++
-		a.floodExcept(encodeAnnouncement(a.ID, a.epoch, a.lsdb[a.ID]), nil)
+		a.floodOwn()
 	}
 	a.resetSettle()
 }
@@ -288,17 +314,22 @@ func (a *Agent) handleControl(port *phys.Port, f phys.Frame) {
 // newerSeq compares wrapping uint8 sequence numbers.
 func newerSeq(a, b uint8) bool { return int8(a-b) > 0 }
 
-// resetSettle (re)arms the quiescence timer for the current round.
+// resetSettle (re)arms the quiescence timer for the current round. A
+// new epoch always passes through here (beginEpoch), so a settle timer
+// that fires belongs to the round it was armed in.
 func (a *Agent) resetSettle() {
-	if a.settle != nil {
-		a.settle.Cancel()
+	if a.settle == nil {
+		a.settle = a.K.After(a.SettleWindow, a.settled)
+	} else {
+		a.settle.Reset(a.SettleWindow)
 	}
-	epoch := a.epoch
-	a.settle = a.K.After(a.SettleWindow, func() {
-		if a.epoch == epoch && a.exploring {
-			a.adopt()
-		}
-	})
+}
+
+// settled is the quiescence timer's callback.
+func (a *Agent) settled() {
+	if a.exploring {
+		a.adopt()
+	}
 }
 
 // adopt computes the roster from the settled database and programs this
@@ -307,16 +338,22 @@ func (a *Agent) adopt() {
 	a.exploring = false
 	a.adoptedAt = a.K.Now()
 	a.Station.LastRx = a.K.Now()
-	lsdb := make(map[int]LinkState, len(a.lsdb))
-	//ampvet:allow detmap map-to-map projection; BuildRosterFabric sorts the ids
-	for id, ann := range a.lsdb {
-		lsdb[id] = ann.Mask
+	a.ids, a.masks = a.ids[:0], a.masks[:0]
+	for id, rec := range a.lsdb {
+		if rec.known && rec.mask != 0 {
+			a.ids, a.masks = append(a.ids, id), append(a.masks, rec.mask)
+		}
 	}
-	r := BuildRosterFabric(a.epoch, lsdb, a.Cluster.View())
+	r := buildRoster(a.epoch, a.ids, a.masks, a.Cluster.View())
 	a.current = r
 	a.Adoptions++
+	a.kaFrame = phys.Frame{}
 
 	if next, via, ok := r.Next(a.ID); ok {
+		// Packets are immutable once sent, so every keepalive of this
+		// roster is the same frame.
+		a.kaFrame = a.Station.Net().NewFrame(micropacket.NewDiagnostic(
+			micropacket.NodeID(a.ID), micropacket.NodeID(next), insertion.KeepaliveTag))
 		// Program our hop's switch path. (Port n on every switch
 		// belongs to node n, by construction of the cluster wiring,
 		// which is part of the ubiquitous configuration database —

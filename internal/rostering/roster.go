@@ -26,7 +26,10 @@
 package rostering
 
 import (
-	"fmt"
+	"math/bits"
+	"slices"
+	"strconv"
+	"strings"
 
 	"repro/internal/detmap"
 	"repro/internal/phys"
@@ -38,7 +41,8 @@ import (
 // the first switch of hop i (the source node's egress switch); Paths[i]
 // is the full switch sequence, which has more than one entry when the
 // hop heals across inter-switch trunks because the endpoints no longer
-// share a live switch.
+// share a live switch. A built roster is read-only: the rows of Paths
+// share storage (equal hops share one row).
 type Roster struct {
 	Epoch uint32
 	Nodes []int
@@ -151,23 +155,55 @@ func (r *Roster) String() string {
 	if len(r.Nodes) == 0 {
 		return "<empty roster>"
 	}
-	s := fmt.Sprintf("epoch %d: ", r.Epoch)
+	var b strings.Builder
+	b.Grow(16 + 12*len(r.Nodes))
+	var num [20]byte
+	put := func(v int) { b.Write(strconv.AppendInt(num[:0], int64(v), 10)) }
+	b.WriteString("epoch ")
+	b.Write(strconv.AppendUint(num[:0], uint64(r.Epoch), 10))
+	b.WriteString(": ")
 	for i, n := range r.Nodes {
-		if len(r.Via) == len(r.Nodes) {
-			s += fmt.Sprintf("%d -s", n)
-			for j, sw := range r.hopPath(i) {
-				if j > 0 {
-					s += fmt.Sprintf(":s%d", sw)
-				} else {
-					s += fmt.Sprint(sw)
-				}
+		put(n)
+		if len(r.Via) != len(r.Nodes) {
+			b.WriteByte(' ')
+			continue
+		}
+		b.WriteString(" -s")
+		for j, sw := range r.hopPath(i) {
+			if j > 0 {
+				b.WriteString(":s")
 			}
-			s += "-> "
-		} else {
-			s += fmt.Sprintf("%d ", n)
+			put(sw)
+		}
+		b.WriteString("-> ")
+	}
+	b.WriteByte('(')
+	put(r.Nodes[0])
+	b.WriteByte(')')
+	return b.String()
+}
+
+// Identical reports whether two rosters render the same String: the
+// same epoch, the same unrotated node order and the same hop paths. It
+// is what "every node adopted the same roster" means, without building
+// the strings.
+func (r *Roster) Identical(o *Roster) bool {
+	if o == nil || len(r.Nodes) != len(o.Nodes) {
+		return false
+	}
+	if len(r.Nodes) == 0 {
+		return true // both render "<empty roster>", whatever the epoch
+	}
+	hops := len(r.Via) == len(r.Nodes)
+	if r.Epoch != o.Epoch || hops != (len(o.Via) == len(o.Nodes)) || !slices.Equal(r.Nodes, o.Nodes) {
+		return false
+	}
+	for i := 0; hops && i < len(r.Nodes); i++ {
+		if !slices.Equal(r.hopPath(i), o.hopPath(i)) {
+			return false
 		}
 	}
-	return s + fmt.Sprintf("(%d)", r.Nodes[0])
+	return true
 }
 
 // LinkState is one node's live-switch bitmask: bit s set means the
@@ -177,18 +213,12 @@ type LinkState uint8
 // Has reports whether switch s is live for this node.
 func (m LinkState) Has(s int) bool { return m&(1<<s) != 0 }
 
-// common returns the lowest switch index live for both masks, or -1.
-func common(a, b LinkState) int {
-	c := a & b
-	if c == 0 {
+// lowest returns the lowest switch index live in the mask, or -1.
+func (m LinkState) lowest() int {
+	if m == 0 {
 		return -1
 	}
-	for s := 0; s < 8; s++ {
-		if c.Has(s) {
-			return s
-		}
-	}
-	return -1
+	return bits.TrailingZeros8(uint8(m))
 }
 
 // BuildRosterFabric deterministically computes the largest logical ring
@@ -206,25 +236,53 @@ func common(a, b LinkState) int {
 // node order is reversed, so the backup ring rotates the other way. A
 // nil view is a trunkless fabric.
 func BuildRosterFabric(epoch uint32, lsdb map[int]LinkState, view *phys.FabricView) *Roster {
-	ids := make([]int, 0, len(lsdb))
-	for _, id := range detmap.SortedKeys(lsdb) {
-		if lsdb[id] != 0 {
-			ids = append(ids, id)
+	ids := detmap.SortedKeys(lsdb)
+	masks := make([]LinkState, 0, len(ids))
+	live := ids[:0]
+	for _, id := range ids {
+		if m := lsdb[id]; m != 0 {
+			live, masks = append(live, id), append(masks, m)
 		}
 	}
+	return buildRoster(epoch, live, masks, view)
+}
+
+// buildRoster is BuildRosterFabric over a dense database: ids ascending,
+// masks[i] the non-zero mask of ids[i]. Routability depends only on the
+// two masks, and a fabric has few distinct ones, so nodes are reduced to
+// mask classes and every question about a pair of classes is one
+// pathTable cell: the cost is one switchPath per distinct ordered pair
+// met, and O(n²) cell reads for the insertion scan.
+func buildRoster(epoch uint32, ids []int, masks []LinkState, view *phys.FabricView) *Roster {
 	if len(ids) == 0 {
 		return &Roster{Epoch: epoch}
 	}
-	ring := []int{ids[0]}
-	pending := append([]int{}, ids[1:]...)
+	t := pathTable{view: view}
+	cls := make([]uint8, len(ids)) // ids[i]'s mask class
+	var classOf [256]uint8         // mask → class + 1
+	for i, m := range masks {
+		if classOf[m] == 0 {
+			t.masks = append(t.masks, m)
+			classOf[m] = uint8(len(t.masks))
+		}
+		cls[i] = classOf[m] - 1
+	}
+	t.cells = make([]pathCell, len(t.masks)*len(t.masks))
+
+	// ring and rcls grow together: the cycle's node ids and their classes.
+	ring := append(make([]int, 0, len(ids)), ids[0])
+	rcls := append(make([]uint8, 0, len(ids)), cls[0])
+	pending := make([]int32, len(ids)-1) // indices into ids
+	for i := range pending {
+		pending[i] = int32(i + 1)
+	}
 	for progress := true; progress && len(pending) > 0; {
 		progress = false
-		var left []int
+		left := pending[:0]
 		for _, c := range pending {
-			if pos := feasiblePos(ring, c, lsdb, view); pos >= 0 {
-				ring = append(ring, 0)
-				copy(ring[pos+2:], ring[pos+1:])
-				ring[pos+1] = c
+			if pos := t.feasiblePos(rcls, cls[c]); pos >= 0 {
+				ring = slices.Insert(ring, pos+1, ids[c])
+				rcls = slices.Insert(rcls, pos+1, cls[c])
 				progress = true
 			} else {
 				left = append(left, c)
@@ -232,18 +290,16 @@ func BuildRosterFabric(epoch uint32, lsdb map[int]LinkState, view *phys.FabricVi
 		}
 		pending = left
 	}
-	if view != nil && view.CounterRotating && len(ring) >= 3 && lowestLiveSwitch(ring, lsdb)%2 == 1 {
-		for i, j := 1, len(ring)-1; i < j; i, j = i+1, j-1 {
-			ring[i], ring[j] = ring[j], ring[i]
-		}
+	if view != nil && view.CounterRotating && len(ring) >= 3 && t.lowestLiveSwitch(rcls)%2 == 1 {
+		slices.Reverse(ring[1:])
+		slices.Reverse(rcls[1:])
 	}
 	r := &Roster{Epoch: epoch, Nodes: ring}
 	if len(ring) >= 2 {
 		r.Via = make([]int, len(ring))
 		r.Paths = make([][]int, len(ring))
 		for i := range ring {
-			a, b := ring[i], ring[(i+1)%len(ring)]
-			path := switchPath(lsdb[a], lsdb[b], view)
+			path := t.path(rcls[i], rcls[(i+1)%len(ring)])
 			if path == nil {
 				// Cannot happen for rings built by feasiblePos, but keep
 				// the invariant explicit.
@@ -256,90 +312,127 @@ func BuildRosterFabric(epoch uint32, lsdb map[int]LinkState, view *phys.FabricVi
 	return r
 }
 
-// lowestLiveSwitch returns the lowest switch index live for any ring
-// member, or -1 when none is.
-func lowestLiveSwitch(ring []int, lsdb map[int]LinkState) int {
-	var union LinkState
-	for _, id := range ring {
-		union |= lsdb[id]
-	}
-	for s := 0; s < 8; s++ {
-		if union.Has(s) {
-			return s
-		}
-	}
-	return -1
+// pathTable memoises switchPath for one build: cells[a*k+b] answers the
+// hop from mask class a to mask class b, filled the first time it is
+// asked. Paths live back to back in store, which only ever grows, so a
+// row handed out stays valid (and must stay unwritten).
+type pathTable struct {
+	view  *phys.FabricView
+	masks []LinkState // class → mask
+	cells []pathCell
+	store []int
 }
 
-// feasiblePos returns an index i such that candidate c can be inserted
-// between ring[i] and ring[i+1] (both new edges must be routable), or
-// -1.
-func feasiblePos(ring []int, c int, lsdb map[int]LinkState, view *phys.FabricView) int {
-	if len(ring) == 1 {
-		if routable(lsdb[ring[0]], lsdb[c], view) {
+// pathCell is one memoised answer: n == 0 not asked yet, n < 0
+// unroutable, otherwise the path is store[off : off+n].
+type pathCell struct {
+	off int32
+	n   int8
+}
+
+func (t *pathTable) cell(a, b uint8) pathCell {
+	c := &t.cells[int(a)*len(t.masks)+int(b)]
+	if c.n == 0 {
+		c.off = int32(len(t.store))
+		t.store = appendSwitchPath(t.store, t.masks[a], t.masks[b], t.view)
+		if c.n = int8(len(t.store) - int(c.off)); c.n == 0 {
+			c.n = -1
+		}
+	}
+	return *c
+}
+
+// routable reports whether a hop from class a to class b can be routed.
+func (t *pathTable) routable(a, b uint8) bool { return t.cell(a, b).n > 0 }
+
+// path returns the switch path of a hop from class a to class b, or nil.
+func (t *pathTable) path(a, b uint8) []int {
+	c := t.cell(a, b)
+	if c.n < 0 {
+		return nil
+	}
+	return t.store[c.off : int(c.off)+int(c.n) : int(c.off)+int(c.n)]
+}
+
+// feasiblePos returns an index i such that a candidate of class c can
+// be inserted between ring[i] and ring[i+1] (both new edges must be
+// routable), or -1.
+func (t *pathTable) feasiblePos(rcls []uint8, c uint8) int {
+	if len(rcls) == 1 {
+		if t.routable(rcls[0], c) {
 			return 0
 		}
 		return -1
 	}
-	for i := range ring {
-		a, b := ring[i], ring[(i+1)%len(ring)]
-		if routable(lsdb[a], lsdb[c], view) && routable(lsdb[c], lsdb[b], view) {
+	for i, a := range rcls {
+		if t.routable(a, c) && t.routable(c, rcls[(i+1)%len(rcls)]) {
 			return i
 		}
 	}
 	return -1
 }
 
-// routable reports whether a hop between nodes with live-switch masks a
-// and b can be routed: a shared switch, or a live trunk path.
-func routable(a, b LinkState, view *phys.FabricView) bool {
-	return switchPath(a, b, view) != nil
+// lowestLiveSwitch returns the lowest switch index live for any ring
+// member, or -1 when none is.
+func (t *pathTable) lowestLiveSwitch(rcls []uint8) int {
+	var union LinkState
+	for _, c := range rcls {
+		union |= t.masks[c]
+	}
+	return union.lowest()
 }
 
-// switchPath returns the deterministic switch path of a hop between
-// masks a and b: the lowest shared live switch when one exists (a
-// single-element path — the trunkless behavior), otherwise the
+// appendSwitchPath appends the deterministic switch path of a hop
+// between masks a and b: the lowest shared live switch when one exists
+// (a single-element path — the trunkless behavior), otherwise the
 // breadth-first shortest live-trunk path from the lowest feasible
-// switch of a to a switch live for b. nil means the hop is unroutable.
-func switchPath(a, b LinkState, view *phys.FabricView) []int {
-	if s := common(a, b); s >= 0 {
-		return []int{s}
+// switch of a to a switch live for b. Nothing appended means the hop is
+// unroutable. A view has at most phys.MaxSwitches switches (one mask
+// bit each), which is what sizes the search state.
+func appendSwitchPath(dst []int, a, b LinkState, view *phys.FabricView) []int {
+	if s := (a & b).lowest(); s >= 0 {
+		return append(dst, s)
 	}
 	if view == nil || view.TrunkUp == nil {
-		return nil
+		return dst
 	}
 	n := view.Switches
-	parent := make([]int, n)
-	seen := make([]bool, n)
-	var queue []int
+	var parent, queue [phys.MaxSwitches]int8
+	var seen LinkState
+	head, tail := 0, 0
 	for s := 0; s < n; s++ {
 		if a.Has(s) {
-			seen[s], parent[s] = true, -1
-			queue = append(queue, s)
+			seen |= 1 << s
+			parent[s] = -1
+			queue[tail] = int8(s)
+			tail++
 		}
 	}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
+	for head < tail {
+		cur := int(queue[head])
+		head++
 		for next := 0; next < n; next++ {
-			if seen[next] || !view.TrunkUp[cur][next] {
+			if seen.Has(next) || !view.TrunkUp[cur][next] {
 				continue
 			}
-			seen[next], parent[next] = true, cur
+			seen |= 1 << next
+			parent[next] = int8(cur)
 			if b.Has(next) {
-				var path []int
-				for s := next; s >= 0; s = parent[s] {
-					path = append(path, s)
+				hops := 0
+				for s := next; s >= 0; s = int(parent[s]) {
+					hops++
 				}
-				for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
-					path[i], path[j] = path[j], path[i]
+				dst = append(dst, make([]int, hops)...)
+				for s, i := next, len(dst)-1; s >= 0; s, i = int(parent[s]), i-1 {
+					dst[i] = s
 				}
-				return path
+				return dst
 			}
-			queue = append(queue, next)
+			queue[tail] = int8(next)
+			tail++
 		}
 	}
-	return nil
+	return dst
 }
 
 // ValidInFabric checks the roster against a link-state database and a

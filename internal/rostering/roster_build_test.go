@@ -1,0 +1,217 @@
+package rostering
+
+import (
+	"reflect"
+	"slices"
+	"testing"
+
+	"repro/internal/phys"
+	"repro/internal/sim"
+)
+
+// decodeFabric turns fuzz bytes into a link-state database and a fabric
+// view: node count ≤ 96, switch count 1..8, masks including 0, any
+// symmetric trunk matrix (so cut and partitioned ones), counter-rotation
+// on or off, a nil view, a view without trunks, dense or sparse ids.
+// Short inputs read as zeros.
+func decodeFabric(data []byte) (map[int]LinkState, *phys.FabricView) {
+	at := func(i int) byte {
+		if i < len(data) {
+			return data[i]
+		}
+		return 0
+	}
+	nodes, switches, flags := int(at(0))%97, int(at(1))%8+1, at(2)
+	view := &phys.FabricView{Switches: switches, CounterRotating: flags&1 != 0}
+	if flags&4 == 0 {
+		view.TrunkUp = make([][]bool, switches)
+		for i := range view.TrunkUp {
+			view.TrunkUp[i] = make([]bool, switches)
+		}
+		bit := 0
+		for i := 0; i < switches; i++ {
+			for j := i + 1; j < switches; j++ {
+				up := at(3+bit/8)>>(bit%8)&1 != 0
+				view.TrunkUp[i][j], view.TrunkUp[j][i] = up, up
+				bit++
+			}
+		}
+	}
+	lsdb := make(map[int]LinkState, nodes)
+	for i := 0; i < nodes; i++ {
+		id := i
+		if flags&8 != 0 {
+			id = 3*i + 5
+		}
+		lsdb[id] = LinkState(at(7+i)) & (1<<switches - 1)
+	}
+	if flags&2 != 0 {
+		return lsdb, nil
+	}
+	return lsdb, view
+}
+
+// ringsFabric is the database of a Sharded(rings, perRing, 1) fabric:
+// single-switch rings of perRing nodes, switch s trunked to s+1 (mod
+// rings) — the shape both scale-idle workloads boot.
+func ringsFabric(rings, perRing int) (map[int]LinkState, *phys.FabricView) {
+	view := &phys.FabricView{Switches: rings, TrunkUp: make([][]bool, rings)}
+	for i := range view.TrunkUp {
+		view.TrunkUp[i] = make([]bool, rings)
+	}
+	for s := 0; s < rings; s++ {
+		n := (s + 1) % rings
+		view.TrunkUp[s][n], view.TrunkUp[n][s] = true, true
+	}
+	lsdb := make(map[int]LinkState, rings*perRing)
+	for i := 0; i < rings*perRing; i++ {
+		lsdb[i] = 1 << (i / perRing)
+	}
+	return lsdb, view
+}
+
+// fabricSeeds are the seeded table: hand-picked shapes, then random ones.
+func fabricSeeds() [][]byte {
+	seeds := [][]byte{
+		{},
+		{1, 0, 0, 0, 0, 0, 0, 1},
+		{4, 1, 1, 0xff, 0xff, 0xff, 0xff, 2, 2, 3, 1},                       // dual ring, switch 0 dark for some: reversed
+		{6, 3, 0, 0, 0, 0, 0, 1, 2, 4, 8, 1, 2},                             // four switches, every trunk cut
+		{8, 3, 0, 0b100001, 0, 0, 0, 1, 1, 2, 2, 4, 4, 8, 8},                // trunks 0-1 and 2-3 only: partitioned
+		{8, 3, 0, 0b001101, 0, 0, 0, 1, 2, 4, 8, 1, 2, 4, 8},                // a trunk chain: multi-hop paths
+		{9, 7, 2, 0xff, 0xff, 0xff, 0xff, 1, 2, 4, 8, 16, 32, 64, 128, 255}, // nil view
+		{9, 7, 4, 0xff, 0xff, 0xff, 0xff, 1, 3, 6, 12, 24, 48, 96, 192, 0},  // view without trunks
+		{12, 7, 9, 0xaa, 0x55, 0xaa, 0x05, 1, 0, 2, 0, 4, 8, 16, 32, 64, 128, 1, 2},
+	}
+	rng := sim.NewRNG(20)
+	for i := 0; i < 200; i++ {
+		b := make([]byte, 7+96)
+		for j := range b {
+			b[j] = byte(rng.Uint64())
+		}
+		if i%3 == 0 {
+			// Few distinct single-switch masks: the shape of real fabrics.
+			for j := 7; j < len(b); j++ {
+				b[j] = 1 << (b[j] % 8)
+			}
+		}
+		seeds = append(seeds, b)
+	}
+	return seeds
+}
+
+// checkBuild asserts the table-driven build returns exactly what the
+// reference does, and a ring that is valid in the fabric.
+func checkBuild(t *testing.T, lsdb map[int]LinkState, view *phys.FabricView) *Roster {
+	t.Helper()
+	got, want := BuildRosterFabric(7, lsdb, view), refBuildRosterFabric(7, lsdb, view)
+	if !slices.Equal(got.Nodes, want.Nodes) || !slices.Equal(got.Via, want.Via) || !reflect.DeepEqual(got.Paths, want.Paths) {
+		t.Fatalf("lsdb %v view %+v:\n got  %v\n want %v", lsdb, view, got, want)
+	}
+	if (got.Via == nil) != (want.Via == nil) || (got.Paths == nil) != (want.Paths == nil) || got.Epoch != want.Epoch {
+		t.Fatalf("lsdb %v: roster shape differs: got %#v want %#v", lsdb, got, want)
+	}
+	if !got.ValidInFabric(lsdb, view) {
+		t.Fatalf("lsdb %v view %+v: invalid roster %v", lsdb, view, got)
+	}
+	return got
+}
+
+func TestBuildRosterMatchesReference(t *testing.T) {
+	for _, seed := range fabricSeeds() {
+		lsdb, view := decodeFabric(seed)
+		checkBuild(t, lsdb, view)
+	}
+	lsdb, view := ringsFabric(8, 16)
+	if r := checkBuild(t, lsdb, view); r.Size() != 128 {
+		t.Fatalf("8x16 rings: ring of %d, want 128", r.Size())
+	}
+}
+
+func FuzzBuildRoster(f *testing.F) {
+	// The hand-picked shapes and a few random ones seed the corpus;
+	// TestBuildRosterMatchesReference runs the whole table.
+	for _, seed := range fabricSeeds()[:24] {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		lsdb, view := decodeFabric(data)
+		checkBuild(t, lsdb, view)
+	})
+}
+
+// TestIdenticalIsStringEquality: Identical must be true exactly when
+// the rendered strings are equal, and String must render byte for byte
+// what the fmt-based renderer did.
+func TestIdenticalIsStringEquality(t *testing.T) {
+	check := func(a, b *Roster) {
+		t.Helper()
+		if got, want := a.Identical(b), refString(a) == refString(b); got != want {
+			t.Fatalf("Identical = %v, strings equal = %v:\n %v\n %v", got, want, a, b)
+		}
+	}
+	for _, seed := range fabricSeeds() {
+		lsdb, view := decodeFabric(seed)
+		r := BuildRosterFabric(3, lsdb, view)
+		if got, want := r.String(), refString(r); got != want {
+			t.Fatalf("String:\n got  %q\n want %q", got, want)
+		}
+		variants := []*Roster{r, BuildRosterFabric(3, lsdb, view), BuildRosterFabric(4, lsdb, view), {Epoch: 3}, {Epoch: 4}}
+		if n := r.Size(); n >= 2 {
+			rot := &Roster{Epoch: r.Epoch}
+			for i := range r.Nodes {
+				rot.Nodes = append(rot.Nodes, r.Nodes[(i+1)%n])
+				rot.Via = append(rot.Via, r.Via[(i+1)%n])
+				rot.Paths = append(rot.Paths, r.Paths[(i+1)%n])
+			}
+			longer := &Roster{Epoch: r.Epoch, Nodes: r.Nodes, Via: r.Via, Paths: slices.Clone(r.Paths)}
+			longer.Paths[n-1] = append(slices.Clone(r.Paths[n-1]), 7)
+			other := &Roster{Epoch: r.Epoch, Nodes: r.Nodes, Via: r.Via, Paths: slices.Clone(r.Paths)}
+			other.Paths[0] = []int{r.Paths[0][0] + 1}
+			// Hops given by Via alone render like one-switch Paths.
+			viaOnly := &Roster{Epoch: r.Epoch, Nodes: r.Nodes, Via: r.Via}
+			noHops := &Roster{Epoch: r.Epoch, Nodes: r.Nodes}
+			variants = append(variants, rot, longer, other, viaOnly, noHops)
+		}
+		for _, a := range variants {
+			if got, want := a.String(), refString(a); got != want {
+				t.Fatalf("String:\n got  %q\n want %q", got, want)
+			}
+			for _, b := range variants {
+				check(a, b)
+			}
+		}
+	}
+	if (&Roster{}).Identical(nil) {
+		t.Fatal("Identical(nil) = true")
+	}
+}
+
+// TestBuildRosterAllocs bounds the build on the 128-node, 8-ring
+// database: the per-probe BFS it replaced allocated 1 340 times here.
+func TestBuildRosterAllocs(t *testing.T) {
+	lsdb, view := ringsFabric(8, 16)
+	if n := testing.AllocsPerRun(20, func() { BuildRosterFabric(1, lsdb, view) }); n > 160 {
+		t.Fatalf("BuildRosterFabric allocates %.0f times on 8x16 rings, want <= 160", n)
+	}
+}
+
+var benchRoster *Roster
+
+// BenchmarkBuildRoster times the table-driven build against the
+// reference on the 128-node, 8-ring database.
+func BenchmarkBuildRoster(b *testing.B) {
+	lsdb, view := ringsFabric(8, 16)
+	b.Run("table", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			benchRoster = BuildRosterFabric(1, lsdb, view)
+		}
+	})
+	b.Run("reference", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			benchRoster = refBuildRosterFabric(1, lsdb, view)
+		}
+	})
+}

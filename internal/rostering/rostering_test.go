@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/frameacct"
 	"repro/internal/insertion"
 	"repro/internal/micropacket"
 	"repro/internal/phys"
@@ -454,5 +455,26 @@ func TestEstimateTourScales(t *testing.T) {
 	long := EstimateTour(8, 2000, net)
 	if long <= short {
 		t.Fatal("tour should grow with fiber length")
+	}
+}
+
+// TestControlFramesAllocateNothing: on a settled ring a duplicate
+// announcement is dropped, and the quiescence timer re-armed, without
+// allocating — no Timer and no closure per control frame.
+func TestControlFramesAllocateNothing(t *testing.T) {
+	h := newHarness(4, 2, 50)
+	h.settle()
+	a := h.agents[0]
+	dup := h.net.NewFrame(encodeAnnouncement(1, a.epoch, Announcement{Origin: 1, Mask: a.lsdb[1].mask, Seq: a.lsdb[1].seq}))
+	port := a.Station.Ports[0]
+	before := h.net.Acct.Losses[frameacct.LossDupAnnounce]
+	if n := testing.AllocsPerRun(100, func() { a.handleControl(port, dup) }); n != 0 {
+		t.Errorf("a duplicate announcement allocates %.0f times, want 0", n)
+	}
+	if got := h.net.Acct.Losses[frameacct.LossDupAnnounce] - before; got != 101 {
+		t.Fatalf("%d of 101 announcements counted as duplicates", got)
+	}
+	if n := testing.AllocsPerRun(100, a.resetSettle); n != 0 {
+		t.Errorf("re-arming the settle timer allocates %.0f times, want 0", n)
 	}
 }
