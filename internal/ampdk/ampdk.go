@@ -193,8 +193,8 @@ type Node struct {
 	// whether somebody else is the sponsor.
 	peers       []peerSlot
 	lowerOnline int
-	// Each periodic activity owns one Timer, first armed when the
-	// activity first runs, re-armed with Reset, cancelled by halt.
+	// Each periodic activity owns one Timer, made unarmed by NewNode,
+	// re-armed with Reset, cancelled by halt.
 	heartbeat *sim.Timer
 	detect    *sim.Timer
 	joinRetry *sim.Timer
@@ -263,6 +263,14 @@ func NewNode(k *sim.Kernel, cluster *phys.Cluster, cfg Config) *Node {
 	n.Station.OnDeliver = n.deliver
 	n.DMA.OnWrite = n.dmaWrite
 	n.Agent.OnAdopt = n.onRosterAdopted
+	// Unarmed Timers: sim has no constructor for one, and an arm
+	// cancelled on the spot changes no firing order.
+	n.heartbeat = k.After(0, n.heartbeatLoop)
+	n.detect = k.After(0, n.detectLoop)
+	n.joinRetry = k.After(0, n.solicitAgain)
+	n.heartbeat.Cancel()
+	n.detect.Cancel()
+	n.joinRetry.Cancel()
 	return n
 }
 
@@ -395,11 +403,7 @@ func (n *Node) solicit() {
 	pl[2] = byte(n.joinTry)
 	pkt := micropacket.NewData(micropacket.NodeID(n.Cfg.ID), micropacket.Broadcast, TagJoinReq, pl[:])
 	n.Station.Send(pkt) // may be refused pre-roster; we retry below
-	if n.joinRetry == nil {
-		n.joinRetry = n.K.After(n.retryEvery(), n.solicitAgain)
-	} else {
-		n.joinRetry.Reset(n.retryEvery())
-	}
+	n.joinRetry.Reset(n.retryEvery())
 }
 
 // retryEvery is the pace of join requests: a quarter of the founding
@@ -476,11 +480,7 @@ func (n *Node) heartbeatLoop() {
 	pkt := micropacket.NewData(micropacket.NodeID(n.Cfg.ID), micropacket.Broadcast, TagHeartbeat, pl[:])
 	n.Station.Send(pkt)
 	n.HBSent++
-	if n.heartbeat == nil {
-		n.heartbeat = n.K.After(n.Cfg.HeartbeatInterval, n.heartbeatLoop)
-	} else {
-		n.heartbeat.Reset(n.Cfg.HeartbeatInterval)
-	}
+	n.heartbeat.Reset(n.Cfg.HeartbeatInterval)
 }
 
 // detectLoop declares peers down after missedBeats silent intervals.
@@ -501,11 +501,7 @@ func (n *Node) detectLoop() {
 			}
 		}
 	}
-	if n.detect == nil {
-		n.detect = n.K.After(n.Cfg.HeartbeatInterval, n.detectLoop)
-	} else {
-		n.detect.Reset(n.Cfg.HeartbeatInterval)
-	}
+	n.detect.Reset(n.Cfg.HeartbeatInterval)
 }
 
 // --- delivery demux ---

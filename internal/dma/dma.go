@@ -19,6 +19,7 @@ import (
 
 	"repro/internal/insertion"
 	"repro/internal/micropacket"
+	"repro/internal/phys"
 	"repro/internal/sim"
 )
 
@@ -37,30 +38,6 @@ type request struct {
 	done func()
 }
 
-// queue is one channel's pending segments, reqs[head:]. It pops the
-// way phys.Port.popFrame pops its FIFO — head index, zeroed slot,
-// rewind when empty, compaction once the dead prefix dominates — so a
-// long transfer reuses the backing array instead of abandoning a slot
-// per segment.
-type queue struct {
-	reqs []request
-	head int
-}
-
-func (q *queue) len() int { return len(q.reqs) - q.head }
-
-func (q *queue) pop() {
-	q.reqs[q.head] = request{}
-	q.head++
-	if q.head == len(q.reqs) {
-		q.reqs, q.head = q.reqs[:0], 0
-	} else if q.head >= 32 && q.head*2 >= len(q.reqs) {
-		n := copy(q.reqs, q.reqs[q.head:])
-		clear(q.reqs[n:])
-		q.reqs, q.head = q.reqs[:n], 0
-	}
-}
-
 // Engine is one node's DMA controller.
 type Engine struct {
 	ID micropacket.NodeID
@@ -71,11 +48,11 @@ type Engine struct {
 	OnWrite WriteHandler
 
 	// queues[c] holds pending segments for channel c.
-	queues [NumChannels]queue
+	queues [NumChannels]phys.Queue[request]
 	// rrNext is the round-robin cursor over channels.
 	rrNext int
-	// retry is the one backpressure retry timer, re-armed with Reset;
-	// active means a retry is pending.
+	// retry is the one backpressure retry timer, made unarmed by
+	// NewEngine and re-armed with Reset; active means a retry is pending.
 	retry *sim.Timer
 	// Window bounds how many segments the engine keeps in the MAC's
 	// insertion queue at once. Keeping it shallow is what makes the
@@ -106,7 +83,12 @@ type Engine struct {
 const DefaultWindow = 4
 
 func NewEngine(k *sim.Kernel, st *insertion.Station) *Engine {
-	return &Engine{ID: st.ID, K: k, St: st, Window: DefaultWindow}
+	e := &Engine{ID: st.ID, K: k, St: st, Window: DefaultWindow}
+	// An unarmed Timer: sim has no constructor for one, and an arm
+	// cancelled on the spot changes no firing order.
+	e.retry = k.After(0, e.pump)
+	e.retry.Cancel()
+	return e
 }
 
 // MaxSegment is the largest payload per DMA MicroPacket.
@@ -124,7 +106,11 @@ func (e *Engine) Write(ch int, dst micropacket.NodeID, region uint8, off uint32,
 		panic("dma: channel out of range")
 	}
 	// The caller may reuse data once Write returns: the transfer is
-	// copied once, and the segments are windows onto the copy.
+	// copied once, and the segments are windows onto the copy. One
+	// allocation instead of one per segment, paid for in retention: the
+	// whole copy stays reachable until its last segment is popped, where
+	// per-segment copies would go as they are sent. (Packets carry
+	// their own payload, so nothing pins it beyond the queue.)
 	data = slices.Clone(data)
 	n := 0
 	for i := 0; ; i += MaxSegment {
@@ -146,10 +132,10 @@ func (e *Engine) Write(ch int, dst micropacket.NodeID, region uint8, off uint32,
 			req.done = done
 		}
 		q := &e.queues[ch]
-		q.reqs = append(q.reqs, req)
+		q.Push(req)
 		n++
-		if q.len() > e.QueueHighWater {
-			e.QueueHighWater = q.len()
+		if q.Len() > e.QueueHighWater {
+			e.QueueHighWater = q.Len()
 		}
 		if last {
 			break
@@ -163,7 +149,7 @@ func (e *Engine) Write(ch int, dst micropacket.NodeID, region uint8, off uint32,
 func (e *Engine) Pending() int {
 	n := 0
 	for c := range e.queues {
-		n += e.queues[c].len()
+		n += e.queues[c].Len()
 	}
 	return n
 }
@@ -177,22 +163,20 @@ func (e *Engine) pump() {
 			return // all drained
 		}
 		q := &e.queues[ch]
-		req := q.reqs[q.head]
+		req := *q.At(0)
 		// The window test comes first: a back-pressured attempt builds
 		// no packet.
 		if e.St.QueueLen() >= e.Window || !e.St.Send(e.packet(ch, req)) {
 			// Backpressure: retry shortly. The segment stays queued, so
 			// nothing is lost and per-channel order is preserved.
-			if e.retry == nil {
-				e.retry = e.K.After(pumpInterval, e.pump)
-			} else if !e.retry.Active() {
+			if !e.retry.Active() {
 				e.retry.Reset(pumpInterval)
 			}
 			return
 		}
 		e.txSeq[ch]++
 		e.Sent++
-		q.pop()
+		q.Pop()
 		e.rrNext = (ch + 1) % NumChannels
 		if req.done != nil {
 			req.done()
@@ -215,7 +199,7 @@ func (e *Engine) packet(ch int, req request) *micropacket.Packet {
 func (e *Engine) nextNonEmpty() int {
 	for i := 0; i < NumChannels; i++ {
 		c := (e.rrNext + i) % NumChannels
-		if e.queues[c].len() > 0 {
+		if e.queues[c].Len() > 0 {
 			return c
 		}
 	}

@@ -292,28 +292,3 @@ func TestBackpressuredPumpAllocatesNothing(t *testing.T) {
 		t.Fatalf("transfer incomplete: %d pending, %d sent", e.Pending(), e.Sent)
 	}
 }
-
-// TestQueueReusesBacking: a channel queue that never drains keeps FIFO
-// order and a bounded backing array.
-func TestQueueReusesBacking(t *testing.T) {
-	var q queue
-	next, want := uint32(0), uint32(0)
-	push := func() {
-		q.reqs = append(q.reqs, request{hdr: micropacket.DMAHeader{Offset: next}})
-		next++
-	}
-	for range 40 {
-		push()
-	}
-	for range 10_000 {
-		push()
-		if got := q.reqs[q.head].hdr.Offset; got != want {
-			t.Fatalf("head is segment %d, want %d", got, want)
-		}
-		q.pop()
-		want++
-	}
-	if q.len() != 40 || cap(q.reqs) > 256 {
-		t.Fatalf("after 10 000 pops: len %d, cap %d (want 40, <= 256)", q.len(), cap(q.reqs))
-	}
-}

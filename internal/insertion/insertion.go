@@ -122,15 +122,13 @@ type Station struct {
 	// fibers lit, so loss-of-light alone cannot catch it).
 	LastRx sim.Time
 
-	// insertQ[insertHead:] are the host frames waiting to insert: the
-	// queue pops by advancing a head index, like the port FIFO, so its
-	// backing array is reused instead of abandoned a slot per frame.
-	insertQ    []phys.Frame
-	insertHead int
+	// insertQ holds the host frames waiting to insert.
+	insertQ phys.Queue[phys.Frame]
 	// holding mirrors QueueLen() > 0 onto the ports (syncHold).
 	holding bool
 	pace    sim.Time
-	// paceTmr is the one paced-retry timer, re-armed with Reset.
+	// paceTmr is the one paced-retry timer, made unarmed by NewStation
+	// and re-armed with Reset.
 	paceTmr *sim.Timer
 
 	// fwdFree pools transit-forward events: the per-forward closure +
@@ -163,6 +161,10 @@ func NewStation(k *sim.Kernel, id micropacket.NodeID, ports []*phys.Port) *Stati
 		MaxHops:         DefaultMaxHops,
 		egressSwitch:    -1,
 	}
+	// An unarmed Timer: sim has no constructor for one, and an arm
+	// cancelled on the spot changes no firing order.
+	s.paceTmr = k.After(0, s.tryInsert)
+	s.paceTmr.Cancel()
 	for _, p := range ports {
 		if p == nil {
 			continue // the topology does not attach this node there
@@ -205,7 +207,7 @@ func (s *Station) Net() *phys.Net { return s.net }
 func (s *Station) OnRing() bool { return s.egress != nil }
 
 // QueueLen returns the host insertion queue length.
-func (s *Station) QueueLen() int { return len(s.insertQ) - s.insertHead }
+func (s *Station) QueueLen() int { return s.insertQ.Len() }
 
 // LocalView returns the station's current congestion estimate (EWMA of
 // egress occupancy; 0 = idle ring).
@@ -219,7 +221,7 @@ func (s *Station) Send(p *micropacket.Packet) bool {
 		s.Refused++
 		return false
 	}
-	s.insertQ = append(s.insertQ, s.net.NewFrame(p))
+	s.insertQ.Push(s.net.NewFrame(p))
 	s.tryInsert()
 	return true
 }
@@ -255,7 +257,7 @@ func (s *Station) insert() {
 		// The egress is idle: insert now, even if a paced retry was
 		// pending (a tx completion beat the timer to the opportunity).
 		s.paceTmr.Cancel()
-		f := s.popInsert()
+		f := s.insertQ.Pop()
 		// Before the Send: if that was the last waiting frame, its own
 		// completion is no opportunity for anything.
 		s.syncHold()
@@ -281,29 +283,7 @@ func (s *Station) insert() {
 			s.pace = DefaultMaxPace
 		}
 	}
-	if s.paceTmr == nil {
-		s.paceTmr = s.K.After(s.pace, s.tryInsert)
-	} else {
-		s.paceTmr.Reset(s.pace)
-	}
-}
-
-// popInsert removes the head host frame the way phys.Port.popFrame
-// pops its FIFO: the vacated slot is zeroed, the slice rewinds once it
-// empties, and a queue that never drains is compacted once the dead
-// prefix dominates.
-func (s *Station) popInsert() phys.Frame {
-	f := s.insertQ[s.insertHead]
-	s.insertQ[s.insertHead] = phys.Frame{}
-	s.insertHead++
-	if s.insertHead == len(s.insertQ) {
-		s.insertQ, s.insertHead = s.insertQ[:0], 0
-	} else if s.insertHead >= 32 && s.insertHead*2 >= len(s.insertQ) {
-		n := copy(s.insertQ, s.insertQ[s.insertHead:])
-		clear(s.insertQ[n:])
-		s.insertQ, s.insertHead = s.insertQ[:n], 0
-	}
-	return f
+	s.paceTmr.Reset(s.pace)
 }
 
 // KeepaliveTag marks Diagnostic MicroPackets used as ring keepalives;

@@ -284,28 +284,3 @@ func TestInsertThresholdAblation(t *testing.T) {
 		t.Fatalf("drops with threshold 8 = %d", net.Acct.CongestionDrops())
 	}
 }
-
-// TestInsertQueueReusesBacking: a host queue that never drains keeps
-// FIFO order and a bounded backing array.
-func TestInsertQueueReusesBacking(t *testing.T) {
-	_, _, _, st := buildRing(2)
-	s := st[0]
-	next, want := uint16(0), uint16(0)
-	push := func() {
-		s.insertQ = append(s.insertQ, phys.Frame{VC: next})
-		next++
-	}
-	for range 40 {
-		push()
-	}
-	for range 10_000 {
-		push()
-		if got := s.popInsert().VC; got != want {
-			t.Fatalf("popped frame %d, want %d", got, want)
-		}
-		want++
-	}
-	if s.QueueLen() != 40 || cap(s.insertQ) > 256 {
-		t.Fatalf("after 10 000 pops: len %d, cap %d (want 40, <= 256)", s.QueueLen(), cap(s.insertQ))
-	}
-}

@@ -280,6 +280,9 @@ func NewData(src, dst NodeID, tag uint8, payload []byte) *Packet {
 	return p
 }
 
+// smallPayload is the payload NewDMA's smaller allocation holds.
+const smallPayload = 16
+
 // NewDMA builds a variable DMA packet. data longer than MaxPayload
 // panics; callers segment at the DMA layer.
 func NewDMA(src, dst NodeID, hdr DMAHeader, data []byte) *Packet {
@@ -287,31 +290,19 @@ func NewDMA(src, dst NodeID, hdr DMAHeader, data []byte) *Packet {
 		panic("micropacket: DMA payload over 64 bytes")
 	}
 	hdr.Length = uint8(len(data))
-	// Packet and payload are one allocation, in the smallest of four
-	// sizes that holds the payload.
+	// Packet and payload are one allocation, in one of two sizes: a
+	// header-only payload (a pub/sub message with no body is 16 bytes;
+	// 97 % of steady-ring-16's DMA packets, 13 % of middleware-mix-8's)
+	// does not carry the full 64-byte tail — with it, steady-ring-16
+	// allocates 12 % more bytes and runs 6 % longer.
 	var p *Packet
-	switch n := len(data); {
-	case n == 0:
-		p = &Packet{Data: []byte{}}
-	case n <= 16:
+	if n := len(data); n <= smallPayload {
 		b := new(struct {
 			Packet
-			buf [16]byte
+			buf [smallPayload]byte
 		})
 		p, b.Data = &b.Packet, b.buf[:n:n]
-	case n <= 32:
-		b := new(struct {
-			Packet
-			buf [32]byte
-		})
-		p, b.Data = &b.Packet, b.buf[:n:n]
-	case n <= 48:
-		b := new(struct {
-			Packet
-			buf [48]byte
-		})
-		p, b.Data = &b.Packet, b.buf[:n:n]
-	default:
+	} else {
 		b := new(struct {
 			Packet
 			buf [MaxPayload]byte

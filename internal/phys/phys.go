@@ -197,14 +197,10 @@ type Port struct {
 	onStatus StatusHandler
 	onTxDone func()
 
-	// The egress FIFO is a slice plus a head index: popping advances
-	// head instead of reslicing from the front, so the backing array's
-	// capacity is reused instead of being abandoned one slot per frame
-	// (re-slicing with fifo[1:] made every steady-state Send reallocate
-	// — the single largest allocation site in the simulator).
-	fifo     []Frame
-	fifoHead int
-	cap      int
+	// The egress FIFO; its head is the frame being serialized while the
+	// transmitter is busy.
+	fifo Queue[Frame]
+	cap  int
 
 	// Transmitter state. While busy, the head-of-line frame is being
 	// serialized and the transmitter frees at the completion key
@@ -299,7 +295,7 @@ func (p *Port) QueueLen() int {
 }
 
 // queued is QueueLen of an already settled port.
-func (p *Port) queued() int { return len(p.fifo) - p.fifoHead }
+func (p *Port) queued() int { return p.fifo.Len() }
 
 // settle realizes a lazy transmit completion the kernel's firing order
 // has gone beyond: the head frame leaves the FIFO and the transmitter
@@ -307,7 +303,7 @@ func (p *Port) queued() int { return len(p.fifo) - p.fifoHead }
 // Everything that reads or changes transmitter state settles first.
 func (p *Port) settle() {
 	if p.tx == txLazy && p.net.K.Passed(p.txEnd, p.txAt, p.uid) {
-		p.popFrame()
+		p.fifo.Pop()
 		p.tx = txIdle
 	}
 }
@@ -327,27 +323,6 @@ func (p *Port) arm() {
 	p.net.K.DoPri(p.txEnd, p.txAt, p.uid, td.run)
 }
 
-// popFrame removes the head-of-line frame, reusing the backing array:
-// the vacated slot is zeroed (dropping the packet reference) and the
-// slice is rewound to full capacity once it empties.
-func (p *Port) popFrame() {
-	p.fifo[p.fifoHead] = Frame{}
-	p.fifoHead++
-	if p.fifoHead == len(p.fifo) {
-		p.fifo = p.fifo[:0]
-		p.fifoHead = 0
-	} else if p.fifoHead >= 32 && p.fifoHead*2 >= len(p.fifo) {
-		// A queue that never fully drains would otherwise march the
-		// head through an ever-growing array; compact once the dead
-		// prefix dominates.
-		n := copy(p.fifo, p.fifo[p.fifoHead:])
-		for i := n; i < len(p.fifo); i++ {
-			p.fifo[i] = Frame{}
-		}
-		p.fifo, p.fifoHead = p.fifo[:n], 0
-	}
-}
-
 // SetCapacity adjusts the egress FIFO capacity.
 func (p *Port) SetCapacity(c int) { p.cap = c }
 
@@ -365,7 +340,7 @@ func (p *Port) Send(f Frame) bool {
 		p.net.Acct.Lose(frameacct.LossFifoFull)
 		return false
 	}
-	p.fifo = append(p.fifo, f)
+	p.fifo.Push(f)
 	p.enqueued()
 	return true
 }
@@ -398,15 +373,13 @@ func (p *Port) SendPriority(f Frame) bool {
 	if p.QueueLen() > 0 {
 		// Insert behind the frame being serialized and behind any
 		// earlier priority frames (priority is FIFO among itself).
-		pos := p.fifoHead + 1
-		for pos < len(p.fifo) && p.fifo[pos].Prio {
+		pos := 1
+		for pos < p.fifo.Len() && p.fifo.At(pos).Prio {
 			pos++
 		}
-		p.fifo = append(p.fifo, Frame{})
-		copy(p.fifo[pos+1:], p.fifo[pos:])
-		p.fifo[pos] = f
+		p.fifo.Insert(pos, f)
 	} else {
-		p.fifo = append(p.fifo, f)
+		p.fifo.Push(f)
 	}
 	p.enqueued()
 	return true
@@ -418,7 +391,7 @@ func (p *Port) SendPriority(f Frame) bool {
 // hold.
 func (p *Port) startTx() {
 	p.net.Acct.Launch()
-	f := p.fifo[p.fifoHead]
+	f := *p.fifo.At(0)
 	ser := SerTime(f.Wire + p.net.IFG)
 	link := p.link
 	epoch := link.epoch
@@ -574,10 +547,7 @@ func (l *Link) Fail() {
 			cleared--
 		}
 		p.net.Acct.ClearFifo(cleared)
-		for i := p.fifoHead; i < len(p.fifo); i++ {
-			p.fifo[i] = Frame{}
-		}
-		p.fifo, p.fifoHead = p.fifo[:0], 0
+		p.fifo.Clear()
 		p.tx = txIdle
 	}
 	l.notify(false)

@@ -102,7 +102,7 @@ func (t *txDone) dispatch() {
 	if link.epoch != epoch {
 		return
 	}
-	p.popFrame()
+	p.fifo.Pop()
 	p.tx = txIdle
 	if p.queued() > 0 {
 		p.startTx()

@@ -70,9 +70,8 @@ type Agent struct {
 	// dense form buildRoster takes.
 	ids   []int
 	masks []LinkState
-	// Each periodic activity owns one Timer, first armed in Start (the
-	// settle timer in the first round), re-armed with Reset, cancelled by
-	// Stop.
+	// Each periodic activity owns one Timer, made unarmed by NewAgent,
+	// re-armed with Reset, cancelled by Stop.
 	settle    *sim.Timer
 	keepalive *sim.Timer
 	watchdog  *sim.Timer
@@ -111,6 +110,14 @@ func NewAgent(k *sim.Kernel, id int, cluster *phys.Cluster, st *insertion.Statio
 		lsdb:              make([]lsRecord, cluster.NumNodes()),
 		stopped:           true, // dark until Start (NIC not yet booted)
 	}
+	// Unarmed Timers: sim has no constructor for one, and an arm
+	// cancelled on the spot changes no firing order.
+	a.settle = k.After(0, a.settled)
+	a.keepalive = k.After(0, a.keepaliveLoop)
+	a.watchdog = k.After(0, a.watchdogLoop)
+	a.settle.Cancel()
+	a.keepalive.Cancel()
+	a.watchdog.Cancel()
 	st.OnControl = a.handleControl
 	st.OnStatus = func(_ *phys.Port, _ bool) {
 		if !a.stopped {
@@ -165,11 +172,7 @@ func (a *Agent) keepaliveLoop() {
 			p.SendPriority(a.kaFrame)
 		}
 	}
-	if a.keepalive == nil {
-		a.keepalive = a.K.After(a.KeepaliveInterval, a.keepaliveLoop)
-	} else {
-		a.keepalive.Reset(a.KeepaliveInterval)
-	}
+	a.keepalive.Reset(a.KeepaliveInterval)
 }
 
 // watchdogLoop detects upstream silence: if the node sits on a ring but
@@ -187,11 +190,7 @@ func (a *Agent) watchdogLoop() {
 		now-a.adoptedAt > grace {
 		a.Trigger()
 	}
-	if a.watchdog == nil {
-		a.watchdog = a.K.After(a.SilenceTimeout/2, a.watchdogLoop)
-	} else {
-		a.watchdog.Reset(a.SilenceTimeout / 2)
-	}
+	a.watchdog.Reset(a.SilenceTimeout / 2)
 }
 
 // Trigger starts a new rostering round: failure detected, light
@@ -318,11 +317,7 @@ func newerSeq(a, b uint8) bool { return int8(a-b) > 0 }
 // new epoch always passes through here (beginEpoch), so a settle timer
 // that fires belongs to the round it was armed in.
 func (a *Agent) resetSettle() {
-	if a.settle == nil {
-		a.settle = a.K.After(a.SettleWindow, a.settled)
-	} else {
-		a.settle.Reset(a.SettleWindow)
-	}
+	a.settle.Reset(a.SettleWindow)
 }
 
 // settled is the quiescence timer's callback.
