@@ -48,7 +48,7 @@
 //
 //	c := ampnet.New(ampnet.Options{Nodes: 6, Switches: 4})
 //	if err := c.Boot(0); err != nil { ... }
-//	c.Node(5).Sub().Subscribe(1, func(src ampnet.NodeID, data []byte) { ... })
+//	c.Node(5).Sub().Subscribe(1, func(src ampnet.NodeID, data []byte) { ... }) // data: valid until the callback returns; copy to keep
 //	c.Node(0).Sub().Publish(1, []byte("hello ring"))
 //	_ = c.Install(ampnet.Plan{ampnet.CrashNode(ampnet.Millisecond, 3)})
 //	if err := c.WaitHealed(20 * ampnet.Millisecond); err != nil { ... }

@@ -23,7 +23,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 
 	// Pub/sub.
 	var got []byte
-	c.Node(3).Sub().Subscribe(1, func(_ ampnetpkg.NodeID, data []byte) { got = data })
+	c.Node(3).Sub().Subscribe(1, func(_ ampnetpkg.NodeID, data []byte) { got = append([]byte(nil), data...) })
 	c.Node(0).Sub().Publish(1, []byte("facade"))
 	c.Run(2 * ampnetpkg.Millisecond)
 	if string(got) != "facade" {

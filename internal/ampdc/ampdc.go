@@ -16,7 +16,7 @@ import (
 	"hash/crc32"
 
 	"repro/internal/ampdk"
-
+	"repro/internal/dma"
 	"repro/internal/micropacket"
 )
 
@@ -80,8 +80,10 @@ type Subscribe struct {
 	// subs[topic] lists the topic's callbacks; indexed by topic and
 	// grown on demand (every delivery looks its topic up here).
 	subs [][]func(src micropacket.NodeID, data []byte)
-	// assembly buffers per (source, topic) for multi-segment payloads.
-	asm map[asmKey][]byte
+	// asm reassembles multi-segment payloads per (source, topic); open
+	// counts the entries with a message half assembled.
+	asm  map[asmKey]*dma.Assembly
+	open int
 
 	// Published and Delivered count messages.
 	Published uint64
@@ -94,10 +96,11 @@ type asmKey struct {
 }
 
 func newSubscribe(svc *Services) *Subscribe {
-	return &Subscribe{svc: svc, asm: map[asmKey][]byte{}}
+	return &Subscribe{svc: svc, asm: map[asmKey]*dma.Assembly{}}
 }
 
-// Subscribe registers cb for a topic.
+// Subscribe registers cb for a topic. The slice cb receives is
+// read-only and valid until the callback returns; copy to keep.
 func (s *Subscribe) Subscribe(topic uint8, cb func(src micropacket.NodeID, data []byte)) {
 	if int(topic) >= len(s.subs) {
 		s.subs = append(s.subs, make([][]func(micropacket.NodeID, []byte), int(topic)+1-len(s.subs))...)
@@ -105,32 +108,42 @@ func (s *Subscribe) Subscribe(topic uint8, cb func(src micropacket.NodeID, data 
 	s.subs[topic] = append(s.subs[topic], cb)
 }
 
-// Publish broadcasts data on the topic. Payloads of any length are
-// segmented by the DMA engine; subscribers receive them reassembled.
-// Local subscribers are delivered immediately (host loopback).
+// Publish broadcasts data on the topic; the caller may reuse data when
+// it returns. Payloads of any length are segmented by the DMA engine;
+// subscribers receive them reassembled. Local subscribers are delivered
+// immediately (host loopback).
 func (s *Subscribe) Publish(topic uint8, data []byte) {
 	s.Published++
-	// The topic travels in the DMA offset's high byte... the offset
-	// carries the running byte position so segments reassemble; topic
-	// uses the Region-adjacent addressing: offset = topic<<24 | pos.
+	// The DMA offset carries the topic in its high byte and the running
+	// byte position in the low 24 bits, which is what segments
+	// reassemble by: offset = topic<<24 | pos.
 	s.svc.Node.DMA.Write(SubChannel, micropacket.Broadcast, SubRegion, uint32(topic)<<24, data, nil)
 	s.deliver(micropacket.NodeID(s.svc.Node.Cfg.ID), topic, data)
 }
 
 func (s *Subscribe) handleDMA(src micropacket.NodeID, hdr micropacket.DMAHeader, data []byte, last bool) {
-	topic := uint8(hdr.Offset >> 24)
-	if last && len(s.asm) == 0 {
-		// A whole payload in one segment and nothing half-assembled:
-		// hand subscribers their copy without a trip through asm.
-		s.deliver(src, topic, append([]byte(nil), data...))
+	topic, pos := uint8(hdr.Offset>>24), int(hdr.Offset&0xFFFFFF)
+	if s.open == 0 && last && pos == 0 {
+		// A whole payload in one segment and nothing half-assembled: the
+		// packet's bytes are the message, lent to the subscribers.
+		s.deliver(src, topic, data)
 		return
 	}
 	k := asmKey{src, topic}
-	s.asm[k] = append(s.asm[k], data...)
-	if last {
-		buf := s.asm[k]
-		delete(s.asm, k)
-		s.deliver(src, topic, buf)
+	a := s.asm[k]
+	if a == nil {
+		a = new(dma.Assembly)
+		s.asm[k] = a
+	}
+	was := a.Partial()
+	msg, ok := a.Add(pos, data, last)
+	if now := a.Partial(); now && !was {
+		s.open++
+	} else if was && !now {
+		s.open--
+	}
+	if ok {
+		s.deliver(src, topic, msg)
 	}
 }
 

@@ -58,7 +58,7 @@ func TestPubSubSmallMessage(t *testing.T) {
 	var got [][]byte
 	var from []micropacket.NodeID
 	r.svcs[2].Sub.Subscribe(7, func(src micropacket.NodeID, data []byte) {
-		got = append(got, data)
+		got = append(got, bytes.Clone(data))
 		from = append(from, src)
 	})
 	r.k.After(0, func() { r.svcs[0].Sub.Publish(7, []byte("hello")) })
@@ -72,7 +72,7 @@ func TestPubSubLargeMessageReassembled(t *testing.T) {
 	r := newRig(t, 2)
 	big := pattern(1000) // 16 segments
 	var got []byte
-	r.svcs[1].Sub.Subscribe(1, func(_ micropacket.NodeID, data []byte) { got = data })
+	r.svcs[1].Sub.Subscribe(1, func(_ micropacket.NodeID, data []byte) { got = bytes.Clone(data) })
 	r.k.After(0, func() { r.svcs[0].Sub.Publish(1, big) })
 	r.run(10 * sim.Millisecond)
 	if !bytes.Equal(got, big) {
@@ -305,5 +305,84 @@ func TestUnclaimedMessagesPassThrough(t *testing.T) {
 	r.run(5 * sim.Millisecond)
 	if got != ampdk.TagApp+9 {
 		t.Fatalf("pass-through tag = %d", got)
+	}
+}
+
+// TestPublisherCrashMidMessageNoSplice: a publisher that crashes with a
+// message half sent, reboots and publishes again must not have the head
+// of the first message spliced onto segments of what follows — the
+// subscriber sees the one message that was published whole, byte for
+// byte, and nothing else. (Segments the crashed engine still held are
+// transmitted after the reboot; they arrive out of position and are
+// dropped with the partial.)
+func TestPublisherCrashMidMessageNoSplice(t *testing.T) {
+	r := newRig(t, 4)
+	msg := pattern(1000)
+	var got [][]byte
+	r.svcs[2].Sub.Subscribe(1, func(_ micropacket.NodeID, data []byte) {
+		got = append(got, bytes.Clone(data))
+	})
+	r.k.After(0, func() { r.svcs[0].Sub.Publish(1, msg) })
+	r.k.After(3*sim.Microsecond, func() { r.nodes[0].Crash() })
+	r.run(sim.Millisecond)
+	if len(got) != 0 {
+		t.Fatalf("the publisher crashed 3 µs into a 1000-byte message, yet %d bytes were delivered", len(got[0]))
+	}
+	r.nodes[0].Reboot()
+	r.run(20 * sim.Millisecond)
+	if !r.nodes[0].Online() {
+		t.Fatal("publisher did not come back")
+	}
+	r.svcs[0].Sub.Publish(1, msg)
+	r.run(5 * sim.Millisecond)
+	if len(got) != 1 || !bytes.Equal(got[0], msg) {
+		sizes := make([]int, len(got))
+		for i, g := range got {
+			sizes[i] = len(g)
+		}
+		t.Fatalf("deliveries of %v bytes, want exactly the one %d-byte message", sizes, len(msg))
+	}
+}
+
+// TestSubscriberBorrowsItsPayload: the slice a callback receives is the
+// arriving packet's payload for a single-segment message and the
+// (source, topic) assembly buffer for a longer one, which the next
+// message from that source reuses — and neither costs the receiver an
+// allocation once the buffer has grown.
+func TestSubscriberBorrowsItsPayload(t *testing.T) {
+	r := newRig(t, 3)
+	sub := r.svcs[1].Sub
+	var got []byte
+	sub.Subscribe(4, func(_ micropacket.NodeID, data []byte) { got = data })
+	deliver := func(pos int, data []byte, last bool) {
+		sub.handleDMA(0, micropacket.DMAHeader{Channel: SubChannel, Region: SubRegion, Offset: 4<<24 | uint32(pos)}, data, last)
+	}
+	short := pattern(48)
+	deliver(0, short, true)
+	if len(got) != len(short) || &got[0] != &short[0] {
+		t.Fatal("a single-segment message was not handed over as the segment itself")
+	}
+	if n := testing.AllocsPerRun(100, func() { deliver(0, short, true) }); n != 0 {
+		t.Fatalf("a single-segment arrival allocates %.0f times, want 0", n)
+	}
+	long := pattern(1024)
+	whole := func() {
+		for pos := 0; pos < len(long); pos += 64 {
+			deliver(pos, long[pos:pos+64], pos+64 == len(long))
+		}
+	}
+	whole()
+	if !bytes.Equal(got, long) {
+		t.Fatalf("1 KiB message reassembled to %d bytes", len(got))
+	}
+	first := &got[0]
+	if n := testing.AllocsPerRun(100, whole); n != 0 {
+		t.Fatalf("a 1 KiB message after the first allocates %.0f times at the receiver, want 0", n)
+	}
+	if &got[0] != first {
+		t.Fatal("the assembly buffer was not reused")
+	}
+	if sub.open != 0 {
+		t.Fatalf("%d assemblies open after whole messages", sub.open)
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"fmt"
 
 	"repro/internal/ampdk"
+	"repro/internal/dma"
 	"repro/internal/micropacket"
 )
 
@@ -62,7 +63,8 @@ func (a Addr) String() string {
 // Datagram header: srcIP(4) dstIP(4) srcPort(2) dstPort(2) len(2).
 const dgHeader = 14
 
-// Handler receives datagrams bound to a port.
+// Handler receives datagrams bound to a port. data is read-only and
+// valid until the callback returns; copy to keep.
 type Handler func(src Addr, srcPort uint16, data []byte)
 
 // Stack is one node's AmpIP instance.
@@ -71,7 +73,12 @@ type Stack struct {
 	IP   Addr
 
 	binds map[uint16]Handler
-	asm   map[micropacket.NodeID][]byte
+	// asm reassembles datagrams per source: indexed by node id and grown
+	// on demand.
+	asm []dma.Assembly
+	// frame is SendTo's scratch: header and body are laid out here, and
+	// the DMA engine copies what it keeps.
+	frame []byte
 
 	// Sent and Received count datagrams; NoBind counts arrivals with
 	// no bound port (dropped, as UDP would).
@@ -86,46 +93,51 @@ func NewStack(n *ampdk.Node) *Stack {
 		Node:  n,
 		IP:    NodeToIP(n.Cfg.ID),
 		binds: map[uint16]Handler{},
-		asm:   map[micropacket.NodeID][]byte{},
 	}
 	n.RegionHandler[IPRegion] = s.handleDMA
 	return s
 }
 
-// Bind installs a handler for a local port. Rebinding replaces.
+// Bind installs a handler for a local port. Rebinding replaces. The
+// slice h receives is valid until the callback returns; copy to keep.
 func (s *Stack) Bind(port uint16, h Handler) { s.binds[port] = h }
 
-// SendTo transmits a datagram. Delivery is best-effort (UDP
-// semantics); datagrams to this node's own address loop back locally.
+// SendTo transmits a datagram; the caller may reuse data when it
+// returns. Delivery is best-effort (UDP semantics); datagrams to this
+// node's own address loop back locally.
 func (s *Stack) SendTo(dst Addr, dstPort, srcPort uint16, data []byte) error {
 	node, ok := IPToNode(dst)
 	if !ok {
 		return fmt.Errorf("ampip: %v is not an AmpNet address", dst)
 	}
-	frame := make([]byte, dgHeader+len(data))
-	binary.BigEndian.PutUint32(frame[0:4], uint32(s.IP))
-	binary.BigEndian.PutUint32(frame[4:8], uint32(dst))
-	binary.BigEndian.PutUint16(frame[8:10], srcPort)
-	binary.BigEndian.PutUint16(frame[10:12], dstPort)
-	binary.BigEndian.PutUint16(frame[12:14], uint16(len(data)))
-	copy(frame[dgHeader:], data)
+	// Taken, not shared: a SendTo re-entered before this one returns —
+	// from a looped-back datagram's handler, or a done callback the DMA
+	// pump runs — finds no scratch and builds its own.
+	frame := s.frame[:0]
+	s.frame = nil
+	frame = binary.BigEndian.AppendUint32(frame, uint32(s.IP))
+	frame = binary.BigEndian.AppendUint32(frame, uint32(dst))
+	frame = binary.BigEndian.AppendUint16(frame, srcPort)
+	frame = binary.BigEndian.AppendUint16(frame, dstPort)
+	frame = binary.BigEndian.AppendUint16(frame, uint16(len(data)))
+	frame = append(frame, data...)
 	s.Sent++
 	if node == s.Node.Cfg.ID {
 		s.deliver(frame)
-		return nil
+	} else {
+		s.Node.DMA.Write(IPChannel, micropacket.NodeID(node), IPRegion, 0, frame, nil)
 	}
-	s.Node.DMA.Write(IPChannel, micropacket.NodeID(node), IPRegion, 0, frame, nil)
+	s.frame = frame
 	return nil
 }
 
-func (s *Stack) handleDMA(src micropacket.NodeID, _ micropacket.DMAHeader, data []byte, last bool) {
-	s.asm[src] = append(s.asm[src], data...)
-	if !last {
-		return
+func (s *Stack) handleDMA(src micropacket.NodeID, hdr micropacket.DMAHeader, data []byte, last bool) {
+	if int(src) >= len(s.asm) {
+		s.asm = append(s.asm, make([]dma.Assembly, int(src)+1-len(s.asm))...)
 	}
-	frame := s.asm[src]
-	delete(s.asm, src)
-	s.deliver(frame)
+	if frame, ok := s.asm[src].Add(int(hdr.Offset), data, last); ok {
+		s.deliver(frame)
+	}
 }
 
 func (s *Stack) deliver(frame []byte) {

@@ -130,7 +130,7 @@ func TestLargeDatagram(t *testing.T) {
 		big[i] = byte(i)
 	}
 	var got []byte
-	r.stacks[1].Bind(1, func(_ Addr, _ uint16, data []byte) { got = data })
+	r.stacks[1].Bind(1, func(_ Addr, _ uint16, data []byte) { got = bytes.Clone(data) })
 	r.k.After(0, func() { r.stacks[0].SendTo(NodeToIP(1), 1, 1, big) })
 	r.run(20 * sim.Millisecond)
 	if !bytes.Equal(got, big) {
@@ -339,5 +339,47 @@ func TestCommRankSize(t *testing.T) {
 		if c.Rank() != i || c.Size() != 3 {
 			t.Fatalf("rank/size = %d/%d", c.Rank(), c.Size())
 		}
+	}
+}
+
+// TestSenderCrashMidDatagramNoSplice is AmpSubscribe's
+// TestPublisherCrashMidMessageNoSplice for datagrams: a sender that
+// crashes inside a 200-byte datagram, reboots and sends it again
+// delivers it once, whole — not the first one's head on the second
+// one's tail.
+func TestSenderCrashMidDatagramNoSplice(t *testing.T) {
+	// Late enough for the datagram's head to have reached node 2, too
+	// early for its tail.
+	const crashAfter = 4 * sim.Microsecond
+	r := newRig(t, 4)
+	msg := bytes.Repeat([]byte("0123456789"), 20)
+	var got [][]byte
+	r.stacks[2].Bind(9, func(_ Addr, _ uint16, data []byte) {
+		got = append(got, bytes.Clone(data))
+	})
+	send := func() {
+		if err := r.stacks[0].SendTo(NodeToIP(2), 9, 9, msg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r.k.After(0, send)
+	r.k.After(crashAfter, func() { r.nodes[0].Crash() })
+	r.run(sim.Millisecond)
+	if len(got) != 0 {
+		t.Fatalf("the sender crashed %v into the datagram, yet %d bytes were delivered", crashAfter, len(got[0]))
+	}
+	r.nodes[0].Reboot()
+	r.run(20 * sim.Millisecond)
+	if !r.nodes[0].Online() {
+		t.Fatal("sender did not come back")
+	}
+	send()
+	r.run(5 * sim.Millisecond)
+	if len(got) != 1 || !bytes.Equal(got[0], msg) {
+		sizes := make([]int, len(got))
+		for i, g := range got {
+			sizes[i] = len(g)
+		}
+		t.Fatalf("deliveries of %v bytes, want exactly the one %d-byte datagram", sizes, len(msg))
 	}
 }

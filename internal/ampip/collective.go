@@ -3,7 +3,6 @@ package ampip
 import (
 	"encoding/binary"
 
-	"repro/internal/detmap"
 	"repro/internal/sim"
 )
 
@@ -33,11 +32,15 @@ type Comm struct {
 	rank int
 	seq  [numKinds]uint32 // per-kind issue counters
 	ops  map[opKey]*opState
+	// free holds finished op states for the next op to reuse, slices
+	// and retry Timer included.
+	free []*opState
+	// msg is send's scratch: SendTo has copied it by the time it returns.
+	msg []byte
 
 	// Bounded memory of completed coordinator results, so stragglers
 	// retransmitting into a finished op still get their answer.
-	doneReduce  map[uint32]uint64
-	doneBarrier map[uint32]bool
+	doneReduce, doneBarrier resultRing
 
 	// Resends counts retransmitted messages (0 in a healthy run).
 	Resends uint64
@@ -64,8 +67,26 @@ const (
 // DefaultRetransmit is the retry pace for collective traffic.
 const DefaultRetransmit = 500 * sim.Microsecond
 
-// completedMemory bounds the per-kind result memory.
+// completedMemory bounds the per-kind result memory: a coordinator
+// answers for the last completed op and the completedMemory before it.
 const completedMemory = 128
+
+// resultRing remembers the results of the last completedMemory+1 ops a
+// coordinator completed, each in the slot its sequence number maps to.
+type resultRing struct {
+	tag [completedMemory + 1]uint32 // seq+1 of the op held; 0 is empty
+	val [completedMemory + 1]uint64
+}
+
+func (r *resultRing) put(seq uint32, v uint64) {
+	i := seq % uint32(len(r.tag))
+	r.tag[i], r.val[i] = seq+1, v
+}
+
+func (r *resultRing) get(seq uint32) (uint64, bool) {
+	i := seq % uint32(len(r.tag))
+	return r.val[i], r.tag[i] == seq+1
+}
 
 type opKey struct {
 	kind uint8
@@ -73,18 +94,58 @@ type opKey struct {
 }
 
 type opState struct {
-	// Idempotent receive state.
-	from     map[int]uint64 // barrier arrivals / reduce contributions by rank
-	blocks   map[int][]byte // all-to-all blocks by rank
-	acked    map[int]bool   // peers that acknowledged our payload
-	buf      []byte         // bcast payload
-	value    uint64         // reduce result at non-root
-	started  bool           // this rank issued the op (vs early arrival)
+	c   *Comm
+	key opKey
+	// Idempotent receive state: rank-indexed, made by the first op that
+	// needs it and kept across reuse. heard marks barrier arrivals,
+	// reduce contributions (their values in vals) and acknowledgements
+	// of our payload; blocks holds all-to-all and gather blocks. nheard
+	// and nblocks count the ranks set.
+	heard   []bool
+	nheard  int
+	vals    []uint64
+	blocks  [][]byte
+	nblocks int
+	buf     []byte // bcast / scatter payload
+	value   uint64 // reduce result at non-root
+	// done, set when this rank issues the op (early arrivals only fill
+	// in state), completes it once its condition holds.
 	done     func(*opState)
 	released bool
-	finished bool
-	retry    *sim.Timer
-	resend   func()
+	// retry re-sends what resend sends every Retransmit until finish.
+	retry  *sim.Timer
+	resend func()
+}
+
+// hear records that rank arrived, contributed or acknowledged.
+func (st *opState) hear(rank int) {
+	if st.heard == nil {
+		st.heard = make([]bool, len(st.c.Nodes))
+	}
+	if !st.heard[rank] {
+		st.heard[rank] = true
+		st.nheard++
+	}
+}
+
+// contribute records rank's reduce contribution.
+func (st *opState) contribute(rank int, v uint64) {
+	if st.vals == nil {
+		st.vals = make([]uint64, len(st.c.Nodes))
+	}
+	st.hear(rank)
+	st.vals[rank] = v
+}
+
+// keepBlock records a copy of rank's block.
+func (st *opState) keepBlock(rank int, b []byte) {
+	if st.blocks == nil {
+		st.blocks = make([][]byte, len(st.c.Nodes))
+	}
+	if st.blocks[rank] == nil {
+		st.nblocks++
+	}
+	st.blocks[rank] = append([]byte{}, b...)
 }
 
 // NewComm builds a communicator; nodes must list every participant
@@ -92,10 +153,8 @@ type opState struct {
 func NewComm(s *Stack, nodes []int, port uint16) *Comm {
 	c := &Comm{
 		Stack: s, Nodes: append([]int{}, nodes...), Port: port,
-		Retransmit:  DefaultRetransmit,
-		ops:         map[opKey]*opState{},
-		doneReduce:  map[uint32]uint64{},
-		doneBarrier: map[uint32]bool{},
+		Retransmit: DefaultRetransmit,
+		ops:        map[opKey]*opState{},
 	}
 	c.rank = -1
 	for i, id := range c.Nodes {
@@ -117,71 +176,69 @@ func (c *Comm) Size() int { return len(c.Nodes) }
 func (c *Comm) state(k opKey) *opState {
 	st, ok := c.ops[k]
 	if !ok {
-		st = &opState{from: map[int]uint64{}, blocks: map[int][]byte{}, acked: map[int]bool{}}
+		if n := len(c.free); n > 0 {
+			st, c.free = c.free[n-1], c.free[:n-1]
+		} else {
+			st = &opState{c: c}
+		}
+		st.key = k
 		c.ops[k] = st
 	}
 	return st
 }
 
+// issue is state for the rank issuing the next op of a kind.
+func (c *Comm) issue(kind uint8) (uint32, *opState) {
+	seq := c.seq[kind]
+	c.seq[kind]++
+	return seq, c.state(opKey{kind, seq})
+}
+
 // message wire: kind(1) seq(4) srcRank(2) part(2) body…
 func (c *Comm) send(toRank int, kind uint8, seq uint32, part uint16, body []byte) {
-	msg := make([]byte, 9+len(body))
-	msg[0] = kind
-	binary.BigEndian.PutUint32(msg[1:5], seq)
-	binary.BigEndian.PutUint16(msg[5:7], uint16(c.rank))
-	binary.BigEndian.PutUint16(msg[7:9], part)
-	copy(msg[9:], body)
+	msg := append(c.msg[:0], kind)
+	msg = binary.BigEndian.AppendUint32(msg, seq)
+	msg = binary.BigEndian.AppendUint16(msg, uint16(c.rank))
+	msg = binary.BigEndian.AppendUint16(msg, part)
+	msg = append(msg, body...)
+	c.msg = msg
 	c.Stack.SendTo(NodeToIP(c.Nodes[toRank]), c.Port, c.Port, msg)
 }
 
-// armRetry starts the op's retransmission loop.
-func (c *Comm) armRetry(k opKey, st *opState) {
-	if st.resend == nil {
-		return
-	}
-	var loop func()
-	loop = func() {
-		if st.finished {
-			return
-		}
-		c.Resends++
-		st.resend()
-		st.retry = c.Stack.Node.K.After(c.Retransmit, loop)
-	}
-	st.retry = c.Stack.Node.K.After(c.Retransmit, loop)
+// sendValue is send with a 64-bit body.
+func (c *Comm) sendValue(toRank int, kind uint8, seq uint32, part uint16, v uint64) {
+	var b [8]byte
+	binary.BigEndian.PutUint64(b[:], v)
+	c.send(toRank, kind, seq, part, b[:])
 }
 
-func (c *Comm) finish(k opKey, st *opState) {
-	st.finished = true
-	if st.retry != nil {
-		st.retry.Cancel()
+// armRetry starts the op's retransmission loop: one Timer per op state,
+// re-armed for every retry and every op the state is reused for.
+func (c *Comm) armRetry(st *opState) {
+	if st.retry == nil {
+		st.retry = c.Stack.Node.K.After(c.Retransmit, st.retransmit)
+	} else {
+		st.retry.Reset(c.Retransmit)
 	}
-	delete(c.ops, k)
 }
 
-// rememberReduce records a completed reduce result, bounded.
-func (c *Comm) rememberReduce(seq uint32, v uint64) {
-	if len(c.doneReduce) > completedMemory {
-		//ampvet:allow detmap order-free bounded forget: deletes are independent
-		for s := range c.doneReduce {
-			if s+completedMemory < seq {
-				delete(c.doneReduce, s)
-			}
-		}
-	}
-	c.doneReduce[seq] = v
+// retransmit is the retry tick; finish cancels it, so the op is open.
+func (st *opState) retransmit() {
+	st.c.Resends++
+	st.resend()
+	st.retry.Reset(st.c.Retransmit)
 }
 
-func (c *Comm) rememberBarrier(seq uint32) {
-	if len(c.doneBarrier) > completedMemory {
-		//ampvet:allow detmap order-free bounded forget: deletes are independent
-		for s := range c.doneBarrier {
-			if s+completedMemory < seq {
-				delete(c.doneBarrier, s)
-			}
-		}
-	}
-	c.doneBarrier[seq] = true
+// finish closes the op and hands its state to the next one. Callers
+// read what they need out of st first.
+func (c *Comm) finish(st *opState) {
+	st.retry.Cancel()
+	delete(c.ops, st.key)
+	clear(st.heard)
+	clear(st.vals)
+	clear(st.blocks)
+	*st = opState{c: c, heard: st.heard, vals: st.vals, blocks: st.blocks, retry: st.retry}
+	c.free = append(c.free, st)
 }
 
 func (c *Comm) recv(_ Addr, _ uint16, data []byte) {
@@ -193,6 +250,9 @@ func (c *Comm) recv(_ Addr, _ uint16, data []byte) {
 	from := int(binary.BigEndian.Uint16(data[5:7]))
 	part := binary.BigEndian.Uint16(data[7:9])
 	body := data[9:]
+	if from >= len(c.Nodes) {
+		return // no such rank: the state below is indexed by it
+	}
 	k := opKey{kind, seq}
 
 	// Retransmission into an op this coordinator already completed:
@@ -200,15 +260,13 @@ func (c *Comm) recv(_ Addr, _ uint16, data []byte) {
 	if _, open := c.ops[k]; !open && c.rank == 0 && part == partContrib {
 		switch kind {
 		case kindBarrier:
-			if c.doneBarrier[seq] {
+			if _, ok := c.doneBarrier.get(seq); ok {
 				c.send(from, kindBarrier, seq, partRelease, nil)
 				return
 			}
 		case kindReduce:
-			if v, ok := c.doneReduce[seq]; ok {
-				var b [8]byte
-				binary.BigEndian.PutUint64(b[:], v)
-				c.send(from, kindReduce, seq, partRelease, b[:])
+			if v, ok := c.doneReduce.get(seq); ok {
+				c.sendValue(from, kindReduce, seq, partRelease, v)
 				return
 			}
 		}
@@ -223,19 +281,19 @@ func (c *Comm) recv(_ Addr, _ uint16, data []byte) {
 			st.released = true
 			c.send(from, kindBcast, seq, partAck, nil)
 		case partAck:
-			st.from[from] = 1
+			st.hear(from)
 		}
 	case kindBarrier:
 		switch part {
 		case partContrib:
-			st.from[from] = 1
+			st.hear(from)
 		case partRelease:
 			st.released = true
 		}
 	case kindReduce:
 		switch part {
 		case partContrib:
-			st.from[from] = binary.BigEndian.Uint64(body)
+			st.contribute(from, binary.BigEndian.Uint64(body))
 		case partRelease:
 			st.value = binary.BigEndian.Uint64(body)
 			st.released = true
@@ -243,15 +301,15 @@ func (c *Comm) recv(_ Addr, _ uint16, data []byte) {
 	case kindAll2All:
 		switch part {
 		case partContrib:
-			st.blocks[from] = append([]byte{}, body...)
+			st.keepBlock(from, body)
 			c.send(from, kindAll2All, seq, partAck, nil)
 		case partAck:
-			st.acked[from] = true
+			st.hear(from)
 		}
 	case kindGather:
 		switch part {
 		case partContrib: // block arriving at root
-			st.blocks[from] = append([]byte{}, body...)
+			st.keepBlock(from, body)
 			c.send(from, kindGather, seq, partAck, nil)
 		case partAck: // root acknowledged our block
 			st.released = true
@@ -263,7 +321,7 @@ func (c *Comm) recv(_ Addr, _ uint16, data []byte) {
 			st.released = true
 			c.send(from, kindScatter, seq, partAck, nil)
 		case partAck:
-			st.acked[from] = true
+			st.hear(from)
 		}
 	}
 	if st.done != nil {
@@ -274,36 +332,34 @@ func (c *Comm) recv(_ Addr, _ uint16, data []byte) {
 // Bcast distributes data from root (a rank). Every rank's done receives
 // the payload. Must be called by all ranks.
 func (c *Comm) Bcast(root int, data []byte, done func([]byte)) {
-	seq := c.seq[kindBcast]
-	c.seq[kindBcast]++
-	k := opKey{kindBcast, seq}
-	st := c.state(k)
-	st.started = true
+	seq, st := c.issue(kindBcast)
 	if c.rank == root {
 		payload := append([]byte{}, data...)
+		st.hear(root)
 		sendAll := func() {
 			for r := range c.Nodes {
-				if r != root && st.from[r] == 0 {
+				if !st.heard[r] {
 					c.send(r, kindBcast, seq, partContrib, payload)
 				}
 			}
 		}
 		st.resend = sendAll
 		st.done = func(s *opState) {
-			if len(s.from) == len(c.Nodes)-1 && !s.finished {
-				c.finish(k, s)
+			if s.nheard == len(c.Nodes) {
+				c.finish(s)
 				done(payload)
 			}
 		}
 		sendAll()
-		c.armRetry(k, st)
+		c.armRetry(st)
 		st.done(st)
 		return
 	}
 	st.done = func(s *opState) {
-		if s.released && !s.finished {
-			c.finish(k, s)
-			done(s.buf)
+		if s.released {
+			buf := s.buf
+			c.finish(s)
+			done(buf)
 		}
 	}
 	st.done(st)
@@ -312,20 +368,16 @@ func (c *Comm) Bcast(root int, data []byte, done func([]byte)) {
 // Barrier completes (in callback style) once every rank has arrived.
 // Rank 0 coordinates: it collects arrivals and sends releases.
 func (c *Comm) Barrier(done func()) {
-	seq := c.seq[kindBarrier]
-	c.seq[kindBarrier]++
-	k := opKey{kindBarrier, seq}
-	st := c.state(k)
-	st.started = true
+	seq, st := c.issue(kindBarrier)
 	if c.rank == 0 {
-		st.from[0] = 1
+		st.hear(0)
 		st.done = func(s *opState) {
-			if len(s.from) == len(c.Nodes) && !s.finished {
+			if s.nheard == len(c.Nodes) {
 				for r := 1; r < len(c.Nodes); r++ {
 					c.send(r, kindBarrier, seq, partRelease, nil)
 				}
-				c.rememberBarrier(seq)
-				c.finish(k, s)
+				c.doneBarrier.put(seq, 0)
+				c.finish(s)
 				done()
 			}
 		}
@@ -334,59 +386,49 @@ func (c *Comm) Barrier(done func()) {
 	}
 	st.resend = func() { c.send(0, kindBarrier, seq, partContrib, nil) }
 	st.done = func(s *opState) {
-		if s.released && !s.finished {
-			c.finish(k, s)
+		if s.released {
+			c.finish(s)
 			done()
 		}
 	}
-	c.send(0, kindBarrier, seq, partContrib, nil)
-	c.armRetry(k, st)
+	st.resend()
+	c.armRetry(st)
 	st.done(st)
 }
 
 // AllReduceSum sums a uint64 across all ranks; every rank's done
 // receives the total. Rank 0 reduces and redistributes.
 func (c *Comm) AllReduceSum(v uint64, done func(uint64)) {
-	seq := c.seq[kindReduce]
-	c.seq[kindReduce]++
-	k := opKey{kindReduce, seq}
-	st := c.state(k)
-	st.started = true
+	seq, st := c.issue(kindReduce)
 	if c.rank == 0 {
-		st.from[0] = v
+		st.contribute(0, v)
 		st.done = func(s *opState) {
-			if len(s.from) == len(c.Nodes) && !s.finished {
+			if s.nheard == len(c.Nodes) {
 				var total uint64
-				//ampvet:allow detmap commutative sum over values
-				for _, x := range s.from {
+				for _, x := range s.vals {
 					total += x
 				}
-				var b [8]byte
-				binary.BigEndian.PutUint64(b[:], total)
 				for r := 1; r < len(c.Nodes); r++ {
-					c.send(r, kindReduce, seq, partRelease, b[:])
+					c.sendValue(r, kindReduce, seq, partRelease, total)
 				}
-				c.rememberReduce(seq, total)
-				c.finish(k, s)
+				c.doneReduce.put(seq, total)
+				c.finish(s)
 				done(total)
 			}
 		}
 		st.done(st)
 		return
 	}
-	var body [8]byte
-	binary.BigEndian.PutUint64(body[:], v)
-	contrib := append([]byte{}, body[:]...)
-	st.resend = func() { c.send(0, kindReduce, seq, partContrib, contrib) }
+	st.resend = func() { c.sendValue(0, kindReduce, seq, partContrib, v) }
 	st.done = func(s *opState) {
-		if s.released && !s.finished {
+		if s.released {
 			total := s.value
-			c.finish(k, s)
+			c.finish(s)
 			done(total)
 		}
 	}
-	c.send(0, kindReduce, seq, partContrib, contrib)
-	c.armRetry(k, st)
+	st.resend()
+	c.armRetry(st)
 	st.done(st)
 }
 
@@ -395,21 +437,13 @@ func (c *Comm) AllReduceSum(v uint64, done func(uint64)) {
 // non-root ranks complete once the root has acknowledged their block.
 // Must be called by all ranks.
 func (c *Comm) Gather(root int, block []byte, done func(blocks [][]byte)) {
-	seq := c.seq[kindGather]
-	c.seq[kindGather]++
-	k := opKey{kindGather, seq}
-	st := c.state(k)
-	st.started = true
+	seq, st := c.issue(kindGather)
 	if c.rank == root {
-		st.blocks[root] = append([]byte{}, block...)
+		st.keepBlock(root, block)
 		st.done = func(s *opState) {
-			if len(s.blocks) == len(c.Nodes) && !s.finished {
-				out := make([][]byte, len(c.Nodes))
-				//ampvet:allow detmap scatter by key: each slot written once
-				for r, b := range s.blocks {
-					out[r] = b
-				}
-				c.finish(k, s)
+			if s.nblocks == len(c.Nodes) {
+				out := append([][]byte{}, s.blocks...)
+				c.finish(s)
 				done(out)
 			}
 		}
@@ -419,13 +453,13 @@ func (c *Comm) Gather(root int, block []byte, done func(blocks [][]byte)) {
 	mine := append([]byte{}, block...)
 	st.resend = func() { c.send(root, kindGather, seq, partContrib, mine) }
 	st.done = func(s *opState) {
-		if s.released && !s.finished {
-			c.finish(k, s)
+		if s.released {
+			c.finish(s)
 			done(nil)
 		}
 	}
-	c.send(root, kindGather, seq, partContrib, mine)
-	c.armRetry(k, st)
+	st.resend()
+	c.armRetry(st)
 	st.done(st)
 }
 
@@ -433,14 +467,10 @@ func (c *Comm) Gather(root int, block []byte, done func(blocks [][]byte)) {
 // done receives its slice. Must be called by all ranks (non-roots pass
 // nil slices).
 func (c *Comm) Scatter(root int, slices [][]byte, done func(mine []byte)) {
-	seq := c.seq[kindScatter]
-	c.seq[kindScatter]++
-	k := opKey{kindScatter, seq}
-	st := c.state(k)
-	st.started = true
+	seq, st := c.issue(kindScatter)
 	if c.rank == root {
 		own := append([]byte{}, slices[root]...)
-		st.acked[root] = true
+		st.hear(root)
 		outbound := make([][]byte, len(c.Nodes))
 		for r := range c.Nodes {
 			if r != root {
@@ -449,27 +479,28 @@ func (c *Comm) Scatter(root int, slices [][]byte, done func(mine []byte)) {
 		}
 		sendAll := func() {
 			for r := range c.Nodes {
-				if r != root && !st.acked[r] {
+				if !st.heard[r] {
 					c.send(r, kindScatter, seq, partContrib, outbound[r])
 				}
 			}
 		}
 		st.resend = sendAll
 		st.done = func(s *opState) {
-			if len(s.acked) == len(c.Nodes) && !s.finished {
-				c.finish(k, s)
+			if s.nheard == len(c.Nodes) {
+				c.finish(s)
 				done(own)
 			}
 		}
 		sendAll()
-		c.armRetry(k, st)
+		c.armRetry(st)
 		st.done(st)
 		return
 	}
 	st.done = func(s *opState) {
-		if s.released && !s.finished {
-			c.finish(k, s)
-			done(s.buf)
+		if s.released {
+			buf := s.buf
+			c.finish(s)
+			done(buf)
 		}
 	}
 	st.done(st)
@@ -481,36 +512,29 @@ func (c *Comm) Scatter(root int, slices [][]byte, done func(mine []byte)) {
 // blocks acknowledged by every peer, so retransmission covers losses
 // in either direction.
 func (c *Comm) AllToAll(blocks [][]byte, done func(recv [][]byte)) {
-	seq := c.seq[kindAll2All]
-	c.seq[kindAll2All]++
-	k := opKey{kindAll2All, seq}
-	st := c.state(k)
-	st.started = true
-	st.blocks[c.rank] = append([]byte{}, blocks[c.rank]...)
-	st.acked[c.rank] = true
+	seq, st := c.issue(kindAll2All)
+	st.keepBlock(c.rank, blocks[c.rank])
+	st.hear(c.rank)
 	mine := make([][]byte, len(blocks))
 	for i := range blocks {
 		mine[i] = append([]byte{}, blocks[i]...)
 	}
 	sendAll := func() {
 		for r := range c.Nodes {
-			if r != c.rank && !st.acked[r] {
+			if !st.heard[r] {
 				c.send(r, kindAll2All, seq, partContrib, mine[r])
 			}
 		}
 	}
 	st.resend = sendAll
 	st.done = func(s *opState) {
-		if len(s.blocks) == len(c.Nodes) && len(s.acked) == len(c.Nodes) && !s.finished {
-			out := make([][]byte, len(c.Nodes))
-			for _, r := range detmap.SortedKeys(s.blocks) {
-				out[r] = s.blocks[r]
-			}
-			c.finish(k, s)
+		if s.nblocks == len(c.Nodes) && s.nheard == len(c.Nodes) {
+			out := append([][]byte{}, s.blocks...)
+			c.finish(s)
 			done(out)
 		}
 	}
 	sendAll()
-	c.armRetry(k, st)
+	c.armRetry(st)
 	st.done(st)
 }

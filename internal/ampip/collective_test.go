@@ -2,8 +2,10 @@ package ampip
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
+	"repro/internal/micropacket"
 	"repro/internal/sim"
 )
 
@@ -151,6 +153,178 @@ func TestGatherLargeBlocks(t *testing.T) {
 	for i, b := range got {
 		if !bytes.Equal(b, big) {
 			t.Fatalf("block %d corrupted (%d bytes)", i, len(b))
+		}
+	}
+}
+
+// round runs one AllReduceSum and then one Barrier on every rank to
+// completion and returns the totals the ranks were given.
+func round(t *testing.T, r *rig, cs []*Comm, vals []uint64) []uint64 {
+	t.Helper()
+	totals := make([]uint64, len(cs))
+	reduced, released := 0, 0
+	for i, c := range cs {
+		c.AllReduceSum(vals[i], func(total uint64) { totals[i] = total; reduced++ })
+	}
+	r.run(100 * sim.Microsecond)
+	for _, c := range cs {
+		c.Barrier(func() { released++ })
+	}
+	r.run(100 * sim.Microsecond)
+	if reduced != len(cs) || released != len(cs) {
+		t.Fatalf("round incomplete: %d reduced, %d released of %d", reduced, released, len(cs))
+	}
+	return totals
+}
+
+// TestCollectiveRoundAllocations: an op state, its rank tables and its
+// retry Timer are reused from op to op and a datagram is copied once,
+// into its MicroPacket, so a round on 8 ranks (28 datagrams) allocates
+// 87 times — those packets, the ops' closures — where a state, three
+// maps, a Timer and three more copies of each datagram per op made it
+// 310. The bound is half of that.
+func TestCollectiveRoundAllocations(t *testing.T) {
+	r := newRig(t, 8)
+	cs := comms(r)
+	vals := make([]uint64, len(cs))
+	round(t, r, cs, vals)
+	if n := testing.AllocsPerRun(20, func() { round(t, r, cs, vals) }); n > 155 {
+		t.Fatalf("one AllReduceSum + Barrier round on 8 ranks allocates %.0f times, want <= 155", n)
+	}
+}
+
+// TestHandleDMASingleSegmentAllocatesNothing: a datagram that fits one
+// segment is handed to its handler as the packet's own bytes.
+func TestHandleDMASingleSegmentAllocatesNothing(t *testing.T) {
+	r := newRig(t, 2)
+	s := r.stacks[1]
+	body := []byte("0123456789")
+	var got []byte
+	s.Bind(9, func(_ Addr, _ uint16, data []byte) { got = data })
+	r.stacks[0].Bind(9, func(_ Addr, _ uint16, data []byte) {})
+	// The frame SendTo would build, delivered as its one DMA segment.
+	var seg []byte
+	r.nodes[0].RegionHandler[IPRegion] = nil
+	r.nodes[1].RegionHandler[IPRegion] = func(src micropacket.NodeID, hdr micropacket.DMAHeader, data []byte, last bool) {
+		seg = append([]byte(nil), data...)
+	}
+	r.stacks[0].SendTo(NodeToIP(1), 9, 9, body)
+	r.run(sim.Millisecond)
+	if len(seg) != dgHeader+len(body) {
+		t.Fatalf("captured a %d-byte segment", len(seg))
+	}
+	arrive := func() { s.handleDMA(0, micropacket.DMAHeader{}, seg, true) }
+	arrive()
+	if !bytes.Equal(got, body) || &got[0] != &seg[dgHeader] {
+		t.Fatal("a single-segment datagram was not handed over as the segment itself")
+	}
+	if n := testing.AllocsPerRun(100, arrive); n != 0 {
+		t.Fatalf("a single-segment arrival allocates %.0f times, want 0", n)
+	}
+}
+
+// TestAllReduceArrivalOrder: the coordinator summed a map in whatever
+// order it iterated and sums a rank-indexed table now; the total is the
+// same for every order the contributions arrive in — the coordinator's
+// own among them, wrap-around included.
+func TestAllReduceArrivalOrder(t *testing.T) {
+	r := newRig(t, 8)
+	cs := comms(r)
+	vals := []uint64{1 << 63, 1 << 63, 3, 5, 1<<64 - 1, 7, 11, 13}
+	var want uint64
+	for _, v := range vals {
+		want += v
+	}
+	rng := sim.NewRNG(21)
+	for trial := 0; trial < 24; trial++ {
+		order := rng.Perm(len(cs))
+		got := make([]uint64, len(cs))
+		done := 0
+		for slot, rank := range order {
+			r.k.After(sim.Time(slot)*5*sim.Microsecond, func() {
+				cs[rank].AllReduceSum(vals[rank], func(total uint64) { got[rank] = total; done++ })
+			})
+		}
+		r.run(200 * sim.Microsecond)
+		if done != len(cs) {
+			t.Fatalf("order %v: %d of %d ranks completed", order, done, len(cs))
+		}
+		for rank, total := range got {
+			if total != want {
+				t.Fatalf("order %v: rank %d was given %d, want %d", order, rank, total, want)
+			}
+		}
+	}
+}
+
+// refMemory is the coordinator's result memory as the bounded maps kept
+// it (commit 2b33355), verbatim: the reference the ring is pinned to.
+type refMemory map[uint32]uint64
+
+func (m refMemory) remember(seq uint32, v uint64) {
+	if len(m) > completedMemory {
+		for s := range m {
+			if s+completedMemory < seq {
+				delete(m, s)
+			}
+		}
+	}
+	m[seq] = v
+}
+
+// TestResultRingRemembersWhatTheMapDid: after any number of ops
+// completed in order the ring answers for exactly the sequence numbers
+// the bounded map held — the latest and the completedMemory before it.
+func TestResultRingRemembersWhatTheMapDid(t *testing.T) {
+	var ring resultRing
+	ref := refMemory{}
+	for seq := uint32(0); seq < 3*completedMemory+7; seq++ {
+		ring.put(seq, uint64(seq)*3+1)
+		ref.remember(seq, uint64(seq)*3+1)
+		for s := uint32(0); s <= seq+completedMemory+2; s++ {
+			want, held := ref[s]
+			got, ok := ring.get(s)
+			if ok != held || (ok && got != want) {
+				t.Fatalf("after op %d: ring answers op %d with (%d, %v), the map with (%d, %v)", seq, s, got, ok, want, held)
+			}
+		}
+	}
+	if _, ok := ring.get(2*completedMemory + 6); !ok {
+		t.Fatalf("an op %d behind the latest is forgotten", completedMemory)
+	}
+	if _, ok := ring.get(2*completedMemory + 5); ok {
+		t.Fatalf("an op %d behind the latest is still answered", completedMemory+1)
+	}
+}
+
+// TestStragglerAnsweredByAge: a contribution retransmitted into an op
+// the coordinator completed long ago is answered from memory when the
+// op is at most completedMemory behind the latest, and refused (it
+// opens a fresh state, as an early arrival would) one op further back.
+func TestStragglerAnsweredByAge(t *testing.T) {
+	r := newRig(t, 2)
+	cs := comms(r)
+	const ops = completedMemory + 40
+	vals := []uint64{2, 3}
+	for i := 0; i < ops; i++ {
+		round(t, r, cs, vals)
+	}
+	latest := uint32(ops - 1)
+	straggle := func(kind uint8, seq uint32) (answered bool) {
+		msg := []byte{kind, 0, 0, 0, 0, 0, 1, 0, partContrib, 0, 0, 0, 0, 0, 0, 0, 3}
+		binary.BigEndian.PutUint32(msg[1:5], seq)
+		before := cs[0].Stack.Sent
+		cs[0].recv(0, 0, msg)
+		return cs[0].Stack.Sent == before+1
+	}
+	for _, tc := range []struct {
+		age  uint32
+		want bool
+	}{{0, true}, {1, true}, {completedMemory - 1, true}, {completedMemory, true}, {completedMemory + 1, false}, {completedMemory + 30, false}} {
+		for _, kind := range []uint8{kindBarrier, kindReduce} {
+			if got := straggle(kind, latest-tc.age); got != tc.want {
+				t.Errorf("kind %d, op %d behind the latest: answered = %v, want %v", kind, tc.age, got, tc.want)
+			}
 		}
 	}
 }

@@ -18,7 +18,7 @@ func TestDeepPHYFullStack(t *testing.T) {
 	}
 	// Messaging.
 	var got []byte
-	c.Services[3].Sub.Subscribe(1, func(_ micropacket.NodeID, data []byte) { got = data })
+	c.Services[3].Sub.Subscribe(1, func(_ micropacket.NodeID, data []byte) { got = bytes.Clone(data) })
 	c.Services[0].Sub.Publish(1, []byte("through the real datapath"))
 	c.Run(3 * sim.Millisecond)
 	if string(got) != "through the real datapath" {

@@ -266,16 +266,19 @@ func (l *PubSubLoad) begin(c *Cluster, a *ActiveLoad) {
 		// of any other load's draws.
 		arrivals = sim.NewRNG(c.Opts.Seed ^ 0x9e3779b97f4a7c15*uint64(l.Publisher+1) ^ uint64(l.Topic)<<56)
 	}
+	// One buffer for the whole stream: Publish has copied what it keeps
+	// by the time it returns, and subscribers only borrow.
+	buf := make([]byte, pubSubHeader+l.Payload)
 	gen := func() bool {
 		if a.halted {
 			return false
 		}
 		if c.Nodes[l.Publisher].Online() {
 			seq++
-			buf := make([]byte, pubSubHeader+l.Payload)
 			binary.LittleEndian.PutUint64(buf, seq)
 			binary.LittleEndian.PutUint64(buf[8:], uint64(pubK.Now()))
 			if l.Fill != nil {
+				clear(buf[pubSubHeader:])
 				l.Fill(seq, buf[pubSubHeader:])
 			}
 			c.Services[l.Publisher].Sub.Publish(l.Topic, buf)
@@ -289,14 +292,12 @@ func (l *PubSubLoad) begin(c *Cluster, a *ActiveLoad) {
 		return true
 	}
 	if l.Poisson {
-		var tick func()
-		tick = func() {
-			if !gen() {
-				return
+		var tick *sim.Timer
+		tick = pubK.After(arrivals.Exp(every), func() {
+			if gen() {
+				tick.Reset(arrivals.Exp(every))
 			}
-			pubK.After(arrivals.Exp(every), tick)
-		}
-		pubK.After(arrivals.Exp(every), tick)
+		})
 	} else {
 		everyOn(pubK, every, gen)
 	}
@@ -348,6 +349,9 @@ func (l *CacheChurn) begin(c *Cluster, a *ActiveLoad) {
 		every = 50 * sim.Microsecond
 	}
 	rec := l.Record
+	// buf is every write's buffer (WriteRecord copies it out); last is
+	// the copy of the latest committed write the audit compares with.
+	buf := make([]byte, rec.Size)
 	var last []byte
 	seq := uint64(0)
 	everyOn(c.Nodes[l.Writer].K, every, func() bool {
@@ -356,8 +360,8 @@ func (l *CacheChurn) begin(c *Cluster, a *ActiveLoad) {
 		}
 		if c.Nodes[l.Writer].Online() {
 			seq++
-			buf := make([]byte, rec.Size)
 			if l.Fill != nil {
+				clear(buf)
 				l.Fill(seq, buf)
 			} else {
 				var le [8]byte
@@ -369,7 +373,10 @@ func (l *CacheChurn) begin(c *Cluster, a *ActiveLoad) {
 			} else {
 				a.rep.Sent++
 				a.rep.Bytes += uint64(len(buf))
-				last = buf
+				if last == nil {
+					last = make([]byte, len(buf))
+				}
+				copy(last, buf)
 			}
 		}
 		if l.Count > 0 && seq >= uint64(l.Count) {

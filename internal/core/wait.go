@@ -89,17 +89,16 @@ func (c *Cluster) Every(d sim.Time, fn func() bool) {
 }
 
 // everyOn is Every pinned to one kernel — the node-affine form the
-// loads use, so a generator runs on its node's shard.
+// loads use, so a generator runs on its node's shard. The driver owns
+// one Timer, re-armed after each tick that asks for another.
 func everyOn(k *sim.Kernel, d sim.Time, fn func() bool) {
 	if d <= 0 {
 		panic("core: Every with non-positive interval")
 	}
-	var tick func()
-	tick = func() {
-		if !fn() {
-			return
+	var t *sim.Timer
+	t = k.After(0, func() {
+		if fn() {
+			t.Reset(d)
 		}
-		k.After(d, tick)
-	}
-	k.After(0, tick)
+	})
 }

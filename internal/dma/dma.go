@@ -15,8 +15,6 @@
 package dma
 
 import (
-	"slices"
-
 	"repro/internal/insertion"
 	"repro/internal/micropacket"
 	"repro/internal/phys"
@@ -35,7 +33,10 @@ type request struct {
 	hdr  micropacket.DMAHeader
 	data []byte
 	last bool
-	done func()
+	// borrowed: data is a window onto the slice a Write still on the
+	// stack was handed, not yet onto the engine's own copy.
+	borrowed bool
+	done     func()
 }
 
 // Engine is one node's DMA controller.
@@ -105,33 +106,31 @@ func (e *Engine) Write(ch int, dst micropacket.NodeID, region uint8, off uint32,
 	if ch < 0 || ch >= NumChannels {
 		panic("dma: channel out of range")
 	}
-	// The caller may reuse data once Write returns: the transfer is
-	// copied once, and the segments are windows onto the copy. One
-	// allocation instead of one per segment, paid for in retention: the
-	// whole copy stays reachable until its last segment is popped, where
-	// per-segment copies would go as they are sent. (Packets carry
-	// their own payload, so nothing pins it beyond the queue.)
-	data = slices.Clone(data)
+	// The caller may reuse data once Write returns, so what outlives the
+	// call must be copied — and only that. The segments are queued as
+	// windows onto the caller's slice; a segment the pump below sends is
+	// copied once, into its packet, and whatever is still queued
+	// afterwards moves onto one private copy.
+	q := &e.queues[ch]
 	n := 0
 	for i := 0; ; i += MaxSegment {
 		endI := i + MaxSegment
 		if endI > len(data) {
 			endI = len(data)
 		}
-		seg := data[i:endI:endI]
 		last := endI == len(data)
 		req := request{
 			dst: dst,
 			hdr: micropacket.DMAHeader{
 				Channel: uint8(ch), Region: region, Offset: off + uint32(i),
 			},
-			data: seg,
-			last: last,
+			data:     data[i:endI:endI],
+			last:     last,
+			borrowed: true,
 		}
 		if last {
 			req.done = done
 		}
-		q := &e.queues[ch]
 		q.Push(req)
 		n++
 		if q.Len() > e.QueueHighWater {
@@ -142,7 +141,37 @@ func (e *Engine) Write(ch int, dst micropacket.NodeID, region uint8, off uint32,
 		}
 	}
 	e.pump()
+	keep(q)
 	return n
+}
+
+// keep moves the segments still borrowed at the tail of q onto one
+// private copy. Borrowed segments are always a suffix of their queue:
+// they belong to Writes still on the stack (this one, and any whose
+// pump ran the done callback this one was called from), every Write
+// leaves its channel with none, and pushes go to the tail. Which of
+// them a pump has sent meanwhile — this call's or another's — does not
+// matter: the mark is per request.
+func keep(q *phys.Queue[request]) {
+	first, size := q.Len(), 0
+	for first > 0 && q.At(first-1).borrowed {
+		first--
+		size += len(q.At(first).data)
+	}
+	if first == q.Len() {
+		return
+	}
+	// The whole copy stays reachable until its last segment is popped,
+	// where per-segment copies would go as they are sent: one allocation
+	// paid for in retention. (Packets carry their own payload, so
+	// nothing pins it beyond the queue.)
+	own := make([]byte, 0, size)
+	for i := first; i < q.Len(); i++ {
+		req := q.At(i)
+		own = append(own, req.data...)
+		req.data = own[len(own)-len(req.data) : len(own) : len(own)]
+		req.borrowed = false
+	}
 }
 
 // Pending returns the total queued segments across channels.
@@ -244,4 +273,41 @@ func (e *Engine) HandleDMA(p *micropacket.Packet) {
 	if e.OnWrite != nil {
 		e.OnWrite(p.Src, p.DMA, p.Data, p.Flags&micropacket.FlagLast != 0)
 	}
+}
+
+// Assembly is the receiving end of one stream of Writes: it puts a
+// message's segments back together by the byte position Write stamped
+// into each. The zero Assembly is ready to use.
+type Assembly struct {
+	// buf holds the message in progress; its length is the number of
+	// bytes assembled, 0 between messages.
+	buf []byte
+}
+
+// Partial reports whether a message is half assembled.
+func (a *Assembly) Partial() bool { return len(a.buf) > 0 }
+
+// Add takes the segment at byte position pos of its message and, when
+// it completes one, returns the message. A segment that is not the next
+// byte of the message in progress — the sender crashed mid-message, or
+// a segment died in a ring transition — drops the partial, and only a
+// position-0 segment starts the next one. The message returned is
+// borrowed: a single segment's is data itself, a longer one's is the
+// assembly buffer, which the next Add truncates and reuses.
+func (a *Assembly) Add(pos int, data []byte, last bool) (msg []byte, ok bool) {
+	if pos != len(a.buf) {
+		a.buf = a.buf[:0]
+		if pos != 0 {
+			return nil, false
+		}
+	}
+	if last && pos == 0 {
+		return data, true
+	}
+	a.buf = append(a.buf, data...)
+	if !last {
+		return nil, false
+	}
+	msg, a.buf = a.buf, a.buf[:0]
+	return msg, true
 }

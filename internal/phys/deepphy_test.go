@@ -160,3 +160,34 @@ func TestDeepPHYHopPreserved(t *testing.T) {
 		t.Fatalf("hop count lost through deep PHY: %d", gotHops)
 	}
 }
+
+// TestDeepPHYHopAllocations: the bytes and symbols of a frame on the
+// fiber live in the Net's scratch, so a DeepPHY hop allocates the
+// received packet (payload included) and nothing else: 1 measured,
+// where it was six — frame, body, symbols, received bytes, packet,
+// payload.
+func TestDeepPHYHopAllocations(t *testing.T) {
+	k := sim.NewKernel(1)
+	n := NewNet(k)
+	n.DeepPHY = true
+	a := n.NewPort("a", nil)
+	b := n.NewPort("b", func(*Port, Frame) {})
+	n.Connect(a, b, 100)
+	for _, p := range []*micropacket.Packet{
+		micropacket.NewData(1, 2, 7, []byte{0xDE, 0xAD}),
+		micropacket.NewDMA(1, 2, micropacket.DMAHeader{Channel: 5, Offset: 64}, bytes.Repeat([]byte{0x5A}, 64)),
+	} {
+		f := newFrameV1(p)
+		hop := func() {
+			a.Send(f)
+			k.Run()
+		}
+		hop()
+		if got := testing.AllocsPerRun(100, hop); got > 2 {
+			t.Errorf("a DeepPHY hop of a %v frame allocates %.0f times, want <= 2", p.Type, got)
+		}
+	}
+	if n.Acct.WireDelivered != 2*102 {
+		t.Fatalf("%d frames delivered", n.Acct.WireDelivered)
+	}
+}

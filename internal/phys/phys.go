@@ -170,6 +170,11 @@ type Net struct {
 	// FailureLosses, CRCDrops; deliveries are Acct.WireDelivered).
 	Acct frameacct.Acct
 
+	// deepRaw and deepSyms are deepPath's scratch: one frame's bytes and
+	// its 10-bit symbols, overwritten by the next frame.
+	deepRaw  []byte
+	deepSyms []enc8b10b.Symbol
+
 	// Hot-path event pools (see pool.go). Per-Net and therefore
 	// per-shard: only ever touched from this Net's kernel context.
 	delFree   []*delivery
@@ -465,14 +470,25 @@ func (n *Net) deepPath(f Frame) (*micropacket.Packet, bool) {
 	if err != nil {
 		return nil, false
 	}
-	syms, err := wire.EncodeSymbols(codec, f.Pkt, enc8b10b.NewEncoder())
+	// The bytes and symbols on the fiber live in the Net's two scratch
+	// slices; the received packet is the hop's one allocation.
+	raw, err := codec.AppendEncode(n.deepRaw[:0], f.Pkt)
 	if err != nil {
 		return nil, false
 	}
+	syms, err := wire.AppendSymbols(n.deepSyms[:0], raw, enc8b10b.NewEncoder())
+	if err != nil {
+		return nil, false
+	}
+	n.deepRaw, n.deepSyms = raw, syms
 	if n.Corrupt != nil {
 		n.Corrupt(f, syms)
 	}
-	pkt, _, err := wire.DecodeSymbols(syms, enc8b10b.NewDecoder())
+	raw, err = wire.AppendFrame(raw[:0], syms, enc8b10b.NewDecoder())
+	if err != nil {
+		return nil, false
+	}
+	pkt, _, err := wire.Decode(raw)
 	if err != nil {
 		return nil, false
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"slices"
 
 	"repro/internal/enc8b10b"
 	"repro/internal/micropacket"
@@ -62,35 +63,33 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 func pad4(n int) int { return (n + 3) &^ 3 }
 
-// encodeFrame assembles SOF + body + CRC + EOF for one codec: the
+// appendFrame appends SOF + body + CRC + EOF to dst for one codec: the
 // caller provides the control block and the shared payload section is
-// appended here, so both versions pad and checksum identically.
-func encodeFrame(v Version, p *micropacket.Packet, ctrl []byte, size int) ([]byte, error) {
-	buf := make([]byte, 0, size)
-	buf = append(buf, enc8b10b.K28_5, sofByte1, sofByte2, formatByte(v, p.Type.Variable()))
-	body := make([]byte, 0, size-sofLen-crcLen-eofLen)
-	body = append(body, ctrl...)
+// appended here, so both versions pad and checksum identically. The
+// frame is built in place — the CRC is taken over the body where it
+// lies — so encoding into a buffer with room allocates nothing.
+func appendFrame(dst []byte, v Version, p *micropacket.Packet, ctrl []byte) ([]byte, error) {
+	size := Size(v, p.Type, len(p.Data))
+	dst = slices.Grow(dst, size)
+	start := len(dst)
+	dst = append(dst, enc8b10b.K28_5, sofByte1, sofByte2, formatByte(v, p.Type.Variable()))
+	dst = append(dst, ctrl...)
 	if p.Type.Variable() {
-		body = append(body, p.DMA.Channel, p.DMA.Region, p.DMA.Length, p.DMA.Seq)
-		var off [4]byte
-		binary.LittleEndian.PutUint32(off[:], p.DMA.Offset)
-		body = append(body, off[:]...)
-		body = append(body, p.Data...)
+		dst = append(dst, p.DMA.Channel, p.DMA.Region, p.DMA.Length, p.DMA.Seq)
+		dst = binary.LittleEndian.AppendUint32(dst, p.DMA.Offset)
+		dst = append(dst, p.Data...)
 		for i := len(p.Data); i < pad4(len(p.Data)); i++ {
-			body = append(body, 0)
+			dst = append(dst, 0)
 		}
 	} else {
-		body = append(body, p.Payload[:]...)
+		dst = append(dst, p.Payload[:]...)
 	}
-	buf = append(buf, body...)
-	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], crc32.Checksum(body, castagnoli))
-	buf = append(buf, crc[:]...)
-	buf = append(buf, enc8b10b.K28_5, eofByte1, eofByte2, eofByte3)
-	if len(buf) != size {
-		return nil, fmt.Errorf("wire: internal size error: %d != %d", len(buf), size)
+	dst = binary.LittleEndian.AppendUint32(dst, crc32.Checksum(dst[start+sofLen:], castagnoli))
+	dst = append(dst, enc8b10b.K28_5, eofByte1, eofByte2, eofByte3)
+	if len(dst)-start != size {
+		return nil, fmt.Errorf("wire: internal size error: %d != %d", len(dst)-start, size)
 	}
-	return buf, nil
+	return dst, nil
 }
 
 // openFrame checks SOF/EOF/CRC for a frame claimed to be version v and
@@ -123,44 +122,54 @@ func openFrame(v Version, buf []byte, minWire int) (body []byte, variable bool, 
 }
 
 // decodePayload parses the shared payload section (everything after
-// the control block) into p, enforcing the same structural rules for
-// both versions.
-func decodePayload(p *micropacket.Packet, rest []byte, variable bool) error {
-	if p.Type.Variable() != variable {
-		return ErrBadFormat
+// the control block) and returns the packet hd heads, enforcing the
+// same structural rules for both versions. The packet and its variable
+// payload are one allocation (micropacket.NewDMA's).
+func decodePayload(hd micropacket.Packet, rest []byte, variable bool) (*micropacket.Packet, error) {
+	if hd.Type.Variable() != variable {
+		return nil, ErrBadFormat
 	}
-	if p.Type.Variable() {
+	var p *micropacket.Packet
+	if variable {
 		if len(rest) < dmaLen {
-			return ErrTruncated
+			return nil, ErrTruncated
 		}
-		p.DMA = micropacket.DMAHeader{
+		dma := micropacket.DMAHeader{
 			Channel: rest[0], Region: rest[1], Length: rest[2], Seq: rest[3],
 			Offset: binary.LittleEndian.Uint32(rest[4:8]),
 		}
 		payload := rest[dmaLen:]
-		if int(p.DMA.Length) > len(payload) {
-			return micropacket.ErrLengthMism
+		if int(dma.Length) > len(payload) {
+			return nil, micropacket.ErrLengthMism
 		}
-		if len(payload) != pad4(int(p.DMA.Length)) {
-			return micropacket.ErrLengthMism
+		if len(payload) != pad4(int(dma.Length)) {
+			return nil, micropacket.ErrLengthMism
 		}
 		// Padding must be zero: there is exactly one encoding per
 		// packet per version, so decode-then-encode is the identity on
 		// accepted frames.
-		for _, b := range payload[p.DMA.Length:] {
+		for _, b := range payload[dma.Length:] {
 			if b != 0 {
-				return ErrReserved
+				return nil, ErrReserved
 			}
 		}
-		p.Data = make([]byte, p.DMA.Length)
-		copy(p.Data, payload)
+		if dma.Length > micropacket.MaxPayload {
+			return nil, micropacket.ErrTooLong
+		}
+		p = micropacket.NewDMA(hd.Src, hd.Dst, dma, payload[:dma.Length])
+		p.Flags, p.Tag = hd.Flags, hd.Tag
 	} else {
 		if len(rest) != micropacket.FixedPayload {
-			return ErrTruncated
+			return nil, ErrTruncated
 		}
+		p = new(micropacket.Packet)
+		*p = hd
 		copy(p.Payload[:], rest)
 	}
-	return p.Validate()
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	return p, nil
 }
 
 // EncodeSymbols serializes the packet all the way to FC-1 10-bit
@@ -168,20 +177,26 @@ func decodePayload(p *micropacket.Packet, rest []byte, variable bool) error {
 // link running disparity). The SOF and EOF K28.5 openers are emitted
 // as control characters.
 func EncodeSymbols(c Codec, p *micropacket.Packet, enc *enc8b10b.Encoder) ([]enc8b10b.Symbol, error) {
-	raw, err := c.Encode(p)
+	raw, err := c.AppendEncode(nil, p)
 	if err != nil {
 		return nil, err
 	}
-	syms := make([]enc8b10b.Symbol, 0, len(raw))
-	for i, b := range raw {
-		control := b == enc8b10b.K28_5 && (i == 0 || i == len(raw)-eofLen)
+	return AppendSymbols(nil, raw, enc)
+}
+
+// AppendSymbols appends the line code of one encoded frame to dst: the
+// second half of EncodeSymbols, for a caller that keeps both buffers.
+func AppendSymbols(dst []enc8b10b.Symbol, frame []byte, enc *enc8b10b.Encoder) ([]enc8b10b.Symbol, error) {
+	dst = slices.Grow(dst, len(frame))
+	for i, b := range frame {
+		control := b == enc8b10b.K28_5 && (i == 0 || i == len(frame)-eofLen)
 		s, err := enc.Encode(b, control)
 		if err != nil {
 			return nil, err
 		}
-		syms = append(syms, s)
+		dst = append(dst, s)
 	}
-	return syms, nil
+	return dst, nil
 }
 
 // DecodeSymbols reverses EncodeSymbols using the supplied decoder,
@@ -191,17 +206,27 @@ func EncodeSymbols(c Codec, p *micropacket.Packet, enc *enc8b10b.Encoder) ([]enc
 // equality is not enough, since e.g. D28.5 and the K28.5 comma share
 // the byte value 0xBC but are distinct transmission characters.
 func DecodeSymbols(syms []enc8b10b.Symbol, dec *enc8b10b.Decoder) (*micropacket.Packet, Version, error) {
-	raw := make([]byte, 0, len(syms))
+	raw, err := AppendFrame(nil, syms, dec)
+	if err != nil {
+		return nil, 0, err
+	}
+	return Decode(raw)
+}
+
+// AppendFrame appends the frame bytes one frame's symbols decode to:
+// the first half of DecodeSymbols, class checks included.
+func AppendFrame(dst []byte, syms []enc8b10b.Symbol, dec *enc8b10b.Decoder) ([]byte, error) {
+	dst = slices.Grow(dst, len(syms))
 	for i, s := range syms {
 		d, err := dec.Decode(s)
 		if err != nil {
-			return nil, 0, fmt.Errorf("wire: symbol %d: %w", i, err)
+			return nil, fmt.Errorf("wire: symbol %d: %w", i, err)
 		}
 		wantControl := i == 0 || i == len(syms)-eofLen
 		if d.Control != wantControl {
-			return nil, 0, fmt.Errorf("wire: symbol %d: control/data class violation", i)
+			return nil, fmt.Errorf("wire: symbol %d: control/data class violation", i)
 		}
-		raw = append(raw, d.Byte)
+		dst = append(dst, d.Byte)
 	}
-	return Decode(raw)
+	return dst, nil
 }

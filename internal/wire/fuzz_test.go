@@ -1,6 +1,8 @@
 package wire
 
 import (
+	"bytes"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -34,12 +36,30 @@ func FuzzDecode(f *testing.F) {
 		if err := p.Validate(); err != nil {
 			t.Fatalf("decoded invalid packet: %v", err)
 		}
-		re, err := Encode(v, p)
+		re, err := encodeBothWays(t, MustForVersion(v), p)
 		if err != nil {
 			t.Fatalf("decoded packet does not re-encode under %v: %v", v, err)
 		}
 		if string(re) != string(raw) {
 			t.Fatalf("non-canonical frame accepted under %v:\n in  %x\n out %x", v, raw, re)
+		}
+		// The line code both ways as well: symbols appended behind a
+		// dirty prefix equal EncodeSymbols', and decode to the frame.
+		syms, err := EncodeSymbols(MustForVersion(v), p, enc8b10b.NewEncoder())
+		if err != nil {
+			t.Fatalf("accepted frame does not line-code: %v", err)
+		}
+		dirty := slices.Repeat([]enc8b10b.Symbol{0x2AA}, 300)[:2]
+		appended, err := AppendSymbols(dirty, raw, enc8b10b.NewEncoder())
+		if err != nil || !slices.Equal(appended[2:], syms) || appended[0] != 0x2AA || appended[1] != 0x2AA {
+			t.Fatalf("AppendSymbols into a dirty buffer differs from EncodeSymbols (err %v)", err)
+		}
+		back, err := AppendFrame(bytes.Repeat([]byte{0x5A}, 400)[:1], syms, enc8b10b.NewDecoder())
+		if err != nil || back[0] != 0x5A || string(back[1:]) != string(raw) {
+			t.Fatalf("AppendFrame into a dirty buffer does not return the frame (err %v)", err)
+		}
+		if q, qv, err := DecodeSymbols(syms, enc8b10b.NewDecoder()); err != nil || qv != v || q.String() != p.String() {
+			t.Fatalf("DecodeSymbols of an accepted frame: %v %v %v", q, qv, err)
 		}
 	})
 }

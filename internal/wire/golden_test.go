@@ -55,6 +55,29 @@ func goldenPackets() []struct {
 	}
 }
 
+// encodeBothWays encodes p with the allocating wrapper and with the
+// append form into a dirty, oversized buffer behind a prefix that must
+// survive, requires the same outcome from both, and returns the frame.
+func encodeBothWays(t *testing.T, c Codec, p *mp.Packet) ([]byte, error) {
+	t.Helper()
+	raw, err := c.Encode(p)
+	dst := bytes.Repeat([]byte{0xA5}, 512)[:3]
+	out, aerr := c.AppendEncode(dst, p)
+	if (err == nil) != (aerr == nil) {
+		t.Fatalf("%v: Encode error %v, AppendEncode error %v", c.Version(), err, aerr)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if &out[0] != &dst[0] || !bytes.Equal(out[:3], []byte{0xA5, 0xA5, 0xA5}) {
+		t.Fatalf("%v: AppendEncode did not append in place behind its prefix", c.Version())
+	}
+	if !bytes.Equal(out[3:], raw) {
+		t.Fatalf("%v: AppendEncode into a dirty buffer differs from Encode:\n got  %x\n want %x", c.Version(), out[3:], raw)
+	}
+	return raw, nil
+}
+
 // readGolden parses "name hexframe" lines.
 func readGolden(t *testing.T, path string) map[string][]byte {
 	t.Helper()
@@ -113,7 +136,7 @@ func TestGoldenVectors(t *testing.T) {
 				t.Fatalf("%s has %d vectors, menu has %d", path, len(want), len(pkts))
 			}
 			for _, g := range pkts {
-				raw, err := c.Encode(g.pkt)
+				raw, err := encodeBothWays(t, c, g.pkt)
 				if err != nil {
 					t.Fatalf("%s: %v", g.name, err)
 				}

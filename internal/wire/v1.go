@@ -39,7 +39,9 @@ func v1Addr(id micropacket.NodeID) (byte, bool) {
 	return byte(id), true
 }
 
-func (v1Codec) Encode(p *micropacket.Packet) ([]byte, error) {
+func (c v1Codec) Encode(p *micropacket.Packet) ([]byte, error) { return c.AppendEncode(nil, p) }
+
+func (v1Codec) AppendEncode(dst []byte, p *micropacket.Packet) ([]byte, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -47,12 +49,12 @@ func (v1Codec) Encode(p *micropacket.Packet) ([]byte, error) {
 	if !ok {
 		return nil, ErrAddrRange
 	}
-	dst, ok := v1Addr(p.Dst)
+	to, ok := v1Addr(p.Dst)
 	if !ok {
 		return nil, ErrAddrRange
 	}
-	ctrl := [v1CtrlLen]byte{byte(p.Type)<<4 | byte(p.Flags&0xF), src, dst, p.Tag}
-	return encodeFrame(V1, p, ctrl[:], Size(V1, p.Type, len(p.Data)))
+	ctrl := [v1CtrlLen]byte{byte(p.Type)<<4 | byte(p.Flags&0xF), src, to, p.Tag}
+	return appendFrame(dst, V1, p, ctrl[:])
 }
 
 func (v1Codec) Decode(buf []byte) (*micropacket.Packet, error) {
@@ -63,20 +65,17 @@ func (v1Codec) Decode(buf []byte) (*micropacket.Packet, error) {
 	if len(body) < v1CtrlLen {
 		return nil, ErrTruncated
 	}
-	p := &micropacket.Packet{
+	hd := micropacket.Packet{
 		Type:  micropacket.Type(body[0] >> 4),
 		Flags: micropacket.Flags(body[0] & 0xF),
 		Src:   v1Widen(body[1]),
 		Dst:   v1Widen(body[2]),
 		Tag:   body[3],
 	}
-	if !p.Type.Valid() {
+	if !hd.Type.Valid() {
 		return nil, micropacket.ErrBadType
 	}
-	if err := decodePayload(p, body[v1CtrlLen:], variable); err != nil {
-		return nil, err
-	}
-	return p, nil
+	return decodePayload(hd, body[v1CtrlLen:], variable)
 }
 
 // v1Widen maps a v1 wire byte to the in-memory address space.

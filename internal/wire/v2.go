@@ -37,7 +37,9 @@ func (v2Codec) WireSize(t micropacket.Type, payloadLen int) int {
 	return Size(V2, t, payloadLen)
 }
 
-func (v2Codec) Encode(p *micropacket.Packet) ([]byte, error) {
+func (c v2Codec) Encode(p *micropacket.Packet) ([]byte, error) { return c.AppendEncode(nil, p) }
+
+func (v2Codec) AppendEncode(dst []byte, p *micropacket.Packet) ([]byte, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -46,7 +48,7 @@ func (v2Codec) Encode(p *micropacket.Packet) ([]byte, error) {
 	ctrl[1] = p.Tag
 	binary.LittleEndian.PutUint16(ctrl[2:4], uint16(p.Src))
 	binary.LittleEndian.PutUint16(ctrl[4:6], uint16(p.Dst))
-	return encodeFrame(V2, p, ctrl[:], Size(V2, p.Type, len(p.Data)))
+	return appendFrame(dst, V2, p, ctrl[:])
 }
 
 func (v2Codec) Decode(buf []byte) (*micropacket.Packet, error) {
@@ -60,18 +62,15 @@ func (v2Codec) Decode(buf []byte) (*micropacket.Packet, error) {
 	if body[6] != 0 || body[7] != 0 {
 		return nil, ErrReserved
 	}
-	p := &micropacket.Packet{
+	hd := micropacket.Packet{
 		Type:  micropacket.Type(body[0] >> 4),
 		Flags: micropacket.Flags(body[0] & 0xF),
 		Tag:   body[1],
 		Src:   micropacket.NodeID(binary.LittleEndian.Uint16(body[2:4])),
 		Dst:   micropacket.NodeID(binary.LittleEndian.Uint16(body[4:6])),
 	}
-	if !p.Type.Valid() {
+	if !hd.Type.Valid() {
 		return nil, micropacket.ErrBadType
 	}
-	if err := decodePayload(p, body[v2CtrlLen:], variable); err != nil {
-		return nil, err
-	}
-	return p, nil
+	return decodePayload(hd, body[v2CtrlLen:], variable)
 }

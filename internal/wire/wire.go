@@ -98,6 +98,9 @@ type Codec interface {
 	// Encode serializes the packet. It fails if a node address does
 	// not fit the version's address space.
 	Encode(p *micropacket.Packet) ([]byte, error)
+	// AppendEncode is Encode appending the frame to dst (Encode is the
+	// dst == nil case): with room in dst it allocates nothing.
+	AppendEncode(dst []byte, p *micropacket.Packet) ([]byte, error)
 	// Decode parses a frame of this codec's version.
 	Decode(buf []byte) (*micropacket.Packet, error)
 }
