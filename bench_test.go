@@ -1,9 +1,11 @@
-// Benchmarks regenerating every table/figure of the AmpNet paper, one
-// per experiment of the registry (E1–E12; recorded results and sweep
-// aggregates live in EXPERIMENTS.md), plus micro-benchmarks of the
-// substrates. The printable tables come from cmd/ampbench; these
-// benchmarks time the same code paths and report domain metrics
-// (ring-tours, µs of virtual heal time, Mb/s) via b.ReportMetric.
+// On-demand measurements (`go test -run '^$' -bench <name> .`): one
+// benchmark per experiment of the registry that has a hot path worth
+// timing, plus micro-benchmarks of the substrates. The printable tables
+// come from cmd/ampbench; these time the same code paths and report
+// domain metrics (ring-tours, µs of virtual heal time, events) via
+// b.ReportMetric. Nothing here gates a PR: the benchmark PRs are
+// accepted on is bench/ (BENCHMARK.json), run as paired parent/change
+// measurements on one host.
 package ampnet
 
 import (
@@ -16,7 +18,6 @@ import (
 	"repro/internal/netcache"
 	"repro/internal/phys"
 	"repro/internal/sim"
-	"repro/internal/telemetry"
 	"repro/internal/wire"
 )
 
@@ -230,46 +231,27 @@ func BenchmarkE12AmpIPCollectives(b *testing.B) {
 	}
 }
 
-// --- E14: parallel sharded engine (internal/parsim) ---
+// --- E14–E16: the engine studies (internal/experiments/study.go) ---
 
-// benchParsim runs one fixed fault+load scenario per iteration on the
-// given shard count and reports virtual-events-per-second economics:
-// ns/event is the number that must not regress, and comparing the
-// Serial and Sharded variants of one size gives the machine's speedup.
-// Node counts here stop at 248 — the ceiling of the wire v1 address
-// space these scenarios run under; the v2 sizes beyond it are the
-// BenchmarkE15* pair below.
-func benchParsim(b *testing.B, nodes, shards int, rec *telemetry.Recorder) {
-	topo := phys.Sharded(8, nodes/8, 1, 50)
-	for i := range topo.Trunks {
-		topo.Trunks[i].FiberM = 200
-	}
+// benchScenario runs sc once per iteration and reports its
+// virtual-events-per-second economics: ns/event is the number to watch,
+// and comparing the Serial and Sharded variants of one size gives the
+// machine's speedup. The scenarios come from the constructors the E14,
+// E15 and E16 tables themselves run, so a table and the benchmark named
+// after it cannot drift apart.
+func benchScenario(b *testing.B, sc core.Scenario) {
+	var cl *core.Cluster
+	sc.OnCluster = func(c *core.Cluster) { cl = c }
 	var events uint64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		// Steady-state recording cost: keep the span buffers' capacity
-		// across iterations (nil-safe no-op for the telemetry-off runs).
-		rec.Reset()
-		var cl *core.Cluster
-		rep, err := core.Scenario{
-			Name: "bench",
-			Opts: core.Options{Fabric: &topo, Seed: 1, Shards: shards,
-				HeartbeatInterval: 1 * sim.Millisecond, Telemetry: rec},
-			BootWindow: 200 * sim.Millisecond,
-			Plan:       core.Plan{core.FailSwitch(5*sim.Millisecond, 7), core.RestoreSwitch(15*sim.Millisecond, 7)},
-			Loads: []core.Load{&core.PubSubLoad{
-				Publisher: 0, Topic: 1, Every: 100 * sim.Microsecond,
-				Subscribers: []int{1, nodes / 2, nodes - 1},
-			}},
-			For:       20 * sim.Millisecond,
-			OnCluster: func(c *core.Cluster) { cl = c },
-		}.Run()
+		rep, err := sc.Run()
 		if err != nil {
 			b.Fatal(err)
 		}
-		// Congestion drops during the switch-death transition are a
-		// model outcome (identical on both engines), not a bench
-		// failure; surface them instead.
+		// Congestion drops during the fault transition are a model
+		// outcome (identical at every shard count), not a bench failure;
+		// surface them instead.
 		b.ReportMetric(float64(rep.Drops), "drops")
 		// An unconserved ledger means the run timed garbage.
 		if rep.Frames == nil || !rep.Frames.Conserved {
@@ -284,128 +266,64 @@ func benchParsim(b *testing.B, nodes, shards int, rec *telemetry.Recorder) {
 	}
 }
 
-func BenchmarkE14ParsimSerial64(b *testing.B) { benchParsim(b, 64, 1, nil) }
-
-// BenchmarkE14ParsimSharded64 doubles as the frame-accounting overhead
-// guard: its baseline was captured with the conservation ledger
-// threaded through every frame create/destroy site, and CI holds this
-// entry to a tighter 25% gate (its own benchguard invocation) than the
-// fleet's shared tolerance. Accounting is always on, so any future
-// growth of the ledger's hot-path cost — new counters, heavier cause
-// classification — lands here first.
-func BenchmarkE14ParsimSharded64(b *testing.B) { benchParsim(b, 64, 8, nil) }
-
-// BenchmarkE14Parsim64Telemetry is the telemetry-overhead guard: the
-// exact BenchmarkE14ParsimSharded64 scenario with a wall-clock span
-// recorder attached. CI's benchguard holds the
-// ParsimSharded64/Parsim64Telemetry ratio to ≥0.95 — recording every
-// window/run/exchange span may cost at most 5% — so the flight recorder
-// stays cheap enough to leave on.
-func BenchmarkE14Parsim64Telemetry(b *testing.B) {
-	benchParsim(b, 64, 8, benchRecorder)
+// rings is the studies' fabric at their default shape: 8 rings on 50 m
+// of fiber.
+func rings(b *testing.B, nodes int) phys.Topology {
+	topo, err := experiments.RingsFabric(8, nodes, 50)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return topo
 }
 
-// benchRecorder outlives the testing package's b.N probes, so its span
-// buffers grow once, in the one-iteration probe, and every timed run —
-// two iterations at CI's -benchtime 0.5s — records at steady state.
-var benchRecorder = telemetry.NewRecorder(nil)
-
-func BenchmarkE14ParsimSerial128(b *testing.B)  { benchParsim(b, 128, 1, nil) }
-func BenchmarkE14ParsimSharded128(b *testing.B) { benchParsim(b, 128, 8, nil) }
-
-// The 248-node pair is the v1 address-space ceiling: heavyweight
-// (tens of seconds per iteration), for on-demand speedup measurements
-// rather than the CI guard.
-func BenchmarkE14ParsimSerial248(b *testing.B)  { benchParsim(b, 248, 1, nil) }
-func BenchmarkE14ParsimSharded248(b *testing.B) { benchParsim(b, 248, 8, nil) }
-
-// --- E16: scaling efficiency (cut-aware partition, internal/phys) ---
-
-// benchE16Scaling times the sharded-shape scenario of the E16 table —
-// 96 nodes over 8 shard groups joined by 200 m trunks, a mid-run
-// switch failure + restore under pub-sub load — at one shard count.
-// This is the fabric where the cut-aware partitioner earns its keep
-// (cut of N links at 1 µs lookahead instead of hundreds at 250 ns),
-// so Serial vs ShardedN ratios here are the machine's scaling curve.
-// Light enough for the CI bench guard, unlike the E14-248/E15 pairs.
-func benchE16Scaling(b *testing.B, shards int) {
-	const nodes, switches = 96, 8
-	topo := phys.Sharded(switches, nodes/switches, 1, 50)
-	for i := range topo.Trunks {
-		topo.Trunks[i].FiberM = 200
-	}
-	var events uint64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var cl *core.Cluster
-		rep, err := core.Scenario{
-			Name: "bench-e16",
-			Opts: core.Options{Fabric: &topo, Seed: 1, Shards: shards,
-				HeartbeatInterval: 1 * sim.Millisecond},
-			BootWindow: 100 * sim.Millisecond,
-			Plan:       core.Plan{core.FailSwitch(6*sim.Millisecond, switches-1), core.RestoreSwitch(12*sim.Millisecond, switches-1)},
-			Loads: []core.Load{&core.PubSubLoad{
-				Publisher: 0, Topic: 1, Every: 100 * sim.Microsecond,
-				Subscribers: []int{1, nodes / 2, nodes - 2},
-			}},
-			For:       18 * sim.Millisecond,
-			OnCluster: func(c *core.Cluster) { cl = c },
-		}.Run()
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(rep.Drops), "drops")
-		events = cl.EventsFired()
-	}
-	b.StopTimer()
-	if events > 0 {
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(events), "ns/event")
-		b.ReportMetric(float64(events), "events")
-	}
+// benchE14 times E14's study at a fixed publish cadence — the table
+// draws Poisson arrivals, these benchmarks never have, and their
+// `events` metric stays comparable with every number recorded for them.
+// Node counts stop at 248, the ceiling of the wire v1 address space;
+// the v2 sizes beyond it are the BenchmarkE15* family below.
+func benchE14(b *testing.B, nodes, shards int) {
+	st := experiments.E14Study
+	st.Poisson = false
+	benchScenario(b, st.Scenario("bench", rings(b, nodes), 1, shards, nil))
 }
 
-func BenchmarkE16ScalingSerial(b *testing.B)   { benchE16Scaling(b, 1) }
-func BenchmarkE16ScalingSharded2(b *testing.B) { benchE16Scaling(b, 2) }
-func BenchmarkE16ScalingSharded4(b *testing.B) { benchE16Scaling(b, 4) }
-func BenchmarkE16ScalingSharded8(b *testing.B) { benchE16Scaling(b, 8) }
+func BenchmarkE14ParsimSerial64(b *testing.B)   { benchE14(b, 64, 1) }
+func BenchmarkE14ParsimSharded64(b *testing.B)  { benchE14(b, 64, 8) }
+func BenchmarkE14ParsimSerial128(b *testing.B)  { benchE14(b, 128, 1) }
+func BenchmarkE14ParsimSharded128(b *testing.B) { benchE14(b, 128, 8) }
 
-// --- E15: scaling past 255 nodes (wire v2, internal/wire) ---
+// The 248-node pair is heavyweight (seconds per iteration).
+func BenchmarkE14ParsimSerial248(b *testing.B)  { benchE14(b, 248, 1) }
+func BenchmarkE14ParsimSharded248(b *testing.B) { benchE14(b, 248, 8) }
 
-// benchWireScale is the E15 economics benchmark: it times exactly
-// experiments.E15Scenario (512 nodes over 8 rings, crash+reboot,
-// Poisson pub-sub, liveness cadences retuned for scale) under the
-// uint16-address wire format. Like the 248-node E14 pair it is
-// heavyweight and excluded from the CI bench guard; its baseline
-// entries record the on-demand serial-vs-sharded speedup at a size
-// wire v1 cannot address at all.
-func benchWireScale(b *testing.B, nodes, shards int) {
-	var events uint64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var cl *core.Cluster
-		sc := experiments.E15Scenario(nodes, 1, shards)
-		sc.OnCluster = func(c *core.Cluster) { cl = c }
-		rep, err := sc.Run()
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(rep.Drops), "drops")
-		events = cl.EventsFired()
-	}
-	b.StopTimer()
-	if events > 0 {
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(events), "ns/event")
-		b.ReportMetric(float64(events), "events")
-	}
+// benchE16 times the rings rows of the E16 table — 96 nodes, where the
+// cut-aware partitioner earns its keep (a cut of N links at 1 µs
+// lookahead instead of hundreds at 250 ns) — at one shard count, so
+// Serial vs ShardedN ratios are the machine's scaling curve.
+func benchE16(b *testing.B, shards int) {
+	benchScenario(b, experiments.E16Study.Scenario("bench-e16", rings(b, 96), 1, shards, nil))
 }
 
-func BenchmarkE15WireScaleSerial512(b *testing.B)  { benchWireScale(b, 512, 1) }
-func BenchmarkE15WireScaleSharded512(b *testing.B) { benchWireScale(b, 512, 8) }
+func BenchmarkE16ScalingSerial(b *testing.B)   { benchE16(b, 1) }
+func BenchmarkE16ScalingSharded2(b *testing.B) { benchE16(b, 2) }
+func BenchmarkE16ScalingSharded4(b *testing.B) { benchE16(b, 4) }
+func BenchmarkE16ScalingSharded8(b *testing.B) { benchE16(b, 8) }
+
+// benchE15 times experiments.E15Scenario (crash+reboot, Poisson
+// pub-sub, liveness cadences retuned for scale) under the
+// uint16-address wire format, at sizes wire v1 cannot address at all:
+// ≈ 10 s per iteration at 512 nodes.
+func benchE15(b *testing.B, nodes, shards int) {
+	benchScenario(b, experiments.E15Scenario(rings(b, nodes), 1, shards))
+}
+
+func BenchmarkE15WireScaleSerial512(b *testing.B)  { benchE15(b, 512, 1) }
+func BenchmarkE15WireScaleSharded512(b *testing.B) { benchE15(b, 512, 8) }
 
 // At 1024 nodes a window holds ~3 500 events, enough for the engine's
-// helpers to pay. On demand (minutes per iteration): run with -cpu 1,2
-// for the two sides of parsim's wakeWork — one core has no helpers.
-func BenchmarkE15WireScaleSharded1024(b *testing.B) { benchWireScale(b, 1024, 8) }
+// helpers to pay. Minutes per iteration: run with -cpu 1,2 for the two
+// sides of parsim's wakeWork — one core has no helpers.
+func BenchmarkE15WireScaleSharded1024(b *testing.B) { benchE15(b, 1024, 8) }
 
 // --- substrate micro-benchmarks ---
 

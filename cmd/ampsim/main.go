@@ -1,6 +1,7 @@
 // Command ampsim runs a scripted AmpNet cluster scenario and prints a
-// timeline plus end-of-run statistics — a scriptable way to explore
-// topologies and failure patterns beyond the canned experiments.
+// timeline, the Report's own summary and each node's end state — a
+// scriptable way to explore topologies and failure patterns beyond the
+// canned experiments.
 //
 // Fault schedules are declarative plans: -plan takes semicolon-
 // separated "<offset> <op> <ids>" entries (offsets are relative to the
@@ -114,63 +115,21 @@ func main() {
 		log.Fatal(err)
 	}
 
-	fmt.Printf("t=%-12v final ring: %s\n", c.Now(), rep.Roster)
-	fmt.Printf("\nstatistics:\n")
-	fmt.Printf("  wire format         %v\n", c.WireVersion())
-	fmt.Printf("  ring size           %d\n", rep.RingSize)
-	fmt.Printf("  congestion drops    %d\n", rep.Drops)
-	fmt.Printf("  failure losses      %d (in-flight frames destroyed by cut fibers)\n", rep.Lost)
-	fmt.Printf("  frames delivered    %d\n", rep.Delivered)
-	fmt.Printf("  events executed     %d\n", c.EventsFired())
-	d := rep.Det
-	la := d.Lookahead.String()
-	if d.Lookahead == sim.MaxTime {
-		la = "unbounded (no link crosses shards)"
-	}
-	fmt.Printf("  engine              shards: %d, lookahead %s\n", rep.Shards, la)
-	fmt.Printf("    partition         [%s], cut %d links (min fiber %.0f m)\n",
-		rep.Partition, rep.CutLinks, rep.MinCutFiberM)
-	fmt.Printf("    windows           %d (%.0f events/window/shard)\n", d.Windows,
-		float64(c.EventsFired())/float64(max(d.Windows, 1))/float64(rep.Shards))
-	fmt.Printf("    barrier exchange  %d frames, %d deferred routes, %d plan actions\n",
-		d.Frames, d.Routes, d.Actions)
+	// The Report renders itself; what follows it is what a Report does
+	// not carry or Summary leaves out: the host-side event count, the
+	// per-device loss split and each node's end state.
+	fmt.Printf("\n%s", rep.Summary())
+	fmt.Printf("  events executed %d\n", c.EventsFired())
 	if fr := rep.Frames; fr != nil {
-		status := "conserved"
-		if !fr.Conserved {
-			status = "NOT CONSERVED — a frame died in an uncounted sink"
-		}
-		fmt.Printf("\nframe accounting (%s):\n", status)
-		fmt.Printf("  origins             %d (+%d switch/transit relaunches)\n", fr.Origins, fr.Relaunched)
-		fmt.Printf("  wire-delivered      %d\n", fr.WireDelivered)
 		if fr.HostCopies > 0 {
-			fmt.Printf("  host copies         %d (broadcast deliveries; outside conservation)\n", fr.HostCopies)
-		}
-		for _, k := range detmap.SortedKeys(fr.Consumed) {
-			fmt.Printf("  consumed %-15s %d\n", k, fr.Consumed[k])
-		}
-		for _, k := range detmap.SortedKeys(fr.Losses) {
-			fmt.Printf("  lost     %-15s %d\n", k, fr.Losses[k])
-		}
-		if fr.InFifo != 0 || fr.InFlight != 0 || fr.InDevice != 0 {
-			fmt.Printf("  residual            %d in-fifo, %d in-flight, %d in-device\n",
-				fr.InFifo, fr.InFlight, fr.InDevice)
+			fmt.Printf("  host copies %d (broadcast deliveries; outside conservation)\n", fr.HostCopies)
 		}
 		for _, k := range detmap.SortedKeys(fr.NodeLosses) {
-			fmt.Printf("    %-22s %d\n", k, fr.NodeLosses[k])
+			fmt.Printf("  lost at %-22s %d\n", k, fr.NodeLosses[k])
 		}
 		for _, k := range detmap.SortedKeys(fr.SwitchLosses) {
-			fmt.Printf("    %-22s %d\n", k, fr.SwitchLosses[k])
+			fmt.Printf("  lost at %-22s %d\n", k, fr.SwitchLosses[k])
 		}
-	}
-	for _, e := range rep.Events {
-		heal := ""
-		if e.HealNS > 0 {
-			heal = fmt.Sprintf("  (ring healed in %v)", sim.Time(e.HealNS))
-		}
-		fmt.Printf("  plan: t=%-10v %s%s\n", sim.Time(e.AtNS), e.Event, heal)
-	}
-	for _, l := range rep.Loads {
-		fmt.Printf("  load %s: sent=%d received=%d gaps=%d\n", l.Name, l.Sent, l.Delivered, l.Gaps)
 	}
 	for i := range c.Nodes {
 		nd := c.Node(i).DK()

@@ -86,10 +86,10 @@ func TestAmpsimRunsPast255Nodes(t *testing.T) {
 		t.Fatalf("ampsim -nodes 260: %v\n%s", err, out)
 	}
 	s := string(out)
-	if !strings.Contains(s, "wire format         v2") {
+	if !strings.Contains(s, "[wire v2]") {
 		t.Fatalf("ampsim did not report wire v2:\n%s", s)
 	}
-	if !strings.Contains(s, "ring size           260") {
+	if !strings.Contains(s, "size 260") {
 		t.Fatalf("260-node ring did not form:\n%s", s)
 	}
 }

@@ -263,14 +263,9 @@ func NewNode(k *sim.Kernel, cluster *phys.Cluster, cfg Config) *Node {
 	n.Station.OnDeliver = n.deliver
 	n.DMA.OnWrite = n.dmaWrite
 	n.Agent.OnAdopt = n.onRosterAdopted
-	// Unarmed Timers: sim has no constructor for one, and an arm
-	// cancelled on the spot changes no firing order.
-	n.heartbeat = k.After(0, n.heartbeatLoop)
-	n.detect = k.After(0, n.detectLoop)
-	n.joinRetry = k.After(0, n.solicitAgain)
-	n.heartbeat.Cancel()
-	n.detect.Cancel()
-	n.joinRetry.Cancel()
+	n.heartbeat = k.NewTimer(n.heartbeatLoop)
+	n.detect = k.NewTimer(n.detectLoop)
+	n.joinRetry = k.NewTimer(n.solicitAgain)
 	return n
 }
 

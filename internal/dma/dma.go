@@ -85,10 +85,7 @@ const DefaultWindow = 4
 
 func NewEngine(k *sim.Kernel, st *insertion.Station) *Engine {
 	e := &Engine{ID: st.ID, K: k, St: st, Window: DefaultWindow}
-	// An unarmed Timer: sim has no constructor for one, and an arm
-	// cancelled on the spot changes no firing order.
-	e.retry = k.After(0, e.pump)
-	e.retry.Cancel()
+	e.retry = k.NewTimer(e.pump)
 	return e
 }
 

@@ -1,39 +1,93 @@
 package experiments
 
 import (
+	"flag"
+	"os"
+	"regexp"
+	"strings"
 	"testing"
 
 	"repro/internal/telemetry"
 )
 
-// Every experiment must be a pure function of its Params: two runs with
-// the same seed must render byte-identical tables. This is the property
-// the sweep harness builds on — without it, cross-seed aggregates would
-// mix run-to-run noise into the statistics. Wall-clock experiments
-// (Spec.Wall) are excluded for the same reason the sweep harness
-// excludes them: their tables time concurrent shard goroutines, whose
-// clock reads interleave differently run to run even under an injected
-// manual clock. TestE17SpeedupStructure covers their deterministic
-// half.
+// Every experiment must be a pure function of its Params: a run at seed
+// 7 must render, byte for byte, the table committed in
+// testdata/tables_seed7.golden — on any machine, at any commit that does
+// not mean to move it. This is the property the sweep harness builds on
+// (without it, cross-seed aggregates would mix run-to-run noise into the
+// statistics), and the file is where the authoritative tables live:
+// `ampbench -seed 7 -exp <id>` prints the same bytes between its
+// wall-time lines. Regenerate with
+//
+//	go test ./internal/experiments -run TestAllSpecsDeterministic -update
+//
+// (a `-run …/e14` subset rewrites only the tables it ran). Wall-clock
+// experiments (Spec.Wall) are excluded for the same reason the sweep
+// harness excludes them: their tables time concurrent shard goroutines,
+// whose clock reads interleave differently run to run even under an
+// injected manual clock. TestE17SpeedupStructure covers their
+// deterministic half.
 func TestAllSpecsDeterministic(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs the full experiment suite twice")
+		t.Skip("runs the full experiment suite")
 	}
+	var specs []Spec
 	for _, s := range All() {
-		s := s
-		if s.Wall {
-			continue
+		if !s.Wall {
+			specs = append(specs, s)
 		}
-		t.Run(s.ID, func(t *testing.T) {
-			t.Parallel()
-			p := Params{Seed: 7}.Merged(s.Defaults)
-			a := s.Run(p).String()
-			b := s.Run(p).String()
-			if a != b {
-				t.Fatalf("two same-seed runs of %s differ:\n--- first\n%s\n--- second\n%s", s.ID, a, b)
+	}
+	data, err := os.ReadFile(tablesGolden)
+	if err != nil && !*updateGolden {
+		t.Fatalf("%v (run `go test ./internal/experiments -run TestAllSpecsDeterministic -update` to create it)", err)
+	}
+	want := splitTables(string(data))
+	got := make([]string, len(specs))
+	if *updateGolden {
+		// The parent's cleanup runs once every parallel subtest is done.
+		t.Cleanup(func() {
+			for i, s := range specs {
+				if got[i] == "" {
+					got[i] = want[s.ID] // not run this time: keep
+				}
+			}
+			if err := os.WriteFile(tablesGolden, []byte(strings.Join(got, "")), 0o644); err != nil {
+				t.Fatal(err)
 			}
 		})
 	}
+	for i, s := range specs {
+		t.Run(s.ID, func(t *testing.T) {
+			t.Parallel()
+			got[i] = s.Run(Params{Seed: 7}.Merged(s.Defaults)).String()
+			if !*updateGolden && got[i] != want[s.ID] {
+				t.Fatalf("%s at seed 7 is not the committed table; if the change is intentional, regenerate with -update\n--- got\n%s\n--- %s\n%s",
+					s.ID, got[i], tablesGolden, want[s.ID])
+			}
+		})
+	}
+}
+
+const tablesGolden = "testdata/tables_seed7.golden"
+
+var updateGolden = flag.Bool("update", false, "rewrite "+tablesGolden)
+
+// tableHead matches the line Table.Fprint opens a table with.
+var tableHead = regexp.MustCompile(`(?m)^\n(E\w+) — `)
+
+// splitTables cuts concatenated table renderings apart, keyed by spec
+// id (the table id in lower case).
+func splitTables(all string) map[string]string {
+	out := map[string]string{}
+	heads := tableHead.FindAllStringSubmatchIndex(all, -1)
+	for i, h := range heads {
+		end := len(all)
+		if i+1 < len(heads) {
+			end = heads[i+1][0]
+		}
+		out[strings.ToLower(all[h[2]:h[3]])] = all[h[0]:end]
+	}
+	return out
 }
 
 // TestE17SpeedupStructure checks the speedup study's deterministic

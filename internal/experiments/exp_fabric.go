@@ -92,12 +92,7 @@ func E13FabricHeal(p Params) *Table {
 				allHealed = 0
 				continue
 			}
-			var worst int64
-			for _, e := range rep.Events {
-				if e.HealNS > worst {
-					worst = e.HealNS
-				}
-			}
+			worst := worstHeal(rep)
 			healNS.Observe(float64(worst))
 			delivered += rep.Loads[0].Delivered
 			healed := "yes"
@@ -105,7 +100,7 @@ func E13FabricHeal(p Params) *Table {
 				healed, allHealed = "NO", 0
 			}
 			t.Add(topo.Name, fmt.Sprint(len(topo.Trunks)), sched.name,
-				sim.Time(worst).String(), fmt.Sprint(rep.Loads[0].Delivered),
+				worst.String(), fmt.Sprint(rep.Loads[0].Delivered),
 				fmt.Sprint(rep.Loads[0].Gaps), fmt.Sprint(rep.Drops), healed)
 		}
 	}

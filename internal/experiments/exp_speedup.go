@@ -1,12 +1,10 @@
 package experiments
 
 import (
-	"bytes"
 	"fmt"
 	"runtime"
 
 	"repro/internal/core"
-	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
 
@@ -46,84 +44,50 @@ func E17Speedup(p Params) *Table {
 	}
 	clock := rec.Clock()
 
-	var shardCounts []int
-	for _, sc := range []int{1, 2, 4, p.Switches} {
-		if sc <= p.Switches && (len(shardCounts) == 0 || sc > shardCounts[len(shardCounts)-1]) {
-			shardCounts = append(shardCounts, sc)
-		}
-	}
-
-	topo, err := e14Fabric("sharded", p.Nodes, p.Switches, p.FiberM)
+	topo, err := RingsFabric(p.Switches, p.Nodes, p.FiberM)
 	if err != nil {
 		t.Add("-", "ERROR", err.Error(), "", "", "", "")
 		t.Metric("all_identical", 0)
 		return t
 	}
 
-	identicalAll := 1.0
-	var serialJSON []byte
-	var serialWallNS int64
+	var serialWallNS, wallNS int64
 	var maxSpeedup float64
-	for _, shards := range shardCounts {
-		opts := core.Options{Fabric: &topo, Seed: p.seed(), Shards: shards,
-			HeartbeatInterval: 1 * sim.Millisecond}
+	var d0, d1 telemetry.Decomposition
+	run := func(shards int) (*core.Report, error) {
+		var on *telemetry.Recorder
 		if shards > 1 {
-			opts.Telemetry = rec
+			on = rec
 		}
+		sc := E16Study.Scenario("e17", topo, p.seed(), shards, on)
 		// Decomposition by difference: the recorder accumulates across
 		// runs, so each run's spans are the delta between snapshots.
-		d0 := telemetry.Decompose(rec.Spans())
+		d0 = telemetry.Decompose(rec.Spans())
 		sw := telemetry.StartStopwatch(clock)
-		rep, err := core.Scenario{
-			Name: "e17",
-			Opts: opts,
-			Plan: core.Plan{core.FailSwitch(6*sim.Millisecond, p.Switches-1),
-				core.RestoreSwitch(12*sim.Millisecond, p.Switches-1)},
-			Loads: []core.Load{&core.PubSubLoad{
-				Publisher: 0, Topic: 1, Every: 100 * sim.Microsecond,
-				Subscribers: []int{1, p.Nodes / 2, p.Nodes - 2},
-			}},
-			For: 18 * sim.Millisecond,
-		}.Run()
-		wallNS := int64(sw.Elapsed())
-		d1 := telemetry.Decompose(rec.Spans())
+		rep, err := sc.Run()
+		wallNS = int64(sw.Elapsed())
+		d1 = telemetry.Decompose(rec.Spans())
+		return rep, err
+	}
+	row := func(shards int, rep *core.Report, err error, verdict string) {
 		if err != nil {
 			t.Add(fmt.Sprint(shards), "ERROR", err.Error(), "", "", "", "")
-			identicalAll = 0
-			continue
+			return
 		}
-
-		speedup := "-"
-		identical := "serial"
+		speedup, busy, wait, coord := "-", "-", "-", "-"
 		if shards == 1 {
-			serialJSON = rep.JSON()
 			serialWallNS = wallNS
 		} else {
 			if serialWallNS > 0 && wallNS > 0 {
 				s := float64(serialWallNS) / float64(wallNS)
 				speedup = fmt.Sprintf("%.2fx", s)
-				if s > maxSpeedup {
-					maxSpeedup = s
-				}
+				maxSpeedup = max(maxSpeedup, s)
 			}
-			if bytes.Equal(serialJSON, rep.JSON()) {
-				identical = "yes"
-			} else {
-				identical = "NO"
-				identicalAll = 0
-			}
-		}
-
-		busy, wait, coord := "-", "-", "-"
-		if shards > 1 {
 			dRun := d1.RunNS - d0.RunNS
 			dEngine := (d1.WindowNS + d1.ExchangeNS + d1.ActionNS) -
 				(d0.WindowNS + d0.ExchangeNS + d0.ActionNS)
 			if dEngine > 0 {
-				b := float64(dRun) / (float64(shards) * float64(dEngine))
-				if b > 1 {
-					b = 1
-				}
+				b := min(float64(dRun)/(float64(shards)*float64(dEngine)), 1)
 				busy = fmt.Sprintf("%.0f%%", b*100)
 				wait = fmt.Sprintf("%.0f%%", (1-b)*100)
 				coord = fmt.Sprintf("%.0f%%",
@@ -131,12 +95,13 @@ func E17Speedup(p Params) *Table {
 			}
 		}
 		t.Add(fmt.Sprint(shards), fmt.Sprintf("%.1fms", float64(wallNS)/1e6),
-			speedup, busy, wait, coord, identical)
+			speedup, busy, wait, coord, verdict)
 	}
+	identical := shardSweep(shardCounts(p.Switches), run, row)
 	t.Metric("cores", float64(cores))
 	t.Metric("gomaxprocs", float64(procs))
 	t.Metric("max_speedup", maxSpeedup)
-	t.Metric("all_identical", identicalAll)
+	t.Metric("all_identical", boolMetric(identical))
 	t.Note("Wall numbers are machine-bound: this table is excluded from default sweeps (Spec.Wall)")
 	t.Note("and only comparable across runs on the same host; the cores/GOMAXPROCS header keeps it honest.")
 	t.Note("busy = shard run-span time / (shards × engine wall); wait = 1 − busy (barrier waiting);")

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"bytes"
 	"fmt"
 
 	"repro/internal/core"
@@ -9,17 +8,13 @@ import (
 	"repro/internal/sim"
 )
 
-// E15Scenario is one E15 run: an 8-ring sharded fabric (200 m
-// inter-shard trunks), a crash+reboot of the highest node, and a
-// Poisson pub-sub stream spanning the shards. It is exported so
-// BenchmarkE15WireScale* time exactly the scenario the E15 table and
-// BENCH_baseline.json describe (the core scale tests mirror it by
+// E15Scenario is one E15 run on a RingsFabric of 8 rings: a
+// crash+reboot of the highest node and a Poisson pub-sub stream spanning
+// the rings. It is exported so BenchmarkE15WireScale* time exactly the
+// scenario the E15 table describes (the core scale tests mirror it by
 // hand — they cannot import this package without a cycle).
-func E15Scenario(nodes int, seed uint64, shards int) core.Scenario {
-	topo := phys.Sharded(8, nodes/8, 1, 50)
-	for i := range topo.Trunks {
-		topo.Trunks[i].FiberM = 200
-	}
+func E15Scenario(topo phys.Topology, seed uint64, shards int) core.Scenario {
+	nodes := topo.Nodes
 	return core.Scenario{
 		Name: "e15-scale",
 		// The liveness cadences are slowed to big-fabric values: the
@@ -52,8 +47,8 @@ func E15Scenario(nodes int, seed uint64, shards int) core.Scenario {
 // delivering seeded Poisson pub-sub traffic — serial vs sharded, with
 // the defining byte-identical-Report check at every size. It is the
 // E14 story continued past the address ceiling the seed recorded in
-// ROADMAP.md; wall-clock speedup is machine-bound and measured by
-// BenchmarkE15* (BENCH_baseline.json).
+// ROADMAP.md; wall-clock speedup is machine-bound and measured on
+// demand by BenchmarkE15WireScale* (bench_test.go).
 //
 // Nodes must divide over the 8 shard rings and exceed the v1 ceiling
 // to be meaningful (default 320); shard counts swept are 1 (serial)
@@ -65,47 +60,34 @@ func E15WireScale(p Params) *Table {
 		Title:  "wire v2 scaling past 255 nodes: boot, heal and Poisson delivery, serial vs sharded",
 		Header: []string{"nodes", "wire", "shards", "boot", "heal", "delivered", "drops", "identical"},
 	}
-	nodes := p.Nodes
-	if nodes%8 != 0 {
-		t.Add(fmt.Sprint(nodes), "-", "-", "ERROR", "node count must divide over 8 shard rings", "", "", "")
+	nodes := fmt.Sprint(p.Nodes)
+	topo, err := RingsFabric(8, p.Nodes, 50)
+	if err != nil {
+		t.Add(nodes, "-", "-", "ERROR", err.Error(), "", "", "")
 		t.Metric("all_identical", 0)
 		return t
 	}
-	identicalAll := 1.0
-	var serial []byte
 	var delivered uint64
 	healNS := sim.NewSample("heal")
-	for _, shards := range []int{1, 8} {
-		rep, err := E15Scenario(nodes, p.seed(), shards).Run()
-		if err != nil {
-			t.Add(fmt.Sprint(nodes), "-", fmt.Sprint(shards), "ERROR", err.Error(), "", "", "")
-			identicalAll = 0
-			continue
-		}
-		var worst int64
-		for _, e := range rep.Events {
-			if e.HealNS > worst {
-				worst = e.HealNS
-			}
-		}
-		healNS.Observe(float64(worst))
-		identical := "serial"
-		if shards == 1 {
-			serial = rep.JSON()
-		} else if bytes.Equal(serial, rep.JSON()) {
-			identical = "yes"
-		} else {
-			identical = "NO"
-			identicalAll = 0
-		}
-		delivered = rep.Loads[0].Delivered
-		t.Add(fmt.Sprint(nodes), rep.Wire, fmt.Sprint(shards),
-			sim.Time(rep.BootNS).String(), sim.Time(worst).String(),
-			fmt.Sprint(rep.Loads[0].Delivered), fmt.Sprint(rep.Drops), identical)
+	run := func(shards int) (*core.Report, error) {
+		return E15Scenario(topo, p.seed(), shards).Run()
 	}
+	row := func(shards int, rep *core.Report, err error, verdict string) {
+		if err != nil {
+			t.Add(nodes, "-", fmt.Sprint(shards), "ERROR", err.Error(), "", "", "")
+			return
+		}
+		worst := worstHeal(rep)
+		healNS.Observe(float64(worst))
+		delivered = rep.Loads[0].Delivered
+		t.Add(nodes, rep.Wire, fmt.Sprint(shards),
+			sim.Time(rep.BootNS).String(), worst.String(),
+			fmt.Sprint(delivered), fmt.Sprint(rep.Drops), verdict)
+	}
+	identical := shardSweep([]int{1, 8}, run, row)
 	t.Metric("heal_ns_max", healNS.Max())
 	t.Metric("delivered_total", float64(delivered))
-	t.Metric("all_identical", identicalAll)
+	t.Metric("all_identical", boolMetric(identical))
 	t.Note("every row is beyond the v1 wire format's 255-node address space (wire v2, uint16 addresses)")
 	t.Note("identical=yes: the sharded Report JSON is byte-identical to the serial engine's at this scale")
 	t.Note("liveness cadences are retuned for fabric size (join/keepalive/heartbeat), as real deployments do")

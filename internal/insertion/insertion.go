@@ -161,10 +161,7 @@ func NewStation(k *sim.Kernel, id micropacket.NodeID, ports []*phys.Port) *Stati
 		MaxHops:         DefaultMaxHops,
 		egressSwitch:    -1,
 	}
-	// An unarmed Timer: sim has no constructor for one, and an arm
-	// cancelled on the spot changes no firing order.
-	s.paceTmr = k.After(0, s.tryInsert)
-	s.paceTmr.Cancel()
+	s.paceTmr = k.NewTimer(s.tryInsert)
 	for _, p := range ports {
 		if p == nil {
 			continue // the topology does not attach this node there

@@ -110,14 +110,9 @@ func NewAgent(k *sim.Kernel, id int, cluster *phys.Cluster, st *insertion.Statio
 		lsdb:              make([]lsRecord, cluster.NumNodes()),
 		stopped:           true, // dark until Start (NIC not yet booted)
 	}
-	// Unarmed Timers: sim has no constructor for one, and an arm
-	// cancelled on the spot changes no firing order.
-	a.settle = k.After(0, a.settled)
-	a.keepalive = k.After(0, a.keepaliveLoop)
-	a.watchdog = k.After(0, a.watchdogLoop)
-	a.settle.Cancel()
-	a.keepalive.Cancel()
-	a.watchdog.Cancel()
+	a.settle = k.NewTimer(a.settled)
+	a.keepalive = k.NewTimer(a.keepaliveLoop)
+	a.watchdog = k.NewTimer(a.watchdogLoop)
 	st.OnControl = a.handleControl
 	st.OnStatus = func(_ *phys.Port, _ bool) {
 		if !a.stopped {

@@ -460,6 +460,11 @@ func (k *Kernel) After(d Time, fn func()) *Timer {
 	return k.At(k.now+d, fn)
 }
 
+// NewTimer returns an unarmed Timer for fn: nothing is queued until
+// its first Reset. It is how a periodic activity gets the one handle it
+// re-arms for the rest of its life.
+func (k *Kernel) NewTimer(fn func()) *Timer { return &Timer{k: k, fn: fn} }
+
 // Do schedules fn at absolute time t without issuing a Timer handle.
 // It is the allocation-free fast path for fire-and-forget events (the
 // physical layer's per-frame scheduling): same ordering semantics as

@@ -207,6 +207,7 @@ const (
 	opRunUntil
 	opStep
 	opAdvanceTo
+	opNewTimer
 	numOps
 )
 
@@ -235,6 +236,10 @@ func (h *orderHarness) apply(op, a, b, c byte) {
 		ev := timerEv(m.now+max(d, 0), m.now, 0)
 		h.timers = append(h.timers, k.After(d, h.callback(ev)))
 		m.push(ev)
+	case opNewTimer:
+		// The model's side of an unarmed handle is a timer that was
+		// never pushed: nothing pending until an opReset picks it.
+		h.timers = append(h.timers, k.NewTimer(h.callback(timerEv(0, 0, 0))))
 	case opDo:
 		ev := refEvent{entry: entry{at: m.now + d, priT: m.now}, id: id, timer: -1}
 		switch c & 3 {
@@ -399,6 +404,16 @@ var orderSeeds = []struct {
 		opCancel, 6, 0, 0, opCancel, 6, 0, 0, opReset, 0, 3, 0, opReset, 2, 2, 5, opRunUntil, 255, 5, 0,
 	},
 	hit: func(k *Kernel) bool { return k.Fired == 1 && k.n == 3 },
+}, {
+	// Two handles made unarmed queue nothing (Step finds no event, Cancel
+	// is a no-op); Reset arms them against creation order, and the one
+	// that fired re-arms.
+	name: "unarmed-timers",
+	ops: []byte{
+		opNewTimer, 0, 0, 0, opNewTimer, 0, 0, 0, opCancel, 0, 0, 0, opStep, 0, 0, 0,
+		opReset, 1, 9, 0, opReset, 0, 3, 0, opRunUntil, 5, 0, 0, opReset, 0, 1, 2, opRunUntil, 255, 2, 0,
+	},
+	hit: func(k *Kernel) bool { return k.Fired == 1 && k.n == 2 },
 }, {
 	// A callback stops the run with earlier-than-deadline events still
 	// pending; the next run must pick them up.
