@@ -280,24 +280,7 @@ func build(opts Options) (*Cluster, error) {
 	// barrier (phys.Cluster.Program); with one shard every switch is
 	// shard 0 and nothing is ever deferred.
 	ph.RouteSink = eng.DeferRoute
-	eng.BindRoutes(func(at sim.Time, op phys.RouteOp) {
-		// A zero timestamp is the historical apply-on-receipt write.
-		// A timestamped write lands at its exact instant on the owning
-		// shard's kernel — the same instant a one-shard run applies
-		// it — ahead of any model event there (priority -1).
-		// Program's flight arithmetic guarantees at is still in the
-		// owning kernel's future at the barrier.
-		if at == 0 {
-			op.Apply(ph)
-			return
-		}
-		k := kernels[assign.SwitchShard[op.Switch]]
-		if at <= k.Now() {
-			op.Apply(ph)
-			return
-		}
-		k.AtPri(at, -1, 0, func() { op.Apply(ph) })
-	})
+	eng.BindRoutes(ph.Land)
 	if opts.Telemetry != nil {
 		// Wall-clock plane only: the recorder observes
 		// window/run/barrier spans and changes neither simulation

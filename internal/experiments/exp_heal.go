@@ -42,6 +42,22 @@ func newHealRig(seed uint64, nodes, switches int, fiberM float64) *healRig {
 
 func (r *healRig) run(d sim.Time) { r.k.RunUntil(r.k.Now() + d) }
 
+// healOnce fails switch 0 a millisecond from now, runs the ring until
+// it has long settled, and returns the instant of the failure and of
+// the last roster adoption after it (-1 if no agent adopted).
+func (r *healRig) healOnce() (failAt, lastAdopt sim.Time) {
+	lastAdopt = -1
+	for _, a := range r.agents {
+		a.OnAdopt = func(*rostering.Roster) { lastAdopt = r.k.Now() }
+	}
+	r.k.After(sim.Millisecond, func() {
+		failAt = r.k.Now()
+		r.cluster.Switches[0].Fail()
+	})
+	r.run(200 * sim.Millisecond)
+	return failAt, lastAdopt
+}
+
 // ringSize returns the ring size agreed by live agents (-1 if they
 // disagree).
 func (r *healRig) ringSize() int {
@@ -184,21 +200,7 @@ func E8Rostering(p Params) *Table {
 			r := newHealRig(p.seed(), n, 4, fiber)
 			tour := rostering.EstimateTour(n, fiber, r.net)
 
-			var failAt sim.Time
-			lastAdopt := sim.Time(-1)
-			for _, a := range r.agents {
-				a := a
-				a.OnAdopt = func(*rostering.Roster) {
-					if r.k.Now() > lastAdopt {
-						lastAdopt = r.k.Now()
-					}
-				}
-			}
-			r.k.After(sim.Millisecond, func() {
-				failAt = r.k.Now()
-				r.cluster.Switches[0].Fail()
-			})
-			r.run(200 * sim.Millisecond)
+			failAt, lastAdopt := r.healOnce()
 			heal := lastAdopt - failAt - r.net.Detect // from hardware detection
 			tours := float64(heal) / float64(tour)
 			healNS.ObserveTime(heal)
@@ -235,21 +237,7 @@ func NewHealBench(seed uint64, nodes, switches int, fiberM float64) *HealBench {
 // HealOnce fails switch 0 and returns (heal time from detection, tour
 // estimate).
 func (h *HealBench) HealOnce() (sim.Time, sim.Time) {
-	var failAt sim.Time
-	lastAdopt := sim.Time(-1)
-	for _, a := range h.r.agents {
-		a := a
-		a.OnAdopt = func(*rostering.Roster) {
-			if h.r.k.Now() > lastAdopt {
-				lastAdopt = h.r.k.Now()
-			}
-		}
-	}
-	h.r.k.After(sim.Millisecond, func() {
-		failAt = h.r.k.Now()
-		h.r.cluster.Switches[0].Fail()
-	})
-	h.r.run(100 * sim.Millisecond)
+	failAt, lastAdopt := h.r.healOnce()
 	return lastAdopt - failAt - h.r.net.Detect, h.tour
 }
 
@@ -265,17 +253,7 @@ func E8aDetectionSensitivity(p Params) *Table {
 	for _, det := range []sim.Time{1 * sim.Microsecond, 10 * sim.Microsecond, 100 * sim.Microsecond} {
 		r := newHealRig(p.seed(), p.Nodes, p.Switches, p.FiberM)
 		r.net.Detect = det
-		var failAt sim.Time
-		lastAdopt := sim.Time(-1)
-		for _, a := range r.agents {
-			a := a
-			a.OnAdopt = func(*rostering.Roster) { lastAdopt = r.k.Now() }
-		}
-		r.k.After(sim.Millisecond, func() {
-			failAt = r.k.Now()
-			r.cluster.Switches[0].Fail()
-		})
-		r.run(100 * sim.Millisecond)
+		failAt, lastAdopt := r.healOnce()
 		total := lastAdopt - failAt
 		rshare := total - det
 		t.Metric(fmt.Sprintf("total_heal_ns_det%.0fus", det.Micros()), float64(total))

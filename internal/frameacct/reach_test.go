@@ -267,3 +267,71 @@ func TestEveryLossCauseReachable(t *testing.T) {
 		})
 	}
 }
+
+// TestFaultInsideTheDeviceGap puts a fault in the middle of each kind
+// of device latency — the switch's cut-through delay under a forward
+// and under a flood, the station's insertion register — and requires
+// the far side of the gap to account the frame: held in the in-device
+// gauge until then, dead by the typed cause after, never sent on.
+func TestFaultInsideTheDeviceGap(t *testing.T) {
+	// hop is one transmission's flight: serialization plus 50 m of fiber.
+	hop := func(r *rig, f phys.Frame) sim.Time { return phys.SerTime(f.Wire+r.net.IFG) + phys.PropTime(50) }
+	for _, tc := range []struct {
+		name  string
+		cause frameacct.LossCause
+		// arm sends one frame and returns the middle of the gap it will
+		// sit in, the fault to apply there, and what must not have moved
+		// by the end of the run.
+		arm func(r *rig) (mid sim.Time, fault func(), passed func() uint64)
+	}{
+		{"switch forward", frameacct.LossSwitchDead, func(r *rig) (sim.Time, func(), func() uint64) {
+			sw := r.c.Switches[0]
+			sw.SetRoute(0, 1)
+			f := r.net.NewFrame(dataPkt(0, 1))
+			r.c.NodePorts[0][0].Send(f)
+			return hop(r, f) + phys.DefaultSwitchLatency/2, sw.Fail, func() uint64 { return sw.Forwarded }
+		}},
+		{"switch flood", frameacct.LossSwitchDead, func(r *rig) (sim.Time, func(), func() uint64) {
+			sw := r.c.Switches[0]
+			f := r.net.NewFrame(rosteringPkt(0, 1, 1))
+			r.c.NodePorts[0][0].Send(f)
+			return hop(r, f) + phys.DefaultSwitchLatency/2, sw.Fail, func() uint64 {
+				return sw.Flooded + r.net.Acct.Consumed[frameacct.ConsumeFloodFanout]
+			}
+		}},
+		{"station transit", frameacct.LossUnroutedTransit, func(r *rig) (sim.Time, func(), func() uint64) {
+			st := insertion.NewStation(r.k, 0, r.c.NodePorts[0])
+			st.SetEgress(0)
+			r.c.Switches[0].SetRoute(1, 0)
+			f := r.net.NewFrame(dataPkt(5, 7))
+			r.c.NodePorts[1][0].Send(f)
+			return 2*hop(r, f) + phys.DefaultSwitchLatency + insertion.DefaultForwardDelay/2,
+				func() { st.SetEgress(-1) }, func() uint64 { return st.Forwarded }
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			topo := phys.Uniform(2, 1, 50)
+			r := newRig(&topo)
+			mid, fault, passed := tc.arm(r)
+			held := int64(-1)
+			r.k.After(mid, func() {
+				held = r.net.Acct.InDevice
+				fault()
+			})
+			r.run(sim.Millisecond)
+			acct := &r.net.Acct
+			if held != 1 {
+				t.Fatalf("in-device gauge at the fault = %d, want 1 (the fault missed the gap)", held)
+			}
+			if acct.Losses[tc.cause] != 1 || acct.DeviceLosses() != 1 {
+				t.Fatalf("losses = %v, want exactly one %s", acct.LossMap(), tc.cause)
+			}
+			if n := passed(); n != 0 {
+				t.Fatalf("%d frame(s) left the device after the fault", n)
+			}
+			if acct.InDevice != 0 || !acct.Conserved() {
+				t.Fatalf("in-device = %d, violations = %v", acct.InDevice, acct.Violations())
+			}
+		})
+	}
+}

@@ -131,11 +131,6 @@ type Station struct {
 	// and re-armed with Reset.
 	paceTmr *sim.Timer
 
-	// fwdFree pools transit-forward events: the per-forward closure +
-	// Timer pair was a top allocation site at scale. Records are only
-	// touched from this station's kernel context.
-	fwdFree []*fwdEvent
-
 	// Local-view congestion estimate: EWMA of egress queue occupancy
 	// sampled at each transit forward, scaled ×16 fixed point.
 	viewX16 int
@@ -331,29 +326,6 @@ func (s *Station) handleFrame(port *phys.Port, f phys.Frame) {
 	}
 }
 
-// fwdEvent is one pooled transit-forward: dispatch recycles the record
-// before sending, so a steady-state forward allocates nothing.
-type fwdEvent struct {
-	s   *Station
-	f   phys.Frame
-	run func()
-}
-
-func (e *fwdEvent) dispatch() {
-	s, f := e.s, e.f
-	e.s, e.f = nil, phys.Frame{}
-	s.fwdFree = append(s.fwdFree, e)
-	s.net.Acct.Exit()
-	if s.egress == nil {
-		s.Unrouted++
-		s.net.Acct.Lose(frameacct.LossUnroutedTransit)
-		return
-	}
-	s.Forwarded++
-	s.net.Acct.Relaunch()
-	s.egress.Send(f)
-}
-
 // forward sends a transit frame out the egress after the insertion
 // register delay. Transit traffic has priority by construction: it is
 // enqueued unconditionally, whereas insertion checks occupancy first.
@@ -369,18 +341,21 @@ func (s *Station) forward(f phys.Frame) {
 		return
 	}
 	f.Hops++
-	s.net.Acct.Enter()
 	// Update the local view (EWMA with alpha = 1/4, ×16 fixed point).
 	occ := s.egress.QueueLen()
 	s.viewX16 += (occ*16 - s.viewX16) / 4
-	var e *fwdEvent
-	if m := len(s.fwdFree); m > 0 {
-		e = s.fwdFree[m-1]
-		s.fwdFree = s.fwdFree[:m-1]
-	} else {
-		e = &fwdEvent{}
-		e.run = e.dispatch
+	s.net.Hold(s.ForwardDelay, s, 0, f)
+}
+
+// Emerge is the far side of the insertion register (phys.Device): the
+// transit frame leaves by whatever egress the station has now.
+func (s *Station) Emerge(_ int, f phys.Frame) {
+	if s.egress == nil {
+		s.Unrouted++
+		s.net.Acct.Lose(frameacct.LossUnroutedTransit)
+		return
 	}
-	e.s, e.f = s, f
-	s.K.Do(s.K.Now()+s.ForwardDelay, e.run)
+	s.Forwarded++
+	s.net.Acct.Relaunch()
+	s.egress.Send(f)
 }

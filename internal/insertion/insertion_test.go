@@ -3,6 +3,7 @@ package insertion
 import (
 	"testing"
 
+	"repro/internal/frameacct"
 	"repro/internal/micropacket"
 	"repro/internal/phys"
 	"repro/internal/sim"
@@ -282,5 +283,39 @@ func TestInsertThresholdAblation(t *testing.T) {
 	k.Run()
 	if net.Acct.CongestionDrops() != 0 {
 		t.Fatalf("drops with threshold 8 = %d", net.Acct.CongestionDrops())
+	}
+}
+
+// TestDeviceLatencyAllocatesNothing drives all three exits of the
+// device-latency stage — station transit, switch forward, switch flood
+// fan-out — and requires a warmed-up round of them to allocate nothing:
+// the stage records come back from the Net's one free list.
+func TestDeviceLatencyAllocatesNothing(t *testing.T) {
+	k, net, c, st := buildRing(3)
+	for _, s := range st {
+		s.MaxHops = 16
+		s.OnControl = func(*phys.Port, phys.Frame) { net.Acct.Consume(frameacct.ConsumeControl) }
+	}
+	// Addressed to nobody, the data frame transits every station and
+	// crosses the switch between each pair until its hop budget ends.
+	data := micropacket.NewData(0, 99, 0, nil)
+	// A new wave each round (the switch drops one it has seen); few
+	// enough rounds that its seen-set never grows.
+	wave := micropacket.NewRostering(0, 0, [8]byte{})
+	round := func() {
+		st[0].Send(data)
+		wave.Payload[7]++
+		st[0].Ports[0].SendPriority(net.NewFrame(wave))
+		k.Run()
+	}
+	if n := testing.AllocsPerRun(5, round); n != 0 {
+		t.Fatalf("a warmed-up transit + forward + flood round allocates %.1f objects, want 0", n)
+	}
+	if st[1].Forwarded == 0 || c.Switches[0].Forwarded == 0 || c.Switches[0].Flooded == 0 {
+		t.Fatalf("round missed an exit: transit %d, forward %d, flood %d",
+			st[1].Forwarded, c.Switches[0].Forwarded, c.Switches[0].Flooded)
+	}
+	if !net.Acct.Conserved() || net.Acct.InDevice != 0 {
+		t.Fatalf("in-device = %d, violations = %v", net.Acct.InDevice, net.Acct.Violations())
 	}
 }

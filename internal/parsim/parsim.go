@@ -250,13 +250,12 @@ func (e *Engine) Schedule(t sim.Time, fn func()) {
 }
 
 // BindRoutes sets how drained RouteOps are applied at a barrier (core
-// binds them to the built phys.Cluster, scheduling timestamped writes
-// on the owning shard's kernel).
+// binds phys.Cluster.Land).
 func (e *Engine) BindRoutes(apply func(at sim.Time, op phys.RouteOp)) { e.sh.applyRoute = apply }
 
 // DeferRoute captures a crossbar write aimed at a remote switch on
-// srcShard's queue, landing at virtual time at (0 = on receipt, at the
-// barrier); wire it to phys.Cluster.RouteSink. With RemoteFrame it is
+// srcShard's queue, landing at virtual time at; wire it to
+// phys.Cluster.RouteSink. With RemoteFrame it is
 // the sanctioned capture surface (see the ampvet shardshare analyzer):
 // the only engine state shard context may write.
 func (e *Engine) DeferRoute(srcShard int, at sim.Time, op phys.RouteOp) {

@@ -29,10 +29,9 @@ type frameRec struct {
 }
 
 // routeRec is one barrier-deferred crossbar write and the virtual
-// instant it lands. at == 0 applies on receipt, at the barrier; a
-// positive at is scheduled on the owning shard's kernel at exactly that
-// instant (see phys.Cluster.Program for why trunk-crossing writes are
-// timestamped). Application order is source-shard FIFO.
+// instant it lands on the owning shard's kernel (see
+// phys.Cluster.Program for why writes are timestamped). Application
+// order is source-shard FIFO.
 type routeRec struct {
 	at sim.Time
 	op phys.RouteOp

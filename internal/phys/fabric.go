@@ -135,6 +135,15 @@ func (t *Topology) IsAttached(n, s int) bool {
 	return t.Attached(n, s)
 }
 
+// TrunkFiberM returns the fiber length of trunk i: its own, or the
+// topology's default where the spec leaves it zero.
+func (t *Topology) TrunkFiberM(i int) float64 {
+	if m := t.Trunks[i].FiberM; m != 0 {
+		return m
+	}
+	return t.FiberM
+}
+
 // Uniform is the paper's redundant segment (slide 14): every node has
 // one port to every switch, no trunks. With 2 switches the segment is
 // dual-redundant; with 4, quad-redundant.

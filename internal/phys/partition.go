@@ -113,15 +113,19 @@ func evalPartition(topo *Topology, attach [][]int, swShard []int, shards int, no
 			}
 		}
 	}
-	for _, tr := range topo.Trunks {
+	for i, tr := range topo.Trunks {
 		if swShard[tr.A] != swShard[tr.B] {
-			fiber := tr.FiberM
-			if fiber == 0 {
-				fiber = topo.FiberM
-			}
-			consider(fiber)
+			consider(topo.TrunkFiberM(i))
 		}
 	}
+	return ev
+}
+
+// score evaluates a.SwitchShard: it fills the node homes and the cut
+// fields it implies.
+func (a *Assignment) score(topo *Topology, attach [][]int) partEval {
+	ev := evalPartition(topo, attach, a.SwitchShard, a.Shards, a.NodeShard)
+	a.CutLinks, a.MinCutFiberM = ev.cut, ev.minFiberM
 	return ev
 }
 
@@ -131,35 +135,37 @@ func evalPartition(topo *Topology, attach [][]int, swShard []int, shards int, no
 // cut-aware refinement and the comparison baseline for its
 // never-worse-lookahead property.
 func BlockAssign(topo *Topology, shards int) (*Assignment, error) {
-	if err := checkShards(topo, shards); err != nil {
+	a, attach, err := blockStart(topo, shards)
+	if err != nil {
 		return nil, err
+	}
+	a.score(topo, attach)
+	return a, nil
+}
+
+// blockStart checks (topo, shards) and returns the block partition's
+// switch map, not yet scored, with the attachment lists scoring needs.
+func blockStart(topo *Topology, shards int) (*Assignment, [][]int, error) {
+	if shards < 1 {
+		return nil, nil, fmt.Errorf("phys: %d shards; need at least 1", shards)
+	}
+	if shards > topo.Switches {
+		return nil, nil, fmt.Errorf("phys: %d shards over %d switches; a shard must own at least one switch",
+			shards, topo.Switches)
 	}
 	attach, err := attachLists(topo)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	a := &Assignment{
 		Shards:      shards,
 		SwitchShard: make([]int, topo.Switches),
 		NodeShard:   make([]int, topo.Nodes),
 	}
-	for s := 0; s < topo.Switches; s++ {
+	for s := range a.SwitchShard {
 		a.SwitchShard[s] = s * shards / topo.Switches
 	}
-	ev := evalPartition(topo, attach, a.SwitchShard, shards, a.NodeShard)
-	a.CutLinks, a.MinCutFiberM = ev.cut, ev.minFiberM
-	return a, nil
-}
-
-func checkShards(topo *Topology, shards int) error {
-	if shards < 1 {
-		return fmt.Errorf("phys: %d shards; need at least 1", shards)
-	}
-	if shards > topo.Switches {
-		return fmt.Errorf("phys: %d shards over %d switches; a shard must own at least one switch",
-			shards, topo.Switches)
-	}
-	return nil
+	return a, attach, nil
 }
 
 // AssignShards computes the canonical shard assignment for topo:
@@ -173,20 +179,12 @@ func checkShards(topo *Topology, shards int) error {
 // node with no switch has no home shard, and Topology.Validate would
 // refuse to build it anyway.
 func AssignShards(topo *Topology, shards int) (*Assignment, error) {
-	if err := checkShards(topo, shards); err != nil {
-		return nil, err
-	}
-	attach, err := attachLists(topo)
+	a, attach, err := blockStart(topo, shards)
 	if err != nil {
 		return nil, err
 	}
-	swShard := make([]int, topo.Switches)
-	for s := 0; s < topo.Switches; s++ {
-		swShard[s] = s * shards / topo.Switches
-	}
-	nodeShard := make([]int, topo.Nodes)
-	cur := evalPartition(topo, attach, swShard, shards, nodeShard)
-	refined := false
+	swShard := a.SwitchShard
+	cur := a.score(topo, attach)
 	if shards > 1 && shards < topo.Switches && cur.cut > 0 {
 		// First-improvement hill climb over switch pair swaps, fixed
 		// scan order. Each accepted swap strictly improves the
@@ -200,10 +198,10 @@ func AssignShards(topo *Topology, shards int) (*Assignment, error) {
 						continue
 					}
 					swShard[i], swShard[j] = swShard[j], swShard[i]
-					cand := evalPartition(topo, attach, swShard, shards, nodeShard)
+					cand := evalPartition(topo, attach, swShard, shards, a.NodeShard)
 					if betterPart(cand, cur) {
 						cur = cand
-						improvedInPass, refined = true, true
+						improvedInPass, a.Refined = true, true
 					} else {
 						swShard[i], swShard[j] = swShard[j], swShard[i]
 					}
@@ -213,18 +211,11 @@ func AssignShards(topo *Topology, shards int) (*Assignment, error) {
 				break
 			}
 		}
+		// Score once more at the final assignment: NodeShard holds the
+		// homes of the last *candidate* tried, not necessarily the
+		// accepted one.
+		a.score(topo, attach)
 	}
-	a := &Assignment{
-		Shards:      shards,
-		SwitchShard: swShard,
-		NodeShard:   nodeShard,
-		Refined:     refined,
-	}
-	// Re-evaluate once at the final assignment: the scratch nodeShard
-	// holds the homes of the last *candidate* tried, not necessarily
-	// the accepted one.
-	ev := evalPartition(topo, attach, swShard, shards, a.NodeShard)
-	a.CutLinks, a.MinCutFiberM = ev.cut, ev.minFiberM
 	return a, nil
 }
 

@@ -179,8 +179,7 @@ type Net struct {
 	// per-shard: only ever touched from this Net's kernel context.
 	delFree   []*delivery
 	txFree    []*txDone
-	swFree    []*swForward
-	floodFree []*swFlood
+	stageFree []*stage
 }
 
 // NewNet creates a physical network on kernel k with default parameters.

@@ -1,9 +1,6 @@
 package phys
 
-import (
-	"repro/internal/frameacct"
-	"repro/internal/sim"
-)
+import "repro/internal/sim"
 
 // Hot-path event pools.
 //
@@ -12,9 +9,9 @@ import (
 // scale (millions of frame hops) those allocations — and the GC scan
 // load of the closures they retain — dominate the profile next to heap
 // operations. The records below make the steady state allocation-free:
-// each Net keeps free lists of delivery / tx-done / switch-forward /
-// switch-flood records whose dispatch closure is built once, when the
-// record is first created, and reused for the record's whole life.
+// each Net keeps free lists of delivery / tx-done / device-latency
+// (stage) records whose dispatch closure is built once, when the record
+// is first created, and reused for the record's whole life.
 // Scheduling goes through the kernel's Do/DoPri fast path, which issues
 // no Timer.
 //
@@ -112,85 +109,45 @@ func (t *txDone) dispatch() {
 	}
 }
 
-// swForward carries one scheduled switch cut-through forward.
-type swForward struct {
-	s   *Switch
-	out int
+// Device is the far side of a device-latency stage: a switch or a
+// station, anything a frame spends a fixed pipeline delay inside.
+type Device interface {
+	// Emerge takes the frame back when its latency has elapsed; arg is
+	// whatever the device passed to Hold.
+	Emerge(arg int, f Frame)
+}
+
+// stage carries one frame through a device's fixed pipeline delay
+// (switch cut-through, insertion register).
+type stage struct {
+	n   *Net
+	dev Device
+	arg int
 	f   Frame
 	run func()
 }
 
-func (n *Net) newSwForward(s *Switch, out int, f Frame) *swForward {
-	var w *swForward
-	if m := len(n.swFree); m > 0 {
-		w = n.swFree[m-1]
-		n.swFree = n.swFree[:m-1]
+// Hold keeps f inside dev for latency, then hands it to dev.Emerge. The
+// frame is counted in the ledger's in-device gauge for exactly that
+// long; what becomes of it afterwards is Emerge's to account.
+func (n *Net) Hold(latency sim.Time, dev Device, arg int, f Frame) {
+	n.Acct.Enter()
+	var st *stage
+	if m := len(n.stageFree); m > 0 {
+		st = n.stageFree[m-1]
+		n.stageFree = n.stageFree[:m-1]
 	} else {
-		w = &swForward{}
-		w.run = w.dispatch
+		st = &stage{n: n}
+		st.run = st.dispatch
 	}
-	w.s, w.out, w.f = s, out, f
-	return w
+	st.dev, st.arg, st.f = dev, arg, f
+	n.K.Do(n.K.Now()+latency, st.run)
 }
 
-func (w *swForward) dispatch() {
-	s, out, f := w.s, w.out, w.f
-	w.s, w.f = nil, Frame{}
-	s.net.swFree = append(s.net.swFree, w)
-	s.net.Acct.Exit()
-	if s.failed {
-		s.net.Acct.Lose(frameacct.LossSwitchDead)
-		return
-	}
-	if out < len(s.ports) && s.ports[out].Up() {
-		s.Forwarded++
-		s.net.Acct.Relaunch()
-		s.ports[out].Send(f)
-	} else {
-		s.net.Acct.Lose(frameacct.LossEgressDark)
-	}
-}
-
-// swFlood carries one scheduled rostering flood fan-out: the frame that
-// arrived on port in leaves on every other live port.
-type swFlood struct {
-	s   *Switch
-	in  int
-	f   Frame
-	run func()
-}
-
-func (n *Net) newSwFlood(s *Switch, in int, f Frame) *swFlood {
-	var w *swFlood
-	if m := len(n.floodFree); m > 0 {
-		w = n.floodFree[m-1]
-		n.floodFree = n.floodFree[:m-1]
-	} else {
-		w = &swFlood{}
-		w.run = w.dispatch
-	}
-	w.s, w.in, w.f = s, in, f
-	return w
-}
-
-func (w *swFlood) dispatch() {
-	s, in, f := w.s, w.in, w.f
-	w.s, w.f = nil, Frame{}
-	s.net.floodFree = append(s.net.floodFree, w)
-	s.net.Acct.Exit()
-	if s.failed {
-		s.net.Acct.Lose(frameacct.LossSwitchDead)
-		return
-	}
-	// The fan-out stage absorbs the arriving wave; every copy it emits
-	// is a fresh origin with its own ledger life (zero live egress ports
-	// simply means zero offspring).
-	s.net.Acct.Consume(frameacct.ConsumeFloodFanout)
-	for i, p := range s.ports {
-		if i == in || !p.Up() {
-			continue
-		}
-		s.Flooded++
-		p.SendPriority(f)
-	}
+func (st *stage) dispatch() {
+	n, dev, arg, f := st.n, st.dev, st.arg, st.f
+	st.dev, st.f = nil, Frame{}
+	n.stageFree = append(n.stageFree, st)
+	n.Acct.Exit()
+	dev.Emerge(arg, f)
 }

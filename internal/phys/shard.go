@@ -34,48 +34,23 @@ type Assignment struct {
 }
 
 // Lookahead returns the fabric's conservative lookahead under assign:
-// the minimum propagation delay over every link whose endpoints live on
-// different shards. Any influence one shard exerts on another needs at
-// least one cross-shard flight, so shards may run a full lookahead
-// window apart without ever reordering a delivery. An error is
-// returned when some cross-shard fiber is so short its propagation
-// rounds to zero — such a fabric has no exploitable lookahead.
+// the propagation delay of the shortest fiber whose endpoints live on
+// different shards (assign.MinCutFiberM). Any influence one shard
+// exerts on another needs at least one cross-shard flight, so shards
+// may run a full lookahead window apart without ever reordering a
+// delivery. An error is returned when that fiber is so short its
+// propagation rounds to zero — such a fabric has no exploitable
+// lookahead.
 func Lookahead(topo *Topology, assign *Assignment) (sim.Time, error) {
-	min := sim.MaxTime
-	consider := func(meters float64, what string) error {
-		p := PropTime(meters)
-		if p <= 0 {
-			return fmt.Errorf("phys: cross-shard %s has zero propagation delay (%.1f m of fiber); no lookahead", what, meters)
-		}
-		if p < min {
-			min = p
-		}
-		return nil
-	}
-	for n := 0; n < topo.Nodes; n++ {
-		for s := 0; s < topo.Switches; s++ {
-			if topo.IsAttached(n, s) && assign.NodeShard[n] != assign.SwitchShard[s] {
-				if err := consider(topo.FiberM, fmt.Sprintf("link n%d-s%d", n, s)); err != nil {
-					return 0, err
-				}
-			}
-		}
-	}
-	for i, tr := range topo.Trunks {
-		if assign.SwitchShard[tr.A] != assign.SwitchShard[tr.B] {
-			fiber := tr.FiberM
-			if fiber == 0 {
-				fiber = topo.FiberM
-			}
-			if err := consider(fiber, fmt.Sprintf("trunk %d", i)); err != nil {
-				return 0, err
-			}
-		}
-	}
-	if min == sim.MaxTime {
+	if assign.CutLinks == 0 {
 		// Nothing crosses shards: the partition is fully decoupled and
 		// any window length is safe.
 		return sim.MaxTime, nil
 	}
-	return min, nil
+	p := PropTime(assign.MinCutFiberM)
+	if p <= 0 {
+		return 0, fmt.Errorf("phys: topology %q: the shortest cross-shard fiber has zero propagation delay (%.1f m); no lookahead",
+			topo.Name, assign.MinCutFiberM)
+	}
+	return p, nil
 }

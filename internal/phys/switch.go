@@ -212,8 +212,7 @@ func (s *Switch) floodAdmit(f Frame) bool {
 
 // receiveFlood handles a rostering flood frame arriving on port index
 // in: hop-expire, wave-dedup, then flood to every other live port
-// after the cut-through delay, via a pooled record like the data path's
-// (a boot or heal floods every announcement through every switch).
+// after the cut-through delay.
 func (s *Switch) receiveFlood(in int, f Frame) {
 	if f.Hops >= MaxFloodHops {
 		s.FloodExpired++
@@ -226,9 +225,7 @@ func (s *Switch) receiveFlood(in int, f Frame) {
 		return
 	}
 	f.Hops++
-	s.net.Acct.Enter()
-	w := s.net.newSwFlood(s, in, f)
-	s.net.K.Do(s.net.K.Now()+s.latency, w.run)
+	s.net.Hold(s.latency, s, in, f)
 }
 
 // receive handles a frame arriving on port index in.
@@ -261,10 +258,36 @@ func (s *Switch) receive(in int, f Frame) {
 		}
 		out = o
 	}
-	// Cut-through forward after the switch latency, via a pooled
-	// record (the per-frame closure + Timer here used to be one of the
-	// hottest allocation sites in the simulator).
-	s.net.Acct.Enter()
-	w := s.net.newSwForward(s, out, f)
-	s.net.K.Do(s.net.K.Now()+s.latency, w.run)
+	s.net.Hold(s.latency, s, out, f)
+}
+
+// Emerge is the switch's far side of the cut-through delay (Device):
+// arg is the ingress port of a rostering flood, which fans out, and the
+// egress port of anything else, which is forwarded.
+func (s *Switch) Emerge(arg int, f Frame) {
+	if s.failed {
+		s.net.Acct.Lose(frameacct.LossSwitchDead)
+		return
+	}
+	if f.Pkt.Type == micropacket.TypeRostering {
+		// The fan-out stage absorbs the arriving wave; every copy it emits
+		// is a fresh origin with its own ledger life (zero live egress ports
+		// simply means zero offspring).
+		s.net.Acct.Consume(frameacct.ConsumeFloodFanout)
+		for i, p := range s.ports {
+			if i == arg || !p.Up() {
+				continue
+			}
+			s.Flooded++
+			p.SendPriority(f)
+		}
+		return
+	}
+	if arg < len(s.ports) && s.ports[arg].Up() {
+		s.Forwarded++
+		s.net.Acct.Relaunch()
+		s.ports[arg].Send(f)
+	} else {
+		s.net.Acct.Lose(frameacct.LossEgressDark)
+	}
 }

@@ -138,15 +138,11 @@ func BuildFabricSharded(nets []*Net, topo Topology, assign *Assignment) (*Cluste
 		}
 	}
 	for i, spec := range topo.Trunks {
-		fiber := spec.FiberM
-		if fiber == 0 {
-			fiber = topo.FiberM
-		}
 		t := &Trunk{Index: i, A: spec.A, B: spec.B}
 		var pa, pb *Port
 		pa, t.PortA = c.Switches[spec.A].addTrunkPort(fmt.Sprintf("t%d", i))
 		pb, t.PortB = c.Switches[spec.B].addTrunkPort(fmt.Sprintf("t%d", i))
-		t.Link = pa.net.Connect(pa, pb, fiber)
+		t.Link = pa.net.Connect(pa, pb, topo.TrunkFiberM(i))
 		c.Trunks = append(c.Trunks, t)
 	}
 	var ports []*Port
@@ -207,37 +203,44 @@ func resolveUIDs(ports []*Port) {
 func (c *Cluster) ShardOfNode(n int) int { return c.Assign.NodeShard[n] }
 
 // Program applies a crossbar write aimed at op.Switch on behalf of
-// shard srcShard, landing at virtual time at.
+// shard srcShard, landing at virtual time at: a switch of the writer's
+// own shard (with one shard, every switch) takes it through Land; a
+// remote switch's write goes to the engine, which carries it across the
+// next window barrier and lands it there.
 //
-// at == 0 is the historical node-port semantics: a local switch (with
-// one shard, every switch) is programmed immediately; a remote switch's
-// write is applied when it crosses the next window barrier.
-//
-// A positive at models programming that propagates to the switch like
-// a circuit-setup cell: the write lands at exactly at on every engine.
-// Rostering issues its trunk-crossing VC writes with at = now + the
-// fiber flight along the hop's path, which buys two guarantees at
-// once. A node's own frames pay the same flight plus serialization and
-// per-switch cut-through latency, so they can never outrun their setup
-// cell; and a frame already in flight when the write is issued keeps
-// the stale route — in serial and sharded runs alike. (Deferring such
-// a write to the barrier instead is NOT invisible: a frame launched
-// before the write can be received mid-window, see the stale table,
-// and die at a port a one-shard run's immediate write would have
-// steered it away from.) The timestamp is always honorable on the
-// sharded engine because a remote write's path crosses a cut fiber,
-// so the accumulated flight is at least one lookahead window.
+// The write propagates to the switch like a circuit-setup cell and
+// lands at exactly at on every engine. Rostering issues its
+// trunk-crossing VC writes with at = now + the fiber flight along the
+// hop's path, which buys two guarantees at once. A node's own frames
+// pay the same flight plus serialization and per-switch cut-through
+// latency, so they can never outrun their setup cell; and a frame
+// already in flight when the write is issued keeps the stale route —
+// in serial and sharded runs alike. (Deferring such a write to the
+// barrier instead is NOT invisible: a frame launched before the write
+// can be received mid-window, see the stale table, and die at a port a
+// one-shard run's immediate write would have steered it away from.)
+// The timestamp is always honorable on the sharded engine because a
+// remote write's path crosses a cut fiber, so the accumulated flight
+// is at least one lookahead window.
 func (c *Cluster) Program(srcShard int, at sim.Time, op RouteOp) {
 	if c.Assign.SwitchShard[op.Switch] == srcShard || c.RouteSink == nil {
-		k := c.Switches[op.Switch].net.K
-		if at <= k.Now() {
-			op.Apply(c)
-			return
-		}
-		k.AtPri(at, -1, 0, func() { op.Apply(c) })
+		c.Land(at, op)
 		return
 	}
 	c.RouteSink(srcShard, at, op)
+}
+
+// Land makes the write on the kernel that owns op.Switch: now if at is
+// not in that kernel's future, otherwise at exactly at, ahead of any
+// model event of that instant (priority -1). Call it from the owning
+// shard's context or with every shard parked.
+func (c *Cluster) Land(at sim.Time, op RouteOp) {
+	k := c.Switches[op.Switch].net.K
+	if at <= k.Now() {
+		op.Apply(c)
+		return
+	}
+	k.DoPri(at, -1, 0, func() { op.Apply(c) })
 }
 
 // NumNodes returns the node count.

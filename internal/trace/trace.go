@@ -33,8 +33,8 @@ const (
 	// KindWindowFence marks an engine barrier that moved state: a drain
 	// that delivered cross-shard frames or deferred routes, or a fence
 	// forced by a coordinator action. Pure-idle barriers are not
-	// recorded, so the timeline stays proportional to activity. Absent
-	// at one shard (barriers are not observed there).
+	// recorded, so the timeline stays proportional to activity; a
+	// one-shard run has only the coordinator fences.
 	KindWindowFence
 	// KindActionRun marks a fired plan event (a coordinator action), so
 	// engine fences interleave with the roster/liveness timeline they
@@ -175,7 +175,7 @@ func Attach(c *core.Cluster) *Tracer {
 		}
 		prevDown := nd.OnPeerDown
 		nd.OnPeerDown = func(id int) {
-			t.add(Event{At: c.Now(), Kind: KindPeerDown, Node: i, Arg: id,
+			t.add(Event{At: nd.K.Now(), Kind: KindPeerDown, Node: i, Arg: id,
 				Text: fmt.Sprintf("node %d declared dead by node %d", id, i)})
 			if prevDown != nil {
 				prevDown(id)

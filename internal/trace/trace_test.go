@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -227,5 +228,33 @@ func TestKindString(t *testing.T) {
 	}
 	if Kind(99).String() == "" {
 		t.Fatal("unknown kind name")
+	}
+}
+
+// TestPeerDownStampIsShardCountInvariant crashes a node off the window
+// grid: the survivors' PEER-DOWN events carry the declaring node's own
+// clock, so the timeline is the same at one shard and at two (the
+// engine clock — the window's start under shards — is not).
+func TestPeerDownStampIsShardCountInvariant(t *testing.T) {
+	downs := func(shards int) []Event {
+		topo := phys.Sharded(2, 4, 2, 50)
+		c := core.New(core.Options{Fabric: &topo, Seed: 3, Shards: shards})
+		defer c.Close()
+		tr := Attach(c)
+		if err := c.Boot(0); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Install(core.Plan{core.CrashNode(1137*sim.Microsecond, 7)}); err != nil {
+			t.Fatal(err)
+		}
+		c.Run(10 * sim.Millisecond)
+		return tr.Filter(KindPeerDown)
+	}
+	one, two := downs(1), downs(2)
+	if len(one) == 0 {
+		t.Fatal("no PEER-DOWN events after the crash")
+	}
+	if !reflect.DeepEqual(one, two) {
+		t.Fatalf("PEER-DOWN timeline differs by shard count:\n1 shard:  %+v\n2 shards: %+v", one, two)
 	}
 }
