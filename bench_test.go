@@ -278,7 +278,11 @@ func rings(b *testing.B, nodes int) phys.Topology {
 
 // benchE14 times E14's study at a fixed publish cadence — the table
 // draws Poisson arrivals, these benchmarks never have, and their
-// `events` metric stays comparable with every number recorded for them.
+// `events` metric stays comparable with every number recorded for them
+// since the same simulator change (PR 15 made transmit completions
+// lazy; PR 24 folded the device latency into a plan on the egress port:
+// Serial128 8 789 358 → 6 193 192 events, the sharded variants more, a
+// cut link keeps the event).
 // Node counts stop at 248, the ceiling of the wire v1 address space;
 // the v2 sizes beyond it are the BenchmarkE15* family below.
 func benchE14(b *testing.B, nodes, shards int) {
@@ -312,7 +316,8 @@ func BenchmarkE16ScalingSharded8(b *testing.B) { benchE16(b, 8) }
 // benchE15 times experiments.E15Scenario (crash+reboot, Poisson
 // pub-sub, liveness cadences retuned for scale) under the
 // uint16-address wire format, at sizes wire v1 cannot address at all:
-// ≈ 10 s per iteration at 512 nodes.
+// ≈ 7 s per iteration at 512 nodes serial (41 122 143 events; 66 652 425
+// and ≈ 8.5 s before PR 24).
 func benchE15(b *testing.B, nodes, shards int) {
 	benchScenario(b, experiments.E15Scenario(rings(b, nodes), 1, shards))
 }

@@ -116,10 +116,12 @@ func main() {
 	}
 
 	// The Report renders itself; what follows it is what a Report does
-	// not carry or Summary leaves out: the host-side event count, the
-	// per-device loss split and each node's end state.
+	// not carry or Summary leaves out: the host-side event count and how
+	// many device latencies cost an event, the per-device loss split and
+	// each node's end state.
 	fmt.Printf("\n%s", rep.Summary())
 	fmt.Printf("  events executed %d\n", c.EventsFired())
+	fmt.Printf("  device latencies %v\n", c.Holds())
 	if fr := rep.Frames; fr != nil {
 		if fr.HostCopies > 0 {
 			fmt.Printf("  host copies %d (broadcast deliveries; outside conservation)\n", fr.HostCopies)

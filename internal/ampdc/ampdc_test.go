@@ -312,9 +312,8 @@ func TestUnclaimedMessagesPassThrough(t *testing.T) {
 // message half sent, reboots and publishes again must not have the head
 // of the first message spliced onto segments of what follows — the
 // subscriber sees the one message that was published whole, byte for
-// byte, and nothing else. (Segments the crashed engine still held are
-// transmitted after the reboot; they arrive out of position and are
-// dropped with the partial.)
+// byte, and nothing else. The segments the crashed engine still held
+// died with its NIC: none of them is sent after the reboot.
 func TestPublisherCrashMidMessageNoSplice(t *testing.T) {
 	r := newRig(t, 4)
 	msg := pattern(1000)
@@ -322,16 +321,31 @@ func TestPublisherCrashMidMessageNoSplice(t *testing.T) {
 	r.svcs[2].Sub.Subscribe(1, func(_ micropacket.NodeID, data []byte) {
 		got = append(got, bytes.Clone(data))
 	})
+	// segments counts what reaches the subscriber's node on the topic's
+	// region, delivered whole or not.
+	segments := 0
+	deliver := r.nodes[2].RegionHandler[SubRegion]
+	r.nodes[2].RegionHandler[SubRegion] = func(src micropacket.NodeID, hdr micropacket.DMAHeader, data []byte, last bool) {
+		segments++
+		deliver(src, hdr, data, last)
+	}
 	r.k.After(0, func() { r.svcs[0].Sub.Publish(1, msg) })
 	r.k.After(3*sim.Microsecond, func() { r.nodes[0].Crash() })
 	r.run(sim.Millisecond)
 	if len(got) != 0 {
 		t.Fatalf("the publisher crashed 3 µs into a 1000-byte message, yet %d bytes were delivered", len(got[0]))
 	}
+	if n := r.nodes[0].DMA.Pending(); n != 0 {
+		t.Fatalf("the crashed publisher's DMA engine still holds %d segments", n)
+	}
+	before := segments
 	r.nodes[0].Reboot()
 	r.run(20 * sim.Millisecond)
 	if !r.nodes[0].Online() {
 		t.Fatal("publisher did not come back")
+	}
+	if segments != before {
+		t.Fatalf("%d segment(s) of the aborted message were sent after the reboot", segments-before)
 	}
 	r.svcs[0].Sub.Publish(1, msg)
 	r.run(5 * sim.Millisecond)

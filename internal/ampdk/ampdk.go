@@ -353,10 +353,13 @@ func (n *Node) OnlinePeerIDs() []int {
 	return out
 }
 
-// Crash kills the node entirely: kernel stops and all its fibers go
-// dark (NIC death). Peers heal via rostering and heartbeat timeout.
+// Crash kills the node entirely: kernel stops, the DMA engine and the
+// MAC lose what they had queued and all its fibers go dark (NIC death).
+// Peers heal via rostering and heartbeat timeout.
 func (n *Node) Crash() {
 	n.halt()
+	n.DMA.Abort()
+	n.Station.Abort()
 	n.Agent.Stop()
 	n.Cluster.FailNode(n.Cfg.ID)
 }

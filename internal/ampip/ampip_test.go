@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/ampdk"
+	"repro/internal/micropacket"
 	"repro/internal/phys"
 	"repro/internal/sim"
 )
@@ -344,15 +345,16 @@ func TestCommRankSize(t *testing.T) {
 
 // TestSenderCrashMidDatagramNoSplice is AmpSubscribe's
 // TestPublisherCrashMidMessageNoSplice for datagrams: a sender that
-// crashes inside a 200-byte datagram, reboots and sends it again
+// crashes inside a 600-byte datagram (ten segments: most still in the
+// engine, a MAC window of them in the station), reboots and sends it again
 // delivers it once, whole — not the first one's head on the second
-// one's tail.
+// one's tail — and sends nothing of the first one after the reboot.
 func TestSenderCrashMidDatagramNoSplice(t *testing.T) {
 	// Late enough for the datagram's head to have reached node 2, too
 	// early for its tail.
 	const crashAfter = 4 * sim.Microsecond
 	r := newRig(t, 4)
-	msg := bytes.Repeat([]byte("0123456789"), 20)
+	msg := bytes.Repeat([]byte("0123456789"), 60)
 	var got [][]byte
 	r.stacks[2].Bind(9, func(_ Addr, _ uint16, data []byte) {
 		got = append(got, bytes.Clone(data))
@@ -362,16 +364,31 @@ func TestSenderCrashMidDatagramNoSplice(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// segments counts what reaches node 2 on the IP region, delivered
+	// whole or not.
+	segments := 0
+	deliver := r.nodes[2].RegionHandler[IPRegion]
+	r.nodes[2].RegionHandler[IPRegion] = func(src micropacket.NodeID, hdr micropacket.DMAHeader, data []byte, last bool) {
+		segments++
+		deliver(src, hdr, data, last)
+	}
 	r.k.After(0, send)
 	r.k.After(crashAfter, func() { r.nodes[0].Crash() })
 	r.run(sim.Millisecond)
 	if len(got) != 0 {
 		t.Fatalf("the sender crashed %v into the datagram, yet %d bytes were delivered", crashAfter, len(got[0]))
 	}
+	if n := r.nodes[0].DMA.Pending(); n != 0 {
+		t.Fatalf("the crashed sender's DMA engine still holds %d segments", n)
+	}
+	before := segments
 	r.nodes[0].Reboot()
 	r.run(20 * sim.Millisecond)
 	if !r.nodes[0].Online() {
 		t.Fatal("sender did not come back")
+	}
+	if segments != before {
+		t.Fatalf("%d segment(s) of the aborted datagram were sent after the reboot", segments-before)
 	}
 	send()
 	r.run(5 * sim.Millisecond)

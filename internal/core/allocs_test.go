@@ -26,23 +26,21 @@ func TestHealedAllocatesNoStrings(t *testing.T) {
 	}
 }
 
-// TestIdleRingAllocationsPerEvent: a booted, idle 16 × 4 ring allocates
-// its heartbeat MicroPackets (16 nodes × 4 beats a millisecond) and
-// nothing else — 0.008 allocations per event; the bound is 0.01. With a
-// Timer per tick and a keepalive packet per interval it was 0.17.
-func TestIdleRingAllocationsPerEvent(t *testing.T) {
+// TestIdleRingAllocationsPerMillisecond: a booted, idle 16 × 4 ring
+// allocates its heartbeat MicroPackets — 16 nodes × 4 beats a virtual
+// millisecond — and nothing else. The bound is per virtual time, not per
+// event: a change that fires fewer events for the same millisecond must
+// not fail an allocation test. With a Timer per tick and a keepalive
+// packet per interval it was 0.17 an event, some 1 400 a millisecond.
+func TestIdleRingAllocationsPerMillisecond(t *testing.T) {
 	c := New(Options{Nodes: 16, Switches: 4, Seed: 5})
 	defer c.Close()
 	if err := c.Boot(0); err != nil {
 		t.Fatal(err)
 	}
 	c.Run(5 * sim.Millisecond)
-	const runs = 10
-	before := c.EventsFired()
-	allocs := testing.AllocsPerRun(runs, func() { c.Run(sim.Millisecond) })
-	events := float64(c.EventsFired()-before) / (runs + 1) // AllocsPerRun warms up once
-	if per := allocs / events; per > 0.01 {
-		t.Fatalf("idle 16 x 4 ring: %.0f allocations over %.0f events a millisecond = %.4f per event, want <= 0.01", allocs, events, per)
+	if allocs := testing.AllocsPerRun(10, func() { c.Run(sim.Millisecond) }); allocs > 64 {
+		t.Fatalf("idle 16 x 4 ring: %.0f allocations a virtual millisecond, want <= 64 (16 nodes x 4 heartbeats)", allocs)
 	}
 }
 

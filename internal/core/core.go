@@ -445,14 +445,17 @@ func (c *Cluster) Lost() uint64      { a := c.FrameAcct(); return a.FailureLosse
 func (c *Cluster) Delivered() uint64 { return c.FrameAcct().WireDelivered }
 
 // FrameAcct returns the fabric-wide frame-lifecycle ledger: the sum of
-// every shard Net's Acct. Per-Net ledgers of a sharded fabric do not
+// every shard Net's settled ledger (phys.Net.Ledger — a frame planned
+// onto its egress port is in its device until the plan is due). Per-Net
+// ledgers of a sharded fabric do not
 // balance alone (a cross-shard frame launches on one Net and arrives on
 // another); the sum satisfies the conservation invariant at any parked
 // instant — see frameacct.Acct.Violations.
 func (c *Cluster) FrameAcct() frameacct.Acct {
 	var sum frameacct.Acct
 	for _, net := range c.Nets {
-		sum.Add(&net.Acct)
+		l := net.Ledger()
+		sum.Add(&l)
 	}
 	return sum
 }

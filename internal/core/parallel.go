@@ -2,6 +2,7 @@ package core
 
 import (
 	"repro/internal/parsim"
+	"repro/internal/phys"
 	"repro/internal/sim"
 )
 
@@ -13,6 +14,19 @@ func (c *Cluster) EventsFired() uint64 {
 		n += k.Fired
 	}
 	return n
+}
+
+// Holds returns how the fabric's device latencies were spent — planned
+// on the egress port or staged as kernel events, and why — summed over
+// every shard's Net. A host-side cost count, like EventsFired: it varies
+// with the shard count (a cross-shard link takes no plan) where no Report
+// byte does.
+func (c *Cluster) Holds() phys.HoldStats {
+	var sum phys.HoldStats
+	for _, net := range c.Nets {
+		sum.Add(net.Holds)
+	}
+	return sum
 }
 
 // ParStats returns the engine's window/barrier statistics (fabric-wide

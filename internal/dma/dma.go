@@ -180,6 +180,17 @@ func (e *Engine) Pending() int {
 	return n
 }
 
+// Abort forgets every queued segment and the pending retry: the NIC
+// died with them (Node.Crash). No done callback runs — what they would
+// have reported never happened — and a later Write starts on empty
+// queues, so nothing of an aborted transfer is sent after a reboot.
+func (e *Engine) Abort() {
+	for c := range e.queues {
+		e.queues[c].Clear()
+	}
+	e.retry.Cancel()
+}
+
 // pump drains channel queues round-robin into the station until the
 // MAC pushes back, then re-arms itself.
 func (e *Engine) pump() {

@@ -43,6 +43,12 @@ func newRig(topo *phys.Topology) *rig {
 
 func (r *rig) run(d sim.Time) { r.k.RunUntil(r.k.Now() + d) }
 
+// ledger reads the Net's ledger the way every reader must: settled.
+func (r *rig) ledger() *frameacct.Acct {
+	a := r.net.Ledger()
+	return &a
+}
+
 func dataPkt(src, dst micropacket.NodeID) *micropacket.Packet {
 	return micropacket.NewData(src, dst, 1, []byte{0xAB})
 }
@@ -65,7 +71,7 @@ var lossScenarios = map[frameacct.LossCause]func() *frameacct.Acct{
 		r := newRig(nil)
 		p := r.net.NewPort("orphan", nil)
 		p.Send(r.net.NewFrame(dataPkt(0, 1)))
-		return &r.net.Acct
+		return r.ledger()
 	},
 	frameacct.LossFifoFull: func() *frameacct.Acct {
 		r := newRig(nil)
@@ -74,7 +80,7 @@ var lossScenarios = map[frameacct.LossCause]func() *frameacct.Acct{
 		a.SetCapacity(1)
 		a.Send(r.net.NewFrame(dataPkt(0, 1)))
 		a.Send(r.net.NewFrame(dataPkt(0, 1))) // FIFO holds the serializing head; this one overflows
-		return &r.net.Acct
+		return r.ledger()
 	},
 	frameacct.LossFifoClear: func() *frameacct.Acct {
 		r := newRig(nil)
@@ -85,7 +91,7 @@ var lossScenarios = map[frameacct.LossCause]func() *frameacct.Acct{
 		}
 		l.Fail() // the serializing head dies as link_cut; the two queued behind it as fifo_clear
 		r.run(sim.Millisecond)
-		return &r.net.Acct
+		return r.ledger()
 	},
 	frameacct.LossLinkCut: func() *frameacct.Acct {
 		r := newRig(nil)
@@ -94,7 +100,7 @@ var lossScenarios = map[frameacct.LossCause]func() *frameacct.Acct{
 		a.Send(r.net.NewFrame(dataPkt(0, 1)))
 		l.Fail() // launched, in flight, fiber cut before arrival
 		r.run(sim.Millisecond)
-		return &r.net.Acct
+		return r.ledger()
 	},
 	frameacct.LossCRC: func() *frameacct.Acct {
 		r := newRig(nil)
@@ -108,7 +114,7 @@ var lossScenarios = map[frameacct.LossCause]func() *frameacct.Acct{
 		r.net.Connect(a, b, 50)
 		a.Send(r.net.NewFrame(dataPkt(0, 1)))
 		r.run(sim.Millisecond)
-		return &r.net.Acct
+		return r.ledger()
 	},
 	frameacct.LossNoHandler: func() *frameacct.Acct {
 		r := newRig(nil)
@@ -116,7 +122,7 @@ var lossScenarios = map[frameacct.LossCause]func() *frameacct.Acct{
 		r.net.Connect(a, b, 50)
 		a.Send(r.net.NewFrame(dataPkt(0, 1)))
 		r.run(sim.Millisecond)
-		return &r.net.Acct
+		return r.ledger()
 	},
 	frameacct.LossSwitchDead: func() *frameacct.Acct {
 		topo := phys.Uniform(2, 1, 50)
@@ -130,14 +136,14 @@ var lossScenarios = map[frameacct.LossCause]func() *frameacct.Acct{
 		r.k.After(arrival+phys.DefaultSwitchLatency/2, func() { r.c.Switches[0].Fail() })
 		r.c.NodePorts[0][0].Send(f)
 		r.run(sim.Millisecond)
-		return &r.net.Acct
+		return r.ledger()
 	},
 	frameacct.LossUnroutedXbar: func() *frameacct.Acct {
 		topo := phys.Uniform(2, 1, 50)
 		r := newRig(&topo)
 		r.c.NodePorts[0][0].Send(r.net.NewFrame(dataPkt(0, 1))) // crossbar never programmed
 		r.run(sim.Millisecond)
-		return &r.net.Acct
+		return r.ledger()
 	},
 	frameacct.LossUnroutedVC: func() *frameacct.Acct {
 		topo := phys.Sharded(2, 1, 1, 50)
@@ -147,7 +153,7 @@ var lossScenarios = map[frameacct.LossCause]func() *frameacct.Acct{
 		r.c.Switches[0].SetRoute(0, r.c.Trunks[0].PortA)
 		r.c.NodePorts[0][0].Send(r.net.NewFrame(dataPkt(0, 1)))
 		r.run(sim.Millisecond)
-		return &r.net.Acct
+		return r.ledger()
 	},
 	frameacct.LossFloodExpired: func() *frameacct.Acct {
 		topo := phys.Uniform(2, 1, 50)
@@ -156,7 +162,7 @@ var lossScenarios = map[frameacct.LossCause]func() *frameacct.Acct{
 		f.Hops = phys.MaxFloodHops // arrives with an exhausted hop budget
 		r.c.NodePorts[0][0].Send(f)
 		r.run(sim.Millisecond)
-		return &r.net.Acct
+		return r.ledger()
 	},
 	frameacct.LossFloodDeduped: func() *frameacct.Acct {
 		topo := phys.Uniform(2, 1, 50)
@@ -165,7 +171,7 @@ var lossScenarios = map[frameacct.LossCause]func() *frameacct.Acct{
 		r.c.NodePorts[0][0].Send(r.net.NewFrame(rosteringPkt(0, 1, 1)))
 		r.c.NodePorts[0][0].Send(r.net.NewFrame(rosteringPkt(0, 1, 1)))
 		r.run(sim.Millisecond)
-		return &r.net.Acct
+		return r.ledger()
 	},
 	frameacct.LossEgressDark: func() *frameacct.Acct {
 		topo := phys.Uniform(2, 1, 50)
@@ -177,7 +183,7 @@ var lossScenarios = map[frameacct.LossCause]func() *frameacct.Acct{
 		r.k.After(arrival+phys.DefaultSwitchLatency/2, func() { r.c.NodeLinks[1][0].Fail() })
 		r.c.NodePorts[0][0].Send(f)
 		r.run(sim.Millisecond)
-		return &r.net.Acct
+		return r.ledger()
 	},
 	frameacct.LossUnroutedTransit: func() *frameacct.Acct {
 		topo := phys.Uniform(2, 1, 50)
@@ -188,7 +194,7 @@ var lossScenarios = map[frameacct.LossCause]func() *frameacct.Acct{
 		r.c.Switches[0].SetRoute(1, 0)
 		r.c.NodePorts[1][0].Send(r.net.NewFrame(dataPkt(5, 7)))
 		r.run(sim.Millisecond)
-		return &r.net.Acct
+		return r.ledger()
 	},
 	frameacct.LossHopExpired: func() *frameacct.Acct {
 		topo := phys.Uniform(2, 1, 50)
@@ -200,7 +206,7 @@ var lossScenarios = map[frameacct.LossCause]func() *frameacct.Acct{
 		f.Hops = st.MaxHops // transit budget already spent
 		r.c.NodePorts[1][0].Send(f)
 		r.run(sim.Millisecond)
-		return &r.net.Acct
+		return r.ledger()
 	},
 	frameacct.LossAgentStopped: func() *frameacct.Acct {
 		topo := phys.Uniform(2, 1, 50)
@@ -213,7 +219,7 @@ var lossScenarios = map[frameacct.LossCause]func() *frameacct.Acct{
 			}
 		}
 		r.run(5 * sim.Millisecond)
-		return &r.net.Acct
+		return r.ledger()
 	},
 	frameacct.LossStaleRound: func() *frameacct.Acct {
 		topo := phys.Uniform(2, 1, 50)
@@ -229,7 +235,7 @@ var lossScenarios = map[frameacct.LossCause]func() *frameacct.Acct{
 		// flood dedup, which would absorb it first).
 		r.c.Switches[0].Port(0).SendPriority(r.net.NewFrame(rosteringPkt(1, 0, 9)))
 		r.run(sim.Millisecond)
-		return &r.net.Acct
+		return r.ledger()
 	},
 	frameacct.LossDupAnnounce: func() *frameacct.Acct {
 		// Two switches flood every announcement to each agent twice;
@@ -242,7 +248,7 @@ var lossScenarios = map[frameacct.LossCause]func() *frameacct.Acct{
 			r.k.After(0, a.Start)
 		}
 		r.run(5 * sim.Millisecond)
-		return &r.net.Acct
+		return r.ledger()
 	},
 }
 
@@ -272,7 +278,9 @@ func TestEveryLossCauseReachable(t *testing.T) {
 // of device latency — the switch's cut-through delay under a forward
 // and under a flood, the station's insertion register — and requires
 // the far side of the gap to account the frame: held in the in-device
-// gauge until then, dead by the typed cause after, never sent on.
+// gauge until then, dead by the typed cause after, never sent on. The
+// forward and the transit are plans on their egress ports when the fault
+// lands (the flood never is): it must take them back.
 func TestFaultInsideTheDeviceGap(t *testing.T) {
 	// hop is one transmission's flight: serialization plus 50 m of fiber.
 	hop := func(r *rig, f phys.Frame) sim.Time { return phys.SerTime(f.Wire+r.net.IFG) + phys.PropTime(50) }
@@ -296,7 +304,7 @@ func TestFaultInsideTheDeviceGap(t *testing.T) {
 			f := r.net.NewFrame(rosteringPkt(0, 1, 1))
 			r.c.NodePorts[0][0].Send(f)
 			return hop(r, f) + phys.DefaultSwitchLatency/2, sw.Fail, func() uint64 {
-				return sw.Flooded + r.net.Acct.Consumed[frameacct.ConsumeFloodFanout]
+				return sw.Flooded + r.ledger().Consumed[frameacct.ConsumeFloodFanout]
 			}
 		}},
 		{"station transit", frameacct.LossUnroutedTransit, func(r *rig) (sim.Time, func(), func() uint64) {
@@ -314,14 +322,22 @@ func TestFaultInsideTheDeviceGap(t *testing.T) {
 			r := newRig(&topo)
 			mid, fault, passed := tc.arm(r)
 			held := int64(-1)
+			var atFault phys.HoldStats
 			r.k.After(mid, func() {
-				held = r.net.Acct.InDevice
+				held, atFault = r.ledger().InDevice, r.net.Holds
 				fault()
 			})
 			r.run(sim.Millisecond)
-			acct := &r.net.Acct
+			acct := r.ledger()
 			if held != 1 {
 				t.Fatalf("in-device gauge at the fault = %d, want 1 (the fault missed the gap)", held)
+			}
+			planned := uint64(1)
+			if tc.name == "switch flood" {
+				planned = 0
+			}
+			if took := r.net.Holds.Unplanned - atFault.Unplanned; atFault.Unplanned != 0 || took != planned {
+				t.Fatalf("the fault took back %d plan(s), want %d (holds at the fault %+v)", took, planned, atFault)
 			}
 			if acct.Losses[tc.cause] != 1 || acct.DeviceLosses() != 1 {
 				t.Fatalf("losses = %v, want exactly one %s", acct.LossMap(), tc.cause)
@@ -333,5 +349,103 @@ func TestFaultInsideTheDeviceGap(t *testing.T) {
 				t.Fatalf("in-device = %d, violations = %v", acct.InDevice, acct.Violations())
 			}
 		})
+	}
+}
+
+// sameInstantPair sends a rostering flood from node flood and a data
+// frame from node data (routed to node 2) so that both reach switch 0
+// at one instant, and returns what node 2 receives, in order, with the
+// frame whose bits hit the fiber first — the one the switch takes
+// first — named in first.
+func sameInstantPair(t *testing.T, r *rig, flood, data int) (got []micropacket.Type, first micropacket.Type) {
+	t.Helper()
+	sw := r.c.Switches[0]
+	sw.SetRoute(data, 2)
+	r.c.NodePorts[2][0].SetHandler(func(_ *phys.Port, f phys.Frame) {
+		got = append(got, f.Pkt.Type)
+		r.net.Acct.Consume(frameacct.ConsumeHost)
+	})
+	ff := r.net.NewFrame(rosteringPkt(micropacket.NodeID(flood), 1, 1))
+	df := r.net.NewFrame(dataPkt(micropacket.NodeID(data), 2))
+	// The longer frame starts earlier by the difference in serialization.
+	fser, dser := phys.SerTime(ff.Wire+r.net.IFG), phys.SerTime(df.Wire+r.net.IFG)
+	fp, dp := r.c.NodePorts[flood][0], r.c.NodePorts[data][0]
+	fAt, dAt := max(dser-fser, 0), max(fser-dser, 0)
+	r.k.Do(fAt, func() { fp.SendPriority(ff) })
+	r.k.Do(dAt, func() { dp.Send(df) })
+	r.run(sim.Millisecond)
+	first = micropacket.TypeData
+	if fAt < dAt || fAt == dAt && fp.UID() < dp.UID() {
+		first = micropacket.TypeRostering
+	}
+	return got, first
+}
+
+// TestSameInstantFloodAndDataLeaveInArrivalOrder: a rostering flood and
+// a data frame reach one switch at one instant for one egress port. The
+// two device latencies end on one key but for the sequence number; the
+// frames must leave in the order they came in, whichever came first —
+// a plan keyed without its seq lets the flood's stage event overtake a
+// data frame that was there before it.
+func TestSameInstantFloodAndDataLeaveInArrivalOrder(t *testing.T) {
+	seen := map[micropacket.Type]bool{}
+	for _, nodes := range [][2]int{{0, 1}, {1, 0}} {
+		topo := phys.Uniform(3, 1, 50)
+		r := newRig(&topo)
+		got, first := sameInstantPair(t, r, nodes[0], nodes[1])
+		second := micropacket.TypeData + micropacket.TypeRostering - first
+		if len(got) != 2 || got[0] != first || got[1] != second {
+			t.Errorf("flood from node %d, data from node %d: node 2 received %v, want %v then %v", nodes[0], nodes[1], got, first, second)
+		}
+		if a := r.ledger(); !a.Conserved() || a.InDevice != 0 {
+			t.Errorf("in-device = %d, violations = %v", a.InDevice, a.Violations())
+		}
+		seen[first] = true
+	}
+	if len(seen) != 2 {
+		t.Fatalf("both pairs had the %v arrive first: the test needs one of each", seen)
+	}
+}
+
+// TestLedgerReadInsideAPlannedGap: while a forwarded frame is a plan on
+// the switch's egress port the ledger says in-device, not in-flight —
+// and reading it leaves the plan standing; once the clock is on the
+// emerging instant, with no event there to say so, it says launched.
+func TestLedgerReadInsideAPlannedGap(t *testing.T) {
+	topo := phys.Uniform(2, 1, 50)
+	r := newRig(&topo)
+	sw := r.c.Switches[0]
+	sw.SetRoute(0, 1)
+	delivered := 0
+	r.c.NodePorts[1][0].SetHandler(func(*phys.Port, phys.Frame) {
+		delivered++
+		r.net.Acct.Consume(frameacct.ConsumeHost)
+	})
+	f := r.net.NewFrame(dataPkt(0, 1))
+	r.c.NodePorts[0][0].Send(f)
+	arrive := phys.SerTime(f.Wire+r.net.IFG) + phys.PropTime(50)
+
+	r.k.RunUntil(arrive + phys.DefaultSwitchLatency/2)
+	a := r.ledger()
+	if a.InDevice != 1 || a.InFlight != 0 || a.Offered != 1 || a.Relaunched != 0 || sw.Forwarded != 0 {
+		t.Fatalf("inside the gap: in-device %d, in-flight %d, offered %d, relaunched %d, forwarded %d; want 1, 0, 1, 0, 0",
+			a.InDevice, a.InFlight, a.Offered, a.Relaunched, sw.Forwarded)
+	}
+	if h := r.net.Holds; h.Planned != 1 || h.Unplanned != 0 {
+		t.Fatalf("inside the gap: %+v, want the one plan standing", h)
+	}
+	fired := r.k.Fired
+	r.k.RunUntil(arrive + phys.DefaultSwitchLatency)
+	a = r.ledger()
+	if a.InDevice != 0 || a.InFlight != 1 || a.Offered != 2 || a.Relaunched != 1 || sw.Forwarded != 1 || !a.Conserved() {
+		t.Fatalf("at the emerging instant: in-device %d, in-flight %d, offered %d, relaunched %d, forwarded %d, violations %v; want 0, 1, 2, 1, 1, none",
+			a.InDevice, a.InFlight, a.Offered, a.Relaunched, sw.Forwarded, a.Violations())
+	}
+	if r.k.Fired != fired {
+		t.Fatalf("%d kernel event(s) fired for the frame to emerge, want none", r.k.Fired-fired)
+	}
+	r.run(sim.Millisecond)
+	if a = r.ledger(); delivered != 1 || r.k.Fired != 2 || !a.Conserved() || a.InFlight != 0 {
+		t.Fatalf("%d delivered in %d events (want 1 in 2: one per hop), in-flight %d, violations %v", delivered, r.k.Fired, a.InFlight, a.Violations())
 	}
 }

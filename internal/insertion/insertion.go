@@ -178,6 +178,10 @@ func NewStation(k *sim.Kernel, id micropacket.NodeID, ports []*phys.Port) *Stati
 // SetEgress programs the station's ring egress: frames leave via the
 // port facing switch sw. Pass sw < 0 to detach from the ring.
 func (s *Station) SetEgress(sw int) {
+	if s.egress != nil {
+		// A transit frame planned onto the old egress leaves by the new one.
+		s.egress.Unplan()
+	}
 	if sw < 0 {
 		s.egress = nil
 		s.egressSwitch = -1
@@ -216,6 +220,16 @@ func (s *Station) Send(p *micropacket.Packet) bool {
 	s.insertQ.Push(s.net.NewFrame(p))
 	s.tryInsert()
 	return true
+}
+
+// Abort drops the host frames waiting to insert, and the paced retry
+// with them: the NIC died (a node crash), and what it had not put on the
+// ring must not go out when the node comes back. The frames were never
+// offered to a port, so the ledger has nothing to forget.
+func (s *Station) Abort() {
+	s.insertQ.Clear()
+	s.paceTmr.Cancel()
+	s.syncHold()
 }
 
 // syncHold keeps the ports' tx-done hold on exactly while host frames
@@ -344,7 +358,7 @@ func (s *Station) forward(f phys.Frame) {
 	// Update the local view (EWMA with alpha = 1/4, ×16 fixed point).
 	occ := s.egress.QueueLen()
 	s.viewX16 += (occ*16 - s.viewX16) / 4
-	s.net.Hold(s.ForwardDelay, s, 0, f)
+	s.net.Hold(s.ForwardDelay, s, 0, f, s.egress)
 }
 
 // Emerge is the far side of the insertion register (phys.Device): the
@@ -355,7 +369,10 @@ func (s *Station) Emerge(_ int, f phys.Frame) {
 		s.net.Acct.Lose(frameacct.LossUnroutedTransit)
 		return
 	}
-	s.Forwarded++
+	s.CountForward()
 	s.net.Acct.Relaunch()
 	s.egress.Send(f)
 }
+
+// CountForward counts one transit forward (phys.Device).
+func (s *Station) CountForward() { s.Forwarded++ }

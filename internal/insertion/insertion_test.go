@@ -287,9 +287,11 @@ func TestInsertThresholdAblation(t *testing.T) {
 }
 
 // TestDeviceLatencyAllocatesNothing drives all three exits of the
-// device-latency stage — station transit, switch forward, switch flood
-// fan-out — and requires a warmed-up round of them to allocate nothing:
-// the stage records come back from the Net's one free list.
+// device latency — station transit and switch forward, folded into a
+// plan on the egress port or staged because a flood holds it, and the
+// switch's flood fan-out — and requires a warmed-up round of them to
+// allocate nothing: plans live in the pooled arrival records, stage
+// records come back from the Net's one free list.
 func TestDeviceLatencyAllocatesNothing(t *testing.T) {
 	k, net, c, st := buildRing(3)
 	for _, s := range st {
@@ -311,11 +313,15 @@ func TestDeviceLatencyAllocatesNothing(t *testing.T) {
 	if n := testing.AllocsPerRun(5, round); n != 0 {
 		t.Fatalf("a warmed-up transit + forward + flood round allocates %.1f objects, want 0", n)
 	}
+	acct := net.Ledger()
 	if st[1].Forwarded == 0 || c.Switches[0].Forwarded == 0 || c.Switches[0].Flooded == 0 {
 		t.Fatalf("round missed an exit: transit %d, forward %d, flood %d",
 			st[1].Forwarded, c.Switches[0].Forwarded, c.Switches[0].Flooded)
 	}
-	if !net.Acct.Conserved() || net.Acct.InDevice != 0 {
-		t.Fatalf("in-device = %d, violations = %v", net.Acct.InDevice, net.Acct.Violations())
+	if h := net.Holds; h.Planned == 0 || h.NoEgress == 0 {
+		t.Fatalf("round missed a path through Hold (planned, staged for a flood): %+v", h)
+	}
+	if !acct.Conserved() || acct.InDevice != 0 {
+		t.Fatalf("in-device = %d, violations = %v", acct.InDevice, acct.Violations())
 	}
 }

@@ -168,7 +168,15 @@ type Net struct {
 	// invariant exact mid-flight. Congestion drops, failure losses and
 	// CRC discards are read from it (Acct.CongestionDrops,
 	// FailureLosses, CRCDrops; deliveries are Acct.WireDelivered).
+	// Device code writes it here; readers go through Ledger, which first
+	// counts the plans that are due.
 	Acct frameacct.Acct
+
+	// Holds counts how device latencies were spent (see Hold).
+	Holds HoldStats
+
+	// ports is every port of the Net, for Settle.
+	ports []*Port
 
 	// deepRaw and deepSyms are deepPath's scratch: one frame's bytes and
 	// its 10-bit symbols, overwritten by the next frame.
@@ -217,6 +225,16 @@ type Port struct {
 	tx          txState
 	hold        bool
 	txEnd, txAt sim.Time
+
+	// plan is the arrival Net.Hold queued for a frame still inside its
+	// device: the port will be idle and empty when the frame emerges and
+	// leaves by it, unless something touches the port first, and no
+	// kernel event says so. settle promotes the plan once the
+	// firing order has passed the key of the stage event it stands in
+	// for; whatever would change what that event finds — a Send, the
+	// MAC's hold, a link failure, a new egress — takes it back first
+	// (Unplan), and the event is queued after all.
+	plan *delivery
 }
 
 type txState uint8
@@ -231,7 +249,25 @@ const (
 // then counted but discarded); use SetHandler to attach later.
 func (n *Net) NewPort(name string, handler Handler) *Port {
 	p := &Port{Name: name, net: n, onFrame: handler, cap: n.FIFOCap, uid: nameHash(name)}
+	n.ports = append(n.ports, p)
 	return p
+}
+
+// Settle brings every port of the Net up to the kernel's firing
+// position: the ledger, the device counters and the FIFOs then say what
+// they would if every device latency and transmit completion were an
+// event. Reads of Acct or of a device's Forwarded at an instant come
+// after it.
+func (n *Net) Settle() {
+	for _, p := range n.ports {
+		p.settle()
+	}
+}
+
+// Ledger returns the Net's frame ledger as of now (a settled copy).
+func (n *Net) Ledger() frameacct.Acct {
+	n.Settle()
+	return n.Acct
 }
 
 // nameHash is FNV-1a over the port name: an engine-independent port
@@ -272,7 +308,7 @@ func (p *Port) HoldTxDone(on bool) {
 	if !on {
 		return
 	}
-	if p.settle(); p.tx == txLazy {
+	if p.Unplan(); p.tx == txLazy {
 		p.arm()
 	}
 }
@@ -301,14 +337,29 @@ func (p *Port) QueueLen() int {
 // queued is QueueLen of an already settled port.
 func (p *Port) queued() int { return p.fifo.Len() }
 
-// settle realizes a lazy transmit completion the kernel's firing order
-// has gone beyond: the head frame leaves the FIFO and the transmitter
-// is idle, exactly what the completion event would have left behind.
-// Everything that reads or changes transmitter state settles first.
+// settle realizes what the kernel's firing order has gone beyond
+// without an event for it: a planned relaunch (the frame is on the wire
+// since the plan's instant), then a lazy transmit completion (the head frame leaves
+// the FIFO and the transmitter is idle) — exactly what the events would
+// have left behind. Everything that reads or changes transmitter state
+// settles first.
 func (p *Port) settle() {
+	if d := p.plan; d != nil && p.net.K.PassedKey(d.at, d.priT, 0, d.seq) {
+		p.promote()
+	}
 	if p.tx == txLazy && p.net.K.Passed(p.txEnd, p.txAt, p.uid) {
 		p.fifo.Pop()
 		p.tx = txIdle
+	}
+}
+
+// Unplan settles the port and takes back a plan that is still not due.
+// It comes before any change to the port, or to what the device reads
+// when a frame emerges (a station's egress), and leaves a port without
+// a plan.
+func (p *Port) Unplan() {
+	if p.settle(); p.plan != nil {
+		p.unplan()
 	}
 }
 
@@ -328,7 +379,10 @@ func (p *Port) arm() {
 }
 
 // SetCapacity adjusts the egress FIFO capacity.
-func (p *Port) SetCapacity(c int) { p.cap = c }
+func (p *Port) SetCapacity(c int) {
+	p.Unplan()
+	p.cap = c
+}
 
 // Send enqueues a frame for transmission. It returns false — and counts
 // a typed loss — if the FIFO is full or the port is not connected. The MAC
@@ -340,7 +394,7 @@ func (p *Port) Send(f Frame) bool {
 		p.net.Acct.Lose(frameacct.LossDarkPort)
 		return false
 	}
-	if p.QueueLen() >= p.cap {
+	if p.Unplan(); p.queued() >= p.cap {
 		p.net.Acct.Lose(frameacct.LossFifoFull)
 		return false
 	}
@@ -374,7 +428,7 @@ func (p *Port) SendPriority(f Frame) bool {
 		return false
 	}
 	f.Prio = true
-	if p.QueueLen() > 0 {
+	if p.Unplan(); p.queued() > 0 {
 		// Insert behind the frame being serialized and behind any
 		// earlier priority frames (priority is FIFO among itself).
 		pos := 1
@@ -548,15 +602,21 @@ func (l *Link) Fail() {
 	if !l.up {
 		return
 	}
+	// Both ends settle and give up their plans before anything changes: a
+	// plan that is due is a frame launched under the old epoch (its
+	// arrival dies as a stale-epoch LossLinkCut, and the ledger must have
+	// seen it leave the device), one that is not must meet the dark port
+	// when its stage event fires.
+	for _, p := range l.ports {
+		p.Unplan()
+	}
 	l.up = false
 	l.epoch++
 	for _, p := range l.ports {
 		// Frames queued behind the serializing head die here, uncounted
 		// by any delivery event; the head itself (if the transmitter was
 		// busy) is already launched and its scheduled arrival dies as a
-		// counted stale-epoch LossLinkCut. No need to settle first: a
-		// lazy completion that has passed leaves the head in the FIFO
-		// and the state busy, which comes to the same count.
+		// counted stale-epoch LossLinkCut.
 		cleared := p.queued()
 		if p.tx != txIdle {
 			cleared--

@@ -1,6 +1,10 @@
 package phys
 
-import "repro/internal/sim"
+import (
+	"fmt"
+
+	"repro/internal/sim"
+)
 
 // Hot-path event pools.
 //
@@ -33,6 +37,19 @@ type delivery struct {
 	link  *Link
 	epoch uint64
 	run   func()
+
+	// While the arrival is a plan (Net.Hold queued it before the frame
+	// left its device, by the port at link's other end) dev is set and
+	// the rest is what the device-latency stage the plan stands in for
+	// would have carried: the device's argument and the stage's key (at,
+	// priT, 0, seq). An arrival whose plan was taken back is void: it
+	// has no dst. (Neither "planned" nor "void" nor the planning port is
+	// a field of its own: the pool's high-water mark times the record's
+	// size is what a run allocates for it.)
+	dev      Device
+	arg      int
+	at, priT sim.Time
+	seq      uint64
 }
 
 func (n *Net) newDelivery(dst *Port, f Frame, link *Link, epoch uint64) *delivery {
@@ -49,10 +66,17 @@ func (n *Net) newDelivery(dst *Port, f Frame, link *Link, epoch uint64) *deliver
 }
 
 func (d *delivery) dispatch() {
+	if d.dev != nil {
+		// A frame arrives a serialization time after it left the device:
+		// the plan is long due.
+		d.dst.Peer().promote()
+	}
 	n, dst, f, link, epoch := d.n, d.dst, d.f, d.link, d.epoch
 	d.dst, d.f, d.link = nil, Frame{}, nil
 	n.delFree = append(n.delFree, d)
-	n.CompleteDelivery(dst, f, link, epoch)
+	if dst != nil {
+		n.CompleteDelivery(dst, f, link, epoch)
+	}
 }
 
 // ScheduleDelivery queues a pooled frame arrival on this Net's kernel
@@ -115,10 +139,14 @@ type Device interface {
 	// Emerge takes the frame back when its latency has elapsed; arg is
 	// whatever the device passed to Hold.
 	Emerge(arg int, f Frame)
+	// CountForward counts a frame that left by the egress port Hold was
+	// given without Emerge being called — what Emerge counts before it
+	// relaunches one.
+	CountForward()
 }
 
 // stage carries one frame through a device's fixed pipeline delay
-// (switch cut-through, insertion register).
+// (switch cut-through, insertion register) as a kernel event.
 type stage struct {
 	n   *Net
 	dev Device
@@ -127,11 +155,61 @@ type stage struct {
 	run func()
 }
 
+// HoldStats counts what Hold did with the frames devices gave it.
+type HoldStats struct {
+	// Planned frames cost no stage event, unless the plan was taken back
+	// (Unplanned) because something touched the egress port first.
+	Planned, Unplanned uint64
+	// The rest were staged at once, for want of an egress port to plan
+	// on (NoEgress: flood fan-out, an unrouted exit) or because the port
+	// was serializing or already planned (Busy), held by its MAC (Held),
+	// dark (Dark) or the near end of a cross-shard link (Split).
+	NoEgress, Busy, Held, Dark, Split uint64
+}
+
+// Add sums o into h (the per-shard Nets of one fabric).
+func (h *HoldStats) Add(o HoldStats) {
+	h.Planned += o.Planned
+	h.Unplanned += o.Unplanned
+	h.NoEgress += o.NoEgress
+	h.Busy += o.Busy
+	h.Held += o.Held
+	h.Dark += o.Dark
+	h.Split += o.Split
+}
+
+// String renders the counts on one line, for ampsim.
+func (h HoldStats) String() string {
+	return fmt.Sprintf("%d planned (%d taken back), %d staged: no-egress %d, busy %d, held %d, dark %d, split %d",
+		h.Planned, h.Unplanned, h.NoEgress+h.Busy+h.Held+h.Dark+h.Split, h.NoEgress, h.Busy, h.Held, h.Dark, h.Split)
+}
+
 // Hold keeps f inside dev for latency, then hands it to dev.Emerge. The
 // frame is counted in the ledger's in-device gauge for exactly that
 // long; what becomes of it afterwards is Emerge's to account.
-func (n *Net) Hold(latency sim.Time, dev Device, arg int, f Frame) {
+//
+// egress, when not nil, is the port Emerge will relaunch f on if nothing
+// changes in between. If that port is idle, lit, not held and on this
+// Net, the stage is not queued: the port keeps a plan and the frame's
+// next arrival is queued straight away, under the key the relaunch
+// would have given it (see Port.plan). Everything else — and every plan
+// something touches before it is due — goes through the stage event.
+func (n *Net) Hold(latency sim.Time, dev Device, arg int, f Frame, egress *Port) {
 	n.Acct.Enter()
+	now := n.K.Now()
+	// The sequence number the stage event takes, queued or not.
+	seq := n.K.Reserve()
+	if egress == nil {
+		n.Holds.NoEgress++
+	} else if egress.planFor(now+latency, now, seq, dev, arg, f) {
+		return
+	}
+	n.stageAt(now+latency, now, seq, dev, arg, f)
+}
+
+// stageAt queues the stage event of (dev, arg, f) under the complete
+// key (at, priT, 0, seq).
+func (n *Net) stageAt(at, priT sim.Time, seq uint64, dev Device, arg int, f Frame) {
 	var st *stage
 	if m := len(n.stageFree); m > 0 {
 		st = n.stageFree[m-1]
@@ -141,7 +219,7 @@ func (n *Net) Hold(latency sim.Time, dev Device, arg int, f Frame) {
 		st.run = st.dispatch
 	}
 	st.dev, st.arg, st.f = dev, arg, f
-	n.K.Do(n.K.Now()+latency, st.run)
+	n.K.DoKey(at, priT, 0, seq, st.run)
 }
 
 func (st *stage) dispatch() {
@@ -150,4 +228,72 @@ func (st *stage) dispatch() {
 	n.stageFree = append(n.stageFree, st)
 	n.Acct.Exit()
 	dev.Emerge(arg, f)
+}
+
+// planFor tries to leave the relaunch of f at time at on p as a plan
+// instead of a stage event; (at, priT, 0, seq) is that event's key. It
+// reports false, having changed nothing, if p cannot be known to be idle
+// and empty then.
+func (p *Port) planFor(at, priT sim.Time, seq uint64, dev Device, arg int, f Frame) bool {
+	n := p.net
+	p.settle()
+	link, dst := p.link, p.Peer()
+	switch {
+	case link == nil || !link.up:
+		n.Holds.Dark++
+	case p.plan != nil || p.cap <= 0 || p.tx == txArmed ||
+		p.tx == txLazy && (p.txEnd > at || p.txEnd == at && p.txAt >= priT):
+		// A lazy head whose completion key (txEnd, txAt, uid) lies below
+		// the stage's is no obstacle — the back-to-back train, each frame
+		// emerging as the one before it ends. A second frame for a planned
+		// port is staged; its Send finds the plan due, or takes it back.
+		n.Holds.Busy++
+	case p.hold:
+		n.Holds.Held++
+	case dst.net != n:
+		// The exchange wants the frame when it is launched, not before.
+		n.Holds.Split++
+	default:
+		n.Holds.Planned++
+		ser := SerTime(f.Wire + n.IFG)
+		d := n.newDelivery(dst, f, link, link.epoch)
+		d.dev, d.arg, d.at, d.priT, d.seq = dev, arg, at, priT, seq
+		p.plan = d
+		n.K.DoPri(at+ser+link.prop, at, p.uid, d.run)
+		return true
+	}
+	return false
+}
+
+// promote makes a due plan what its stage event would have left behind:
+// the frame out of the device, relaunched, and being serialized since
+// the plan's instant with nobody waiting for the completion. A lazy head
+// the plan was made behind ended before that.
+func (p *Port) promote() {
+	d := p.plan
+	p.plan = nil
+	if p.tx == txLazy {
+		p.fifo.Pop()
+	}
+	a := &p.net.Acct
+	a.Exit()
+	d.dev.CountForward()
+	d.dev = nil
+	a.Relaunch()
+	a.Offer()
+	a.Enqueue()
+	a.Launch()
+	p.fifo.Push(d.f)
+	p.tx, p.txAt, p.txEnd = txLazy, d.at, d.at+SerTime(d.f.Wire+p.net.IFG)
+}
+
+// unplan takes back a plan that is not due: the queued arrival is void
+// and the stage event goes in under its key, to find whatever has
+// changed when it fires.
+func (p *Port) unplan() {
+	d := p.plan
+	p.plan = nil
+	p.net.Holds.Unplanned++
+	p.net.stageAt(d.at, d.priT, d.seq, d.dev, d.arg, d.f)
+	d.dst, d.dev, d.f = nil, nil, Frame{}
 }

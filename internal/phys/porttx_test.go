@@ -13,13 +13,17 @@ import (
 
 // A port's transmit completion is lazy: usually a timestamp the port
 // settles against the kernel's firing position, an event only once
-// somebody waits for it. None of that may show. These tests drive a
-// byte-coded op stream against a real port pair and against refPort —
-// the same transmitter with its completion always scheduled, the
-// behaviour's definition — each on its own kernel, and compare
-// everything observable after every op: delivery times and order, every
-// QueueLen reading, every tx-done call, Drops/Lost/Delivered and the
-// frame ledger.
+// somebody waits for it. A device latency in front of an idle port is
+// folded the same way: Net.Hold leaves a plan on the port and queues the
+// frame's arrival, and the stage event exists only if something touches
+// the port first. None of that may show. These tests drive a byte-coded
+// op stream against a real port pair and against refPort — the same
+// transmitter with its completion always scheduled and every device
+// latency an event, the behaviour's definition — each on its own kernel,
+// and compare everything observable after every op: delivery times and
+// order, every QueueLen reading, every tx-done call, Drops/Lost/
+// Delivered, the forwards the device counted and the settled frame
+// ledger.
 
 // txPort is what the op stream drives on either side.
 type txPort interface {
@@ -37,6 +41,7 @@ type refNet struct {
 	ifg                    int
 	detect                 sim.Time
 	drops, lost, delivered uint64
+	forwards               uint64
 	acct                   frameacct.Acct
 }
 
@@ -116,6 +121,34 @@ func (p *refPort) SendPriority(f Frame) bool {
 	return true
 }
 
+// holdFrame is Net.Hold in front of this port, as specified: the frame sits
+// in the device for lat, then the device counts it, relaunches it and
+// sends it — whatever the port looks like by then.
+func (p *refPort) holdFrame(lat sim.Time, f Frame) {
+	n := p.n
+	n.acct.Enter()
+	n.k.Do(n.k.Now()+lat, func() {
+		n.acct.Exit()
+		n.forwards++
+		n.acct.Relaunch()
+		p.Send(f)
+	})
+}
+
+// txDevice is the real side's device: Station.Emerge without a station.
+type txDevice struct {
+	ports    [2]*Port
+	forwards uint64
+}
+
+func (d *txDevice) CountForward() { d.forwards++ }
+
+func (d *txDevice) Emerge(arg int, f Frame) {
+	d.CountForward()
+	d.ports[arg].net.Acct.Relaunch()
+	d.ports[arg].Send(f)
+}
+
 func (p *refPort) startTx() {
 	if len(p.fifo) == 0 {
 		p.busy = false
@@ -187,6 +220,7 @@ type txSide struct {
 	k             *sim.Kernel
 	ports         [2]txPort
 	fail, restore func()
+	hold          func(port int, lat sim.Time, f Frame)
 	counters      func() string
 	log           []string
 	// hostQ holds frames a port's tx-done callback sends, one per call —
@@ -239,6 +273,7 @@ type portAction struct {
 	kind int
 	port int
 	f    Frame
+	lat  sim.Time // actHold: the device's latency
 }
 
 const (
@@ -250,7 +285,10 @@ const (
 	actFail
 	actRestore
 	actStop
-	numActs
+	numActs // the kinds an action byte's three bits code
+	// actHold is a frame held in a device in front of the port for 40 or
+	// 200 ns, then sent; opHold and opScheduleHold make it.
+	actHold = numActs
 )
 
 func (s *txSide) do(a portAction) {
@@ -270,6 +308,9 @@ func (s *txSide) do(a portAction) {
 		s.fail()
 	case actRestore:
 		s.restore()
+	case actHold:
+		s.logf("hold p%d tag=%d", a.port, a.f.Pkt.Tag)
+		s.hold(a.port, a.lat, a.f)
 	case actStop:
 		// Leaves the kernel mid-instant, as Kernel.Step would: the two
 		// kernels hold different events (that is the point), so a
@@ -295,6 +336,12 @@ type txHarness struct {
 
 	failedLazyUntil sim.Time // stale txEnd of a port that was lazy when the link failed
 	heldLazy        [2]sim.Time
+	// emergeAt is when the last frame held in front of each port
+	// emerges; the op decoder aims at it.
+	emergeAt [2]sim.Time
+	// ledger is the real side's counters read through Net.Ledger, which
+	// settles the ports.
+	ledger func() string
 }
 
 const txCap = 4
@@ -307,16 +354,35 @@ func newTxHarness(t testing.TB, meters float64) *txHarness {
 	a, b := n.NewPort("a", nil), n.NewPort("b", nil)
 	link := n.Connect(a, b, meters)
 	h.rp = [2]*Port{a, b}
+	dev := &txDevice{ports: h.rp}
 	h.real = txSide{k: k, ports: [2]txPort{a, b}, fail: link.Fail, restore: link.Restore,
+		hold: func(port int, lat sim.Time, f Frame) { n.Hold(lat, dev, port, f, h.rp[port]) },
 		counters: func() string {
-			return fmt.Sprint(n.Acct.CongestionDrops(), n.Acct.FailureLosses(), n.Acct.WireDelivered, acctFields(&n.Acct))
+			// What Ledger would say, worked out without settling anything:
+			// the checks must leave the ports as the ops left them.
+			acct, forwards := n.Acct, dev.forwards
+			for _, p := range h.rp {
+				if d := p.plan; d != nil && k.PassedKey(d.at, d.priT, 0, d.seq) {
+					forwards++
+					acct.Exit()
+					acct.Relaunch()
+					acct.Offer()
+					acct.Enqueue()
+					acct.Launch()
+				}
+			}
+			return fmt.Sprint(acct.CongestionDrops(), acct.FailureLosses(), acct.WireDelivered, forwards, acctFields(&acct))
 		}}
+	h.ledger = func() string {
+		acct := n.Ledger()
+		return fmt.Sprint(acct.CongestionDrops(), acct.FailureLosses(), acct.WireDelivered, dev.forwards, acctFields(&acct))
+	}
 
 	rn := &refNet{k: sim.NewKernel(1), ifg: n.IFG, detect: n.Detect}
 	rl := &refLink{n: rn, prop: PropTime(meters), up: true}
 	h.ref = txSide{k: rn.k, fail: rl.fail, restore: rl.restore,
 		counters: func() string {
-			return fmt.Sprint(rn.drops, rn.lost, rn.delivered, acctFields(&rn.acct))
+			return fmt.Sprint(rn.drops, rn.lost, rn.delivered, rn.forwards, acctFields(&rn.acct))
 		}}
 	for i, p := range h.rp {
 		p.SetCapacity(txCap)
@@ -335,11 +401,12 @@ func newTxHarness(t testing.TB, meters float64) *txHarness {
 		r.onTxDone = func() { h.ref.onTxDone(i) }
 		rl.ports[i], h.refp[i], h.ref.ports[i] = r, r, r
 	}
+	h.ref.hold = func(port int, lat sim.Time, f Frame) { h.refp[port].holdFrame(lat, f) }
 	return h
 }
 
 func acctFields(a *frameacct.Acct) string {
-	return fmt.Sprint(a.Offered, a.WireDelivered, a.Losses, a.InFifo, a.InFlight)
+	return fmt.Sprint(a.Offered, a.WireDelivered, a.Relaunched, a.Losses, a.InFifo, a.InFlight, a.InDevice)
 }
 
 const (
@@ -348,6 +415,8 @@ const (
 	opHostQueue        // a frame for the port's tx-done callback to send
 	opRunUntil
 	opAdvanceTo
+	opHold         // opAct with a held frame
+	opScheduleHold // opSchedule with a held frame
 	numTxOps
 )
 
@@ -361,16 +430,18 @@ const (
 
 // when decodes an absolute time at or after now: a few ns or a few
 // frame times ahead, now itself, or on and around the instant port
-// a&1's transmitter frees.
+// a&1's transmitter frees or the frame held in front of it emerges.
 func (h *txHarness) when(a, b byte) sim.Time {
 	now := h.ref.k.Now()
-	switch b % 4 {
+	switch b % 5 {
 	case 0:
 		return now + sim.Time(a)
 	case 1:
 		return now + sim.Time(a)*16
 	case 2:
 		return max(now, h.refp[a&1].txEnd+sim.Time(a>>1&3)-1)
+	case 3:
+		return max(now, h.emergeAt[a&1]+sim.Time(a>>1&3)-1)
 	}
 	return now
 }
@@ -379,18 +450,21 @@ func (h *txHarness) when(a, b byte) sim.Time {
 func (h *txHarness) apply(op, a, b, c byte) {
 	kind := int(op) % numTxOps
 	switch kind {
-	case opAct:
-		act := h.action(a)
+	case opAct, opHold:
+		act := h.action(kind, a)
+		h.emergeAt[act.port] = h.ref.k.Now() + act.lat
 		h.noteDriver(act)
 		h.real.do(act)
+		h.noteDone(act)
 		h.ref.do(act)
-	case opSchedule:
+	case opSchedule, opScheduleHold:
 		// The rest of the op byte picks the event's key: plain, or one
 		// notch below or above the completion key (txAt, uid) of the
 		// port acted on.
-		act, at, mode := h.action(c), h.when(a, b), int(op)/numTxOps%8
+		act, at, mode := h.action(kind, c), h.when(a, b), int(op)/numTxOps%8
+		h.emergeAt[act.port] = at + act.lat
 		if mode < keyBelowH {
-			h.real.k.Do(at, func() { h.noteEvent(act, mode); h.real.do(act) })
+			h.real.k.Do(at, func() { h.noteEvent(act, mode); h.real.do(act); h.noteDone(act) })
 			h.ref.k.Do(at, func() { h.ref.do(act) })
 			break
 		}
@@ -406,7 +480,7 @@ func (h *txHarness) apply(op, a, b, c byte) {
 		case keyAboveT:
 			priT++
 		}
-		h.real.k.DoPri(at, priT, priH, func() { h.noteEvent(act, mode); h.real.do(act) })
+		h.real.k.DoPri(at, priT, priH, func() { h.noteEvent(act, mode); h.real.do(act); h.noteDone(act) })
 		h.ref.k.DoPri(at, priT, priH, func() { h.ref.do(act) })
 	case opHostQueue:
 		f := h.frame(a)
@@ -419,10 +493,13 @@ func (h *txHarness) apply(op, a, b, c byte) {
 		h.ref.k.RunUntil(at)
 	case opAdvanceTo:
 		// The reference holds every event the real kernel does and the
-		// completions besides, so its next event bounds both.
+		// completions and device latencies besides — all but the void
+		// arrival a plan taken back leaves queued.
 		at := h.when(a, b)
-		if next, ok := h.ref.k.NextEventTime(); ok {
-			at = min(at, next)
+		for _, k := range []*sim.Kernel{h.ref.k, h.real.k} {
+			if next, ok := k.NextEventTime(); ok {
+				at = min(at, next)
+			}
 		}
 		h.real.k.AdvanceTo(at)
 		h.ref.k.AdvanceTo(at)
@@ -437,9 +514,15 @@ func (h *txHarness) frame(a byte) Frame {
 	return txFrame(h.tag|a>>1&3, [...]int{0, 16, 40, 64}[a>>3&3])
 }
 
-func (h *txHarness) action(a byte) portAction {
+// action decodes an action byte: kind<<5 | frame size<<3 | receiver
+// behaviour<<1 | port, or for the hold ops latency<<5 in place of the
+// kind.
+func (h *txHarness) action(op int, a byte) portAction {
 	act := portAction{kind: int(a>>5) % numActs, port: int(a & 1)}
-	if act.kind == actSend || act.kind == actSendPriority {
+	if op == opHold || op == opScheduleHold {
+		act.kind, act.lat = actHold, [...]sim.Time{40, 200}[a>>5&1]
+	}
+	if act.kind == actSend || act.kind == actSendPriority || act.kind == actHold {
 		act.f = h.frame(a)
 	}
 	return act
@@ -476,8 +559,48 @@ func (h *txHarness) noteEvent(a portAction, mode int) {
 	h.note(a)
 }
 
+// actNames name the actions in the plan hits: "<action>-in-gap" met a
+// plan before its instant, "-at-emerge" at its instant and still not
+// due, "-plan-due" one the firing order had passed.
+var actNames = [...]string{
+	actQueueLen: "read", actSend: "send", actSendPriority: "sendpri", actHoldOn: "hold-on",
+	actHoldOff: "hold-off", actFail: "fail", actRestore: "restore", actStop: "stop", actHold: "hold",
+}
+
+func (h *txHarness) notePlan(a portAction, p *Port) {
+	d := p.plan
+	if d == nil {
+		return
+	}
+	state := "-in-gap"
+	switch now := h.real.k.Now(); {
+	case h.real.k.PassedKey(d.at, d.priT, 0, d.seq):
+		state = "-plan-due"
+	case now == d.at:
+		state = "-at-emerge"
+	}
+	h.hits[actNames[a.kind]+state] = true
+}
+
+// noteDone looks at the real port after an action.
+func (h *txHarness) noteDone(a portAction) {
+	if p := h.rp[a.port]; a.kind == actHold && p.plan != nil && p.plan.f.Pkt == a.f.Pkt {
+		h.hits["planned"] = true
+		switch {
+		case p.tx == txLazy && p.txEnd == p.plan.at:
+			h.hits["planned-behind-lazy-head-ending-at-emerge"] = true
+		case p.tx == txLazy:
+			h.hits["planned-behind-lazy-head"] = true
+		}
+	}
+}
+
 func (h *txHarness) note(a portAction) {
 	p, now := h.rp[a.port], h.real.k.Now()
+	if a.kind == actFail {
+		h.notePlan(a, h.rp[1-a.port])
+	}
+	h.notePlan(a, p)
 	pending := p.tx == txLazy && !h.real.k.Passed(p.txEnd, p.txAt, p.uid)
 	switch a.kind {
 	case actSend, actSendPriority:
@@ -536,6 +659,10 @@ func runPortTxOps(t testing.TB, data []byte) *txHarness {
 	for data = data[1:]; len(data) >= 4; data = data[4:] {
 		h.apply(data[0], data[1], data[2], data[3])
 	}
+	// Reading through Ledger settles what the run so far left due.
+	if got, want := h.ledger(), h.ref.counters(); got != want {
+		t.Fatalf("Ledger() at %v: real %s, ref %s", h.ref.k.Now(), got, want)
+	}
 	h.real.k.Run()
 	h.ref.k.Run()
 	h.check()
@@ -557,16 +684,27 @@ const (
 	aFail     = actFail << 5
 	aRestore  = actRestore << 5
 	aStop     = actStop << 5
+
+	aSendPri = actSendPriority<<5 | tagQuiet<<1
+	aHold40  = 0<<5 | tagQuiet<<1
+	aHold200 = 1<<5 | tagQuiet<<1
 )
+
+// txSer is the serialization time of the seeds' frames (aSend, aHold*).
+var txSer = SerTime(txFrame(0, 0).Wire + DefaultIFG)
 
 type txOp = [4]byte
 
-func doNow(action byte) txOp        { return txOp{opAct, action} }
-func hostQueue(port byte) txOp      { return txOp{opHostQueue, aSend | port} }
-func runFor(ns byte) txOp           { return txOp{opRunUntil, ns, 0} }
-func runOut() txOp                  { return txOp{opRunUntil, 255, 1} }
-func runToTxEnd(port byte) txOp     { return txOp{opRunUntil, port | 1<<1, 2} }
-func advanceToTxEnd(port byte) txOp { return txOp{opAdvanceTo, port | 1<<1, 2} }
+func doNow(action byte) txOp              { return txOp{opAct, action} }
+func holdNow(action byte) txOp            { return txOp{opHold, action} }
+func after(ns byte, action byte) txOp     { return txOp{opSchedule, ns, 0, action} }
+func holdAfter(ns byte, action byte) txOp { return txOp{opScheduleHold, ns, 0, action} }
+func hostQueue(port byte) txOp            { return txOp{opHostQueue, aSend | port} }
+func runFor(ns byte) txOp                 { return txOp{opRunUntil, ns, 0} }
+func runFor16(ns sim.Time) txOp           { return txOp{opRunUntil, byte(ns / 16), 1} } // ns rounded down to 16
+func runOut() txOp                        { return txOp{opRunUntil, 255, 1} }
+func runToTxEnd(port byte) txOp           { return txOp{opRunUntil, port | 1<<1, 2} }
+func advanceToTxEnd(port byte) txOp       { return txOp{opAdvanceTo, port | 1<<1, 2} }
 func atTxEnd(mode int, action byte) txOp {
 	return txOp{byte(opSchedule + numTxOps*mode), action&1 | 1<<1, 2, action}
 }
@@ -634,6 +772,79 @@ var portTxSeeds = []struct {
 	name: "driver-read-after-stop-at-txEnd",
 	ops: txStream(1, doNow(aSend), atTxEnd(keyBelowT, aStop), atTxEnd(keyAboveH, aStop),
 		runOut(), doNow(aQueueLen), runOut(), doNow(aQueueLen), doNow(aSend), runOut()),
+}, {
+	// A frame held in front of an idle port is a plan, and nothing
+	// touches it: the run must look as if the stage event had fired. A
+	// second frame held for the same instant finds the port planned.
+	name: "planned",
+	ops:  txStream(1, holdNow(aHold40), runOut(), holdNow(aHold200|1), holdNow(aHold200|1), runOut()),
+}, {
+	name: "hold-in-gap",
+	ops:  txStream(1, holdNow(aHold200), runFor(100), holdNow(aHold40), runOut()),
+}, {
+	// Readers and writers inside the gap: a read sees an empty port and
+	// leaves the plan alone, everything else takes it back.
+	name: "read-in-gap",
+	ops:  txStream(1, holdNow(aHold40), runFor(10), doNow(aQueueLen), runOut()),
+}, {
+	name: "send-in-gap",
+	ops:  txStream(1, holdNow(aHold40), runFor(10), doNow(aSend), runOut()),
+}, {
+	name: "sendpri-in-gap",
+	ops:  txStream(0, holdNow(aHold200), runFor(100), doNow(aSendPri), runOut()),
+}, {
+	name: "hold-on-in-gap",
+	ops: txStream(1, hostQueue(0), holdNow(aHold40), runFor(10), doNow(aHoldOn), runOut(),
+		doNow(aHoldOff), runOut()),
+}, {
+	// The link fails with a plan on one end: the frame must emerge onto
+	// a dark port, and the arrival queued for it must not count.
+	name: "fail-in-gap",
+	ops: txStream(1, holdNow(aHold200|1), runFor(100), doNow(aFail), runOut(), doNow(aRestore),
+		runOut(), holdNow(aHold40|1), runOut()),
+}, {
+	// At the emerging instant itself, from events that share the stage
+	// event's (at, priT, priH) and differ from it by sequence number
+	// alone: scheduled before the hold they find the plan not due …
+	name: "send-at-emerge",
+	ops:  txStream(1, after(40, aSend), holdNow(aHold40), runOut()),
+}, {
+	name: "sendpri-at-emerge",
+	ops:  txStream(1, after(200, aSendPri), holdNow(aHold200), after(200, aQueueLen), runOut()),
+}, {
+	// … and scheduled after it, due.
+	name: "send-plan-due",
+	ops:  txStream(1, holdNow(aHold40), after(40, aSend), runOut()),
+}, {
+	name: "sendpri-plan-due",
+	ops:  txStream(0, holdNow(aHold200), after(200, aSendPri), after(200, aQueueLen), runOut()),
+}, {
+	name: "fail-plan-due",
+	ops:  txStream(1, holdNow(aHold40), after(40, aFail), runOut()),
+}, {
+	// Held from inside an event, and two frames held for one port at one
+	// instant from two events.
+	name: "hold-at-emerge",
+	ops:  txStream(1, holdAfter(7, aHold40), holdAfter(7, aHold40), holdAfter(47, aHold200), runOut()),
+}, {
+	// A frame held while the one before it is still being serialized,
+	// emerging after that ends …
+	name: "planned-behind-lazy-head",
+	ops: txStream(1, doNow(aSend), runFor16(txSer-30), runFor(byte((txSer-30)%16)), holdNow(aHold40),
+		runOut()),
+}, {
+	// … and exactly as it ends, the back-to-back train.
+	name: "planned-behind-lazy-head-ending-at-emerge",
+	ops: txStream(1, doNow(aSend), runFor16(txSer-40), runFor(byte((txSer-40)%16)), holdNow(aHold40),
+		runFor16(txSer), runFor(byte(txSer%16)), holdNow(aHold40), runOut()),
+}, {
+	// The stream ends inside the gap, and on the emerging instant: the
+	// ledger read through Ledger says in-device, then launched.
+	name: "read-in-gap/ledger",
+	ops:  txStream(1, holdNow(aHold200), runFor(100), doNow(aQueueLen)),
+}, {
+	name: "read-plan-due/ledger",
+	ops:  txStream(1, holdNow(aHold200), runFor(200), doNow(aQueueLen)),
 }}
 
 func TestPortTxSeeds(t *testing.T) {

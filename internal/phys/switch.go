@@ -225,7 +225,7 @@ func (s *Switch) receiveFlood(in int, f Frame) {
 		return
 	}
 	f.Hops++
-	s.net.Hold(s.latency, s, in, f)
+	s.net.Hold(s.latency, s, in, f, nil)
 }
 
 // receive handles a frame arriving on port index in.
@@ -258,7 +258,11 @@ func (s *Switch) receive(in int, f Frame) {
 		}
 		out = o
 	}
-	s.net.Hold(s.latency, s, out, f)
+	var egress *Port
+	if out < len(s.ports) {
+		egress = s.ports[out]
+	}
+	s.net.Hold(s.latency, s, out, f, egress)
 }
 
 // Emerge is the switch's far side of the cut-through delay (Device):
@@ -284,10 +288,13 @@ func (s *Switch) Emerge(arg int, f Frame) {
 		return
 	}
 	if arg < len(s.ports) && s.ports[arg].Up() {
-		s.Forwarded++
+		s.CountForward()
 		s.net.Acct.Relaunch()
 		s.ports[arg].Send(f)
 	} else {
 		s.net.Acct.Lose(frameacct.LossEgressDark)
 	}
 }
+
+// CountForward counts one crossbar forward (Device).
+func (s *Switch) CountForward() { s.Forwarded++ }

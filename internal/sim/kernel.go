@@ -166,14 +166,16 @@ type Kernel struct {
 	occ     [wheelSize / 64]uint64 // bit s set: slot s non-empty
 	buckets [wheelSize]struct{ head, tail int32 }
 
-	// horT, horH are the horizon: how far into the instant now the
-	// firing order has got. Every event at now whose (priT, priH) lies
-	// below it has fired (see Passed). fire raises it to the firing
-	// event's key; a run that ends with nothing more due sets it to
-	// (+∞, +∞), everything at now has fired; a clock move that executes
-	// nothing (AdvanceTo) resets it to (−∞, 0), nothing at now has.
+	// horT, horH, horS are the horizon: how far into the instant now the
+	// firing order has got. Every event at now whose (priT, priH, seq)
+	// lies below it has fired (see Passed, PassedKey). fire raises it to
+	// the firing event's key; a run that ends with nothing more due sets
+	// it to (+∞, +∞, +∞), everything at now has fired; a clock move that
+	// executes nothing (AdvanceTo) resets it to (−∞, 0, 0), nothing at
+	// now has.
 	horT Time
 	horH uint32
+	horS uint64
 
 	// Fired counts events executed; useful for run-cost reporting.
 	Fired uint64
@@ -195,9 +197,24 @@ func (k *Kernel) RNG() *RNG { return k.rng }
 // removed from the queue eagerly, so this is an O(1) live count.
 func (k *Kernel) Pending() int { return k.n }
 
-// push queues fn at absolute time t with tie-break key (priT, priH)
-// and optional Timer handle tm, which is pointed at the new entry.
+// push queues fn at absolute time t with tie-break key (priT, priH),
+// the next sequence number and optional Timer handle tm, which is
+// pointed at the new entry.
 func (k *Kernel) push(t, priT Time, priH uint32, fn func(), tm *Timer) {
+	k.pushSeq(t, priT, priH, k.Reserve(), fn, tm)
+}
+
+// Reserve takes the sequence number the next push would have had, for
+// an event that may never be queued: DoKey queues it later exactly
+// where a push at this moment would have put it, and PassedKey answers
+// whether it would have fired.
+func (k *Kernel) Reserve() uint64 {
+	k.seq++
+	return k.seq - 1
+}
+
+// pushSeq is push under a sequence number the caller owns.
+func (k *Kernel) pushSeq(t, priT Time, priH uint32, seq uint64, fn func(), tm *Timer) {
 	if t < k.now {
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", t, k.now))
 	}
@@ -209,11 +226,10 @@ func (k *Kernel) push(t, priT Time, priH uint32, fn func(), tm *Timer) {
 		i = int32(len(k.arena) - 1)
 	}
 	e := &k.arena[i]
-	e.at, e.priT, e.priH, e.seq, e.fn, e.tm = t, priT, priH, k.seq, fn, tm
+	e.at, e.priT, e.priH, e.seq, e.fn, e.tm = t, priT, priH, seq, fn, tm
 	if tm != nil {
 		tm.idx = i
 	}
-	k.seq++
 	k.n++
 	if uint64(t>>wheelShift)-uint64(k.now>>wheelShift) >= wheelSize || !k.wheelInsert(i) {
 		k.far = append(k.far, i)
@@ -408,8 +424,8 @@ func (k *Kernel) fire(i int32) {
 	// The horizon only ever rises within an instant: an event pushed at
 	// now behind the firing position fires late, and must not pull
 	// Passed back over keys an earlier event already went beyond.
-	if at != k.now || e.priT > k.horT || (e.priT == k.horT && e.priH > k.horH) {
-		k.horT, k.horH = e.priT, e.priH
+	if !k.PassedKey(at, e.priT, e.priH, e.seq) {
+		k.horT, k.horH, k.horS = e.priT, e.priH, e.seq
 	}
 	k.remove(i)
 	k.now = at
@@ -431,6 +447,21 @@ func (k *Kernel) Passed(t, priT Time, priH uint32) bool {
 		return t < k.now
 	}
 	return priT < k.horT || (priT == k.horT && priH < k.horH)
+}
+
+// PassedKey is Passed for a complete key: whether the event that
+// Reserve numbered seq, had it been queued under (t, priT, priH), would
+// have fired by now. Plain events share priH 0 and often (t, priT) —
+// everything one instant schedules for one later instant — so only the
+// sequence number tells such an event from its neighbours.
+func (k *Kernel) PassedKey(t, priT Time, priH uint32, seq uint64) bool {
+	if t != k.now {
+		return t < k.now
+	}
+	if priT != k.horT {
+		return priT < k.horT
+	}
+	return priH < k.horH || (priH == k.horH && seq < k.horS)
 }
 
 // At schedules fn to run at absolute virtual time t. Scheduling in the
@@ -475,6 +506,13 @@ func (k *Kernel) Do(t Time, fn func()) { k.push(t, k.now, 0, fn, nil) }
 // key, without issuing a Timer handle. It is to AtPri what Do is to At.
 func (k *Kernel) DoPri(t, priT Time, priH uint32, fn func()) { k.push(t, priT, priH, fn, nil) }
 
+// DoKey schedules fn under a complete key whose sequence number came
+// from Reserve: the event fires exactly where it would have had it been
+// pushed when the number was taken. The key must not have passed.
+func (k *Kernel) DoKey(t, priT Time, priH uint32, seq uint64, fn func()) {
+	k.pushSeq(t, priT, priH, seq, fn, nil)
+}
+
 // Stop makes Run return after the current event completes. Pending
 // events remain queued; Run can be called again to resume.
 func (k *Kernel) Stop() { k.stopped = true }
@@ -509,7 +547,7 @@ func (k *Kernel) RunUntil(deadline Time) Time {
 	if deadline >= k.now {
 		// Nothing at or before the deadline is left, so everything at
 		// the instant the clock ends on has fired.
-		k.horT, k.horH = MaxTime, math.MaxUint32
+		k.horT, k.horH, k.horS = MaxTime, math.MaxUint32, math.MaxUint64
 		if deadline != MaxTime {
 			k.now = deadline
 		}
@@ -542,7 +580,7 @@ func (k *Kernel) AdvanceTo(t Time) {
 	}
 	if t > k.now {
 		k.now = t
-		k.horT, k.horH = math.MinInt64, 0
+		k.horT, k.horH, k.horS = math.MinInt64, 0, 0
 	}
 }
 

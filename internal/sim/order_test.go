@@ -29,32 +29,45 @@ type refModel struct {
 	fired  []int
 	timers []int // id logged by each handle's callback
 
-	// What Passed must answer, kept as two high-water marks that only
-	// ever rise: the greatest key popped so far, and the latest instant
-	// a run or clock move has gone wholly through.
+	// What Passed and PassedKey must answer, kept as two high-water
+	// marks that only ever rise: the greatest key popped so far, and the
+	// latest instant a run or clock move has gone wholly through.
 	popped     refKey
 	ranThrough Time
 	passed     []bool // the answers for probeKeys inside each popped event
+
+	// reserved holds the keys Reserve numbered that DoKey has not queued
+	// yet: events that exist only as a question to PassedKey.
+	reserved []refKey
 }
 
-// refKey is an event key without its seq: what Passed is asked about.
+// refKey is a complete event key: what PassedKey is asked about, and
+// without its seq what Passed is.
 type refKey struct {
 	at, priT Time
 	priH     uint32
+	seq      uint64
 }
 
 func (a refKey) less(b refKey) bool {
-	return entryLess(&entry{at: a.at, priT: a.priT, priH: a.priH}, &entry{at: b.at, priT: b.priT, priH: b.priH})
+	return entryLess(&entry{at: a.at, priT: a.priT, priH: a.priH, seq: a.seq}, &entry{at: b.at, priT: b.priT, priH: b.priH, seq: b.seq})
 }
 
 func newRefModel() refModel {
 	return refModel{popped: refKey{at: math.MinInt64}, ranThrough: -1}
 }
 
-// hasPassed is the definition Kernel.Passed is held to: the model has
-// popped something beyond the key, or has run through its instant.
-func (m *refModel) hasPassed(key refKey) bool {
+// hasPassedKey is the definition Kernel.PassedKey is held to: the model
+// has popped something beyond the key, or has run through its instant.
+func (m *refModel) hasPassedKey(key refKey) bool {
 	return key.at <= m.ranThrough || key.less(m.popped)
+}
+
+// hasPassed is Kernel.Passed's: the same of a key without a seq, which
+// an event under the same (at, priT, priH) has not gone beyond.
+func (m *refModel) hasPassed(key refKey) bool {
+	key.seq = math.MaxUint64
+	return m.hasPassedKey(key)
 }
 
 // probeKeys returns four keys around now — the instant before, the
@@ -66,7 +79,7 @@ func probeKeys(now Time, salt int) (keys [4]refKey) {
 		x ^= x >> 29
 		x *= 0xBF58476D1CE4E5B9
 		x ^= x >> 32
-		k := refKey{at: now, priT: Time(x >> 8 & 15), priH: uint32(x >> 12 & 15)}
+		k := refKey{at: now, priT: Time(x >> 8 & 15), priH: uint32(x >> 12 & 15), seq: x >> 20 & 63}
 		switch x & 7 {
 		case 0:
 			k.at--
@@ -83,6 +96,11 @@ func probeKeys(now Time, salt int) (keys [4]refKey) {
 func (m *refModel) push(ev refEvent) {
 	ev.seq = m.seq
 	m.seq++
+	m.pushSeq(ev)
+}
+
+// pushSeq queues ev under the seq it carries.
+func (m *refModel) pushSeq(ev refEvent) {
 	i, _ := slices.BinarySearchFunc(m.q, ev, func(a, b refEvent) int {
 		if entryLess(&a.entry, &b.entry) {
 			return -1
@@ -110,11 +128,11 @@ func (m *refModel) step() bool {
 	m.q = slices.Delete(m.q, 0, 1)
 	m.now = ev.at
 	m.fired = append(m.fired, ev.id)
-	if key := (refKey{ev.at, ev.priT, ev.priH}); m.popped.less(key) {
+	if key := (refKey{ev.at, ev.priT, ev.priH, ev.seq}); m.popped.less(key) {
 		m.popped = key
 	}
 	for _, key := range probeKeys(m.now, len(m.fired)) {
-		m.passed = append(m.passed, m.hasPassed(key))
+		m.passed = append(m.passed, m.hasPassed(key), m.hasPassedKey(key))
 	}
 	if ev.respawn > 0 && ev.respD <= MaxTime-m.now {
 		ev.at, ev.priT, ev.priH = m.now+ev.respD, m.now, 0
@@ -157,7 +175,7 @@ func (h *orderHarness) callback(ev refEvent) func() {
 	fn = func() {
 		h.fired = append(h.fired, ev.id)
 		for _, key := range probeKeys(h.k.Now(), len(h.fired)) {
-			h.passed = append(h.passed, h.k.Passed(key.at, key.priT, key.priH))
+			h.passed = append(h.passed, h.k.Passed(key.at, key.priT, key.priH), h.k.PassedKey(key.at, key.priT, key.priH, key.seq))
 		}
 		if ev.respawn > 0 && ev.respD <= MaxTime-h.k.Now() {
 			ev.respawn--
@@ -208,6 +226,8 @@ const (
 	opStep
 	opAdvanceTo
 	opNewTimer
+	opReserve
+	opDoKey
 	numOps
 )
 
@@ -257,6 +277,31 @@ func (h *orderHarness) apply(op, a, b, c byte) {
 		ev := refEvent{entry: entry{at: m.now + d, priT: Time(c & 15), priH: uint32(c >> 4)}, id: id, timer: -1}
 		k.DoPri(ev.at, ev.priT, ev.priH, h.callback(ev))
 		m.push(ev)
+	case opReserve:
+		// The key a Do or DoPri at this moment would have had, numbered
+		// and not queued.
+		key := refKey{at: m.now + d, priT: m.now, seq: k.Reserve()}
+		if c&1 != 0 {
+			key.priT, key.priH = Time(c>>1&15), uint32(c>>5)
+		}
+		if key.seq != m.seq {
+			h.t.Fatalf("Reserve = %d, the model is at %d", key.seq, m.seq)
+		}
+		m.seq++
+		m.reserved = append(m.reserved, key)
+	case opDoKey:
+		// Queue a reserved key after all — unless the firing order has
+		// gone beyond it, which DoKey's caller must know (PassedKey).
+		if len(m.reserved) > 0 {
+			i := int(a) % len(m.reserved)
+			key := m.reserved[i]
+			m.reserved = slices.Delete(m.reserved, i, i+1)
+			if !m.hasPassedKey(key) {
+				ev := refEvent{entry: entry{at: key.at, priT: key.priT, priH: key.priH, seq: key.seq}, id: int(key.seq), timer: -1}
+				k.DoKey(key.at, key.priT, key.priH, key.seq, h.callback(ev))
+				m.pushSeq(ev)
+			}
+		}
 	case opCancel:
 		if len(h.timers) > 0 {
 			t := int(a) % len(h.timers)
@@ -311,13 +356,20 @@ func (h *orderHarness) check() {
 		h.t.Fatalf("Now = %v, model at %v", k.Now(), m.now)
 	}
 	if !slices.Equal(h.passed, m.passed) {
-		h.t.Fatalf("Passed asked inside the last %d fired events: kernel %v, model %v", len(m.passed)/4, h.passed, m.passed)
+		h.t.Fatalf("Passed, PassedKey asked inside the last %d fired events: kernel %v, model %v", len(m.passed)/8, h.passed, m.passed)
 	}
 	h.passed, m.passed = h.passed[:0], m.passed[:0]
 	for _, key := range probeKeys(m.now, len(m.fired)+int(m.seq)) {
 		if got, want := k.Passed(key.at, key.priT, key.priH), m.hasPassed(key); got != want {
 			h.t.Fatalf("between ops at %v: Passed(%v, %v, %d) = %v, model says %v (popped %v/%v/%d, ran through %v)",
 				m.now, key.at, key.priT, key.priH, got, want, m.popped.at, m.popped.priT, m.popped.priH, m.ranThrough)
+		}
+	}
+	probes := probeKeys(m.now, len(m.fired)+int(m.seq))
+	for _, key := range append(probes[:], m.reserved...) {
+		if got, want := k.PassedKey(key.at, key.priT, key.priH, key.seq), m.hasPassedKey(key); got != want {
+			h.t.Fatalf("between ops at %v: PassedKey(%v, %v, %d, %d) = %v, model says %v (popped %+v, ran through %v)",
+				m.now, key.at, key.priT, key.priH, key.seq, got, want, m.popped, m.ranThrough)
 		}
 	}
 	wantAt, wantOK := MaxTime, len(m.q) > 0
@@ -423,6 +475,18 @@ var orderSeeds = []struct {
 		opDo, 5, 0, 0, opRunUntil, 40, 4, 0,
 	},
 	hit: func(k *Kernel) bool { return k.now == 10 && k.n == 2 },
+}, {
+	// Five keys one instant schedules for one later instant, alike but
+	// for their seq; the second and fourth only reserved. The second is
+	// queued after the first has fired and fires in its place; the
+	// fourth is still a question when the fifth fires, and passed after.
+	name: "reserved-keys-between-siblings",
+	ops: []byte{
+		opDo, 10, 0, 0, opReserve, 10, 0, 0, opDo, 10, 0, 0, opReserve, 10, 0, 0, opDo, 10, 0, 0,
+		opStep, 0, 0, 0, opDoKey, 0, 0, 0, opStep, 0, 0, 0, opStep, 0, 0, 0,
+		opStep, 0, 0, 0, opDoKey, 0, 0, 0, opRunUntil, 20, 0, 0,
+	},
+	hit: func(k *Kernel) bool { return k.now == 10 && k.horS == 4 && k.Fired == 4 && k.n == 0 },
 }}
 
 func TestKernelOrderSeeds(t *testing.T) {
