@@ -1,7 +1,8 @@
 // Command ampbench regenerates every table, figure and quantitative
-// claim of the AmpNet paper (-list prints the experiment index,
-// EXPERIMENTS.md has recorded results), and sweeps the whole
-// experiment matrix over seeds × topology variants in parallel.
+// claim of the AmpNet paper (-list prints the experiment index and each
+// experiment's topology variants; EXPERIMENTS.md has recorded results,
+// internal/experiments/testdata/tables_seed7.golden the authoritative
+// tables).
 //
 // Usage:
 //
@@ -9,20 +10,16 @@
 //	ampbench -exp e8                       # run one experiment
 //	ampbench -exp e8 -seed 7 -nodes 16     # one experiment, custom params
 //	ampbench -list                         # list experiments
-//	ampbench -sweep -seeds 8 -par 4        # full matrix, text aggregates
-//	ampbench -sweep -seeds 8 -par 4 -json out.json -csv out.csv
 package main
 
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"strings"
 	"time"
 
 	"repro/internal/experiments"
-	"repro/internal/harness"
 	"repro/internal/phys"
 	"repro/internal/telemetry"
 )
@@ -30,23 +27,12 @@ import (
 func main() {
 	exp := flag.String("exp", "", "experiment id(s), comma-separated (default: all)")
 	list := flag.Bool("list", false, "list experiments and exit")
-	seed := flag.Uint64("seed", 0, "kernel seed for single runs (0 = default)")
-	nodes := flag.Int("nodes", 0, "node-count override for single runs")
-	switches := flag.Int("switches", 0, "switch-count override for single runs")
-	fiber := flag.Float64("fiber", 0, "fiber-meters override for single runs")
-	shards := flag.Int("shards", 0,
-		"run shard-aware experiments (e13, e14) on this many shards (0/1 = one shard; others ignore it)")
+	seed := flag.Uint64("seed", 0, "kernel seed (0 = default)")
+	nodes := flag.Int("nodes", 0, "node-count override")
+	switches := flag.Int("switches", 0, "switch-count override")
+	fiber := flag.Float64("fiber", 0, "fiber-meters override")
 	timeline := flag.String("timeline", "",
-		"single runs: write each run's engine span timeline as Chrome trace-event JSON to this file (multiple experiments insert their id before the extension); needs a sharded run (-shards > 1) to have spans")
-
-	sweep := flag.Bool("sweep", false, "sweep experiments × seeds × topology variants")
-	seeds := flag.Int("seeds", 8, "sweep: seeds per variant")
-	baseSeed := flag.Uint64("base-seed", 1, "sweep: first seed")
-	par := flag.Int("par", 4, "sweep: parallel workers")
-	noVariants := flag.Bool("no-variants", false, "sweep: default topology only")
-	jsonOut := flag.String("json", "", "sweep: write the full report as JSON to this file")
-	csvOut := flag.String("csv", "", "sweep: write aggregate stats as CSV to this file")
-	quiet := flag.Bool("q", false, "sweep: suppress per-run progress")
+		"write each run's engine span timeline as Chrome trace-event JSON to this file (multiple experiments insert their id before the extension); e13, e14, e16 and e17 record spans at every shard count")
 	flag.Parse()
 
 	// Surface topology-scale errors here, naming the limit, instead of
@@ -59,15 +45,6 @@ func main() {
 	}
 	if *switches > phys.MaxSwitches {
 		fmt.Fprintf(os.Stderr, "ampbench: -switches %d exceeds the rostering link-state mask (max %d switches)\n", *switches, phys.MaxSwitches)
-		os.Exit(1)
-	}
-
-	if *seeds < 1 {
-		fmt.Fprintf(os.Stderr, "ampbench: -seeds %d: a sweep needs at least one seed per variant\n", *seeds)
-		os.Exit(1)
-	}
-	if *par < 1 {
-		fmt.Fprintf(os.Stderr, "ampbench: -par %d: a sweep needs at least one worker\n", *par)
 		os.Exit(1)
 	}
 
@@ -86,12 +63,7 @@ func main() {
 		return
 	}
 
-	if *sweep {
-		runSweep(*exp, *seeds, *baseSeed, *par, *noVariants, *shards, *jsonOut, *csvOut, *quiet)
-		return
-	}
-
-	p := experiments.Params{Seed: *seed, Nodes: *nodes, Switches: *switches, FiberM: *fiber, Shards: *shards}
+	p := experiments.Params{Seed: *seed, Nodes: *nodes, Switches: *switches, FiberM: *fiber}
 	if *exp != "" {
 		ids := strings.Split(*exp, ",")
 		for _, id := range ids {
@@ -143,82 +115,19 @@ func run(s experiments.Spec, p experiments.Params, timeline string) {
 func writeTimeline(path, id string, rec *telemetry.Recorder) {
 	spans := rec.Spans()
 	if len(spans) == 0 {
-		fmt.Fprintf(os.Stderr, "ampbench: %s recorded no spans (timelines need a sharded run, e.g. -shards 4 or a wall-clock experiment)\n", id)
+		fmt.Fprintf(os.Stderr, "ampbench: %s recorded no spans (only e13, e14, e16 and e17 attach the recorder to their clusters)\n", id)
 		return
 	}
-	writeFile(path, func(w io.Writer) error { return telemetry.WriteTrace(w, spans) })
-	fmt.Printf("  [%s timeline: %d spans written to %s]\n", id, len(spans), path)
-}
-
-func runSweep(exp string, seeds int, baseSeed uint64, par int, noVariants bool, shards int, jsonOut, csvOut string, quiet bool) {
-	cfg := harness.Config{
-		Seeds:      seeds,
-		BaseSeed:   baseSeed,
-		Parallel:   par,
-		NoVariants: noVariants,
-		Shards:     shards,
-	}
-	if exp != "" {
-		for _, id := range strings.Split(exp, ",") {
-			cfg.Experiments = append(cfg.Experiments, strings.TrimSpace(id))
-		}
-	}
-	plan, err := harness.Plan(cfg)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "ampbench: %v\n", err)
-		os.Exit(1)
-	}
-	done := 0
-	if !quiet {
-		fmt.Fprintf(os.Stderr, "sweep: %d runs (%d workers)\n", len(plan), par)
-		cfg.OnResult = func(r harness.Result) {
-			done++
-			status := "ok"
-			if r.Error != "" {
-				status = r.Error
-			}
-			fmt.Fprintf(os.Stderr, "  [%3d/%d] %-4s %-14s seed=%-3d %s\n",
-				done, len(plan), r.Exp, r.Variant, r.Seed, status)
-		}
-	}
-	sw := telemetry.StartStopwatch(nil)
-	rep, err := harness.Sweep(cfg)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "ampbench: %v\n", err)
-		os.Exit(1)
-	}
-	if err := rep.WriteText(os.Stdout); err != nil {
-		fmt.Fprintf(os.Stderr, "ampbench: %v\n", err)
-		os.Exit(1)
-	}
-	if jsonOut != "" {
-		writeFile(jsonOut, rep.WriteJSON)
-	}
-	if csvOut != "" {
-		writeFile(csvOut, rep.WriteCSV)
-	}
-	errs := 0
-	for _, r := range rep.Runs {
-		if r.Error != "" {
-			errs++
-		}
-	}
-	fmt.Fprintf(os.Stderr, "sweep: %d runs in %v wall time, %d errors\n",
-		len(rep.Runs), sw.Elapsed().Round(time.Millisecond), errs)
-	if errs > 0 {
-		os.Exit(1)
-	}
-}
-
-func writeFile(path string, write func(w io.Writer) error) {
 	f, err := os.Create(path)
+	if err == nil {
+		err = telemetry.WriteTrace(f, spans)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "ampbench: %v\n", err)
 		os.Exit(1)
 	}
-	defer f.Close()
-	if err := write(f); err != nil {
-		fmt.Fprintf(os.Stderr, "ampbench: %v\n", err)
-		os.Exit(1)
-	}
+	fmt.Printf("  [%s timeline: %d spans written to %s]\n", id, len(spans), path)
 }

@@ -10,8 +10,8 @@ import (
 // naming the wire-format version and its ceiling — never as panics.
 // The same holds for retired flags (the socket transport, the
 // single-fault sugar -plan replaced: unknown to flag, which names them)
-// and for negative sizes, durations and sweep counts, which are refused
-// by name instead of running as some default.
+// and for negative sizes and durations, which are refused by name
+// instead of running as some default.
 func TestCmdsSurfaceWireErrors(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the cmd tools via `go run`")
@@ -45,12 +45,6 @@ func TestCmdsSurfaceWireErrors(t *testing.T) {
 		{"ampsim-retired-fault-flag",
 			[]string{"run", "./cmd/ampsim", "-fail-switch", "0"},
 			[]string{"flag provided but not defined: -fail-switch"}},
-		{"ampbench-zero-seeds",
-			[]string{"run", "./cmd/ampbench", "-sweep", "-exp", "e1", "-seeds", "0"},
-			[]string{"-seeds 0"}},
-		{"ampbench-negative-par",
-			[]string{"run", "./cmd/ampbench", "-sweep", "-exp", "e1", "-par", "-3"},
-			[]string{"-par -3"}},
 	}
 	for _, c := range cases {
 		c := c

@@ -60,6 +60,10 @@ func sanctioned(name string) bool {
 	return name == "RemoteFrame" || name == "DeferRoute"
 }
 
+// byPos orders functions by declaration position, the order every walk
+// over the shard-context set takes.
+func byPos(a, b *types.Func) bool { return a.Pos() < b.Pos() }
+
 func run(pass *analysis.Pass) error {
 	if !inScope(pass.Pkg.Path()) {
 		return nil
@@ -127,8 +131,7 @@ func run(pass *analysis.Pass) error {
 	// Propagate through same-package static calls to a fixed point.
 	for changed := true; changed; {
 		changed = false
-		//ampvet:allow detmap fixed-point set union: result independent of visit order
-		for fn := range shard {
+		for _, fn := range detmap.SortedKeysFunc(shard, byPos) {
 			fd := decls[fn]
 			if fd == nil || fd.Body == nil {
 				continue
@@ -142,7 +145,7 @@ func run(pass *analysis.Pass) error {
 		}
 	}
 
-	for _, fn := range detmap.SortedKeysFunc(shard, func(a, b *types.Func) bool { return a.Pos() < b.Pos() }) {
+	for _, fn := range detmap.SortedKeysFunc(shard, byPos) {
 		if sanctioned(fn.Name()) {
 			continue
 		}

@@ -10,7 +10,7 @@
 // Durations and constants (time.Duration, time.Millisecond) are fine:
 // they are plain arithmetic, not clock reads.
 //
-// Operator-facing wall-clock prints (a CLI reporting how long a sweep
+// Operator-facing wall-clock prints (a CLI reporting how long a run
 // took) are legitimate; waive them per line:
 //
 //	start := time.Now() //ampvet:allow walltime operator progress print

@@ -87,7 +87,8 @@ type Options struct {
 	// BER, with DeepPHY, injects symbol errors with the given
 	// per-symbol probability. Corrupted frames are discarded by the
 	// receive hardware (CRC/code violation) and repaired by the
-	// higher layers.
+	// higher layers. A BER without DeepPHY, which has no symbols to
+	// corrupt, or outside [0, 1] is refused.
 	BER float64
 
 	// Telemetry, if set, receives the run's wall-clock span timeline
@@ -106,6 +107,12 @@ func (o *Options) fill() error {
 	}
 	if o.FiberMeters < 0 {
 		return fmt.Errorf("core: negative Options.FiberMeters %v", o.FiberMeters)
+	}
+	if !(o.BER >= 0 && o.BER <= 1) { // NaN fails both
+		return fmt.Errorf("core: Options.BER %v is not a probability in [0, 1]", o.BER)
+	}
+	if o.BER != 0 && !o.DeepPHY {
+		return fmt.Errorf("core: Options.BER %v needs Options.DeepPHY (only the 8b/10b path has symbols to corrupt)", o.BER)
 	}
 	if o.Fabric != nil {
 		// The topology is authoritative; mirror its sizes so reports
@@ -229,7 +236,7 @@ func build(opts Options) (*Cluster, error) {
 	if err := topo.Validate(); err != nil {
 		return nil, err
 	}
-	if opts.Shards > 1 && opts.DeepPHY && opts.BER > 0 {
+	if opts.Shards > 1 && opts.BER > 0 {
 		return nil, fmt.Errorf("core: Options.BER is not supported with Shards > 1 (the symbol-error RNG is a single stream shards cannot share deterministically)")
 	}
 	assign, err := phys.AssignShards(&topo, opts.Shards)
@@ -264,7 +271,7 @@ func build(opts Options) (*Cluster, error) {
 		// What needs the one kernel: direct kernel access for the
 		// one-shard-only loads, and the BER stream.
 		c.K = kernels[0]
-		if opts.DeepPHY && opts.BER > 0 {
+		if opts.BER > 0 {
 			rng := c.K.RNG().Split()
 			ber := opts.BER
 			c.Net.Corrupt = func(_ phys.Frame, syms []enc8b10b.Symbol) {

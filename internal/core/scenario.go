@@ -332,9 +332,10 @@ func reportWire(c *Cluster) string {
 // Run executes the scenario and returns its report.
 func (s Scenario) Run() (*Report, error) {
 	// A scenario is user input end to end, so what New panics on — a
-	// malformed fabric, an explicit v1 on a >255-node fabric, BER or too
-	// few switches for the shard count — is an error here, and so is a
-	// negative duration (zero selects the default).
+	// malformed fabric, an explicit v1 on a >255-node fabric, a BER
+	// that cannot act or too few switches for the shard count — is an
+	// error here, and so is a negative duration (zero selects the
+	// default).
 	for _, d := range []struct {
 		name string
 		v    sim.Time

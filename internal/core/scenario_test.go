@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -152,17 +153,31 @@ func TestScenarioRejectsInvalidPlan(t *testing.T) {
 		{Scenario{Opts: opts, For: -5 * sim.Millisecond}, "negative Scenario.For -5"},
 		{Scenario{Opts: opts, Settle: -1}, "negative Scenario.Settle"},
 		{Scenario{Opts: opts, BootWindow: -1}, "negative Scenario.BootWindow"},
+		{Scenario{Opts: Options{Nodes: 4, Switches: 2, BER: 1e-3}}, "Options.BER 0.001 needs Options.DeepPHY"},
+		{Scenario{Opts: Options{Nodes: 4, Switches: 2, DeepPHY: true, BER: -0.5}}, "Options.BER -0.5 is not a probability in [0, 1]"},
+		{Scenario{Opts: Options{Nodes: 4, Switches: 2, DeepPHY: true, BER: 2}}, "Options.BER 2 is not a probability in [0, 1]"},
+		{Scenario{Opts: Options{Nodes: 4, Switches: 2, DeepPHY: true, BER: math.NaN()}}, "Options.BER NaN is not a probability in [0, 1]"},
 	} {
 		if _, err := tc.sc.Run(); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("Scenario.Run: err = %v, want %q", err, tc.want)
 		}
 	}
-	defer func() {
-		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "negative Options.Shards -3") {
-			t.Errorf("New with Shards: -3: panic = %v, want the named error", r)
-		}
-	}()
-	New(Options{Shards: -3})
+	for _, tc := range []struct {
+		opts Options
+		want string
+	}{
+		{Options{Shards: -3}, "negative Options.Shards -3"},
+		{Options{BER: 1e-3}, "Options.BER 0.001 needs Options.DeepPHY"},
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), tc.want) {
+					t.Errorf("New: panic = %v, want %q", r, tc.want)
+				}
+			}()
+			New(tc.opts)
+		}()
+	}
 }
 
 // A keepalive slowed on its own must not keep the 60 µs default

@@ -9,7 +9,11 @@
 // in transmission order when the symbol is sent MSB-first.
 package enc8b10b
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/detmap"
+)
 
 // Symbol is one encoded 10-bit code group (only the low 10 bits are used).
 type Symbol uint16
@@ -299,10 +303,9 @@ func init() {
 		rev6data[e.neg] = uint8(x)
 		rev6data[e.pos] = uint8(x)
 	}
-	//ampvet:allow detmap inverse-table build: scatter by key, each slot written once
-	for x, e := range k6 {
-		rev6k[e.neg] = x
-		rev6k[e.pos] = x
+	for _, x := range detmap.SortedKeys(k6) {
+		rev6k[k6[x].neg] = x
+		rev6k[k6[x].pos] = x
 	}
 	for y, e := range dataTable4 {
 		rev4data[e.neg] = uint8(y)

@@ -2,39 +2,51 @@ package experiments
 
 import (
 	"flag"
+	"fmt"
 	"os"
 	"regexp"
+	"runtime"
 	"strings"
 	"testing"
 
+	"repro/internal/detmap"
 	"repro/internal/telemetry"
 )
 
 // Every experiment must be a pure function of its Params: a run at seed
 // 7 must render, byte for byte, the table committed in
 // testdata/tables_seed7.golden — on any machine, at any commit that does
-// not mean to move it. This is the property the sweep harness builds on
-// (without it, cross-seed aggregates would mix run-to-run noise into the
-// statistics), and the file is where the authoritative tables live:
-// `ampbench -seed 7 -exp <id>` prints the same bytes between its
-// wall-time lines. Regenerate with
+// not mean to move it. The file is where the authoritative tables live:
+// one section per non-Wall spec at its Defaults, and one per topology
+// variant (Spec.Variants), headed "[<id>/<Params.Label()>]". `ampbench
+// -seed 7 -exp <id>` (with the variant's -nodes/-switches/-fiber)
+// prints the same bytes between its wall-time lines. Regenerate with
 //
 //	go test ./internal/experiments -run TestAllSpecsDeterministic -update
 //
 // (a `-run …/e14` subset rewrites only the tables it ran). Wall-clock
-// experiments (Spec.Wall) are excluded for the same reason the sweep
-// harness excludes them: their tables time concurrent shard goroutines,
-// whose clock reads interleave differently run to run even under an
-// injected manual clock. TestE17SpeedupStructure covers their
-// deterministic half.
+// experiments (Spec.Wall) are excluded: their tables time concurrent
+// shard goroutines, whose clock reads interleave differently run to run
+// even under an injected manual clock. TestE17SpeedupStructure covers
+// their deterministic half.
 func TestAllSpecsDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the full experiment suite")
 	}
-	var specs []Spec
+	type section struct {
+		key  string // golden key: the spec id, or id/label for a variant
+		spec Spec
+		p    Params
+	}
+	var sections []section
 	for _, s := range All() {
-		if !s.Wall {
-			specs = append(specs, s)
+		if s.Wall {
+			continue
+		}
+		sections = append(sections, section{s.ID, s, s.Defaults})
+		for _, v := range s.Variants {
+			p := v.Merged(s.Defaults)
+			sections = append(sections, section{s.ID + "/" + p.Label(), s, p})
 		}
 	}
 	data, err := os.ReadFile(tablesGolden)
@@ -42,13 +54,24 @@ func TestAllSpecsDeterministic(t *testing.T) {
 		t.Fatalf("%v (run `go test ./internal/experiments -run TestAllSpecsDeterministic -update` to create it)", err)
 	}
 	want := splitTables(string(data))
-	got := make([]string, len(specs))
+	if !*updateGolden {
+		known := map[string]bool{}
+		for _, sec := range sections {
+			known[sec.key] = true
+		}
+		for _, key := range detmap.SortedKeys(want) {
+			if !known[key] {
+				t.Errorf("%s has a section %q no spec renders; regenerate with -update", tablesGolden, key)
+			}
+		}
+	}
+	got := make([]string, len(sections))
 	if *updateGolden {
 		// The parent's cleanup runs once every parallel subtest is done.
 		t.Cleanup(func() {
-			for i, s := range specs {
+			for i, sec := range sections {
 				if got[i] == "" {
-					got[i] = want[s.ID] // not run this time: keep
+					got[i] = want[sec.key] // not run this time: keep
 				}
 			}
 			if err := os.WriteFile(tablesGolden, []byte(strings.Join(got, "")), 0o644); err != nil {
@@ -56,13 +79,16 @@ func TestAllSpecsDeterministic(t *testing.T) {
 			}
 		})
 	}
-	for i, s := range specs {
-		t.Run(s.ID, func(t *testing.T) {
+	for i, sec := range sections {
+		t.Run(sec.key, func(t *testing.T) {
 			t.Parallel()
-			got[i] = s.Run(Params{Seed: 7}.Merged(s.Defaults)).String()
-			if !*updateGolden && got[i] != want[s.ID] {
+			got[i] = sec.spec.Run(Params{Seed: 7}.Merged(sec.p)).String()
+			if sec.key != sec.spec.ID {
+				got[i] = "\n[" + sec.key + "]\n" + got[i]
+			}
+			if !*updateGolden && got[i] != want[sec.key] {
 				t.Fatalf("%s at seed 7 is not the committed table; if the change is intentional, regenerate with -update\n--- got\n%s\n--- %s\n%s",
-					s.ID, got[i], tablesGolden, want[s.ID])
+					sec.key, got[i], tablesGolden, want[sec.key])
 			}
 		})
 	}
@@ -72,11 +98,12 @@ const tablesGolden = "testdata/tables_seed7.golden"
 
 var updateGolden = flag.Bool("update", false, "rewrite "+tablesGolden)
 
-// tableHead matches the line Table.Fprint opens a table with.
-var tableHead = regexp.MustCompile(`(?m)^\n(E\w+) — `)
+// tableHead matches the line Table.Fprint opens a table with, and the
+// "[id/label]" line a variant's section puts in front of it.
+var tableHead = regexp.MustCompile(`(?m)^\n(?:\[(\w+/[\w.]+)\]\n\n)?(E\w+) — `)
 
 // splitTables cuts concatenated table renderings apart, keyed by spec
-// id (the table id in lower case).
+// id (the table id in lower case) or, for a variant, by its head line.
 func splitTables(all string) map[string]string {
 	out := map[string]string{}
 	heads := tableHead.FindAllStringSubmatchIndex(all, -1)
@@ -85,26 +112,143 @@ func splitTables(all string) map[string]string {
 		if i+1 < len(heads) {
 			end = heads[i+1][0]
 		}
-		out[strings.ToLower(all[h[2]:h[3]])] = all[h[0]:end]
+		key := strings.ToLower(all[h[4]:h[5]])
+		if h[2] >= 0 {
+			key = all[h[2]:h[3]]
+		}
+		out[key] = all[h[0]:end]
 	}
 	return out
 }
 
+// tableRows parses one rendered table back into its rows of trimmed
+// cells, header first. Fprint pads every cell to its column's width, and
+// the dash line under the header marks where each column starts (in
+// runes: fmt pads by rune count).
+func tableRows(section string) [][]string {
+	lines := strings.Split(section, "\n")
+	dash := -1
+	for i, l := range lines {
+		if strings.HasPrefix(l, "  -") && strings.Trim(l, "- ") == "" {
+			dash = i
+			break
+		}
+	}
+	if dash < 1 {
+		return nil
+	}
+	var starts []int
+	sep := []rune(lines[dash])
+	for i, r := range sep {
+		if r == '-' && sep[i-1] == ' ' {
+			starts = append(starts, i)
+		}
+	}
+	cells := func(line string) []string {
+		rs := []rune(line)
+		out := make([]string, len(starts))
+		for i, from := range starts {
+			to := len(rs)
+			if i+1 < len(starts) {
+				to = min(starts[i+1], to)
+			}
+			if from < to {
+				out[i] = strings.TrimSpace(string(rs[from:to]))
+			}
+		}
+		return out
+	}
+	rows := [][]string{cells(lines[dash-1])}
+	for _, l := range lines[dash+1:] {
+		if l == "" || strings.HasPrefix(l, "  note: ") {
+			break
+		}
+		rows = append(rows, cells(l))
+	}
+	return rows
+}
+
+// EXPERIMENTS.md quotes the golden: every row of a markdown table under
+// a "### E<n>" heading of a non-Wall spec is, cell for cell, a row (or
+// the header) of that spec's seed-7 table, so a number in the prose
+// cannot outlive the behaviour it describes.
+func TestExperimentsDocQuotesGolden(t *testing.T) {
+	const doc = "../../EXPERIMENTS.md"
+	data, err := os.ReadFile(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden, err := os.ReadFile(tablesGolden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tables := splitTables(string(golden))
+	heading := regexp.MustCompile(`^### (E\d+a?)\b`)
+	quoted := map[string]int{} // section id → rows checked
+	var id string
+	rows := map[string]bool{}
+	fence := false
+	for n, line := range strings.Split(string(data), "\n") {
+		if strings.HasPrefix(line, "```") {
+			fence = !fence
+		}
+		if fence {
+			continue
+		}
+		if strings.HasPrefix(line, "#") {
+			id = ""
+			if m := heading.FindStringSubmatch(line); m != nil {
+				if s := ByID(strings.ToLower(m[1])); s != nil && !s.Wall {
+					id = s.ID
+					if _, seen := quoted[id]; !seen {
+						quoted[id] = 0
+					}
+					rows = map[string]bool{}
+					for _, r := range tableRows(tables[id]) {
+						rows[strings.Join(r, "|")] = true
+					}
+				}
+			}
+			continue
+		}
+		if id == "" || !strings.HasPrefix(line, "|") {
+			continue
+		}
+		cells := strings.Split(strings.Trim(line, "|"), "|")
+		for i := range cells {
+			cells[i] = strings.TrimSpace(cells[i])
+		}
+		if strings.Trim(strings.Join(cells, ""), "-:") == "" {
+			continue // the |---|---| line
+		}
+		quoted[id]++
+		if !rows[strings.Join(cells, "|")] {
+			t.Errorf("%s:%d: this row is not a row of %s's table in %s:\n%s",
+				doc, n+1, id, tablesGolden, line)
+		}
+	}
+	if len(quoted) == 0 {
+		t.Fatalf("%s has no ### E<n> section to check", doc)
+	}
+	for _, sid := range detmap.SortedKeys(quoted) {
+		if quoted[sid] == 0 {
+			t.Errorf("%s: the %s section quotes no table row", doc, sid)
+		}
+	}
+}
+
 // TestE17SpeedupStructure checks the speedup study's deterministic
 // half on a scaled-down fabric: every sharded report byte-matches the
-// one-shard one, and the machine-honesty metrics (cores, GOMAXPROCS)
-// are present. Wall numbers themselves are machine-bound
-// and not asserted.
+// one-shard one (the identical column), and the title names the host's
+// cores and GOMAXPROCS. Wall numbers themselves are machine-bound and
+// not asserted.
 func TestE17SpeedupStructure(t *testing.T) {
 	tab := E17Speedup(Params{
 		Seed: 7, Nodes: 12, Switches: 4,
 		Telemetry: telemetry.NewRecorder(telemetry.NewManualClock(0, 1000)),
 	})
-	if tab.Metrics["all_identical"] != 1 {
-		t.Fatalf("sharded reports diverged from serial:\n%s", tab.String())
-	}
-	if tab.Metrics["cores"] < 1 || tab.Metrics["gomaxprocs"] < 1 {
-		t.Fatalf("machine-honesty metrics missing: %v", tab.Metrics)
+	if host := fmt.Sprintf("(%d cores, GOMAXPROCS %d)", runtime.NumCPU(), runtime.GOMAXPROCS(0)); !strings.Contains(tab.Title, host) {
+		t.Fatalf("title %q does not name the host %s", tab.Title, host)
 	}
 	var sawSerial, sawSharded bool
 	for _, row := range tab.Rows {
@@ -116,6 +260,8 @@ func TestE17SpeedupStructure(t *testing.T) {
 			if row[3] == "-" || row[4] == "-" {
 				t.Fatalf("sharded row missing busy/wait decomposition: %v", row)
 			}
+		default:
+			t.Fatalf("sharded report diverged from serial or the run failed: %v\n%s", row, tab.String())
 		}
 	}
 	if !sawSerial || !sawSharded {

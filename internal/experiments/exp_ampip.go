@@ -62,7 +62,6 @@ func E12Collectives(p Params) *Table {
 				sum += r
 			}
 			t.Add("UDP-like RTT (64 B)", "64", (sum / sim.Time(len(rtts))).String(), "-")
-			t.Metric("rtt_ns_mean", float64(sum)/float64(len(rtts)))
 		}
 	}
 
@@ -88,7 +87,6 @@ func E12Collectives(p Params) *Table {
 		if doneAt > 0 {
 			mbps := float64(total) * 8 / (doneAt - startAt).Seconds() / 1e6
 			t.Add("stream (datagrams)", fmt.Sprint(total), (doneAt - startAt).String(), fmt.Sprintf("%.0f", mbps))
-			t.Metric("stream_mbps", mbps)
 		} else {
 			t.Add("stream (datagrams)", fmt.Sprint(total), "INCOMPLETE", "-")
 		}

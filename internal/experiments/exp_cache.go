@@ -20,7 +20,6 @@ func E5Seqlock(p Params) *Table {
 		Title:  "network-cache consistency via Lamport counters (paper slide 9)",
 		Header: []string{"write interval", "reads", "clean", "retries", "retry %", "torn values"},
 	}
-	tornTotal := 0
 	for _, wi := range []sim.Time{1 * sim.Millisecond, 200 * sim.Microsecond, 50 * sim.Microsecond, 10 * sim.Microsecond} {
 		c := core.New(core.Options{Nodes: p.Nodes, Switches: p.Switches, Seed: p.seed(), Regions: map[uint8]int{1: 4096}})
 		if err := c.Boot(0); err != nil {
@@ -64,11 +63,9 @@ func E5Seqlock(p Params) *Table {
 		})
 		c.Run(25 * sim.Millisecond)
 		total := clean + retries
-		tornTotal += torn
 		t.Add(wi.String(), fmt.Sprint(total), fmt.Sprint(clean), fmt.Sprint(retries),
 			fmt.Sprintf("%.2f", 100*float64(retries)/float64(total)), fmt.Sprint(torn))
 	}
-	t.Metric("torn_total", float64(tornTotal))
 	t.Note("torn values must be 0 at every write rate — the protocol's invariant")
 	return t
 }
@@ -127,9 +124,6 @@ func E6Semaphores(p Params, opsPerNode int) *Table {
 	t.Add(fmt.Sprint(nodes), fmt.Sprint(opsPerNode), fmt.Sprint(shared),
 		fmt.Sprint(nodes*opsPerNode), exact,
 		fmt.Sprintf("%.1f", lat.Percentile(50)), fmt.Sprintf("%.1f", lat.Percentile(99)))
-	t.Metric("lost_updates", float64(nodes*opsPerNode-shared))
-	t.Metric("lock_us_p50", lat.Percentile(50))
-	t.Metric("lock_us_p99", lat.Percentile(99))
 	t.Note("the shared value is deliberately unprotected host memory; exactness proves mutual exclusion")
 	return t
 }
@@ -187,7 +181,6 @@ func E6aWriteThrough(p Params) *Table {
 		}
 		t.Add(fmt.Sprint(nodes), fmt.Sprint(size),
 			fmt.Sprintf("%.1f", min.Micros()), fmt.Sprintf("%.1f", max.Micros()))
-		t.Metric(fmt.Sprintf("replica_lat_us_max_%dB", size), max.Micros())
 	}
 	return t
 }

@@ -61,26 +61,15 @@ func E13FabricHeal(p Params) *Table {
 		}},
 	}
 
-	healNS := sim.NewSample("heal")
-	var delivered uint64
-	allHealed := 1.0
 	for _, topo := range fabrics {
 		topo := topo
 		for _, sched := range schedules {
 			if sched.needTrunks && len(topo.Trunks) == 0 {
 				continue
 			}
-			// Params.Shards rides along where the shape can carry it
-			// (a shard must own at least one switch); the report — and
-			// so the table — is byte-identical to the one-shard run's.
-			shards := p.Shards
-			if shards > topo.Switches {
-				shards = topo.Switches
-			}
 			rep, err := core.Scenario{
 				Name: fmt.Sprintf("e13-%s-%s", topo.Name, sched.name),
-				Opts: core.Options{Fabric: &topo, Seed: p.seed(), Shards: shards,
-					Telemetry: p.Telemetry},
+				Opts: core.Options{Fabric: &topo, Seed: p.seed(), Telemetry: p.Telemetry},
 				Plan: sched.plan(topo.Nodes),
 				Loads: []core.Load{&core.PubSubLoad{
 					Publisher: 0, Topic: 1, Every: 50 * sim.Microsecond,
@@ -89,25 +78,18 @@ func E13FabricHeal(p Params) *Table {
 			}.Run()
 			if err != nil {
 				t.Add(topo.Name, fmt.Sprint(len(topo.Trunks)), sched.name, "ERROR", err.Error(), "", "", "")
-				allHealed = 0
 				continue
 			}
 			worst := worstHeal(rep)
-			healNS.Observe(float64(worst))
-			delivered += rep.Loads[0].Delivered
 			healed := "yes"
 			if !rep.Healed {
-				healed, allHealed = "NO", 0
+				healed = "NO"
 			}
 			t.Add(topo.Name, fmt.Sprint(len(topo.Trunks)), sched.name,
 				worst.String(), fmt.Sprint(rep.Loads[0].Delivered),
 				fmt.Sprint(rep.Loads[0].Gaps), fmt.Sprint(rep.Drops), healed)
 		}
 	}
-	t.Metric("heal_ns_mean", healNS.Mean())
-	t.Metric("heal_ns_max", healNS.Max())
-	t.Metric("delivered_total", float64(delivered))
-	t.Metric("all_healed", allHealed)
 	t.Note("trunked shapes (dualring/mesh/sharded) survive faults the uniform segment cannot express:")
 	t.Note("whole-switch loss where no single switch sees every node, and trunk partition with re-merge")
 	return t

@@ -43,8 +43,6 @@ func E9Assimilation(p Params) *Table {
 		}
 		el := onlineAt - bootAt
 		mbps := float64(joiner.DK().RefreshedB) / el.Seconds() / 1e6
-		t.Metric(fmt.Sprintf("join_ns_%dkb", kb), float64(el))
-		t.Metric(fmt.Sprintf("refresh_mbps_%dkb", kb), mbps)
 		t.Add(fmt.Sprint(kb), el.String(), fmt.Sprintf("%.1f", mbps), "online")
 	}
 
@@ -83,8 +81,6 @@ func E10Failover(p Params) *Table {
 		Title:  "application failover: detection, definable period, no data loss (paper slides 18–19)",
 		Header: []string{"failover period", "detect latency", "fail → takeover", "checkpoints", "recovered", "data loss"},
 	}
-	lostTotal := int64(0)
-	detectNS := sim.NewSample("detect")
 	for _, period := range []sim.Time{100 * sim.Microsecond, 1 * sim.Millisecond, 5 * sim.Millisecond} {
 		c := core.New(core.Options{Nodes: 4, Switches: p.Switches, Seed: p.seed(), Regions: map[uint8]int{1: 4096}})
 		if err := c.Boot(0); err != nil {
@@ -150,17 +146,10 @@ func E10Failover(p Params) *Table {
 		// as an anomaly, not wrap.
 		if lost := int64(committed) - int64(recovered); lost > 1 || lost < 0 {
 			loss = fmt.Sprintf("LOST %d", lost)
-			if lost < 0 {
-				lost = -lost
-			}
-			lostTotal += lost
 		}
-		detectNS.ObserveTime(detectAt - failAt)
 		t.Add(period.String(), (detectAt - failAt).String(), (tookAt - failAt).String(),
 			fmt.Sprint(committed), fmt.Sprint(recovered), loss)
 	}
-	t.Metric("lost_checkpoints", float64(lostTotal))
-	t.Metric("detect_ns_max", detectNS.Max())
 	t.Note("detection is sub-millisecond (3×250 µs heartbeats); takeover = detection + the app-defined period")
 	return t
 }
@@ -204,8 +193,6 @@ func E11SelfHealVsBaseline(p Params) *Table {
 		rep := a.Report()
 		t.Add("AmpNet (rostering)", sim.Time(rep.MaxGapNS).String(),
 			fmt.Sprint(rep.Sent-rep.Delivered), "yes")
-		t.Metric("ampnet_outage_ns", float64(rep.MaxGapNS))
-		t.Metric("ampnet_frames_lost", float64(rep.Sent-rep.Delivered))
 	}
 
 	// Static switched baseline, same hardware, same traffic pattern.
@@ -242,7 +229,6 @@ func E11SelfHealVsBaseline(p Params) *Table {
 		}
 		recovered := "after protection delay"
 		t.Add("static switched (baseline)", outage.String(), fmt.Sprint(sent-got), recovered)
-		t.Metric("baseline_outage_ns", float64(outage))
 	}
 	t.Note("AmpNet's outage is the rostering window (µs–ms); the baseline is dark for its full protection delay (~1 s)")
 	t.Note("frames lost during the AmpNet transition are recovered by higher layers (DMA gaps / cache refresh)")

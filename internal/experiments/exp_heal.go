@@ -96,7 +96,6 @@ func E7Redundancy(p Params) *Table {
 		Title:  "dual vs quad redundant segments under switch failures (paper slides 14–15)",
 		Header: []string{"segment", "switches failed", "ring size", "full ring"},
 	}
-	fullRings := 0
 	for _, switches := range []int{2, 4} {
 		name := map[int]string{2: "dual-redundant", 4: "quad-redundant"}[switches]
 		for k := 0; k < switches; k++ {
@@ -110,13 +109,10 @@ func E7Redundancy(p Params) *Table {
 			full := "yes"
 			if size != nodes {
 				full = "NO"
-			} else {
-				fullRings++
 			}
 			t.Add(name, fmt.Sprint(k), fmt.Sprint(size), full)
 		}
 	}
-	t.Metric("full_rings", float64(fullRings))
 	t.Note("quad survives any 3 switch failures with a full ring; dual survives 1 — matching the slide-14 claim")
 	return t
 }
@@ -124,7 +120,7 @@ func E7Redundancy(p Params) *Table {
 // E7aLinkFailures samples random link failure sets and reports the
 // largest logical ring the rostering algorithm salvages.
 //
-// The seed drives the random failure sets, so sweeping seeds explores
+// The seed drives the random failure sets, so another seed explores
 // different failure patterns on the same topology.
 func E7aLinkFailures(p Params, maxFail, samples int) *Table {
 	p = p.Merged(Params{Nodes: 8, Switches: 4, FiberM: 50})
@@ -135,7 +131,6 @@ func E7aLinkFailures(p Params, maxFail, samples int) *Table {
 		Header: []string{"links failed", "samples", "avg ring", "min ring", "always consistent"},
 	}
 	rng := sim.NewRNG(41 + p.seed()) // default seed 1 → 42, the historical stream
-	minRing := nodes
 	for k := 0; k <= maxFail; k += 2 {
 		sum, min := 0, nodes+1
 		consistent := true
@@ -162,13 +157,9 @@ func E7aLinkFailures(p Params, maxFail, samples int) *Table {
 		if !consistent {
 			cons = "NO"
 		}
-		if min <= nodes && min < minRing {
-			minRing = min
-		}
 		t.Add(fmt.Sprint(k), fmt.Sprint(samples), fmt.Sprintf("%.1f", float64(sum)/float64(samples)),
 			fmt.Sprint(min), cons)
 	}
-	t.Metric("min_ring", float64(minRing))
 	return t
 }
 
@@ -193,8 +184,6 @@ func E8Rostering(p Params) *Table {
 	if p.FiberM != 0 {
 		fiberList = []float64{p.FiberM}
 	}
-	healNS := sim.NewSample("heal")
-	tourRatio := sim.NewSample("tours")
 	for _, n := range nodeList {
 		for _, fiber := range fiberList {
 			r := newHealRig(p.seed(), n, 4, fiber)
@@ -203,8 +192,6 @@ func E8Rostering(p Params) *Table {
 			failAt, lastAdopt := r.healOnce()
 			heal := lastAdopt - failAt - r.net.Detect // from hardware detection
 			tours := float64(heal) / float64(tour)
-			healNS.ObserveTime(heal)
-			tourRatio.Observe(tours)
 			inBand := "—"
 			if heal >= sim.Millisecond && heal <= 2*sim.Millisecond {
 				inBand = "yes"
@@ -213,9 +200,6 @@ func E8Rostering(p Params) *Table {
 				fmt.Sprintf("%.2f", tours), inBand)
 		}
 	}
-	t.Metric("heal_ns_mean", healNS.Mean())
-	t.Metric("heal_ns_max", healNS.Max())
-	t.Metric("ring_tours_mean", tourRatio.Mean())
 	t.Note("completion ≈ 2 ring tours everywhere (flood wave + settle wave); the absolute 1–2 ms band")
 	t.Note("corresponds to larger rings / longer fiber, e.g. 16–32 nodes at km-scale fiber, as the paper says")
 	return t
@@ -256,7 +240,6 @@ func E8aDetectionSensitivity(p Params) *Table {
 		failAt, lastAdopt := r.healOnce()
 		total := lastAdopt - failAt
 		rshare := total - det
-		t.Metric(fmt.Sprintf("total_heal_ns_det%.0fus", det.Micros()), float64(total))
 		t.Add(det.String(), total.String(), rshare.String())
 	}
 	return t

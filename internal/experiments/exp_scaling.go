@@ -15,7 +15,7 @@ import (
 // against the one-shard run. Wall-clock speedup itself is machine-bound
 // and measured on demand by the BenchmarkE16Scaling* family
 // (bench_test.go, over the same E16Study); this table is the seed-pure
-// part the sweep harness can aggregate.
+// part.
 //
 // Nodes sizes both shapes (default 96); Switches fixes the
 // switch/shard-group count (default 8). Shard counts swept are 1
@@ -27,13 +27,10 @@ func E16ScalingEfficiency(p Params) *Table {
 		Title:  "scaling efficiency: partition, lookahead and barrier economics vs shards × fabric shape",
 		Header: []string{"fabric", "shards", "partition", "cut", "lookahead", "windows", "barriers", "xframes", "events", "ev/win", "identical"},
 	}
-	identical := true
-	var minLookahead, maxEvPerWin float64
 	for _, shape := range studyShapes {
 		topo, err := studyFabric(shape, p)
 		if err != nil {
 			t.Add(shape, "-", "ERROR", err.Error(), "", "", "", "", "", "", "")
-			identical = false
 			continue
 		}
 		var cl *core.Cluster
@@ -51,25 +48,15 @@ func E16ScalingEfficiency(p Params) *Table {
 			lookahead := "∞"
 			events := cl.EventsFired()
 			evPerWin := float64(events) / float64(max(d.Windows, 1))
-			// The ev/win metric is about windows the lookahead bounds;
-			// an unbounded window (one shard) is as long as the driver's
-			// step and would swamp it.
 			if d.Lookahead != sim.MaxTime {
 				lookahead = d.Lookahead.String()
-				maxEvPerWin = max(maxEvPerWin, evPerWin)
-				if minLookahead == 0 || float64(d.Lookahead) < minLookahead {
-					minLookahead = float64(d.Lookahead)
-				}
 			}
 			t.Add(shape, fmt.Sprint(shards), rep.Partition, fmt.Sprint(rep.CutLinks), lookahead,
 				fmt.Sprint(d.Windows), fmt.Sprint(d.Barriers), fmt.Sprint(d.Frames),
 				fmt.Sprint(events), fmt.Sprintf("%.0f", evPerWin), verdict)
 		}
-		identical = shardSweep(shardCounts(p.Switches), run, row) && identical
+		shardSweep(shardCounts(p.Switches), run, row)
 	}
-	t.Metric("all_identical", boolMetric(identical))
-	t.Metric("min_lookahead_ns", minLookahead)
-	t.Metric("max_events_per_window", maxEvPerWin)
 	t.Note("partition: switch→shard map chosen by the cut-aware assigner (phys.AssignShards);")
 	t.Note("cut: links crossing shards; lookahead: the window the shortest cut fiber buys.")
 	t.Note("Efficiency rises with ev/win — deeper windows amortize each barrier over more events.")

@@ -89,8 +89,6 @@ func E3MultiStream(p Params, framesPerStream int) *Table {
 		bits := float64(n*framesPerStream*wireB) * 8
 		t.Add("AmpNet insertion ring", fmt.Sprint(n), fmt.Sprint(framesPerStream),
 			el.String(), fmt.Sprintf("%.0f", bits/el.Seconds()/1e6), fmt.Sprint(congestionDrops(net)))
-		t.Metric("ampnet_mbps", bits/el.Seconds()/1e6)
-		t.Metric("ampnet_drops", float64(congestionDrops(net)))
 	}
 
 	// Token ring: same offered pattern, one transmitter at a time.
@@ -123,7 +121,6 @@ func E3MultiStream(p Params, framesPerStream int) *Table {
 		bits := float64(n*framesPerStream*wireB) * 8
 		t.Add("token ring (baseline)", fmt.Sprint(n), fmt.Sprint(framesPerStream),
 			el.String(), fmt.Sprintf("%.0f", bits/el.Seconds()/1e6), fmt.Sprint(congestionDrops(net)))
-		t.Metric("baseline_mbps", bits/el.Seconds()/1e6)
 	}
 	t.Note("insertion ring wins by overlapping streams on disjoint arcs; token ring is rotation-bound")
 	return t
@@ -161,9 +158,6 @@ func E4AllToAll(p Params, perNode int) *Table {
 		}
 		t.Add("AmpNet insertion ring", fmt.Sprint(n), fmt.Sprint(perNode),
 			fmt.Sprint(delivered), fmt.Sprint(expected), fmt.Sprint(congestionDrops(net)), verdict)
-		t.Metric("ampnet_delivered", float64(delivered))
-		t.Metric("ampnet_drops", float64(congestionDrops(net)))
-		t.Metric("completion_ns", float64(k.Now()))
 	}
 
 	{
@@ -192,7 +186,6 @@ func E4AllToAll(p Params, perNode int) *Table {
 		}
 		t.Add("drop-tail ring (baseline)", fmt.Sprint(n), fmt.Sprint(perNode),
 			fmt.Sprint(delivered), fmt.Sprint(expected), fmt.Sprint(congestionDrops(net)), verdict)
-		t.Metric("baseline_drops", float64(congestionDrops(net)))
 	}
 	t.Note("AmpNet's losslessness comes from transit priority + insert-when-idle + host backpressure")
 	return t
@@ -262,9 +255,6 @@ func E4aLoadSweep(p Params) *Table {
 			fmt.Sprintf("%.0f", float64(dA)/float64(n-1)/secs), fmt.Sprint(dropA))
 		t.Add(fmt.Sprintf("%.2f", load), "drop-tail", fmt.Sprintf("%.0f", offered),
 			fmt.Sprintf("%.0f", float64(dB)/float64(n-1)/secs), fmt.Sprint(dropB))
-		t.Metric(fmt.Sprintf("ampnet_drops_load%.2f", load), float64(dropA))
-		t.Metric(fmt.Sprintf("baseline_drops_load%.2f", load), float64(dropB))
-		t.Metric(fmt.Sprintf("ampnet_goodput_fps_load%.2f", load), float64(dA)/float64(n-1)/secs)
 	}
 	t.Note("AmpNet sheds overload at the host (refusals), never on the wire; drop-tail loses frames past saturation")
 	return t

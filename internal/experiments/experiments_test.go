@@ -193,7 +193,7 @@ func TestRegistry(t *testing.T) {
 func TestTableRendering(t *testing.T) {
 	tab := &Table{ID: "X", Title: "test", Header: []string{"a", "bb"}}
 	tab.Add("1", "2")
-	tab.Addf("3|4")
+	tab.Add("3", "4")
 	tab.Note("n=%d", 5)
 	s := tab.String()
 	for _, want := range []string{"X — test", "a", "bb", "1", "4", "note: n=5"} {

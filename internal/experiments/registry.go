@@ -8,22 +8,19 @@ import (
 )
 
 // Params parameterizes a single experiment run. The zero value means
-// "use the experiment's defaults"; the sweep harness fills Seed and
-// merges topology variants over each spec's Defaults.
+// "use the experiment's defaults": Merged fills zero fields from a
+// spec's Defaults, and a topology variant is merged over them the same
+// way.
 type Params struct {
 	Seed     uint64  // deterministic kernel seed; 0 → 1
 	Nodes    int     // node count; 0 → experiment default
 	Switches int     // switch count (2=dual, 4=quad redundant); 0 → default
 	FiberM   float64 // fiber meters per link; 0 → default
-	// Shards runs cluster-level experiments on this many shards
-	// (internal/parsim); 0/1 is one shard. Reports are byte-identical
-	// either way, so this is a wall-clock knob, not a semantic one.
-	Shards int
-	// Telemetry, when set, is attached to every sharded cluster the
-	// experiment builds (Options.Telemetry), collecting wall-clock
+	// Telemetry, when set, is attached to every cluster E13, E14, E16
+	// and E17 build (Options.Telemetry), collecting wall-clock
 	// window/run/barrier spans for timeline export. Reports stay
 	// byte-identical with or without it.
-	Telemetry *telemetry.Recorder `json:"-"`
+	Telemetry *telemetry.Recorder
 }
 
 // seed returns the effective kernel seed.
@@ -48,9 +45,6 @@ func (p Params) Merged(d Params) Params {
 	if p.FiberM == 0 {
 		p.FiberM = d.FiberM
 	}
-	if p.Shards == 0 {
-		p.Shards = d.Shards
-	}
 	if p.Telemetry == nil {
 		p.Telemetry = d.Telemetry
 	}
@@ -58,8 +52,8 @@ func (p Params) Merged(d Params) Params {
 }
 
 // Label renders the topology part of p as a short stable token, e.g.
-// "n8.sw4.f1000", used by the sweep harness to name variants. The seed
-// is deliberately excluded: one variant spans many seeds.
+// "n8.sw4.f1000": it names a variant's section of the committed golden
+// and its entry in `ampbench -list`. The seed is deliberately excluded.
 func (p Params) Label() string {
 	var parts []string
 	if p.Nodes != 0 {
@@ -70,9 +64,6 @@ func (p Params) Label() string {
 	}
 	if p.FiberM != 0 {
 		parts = append(parts, fmt.Sprintf("f%.0f", p.FiberM))
-	}
-	if p.Shards > 1 {
-		parts = append(parts, fmt.Sprintf("p%d", p.Shards))
 	}
 	if len(parts) == 0 {
 		return "default"
@@ -86,18 +77,14 @@ func (p Params) Label() string {
 type Spec struct {
 	ID       string
 	Short    string
-	Defaults Params   // base topology; zero fields fall back to in-code defaults
-	Variants []Params // optional topology variants for -sweep (merged over Defaults)
-	// Sharded marks experiments whose Run honors Params.Shards (passes
-	// it to its clusters' Options.Shards). The sweep harness only stamps
-	// a shard count onto these, so a "pN" variant label always means
-	// the run really used N shards.
-	Sharded bool
+	Defaults Params // base topology; zero fields fall back to in-code defaults
+	// Variants are further topologies, merged over Defaults, each of
+	// which renders a table the defaults do not; every one has its own
+	// section of the committed golden beside the defaults'.
+	Variants []Params
 	// Wall marks experiments whose tables contain wall-clock
-	// measurements (speedup curves, span decompositions). The sweep
-	// harness excludes them from the default all-experiments plan —
-	// default sweeps stay byte-reproducible — so they only run when
-	// named explicitly.
+	// measurements (speedup curves, span decompositions). They are kept
+	// out of the committed golden: their bytes differ run to run.
 	Wall bool
 	Run  func(Params) *Table
 }
@@ -113,11 +100,11 @@ func All() []Spec {
 			Run: func(Params) *Table { return E2WireFormats() }},
 		{ID: "e3", Short: "multi-stream segment insertion (slide 7)",
 			Defaults: Params{Nodes: 4, FiberM: 50},
-			Variants: []Params{{Nodes: 4}, {Nodes: 8}, {Nodes: 8, FiberM: 1000}},
+			Variants: []Params{{Nodes: 8}, {Nodes: 8, FiberM: 1000}},
 			Run:      func(p Params) *Table { return E3MultiStream(p, 400) }},
 		{ID: "e4", Short: "all-to-all broadcast losslessness (slide 8)",
 			Defaults: Params{Nodes: 16, FiberM: 50},
-			Variants: []Params{{Nodes: 8}, {Nodes: 16}, {Nodes: 24}},
+			Variants: []Params{{Nodes: 8}, {Nodes: 24}},
 			Run:      func(p Params) *Table { return E4AllToAll(p, 100) }},
 		{ID: "e4a", Short: "offered-load sweep ablation",
 			Defaults: Params{Nodes: 8, FiberM: 50},
@@ -132,14 +119,13 @@ func All() []Spec {
 			Run:      E6aWriteThrough},
 		{ID: "e7", Short: "dual/quad redundancy survivability (slides 14–15)",
 			Defaults: Params{Nodes: 6},
-			Variants: []Params{{Nodes: 6}, {Nodes: 10}},
+			Variants: []Params{{Nodes: 10}},
 			Run:      E7Redundancy},
 		{ID: "e7a", Short: "random link-failure ring salvage",
 			Defaults: Params{Nodes: 8, Switches: 4},
 			Run:      func(p Params) *Table { return E7aLinkFailures(p, 8, 5) }},
 		{ID: "e8", Short: "rostering: two ring-tours, 1–2 ms (slide 16)",
-			Variants: []Params{{Nodes: 8, FiberM: 1000}, {Nodes: 32, FiberM: 5000}},
-			Run:      E8Rostering},
+			Run: E8Rostering},
 		{ID: "e8a", Short: "detection-latency ablation",
 			Run: E8aDetectionSensitivity},
 		{ID: "e9", Short: "assimilation & cache refresh (slide 17)",
@@ -150,31 +136,23 @@ func All() []Spec {
 			Run: E11SelfHealVsBaseline},
 		{ID: "e12", Short: "AmpIP + collectives stack (slides 3, 12)",
 			Defaults: Params{Nodes: 8, Switches: 2},
-			Variants: []Params{{Nodes: 4}, {Nodes: 8}},
+			Variants: []Params{{Nodes: 4}},
 			Run:      E12Collectives},
 		{ID: "e13", Short: "fabric shapes × fault schedules: heal time, delivered throughput",
 			Defaults: Params{Nodes: 6, Switches: 4},
-			Variants: []Params{{Nodes: 6, Switches: 4}, {Nodes: 8, Switches: 4}},
-			Sharded:  true,
+			Variants: []Params{{Nodes: 8}},
 			Run:      E13FabricHeal},
 		{ID: "e14", Short: "parallel sharded engine: serial-identical reports, exchange volume vs shards",
 			Defaults: Params{Nodes: 64, Switches: 8},
-			Variants: []Params{{Nodes: 64, Switches: 8}, {Nodes: 128, Switches: 8}},
-			Sharded:  true,
 			Run:      E14ParsimScale},
 		{ID: "e15", Short: "wire v2 scaling past 255 nodes: serial-identical reports beyond the v1 ceiling",
 			Defaults: Params{Nodes: 320},
-			Variants: []Params{{Nodes: 320}},
-			Sharded:  true,
 			Run:      E15WireScale},
 		{ID: "e16", Short: "scaling efficiency: cut-aware partition, lookahead and barrier economics vs shards",
 			Defaults: Params{Nodes: 96, Switches: 8},
-			Variants: []Params{{Nodes: 96, Switches: 8}},
-			Sharded:  true,
 			Run:      E16ScalingEfficiency},
 		{ID: "e17", Short: "multi-core speedup study: wall time, busy/wait decomposition vs shards",
 			Defaults: Params{Nodes: 96, Switches: 8},
-			Sharded:  true,
 			Wall:     true,
 			Run:      E17Speedup},
 	}

@@ -99,11 +99,9 @@ func shardCounts(switches int) []int {
 // shardSweep calls run at each shard count, one shard first, and hands
 // row every outcome with its verdict: "serial" for the one-shard run,
 // "yes" when a sharded Report's JSON equals that run's byte for byte,
-// "NO" when it does not ("" beside an error). It reports whether every
-// run succeeded with every verdict "yes" — a table's all_identical.
+// "NO" when it does not ("" beside an error).
 func shardSweep(counts []int, run func(shards int) (*core.Report, error),
-	row func(shards int, rep *core.Report, err error, verdict string)) bool {
-	all := true
+	row func(shards int, rep *core.Report, err error, verdict string)) {
 	var serial []byte
 	for _, shards := range counts {
 		rep, err := run(shards)
@@ -117,18 +115,8 @@ func shardSweep(counts []int, run func(shards int) (*core.Report, error),
 		default:
 			verdict = "NO"
 		}
-		all = all && (verdict == "serial" || verdict == "yes")
 		row(shards, rep, err, verdict)
 	}
-	return all
-}
-
-// boolMetric is a verdict as a Table metric: 1 or 0.
-func boolMetric(ok bool) float64 {
-	if ok {
-		return 1
-	}
-	return 0
 }
 
 // worstHeal is the longest self-healing window any plan event caused.

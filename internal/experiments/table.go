@@ -19,30 +19,11 @@ type Table struct {
 	Header []string
 	Rows   [][]string
 	Notes  []string // caveats, SUBST notes, pass/fail verdicts
-
-	// Metrics holds machine-readable scalar results (heal times in ns,
-	// throughput in Mb/s, drop counts, …) keyed by a stable name. The
-	// sweep harness aggregates these across seeds; the text rendering
-	// ignores them.
-	Metrics map[string]float64
-}
-
-// Metric records a machine-readable scalar result.
-func (t *Table) Metric(name string, v float64) {
-	if t.Metrics == nil {
-		t.Metrics = map[string]float64{}
-	}
-	t.Metrics[name] = v
 }
 
 // Add appends a row.
 func (t *Table) Add(cells ...string) {
 	t.Rows = append(t.Rows, cells)
-}
-
-// Addf appends a row of formatted cells.
-func (t *Table) Addf(format string, args ...any) {
-	t.Rows = append(t.Rows, strings.Split(fmt.Sprintf(format, args...), "|"))
 }
 
 // Note appends a note line.
