@@ -122,9 +122,10 @@ type Scenario = core.Scenario
 
 // Report is a Scenario's deterministic machine-readable outcome: its
 // JSON is byte-identical at every Options.Shards for the same seed.
-// What the engine itself did — shard partition, windows, barriers,
-// per-shard occupancy — rides along in Report.Det at every shard count,
-// one included, outside the JSON, and prints in Summary.
+// What the engine itself did — shard partition (Det.Assign), windows,
+// barriers, per-shard events and occupancy — rides along in Report.Det,
+// its one field outside the JSON, at every shard count, one included,
+// and prints in Summary.
 type Report = core.Report
 
 // EventReport is one fired plan event in a Report.

@@ -288,7 +288,7 @@ func rings(b *testing.B, nodes int) phys.Topology {
 func benchE14(b *testing.B, nodes, shards int) {
 	st := experiments.E14Study
 	st.Poisson = false
-	benchScenario(b, st.Scenario("bench", rings(b, nodes), 1, shards, nil))
+	benchScenario(b, st.Scenario("bench", rings(b, nodes), 1, shards))
 }
 
 func BenchmarkE14ParsimSerial64(b *testing.B)   { benchE14(b, 64, 1) }
@@ -305,7 +305,7 @@ func BenchmarkE14ParsimSharded248(b *testing.B) { benchE14(b, 248, 8) }
 // lookahead instead of hundreds at 250 ns) — at one shard count, so
 // Serial vs ShardedN ratios are the machine's scaling curve.
 func benchE16(b *testing.B, shards int) {
-	benchScenario(b, experiments.E16Study.Scenario("bench-e16", rings(b, 96), 1, shards, nil))
+	benchScenario(b, experiments.E16Study.Scenario("bench-e16", rings(b, 96), 1, shards))
 }
 
 func BenchmarkE16ScalingSerial(b *testing.B)   { benchE16(b, 1) }

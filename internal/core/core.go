@@ -12,6 +12,7 @@ import (
 	"repro/internal/ampdc"
 	"repro/internal/ampdk"
 	"repro/internal/ampip"
+	"repro/internal/detmap"
 	"repro/internal/enc8b10b"
 	"repro/internal/failover"
 	"repro/internal/frameacct"
@@ -99,14 +100,28 @@ type Options struct {
 	Telemetry *telemetry.Recorder
 }
 
-// fill resolves zero values to their defaults; negative sizes are not
-// defaults in disguise and are refused.
+// fill resolves zero values to their defaults; negative sizes and
+// intervals are not defaults in disguise and are refused.
 func (o *Options) fill() error {
 	if o.Shards < 0 {
 		return fmt.Errorf("core: negative Options.Shards %d", o.Shards)
 	}
 	if o.FiberMeters < 0 {
 		return fmt.Errorf("core: negative Options.FiberMeters %v", o.FiberMeters)
+	}
+	for _, d := range []struct {
+		name string
+		v    sim.Time
+	}{{"HeartbeatInterval", o.HeartbeatInterval}, {"JoinTimeout", o.JoinTimeout},
+		{"KeepaliveInterval", o.KeepaliveInterval}, {"SilenceTimeout", o.SilenceTimeout}} {
+		if d.v < 0 {
+			return fmt.Errorf("core: negative Options.%s %v", d.name, d.v)
+		}
+	}
+	for _, id := range detmap.SortedKeys(o.Regions) {
+		if o.Regions[id] < 0 {
+			return fmt.Errorf("core: negative Options.Regions[%d] size %d", id, o.Regions[id])
+		}
 	}
 	if !(o.BER >= 0 && o.BER <= 1) { // NaN fails both
 		return fmt.Errorf("core: Options.BER %v is not a probability in [0, 1]", o.BER)

@@ -191,6 +191,9 @@ type PubSubLoad struct {
 func (l *PubSubLoad) kindName() (string, string) { return "pubsub", l.Name }
 
 func (l *PubSubLoad) check(c *Cluster) error {
+	if l.Payload < 0 {
+		return fmt.Errorf("core: pubsub load: negative PubSubLoad.Payload %d", l.Payload)
+	}
 	if err := checkLoadNode(c, "pubsub", "publisher", l.Publisher); err != nil {
 		return err
 	}

@@ -169,15 +169,15 @@ func TestDecoupledPartitionRuns(t *testing.T) {
 	// both say so.
 	for _, rep := range []*Report{par, serial} {
 		if rep.Det.Lookahead != sim.MaxTime {
-			t.Fatalf("shards=%d: decoupled lookahead = %d, want sim.MaxTime sentinel", rep.Shards, rep.Det.Lookahead)
+			t.Fatalf("shards=%d: decoupled lookahead = %d, want sim.MaxTime sentinel", rep.Det.Assign.Shards, rep.Det.Lookahead)
 		}
 		if !strings.Contains(rep.Summary(), "lookahead unbounded") {
-			t.Fatalf("shards=%d: Summary does not surface the decoupled partition:\n%s", rep.Shards, rep.Summary())
+			t.Fatalf("shards=%d: Summary does not surface the decoupled partition:\n%s", rep.Det.Assign.Shards, rep.Summary())
 		}
 	}
-	if par.Shards != 2 || par.Partition != "0,1" || serial.Shards != 1 || serial.Partition != "0,0" {
+	if p, s := par.Det.Assign, serial.Det.Assign; p.Shards != 2 || p.Partition() != "0,1" || s.Shards != 1 || s.Partition() != "0,0" {
 		t.Fatalf("partition observability: %d shards [%s] and %d shards [%s], want 2 [0,1] and 1 [0,0]",
-			par.Shards, par.Partition, serial.Shards, serial.Partition)
+			p.Shards, p.Partition(), s.Shards, s.Partition())
 	}
 }
 

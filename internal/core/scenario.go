@@ -8,9 +8,9 @@ import (
 	"repro/internal/detmap"
 	"repro/internal/frameacct"
 	"repro/internal/parsim"
+	"repro/internal/phys"
 	"repro/internal/rostering"
 	"repro/internal/sim"
-	"repro/internal/telemetry"
 	"repro/internal/wire"
 )
 
@@ -103,37 +103,30 @@ type Report struct {
 	// Loads are the per-load delivery reports.
 	Loads []LoadReport `json:"loads,omitempty"`
 
-	// Partition observability. Excluded from the JSON on purpose: the
-	// defining equivalence property is that reports are byte-identical
-	// at every shard count, so anything shard-specific may only surface
-	// in Summary.
-	Shards       int     `json:"-"` // shard count the run used
-	Partition    string  `json:"-"` // switch→shard map, "0,0,1,1"
-	CutLinks     int     `json:"-"` // links crossing shards
-	MinCutFiberM float64 `json:"-"` // shortest cross-shard fiber, meters
-
-	// Det is the deterministic telemetry plane: the engine's own
+	// Det is the engine section: the partition and the engine's own
 	// counters, sampled at barriers from virtual-plane quantities only
 	// and byte-reproducible for a given simulation at a given shard
-	// count. Like the partition fields above it stays out of the JSON
-	// so reports remain byte-identical across shard counts; it prints
-	// in Summary.
+	// count. It is excluded from the JSON on purpose: the defining
+	// equivalence property is that reports are byte-identical at every
+	// shard count, so anything shard-specific may only surface in
+	// Summary.
 	Det *TelemetryReport `json:"-"`
 }
 
 // TelemetryReport is the deterministic telemetry plane of a run, as the
-// engine keeps it: the fabric-wide window/barrier counters, the
-// per-shard detail, the window bound, and the heal-span latency
-// histogram over the run's plan events (the nonzero EventReport.HealNS
-// values). Everything derives from virtual-plane quantities only
-// (kernel fired counts, barrier batch sizes, sim-time spans).
+// engine keeps it: the partition the run used, the fabric-wide
+// window/barrier counters, the per-shard detail and the window bound.
+// Everything derives from virtual-plane quantities only (kernel fired
+// counts, barrier batch sizes).
 type TelemetryReport struct {
+	// Assign is the switch→shard partition (phys.AssignShards) with its
+	// cut size and shortest cross-shard fiber.
+	Assign *phys.Assignment
 	parsim.Stats
 	Shards []parsim.ShardStat
 	// Lookahead is the window bound; sim.MaxTime when nothing crosses
 	// shards (always at one shard).
 	Lookahead sim.Time
-	Heal      telemetry.Hist
 }
 
 // FrameReport is the Report's frame-accounting section: the fabric-wide
@@ -238,17 +231,23 @@ func (r *Report) Summary() string {
 		if d.Lookahead != sim.MaxTime {
 			la = d.Lookahead.String()
 		}
+		a := d.Assign
 		fmt.Fprintf(&b, "  shards: %d, partition [%s], cut %d links (min fiber %.0f m), lookahead %s\n",
-			r.Shards, r.Partition, r.CutLinks, r.MinCutFiberM, la)
+			a.Shards, a.Partition(), a.CutLinks, a.MinCutFiberM, la)
 		fmt.Fprintf(&b, "  engine: %d windows (%d advances), %d barriers (%d fences), %d actions; %d frames + %d routes crossed shards\n",
 			d.Windows, d.Advances, d.Barriers, d.Fences, d.Actions, d.Frames, d.Routes)
 		for _, s := range d.Shards {
-			fmt.Fprintf(&b, "    shard %d: %d events, busy %d/%d windows, occupancy %s ev/window\n",
-				s.Shard, s.Events, s.BusyWindows, s.Windows, histLine(&s.EvPerWindow))
+			fmt.Fprintf(&b, "    shard %d: %d events, busy %d/%d windows, occupancy mean %d, max %d ev/window\n",
+				s.Shard, s.Events, s.BusyWindows, s.Windows, s.Events/max(s.Windows, 1), s.MaxWindow)
 		}
-		if h := d.Heal; h.N > 0 {
-			fmt.Fprintf(&b, "    heal spans: %d observed, mean %v, max %v\n",
-				h.N, sim.Time(h.Sum/h.N), sim.Time(h.Max))
+		var n, sum, worst int64
+		for _, e := range r.Events {
+			if e.HealNS > 0 {
+				n, sum, worst = n+1, sum+e.HealNS, max(worst, e.HealNS)
+			}
+		}
+		if n > 0 {
+			fmt.Fprintf(&b, "    heal spans: %d observed, mean %v, max %v\n", n, sim.Time(sum/n), sim.Time(worst))
 		}
 	}
 	for _, e := range r.Events {
@@ -297,14 +296,6 @@ func (r *Report) Summary() string {
 		}
 	}
 	return b.String()
-}
-
-// histLine renders a Hist as a compact mean/max digest.
-func histLine(h *telemetry.Hist) string {
-	if h.N == 0 {
-		return "mean 0, max 0"
-	}
-	return fmt.Sprintf("mean %d, max %d", h.Sum/h.N, h.Max)
 }
 
 // countLine renders a counter map as "name 3, name 7" in key order.
@@ -445,11 +436,6 @@ func (s Scenario) Run() (*Report, error) {
 	for _, a := range actives {
 		rep.Loads = append(rep.Loads, *a.Report())
 	}
-	for _, e := range rep.Events {
-		if e.HealNS > 0 {
-			rep.Det.Heal.Observe(uint64(e.HealNS))
-		}
-	}
 	return rep, nil
 }
 
@@ -475,28 +461,24 @@ func (c *Cluster) Snapshot(name string, loads ...*ActiveLoad) *Report {
 // counters; events, loads and the boot time are the caller's.
 func (c *Cluster) report(name string) *Report {
 	a := c.FrameAcct()
-	assign := c.Phys.Assign
 	return &Report{
-		Name:         name,
-		Seed:         c.Opts.Seed,
-		Nodes:        c.Opts.Nodes,
-		Switches:     c.Opts.Switches,
-		Fabric:       c.FabricName(),
-		Trunks:       c.Phys.NumTrunks(),
-		Wire:         reportWire(c),
-		EndNS:        int64(c.Now()),
-		RingSize:     c.RingSize(),
-		Roster:       c.Roster(),
-		Healed:       c.Healed(),
-		Drops:        a.CongestionDrops(),
-		Lost:         a.FailureLosses(),
-		Delivered:    a.WireDelivered,
-		Frames:       frameReport(c, &a),
-		Shards:       assign.Shards,
-		Partition:    assign.Partition(),
-		CutLinks:     assign.CutLinks,
-		MinCutFiberM: assign.MinCutFiberM,
+		Name:      name,
+		Seed:      c.Opts.Seed,
+		Nodes:     c.Opts.Nodes,
+		Switches:  c.Opts.Switches,
+		Fabric:    c.FabricName(),
+		Trunks:    c.Phys.NumTrunks(),
+		Wire:      reportWire(c),
+		EndNS:     int64(c.Now()),
+		RingSize:  c.RingSize(),
+		Roster:    c.Roster(),
+		Healed:    c.Healed(),
+		Drops:     a.CongestionDrops(),
+		Lost:      a.FailureLosses(),
+		Delivered: a.WireDelivered,
+		Frames:    frameReport(c, &a),
 		Det: &TelemetryReport{
+			Assign:    c.Phys.Assign,
 			Stats:     c.eng.Stats,
 			Shards:    c.eng.ShardStats(),
 			Lookahead: c.eng.Lookahead(),

@@ -141,6 +141,7 @@ func TestScenarioReportsAreSane(t *testing.T) {
 func TestScenarioRejectsInvalidPlan(t *testing.T) {
 	opts := Options{Nodes: 4, Switches: 2}
 	trunk := phys.Topology{Name: "x", Nodes: 2, Switches: 2, Trunks: []phys.TrunkSpec{{A: 0, B: 1, FiberM: -1}}}
+	const short = 2 * sim.Millisecond
 	for _, tc := range []struct {
 		sc   Scenario
 		want string
@@ -157,6 +158,12 @@ func TestScenarioRejectsInvalidPlan(t *testing.T) {
 		{Scenario{Opts: Options{Nodes: 4, Switches: 2, DeepPHY: true, BER: -0.5}}, "Options.BER -0.5 is not a probability in [0, 1]"},
 		{Scenario{Opts: Options{Nodes: 4, Switches: 2, DeepPHY: true, BER: 2}}, "Options.BER 2 is not a probability in [0, 1]"},
 		{Scenario{Opts: Options{Nodes: 4, Switches: 2, DeepPHY: true, BER: math.NaN()}}, "Options.BER NaN is not a probability in [0, 1]"},
+		{Scenario{Opts: Options{Nodes: 4, Switches: 2, HeartbeatInterval: -sim.Millisecond}, For: short}, "negative Options.HeartbeatInterval -1"},
+		{Scenario{Opts: Options{Nodes: 4, Switches: 2, KeepaliveInterval: -sim.Millisecond}, For: short}, "negative Options.KeepaliveInterval -1"},
+		{Scenario{Opts: Options{Nodes: 4, Switches: 2, SilenceTimeout: -sim.Millisecond}, For: short}, "negative Options.SilenceTimeout -1"},
+		{Scenario{Opts: Options{Nodes: 4, Switches: 2, JoinTimeout: -sim.Millisecond}, For: short}, "negative Options.JoinTimeout -1"},
+		{Scenario{Opts: Options{Nodes: 4, Switches: 2, Regions: map[uint8]int{2: 64, 3: -64}}, For: short}, "negative Options.Regions[3] size -64"},
+		{Scenario{Opts: opts, Loads: []Load{&PubSubLoad{Payload: -100}}, For: short}, "negative PubSubLoad.Payload -100"},
 	} {
 		if _, err := tc.sc.Run(); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("Scenario.Run: err = %v, want %q", err, tc.want)

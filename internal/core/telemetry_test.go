@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -34,6 +35,8 @@ func TestTelemetryEquivalence(t *testing.T) {
 		rec := telemetry.NewRecorder(telemetry.NewManualClock(1000, 7))
 		onSc := equivalenceScenario(&topo, seed, shards)
 		onSc.Opts.Telemetry = rec
+		var cl *Cluster
+		onSc.OnCluster = func(c *Cluster) { cl = c }
 		on, err := onSc.Run()
 		if err != nil {
 			t.Fatalf("telemetry shards=%d: %v", shards, err)
@@ -55,24 +58,49 @@ func TestTelemetryEquivalence(t *testing.T) {
 		}
 		// What makes Det a deterministic plane: two same-seed runs at
 		// one shard count yield deeply equal planes (the recorder
-		// notwithstanding), and each shard's occupancy histogram holds
-		// exactly one observation per granted window.
+		// notwithstanding), no window holds more than its shard's events,
+		// and the shards' events add up to every event the kernels fired.
 		if !reflect.DeepEqual(off.Det, on.Det) {
 			t.Fatalf("shards=%d: deterministic plane differs across same-seed runs:\n%+v\n%+v", shards, off.Det, on.Det)
 		}
 		var events uint64
 		for _, s := range on.Det.Shards {
 			events += s.Events
-			if s.Windows == 0 || s.EvPerWindow.N != s.Windows {
-				t.Fatalf("shards=%d shard %d: occupancy histogram count %d != windows %d",
-					shards, s.Shard, s.EvPerWindow.N, s.Windows)
+			if s.Windows == 0 || s.MaxWindow > s.Events {
+				t.Fatalf("shards=%d shard %d: max window %d, %d events, %d windows",
+					shards, s.Shard, s.MaxWindow, s.Events, s.Windows)
 			}
 		}
-		if events == 0 {
-			t.Fatalf("shards=%d: per-shard event counts are all zero", shards)
+		if events == 0 || events != cl.EventsFired() {
+			t.Fatalf("shards=%d: per-shard events sum to %d, the kernels fired %d", shards, events, cl.EventsFired())
 		}
 		if !strings.Contains(on.Summary(), "engine:") {
 			t.Fatalf("shards=%d: Summary does not surface the deterministic plane:\n%s", shards, on.Summary())
 		}
+	}
+}
+
+const summaryGolden = "testdata/summary.golden"
+
+// TestSummaryGolden pins Summary() text, engine lines included, for one
+// faulted, loaded run at one shard and at four: the partition, engine,
+// per-shard occupancy and heal-span lines are formatted from the
+// deterministic plane, so they are as byte-stable as the Report JSON.
+func TestSummaryGolden(t *testing.T) {
+	topo := phys.Sharded(2, 4, 2, 50)
+	var got strings.Builder
+	for _, shards := range []int{1, 4} {
+		rep, err := equivalenceScenario(&topo, 1, shards).Run()
+		if err != nil {
+			t.Fatalf("shards=%d: %v", shards, err)
+		}
+		got.WriteString(rep.Summary())
+	}
+	want, err := os.ReadFile(summaryGolden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != string(want) {
+		t.Fatalf("Summary() drifted from %s:\n--- got\n%s--- want\n%s", summaryGolden, got.String(), want)
 	}
 }

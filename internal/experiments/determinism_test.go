@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"repro/internal/detmap"
-	"repro/internal/telemetry"
 )
 
 // Every experiment must be a pure function of its Params: a run at seed
@@ -26,8 +25,7 @@ import (
 //
 // (a `-run …/e14` subset rewrites only the tables it ran). Wall-clock
 // experiments (Spec.Wall) are excluded: their tables time concurrent
-// shard goroutines, whose clock reads interleave differently run to run
-// even under an injected manual clock. TestE17SpeedupStructure covers
+// shard goroutines on the wall clock. TestE17SpeedupStructure covers
 // their deterministic half.
 func TestAllSpecsDeterministic(t *testing.T) {
 	if testing.Short() {
@@ -243,10 +241,7 @@ func TestExperimentsDocQuotesGolden(t *testing.T) {
 // cores and GOMAXPROCS. Wall numbers themselves are machine-bound and
 // not asserted.
 func TestE17SpeedupStructure(t *testing.T) {
-	tab := E17Speedup(Params{
-		Seed: 7, Nodes: 12, Switches: 4,
-		Telemetry: telemetry.NewRecorder(telemetry.NewManualClock(0, 1000)),
-	})
+	tab := E17Speedup(Params{Seed: 7, Nodes: 12, Switches: 4})
 	if host := fmt.Sprintf("(%d cores, GOMAXPROCS %d)", runtime.NumCPU(), runtime.GOMAXPROCS(0)); !strings.Contains(tab.Title, host) {
 		t.Fatalf("title %q does not name the host %s", tab.Title, host)
 	}

@@ -69,7 +69,7 @@ func E13FabricHeal(p Params) *Table {
 			}
 			rep, err := core.Scenario{
 				Name: fmt.Sprintf("e13-%s-%s", topo.Name, sched.name),
-				Opts: core.Options{Fabric: &topo, Seed: p.seed(), Telemetry: p.Telemetry},
+				Opts: core.Options{Fabric: &topo, Seed: p.seed()},
 				Plan: sched.plan(topo.Nodes),
 				Loads: []core.Load{&core.PubSubLoad{
 					Publisher: 0, Topic: 1, Every: 50 * sim.Microsecond,

@@ -35,7 +35,7 @@ func E14ParsimScale(p Params) *Table {
 		}
 		var cl *core.Cluster
 		run := func(shards int) (*core.Report, error) {
-			sc := E14Study.Scenario("e14-"+shape, topo, p.seed(), shards, p.Telemetry)
+			sc := E14Study.Scenario("e14-"+shape, topo, p.seed(), shards)
 			sc.OnCluster = func(c *core.Cluster) { cl = c }
 			return sc.Run()
 		}

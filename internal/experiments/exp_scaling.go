@@ -35,7 +35,7 @@ func E16ScalingEfficiency(p Params) *Table {
 		}
 		var cl *core.Cluster
 		run := func(shards int) (*core.Report, error) {
-			sc := E16Study.Scenario("e16-"+shape, topo, p.seed(), shards, p.Telemetry)
+			sc := E16Study.Scenario("e16-"+shape, topo, p.seed(), shards)
 			sc.OnCluster = func(c *core.Cluster) { cl = c }
 			return sc.Run()
 		}
@@ -51,7 +51,7 @@ func E16ScalingEfficiency(p Params) *Table {
 			if d.Lookahead != sim.MaxTime {
 				lookahead = d.Lookahead.String()
 			}
-			t.Add(shape, fmt.Sprint(shards), rep.Partition, fmt.Sprint(rep.CutLinks), lookahead,
+			t.Add(shape, fmt.Sprint(shards), d.Assign.Partition(), fmt.Sprint(d.Assign.CutLinks), lookahead,
 				fmt.Sprint(d.Windows), fmt.Sprint(d.Barriers), fmt.Sprint(d.Frames),
 				fmt.Sprint(events), fmt.Sprintf("%.0f", evPerWin), verdict)
 		}

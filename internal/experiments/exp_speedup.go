@@ -24,10 +24,8 @@ import (
 // must be byte-identical to the one-shard one.
 //
 // Nodes/Switches size the sharded fabric (default 96×8); shard counts
-// swept are 1, 2, 4 and Switches. When Params.Telemetry is set, its
-// recorder (and clock) is used — the hook that makes the table
-// reproducible under an injected telemetry.ManualClock, and that lets
-// cmd/ampbench export the accumulated spans as a timeline profile.
+// swept are 1, 2, 4 and Switches. The recorder is E17's own; `ampsim
+// -timeline` exports the spans of any one run.
 func E17Speedup(p Params) *Table {
 	p = p.Merged(Params{Nodes: 96, Switches: 8, FiberM: 50})
 	cores := runtime.NumCPU()
@@ -38,11 +36,7 @@ func E17Speedup(p Params) *Table {
 			cores, procs),
 		Header: []string{"shards", "wall", "speedup", "busy", "wait", "coord", "identical"},
 	}
-	rec := p.Telemetry
-	if rec == nil {
-		rec = telemetry.NewRecorder(nil)
-	}
-	clock := rec.Clock()
+	rec := telemetry.NewRecorder(nil)
 
 	topo, err := RingsFabric(p.Switches, p.Nodes, p.FiberM)
 	if err != nil {
@@ -53,15 +47,14 @@ func E17Speedup(p Params) *Table {
 	var serialWallNS, wallNS int64
 	var d0, d1 telemetry.Decomposition
 	run := func(shards int) (*core.Report, error) {
-		var on *telemetry.Recorder
+		sc := E16Study.Scenario("e17", topo, p.seed(), shards)
 		if shards > 1 {
-			on = rec
+			sc.Opts.Telemetry = rec
 		}
-		sc := E16Study.Scenario("e17", topo, p.seed(), shards, on)
 		// Decomposition by difference: the recorder accumulates across
 		// runs, so each run's spans are the delta between snapshots.
 		d0 = telemetry.Decompose(rec.Spans())
-		sw := telemetry.StartStopwatch(clock)
+		sw := telemetry.StartStopwatch(nil)
 		rep, err := sc.Run()
 		wallNS = int64(sw.Elapsed())
 		d1 = telemetry.Decompose(rec.Spans())

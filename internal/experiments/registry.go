@@ -3,8 +3,6 @@ package experiments
 import (
 	"fmt"
 	"strings"
-
-	"repro/internal/telemetry"
 )
 
 // Params parameterizes a single experiment run. The zero value means
@@ -16,11 +14,6 @@ type Params struct {
 	Nodes    int     // node count; 0 → experiment default
 	Switches int     // switch count (2=dual, 4=quad redundant); 0 → default
 	FiberM   float64 // fiber meters per link; 0 → default
-	// Telemetry, when set, is attached to every cluster E13, E14, E16
-	// and E17 build (Options.Telemetry), collecting wall-clock
-	// window/run/barrier spans for timeline export. Reports stay
-	// byte-identical with or without it.
-	Telemetry *telemetry.Recorder
 }
 
 // seed returns the effective kernel seed.
@@ -44,9 +37,6 @@ func (p Params) Merged(d Params) Params {
 	}
 	if p.FiberM == 0 {
 		p.FiberM = d.FiberM
-	}
-	if p.Telemetry == nil {
-		p.Telemetry = d.Telemetry
 	}
 	return p
 }

@@ -7,7 +7,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/phys"
 	"repro/internal/sim"
-	"repro/internal/telemetry"
 )
 
 // The engine studies — E14 to E17 and the root benchmarks named after
@@ -66,12 +65,12 @@ var (
 // Scenario is the study on topo at one shard count. A sweep gives every
 // shard count the same name: the Report must be byte-identical across
 // them, name included.
-func (s Study) Scenario(name string, topo phys.Topology, seed uint64, shards int, rec *telemetry.Recorder) core.Scenario {
+func (s Study) Scenario(name string, topo phys.Topology, seed uint64, shards int) core.Scenario {
 	last := topo.Switches - 1
 	return core.Scenario{
 		Name: name,
 		Opts: core.Options{Fabric: &topo, Seed: seed, Shards: shards,
-			HeartbeatInterval: 1 * sim.Millisecond, Telemetry: rec},
+			HeartbeatInterval: 1 * sim.Millisecond},
 		BootWindow: 200 * sim.Millisecond,
 		// FailSwitch/RestoreSwitch exercises heal + reroute under load
 		// and is byte-identical at every shard count at these sizes.

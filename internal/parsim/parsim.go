@@ -35,14 +35,18 @@
 // unsharded cluster runs: the lookahead is unbounded, so a window spans
 // the whole distance to the next action or deadline, the single kernel
 // runs on the driver goroutine with no helper, and nothing is ever
-// captured. The shard hosting — helper goroutines, capture queues,
-// barrier hand-off — is shards.go.
+// captured.
 package parsim
 
 import (
+	"cmp"
 	"fmt"
+	"runtime"
+	"runtime/debug"
 	"slices"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/phys"
 	"repro/internal/sim"
@@ -59,7 +63,7 @@ import (
 //
 // Per-barrier counters, incremented at every synchronization point:
 // Barriers (one per window, plus one per action fence), and
-// Frames/Routes, which accumulate each barrier drain's cross-shard
+// Frames/Routes, which accumulate each barrier exchange's cross-shard
 // frame and deferred crossbar-write batch sizes. Fences is the subset
 // of barriers forced by coordinator actions.
 //
@@ -75,17 +79,18 @@ type Stats struct {
 	Fences   uint64
 }
 
-// ShardStat is one shard's deterministic telemetry: virtual-plane
-// quantities only (kernel fired counts sampled at barriers, capture
-// counters), byte-reproducible for a given simulation.
+// ShardStat is one shard's deterministic telemetry: plain counters of
+// virtual-plane quantities only (kernel fired counts sampled at
+// barriers, capture counts), byte-reproducible for a given simulation.
+// The mean occupancy of a window is Events/Windows.
 type ShardStat struct {
 	Shard       int
-	Events      uint64         // kernel events executed on this shard
-	Windows     uint64         // windows granted
-	BusyWindows uint64         // windows in which the shard executed ≥1 event
-	Frames      uint64         // cross-shard frames this shard captured
-	Routes      uint64         // deferred crossbar writes this shard captured
-	EvPerWindow telemetry.Hist // events-per-window occupancy histogram
+	Events      uint64 // kernel events executed on this shard
+	Windows     uint64 // windows granted
+	BusyWindows uint64 // windows in which the shard executed ≥1 event
+	MaxWindow   uint64 // most events the shard executed in one window
+	Frames      uint64 // cross-shard frames this shard captured
+	Routes      uint64 // deferred crossbar writes this shard captured
 }
 
 // action is one coordinator closure, run at `at` with all shards
@@ -96,13 +101,62 @@ type action struct {
 	fn func()
 }
 
+// frameRec is one captured cross-shard frame: the phys.Frame plus
+// everything needed to inject it on the destination kernel in the
+// canonical barrier order (arrival, transmit start, source shard,
+// capture sequence).
+type frameRec struct {
+	srcUID  uint32
+	dst     *phys.Port
+	f       phys.Frame
+	link    *phys.Link
+	epoch   uint64
+	arrival sim.Time
+	txAt    sim.Time
+	src     int
+	seq     int
+}
+
+// routeRec is one barrier-deferred crossbar write and the virtual
+// instant it lands on the owning shard's kernel (see
+// phys.Cluster.Program for why writes are timestamped). Application
+// order is source-shard FIFO.
+type routeRec struct {
+	at sim.Time
+	op phys.RouteOp
+}
+
+// shard is one shard's record and its phys.RemoteExchange. During a
+// window only the goroutine that claimed the shard writes it, and only
+// its capture queues; the counters are the coordinator's, written at
+// barriers. Windows is filled in when the counters are read.
+type shard struct {
+	ShardStat
+	frameQ []frameRec
+	routeQ []routeRec
+	// lastFired is the kernel's fired count at the previous barrier,
+	// lastDelta the events it fired in the latest window.
+	lastFired, lastDelta uint64
+}
+
+// RemoteFrame is the sanctioned frame-capture path (see the ampvet
+// shardshare analyzer): with Engine.DeferRoute, the only place shard
+// context may write engine state. A frame's capture sequence is its
+// place in the queue, which restarts at every barrier: seq is only a
+// same-instant tie-break within one barrier's batch.
+func (s *shard) RemoteFrame(src, dst *phys.Port, f phys.Frame, link *phys.Link, epoch uint64, arrival sim.Time) {
+	s.frameQ = append(s.frameQ, frameRec{
+		srcUID: src.UID(), dst: dst, f: f, link: link, epoch: epoch,
+		arrival: arrival, txAt: src.Net().K.Now(), src: s.Shard, seq: len(s.frameQ),
+	})
+}
+
 // Engine coordinates the shard kernels of one simulation. It is driven
 // from a single goroutine (the scenario driver); shard context only
 // ever runs inside RunUntil, behind a window grant.
 type Engine struct {
 	Kernels []*sim.Kernel
-
-	sh *shards
+	shards  []shard
 
 	lookahead sim.Time
 	now       sim.Time
@@ -119,37 +173,61 @@ type Engine struct {
 
 	Stats Stats
 
-	// det is the per-shard deterministic telemetry plane, sampled at
-	// window barriers from virtual-plane quantities only.
-	det []shardDet
-
 	// rec is the wall-clock telemetry plane: nil (the default) records
 	// nothing; when set, the coordinator stamps window/exchange/action
-	// spans here and each shard adds its run spans.
-	// Wall readings never reach Stats, ShardStats, or any Report field.
+	// spans here, and whoever claims a shard stamps its run span into
+	// that shard's private buffer — one writer at a time, ordered by the
+	// barrier, the same discipline as the capture queues. Wall readings
+	// never reach Stats, ShardStats, or any Report field.
 	rec *telemetry.Recorder
 
-	// OnFence, if set, observes every barrier after its drain, with all
-	// kernels parked on at: frames/routes are the batch sizes the drain
-	// delivered, action marks fences forced by coordinator work (plan
-	// events) as opposed to plain window barriers. Purely
+	// OnFence, if set, observes every barrier after its exchange, with
+	// all kernels parked on at: frames/routes are the batch sizes the
+	// exchange delivered, action marks fences forced by coordinator work
+	// (plan events) as opposed to plain window barriers. Purely
 	// observational — the hook must not mutate model state.
 	OnFence func(at sim.Time, frames, routes int, action bool)
+
+	applyRoute func(at sim.Time, op phys.RouteOp)
+	// batch is the reused barrier-exchange buffer: the frames of every
+	// capture queue, consumed (sorted and delivered) before the next
+	// barrier refills it.
+	batch []frameRec
+
+	// Window hand-off. grant lists the window's busy shards and resets
+	// the claim counter; the coordinator and the helpers it wakes then
+	// each claim the next unclaimed busy shard and run it, until none is
+	// left. Claiming balances uneven shards over the cores that a fixed
+	// shard-to-goroutine split would leave idle, and costs one wake send
+	// and one done receive per woken helper, not per shard. Helpers park
+	// between windows; a host with one core has none, and the coordinator
+	// runs every shard itself — as it does on any host while windows are
+	// lighter than wakeWork. lastWork, the events the previous window
+	// fired, is the estimate of this window's work.
+	busy     []int
+	lastWork uint64
+	solo     bool // the coordinator runs this window alone
+	target   sim.Time
+	claimed  atomic.Int32
+	helpers  int
+	wake     chan struct{}
+	done     chan error
+	closed   sync.Once
 }
 
-// shardDet accumulates one shard's deterministic metrics.
-type shardDet struct {
-	events      uint64
-	busyWindows uint64
-	lastFired   uint64
-	lastDelta   uint64 // events fired in the latest window
-	evPerWindow telemetry.Hist
-}
+// wakeWork is the least number of events the previous window must have
+// fired for a window to wake helpers. Measured on a 2-vCPU host, helpers
+// against the coordinator alone (EXPERIMENTS.md, E15): at 70–260 events
+// a window (64–128 nodes) waking costs 1.5–1.9× the wall, at ~1 000 (512
+// nodes) it buys nothing, at ~3 500 (1 024 nodes) it wins 1.5×.
+const wakeWork = 2048
 
 // New builds an engine over one kernel+Net pair per shard, installing
-// its capture queues as every Net's RemoteExchange. lookahead is the
-// fabric's conservative window bound (phys.Lookahead); it must be
-// positive. Call Shutdown when the simulation is done.
+// each shard's capture queue as its Net's RemoteExchange. lookahead is
+// the fabric's conservative window bound (phys.Lookahead); it must be
+// positive. With more than one shard it starts a helper goroutine per
+// spare core, at most one per shard beyond the coordinator's; call
+// Shutdown when the simulation is done.
 func New(kernels []*sim.Kernel, nets []*phys.Net, lookahead sim.Time) (*Engine, error) {
 	if len(kernels) != len(nets) || len(kernels) == 0 {
 		return nil, fmt.Errorf("parsim: %d kernels vs %d nets", len(kernels), len(nets))
@@ -159,12 +237,22 @@ func New(kernels []*sim.Kernel, nets []*phys.Net, lookahead sim.Time) (*Engine, 
 	}
 	e := &Engine{
 		Kernels:   kernels,
-		sh:        newShards(kernels, nets),
+		shards:    make([]shard, len(kernels)),
 		lookahead: lookahead,
-		det:       make([]shardDet, len(kernels)),
 	}
 	for i, k := range kernels {
-		e.det[i].lastFired = k.Fired
+		s := &e.shards[i]
+		s.Shard, s.lastFired = i, k.Fired
+		nets[i].Shard = i
+		nets[i].Remote = s
+	}
+	e.helpers = min(runtime.GOMAXPROCS(0), len(kernels)) - 1
+	if e.helpers > 0 {
+		e.wake = make(chan struct{}, e.helpers)
+		e.done = make(chan error, e.helpers)
+		for i := 0; i < e.helpers; i++ {
+			go e.helper()
+		}
 	}
 	return e, nil
 }
@@ -176,32 +264,29 @@ func New(kernels []*sim.Kernel, nets []*phys.Net, lookahead sim.Time) (*Engine, 
 func (e *Engine) SetRecorder(r *telemetry.Recorder) {
 	r.EnsureShards(len(e.Kernels))
 	e.rec = r
-	e.sh.rec = r
 }
 
 // ShardStats returns the deterministic per-shard telemetry plane. Safe
 // to call whenever the driver may observe the simulation (shards
 // parked).
 func (e *Engine) ShardStats() []ShardStat {
-	out := make([]ShardStat, len(e.det))
-	for i := range e.det {
-		d := &e.det[i]
-		out[i] = ShardStat{
-			Shard:       i,
-			Events:      d.events,
-			Windows:     e.Stats.Windows,
-			BusyWindows: d.busyWindows,
-			Frames:      e.sh.captured[i].frames,
-			Routes:      e.sh.captured[i].routes,
-			EvPerWindow: d.evPerWindow,
-		}
+	out := make([]ShardStat, len(e.shards))
+	for i := range e.shards {
+		out[i] = e.shards[i].ShardStat
+		out[i].Windows = e.Stats.Windows
 	}
 	return out
 }
 
 // Shutdown stops the helper goroutines. The engine must not be run
 // afterwards.
-func (e *Engine) Shutdown() { e.sh.close() }
+func (e *Engine) Shutdown() {
+	e.closed.Do(func() {
+		if e.wake != nil {
+			close(e.wake)
+		}
+	})
+}
 
 // Err returns the sticky engine failure, if any (a shard panic). Once
 // set, RunUntil refuses to advance.
@@ -249,9 +334,9 @@ func (e *Engine) Schedule(t sim.Time, fn func()) {
 	sort.SliceStable(e.actions, func(a, b int) bool { return e.actions[a].at < e.actions[b].at })
 }
 
-// BindRoutes sets how drained RouteOps are applied at a barrier (core
+// BindRoutes sets how deferred RouteOps are applied at a barrier (core
 // binds phys.Cluster.Land).
-func (e *Engine) BindRoutes(apply func(at sim.Time, op phys.RouteOp)) { e.sh.applyRoute = apply }
+func (e *Engine) BindRoutes(apply func(at sim.Time, op phys.RouteOp)) { e.applyRoute = apply }
 
 // DeferRoute captures a crossbar write aimed at a remote switch on
 // srcShard's queue, landing at virtual time at; wire it to
@@ -259,62 +344,159 @@ func (e *Engine) BindRoutes(apply func(at sim.Time, op phys.RouteOp)) { e.sh.app
 // the sanctioned capture surface (see the ampvet shardshare analyzer):
 // the only engine state shard context may write.
 func (e *Engine) DeferRoute(srcShard int, at sim.Time, op phys.RouteOp) {
-	e.sh.routes[srcShard] = append(e.sh.routes[srcShard], routeRec{at: at, op: op})
+	s := &e.shards[srcShard]
+	s.routeQ = append(s.routeQ, routeRec{at: at, op: op})
 }
 
-// drain collects everything captured since the last barrier and
-// delivers it: deferred crossbar writes (per source shard, FIFO), then
+// exchange empties every capture queue and delivers what it held:
+// deferred crossbar writes first (per source shard, FIFO), then
 // cross-shard frames in the canonical (arrival, transmit time, source
 // shard, sequence) order, each scheduled on its destination kernel at
-// its exact arrival time. Runs single-threaded with all kernels
-// parked. Returns the batch sizes for the barrier observer.
-func (e *Engine) drain() (nframes, nroutes int) {
-	frames, routes := e.sh.collect()
-	e.Stats.Routes += uint64(len(routes))
-	e.Stats.Frames += uint64(len(frames))
-	if len(frames) == 0 && len(routes) == 0 {
-		// Nothing crossed this barrier — common during decoupled
-		// phases, and always at one shard; skip the sort and delivery.
-		return 0, 0
+// its exact arrival time with the wire priority key that slots it into
+// the same same-instant order a one-shard run gives it. Runs
+// single-threaded with all kernels parked. Returns the batch sizes for
+// the barrier observer.
+func (e *Engine) exchange() (nframes, nroutes int) {
+	frames := e.batch[:0]
+	for i := range e.shards {
+		s := &e.shards[i]
+		s.Frames += uint64(len(s.frameQ))
+		frames = append(frames, s.frameQ...)
+		s.frameQ = s.frameQ[:0]
 	}
-	// Canonical batch order: arrival, then the wire key (transmit
-	// start, sending-port identity by way of source shard and capture
-	// sequence) — slotting each arrival into exactly the same
-	// same-instant order a one-shard run gives it.
+	e.batch = frames
+	for i := range e.shards {
+		s := &e.shards[i]
+		s.Routes += uint64(len(s.routeQ))
+		nroutes += len(s.routeQ)
+		for _, r := range s.routeQ {
+			e.applyRoute(r.at, r.op)
+		}
+		s.routeQ = s.routeQ[:0]
+	}
+	e.Stats.Frames += uint64(len(frames))
+	e.Stats.Routes += uint64(nroutes)
+	// Nothing crossed this barrier — common during decoupled phases, and
+	// always at one shard: skip the sort.
+	if len(frames) == 0 {
+		return 0, nroutes
+	}
 	// slices.SortFunc, unlike sort.Slice, needs no reflection-based
 	// swapper allocation per barrier.
-	slices.SortFunc(frames, func(pa, pb frameRec) int {
-		switch {
-		case pa.arrival != pb.arrival:
-			if pa.arrival < pb.arrival {
-				return -1
-			}
-			return 1
-		case pa.txAt != pb.txAt:
-			if pa.txAt < pb.txAt {
-				return -1
-			}
-			return 1
-		case pa.src != pb.src:
-			return pa.src - pb.src
-		case pa.seq != pb.seq:
-			if pa.seq < pb.seq {
-				return -1
-			}
-			return 1
-		}
-		return 0
+	slices.SortFunc(frames, func(a, b frameRec) int {
+		return cmp.Or(cmp.Compare(a.arrival, b.arrival), cmp.Compare(a.txAt, b.txAt),
+			cmp.Compare(a.src, b.src), cmp.Compare(a.seq, b.seq))
 	})
-	e.sh.deliver(frames, routes)
-	return len(frames), len(routes)
+	for i := range frames {
+		pf := &frames[i]
+		// Pooled, Timer-free scheduling on the destination shard — the
+		// same path a local hop takes, so cross-shard injection costs no
+		// allocations either.
+		pf.dst.Net().ScheduleDelivery(pf.arrival, pf.txAt, pf.srcUID, pf.dst, pf.f, pf.link, pf.epoch)
+	}
+	return len(frames), nroutes
+}
+
+// helper joins the coordinator in each window it is woken for.
+func (e *Engine) helper() {
+	for range e.wake {
+		e.done <- e.runClaimed()
+	}
+}
+
+// runClaimed claims and runs busy shards until none is left, returning
+// the first error. Its run spans are adjacent: one clock read ends a
+// shard's span and starts the next one's.
+func (e *Engine) runClaimed() (first error) {
+	// A window the coordinator runs alone is timed as a whole
+	// (soloRunSpans divides its span among the shards afterwards): at a
+	// few microseconds a window, a clock read per shard is what the
+	// recorder costs.
+	rec := e.rec
+	if e.solo {
+		rec = nil
+	}
+	now := rec.Begin()
+	for {
+		j := int(e.claimed.Add(1)) - 1
+		if j >= len(e.busy) {
+			return first
+		}
+		var err error
+		if now, err = e.runShard(rec, e.busy[j], e.target, now); first == nil {
+			first = err
+		}
+	}
+}
+
+// runShard executes one shard's window, recording its run span from
+// start and returning the span's end. A model panic becomes an error
+// that names the shard and window instead of tearing the process down
+// (or, worse, stranding the other shards at the barrier).
+func (e *Engine) runShard(rec *telemetry.Recorder, i int, target sim.Time, start int64) (end int64, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("parsim: shard %d panicked in window ending %v: %v\n%s", i, target, r, debug.Stack())
+		}
+	}()
+	e.Kernels[i].RunUntil(target)
+	return rec.Shard(i, telemetry.SpanRun, start, int64(target)), nil
+}
+
+// grant runs every shard to target (inclusive) and returns when all
+// are parked there.
+//
+// Shards with no event due in the window are not handed out:
+// cross-shard work only ever arrives at barriers, so a shard whose next
+// event lies beyond target provably executes nothing, and the
+// coordinator runs it on the spot. It is still a run, not a bare clock
+// move — the window has gone through target on that shard too, which is
+// what a port settling a lazy transmit completion at exactly target
+// asks the kernel (sim.Kernel.Passed). A window with at most one busy
+// shard (a decoupled phase, traffic localized) wakes nobody, nor does
+// one that follows a light window.
+func (e *Engine) grant(target sim.Time) error {
+	if len(e.Kernels) == 1 {
+		// One shard: run it here, on the driver goroutine; a model
+		// panic propagates to the caller with its own stack.
+		start := e.rec.Begin()
+		e.Kernels[0].RunUntil(target)
+		e.rec.Shard(0, telemetry.SpanRun, start, int64(target))
+		return nil
+	}
+	e.busy = e.busy[:0]
+	for i, k := range e.Kernels {
+		if nt, ok := k.NextEventTime(); ok && nt <= target {
+			e.busy = append(e.busy, i)
+		} else {
+			k.RunUntil(target)
+		}
+	}
+	e.target = target
+	e.claimed.Store(0)
+	woken := 0
+	if e.lastWork >= wakeWork {
+		woken = min(e.helpers, len(e.busy)-1)
+	}
+	e.solo = woken <= 0
+	for i := 0; i < woken; i++ {
+		e.wake <- struct{}{}
+	}
+	first := e.runClaimed()
+	for ; woken > 0; woken-- {
+		if err := <-e.done; first == nil {
+			first = err
+		}
+	}
+	return first
 }
 
 // runWindow executes all shards in parallel up to target (inclusive),
-// then drains the barrier.
+// then exchanges at the barrier.
 func (e *Engine) runWindow(target sim.Time) error {
 	w0 := e.rec.Begin()
 	e.inWindow = true
-	err := e.sh.grant(target)
+	err := e.grant(target)
 	e.inWindow = false
 	e.parked = false
 	if err != nil {
@@ -325,29 +507,28 @@ func (e *Engine) runWindow(target sim.Time) error {
 	// Sample the deterministic plane: every kernel is parked on target,
 	// so the fired deltas are the exact per-shard event counts of this
 	// window regardless of host scheduling.
-	e.sh.lastWork = 0
+	e.lastWork = 0
 	for i, k := range e.Kernels {
-		d := &e.det[i]
-		delta := k.Fired - d.lastFired
-		d.lastFired = k.Fired
-		d.lastDelta = delta
-		d.events += delta
+		s := &e.shards[i]
+		delta := k.Fired - s.lastFired
+		s.lastFired, s.lastDelta = k.Fired, delta
+		s.Events += delta
 		if delta > 0 {
-			d.busyWindows++
+			s.BusyWindows++
 		}
-		d.evPerWindow.Observe(delta)
-		e.sh.lastWork += delta
+		s.MaxWindow = max(s.MaxWindow, delta)
+		e.lastWork += delta
 	}
 	// One clock read ends the window span and starts the exchange span:
 	// the two intervals are adjacent by construction, and the shared
 	// read halves the coordinator's per-window clock cost.
 	x0 := e.rec.Begin()
 	e.rec.CoordSpan(-1, telemetry.SpanWindow, w0, x0, int64(target))
-	if e.sh.solo {
+	if e.solo {
 		e.soloRunSpans(w0, x0, target)
 	}
-	nf, nr := e.drain()
-	// An empty drain returns without sorting or delivering; its span
+	nf, nr := e.exchange()
+	// An empty exchange returns without sorting or delivering; its span
 	// would be zero-length noise, and skipping it saves a clock read on
 	// every decoupled-phase window.
 	if nf+nr > 0 {
@@ -366,14 +547,14 @@ func (e *Engine) runWindow(target sim.Time) error {
 // the window's events comes to — an estimate of where one shard ended
 // and the next began, inside a measured whole.
 func (e *Engine) soloRunSpans(w0, x0 int64, target sim.Time) {
-	if e.rec == nil || e.sh.lastWork == 0 {
+	if e.rec == nil || e.lastWork == 0 {
 		return
 	}
 	at, fired := w0, uint64(0)
-	for i := range e.det {
-		if d := e.det[i].lastDelta; d > 0 {
+	for i := range e.shards {
+		if d := e.shards[i].lastDelta; d > 0 {
 			fired += d
-			end := w0 + int64(float64(x0-w0)*float64(fired)/float64(e.sh.lastWork))
+			end := w0 + int64(float64(x0-w0)*float64(fired)/float64(e.lastWork))
 			e.rec.CoordSpan(i, telemetry.SpanRun, at, end, int64(target))
 			at = end
 		}
@@ -394,7 +575,7 @@ func (e *Engine) nextEvent() (sim.Time, bool) {
 // runActionsAtNow executes every action due at the current instant.
 // Kernels must already be parked on e.now with no pending events
 // before it. Actions may send cross-shard traffic (a rebooted node
-// solicits immediately), so the barrier is drained afterwards.
+// solicits immediately), so the barrier exchanges afterwards.
 func (e *Engine) runActionsAtNow() {
 	if len(e.actions) == 0 || e.actions[0].at != e.now {
 		return
@@ -409,7 +590,7 @@ func (e *Engine) runActionsAtNow() {
 	e.rec.Coord(telemetry.SpanAction, a0, int64(e.now))
 	e.Stats.Fences++
 	x0 := e.rec.Begin()
-	nf, nr := e.drain()
+	nf, nr := e.exchange()
 	e.rec.Coord(telemetry.SpanExchange, x0, int64(e.now))
 	e.Stats.Barriers++
 	if e.OnFence != nil {

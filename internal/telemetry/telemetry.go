@@ -1,9 +1,7 @@
-// Package telemetry is the engine's two-plane observability surface.
-//
-// The deterministic plane (Hist, and the per-shard counters the engine
-// packages feed from virtual-time quantities) is byte-reproducible: it
-// derives only from simulated state and may therefore surface in
-// Report.Det and Report.Summary().
+// Package telemetry is the wall-clock half of the engine's two-plane
+// observability. The deterministic plane is plain counters the engine
+// keeps itself (parsim.Stats and parsim.ShardStat), derived only from
+// simulated state, which surface in Report.Det and Report.Summary().
 //
 // The wall-clock plane (Clock, Recorder, Span, Stopwatch) measures real
 // time. It is the ONE package in the tree that may read the wall clock:

@@ -71,38 +71,6 @@ func TestRecorderMergeOrder(t *testing.T) {
 	}
 }
 
-// TestHist pins bucketing, quantiles, merge, and the canonical report.
-func TestHist(t *testing.T) {
-	var h Hist
-	for _, v := range []uint64{0, 1, 1, 3, 200} {
-		h.Observe(v)
-	}
-	if h.N != 5 || h.Sum != 205 || h.Max != 200 {
-		t.Fatalf("hist totals: %+v", h)
-	}
-	if h.B[0] != 1 || h.B[1] != 2 || h.B[2] != 1 || h.B[8] != 1 {
-		t.Fatalf("bucket layout: %v", h.B[:10])
-	}
-	if q := h.Quantile(0.5); q != 1 {
-		t.Fatalf("p50 = %d, want 1", q)
-	}
-	if q := h.Quantile(1.0); q != 200 {
-		t.Fatalf("p100 = %d, want 200 (clamped to max)", q)
-	}
-	var h2 Hist
-	h2.Observe(7)
-	h.Merge(&h2)
-	if h.N != 6 || h.B[3] != 1 {
-		t.Fatalf("merge: %+v", h)
-	}
-	if b := h.Buckets(); b != "[0,0]:1 [1,1]:2 [2,3]:1 [4,7]:1 [128,255]:1" {
-		t.Fatalf("occupied buckets: %s", b)
-	}
-	if s := h.String(); s != "n=6 mean=35 p50<=1 p99<=200 max=200" {
-		t.Fatalf("String: %q", s)
-	}
-}
-
 // TestWriteTraceGolden: a fixed span set serializes to exactly these
 // bytes — the export format is part of the repo's contract (CI smokes
 // parse it, Perfetto loads it).
