@@ -34,17 +34,26 @@ func main() {
 	fiber := flag.Float64("fiber", 0, "fiber-meters override")
 	flag.Parse()
 
-	// Surface topology-scale errors here, naming the limit, instead of
-	// letting a direct-cluster experiment panic mid-run. (Node counts
-	// past the v1 wire format's 255-node ceiling auto-select wire v2;
-	// MaxNodes is the v2 ceiling.)
-	if *nodes > phys.MaxNodes {
-		fmt.Fprintf(os.Stderr, "ampbench: -nodes %d exceeds the wire v2 address space (max %d nodes)\n", *nodes, phys.MaxNodes)
+	fail := func(format string, args ...any) {
+		fmt.Fprintf(os.Stderr, "ampbench: "+format+"\n", args...)
 		os.Exit(1)
 	}
-	if *switches > phys.MaxSwitches {
-		fmt.Fprintf(os.Stderr, "ampbench: -switches %d exceeds the rostering link-state mask (max %d switches)\n", *switches, phys.MaxSwitches)
-		os.Exit(1)
+	// Surface topology-scale errors here, naming the flag and the limit,
+	// instead of letting an experiment panic mid-run. (Node counts past
+	// the v1 wire format's 255-node ceiling auto-select wire v2;
+	// MaxNodes is the v2 ceiling.) Zero means the experiment's default.
+	switch {
+	case *nodes < 0:
+		fail("negative -nodes %d", *nodes)
+	case *switches < 0:
+		fail("negative -switches %d", *switches)
+	case *nodes > phys.MaxNodes:
+		fail("-nodes %d exceeds the wire v2 address space (max %d nodes)", *nodes, phys.MaxNodes)
+	case *switches > phys.MaxSwitches:
+		fail("-switches %d exceeds the rostering link-state mask (max %d switches)", *switches, phys.MaxSwitches)
+	}
+	if err := phys.CheckFiberM("-fiber", *fiber); err != nil {
+		fail("%v", err)
 	}
 
 	if *list {
@@ -67,8 +76,7 @@ func main() {
 		for _, id := range strings.Split(*exp, ",") {
 			s := experiments.ByID(strings.TrimSpace(id))
 			if s == nil {
-				fmt.Fprintf(os.Stderr, "ampbench: unknown experiment %q (try -list)\n", id)
-				os.Exit(1)
+				fail("unknown experiment %q (try -list)", id)
 			}
 			run(*s, p)
 		}

@@ -10,8 +10,8 @@ import (
 // naming the wire-format version and its ceiling — never as panics.
 // The same holds for retired flags (the socket transport, the
 // single-fault sugar -plan replaced: unknown to flag, which names them)
-// and for negative sizes and durations, which are refused by name
-// instead of running as some default.
+// and for negative sizes and durations and for NaN or endless fibers,
+// which are refused by name instead of running as some default.
 func TestCmdsSurfaceWireErrors(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the cmd tools via `go run`")
@@ -39,6 +39,18 @@ func TestCmdsSurfaceWireErrors(t *testing.T) {
 		{"ampsim-negative-fiber",
 			[]string{"run", "./cmd/ampsim", "-fiber", "-10"},
 			[]string{"FiberM", "-10"}},
+		{"ampsim-nan-fiber",
+			[]string{"run", "./cmd/ampsim", "-fiber", "NaN"},
+			[]string{"FiberM", "NaN"}},
+		{"ampsim-infinite-fiber",
+			[]string{"run", "./cmd/ampsim", "-fiber", "+Inf"},
+			[]string{"FiberM", "+Inf"}},
+		{"ampbench-nan-fiber",
+			[]string{"run", "./cmd/ampbench", "-exp", "e3", "-fiber", "NaN"},
+			[]string{"-fiber", "NaN"}},
+		{"ampbench-negative-nodes",
+			[]string{"run", "./cmd/ampbench", "-exp", "e3", "-nodes", "-2"},
+			[]string{"-nodes", "-2"}},
 		{"ampsim-negative-run",
 			[]string{"run", "./cmd/ampsim", "-run", "-5ms"},
 			[]string{"Scenario.For", "-5"}},

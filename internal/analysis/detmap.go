@@ -1,36 +1,30 @@
-// Package detmap defines the ampvet analyzer that forbids iterating
-// maps in unordered form.
+package analysis
+
+import (
+	"go/ast"
+	"go/types"
+)
+
+// Detmap forbids iterating maps in unordered form.
 //
 // The rule: Go randomizes map iteration order on every run, so any
 // bytes downstream of a bare `for range m` — Report JSON, plan text,
 // wire frames, table rows, log lines — can differ between two runs of
 // the same seed even on one engine, which is exactly the
 // nondeterminism the serial/parallel equivalence batteries exist to
-// rule out. The batteries only sample seeds; this analyzer rejects
-// the pattern on every line. Iterate detmap.SortedKeys(m) (package
+// rule out. The batteries only sample seeds; this rule rejects the
+// pattern on every line. Iterate detmap.SortedKeys(m) (package
 // repro/internal/detmap) instead, or — for an iteration whose order
 // provably cannot escape (pure counting, building another map,
 // results sorted before use) — waive the line:
 //
 //	for k := range m { //ampvet:allow detmap order folded into a commutative sum
-package detmap
-
-import (
-	"go/ast"
-	"go/types"
-
-	"repro/internal/analysis"
-)
-
-// Analyzer rejects ranging over a map without a deterministic order.
-var Analyzer = &analysis.Analyzer{
+var Detmap = &Rule{
 	Name: "detmap",
-	Doc: "forbid unordered map iteration: range order is randomized per run, so bytes derived " +
-		"from it break byte-identical Reports; iterate detmap.SortedKeys(m) instead",
-	Run: run,
+	Run:  runDetmap,
 }
 
-func run(pass *analysis.Pass) error {
+func runDetmap(pass *Pass) {
 	for _, file := range pass.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			rng, ok := n.(*ast.RangeStmt)
@@ -52,5 +46,4 @@ func run(pass *analysis.Pass) error {
 			return true
 		})
 	}
-	return nil
 }

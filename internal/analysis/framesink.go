@@ -1,13 +1,20 @@
-// Package framesink defines the ampvet analyzer that guards the frame
-// ledger's closed-sink property: in the frame-handling packages (phys,
-// insertion, rostering) a function holding a Frame must not return
-// without deciding the frame's fate.
+package analysis
+
+import (
+	"go/ast"
+	"go/token"
+	"go/types"
+)
+
+// Framesink guards the frame ledger's closed-sink property: in the
+// frame-handling packages (phys, insertion, rostering) a function
+// holding a Frame must not return without deciding the frame's fate.
 //
 // The rule exists because the conservation invariant
 // (internal/frameacct) is only as strong as the weakest death site: a
 // single `return` that silently drops a frame shows up as a residual
 // gauge that never drains, and the invariant can name the imbalance
-// but not the line. This analyzer names the line. A void function (or
+// but not the line. This rule names the line. A void function (or
 // closure) that binds a Frame — as a parameter or a := binding — must,
 // on the path to every `return`, either
 //
@@ -24,42 +31,13 @@
 // it errs toward false negatives, never toward noise. Waive a
 // legitimately unaccounted return (a frame owned elsewhere) with
 // `//ampvet:allow framesink <reason>`.
-package framesink
-
-import (
-	"go/ast"
-	"go/token"
-	"go/types"
-	"strings"
-
-	"repro/internal/analysis"
-)
-
-// Analyzer rejects returns that drop a bound frame without a ledger
-// call or a handoff.
-var Analyzer = &analysis.Analyzer{
+var Framesink = &Rule{
 	Name: "framesink",
-	Doc: "forbid uncounted frame sinks in phys/insertion/rostering: a void function holding a " +
-		"phys.Frame must account it (frameacct.Acct call) or hand it off (call argument, store, " +
-		"channel send) on the path to every return",
-	Run: run,
+	Only: []string{"phys", "insertion", "rostering"},
+	Run:  runFramesink,
 }
 
-// governed reports whether the package handles frames under the
-// conservation ledger (the bare names cover test fixtures).
-func governed(path string) bool {
-	for _, p := range []string{"phys", "insertion", "rostering"} {
-		if path == p || strings.HasSuffix(path, "/"+p) {
-			return true
-		}
-	}
-	return false
-}
-
-func run(pass *analysis.Pass) error {
-	if !governed(pass.Pkg.Path()) {
-		return nil
-	}
+func runFramesink(pass *Pass) {
 	for _, file := range pass.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			switch fn := n.(type) {
@@ -73,12 +51,11 @@ func run(pass *analysis.Pass) error {
 			return true
 		})
 	}
-	return nil
 }
 
 // checkFunc scans one void function (value-returning functions read
 // frames on the caller's behalf and are exempt).
-func checkFunc(pass *analysis.Pass, typ *ast.FuncType, body *ast.BlockStmt) {
+func checkFunc(pass *Pass, typ *ast.FuncType, body *ast.BlockStmt) {
 	if typ.Results != nil && len(typ.Results.List) > 0 {
 		return
 	}
@@ -98,7 +75,7 @@ func checkFunc(pass *analysis.Pass, typ *ast.FuncType, body *ast.BlockStmt) {
 // (handled). Nested function literals are skipped — each is checked as
 // its own function — but a literal passed in a call still counts as a
 // handoff for the enclosing scope when it captures the frame.
-func scan(pass *analysis.Pass, stmts []ast.Stmt, live, handled bool) {
+func scan(pass *Pass, stmts []ast.Stmt, live, handled bool) {
 	for _, st := range stmts {
 		switch s := st.(type) {
 		case *ast.ReturnStmt:
@@ -147,7 +124,7 @@ func scan(pass *analysis.Pass, stmts []ast.Stmt, live, handled bool) {
 
 // bindsFrame reports whether st introduces a Frame-typed variable (a
 // := define or a var declaration).
-func bindsFrame(pass *analysis.Pass, st ast.Stmt) bool {
+func bindsFrame(pass *Pass, st ast.Stmt) bool {
 	switch s := st.(type) {
 	case *ast.AssignStmt:
 		if s.Tok != token.DEFINE {
@@ -182,7 +159,7 @@ func bindsFrame(pass *analysis.Pass, st ast.Stmt) bool {
 
 // stmtHandles reports whether any expression in st decides a frame's
 // fate (see exprHandles).
-func stmtHandles(pass *analysis.Pass, st ast.Stmt) bool {
+func stmtHandles(pass *Pass, st ast.Stmt) bool {
 	if st == nil {
 		return false
 	}
@@ -215,7 +192,7 @@ func stmtHandles(pass *analysis.Pass, st ast.Stmt) bool {
 
 // exprHandles is stmtHandles over a bare expression (an if condition,
 // a switch tag).
-func exprHandles(pass *analysis.Pass, e ast.Expr) bool {
+func exprHandles(pass *Pass, e ast.Expr) bool {
 	if e == nil {
 		return false
 	}
@@ -224,7 +201,7 @@ func exprHandles(pass *analysis.Pass, e ast.Expr) bool {
 
 // callHandles reports whether the call accounts a frame (any method on
 // a frameacct.Acct) or hands one off (a Frame-typed argument).
-func callHandles(pass *analysis.Pass, call *ast.CallExpr) bool {
+func callHandles(pass *Pass, call *ast.CallExpr) bool {
 	if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
 		if tv, ok := pass.TypesInfo.Types[sel.X]; ok && isAcct(tv.Type) {
 			return true
@@ -241,7 +218,7 @@ func callHandles(pass *analysis.Pass, call *ast.CallExpr) bool {
 // storeHandles reports whether the assignment writes a Frame-typed
 // value into a field or element — parking the frame somewhere that
 // outlives the function (a FIFO slot, a pooled record).
-func storeHandles(pass *analysis.Pass, as *ast.AssignStmt) bool {
+func storeHandles(pass *Pass, as *ast.AssignStmt) bool {
 	for i, lhs := range as.Lhs {
 		switch ast.Unparen(lhs).(type) {
 		case *ast.SelectorExpr, *ast.IndexExpr:

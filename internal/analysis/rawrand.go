@@ -1,5 +1,8 @@
-// Package rawrand defines the ampvet analyzer that forbids RNG
-// sources other than the scenario-seeded sim.RNG.
+package analysis
+
+import "strconv"
+
+// Rawrand forbids RNG sources other than the scenario-seeded sim.RNG.
 //
 // The rule: every random stream in simulation code derives from the
 // scenario seed through repro/internal/sim's RNG (splitmix64), which
@@ -11,37 +14,26 @@
 // definition. Test files are exempt — a battery may use math/rand
 // with a fixed seed to pick scenarios to run, because that stream
 // never enters a Report.
-package rawrand
+var Rawrand = &Rule{
+	Name: "rawrand",
+	Run:  runRawrand,
+}
 
-import (
-	"strconv"
-
-	"repro/internal/analysis"
-)
-
-// forbidden maps import paths to why they are rejected.
-var forbidden = map[string]string{
+// rawrandImports maps import paths to why they are rejected.
+var rawrandImports = map[string]string{
 	"math/rand":    "seeded from runtime entropy by default and not stream-stable across Go releases",
 	"math/rand/v2": "seeded from runtime entropy and not stream-stable across Go releases",
 	"crypto/rand":  "pure entropy",
 }
 
-// Analyzer rejects imports of non-deterministic RNG packages.
-var Analyzer = &analysis.Analyzer{
-	Name: "rawrand",
-	Doc: "forbid RNGs not derived from the scenario seed: all randomness flows through " +
-		"sim.NewRNG(seed) so identical seeds give identical Reports on every engine and Go release",
-	Run: run,
-}
-
-func run(pass *analysis.Pass) error {
+func runRawrand(pass *Pass) {
 	for _, file := range pass.Files {
 		for _, imp := range file.Imports {
 			path, err := strconv.Unquote(imp.Path.Value)
 			if err != nil {
 				continue
 			}
-			why, bad := forbidden[path]
+			why, bad := rawrandImports[path]
 			if !bad {
 				continue
 			}
@@ -52,5 +44,4 @@ func run(pass *analysis.Pass) error {
 				path, why)
 		}
 	}
-	return nil
 }

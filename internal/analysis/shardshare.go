@@ -1,5 +1,15 @@
-// Package shardshare defines the ampvet analyzer that forbids
-// shard-goroutine writes to coordinator state in the engine.
+package analysis
+
+import (
+	"go/ast"
+	"go/token"
+	"go/types"
+
+	"repro/internal/detmap"
+)
+
+// Shardshare forbids shard-goroutine writes to coordinator state in the
+// engine.
 //
 // The rule: parsim's determinism contract (DESIGN.md, "determinism
 // under parallelism") is that between barriers a shard goroutine may
@@ -21,36 +31,15 @@
 // `go` statement in the package, every method of a type that
 // implements the RemoteExchange capture surface (a RemoteFrame
 // method), and everything those functions call within the package.
-// Within shard context the analyzer flags assignments and ++/--
+// Within shard context the rule flags assignments and ++/--
 // through a field selector (state reached via a receiver, parameter
 // or captured pointer), unless the path is rooted at a function-local
 // non-pointer variable. Channel operations are communication, not
 // shared-state writes, and stay legal.
-package shardshare
-
-import (
-	"go/ast"
-	"go/token"
-	"go/types"
-	"strings"
-
-	"repro/internal/analysis"
-	"repro/internal/detmap"
-)
-
-// Analyzer rejects writes to shared coordinator state from shard
-// goroutines in parsim packages.
-var Analyzer = &analysis.Analyzer{
+var Shardshare = &Rule{
 	Name: "shardshare",
-	Doc: "forbid shard-goroutine writes to coordinator/cluster state: between barriers a shard " +
-		"may mutate only its own kernel's world; cross-shard effects go through the " +
-		"RemoteExchange capture or a coordinator action (Engine.Schedule)",
-	Run: run,
-}
-
-// inScope reports whether the package is the engine package, parsim.
-func inScope(path string) bool {
-	return path == "parsim" || strings.HasSuffix(path, "/parsim")
+	Only: []string{"parsim"},
+	Run:  runShardshare,
 }
 
 // sanctioned names the capture APIs that are allowed to append into
@@ -64,11 +53,7 @@ func sanctioned(name string) bool {
 // over the shard-context set takes.
 func byPos(a, b *types.Func) bool { return a.Pos() < b.Pos() }
 
-func run(pass *analysis.Pass) error {
-	if !inScope(pass.Pkg.Path()) {
-		return nil
-	}
-
+func runShardshare(pass *Pass) {
 	// Map every declared function object to its declaration.
 	decls := map[*types.Func]*ast.FuncDecl{}
 	for _, file := range pass.Files {
@@ -150,18 +135,17 @@ func run(pass *analysis.Pass) error {
 			continue
 		}
 		if fd := decls[fn]; fd != nil && fd.Body != nil {
-			checkBody(pass, fd)
+			checkWrites(pass, fd.Body)
 		}
 	}
 	for _, lit := range litRoots {
-		checkWrites(pass, lit.Body, nil)
+		checkWrites(pass, lit.Body)
 	}
-	return nil
 }
 
 // calleeFunc resolves a call's target to a function object declared
 // in this package, or nil.
-func calleeFunc(pass *analysis.Pass, call *ast.CallExpr) *types.Func {
+func calleeFunc(pass *Pass, call *ast.CallExpr) *types.Func {
 	var id *ast.Ident
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
@@ -179,7 +163,7 @@ func calleeFunc(pass *analysis.Pass, call *ast.CallExpr) *types.Func {
 }
 
 // calleesOf lists the same-package functions a body statically calls.
-func calleesOf(pass *analysis.Pass, body *ast.BlockStmt) []*types.Func {
+func calleesOf(pass *Pass, body *ast.BlockStmt) []*types.Func {
 	var out []*types.Func
 	ast.Inspect(body, func(n ast.Node) bool {
 		if call, ok := n.(*ast.CallExpr); ok {
@@ -192,30 +176,26 @@ func calleesOf(pass *analysis.Pass, body *ast.BlockStmt) []*types.Func {
 	return out
 }
 
-// checkBody flags shared-state writes in one shard-context function.
-func checkBody(pass *analysis.Pass, fd *ast.FuncDecl) {
-	checkWrites(pass, fd.Body, fd)
-}
-
-func checkWrites(pass *analysis.Pass, body *ast.BlockStmt, fd *ast.FuncDecl) {
+// checkWrites flags shared-state writes in one shard-context body.
+func checkWrites(pass *Pass, body *ast.BlockStmt) {
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.AssignStmt:
 			for _, lhs := range n.Lhs {
 				if isSharedWrite(pass, lhs, body) {
-					report(pass, lhs.Pos())
+					reportShardshare(pass, lhs.Pos())
 				}
 			}
 		case *ast.IncDecStmt:
 			if isSharedWrite(pass, n.X, body) {
-				report(pass, n.X.Pos())
+				reportShardshare(pass, n.X.Pos())
 			}
 		}
 		return true
 	})
 }
 
-func report(pass *analysis.Pass, pos token.Pos) {
+func reportShardshare(pass *Pass, pos token.Pos) {
 	pass.Reportf(pos,
 		"write to shared coordinator state from a shard goroutine: between barriers a shard may "+
 			"mutate only its own kernel's world; route cross-shard effects through the "+
@@ -226,7 +206,7 @@ func report(pass *analysis.Pass, pos token.Pos) {
 // isSharedWrite reports whether the write target reaches state beyond
 // the function's own locals: any path through a field selector whose
 // root is not a local non-pointer variable declared inside body.
-func isSharedWrite(pass *analysis.Pass, lhs ast.Expr, body *ast.BlockStmt) bool {
+func isSharedWrite(pass *Pass, lhs ast.Expr, body *ast.BlockStmt) bool {
 	hasSelector := false
 	e := ast.Unparen(lhs)
 loop:

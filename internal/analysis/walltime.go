@@ -1,5 +1,11 @@
-// Package walltime defines the ampvet analyzer that forbids wall-clock
-// time in simulation code.
+package analysis
+
+import (
+	"go/ast"
+	"go/types"
+)
+
+// Walltime forbids wall-clock time in simulation code.
 //
 // The rule: model and driver code advances on virtual sim.Time only.
 // A wall-clock read (time.Now, time.Since) or wall-clock wait
@@ -19,18 +25,15 @@
 // wall-clock surface in the tree — everything else reaches the wall
 // clock through its Clock interface (or a per-line waiver), which is
 // what keeps the determinism argument reviewable in one place.
-package walltime
+var Walltime = &Rule{
+	Name:   "walltime",
+	Except: []string{"telemetry"},
+	Run:    runWalltime,
+}
 
-import (
-	"go/ast"
-	"go/types"
-
-	"repro/internal/analysis"
-)
-
-// forbidden lists the package time functions whose call sites read or
-// wait on the wall clock.
-var forbidden = map[string]string{
+// walltimeFuncs lists the package time functions whose call sites read
+// or wait on the wall clock.
+var walltimeFuncs = map[string]string{
 	"Now":       "reads the wall clock",
 	"Since":     "reads the wall clock",
 	"Until":     "reads the wall clock",
@@ -42,21 +45,7 @@ var forbidden = map[string]string{
 	"NewTicker": "fires on host time",
 }
 
-// Analyzer rejects wall-clock reads and waits outside test files.
-var Analyzer = &analysis.Analyzer{
-	Name: "walltime",
-	Doc: "forbid wall-clock time in simulation code: state must advance on virtual sim.Time " +
-		"only, or serial and sharded runs of the same seed diverge",
-	Run: run,
-}
-
-func run(pass *analysis.Pass) error {
-	// The telemetry package is the tree's sole sanctioned wall-clock
-	// surface (see the package doc); the bare path is the fixture's.
-	switch pass.Pkg.Path() {
-	case "repro/internal/telemetry", "telemetry":
-		return nil
-	}
+func runWalltime(pass *Pass) {
 	for _, file := range pass.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			sel, ok := n.(*ast.SelectorExpr)
@@ -68,7 +57,7 @@ func run(pass *analysis.Pass) error {
 			if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "time" {
 				return true
 			}
-			why, bad := forbidden[fn.Name()]
+			why, bad := walltimeFuncs[fn.Name()]
 			if !bad {
 				return true
 			}
@@ -80,5 +69,4 @@ func run(pass *analysis.Pass) error {
 			return true
 		})
 	}
-	return nil
 }

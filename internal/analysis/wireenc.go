@@ -1,8 +1,15 @@
-// Package wireenc defines the ampvet analyzer that forbids
-// hand-rolled wire byte layout outside internal/wire.
+package analysis
+
+import (
+	"go/ast"
+	"go/token"
+	"go/types"
+)
+
+// Wireenc forbids hand-rolled wire byte layout outside internal/wire.
 //
-// The rule: PR 5 moved every MicroPacket frame layout into the
-// versioned codec registry of repro/internal/wire precisely so that
+// The rule: every MicroPacket frame layout lives in the versioned
+// codec registry of repro/internal/wire precisely so that
 // no second copy of "which byte means what" can drift from the golden
 // vectors. A multi-byte field composed by indexing and shifting a
 // byte buffer — `uint32(b[4])<<8 | uint32(b[3])` or
@@ -13,42 +20,17 @@
 // encoding/binary against the layout comment of the owning package
 // (how internal/rostering and internal/ampdc do it).
 //
-// The analyzer flags any expression tree that combines an index into
+// The rule flags any expression tree that combines an index into
 // a byte slice or byte array with a shift, and any assignment into a
 // byte-slice element whose value involves a shift. Single-byte reads
 // and writes (flags, tags, masks of one byte) are untouched.
-package wireenc
-
-import (
-	"go/ast"
-	"go/token"
-	"go/types"
-	"strings"
-
-	"repro/internal/analysis"
-)
-
-// Analyzer rejects index+shift byte-layout composition outside the
-// wire codec registry.
-var Analyzer = &analysis.Analyzer{
-	Name: "wireenc",
-	Doc: "forbid hand-rolled wire byte layout outside internal/wire: multi-byte fields composed " +
-		"with index+shift duplicate layout knowledge the versioned codecs own; use " +
-		"wire.Encode/Decode or encoding/binary over a documented layout",
-	Run: run,
+var Wireenc = &Rule{
+	Name:   "wireenc",
+	Except: []string{"wire"}, // the codec registry owns frame layout
+	Run:    runWireenc,
 }
 
-// exempt reports whether the package owns frame layout: the codec
-// registry itself (repro/internal/wire; bare "wire" covers the
-// analysistest fixture of the same name).
-func exempt(path string) bool {
-	return path == "repro/internal/wire" || path == "wire" || strings.HasSuffix(path, "/wire")
-}
-
-func run(pass *analysis.Pass) error {
-	if exempt(pass.Pkg.Path()) {
-		return nil
-	}
+func runWireenc(pass *Pass) {
 	for _, file := range pass.Files {
 		var reported []ast.Node
 		covered := func(n ast.Node) bool {
@@ -69,7 +51,7 @@ func run(pass *analysis.Pass) error {
 					}
 					if i < len(n.Rhs) && containsShift(n.Rhs[i]) && !covered(n) {
 						reported = append(reported, n)
-						report(pass, n.Pos())
+						reportWireenc(pass, n.Pos())
 					}
 				}
 			case *ast.BinaryExpr:
@@ -81,17 +63,16 @@ func run(pass *analysis.Pass) error {
 				}
 				if containsShift(n) && containsByteElemIndex(pass, n) {
 					reported = append(reported, n)
-					report(pass, n.Pos())
+					reportWireenc(pass, n.Pos())
 					return false
 				}
 			}
 			return true
 		})
 	}
-	return nil
 }
 
-func report(pass *analysis.Pass, pos token.Pos) {
+func reportWireenc(pass *Pass, pos token.Pos) {
 	pass.Reportf(pos,
 		"hand-rolled wire byte layout (index+shift on a byte buffer): layout knowledge outside "+
 			"internal/wire drifts from the versioned codecs and their golden vectors; use "+
@@ -101,7 +82,7 @@ func report(pass *analysis.Pass, pos token.Pos) {
 
 // isByteElemIndex reports whether e indexes an element of a []byte or
 // [N]byte (directly or through a named type).
-func isByteElemIndex(pass *analysis.Pass, e ast.Expr) bool {
+func isByteElemIndex(pass *Pass, e ast.Expr) bool {
 	idx, ok := ast.Unparen(e).(*ast.IndexExpr)
 	if !ok {
 		return false
@@ -159,7 +140,7 @@ func containsShift(e ast.Expr) bool {
 }
 
 // containsByteElemIndex reports whether the tree loads a byte element.
-func containsByteElemIndex(pass *analysis.Pass, e ast.Expr) bool {
+func containsByteElemIndex(pass *Pass, e ast.Expr) bool {
 	found := false
 	ast.Inspect(e, func(n ast.Node) bool {
 		if ex, ok := n.(ast.Expr); ok && isByteElemIndex(pass, ex) {

@@ -106,8 +106,8 @@ func (o *Options) fill() error {
 	if o.Shards < 0 {
 		return fmt.Errorf("core: negative Options.Shards %d", o.Shards)
 	}
-	if o.FiberMeters < 0 {
-		return fmt.Errorf("core: negative Options.FiberMeters %v", o.FiberMeters)
+	if err := phys.CheckFiberM("Options.FiberMeters", o.FiberMeters); err != nil {
+		return fmt.Errorf("core: %w", err)
 	}
 	for _, d := range []struct {
 		name string

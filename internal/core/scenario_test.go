@@ -151,6 +151,9 @@ func TestScenarioRejectsInvalidPlan(t *testing.T) {
 		{Scenario{Opts: Options{Nodes: 4, Switches: 2, FiberMeters: -10}}, "negative Options.FiberMeters -10"},
 		{Scenario{Opts: Options{Fabric: &phys.Topology{Nodes: 4, Switches: 2, FiberM: -10}}}, "negative Topology.FiberM -10"},
 		{Scenario{Opts: Options{Fabric: &trunk}}, "negative TrunkSpec.FiberM -1"},
+		{Scenario{Opts: Options{Nodes: 4, Switches: 2, FiberMeters: math.NaN()}}, "out-of-range Options.FiberMeters NaN"},
+		{Scenario{Opts: Options{Nodes: 4, Switches: 2, FiberMeters: 1e30}}, "out-of-range Options.FiberMeters 1e+30"},
+		{Scenario{Opts: Options{Fabric: &phys.Topology{Nodes: 4, Switches: 2, FiberM: math.Inf(1)}}}, "out-of-range Topology.FiberM +Inf"},
 		{Scenario{Opts: opts, For: -5 * sim.Millisecond}, "negative Scenario.For -5"},
 		{Scenario{Opts: opts, Settle: -1}, "negative Scenario.Settle"},
 		{Scenario{Opts: opts, BootWindow: -1}, "negative Scenario.BootWindow"},
@@ -184,6 +187,23 @@ func TestScenarioRejectsInvalidPlan(t *testing.T) {
 			}()
 			New(tc.opts)
 		}()
+	}
+}
+
+// A ring of one node — booted that way or left by crashes — has no
+// hops, and still reports itself healed.
+func TestScenarioOneNodeRing(t *testing.T) {
+	for _, sc := range []Scenario{
+		{Opts: Options{Nodes: 1}, For: 10 * sim.Millisecond},
+		{Opts: Options{Nodes: 3}, Plan: Plan{CrashNode(5*sim.Millisecond, 1), CrashNode(6*sim.Millisecond, 2)}, For: 10 * sim.Millisecond},
+	} {
+		rep, err := sc.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.RingSize != 1 || !rep.Healed {
+			t.Errorf("%d nodes, plan %v: ring_size %d, healed %v; want 1, true", sc.Opts.Nodes, sc.Plan, rep.RingSize, rep.Healed)
+		}
 	}
 }
 

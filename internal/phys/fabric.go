@@ -2,6 +2,7 @@ package phys
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -20,6 +21,22 @@ const MaxSwitches = 8
 // 255 nodes (one address byte) — and Topology.Validate enforces the
 // resolved version's limit, so ids can never alias on the wire.
 const MaxNodes = 65535
+
+// MaxFiberM bounds the fiber length of any link: PropTime of every
+// shorter fiber fits in sim.Time.
+const MaxFiberM = math.MaxInt64 / NsPerMeter
+
+// CheckFiberM refuses a fiber length no link can have — negative, NaN,
+// or not shorter than MaxFiberM — naming field; nil for a valid one.
+func CheckFiberM(field string, meters float64) error {
+	if meters < 0 {
+		return fmt.Errorf("negative %s %v", field, meters)
+	}
+	if !(meters < MaxFiberM) {
+		return fmt.Errorf("out-of-range %s %v (fibers are shorter than %g m)", field, meters, MaxFiberM)
+	}
+	return nil
+}
 
 // Topology declaratively describes a fabric: which switches exist, which
 // node attaches to which switch, and which switches are joined by
@@ -64,14 +81,14 @@ type TrunkSpec struct {
 }
 
 // Validate checks the topology for structural sanity: positive sizes,
-// no negative fiber length, the switch-mask limit, trunk endpoints in
-// range, and every node attached to at least one switch.
+// fiber lengths in [0, MaxFiberM), the switch-mask limit, trunk
+// endpoints in range, and every node attached to at least one switch.
 func (t *Topology) Validate() error {
 	if t.Nodes <= 0 || t.Switches <= 0 {
 		return fmt.Errorf("phys: topology %q needs at least one node and one switch", t.Name)
 	}
-	if t.FiberM < 0 {
-		return fmt.Errorf("phys: topology %q has negative Topology.FiberM %v", t.Name, t.FiberM)
+	if err := CheckFiberM("Topology.FiberM", t.FiberM); err != nil {
+		return fmt.Errorf("phys: topology %q has %w", t.Name, err)
 	}
 	if t.Switches > MaxSwitches {
 		return fmt.Errorf("phys: topology %q has %d switches; the rostering link-state mask allows at most %d",
@@ -96,8 +113,8 @@ func (t *Topology) Validate() error {
 		if tr.A == tr.B {
 			return fmt.Errorf("phys: topology %q trunk %d is a self-loop on switch %d", t.Name, i, tr.A)
 		}
-		if tr.FiberM < 0 {
-			return fmt.Errorf("phys: topology %q trunk %d has negative TrunkSpec.FiberM %v", t.Name, i, tr.FiberM)
+		if err := CheckFiberM("TrunkSpec.FiberM", tr.FiberM); err != nil {
+			return fmt.Errorf("phys: topology %q trunk %d has %w", t.Name, i, err)
 		}
 	}
 	for n := 0; n < t.Nodes; n++ {

@@ -1,6 +1,7 @@
 package phys
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -23,6 +24,11 @@ func TestTopologyValidate(t *testing.T) {
 		{"trunk self-loop", Topology{Name: "x", Nodes: 2, Switches: 2, Trunks: []TrunkSpec{{A: 1, B: 1}}}, "self-loop"},
 		{"negative fiber", Uniform(6, 4, -10), "negative Topology.FiberM -10"},
 		{"negative trunk fiber", Topology{Name: "x", Nodes: 2, Switches: 2, Trunks: []TrunkSpec{{A: 0, B: 1, FiberM: -1}}}, "negative TrunkSpec.FiberM -1"},
+		{"NaN fiber", Uniform(6, 4, math.NaN()), "out-of-range Topology.FiberM NaN"},
+		{"fiber past sim.Time", Uniform(6, 4, 1e30), "out-of-range Topology.FiberM 1e+30"},
+		{"fiber at the bound", Uniform(6, 4, MaxFiberM), "out-of-range Topology.FiberM"},
+		{"longest fiber", Uniform(6, 4, math.Nextafter(MaxFiberM, 0)), ""},
+		{"infinite trunk fiber", Topology{Name: "x", Nodes: 2, Switches: 2, Trunks: []TrunkSpec{{A: 0, B: 1, FiberM: math.Inf(1)}}}, "out-of-range TrunkSpec.FiberM +Inf"},
 		{"orphan node", Topology{Name: "x", Nodes: 2, Switches: 2,
 			Attached: func(n, s int) bool { return n == 0 }}, "no switch attachment"},
 	} {
@@ -34,6 +40,9 @@ func TestTopologyValidate(t *testing.T) {
 		} else if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %v, want substring %q", tc.name, err, tc.want)
 		}
+	}
+	if p := PropTime(math.Nextafter(MaxFiberM, 0)); p <= 0 {
+		t.Errorf("PropTime of the longest valid fiber = %v, want it to fit in sim.Time", p)
 	}
 }
 

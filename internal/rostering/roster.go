@@ -100,14 +100,15 @@ func (r *Roster) PathOf(id int) []int {
 }
 
 // Equal reports whether two rosters describe the same ring (same
-// rotation-normalized order and vias). Epoch is ignored.
+// rotation-normalized order and vias). Epoch is ignored. A ring of
+// fewer than two nodes has no hops, so only its nodes compare.
 func (r *Roster) Equal(o *Roster) bool {
 	if o == nil || len(r.Nodes) != len(o.Nodes) {
 		return false
 	}
 	n := len(r.Nodes)
-	if n == 0 {
-		return true
+	if n < 2 {
+		return n == 0 || r.Nodes[0] == o.Nodes[0]
 	}
 	// Align on the smallest node id.
 	ri, oi := r.minIndex(), o.minIndex()
