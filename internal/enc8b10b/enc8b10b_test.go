@@ -1,9 +1,94 @@
 package enc8b10b
 
 import (
+	"bytes"
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"testing/quick"
 )
+
+// decodeGolden holds one line per (entry disparity, 10-bit symbol): what
+// Decode returns for it and what it leaves behind. Regenerate after an
+// intentional change to the decoder with
+//
+//	go test ./internal/enc8b10b -run TestDecodeTable -update
+var (
+	decodeGolden = filepath.Join("testdata", "decode.golden")
+	updateGolden = flag.Bool("update", false, "rewrite "+decodeGolden)
+)
+
+// decodeLine decodes sym from entry disparity rd on a fresh decoder and
+// prints the outcome as one golden line under the label lbl: decoded
+// byte, control bit, exit disparity, violations added and error text.
+func decodeLine(rd Disparity, lbl, sym Symbol) string {
+	d := &Decoder{rd: rd}
+	dec, err := d.Decode(sym)
+	msg := "ok"
+	if err != nil {
+		msg = err.Error()
+	}
+	ctl := 0
+	if dec.Control {
+		ctl = 1
+	}
+	return fmt.Sprintf("%+d %03x %02x %d %+d %d %s", rd, lbl, dec.Byte, ctl, d.rd, d.Violations, msg)
+}
+
+// TestDecodeTable checks Decode on every (disparity, symbol) pair
+// against the committed golden, checks that bits above bit 9 are
+// ignored, and that decoding a valid symbol allocates nothing.
+func TestDecodeTable(t *testing.T) {
+	var got bytes.Buffer
+	got.WriteString("# rd sym byte ctl exit violations error\n")
+	for _, rd := range []Disparity{DispNeg, DispPos} {
+		for s := Symbol(0); s < 1024; s++ {
+			line := decodeLine(rd, s, s)
+			for _, hi := range []Symbol{0x0400, 0x8000, 0xFC00} {
+				if high := decodeLine(rd, s, s|hi); high != line {
+					t.Fatalf("high bits %#04x change the decode:\n got  %s\n want %s", hi, high, line)
+				}
+			}
+			got.WriteString(line + "\n")
+		}
+	}
+	if *updateGolden {
+		if err := os.WriteFile(decodeGolden, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("wrote %s", decodeGolden)
+		return
+	}
+	want, err := os.ReadFile(decodeGolden)
+	if err != nil {
+		t.Fatalf("%v (run `go test ./internal/enc8b10b -run TestDecodeTable -update` to create it)", err)
+	}
+	gotLines, wantLines := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+	if len(gotLines) != len(wantLines) {
+		t.Fatalf("%d lines decoded, %s has %d", len(gotLines), decodeGolden, len(wantLines))
+	}
+	for i, bad := 0, 0; i < len(gotLines) && bad < 10; i++ {
+		if gotLines[i] != wantLines[i] {
+			t.Errorf("%s:%d:\n got  %s\n want %s", decodeGolden, i+1, gotLines[i], wantLines[i])
+			bad++
+		}
+	}
+
+	d := NewDecoder()
+	for _, sym := range []Symbol{0b0011111010, 0b1001110100, 0b1110100001} { // K28.5, D0.0, D23.7
+		if got := testing.AllocsPerRun(100, func() {
+			d.Reset()
+			if _, err := d.Decode(sym); err != nil {
+				t.Fatal(err)
+			}
+		}); got != 0 {
+			t.Errorf("Decode(%010b) allocates %.0f times, want 0", sym, got)
+		}
+	}
+}
 
 // TestRoundTripAllBytesBothDisparities encodes and decodes every data
 // byte from both starting disparities.
