@@ -317,7 +317,30 @@ func init() {
 		rev4kNeg[e.neg] = uint8(y)
 		rev4kPos[e.pos] = uint8(y)
 	}
+	for i, rd := range [2]Disparity{DispNeg, DispPos} {
+		for s := range decodeTable[i] {
+			d := Decoder{rd: rd}
+			if dec, err := d.decodeRules(Symbol(s)); err == nil {
+				decodeTable[i][s] = decodeEntry{b: dec.Byte, ctl: dec.Control, exit: d.rd, viol: uint8(d.Violations)}
+			}
+		}
+	}
 }
+
+// decodeEntry is decodeRules' outcome for one symbol from one entry
+// disparity: the decoded byte and control bit, the exit disparity and
+// the violations the symbol adds (up to 4). The zero entry (exit 0)
+// marks a symbol the rules reject.
+type decodeEntry struct {
+	b    byte
+	ctl  bool
+	exit Disparity
+	viol uint8
+}
+
+// decodeTable[i][s] is the entry for the 10-bit symbol s from entry
+// disparity DispNeg (i = 0) or DispPos (i = 1), built once at init.
+var decodeTable [2][1024]decodeEntry
 
 // Decode decodes one 10-bit symbol. Decoding is disparity-aware: K28.1
 // and K28.6 (among others) share bit patterns across disparity columns
@@ -325,7 +348,23 @@ func init() {
 // return an error and count as violations; the disparity is then
 // resynchronized from the symbol's own bit count so the decoder can
 // continue with subsequent symbols.
+//
+// A symbol the rules accept is one lookup in decodeTable; a rejected one
+// re-runs the rules, so its error, violations and resync are theirs.
 func (d *Decoder) Decode(sym Symbol) (Decoded, error) {
+	if d.rd == DispNeg || d.rd == DispPos {
+		if e := decodeTable[(d.rd+1)/2][sym&0x3FF]; e.exit != 0 {
+			d.rd = e.exit
+			d.Violations += uint64(e.viol)
+			return Decoded{Byte: e.b, Control: e.ctl}, nil
+		}
+	}
+	return d.decodeRules(sym)
+}
+
+// decodeRules is Decode worked out from the sub-block tables; init runs
+// it once per (disparity, symbol) pair to fill decodeTable.
+func (d *Decoder) decodeRules(sym Symbol) (Decoded, error) {
 	s6 := uint8(sym>>4) & 0x3F
 	s4 := uint8(sym) & 0x0F
 

@@ -90,6 +90,22 @@ func TestDecodeTable(t *testing.T) {
 	}
 }
 
+// TestDecodeTableMatchesRules: the table path and the rules it was built
+// from agree on every uint16 input from both disparities — byte, class,
+// error text, exit disparity and violations.
+func TestDecodeTableMatchesRules(t *testing.T) {
+	for _, rd := range []Disparity{DispNeg, DispPos} {
+		for s := 0; s <= 0xFFFF; s++ {
+			fast, slow := &Decoder{rd: rd}, &Decoder{rd: rd}
+			got, gerr := fast.Decode(Symbol(s))
+			want, werr := slow.decodeRules(Symbol(s))
+			if got != want || fmt.Sprint(gerr) != fmt.Sprint(werr) || *fast != *slow {
+				t.Fatalf("rd=%+d sym=%#04x: table %+v %v %+v, rules %+v %v %+v", rd, s, got, gerr, *fast, want, werr, *slow)
+			}
+		}
+	}
+}
+
 // TestRoundTripAllBytesBothDisparities encodes and decodes every data
 // byte from both starting disparities.
 func TestRoundTripAllBytesBothDisparities(t *testing.T) {
