@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"repro/internal/micropacket"
@@ -43,6 +44,32 @@ func TestDeepPHYFullStack(t *testing.T) {
 	}
 	if c.Drops() != 0 {
 		t.Fatalf("congestion drops: %d", c.Drops())
+	}
+}
+
+// TestDeepPHYReportIdentical: without bit errors the deep datapath
+// delivers exactly the frames plain PHY does, tags included, so the
+// equivalence battery's scenario reports byte-for-byte the same with
+// DeepPHY on, on every fabric shape at one and two shards.
+func TestDeepPHYReportIdentical(t *testing.T) {
+	for _, topo := range equivalenceFabrics() {
+		for _, shards := range []int{1, 2} {
+			t.Run(fmt.Sprintf("%s%dx%d/shards=%d", topo.Name, topo.Nodes, topo.Switches, shards), func(t *testing.T) {
+				plain, err := equivalenceScenario(&topo, 1, shards).Run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				s := equivalenceScenario(&topo, 1, shards)
+				s.Opts.DeepPHY = true
+				deep, err := s.Run()
+				if err != nil {
+					t.Fatalf("DeepPHY: %v", err)
+				}
+				if !bytes.Equal(plain.JSON(), deep.JSON()) {
+					t.Errorf("DeepPHY report diverged from plain PHY\n--- plain ---\n%s--- deep ---\n%s", plain.JSON(), deep.JSON())
+				}
+			})
+		}
 	}
 }
 

@@ -142,22 +142,28 @@ func TestDeepPHYBurstErrors(t *testing.T) {
 	}
 }
 
-// TestDeepPHYEndToEndStack: the full node stack (kernel, cache,
-// services) runs unchanged over the deep datapath.
+// TestDeepPHYHopPreserved: only the packet goes through the deep
+// datapath; the frame's hop count, trunk VC tag, priority mark and wire
+// size arrive as they were sent (trunk ingress routes by VC).
 func TestDeepPHYHopPreserved(t *testing.T) {
 	k := sim.NewKernel(1)
 	n := NewNet(k)
 	n.DeepPHY = true
-	var gotHops uint16
+	var got Frame
 	a := n.NewPort("a", nil)
-	b := n.NewPort("b", func(_ *Port, f Frame) { gotHops = f.Hops })
+	b := n.NewPort("b", func(_ *Port, f Frame) { got = f })
 	n.Connect(a, b, 10)
 	f := newFrameV1(micropacket.NewData(1, 2, 0, nil))
-	f.Hops = 9
-	a.Send(f)
+	f.Hops, f.VC = 9, 5
+	a.SendPriority(f)
 	k.Run()
-	if gotHops != 9 {
-		t.Fatalf("hop count lost through deep PHY: %d", gotHops)
+	if got.Pkt == nil || got.Pkt == f.Pkt {
+		t.Fatalf("frame not delivered through the deep datapath: %+v", got)
+	}
+	want := f
+	want.Pkt, want.Prio = got.Pkt, true
+	if got != want {
+		t.Fatalf("frame tags changed through deep PHY: got %+v, want %+v", got, want)
 	}
 }
 

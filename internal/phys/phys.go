@@ -500,9 +500,9 @@ func (n *Net) CompleteDelivery(dst *Port, f Frame, link *Link, epoch uint64) {
 			n.Acct.Lose(frameacct.LossCRC)
 			return
 		}
-		hops := f.Hops
-		f = n.NewFrame(pkt)
-		f.Hops = hops
+		// Only the packet crossed the fiber; the frame's tags (hops, the
+		// trunk VC, priority) and wire size travel with it unchanged.
+		f.Pkt = pkt
 	}
 	n.Acct.Deliver()
 	if dst.onFrame != nil {
