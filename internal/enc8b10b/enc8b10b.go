@@ -350,7 +350,8 @@ var decodeTable [2][1024]decodeEntry
 // continue with subsequent symbols.
 //
 // A symbol the rules accept is one lookup in decodeTable; a rejected one
-// re-runs the rules, so its error, violations and resync are theirs.
+// re-runs the rules, so its error, violations and resync are theirs. So
+// does a zero Decoder, whose disparity 0 has no table column.
 func (d *Decoder) Decode(sym Symbol) (Decoded, error) {
 	if d.rd == DispNeg || d.rd == DispPos {
 		if e := decodeTable[(d.rd+1)/2][sym&0x3FF]; e.exit != 0 {

@@ -91,10 +91,10 @@ func TestDecodeTable(t *testing.T) {
 }
 
 // TestDecodeTableMatchesRules: the table path and the rules it was built
-// from agree on every uint16 input from both disparities — byte, class,
-// error text, exit disparity and violations.
+// from agree on every uint16 input from both disparities, and from a zero
+// Decoder's — byte, class, error text, exit disparity and violations.
 func TestDecodeTableMatchesRules(t *testing.T) {
-	for _, rd := range []Disparity{DispNeg, DispPos} {
+	for _, rd := range []Disparity{DispNeg, DispPos, 0} {
 		for s := 0; s <= 0xFFFF; s++ {
 			fast, slow := &Decoder{rd: rd}, &Decoder{rd: rd}
 			got, gerr := fast.Decode(Symbol(s))
