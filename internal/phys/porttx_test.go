@@ -362,14 +362,7 @@ func newTxHarness(t testing.TB, meters float64) *txHarness {
 			// the checks must leave the ports as the ops left them.
 			acct, forwards := n.Acct, dev.forwards
 			for _, p := range h.rp {
-				if d := p.plan; d != nil && k.PassedKey(d.at, d.priT, 0, d.seq) {
-					forwards++
-					acct.Exit()
-					acct.Relaunch()
-					acct.Offer()
-					acct.Enqueue()
-					acct.Launch()
-				}
+				forwards += unsettled(k, p, &acct)
 			}
 			return fmt.Sprint(acct.CongestionDrops(), acct.FailureLosses(), acct.WireDelivered, forwards, acctFields(&acct))
 		}}
@@ -403,6 +396,36 @@ func newTxHarness(t testing.TB, meters float64) *txHarness {
 	}
 	h.ref.hold = func(port int, lat sim.Time, f Frame) { h.refp[port].holdFrame(lat, f) }
 	return h
+}
+
+// unsettled adds to acct what settling p would count, and returns the
+// forwards it would count, without settling: every completion of a lazy
+// train the firing order has passed starts the frame behind it, and a
+// due plan leaves its device — launched at once if the train it was
+// made behind is over by then, queued at the train's tail if not.
+func unsettled(k *sim.Kernel, p *Port, acct *frameacct.Acct) (forwards uint64) {
+	left := 0
+	if p.tx == txLazy {
+		left = p.fifo.Len()
+		at, end := p.txAt, p.txEnd
+		for left > 0 && k.Passed(end, at, p.uid) {
+			if left--; left > 0 {
+				acct.Launch()
+				at, end = end, end+SerTime(p.fifo.At(p.fifo.Len()-left).Wire+p.net.IFG)
+			}
+		}
+	}
+	if d := p.plan; d != nil && k.PassedKey(d.at, d.priT, 0, d.seq) {
+		forwards++
+		acct.Exit()
+		acct.Relaunch()
+		acct.Offer()
+		acct.Enqueue()
+		if left == 0 {
+			acct.Launch()
+		}
+	}
+	return forwards
 }
 
 func acctFields(a *frameacct.Acct) string {
@@ -663,8 +686,14 @@ func runPortTxOps(t testing.TB, data []byte) *txHarness {
 	if got, want := h.ledger(), h.ref.counters(); got != want {
 		t.Fatalf("Ledger() at %v: real %s, ref %s", h.ref.k.Now(), got, want)
 	}
+	// Drain both kernels to one deadline: Run stops on a kernel's last
+	// event, and the real kernel's may be a void arrival the reference
+	// never queued.
 	h.real.k.Run()
 	h.ref.k.Run()
+	end := max(h.real.k.Now(), h.ref.k.Now())
+	h.real.k.RunUntil(end)
+	h.ref.k.RunUntil(end)
 	h.check()
 	for i := range h.rp {
 		if got, want := h.real.ports[i].QueueLen(), h.ref.ports[i].QueueLen(); got != want {
@@ -845,14 +874,63 @@ var portTxSeeds = []struct {
 }, {
 	name: "read-plan-due/ledger",
 	ops:  txStream(1, holdNow(aHold200), runFor(200), doNow(aQueueLen)),
+}, {
+	// A frame sent while the one before it is still on the wire, read at
+	// the head's completion from either side of its key …
+	name: "send-behind-lazy-head",
+	ops: txStream(1, doNow(aSend), doNow(aSend), atTxEnd(keyBelowH, aQueueLen), atTxEnd(keyAboveT, aQueueLen),
+		runOut()),
+}, {
+	// … and on a zero-length fiber, where the head's arrival shares its
+	// completion's key and sends behind the train from inside it.
+	name: "send-behind-lazy-head/own-delivery",
+	ops:  txStream(0, doNow(actSend<<5|tagReplyPeer<<1), doNow(aSend), doNow(aSend), runOut()),
+}, {
+	name: "train-three-deep",
+	ops: txStream(1, doNow(aSend), doNow(aSend), doNow(aSend), runFor16(txSer+txSer/2), doNow(aQueueLen),
+		runOut()),
+}, {
+	// A priority frame overtakes two frames of a train, and a second one
+	// follows it while the port is still draining.
+	name: "sendpri-into-train",
+	ops:  txStream(1, doNow(aSend), doNow(aSend), doNow(aSend), doNow(aSendPri), doNow(aSendPri), runOut()),
+}, {
+	name: "hold-on-mid-train",
+	ops: txStream(1, doNow(aSend), doNow(aSend), doNow(aSend), runFor(100), doNow(aHoldOn), hostQueue(0),
+		runOut(), doNow(aHoldOff), doNow(aSend), doNow(aSend), runOut()),
+}, {
+	name: "fail-mid-train",
+	ops: txStream(1, doNow(aSend), doNow(aSend), doNow(aSend), runFor(100), doNow(aFail), runOut(),
+		doNow(aRestore), runOut(), doNow(aSend), doNow(aSend), runOut()),
+}, {
+	// A frame held while a train runs past its emerging instant leaves at
+	// the train's tail …
+	name: "planned-behind-train",
+	ops:  txStream(1, doNow(aSend), doNow(aSend), holdNow(aHold40), runOut()),
+}, {
+	// … unless something takes the plan back before it emerges …
+	name: "plan-behind-train-taken-back-in-gap",
+	ops:  txStream(1, doNow(aSend), doNow(aSend), holdNow(aHold40), runFor(10), doNow(aSend), runOut()),
+}, {
+	// … or takes the train back, the emerged frame with it.
+	name: "plan-behind-train-taken-back-after-emerge",
+	ops:  txStream(1, doNow(aSend), doNow(aSend), holdNow(aHold40), runFor(100), doNow(aSendPri), runOut()),
 }}
+
+// trainSeeds are the seeds aimed at a lazy train; the states they are
+// there for do not exist yet, so their hits are not asserted.
+var trainSeeds = map[string]bool{
+	"send-behind-lazy-head": true, "train-three-deep": true, "sendpri-into-train": true,
+	"hold-on-mid-train": true, "fail-mid-train": true, "planned-behind-train": true,
+	"plan-behind-train-taken-back-in-gap": true, "plan-behind-train-taken-back-after-emerge": true,
+}
 
 func TestPortTxSeeds(t *testing.T) {
 	for _, s := range portTxSeeds {
 		t.Run(s.name, func(t *testing.T) {
 			h := runPortTxOps(t, s.ops)
 			want, _, _ := strings.Cut(s.name, "/")
-			if !h.hits[want] {
+			if !h.hits[want] && !trainSeeds[want] {
 				t.Fatalf("the stream never reached the state it is in the corpus for (reached %v)", h.hits)
 			}
 		})
