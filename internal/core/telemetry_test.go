@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"flag"
 	"os"
 	"reflect"
 	"strings"
@@ -82,10 +83,14 @@ func TestTelemetryEquivalence(t *testing.T) {
 
 const summaryGolden = "testdata/summary.golden"
 
+var updateSummary = flag.Bool("update", false, "rewrite "+summaryGolden)
+
 // TestSummaryGolden pins Summary() text, engine lines included, for one
 // faulted, loaded run at one shard and at four: the partition, engine,
 // per-shard occupancy and heal-span lines are formatted from the
 // deterministic plane, so they are as byte-stable as the Report JSON.
+// A change to what the engine spends regenerates it:
+// `go test ./internal/core -run TestSummaryGolden -update`.
 func TestSummaryGolden(t *testing.T) {
 	topo := phys.Sharded(2, 4, 2, 50)
 	var got strings.Builder
@@ -95,6 +100,11 @@ func TestSummaryGolden(t *testing.T) {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}
 		got.WriteString(rep.Summary())
+	}
+	if *updateSummary {
+		if err := os.WriteFile(summaryGolden, []byte(got.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 	want, err := os.ReadFile(summaryGolden)
 	if err != nil {

@@ -216,20 +216,28 @@ type Port struct {
 
 	// Transmitter state. While busy, the head-of-line frame is being
 	// serialized and the transmitter frees at the completion key
-	// (txEnd, txAt, uid). txLazy means that completion is only a
-	// timestamp — no kernel event exists for it, and every observer of
-	// the transmitter settles the port first; it implies exactly one
-	// frame in the FIFO and hold off. txArmed means a txDone event is
-	// queued under the key. hold is the MAC's standing request to be
-	// called at completions (HoldTxDone).
-	tx          txState
-	hold        bool
-	txEnd, txAt sim.Time
+	// (txEnd, txAt, uid). txLazy means the port is a lazy train: no
+	// kernel event exists for any completion, every observer of the
+	// transmitter settles the port first, and the hold is off. The FIFO
+	// leaves back to back — each frame starts as the one before it ends,
+	// the last of them serialized over [tailAt, tailEnd) — and every
+	// frame behind the head has its arrival queued already: waiting is
+	// the first frame's pooled record, each record links the next, last
+	// is the tail's. txArmed means a txDone event is queued under the
+	// head's key, and the frames behind it start at events as they come
+	// due. hold is the MAC's standing request to be called at completions
+	// (HoldTxDone).
+	tx              txState
+	hold            bool
+	txEnd, txAt     sim.Time
+	tailEnd, tailAt sim.Time
+	waiting, last   *delivery
 
 	// plan is the arrival Net.Hold queued for a frame still inside its
-	// device: the port will be idle and empty when the frame emerges and
-	// leaves by it, unless something touches the port first, and no
-	// kernel event says so. settle promotes the plan once the
+	// device: the port will be idle when the frame emerges and leaves by
+	// it, or the frame will join the lazy train still running then,
+	// unless something touches the port first, and no kernel event says
+	// so. settle promotes the plan once the
 	// firing order has passed the key of the stage event it stands in
 	// for; whatever would change what that event finds — a Send, the
 	// MAC's hold, a link failure, a new egress — takes it back first
@@ -309,6 +317,7 @@ func (p *Port) HoldTxDone(on bool) {
 		return
 	}
 	if p.Unplan(); p.tx == txLazy {
+		p.voidTrain()
 		p.arm()
 	}
 }
@@ -338,18 +347,41 @@ func (p *Port) QueueLen() int {
 func (p *Port) queued() int { return p.fifo.Len() }
 
 // settle realizes what the kernel's firing order has gone beyond
-// without an event for it: a planned relaunch (the frame is on the wire
-// since the plan's instant), then a lazy transmit completion (the head frame leaves
-// the FIFO and the transmitter is idle) — exactly what the events would
-// have left behind. Everything that reads or changes transmitter state
-// settles first.
+// without an event for it: the lazy completions (each head frame leaves
+// the FIFO, and the frame behind it is on the wire since), then a
+// planned relaunch (the frame left its device at the plan's instant) —
+// exactly what the events would have left behind. Everything that reads
+// or changes transmitter state settles first.
 func (p *Port) settle() {
+	if p.tx == txLazy && p.net.K.Passed(p.txEnd, p.txAt, p.uid) {
+		p.pop()
+	}
 	if d := p.plan; d != nil && p.net.K.PassedKey(d.at, d.priT, 0, d.seq) {
 		p.promote()
 	}
-	if p.tx == txLazy && p.net.K.Passed(p.txEnd, p.txAt, p.uid) {
-		p.fifo.Pop()
-		p.tx = txIdle
+}
+
+// pop realizes the lazy completions the firing order has passed, the
+// head's first: the head leaves, and the next frame of the train starts
+// as it ended.
+func (p *Port) pop() {
+	for {
+		if p.fifo.Pop(); p.queued() == 0 {
+			p.tx = txIdle
+			return
+		}
+		// The first waiting frame is on the wire: its arrival is no longer
+		// the port's to take back.
+		d := p.waiting
+		if p.waiting, d.next, d.src = d.next, nil, nil; p.waiting == nil {
+			p.last = nil
+		}
+		p.net.Acct.Launch()
+		p.net.Holds.TrainStarts++
+		p.txAt, p.txEnd = p.txEnd, p.txEnd+SerTime(p.fifo.At(0).Wire+p.net.IFG)
+		if !p.net.K.Passed(p.txEnd, p.txAt, p.uid) {
+			return
+		}
 	}
 }
 
@@ -399,21 +431,62 @@ func (p *Port) Send(f Frame) bool {
 		return false
 	}
 	p.fifo.Push(f)
-	p.enqueued()
+	p.enqueued(f)
 	return true
 }
 
-// enqueued follows a frame into the FIFO of a settled port: an idle
-// transmitter starts on it, and a lazy one now has a frame waiting for
-// its completion to happen.
-func (p *Port) enqueued() {
+// enqueued follows f into the FIFO of a settled port: an idle
+// transmitter starts on it, and a lazy train takes it on at its tail —
+// unless the link is split, where the exchange wants the frame when it
+// is launched, so the completion ahead of it must happen.
+func (p *Port) enqueued(f Frame) {
 	p.net.Acct.Enqueue()
-	switch p.tx {
-	case txIdle:
+	switch {
+	case p.tx == txIdle:
 		p.startTx()
-	case txLazy:
+	case p.tx == txLazy && p.Peer().net != p.net:
 		p.arm()
+	case p.tx == txLazy:
+		p.wait(p.follow(f, p.tailEnd))
+		p.tailAt, p.tailEnd = p.tailEnd, p.tailEnd+SerTime(f.Wire+p.net.IFG)
 	}
+}
+
+// wait links d, the arrival of a frame joining the lazy train, behind
+// the train's waiting frames.
+func (p *Port) wait(d *delivery) {
+	if p.last != nil {
+		p.last.next = d
+	} else {
+		p.waiting = d
+	}
+	p.last = d
+}
+
+// follow queues the arrival of f, launched on p at start with no event
+// to say so: a frame joining a lazy train, or a plan. The record names
+// p, which settles before recycling it.
+func (p *Port) follow(f Frame, start sim.Time) *delivery {
+	link := p.link
+	d := p.net.newDelivery(link.ports[1-p.end], f, link, link.epoch)
+	d.src = p
+	p.net.K.DoPri(start+SerTime(f.Wire+p.net.IFG)+link.prop, start, p.uid, d.run)
+	return d
+}
+
+// voidTrain takes back the queued arrivals of the frames waiting in a
+// lazy train: the records fire as no-ops, and the frames start at events
+// after all (Link.Fail clears them instead). The port stays armed until
+// it drains — startTx never makes a train of a backlog, or every
+// priority frame inserted into a long queue would void all of it again.
+func (p *Port) voidTrain() {
+	for d := p.waiting; d != nil; {
+		next := d.next
+		d.void()
+		d = next
+		p.net.Holds.TrainVoids++
+	}
+	p.waiting, p.last = nil, nil
 }
 
 // SendPriority enqueues a frame ahead of queued frames (behind the one
@@ -432,21 +505,29 @@ func (p *Port) SendPriority(f Frame) bool {
 		// Insert behind the frame being serialized and behind any
 		// earlier priority frames (priority is FIFO among itself).
 		pos := 1
-		for pos < p.fifo.Len() && p.fifo.At(pos).Prio {
+		for pos < p.queued() && p.fifo.At(pos).Prio {
 			pos++
+		}
+		if p.queued() > 1 && p.tx == txLazy {
+			// A priority frame moves the starts of the frames it overtakes,
+			// and a flood would grow a train of priority frames whose
+			// waiting arrivals each hold a pooled record: the port goes
+			// eager instead, for the rest of its busy period.
+			p.voidTrain()
+			p.arm()
 		}
 		p.fifo.Insert(pos, f)
 	} else {
 		p.fifo.Push(f)
 	}
-	p.enqueued()
+	p.enqueued(f)
 	return true
 }
 
 // startTx begins serializing the head-of-line frame of an idle,
-// non-empty port. The completion stays a timestamp unless somebody is
-// already waiting for it: a frame queued behind the head, or the MAC's
-// hold.
+// non-empty port. The completion stays a timestamp, the head of a lazy
+// train, unless somebody is already waiting for it: a frame queued
+// behind the head, or the MAC's hold.
 func (p *Port) startTx() {
 	p.net.Acct.Launch()
 	f := *p.fifo.At(0)
@@ -478,7 +559,7 @@ func (p *Port) startTx() {
 	if p.hold || p.queued() > 1 {
 		p.arm()
 	} else {
-		p.tx = txLazy
+		p.tx, p.tailAt, p.tailEnd = txLazy, txAt, txAt+ser
 	}
 }
 
@@ -614,13 +695,15 @@ func (l *Link) Fail() {
 	l.epoch++
 	for _, p := range l.ports {
 		// Frames queued behind the serializing head die here, uncounted
-		// by any delivery event; the head itself (if the transmitter was
-		// busy) is already launched and its scheduled arrival dies as a
-		// counted stale-epoch LossLinkCut.
+		// by any delivery event (a train's queued arrivals are void); the
+		// head itself (if the transmitter was busy) is already launched
+		// and its scheduled arrival dies as a counted stale-epoch
+		// LossLinkCut.
 		cleared := p.queued()
 		if p.tx != txIdle {
 			cleared--
 		}
+		p.voidTrain()
 		p.net.Acct.ClearFifo(cleared)
 		p.fifo.Clear()
 		p.tx = txIdle

@@ -38,18 +38,22 @@ type delivery struct {
 	epoch uint64
 	run   func()
 
+	// src is set while a port points at the record — a plan, or the
+	// arrival of a frame waiting in a lazy train (Port.plan,
+	// Port.waiting, linked through next) — and dispatch settles that
+	// port before it recycles the record. A void arrival, taken back with
+	// its train or its plan, has neither src nor dst.
+	src  *Port
+	next *delivery
 	// While the arrival is a plan (Net.Hold queued it before the frame
-	// left its device, by the port at link's other end) dev is set and
+	// left its device) dev is set, start is when src will launch it and
 	// the rest is what the device-latency stage the plan stands in for
 	// would have carried: the device's argument and the stage's key (at,
-	// priT, 0, seq). An arrival whose plan was taken back is void: it
-	// has no dst. (Neither "planned" nor "void" nor the planning port is
-	// a field of its own: the pool's high-water mark times the record's
-	// size is what a run allocates for it.)
-	dev      Device
-	arg      int
-	at, priT sim.Time
-	seq      uint64
+	// priT, 0, seq).
+	dev             Device
+	arg             int
+	at, priT, start sim.Time
+	seq             uint64
 }
 
 func (n *Net) newDelivery(dst *Port, f Frame, link *Link, epoch uint64) *delivery {
@@ -66,10 +70,10 @@ func (n *Net) newDelivery(dst *Port, f Frame, link *Link, epoch uint64) *deliver
 }
 
 func (d *delivery) dispatch() {
-	if d.dev != nil {
-		// A frame arrives a serialization time after it left the device:
-		// the plan is long due.
-		d.dst.Peer().promote()
+	if d.src != nil {
+		// A frame arrives a serialization time after it started, so the
+		// settled port has let go of the record (promote, pop).
+		d.src.settle()
 	}
 	n, dst, f, link, epoch := d.n, d.dst, d.f, d.link, d.epoch
 	d.dst, d.f, d.link = nil, Frame{}, nil
@@ -155,16 +159,21 @@ type stage struct {
 	run func()
 }
 
-// HoldStats counts what Hold did with the frames devices gave it.
+// HoldStats counts what Hold did with the frames devices gave it, and
+// what lazy trains did with the frames queued behind a busy head.
 type HoldStats struct {
 	// Planned frames cost no stage event, unless the plan was taken back
 	// (Unplanned) because something touched the egress port first.
 	Planned, Unplanned uint64
 	// The rest were staged at once, for want of an egress port to plan
 	// on (NoEgress: flood fan-out, an unrouted exit) or because the port
-	// was serializing or already planned (Busy), held by its MAC (Held),
+	// was armed, full or already planned (Busy), held by its MAC (Held),
 	// dark (Dark) or the near end of a cross-shard link (Split).
 	NoEgress, Busy, Held, Dark, Split uint64
+	// TrainStarts counts frames a lazy train started as the frame ahead
+	// of them ended, with no txDone event; TrainVoids the arrivals of
+	// waiting frames a train taken back voided.
+	TrainStarts, TrainVoids uint64
 }
 
 // Add sums o into h (the per-shard Nets of one fabric).
@@ -176,12 +185,15 @@ func (h *HoldStats) Add(o HoldStats) {
 	h.Held += o.Held
 	h.Dark += o.Dark
 	h.Split += o.Split
+	h.TrainStarts += o.TrainStarts
+	h.TrainVoids += o.TrainVoids
 }
 
 // String renders the counts on one line, for ampsim.
 func (h HoldStats) String() string {
-	return fmt.Sprintf("%d planned (%d taken back), %d staged: no-egress %d, busy %d, held %d, dark %d, split %d",
-		h.Planned, h.Unplanned, h.NoEgress+h.Busy+h.Held+h.Dark+h.Split, h.NoEgress, h.Busy, h.Held, h.Dark, h.Split)
+	return fmt.Sprintf("%d planned (%d taken back), %d staged: no-egress %d, busy %d, held %d, dark %d, split %d; trains started %d frames (%d arrivals voided)",
+		h.Planned, h.Unplanned, h.NoEgress+h.Busy+h.Held+h.Dark+h.Split, h.NoEgress, h.Busy, h.Held, h.Dark, h.Split,
+		h.TrainStarts, h.TrainVoids)
 }
 
 // Hold keeps f inside dev for latency, then hands it to dev.Emerge. The
@@ -189,11 +201,12 @@ func (h HoldStats) String() string {
 // long; what becomes of it afterwards is Emerge's to account.
 //
 // egress, when not nil, is the port Emerge will relaunch f on if nothing
-// changes in between. If that port is idle, lit, not held and on this
-// Net, the stage is not queued: the port keeps a plan and the frame's
-// next arrival is queued straight away, under the key the relaunch
-// would have given it (see Port.plan). Everything else — and every plan
-// something touches before it is due — goes through the stage event.
+// changes in between. If that port is lit, not held, on this Net and
+// idle, or a lazy train with room behind it, the stage is not queued:
+// the port keeps a plan and the frame's next arrival is queued straight
+// away, under the key the relaunch would have given it (see Port.plan).
+// Everything else — and every plan something touches before it is due —
+// goes through the stage event.
 func (n *Net) Hold(latency sim.Time, dev Device, arg int, f Frame, egress *Port) {
 	n.Acct.Enter()
 	now := n.K.Now()
@@ -232,21 +245,23 @@ func (st *stage) dispatch() {
 
 // planFor tries to leave the relaunch of f at time at on p as a plan
 // instead of a stage event; (at, priT, 0, seq) is that event's key. It
-// reports false, having changed nothing, if p cannot be known to be idle
-// and empty then.
+// reports false, having changed nothing, if p's transmitter cannot be
+// known then: the frame starts at once on a port idle by then, or at
+// the tail of a lazy train still running, with room for one more.
 func (p *Port) planFor(at, priT sim.Time, seq uint64, dev Device, arg int, f Frame) bool {
 	n := p.net
 	p.settle()
 	link, dst := p.link, p.Peer()
+	// The train's last completion key (tailEnd, tailAt, uid) lies above
+	// the stage's: the frame emerges behind it. One that lies below ends
+	// the train before the frame emerges onto an idle port.
+	behind := p.tx == txLazy && (p.tailEnd > at || p.tailEnd == at && p.tailAt >= priT)
 	switch {
 	case link == nil || !link.up:
 		n.Holds.Dark++
-	case p.plan != nil || p.cap <= 0 || p.tx == txArmed ||
-		p.tx == txLazy && (p.txEnd > at || p.txEnd == at && p.txAt >= priT):
-		// A lazy head whose completion key (txEnd, txAt, uid) lies below
-		// the stage's is no obstacle — the back-to-back train, each frame
-		// emerging as the one before it ends. A second frame for a planned
-		// port is staged; its Send finds the plan due, or takes it back.
+	case p.plan != nil || p.tx == txArmed || p.cap <= 0 || behind && p.queued() >= p.cap:
+		// A second frame for a planned port is staged; its Send finds the
+		// plan due, or takes it back.
 		n.Holds.Busy++
 	case p.hold:
 		n.Holds.Held++
@@ -255,26 +270,28 @@ func (p *Port) planFor(at, priT sim.Time, seq uint64, dev Device, arg int, f Fra
 		n.Holds.Split++
 	default:
 		n.Holds.Planned++
-		ser := SerTime(f.Wire + n.IFG)
-		d := n.newDelivery(dst, f, link, link.epoch)
-		d.dev, d.arg, d.at, d.priT, d.seq = dev, arg, at, priT, seq
+		start := at
+		if behind {
+			start = p.tailEnd
+		}
+		d := p.follow(f, start)
+		d.dev, d.arg, d.at, d.priT, d.seq, d.start = dev, arg, at, priT, seq, start
 		p.plan = d
-		n.K.DoPri(at+ser+link.prop, at, p.uid, d.run)
 		return true
 	}
 	return false
 }
 
 // promote makes a due plan what its stage event would have left behind:
-// the frame out of the device, relaunched, and being serialized since
-// the plan's instant with nobody waiting for the completion. A lazy head
-// the plan was made behind ended before that.
+// the frame out of the device and relaunched — at the tail of the train
+// it was made behind if that still runs, and otherwise on the wire since
+// its start, or through already (its own arrival promotes a plan nobody
+// looked at, a serialization time after the start). The port is settled
+// up to the plan: whatever train it was made behind and has outlasted
+// is gone.
 func (p *Port) promote() {
 	d := p.plan
 	p.plan = nil
-	if p.tx == txLazy {
-		p.fifo.Pop()
-	}
 	a := &p.net.Acct
 	a.Exit()
 	d.dev.CountForward()
@@ -282,9 +299,21 @@ func (p *Port) promote() {
 	a.Relaunch()
 	a.Offer()
 	a.Enqueue()
-	a.Launch()
-	p.fifo.Push(d.f)
-	p.tx, p.txAt, p.txEnd = txLazy, d.at, d.at+SerTime(d.f.Wire+p.net.IFG)
+	end := d.start + SerTime(d.f.Wire+p.net.IFG)
+	switch {
+	case p.tx != txIdle:
+		p.fifo.Push(d.f)
+		p.wait(d)
+	case p.net.K.Passed(end, d.start, p.uid):
+		a.Launch()
+		d.src = nil
+	default:
+		a.Launch()
+		p.fifo.Push(d.f)
+		p.tx, p.txAt, p.txEnd = txLazy, d.start, end
+		d.src = nil
+	}
+	p.tailAt, p.tailEnd = d.start, end
 }
 
 // unplan takes back a plan that is not due: the queued arrival is void
@@ -295,5 +324,10 @@ func (p *Port) unplan() {
 	p.plan = nil
 	p.net.Holds.Unplanned++
 	p.net.stageAt(d.at, d.priT, d.seq, d.dev, d.arg, d.f)
-	d.dst, d.dev, d.f = nil, nil, Frame{}
+	d.void()
+}
+
+// void takes back a queued arrival: it fires as a no-op.
+func (d *delivery) void() {
+	d.dst, d.src, d.next, d.dev, d.f = nil, nil, nil, nil, Frame{}
 }

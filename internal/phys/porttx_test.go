@@ -11,9 +11,11 @@ import (
 	"repro/internal/sim"
 )
 
-// A port's transmit completion is lazy: usually a timestamp the port
+// A port's transmit completions are lazy: usually timestamps the port
 // settles against the kernel's firing position, an event only once
-// somebody waits for it. A device latency in front of an idle port is
+// somebody waits for one. A backlog behind a lazy head is a train, each
+// frame starting as the one before it ends, its arrival queued as it
+// joins. A device latency in front of an idle port or a running train is
 // folded the same way: Net.Hold leaves a plan on the port and queues the
 // frame's arrival, and the stage event exists only if something touches
 // the port first. None of that may show. These tests drive a byte-coded
@@ -334,6 +336,12 @@ type txHarness struct {
 
 	stopped bool // the last run ended in a Stop
 
+	// The real Net's counts of voided train arrivals and taken-back plans
+	// before the action under way, and the hit it scores if it takes back
+	// a plan behind a train (planBehind).
+	voids, unplanned uint64
+	planBehind       string
+
 	failedLazyUntil sim.Time // stale txEnd of a port that was lazy when the link failed
 	heldLazy        [2]sim.Time
 	// emergeAt is when the last frame held in front of each port
@@ -380,10 +388,14 @@ func newTxHarness(t testing.TB, meters float64) *txHarness {
 	for i, p := range h.rp {
 		p.SetCapacity(txCap)
 		p.SetHandler(func(_ *Port, f Frame) {
+			reply := portAction{kind: actSend, port: 1 - i}
 			if f.Pkt.Tag&3 == tagReplyPeer {
-				h.note(portAction{kind: actSend, port: 1 - i})
+				h.note(reply)
 			}
 			h.real.onFrame(i, f)
+			if f.Pkt.Tag&3 == tagReplyPeer {
+				h.noteDone(reply)
+			}
 		})
 		p.SetStatusHandler(func(_ *Port, up bool) { h.real.logf("status p%d up=%v", i, up) })
 		p.SetTxDone(func() { h.real.onTxDone(i) })
@@ -607,19 +619,44 @@ func (h *txHarness) notePlan(a portAction, p *Port) {
 
 // noteDone looks at the real port after an action.
 func (h *txHarness) noteDone(a portAction) {
-	if p := h.rp[a.port]; a.kind == actHold && p.plan != nil && p.plan.f.Pkt == a.f.Pkt {
+	p, holds := h.rp[a.port], h.rp[0].net.Holds
+	if a.kind == actHold && p.plan != nil && p.plan.f.Pkt == a.f.Pkt {
 		h.hits["planned"] = true
 		switch {
-		case p.tx == txLazy && p.txEnd == p.plan.at:
+		case p.plan.start > p.plan.at:
+			h.hits["planned-behind-train"] = true
+		case p.tx == txLazy && p.tailEnd == p.plan.at:
 			h.hits["planned-behind-lazy-head-ending-at-emerge"] = true
 		case p.tx == txLazy:
 			h.hits["planned-behind-lazy-head"] = true
 		}
 	}
+	if p.tx == txLazy && p.queued() > 1 && a.kind == actSend {
+		h.hits["send-behind-lazy-head"] = true
+	}
+	if p.tx == txLazy && p.queued() > 2 {
+		h.hits["train-three-deep"] = true
+	}
+	if holds.TrainVoids > h.voids {
+		h.hits[actNames[a.kind]+"-mid-train"] = true
+		if h.planBehind == "plan-behind-train-taken-back-after-emerge" {
+			h.hits[h.planBehind] = true
+		}
+	}
+	if holds.Unplanned > h.unplanned && h.planBehind == "plan-behind-train-taken-back-in-gap" {
+		h.hits[h.planBehind] = true
+	}
 }
 
 func (h *txHarness) note(a portAction) {
 	p, now := h.rp[a.port], h.real.k.Now()
+	h.voids, h.unplanned, h.planBehind = p.net.Holds.TrainVoids, p.net.Holds.Unplanned, ""
+	if d := p.plan; d != nil && d.start > d.at {
+		h.planBehind = "plan-behind-train-taken-back-in-gap"
+		if h.real.k.PassedKey(d.at, d.priT, 0, d.seq) {
+			h.planBehind = "plan-behind-train-taken-back-after-emerge"
+		}
+	}
 	if a.kind == actFail {
 		h.notePlan(a, h.rp[1-a.port])
 	}
@@ -667,6 +704,29 @@ func (h *txHarness) check() {
 	}
 	if got, want := h.real.k.Now(), h.ref.k.Now(); got != want {
 		h.t.Fatalf("clocks: real %v, ref %v", got, want)
+	}
+	// Every record a port points at is still its own — not recycled, not
+	// void — a lazy train links one per frame behind its head, and no
+	// record in the pool names a port.
+	for i, p := range h.rp {
+		waiting := 0
+		for d := p.waiting; d != nil; d = d.next {
+			if d.src != p {
+				h.t.Fatalf("port %d links a waiting arrival it does not own", i)
+			}
+			waiting++
+		}
+		if want := max(p.queued()-1, 0); p.tx != txLazy && waiting != 0 || p.tx == txLazy && waiting != want {
+			h.t.Fatalf("port %d (tx state %d, %d queued) links %d waiting arrivals", i, p.tx, p.queued(), waiting)
+		}
+		if p.plan != nil && p.plan.src != p {
+			h.t.Fatalf("port %d holds a plan it does not own", i)
+		}
+	}
+	for _, d := range h.rp[0].net.delFree {
+		if d.src != nil || d.next != nil {
+			h.t.Fatalf("a pooled record still names a port")
+		}
 	}
 }
 
@@ -892,7 +952,7 @@ var portTxSeeds = []struct {
 }, {
 	// A priority frame overtakes two frames of a train, and a second one
 	// follows it while the port is still draining.
-	name: "sendpri-into-train",
+	name: "sendpri-mid-train",
 	ops:  txStream(1, doNow(aSend), doNow(aSend), doNow(aSend), doNow(aSendPri), doNow(aSendPri), runOut()),
 }, {
 	name: "hold-on-mid-train",
@@ -917,20 +977,12 @@ var portTxSeeds = []struct {
 	ops:  txStream(1, doNow(aSend), doNow(aSend), holdNow(aHold40), runFor(100), doNow(aSendPri), runOut()),
 }}
 
-// trainSeeds are the seeds aimed at a lazy train; the states they are
-// there for do not exist yet, so their hits are not asserted.
-var trainSeeds = map[string]bool{
-	"send-behind-lazy-head": true, "train-three-deep": true, "sendpri-into-train": true,
-	"hold-on-mid-train": true, "fail-mid-train": true, "planned-behind-train": true,
-	"plan-behind-train-taken-back-in-gap": true, "plan-behind-train-taken-back-after-emerge": true,
-}
-
 func TestPortTxSeeds(t *testing.T) {
 	for _, s := range portTxSeeds {
 		t.Run(s.name, func(t *testing.T) {
 			h := runPortTxOps(t, s.ops)
 			want, _, _ := strings.Cut(s.name, "/")
-			if !h.hits[want] && !trainSeeds[want] {
+			if !h.hits[want] {
 				t.Fatalf("the stream never reached the state it is in the corpus for (reached %v)", h.hits)
 			}
 		})
@@ -959,8 +1011,9 @@ func FuzzPortTx(f *testing.F) {
 }
 
 // The point of the lazy completion, in kernel events: a transmitter
-// nobody waits for costs one event per frame (the delivery), one that
-// always has a frame queued behind the head costs two.
+// nobody waits for costs one event per frame (the delivery), and so does
+// a backlog queued behind a lazy head — a train, whose frames start as
+// the one before them ends and whose arrivals are queued as they join.
 func TestUncontendedStreamFiresOneEventPerFrame(t *testing.T) {
 	k, n := testNet()
 	a, b := n.NewPort("a", nil), n.NewPort("b", func(*Port, Frame) {})
@@ -978,7 +1031,7 @@ func TestUncontendedStreamFiresOneEventPerFrame(t *testing.T) {
 	}
 }
 
-func TestBackloggedStreamFiresTwoEventsPerFrame(t *testing.T) {
+func TestBackloggedStreamFiresOneEventPerFrame(t *testing.T) {
 	k, n := testNet()
 	a, b := n.NewPort("a", nil), n.NewPort("b", func(*Port, Frame) {})
 	n.Connect(a, b, 10)
@@ -989,9 +1042,42 @@ func TestBackloggedStreamFiresTwoEventsPerFrame(t *testing.T) {
 		a.Send(f)
 	}
 	k.Run()
-	// The last frame has nothing behind it: its completion stays lazy.
-	if want := uint64(2*frames - 1); k.Fired != want || n.Acct.WireDelivered != frames {
-		t.Fatalf("%d frames queued at once: %d events, %d delivered; want %d and %d",
-			frames, k.Fired, n.Acct.WireDelivered, want, frames)
+	if k.Fired != frames || n.Acct.WireDelivered != frames || n.Holds.TrainStarts != frames-1 {
+		t.Fatalf("%d frames queued at once: %d events, %d delivered, %d started by the train; want %d, %d and %d",
+			frames, k.Fired, n.Acct.WireDelivered, n.Holds.TrainStarts, frames, frames, frames-1)
+	}
+}
+
+// Taking a train back costs what it voids once: a priority frame that
+// overtakes a k-frame train voids the k−1 arrivals behind its head (the
+// head is on the wire), the port stays armed until the backlog drains,
+// and a second priority frame in that time voids nothing.
+func TestPriorityIntoTrainVoidsOnce(t *testing.T) {
+	k, n := testNet()
+	a, b := n.NewPort("a", nil), n.NewPort("b", func(*Port, Frame) {})
+	n.Connect(a, b, 10)
+	const frames = 8
+	a.SetCapacity(frames)
+	f := dataFrame(1, 2)
+	for range frames {
+		a.Send(f)
+	}
+	a.SendPriority(dataFrame(3, 4))
+	if v := n.Holds.TrainVoids; v != frames-1 {
+		t.Fatalf("a priority frame into a %d-frame train voided %d arrivals, want %d", frames, v, frames-1)
+	}
+	k.RunUntil(3 * SerTime(f.Wire+n.IFG))
+	a.SendPriority(dataFrame(5, 6))
+	if v := n.Holds.TrainVoids; v != frames-1 {
+		t.Fatalf("a second priority frame while the backlog drains voided %d more arrivals", v-(frames-1))
+	}
+	for k.Step() {
+		if a.queued() > 1 && a.tx != txArmed {
+			t.Fatalf("at %v: %d frames queued on a port that is not armed (tx state %d)", k.Now(), a.queued(), a.tx)
+		}
+	}
+	// The voided arrivals fire as no-ops beside the frames' own.
+	if want := uint64(frames + 2); n.Acct.WireDelivered != want || a.QueueLen() != 0 {
+		t.Fatalf("%d delivered, %d left queued; want %d and 0", n.Acct.WireDelivered, a.QueueLen(), want)
 	}
 }
