@@ -84,7 +84,7 @@ func main() {
 	s := ampnet.Scenario{
 		Name: "ampsim",
 		Opts: ampnet.Options{
-			Fabric: &topo, FiberMeters: *fiber, Seed: *seed,
+			Fabric: &topo, Seed: *seed,
 			DeepPHY: *deep, Shards: *shards,
 			Telemetry: rec,
 		},

@@ -117,9 +117,6 @@ type Config struct {
 	// JoinTimeout is how long a booting node solicits sponsors before
 	// concluding it is the first node up.
 	JoinTimeout sim.Time
-
-	// FiberM is the per-link fiber length (used to calibrate rostering).
-	FiberM float64
 }
 
 func (c *Config) fill() {
@@ -131,9 +128,6 @@ func (c *Config) fill() {
 	}
 	if c.Version == 0 {
 		c.Version = 0x0100
-	}
-	if c.FiberM == 0 {
-		c.FiberM = 50
 	}
 }
 
@@ -251,7 +245,7 @@ func NewNode(k *sim.Kernel, cluster *phys.Cluster, cfg Config) *Node {
 	// full tour of the largest possible ring (the seed's uint8 budget
 	// silently expired broadcasts past 255 nodes).
 	n.Station.MaxHops = insertion.MaxHopsFor(cluster.NumNodes())
-	n.Agent = rostering.NewAgent(k, cfg.ID, cluster, n.Station, cfg.FiberM)
+	n.Agent = rostering.NewAgent(k, cfg.ID, cluster, n.Station, cluster.Topo.FiberM)
 	n.DMA = dma.NewEngine(k, n.Station)
 	n.Cache = netcache.New()
 	n.Cache.AddRegion(ConfigRegion, ConfigRegionSize)

@@ -36,10 +36,9 @@ type Options struct {
 	// counter-rotating rings, trunked switch meshes, sharded multi-ring
 	// clusters (see phys.Uniform, phys.DualRing, phys.Mesh,
 	// phys.Sharded). nil builds the paper's uniform segment from Nodes
-	// and Switches.
+	// and Switches. Its FiberM is the one fiber length setting; zero
+	// means 50 m.
 	Fabric *phys.Topology
-	// FiberMeters is the per-link fiber length.
-	FiberMeters float64
 	// Wire selects the MicroPacket wire-format version (internal/wire):
 	// v1 is the byte-exact historical format (one address byte, ≤255
 	// nodes), v2 widens node addresses to uint16 (≤65535 nodes). The
@@ -53,10 +52,8 @@ type Options struct {
 	// Regions adds application cache regions (id → bytes). Region 0 is
 	// always the configuration database.
 	Regions map[uint8]int
-	// Version is the software version every node boots with; override
-	// per node via VersionOf.
-	Version ampdk.Version
-	// VersionOf, if set, overrides Version per node id.
+	// VersionOf, if set, gives the software version node id boots with;
+	// nil boots every node with version 1.0.
 	VersionOf func(id int) ampdk.Version
 	// HeartbeatInterval tunes failure detection (a peer is down after
 	// three silent intervals).
@@ -106,9 +103,6 @@ func (o *Options) fill() error {
 	if o.Shards < 0 {
 		return fmt.Errorf("core: negative Options.Shards %d", o.Shards)
 	}
-	if err := phys.CheckFiberM("Options.FiberMeters", o.FiberMeters); err != nil {
-		return fmt.Errorf("core: %w", err)
-	}
 	for _, d := range []struct {
 		name string
 		v    sim.Time
@@ -134,9 +128,6 @@ func (o *Options) fill() error {
 		// and plan validation see the real fabric shape.
 		o.Nodes = o.Fabric.Nodes
 		o.Switches = o.Fabric.Switches
-		if o.FiberMeters == 0 {
-			o.FiberMeters = o.Fabric.FiberM
-		}
 		if o.Wire == 0 {
 			o.Wire = o.Fabric.Wire
 		}
@@ -147,14 +138,8 @@ func (o *Options) fill() error {
 	if o.Switches == 0 {
 		o.Switches = 4
 	}
-	if o.FiberMeters == 0 {
-		o.FiberMeters = 50
-	}
 	if o.Seed == 0 {
 		o.Seed = 1
-	}
-	if o.Version == 0 {
-		o.Version = 0x0100
 	}
 	if o.Shards == 0 {
 		o.Shards = 1
@@ -174,16 +159,15 @@ func (o *Options) fill() error {
 }
 
 // topology resolves the fabric to build: the declared Fabric, or the
-// paper's uniform segment shaped by Nodes and Switches.
+// paper's uniform segment shaped by Nodes and Switches, with 50 m of
+// fiber where FiberM is zero.
 func (o *Options) topology() phys.Topology {
-	var t phys.Topology
+	t := phys.Uniform(o.Nodes, o.Switches, 0)
 	if o.Fabric != nil {
 		t = *o.Fabric
-		if t.FiberM == 0 {
-			t.FiberM = o.FiberMeters
-		}
-	} else {
-		t = phys.Uniform(o.Nodes, o.Switches, o.FiberMeters)
+	}
+	if t.FiberM == 0 {
+		t.FiberM = 50
 	}
 	if o.Wire != 0 {
 		t.Wire = o.Wire
@@ -318,7 +302,7 @@ func build(opts Options) (*Cluster, error) {
 func (c *Cluster) buildNodes() {
 	opts := c.Opts
 	for i := 0; i < opts.Nodes; i++ {
-		ver := opts.Version
+		var ver ampdk.Version // zero: ampdk's default
 		if opts.VersionOf != nil {
 			ver = opts.VersionOf(i)
 		}
@@ -327,7 +311,6 @@ func (c *Cluster) buildNodes() {
 			ID: i, Version: ver, Regions: opts.Regions,
 			HeartbeatInterval: opts.HeartbeatInterval,
 			JoinTimeout:       opts.JoinTimeout,
-			FiberM:            opts.FiberMeters,
 		})
 		nd.Agent.Shard = shard
 		if opts.KeepaliveInterval != 0 {
@@ -459,12 +442,8 @@ func (c *Cluster) CrashNode(n int)  { c.Nodes[n].Crash() }
 func (c *Cluster) RebootNode(n int) { c.Nodes[n].Reboot() }
 
 // Drops returns congestion drops on the fabric (must stay 0 under
-// AmpNet MACs); Lost returns frames destroyed by failures; Delivered
-// returns frames handed to receivers — each read from the fabric-wide
-// ledger.
-func (c *Cluster) Drops() uint64     { a := c.FrameAcct(); return a.CongestionDrops() }
-func (c *Cluster) Lost() uint64      { a := c.FrameAcct(); return a.FailureLosses() }
-func (c *Cluster) Delivered() uint64 { return c.FrameAcct().WireDelivered }
+// AmpNet MACs), read from the fabric-wide ledger.
+func (c *Cluster) Drops() uint64 { a := c.FrameAcct(); return a.CongestionDrops() }
 
 // FrameAcct returns the fabric-wide frame-lifecycle ledger: the sum of
 // every shard Net's settled ledger (phys.Net.Ledger — a frame planned

@@ -552,7 +552,7 @@ func (l *FileStream) begin(c *Cluster, a *ActiveLoad) {
 	}
 	file := make([]byte, size)
 	for i := range file {
-		file[i] = byte(i * 2654435761)
+		file[i] = byte(uint32(i) * 2654435761)
 	}
 	nameOf := func(i int) string {
 		if repeat == 1 {

@@ -148,11 +148,10 @@ func TestScenarioRejectsInvalidPlan(t *testing.T) {
 	}{
 		{Scenario{Opts: opts, Plan: Plan{CrashNode(0, 99)}}, "out of range"},
 		{Scenario{Opts: Options{Nodes: 4, Switches: 2, Shards: -3}}, "negative Options.Shards -3"},
-		{Scenario{Opts: Options{Nodes: 4, Switches: 2, FiberMeters: -10}}, "negative Options.FiberMeters -10"},
 		{Scenario{Opts: Options{Fabric: &phys.Topology{Nodes: 4, Switches: 2, FiberM: -10}}}, "negative Topology.FiberM -10"},
 		{Scenario{Opts: Options{Fabric: &trunk}}, "negative TrunkSpec.FiberM -1"},
-		{Scenario{Opts: Options{Nodes: 4, Switches: 2, FiberMeters: math.NaN()}}, "out-of-range Options.FiberMeters NaN"},
-		{Scenario{Opts: Options{Nodes: 4, Switches: 2, FiberMeters: 1e30}}, "out-of-range Options.FiberMeters 1e+30"},
+		{Scenario{Opts: Options{Fabric: &phys.Topology{Nodes: 4, Switches: 2, FiberM: math.NaN()}}}, "out-of-range Topology.FiberM NaN"},
+		{Scenario{Opts: Options{Fabric: &phys.Topology{Nodes: 4, Switches: 2, FiberM: 1e30}}}, "out-of-range Topology.FiberM 1e+30"},
 		{Scenario{Opts: Options{Fabric: &phys.Topology{Nodes: 4, Switches: 2, FiberM: math.Inf(1)}}}, "out-of-range Topology.FiberM +Inf"},
 		{Scenario{Opts: opts, For: -5 * sim.Millisecond}, "negative Scenario.For -5"},
 		{Scenario{Opts: opts, Settle: -1}, "negative Scenario.Settle"},

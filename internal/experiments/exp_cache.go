@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/netcache"
@@ -88,7 +90,7 @@ func E6Semaphores(p Params, opsPerNode int) *Table {
 		return t
 	}
 	rec := netcache.Record{Region: 1, Off: 256, Size: 8}
-	lat := sim.NewSample("lock")
+	var lat []float64 // lock acquisition latencies, µs
 
 	shared := 0 // host-side shared value, protected only by the lock
 	var launch func(h core.Handle, left int)
@@ -98,7 +100,7 @@ func E6Semaphores(p Params, opsPerNode int) *Table {
 		}
 		start := c.Now()
 		h.Sem().Lock(42, func() {
-			lat.Observe(float64(c.Now()-start) / 1000)
+			lat = append(lat, float64(c.Now()-start)/1000)
 			v := shared
 			c.K.After(2*sim.Microsecond, func() {
 				shared = v + 1
@@ -121,11 +123,22 @@ func E6Semaphores(p Params, opsPerNode int) *Table {
 	if shared != nodes*opsPerNode {
 		exact = "NO (lost updates)"
 	}
+	slices.Sort(lat)
 	t.Add(fmt.Sprint(nodes), fmt.Sprint(opsPerNode), fmt.Sprint(shared),
 		fmt.Sprint(nodes*opsPerNode), exact,
-		fmt.Sprintf("%.1f", lat.Percentile(50)), fmt.Sprintf("%.1f", lat.Percentile(99)))
+		fmt.Sprintf("%.1f", percentile(lat, 50)), fmt.Sprintf("%.1f", percentile(lat, 99)))
 	t.Note("the shared value is deliberately unprotected host memory; exactness proves mutual exclusion")
 	return t
+}
+
+// percentile returns the nearest-rank p-th percentile (0 ≤ p ≤ 100) of
+// sorted: the value at rank ⌈p/100·n⌉, clamped to [1, n]; 0 when empty.
+func percentile(sorted []float64, p float64) float64 {
+	if len(sorted) == 0 {
+		return 0
+	}
+	rank := int(math.Ceil(p / 100 * float64(len(sorted))))
+	return sorted[min(max(rank, 1), len(sorted))-1]
 }
 
 // E6aWriteThrough measures the write-through propagation latency of a

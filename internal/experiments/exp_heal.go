@@ -187,7 +187,7 @@ func E8Rostering(p Params) *Table {
 	for _, n := range nodeList {
 		for _, fiber := range fiberList {
 			r := newHealRig(p.seed(), n, 4, fiber)
-			tour := rostering.EstimateTour(n, fiber, r.net)
+			tour := rostering.EstimateTour(n, fiber)
 
 			failAt, lastAdopt := r.healOnce()
 			heal := lastAdopt - failAt - r.net.Detect // from hardware detection
@@ -215,7 +215,7 @@ type HealBench struct {
 // NewHealBench builds and boots the rig.
 func NewHealBench(seed uint64, nodes, switches int, fiberM float64) *HealBench {
 	r := newHealRig(seed, nodes, switches, fiberM)
-	return &HealBench{r: r, tour: rostering.EstimateTour(nodes, fiberM, r.net)}
+	return &HealBench{r: r, tour: rostering.EstimateTour(nodes, fiberM)}
 }
 
 // HealOnce fails switch 0 and returns (heal time from detection, tour

@@ -86,6 +86,27 @@ func TestE6Exact(t *testing.T) {
 	}
 }
 
+// percentile is E6's lock-latency p50/p99: nearest rank ⌈p/100·n⌉ over
+// a sorted slice, clamped to the first and last value, 0 when empty.
+func TestPercentile(t *testing.T) {
+	hundred := make([]float64, 100)
+	for i := range hundred {
+		hundred[i] = float64(i + 1)
+	}
+	for _, tc := range []struct {
+		vals    []float64
+		p, want float64
+	}{
+		{hundred, 0, 1}, {hundred, 50, 50}, {hundred, 99, 99}, {hundred, 100, 100},
+		{[]float64{3, 7}, 50, 3}, {[]float64{3, 7}, 51, 7}, {[]float64{5}, 99, 5},
+		{nil, 0, 0}, {nil, 50, 0}, {nil, 100, 0},
+	} {
+		if got := percentile(tc.vals, tc.p); got != tc.want {
+			t.Errorf("percentile(%d values, %v) = %v, want %v", len(tc.vals), tc.p, got, tc.want)
+		}
+	}
+}
+
 func TestE6aCompletes(t *testing.T) {
 	tab := E6aWriteThrough(Params{Nodes: 4})
 	for _, row := range tab.Rows {

@@ -58,7 +58,7 @@ func TestCrossShardDeliveryTiming(t *testing.T) {
 	sendAt := sim.Time(5 * sim.Microsecond)
 	r.k[0].At(sendAt, func() { r.pa.Send(f) })
 	r.e.RunUntil(20 * sim.Microsecond)
-	want := sendAt + phys.SerTime(f.Wire+r.n[0].IFG) + phys.PropTime(200)
+	want := sendAt + phys.SerTime(f.Wire+phys.DefaultIFG) + phys.PropTime(200)
 	if len(r.arrivals) != 1 || r.arrivals[0] != want {
 		t.Fatalf("arrivals = %v, want [%v]", r.arrivals, want)
 	}

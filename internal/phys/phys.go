@@ -28,11 +28,13 @@ const (
 	BaudRate = 1_062_500_000
 	// NsPerMeter is signal propagation delay in optical fiber.
 	NsPerMeter = 5.0
-	// DefaultIFG is the inter-frame gap in bytes (two idle words).
+	// DefaultIFG is the inter-frame gap in bytes (two idle words) every
+	// transmitter adds after every frame.
 	DefaultIFG = 8
 	// DefaultDetect is the loss-of-light detection latency.
 	DefaultDetect = 10 * sim.Microsecond
-	// DefaultFIFO is the default egress FIFO capacity in frames.
+	// DefaultFIFO is a new port's egress FIFO capacity in frames
+	// (Port.SetCapacity changes one port's).
 	DefaultFIFO = 64
 )
 
@@ -144,12 +146,8 @@ type Net struct {
 	// from the Topology).
 	Wire wire.Version
 
-	// IFG is the inter-frame gap in bytes added after every frame.
-	IFG int
 	// Detect is the loss-of-light detection latency.
 	Detect sim.Time
-	// FIFOCap is the egress FIFO capacity for new ports.
-	FIFOCap int
 
 	// DeepPHY, when true, serializes every delivered frame through the
 	// full MicroPacket wire codec and the 8b/10b line code and decodes
@@ -192,7 +190,7 @@ type Net struct {
 
 // NewNet creates a physical network on kernel k with default parameters.
 func NewNet(k *sim.Kernel) *Net {
-	return &Net{K: k, Wire: wire.V1, IFG: DefaultIFG, Detect: DefaultDetect, FIFOCap: DefaultFIFO}
+	return &Net{K: k, Wire: wire.V1, Detect: DefaultDetect}
 }
 
 // Port is one optical transceiver. Frames sent on a port are serialized
@@ -256,7 +254,7 @@ const (
 // NewPort creates an unconnected port. handler may be nil (frames are
 // then counted but discarded); use SetHandler to attach later.
 func (n *Net) NewPort(name string, handler Handler) *Port {
-	p := &Port{Name: name, net: n, onFrame: handler, cap: n.FIFOCap, uid: nameHash(name)}
+	p := &Port{Name: name, net: n, onFrame: handler, cap: DefaultFIFO, uid: nameHash(name)}
 	n.ports = append(n.ports, p)
 	return p
 }
@@ -378,7 +376,7 @@ func (p *Port) pop() {
 		}
 		p.net.Acct.Launch()
 		p.net.Holds.TrainStarts++
-		p.txAt, p.txEnd = p.txEnd, p.txEnd+SerTime(p.fifo.At(0).Wire+p.net.IFG)
+		p.txAt, p.txEnd = p.txEnd, p.txEnd+SerTime(p.fifo.At(0).Wire+DefaultIFG)
 		if !p.net.K.Passed(p.txEnd, p.txAt, p.uid) {
 			return
 		}
@@ -448,7 +446,7 @@ func (p *Port) enqueued(f Frame) {
 		p.arm()
 	case p.tx == txLazy:
 		p.wait(p.follow(f, p.tailEnd))
-		p.tailAt, p.tailEnd = p.tailEnd, p.tailEnd+SerTime(f.Wire+p.net.IFG)
+		p.tailAt, p.tailEnd = p.tailEnd, p.tailEnd+SerTime(f.Wire+DefaultIFG)
 	}
 }
 
@@ -470,7 +468,7 @@ func (p *Port) follow(f Frame, start sim.Time) *delivery {
 	link := p.link
 	d := p.net.newDelivery(link.ports[1-p.end], f, link, link.epoch)
 	d.src = p
-	p.net.K.DoPri(start+SerTime(f.Wire+p.net.IFG)+link.prop, start, p.uid, d.run)
+	p.net.K.DoPri(start+SerTime(f.Wire+DefaultIFG)+link.prop, start, p.uid, d.run)
 	return d
 }
 
@@ -531,7 +529,7 @@ func (p *Port) SendPriority(f Frame) bool {
 func (p *Port) startTx() {
 	p.net.Acct.Launch()
 	f := *p.fifo.At(0)
-	ser := SerTime(f.Wire + p.net.IFG)
+	ser := SerTime(f.Wire + DefaultIFG)
 	link := p.link
 	epoch := link.epoch
 	dst := link.ports[1-p.end]

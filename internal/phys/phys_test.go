@@ -62,7 +62,7 @@ func TestPointToPointDelivery(t *testing.T) {
 	if gotAt < 0 {
 		t.Fatal("frame not delivered")
 	}
-	want := SerTime(f.Wire+n.IFG) + PropTime(100)
+	want := SerTime(f.Wire+DefaultIFG) + PropTime(100)
 	if gotAt != want {
 		t.Fatalf("delivered at %v, want %v", gotAt, want)
 	}
@@ -111,8 +111,8 @@ func TestBackToBackSpacing(t *testing.T) {
 		t.Fatalf("delivered %d", len(times))
 	}
 	gap := times[1] - times[0]
-	if gap != SerTime(f.Wire+n.IFG) {
-		t.Fatalf("inter-delivery gap %v, want one serialization time %v", gap, SerTime(f.Wire+n.IFG))
+	if gap != SerTime(f.Wire+DefaultIFG) {
+		t.Fatalf("inter-delivery gap %v, want one serialization time %v", gap, SerTime(f.Wire+DefaultIFG))
 	}
 }
 

@@ -299,7 +299,7 @@ func (p *Port) promote() {
 	a.Relaunch()
 	a.Offer()
 	a.Enqueue()
-	end := d.start + SerTime(d.f.Wire+p.net.IFG)
+	end := d.start + SerTime(d.f.Wire+DefaultIFG)
 	switch {
 	case p.tx != txIdle:
 		p.fifo.Push(d.f)

@@ -40,7 +40,6 @@ type txPort interface {
 // completion.
 type refNet struct {
 	k                      *sim.Kernel
-	ifg                    int
 	detect                 sim.Time
 	drops, lost, delivered uint64
 	forwards               uint64
@@ -161,7 +160,7 @@ func (p *refPort) startTx() {
 	n.acct.Launch()
 	f, epoch, dst := p.fifo[0], l.epoch, l.ports[1-p.end]
 	p.txAt = n.k.Now()
-	p.txEnd = p.txAt + SerTime(f.Wire+n.ifg)
+	p.txEnd = p.txAt + SerTime(f.Wire+DefaultIFG)
 	n.k.DoPri(p.txEnd+l.prop, p.txAt, p.uid, func() {
 		n.acct.Arrive()
 		if l.epoch != epoch || !l.up {
@@ -379,7 +378,7 @@ func newTxHarness(t testing.TB, meters float64) *txHarness {
 		return fmt.Sprint(acct.CongestionDrops(), acct.FailureLosses(), acct.WireDelivered, dev.forwards, acctFields(&acct))
 	}
 
-	rn := &refNet{k: sim.NewKernel(1), ifg: n.IFG, detect: n.Detect}
+	rn := &refNet{k: sim.NewKernel(1), detect: n.Detect}
 	rl := &refLink{n: rn, prop: PropTime(meters), up: true}
 	h.ref = txSide{k: rn.k, fail: rl.fail, restore: rl.restore,
 		counters: func() string {
@@ -423,7 +422,7 @@ func unsettled(k *sim.Kernel, p *Port, acct *frameacct.Acct) (forwards uint64) {
 		for left > 0 && k.Passed(end, at, p.uid) {
 			if left--; left > 0 {
 				acct.Launch()
-				at, end = end, end+SerTime(p.fifo.At(p.fifo.Len()-left).Wire+p.net.IFG)
+				at, end = end, end+SerTime(p.fifo.At(p.fifo.Len()-left).Wire+DefaultIFG)
 			}
 		}
 	}
@@ -1020,7 +1019,7 @@ func TestUncontendedStreamFiresOneEventPerFrame(t *testing.T) {
 	n.Connect(a, b, 10)
 	const frames = 100
 	f := dataFrame(1, 2)
-	gap := SerTime(f.Wire+n.IFG) + 1
+	gap := SerTime(f.Wire+DefaultIFG) + 1
 	for i := range frames {
 		k.Do(sim.Time(i)*gap, func() { a.Send(f) })
 	}
@@ -1066,7 +1065,7 @@ func TestPriorityIntoTrainVoidsOnce(t *testing.T) {
 	if v := n.Holds.TrainVoids; v != frames-1 {
 		t.Fatalf("a priority frame into a %d-frame train voided %d arrivals, want %d", frames, v, frames-1)
 	}
-	k.RunUntil(3 * SerTime(f.Wire+n.IFG))
+	k.RunUntil(3 * SerTime(f.Wire+DefaultIFG))
 	a.SendPriority(dataFrame(5, 6))
 	if v := n.Holds.TrainVoids; v != frames-1 {
 		t.Fatalf("a second priority frame while the backlog drains voided %d more arrivals", v-(frames-1))

@@ -90,9 +90,6 @@ type Agent struct {
 	exploring bool
 }
 
-// NewAgent wires a rostering agent to its station. The station's
-// OnControl and OnStatus hooks are installed. fiberM is used to
-// calibrate the default settle window.
 // Default liveness parameters. The watchdog gives "network failures
 // detected by hardware" (slide 18) for failures that leave fibers lit,
 // e.g. a dead node or switch crossbar.
@@ -101,10 +98,13 @@ const (
 	DefaultSilenceTimeout = 60 * sim.Microsecond
 )
 
+// NewAgent wires a rostering agent to its station. The station's
+// OnControl and OnStatus hooks are installed. fiberM is used to
+// calibrate the default settle window.
 func NewAgent(k *sim.Kernel, id int, cluster *phys.Cluster, st *insertion.Station, fiberM float64) *Agent {
 	a := &Agent{
 		ID: id, K: k, Cluster: cluster, Station: st,
-		SettleWindow:      2 * EstimateTour(cluster.NumNodes(), fiberM, cluster.Net),
+		SettleWindow:      2 * EstimateTour(cluster.NumNodes(), fiberM),
 		KeepaliveInterval: DefaultKeepalive,
 		SilenceTimeout:    DefaultSilenceTimeout,
 		lsdb:              make([]lsRecord, cluster.NumNodes()),

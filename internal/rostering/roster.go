@@ -466,11 +466,11 @@ func (r *Roster) ValidInFabric(lsdb map[int]LinkState, view *phys.FabricView) bo
 // per-link fiber length: n hops of (fixed-packet serialization + two
 // fiber crossings + switch cut-through + insertion-register delay).
 // This is the unit the paper states rostering completion in.
-func EstimateTour(n int, fiberM float64, net *phys.Net) sim.Time {
+func EstimateTour(n int, fiberM float64) sim.Time {
 	if n < 1 {
 		n = 1
 	}
-	hop := phys.SerTime(24+net.IFG) + 2*phys.PropTime(fiberM) +
+	hop := phys.SerTime(24+phys.DefaultIFG) + 2*phys.PropTime(fiberM) +
 		phys.DefaultSwitchLatency + 40*sim.Nanosecond
 	return sim.Time(n) * hop
 }

@@ -220,7 +220,7 @@ func TestCompletionWithinTwoRingTours(t *testing.T) {
 	if lastAdopt < 0 {
 		t.Fatal("no adoption after failure")
 	}
-	tour := EstimateTour(8, 1000, h.net)
+	tour := EstimateTour(8, 1000)
 	elapsed := lastAdopt - failAt - h.net.Detect // from detection, like the hardware
 	if elapsed > 3*tour {
 		t.Fatalf("rostering took %v (= %.2f tours), want ≈2 tours (%v)",
@@ -444,15 +444,13 @@ func TestNewerSeqWraps(t *testing.T) {
 }
 
 func TestEstimateTourScales(t *testing.T) {
-	k := sim.NewKernel(1)
-	net := phys.NewNet(k)
-	t4 := EstimateTour(4, 100, net)
-	t8 := EstimateTour(8, 100, net)
+	t4 := EstimateTour(4, 100)
+	t8 := EstimateTour(8, 100)
 	if t8 != 2*t4 {
 		t.Fatalf("tour should scale linearly with nodes: %v vs %v", t4, t8)
 	}
-	short := EstimateTour(8, 10, net)
-	long := EstimateTour(8, 2000, net)
+	short := EstimateTour(8, 10)
+	long := EstimateTour(8, 2000)
 	if long <= short {
 		t.Fatal("tour should grow with fiber length")
 	}

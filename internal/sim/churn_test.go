@@ -130,17 +130,3 @@ func TestResetAfterCancelRearms(t *testing.T) {
 		t.Fatalf("fired at %v, want 30", k.Now())
 	}
 }
-
-func TestSampleMinMaxIncremental(t *testing.T) {
-	s := NewSample("x")
-	s.Observe(5)
-	s.Observe(-3)
-	s.Observe(9)
-	if s.Min() != -3 || s.Max() != 9 {
-		t.Fatalf("min/max = %v/%v, want -3/9", s.Min(), s.Max())
-	}
-	// Min/Max must not sort vals (percentile order preserved after).
-	if s.vals[0] != 5 || s.vals[1] != -3 || s.vals[2] != 9 {
-		t.Fatalf("Min/Max mutated observation order: %v", s.vals)
-	}
-}

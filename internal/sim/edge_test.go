@@ -73,15 +73,3 @@ func TestIntnPanicsOnNonPositive(t *testing.T) {
 	}()
 	NewRNG(1).Intn(0)
 }
-
-func TestSampleSumAndObserveTime(t *testing.T) {
-	s := NewSample("x")
-	s.ObserveTime(1500)
-	s.ObserveTime(500)
-	if s.Sum() != 2000 {
-		t.Fatalf("sum = %v", s.Sum())
-	}
-	if s.String() == "" {
-		t.Fatal("empty String")
-	}
-}

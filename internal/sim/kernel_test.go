@@ -322,48 +322,3 @@ func TestRNGSplitIndependent(t *testing.T) {
 		t.Fatal("split RNG streams identical (suspicious)")
 	}
 }
-
-func TestSampleStats(t *testing.T) {
-	s := NewSample("lat")
-	for i := 1; i <= 100; i++ {
-		s.Observe(float64(i))
-	}
-	if s.N() != 100 {
-		t.Fatalf("N = %d", s.N())
-	}
-	if s.Mean() != 50.5 {
-		t.Fatalf("Mean = %v", s.Mean())
-	}
-	if s.Min() != 1 || s.Max() != 100 {
-		t.Fatalf("Min/Max = %v/%v", s.Min(), s.Max())
-	}
-	if p := s.Percentile(50); p != 50 {
-		t.Fatalf("p50 = %v", p)
-	}
-	if p := s.Percentile(99); p != 99 {
-		t.Fatalf("p99 = %v", p)
-	}
-	if p := s.Percentile(0); p != 1 {
-		t.Fatalf("p0 = %v", p)
-	}
-	if p := s.Percentile(100); p != 100 {
-		t.Fatalf("p100 = %v", p)
-	}
-}
-
-func TestSampleEmpty(t *testing.T) {
-	s := NewSample("empty")
-	if s.Mean() != 0 || s.Min() != 0 || s.Max() != 0 || s.Percentile(50) != 0 || s.Stddev() != 0 {
-		t.Fatal("empty sample stats should all be 0")
-	}
-}
-
-func TestSampleStddev(t *testing.T) {
-	s := NewSample("sd")
-	for _, v := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
-		s.Observe(v)
-	}
-	if got := s.Stddev(); got < 1.99 || got > 2.01 {
-		t.Fatalf("Stddev = %v, want 2", got)
-	}
-}
