@@ -236,8 +236,8 @@ func BenchmarkE12AmpIPCollectives(b *testing.B) {
 // benchScenario runs sc once per iteration and reports its
 // virtual-events-per-second economics: ns/event is the number to watch,
 // and comparing the Serial and Sharded variants of one size gives the
-// machine's speedup. The scenarios come from the constructors the E14,
-// E15 and E16 tables themselves run, so a table and the benchmark named
+// machine's speedup. The E15 and E16 scenarios come from the
+// constructors their tables run, so a table and the benchmark named
 // after it cannot drift apart.
 func benchScenario(b *testing.B, sc core.Scenario) {
 	var cl *core.Cluster
@@ -276,19 +276,19 @@ func rings(b *testing.B, nodes int) phys.Topology {
 	return topo
 }
 
-// benchE14 times E14's study at a fixed publish cadence — the table
-// draws Poisson arrivals, these benchmarks never have, and their
-// `events` metric stays comparable with every number recorded for them
-// since the same simulator change (PR 15 made transmit completions
-// lazy; PR 24 folded the device latency into a plan on the egress port:
-// Serial128 8 789 358 → 6 193 192 events, the sharded variants more, a
-// cut link keeps the event).
-// Node counts stop at 248, the ceiling of the wire v1 address space;
-// the v2 sizes beyond it are the BenchmarkE15* family below.
+// e14Study is the scenario the BenchmarkE14Parsim* family times: the
+// highest switch dies at 5 ms and returns at 15 ms of a 20 ms run, at a
+// fixed publish cadence. Their `events` metric moves with every
+// scheduling change (lazy transmit completions, device latencies as
+// plans, lazy trains); the history is in CHANGES.md.
+var e14Study = experiments.Study{FailAt: 5 * sim.Millisecond, RestoreAt: 15 * sim.Millisecond,
+	For: 20 * sim.Millisecond, LastSub: 1}
+
+// benchE14 times e14Study on the rings fabric. Node counts stop at 248,
+// the ceiling of the wire v1 address space; the v2 sizes beyond it are
+// the BenchmarkE15* family below.
 func benchE14(b *testing.B, nodes, shards int) {
-	st := experiments.E14Study
-	st.Poisson = false
-	benchScenario(b, st.Scenario("bench", rings(b, nodes), 1, shards))
+	benchScenario(b, e14Study.Scenario("bench", rings(b, nodes), 1, shards))
 }
 
 func BenchmarkE14ParsimSerial64(b *testing.B)   { benchE14(b, 64, 1) }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 
@@ -32,6 +33,16 @@ type Load interface {
 func checkLoadNode(c *Cluster, kind, role string, id int) error {
 	if id < 0 || id >= len(c.Nodes) {
 		return fmt.Errorf("core: %s load: %s node %d out of range [0,%d)", kind, role, id, len(c.Nodes))
+	}
+	return nil
+}
+
+// negative refuses one size, count or interval of a load: zero selects
+// the default, a negative value is not a default in disguise (the rule
+// Options.fill keeps). field is "<Type>.<Field>".
+func negative[T int | sim.Time](kind, field string, v T) error {
+	if v < 0 {
+		return fmt.Errorf("core: %s load: negative %s %v", kind, field, v)
 	}
 	return nil
 }
@@ -191,8 +202,10 @@ type PubSubLoad struct {
 func (l *PubSubLoad) kindName() (string, string) { return "pubsub", l.Name }
 
 func (l *PubSubLoad) check(c *Cluster) error {
-	if l.Payload < 0 {
-		return fmt.Errorf("core: pubsub load: negative PubSubLoad.Payload %d", l.Payload)
+	if err := cmp.Or(negative("pubsub", "PubSubLoad.Payload", l.Payload),
+		negative("pubsub", "PubSubLoad.Every", l.Every),
+		negative("pubsub", "PubSubLoad.Count", l.Count)); err != nil {
+		return err
 	}
 	if err := checkLoadNode(c, "pubsub", "publisher", l.Publisher); err != nil {
 		return err
@@ -343,7 +356,9 @@ type CacheChurn struct {
 func (l *CacheChurn) kindName() (string, string) { return "cache-churn", l.Name }
 
 func (l *CacheChurn) check(c *Cluster) error {
-	return checkLoadNode(c, "cache-churn", "writer", l.Writer)
+	return cmp.Or(negative("cache-churn", "CacheChurn.Every", l.Every),
+		negative("cache-churn", "CacheChurn.Count", l.Count),
+		checkLoadNode(c, "cache-churn", "writer", l.Writer))
 }
 
 func (l *CacheChurn) begin(c *Cluster, a *ActiveLoad) {
@@ -426,6 +441,9 @@ type CollectiveLoad struct {
 func (l *CollectiveLoad) kindName() (string, string) { return "collective", l.Name }
 
 func (l *CollectiveLoad) check(c *Cluster) error {
+	if err := negative("collective", "CollectiveLoad.Iters", l.Iters); err != nil {
+		return err
+	}
 	if c.K == nil {
 		// The collective driver advances shared iteration state from
 		// every rank's completion callback — cross-shard shared memory
@@ -525,6 +543,11 @@ type FileStream struct {
 func (l *FileStream) kindName() (string, string) { return "filestream", l.Name }
 
 func (l *FileStream) check(c *Cluster) error {
+	if err := cmp.Or(negative("filestream", "FileStream.Size", l.Size),
+		negative("filestream", "FileStream.Repeat", l.Repeat),
+		negative("filestream", "FileStream.Gap", l.Gap)); err != nil {
+		return err
+	}
 	if c.K == nil {
 		// Each completed file schedules the next send from the
 		// receiver's delivery callback — a cross-shard hop the

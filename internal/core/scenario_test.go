@@ -166,6 +166,14 @@ func TestScenarioRejectsInvalidPlan(t *testing.T) {
 		{Scenario{Opts: Options{Nodes: 4, Switches: 2, JoinTimeout: -sim.Millisecond}, For: short}, "negative Options.JoinTimeout -1"},
 		{Scenario{Opts: Options{Nodes: 4, Switches: 2, Regions: map[uint8]int{2: 64, 3: -64}}, For: short}, "negative Options.Regions[3] size -64"},
 		{Scenario{Opts: opts, Loads: []Load{&PubSubLoad{Payload: -100}}, For: short}, "negative PubSubLoad.Payload -100"},
+		{Scenario{Opts: opts, Loads: []Load{&PubSubLoad{Every: -sim.Microsecond}}, For: short}, "core: pubsub load: negative PubSubLoad.Every -1.000µs"},
+		{Scenario{Opts: opts, Loads: []Load{&PubSubLoad{Count: -2}}, For: short}, "core: pubsub load: negative PubSubLoad.Count -2"},
+		{Scenario{Opts: opts, Loads: []Load{&CacheChurn{Every: -sim.Microsecond}}, For: short}, "core: cache-churn load: negative CacheChurn.Every -1.000µs"},
+		{Scenario{Opts: opts, Loads: []Load{&CacheChurn{Count: -2}}, For: short}, "core: cache-churn load: negative CacheChurn.Count -2"},
+		{Scenario{Opts: opts, Loads: []Load{&CollectiveLoad{Iters: -3}}, For: short}, "core: collective load: negative CollectiveLoad.Iters -3"},
+		{Scenario{Opts: opts, Loads: []Load{&FileStream{To: 1, Size: -4}}, For: short}, "core: filestream load: negative FileStream.Size -4"},
+		{Scenario{Opts: opts, Loads: []Load{&FileStream{To: 1, Repeat: -5}}, For: short}, "core: filestream load: negative FileStream.Repeat -5"},
+		{Scenario{Opts: opts, Loads: []Load{&FileStream{To: 1, Gap: -sim.Millisecond}}, For: short}, "core: filestream load: negative FileStream.Gap -1.000ms"},
 	} {
 		if _, err := tc.sc.Run(); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("Scenario.Run: err = %v, want %q", err, tc.want)

@@ -72,16 +72,14 @@ type Spec struct {
 	// which renders a table the defaults do not; every one has its own
 	// section of the committed golden beside the defaults'.
 	Variants []Params
-	// Wall marks experiments whose tables contain wall-clock
-	// measurements (speedup curves, span decompositions). They are kept
-	// out of the committed golden: their bytes differ run to run.
-	Wall bool
-	Run  func(Params) *Table
+	Run      func(Params) *Table
 }
 
 // All is the experiment index (DESIGN.md §2 points here; ampbench -list
 // prints it): every experiment in id order, with the default parameters
-// used by cmd/ampbench and recorded in EXPERIMENTS.md.
+// used by cmd/ampbench and recorded in EXPERIMENTS.md. The ids e14 and
+// e17 are retired, not reused: E15-512 and the E14 benchmarks keep
+// their names.
 func All() []Spec {
 	return []Spec{
 		{ID: "e1", Short: "MicroPacket type table (slide 4)",
@@ -132,19 +130,12 @@ func All() []Spec {
 			Defaults: Params{Nodes: 6, Switches: 4},
 			Variants: []Params{{Nodes: 8}},
 			Run:      E13FabricHeal},
-		{ID: "e14", Short: "parallel sharded engine: serial-identical reports, exchange volume vs shards",
-			Defaults: Params{Nodes: 64, Switches: 8},
-			Run:      E14ParsimScale},
 		{ID: "e15", Short: "wire v2 scaling past 255 nodes: serial-identical reports beyond the v1 ceiling",
 			Defaults: Params{Nodes: 320},
 			Run:      E15WireScale},
-		{ID: "e16", Short: "scaling efficiency: cut-aware partition, lookahead and barrier economics vs shards",
+		{ID: "e16", Short: "sharding is invisible: cut-aware partition, lookahead, serial-identical reports vs shards",
 			Defaults: Params{Nodes: 96, Switches: 8},
 			Run:      E16ScalingEfficiency},
-		{ID: "e17", Short: "multi-core speedup study: wall time, busy/wait decomposition vs shards",
-			Defaults: Params{Nodes: 96, Switches: 8},
-			Wall:     true,
-			Run:      E17Speedup},
 	}
 }
 

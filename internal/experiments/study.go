@@ -9,11 +9,11 @@ import (
 	"repro/internal/sim"
 )
 
-// The engine studies — E14 to E17 and the root benchmarks named after
-// them — run one kind of scenario: a fabric of rings, a fault in the
-// middle of a pub/sub stream, the same run at rising shard counts with
-// every Report compared to the one-shard run's bytes. This file spells
-// that once; each experiment keeps its columns and its notes.
+// The engine studies — E16 and the root benchmarks BenchmarkE14Parsim*
+// and BenchmarkE16Scaling* — run one kind of scenario: a fabric of
+// rings, a fault in the middle of a pub/sub stream, the same run at
+// rising shard counts with every Report compared to the one-shard run's
+// bytes. This file spells that once.
 
 // RingsFabric is the studies' fabric: `nodes` nodes spread evenly over
 // `rings` one-switch rings on fiberM of fiber, adjacent rings joined by
@@ -30,7 +30,7 @@ func RingsFabric(rings, nodes int, fiberM float64) (phys.Topology, error) {
 	return t, nil
 }
 
-// studyFabric builds one of the two shapes E14 and E16 sweep: the
+// studyFabric builds one of the two shapes E16 sweeps: the
 // paper's uniform segment, or the rings fabric with one ring per switch.
 func studyFabric(shape string, p Params) (phys.Topology, error) {
 	if shape == "uniform" {
@@ -45,22 +45,15 @@ var studyShapes = []string{"uniform", "sharded"}
 // Study is the fault and load an engine study runs on a fabric: the
 // highest switch dies at FailAt and returns at RestoreAt (offsets from
 // the end of boot) while node 0 publishes every 100 µs to nodes 1,
-// Nodes/2 and Nodes−LastSub, for For. There are exactly two.
+// Nodes/2 and Nodes−LastSub, for For.
 type Study struct {
 	FailAt, RestoreAt, For sim.Time
 	LastSub                int
-	Poisson                bool // exponential inter-arrival times instead of a fixed cadence
 }
 
-var (
-	// E14Study is E14's run. BenchmarkE14Parsim* time it at a fixed
-	// cadence (Poisson off), as they always have.
-	E14Study = Study{FailAt: 5 * sim.Millisecond, RestoreAt: 15 * sim.Millisecond, For: 20 * sim.Millisecond,
-		LastSub: 1, Poisson: true}
-	// E16Study is the run of E16, E17 and BenchmarkE16Scaling*.
-	E16Study = Study{FailAt: 6 * sim.Millisecond, RestoreAt: 12 * sim.Millisecond, For: 18 * sim.Millisecond,
-		LastSub: 2}
-)
+// E16Study is the run of E16 and BenchmarkE16Scaling*.
+var E16Study = Study{FailAt: 6 * sim.Millisecond, RestoreAt: 12 * sim.Millisecond, For: 18 * sim.Millisecond,
+	LastSub: 2}
 
 // Scenario is the study on topo at one shard count. A sweep gives every
 // shard count the same name: the Report must be byte-identical across
@@ -76,7 +69,7 @@ func (s Study) Scenario(name string, topo phys.Topology, seed uint64, shards int
 		// and is byte-identical at every shard count at these sizes.
 		Plan: core.Plan{core.FailSwitch(s.FailAt, last), core.RestoreSwitch(s.RestoreAt, last)},
 		Loads: []core.Load{&core.PubSubLoad{
-			Publisher: 0, Topic: 1, Every: 100 * sim.Microsecond, Poisson: s.Poisson,
+			Publisher: 0, Topic: 1, Every: 100 * sim.Microsecond,
 			Subscribers: []int{1, topo.Nodes / 2, topo.Nodes - s.LastSub},
 		}},
 		For: s.For,

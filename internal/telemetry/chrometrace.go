@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // WriteTrace serializes spans as Chrome trace-event JSON — loadable in
@@ -16,7 +17,7 @@ func WriteTrace(w io.Writer, spans []Span) error {
 	bw := bufio.NewWriter(w)
 	spans = append([]Span(nil), spans...)
 	// Spans() already sorts, but callers may pass raw slices.
-	sortSpans(spans)
+	slices.SortStableFunc(spans, compareSpans)
 
 	maxShard := -1
 	for _, s := range spans {
@@ -62,30 +63,9 @@ func usec(ns int64) string {
 	return fmt.Sprintf("%s%d.%03d", neg, ns/1000, ns%1000)
 }
 
-func sortSpans(spans []Span) {
-	// Insertion-sort-free: reuse the Recorder ordering.
-	lessSpan := func(a, b Span) bool {
-		if a.Start != b.Start {
-			return a.Start < b.Start
-		}
-		if a.Shard != b.Shard {
-			return a.Shard < b.Shard
-		}
-		if a.Kind != b.Kind {
-			return a.Kind < b.Kind
-		}
-		return a.Seq < b.Seq
-	}
-	// Small n in practice; simple stable sort.
-	for i := 1; i < len(spans); i++ {
-		for j := i; j > 0 && lessSpan(spans[j], spans[j-1]); j-- {
-			spans[j], spans[j-1] = spans[j-1], spans[j]
-		}
-	}
-}
-
-// Decomposition aggregates a span timeline into the quantities the
-// speedup study reads: where did the wall time go?
+// Decomposition aggregates a span timeline into where the wall time
+// went (bench/ reports it as parsim.busy_share, wait_share and
+// coord_share).
 //
 // The engine's wall per window is window + exchange + action
 // (coordinator-sequential phases); shard capacity over a run is

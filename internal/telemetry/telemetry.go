@@ -21,7 +21,8 @@
 package telemetry
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync/atomic"
 	"time"
 )
@@ -257,9 +258,9 @@ func (r *Recorder) Len() int {
 	return n
 }
 
-// Spans returns a merged copy of all buffers, ordered by (Start, Shard,
-// Seq). Call only while the shards are parked — between windows or
-// after the run — or the read races the shard writers.
+// Spans returns a merged copy of all buffers in compareSpans order.
+// Call only while the shards are parked — between windows or after the
+// run — or the read races the shard writers.
 func (r *Recorder) Spans() []Span {
 	if r == nil {
 		return nil
@@ -271,20 +272,15 @@ func (r *Recorder) Spans() []Span {
 				Start: s.start, End: s.end, VT: s.vt, Seq: uint64(i)})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Start != b.Start {
-			return a.Start < b.Start
-		}
-		if a.Shard != b.Shard {
-			return a.Shard < b.Shard
-		}
-		if a.Kind != b.Kind {
-			return a.Kind < b.Kind
-		}
-		return a.Seq < b.Seq
-	})
+	slices.SortStableFunc(out, compareSpans)
 	return out
+}
+
+// compareSpans is the one span order, (Start, Shard, Kind, Seq): Spans
+// returns it and WriteTrace emits it.
+func compareSpans(a, b Span) int {
+	return cmp.Or(cmp.Compare(a.Start, b.Start), cmp.Compare(a.Shard, b.Shard),
+		cmp.Compare(a.Kind, b.Kind), cmp.Compare(a.Seq, b.Seq))
 }
 
 // Stopwatch measures an elapsed wall interval through a Clock — the

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
+	"slices"
 	"testing"
 )
 
@@ -99,6 +100,17 @@ func TestWriteTraceGolden(t *testing.T) {
 	if got := buf.String(); got != want {
 		t.Fatalf("trace bytes drifted from golden:\n--- got ---\n%s--- want ---\n%s", got, want)
 	}
+	// WriteTrace sorts what it is given: the same spans reversed export
+	// the same bytes.
+	reversed := slices.Clone(spans)
+	slices.Reverse(reversed)
+	var rev bytes.Buffer
+	if err := WriteTrace(&rev, reversed); err != nil {
+		t.Fatal(err)
+	}
+	if rev.String() != want {
+		t.Fatalf("reversed input exported different bytes:\n%s", rev.String())
+	}
 	// And the bytes must be real JSON of the Chrome trace shape.
 	var doc struct {
 		TraceEvents []map[string]any `json:"traceEvents"`
@@ -111,7 +123,7 @@ func TestWriteTraceGolden(t *testing.T) {
 	}
 }
 
-// TestDecompose: the busy/wait split the speedup study prints.
+// TestDecompose: the busy/wait split bench/ reports as parsim.*_share.
 func TestDecompose(t *testing.T) {
 	spans := []Span{
 		{Shard: -1, Kind: SpanWindow, Start: 0, End: 100},
