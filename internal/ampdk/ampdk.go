@@ -393,8 +393,7 @@ func (n *Node) solicit() {
 	var pl [8]byte
 	binary.LittleEndian.PutUint16(pl[0:2], uint16(n.Cfg.Version))
 	pl[2] = byte(n.joinTry)
-	pkt := micropacket.NewData(micropacket.NodeID(n.Cfg.ID), micropacket.Broadcast, TagJoinReq, pl[:])
-	n.Station.Send(pkt) // may be refused pre-roster; we retry below
+	n.broadcast(TagJoinReq, pl) // may be refused pre-roster; we retry below
 	n.joinRetry.Reset(n.retryEvery())
 }
 
@@ -469,10 +468,18 @@ func (n *Node) heartbeatLoop() {
 	binary.LittleEndian.PutUint16(pl[0:2], uint16(n.Cfg.Version))
 	pl[2] = byte(n.State)
 	binary.LittleEndian.PutUint32(pl[3:7], n.hbSeq)
-	pkt := micropacket.NewData(micropacket.NodeID(n.Cfg.ID), micropacket.Broadcast, TagHeartbeat, pl[:])
-	n.Station.Send(pkt)
+	n.broadcast(TagHeartbeat, pl)
 	n.HBSent++
 	n.heartbeat.Reset(n.Cfg.HeartbeatInterval)
+}
+
+// broadcast offers the station a Data packet for every node, drawn from
+// its Net's packet pool; a refused packet goes back.
+func (n *Node) broadcast(tag uint8, pl [micropacket.FixedPayload]byte) {
+	pkt := n.Station.Net().Packets.Data(micropacket.NodeID(n.Cfg.ID), micropacket.Broadcast, tag, pl[:])
+	if !n.Station.Send(pkt) {
+		n.Station.Net().Packets.Free(pkt)
+	}
 }
 
 // detectLoop declares peers down after missedBeats silent intervals.

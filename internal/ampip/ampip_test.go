@@ -83,7 +83,8 @@ func TestDatagramDelivery(t *testing.T) {
 	var gotSrc Addr
 	var gotPort uint16
 	r.stacks[2].Bind(5000, func(src Addr, srcPort uint16, data []byte) {
-		gotSrc, gotPort, gotData = src, srcPort, data
+		// data is lent for the call: its packet is freed once it returns.
+		gotSrc, gotPort, gotData = src, srcPort, bytes.Clone(data)
 	})
 	r.k.After(0, func() {
 		r.stacks[0].SendTo(NodeToIP(2), 5000, 777, []byte("datagram"))

@@ -203,7 +203,7 @@ func (e *Engine) pump() {
 		req := *q.At(0)
 		// The window test comes first: a back-pressured attempt builds
 		// no packet.
-		if e.St.QueueLen() >= e.Window || !e.St.Send(e.packet(ch, req)) {
+		if e.St.QueueLen() >= e.Window || !e.send(ch, req) {
 			// Backpressure: retry shortly. The segment stays queued, so
 			// nothing is lost and per-channel order is preserved.
 			if !e.retry.Active() {
@@ -221,14 +221,19 @@ func (e *Engine) pump() {
 	}
 }
 
-// packet builds the MicroPacket of channel ch's head segment.
-func (e *Engine) packet(ch int, req request) *micropacket.Packet {
-	pkt := micropacket.NewDMA(e.ID, req.dst, req.hdr, req.data)
+// send offers the station the MicroPacket of channel ch's head
+// segment, drawn from its Net's packet pool; a refused packet goes back.
+func (e *Engine) send(ch int, req request) bool {
+	pkt := e.St.Net().Packets.DMA(e.ID, req.dst, req.hdr, req.data)
 	pkt.DMA.Seq = e.txSeq[ch]
 	if req.last {
 		pkt.Flags |= micropacket.FlagLast
 	}
-	return pkt
+	if e.St.Send(pkt) {
+		return true
+	}
+	e.St.Net().Packets.Free(pkt)
+	return false
 }
 
 // nextNonEmpty returns the next channel with queued work, starting the

@@ -108,7 +108,8 @@ type Station struct {
 	MaxHops uint16
 
 	// OnDeliver receives MicroPackets addressed to (or broadcast past)
-	// this node.
+	// this node. The packet is lent for the call: it may be freed and
+	// reused once OnDeliver returns.
 	OnDeliver func(*micropacket.Packet)
 	// OnControl receives Rostering MicroPackets; they do not transit
 	// the ring MAC (the rostering agent floods them itself).
@@ -315,9 +316,11 @@ func (s *Station) handleFrame(port *phys.Port, f phys.Frame) {
 	}
 	switch {
 	case pkt.IsBroadcast() && pkt.Src == s.ID:
-		// Our broadcast completed a full tour: strip it.
+		// Our broadcast completed a full tour: strip it. Its life ends
+		// here, so its packet goes back to the pool that built it.
 		s.Stripped++
 		s.net.Acct.Consume(frameacct.ConsumeBroadcastStrip)
+		s.net.Packets.Free(pkt)
 		return
 	case pkt.IsBroadcast():
 		// The host observes a copy; the frame itself continues its tour
@@ -329,12 +332,14 @@ func (s *Station) handleFrame(port *phys.Port, f phys.Frame) {
 		}
 		s.forward(f)
 	case pkt.Dst == s.ID:
-		// Destination strip: unicast leaves the ring here.
+		// Destination strip: unicast leaves the ring here. The host
+		// borrows the packet for the callback only, and then it is freed.
 		s.Delivered++
 		s.net.Acct.Consume(frameacct.ConsumeHost)
 		if s.OnDeliver != nil {
 			s.OnDeliver(pkt)
 		}
+		s.net.Packets.Free(pkt)
 	default:
 		s.forward(f)
 	}

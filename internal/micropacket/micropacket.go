@@ -32,6 +32,7 @@
 package micropacket
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -188,8 +189,15 @@ type Packet struct {
 
 	Payload [FixedPayload]byte // fixed-format payload (slide 5)
 
+	// class and home are the pool marker (see Pool): the packet's size
+	// class and whether it is free, and the pool that built it. Zero for
+	// a packet no pool built.
+	class uint8
+
 	DMA  DMAHeader // variable format only (slide 6)
 	Data []byte    // variable payload, len 0..64
+
+	home *Pool
 }
 
 // Errors returned by Validate and Decode.
@@ -246,10 +254,18 @@ func (p *Packet) SetWord64(v uint64) {
 	binary.LittleEndian.PutUint64(p.Payload[:8], v)
 }
 
-// Clone returns a deep copy (Data is copied, not aliased). The ring MAC
-// clones packets when replicating broadcasts.
+// Equal reports whether p and q carry the same header fields and the
+// same payload bytes. The pool marker is not compared.
+func (p *Packet) Equal(q *Packet) bool {
+	return p.Type == q.Type && p.Flags == q.Flags && p.Src == q.Src && p.Dst == q.Dst &&
+		p.Tag == q.Tag && p.Payload == q.Payload && p.DMA == q.DMA && bytes.Equal(p.Data, q.Data)
+}
+
+// Clone returns a deep copy (Data is copied, not aliased) that no pool
+// owns. netsem clones an atomic it forwards to the semaphore's home.
 func (p *Packet) Clone() *Packet {
 	q := *p
+	q.class, q.home = 0, nil
 	if p.Data != nil {
 		q.Data = make([]byte, len(p.Data))
 		copy(q.Data, p.Data)
@@ -286,32 +302,54 @@ const smallPayload = 16
 // NewDMA builds a variable DMA packet. data longer than MaxPayload
 // panics; callers segment at the DMA layer.
 func NewDMA(src, dst NodeID, hdr DMAHeader, data []byte) *Packet {
-	if len(data) > MaxPayload {
+	p := dmaBox(dmaClass(data))
+	n := len(data)
+	p.setDMA(src, dst, hdr, p.Data[:n:n], data)
+	return p
+}
+
+// dmaClass is the size class of a DMA packet carrying data.
+func dmaClass(data []byte) uint8 {
+	switch {
+	case len(data) > MaxPayload:
 		panic("micropacket: DMA payload over 64 bytes")
+	case len(data) <= smallPayload:
+		return classSmall
+	default:
+		return classFull
 	}
-	hdr.Length = uint8(len(data))
-	// Packet and payload are one allocation, in one of two sizes: a
-	// header-only payload (a pub/sub message with no body is 16 bytes;
-	// 97 % of steady-ring-16's DMA packets, 13 % of middleware-mix-8's)
-	// does not carry the full 64-byte tail — with it, steady-ring-16
-	// allocates 12 % more bytes and runs 6 % longer.
-	var p *Packet
-	if n := len(data); n <= smallPayload {
+}
+
+// dmaBox allocates a DMA packet of class c whose Data is its whole
+// payload buffer. Packet and payload are one allocation, in one of two
+// sizes: a header-only payload (a pub/sub message with no body is 16
+// bytes; 97 % of steady-ring-16's DMA packets, 13 % of
+// middleware-mix-8's) does not carry the full 64-byte tail — with it,
+// steady-ring-16 allocates 12 % more bytes and runs 6 % longer.
+func dmaBox(c uint8) *Packet {
+	if c == classSmall {
 		b := new(struct {
 			Packet
 			buf [smallPayload]byte
 		})
-		p, b.Data = &b.Packet, b.buf[:n:n]
-	} else {
-		b := new(struct {
-			Packet
-			buf [MaxPayload]byte
-		})
-		p, b.Data = &b.Packet, b.buf[:n:n]
+		b.Data = b.buf[:]
+		return &b.Packet
 	}
-	p.Type, p.Src, p.Dst, p.DMA = TypeDMA, src, dst, hdr
-	copy(p.Data, data)
-	return p
+	b := new(struct {
+		Packet
+		buf [MaxPayload]byte
+	})
+	b.Data = b.buf[:]
+	return &b.Packet
+}
+
+// setDMA makes p a DMA packet carrying a copy of data in buf, which has
+// len(data) bytes; the pool marker is left as it was.
+func (p *Packet) setDMA(src, dst NodeID, hdr DMAHeader, buf, data []byte) {
+	hdr.Length = uint8(len(data))
+	class, home := p.class, p.home
+	*p = Packet{Type: TypeDMA, Src: src, Dst: dst, DMA: hdr, Data: buf, class: class, home: home}
+	copy(buf, data)
 }
 
 // NewAtomic builds a D64 Atomic packet for semaphore sem with the given

@@ -1,0 +1,102 @@
+package micropacket
+
+// Pool recycles the DMA and Data packets a node builds for its sends.
+// A packet's life ends at one place — its destination, or its origin
+// after a broadcast tour — and whoever ends it hands it to Free, which
+// takes it back only into the pool that built it: a packet that dies on
+// another pool (a sharded unicast ending on another shard) is left to
+// the GC, so one pool's free lists never fill with another's packets.
+//
+// A freed packet is poisoned — an invalid Type, 0xDEAD addresses, 0xDD
+// in every payload byte — so a reader that kept it past its life fails
+// Validate or moves Report bytes instead of reading a recycled packet
+// silently, and freeing it twice panics.
+//
+// A Pool is not safe for concurrent use: like the rest of a phys.Net it
+// is touched only from its own kernel's event context.
+type Pool struct {
+	free [numClasses][]*Packet
+}
+
+// Size classes of pooled packets (Packet.class); classFreed marks a
+// packet that is free.
+const (
+	classNone  uint8 = iota // no pool built the packet
+	classSmall              // DMA, payload <= smallPayload
+	classFull               // DMA, payload <= MaxPayload
+	classFixed              // fixed format
+	numClasses
+
+	classFreed uint8 = 0x80
+)
+
+// Poison values Free writes into a packet.
+const (
+	poisonType Type   = 0xEE
+	poisonAddr NodeID = 0xDEAD
+	poisonByte byte   = 0xDD
+)
+
+// poison is a full payload of poisonByte, copied over a freed packet's.
+var poison = func() (b [MaxPayload]byte) {
+	for i := range b {
+		b[i] = poisonByte
+	}
+	return b
+}()
+
+// DMA is NewDMA drawing the packet from the pool.
+func (pl *Pool) DMA(src, dst NodeID, hdr DMAHeader, data []byte) *Packet {
+	c := dmaClass(data)
+	p := pl.take(c)
+	if p == nil {
+		p = dmaBox(c)
+		p.class, p.home = c, pl
+	}
+	p.setDMA(src, dst, hdr, p.Data[:len(data)], data)
+	return p
+}
+
+// Data is NewData drawing the packet from the pool.
+func (pl *Pool) Data(src, dst NodeID, tag uint8, payload []byte) *Packet {
+	p := pl.take(classFixed)
+	if p == nil {
+		p = new(Packet)
+	}
+	*p = Packet{Type: TypeData, Src: src, Dst: dst, Tag: tag, class: classFixed, home: pl}
+	copy(p.Payload[:], payload)
+	return p
+}
+
+// take pops a free packet of class c, or returns nil.
+func (pl *Pool) take(c uint8) *Packet {
+	l := pl.free[c]
+	if len(l) == 0 {
+		return nil
+	}
+	p := l[len(l)-1]
+	pl.free[c] = l[:len(l)-1]
+	p.class = c
+	return p
+}
+
+// Free ends p's life. A packet no pool built is left alone (it may be
+// sent again, like a rostering agent's keepalive); any other is
+// poisoned, and taken back if pl built it.
+func (pl *Pool) Free(p *Packet) {
+	if p.home == nil {
+		return
+	}
+	if p.class&classFreed != 0 {
+		panic("micropacket: packet freed twice")
+	}
+	p.Type, p.Src, p.Dst = poisonType, poisonAddr, poisonAddr
+	p.Data = p.Data[:cap(p.Data)]
+	copy(p.Data, poison[:])
+	p.Payload = [FixedPayload]byte(poison[:])
+	c := p.class
+	p.class |= classFreed
+	if p.home == pl {
+		pl.free[c] = append(pl.free[c], p)
+	}
+}

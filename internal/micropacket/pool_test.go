@@ -1,0 +1,79 @@
+package micropacket
+
+import (
+	"bytes"
+	"testing"
+)
+
+// TestPacketPool: a pool hands back what it took, by size class, and
+// takes back only what it built; a freed packet reads as poisoned, and
+// freeing it twice panics.
+func TestPacketPool(t *testing.T) {
+	var a, b Pool
+	small, full := bytes.Repeat([]byte{1}, smallPayload), bytes.Repeat([]byte{2}, MaxPayload)
+
+	t.Run("recycled by class", func(t *testing.T) {
+		p := a.DMA(1, 2, DMAHeader{Channel: 3, Offset: 9}, small)
+		a.Free(p)
+		if q := a.DMA(4, 5, DMAHeader{}, full); q == p {
+			t.Fatal("a small-class packet was handed out for a 64-byte payload")
+		}
+		q := a.DMA(4, Broadcast, DMAHeader{Channel: 7}, []byte{0xAB})
+		if q != p {
+			t.Fatal("a freed packet was not reused")
+		}
+		want := NewDMA(4, Broadcast, DMAHeader{Channel: 7}, []byte{0xAB})
+		if !q.Equal(want) || q.Validate() != nil {
+			t.Fatalf("recycled packet %v, want %v", q, want)
+		}
+		d := a.Data(1, 2, 0x42, []byte{7, 8})
+		a.Free(d)
+		if e := a.Data(3, 4, 0x43, nil); e != d || !e.Equal(NewData(3, 4, 0x43, nil)) {
+			t.Fatalf("recycled Data packet %v", e)
+		}
+	})
+
+	t.Run("a foreign packet re-sent twice survives", func(t *testing.T) {
+		// A rostering agent's keepalive is built once and sent again.
+		ka := NewDiagnostic(1, 2, 0xA5)
+		want := *ka
+		a.Free(ka)
+		a.Free(ka)
+		if !ka.Equal(&want) {
+			t.Fatalf("Free touched a packet no pool built: %v", ka)
+		}
+	})
+
+	t.Run("freed on another pool is not taken", func(t *testing.T) {
+		p := a.DMA(1, 2, DMAHeader{}, full)
+		b.Free(p)
+		if q := b.DMA(1, 2, DMAHeader{}, full); q == p {
+			t.Fatal("a pool took back a packet another pool built")
+		}
+		if q := a.DMA(1, 2, DMAHeader{}, full); q == p {
+			t.Fatal("a packet freed on another pool came back to its builder")
+		}
+	})
+
+	t.Run("freed reads as poisoned", func(t *testing.T) {
+		p := a.DMA(1, 2, DMAHeader{Channel: 1}, small[:4])
+		a.Free(p)
+		if p.Type.Valid() || p.Validate() == nil || p.Src != poisonAddr || p.Dst != poisonAddr {
+			t.Fatalf("freed packet %+v is not poisoned", p)
+		}
+		if len(p.Data) == 0 || bytes.Count(p.Data, []byte{poisonByte}) != len(p.Data) {
+			t.Fatalf("freed packet's payload % x is not poisoned", p.Data)
+		}
+	})
+
+	t.Run("double free panics", func(t *testing.T) {
+		p := a.Data(1, 2, 0, nil)
+		a.Free(p)
+		defer func() {
+			if recover() == nil {
+				t.Fatal("freeing a packet twice did not panic")
+			}
+		}()
+		a.Free(p)
+	})
+}

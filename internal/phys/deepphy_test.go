@@ -144,11 +144,14 @@ func TestDeepPHYBurstErrors(t *testing.T) {
 
 // TestDeepPHYHopPreserved: only the packet goes through the deep
 // datapath; the frame's hop count, trunk VC tag, priority mark and wire
-// size arrive as they were sent (trunk ingress routes by VC).
+// size arrive as they were sent (trunk ingress routes by VC), and so
+// does the packet, which decodes to what was sent.
 func TestDeepPHYHopPreserved(t *testing.T) {
 	k := sim.NewKernel(1)
 	n := NewNet(k)
 	n.DeepPHY = true
+	deep := 0
+	n.Corrupt = func(Frame, []enc8b10b.Symbol) { deep++ }
 	var got Frame
 	a := n.NewPort("a", nil)
 	b := n.NewPort("b", func(_ *Port, f Frame) { got = f })
@@ -157,21 +160,21 @@ func TestDeepPHYHopPreserved(t *testing.T) {
 	f.Hops, f.VC = 9, 5
 	a.SendPriority(f)
 	k.Run()
-	if got.Pkt == nil || got.Pkt == f.Pkt {
-		t.Fatalf("frame not delivered through the deep datapath: %+v", got)
+	if deep != 1 {
+		t.Fatalf("%d frames went through the deep datapath, want 1", deep)
 	}
 	want := f
-	want.Pkt, want.Prio = got.Pkt, true
+	want.Prio = true
 	if got != want {
 		t.Fatalf("frame tags changed through deep PHY: got %+v, want %+v", got, want)
 	}
 }
 
 // TestDeepPHYHopAllocations: the bytes and symbols of a frame on the
-// fiber live in the Net's scratch, so a DeepPHY hop allocates the
-// received packet (payload included) and nothing else: 1 measured,
-// where it was six — frame, body, symbols, received bytes, packet,
-// payload.
+// fiber and the packet they decode to live in the Net's scratch, and a
+// hop that decodes the packet it carried keeps that packet, so a DeepPHY
+// hop allocates nothing. It was six — frame, body, symbols, received
+// bytes, packet, payload — and then one, the received packet.
 func TestDeepPHYHopAllocations(t *testing.T) {
 	k := sim.NewKernel(1)
 	n := NewNet(k)
@@ -189,8 +192,8 @@ func TestDeepPHYHopAllocations(t *testing.T) {
 			k.Run()
 		}
 		hop()
-		if got := testing.AllocsPerRun(100, hop); got > 2 {
-			t.Errorf("a DeepPHY hop of a %v frame allocates %.0f times, want <= 2", p.Type, got)
+		if got := testing.AllocsPerRun(100, hop); got > 0 {
+			t.Errorf("a DeepPHY hop of a %v frame allocates %.0f times, want 0", p.Type, got)
 		}
 	}
 	if n.Acct.WireDelivered != 2*102 {

@@ -2,6 +2,7 @@ package phys
 
 import (
 	"math"
+	"math/big"
 	"strings"
 	"testing"
 
@@ -129,4 +130,33 @@ func TestBuildFabricTrunks(t *testing.T) {
 	if tr := c.TrunkBetween(0, 3); tr != nil {
 		t.Fatalf("TrunkBetween(0,3) = %v, want nil", tr)
 	}
+}
+
+// TestPropTimeUnfused: a link's delay rounds the product before it adds
+// the half, as IEEE arithmetic does step by step, on every architecture.
+// The reference is computed in math/big at float64 precision, so no
+// compiler can fuse it; the fibers are the builders' and every quarter
+// metre up to 10 km. The log says how many of them an FMA — what a
+// fusing compiler would emit for the unconverted expression — rounds
+// differently.
+func TestPropTimeUnfused(t *testing.T) {
+	lengths := []float64{8, 10, 50, 200, 1000, 5000}
+	for q := 0; q <= 40000; q++ {
+		lengths = append(lengths, float64(q)/4)
+	}
+	step := func(op func(z, x, y *big.Float) *big.Float, x, y float64) float64 {
+		f, _ := op(new(big.Float).SetPrec(53), big.NewFloat(x), big.NewFloat(y)).Float64()
+		return f
+	}
+	fused := 0
+	for _, m := range lengths {
+		want := sim.Time(step((*big.Float).Add, step((*big.Float).Mul, m, NsPerMeter), 0.5))
+		if got := PropTime(m); got != want {
+			t.Fatalf("PropTime(%v) = %d, want %d (the rounded product plus a half)", m, got, want)
+		}
+		if sim.Time(math.FMA(m, NsPerMeter, 0.5)) != want {
+			fused++
+		}
+	}
+	t.Logf("an FMA rounds %d of %d fiber lengths differently", fused, len(lengths))
 }

@@ -67,9 +67,13 @@ var serTable = func() []sim.Time {
 	return t
 }()
 
-// PropTime returns the propagation delay across meters of fiber.
+// PropTime returns the propagation delay across meters of fiber. The
+// explicit conversion rounds the product before the half is added, so no
+// architecture may fuse the two into one FMA (the Go spec allows it
+// otherwise, and arm64 does it) and a link's delay is the same on every
+// build.
 func PropTime(meters float64) sim.Time {
-	return sim.Time(meters*NsPerMeter + 0.5)
+	return sim.Time(float64(meters*NsPerMeter) + 0.5)
 }
 
 // Frame is one MicroPacket in flight, with its wire size (which
@@ -173,13 +177,20 @@ type Net struct {
 	// Holds counts how device latencies were spent (see Hold).
 	Holds HoldStats
 
+	// Packets is the pool the nodes of this Net draw the DMA and Data
+	// packets of their sends from; a packet goes back where its frame's
+	// life ends (see micropacket.Pool).
+	Packets micropacket.Pool
+
 	// ports is every port of the Net, for Settle.
 	ports []*Port
 
-	// deepRaw and deepSyms are deepPath's scratch: one frame's bytes and
-	// its 10-bit symbols, overwritten by the next frame.
+	// deepRaw, deepSyms and deepPkt are deepPath's scratch: one frame's
+	// bytes, its 10-bit symbols and the packet they decode to,
+	// overwritten by the next frame.
 	deepRaw  []byte
 	deepSyms []enc8b10b.Symbol
+	deepPkt  micropacket.Packet
 
 	// Hot-path event pools (see pool.go). Per-Net and therefore
 	// per-shard: only ever touched from this Net's kernel context.
@@ -602,8 +613,8 @@ func (n *Net) deepPath(f Frame) (*micropacket.Packet, bool) {
 	if err != nil {
 		return nil, false
 	}
-	// The bytes and symbols on the fiber live in the Net's two scratch
-	// slices; the received packet is the hop's one allocation.
+	// The bytes and symbols on the fiber, and the packet they decode to,
+	// live in the Net's scratch, so a hop allocates nothing.
 	raw, err := codec.AppendEncode(n.deepRaw[:0], f.Pkt)
 	if err != nil {
 		return nil, false
@@ -620,11 +631,15 @@ func (n *Net) deepPath(f Frame) (*micropacket.Packet, bool) {
 	if err != nil {
 		return nil, false
 	}
-	pkt, _, err := wire.Decode(raw)
-	if err != nil {
+	if _, err := wire.DecodeInto(raw, &n.deepPkt); err != nil {
 		return nil, false
 	}
-	return pkt, true
+	// What arrives is what was sent, field for field, unless a bit error
+	// got past the CRC: the frame keeps its packet, as on plain PHY.
+	if n.deepPkt.Equal(f.Pkt) {
+		return f.Pkt, true
+	}
+	return n.deepPkt.Clone(), true
 }
 
 // statusWatcher is a fabric-level observer of a link's light, bound to

@@ -182,18 +182,19 @@ func (s *Switch) Restore() {
 // origin and sequence, read from the rostering payload layout defined
 // in internal/rostering (origin little-endian at bytes 0..1, epoch
 // little-endian at bytes 3..6, sequence at byte 7). Announcements of
-// a newer epoch reset the seen set; stale epochs are dropped outright
-// — every agent of a superseded round has already moved on. In
-// node-only topologies floods cannot revisit a switch, so this logic
-// only matters once trunks create switch-layer cycles, where
-// re-flooding duplicates would multiply exponentially.
+// a newer epoch empty the seen set, which keeps its storage for the
+// next round; stale epochs are dropped outright — every agent of a
+// superseded round has already moved on. In node-only topologies
+// floods cannot revisit a switch, so this logic only matters once
+// trunks create switch-layer cycles, where re-flooding duplicates
+// would multiply exponentially.
 func (s *Switch) floodAdmit(f Frame) bool {
 	pl := f.Pkt.Payload
 	epoch := binary.LittleEndian.Uint32(pl[3:7])
 	switch {
 	case epoch > s.floodEpoch:
 		s.floodEpoch = epoch
-		s.floodSeen = map[uint64]bool{}
+		clear(s.floodSeen)
 	case epoch < s.floodEpoch:
 		return false
 	}

@@ -122,17 +122,19 @@ func openFrame(v Version, buf []byte, minWire int) (body []byte, variable bool, 
 }
 
 // decodePayload parses the shared payload section (everything after
-// the control block) and returns the packet hd heads, enforcing the
-// same structural rules for both versions. The packet and its variable
-// payload are one allocation (micropacket.NewDMA's).
-func decodePayload(hd micropacket.Packet, rest []byte, variable bool) (*micropacket.Packet, error) {
-	if hd.Type.Variable() != variable {
-		return nil, ErrBadFormat
+// the control block) into p, whose header fields the version's parser
+// has filled in, enforcing the same structural rules for both versions.
+func decodePayload(p *micropacket.Packet, rest []byte, variable bool) error {
+	if !p.Type.Valid() {
+		return micropacket.ErrBadType
 	}
-	var p *micropacket.Packet
+	if p.Type.Variable() != variable {
+		return ErrBadFormat
+	}
+	p.Payload, p.DMA, p.Data = [micropacket.FixedPayload]byte{}, micropacket.DMAHeader{}, p.Data[:0]
 	if variable {
 		if len(rest) < dmaLen {
-			return nil, ErrTruncated
+			return ErrTruncated
 		}
 		dma := micropacket.DMAHeader{
 			Channel: rest[0], Region: rest[1], Length: rest[2], Seq: rest[3],
@@ -140,36 +142,61 @@ func decodePayload(hd micropacket.Packet, rest []byte, variable bool) (*micropac
 		}
 		payload := rest[dmaLen:]
 		if int(dma.Length) > len(payload) {
-			return nil, micropacket.ErrLengthMism
+			return micropacket.ErrLengthMism
 		}
 		if len(payload) != pad4(int(dma.Length)) {
-			return nil, micropacket.ErrLengthMism
+			return micropacket.ErrLengthMism
 		}
 		// Padding must be zero: there is exactly one encoding per
 		// packet per version, so decode-then-encode is the identity on
 		// accepted frames.
 		for _, b := range payload[dma.Length:] {
 			if b != 0 {
-				return nil, ErrReserved
+				return ErrReserved
 			}
 		}
 		if dma.Length > micropacket.MaxPayload {
-			return nil, micropacket.ErrTooLong
+			return micropacket.ErrTooLong
 		}
-		p = micropacket.NewDMA(hd.Src, hd.Dst, dma, payload[:dma.Length])
-		p.Flags, p.Tag = hd.Flags, hd.Tag
+		if cap(p.Data) < int(dma.Length) {
+			p.Data = make([]byte, 0, micropacket.MaxPayload)
+		}
+		p.DMA, p.Data = dma, p.Data[:dma.Length]
+		copy(p.Data, payload)
 	} else {
 		if len(rest) != micropacket.FixedPayload {
-			return nil, ErrTruncated
+			return ErrTruncated
 		}
-		p = new(micropacket.Packet)
-		*p = hd
 		copy(p.Payload[:], rest)
 	}
-	if err := p.Validate(); err != nil {
+	return p.Validate()
+}
+
+// decodeInto parses a frame claimed to be version v into p.
+func decodeInto(v Version, buf []byte, p *micropacket.Packet) error {
+	switch v {
+	case V1:
+		return v1Codec{}.decodeInto(buf, p)
+	case V2:
+		return v2Codec{}.decodeInto(buf, p)
+	}
+	return ErrBadSOF
+}
+
+// decode parses a frame claimed to be version v into a packet of its
+// own: one allocation, payload included (micropacket.NewDMA's).
+func decode(v Version, buf []byte) (*micropacket.Packet, error) {
+	var data [micropacket.MaxPayload]byte
+	p := micropacket.Packet{Data: data[:0]}
+	if err := decodeInto(v, buf, &p); err != nil {
 		return nil, err
 	}
-	return p, nil
+	if p.Type.Variable() {
+		q := micropacket.NewDMA(p.Src, p.Dst, p.DMA, p.Data)
+		q.Flags, q.Tag = p.Flags, p.Tag
+		return q, nil
+	}
+	return &micropacket.Packet{Type: p.Type, Flags: p.Flags, Src: p.Src, Dst: p.Dst, Tag: p.Tag, Payload: p.Payload}, nil
 }
 
 // EncodeSymbols serializes the packet all the way to FC-1 10-bit

@@ -14,7 +14,9 @@ import (
 // garbage — Decode either returns a valid packet or an error, never a
 // panic and never an invalid packet. A frame that decodes must
 // re-encode byte-identically under its reported version (the codec is
-// canonical: there is exactly one encoding per packet per version).
+// canonical: there is exactly one encoding per packet per version), and
+// DecodeInto over a packet still holding another frame agrees with
+// Decode.
 func FuzzDecode(f *testing.F) {
 	for _, g := range goldenPackets() {
 		for _, c := range codecs() {
@@ -27,6 +29,11 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		p, v, err := Decode(raw)
+		into := mp.NewDMA(7, 9, mp.DMAHeader{Channel: 3, Seq: 5}, bytes.Repeat([]byte{0xEE}, mp.MaxPayload))
+		into.Flags, into.Tag, into.Payload = 0xF, 0x77, [mp.FixedPayload]byte{1, 2, 3, 4, 5, 6, 7, 8}
+		if iv, ierr := DecodeInto(raw, into); iv != v || (ierr == nil) != (err == nil) || err == nil && !into.Equal(p) {
+			t.Fatalf("DecodeInto = %v %v %v, Decode = %v %v %v", into, iv, ierr, p, v, err)
+		}
 		if err != nil {
 			if p != nil {
 				t.Fatal("error with non-nil packet")

@@ -57,25 +57,20 @@ func (v1Codec) AppendEncode(dst []byte, p *micropacket.Packet) ([]byte, error) {
 	return appendFrame(dst, V1, p, ctrl[:])
 }
 
-func (v1Codec) Decode(buf []byte) (*micropacket.Packet, error) {
+func (v1Codec) Decode(buf []byte) (*micropacket.Packet, error) { return decode(V1, buf) }
+
+func (v1Codec) decodeInto(buf []byte, p *micropacket.Packet) error {
 	body, variable, err := openFrame(V1, buf, v1FixedWire)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if len(body) < v1CtrlLen {
-		return nil, ErrTruncated
+		return ErrTruncated
 	}
-	hd := micropacket.Packet{
-		Type:  micropacket.Type(body[0] >> 4),
-		Flags: micropacket.Flags(body[0] & 0xF),
-		Src:   v1Widen(body[1]),
-		Dst:   v1Widen(body[2]),
-		Tag:   body[3],
-	}
-	if !hd.Type.Valid() {
-		return nil, micropacket.ErrBadType
-	}
-	return decodePayload(hd, body[v1CtrlLen:], variable)
+	p.Type = micropacket.Type(body[0] >> 4)
+	p.Flags = micropacket.Flags(body[0] & 0xF)
+	p.Src, p.Dst, p.Tag = v1Widen(body[1]), v1Widen(body[2]), body[3]
+	return decodePayload(p, body[v1CtrlLen:], variable)
 }
 
 // v1Widen maps a v1 wire byte to the in-memory address space.

@@ -51,26 +51,23 @@ func (v2Codec) AppendEncode(dst []byte, p *micropacket.Packet) ([]byte, error) {
 	return appendFrame(dst, V2, p, ctrl[:])
 }
 
-func (v2Codec) Decode(buf []byte) (*micropacket.Packet, error) {
+func (v2Codec) Decode(buf []byte) (*micropacket.Packet, error) { return decode(V2, buf) }
+
+func (v2Codec) decodeInto(buf []byte, p *micropacket.Packet) error {
 	body, variable, err := openFrame(V2, buf, v2FixedWire)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if len(body) < v2CtrlLen {
-		return nil, ErrTruncated
+		return ErrTruncated
 	}
 	if body[6] != 0 || body[7] != 0 {
-		return nil, ErrReserved
+		return ErrReserved
 	}
-	hd := micropacket.Packet{
-		Type:  micropacket.Type(body[0] >> 4),
-		Flags: micropacket.Flags(body[0] & 0xF),
-		Tag:   body[1],
-		Src:   micropacket.NodeID(binary.LittleEndian.Uint16(body[2:4])),
-		Dst:   micropacket.NodeID(binary.LittleEndian.Uint16(body[4:6])),
-	}
-	if !hd.Type.Valid() {
-		return nil, micropacket.ErrBadType
-	}
-	return decodePayload(hd, body[v2CtrlLen:], variable)
+	p.Type = micropacket.Type(body[0] >> 4)
+	p.Flags = micropacket.Flags(body[0] & 0xF)
+	p.Tag = body[1]
+	p.Src = micropacket.NodeID(binary.LittleEndian.Uint16(body[2:4]))
+	p.Dst = micropacket.NodeID(binary.LittleEndian.Uint16(body[4:6]))
+	return decodePayload(p, body[v2CtrlLen:], variable)
 }

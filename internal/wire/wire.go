@@ -171,19 +171,39 @@ func Encode(v Version, p *micropacket.Packet) ([]byte, error) {
 // SOF format byte. It returns the packet and the version it arrived
 // under.
 func Decode(buf []byte) (*micropacket.Packet, Version, error) {
-	if len(buf) < sofLen {
-		return nil, 0, ErrTruncated
-	}
-	v, _, err := sniffFormat(buf[3])
+	v, err := sniffVersion(buf)
 	if err != nil {
 		return nil, 0, err
 	}
-	c, err := ForVersion(v)
-	if err != nil {
-		return nil, 0, ErrBadSOF
-	}
-	p, err := c.Decode(buf)
+	p, err := decode(v, buf)
 	return p, v, err
+}
+
+// DecodeInto is Decode writing the packet into p. Its Data keeps its
+// storage when it has room, and gets a 64-byte buffer when it has not,
+// so decoding into the same packet again allocates nothing. On error p
+// holds no packet.
+func DecodeInto(buf []byte, p *micropacket.Packet) (Version, error) {
+	v, err := sniffVersion(buf)
+	if err != nil {
+		return 0, err
+	}
+	return v, decodeInto(v, buf, p)
+}
+
+// sniffVersion reads a frame's format version from its SOF format byte.
+func sniffVersion(buf []byte) (Version, error) {
+	if len(buf) < sofLen {
+		return 0, ErrTruncated
+	}
+	v, _, err := sniffFormat(buf[3])
+	if err != nil {
+		return 0, err
+	}
+	if !v.Valid() {
+		return 0, ErrBadSOF
+	}
+	return v, nil
 }
 
 // Errors shared by the codecs.
