@@ -93,6 +93,10 @@ type opKey struct {
 	seq  uint32
 }
 
+// opState is one op's record: what this rank has heard for it and, once
+// the rank issues it, what it owes and whom to tell. step and resend
+// switch on key.kind and on whether this rank is the op's root, so an op
+// costs no closure; the record is pooled in Comm.free.
 type opState struct {
 	c   *Comm
 	key opKey
@@ -106,15 +110,27 @@ type opState struct {
 	vals    []uint64
 	blocks  [][]byte
 	nblocks int
-	buf     []byte // bcast / scatter payload
-	value   uint64 // reduce result at non-root
-	// done, set when this rank issues the op (early arrivals only fill
-	// in state), completes it once its condition holds.
-	done     func(*opState)
+	buf     []byte // bcast / scatter result
+	value   uint64 // reduce result
+	// issued is set when this rank issues the op (early arrivals only
+	// fill in state); from then on step completes it once its
+	// condition holds.
+	issued   bool
 	released bool
+	// What the issuing rank sends and re-sends: the root, its own reduce
+	// value, the payload (bcast root, gather non-root) and the per-rank
+	// blocks (scatter root, all-to-all).
+	root     int
+	own      uint64
+	payload  []byte
+	outbound [][]byte
+	// The caller's callback: the one its kind takes.
+	onDone   func()
+	onValue  func(uint64)
+	onBytes  func([]byte)
+	onBlocks func([][]byte)
 	// retry re-sends what resend sends every Retransmit until finish.
-	retry  *sim.Timer
-	resend func()
+	retry *sim.Timer
 }
 
 // hear records that rank arrived, contributed or acknowledged.
@@ -187,11 +203,13 @@ func (c *Comm) state(k opKey) *opState {
 	return st
 }
 
-// issue is state for the rank issuing the next op of a kind.
-func (c *Comm) issue(kind uint8) (uint32, *opState) {
+// issue opens the next op of a kind on this rank.
+func (c *Comm) issue(kind uint8, root int) *opState {
 	seq := c.seq[kind]
 	c.seq[kind]++
-	return seq, c.state(opKey{kind, seq})
+	st := c.state(opKey{kind, seq})
+	st.issued, st.root = true, root
+	return st
 }
 
 // message wire: kind(1) seq(4) srcRank(2) part(2) body…
@@ -229,7 +247,120 @@ func (st *opState) retransmit() {
 	st.retry.Reset(st.c.Retransmit)
 }
 
-// finish closes the op and hands its state to the next one. Callers
+// start sends what the op owes and keeps re-sending it until finish.
+func (c *Comm) start(st *opState) {
+	st.resend()
+	c.armRetry(st)
+}
+
+// resend sends what this rank still owes the op: a non-root its
+// arrival, contribution or block to the root; a bcast or scatter root
+// and every all-to-all rank a payload to each rank not yet heard from.
+func (st *opState) resend() {
+	c, k := st.c, st.key
+	switch k.kind {
+	case kindBarrier:
+		c.send(0, kindBarrier, k.seq, partContrib, nil)
+	case kindReduce:
+		c.sendValue(0, kindReduce, k.seq, partContrib, st.own)
+	case kindGather:
+		c.send(st.root, kindGather, k.seq, partContrib, st.payload)
+	default: // bcast, scatter, all-to-all
+		for r := range c.Nodes {
+			if st.heard[r] {
+				continue
+			}
+			body := st.payload
+			if st.outbound != nil {
+				body = st.outbound[r]
+			}
+			c.send(r, k.kind, k.seq, partContrib, body)
+		}
+	}
+}
+
+// ready reports whether the op's completion condition holds on this
+// rank.
+func (st *opState) ready() bool {
+	n := len(st.c.Nodes)
+	switch {
+	case st.key.kind == kindAll2All:
+		return st.nblocks == n && st.nheard == n
+	case st.c.rank != st.root:
+		return st.released
+	case st.key.kind == kindGather:
+		return st.nblocks == n
+	default:
+		return st.nheard == n
+	}
+}
+
+// step completes the op once it is issued and ready: a coordinator
+// releases the other ranks, the record is finished, and the caller gets
+// the result.
+func (st *opState) step() {
+	if !st.issued || !st.ready() {
+		return
+	}
+	c, k := st.c, st.key
+	var blocks [][]byte
+	if c.rank == st.root {
+		switch k.kind {
+		case kindBarrier, kindReduce:
+			c.release(st)
+		case kindGather, kindAll2All:
+			blocks = append([][]byte{}, st.blocks...)
+		}
+	}
+	r := *st
+	c.finish(st)
+	switch k.kind {
+	case kindBarrier:
+		r.onDone()
+	case kindReduce:
+		r.onValue(r.value)
+	case kindBcast, kindScatter:
+		r.onBytes(r.buf)
+	default:
+		r.onBlocks(blocks)
+	}
+}
+
+// release is the coordinator's completion of a barrier or reduce: it
+// sums the contributions, sends every other rank its release and
+// remembers the result for stragglers.
+func (c *Comm) release(st *opState) {
+	if st.key.kind == kindReduce {
+		var total uint64
+		for _, x := range st.vals {
+			total += x
+		}
+		st.value = total
+	}
+	for r := 1; r < len(c.Nodes); r++ {
+		c.sendRelease(r, st.key, st.value)
+	}
+	c.memory(st.key.kind).put(st.key.seq, st.value)
+}
+
+// memory is the coordinator's result memory for a barrier or reduce.
+func (c *Comm) memory(kind uint8) *resultRing {
+	if kind == kindReduce {
+		return &c.doneReduce
+	}
+	return &c.doneBarrier
+}
+
+// sendRelease sends a barrier release or a reduce result.
+func (c *Comm) sendRelease(to int, k opKey, v uint64) {
+	if k.kind == kindReduce {
+		c.sendValue(to, kindReduce, k.seq, partRelease, v)
+	} else {
+		c.send(to, kindBarrier, k.seq, partRelease, nil)
+	}
+}
+
+// finish closes the op and hands its record to the next one. Callers
 // read what they need out of st first.
 func (c *Comm) finish(st *opState) {
 	st.retry.Cancel()
@@ -250,36 +381,28 @@ func (c *Comm) recv(_ Addr, _ uint16, data []byte) {
 	from := int(binary.BigEndian.Uint16(data[5:7]))
 	part := binary.BigEndian.Uint16(data[7:9])
 	body := data[9:]
-	if from >= len(c.Nodes) {
-		return // no such rank: the state below is indexed by it
+	if kind >= numKinds || part > partAck || from >= len(c.Nodes) {
+		return // no such kind, part or rank: the state below is indexed by them
+	}
+	if kind == kindReduce && part != partAck && len(body) < 8 {
+		return // a contribution or result without its value
 	}
 	k := opKey{kind, seq}
-
-	// Retransmission into an op this coordinator already completed:
-	// answer from memory.
-	if _, open := c.ops[k]; !open && c.rank == 0 && part == partContrib {
-		switch kind {
-		case kindBarrier:
-			if _, ok := c.doneBarrier.get(seq); ok {
-				c.send(from, kindBarrier, seq, partRelease, nil)
-				return
-			}
-		case kindReduce:
-			if v, ok := c.doneReduce.get(seq); ok {
-				c.sendValue(from, kindReduce, seq, partRelease, v)
-				return
-			}
-		}
+	st, open := c.ops[k]
+	if !open && seq < c.seq[kind] {
+		c.answerFinished(from, k, part)
+		return
 	}
-
-	st := c.state(k)
+	if !open {
+		st = c.state(k)
+	}
 	switch kind {
-	case kindBcast:
+	case kindBcast, kindScatter:
 		switch part {
 		case partContrib: // payload from root
 			st.buf = append([]byte{}, body...)
 			st.released = true
-			c.send(from, kindBcast, seq, partAck, nil)
+			c.send(from, kind, seq, partAck, nil)
 		case partAck:
 			st.hear(from)
 		}
@@ -298,138 +421,80 @@ func (c *Comm) recv(_ Addr, _ uint16, data []byte) {
 			st.value = binary.BigEndian.Uint64(body)
 			st.released = true
 		}
-	case kindAll2All:
+	case kindAll2All, kindGather:
 		switch part {
-		case partContrib:
+		case partContrib: // a block for us (at the gather root)
 			st.keepBlock(from, body)
-			c.send(from, kindAll2All, seq, partAck, nil)
-		case partAck:
-			st.hear(from)
-		}
-	case kindGather:
-		switch part {
-		case partContrib: // block arriving at root
-			st.keepBlock(from, body)
-			c.send(from, kindGather, seq, partAck, nil)
-		case partAck: // root acknowledged our block
-			st.released = true
-		}
-	case kindScatter:
-		switch part {
-		case partContrib: // our slice arriving from root
-			st.buf = append([]byte{}, body...)
-			st.released = true
-			c.send(from, kindScatter, seq, partAck, nil)
-		case partAck:
-			st.hear(from)
+			c.send(from, kind, seq, partAck, nil)
+		case partAck: // a peer (the gather root) acknowledged our block
+			if kind == kindGather {
+				st.released = true
+			} else {
+				st.hear(from)
+			}
 		}
 	}
-	if st.done != nil {
-		st.done(st)
+	st.step()
+}
+
+// answerFinished handles a message for an op this rank has finished
+// without storing it: the coordinator answers a straggling arrival or
+// contribution from its result memory, a payload or block sent again is
+// acknowledged again (its sender retries until it is), and the rest —
+// a late release, result or acknowledgement — is dropped.
+func (c *Comm) answerFinished(from int, k opKey, part uint16) {
+	if part != partContrib {
+		return
+	}
+	switch k.kind {
+	case kindBarrier, kindReduce:
+		if v, ok := c.memory(k.kind).get(k.seq); ok {
+			c.sendRelease(from, k, v)
+		}
+	default:
+		c.send(from, k.kind, k.seq, partAck, nil)
 	}
 }
 
 // Bcast distributes data from root (a rank). Every rank's done receives
 // the payload. Must be called by all ranks.
 func (c *Comm) Bcast(root int, data []byte, done func([]byte)) {
-	seq, st := c.issue(kindBcast)
+	st := c.issue(kindBcast, root)
+	st.onBytes = done
 	if c.rank == root {
-		payload := append([]byte{}, data...)
+		st.payload = append([]byte{}, data...)
+		st.buf = st.payload
 		st.hear(root)
-		sendAll := func() {
-			for r := range c.Nodes {
-				if !st.heard[r] {
-					c.send(r, kindBcast, seq, partContrib, payload)
-				}
-			}
-		}
-		st.resend = sendAll
-		st.done = func(s *opState) {
-			if s.nheard == len(c.Nodes) {
-				c.finish(s)
-				done(payload)
-			}
-		}
-		sendAll()
-		c.armRetry(st)
-		st.done(st)
-		return
+		c.start(st)
 	}
-	st.done = func(s *opState) {
-		if s.released {
-			buf := s.buf
-			c.finish(s)
-			done(buf)
-		}
-	}
-	st.done(st)
+	st.step()
 }
 
 // Barrier completes (in callback style) once every rank has arrived.
 // Rank 0 coordinates: it collects arrivals and sends releases.
 func (c *Comm) Barrier(done func()) {
-	seq, st := c.issue(kindBarrier)
+	st := c.issue(kindBarrier, 0)
+	st.onDone = done
 	if c.rank == 0 {
 		st.hear(0)
-		st.done = func(s *opState) {
-			if s.nheard == len(c.Nodes) {
-				for r := 1; r < len(c.Nodes); r++ {
-					c.send(r, kindBarrier, seq, partRelease, nil)
-				}
-				c.doneBarrier.put(seq, 0)
-				c.finish(s)
-				done()
-			}
-		}
-		st.done(st)
-		return
+	} else {
+		c.start(st)
 	}
-	st.resend = func() { c.send(0, kindBarrier, seq, partContrib, nil) }
-	st.done = func(s *opState) {
-		if s.released {
-			c.finish(s)
-			done()
-		}
-	}
-	st.resend()
-	c.armRetry(st)
-	st.done(st)
+	st.step()
 }
 
 // AllReduceSum sums a uint64 across all ranks; every rank's done
 // receives the total. Rank 0 reduces and redistributes.
 func (c *Comm) AllReduceSum(v uint64, done func(uint64)) {
-	seq, st := c.issue(kindReduce)
+	st := c.issue(kindReduce, 0)
+	st.onValue = done
 	if c.rank == 0 {
 		st.contribute(0, v)
-		st.done = func(s *opState) {
-			if s.nheard == len(c.Nodes) {
-				var total uint64
-				for _, x := range s.vals {
-					total += x
-				}
-				for r := 1; r < len(c.Nodes); r++ {
-					c.sendValue(r, kindReduce, seq, partRelease, total)
-				}
-				c.doneReduce.put(seq, total)
-				c.finish(s)
-				done(total)
-			}
-		}
-		st.done(st)
-		return
+	} else {
+		st.own = v
+		c.start(st)
 	}
-	st.resend = func() { c.sendValue(0, kindReduce, seq, partContrib, v) }
-	st.done = func(s *opState) {
-		if s.released {
-			total := s.value
-			c.finish(s)
-			done(total)
-		}
-	}
-	st.resend()
-	c.armRetry(st)
-	st.done(st)
+	st.step()
 }
 
 // Gather collects one block from every rank at root. The root's done
@@ -437,73 +502,35 @@ func (c *Comm) AllReduceSum(v uint64, done func(uint64)) {
 // non-root ranks complete once the root has acknowledged their block.
 // Must be called by all ranks.
 func (c *Comm) Gather(root int, block []byte, done func(blocks [][]byte)) {
-	seq, st := c.issue(kindGather)
+	st := c.issue(kindGather, root)
+	st.onBlocks = done
 	if c.rank == root {
 		st.keepBlock(root, block)
-		st.done = func(s *opState) {
-			if s.nblocks == len(c.Nodes) {
-				out := append([][]byte{}, s.blocks...)
-				c.finish(s)
-				done(out)
-			}
-		}
-		st.done(st)
-		return
+	} else {
+		st.payload = append([]byte{}, block...)
+		c.start(st)
 	}
-	mine := append([]byte{}, block...)
-	st.resend = func() { c.send(root, kindGather, seq, partContrib, mine) }
-	st.done = func(s *opState) {
-		if s.released {
-			c.finish(s)
-			done(nil)
-		}
-	}
-	st.resend()
-	c.armRetry(st)
-	st.done(st)
+	st.step()
 }
 
 // Scatter distributes slices[r] from root to each rank r; every rank's
 // done receives its slice. Must be called by all ranks (non-roots pass
 // nil slices).
 func (c *Comm) Scatter(root int, slices [][]byte, done func(mine []byte)) {
-	seq, st := c.issue(kindScatter)
+	st := c.issue(kindScatter, root)
+	st.onBytes = done
 	if c.rank == root {
-		own := append([]byte{}, slices[root]...)
+		st.buf = append([]byte{}, slices[root]...)
 		st.hear(root)
-		outbound := make([][]byte, len(c.Nodes))
+		st.outbound = make([][]byte, len(c.Nodes))
 		for r := range c.Nodes {
 			if r != root {
-				outbound[r] = append([]byte{}, slices[r]...)
+				st.outbound[r] = append([]byte{}, slices[r]...)
 			}
 		}
-		sendAll := func() {
-			for r := range c.Nodes {
-				if !st.heard[r] {
-					c.send(r, kindScatter, seq, partContrib, outbound[r])
-				}
-			}
-		}
-		st.resend = sendAll
-		st.done = func(s *opState) {
-			if s.nheard == len(c.Nodes) {
-				c.finish(s)
-				done(own)
-			}
-		}
-		sendAll()
-		c.armRetry(st)
-		st.done(st)
-		return
+		c.start(st)
 	}
-	st.done = func(s *opState) {
-		if s.released {
-			buf := s.buf
-			c.finish(s)
-			done(buf)
-		}
-	}
-	st.done(st)
+	st.step()
 }
 
 // AllToAll sends blocks[r] to rank r and completes with the blocks
@@ -512,29 +539,14 @@ func (c *Comm) Scatter(root int, slices [][]byte, done func(mine []byte)) {
 // blocks acknowledged by every peer, so retransmission covers losses
 // in either direction.
 func (c *Comm) AllToAll(blocks [][]byte, done func(recv [][]byte)) {
-	seq, st := c.issue(kindAll2All)
+	st := c.issue(kindAll2All, c.rank)
+	st.onBlocks = done
 	st.keepBlock(c.rank, blocks[c.rank])
 	st.hear(c.rank)
-	mine := make([][]byte, len(blocks))
+	st.outbound = make([][]byte, len(blocks))
 	for i := range blocks {
-		mine[i] = append([]byte{}, blocks[i]...)
+		st.outbound[i] = append([]byte{}, blocks[i]...)
 	}
-	sendAll := func() {
-		for r := range c.Nodes {
-			if !st.heard[r] {
-				c.send(r, kindAll2All, seq, partContrib, mine[r])
-			}
-		}
-	}
-	st.resend = sendAll
-	st.done = func(s *opState) {
-		if s.nblocks == len(c.Nodes) && s.nheard == len(c.Nodes) {
-			out := append([][]byte{}, s.blocks...)
-			c.finish(s)
-			done(out)
-		}
-	}
-	sendAll()
-	c.armRetry(st)
-	st.done(st)
+	c.start(st)
+	st.step()
 }

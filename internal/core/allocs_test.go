@@ -78,3 +78,26 @@ func TestPublishedMessageAllocatesNothing(t *testing.T) {
 		t.Fatalf("a published message delivered to 15 subscribers allocates %.0f times, want 0", n)
 	}
 }
+
+// TestCollectiveLoadAllocatesNothing: a CollectiveLoad's driver is one
+// record whose callbacks are built in begin, and an AmpIP op is a pooled
+// record, so a 4-node job iterating without end allocates nothing a
+// virtual millisecond once warm — with a closure per op and per
+// callback it was 1 121.
+func TestCollectiveLoadAllocatesNothing(t *testing.T) {
+	c := New(Options{Nodes: 4, Switches: 2, Seed: 5})
+	defer c.Close()
+	if err := c.Boot(0); err != nil {
+		t.Fatal(err)
+	}
+	a := c.StartLoad(&CollectiveLoad{})
+	c.Run(5 * sim.Millisecond)
+	before := a.rep.Iters
+	allocs := testing.AllocsPerRun(10, func() { c.Run(sim.Millisecond) })
+	if a.rep.Iters == before {
+		t.Fatal("the job made no progress")
+	}
+	if allocs > 0 {
+		t.Fatalf("a 4-node CollectiveLoad: %.0f allocations a virtual millisecond, want 0", allocs)
+	}
+}

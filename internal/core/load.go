@@ -473,46 +473,74 @@ func (l *CollectiveLoad) begin(c *Cluster, a *ActiveLoad) {
 	for i, r := range ranks {
 		comms[i] = ampip.NewComm(c.Stacks[r], ranks, port)
 	}
+	j := &collectiveJob{l: l, a: a, comms: comms, local: make([]uint64, len(ranks))}
 	// Each rank's local state evolves as a function of the global sum,
 	// so divergence between ranks would be visible immediately.
-	local := make([]uint64, len(ranks))
-	for i := range local {
-		local[i] = uint64(i + 1)
+	for i := range j.local {
+		j.local[i] = uint64(i + 1)
 	}
-	var iterate func(iter int)
-	iterate = func(iter int) {
-		if a.halted || (l.Iters > 0 && iter >= l.Iters) {
-			a.genDone()
-			return
-		}
-		pending := len(comms)
-		var sum uint64
-		for r := range comms {
-			r := r
-			comms[r].AllReduceSum(local[r], func(total uint64) {
-				sum = total
-				local[r] += total % 97
-				pending--
-				if pending > 0 {
-					return
-				}
-				bar := len(comms)
-				for q := range comms {
-					comms[q].Barrier(func() {
-						bar--
-						if bar == 0 {
-							a.rep.Iters++
-							if l.OnIter != nil {
-								l.OnIter(iter, sum)
-							}
-							iterate(iter + 1)
-						}
-					})
-				}
-			})
-		}
+	j.reduced = make([]func(uint64), len(comms))
+	for r := range j.reduced {
+		j.reduced[r] = func(total uint64) { j.reduce(r, total) }
 	}
-	c.K.After(0, func() { iterate(0) })
+	j.released = j.release
+	c.K.After(0, j.iterate)
+}
+
+// collectiveJob is CollectiveLoad's driver: the iteration in flight and
+// the callbacks every iteration hands its ops, built once in begin.
+type collectiveJob struct {
+	l     *CollectiveLoad
+	a     *ActiveLoad
+	comms []*ampip.Comm
+	local []uint64 // each rank's local state
+
+	iter, pending, bar int
+	sum                uint64
+
+	reduced  []func(uint64) // rank r's AllReduceSum callback
+	released func()         // every rank's Barrier callback
+}
+
+// iterate starts iteration j.iter: every rank all-reduces its local value.
+func (j *collectiveJob) iterate() {
+	if j.a.halted || (j.l.Iters > 0 && j.iter >= j.l.Iters) {
+		j.a.genDone()
+		return
+	}
+	j.pending = len(j.comms)
+	for r, c := range j.comms {
+		c.AllReduceSum(j.local[r], j.reduced[r])
+	}
+}
+
+// reduce takes rank r's total; once every rank has one, all barrier.
+func (j *collectiveJob) reduce(r int, total uint64) {
+	j.sum = total
+	j.local[r] += total % 97
+	j.pending--
+	if j.pending > 0 {
+		return
+	}
+	j.bar = len(j.comms)
+	for _, c := range j.comms {
+		c.Barrier(j.released)
+	}
+}
+
+// release counts a rank out of the barrier; the last one ends the
+// iteration and starts the next.
+func (j *collectiveJob) release() {
+	j.bar--
+	if j.bar > 0 {
+		return
+	}
+	j.a.rep.Iters++
+	if j.l.OnIter != nil {
+		j.l.OnIter(j.iter, j.sum)
+	}
+	j.iter++
+	j.iterate()
 }
 
 // --- FileStream ---

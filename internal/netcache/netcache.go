@@ -136,7 +136,7 @@ func (c *Cache) Version(r Record) uint64 {
 // Transport broadcasts ordered region updates to every replica. The DMA
 // layer implements it over the ring; tests use in-memory fakes. Send
 // returns false on backpressure, and callers retry — updates must not
-// be silently lost.
+// be silently lost. data is valid for the call; copy to keep.
 type Transport interface {
 	Broadcast(region uint8, off uint32, data []byte) bool
 }
@@ -153,6 +153,12 @@ type Writer struct {
 
 	// Writes counts completed record writes.
 	Writes uint64
+
+	// cnt holds the counter bytes a write lends the transport, so a
+	// write builds nothing. Taken, not shared: a write re-entered before
+	// this one returns — from a DMA done callback the transport's pump
+	// runs — finds none and builds its own, leaving ours unchanged.
+	cnt *[CounterSize]byte
 }
 
 // NewWriter returns a writer that applies locally to cache and
@@ -175,26 +181,7 @@ func (w *Writer) put(region uint8, off uint32, data []byte) error {
 // WriteRecord writes data into record r using the Lamport-counter
 // protocol. len(data) must equal r.Size.
 func (w *Writer) WriteRecord(r Record, data []byte) error {
-	if len(data) != r.Size {
-		return fmt.Errorf("netcache: record size %d, got %d bytes", r.Size, len(data))
-	}
-	next := w.Local.Version(r) + 1
-	var cnt [CounterSize]byte
-	binary.LittleEndian.PutUint64(cnt[:], next)
-	// 1. head counter — readers now see head != tail and back off.
-	if err := w.put(r.Region, r.headOff(), cnt[:]); err != nil {
-		return err
-	}
-	// 2. the data itself.
-	if err := w.put(r.Region, r.dataOff(), data); err != nil {
-		return err
-	}
-	// 3. tail counter — record consistent again.
-	if err := w.put(r.Region, r.tailOff(), cnt[:]); err != nil {
-		return err
-	}
-	w.Writes++
-	return nil
+	return w.WriteRecordAt(r, data, w.Local.Version(r)+1)
 }
 
 // WriteRecordAt is WriteRecord with an explicit version for the
@@ -204,14 +191,22 @@ func (w *Writer) WriteRecordAt(r Record, data []byte, version uint64) error {
 	if len(data) != r.Size {
 		return fmt.Errorf("netcache: record size %d, got %d bytes", r.Size, len(data))
 	}
-	var cnt [CounterSize]byte
+	cnt := w.cnt
+	w.cnt = nil
+	if cnt == nil {
+		cnt = new([CounterSize]byte)
+	}
+	defer func() { w.cnt = cnt }()
 	binary.LittleEndian.PutUint64(cnt[:], version)
+	// 1. head counter — readers now see head != tail and back off.
 	if err := w.put(r.Region, r.headOff(), cnt[:]); err != nil {
 		return err
 	}
+	// 2. the data itself.
 	if err := w.put(r.Region, r.dataOff(), data); err != nil {
 		return err
 	}
+	// 3. tail counter — record consistent again.
 	if err := w.put(r.Region, r.tailOff(), cnt[:]); err != nil {
 		return err
 	}

@@ -167,6 +167,60 @@ func (f transportFunc) Broadcast(region uint8, off uint32, data []byte) bool {
 	return f(region, off, data)
 }
 
+// TestWriteRecordAllocatesNothing: the counter bytes a write lends its
+// transport live in the Writer, so a record write allocates nothing —
+// it was one allocation a write when they were a local array that
+// escaped through the Transport call.
+func TestWriteRecordAllocatesNothing(t *testing.T) {
+	_, _, w := newReplicated(3, 64)
+	r := Record{Region: 1, Off: 0, Size: 8}
+	data := make([]byte, 8)
+	if n := testing.AllocsPerRun(100, func() { w.WriteRecord(r, data) }); n != 0 {
+		t.Fatalf("a record write allocates %.0f times, want 0", n)
+	}
+}
+
+// TestWriteRecordReentered: a write re-entered from inside the
+// transport — a DMA done callback the pump runs, before the bytes it was
+// lent are copied — leaves the outer write's counters alone.
+func TestWriteRecordReentered(t *testing.T) {
+	src, dst := New(), New()
+	src.AddRegion(1, 64)
+	dst.AddRegion(1, 64)
+	a, b := Record{Region: 1, Off: 0, Size: 8}, Record{Region: 1, Off: 32, Size: 8}
+	var w *Writer
+	reenter := false
+	w = NewWriter(src, transportFunc(func(region uint8, off uint32, data []byte) bool {
+		if reenter {
+			reenter = false
+			if err := w.WriteRecord(b, make([]byte, 8)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		dst.Apply(region, off, data)
+		return true
+	}))
+	for i := 0; i < 4; i++ {
+		w.WriteRecord(a, make([]byte, 8))
+	}
+	reenter = true
+	if err := w.WriteRecord(a, make([]byte, 8)); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		c    *Cache
+	}{{"writer", src}, {"replica", dst}} {
+		name, c := tc.name, tc.c
+		if _, ok := c.TryRead(a); !ok || c.Version(a) != 5 {
+			t.Errorf("%s: record a consistent = %v at version %d, want true at 5", name, ok, c.Version(a))
+		}
+		if _, ok := c.TryRead(b); !ok || c.Version(b) != 1 {
+			t.Errorf("%s: record b consistent = %v at version %d, want true at 1", name, ok, c.Version(b))
+		}
+	}
+}
+
 func TestWriteSizeMismatch(t *testing.T) {
 	c := New()
 	c.AddRegion(1, 64)
