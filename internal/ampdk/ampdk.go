@@ -192,6 +192,7 @@ type Node struct {
 	heartbeat *sim.Timer
 	detect    *sim.Timer
 	joinRetry *sim.Timer
+	certTimer *sim.Timer
 
 	sponsoring map[int]bool // joiners whose refresh stream is in flight
 	hbSeq      uint32
@@ -218,9 +219,11 @@ type Node struct {
 	RefreshServed  uint64 // region refreshes served to peers
 	AutoRecoveries uint64 // auto-recovery rounds triggered
 
-	// Certification state and counters (certify.go).
+	// Certification state and counters (certify.go). certTimer waits
+	// on the probe of certEpoch; certRec is recordConfig's scratch.
 	certEpoch uint32
 	certOK    bool
+	certRec   [8]byte
 	CertOK    uint64 // configurations certified by this node
 	CertFail  uint64 // certification timeouts (re-rostered)
 }
@@ -260,6 +263,7 @@ func NewNode(k *sim.Kernel, cluster *phys.Cluster, cfg Config) *Node {
 	n.heartbeat = k.NewTimer(n.heartbeatLoop)
 	n.detect = k.NewTimer(n.detectLoop)
 	n.joinRetry = k.NewTimer(n.solicitAgain)
+	n.certTimer = k.NewTimer(n.certTimeout)
 	return n
 }
 
@@ -366,6 +370,7 @@ func (n *Node) halt() {
 	n.heartbeat.Cancel()
 	n.detect.Cancel()
 	n.joinRetry.Cancel()
+	n.certTimer.Cancel()
 }
 
 // AppFail models an application/host failure with a healthy NIC: the
@@ -474,9 +479,14 @@ func (n *Node) heartbeatLoop() {
 }
 
 // broadcast offers the station a Data packet for every node, drawn from
-// its Net's packet pool; a refused packet goes back.
+// its Net's packet pool.
 func (n *Node) broadcast(tag uint8, pl [micropacket.FixedPayload]byte) {
-	pkt := n.Station.Net().Packets.Data(micropacket.NodeID(n.Cfg.ID), micropacket.Broadcast, tag, pl[:])
+	n.sendPooled(n.Station.Net().Packets.Data(micropacket.NodeID(n.Cfg.ID), micropacket.Broadcast, tag, pl[:]))
+}
+
+// sendPooled offers the station a packet drawn from its Net's pool; a
+// refused packet goes back.
+func (n *Node) sendPooled(pkt *micropacket.Packet) {
 	if !n.Station.Send(pkt) {
 		n.Station.Net().Packets.Free(pkt)
 	}

@@ -68,36 +68,40 @@ func (n *Node) onRosterAdopted(r *rostering.Roster) {
 	n.certEpoch = r.Epoch
 	next, _, ok := r.Next(n.Cfg.ID)
 	if !ok {
-		// Singleton or off-ring: nothing to certify.
+		// Singleton or off-ring: nothing to certify, and nothing of an
+		// older round left to wait for.
 		n.certOK = r.Size() <= 1 && r.Contains(n.Cfg.ID)
+		n.certTimer.Cancel()
 		return
 	}
 	// Probe the downstream hop with the epoch embedded.
-	probe := micropacket.NewDiagnostic(micropacket.NodeID(n.Cfg.ID), micropacket.NodeID(next), diagCertPing)
+	probe := n.Station.Net().Packets.Diagnostic(micropacket.NodeID(n.Cfg.ID), micropacket.NodeID(next), diagCertPing)
 	binary.LittleEndian.PutUint32(probe.Payload[0:4], r.Epoch)
-	n.Station.Send(probe)
-	epoch := r.Epoch
-	timeout := 2*n.Agent.SettleWindow + 500*sim.Microsecond
-	n.K.After(timeout, func() {
-		if n.stopped || n.Agent.Epoch() != epoch {
-			return // a newer roster superseded this round
-		}
-		if !n.certOK {
-			// Certification failed: the adopted configuration does not
-			// carry traffic. Explore again.
-			n.CertFail++
-			n.Agent.Trigger()
-		}
-	})
+	n.sendPooled(probe)
+	n.certTimer.Reset(2*n.Agent.SettleWindow + 500*sim.Microsecond)
+}
+
+// certTimeout is the certification timer's callback: the probe of
+// epoch certEpoch was not answered in time.
+func (n *Node) certTimeout() {
+	if n.stopped || n.Agent.Epoch() != n.certEpoch {
+		return // a newer roster superseded this round
+	}
+	if !n.certOK {
+		// Certification failed: the adopted configuration does not
+		// carry traffic. Explore again.
+		n.CertFail++
+		n.Agent.Trigger()
+	}
 }
 
 // handleCert processes certification probes and replies.
 func (n *Node) handleCert(p *micropacket.Packet) {
 	switch p.Tag {
 	case diagCertPing:
-		reply := micropacket.NewDiagnostic(micropacket.NodeID(n.Cfg.ID), p.Src, diagCertPong)
+		reply := n.Station.Net().Packets.Diagnostic(micropacket.NodeID(n.Cfg.ID), p.Src, diagCertPong)
 		reply.Payload = p.Payload // echo the epoch
-		n.Station.Send(reply)
+		n.sendPooled(reply)
 	case diagCertPong:
 		epoch := binary.LittleEndian.Uint32(p.Payload[0:4])
 		if epoch != n.certEpoch || n.certOK {
@@ -128,11 +132,13 @@ func (n *Node) recordConfig() {
 	if n.State == StateRejected {
 		return // a rejected kernel must not manage the database
 	}
-	var rec [8]byte
+	// The writer copies what outlives the call, so the record is built
+	// in the node's scratch.
+	rec := n.certRec[:]
 	binary.LittleEndian.PutUint32(rec[0:4], r.Epoch)
 	binary.LittleEndian.PutUint16(rec[4:6], uint16(r.Size()))
 	binary.LittleEndian.PutUint16(rec[6:8], uint16(n.Cfg.ID))
 	// Best effort: a transient refusal is repaired by the next epoch's
 	// certification.
-	_ = n.CacheW.WriteRecord(rosterRec, rec[:])
+	_ = n.CacheW.WriteRecord(rosterRec, rec)
 }

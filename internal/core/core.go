@@ -18,6 +18,7 @@ import (
 	"repro/internal/frameacct"
 	"repro/internal/parsim"
 	"repro/internal/phys"
+	"repro/internal/rostering"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/wire"
@@ -298,9 +299,11 @@ func build(opts Options) (*Cluster, error) {
 }
 
 // buildNodes assembles the per-node software stacks, each on its
-// shard's kernel.
+// shard's kernel. The rostering agents of a shard share one Rounds, so
+// a round's roster is built once per shard.
 func (c *Cluster) buildNodes() {
 	opts := c.Opts
+	rounds := make([]rostering.Rounds, len(c.eng.Kernels))
 	for i := 0; i < opts.Nodes; i++ {
 		var ver ampdk.Version // zero: ampdk's default
 		if opts.VersionOf != nil {
@@ -312,7 +315,7 @@ func (c *Cluster) buildNodes() {
 			HeartbeatInterval: opts.HeartbeatInterval,
 			JoinTimeout:       opts.JoinTimeout,
 		})
-		nd.Agent.Shard = shard
+		nd.Agent.Shard, nd.Agent.Rounds = shard, &rounds[shard]
 		if opts.KeepaliveInterval != 0 {
 			nd.Agent.KeepaliveInterval = opts.KeepaliveInterval
 		}

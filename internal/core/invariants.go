@@ -157,7 +157,8 @@ func (c *Cluster) idealRoster(comp []int) *rostering.Roster {
 	for _, i := range comp {
 		lsdb[i] = c.liveMask(i)
 	}
-	return rostering.BuildRosterFabric(0, lsdb, c.Phys.View())
+	view := c.Phys.View()
+	return rostering.BuildRosterFabric(0, lsdb, &view)
 }
 
 // componentViolation checks one live partition and returns a violation

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/netcache"
 	"repro/internal/phys"
+	"repro/internal/rostering"
 	"repro/internal/sim"
 )
 
@@ -82,6 +83,41 @@ func TestEquivalenceBattery(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestAgentsShareOneRosterPerShard: the rostering agents of a shard
+// share one Rounds, so after boot they hold one *Roster; a Rounds is
+// never shared across shards, so each shard built its own, and every
+// one renders the same ring.
+func TestAgentsShareOneRosterPerShard(t *testing.T) {
+	topo := phys.Sharded(2, 4, 2, 50)
+	c := New(Options{Fabric: &topo, Seed: 7, Shards: 2})
+	defer c.Close()
+	if err := c.Boot(0); err != nil {
+		t.Fatal(err)
+	}
+	c.Run(2 * sim.Millisecond)
+	var held [2]*rostering.Roster
+	for i, nd := range c.Nodes {
+		r, sh := nd.Agent.Roster(), c.Phys.ShardOfNode(i)
+		switch {
+		case r == nil:
+			t.Fatalf("node %d has no roster", i)
+		case held[sh] == nil:
+			held[sh] = r
+		case r != held[sh]:
+			t.Fatalf("node %d on shard %d holds its own roster %v, not its shard's", i, sh, r)
+		}
+	}
+	if held[0] == nil || held[1] == nil {
+		t.Fatalf("a shard without nodes: %v", c.Phys.Assign.NodeShard)
+	}
+	if held[0] == held[1] {
+		t.Fatal("two shards share one roster")
+	}
+	if !held[0].Identical(held[1]) || held[0].Size() != topo.Nodes {
+		t.Fatalf("the shards adopted different rings:\n %v\n %v", held[0], held[1])
 	}
 }
 

@@ -1,11 +1,12 @@
 package micropacket
 
-// Pool recycles the DMA and Data packets a node builds for its sends.
-// A packet's life ends at one place — its destination, or its origin
-// after a broadcast tour — and whoever ends it hands it to Free, which
-// takes it back only into the pool that built it: a packet that dies on
-// another pool (a sharded unicast ending on another shard) is left to
-// the GC, so one pool's free lists never fill with another's packets.
+// Pool recycles the DMA, Data and Diagnostic packets a node builds for
+// its sends. A packet's life ends at one place — its destination, or
+// its origin after a broadcast tour — and whoever ends it hands it to
+// Free, which takes it back only into the pool that built it: a packet
+// that dies on another pool (a sharded unicast ending on another shard)
+// is left to the GC, so one pool's free lists never fill with another's
+// packets.
 //
 // A freed packet is poisoned — an invalid Type, 0xDEAD addresses, 0xDD
 // in every payload byte — so a reader that kept it past its life fails
@@ -65,6 +66,16 @@ func (pl *Pool) Data(src, dst NodeID, tag uint8, payload []byte) *Packet {
 	}
 	*p = Packet{Type: TypeData, Src: src, Dst: dst, Tag: tag, class: classFixed, home: pl}
 	copy(p.Payload[:], payload)
+	return p
+}
+
+// Diagnostic is NewDiagnostic drawing the packet from the pool.
+func (pl *Pool) Diagnostic(src, dst NodeID, code uint8) *Packet {
+	p := pl.take(classFixed)
+	if p == nil {
+		p = new(Packet)
+	}
+	*p = Packet{Type: TypeDiagnostic, Src: src, Dst: dst, Tag: code, class: classFixed, home: pl}
 	return p
 }
 

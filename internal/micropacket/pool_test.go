@@ -28,8 +28,15 @@ func TestPacketPool(t *testing.T) {
 		}
 		d := a.Data(1, 2, 0x42, []byte{7, 8})
 		a.Free(d)
-		if e := a.Data(3, 4, 0x43, nil); e != d || !e.Equal(NewData(3, 4, 0x43, nil)) {
+		e := a.Data(3, 4, 0x43, nil)
+		if e != d || !e.Equal(NewData(3, 4, 0x43, nil)) {
 			t.Fatalf("recycled Data packet %v", e)
+		}
+		g := a.Diagnostic(1, 2, 0xC0)
+		g.Payload[0] = 9
+		a.Free(g)
+		if h := a.Diagnostic(3, 4, 0xC1); h != g || !h.Equal(NewDiagnostic(3, 4, 0xC1)) {
+			t.Fatalf("recycled Diagnostic packet %v", h)
 		}
 	})
 

@@ -194,9 +194,10 @@ type Net struct {
 
 	// Hot-path event pools (see pool.go). Per-Net and therefore
 	// per-shard: only ever touched from this Net's kernel context.
-	delFree   []*delivery
-	txFree    []*txDone
-	stageFree []*stage
+	delFree    []*delivery
+	txFree     []*txDone
+	stageFree  []*stage
+	statusFree []*status
 }
 
 // NewNet creates a physical network on kernel k with default parameters.
@@ -648,7 +649,7 @@ func (n *Net) deepPath(f Frame) (*micropacket.Packet, bool) {
 // status handlers.
 type statusWatcher struct {
 	k  *sim.Kernel
-	fn func(up bool)
+	fn func()
 }
 
 // Link is a bidirectional fiber between two ports.
@@ -678,9 +679,10 @@ func (n *Net) Connect(a, b *Port, meters float64) *Link {
 }
 
 // Watch registers a status observer fired on kernel k after the
-// detection latency whenever the link's light changes. The rostering
-// layer uses it to sense trunk failures from every shard.
-func (l *Link) Watch(k *sim.Kernel, fn func(up bool)) {
+// detection latency whenever the link's light changes; it reads Up if
+// it needs the direction. The rostering layer uses it to sense trunk
+// failures from every shard.
+func (l *Link) Watch(k *sim.Kernel, fn func()) {
 	l.watchers = append(l.watchers, statusWatcher{k: k, fn: fn})
 }
 
@@ -730,19 +732,15 @@ func (l *Link) Fail() {
 // single-Net fabric every event lands on the same kernel with
 // consecutive sequence numbers, which is exactly the historical
 // ordering; on a sharded fabric each shard senses the change on its own
-// kernel at the same virtual instant.
+// kernel at the same virtual instant. Port observations are pooled
+// records (pool.go) and watchers are scheduled as registered, so a
+// fault allocates nothing.
 func (l *Link) notify(up bool) {
 	for _, p := range l.ports {
-		p := p
-		p.net.K.Do(p.net.K.Now()+p.net.Detect, func() {
-			if p.onStatus != nil {
-				p.onStatus(p, up)
-			}
-		})
+		p.net.statusAt(p.net.K.Now()+p.net.Detect, p, up)
 	}
 	for _, w := range l.watchers {
-		w := w
-		w.k.Do(w.k.Now()+l.net.Detect, func() { w.fn(up) })
+		w.k.Do(w.k.Now()+l.net.Detect, w.fn)
 	}
 }
 

@@ -159,6 +159,38 @@ type stage struct {
 	run func()
 }
 
+// status carries one port's loss/return-of-light observation to the
+// port's status handler (Link.notify).
+type status struct {
+	p   *Port
+	up  bool
+	run func()
+}
+
+// statusAt queues p's status observation at time at on this Net's
+// kernel, which must be p's.
+func (n *Net) statusAt(at sim.Time, p *Port, up bool) {
+	var s *status
+	if m := len(n.statusFree); m > 0 {
+		s = n.statusFree[m-1]
+		n.statusFree = n.statusFree[:m-1]
+	} else {
+		s = &status{}
+		s.run = s.dispatch
+	}
+	s.p, s.up = p, up
+	n.K.Do(at, s.run)
+}
+
+func (s *status) dispatch() {
+	p, up := s.p, s.up
+	s.p = nil
+	p.net.statusFree = append(p.net.statusFree, s)
+	if p.onStatus != nil {
+		p.onStatus(p, up)
+	}
+}
+
 // HoldStats counts what Hold did with the frames devices gave it, and
 // what lazy trains did with the frames queued behind a busy head.
 type HoldStats struct {

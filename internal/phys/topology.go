@@ -287,10 +287,11 @@ func (c *Cluster) TrunkUp(t int) bool { return c.Trunks[t].Link.Up() }
 // k is the kernel the callback must run on — the watcher's shard kernel
 // in a sharded fabric; every shard senses the change at the same
 // virtual instant, mirroring the hardware's loss-of-light detection.
-func (c *Cluster) WatchTrunks(k *sim.Kernel, fn func(trunk int, up bool)) {
+// fn learns that some trunk changed, not which: a healing round reads
+// the whole fabric (View).
+func (c *Cluster) WatchTrunks(k *sim.Kernel, fn func()) {
 	for _, t := range c.Trunks {
-		idx := t.Index
-		t.Link.Watch(k, func(up bool) { fn(idx, up) })
+		t.Link.Watch(k, fn)
 	}
 }
 
@@ -327,34 +328,43 @@ func (c *Cluster) TrunkBetween(a, b int) *Trunk {
 // FabricView captures the switch-layer connectivity the rostering
 // algorithm routes over: which switch pairs are joined by a live trunk,
 // and whether the fabric's rings counter-rotate. Node-to-switch
-// liveness travels separately, in the flooded link-state masks.
+// liveness travels separately, in the flooded link-state masks. A view
+// is a value: taking one allocates nothing, and two views of the same
+// fabric state compare equal with ==. The zero view is a trunkless
+// fabric.
 type FabricView struct {
-	Switches        int
-	TrunkUp         [][]bool
+	Switches int
+	// Trunks is the live-trunk bit matrix: Trunks[a] holds the switches
+	// a shares a live trunk with (symmetric). Read it through Joined.
+	Trunks          [MaxSwitches]SwitchSet
 	CounterRotating bool
 }
 
+// SwitchSet is a set of switch indices, one bit each.
+type SwitchSet uint8
+
+// Has reports whether switch s is in the set.
+func (m SwitchSet) Has(s int) bool { return m&(1<<s) != 0 }
+
+// add puts switch s in the set.
+func (m *SwitchSet) add(s int) { *m |= 1 << s }
+
 // View snapshots the cluster's current fabric view.
-func (c *Cluster) View() *FabricView {
-	v := &FabricView{Switches: len(c.Switches), CounterRotating: c.Topo.CounterRotating}
-	if len(c.Trunks) == 0 {
-		return v
-	}
-	v.TrunkUp = make([][]bool, v.Switches)
-	cells := make([]bool, v.Switches*v.Switches)
-	for i := range v.TrunkUp {
-		v.TrunkUp[i] = cells[i*v.Switches : (i+1)*v.Switches]
-	}
+func (c *Cluster) View() FabricView {
+	v := FabricView{Switches: len(c.Switches), CounterRotating: c.Topo.CounterRotating}
 	for _, t := range c.Trunks {
 		if t.Link.Up() && !c.Switches[t.A].Failed() && !c.Switches[t.B].Failed() {
-			v.TrunkUp[t.A][t.B] = true
-			v.TrunkUp[t.B][t.A] = true
+			v.Join(t.A, t.B)
 		}
 	}
 	return v
 }
 
-// Joined reports whether switches a and b are joined by a live trunk.
-func (v *FabricView) Joined(a, b int) bool {
-	return v.TrunkUp != nil && v.TrunkUp[a][b]
+// Join marks switches a and b as joined by a live trunk.
+func (v *FabricView) Join(a, b int) {
+	v.Trunks[a].add(b)
+	v.Trunks[b].add(a)
 }
+
+// Joined reports whether switches a and b are joined by a live trunk.
+func (v *FabricView) Joined(a, b int) bool { return v.Trunks[a].Has(b) }

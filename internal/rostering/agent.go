@@ -41,6 +41,10 @@ type Agent struct {
 	// through the cluster's barrier-deferred path; see
 	// phys.Cluster.Program.
 	Shard int
+	// Rounds builds this agent's rosters; the agents of one shard share
+	// one, so a round's roster is built once there. An agent with none
+	// makes its own on its first adoption.
+	Rounds *Rounds
 
 	// SettleWindow is how long the link-state database must stay quiet
 	// before the roster is computed. The hardware's scheme paces its
@@ -66,17 +70,14 @@ type Agent struct {
 	epoch uint32
 	seq   uint8
 	lsdb  []lsRecord
-	// ids and masks are adopt's scratch: the round's database in the
-	// dense form buildRoster takes.
-	ids   []int
-	masks []LinkState
 	// Each periodic activity owns one Timer, made unarmed by NewAgent,
 	// re-armed with Reset, cancelled by Stop.
 	settle    *sim.Timer
 	keepalive *sim.Timer
 	watchdog  *sim.Timer
 	// kaFrame is the keepalive to the current roster's downstream
-	// neighbor, built once per adoption; Pkt is nil off the ring.
+	// neighbor, built when an adoption changes that neighbor; Pkt is nil
+	// off the ring.
 	kaFrame   phys.Frame
 	current   *Roster
 	adoptedAt sim.Time
@@ -114,21 +115,21 @@ func NewAgent(k *sim.Kernel, id int, cluster *phys.Cluster, st *insertion.Statio
 	a.keepalive = k.NewTimer(a.keepaliveLoop)
 	a.watchdog = k.NewTimer(a.watchdogLoop)
 	st.OnControl = a.handleControl
-	st.OnStatus = func(_ *phys.Port, _ bool) {
-		if !a.stopped {
-			a.Trigger()
-		}
-	}
+	st.OnStatus = func(_ *phys.Port, _ bool) { a.sensed() }
 	// Trunk failures leave every node-facing fiber lit; the switch
 	// hardware senses the dark trunk and raises the failure to the
 	// rostering layer (slide 18: "network failures detected by
 	// hardware").
-	cluster.WatchTrunks(k, func(_ int, _ bool) {
-		if !a.stopped {
-			a.Trigger()
-		}
-	})
+	cluster.WatchTrunks(k, a.sensed)
 	return a
+}
+
+// sensed is a status change seen by a running agent's node: a port's
+// light or a trunk's. It starts a round.
+func (a *Agent) sensed() {
+	if !a.stopped {
+		a.Trigger()
+	}
 }
 
 // Stop halts the agent's periodic activity (node shutdown). The agent
@@ -328,22 +329,28 @@ func (a *Agent) adopt() {
 	a.exploring = false
 	a.adoptedAt = a.K.Now()
 	a.Station.LastRx = a.K.Now()
-	a.ids, a.masks = a.ids[:0], a.masks[:0]
+	if a.Rounds == nil {
+		a.Rounds = new(Rounds)
+	}
+	rs := a.Rounds
+	ids, masks := rs.dbIDs[:0], rs.dbMasks[:0]
 	for id, rec := range a.lsdb {
 		if rec.known && rec.mask != 0 {
-			a.ids, a.masks = append(a.ids, id), append(a.masks, rec.mask)
+			ids, masks = append(ids, id), append(masks, rec.mask)
 		}
 	}
-	r := buildRoster(a.epoch, a.ids, a.masks, a.Cluster.View())
+	rs.dbIDs, rs.dbMasks = ids, masks
+	r := rs.Build(a.epoch, ids, masks, a.Cluster.View())
 	a.current = r
 	a.Adoptions++
-	a.kaFrame = phys.Frame{}
 
 	if next, via, ok := r.Next(a.ID); ok {
-		// Packets are immutable once sent, so every keepalive of this
-		// roster is the same frame.
-		a.kaFrame = a.Station.Net().NewFrame(micropacket.NewDiagnostic(
-			micropacket.NodeID(a.ID), micropacket.NodeID(next), insertion.KeepaliveTag))
+		// Packets are immutable once sent, so every keepalive to the
+		// same neighbor is the same frame.
+		if a.kaFrame.Pkt == nil || a.kaFrame.Pkt.Dst != micropacket.NodeID(next) {
+			a.kaFrame = a.Station.Net().NewFrame(micropacket.NewDiagnostic(
+				micropacket.NodeID(a.ID), micropacket.NodeID(next), insertion.KeepaliveTag))
+		}
 		// Program our hop's switch path. (Port n on every switch
 		// belongs to node n, by construction of the cluster wiring,
 		// which is part of the ubiquitous configuration database —
@@ -398,6 +405,7 @@ func (a *Agent) adopt() {
 		}
 		a.Station.SetEgress(via)
 	} else {
+		a.kaFrame = phys.Frame{}
 		a.Station.SetEgress(-1)
 	}
 	if a.OnAdopt != nil {

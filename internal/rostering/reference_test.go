@@ -111,7 +111,7 @@ func refSwitchPath(a, b LinkState, view *phys.FabricView) []int {
 	if s := refCommon(a, b); s >= 0 {
 		return []int{s}
 	}
-	if view == nil || view.TrunkUp == nil {
+	if view == nil {
 		return nil
 	}
 	n := view.Switches
@@ -128,7 +128,7 @@ func refSwitchPath(a, b LinkState, view *phys.FabricView) []int {
 		cur := queue[0]
 		queue = queue[1:]
 		for next := 0; next < n; next++ {
-			if seen[next] || !view.TrunkUp[cur][next] {
+			if seen[next] || !view.Joined(cur, next) {
 				continue
 			}
 			seen[next], parent[next] = true, cur

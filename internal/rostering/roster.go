@@ -245,22 +245,73 @@ func BuildRosterFabric(epoch uint32, lsdb map[int]LinkState, view *phys.FabricVi
 			live, masks = append(live, id), append(masks, m)
 		}
 	}
-	return buildRoster(epoch, live, masks, view)
+	var v phys.FabricView
+	if view != nil {
+		v = *view
+	}
+	var rs Rounds
+	return rs.build(epoch, live, masks, v)
 }
 
-// buildRoster is BuildRosterFabric over a dense database: ids ascending,
-// masks[i] the non-zero mask of ids[i]. Routability depends only on the
-// two masks, and a fabric has few distinct ones, so nodes are reduced to
-// mask classes and every question about a pair of classes is one
-// pathTable cell: the cost is one switchPath per distinct ordered pair
-// met, and O(n²) cell reads for the insertion scan.
-func buildRoster(epoch uint32, ids []int, masks []LinkState, view *phys.FabricView) *Roster {
+// Rounds builds the rosters of the agents of one shard. Every agent of
+// a round computes the same roster from the same database, so the
+// first of them to adopt builds it and the rest share it: Rounds keeps
+// the builder's scratch and a memo of the last build, and a roster it
+// returns is read-only. Like the rest of a shard's state it is touched
+// only from that shard's kernel, so one is never shared across shards.
+// The zero value is ready to use.
+type Rounds struct {
+	// An adopting agent's database in the dense form Build takes.
+	dbIDs   []int
+	dbMasks []LinkState
+
+	// The builder's scratch, overwritten by every build.
+	t       pathTable
+	cls     []uint8 // ids[i]'s mask class
+	ring    []int   // the cycle's node ids
+	rcls    []uint8 // their classes
+	pending []int32 // indices into ids not yet on the ring
+
+	// The memo: the last build's inputs and its roster.
+	epoch uint32
+	ids   []int
+	masks []LinkState
+	view  phys.FabricView
+	last  *Roster
+}
+
+// Build returns the roster of a round's dense database — ids ascending,
+// masks[i] the non-zero mask of ids[i] — under view: the last build's
+// roster when epoch, ids, masks and view all equal its inputs, else a
+// new one.
+func (rs *Rounds) Build(epoch uint32, ids []int, masks []LinkState, view phys.FabricView) *Roster {
+	if rs.last != nil && epoch == rs.epoch && view == rs.view &&
+		slices.Equal(ids, rs.ids) && slices.Equal(masks, rs.masks) {
+		return rs.last
+	}
+	rs.last = rs.build(epoch, ids, masks, view)
+	rs.epoch, rs.view = epoch, view
+	rs.ids = append(rs.ids[:0], ids...)
+	rs.masks = append(rs.masks[:0], masks...)
+	return rs.last
+}
+
+// build is BuildRosterFabric over a dense database. Routability depends
+// only on the two masks, and a fabric has few distinct ones, so nodes
+// are reduced to mask classes and every question about a pair of
+// classes is one pathTable cell: the cost is one switchPath per
+// distinct ordered pair met, and O(n²) cell reads for the insertion
+// scan. Only the result is allocated: the Roster, one array holding
+// Nodes, Via and each distinct hop path once, and Paths.
+func (rs *Rounds) build(epoch uint32, ids []int, masks []LinkState, view phys.FabricView) *Roster {
 	if len(ids) == 0 {
 		return &Roster{Epoch: epoch}
 	}
-	t := pathTable{view: view}
-	cls := make([]uint8, len(ids)) // ids[i]'s mask class
-	var classOf [256]uint8         // mask → class + 1
+	t := &rs.t
+	t.view = view
+	t.masks, t.store = t.masks[:0], t.store[:0]
+	cls := emptied(rs.cls, len(ids))[:len(ids)]
+	var classOf [256]uint8 // mask → class + 1
 	for i, m := range masks {
 		if classOf[m] == 0 {
 			t.masks = append(t.masks, m)
@@ -268,15 +319,18 @@ func buildRoster(epoch uint32, ids []int, masks []LinkState, view *phys.FabricVi
 		}
 		cls[i] = classOf[m] - 1
 	}
-	t.cells = make([]pathCell, len(t.masks)*len(t.masks))
+	k := len(t.masks)
+	t.cells = emptied(t.cells, k*k)[:k*k]
+	clear(t.cells)
 
 	// ring and rcls grow together: the cycle's node ids and their classes.
-	ring := append(make([]int, 0, len(ids)), ids[0])
-	rcls := append(make([]uint8, 0, len(ids)), cls[0])
-	pending := make([]int32, len(ids)-1) // indices into ids
-	for i := range pending {
-		pending[i] = int32(i + 1)
+	ring := append(emptied(rs.ring, len(ids)), ids[0])
+	rcls := append(emptied(rs.rcls, len(ids)), cls[0])
+	pending := emptied(rs.pending, len(ids)-1)
+	for i := 1; i < len(ids); i++ {
+		pending = append(pending, int32(i))
 	}
+	rs.cls, rs.pending = cls, pending
 	for progress := true; progress && len(pending) > 0; {
 		progress = false
 		left := pending[:0]
@@ -291,69 +345,90 @@ func buildRoster(epoch uint32, ids []int, masks []LinkState, view *phys.FabricVi
 		}
 		pending = left
 	}
-	if view != nil && view.CounterRotating && len(ring) >= 3 && t.lowestLiveSwitch(rcls)%2 == 1 {
+	rs.ring, rs.rcls = ring, rcls
+	if view.CounterRotating && len(ring) >= 3 && t.lowestLiveSwitch(rcls)%2 == 1 {
 		slices.Reverse(ring[1:])
 		slices.Reverse(rcls[1:])
 	}
-	r := &Roster{Epoch: epoch, Nodes: ring}
-	if len(ring) >= 2 {
-		r.Via = make([]int, len(ring))
-		r.Paths = make([][]int, len(ring))
-		for i := range ring {
-			path := t.path(rcls[i], rcls[(i+1)%len(ring)])
-			if path == nil {
-				// Cannot happen for rings built by feasiblePos, but keep
-				// the invariant explicit.
-				panic("rostering: ring edge without a switch path")
-			}
-			r.Via[i] = path[0]
-			r.Paths[i] = path
+	n := len(ring)
+	if n < 2 {
+		return &Roster{Epoch: epoch, Nodes: []int{ring[0]}}
+	}
+	// Size the one array: Nodes, Via, then each distinct hop path, which
+	// its cell's row will locate.
+	size := 2 * n
+	for i := range ring {
+		c := t.cell(rcls[i], rcls[(i+1)%n])
+		if c.n < 0 {
+			// Cannot happen for rings built by feasiblePos, but keep
+			// the invariant explicit.
+			panic("rostering: ring edge without a switch path")
 		}
+		if c.row == 0 {
+			c.row = -1
+			size += int(c.n)
+		}
+	}
+	buf := make([]int, size)
+	r := &Roster{Epoch: epoch, Nodes: buf[:n:n], Via: buf[n : 2*n : 2*n], Paths: make([][]int, n)}
+	copy(r.Nodes, ring)
+	next := 2 * n
+	for i := range ring {
+		c := t.cell(rcls[i], rcls[(i+1)%n])
+		if c.row < 0 {
+			c.row = int32(next)
+			next += copy(buf[next:], t.store[c.off:int(c.off)+int(c.n)])
+		}
+		end := int(c.row) + int(c.n)
+		r.Paths[i] = buf[c.row:end:end]
+		r.Via[i] = buf[c.row]
 	}
 	return r
 }
 
+// emptied returns s with length 0 and room for n elements, reusing its
+// array when that is big enough.
+func emptied[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, 0, n)
+	}
+	return s[:0]
+}
+
 // pathTable memoises switchPath for one build: cells[a*k+b] answers the
 // hop from mask class a to mask class b, filled the first time it is
-// asked. Paths live back to back in store, which only ever grows, so a
-// row handed out stays valid (and must stay unwritten).
+// asked. Paths live back to back in store.
 type pathTable struct {
-	view  *phys.FabricView
+	view  phys.FabricView
 	masks []LinkState // class → mask
 	cells []pathCell
 	store []int
 }
 
 // pathCell is one memoised answer: n == 0 not asked yet, n < 0
-// unroutable, otherwise the path is store[off : off+n].
+// unroutable, otherwise the path is store[off : off+n]. row is where
+// the built roster holds the path (0 not placed, -1 being placed).
 type pathCell struct {
-	off int32
-	n   int8
+	off, row int32
+	n        int8
 }
 
-func (t *pathTable) cell(a, b uint8) pathCell {
+// cell returns the answer for a hop from class a to class b, asking
+// switchPath the first time.
+func (t *pathTable) cell(a, b uint8) *pathCell {
 	c := &t.cells[int(a)*len(t.masks)+int(b)]
 	if c.n == 0 {
 		c.off = int32(len(t.store))
-		t.store = appendSwitchPath(t.store, t.masks[a], t.masks[b], t.view)
+		t.store = appendSwitchPath(t.store, t.masks[a], t.masks[b], &t.view)
 		if c.n = int8(len(t.store) - int(c.off)); c.n == 0 {
 			c.n = -1
 		}
 	}
-	return *c
+	return c
 }
 
 // routable reports whether a hop from class a to class b can be routed.
 func (t *pathTable) routable(a, b uint8) bool { return t.cell(a, b).n > 0 }
-
-// path returns the switch path of a hop from class a to class b, or nil.
-func (t *pathTable) path(a, b uint8) []int {
-	c := t.cell(a, b)
-	if c.n < 0 {
-		return nil
-	}
-	return t.store[c.off : int(c.off)+int(c.n) : int(c.off)+int(c.n)]
-}
 
 // feasiblePos returns an index i such that a candidate of class c can
 // be inserted between ring[i] and ring[i+1] (both new edges must be
@@ -389,13 +464,11 @@ func (t *pathTable) lowestLiveSwitch(rcls []uint8) int {
 // breadth-first shortest live-trunk path from the lowest feasible
 // switch of a to a switch live for b. Nothing appended means the hop is
 // unroutable. A view has at most phys.MaxSwitches switches (one mask
-// bit each), which is what sizes the search state.
+// bit each), which is what sizes the search state; the zero view has
+// none, so only a shared switch routes.
 func appendSwitchPath(dst []int, a, b LinkState, view *phys.FabricView) []int {
 	if s := (a & b).lowest(); s >= 0 {
 		return append(dst, s)
-	}
-	if view == nil || view.TrunkUp == nil {
-		return dst
 	}
 	n := view.Switches
 	var parent, queue [phys.MaxSwitches]int8
@@ -413,7 +486,7 @@ func appendSwitchPath(dst []int, a, b LinkState, view *phys.FabricView) []int {
 		cur := int(queue[head])
 		head++
 		for next := 0; next < n; next++ {
-			if seen.Has(next) || !view.TrunkUp[cur][next] {
+			if seen.Has(next) || !view.Joined(cur, next) {
 				continue
 			}
 			seen |= 1 << next
@@ -423,7 +496,8 @@ func appendSwitchPath(dst []int, a, b LinkState, view *phys.FabricView) []int {
 				for s := next; s >= 0; s = int(parent[s]) {
 					hops++
 				}
-				dst = append(dst, make([]int, hops)...)
+				var room [phys.MaxSwitches]int
+				dst = append(dst, room[:hops]...)
 				for s, i := next, len(dst)-1; s >= 0; s, i = int(parent[s]), i-1 {
 					dst[i] = s
 				}

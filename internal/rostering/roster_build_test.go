@@ -1,6 +1,7 @@
 package rostering
 
 import (
+	"maps"
 	"reflect"
 	"slices"
 	"testing"
@@ -24,15 +25,12 @@ func decodeFabric(data []byte) (map[int]LinkState, *phys.FabricView) {
 	nodes, switches, flags := int(at(0))%97, int(at(1))%8+1, at(2)
 	view := &phys.FabricView{Switches: switches, CounterRotating: flags&1 != 0}
 	if flags&4 == 0 {
-		view.TrunkUp = make([][]bool, switches)
-		for i := range view.TrunkUp {
-			view.TrunkUp[i] = make([]bool, switches)
-		}
 		bit := 0
 		for i := 0; i < switches; i++ {
 			for j := i + 1; j < switches; j++ {
-				up := at(3+bit/8)>>(bit%8)&1 != 0
-				view.TrunkUp[i][j], view.TrunkUp[j][i] = up, up
+				if at(3+bit/8)>>(bit%8)&1 != 0 {
+					view.Join(i, j)
+				}
 				bit++
 			}
 		}
@@ -55,13 +53,9 @@ func decodeFabric(data []byte) (map[int]LinkState, *phys.FabricView) {
 // single-switch rings of perRing nodes, switch s trunked to s+1 (mod
 // rings) — the shape both scale-idle workloads boot.
 func ringsFabric(rings, perRing int) (map[int]LinkState, *phys.FabricView) {
-	view := &phys.FabricView{Switches: rings, TrunkUp: make([][]bool, rings)}
-	for i := range view.TrunkUp {
-		view.TrunkUp[i] = make([]bool, rings)
-	}
+	view := &phys.FabricView{Switches: rings}
 	for s := 0; s < rings; s++ {
-		n := (s + 1) % rings
-		view.TrunkUp[s][n], view.TrunkUp[n][s] = true, true
+		view.Join(s, (s+1)%rings)
 	}
 	lsdb := make(map[int]LinkState, rings*perRing)
 	for i := 0; i < rings*perRing; i++ {
@@ -104,7 +98,34 @@ func fabricSeeds() [][]byte {
 // reference does, and a ring that is valid in the fabric.
 func checkBuild(t *testing.T, lsdb map[int]LinkState, view *phys.FabricView) *Roster {
 	t.Helper()
-	got, want := BuildRosterFabric(7, lsdb, view), refBuildRosterFabric(7, lsdb, view)
+	return checkRoster(t, BuildRosterFabric(7, lsdb, view), lsdb, view)
+}
+
+// checkRounds is checkBuild through rs, which an agent's adoption
+// drives: the database in dense form, the view by value.
+func checkRounds(t *testing.T, rs *Rounds, lsdb map[int]LinkState, view *phys.FabricView) *Roster {
+	t.Helper()
+	ids, masks := dense(lsdb)
+	var v phys.FabricView
+	if view != nil {
+		v = *view
+	}
+	return checkRoster(t, rs.Build(7, ids, masks, v), lsdb, view)
+}
+
+// dense is a database in the form an agent hands Rounds.Build.
+func dense(lsdb map[int]LinkState) (ids []int, masks []LinkState) {
+	for _, id := range slices.Sorted(maps.Keys(lsdb)) {
+		if lsdb[id] != 0 {
+			ids, masks = append(ids, id), append(masks, lsdb[id])
+		}
+	}
+	return ids, masks
+}
+
+func checkRoster(t *testing.T, got *Roster, lsdb map[int]LinkState, view *phys.FabricView) *Roster {
+	t.Helper()
+	want := refBuildRosterFabric(7, lsdb, view)
 	if !slices.Equal(got.Nodes, want.Nodes) || !slices.Equal(got.Via, want.Via) || !reflect.DeepEqual(got.Paths, want.Paths) {
 		t.Fatalf("lsdb %v view %+v:\n got  %v\n want %v", lsdb, view, got, want)
 	}
@@ -137,6 +158,19 @@ func FuzzBuildRoster(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		lsdb, view := decodeFabric(data)
 		checkBuild(t, lsdb, view)
+		// One Rounds through a sequence of rounds, as a shard's agents
+		// drive it: a cell or store row left from the round before, or
+		// a memo answering for different inputs, shows as a wrong ring.
+		// B is the second half of the input; C is A's database under
+		// B's view, which only the view tells apart.
+		lsdbB, viewB := decodeFabric(data[len(data)/2:])
+		var rs Rounds
+		for _, db := range []struct {
+			lsdb map[int]LinkState
+			view *phys.FabricView
+		}{{lsdb, view}, {lsdbB, viewB}, {lsdb, view}, {lsdbB, viewB}, {lsdb, viewB}, {lsdb, view}, {lsdb, view}} {
+			checkRounds(t, &rs, db.lsdb, db.view)
+		}
 	})
 }
 
@@ -188,11 +222,24 @@ func TestIdenticalIsStringEquality(t *testing.T) {
 }
 
 // TestBuildRosterAllocs bounds the build on the 128-node, 8-ring
-// database: the per-probe BFS it replaced allocated 1 340 times here.
+// database with a fresh builder, which is what BuildRosterFabric is:
+// 17 allocations, 3 of them the roster (the per-probe BFS it replaced
+// allocated 1 340 times here). A shard's Rounds reuses the rest.
 func TestBuildRosterAllocs(t *testing.T) {
 	lsdb, view := ringsFabric(8, 16)
-	if n := testing.AllocsPerRun(20, func() { BuildRosterFabric(1, lsdb, view) }); n > 160 {
-		t.Fatalf("BuildRosterFabric allocates %.0f times on 8x16 rings, want <= 160", n)
+	if n := testing.AllocsPerRun(20, func() { BuildRosterFabric(1, lsdb, view) }); n > 17 {
+		t.Fatalf("BuildRosterFabric allocates %.0f times on 8x16 rings, want <= 17", n)
+	}
+	// A warm Rounds allocates the roster and nothing else, and answers a
+	// round it has just built from its memo.
+	var rs Rounds
+	ids, masks := dense(lsdb)
+	epoch := uint32(1)
+	if n := testing.AllocsPerRun(20, func() { epoch++; rs.Build(epoch, ids, masks, *view) }); n > 3 {
+		t.Fatalf("Rounds.Build allocates %.0f times a new round on 8x16 rings, want <= 3", n)
+	}
+	if n := testing.AllocsPerRun(20, func() { rs.Build(epoch, ids, masks, *view) }); n > 0 {
+		t.Fatalf("Rounds.Build allocates %.0f times for the round it just built, want 0", n)
 	}
 }
 
