@@ -187,7 +187,7 @@ func TestDeterministicRuns(t *testing.T) {
 			t.Fatal(err)
 		}
 		c.Run(10 * ampnetpkg.Millisecond)
-		return c.K.Fired, c.Roster()
+		return c.EventsFired(), c.Roster()
 	}
 	f1, r1 := run()
 	f2, r2 := run()

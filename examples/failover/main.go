@@ -46,7 +46,7 @@ func main() {
 	// The "application": a transaction counter the primary checkpoints
 	// into the network cache every 200 µs.
 	committed := uint64(0)
-	c.Every(200*ampnet.Microsecond, func() bool {
+	if err := c.Every(0, 200*ampnet.Microsecond, func() bool {
 		if !groups[0].IsPrimary() || !c.Node(0).Online() {
 			return false
 		}
@@ -57,13 +57,14 @@ func main() {
 			log.Fatal(err)
 		}
 		return true
-	})
+	}); err != nil {
+		log.Fatal(err)
+	}
 
 	// Rules of recovery on every standby: resume from the recovered
 	// checkpoint.
 	tookOver := false
 	for i := 1; i < 4; i++ {
-		i := i
 		groups[i].OnTakeover = func(state []byte) {
 			tookOver = true
 			recovered := uint64(0)

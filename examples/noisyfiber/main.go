@@ -52,7 +52,8 @@ func main() {
 	rep := al.Report()
 
 	fmt.Printf("t=%v  wrote %d updates\n", c.Now(), rep.Sent)
-	fmt.Printf("frames killed by bit errors (CRC/code violations): %d\n", c.Net.Acct.CRCDrops())
+	a := c.FrameAcct()
+	fmt.Printf("frames killed by bit errors (CRC/code violations): %d\n", a.CRCDrops())
 	gaps, recoveries := uint64(0), uint64(0)
 	for i := range c.Nodes {
 		gaps += c.Node(i).DK().DMA.Gaps

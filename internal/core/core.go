@@ -65,8 +65,8 @@ type Options struct {
 	// windows on its own OS thread (internal/parsim). 0 means 1: the
 	// whole fabric on one kernel, run on the caller's goroutine. The
 	// Report is byte-identical at every shard count for the same seed;
-	// see DESIGN.md ("One engine") for the loads and options that need
-	// one shard.
+	// every load and option works at every shard count, under the one
+	// rule for where a load's nodes sit (DESIGN.md, "One engine").
 	Shards int
 
 	// JoinTimeout, KeepaliveInterval and SilenceTimeout retune the
@@ -179,14 +179,10 @@ func (o *Options) topology() phys.Topology {
 // Cluster is a fully assembled AmpNet network.
 type Cluster struct {
 	Opts Options
-	// K is the simulation kernel of a one-shard cluster. Under
-	// Options.Shards > 1 it is nil — each node runs on its shard's
-	// kernel (Nodes[i].K), and driver-level time control goes through
-	// the engine (Run, WaitUntil, Install). Nets lists every shard's
-	// physical network; fabric-wide counters are summed over it.
-	// Phys.Assign is the shard assignment.
-	K    *sim.Kernel
-	Net  *phys.Net
+	// Nets lists every shard's physical network; fabric-wide counters
+	// are summed over it. Phys.Assign is the shard assignment. Each
+	// node runs on its shard's kernel (Nodes[i].K), and driver-level
+	// time control goes through the engine (Run, WaitUntil, Install).
 	Nets []*phys.Net
 	Phys *phys.Cluster
 
@@ -236,9 +232,6 @@ func build(opts Options) (*Cluster, error) {
 	if err := topo.Validate(); err != nil {
 		return nil, err
 	}
-	if opts.Shards > 1 && opts.BER > 0 {
-		return nil, fmt.Errorf("core: Options.BER is not supported with Shards > 1 (the symbol-error RNG is a single stream shards cannot share deterministically)")
-	}
 	assign, err := phys.AssignShards(&topo, opts.Shards)
 	if err != nil {
 		return nil, err
@@ -250,12 +243,12 @@ func build(opts Options) (*Cluster, error) {
 	kernels := make([]*sim.Kernel, opts.Shards)
 	nets := make([]*phys.Net, opts.Shards)
 	for i := range kernels {
-		// Every shard derives its seed from the run seed; only shard 0's
-		// stream is consumed (BER, one shard only), the rest are kept
-		// distinct for any future per-shard noise.
-		kernels[i] = sim.NewKernel(opts.Seed + uint64(i)<<32)
+		kernels[i] = sim.NewKernel(opts.Seed)
 		nets[i] = phys.NewNet(kernels[i])
 		nets[i].DeepPHY = opts.DeepPHY
+		if opts.BER > 0 {
+			nets[i].Corrupt = symbolErrors(opts.Seed, opts.BER)
+		}
 	}
 	eng, err := parsim.New(kernels, nets, lookahead)
 	if err != nil {
@@ -266,23 +259,7 @@ func build(opts Options) (*Cluster, error) {
 		eng.Shutdown()
 		return nil, err
 	}
-	c := &Cluster{Opts: opts, Phys: ph, Net: nets[0], Nets: nets, eng: eng}
-	if opts.Shards == 1 {
-		// What needs the one kernel: direct kernel access for the
-		// one-shard-only loads, and the BER stream.
-		c.K = kernels[0]
-		if opts.BER > 0 {
-			rng := c.K.RNG().Split()
-			ber := opts.BER
-			c.Net.Corrupt = func(_ phys.Frame, syms []enc8b10b.Symbol) {
-				for i := range syms {
-					if rng.Float64() < ber {
-						syms[i] ^= 1 << rng.Intn(10)
-					}
-				}
-			}
-		}
-	}
+	c := &Cluster{Opts: opts, Phys: ph, Nets: nets, eng: eng}
 	// Crossbar writes aimed at another shard's switch cross the next
 	// barrier (phys.Cluster.Program); with one shard every switch is
 	// shard 0 and nothing is ever deferred.
@@ -296,6 +273,26 @@ func build(opts Options) (*Cluster, error) {
 	}
 	c.buildNodes()
 	return c, nil
+}
+
+// symbolErrors is one Net's bit-error injector: a stream per receiving
+// port, seeded from the run seed and the port's UID, looked up and never
+// ranged over. A port receives its frames in the same order at every
+// shard count, so the same symbols die at every shard count.
+func symbolErrors(seed uint64, ber float64) func(*phys.Port, []enc8b10b.Symbol) {
+	streams := map[uint32]*sim.RNG{}
+	return func(dst *phys.Port, syms []enc8b10b.Symbol) {
+		rng := streams[dst.UID()]
+		if rng == nil {
+			rng = sim.NewRNG(seed ^ uint64(dst.UID())<<32)
+			streams[dst.UID()] = rng
+		}
+		for i := range syms {
+			if rng.Float64() < ber {
+				syms[i] ^= 1 << rng.Intn(10)
+			}
+		}
+	}
 }
 
 // buildNodes assembles the per-node software stacks, each on its
@@ -336,7 +333,6 @@ func (c *Cluster) buildNodes() {
 func (c *Cluster) Boot(window sim.Time) error {
 	c.booted = true
 	for _, nd := range c.Nodes {
-		nd := nd
 		nd.K.After(0, func() { nd.Boot() })
 	}
 	if window == 0 {

@@ -39,8 +39,8 @@ func TestDeepPHYFullStack(t *testing.T) {
 	if c.RingSize() != 4 {
 		t.Fatalf("heal over deep PHY: ring = %d", c.RingSize())
 	}
-	if c.Net.Acct.CRCDrops() != 0 {
-		t.Fatalf("CRC drops on clean links: %d", c.Net.Acct.CRCDrops())
+	if a := c.FrameAcct(); a.CRCDrops() != 0 {
+		t.Fatalf("CRC drops on clean links: %d", a.CRCDrops())
 	}
 	if c.Drops() != 0 {
 		t.Fatalf("congestion drops: %d", c.Drops())
@@ -93,13 +93,14 @@ func TestDeepPHYWithBitErrors(t *testing.T) {
 		i++
 		c.Nodes[0].CacheW.WriteRecord(rec, bytes.Repeat([]byte{i}, 16))
 		if i < 100 {
-			c.K.After(50*sim.Microsecond, tick)
+			c.Nodes[0].K.After(50*sim.Microsecond, tick)
 		}
 	}
-	c.K.After(0, tick)
+	c.Nodes[0].K.After(0, tick)
 	c.Run(80 * sim.Millisecond)
 
-	if c.Net.Acct.CRCDrops() == 0 {
+	a := c.FrameAcct()
+	if a.CRCDrops() == 0 {
 		t.Skip("no frame hit a bit error at this BER/seed; nothing exercised")
 	}
 	want := bytes.Repeat([]byte{100}, 16)
@@ -107,7 +108,7 @@ func TestDeepPHYWithBitErrors(t *testing.T) {
 		got, ok := nd.Cache.TryRead(rec)
 		if !ok || !bytes.Equal(got, want) {
 			t.Fatalf("node %d did not converge under bit errors (CRC drops=%d): %v ok=%v",
-				id, c.Net.Acct.CRCDrops(), got[:2], ok)
+				id, a.CRCDrops(), got[:2], ok)
 		}
 	}
 }

@@ -151,7 +151,7 @@ func TestBroadcastStormOnFullStack(t *testing.T) {
 	const per = 25
 	for i := 0; i < n; i++ {
 		svc := c.Services[i]
-		c.K.After(0, func() {
+		c.Nodes[i].K.After(0, func() {
 			for j := 0; j < per; j++ {
 				svc.Sub.Publish(1, []byte{byte(j)})
 			}

@@ -37,6 +37,19 @@ func checkLoadNode(c *Cluster, kind, role string, id int) error {
 	return nil
 }
 
+// oneShard refuses a load whose one driver steps all of nodes, sharing
+// its state between their callbacks, when they sit on more than one
+// shard: two shards would run that driver inside one window.
+func oneShard(c *Cluster, kind string, nodes []int) error {
+	for _, n := range nodes {
+		if a, b := c.Phys.ShardOfNode(nodes[0]), c.Phys.ShardOfNode(n); a != b {
+			return fmt.Errorf("core: %s load spans shards: node %d on shard %d, node %d on shard %d (its one driver steps every node)",
+				kind, nodes[0], a, n, b)
+		}
+	}
+	return nil
+}
+
 // negative refuses one size, count or interval of a load: zero selects
 // the default, a negative value is not a default in disguise (the rule
 // Options.fill keeps). field is "<Type>.<Field>".
@@ -428,7 +441,7 @@ func (l *CacheChurn) begin(c *Cluster, a *ActiveLoad) {
 type CollectiveLoad struct {
 	// Name labels the report (default "collective").
 	Name string
-	// Ranks lists the participating nodes; nil means all nodes.
+	// Ranks lists the participating nodes; empty means all nodes.
 	Ranks []int
 	// Port is the collective port (default 7100).
 	Port uint16
@@ -444,31 +457,29 @@ func (l *CollectiveLoad) check(c *Cluster) error {
 	if err := negative("collective", "CollectiveLoad.Iters", l.Iters); err != nil {
 		return err
 	}
-	if c.K == nil {
-		// The collective driver advances shared iteration state from
-		// every rank's completion callback — cross-shard shared memory
-		// the engine cannot order deterministically.
-		return fmt.Errorf("core: collective load is not supported with Options.Shards > 1 (its iteration driver spans shards)")
-	}
 	for _, r := range l.Ranks {
 		if err := checkLoadNode(c, "collective", "rank", r); err != nil {
 			return err
 		}
 	}
-	return nil
+	return oneShard(c, "collective", l.ranks(c))
+}
+
+// ranks resolves Ranks: empty means every node.
+func (l *CollectiveLoad) ranks(c *Cluster) []int {
+	if len(l.Ranks) > 0 {
+		return l.Ranks
+	}
+	ranks := make([]int, len(c.Nodes))
+	for i := range ranks {
+		ranks[i] = i
+	}
+	return ranks
 }
 
 func (l *CollectiveLoad) begin(c *Cluster, a *ActiveLoad) {
-	ranks := l.Ranks
-	if ranks == nil {
-		for i := range c.Nodes {
-			ranks = append(ranks, i)
-		}
-	}
-	port := l.Port
-	if port == 0 {
-		port = 7100
-	}
+	ranks := l.ranks(c)
+	port := cmp.Or(l.Port, 7100)
 	comms := make([]*ampip.Comm, len(ranks))
 	for i, r := range ranks {
 		comms[i] = ampip.NewComm(c.Stacks[r], ranks, port)
@@ -484,7 +495,7 @@ func (l *CollectiveLoad) begin(c *Cluster, a *ActiveLoad) {
 		j.reduced[r] = func(total uint64) { j.reduce(r, total) }
 	}
 	j.released = j.release
-	c.K.After(0, j.iterate)
+	c.Nodes[ranks[0]].K.After(0, j.iterate)
 }
 
 // collectiveJob is CollectiveLoad's driver: the iteration in flight and
@@ -576,31 +587,18 @@ func (l *FileStream) check(c *Cluster) error {
 		negative("filestream", "FileStream.Gap", l.Gap)); err != nil {
 		return err
 	}
-	if c.K == nil {
-		// Each completed file schedules the next send from the
-		// receiver's delivery callback — a cross-shard hop the
-		// engine cannot replay at one-shard fidelity.
-		return fmt.Errorf("core: filestream load is not supported with Options.Shards > 1 (completion drives the sender from the receiver's shard)")
-	}
-	if err := checkLoadNode(c, "filestream", "sender", l.From); err != nil {
+	if err := cmp.Or(checkLoadNode(c, "filestream", "sender", l.From),
+		checkLoadNode(c, "filestream", "receiver", l.To)); err != nil {
 		return err
 	}
-	return checkLoadNode(c, "filestream", "receiver", l.To)
+	// Each completed file schedules the next send from the receiver's
+	// delivery callback.
+	return oneShard(c, "filestream", []int{l.From, l.To})
 }
 
 func (l *FileStream) begin(c *Cluster, a *ActiveLoad) {
-	size := l.Size
-	if size <= 0 {
-		size = 1 << 20
-	}
-	repeat := l.Repeat
-	if repeat <= 0 {
-		repeat = 1
-	}
-	base := l.FileName
-	if base == "" {
-		base = "filestream.bin"
-	}
+	size, repeat := cmp.Or(l.Size, 1<<20), cmp.Or(l.Repeat, 1) // check refused negatives
+	base := cmp.Or(l.FileName, "filestream.bin")
 	file := make([]byte, size)
 	for i := range file {
 		file[i] = byte(uint32(i) * 2654435761)
@@ -612,6 +610,7 @@ func (l *FileStream) begin(c *Cluster, a *ActiveLoad) {
 		return fmt.Sprintf("%s.%d", base, i)
 	}
 
+	k := c.Nodes[l.From].K // To's too: check keeps both on one shard
 	var start sim.Time
 	idx := 0
 	inFlight := false
@@ -626,7 +625,7 @@ func (l *FileStream) begin(c *Cluster, a *ActiveLoad) {
 			a.genDone()
 			return
 		}
-		start = c.K.Now()
+		start = k.Now()
 		if err := c.Services[l.From].Files.Send(micropacket.NodeID(l.To), nameOf(idx), file, nil); err != nil {
 			a.rep.Errors++
 			a.genDone()
@@ -642,7 +641,7 @@ func (l *FileStream) begin(c *Cluster, a *ActiveLoad) {
 		// same-name stream.
 		if inFlight && int(src) == l.From && name == nameOf(idx) {
 			inFlight = false
-			took := c.K.Now() - start
+			took := k.Now() - start
 			a.rep.Files++
 			if !ok {
 				a.rep.Corrupt++
@@ -658,12 +657,12 @@ func (l *FileStream) begin(c *Cluster, a *ActiveLoad) {
 			if idx >= repeat {
 				a.genDone()
 			} else {
-				c.K.After(l.Gap, send)
+				k.After(l.Gap, send)
 			}
 		}
 		if prev != nil {
 			prev(src, name, data, ok)
 		}
 	}
-	c.K.After(0, send)
+	k.After(0, send)
 }

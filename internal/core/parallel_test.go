@@ -47,43 +47,85 @@ func equivalenceScenario(topo *phys.Topology, seed uint64, shards int) Scenario 
 	}
 }
 
+// middlewareScenario is the battery's middleware leg: the common
+// scenario plus an AmpIP collective over nodes 0–2, a two-file AmpFiles
+// stream from node 1 to node 2, and DeepPHY with bit errors on every
+// link. Its fabric must keep nodes 0–2 on one shard at every shard
+// count — ring 0 of phys.Sharded(k, 3, 1, …) hangs off one switch —
+// because each load's driver steps all its nodes from one place.
+func middlewareScenario(topo *phys.Topology, seed uint64, shards int) Scenario {
+	s := equivalenceScenario(topo, seed, shards)
+	s.Name = "middleware"
+	s.Opts.DeepPHY, s.Opts.BER = true, 1e-5
+	s.Loads = append(s.Loads,
+		&CollectiveLoad{Ranks: []int{0, 1, 2}},
+		&FileStream{From: 1, To: 2, Size: 64 << 10, Repeat: 2})
+	return s
+}
+
 // TestEquivalenceBattery is the serial/parallel determinism property:
 // for every fabric shape × seed, a sharded run's Report JSON is
 // byte-identical to the serial run's — the defining guarantee of
-// internal/parsim. CI runs it under -race, which also exercises the
-// engine's barrier discipline (shared fabric state must only change
-// while the shards are parked).
+// internal/parsim. The middleware leg adds the collective, the file
+// stream and the bit-error streams, and checks that each ran.
+// CI runs it under -race, which also exercises the engine's barrier
+// discipline (shared fabric state must only change while the shards
+// are parked).
 func TestEquivalenceBattery(t *testing.T) {
 	seeds := []uint64{1, 2, 3, 4}
 	if testing.Short() {
 		seeds = seeds[:2]
 	}
 	for _, topo := range equivalenceFabrics() {
-		topo := topo
 		t.Run(topo.Name+fmt.Sprintf("%dx%d", topo.Nodes, topo.Switches), func(t *testing.T) {
-			for _, seed := range seeds {
-				serialRep, err := equivalenceScenario(&topo, seed, 1).Run()
-				if err != nil {
-					t.Fatalf("serial seed=%d: %v", seed, err)
-				}
-				serial := serialRep.JSON()
-				for _, shards := range []int{2, 4} {
-					if shards > topo.Switches {
-						continue
-					}
-					parRep, err := equivalenceScenario(&topo, seed, shards).Run()
-					if err != nil {
-						t.Fatalf("seed=%d shards=%d: %v", seed, shards, err)
-					}
-					if par := parRep.JSON(); !bytes.Equal(serial, par) {
-						t.Errorf("seed=%d shards=%d: report diverged from serial\n--- serial ---\n%s--- shards=%d ---\n%s",
-							seed, shards, serial, shards, par)
-						return
-					}
-				}
-			}
+			sameAtEveryShardCount(t, &topo, seeds, equivalenceScenario)
 		})
 	}
+	t.Run("middleware", func(t *testing.T) {
+		topo := phys.Sharded(4, 3, 1, 50)
+		serial := sameAtEveryShardCount(t, &topo, seeds, middlewareScenario)
+		for _, rep := range serial {
+			coll, files := rep.Loads[3], rep.Loads[4]
+			// Sent == 2: a file ended and the next-file step ran. Bit
+			// errors may leave a file incomplete or corrupt; that is
+			// the model, and it too must not depend on the shard count.
+			if coll.Iters == 0 || files.Sent != 2 || rep.Frames.Losses["crc"] == 0 {
+				t.Fatalf("seed=%d: the leg did not do its work: %d collective iterations, %d files sent, %d CRC losses",
+					rep.Seed, coll.Iters, files.Sent, rep.Frames.Losses["crc"])
+			}
+		}
+	})
+}
+
+// sameAtEveryShardCount runs scenario at 1, 2 and 4 shards (as many as
+// the fabric has switches) for every seed, fails on the first Report
+// that differs from the serial run's, and returns the serial Reports.
+func sameAtEveryShardCount(t *testing.T, topo *phys.Topology, seeds []uint64,
+	scenario func(*phys.Topology, uint64, int) Scenario) []*Report {
+	t.Helper()
+	var serials []*Report
+	for _, seed := range seeds {
+		serialRep, err := scenario(topo, seed, 1).Run()
+		if err != nil {
+			t.Fatalf("serial seed=%d: %v", seed, err)
+		}
+		serials = append(serials, serialRep)
+		serial := serialRep.JSON()
+		for _, shards := range []int{2, 4} {
+			if shards > topo.Switches {
+				continue
+			}
+			parRep, err := scenario(topo, seed, shards).Run()
+			if err != nil {
+				t.Fatalf("seed=%d shards=%d: %v", seed, shards, err)
+			}
+			if par := parRep.JSON(); !bytes.Equal(serial, par) {
+				t.Fatalf("seed=%d shards=%d: report diverged from serial\n--- serial ---\n%s--- shards=%d ---\n%s",
+					seed, shards, serial, shards, par)
+			}
+		}
+	}
+	return serials
 }
 
 // TestAgentsShareOneRosterPerShard: the rostering agents of a shard
@@ -217,33 +259,48 @@ func TestDecoupledPartitionRuns(t *testing.T) {
 	}
 }
 
-// TestParallelRejectsUnsupportedLoads pins the one-shard contract and
-// the engine's stated limits on one table: a default cluster is one
-// shard — K set, everything assigned to shard 0, the engine's stats
-// one shard wide — and accepts the loads whose drivers span shards and
-// BER injection; the same three under Shards: 2 fail up front with
-// their named errors instead of racing mid-run.
+// TestParallelRejectsUnsupportedLoads pins the shard contract on one
+// table. A default cluster is one shard: everything assigned to shard
+// 0, the engine's stats one shard wide. Under Shards: 2, BER and the
+// loads whose nodes share a shard run; the one refusal left is a load
+// whose single driver would span shards (a collective over every node,
+// a file stream between shards), refused up front by an error naming
+// two of its nodes and their shards instead of racing mid-run.
 func TestParallelRejectsUnsupportedLoads(t *testing.T) {
 	c := New(Options{})
 	defer c.Close()
-	if c.K == nil || c.Phys.Assign.Shards != 1 || c.ParStats() == nil ||
+	if c.Phys.Assign.Shards != 1 || len(c.Nets) != 1 || c.ParStats() == nil ||
 		len(c.ShardParStats()) != 1 || c.Lookahead() != sim.MaxTime {
-		t.Fatalf("New(Options{}): K=%v Assign=%+v ParStats=%v ShardParStats=%v Lookahead=%v; want the one-shard contract",
-			c.K, c.Phys.Assign, c.ParStats(), c.ShardParStats(), c.Lookahead())
+		t.Fatalf("New(Options{}): Assign=%+v Nets=%d ParStats=%v ShardParStats=%v Lookahead=%v; want the one-shard contract",
+			c.Phys.Assign, len(c.Nets), c.ParStats(), c.ShardParStats(), c.Lookahead())
 	}
 
 	topo := phys.Uniform(4, 2, 50)
+	assign, err := phys.AssignShards(&topo, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var on [2][]int // the nodes of each shard
+	for n, sh := range assign.NodeShard {
+		on[sh] = append(on[sh], n)
+	}
+	if len(on[0]) < 2 || len(on[1]) < 1 {
+		t.Fatalf("partition %v leaves no shard pair to test", assign.NodeShard)
+	}
+	a, b, x := on[0][0], on[0][1], on[1][0] // a, b share a shard; x does not
+	spanning := fmt.Sprintf("node %d on shard 0, node %d on shard 1", a, x)
 	cases := []struct {
 		name  string
 		apply func(*Scenario)
-		want  string // named error under Shards: 2
+		want  string // "" accepted, else the named error
 	}{
-		{"collective", func(s *Scenario) { s.Loads = []Load{&CollectiveLoad{Iters: 1}} },
-			"core: collective load is not supported with Options.Shards > 1"},
-		{"filestream", func(s *Scenario) { s.Loads = []Load{&FileStream{From: 0, To: 1, Size: 4096}} },
-			"core: filestream load is not supported with Options.Shards > 1"},
-		{"BER", func(s *Scenario) { s.Opts.DeepPHY, s.Opts.BER = true, 1e-6 },
-			"core: Options.BER is not supported with Shards > 1"},
+		{"BER", func(s *Scenario) { s.Opts.DeepPHY, s.Opts.BER = true, 1e-6 }, ""},
+		{"collective on one shard", func(s *Scenario) { s.Loads = []Load{&CollectiveLoad{Ranks: on[0], Iters: 1}} }, ""},
+		{"filestream on one shard", func(s *Scenario) { s.Loads = []Load{&FileStream{From: a, To: b, Size: 4096}} }, ""},
+		{"collective spanning shards", func(s *Scenario) { s.Loads = []Load{&CollectiveLoad{Ranks: []int{a, x}, Iters: 1}} },
+			"core: collective load spans shards: " + spanning},
+		{"filestream spanning shards", func(s *Scenario) { s.Loads = []Load{&FileStream{From: a, To: x, Size: 4096}} },
+			"core: filestream load spans shards: " + spanning},
 	}
 	for _, tc := range cases {
 		for _, shards := range []int{1, 2} {
@@ -251,21 +308,23 @@ func TestParallelRejectsUnsupportedLoads(t *testing.T) {
 			tc.apply(&sc)
 			_, err := sc.Run()
 			switch {
-			case shards == 1 && err != nil:
-				t.Errorf("%s at one shard: %v, want accepted", tc.name, err)
-			case shards == 2 && (err == nil || !strings.Contains(err.Error(), tc.want)):
-				t.Errorf("%s under shards: err = %v, want %q", tc.name, err, tc.want)
+			case (shards == 1 || tc.want == "") && err != nil:
+				t.Errorf("%s at %d shards: %v, want accepted", tc.name, shards, err)
+			case shards == 2 && tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+				t.Errorf("%s at 2 shards: err = %v, want %q", tc.name, err, tc.want)
 			}
 		}
 	}
-	// New panics with the very error Scenario.Run returns.
+	// StartLoad panics with the very error Scenario.Run returns.
 	func() {
+		c := New(Options{Fabric: &topo, Shards: 2})
+		defer c.Close()
 		defer func() {
-			if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "core: Options.BER is not supported with Shards > 1") {
-				t.Errorf("New with BER under shards: panic = %v, want the BER error", r)
+			if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "core: collective load spans shards") {
+				t.Errorf("StartLoad of a collective over every node at 2 shards: panic = %v, want the spanning error", r)
 			}
 		}()
-		New(Options{Fabric: &topo, Shards: 2, DeepPHY: true, BER: 1e-6})
+		c.StartLoad(&CollectiveLoad{Iters: 1})
 	}()
 	over := Scenario{Opts: Options{Fabric: &topo, Shards: 3}} // only 2 switches: a shard would own none
 	if _, err := over.Run(); err == nil || !strings.Contains(err.Error(), "shard") {

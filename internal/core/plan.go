@@ -289,7 +289,6 @@ func (c *Cluster) Install(p Plan) error {
 		return err
 	}
 	for _, e := range p {
-		e := e
 		c.pending = append(c.pending, AppliedEvent{At: c.Now() + e.At, Event: e})
 		c.eng.Schedule(c.Now()+e.At, func() { c.apply(e) })
 	}

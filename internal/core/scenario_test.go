@@ -336,10 +336,28 @@ func TestWaitHelpers(t *testing.T) {
 func TestEvery(t *testing.T) {
 	c := New(Options{Nodes: 4, Switches: 2})
 	var ticks []sim.Time
-	c.Every(sim.Millisecond, func() bool {
+	if err := c.Every(3, sim.Millisecond, func() bool {
 		ticks = append(ticks, c.Now())
 		return len(ticks) < 3
-	})
+	}); err != nil {
+		t.Fatal(err)
+	}
+	// A node out of range and a non-positive interval are named errors,
+	// not panics, and schedule nothing.
+	for _, tc := range []struct {
+		node int
+		d    sim.Time
+		want string
+	}{
+		{4, sim.Millisecond, "core: Every: node 4 out of range [0,4)"},
+		{-1, sim.Millisecond, "core: Every: node -1 out of range [0,4)"},
+		{0, 0, "core: Every: non-positive interval 0"},
+		{0, -sim.Millisecond, "core: Every: non-positive interval"},
+	} {
+		if err := c.Every(tc.node, tc.d, func() bool { panic("scheduled") }); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("Every(%d, %v): err = %v, want %q", tc.node, tc.d, err, tc.want)
+		}
+	}
 	c.Run(10 * sim.Millisecond)
 	want := []sim.Time{0, sim.Millisecond, 2 * sim.Millisecond}
 	if len(ticks) != len(want) {

@@ -77,24 +77,25 @@ func (c *Cluster) WaitHealed(within sim.Time) error {
 	return nil
 }
 
-// Every runs fn now and then every d of virtual time until fn returns
-// false. It is the canonical way to drive periodic application work
-// (checkpoints, pollers) without hand-rolling self-rescheduling
-// closures.
-func (c *Cluster) Every(d sim.Time, fn func() bool) {
-	if c.K == nil {
-		panic("core: Every has no node affinity; under Options.Shards > 1 drive periodic work from a node's kernel (Nodes[i].K) or a Load")
+// Every runs fn on node's kernel now and then every d of virtual time
+// until fn returns false: periodic application work (checkpoints,
+// pollers) without hand-rolled self-rescheduling closures. A node out
+// of range or a non-positive interval is refused.
+func (c *Cluster) Every(node int, d sim.Time, fn func() bool) error {
+	if node < 0 || node >= len(c.Nodes) {
+		return fmt.Errorf("core: Every: node %d out of range [0,%d)", node, len(c.Nodes))
 	}
-	everyOn(c.K, d, fn)
+	if d <= 0 {
+		return fmt.Errorf("core: Every: non-positive interval %v", d)
+	}
+	everyOn(c.Nodes[node].K, d, fn)
+	return nil
 }
 
-// everyOn is Every pinned to one kernel — the node-affine form the
-// loads use, so a generator runs on its node's shard. The driver owns
-// one Timer, re-armed after each tick that asks for another.
+// everyOn is Every pinned to one kernel, for the loads, whose intervals
+// are already checked. The driver owns one Timer, re-armed after each
+// tick that asks for another.
 func everyOn(k *sim.Kernel, d sim.Time, fn func() bool) {
-	if d <= 0 {
-		panic("core: Every with non-positive interval")
-	}
 	var t *sim.Timer
 	t = k.After(0, func() {
 		if fn() {

@@ -54,7 +54,7 @@ func E12Collectives(p Params) *Table {
 			start = c.Now()
 			c.Node(0).Stack().SendTo(ampip.NodeToIP(1), 100, 101, make([]byte, 64))
 		}
-		c.K.After(0, fire)
+		c.Nodes[0].K.After(0, fire)
 		c.Run(20 * sim.Millisecond)
 		if len(rtts) > 0 {
 			var sum sim.Time
@@ -78,7 +78,7 @@ func E12Collectives(p Params) *Table {
 			}
 		})
 		startAt := c.Now()
-		c.K.After(0, func() {
+		c.Nodes[2].K.After(0, func() {
 			for off := 0; off < total; off += dgram {
 				c.Node(2).Stack().SendTo(ampip.NodeToIP(3), 200, 200, make([]byte, dgram))
 			}
@@ -96,7 +96,7 @@ func E12Collectives(p Params) *Table {
 	runColl := func(name string, start func(done func())) {
 		var t0, t1 sim.Time
 		fired := false
-		c.K.After(0, func() {
+		c.Nodes[0].K.After(0, func() {
 			t0 = c.Now()
 			start(func() {
 				if !fired {

@@ -43,7 +43,7 @@ func E5Seqlock(p Params) *Table {
 			return true
 		}
 		stop := c.Now() + 20*sim.Millisecond
-		c.Every(wi, func() bool {
+		_ = c.Every(0, wi, func() bool {
 			seq++
 			buf := make([]byte, 64)
 			for i := range buf {
@@ -52,7 +52,7 @@ func E5Seqlock(p Params) *Table {
 			writer.WriteRecord(rec, buf)
 			return c.Now() < stop
 		})
-		c.Every(5*sim.Microsecond, func() bool {
+		_ = c.Every(p.Nodes-1, 5*sim.Microsecond, func() bool {
 			if d, ok := reader.TryRead(rec); ok {
 				clean++
 				if !uniform(d) {
@@ -102,7 +102,7 @@ func E6Semaphores(p Params, opsPerNode int) *Table {
 		h.Sem().Lock(42, func() {
 			lat = append(lat, float64(c.Now()-start)/1000)
 			v := shared
-			c.K.After(2*sim.Microsecond, func() {
+			h.DK().K.After(2*sim.Microsecond, func() {
 				shared = v + 1
 				var buf [8]byte
 				buf[0] = byte(shared)
@@ -114,7 +114,7 @@ func E6Semaphores(p Params, opsPerNode int) *Table {
 	}
 	for i := 0; i < nodes; i++ {
 		h := c.Node(i)
-		c.K.After(0, func() { launch(h, opsPerNode) })
+		h.DK().K.After(0, func() { launch(h, opsPerNode) })
 	}
 	// Contended locking takes a while; wait for the exact count (or
 	// give up after a generous window).
@@ -170,7 +170,7 @@ func E6aWriteThrough(p Params) *Table {
 		arrive := make([]sim.Time, 0, nodes-1)
 		for i := 1; i < nodes; i++ {
 			h := c.Node(i)
-			c.Every(sim.Microsecond, func() bool {
+			_ = c.Every(i, sim.Microsecond, func() bool {
 				if d, ok := h.Cache().TryRead(rec); ok && len(d) > 0 && d[0] == 0xAA {
 					arrive = append(arrive, c.Now()-start)
 					return false

@@ -29,7 +29,7 @@ func E9Assimilation(p Params) *Table {
 		// Boot all but the last node; it joins later.
 		for i := 0; i < p.Nodes-1; i++ {
 			nd := c.Nodes[i]
-			c.K.After(0, func() { nd.Boot() })
+			nd.K.After(0, func() { nd.Boot() })
 		}
 		c.Run(30 * sim.Millisecond)
 		joiner := c.Node(p.Nodes - 1)
@@ -99,7 +99,7 @@ func E10Failover(p Params) *Table {
 		}
 		// Primary (node 0) checkpoints an increasing counter.
 		committed := uint64(0)
-		c.Every(200*sim.Microsecond, func() bool {
+		_ = c.Every(0, 200*sim.Microsecond, func() bool {
 			if !c.Node(0).Online() {
 				return false
 			}

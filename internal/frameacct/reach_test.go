@@ -105,7 +105,7 @@ var lossScenarios = map[frameacct.LossCause]func() *frameacct.Acct{
 	frameacct.LossCRC: func() *frameacct.Acct {
 		r := newRig(nil)
 		r.net.DeepPHY = true
-		r.net.Corrupt = func(_ phys.Frame, syms []enc8b10b.Symbol) {
+		r.net.Corrupt = func(_ *phys.Port, syms []enc8b10b.Symbol) {
 			for i := range syms {
 				syms[i] = 0 // flatten the stream; the receive decode must reject it
 			}

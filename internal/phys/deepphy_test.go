@@ -64,7 +64,7 @@ func TestDeepPHYCorruptionDiscarded(t *testing.T) {
 			n := NewNet(k)
 			n.DeepPHY = true
 			si, bi := symIdx, bit
-			n.Corrupt = func(_ Frame, s []enc8b10b.Symbol) {
+			n.Corrupt = func(_ *Port, s []enc8b10b.Symbol) {
 				s[si] ^= 1 << bi
 			}
 			ok := true
@@ -106,7 +106,7 @@ func TestDeepPHYBurstErrors(t *testing.T) {
 	n.DeepPHY = true
 	rng := sim.NewRNG(3)
 	frames := 0
-	n.Corrupt = func(_ Frame, s []enc8b10b.Symbol) {
+	n.Corrupt = func(_ *Port, s []enc8b10b.Symbol) {
 		frames++
 		if frames%3 != 0 {
 			return // corrupt every third frame
@@ -151,7 +151,7 @@ func TestDeepPHYHopPreserved(t *testing.T) {
 	n := NewNet(k)
 	n.DeepPHY = true
 	deep := 0
-	n.Corrupt = func(Frame, []enc8b10b.Symbol) { deep++ }
+	n.Corrupt = func(*Port, []enc8b10b.Symbol) { deep++ }
 	var got Frame
 	a := n.NewPort("a", nil)
 	b := n.NewPort("b", func(_ *Port, f Frame) { got = f })

@@ -160,9 +160,9 @@ type Net struct {
 	// sets) are discarded and counted as LossCRC, exactly as the NIC
 	// hardware discards them; higher layers recover via sequence gaps
 	// and cache refresh. Corrupt, if set, may mutate the symbol stream
-	// in flight (bit-error injection).
+	// in flight (bit-error injection); dst is the port receiving it.
 	DeepPHY bool
-	Corrupt func(f Frame, syms []enc8b10b.Symbol)
+	Corrupt func(dst *Port, syms []enc8b10b.Symbol)
 
 	// Acct is the Net's frame-lifecycle ledger, and its only frame
 	// counter: every creation, delivery and typed death of a frame on
@@ -586,7 +586,7 @@ func (n *Net) CompleteDelivery(dst *Port, f Frame, link *Link, epoch uint64) {
 		return
 	}
 	if n.DeepPHY {
-		pkt, ok := n.deepPath(f)
+		pkt, ok := n.deepPath(dst, f)
 		if !ok {
 			n.Acct.Lose(frameacct.LossCRC)
 			return
@@ -605,11 +605,11 @@ func (n *Net) CompleteDelivery(dst *Port, f Frame, link *Link, epoch uint64) {
 
 // deepPath runs a frame through the real transmit and receive datapath:
 // MicroPacket wire encode, 8b/10b line coding, optional corruption, and
-// the receive-side decode. It returns the received packet, or ok=false
-// when the hardware would discard the frame. Each frame starts from the
-// canonical negative running disparity (frames are separated by idle
-// fill words that re-establish it).
-func (n *Net) deepPath(f Frame) (*micropacket.Packet, bool) {
+// the receive-side decode at dst. It returns the received packet, or
+// ok=false when the hardware would discard the frame. Each frame starts
+// from the canonical negative running disparity (frames are separated
+// by idle fill words that re-establish it).
+func (n *Net) deepPath(dst *Port, f Frame) (*micropacket.Packet, bool) {
 	codec, err := wire.ForVersion(n.Wire)
 	if err != nil {
 		return nil, false
@@ -626,7 +626,7 @@ func (n *Net) deepPath(f Frame) (*micropacket.Packet, bool) {
 	}
 	n.deepRaw, n.deepSyms = raw, syms
 	if n.Corrupt != nil {
-		n.Corrupt(f, syms)
+		n.Corrupt(dst, syms)
 	}
 	raw, err = wire.AppendFrame(raw[:0], syms, enc8b10b.NewDecoder())
 	if err != nil {

@@ -454,7 +454,7 @@ func TestCountingSites(t *testing.T) {
 		}, counts{lost: 1}},
 		{"DeepPHY CRC discard", func(k *sim.Kernel, n *Net, a *Port, l *Link) {
 			n.DeepPHY = true
-			n.Corrupt = func(_ Frame, s []enc8b10b.Symbol) { s[len(s)/2] ^= 1 }
+			n.Corrupt = func(_ *Port, s []enc8b10b.Symbol) { s[len(s)/2] ^= 1 }
 			a.Send(dataFrame(1, 2))
 		}, counts{crc: 1}},
 		{"delivery", func(k *sim.Kernel, n *Net, a *Port, l *Link) {

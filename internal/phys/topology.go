@@ -16,7 +16,6 @@ import (
 // joined by inter-switch trunks that ring hops can cross when the
 // endpoints no longer share a live switch.
 type Cluster struct {
-	Net  *Net
 	Topo Topology
 
 	Switches []*Switch
@@ -118,7 +117,7 @@ func BuildFabricSharded(nets []*Net, topo Topology, assign *Assignment) (*Cluste
 		// sizes (and so serialization times) must agree across shards.
 		n.Wire = topo.WireVersion()
 	}
-	c := &Cluster{Net: nets[0], Topo: topo, Assign: assign}
+	c := &Cluster{Topo: topo, Assign: assign}
 	for s := 0; s < topo.Switches; s++ {
 		c.Switches = append(c.Switches, nets[assign.SwitchShard[s]].NewSwitch(fmt.Sprintf("sw%d", s), topo.Nodes))
 	}
