@@ -25,7 +25,9 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	var got []byte
 	c.Node(3).Sub().Subscribe(1, func(_ ampnetpkg.NodeID, data []byte) { got = append([]byte(nil), data...) })
 	c.Node(0).Sub().Publish(1, []byte("facade"))
-	c.Run(2 * ampnetpkg.Millisecond)
+	if err := c.Run(2 * ampnetpkg.Millisecond); err != nil {
+		t.Fatal(err)
+	}
 	if string(got) != "facade" {
 		t.Fatalf("pubsub: %q", got)
 	}
@@ -35,7 +37,9 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	if err := c.Node(1).CacheW().WriteRecord(rec, []byte("01234567")); err != nil {
 		t.Fatal(err)
 	}
-	c.Run(2 * ampnetpkg.Millisecond)
+	if err := c.Run(2 * ampnetpkg.Millisecond); err != nil {
+		t.Fatal(err)
+	}
 	if d, ok := c.Node(2).Cache().TryRead(rec); !ok || !bytes.Equal(d, []byte("01234567")) {
 		t.Fatalf("cache replica: %q ok=%v", d, ok)
 	}
@@ -45,7 +49,9 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	if err := db.Write(c.Node(0).CacheW(), []byte("checkpnt")); err != nil {
 		t.Fatal(err)
 	}
-	c.Run(2 * ampnetpkg.Millisecond)
+	if err := c.Run(2 * ampnetpkg.Millisecond); err != nil {
+		t.Fatal(err)
+	}
 	if d, _, ok := db.Read(c.Node(3).Cache()); !ok || string(d) != "checkpnt" {
 		t.Fatalf("double buffer: %q ok=%v", d, ok)
 	}
@@ -186,7 +192,9 @@ func TestDeterministicRuns(t *testing.T) {
 		if err := c.Install(ampnetpkg.Plan{ampnetpkg.FailSwitch(0, 1)}); err != nil {
 			t.Fatal(err)
 		}
-		c.Run(10 * ampnetpkg.Millisecond)
+		if err := c.Run(10 * ampnetpkg.Millisecond); err != nil {
+			t.Fatal(err)
+		}
 		return c.EventsFired(), c.Roster()
 	}
 	f1, r1 := run()

@@ -72,7 +72,7 @@ func main() {
 				recovered = binary.LittleEndian.Uint64(state)
 			}
 			fmt.Printf("t=%v  node %d takes control; recovers transaction #%d (primary reached #%d)\n",
-				c.Now(), i, recovered, committed)
+				c.Nodes[i].K.Now(), i, recovered, committed)
 			if committed-recovered <= 1 {
 				fmt.Printf("         no committed data lost (#%d was still replicating when the host died)\n", committed)
 			} else {

@@ -35,7 +35,7 @@ func main() {
 				status = "CORRUPT"
 			}
 			mbps := float64(1<<20) * 8 / took.Seconds() / 1e6
-			fmt.Printf("t=%v  node 1 received the file (%s) in %v\n", c.Now(), status, took)
+			fmt.Printf("t=%v  node 1 received the file (%s) in %v\n", c.Nodes[1].K.Now(), status, took)
 			fmt.Printf("         effective file throughput: %.0f Mb/s\n", mbps)
 		},
 	}
@@ -56,7 +56,9 @@ func main() {
 	if err := c.WaitUntil(func() bool { return fa.Done() && ma.Done() }, 50*ampnet.Millisecond); err != nil {
 		log.Fatal(err)
 	}
-	c.Run(2 * ampnet.Millisecond) // drain the message tail
+	if err := c.Run(2 * ampnet.Millisecond); err != nil { // drain the message tail
+		log.Fatal(err)
+	}
 
 	fr, mr := fa.Report(), ma.Report()
 	if fr.Files == 0 {

@@ -79,7 +79,9 @@ func main() {
 	if err := c.WaitUntil(al.Done, 60*ampnet.Millisecond); err != nil {
 		log.Fatal(err)
 	}
-	c.Run(5 * ampnet.Millisecond) // drain the tail of the stream
+	if err := c.Run(5 * ampnet.Millisecond); err != nil { // drain the tail of the stream
+		log.Fatal(err)
+	}
 	rep := al.Report()
 
 	fmt.Printf("published %d ticks at one per %v\n", rep.Sent, tickEvery)

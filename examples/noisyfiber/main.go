@@ -48,7 +48,9 @@ func main() {
 	if err := c.WaitUntil(al.Done, 60*ampnet.Millisecond); err != nil {
 		log.Fatal(err)
 	}
-	c.Run(10 * ampnet.Millisecond) // let auto-recovery repair any gaps
+	if err := c.Run(10 * ampnet.Millisecond); err != nil { // let auto-recovery repair any gaps
+		log.Fatal(err)
+	}
 	rep := al.Report()
 
 	fmt.Printf("t=%v  wrote %d updates\n", c.Now(), rep.Sent)

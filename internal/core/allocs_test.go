@@ -1,12 +1,64 @@
 package core
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/micropacket"
+	"repro/internal/phys"
 	"repro/internal/rostering"
 	"repro/internal/sim"
 )
+
+// allocsPerRun is testing.AllocsPerRun(runs, f) for an f that drives
+// c, failing the test if the engine failed while measuring: a dead
+// engine refuses to advance, so every run after a model panic would
+// measure 0 and pass.
+func allocsPerRun(t testing.TB, c *Cluster, runs int, f func()) float64 {
+	t.Helper()
+	n := testing.AllocsPerRun(runs, f)
+	if err := c.Err(); err != nil {
+		t.Fatalf("engine failed while measuring allocations: %v", err)
+	}
+	return n
+}
+
+// fatalRecorder is a testing.TB whose Fatalf records the failure
+// instead of ending the test.
+type fatalRecorder struct {
+	testing.TB
+	fatal string
+}
+
+func (f *fatalRecorder) Helper() {}
+func (f *fatalRecorder) Fatalf(format string, args ...any) {
+	f.fatal = fmt.Sprintf(format, args...)
+}
+
+// TestAllocsPerRunFailsOnModelPanic: a model panic inside an allocation
+// loop fails the measurement at 1 and 2 shards. The panic becomes the
+// engine's sticky error, every later run is a no-op, and the loop alone
+// reports 0 allocations.
+func TestAllocsPerRunFailsOnModelPanic(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		topo := phys.Sharded(2, 4, 2, 50)
+		c := New(Options{Fabric: &topo, Shards: shards})
+		defer c.Close()
+		if err := c.Boot(0); err != nil {
+			t.Fatal(err)
+		}
+		c.Nodes[1].K.After(sim.Millisecond, func() { panic("injected model fault") })
+		rec := &fatalRecorder{TB: t}
+		n := allocsPerRun(rec, c, 10, func() { c.Run(sim.Millisecond) })
+		if !strings.Contains(rec.fatal, "injected model fault") {
+			t.Errorf("shards=%d: a model panic in the loop measured %.0f allocations and failed with %q, want the panic named", shards, n, rec.fatal)
+		}
+		if n != 0 {
+			t.Errorf("shards=%d: the dead engine's runs measured %.0f allocations, want 0", shards, n)
+		}
+	}
+}
 
 // TestHealedAllocatesNoStrings: Healed is polled by every wait loop, so
 // a settled fabric must answer at the cost of liveComponents and one
@@ -19,7 +71,7 @@ func TestHealedAllocatesNoStrings(t *testing.T) {
 	if err := c.Boot(0); err != nil {
 		t.Fatal(err)
 	}
-	c.Run(5 * sim.Millisecond)
+	mustRun(t, c, 5*sim.Millisecond)
 	if !c.Healed() {
 		t.Fatalf("32 x 4 did not settle: %v", c.InvariantViolations())
 	}
@@ -42,8 +94,8 @@ func TestIdleRingAllocationsPerMillisecond(t *testing.T) {
 	if err := c.Boot(0); err != nil {
 		t.Fatal(err)
 	}
-	c.Run(5 * sim.Millisecond)
-	if allocs := testing.AllocsPerRun(10, func() { c.Run(sim.Millisecond) }); allocs > 0 {
+	mustRun(t, c, 5*sim.Millisecond)
+	if allocs := allocsPerRun(t, c, 10, func() { c.Run(sim.Millisecond) }); allocs > 0 {
 		t.Fatalf("idle 16 x 4 ring: %.0f allocations a virtual millisecond, want 0", allocs)
 	}
 }
@@ -76,7 +128,7 @@ func TestPublishedMessageAllocatesNothing(t *testing.T) {
 	if delivered != 15*len(msg) {
 		t.Fatalf("%d bytes delivered, want %d", delivered, 15*len(msg))
 	}
-	if n := testing.AllocsPerRun(50, publish); n > 0 {
+	if n := allocsPerRun(t, c, 50, publish); n > 0 {
 		t.Fatalf("a published message delivered to 15 subscribers allocates %.0f times, want 0", n)
 	}
 }
@@ -93,9 +145,9 @@ func TestCollectiveLoadAllocatesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := c.StartLoad(&CollectiveLoad{})
-	c.Run(5 * sim.Millisecond)
+	mustRun(t, c, 5*sim.Millisecond)
 	before := a.rep.Iters
-	allocs := testing.AllocsPerRun(10, func() { c.Run(sim.Millisecond) })
+	allocs := allocsPerRun(t, c, 10, func() { c.Run(sim.Millisecond) })
 	if a.rep.Iters == before {
 		t.Fatal("the job made no progress")
 	}
@@ -149,7 +201,7 @@ func TestHealRoundAllocations(t *testing.T) {
 	}
 	builds = 0
 	const runs = 10
-	allocs := testing.AllocsPerRun(runs, cycle) // a warm-up cycle, then runs more
+	allocs := allocsPerRun(t, c, runs, cycle) // a warm-up cycle, then runs more
 	for _, nd := range c.Nodes {
 		floods += nd.Agent.Announced
 	}

@@ -85,7 +85,7 @@ func settleAndCheck(t *testing.T, c *Cluster, seed uint64, what string) {
 	t.Helper()
 	// Let the fault fire and the loss-of-light/watchdog detection run
 	// before polling for the healed state.
-	c.Run(2 * sim.Millisecond)
+	mustRun(t, c, 2*sim.Millisecond)
 	if err := c.WaitHealed(60 * sim.Millisecond); err != nil {
 		t.Fatalf("seed %d: after %s: %v\n  violations: %v", seed, what, err, c.InvariantViolations())
 	}

@@ -222,8 +222,8 @@ func New(opts Options) *Cluster {
 // over one kernel and one phys.Net per shard, every node built on its
 // shard's kernel, and a parsim.Engine coordinating lookahead windows
 // and barrier exchange. One shard is the same build with nothing cut:
-// the lookahead is unbounded and the engine runs the single kernel
-// directly.
+// the lookahead is unbounded and the engine runs the kernel's windows
+// on the coordinator, through the same path as N shards.
 func build(opts Options) (*Cluster, error) {
 	if err := opts.fill(); err != nil {
 		return nil, err
@@ -365,15 +365,24 @@ func (c *Cluster) allSettled() bool {
 	return true
 }
 
-// Run advances virtual time by d.
-func (c *Cluster) Run(d sim.Time) { c.eng.RunUntil(c.eng.Now() + d) }
+// Run advances virtual time by d and returns the engine's sticky
+// failure, if any: a run that died (a model panic, a refused call from
+// an event callback) stops where it stood.
+func (c *Cluster) Run(d sim.Time) error {
+	c.eng.RunUntil(c.eng.Now() + d)
+	return c.eng.Err()
+}
 
-// Now returns the current virtual time.
+// Now returns the driver's clock: the instant every kernel is parked
+// on between runs, at every shard count. An event callback reads the
+// kernel of the node it acts for (c.Nodes[i].K.Now()); calling Now
+// from one ends the run with a named error.
 func (c *Cluster) Now() sim.Time { return c.eng.Now() }
 
-// Err returns the engine's sticky failure, if any (a shard panic).
-// Once set, the simulation refuses to advance; Scenario.Run surfaces it
-// as the run's error.
+// Err returns the engine's sticky failure, if any: a model panic, or
+// an event callback's refused Now, Install or Schedule. Once set, the
+// simulation refuses to advance; Run returns it, and Scenario.Run
+// surfaces it as the run's error.
 func (c *Cluster) Err() error { return c.eng.Err() }
 
 // Close releases engine resources (a sharded cluster's helper

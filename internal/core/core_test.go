@@ -7,6 +7,17 @@ import (
 	"repro/internal/sim"
 )
 
+// mustRun is c.Run for tests: a run the engine failed (a model panic,
+// a refused call from an event callback) fails the test where it
+// happened. A failed engine refuses to advance, so a test that drops
+// Run's error asserts against a frozen world.
+func mustRun(t testing.TB, c *Cluster, d sim.Time) {
+	t.Helper()
+	if err := c.Run(d); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestDefaultsArePaperTopology(t *testing.T) {
 	c := New(Options{})
 	if c.Opts.Nodes != 6 || c.Opts.Switches != 4 {
@@ -56,28 +67,28 @@ func TestFailureHelpers(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.FailLink(1, 0)
-	c.Run(10 * sim.Millisecond)
+	mustRun(t, c, 10*sim.Millisecond)
 	if c.RingSize() != 4 {
 		t.Fatalf("ring after link cut = %d", c.RingSize())
 	}
 	c.RestoreLink(1, 0)
-	c.Run(10 * sim.Millisecond)
+	mustRun(t, c, 10*sim.Millisecond)
 
 	c.FailSwitch(1)
-	c.Run(10 * sim.Millisecond)
+	mustRun(t, c, 10*sim.Millisecond)
 	if c.RingSize() != 4 {
 		t.Fatalf("ring after switch fail = %d", c.RingSize())
 	}
 	c.RestoreSwitch(1)
-	c.Run(10 * sim.Millisecond)
+	mustRun(t, c, 10*sim.Millisecond)
 
 	c.CrashNode(3)
-	c.Run(20 * sim.Millisecond)
+	mustRun(t, c, 20*sim.Millisecond)
 	if c.RingSize() != 3 {
 		t.Fatalf("ring after crash = %d", c.RingSize())
 	}
 	c.RebootNode(3)
-	c.Run(40 * sim.Millisecond)
+	mustRun(t, c, 40*sim.Millisecond)
 	if c.RingSize() != 4 {
 		t.Fatalf("ring after reboot = %d", c.RingSize())
 	}
@@ -89,7 +100,7 @@ func TestFailureHelpers(t *testing.T) {
 func TestRunAdvancesClock(t *testing.T) {
 	c := New(Options{Nodes: 2, Switches: 2})
 	t0 := c.Now()
-	c.Run(5 * sim.Millisecond)
+	mustRun(t, c, 5*sim.Millisecond)
 	if c.Now() != t0+5*sim.Millisecond {
 		t.Fatalf("clock = %v", c.Now())
 	}

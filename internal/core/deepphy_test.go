@@ -21,7 +21,7 @@ func TestDeepPHYFullStack(t *testing.T) {
 	var got []byte
 	c.Services[3].Sub.Subscribe(1, func(_ micropacket.NodeID, data []byte) { got = bytes.Clone(data) })
 	c.Services[0].Sub.Publish(1, []byte("through the real datapath"))
-	c.Run(3 * sim.Millisecond)
+	mustRun(t, c, 3*sim.Millisecond)
 	if string(got) != "through the real datapath" {
 		t.Fatalf("pubsub over deep PHY: %q", got)
 	}
@@ -29,13 +29,13 @@ func TestDeepPHYFullStack(t *testing.T) {
 	rec := netcache.Record{Region: 1, Off: 0, Size: 32}
 	want := bytes.Repeat([]byte{0x3C}, 32)
 	c.Nodes[1].CacheW.WriteRecord(rec, want)
-	c.Run(3 * sim.Millisecond)
+	mustRun(t, c, 3*sim.Millisecond)
 	if d, ok := c.Nodes[2].Cache.TryRead(rec); !ok || !bytes.Equal(d, want) {
 		t.Fatal("cache over deep PHY failed")
 	}
 	// Self-heal still works with the full datapath.
 	c.FailSwitch(0)
-	c.Run(10 * sim.Millisecond)
+	mustRun(t, c, 10*sim.Millisecond)
 	if c.RingSize() != 4 {
 		t.Fatalf("heal over deep PHY: ring = %d", c.RingSize())
 	}
@@ -97,7 +97,7 @@ func TestDeepPHYWithBitErrors(t *testing.T) {
 		}
 	}
 	c.Nodes[0].K.After(0, tick)
-	c.Run(80 * sim.Millisecond)
+	mustRun(t, c, 80*sim.Millisecond)
 
 	a := c.FrameAcct()
 	if a.CRCDrops() == 0 {

@@ -25,8 +25,8 @@ func TestDualRingSwitchLossHealsTraffic(t *testing.T) {
 			Plan: Plan{FailSwitch(10*sim.Millisecond, 0)},
 			Loads: []Load{&PubSubLoad{
 				Publisher: 0, Topic: 1, Every: 50 * sim.Microsecond,
-				OnDeliver: func(int, uint64, []byte) {
-					if eventAt != 0 && c.Now() > eventAt {
+				OnDeliver: func(sub int, _ uint64, _ []byte) {
+					if eventAt != 0 && c.Nodes[sub].K.Now() > eventAt {
 						afterEvent++
 					}
 				},
@@ -105,7 +105,7 @@ func TestTrunkPartitionAndRemerge(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	c.Run(2 * sim.Millisecond) // let the cuts fire and be detected
+	mustRun(t, c, 2*sim.Millisecond) // let the cuts fire and be detected
 	if err := c.WaitUntil(func() bool { return c.Healed() && c.RingSize() == 3 }, 30*sim.Millisecond); err != nil {
 		t.Fatalf("partitioned fabric never settled: %v (violations %v)", err, c.InvariantViolations())
 	}

@@ -22,14 +22,14 @@ func TestSemaphoreHomeMigration(t *testing.T) {
 		done = true
 	})
 	c.Nodes[2].Sem.Op(10, micropacket.OpWrite, 777, nil)
-	c.Run(10 * sim.Millisecond)
+	mustRun(t, c, 10*sim.Millisecond)
 	if !done {
 		t.Fatal("pre-crash lock failed")
 	}
 
 	// Kill the home. The roster heals; home becomes node 1.
 	c.CrashNode(0)
-	c.Run(30 * sim.Millisecond)
+	mustRun(t, c, 30*sim.Millisecond)
 	if c.RingSize() != 3 {
 		t.Fatalf("ring = %d", c.RingSize())
 	}
@@ -44,14 +44,14 @@ func TestSemaphoreHomeMigration(t *testing.T) {
 		done = true
 		c.Nodes[3].Sem.Unlock(9)
 	})
-	c.Run(20 * sim.Millisecond)
+	mustRun(t, c, 20*sim.Millisecond)
 	if !done {
 		t.Fatal("post-migration lock failed")
 	}
 	// And the op executed at node 1, not node 0.
 	var old uint64
 	c.Nodes[2].Sem.Op(10, micropacket.OpFetchAdd, 1, func(o uint64) { old = o })
-	c.Run(10 * sim.Millisecond)
+	mustRun(t, c, 10*sim.Millisecond)
 	if old != 777 {
 		t.Fatalf("fetchadd old = %d, want 777", old)
 	}
@@ -66,7 +66,7 @@ func TestTotalBlackoutAndRecovery(t *testing.T) {
 	}
 	c.FailSwitch(0)
 	c.FailSwitch(1)
-	c.Run(20 * sim.Millisecond)
+	mustRun(t, c, 20*sim.Millisecond)
 	// Every node is isolated; no ring hop survives.
 	for i, nd := range c.Nodes {
 		if nd.Station.OnRing() {
@@ -75,14 +75,14 @@ func TestTotalBlackoutAndRecovery(t *testing.T) {
 	}
 	c.RestoreSwitch(0)
 	c.RestoreSwitch(1)
-	c.Run(30 * sim.Millisecond)
+	mustRun(t, c, 30*sim.Millisecond)
 	if c.RingSize() != 4 {
 		t.Fatalf("ring after blackout = %d", c.RingSize())
 	}
 	got := 0
 	c.Services[2].Sub.Subscribe(1, func(micropacket.NodeID, []byte) { got++ })
 	c.Services[0].Sub.Publish(1, []byte{1})
-	c.Run(5 * sim.Millisecond)
+	mustRun(t, c, 5*sim.Millisecond)
 	if got != 1 {
 		t.Fatalf("post-blackout deliveries = %d", got)
 	}
@@ -98,12 +98,12 @@ func TestRepeatedFailureCycles(t *testing.T) {
 	for cycle := 0; cycle < 6; cycle++ {
 		s := cycle % 4
 		c.FailSwitch(s)
-		c.Run(10 * sim.Millisecond)
+		mustRun(t, c, 10*sim.Millisecond)
 		if c.RingSize() != 6 {
 			t.Fatalf("cycle %d: ring = %d after failure", cycle, c.RingSize())
 		}
 		c.RestoreSwitch(s)
-		c.Run(10 * sim.Millisecond)
+		mustRun(t, c, 10*sim.Millisecond)
 		if c.RingSize() != 6 {
 			t.Fatalf("cycle %d: ring = %d after repair", cycle, c.RingSize())
 		}
@@ -126,7 +126,7 @@ func TestLargeCluster(t *testing.T) {
 	got := 0
 	c.Services[31].Sub.Subscribe(1, func(micropacket.NodeID, []byte) { got++ })
 	c.Services[0].Sub.Publish(1, []byte{1})
-	c.Run(10 * sim.Millisecond)
+	mustRun(t, c, 10*sim.Millisecond)
 	if got != 1 {
 		t.Fatalf("deliveries = %d", got)
 	}
@@ -157,7 +157,7 @@ func TestBroadcastStormOnFullStack(t *testing.T) {
 			}
 		})
 	}
-	c.Run(50 * sim.Millisecond)
+	mustRun(t, c, 50*sim.Millisecond)
 	for i, got := range counts {
 		if got != n*per { // includes local loopback
 			t.Fatalf("node %d deliveries = %d, want %d", i, got, n*per)

@@ -53,9 +53,9 @@ func TestPublisherMayReuseItsBuffer(t *testing.T) {
 			}
 			// Shorter than a 1 KiB message's 17 segments take to leave:
 			// the next round queues behind this one on both publishers.
-			c.Run(5 * sim.Microsecond)
+			mustRun(t, c, 5*sim.Microsecond)
 		}
-		c.Run(2 * sim.Millisecond)
+		mustRun(t, c, 2*sim.Millisecond)
 		for node := range c.Nodes {
 			for _, pub := range publishers {
 				msgs := got[node][micropacket.NodeID(pub)]

@@ -139,7 +139,7 @@ func TestAgentsShareOneRosterPerShard(t *testing.T) {
 	if err := c.Boot(0); err != nil {
 		t.Fatal(err)
 	}
-	c.Run(2 * sim.Millisecond)
+	mustRun(t, c, 2*sim.Millisecond)
 	var held [2]*rostering.Roster
 	for i, nd := range c.Nodes {
 		r, sh := nd.Agent.Roster(), c.Phys.ShardOfNode(i)
@@ -332,43 +332,41 @@ func TestParallelRejectsUnsupportedLoads(t *testing.T) {
 	}
 }
 
-// TestInstallFromEventCallbackRefused: Install is driver-context only.
-// From inside a model event the action queue is coordinator state (a
-// data race under shards) and an action landing before the running
-// window's end would pull the clock backwards, so the engine refuses
-// with one named panic — raised to the caller at one shard, surfaced as
-// the sticky engine error under shards.
+// TestInstallFromEventCallbackRefused: Install and Now are
+// driver-context only. From inside a model event the action queue and
+// the engine clock are coordinator state (a data race under shards),
+// an action landing before the running window's end would pull the
+// clock backwards, and the engine clock is the window's start, not the
+// event's instant. So the engine refuses with one named error, sticky,
+// naming the shard and window — at one shard as at two.
 func TestInstallFromEventCallbackRefused(t *testing.T) {
-	const want = "parsim: action scheduled from inside a window; install plans from driver context"
+	const want = "parsim: engine clock or action queue used from inside a window"
 	topo := phys.Sharded(2, 4, 2, 50)
 	for _, shards := range []int{1, 2} {
-		c := New(Options{Fabric: &topo, Shards: shards})
-		defer c.Close()
-		if err := c.Boot(0); err != nil {
-			t.Fatal(err)
-		}
-		c.Nodes[0].K.After(sim.Millisecond, func() {
-			_ = c.Install(Plan{CrashNode(sim.Millisecond, topo.Nodes-1)})
-		})
-		start := c.Now()
-		got := func() (msg string) {
-			defer func() {
-				if r := recover(); r != nil {
-					msg = fmt.Sprint(r)
-				}
-			}()
-			c.Run(5 * sim.Millisecond)
-			c.Run(5 * sim.Millisecond)
-			if err := c.Err(); err != nil {
-				return err.Error()
+		for _, tc := range []struct {
+			name string
+			call func(c *Cluster)
+		}{
+			{"Install", func(c *Cluster) { _ = c.Install(Plan{CrashNode(sim.Millisecond, topo.Nodes-1)}) }},
+			{"Now", func(c *Cluster) { _ = c.Now() }},
+		} {
+			c := New(Options{Fabric: &topo, Shards: shards})
+			defer c.Close()
+			if err := c.Boot(0); err != nil {
+				t.Fatal(err)
 			}
-			return ""
-		}()
-		if !strings.Contains(got, want) {
-			t.Errorf("shards=%d: in-window Install ended with %q, want %q", shards, got, want)
-		}
-		if c.Now() < start || len(c.Applied()) != 0 {
-			t.Errorf("shards=%d: clock %v (started %v), applied %v; the refused plan must not run", shards, c.Now(), start, c.Applied())
+			c.Nodes[0].K.After(sim.Millisecond, func() { tc.call(c) })
+			start := c.Now()
+			err := c.Run(5 * sim.Millisecond)
+			if err == nil || !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), "shard 0 panicked in window") {
+				t.Errorf("shards=%d: in-window %s ended with %v, want %q naming shard 0 and its window", shards, tc.name, err, want)
+			}
+			if again := c.Run(5 * sim.Millisecond); again != err {
+				t.Errorf("shards=%d: %s: second Run returned %v, want the sticky %v", shards, tc.name, again, err)
+			}
+			if c.Now() < start || len(c.Applied()) != 0 {
+				t.Errorf("shards=%d: %s: clock %v (started %v), applied %v; the refused plan must not run", shards, tc.name, c.Now(), start, c.Applied())
+			}
 		}
 	}
 }

@@ -282,8 +282,8 @@ type AppliedEvent struct {
 // and reported through OnEvent if set.
 //
 // Install is driver-context only: call it between Run/Wait* calls (or
-// from OnEvent), never from inside a model event callback — the engine
-// panics with "parsim: action scheduled from inside a window".
+// from OnEvent), never from inside a model event callback — that ends
+// the run with the engine's named refusal as its sticky error.
 func (c *Cluster) Install(p Plan) error {
 	if err := p.Validate(c); err != nil {
 		return err

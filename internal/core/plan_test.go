@@ -69,7 +69,7 @@ func TestInstallIsAtomic(t *testing.T) {
 	if err := c.Install(bad); err == nil {
 		t.Fatal("Install(bad) = nil, want error")
 	}
-	c.Run(5 * sim.Millisecond)
+	mustRun(t, c, 5*sim.Millisecond)
 	if !c.Nodes[0].Online() {
 		t.Fatal("node 0 crashed: the invalid plan was partially installed")
 	}
@@ -93,7 +93,7 @@ func TestInstallAppliesEventsInOrder(t *testing.T) {
 	if err := c.Install(plan); err != nil {
 		t.Fatal(err)
 	}
-	c.Run(5 * sim.Millisecond)
+	mustRun(t, c, 5*sim.Millisecond)
 	want := []string{"fail-switch 0", "crash-node 3", "restore-switch 0"}
 	if len(seen) != len(want) {
 		t.Fatalf("fired %v, want %v", seen, want)
@@ -132,7 +132,7 @@ func TestValidateAgainstPendingEvents(t *testing.T) {
 	}
 	// Once fired, the events leave the pending set and the cluster's
 	// real state takes over.
-	c.Run(5 * sim.Millisecond)
+	mustRun(t, c, 5*sim.Millisecond)
 	if got := len(c.Applied()); got != 2 {
 		t.Fatalf("applied %d events, want 2", got)
 	}

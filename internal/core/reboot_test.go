@@ -30,21 +30,21 @@ func TestRebootLeavesOneChainPerLoop(t *testing.T) {
 		if err := c.Boot(0); err != nil {
 			t.Fatal(err)
 		}
-		c.Run(5 * sim.Millisecond)
+		mustRun(t, c, 5*sim.Millisecond)
 		if crash {
 			// Down for 50 µs: inside one heartbeat interval, one keepalive
 			// interval and one watchdog period.
 			c.CrashNode(victim)
-			c.Run(50 * sim.Microsecond)
+			mustRun(t, c, 50*sim.Microsecond)
 			c.RebootNode(victim)
 		}
 		if err := c.WaitHealed(50 * sim.Millisecond); err != nil {
 			t.Fatal(err)
 		}
-		c.Run(10 * sim.Millisecond)
+		mustRun(t, c, 10*sim.Millisecond)
 		acct := c.FrameAcct()
 		before := counts{c.Nodes[victim].HBSent, acct.Consumed[frameacct.ConsumeKeepalive], c.EventsFired()}
-		c.Run(window)
+		mustRun(t, c, window)
 		acct = c.FrameAcct()
 		return counts{
 			c.Nodes[victim].HBSent - before.hb,

@@ -337,7 +337,7 @@ func TestEvery(t *testing.T) {
 	c := New(Options{Nodes: 4, Switches: 2})
 	var ticks []sim.Time
 	if err := c.Every(3, sim.Millisecond, func() bool {
-		ticks = append(ticks, c.Now())
+		ticks = append(ticks, c.Nodes[3].K.Now())
 		return len(ticks) < 3
 	}); err != nil {
 		t.Fatal(err)
@@ -358,7 +358,7 @@ func TestEvery(t *testing.T) {
 			t.Errorf("Every(%d, %v): err = %v, want %q", tc.node, tc.d, err, tc.want)
 		}
 	}
-	c.Run(10 * sim.Millisecond)
+	mustRun(t, c, 10*sim.Millisecond)
 	want := []sim.Time{0, sim.Millisecond, 2 * sim.Millisecond}
 	if len(ticks) != len(want) {
 		t.Fatalf("ticks = %v, want %v", ticks, want)

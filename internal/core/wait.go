@@ -21,23 +21,16 @@ func (c *Cluster) stepUntil(pred func() bool, deadline, step sim.Time) bool {
 	// plan events and After(0) work are pending at Now, and the
 	// predicate must not observe the world as it was before they fire.
 	c.eng.RunUntil(c.eng.Now())
-	if pred() {
-		return true
-	}
-	for c.eng.Now() < deadline {
-		// A failed engine refuses to advance; without this check the
-		// loop would spin on a clock that never moves.
-		if c.Err() != nil {
-			return false
-		}
-		next := c.eng.Now() + step
-		if next > deadline {
-			next = deadline
-		}
-		c.eng.RunUntil(next)
+	// A failed engine refuses to advance: the loop would spin on a
+	// clock that never moves, and pred would probe a frozen world.
+	for c.Err() == nil {
 		if pred() {
 			return true
 		}
+		if c.eng.Now() >= deadline {
+			return false
+		}
+		c.eng.RunUntil(min(c.eng.Now()+step, deadline))
 	}
 	return false
 }

@@ -44,18 +44,20 @@ func E12Collectives(p Params) *Table {
 		n := 0
 		var fire func()
 		c.Node(0).Stack().Bind(101, func(_ ampip.Addr, _ uint16, _ []byte) {
-			rtts = append(rtts, c.Now()-start)
+			rtts = append(rtts, c.Nodes[0].K.Now()-start)
 			n++
 			if n < pings {
 				fire()
 			}
 		})
 		fire = func() {
-			start = c.Now()
+			start = c.Nodes[0].K.Now()
 			c.Node(0).Stack().SendTo(ampip.NodeToIP(1), 100, 101, make([]byte, 64))
 		}
 		c.Nodes[0].K.After(0, fire)
-		c.Run(20 * sim.Millisecond)
+		if failed(t, c.Run(20*sim.Millisecond)) {
+			return t
+		}
 		if len(rtts) > 0 {
 			var sum sim.Time
 			for _, r := range rtts {
@@ -74,7 +76,7 @@ func E12Collectives(p Params) *Table {
 		c.Node(3).Stack().Bind(200, func(_ ampip.Addr, _ uint16, data []byte) {
 			got += len(data)
 			if got >= total {
-				doneAt = c.Now()
+				doneAt = c.Nodes[3].K.Now()
 			}
 		})
 		startAt := c.Now()
@@ -83,7 +85,9 @@ func E12Collectives(p Params) *Table {
 				c.Node(2).Stack().SendTo(ampip.NodeToIP(3), 200, 200, make([]byte, dgram))
 			}
 		})
-		c.Run(100 * sim.Millisecond)
+		if failed(t, c.Run(100*sim.Millisecond)) {
+			return t
+		}
 		if doneAt > 0 {
 			mbps := float64(total) * 8 / (doneAt - startAt).Seconds() / 1e6
 			t.Add("stream (datagrams)", fmt.Sprint(total), (doneAt - startAt).String(), fmt.Sprintf("%.0f", mbps))
@@ -94,18 +98,23 @@ func E12Collectives(p Params) *Table {
 
 	// Collectives.
 	runColl := func(name string, start func(done func())) {
+		if c.Err() != nil {
+			return
+		}
 		var t0, t1 sim.Time
 		fired := false
 		c.Nodes[0].K.After(0, func() {
-			t0 = c.Now()
+			t0 = c.Nodes[0].K.Now()
 			start(func() {
 				if !fired {
 					fired = true
-					t1 = c.Now()
+					t1 = c.Nodes[0].K.Now()
 				}
 			})
 		})
-		c.Run(50 * sim.Millisecond)
+		if failed(t, c.Run(50*sim.Millisecond)) {
+			return
+		}
 		if fired {
 			t.Add(name, "-", (t1 - t0).String(), "-")
 		} else {

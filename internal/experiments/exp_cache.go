@@ -43,6 +43,7 @@ func E5Seqlock(p Params) *Table {
 			return true
 		}
 		stop := c.Now() + 20*sim.Millisecond
+		wk, rk := c.Nodes[0].K, c.Nodes[p.Nodes-1].K
 		_ = c.Every(0, wi, func() bool {
 			seq++
 			buf := make([]byte, 64)
@@ -50,7 +51,7 @@ func E5Seqlock(p Params) *Table {
 				buf[i] = seq
 			}
 			writer.WriteRecord(rec, buf)
-			return c.Now() < stop
+			return wk.Now() < stop
 		})
 		_ = c.Every(p.Nodes-1, 5*sim.Microsecond, func() bool {
 			if d, ok := reader.TryRead(rec); ok {
@@ -61,9 +62,11 @@ func E5Seqlock(p Params) *Table {
 			} else {
 				retries++
 			}
-			return c.Now() < stop
+			return rk.Now() < stop
 		})
-		c.Run(25 * sim.Millisecond)
+		if failed(t, c.Run(25*sim.Millisecond)) {
+			continue
+		}
 		total := clean + retries
 		t.Add(wi.String(), fmt.Sprint(total), fmt.Sprint(clean), fmt.Sprint(retries),
 			fmt.Sprintf("%.2f", 100*float64(retries)/float64(total)), fmt.Sprint(torn))
@@ -98,11 +101,12 @@ func E6Semaphores(p Params, opsPerNode int) *Table {
 		if left == 0 {
 			return
 		}
-		start := c.Now()
+		k := h.DK().K
+		start := k.Now()
 		h.Sem().Lock(42, func() {
-			lat = append(lat, float64(c.Now()-start)/1000)
+			lat = append(lat, float64(k.Now()-start)/1000)
 			v := shared
-			h.DK().K.After(2*sim.Microsecond, func() {
+			k.After(2*sim.Microsecond, func() {
 				shared = v + 1
 				var buf [8]byte
 				buf[0] = byte(shared)
@@ -119,6 +123,9 @@ func E6Semaphores(p Params, opsPerNode int) *Table {
 	// Contended locking takes a while; wait for the exact count (or
 	// give up after a generous window).
 	_ = c.WaitUntil(func() bool { return shared == nodes*opsPerNode }, 5*sim.Second)
+	if failed(t, c.Err()) {
+		return t
+	}
 	exact := "YES"
 	if shared != nodes*opsPerNode {
 		exact = "NO (lost updates)"
@@ -172,13 +179,16 @@ func E6aWriteThrough(p Params) *Table {
 			h := c.Node(i)
 			_ = c.Every(i, sim.Microsecond, func() bool {
 				if d, ok := h.Cache().TryRead(rec); ok && len(d) > 0 && d[0] == 0xAA {
-					arrive = append(arrive, c.Now()-start)
+					arrive = append(arrive, h.DK().K.Now()-start)
 					return false
 				}
 				return true
 			})
 		}
 		_ = c.WaitUntil(func() bool { return len(arrive) == nodes-1 }, 10*sim.Millisecond)
+		if failed(t, c.Err()) {
+			continue
+		}
 		if len(arrive) != nodes-1 {
 			t.Add(fmt.Sprint(nodes), fmt.Sprint(size), "INCOMPLETE", fmt.Sprint(len(arrive)))
 			continue

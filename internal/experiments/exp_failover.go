@@ -31,13 +31,19 @@ func E9Assimilation(p Params) *Table {
 			nd := c.Nodes[i]
 			nd.K.After(0, func() { nd.Boot() })
 		}
-		c.Run(30 * sim.Millisecond)
+		if failed(t, c.Run(30*sim.Millisecond)) {
+			continue
+		}
 		joiner := c.Node(p.Nodes - 1)
 		var onlineAt sim.Time
-		joiner.DK().OnOnline = func() { onlineAt = c.Now() } // exact stamp
+		joiner.DK().OnOnline = func() { onlineAt = joiner.DK().K.Now() } // exact stamp
 		bootAt := c.Now()
 		joiner.DK().Boot()
-		if err := c.WaitUntil(func() bool { return onlineAt != 0 }, 2*sim.Second); err != nil {
+		err := c.WaitUntil(func() bool { return onlineAt != 0 }, 2*sim.Second)
+		if failed(t, c.Err()) {
+			continue
+		}
+		if err != nil {
 			t.Add(fmt.Sprint(kb), "NEVER", "-", "FAIL")
 			continue
 		}
@@ -55,6 +61,9 @@ func E9Assimilation(p Params) *Table {
 			return 0x0100
 		}})
 		_ = c.Boot(0)
+		if failed(t, c.Err()) {
+			return t
+		}
 		verdict := "FAIL"
 		if c.Node(2).State().String() == "rejected" {
 			verdict = "rejected (correct)"
@@ -109,7 +118,9 @@ func E10Failover(p Params) *Table {
 			groups[0].CheckpointState(buf[:])
 			return true
 		})
-		c.Run(5 * sim.Millisecond)
+		if failed(t, c.Run(5*sim.Millisecond)) {
+			continue
+		}
 
 		var failAt, detectAt, tookAt sim.Time
 		var recovered uint64
@@ -118,14 +129,14 @@ func E10Failover(p Params) *Table {
 		mgrHook := c.Node(1).DK().OnPeerDown
 		c.Node(1).DK().OnPeerDown = func(id int) {
 			if id == 0 && detectAt == 0 {
-				detectAt = c.Now()
+				detectAt = c.Nodes[1].K.Now()
 			}
 			if mgrHook != nil {
 				mgrHook(id)
 			}
 		}
 		groups[1].OnTakeover = func(state []byte) {
-			tookAt = c.Now()
+			tookAt = c.Nodes[1].K.Now()
 			if state != nil {
 				recovered = binary.LittleEndian.Uint64(state)
 			}
@@ -137,6 +148,9 @@ func E10Failover(p Params) *Table {
 			return t
 		}
 		_ = c.WaitUntil(func() bool { return tookAt != 0 }, 50*sim.Millisecond)
+		if failed(t, c.Err()) {
+			continue
+		}
 
 		loss := "NONE"
 		// The survivor must recover the last committed checkpoint or the
@@ -189,7 +203,9 @@ func E11SelfHealVsBaseline(p Params) *Table {
 			Count:       int(runFor / sendEvery),
 		})
 		_ = c.WaitUntil(a.Done, runFor+10*sim.Millisecond)
-		c.Run(10 * sim.Millisecond)
+		if failed(t, c.Run(10*sim.Millisecond)) {
+			return t
+		}
 		rep := a.Report()
 		t.Add("AmpNet (rostering)", sim.Time(rep.MaxGapNS).String(),
 			fmt.Sprint(rep.Sent-rep.Delivered), "yes")

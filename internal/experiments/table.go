@@ -31,6 +31,15 @@ func (t *Table) Note(format string, args ...any) {
 	t.Notes = append(t.Notes, fmt.Sprintf(format, args...))
 }
 
+// failed notes a cluster's sticky engine failure, if err is one: the
+// caller then adds no row for the dead run.
+func failed(t *Table, err error) bool {
+	if err != nil {
+		t.Note("engine failed: %v", err)
+	}
+	return err != nil
+}
+
 // Fprint renders the table with aligned columns.
 func (t *Table) Fprint(w io.Writer) {
 	fmt.Fprintf(w, "\n%s — %s\n", t.ID, t.Title)

@@ -163,7 +163,7 @@ type Engine struct {
 
 	actions []action
 	// inWindow is set while a window is granted: the only time shard
-	// context runs, and the only time Schedule must refuse.
+	// context runs, and the only time Schedule and Now must refuse.
 	inWindow bool
 	// parked is set while the kernels stand on an action's instant they
 	// were advanced to and no window has run through it yet.
@@ -298,14 +298,17 @@ func (e *Engine) fail(err error) {
 	}
 }
 
-// Now returns the engine's virtual time: every kernel is at this
-// instant whenever the driver can observe the simulation. With one
-// kernel it is that kernel's clock, so a callback reading it from
-// inside an event sees the firing event's instant, not the window
-// start.
+// refusal is what Now and Schedule panic with from inside a window,
+// where runShard turns it into the run's sticky error.
+const refusal = "parsim: engine clock or action queue used from inside a window; read the event's own kernel, install plans from driver context"
+
+// Now returns the engine's virtual time: every kernel is parked on
+// this instant whenever the driver can observe the simulation. It is
+// driver-context only, like Schedule: an event callback reads the clock
+// of the kernel it runs on, and from inside a window Now panics.
 func (e *Engine) Now() sim.Time {
-	if len(e.Kernels) == 1 {
-		return e.Kernels[0].Now()
+	if e.inWindow {
+		panic(refusal)
 	}
 	return e.now
 }
@@ -321,11 +324,12 @@ func (e *Engine) Lookahead() sim.Time { return e.lookahead }
 //
 // Schedule is driver-context only (between RunUntil calls, or from
 // another action). From inside a window — an event callback — it
-// panics: the queue is coordinator state, and an action landing before
-// the running window's end would pull the clock backwards.
+// refuses, as Now does: the queue is coordinator state, and an action
+// landing before the running window's end would pull the clock
+// backwards.
 func (e *Engine) Schedule(t sim.Time, fn func()) {
 	if e.inWindow {
-		panic("parsim: action scheduled from inside a window; install plans from driver context")
+		panic(refusal)
 	}
 	if t < e.now {
 		panic(fmt.Sprintf("parsim: action at %v before now %v", t, e.now))
@@ -456,14 +460,6 @@ func (e *Engine) runShard(rec *telemetry.Recorder, i int, target sim.Time, start
 // shard (a decoupled phase, traffic localized) wakes nobody, nor does
 // one that follows a light window.
 func (e *Engine) grant(target sim.Time) error {
-	if len(e.Kernels) == 1 {
-		// One shard: run it here, on the driver goroutine; a model
-		// panic propagates to the caller with its own stack.
-		start := e.rec.Begin()
-		e.Kernels[0].RunUntil(target)
-		e.rec.Shard(0, telemetry.SpanRun, start, int64(target))
-		return nil
-	}
 	e.busy = e.busy[:0]
 	for i, k := range e.Kernels {
 		if nt, ok := k.NextEventTime(); ok && nt <= target {

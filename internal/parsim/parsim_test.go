@@ -113,22 +113,31 @@ func TestActionsRunBeforeInstantEvents(t *testing.T) {
 	}
 }
 
-// TestOneKernelContract pins the scheduling contract every unsharded
-// cluster runs on — a one-kernel engine with unbounded lookahead: events
-// before t, then the action at t, then model events at t (including a
-// zero-delay event the action schedules); RunUntil inclusive with the
-// clock exactly on the deadline; Now inside an event is the event's
-// instant; and the MaxTime lookahead never overflows a window end.
-func TestOneKernelContract(t *testing.T) {
+// oneShard is the engine every unsharded cluster runs on: one kernel,
+// unbounded lookahead.
+func oneShard(t *testing.T) (*Engine, *sim.Kernel) {
+	t.Helper()
 	k := sim.NewKernel(1)
 	e, err := New([]*sim.Kernel{k}, []*phys.Net{phys.NewNet(k)}, sim.MaxTime)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(e.Shutdown)
+	return e, k
+}
+
+// TestOneKernelContract pins the scheduling contract of the one-shard
+// engine: events before t, then the action at t, then model events at
+// t (including a zero-delay event the action schedules); RunUntil
+// inclusive with the clock exactly on the deadline; an event reads its
+// kernel's clock, and reading the engine's from inside a window ends the
+// run with the refusal; and the MaxTime lookahead never overflows a
+// window end.
+func TestOneKernelContract(t *testing.T) {
+	e, k := oneShard(t)
 	var order []string
 	note := func(s string) func() {
-		return func() { order = append(order, fmt.Sprintf("%s@%d", s, e.Now())) }
+		return func() { order = append(order, fmt.Sprintf("%s@%d", s, k.Now())) }
 	}
 	k.At(4999, note("before"))
 	k.At(5000, note("model"))
@@ -150,6 +159,14 @@ func TestOneKernelContract(t *testing.T) {
 	}
 	if got := e.RunUntil(sim.MaxTime); got != sim.MaxTime || order[len(order)-1] != "past-deadline@6001" {
 		t.Fatalf("RunUntil(MaxTime) = %v, order %v", got, order)
+	}
+
+	e, k = oneShard(t)
+	k.At(10, func() { _ = e.Now() })
+	k.At(11, func() { t.Error("the run went on past the refused read") })
+	e.RunUntil(100)
+	if err := e.Err(); err == nil || !strings.Contains(err.Error(), refusal) || !strings.Contains(err.Error(), "shard 0") {
+		t.Fatalf("an event reading the engine clock ended the run with %v, want the refusal naming shard 0", err)
 	}
 }
 
@@ -174,24 +191,31 @@ func TestDeferredRoutesApplyAtBarrier(t *testing.T) {
 
 // TestShardPanicPropagates: a model panic inside a shard's window must
 // surface as a sticky engine error naming the shard and window — never
-// a hang, never a torn-down process.
+// a hang, never a torn-down process, at one shard as at two.
 func TestShardPanicPropagates(t *testing.T) {
+	one, k := oneShard(t)
 	r := newRig(t)
-	r.k[1].At(3000, func() { panic("injected model failure") })
-	r.e.RunUntil(10 * sim.Microsecond)
-	err := r.e.Err()
-	if err == nil {
-		t.Fatal("shard panic did not surface as an engine error")
-	}
-	for _, want := range []string{"shard 1", "injected model failure"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Fatalf("error %q does not mention %q", err, want)
+	for _, tc := range []struct {
+		e     *Engine
+		k     *sim.Kernel
+		shard string
+	}{{one, k, "shard 0"}, {r.e, r.k[1], "shard 1"}} {
+		tc.k.At(3000, func() { panic("injected model failure") })
+		tc.e.RunUntil(10 * sim.Microsecond)
+		err := tc.e.Err()
+		if err == nil {
+			t.Fatalf("%d shards: shard panic did not surface as an engine error", len(tc.e.Kernels))
 		}
-	}
-	// The engine is now stuck: further runs refuse to advance.
-	before := r.e.Now()
-	if r.e.RunUntil(20*sim.Microsecond) != before {
-		t.Fatal("engine advanced past a sticky failure")
+		for _, want := range []string{tc.shard, "window ending", "injected model failure"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Fatalf("error %q does not mention %q", err, want)
+			}
+		}
+		// The engine is now stuck: further runs refuse to advance.
+		before := tc.e.Now()
+		if tc.e.RunUntil(20*sim.Microsecond) != before {
+			t.Fatal("engine advanced past a sticky failure")
+		}
 	}
 }
 

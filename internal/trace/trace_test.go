@@ -26,7 +26,9 @@ func TestTimelineCapturesLifecycle(t *testing.T) {
 	}
 
 	c.CrashNode(2)
-	c.Run(30 * sim.Millisecond)
+	if err := c.Run(30 * sim.Millisecond); err != nil {
+		t.Fatal(err)
+	}
 	downs := tr.Filter(KindPeerDown)
 	if len(downs) == 0 {
 		t.Fatal("no peer-down events after crash")
@@ -126,7 +128,9 @@ func TestFrameLossAndTrunkFailTimeline(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	c.Run(30 * sim.Millisecond)
+	if err := c.Run(30 * sim.Millisecond); err != nil {
+		t.Fatal(err)
+	}
 
 	cuts := tr.Filter(KindTrunkFail)
 	if len(cuts) != 1 || cuts[0].Arg != 0 {
@@ -161,7 +165,9 @@ func TestObserverChainingPreserved(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.CrashNode(0)
-	c.Run(30 * sim.Millisecond)
+	if err := c.Run(30 * sim.Millisecond); err != nil {
+		t.Fatal(err)
+	}
 	want := 0
 	for _, e := range tr.Filter(KindFrameLoss) {
 		if strings.Contains(e.Text, "(net 0)") {
@@ -188,7 +194,9 @@ func TestEngineFenceTimeline(t *testing.T) {
 	if err := c.Install(core.Plan{core.CrashNode(5*sim.Millisecond, 3)}); err != nil {
 		t.Fatal(err)
 	}
-	c.Run(30 * sim.Millisecond)
+	if err := c.Run(30 * sim.Millisecond); err != nil {
+		t.Fatal(err)
+	}
 	acts := tr.Filter(KindActionRun)
 	if len(acts) != 1 || acts[0].Text != "crash-node 3" {
 		t.Fatalf("action events = %+v, want one crash-node 3", acts)
@@ -211,7 +219,9 @@ func TestEngineFenceTimeline(t *testing.T) {
 	if err := s.Install(core.Plan{core.CrashNode(5*sim.Millisecond, 3)}); err != nil {
 		t.Fatal(err)
 	}
-	s.Run(30 * sim.Millisecond)
+	if err := s.Run(30 * sim.Millisecond); err != nil {
+		t.Fatal(err)
+	}
 	if len(trs.Filter(KindActionRun)) != 1 {
 		t.Fatalf("serial action events = %+v", trs.Filter(KindActionRun))
 	}
@@ -247,7 +257,9 @@ func TestPeerDownStampIsShardCountInvariant(t *testing.T) {
 		if err := c.Install(core.Plan{core.CrashNode(1137*sim.Microsecond, 7)}); err != nil {
 			t.Fatal(err)
 		}
-		c.Run(10 * sim.Millisecond)
+		if err := c.Run(10 * sim.Millisecond); err != nil {
+			t.Fatal(err)
+		}
 		return tr.Filter(KindPeerDown)
 	}
 	one, two := downs(1), downs(2)
