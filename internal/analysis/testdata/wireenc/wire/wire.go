@@ -1,5 +1,5 @@
-// Package wire stands in for repro/internal/wire: the codec registry
-// owns frame layout, so index+shift composition is legal here.
+// Package wire stands in for repro/internal/wire: it owns frame
+// layout, so index+shift composition is legal here.
 package wire
 
 func Decode16(b []byte) uint16 {

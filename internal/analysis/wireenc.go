@@ -8,8 +8,9 @@ import (
 
 // Wireenc forbids hand-rolled wire byte layout outside internal/wire.
 //
-// The rule: every MicroPacket frame layout lives in the versioned
-// codec registry of repro/internal/wire precisely so that
+// The rule: every MicroPacket frame layout lives in
+// repro/internal/wire, keyed by one switch on the format version,
+// precisely so that
 // no second copy of "which byte means what" can drift from the golden
 // vectors. A multi-byte field composed by indexing and shifting a
 // byte buffer — `uint32(b[4])<<8 | uint32(b[3])` or
@@ -26,7 +27,7 @@ import (
 // and writes (flags, tags, masks of one byte) are untouched.
 var Wireenc = &Rule{
 	Name:   "wireenc",
-	Except: []string{"wire"}, // the codec registry owns frame layout
+	Except: []string{"wire"}, // internal/wire owns frame layout
 	Run:    runWireenc,
 }
 

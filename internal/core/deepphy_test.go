@@ -3,10 +3,13 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 
+	"repro/internal/ampdk"
 	"repro/internal/micropacket"
 	"repro/internal/netcache"
+	"repro/internal/phys"
 	"repro/internal/sim"
 )
 
@@ -69,6 +72,52 @@ func TestDeepPHYReportIdentical(t *testing.T) {
 					t.Errorf("DeepPHY report diverged from plain PHY\n--- plain ---\n%s--- deep ---\n%s", plain.JSON(), deep.JSON())
 				}
 			})
+		}
+	}
+}
+
+// TestDeepPHYEncodeFailureIsNamedError: a packet the wire encoder
+// refuses is a model fault, not a line error. Plain PHY would deliver
+// it, so counting it as a CRC loss would break the promise of
+// TestDeepPHYReportIdentical without a word; instead the run ends with
+// an error naming the packet and the encoder's refusal, at one shard
+// and at two.
+func TestDeepPHYEncodeFailureIsNamedError(t *testing.T) {
+	topo := phys.Sharded(2, 4, 2, 50)
+	for _, tc := range []struct {
+		name string
+		pkt  func() *micropacket.Packet
+	}{
+		{"data-with-bytes", func() *micropacket.Packet {
+			p := micropacket.NewData(0, 1, ampdk.TagApp, nil)
+			p.Data = []byte{1, 2, 3}
+			return p
+		}},
+		{"dma-length", func() *micropacket.Packet {
+			p := micropacket.NewDMA(0, 1, micropacket.DMAHeader{Channel: 1}, []byte{1, 2, 3, 4})
+			p.DMA.Length = 9
+			return p
+		}},
+	} {
+		for _, shards := range []int{1, 2} {
+			c := New(Options{Fabric: &topo, Shards: shards, DeepPHY: true})
+			defer c.Close()
+			if err := c.Boot(0); err != nil {
+				t.Fatal(err)
+			}
+			mustRun(t, c, sim.Millisecond)
+			pkt := tc.pkt()
+			c.Nodes[0].K.After(100*sim.Microsecond, func() { c.Nodes[0].Station.Send(pkt) })
+			err := c.Run(sim.Millisecond)
+			want := []string{"shard 0 panicked in window", "DeepPHY cannot encode", pkt.String(), micropacket.ErrLengthMism.Error()}
+			for _, w := range want {
+				if err == nil || !strings.Contains(err.Error(), w) {
+					t.Fatalf("%s shards=%d: run ended with %v, want an error containing %q", tc.name, shards, err, w)
+				}
+			}
+			if a := c.FrameAcct(); a.CRCDrops() != 0 {
+				t.Fatalf("%s shards=%d: the refused packet was counted as %d CRC drops", tc.name, shards, a.CRCDrops())
+			}
 		}
 	}
 }

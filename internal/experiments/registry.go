@@ -136,6 +136,8 @@ func All() []Spec {
 		{ID: "e16", Short: "sharding is invisible: cut-aware partition, lookahead, serial-identical reports vs shards",
 			Defaults: Params{Nodes: 96, Switches: 8},
 			Run:      E16ScalingEfficiency},
+		{ID: "e18", Short: "one link vs M/D/1: mean wait and busy period against the closed form",
+			Run: E18MD1Link},
 	}
 }
 

@@ -54,7 +54,7 @@ func TestDeepPHYCleanDelivery(t *testing.T) {
 func TestDeepPHYCorruptionDiscarded(t *testing.T) {
 	payload := []byte{1, 2, 3, 4, 5, 6, 7, 8}
 	ref := micropacket.NewData(1, 2, 7, payload)
-	syms, _ := wire.EncodeSymbols(wire.MustForVersion(wire.V1), ref, enc8b10b.NewEncoder())
+	syms, _ := wire.EncodeSymbols(wire.V1, ref, enc8b10b.NewEncoder())
 	nSyms := len(syms)
 
 	delivered, dropped := 0, 0

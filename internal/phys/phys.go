@@ -608,21 +608,19 @@ func (n *Net) CompleteDelivery(dst *Port, f Frame, link *Link, epoch uint64) {
 // the receive-side decode at dst. It returns the received packet, or
 // ok=false when the hardware would discard the frame. Each frame starts
 // from the canonical negative running disparity (frames are separated
-// by idle fill words that re-establish it).
+// by idle fill words that re-establish it). A packet that cannot be
+// encoded is a model fault, not a line error: it panics with the packet
+// and the error, which the engine turns into the run's Err.
 func (n *Net) deepPath(dst *Port, f Frame) (*micropacket.Packet, bool) {
-	codec, err := wire.ForVersion(n.Wire)
-	if err != nil {
-		return nil, false
-	}
 	// The bytes and symbols on the fiber, and the packet they decode to,
 	// live in the Net's scratch, so a hop allocates nothing.
-	raw, err := codec.AppendEncode(n.deepRaw[:0], f.Pkt)
+	raw, err := wire.AppendEncode(n.deepRaw[:0], n.Wire, f.Pkt)
 	if err != nil {
-		return nil, false
+		panic(fmt.Sprintf("phys: DeepPHY cannot encode %v: %v", f.Pkt, err))
 	}
 	syms, err := wire.AppendSymbols(n.deepSyms[:0], raw, enc8b10b.NewEncoder())
 	if err != nil {
-		return nil, false
+		panic(fmt.Sprintf("phys: DeepPHY cannot line-code %v: %v", f.Pkt, err))
 	}
 	n.deepRaw, n.deepSyms = raw, syms
 	if n.Corrupt != nil {

@@ -63,17 +63,32 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 func pad4(n int) int { return (n + 3) &^ 3 }
 
-// appendFrame appends SOF + body + CRC + EOF to dst for one codec: the
-// caller provides the control block and the shared payload section is
-// appended here, so both versions pad and checksum identically. The
-// frame is built in place — the CRC is taken over the body where it
-// lies — so encoding into a buffer with room allocates nothing.
-func appendFrame(dst []byte, v Version, p *micropacket.Packet, ctrl []byte) ([]byte, error) {
+// AppendEncode serializes p under version v, appending the frame to
+// dst: SOF, v's control block, the payload section both versions
+// share, CRC and EOF. The frame is built in place — the CRC is taken
+// over the body where it lies — so with room in dst it allocates
+// nothing. It fails for an unknown version, an invalid packet, or a
+// node address that does not fit v's address space.
+func AppendEncode(dst []byte, v Version, p *micropacket.Packet) ([]byte, error) {
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
 	size := Size(v, p.Type, len(p.Data))
 	dst = slices.Grow(dst, size)
 	start := len(dst)
 	dst = append(dst, enc8b10b.K28_5, sofByte1, sofByte2, formatByte(v, p.Type.Variable()))
-	dst = append(dst, ctrl...)
+	var err error
+	switch v {
+	case V1:
+		dst, err = appendV1Control(dst, p)
+	case V2:
+		dst = appendV2Control(dst, p)
+	default:
+		err = fmt.Errorf("wire: unknown wire-format version %d", uint8(v))
+	}
+	if err != nil {
+		return nil, err
+	}
 	if p.Type.Variable() {
 		dst = append(dst, p.DMA.Channel, p.DMA.Region, p.DMA.Length, p.DMA.Seq)
 		dst = binary.LittleEndian.AppendUint32(dst, p.DMA.Offset)
@@ -176,9 +191,9 @@ func decodePayload(p *micropacket.Packet, rest []byte, variable bool) error {
 func decodeInto(v Version, buf []byte, p *micropacket.Packet) error {
 	switch v {
 	case V1:
-		return v1Codec{}.decodeInto(buf, p)
+		return decodeV1(buf, p)
 	case V2:
-		return v2Codec{}.decodeInto(buf, p)
+		return decodeV2(buf, p)
 	}
 	return ErrBadSOF
 }
@@ -200,11 +215,11 @@ func decode(v Version, buf []byte) (*micropacket.Packet, error) {
 }
 
 // EncodeSymbols serializes the packet all the way to FC-1 10-bit
-// symbols under codec c, using the supplied encoder (which carries
+// symbols under version v, using the supplied encoder (which carries
 // link running disparity). The SOF and EOF K28.5 openers are emitted
 // as control characters.
-func EncodeSymbols(c Codec, p *micropacket.Packet, enc *enc8b10b.Encoder) ([]enc8b10b.Symbol, error) {
-	raw, err := c.AppendEncode(nil, p)
+func EncodeSymbols(v Version, p *micropacket.Packet, enc *enc8b10b.Encoder) ([]enc8b10b.Symbol, error) {
+	raw, err := AppendEncode(nil, v, p)
 	if err != nil {
 		return nil, err
 	}

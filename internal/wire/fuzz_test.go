@@ -19,8 +19,8 @@ import (
 // Decode.
 func FuzzDecode(f *testing.F) {
 	for _, g := range goldenPackets() {
-		for _, c := range codecs() {
-			if raw, err := c.Encode(g.pkt); err == nil {
+		for _, v := range Versions() {
+			if raw, err := Encode(v, g.pkt); err == nil {
 				f.Add(raw)
 			}
 		}
@@ -43,7 +43,7 @@ func FuzzDecode(f *testing.F) {
 		if err := p.Validate(); err != nil {
 			t.Fatalf("decoded invalid packet: %v", err)
 		}
-		re, err := encodeBothWays(t, MustForVersion(v), p)
+		re, err := encodeBothWays(t, v, p)
 		if err != nil {
 			t.Fatalf("decoded packet does not re-encode under %v: %v", v, err)
 		}
@@ -52,7 +52,7 @@ func FuzzDecode(f *testing.F) {
 		}
 		// The line code both ways as well: symbols appended behind a
 		// dirty prefix equal EncodeSymbols', and decode to the frame.
-		syms, err := EncodeSymbols(MustForVersion(v), p, enc8b10b.NewEncoder())
+		syms, err := EncodeSymbols(v, p, enc8b10b.NewEncoder())
 		if err != nil {
 			t.Fatalf("accepted frame does not line-code: %v", err)
 		}
@@ -104,9 +104,9 @@ func TestDecodeMutatedFramesNeverInvalid(t *testing.T) {
 		rnd ^= rnd << 17
 		return rnd
 	}
-	for _, c := range codecs() {
+	for _, v := range Versions() {
 		for _, p := range base {
-			raw, err := c.Encode(p)
+			raw, err := Encode(v, p)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -121,14 +121,14 @@ func TestDecodeMutatedFramesNeverInvalid(t *testing.T) {
 					continue
 				}
 				if q.Validate() != nil {
-					t.Fatalf("%v: accepted invalid packet from mutation: %v", c.Version(), q)
+					t.Fatalf("%v: accepted invalid packet from mutation: %v", v, q)
 				}
 				// If the body survived (CRC matched), contents must be
 				// byte-identical to the original.
 				if q.Type == p.Type && q.Src == p.Src && q.Dst == p.Dst {
 					continue
 				}
-				t.Fatalf("%v: CRC accepted altered contents: %v vs %v", c.Version(), q, p)
+				t.Fatalf("%v: CRC accepted altered contents: %v vs %v", v, q, p)
 			}
 		}
 	}

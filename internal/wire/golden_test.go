@@ -16,8 +16,8 @@ import (
 
 // Golden wire vectors: one checked-in hex frame per packet type (plus
 // broadcast and DMA length edge cases) for every format version. The
-// v1 file was generated by the pre-registry encoder, so the registry's
-// v1 codec can never silently drift the historical bytes; the v2 file
+// v1 file was generated by the original single-version encoder, so v1
+// can never silently drift the historical bytes; the v2 file
 // pins the widened layout the same way. Regenerate after an
 // intentional format change with
 //
@@ -58,22 +58,22 @@ func goldenPackets() []struct {
 // encodeBothWays encodes p with the allocating wrapper and with the
 // append form into a dirty, oversized buffer behind a prefix that must
 // survive, requires the same outcome from both, and returns the frame.
-func encodeBothWays(t *testing.T, c Codec, p *mp.Packet) ([]byte, error) {
+func encodeBothWays(t *testing.T, v Version, p *mp.Packet) ([]byte, error) {
 	t.Helper()
-	raw, err := c.Encode(p)
+	raw, err := Encode(v, p)
 	dst := bytes.Repeat([]byte{0xA5}, 512)[:3]
-	out, aerr := c.AppendEncode(dst, p)
+	out, aerr := AppendEncode(dst, v, p)
 	if (err == nil) != (aerr == nil) {
-		t.Fatalf("%v: Encode error %v, AppendEncode error %v", c.Version(), err, aerr)
+		t.Fatalf("%v: Encode error %v, AppendEncode error %v", v, err, aerr)
 	}
 	if err != nil {
 		return nil, err
 	}
 	if &out[0] != &dst[0] || !bytes.Equal(out[:3], []byte{0xA5, 0xA5, 0xA5}) {
-		t.Fatalf("%v: AppendEncode did not append in place behind its prefix", c.Version())
+		t.Fatalf("%v: AppendEncode did not append in place behind its prefix", v)
 	}
 	if !bytes.Equal(out[3:], raw) {
-		t.Fatalf("%v: AppendEncode into a dirty buffer differs from Encode:\n got  %x\n want %x", c.Version(), out[3:], raw)
+		t.Fatalf("%v: AppendEncode into a dirty buffer differs from Encode:\n got  %x\n want %x", v, out[3:], raw)
 	}
 	return raw, nil
 }
@@ -111,15 +111,14 @@ func readGolden(t *testing.T, path string) map[string][]byte {
 }
 
 func TestGoldenVectors(t *testing.T) {
-	for _, c := range codecs() {
-		c := c
-		t.Run(c.Version().String(), func(t *testing.T) {
-			path := filepath.Join("testdata", fmt.Sprintf("golden_%s.txt", c.Version()))
+	for _, v := range Versions() {
+		t.Run(v.String(), func(t *testing.T) {
+			path := filepath.Join("testdata", fmt.Sprintf("golden_%s.txt", v))
 			pkts := goldenPackets()
 			if *updateGoldens {
 				var out bytes.Buffer
 				for _, g := range pkts {
-					raw, err := c.Encode(g.pkt)
+					raw, err := Encode(v, g.pkt)
 					if err != nil {
 						t.Fatalf("%s: %v", g.name, err)
 					}
@@ -136,23 +135,23 @@ func TestGoldenVectors(t *testing.T) {
 				t.Fatalf("%s has %d vectors, menu has %d", path, len(want), len(pkts))
 			}
 			for _, g := range pkts {
-				raw, err := encodeBothWays(t, c, g.pkt)
+				raw, err := encodeBothWays(t, v, g.pkt)
 				if err != nil {
 					t.Fatalf("%s: %v", g.name, err)
 				}
 				if !bytes.Equal(raw, want[g.name]) {
-					t.Errorf("%s %s drifted:\n got  %x\n want %x", c.Version(), g.name, raw, want[g.name])
+					t.Errorf("%s %s drifted:\n got  %x\n want %x", v, g.name, raw, want[g.name])
 					continue
 				}
 				// And the golden frame must decode back to the packet.
-				q, v, err := Decode(want[g.name])
-				if err != nil || v != c.Version() {
-					t.Fatalf("%s %s: golden frame does not decode: %v", c.Version(), g.name, err)
+				q, got, err := Decode(want[g.name])
+				if err != nil || got != v {
+					t.Fatalf("%s %s: golden frame does not decode: %v", v, g.name, err)
 				}
 				if q.Type != g.pkt.Type || q.Src != g.pkt.Src || q.Dst != g.pkt.Dst ||
 					q.Tag != g.pkt.Tag || q.Flags != g.pkt.Flags ||
 					q.Payload != g.pkt.Payload || !bytes.Equal(q.Data, g.pkt.Data) {
-					t.Fatalf("%s %s: golden decode mismatch: %+v", c.Version(), g.name, q)
+					t.Fatalf("%s %s: golden decode mismatch: %+v", v, g.name, q)
 				}
 			}
 		})

@@ -5,8 +5,8 @@ import "repro/internal/micropacket"
 // v1 is the seed wire format, byte-exact with the original
 // single-version encoder: a 4-byte control word {type<<4|flags, src,
 // dst, tag} with one-byte node addresses and 0xFF broadcast. The
-// golden vectors in testdata/golden_v1.txt were generated by the
-// pre-registry encoder and pin this layout forever.
+// golden vectors in testdata/golden_v1.txt were generated by that
+// encoder and pin this layout forever.
 
 // v1 wire sizes.
 const (
@@ -20,14 +20,6 @@ const (
 // maps to the in-memory micropacket.Broadcast (0xFFFF) on decode.
 const v1Broadcast = 0xFF
 
-type v1Codec struct{}
-
-func (v1Codec) Version() Version { return V1 }
-
-func (v1Codec) WireSize(t micropacket.Type, payloadLen int) int {
-	return Size(V1, t, payloadLen)
-}
-
 // v1Addr narrows an in-memory address to the v1 wire byte.
 func v1Addr(id micropacket.NodeID) (byte, bool) {
 	if id == micropacket.Broadcast {
@@ -39,27 +31,19 @@ func v1Addr(id micropacket.NodeID) (byte, bool) {
 	return byte(id), true
 }
 
-func (c v1Codec) Encode(p *micropacket.Packet) ([]byte, error) { return c.AppendEncode(nil, p) }
-
-func (v1Codec) AppendEncode(dst []byte, p *micropacket.Packet) ([]byte, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	src, ok := v1Addr(p.Src)
-	if !ok {
+// appendV1Control appends p's v1 control block to dst. It fails if a
+// node address does not fit one byte.
+func appendV1Control(dst []byte, p *micropacket.Packet) ([]byte, error) {
+	src, okSrc := v1Addr(p.Src)
+	to, okDst := v1Addr(p.Dst)
+	if !okSrc || !okDst {
 		return nil, ErrAddrRange
 	}
-	to, ok := v1Addr(p.Dst)
-	if !ok {
-		return nil, ErrAddrRange
-	}
-	ctrl := [v1CtrlLen]byte{byte(p.Type)<<4 | byte(p.Flags&0xF), src, to, p.Tag}
-	return appendFrame(dst, V1, p, ctrl[:])
+	return append(dst, byte(p.Type)<<4|byte(p.Flags&0xF), src, to, p.Tag), nil
 }
 
-func (v1Codec) Decode(buf []byte) (*micropacket.Packet, error) { return decode(V1, buf) }
-
-func (v1Codec) decodeInto(buf []byte, p *micropacket.Packet) error {
+// decodeV1 parses a v1 frame into p.
+func decodeV1(buf []byte, p *micropacket.Packet) error {
 	body, variable, err := openFrame(V1, buf, v1FixedWire)
 	if err != nil {
 		return err

@@ -29,31 +29,16 @@ const (
 	v2MaxVarWire = sofLen + v2CtrlLen + dmaLen + micropacket.MaxPayload + crcLen + eofLen // 92 bytes
 )
 
-type v2Codec struct{}
-
-func (v2Codec) Version() Version { return V2 }
-
-func (v2Codec) WireSize(t micropacket.Type, payloadLen int) int {
-	return Size(V2, t, payloadLen)
+// appendV2Control appends p's v2 control block to dst.
+func appendV2Control(dst []byte, p *micropacket.Packet) []byte {
+	dst = append(dst, byte(p.Type)<<4|byte(p.Flags&0xF), p.Tag)
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(p.Src))
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(p.Dst))
+	return append(dst, 0, 0)
 }
 
-func (c v2Codec) Encode(p *micropacket.Packet) ([]byte, error) { return c.AppendEncode(nil, p) }
-
-func (v2Codec) AppendEncode(dst []byte, p *micropacket.Packet) ([]byte, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	var ctrl [v2CtrlLen]byte
-	ctrl[0] = byte(p.Type)<<4 | byte(p.Flags&0xF)
-	ctrl[1] = p.Tag
-	binary.LittleEndian.PutUint16(ctrl[2:4], uint16(p.Src))
-	binary.LittleEndian.PutUint16(ctrl[4:6], uint16(p.Dst))
-	return appendFrame(dst, V2, p, ctrl[:])
-}
-
-func (v2Codec) Decode(buf []byte) (*micropacket.Packet, error) { return decode(V2, buf) }
-
-func (v2Codec) decodeInto(buf []byte, p *micropacket.Packet) error {
+// decodeV2 parses a v2 frame into p.
+func decodeV2(buf []byte, p *micropacket.Packet) error {
 	body, variable, err := openFrame(V2, buf, v2FixedWire)
 	if err != nil {
 		return err

@@ -1,9 +1,10 @@
 // Package wire is AmpNet's versioned MicroPacket wire-format
-// subsystem: a codec registry that owns the frame layout per format
-// version. Frame layout used to live inside internal/micropacket with
-// a single hard-coded format; versioning it is what lets the fabric
-// scale past the one-byte address ceiling without silently changing a
-// single bit of the historical encoding.
+// subsystem: it owns the frame layout, and a format version is a value
+// that one switch on encode and one on decode key on. Frame layout
+// used to live inside internal/micropacket with a single hard-coded
+// format; versioning it is what lets the fabric scale past the
+// one-byte address ceiling without silently changing a single bit of
+// the historical encoding.
 //
 //	v1 — the seed format: one-byte node addresses (255 nodes max,
 //	     0xFF broadcast). Byte-exact with the original encoder; the
@@ -14,7 +15,7 @@
 // The version travels in the SOF ordered set's format byte, next to
 // the fixed/variable bit the original format already carried there
 // (see the format-byte scheme below), so a receiver can dispatch a
-// frame to the right codec from the first word — exactly how the
+// frame on its version from the first word — exactly how the
 // hardware would key its deframer.
 //
 // Shared framing (both versions; reconstructed from slides 5–6 plus
@@ -38,7 +39,7 @@ import (
 // Version identifies a wire-format version.
 type Version uint8
 
-// The registered wire-format versions. The zero Version means "auto":
+// The wire-format versions. The zero Version means "auto":
 // topology/options layers resolve it to the smallest version whose
 // address space fits the fabric (see phys.Topology.WireVersion).
 const (
@@ -46,11 +47,8 @@ const (
 	V2 Version = 2 // uint16 little-endian addresses
 )
 
-// Valid reports whether v names a registered format version.
-func (v Version) Valid() bool {
-	_, ok := registry[v]
-	return ok
-}
+// Valid reports whether v names a format version.
+func (v Version) Valid() bool { return v.MaxNodes() != 0 }
 
 // String renders "v1" / "v2" ("auto" for the zero value).
 func (v Version) String() string {
@@ -88,63 +86,12 @@ func Parse(s string) (Version, error) {
 	}
 }
 
-// Codec encodes and decodes MicroPackets for one format version.
-type Codec interface {
-	// Version names the format the codec implements.
-	Version() Version
-	// WireSize returns the encoded frame size for a packet of type t
-	// carrying payloadLen variable bytes (ignored for fixed types).
-	WireSize(t micropacket.Type, payloadLen int) int
-	// Encode serializes the packet. It fails if a node address does
-	// not fit the version's address space.
-	Encode(p *micropacket.Packet) ([]byte, error)
-	// AppendEncode is Encode appending the frame to dst (Encode is the
-	// dst == nil case): with room in dst it allocates nothing.
-	AppendEncode(dst []byte, p *micropacket.Packet) ([]byte, error)
-	// Decode parses a frame of this codec's version.
-	Decode(buf []byte) (*micropacket.Packet, error)
-}
-
-// registry maps versions to codecs. It is written only at init time,
-// so lookups are safe from every shard goroutine.
-var registry = map[Version]Codec{
-	V1: v1Codec{},
-	V2: v2Codec{},
-}
-
-// ForVersion returns the codec for v, or an error for unregistered
-// versions (including the unresolved zero Version).
-func ForVersion(v Version) (Codec, error) {
-	c, ok := registry[v]
-	if !ok {
-		return nil, fmt.Errorf("wire: no codec registered for wire-format version %d", uint8(v))
-	}
-	return c, nil
-}
-
-// MustForVersion is ForVersion for callers that already validated v.
-func MustForVersion(v Version) Codec {
-	c, err := ForVersion(v)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
-// Versions lists the registered versions in ascending order.
-func Versions() []Version {
-	out := make([]Version, 0, len(registry))
-	for v := V1; int(v) <= len(registry); v++ {
-		if _, ok := registry[v]; ok {
-			out = append(out, v)
-		}
-	}
-	return out
-}
+// Versions lists the format versions in ascending order.
+func Versions() []Version { return []Version{V1, V2} }
 
 // Size returns the encoded frame size of a packet of type t with
-// payloadLen variable bytes under version v. It is the hot-path form
-// of Codec.WireSize (phys computes it per transmitted frame).
+// payloadLen variable bytes under version v (phys computes it per
+// transmitted frame).
 func Size(v Version, t micropacket.Type, payloadLen int) int {
 	if !t.Variable() {
 		if v == V2 {
@@ -159,15 +106,9 @@ func Size(v Version, t micropacket.Type, payloadLen int) int {
 }
 
 // Encode serializes p under version v.
-func Encode(v Version, p *micropacket.Packet) ([]byte, error) {
-	c, err := ForVersion(v)
-	if err != nil {
-		return nil, err
-	}
-	return c.Encode(p)
-}
+func Encode(v Version, p *micropacket.Packet) ([]byte, error) { return AppendEncode(nil, v, p) }
 
-// Decode parses a frame of any registered version, dispatching on the
+// Decode parses a frame of either version, dispatching on the
 // SOF format byte. It returns the packet and the version it arrived
 // under.
 func Decode(buf []byte) (*micropacket.Packet, Version, error) {
@@ -206,7 +147,7 @@ func sniffVersion(buf []byte) (Version, error) {
 	return v, nil
 }
 
-// Errors shared by the codecs.
+// Errors shared by both versions.
 var (
 	ErrTruncated = errors.New("wire: truncated frame")
 	ErrBadSOF    = errors.New("wire: bad SOF ordered set")

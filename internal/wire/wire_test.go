@@ -17,8 +17,6 @@ func putCRC(dst, body []byte) {
 	binary.LittleEndian.PutUint32(dst, crc32.Checksum(body, castagnoli))
 }
 
-func codecs() []Codec { return []Codec{v1Codec{}, v2Codec{}} }
-
 func TestVersionParse(t *testing.T) {
 	cases := []struct {
 		in   string
@@ -43,8 +41,8 @@ func TestVersionParse(t *testing.T) {
 	if len(Versions()) != 2 {
 		t.Fatalf("Versions() = %v", Versions())
 	}
-	if _, err := ForVersion(0); err == nil {
-		t.Fatal("ForVersion(auto) must fail")
+	if _, err := Encode(0, mp.NewData(1, 2, 0, nil)); err == nil {
+		t.Fatal("Encode(auto) must fail")
 	}
 }
 
@@ -84,69 +82,64 @@ func TestWireSizes(t *testing.T) {
 	if v2FixedWire != 28 || v2MaxVarWire != 92 {
 		t.Fatalf("v2 sizes: fixed=%d maxvar=%d", v2FixedWire, v2MaxVarWire)
 	}
-	for _, c := range codecs() {
-		for _, ty := range []mp.Type{mp.TypeRostering, mp.TypeData, mp.TypeInterrupt, mp.TypeDiagnostic, mp.TypeD64Atomic} {
-			if got, want := c.WireSize(ty, 0), Size(c.Version(), ty, 0); got != want {
-				t.Errorf("%v WireSize(%v) = %d, want %d", c.Version(), ty, got, want)
-			}
-		}
+	for _, v := range Versions() {
 		// Padding to word boundary.
-		if a, b := c.WireSize(mp.TypeDMA, 1), c.WireSize(mp.TypeDMA, 4); a != b {
-			t.Errorf("%v: WireSize(DMA,1)=%d != WireSize(DMA,4)=%d", c.Version(), a, b)
+		if a, b := Size(v, mp.TypeDMA, 1), Size(v, mp.TypeDMA, 4); a != b {
+			t.Errorf("%v: Size(DMA,1)=%d != Size(DMA,4)=%d", v, a, b)
 		}
-		if a, b := c.WireSize(mp.TypeDMA, 0), c.WireSize(mp.TypeData, 0); a != b {
-			t.Errorf("%v: empty DMA (%d) != fixed (%d)", c.Version(), a, b)
+		if a, b := Size(v, mp.TypeDMA, 0), Size(v, mp.TypeData, 0); a != b {
+			t.Errorf("%v: empty DMA (%d) != fixed (%d)", v, a, b)
 		}
 	}
 }
 
 func TestEncodeDecodeFixedBothVersions(t *testing.T) {
-	for _, c := range codecs() {
+	for _, v := range Versions() {
 		p := mp.NewData(3, 7, 42, []byte{1, 2, 3, 4, 5, 6, 7, 8})
 		p.Flags = mp.FlagAck | mp.FlagLast
-		raw, err := c.Encode(p)
+		raw, err := Encode(v, p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(raw) != c.WireSize(mp.TypeData, 0) {
-			t.Fatalf("%v: encoded %d bytes", c.Version(), len(raw))
+		if len(raw) != Size(v, mp.TypeData, 0) {
+			t.Fatalf("%v: encoded %d bytes", v, len(raw))
 		}
-		q, err := c.Decode(raw)
+		q, err := decode(v, raw)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if q.Type != mp.TypeData || q.Src != 3 || q.Dst != 7 || q.Tag != 42 || q.Flags != (mp.FlagAck|mp.FlagLast) || q.Payload != p.Payload {
-			t.Fatalf("%v: round trip mismatch: %+v", c.Version(), q)
+			t.Fatalf("%v: round trip mismatch: %+v", v, q)
 		}
-		// The registry decode must agree and report the version.
-		r, v, err := Decode(raw)
-		if err != nil || v != c.Version() || r.Src != 3 {
-			t.Fatalf("registry decode: %v %v %v", r, v, err)
+		// The sniffing decode must agree and report the version.
+		r, got, err := Decode(raw)
+		if err != nil || got != v || r.Src != 3 {
+			t.Fatalf("sniffing decode: %v %v %v", r, got, err)
 		}
 	}
 }
 
 func TestEncodeDecodeVariableAllLengths(t *testing.T) {
-	for _, c := range codecs() {
+	for _, v := range Versions() {
 		for n := 0; n <= mp.MaxPayload; n++ {
 			data := make([]byte, n)
 			for i := range data {
 				data[i] = byte(i * 7)
 			}
 			p := mp.NewDMA(1, 2, mp.DMAHeader{Channel: 5, Region: 9, Seq: 33, Offset: 0xDEADBEEF}, data)
-			raw, err := c.Encode(p)
+			raw, err := Encode(v, p)
 			if err != nil {
-				t.Fatalf("%v n=%d: %v", c.Version(), n, err)
+				t.Fatalf("%v n=%d: %v", v, n, err)
 			}
-			if len(raw) != c.WireSize(mp.TypeDMA, n) {
-				t.Fatalf("%v n=%d: size %d, want %d", c.Version(), n, len(raw), c.WireSize(mp.TypeDMA, n))
+			if len(raw) != Size(v, mp.TypeDMA, n) {
+				t.Fatalf("%v n=%d: size %d, want %d", v, n, len(raw), Size(v, mp.TypeDMA, n))
 			}
-			q, err := c.Decode(raw)
+			q, err := decode(v, raw)
 			if err != nil {
-				t.Fatalf("%v n=%d decode: %v", c.Version(), n, err)
+				t.Fatalf("%v n=%d decode: %v", v, n, err)
 			}
 			if q.DMA != p.DMA || !bytes.Equal(q.Data, data) {
-				t.Fatalf("%v n=%d payload mismatch", c.Version(), n)
+				t.Fatalf("%v n=%d payload mismatch", v, n)
 			}
 		}
 	}
@@ -155,18 +148,18 @@ func TestEncodeDecodeVariableAllLengths(t *testing.T) {
 func TestBroadcastMapping(t *testing.T) {
 	// In-memory Broadcast is 0xFFFF; it must map to each version's
 	// all-ones wire address and back.
-	for _, c := range codecs() {
+	for _, v := range Versions() {
 		p := mp.NewData(1, mp.Broadcast, 0, nil)
-		raw, err := c.Encode(p)
+		raw, err := Encode(v, p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		q, err := c.Decode(raw)
+		q, err := decode(v, raw)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !q.IsBroadcast() {
-			t.Fatalf("%v: broadcast lost in round trip (dst=%d)", c.Version(), q.Dst)
+			t.Fatalf("%v: broadcast lost in round trip (dst=%d)", v, q.Dst)
 		}
 	}
 }
@@ -203,64 +196,64 @@ func TestV2WideAddressRoundTrip(t *testing.T) {
 
 func TestVersionsDoNotCrossDecode(t *testing.T) {
 	p := mp.NewData(1, 2, 3, nil)
-	for _, c := range codecs() {
-		raw, err := c.Encode(p)
+	for _, v := range Versions() {
+		raw, err := Encode(v, p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, other := range codecs() {
-			if other.Version() == c.Version() {
+		for _, other := range Versions() {
+			if other == v {
 				continue
 			}
-			if _, err := other.Decode(raw); err == nil {
-				t.Fatalf("%v codec accepted a %v frame", other.Version(), c.Version())
+			if _, err := decode(other, raw); err == nil {
+				t.Fatalf("%v decode accepted a %v frame", other, v)
 			}
 		}
 	}
 }
 
 func TestCRCDetectsCorruption(t *testing.T) {
-	for _, c := range codecs() {
+	for _, v := range Versions() {
 		p := mp.NewDMA(1, 2, mp.DMAHeader{Channel: 1, Offset: 128}, []byte{10, 20, 30, 40, 50})
-		raw, _ := c.Encode(p)
+		raw, _ := Encode(v, p)
 		// Flip every body byte one at a time; all must be caught.
 		for i := 4; i < len(raw)-8; i++ {
 			mut := make([]byte, len(raw))
 			copy(mut, raw)
 			mut[i] ^= 0x40
-			if _, err := c.Decode(mut); err == nil {
-				t.Fatalf("%v: corruption at byte %d undetected", c.Version(), i)
+			if _, err := decode(v, mut); err == nil {
+				t.Fatalf("%v: corruption at byte %d undetected", v, i)
 			}
 		}
 	}
 }
 
 func TestDecodeRejectsBadFraming(t *testing.T) {
-	for _, c := range codecs() {
+	for _, v := range Versions() {
 		p := mp.NewData(1, 2, 0, []byte{1})
-		raw, _ := c.Encode(p)
+		raw, _ := Encode(v, p)
 
 		short := raw[:10]
-		if _, err := c.Decode(short); err != ErrTruncated {
-			t.Fatalf("%v short frame: %v", c.Version(), err)
+		if _, err := decode(v, short); err != ErrTruncated {
+			t.Fatalf("%v short frame: %v", v, err)
 		}
 
 		badSOF := append([]byte{}, raw...)
 		badSOF[0] = 0x00
-		if _, err := c.Decode(badSOF); err != ErrBadSOF {
-			t.Fatalf("%v bad SOF: %v", c.Version(), err)
+		if _, err := decode(v, badSOF); err != ErrBadSOF {
+			t.Fatalf("%v bad SOF: %v", v, err)
 		}
 
 		badEOF := append([]byte{}, raw...)
 		badEOF[len(badEOF)-1] ^= 0xFF
-		if _, err := c.Decode(badEOF); err != ErrBadEOF {
-			t.Fatalf("%v bad EOF: %v", c.Version(), err)
+		if _, err := decode(v, badEOF); err != ErrBadEOF {
+			t.Fatalf("%v bad EOF: %v", v, err)
 		}
 
 		badFmt := append([]byte{}, raw...)
-		badFmt[3] = formatByte(c.Version(), true) // claims variable, carries fixed body
-		if _, err := c.Decode(badFmt); err == nil {
-			t.Fatalf("%v: format mismatch accepted", c.Version())
+		badFmt[3] = formatByte(v, true) // claims variable, carries fixed body
+		if _, err := decode(v, badFmt); err == nil {
+			t.Fatalf("%v: format mismatch accepted", v)
 		}
 	}
 }
@@ -280,24 +273,23 @@ func TestV2RejectsNonzeroReserved(t *testing.T) {
 	}
 }
 
-// TestRoundTripQuickProperty is the codec-agnostic round-trip
-// property, run for every registered version.
+// TestRoundTripQuickProperty is the version-agnostic round-trip
+// property, run for every version.
 func TestRoundTripQuickProperty(t *testing.T) {
-	for _, c := range codecs() {
-		c := c
+	for _, v := range Versions() {
 		f := func(src, dst uint16, tag uint8, flags uint8, payload [8]byte, varData []byte, ch uint8, region uint8, off uint32) bool {
 			s, d := mp.NodeID(src), mp.NodeID(dst)
-			if c.Version() == V1 {
+			if v == V1 {
 				// Confine addresses to the version's space; the
 				// out-of-range rejection has its own test.
 				s, d = s%255, d%255
 			}
 			fp := mp.Packet{Type: mp.TypeData, Flags: mp.Flags(flags & 0xF), Src: s, Dst: d, Tag: tag, Payload: payload}
-			raw, err := c.Encode(&fp)
+			raw, err := Encode(v, &fp)
 			if err != nil {
 				return false
 			}
-			got, err := c.Decode(raw)
+			got, err := decode(v, raw)
 			if err != nil || got.Type != fp.Type || got.Flags != fp.Flags ||
 				got.Src != fp.Src || got.Dst != fp.Dst || got.Tag != fp.Tag ||
 				got.Payload != fp.Payload || len(got.Data) != 0 {
@@ -308,28 +300,28 @@ func TestRoundTripQuickProperty(t *testing.T) {
 				varData = varData[:mp.MaxPayload]
 			}
 			vp := mp.NewDMA(s, d, mp.DMAHeader{Channel: ch % 16, Region: region, Offset: off}, varData)
-			raw, err = c.Encode(vp)
+			raw, err = Encode(v, vp)
 			if err != nil {
 				return false
 			}
-			gv, err := c.Decode(raw)
+			gv, err := decode(v, raw)
 			if err != nil {
 				return false
 			}
 			return gv.DMA == vp.DMA && bytes.Equal(gv.Data, vp.Data) && gv.Src == s && gv.Dst == d
 		}
 		if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-			t.Fatalf("%v: %v", c.Version(), err)
+			t.Fatalf("%v: %v", v, err)
 		}
 	}
 }
 
 func TestSymbolRoundTripBothVersions(t *testing.T) {
-	for _, c := range codecs() {
+	for _, v := range Versions() {
 		enc := enc8b10b.NewEncoder()
 		dec := enc8b10b.NewDecoder()
 		wideDst := mp.NodeID(2)
-		if c.Version() == V2 {
+		if v == V2 {
 			wideDst = 999
 		}
 		pkts := []*mp.Packet{
@@ -341,35 +333,35 @@ func TestSymbolRoundTripBothVersions(t *testing.T) {
 			mp.NewRostering(9, 1, [8]byte{1, 2, 3, 4, 5, 6, 7, 8}),
 		}
 		for _, p := range pkts {
-			syms, err := EncodeSymbols(c, p, enc)
+			syms, err := EncodeSymbols(v, p, enc)
 			if err != nil {
-				t.Fatalf("%v %v: %v", c.Version(), p, err)
+				t.Fatalf("%v %v: %v", v, p, err)
 			}
-			q, v, err := DecodeSymbols(syms, dec)
-			if err != nil || v != c.Version() {
-				t.Fatalf("%v %v: decode: %v (v=%v)", c.Version(), p, err, v)
+			q, got, err := DecodeSymbols(syms, dec)
+			if err != nil || got != v {
+				t.Fatalf("%v %v: decode: %v (v=%v)", v, p, err, got)
 			}
 			if q.Type != p.Type || q.Src != p.Src || q.Dst != p.Dst || q.Tag != p.Tag {
-				t.Fatalf("%v: symbol round trip header mismatch: %v → %v", c.Version(), p, q)
+				t.Fatalf("%v: symbol round trip header mismatch: %v → %v", v, p, q)
 			}
 			if !bytes.Equal(q.Data, p.Data) || q.Payload != p.Payload {
-				t.Fatalf("%v: symbol round trip payload mismatch for %v", c.Version(), p)
+				t.Fatalf("%v: symbol round trip payload mismatch for %v", v, p)
 			}
 		}
 		if dec.Violations != 0 {
-			t.Fatalf("%v: %d 8b/10b violations on clean stream", c.Version(), dec.Violations)
+			t.Fatalf("%v: %d 8b/10b violations on clean stream", v, dec.Violations)
 		}
 	}
 }
 
 func TestSymbolStreamStartsWithComma(t *testing.T) {
-	for _, c := range codecs() {
-		syms, err := EncodeSymbols(c, mp.NewData(1, 2, 0, nil), enc8b10b.NewEncoder())
+	for _, v := range Versions() {
+		syms, err := EncodeSymbols(v, mp.NewData(1, 2, 0, nil), enc8b10b.NewEncoder())
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !enc8b10b.IsComma(syms[0]) {
-			t.Fatalf("%v: frame does not open with a comma symbol (alignment would fail)", c.Version())
+			t.Fatalf("%v: frame does not open with a comma symbol (alignment would fail)", v)
 		}
 	}
 }
