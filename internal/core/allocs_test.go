@@ -109,6 +109,27 @@ func TestIdleRingAllocationsPerMillisecond(t *testing.T) {
 // delivery (19 from PubSubLoad, which made a buffer and a Timer per
 // message as well).
 func TestPublishedMessageAllocatesNothing(t *testing.T) {
+	if n := publishedMessageAllocs(t, pubSubHeader, 50*sim.Microsecond); n > 0 {
+		t.Fatalf("a published message delivered to 15 subscribers allocates %.0f times, want 0", n)
+	}
+}
+
+// TestPublishedKiBMessageAllocatesNothing: a 1 KiB message is sixteen
+// segments, most still queued when Publish returns; they are kept in
+// the sender's channel slab, and each subscriber assembles into its
+// reused dma.Assembly buffer, so it allocates nothing either. It was 1
+// when every Write kept its queued segments in a buffer of their own.
+func TestPublishedKiBMessageAllocatesNothing(t *testing.T) {
+	if n := publishedMessageAllocs(t, 1<<10, 100*sim.Microsecond); n > 0 {
+		t.Fatalf("a published 1 KiB message delivered to 15 subscribers allocates %.0f times, want 0", n)
+	}
+}
+
+// publishedMessageAllocs measures the allocations of publishing one
+// size-byte message from node 0 of a booted 16 × 4 ring and running for
+// d, by which the 15 other subscribers must have it.
+func publishedMessageAllocs(t *testing.T, size int, d sim.Time) float64 {
+	t.Helper()
 	// Heartbeats slowed so none falls into the measured windows.
 	c := New(Options{Nodes: 16, Switches: 4, Seed: 5, HeartbeatInterval: 50 * sim.Millisecond})
 	defer c.Close()
@@ -119,18 +140,16 @@ func TestPublishedMessageAllocatesNothing(t *testing.T) {
 	for i := 1; i < 16; i++ {
 		c.Services[i].Sub.Subscribe(1, func(_ micropacket.NodeID, data []byte) { delivered += len(data) })
 	}
-	msg := make([]byte, pubSubHeader)
+	msg := make([]byte, size)
 	publish := func() {
 		c.Services[0].Sub.Publish(1, msg)
-		c.Run(50 * sim.Microsecond)
+		c.Run(d)
 	}
 	publish()
-	if delivered != 15*len(msg) {
-		t.Fatalf("%d bytes delivered, want %d", delivered, 15*len(msg))
+	if delivered != 15*size {
+		t.Fatalf("%d bytes delivered, want %d", delivered, 15*size)
 	}
-	if n := allocsPerRun(t, c, 50, publish); n > 0 {
-		t.Fatalf("a published message delivered to 15 subscribers allocates %.0f times, want 0", n)
-	}
+	return allocsPerRun(t, c, 50, publish)
 }
 
 // TestCollectiveLoadAllocatesNothing: a CollectiveLoad's driver is one

@@ -50,6 +50,9 @@ type Engine struct {
 
 	// queues[c] holds pending segments for channel c.
 	queues [NumChannels]phys.Queue[request]
+	// slabs[c] holds the bytes of channel c's kept segments, appended in
+	// queue order (keep); it is rewound when the queue empties (rewind).
+	slabs [NumChannels][]byte
 	// rrNext is the round-robin cursor over channels.
 	rrNext int
 	// retry is the one backpressure retry timer, made unarmed by
@@ -107,7 +110,7 @@ func (e *Engine) Write(ch int, dst micropacket.NodeID, region uint8, off uint32,
 	// call must be copied — and only that. The segments are queued as
 	// windows onto the caller's slice; a segment the pump below sends is
 	// copied once, into its packet, and whatever is still queued
-	// afterwards moves onto one private copy.
+	// afterwards moves into the channel's slab.
 	q := &e.queues[ch]
 	n := 0
 	for i := 0; ; i += MaxSegment {
@@ -138,18 +141,23 @@ func (e *Engine) Write(ch int, dst micropacket.NodeID, region uint8, off uint32,
 		}
 	}
 	e.pump()
-	keep(q)
+	e.keep(ch)
 	return n
 }
 
-// keep moves the segments still borrowed at the tail of q onto one
-// private copy. Borrowed segments are always a suffix of their queue:
-// they belong to Writes still on the stack (this one, and any whose
-// pump ran the done callback this one was called from), every Write
-// leaves its channel with none, and pushes go to the tail. Which of
-// them a pump has sent meanwhile — this call's or another's — does not
-// matter: the mark is per request.
-func keep(q *phys.Queue[request]) {
+// slabFloor is the least a channel's slab holds: sixteen segments, so a
+// channel that rarely drains does not start a slab per short message.
+const slabFloor = 16 * MaxSegment
+
+// keep moves the segments still borrowed at the tail of channel ch's
+// queue into its slab. Borrowed segments are always a suffix of their
+// queue: they belong to Writes still on the stack (this one, and any
+// whose pump ran the done callback this one was called from), every
+// Write leaves its channel with none, and pushes go to the tail. Which
+// of them a pump has sent meanwhile — this call's or another's — does
+// not matter: the mark is per request.
+func (e *Engine) keep(ch int) {
+	q := &e.queues[ch]
 	first, size := q.Len(), 0
 	for first > 0 && q.At(first-1).borrowed {
 		first--
@@ -158,16 +166,33 @@ func keep(q *phys.Queue[request]) {
 	if first == q.Len() {
 		return
 	}
-	// The whole copy stays reachable until its last segment is popped,
-	// where per-segment copies would go as they are sent: one allocation
-	// paid for in retention. (Packets carry their own payload, so
-	// nothing pins it beyond the queue.)
-	own := make([]byte, 0, size)
+	// Kept bytes are appended behind those still queued, which nothing
+	// overwrites before the queue empties (pump rewinds it there). A
+	// suffix that does not fit starts a new slab; the old one stays
+	// reachable until its last segment pops. (Packets carry their own
+	// payload, so nothing pins a slab beyond the queue.)
+	slab := e.slabs[ch]
+	if cap(slab)-len(slab) < size {
+		slab = make([]byte, 0, max(size, slabFloor))
+	}
 	for i := first; i < q.Len(); i++ {
 		req := q.At(i)
-		own = append(own, req.data...)
-		req.data = own[len(own)-len(req.data) : len(own) : len(own)]
+		slab = append(slab, req.data...)
+		req.data = slab[len(slab)-len(req.data) : len(slab) : len(slab)]
 		req.borrowed = false
+	}
+	e.slabs[ch] = slab
+}
+
+// rewind empties channel ch's slab once no queued segment refers to its
+// bytes: the next keep writes over them. A slab grown past the floor
+// for one long Write is dropped instead, so a file transfer does not
+// pin its size for the engine's life.
+func (e *Engine) rewind(ch int) {
+	if cap(e.slabs[ch]) > slabFloor {
+		e.slabs[ch] = nil
+	} else {
+		e.slabs[ch] = e.slabs[ch][:0]
 	}
 }
 
@@ -183,10 +208,12 @@ func (e *Engine) Pending() int {
 // Abort forgets every queued segment and the pending retry: the NIC
 // died with them (Node.Crash). No done callback runs — what they would
 // have reported never happened — and a later Write starts on empty
-// queues, so nothing of an aborted transfer is sent after a reboot.
+// queues and rewound slabs, so nothing of an aborted transfer is sent
+// after a reboot.
 func (e *Engine) Abort() {
 	for c := range e.queues {
 		e.queues[c].Clear()
+		e.rewind(c)
 	}
 	e.retry.Cancel()
 }
@@ -214,6 +241,9 @@ func (e *Engine) pump() {
 		e.txSeq[ch]++
 		e.Sent++
 		q.Pop()
+		if q.Len() == 0 {
+			e.rewind(ch)
+		}
 		e.rrNext = (ch + 1) % NumChannels
 		if req.done != nil {
 			req.done()

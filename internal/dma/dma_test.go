@@ -229,6 +229,9 @@ func TestBackpressureRetries(t *testing.T) {
 	if r.engines[1].Gaps != 0 {
 		t.Fatalf("gaps = %d", r.engines[1].Gaps)
 	}
+	if n := cap(r.engines[0].slabs[0]); n != 0 {
+		t.Fatalf("the transfer's %d-byte slab outlived it", n)
+	}
 }
 
 func TestCacheTransportReplication(t *testing.T) {
@@ -290,5 +293,62 @@ func TestBackpressuredPumpAllocatesNothing(t *testing.T) {
 	r.k.Run()
 	if e.Pending() != 0 || e.Sent != 64 {
 		t.Fatalf("transfer incomplete: %d pending, %d sent", e.Pending(), e.Sent)
+	}
+}
+
+// TestDMASendAllocatesNothing: segments still queued when Write returns
+// are kept in their channel's slab, which is rewound when the channel
+// drains, so a warm channel sends without allocating. It was 2 — one
+// copy per Write — when each kept suffix got its own buffer.
+func TestDMASendAllocatesNothing(t *testing.T) {
+	r := newRig(3)
+	e := r.engines[0]
+	dst := attachSink(r.engines[1], 1024)
+	long, short := pattern(337), pattern(27)
+	send := func() {
+		e.Write(2, 1, 0, 0, long, nil)
+		e.Write(2, 1, 0, 512, short, nil)
+		r.k.Run()
+	}
+	if n := testing.AllocsPerRun(50, send); n != 0 {
+		t.Fatalf("a 337-byte and a 27-byte Write on one channel allocate %.0f times, want 0", n)
+	}
+	if !bytes.Equal(dst.buf[:337], long) || !bytes.Equal(dst.buf[512:539], short) {
+		t.Fatal("payload mismatch")
+	}
+}
+
+// TestAbortLeavesNoStaleBytes: segments kept under back-pressure and
+// then aborted neither reach the wire nor run their done, and a Write
+// after the abort is kept over their bytes, at the start of the rewound
+// slab, and sends only its own.
+func TestAbortLeavesNoStaleBytes(t *testing.T) {
+	r := newRig(3)
+	e := r.engines[0]
+	var got []byte
+	r.engines[1].OnWrite = func(src micropacket.NodeID, hdr micropacket.DMAHeader, data []byte, last bool) {
+		got = append(got, data...)
+	}
+	open := e.St.MaxInsertQueue
+	e.St.MaxInsertQueue = 0
+	aborted := false
+	e.Write(1, 1, 0, 0, pattern(300), func() { aborted = true })
+	if e.Pending() != 5 || len(e.slabs[1]) != 300 {
+		t.Fatalf("rig is not back-pressured: %d pending, %d bytes kept", e.Pending(), len(e.slabs[1]))
+	}
+	stale := &e.slabs[1][0]
+	e.Abort()
+	fresh := bytes.Repeat([]byte{0xA5}, 150)
+	e.Write(1, 1, 0, 0, fresh, nil)
+	if len(e.slabs[1]) != len(fresh) || &e.slabs[1][0] != stale {
+		t.Fatalf("the Write after Abort kept %d bytes, not over the aborted ones at the slab's start", len(e.slabs[1]))
+	}
+	e.St.MaxInsertQueue = open
+	r.k.Run()
+	if aborted {
+		t.Fatal("the aborted transfer's done ran")
+	}
+	if !bytes.Equal(got, fresh) {
+		t.Fatalf("receiver saw % x, want only the %d bytes written after the abort", got, len(fresh))
 	}
 }

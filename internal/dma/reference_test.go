@@ -164,7 +164,8 @@ func checkAgainstReference(t *testing.T, ops []byte) {
 }
 
 // nastyWrites are the op streams aimed at the seams of the borrowed
-// segments; they seed the fuzzer as well.
+// segments and of the channel slabs they are kept in; they seed the
+// fuzzer as well.
 var nastyWrites = []struct {
 	name string
 	ops  []byte
@@ -182,6 +183,12 @@ var nastyWrites = []struct {
 	{"re-entrant write queued behind a back-pressured tail", slices.Concat(
 		op(opWriteReenterOther, 3, 300, 127), op(opWriteReenterSame, 3, 300, 127), op(opToggle, 1, 0, 0),
 		op(opWrite, 3, 65, 0), op(opAdvance, 1, 200, 0), op(opToggle, 1, 0, 0))},
+	{"slab overflows while older kept segments are queued", slices.Concat(
+		op(opToggle, 1, 0, 0), op(opWrite, 1, 300, 0), op(opWriteDone, 1, 300, 0), op(opWrite, 1, 300, 0),
+		op(opWrite, 1, 300, 0), op(opToggle, 1, 0, 0), op(opAdvance, 1, 30, 0), op(opWrite, 1, 300, 0))},
+	{"rewound at drain, then a done re-enters Write into the slab", slices.Concat(
+		op(opToggle, 1, 0, 0), op(opWrite, 2, 100, 0), op(opWriteReenterSame, 2, 200, 127), op(opToggle, 1, 0, 0),
+		op(opAdvance, 1, 100, 0), op(opWrite, 2, 90, 0))},
 }
 
 func TestWriteMatchesReference(t *testing.T) {
@@ -190,9 +197,10 @@ func TestWriteMatchesReference(t *testing.T) {
 	}
 }
 
-// FuzzDMAWrite: Write lends the pump the caller's slice and keeps a
-// copy only of what is still queued when it returns; none of that may
-// show next to the engine that cloned every transfer up front.
+// FuzzDMAWrite: Write lends the pump the caller's slice and keeps only
+// what is still queued when it returns, in a per-channel slab rewound
+// when the channel drains; none of that may show next to the engine
+// that cloned every transfer up front.
 func FuzzDMAWrite(f *testing.F) {
 	for _, tc := range nastyWrites {
 		f.Add(tc.ops)
