@@ -118,30 +118,6 @@ func BenchmarkE5SeqlockTryRead(b *testing.B) {
 	}
 }
 
-func BenchmarkE5HostRecordReadUnderWrites(b *testing.B) {
-	h := netcache.NewHostRecord(64)
-	h.Write(make([]byte, 64))
-	stop := make(chan struct{})
-	go func() {
-		buf := make([]byte, 64)
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-				h.Write(buf)
-			}
-		}
-	}()
-	buf := make([]byte, 64)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h.Read(buf)
-	}
-	b.StopTimer()
-	close(stop)
-}
-
 // --- E6: network semaphores (slide 10) ---
 
 func BenchmarkE6Semaphores(b *testing.B) {

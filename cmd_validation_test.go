@@ -54,6 +54,9 @@ func TestCmdsSurfaceWireErrors(t *testing.T) {
 		{"ampsim-negative-run",
 			[]string{"run", "./cmd/ampsim", "-run", "-5ms"},
 			[]string{"Scenario.For", "-5"}},
+		{"ampsim-oversize-mesh",
+			[]string{"run", "./cmd/ampsim", "-fabric", "mesh", "-nodes", "8", "-switches", "20000"},
+			[]string{"20000 switches", "at most 8"}},
 		{"ampsim-retired-fault-flag",
 			[]string{"run", "./cmd/ampsim", "-fail-switch", "0"},
 			[]string{"flag provided but not defined: -fail-switch"}},

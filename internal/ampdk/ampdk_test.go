@@ -34,6 +34,16 @@ func bootCluster(n, s int, cfg func(i int) Config) (*sim.Kernel, *phys.Cluster, 
 
 func run(k *sim.Kernel, d sim.Time) { k.RunUntil(k.Now() + d) }
 
+// records lays out count consecutive records of size data bytes from
+// offset 0 of region 1.
+func records(size, count int) []netcache.Record {
+	out := make([]netcache.Record, count)
+	for i := range out {
+		out[i] = netcache.Record{Region: 1, Off: uint32(i * (size + netcache.RecordOverhead)), Size: size}
+	}
+	return out
+}
+
 func TestClusterBootsAllOnline(t *testing.T) {
 	k, _, nodes := bootCluster(4, 2, nil)
 	run(k, 20*sim.Millisecond)
@@ -168,7 +178,7 @@ func TestLiveWritesDuringAssimilationNotLost(t *testing.T) {
 	run(k, 20*sim.Millisecond)
 
 	// Node 0 keeps writing records while node 2 assimilates.
-	recs := netcache.Layout(1, 0, 16, 20)
+	recs := records(16, 20)
 	i := 0
 	var writer func()
 	writer = func() {

@@ -22,7 +22,7 @@ func TestSmartRecoveryAfterLoss(t *testing.T) {
 	// broadcast now will not reach it... we emulate by writing records
 	// directly while node 3's egress path drops transit via a cut that
 	// rostering will heal.
-	recs := netcache.Layout(1, 0, 16, 8)
+	recs := records(16, 8)
 	writeAll := func(val byte) {
 		for _, r := range recs {
 			if err := nodes[0].CacheW.WriteRecord(r, bytes.Repeat([]byte{val}, 16)); err != nil {

@@ -152,8 +152,9 @@ func (st *TokenStation) handle(f phys.Frame) {
 // --- drop-tail ring ---
 
 // DropTailStation is an insertion-ring station with the flow control
-// removed: it inserts immediately, whatever its local view, so egress
-// FIFOs overflow under load and frames are dropped (phys.Net.Drops).
+// removed: it inserts immediately, whatever its egress queue holds, so
+// egress FIFOs overflow under load and frames are dropped
+// (Acct.CongestionDrops()).
 type DropTailStation struct {
 	ID     micropacket.NodeID
 	K      *sim.Kernel

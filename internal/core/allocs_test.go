@@ -62,7 +62,7 @@ func TestAllocsPerRunFailsOnModelPanic(t *testing.T) {
 
 // TestHealedAllocatesNoStrings: Healed is polled by every wait loop, so
 // a settled fabric must answer at the cost of liveComponents and one
-// idealRoster build — 28 allocations on 32 × 4, 29 when a fabric view
+// ideal-roster build — 28 allocations on 32 × 4, 29 when a fabric view
 // was allocated — not by rendering every node's roster (4 330
 // allocations when it compared strings).
 func TestHealedAllocatesNoStrings(t *testing.T) {

@@ -148,19 +148,6 @@ func (c *Cluster) liveMask(i int) rostering.LinkState {
 	return m
 }
 
-// idealRoster computes the roster the partition's nodes must converge
-// to: BuildRosterFabric over the true link state of the partition's
-// members and the current trunk view (epoch is irrelevant — roster
-// comparison ignores it).
-func (c *Cluster) idealRoster(comp []int) *rostering.Roster {
-	lsdb := make(map[int]rostering.LinkState, len(comp))
-	for _, i := range comp {
-		lsdb[i] = c.liveMask(i)
-	}
-	view := c.Phys.View()
-	return rostering.BuildRosterFabric(0, lsdb, &view)
-}
-
 // componentViolation checks one live partition and returns a violation
 // description, or "" when the partition is settled. Rosters are rendered
 // only to describe a violation: Healed is polled, and a settled
@@ -182,7 +169,15 @@ func (c *Cluster) componentViolation(comp []int) string {
 			return fmt.Sprintf("partition %v: node %d roster %q disagrees with %q", comp, i, r, agreed)
 		}
 	}
-	if ideal := c.idealRoster(comp); !agreed.Equal(ideal) {
+	// The ideal roster is BuildRosterFabric over the true link state of
+	// the partition's members and the current trunk view (epoch is
+	// irrelevant — roster comparison ignores it).
+	lsdb := make(map[int]rostering.LinkState, len(comp))
+	for _, i := range comp {
+		lsdb[i] = c.liveMask(i)
+	}
+	view := c.Phys.View()
+	if ideal := rostering.BuildRosterFabric(0, lsdb, &view); !agreed.Equal(ideal) {
 		return fmt.Sprintf("partition %v: adopted roster %q != ideal roster %q", comp, agreed, ideal)
 	}
 	// mark[n]: 1 a partition member, 2 a member seen on the roster.
@@ -201,29 +196,8 @@ func (c *Cluster) componentViolation(comp []int) string {
 	}
 	// A stale roster can still "agree" right after a fault; the ring is
 	// healed only when every arc it routes traverses live hardware.
-	if agreed.Size() >= 2 {
-		for i, n := range agreed.Nodes {
-			next := agreed.Nodes[(i+1)%len(agreed.Nodes)]
-			path := []int{agreed.Via[i]}
-			if i < len(agreed.Paths) && len(agreed.Paths[i]) > 0 {
-				path = agreed.Paths[i]
-			}
-			first, last := path[0], path[len(path)-1]
-			if c.Phys.Switches[first].Failed() ||
-				c.Phys.NodeLinks[n][first] == nil || !c.Phys.NodeLinks[n][first].Up() {
-				return fmt.Sprintf("partition %v: arc %d-s%d dark at source (roster %s)", comp, n, first, agreed)
-			}
-			if c.Phys.Switches[last].Failed() ||
-				c.Phys.NodeLinks[next][last] == nil || !c.Phys.NodeLinks[next][last].Up() {
-				return fmt.Sprintf("partition %v: arc s%d-%d dark at destination (roster %s)", comp, last, next, agreed)
-			}
-			for j := 0; j+1 < len(path); j++ {
-				if c.Phys.Switches[path[j+1]].Failed() || c.Phys.TrunkBetween(path[j], path[j+1]) == nil {
-					return fmt.Sprintf("partition %v: arc %d->%d trunk s%d-s%d dark (roster %s)",
-						comp, n, next, path[j], path[j+1], agreed)
-				}
-			}
-		}
+	if !agreed.ValidInFabric(lsdb, &view) {
+		return fmt.Sprintf("partition %v: roster %s crosses dark hardware", comp, agreed)
 	}
 	return ""
 }

@@ -456,40 +456,3 @@ func (d *Decoder) resync(sym Symbol) {
 		d.rd = DispNeg
 	}
 }
-
-// EncodeBlock encodes a data byte slice into symbols using a fresh
-// encoder, returning the symbol stream and the final disparity.
-func EncodeBlock(data []byte) ([]Symbol, Disparity) {
-	e := NewEncoder()
-	out := make([]Symbol, len(data))
-	for i, b := range data {
-		out[i] = e.EncodeData(b)
-	}
-	return out, e.Disparity()
-}
-
-// DecodeBlock decodes a symbol stream produced by EncodeBlock. It
-// returns the decoded bytes and the first error encountered, if any.
-func DecodeBlock(syms []Symbol) ([]byte, error) {
-	d := NewDecoder()
-	out := make([]byte, 0, len(syms))
-	for i, s := range syms {
-		dec, err := d.Decode(s)
-		if err != nil {
-			return out, fmt.Errorf("symbol %d: %w", i, err)
-		}
-		if dec.Control {
-			return out, fmt.Errorf("symbol %d: unexpected control character 0x%02X", i, dec.Byte)
-		}
-		out = append(out, dec.Byte)
-	}
-	return out, nil
-}
-
-// IsComma reports whether the symbol contains the comma pattern
-// (0011111 or 1100000 in its first seven bits), which receivers use for
-// word alignment. Only K28.1, K28.5 and K28.7 contain commas.
-func IsComma(sym Symbol) bool {
-	first7 := (uint16(sym) >> 3) & 0x7F
-	return first7 == 0b0011111 || first7 == 0b1100000
-}

@@ -270,19 +270,13 @@ func TestNoRunOfFive(t *testing.T) {
 }
 
 // TestBlockRoundTripQuick is the property-based round-trip over random
-// byte slices.
+// byte slices, each through a fresh encoder and decoder.
 func TestBlockRoundTripQuick(t *testing.T) {
 	f := func(data []byte) bool {
-		syms, _ := EncodeBlock(data)
-		got, err := DecodeBlock(syms)
-		if err != nil {
-			return false
-		}
-		if len(got) != len(data) {
-			return false
-		}
-		for i := range got {
-			if got[i] != data[i] {
+		e, d := NewEncoder(), NewDecoder()
+		for _, b := range data {
+			dec, err := d.Decode(e.EncodeData(b))
+			if err != nil || dec.Control || dec.Byte != b {
 				return false
 			}
 		}
@@ -361,21 +355,63 @@ func TestDecoderRecoversAfterViolation(t *testing.T) {
 	}
 }
 
+// The comma patterns receivers align on: 0011111 or 1100000.
+const (
+	commaPos = 0b0011111
+	commaNeg = 0b1100000
+)
+
+// isComma reports whether the symbol's first seven bits are a comma.
+func isComma(sym Symbol) bool {
+	first7 := (uint16(sym) >> 3) & 0x7F
+	return first7 == commaPos || first7 == commaNeg
+}
+
 // TestCommaDetection: only K28.1/5/7 encodings contain commas.
 func TestCommaDetection(t *testing.T) {
 	commas := map[byte]bool{K28_1: true, K28_5: true, K28_7: true}
 	for _, rd := range []Disparity{DispNeg, DispPos} {
 		for _, k := range []byte{K28_0, K28_1, K28_2, K28_3, K28_4, K28_5, K28_6, K28_7, K23_7, K27_7, K29_7, K30_7} {
 			sym, _, _ := encodeAt(k, true, rd)
-			if got := IsComma(sym); got != commas[k] {
-				t.Errorf("IsComma(K 0x%02X, rd=%d) = %v, want %v", k, rd, got, commas[k])
+			if got := isComma(sym); got != commas[k] {
+				t.Errorf("isComma(K 0x%02X, rd=%d) = %v, want %v", k, rd, got, commas[k])
 			}
 		}
 		// No data symbol may contain a comma (singular comma property).
 		for b := 0; b < 256; b++ {
 			sym, _, _ := encodeAt(byte(b), false, rd)
-			if IsComma(sym) {
+			if isComma(sym) {
 				t.Errorf("data byte 0x%02X rd=%d encodes with comma", b, rd)
+			}
+		}
+	}
+}
+
+// TestSingularComma: the comma pattern never appears across the
+// boundary of two adjacent data symbols, so a receiver can find symbol
+// boundaries from a comma. Exhaustive over all byte pairs and both
+// disparities.
+func TestSingularComma(t *testing.T) {
+	check := func(s1, s2 Symbol) bool {
+		// 20-bit window; scan positions 1..9 (0 and 10 are true
+		// boundaries).
+		window := uint32(s1)<<10 | uint32(s2)
+		for pos := 1; pos < 10; pos++ {
+			seg := (window >> (20 - 7 - pos)) & 0x7F
+			if seg == commaPos || seg == commaNeg {
+				return false
+			}
+		}
+		return true
+	}
+	for _, rd := range []Disparity{DispNeg, DispPos} {
+		for b1 := 0; b1 < 256; b1++ {
+			s1, mid, _ := encodeAt(byte(b1), false, rd)
+			for b2 := 0; b2 < 256; b2++ {
+				s2, _, _ := encodeAt(byte(b2), false, mid)
+				if !check(s1, s2) {
+					t.Fatalf("comma across D%d/D%d boundary (rd=%d)", b1, b2, rd)
+				}
 			}
 		}
 	}

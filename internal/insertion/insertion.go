@@ -3,23 +3,27 @@
 //
 // Each node (Station) sits on the current logical ring with one ingress
 // and one egress hop. Ring traffic passing through the node has absolute
-// priority; the node may insert its own MicroPackets only when its
-// egress path is sufficiently idle (the insertion register rule), and it
-// adapts its contribution to the total flow by watching its local view
-// of the ring — the occupancy of its own transit path — exactly as
-// slide 8 describes:
+// priority. Slide 8 says a node adjusts its contribution to the flow
+// from its local view of the network:
 //
 //	"Each node monitors its local view of the network and can increase
 //	 or decrease its contribution to the total flow accordingly. Even if
 //	 everyone does a broadcast at the same time (all-to-all broadcast)
 //	 the network is guaranteed to not drop packets."
 //
+// Here that view is the egress queue, and insert applies two rules. A
+// station inserts its next MicroPacket when the egress queue holds at
+// most InsertThreshold frames, and then halves its pace. Otherwise it
+// backs off: the first retry waits paceStep, each further one doubles
+// the wait up to DefaultMaxPace.
+//
 // The losslessness guarantee holds because (a) transit traffic is never
 // displaced by insertion, (b) insertion requires the egress queue to be
 // at or below InsertThreshold, and (c) a ring node has exactly one
 // upstream link, so transit arrivals can never exceed the line rate that
-// the egress serializes at. The experiments assert phys.Net.Drops == 0
-// under saturating all-to-all broadcast (experiment E4).
+// the egress serializes at. The experiments assert that
+// Acct.CongestionDrops() is 0 under saturating all-to-all broadcast
+// (experiment E4).
 //
 // Stripping rules: the destination strips unicast MicroPackets (allowing
 // spatial reuse — slide 7's multiple simultaneous streams); the source
@@ -48,7 +52,7 @@ const (
 	DefaultBasePace = 0
 	// DefaultMaxPace bounds the adaptive backoff.
 	DefaultMaxPace = 50 * sim.Microsecond
-	// paceStep is the initial backoff when the local view is congested.
+	// paceStep is the initial backoff when the egress queue is too long.
 	paceStep = 500 * sim.Nanosecond
 	// DefaultMaxHops is the transit hop budget for stations built
 	// without topology knowledge — the historical value, enough for
@@ -132,10 +136,6 @@ type Station struct {
 	// and re-armed with Reset.
 	paceTmr *sim.Timer
 
-	// Local-view congestion estimate: EWMA of egress queue occupancy
-	// sampled at each transit forward, scaled ×16 fixed point.
-	viewX16 int
-
 	// Counters.
 	Inserted  uint64 // own frames put on the ring
 	Forwarded uint64 // transit frames passed through
@@ -205,10 +205,6 @@ func (s *Station) OnRing() bool { return s.egress != nil }
 
 // QueueLen returns the host insertion queue length.
 func (s *Station) QueueLen() int { return s.insertQ.Len() }
-
-// LocalView returns the station's current congestion estimate (EWMA of
-// egress occupancy; 0 = idle ring).
-func (s *Station) LocalView() float64 { return float64(s.viewX16) / 16 }
 
 // Send enqueues a host MicroPacket for insertion onto the ring. It
 // returns false (backpressure) when the insertion queue is full or the
@@ -281,7 +277,7 @@ func (s *Station) insert() {
 	if s.paceTmr.Active() {
 		return // a paced attempt is already scheduled
 	}
-	// Local view says the ring is busy: back off and retry later.
+	// The egress queue says the ring is busy: back off and retry later.
 	if s.pace == 0 {
 		s.pace = paceStep
 	} else {
@@ -360,9 +356,6 @@ func (s *Station) forward(f phys.Frame) {
 		return
 	}
 	f.Hops++
-	// Update the local view (EWMA with alpha = 1/4, ×16 fixed point).
-	occ := s.egress.QueueLen()
-	s.viewX16 += (occ*16 - s.viewX16) / 4
 	s.net.Hold(s.ForwardDelay, s, 0, f, s.egress)
 }
 

@@ -280,15 +280,3 @@ func (d DoubleBuffer) Write(w *Writer, data []byte) error {
 	}
 	return w.WriteRecordAt(target, data, next)
 }
-
-// Layout computes consecutive record placements in a region, a helper
-// for building fixed tables (configuration database, heartbeat slots…).
-func Layout(region uint8, start uint32, size, count int) []Record {
-	out := make([]Record, count)
-	off := start
-	for i := range out {
-		out[i] = Record{Region: region, Off: off, Size: size}
-		off += uint32(size + RecordOverhead)
-	}
-	return out
-}

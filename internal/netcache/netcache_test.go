@@ -3,7 +3,6 @@ package netcache
 import (
 	"bytes"
 	"encoding/binary"
-	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -269,22 +268,6 @@ func TestTryReadOutOfRange(t *testing.T) {
 	}
 }
 
-func TestLayout(t *testing.T) {
-	recs := Layout(2, 100, 16, 3)
-	if len(recs) != 3 {
-		t.Fatal("wrong count")
-	}
-	span := 16 + RecordOverhead
-	for i, r := range recs {
-		if r.Region != 2 || r.Size != 16 {
-			t.Fatalf("rec %d: %+v", i, r)
-		}
-		if r.Off != uint32(100+i*span) {
-			t.Fatalf("rec %d off = %d", i, r.Off)
-		}
-	}
-}
-
 func TestRegions(t *testing.T) {
 	c := New()
 	c.AddRegion(3, 8)
@@ -313,119 +296,6 @@ func TestQuickWriteReadAnyPayload(t *testing.T) {
 			}
 		}
 		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// --- HostRecord (real-concurrency seqlock) tests; run with -race ---
-
-func TestHostRecordBasic(t *testing.T) {
-	h := NewHostRecord(20)
-	buf := make([]byte, 20)
-	h.Read(buf) // zero value readable
-	for _, b := range buf {
-		if b != 0 {
-			t.Fatal("fresh record not zero")
-		}
-	}
-	val := bytes.Repeat([]byte{9}, 20)
-	h.Write(val)
-	h.Read(buf)
-	if !bytes.Equal(buf, val) {
-		t.Fatal("round trip failed")
-	}
-	if h.Version() != 1 {
-		t.Fatalf("version = %d", h.Version())
-	}
-}
-
-// TestHostRecordNeverTorn: one writer, many readers, real goroutines.
-// Every successful read must be a uniform value — the seqlock's
-// guarantee under the race detector.
-func TestHostRecordNeverTorn(t *testing.T) {
-	const size = 48
-	h := NewHostRecord(size)
-	h.Write(bytes.Repeat([]byte{0}, size))
-
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	errs := make(chan string, 8)
-
-	for r := 0; r < 4; r++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			buf := make([]byte, size)
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				h.Read(buf)
-				for _, b := range buf {
-					if b != buf[0] {
-						select {
-						case errs <- "torn read":
-						default:
-						}
-						return
-					}
-				}
-			}
-		}()
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 1; i <= 5000; i++ {
-			h.Write(bytes.Repeat([]byte{byte(i)}, size))
-		}
-		close(stop)
-	}()
-	wg.Wait()
-	select {
-	case e := <-errs:
-		t.Fatal(e)
-	default:
-	}
-	if h.Version() != 5001 {
-		t.Fatalf("version = %d, want 5001", h.Version())
-	}
-}
-
-func TestHostRecordSizeMismatchPanics(t *testing.T) {
-	h := NewHostRecord(8)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic on size mismatch")
-		}
-	}()
-	h.Write([]byte{1})
-}
-
-func TestHostRecordOddSize(t *testing.T) {
-	h := NewHostRecord(13)
-	val := []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13}
-	h.Write(val)
-	buf := make([]byte, 13)
-	h.Read(buf)
-	if !bytes.Equal(buf, val) {
-		t.Fatalf("odd-size round trip: %v", buf)
-	}
-}
-
-func TestHostRecordQuick(t *testing.T) {
-	f := func(data []byte) bool {
-		if len(data) == 0 || len(data) > 256 {
-			return true
-		}
-		h := NewHostRecord(len(data))
-		h.Write(data)
-		buf := make([]byte, len(data))
-		return h.TryRead(buf) && bytes.Equal(buf, data)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

@@ -90,16 +90,11 @@ func (t *Topology) Validate() error {
 	if err := CheckFiberM("Topology.FiberM", t.FiberM); err != nil {
 		return fmt.Errorf("phys: topology %q has %w", t.Name, err)
 	}
-	if t.Switches > MaxSwitches {
-		return fmt.Errorf("phys: topology %q has %d switches; the rostering link-state mask allows at most %d",
-			t.Name, t.Switches, MaxSwitches)
+	if err := checkSize(t.Name, t.Nodes, t.Switches); err != nil {
+		return err
 	}
 	if t.Wire != 0 && !t.Wire.Valid() {
 		return fmt.Errorf("phys: topology %q names unknown wire-format version %d", t.Name, t.Wire)
-	}
-	if t.Nodes > MaxNodes {
-		return fmt.Errorf("phys: topology %q has %d nodes; the widest wire format (%v) addresses at most %d",
-			t.Name, t.Nodes, wire.V2, MaxNodes)
 	}
 	if v := t.WireVersion(); t.Nodes > v.MaxNodes() {
 		return fmt.Errorf("phys: topology %q has %d nodes; wire format %v addresses at most %d (use wire %v or auto)",
@@ -125,6 +120,20 @@ func (t *Topology) Validate() error {
 		if !attached {
 			return fmt.Errorf("phys: topology %q leaves node %d with no switch attachment", t.Name, n)
 		}
+	}
+	return nil
+}
+
+// checkSize refuses more switches than the rostering link-state mask
+// holds, or more nodes than the widest wire format addresses.
+func checkSize(name string, nodes, switches int) error {
+	if switches > MaxSwitches {
+		return fmt.Errorf("phys: topology %q has %d switches; the rostering link-state mask allows at most %d",
+			name, switches, MaxSwitches)
+	}
+	if nodes > MaxNodes {
+		return fmt.Errorf("phys: topology %q has %d nodes; the widest wire format (%v) addresses at most %d",
+			name, nodes, wire.V2, MaxNodes)
 	}
 	return nil
 }
@@ -241,6 +250,15 @@ func Sharded(shards, nodesPerShard, switchesPerShard int, fiberM float64) Topolo
 func FabricByName(name string, nodes, switches int, fiberM float64) (Topology, error) {
 	var t Topology
 	base, param, hasParam := strings.Cut(name, ":")
+	// Refuse an oversize budget before a constructor sizes anything by
+	// it: Mesh alone builds S(S-1)/2 trunk specs.
+	shapeSwitches := switches
+	if base == "dualring" {
+		shapeSwitches = 2
+	}
+	if err := checkSize(name, nodes, shapeSwitches); err != nil {
+		return Topology{}, err
+	}
 	switch base {
 	case "", "uniform":
 		t = Uniform(nodes, switches, fiberM)
@@ -262,7 +280,7 @@ func FabricByName(name string, nodes, switches int, fiberM float64) (Topology, e
 			}
 			shards = n
 		}
-		if switches == 0 || nodes%shards != 0 || switches%shards != 0 {
+		if switches < 1 || nodes%shards != 0 || switches%shards != 0 {
 			return Topology{}, fmt.Errorf(
 				"phys: sharded fabric splits nodes and switches across %d shards; %d nodes × %d switches does not divide evenly",
 				shards, nodes, switches)

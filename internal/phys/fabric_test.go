@@ -3,6 +3,7 @@ package phys
 import (
 	"math"
 	"math/big"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -88,12 +89,75 @@ func TestFabricByName(t *testing.T) {
 	}
 }
 
+// allocatedBytes returns the bytes fn allocates, from the heap's
+// running total.
+func allocatedBytes(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestFabricByNameRefusesOversizeBeforeBuilding: a switch budget past
+// MaxSwitches is refused before Mesh builds its S(S-1)/2 trunk specs
+// (about 1 GB for 4 096 switches when the check came last).
+func TestFabricByNameRefusesOversizeBeforeBuilding(t *testing.T) {
+	var err error
+	n := allocatedBytes(func() { _, err = FabricByName("mesh", 8, 4096, 50) })
+	if err == nil || !strings.Contains(err.Error(), "at most 8") {
+		t.Fatalf("FabricByName(mesh, 8, 4096): error %v, want the MaxSwitches refusal", err)
+	}
+	if n > 64<<10 {
+		t.Fatalf("FabricByName(mesh, 8, 4096) allocated %d bytes before refusing, want <= 64 KiB", n)
+	}
+}
+
+// FuzzFabricByName: any shape string and budget give a topology that
+// Validate accepts with the budget realized, or an error naming the
+// phys package; never a panic, and never an allocation that grows with
+// an out-of-range size. Only the error text grows with the name, which
+// it quotes.
+func FuzzFabricByName(f *testing.F) {
+	f.Add("uniform", 6, 4, 50.0)
+	f.Add("sharded:0", 8, 4, 50.0)
+	f.Add("sharded:-1", 8, 4, 50.0)
+	f.Add("sharded:4", 8, 4, 50.0)
+	f.Add("mesh", 8, 1, 50.0)
+	f.Add("mesh", 8, 9, 50.0)
+	f.Add("mesh", 8, 4096, 50.0)
+	f.Add("dualring", 0, 2, 50.0)
+	f.Add("uniform", 6, 4, math.NaN())
+	f.Add("uniform:2", 70000, -1, 1e30)
+	f.Fuzz(func(t *testing.T, name string, nodes, switches int, fiberM float64) {
+		var topo Topology
+		var err error
+		n := allocatedBytes(func() { topo, err = FabricByName(name, nodes, switches, fiberM) })
+		if n > 64<<10+uint64(8*len(name)) {
+			t.Fatalf("FabricByName(%q, %d, %d, %v) allocated %d bytes", name, nodes, switches, fiberM, n)
+		}
+		if err != nil {
+			if !strings.HasPrefix(err.Error(), "phys: ") {
+				t.Fatalf("FabricByName(%q, %d, %d, %v): unnamed error %v", name, nodes, switches, fiberM, err)
+			}
+			return
+		}
+		if verr := topo.Validate(); verr != nil {
+			t.Fatalf("FabricByName(%q, %d, %d, %v) returned an invalid topology: %v", name, nodes, switches, fiberM, verr)
+		}
+		if topo.Nodes != nodes || (topo.Switches != switches && topo.Name != "dualring") {
+			t.Fatalf("FabricByName(%q, %d, %d, %v) = %d nodes × %d switches", name, nodes, switches, fiberM, topo.Nodes, topo.Switches)
+		}
+	})
+}
+
 // TestBuildFabricTrunks checks trunk wiring: ports beyond the node
 // ports, live links, and status watchers firing on fail/restore after
 // the detection latency.
 func TestBuildFabricTrunks(t *testing.T) {
 	net := NewNet(sim.NewKernel(1))
-	c, err := BuildFabric(net, Sharded(2, 3, 2, 50))
+	topo := Sharded(2, 3, 2, 50)
+	c, err := BuildFabric(net, topo)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +165,8 @@ func TestBuildFabricTrunks(t *testing.T) {
 		t.Fatalf("sharded(2,3,2) = %d nodes, %d switches, %d trunks", c.NumNodes(), c.NumSwitches(), c.NumTrunks())
 	}
 	for _, tr := range c.Trunks {
-		if tr.PortA < c.Switches[tr.A].NumNodePorts() || tr.PortB < c.Switches[tr.B].NumNodePorts() {
+		// Every switch has one port per node, before its trunk ports.
+		if tr.PortA < topo.Nodes || tr.PortB < topo.Nodes {
 			t.Fatalf("trunk %d wired to a node port (%d/%d)", tr.Index, tr.PortA, tr.PortB)
 		}
 		if !tr.Link.Up() {

@@ -95,9 +95,6 @@ func (s *Switch) addTrunkPort(tag string) (*Port, int) {
 // Port returns the i-th switch port (node ports first, then trunks).
 func (s *Switch) Port(i int) *Port { return s.ports[i] }
 
-// NumNodePorts returns the node-facing port count.
-func (s *Switch) NumNodePorts() int { return s.nodePorts }
-
 // newXbar builds an all-unrouted crossbar for n ingress ports. The
 // crossbar is a dense slice, not a map: data forwarding hits it once
 // per frame per switch, and an indexed load beats a map probe on that

@@ -77,7 +77,7 @@ func (t Time) Micros() float64 { return float64(t) / float64(Microsecond) }
 // and its Timer handle holds the same index — nothing updates a handle
 // while its event is queued. Freed slots go on a free list threaded
 // through next, so the steady-state hot path — Do/DoPri scheduling and
-// event pop — does not allocate. Only At/AtPri/After allocate, one
+// event pop — does not allocate. Only At/After allocate, one
 // Timer handle each, and only because they hand out a cancellation
 // handle.
 type entry struct {
@@ -467,19 +467,8 @@ func (k *Kernel) PassedKey(t, priT Time, priH uint32, seq uint64) bool {
 // At schedules fn to run at absolute virtual time t. Scheduling in the
 // past panics: it indicates a model bug that would break causality.
 func (k *Kernel) At(t Time, fn func()) *Timer {
-	return k.AtPri(t, k.now, 0, fn)
-}
-
-// AtPri schedules fn at absolute time t with an explicit same-instant
-// tie-break key: events at equal t run in ascending (priT, priH, FIFO)
-// order. Plain At/After events carry (scheduling time, 0), so an
-// explicit key slots into the same-instant order exactly where an
-// event scheduled at priT would have — the physical layer uses this to
-// key frame deliveries by transmit start and port identity, keeping
-// the order engine-independent.
-func (k *Kernel) AtPri(t, priT Time, priH uint32, fn func()) *Timer {
 	tm := &Timer{k: k, fn: fn}
-	k.push(t, priT, priH, fn, tm)
+	k.push(t, k.now, 0, fn, tm)
 	return tm
 }
 
@@ -503,7 +492,12 @@ func (k *Kernel) NewTimer(fn func()) *Timer { return &Timer{k: k, fn: fn} }
 func (k *Kernel) Do(t Time, fn func()) { k.push(t, k.now, 0, fn, nil) }
 
 // DoPri schedules fn at absolute time t with an explicit same-instant
-// key, without issuing a Timer handle. It is to AtPri what Do is to At.
+// tie-break key, without issuing a Timer handle: events at equal t run
+// in ascending (priT, priH, FIFO) order. Plain At/After/Do events carry
+// (scheduling time, 0), so an explicit key slots into the same-instant
+// order exactly where an event scheduled at priT would have — the
+// physical layer uses this to key frame deliveries by transmit start
+// and port identity, keeping the order engine-independent.
 func (k *Kernel) DoPri(t, priT Time, priH uint32, fn func()) { k.push(t, priT, priH, fn, nil) }
 
 // DoKey schedules fn under a complete key whose sequence number came

@@ -313,12 +313,3 @@ func TestRNGExpPositiveAndMean(t *testing.T) {
 		t.Fatalf("Exp(1000) sample mean = %.1f, want ≈1000", mean)
 	}
 }
-
-func TestRNGSplitIndependent(t *testing.T) {
-	r := NewRNG(5)
-	a := r.Split()
-	b := r.Split()
-	if a.Uint64() == b.Uint64() {
-		t.Fatal("split RNG streams identical (suspicious)")
-	}
-}

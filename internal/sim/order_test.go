@@ -216,7 +216,6 @@ func (h *orderHarness) delay(a, b byte) Time {
 
 const (
 	opAt = iota
-	opAtPri
 	opDo
 	opDoPri
 	opAfter
@@ -244,10 +243,6 @@ func (h *orderHarness) apply(op, a, b, c byte) {
 	case opAt:
 		ev := timerEv(m.now+d, m.now, 0)
 		h.timers = append(h.timers, k.At(ev.at, h.callback(ev)))
-		m.push(ev)
-	case opAtPri:
-		ev := timerEv(m.now+d, Time(c&15), uint32(c>>4))
-		h.timers = append(h.timers, k.AtPri(ev.at, ev.priT, ev.priH, h.callback(ev)))
 		m.push(ev)
 	case opAfter:
 		if c == 255 {
@@ -414,8 +409,8 @@ var orderSeeds = []struct {
 	ops: []byte{
 		opDoPri, 100, 0, 15, opDoPri, 100, 0, 14, opDoPri, 100, 0, 13, opDoPri, 100, 0, 12,
 		opDoPri, 100, 0, 11, opDoPri, 100, 0, 10, opDoPri, 100, 0, 9, opDoPri, 100, 0, 8,
-		opDoPri, 100, 0, 7, opDoPri, 100, 0, 6, opAtPri, 100, 0, 5, opAtPri, 100, 0, 4,
-		opCancel, 1, 0, 0, opStep, 0, 0, 0, opRunUntil, 50, 0, 0, opRunUntil, 100, 0, 0,
+		opDoPri, 100, 0, 7, opDoPri, 100, 0, 6, opDoPri, 100, 0, 5, opDoPri, 100, 0, 4,
+		opStep, 0, 0, 0, opRunUntil, 50, 0, 0, opRunUntil, 100, 0, 0,
 	},
 	hit: func(k *Kernel) bool { return len(k.far) > 0 && k.arena[k.far[0]].at < wheelSize<<wheelShift },
 }, {

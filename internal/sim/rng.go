@@ -67,9 +67,3 @@ func (r *RNG) Perm(n int) []int {
 	}
 	return p
 }
-
-// Split returns a new RNG deterministically derived from this one,
-// useful for giving each simulated node an independent stream.
-func (r *RNG) Split() *RNG {
-	return NewRNG(r.Uint64())
-}

@@ -2,10 +2,10 @@ package sim
 
 import "testing"
 
-// TestAtPriOrdering verifies the same-instant tie-break contract:
+// TestDoPriOrdering verifies the same-instant tie-break contract:
 // ascending (priT, priH), with plain At/After events slotting in at
 // their scheduling time and FIFO order breaking exact key ties.
-func TestAtPriOrdering(t *testing.T) {
+func TestDoPriOrdering(t *testing.T) {
 	k := NewKernel(1)
 	var order []int
 	mark := func(i int) func() { return func() { order = append(order, i) } }
@@ -13,11 +13,11 @@ func TestAtPriOrdering(t *testing.T) {
 	// All at t=100. Keys: plain events scheduled now carry priT=0
 	// (now=0); explicit keys 50 and 20 follow; an equal key falls back
 	// to FIFO.
-	k.AtPri(100, 50, 7, mark(3))
-	k.AtPri(100, 20, 9, mark(2))
+	k.DoPri(100, 50, 7, mark(3))
+	k.DoPri(100, 20, 9, mark(2))
 	k.At(100, mark(1)) // priT = now = 0: first
-	k.AtPri(100, 50, 7, mark(4))
-	k.AtPri(100, 50, 2, mark(5)) // same priT, smaller hash: before 3/4
+	k.DoPri(100, 50, 7, mark(4))
+	k.DoPri(100, 50, 2, mark(5)) // same priT, smaller hash: before 3/4
 	k.Run()
 	want := []int{1, 2, 5, 3, 4}
 	for i := range want {

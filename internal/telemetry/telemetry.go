@@ -91,8 +91,6 @@ const (
 	// SpanAction: coordinator — one fence's action batch (plan events,
 	// loads) executing with all shards parked.
 	SpanAction
-	// SpanMark: a generic interval (CLI progress, experiment phases).
-	SpanMark
 )
 
 var spanKindNames = [...]string{
@@ -100,7 +98,6 @@ var spanKindNames = [...]string{
 	SpanRun:      "run",
 	SpanExchange: "exchange",
 	SpanAction:   "action",
-	SpanMark:     "mark",
 }
 
 func (k SpanKind) String() string {
@@ -169,15 +166,6 @@ func NewRecorder(clock Clock) *Recorder {
 		clock = Wall
 	}
 	return &Recorder{clock: clock}
-}
-
-// Clock returns the recorder's clock; on a nil recorder it returns
-// Wall, so callers can unconditionally time with r.Clock().
-func (r *Recorder) Clock() Clock {
-	if r == nil {
-		return Wall
-	}
-	return r.clock
 }
 
 // EnsureShards grows the per-shard buffers to at least n. Call once,

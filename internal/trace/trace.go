@@ -1,9 +1,9 @@
 // Package trace provides a structured event timeline for a running
 // cluster: roster adoptions, peer liveness transitions, node lifecycle,
-// failover takeovers, trunk cuts and typed frame losses, each stamped
-// with virtual time. It observes the cluster through its public hooks
-// (chaining any already-installed callbacks), so attaching a tracer
-// changes no behavior.
+// trunk cuts and typed frame losses, each stamped with virtual time. It
+// observes the cluster through its public hooks (chaining any
+// already-installed callbacks), so attaching a tracer changes no
+// behavior.
 package trace
 
 import (
@@ -27,7 +27,6 @@ const (
 	KindOnline
 	KindPeerDown
 	KindPeerUp
-	KindTakeover
 	KindFrameLoss
 	KindTrunkFail
 	// KindWindowFence marks an engine barrier that moved state: a drain
@@ -53,8 +52,6 @@ func (k Kind) String() string {
 		return "PEER-DOWN"
 	case KindPeerUp:
 		return "PEER-UP"
-	case KindTakeover:
-		return "TAKEOVER"
 	case KindFrameLoss:
 		return "FRAME-LOSS"
 	case KindTrunkFail:
@@ -73,7 +70,7 @@ type Event struct {
 	At   sim.Time
 	Kind Kind
 	Node int    // observing node (-1 for shard- or fabric-scoped events)
-	Arg  int    // peer id / ring size / group id / loss cause / trunk id, by kind
+	Arg  int    // peer id / ring size / loss cause / trunk id, by kind
 	Text string // human-readable detail
 }
 
@@ -82,7 +79,6 @@ type Event struct {
 // the buffers are single-writer even on the parallel sharded engine —
 // and merged into one (time, node)-ordered timeline on read.
 type Tracer struct {
-	c       *core.Cluster
 	perNode [][]Event
 	// perNet buffers the frame-loss timeline per shard Net: the ledger
 	// Observer fires on the owning shard's kernel, so these buffers too
@@ -92,15 +88,12 @@ type Tracer struct {
 	// fire single-threaded — on the serial kernel, or at a window
 	// barrier with every shard parked — so one buffer suffices.
 	fabric []Event
-	// Cap bounds memory per observing node; older events are discarded
-	// FIFO. 0 = unbounded.
-	Cap int
 }
 
 // Attach installs a tracer on every node of the cluster, chaining the
 // hooks already present.
 func Attach(c *core.Cluster) *Tracer {
-	t := &Tracer{c: c,
+	t := &Tracer{
 		perNode: make([][]Event, len(c.Nodes)),
 		perNet:  make([][]Event, len(c.Nets)),
 	}
@@ -110,10 +103,10 @@ func Attach(c *core.Cluster) *Tracer {
 		// chaining it keeps attachment behavior-neutral.
 		prevObs := net.Acct.Observer
 		net.Acct.Observer = func(cause frameacct.LossCause, n int) {
-			t.perNet[s] = t.capped(append(t.perNet[s], Event{
+			t.perNet[s] = append(t.perNet[s], Event{
 				At: net.K.Now(), Kind: KindFrameLoss, Node: -1, Arg: int(cause),
 				Text: fmt.Sprintf("%d frame(s) lost: %s (net %d)", n, cause, s),
-			}))
+			})
 			if prevObs != nil {
 				prevObs(cause, n)
 			}
@@ -123,15 +116,15 @@ func Attach(c *core.Cluster) *Tracer {
 	c.OnEvent = func(e core.Event) {
 		// Plan events fire single-threaded (serial kernel, or at a fence
 		// with every shard parked), so the fabric buffer is safe here.
-		t.fabric = t.capped(append(t.fabric, Event{
+		t.fabric = append(t.fabric, Event{
 			At: c.Now(), Kind: KindActionRun, Node: -1, Arg: int(e.Kind),
 			Text: e.String(),
-		}))
+		})
 		if e.Kind == core.EvFailTrunk {
-			t.fabric = t.capped(append(t.fabric, Event{
+			t.fabric = append(t.fabric, Event{
 				At: c.Now(), Kind: KindTrunkFail, Node: -1, Arg: e.Switch,
 				Text: fmt.Sprintf("trunk %d cut", e.Switch),
-			}))
+			})
 		}
 		if prevEvent != nil {
 			prevEvent(e)
@@ -151,10 +144,10 @@ func Attach(c *core.Cluster) *Tracer {
 		if action {
 			text += " (coordinator fence)"
 		}
-		t.fabric = t.capped(append(t.fabric, Event{
+		t.fabric = append(t.fabric, Event{
 			At: at, Kind: KindWindowFence, Node: -1, Arg: frames + routes,
 			Text: text,
-		}))
+		})
 	})
 	for i, nd := range c.Nodes {
 		i, nd := i, nd
@@ -194,25 +187,7 @@ func Attach(c *core.Cluster) *Tracer {
 }
 
 func (t *Tracer) add(e Event) {
-	t.perNode[e.Node] = t.capped(append(t.perNode[e.Node], e))
-}
-
-// capped enforces the per-buffer Cap, discarding oldest-first.
-func (t *Tracer) capped(buf []Event) []Event {
-	if t.Cap > 0 && len(buf) > t.Cap {
-		copy(buf, buf[len(buf)-t.Cap:])
-		buf = buf[:t.Cap]
-	}
-	return buf
-}
-
-// NoteTakeover records a failover takeover; callers wire it from their
-// group's OnTakeover hooks (the tracer cannot see group registration).
-func (t *Tracer) NoteTakeover(node int, group uint8) {
-	// Stamped with the observing node's clock: takeover hooks fire on
-	// that node's kernel (its shard).
-	t.add(Event{At: t.c.Nodes[node].K.Now(), Kind: KindTakeover, Node: node, Arg: int(group),
-		Text: fmt.Sprintf("node %d takes control of group %d", node, group)})
+	t.perNode[e.Node] = append(t.perNode[e.Node], e)
 }
 
 // Events returns the accumulated timeline, merged across nodes in

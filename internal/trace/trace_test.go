@@ -80,35 +80,6 @@ func TestDedupCollapsesAgreement(t *testing.T) {
 	}
 }
 
-func TestCapBoundsMemory(t *testing.T) {
-	c := core.New(core.Options{Nodes: 2, Switches: 2})
-	tr := Attach(c)
-	tr.Cap = 5
-	// Cap bounds each observing node's buffer (buffers are per-node so
-	// shard kernels never share one): 20 events over 2 nodes keep 5
-	// newest per node.
-	for i := 0; i < 20; i++ {
-		tr.add(Event{At: sim.Time(i), Kind: KindOnline, Node: i % 2, Arg: i})
-	}
-	evs := tr.Events()
-	if len(evs) != 10 {
-		t.Fatalf("cap not enforced: %d", len(evs))
-	}
-	if evs[len(evs)-1].Arg != 19 {
-		t.Fatalf("newest event not retained: %+v", evs[len(evs)-1])
-	}
-}
-
-func TestNoteTakeover(t *testing.T) {
-	c := core.New(core.Options{Nodes: 2, Switches: 2})
-	tr := Attach(c)
-	tr.NoteTakeover(1, 7)
-	ev := tr.Filter(KindTakeover)
-	if len(ev) != 1 || ev[0].Arg != 7 {
-		t.Fatalf("takeover event: %+v", ev)
-	}
-}
-
 // TestFrameLossAndTrunkFailTimeline drives a trunked fabric through a
 // trunk cut and a node crash and requires both new kinds to appear:
 // the cut as a fabric-scoped TRUNK-FAIL, and the frames the faults
