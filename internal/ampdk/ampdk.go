@@ -188,11 +188,15 @@ type Node struct {
 	peers       []peerSlot
 	lowerOnline int
 	// Each periodic activity owns one Timer, made unarmed by NewNode,
-	// re-armed with Reset, cancelled by halt.
-	heartbeat *sim.Timer
-	detect    *sim.Timer
-	joinRetry *sim.Timer
-	certTimer *sim.Timer
+	// re-armed with Reset, cancelled by halt. recovery, made by
+	// EnableAutoRecovery, ticks every recoverEvery.
+	heartbeat    *sim.Timer
+	detect       *sim.Timer
+	joinRetry    *sim.Timer
+	certTimer    *sim.Timer
+	recovery     *sim.Timer
+	recoverEvery sim.Time
+	recoverSeen  uint64 // DMA gaps the last recovery round answered
 
 	sponsoring map[int]bool // joiners whose refresh stream is in flight
 	hbSeq      uint32
@@ -295,6 +299,9 @@ func (n *Node) Boot() {
 	n.Agent.Start()
 	n.solicit()
 	n.detectLoop()
+	if n.recovery != nil {
+		n.recovery.Reset(n.recoverEvery)
+	}
 }
 
 // Online reports whether the node completed assimilation.
@@ -362,8 +369,9 @@ func (n *Node) Crash() {
 	n.Cluster.FailNode(n.Cfg.ID)
 }
 
-// halt stops the kernel: offline, and no periodic activity left queued
-// to carry on beside the chains a later Boot starts.
+// halt stops the kernel: offline, no periodic activity left queued to
+// carry on beside the chains a later Boot starts, and no semaphore
+// operation of this incarnation left to retry or call back.
 func (n *Node) halt() {
 	n.stopped = true
 	n.State = StateOffline
@@ -371,6 +379,8 @@ func (n *Node) halt() {
 	n.detect.Cancel()
 	n.joinRetry.Cancel()
 	n.certTimer.Cancel()
+	n.recovery.Cancel()
+	n.Sem.Abort()
 }
 
 // AppFail models an application/host failure with a healthy NIC: the

@@ -327,6 +327,34 @@ func TestSemaphoresAcrossKernel(t *testing.T) {
 	}
 }
 
+// TestCrashAbortsSemaphoreOps: a semaphore operation dies with the host
+// that issued it. While the node is down nothing retries it, and after
+// the reboot the dead incarnation's callback never runs.
+func TestCrashAbortsSemaphoreOps(t *testing.T) {
+	k, _, nodes := bootCluster(4, 2, nil)
+	run(k, 20*sim.Millisecond)
+	n3 := nodes[3]
+	ran := false
+	k.After(0, func() {
+		n3.Sem.Op(5, micropacket.OpFetchAdd, 1, func(uint64) { ran = true })
+		n3.Crash()
+	})
+	run(k, 20*sim.Millisecond)
+	retries := n3.Sem.Retries
+	run(k, 20*sim.Millisecond)
+	if n3.Sem.Retries != retries {
+		t.Fatalf("a crashed node retried: %d retries, then %d 20 ms later", retries, n3.Sem.Retries)
+	}
+	k.After(0, n3.Reboot)
+	run(k, 40*sim.Millisecond)
+	if !n3.Online() {
+		t.Fatal("node 3 did not come back")
+	}
+	if ran {
+		t.Fatal("the crashed incarnation's callback ran after the reboot")
+	}
+}
+
 func TestCrashHealsRingAndServicesContinue(t *testing.T) {
 	k, _, nodes := bootCluster(5, 4, nil)
 	run(k, 20*sim.Millisecond)

@@ -72,24 +72,28 @@ func (n *Node) handleRefreshReq(p *micropacket.Packet) {
 // been observed on this node (frames lost to a failure), every cache
 // region is re-requested from the sponsor. interval controls the check
 // pace; the paper's story is that recovery follows rostering
-// automatically.
+// automatically. The check is the node's recovery Timer, made on the
+// first call: halt cancels it, Boot re-arms it, and a later call re-arms
+// it at the new pace.
 func (n *Node) EnableAutoRecovery(interval sim.Time) {
 	if interval <= 0 {
 		interval = 5 * sim.Millisecond
 	}
-	seen := uint64(0)
-	var tick *sim.Timer
-	tick = n.K.After(interval, func() {
-		if n.stopped {
-			return
+	if n.recovery == nil {
+		n.recovery = n.K.NewTimer(n.autoRecover)
+	}
+	n.recoverEvery = interval
+	n.recovery.Reset(interval)
+}
+
+// autoRecover is one auto-recovery check.
+func (n *Node) autoRecover() {
+	if n.State == StateOnline && n.DMA.Gaps > n.recoverSeen {
+		n.recoverSeen = n.DMA.Gaps
+		for _, region := range n.Cache.Regions() {
+			n.RequestRefresh(region)
 		}
-		if n.State == StateOnline && n.DMA.Gaps > seen {
-			seen = n.DMA.Gaps
-			for _, region := range n.Cache.Regions() {
-				n.RequestRefresh(region)
-			}
-			n.AutoRecoveries++
-		}
-		tick.Reset(interval)
-	})
+		n.AutoRecoveries++
+	}
+	n.recovery.Reset(n.recoverEvery)
 }

@@ -107,6 +107,38 @@ func TestAutoRecoveryTriggersOnGaps(t *testing.T) {
 	}
 }
 
+// TestAutoRecoverySurvivesCrash: auto-recovery is the node's own timer.
+// Enabling it twice leaves one check queued, not two; a crash stops it
+// and the reboot re-arms it, so gaps seen after the reboot are answered.
+func TestAutoRecoverySurvivesCrash(t *testing.T) {
+	k, _, nodes := bootCluster(4, 2, func(i int) Config {
+		return Config{Regions: map[uint8]int{1: 2048}}
+	})
+	for _, nd := range nodes {
+		nd.EnableAutoRecovery(2 * sim.Millisecond)
+	}
+	queued := k.Pending()
+	nodes[1].EnableAutoRecovery(2 * sim.Millisecond)
+	if k.Pending() != queued {
+		t.Fatalf("a second EnableAutoRecovery queued %d more events", k.Pending()-queued)
+	}
+	run(k, 20*sim.Millisecond)
+	k.After(0, nodes[3].Crash)
+	run(k, 5*sim.Millisecond)
+	k.After(0, nodes[3].Reboot)
+	run(k, 40*sim.Millisecond)
+	if !nodes[3].Online() {
+		t.Fatal("node 3 did not come back")
+	}
+	// Frames lost on the cache channel show as DMA sequence gaps.
+	before := nodes[3].AutoRecoveries
+	k.After(0, func() { nodes[3].DMA.Gaps += 5 })
+	run(k, 10*sim.Millisecond)
+	if nodes[3].AutoRecoveries == before {
+		t.Fatal("gaps after the reboot never triggered auto-recovery")
+	}
+}
+
 // TestRefreshReqToSelfIsNoop: the sponsor asking itself does nothing.
 func TestRefreshReqToSelfIsNoop(t *testing.T) {
 	k, _, nodes := bootCluster(2, 2, nil)

@@ -1,42 +1,74 @@
-// Package baseline implements the conventional-network comparators that
-// AmpNet's claims are measured against in the experiments (DESIGN.md,
-// S14). The paper argues AmpNet is better than contemporary cluster
-// interconnects in three ways; each gets a concrete strawman:
+// Package baseline holds the conventional-network comparators AmpNet's
+// claims are measured against. Each is AmpNet's own MAC,
+// insertion.Station, with its rules off (greedy), plus the one
+// mechanism that makes it a strawman:
 //
-//   - TokenRing: a classic token-passing MAC. One transmitter at a time
-//     — the contrast for slide 7's "multiple data streams inserted onto
-//     a segment at each node" (experiment E3).
+//   - TokenRing: token passing, one transmitter at a time — the contrast
+//     for slide 7's multiple streams per segment (experiment E3).
+//   - NewDropTailRing: small egress FIFOs that all-to-all broadcast
+//     overruns — the contrast for slide 8's lossless guarantee (E4).
+//   - StaticNet: routes programmed once and re-converged only after a
+//     long protection delay (spanning-tree style), with no rostering —
+//     the contrast for slide 16's two-ring-tour self-healing (E11).
 //
-//   - DropTailStation: a ring MAC that inserts greedily with no local
-//     flow-control view. Under all-to-all broadcast it overruns egress
-//     FIFOs and drops — the contrast for slide 8's lossless guarantee
-//     (experiment E4).
-//
-//   - StaticNet: a switched network whose forwarding is programmed once
-//     and re-converges only after a long protection delay (spanning-
-//     tree style), with no rostering — the contrast for slide 16's
-//     two-ring-tour self-healing (experiment E11).
+// So the comparators strip, forward and account frames as AmpNet does,
+// and their ledgers conserve.
 package baseline
 
 import (
+	"math"
+
+	"repro/internal/insertion"
 	"repro/internal/micropacket"
 	"repro/internal/phys"
 	"repro/internal/sim"
 )
+
+// greedy builds one station per node with the MAC's two rules off: it
+// inserts whatever its egress queue holds (InsertThreshold is never
+// reached, so it never backs off), and transit skips the insertion
+// register (ForwardDelay 0). The stations have no egress yet.
+func greedy(k *sim.Kernel, cluster *phys.Cluster) []*insertion.Station {
+	sts := make([]*insertion.Station, cluster.NumNodes())
+	for i := range sts {
+		st := insertion.NewStation(k, micropacket.NodeID(i), cluster.NodePorts[i])
+		st.InsertThreshold = math.MaxInt
+		st.ForwardDelay = 0
+		sts[i] = st
+	}
+	return sts
+}
+
+// greedyRing rings greedy stations over switch 0 of the cluster (its
+// ports must be otherwise unused).
+func greedyRing(k *sim.Kernel, cluster *phys.Cluster) []*insertion.Station {
+	sts := greedy(k, cluster)
+	for i, st := range sts {
+		cluster.Switches[0].SetRoute(i, (i+1)%len(sts))
+		st.SetEgress(0)
+	}
+	return sts
+}
 
 // --- token ring ---
 
 // tokenTag marks the circulating token (a Diagnostic MicroPacket).
 const tokenTag = 0x70
 
-// TokenStation is one station on a token-passing ring.
+// TokenBurst is how many queued frames a station sends per token visit;
+// TokenHold is the processing delay before it passes the token on.
+const (
+	TokenBurst = 8
+	TokenHold  = 1 * sim.Microsecond
+)
+
+// TokenStation is one station on a token-passing ring: a greedy
+// station that sends only while it holds the token.
 type TokenStation struct {
-	ID      micropacket.NodeID
-	K       *sim.Kernel
-	ring    *TokenRing
-	egress  *phys.Port
-	sendQ   []phys.Frame
-	holding bool
+	st    *insertion.Station
+	ring  *TokenRing
+	sendQ []*micropacket.Packet
+	pass  *sim.Timer
 
 	// OnDeliver receives frames addressed to (or broadcast past) this
 	// station.
@@ -50,12 +82,6 @@ type TokenStation struct {
 
 // TokenRing couples n stations on one switch into a token ring.
 type TokenRing struct {
-	K *sim.Kernel
-	// Burst is how many queued frames a station may send per token
-	// visit.
-	Burst int
-	// TokenHold is the processing delay before passing the token on.
-	TokenHold sim.Time
 	// MaxQueue bounds each station's send queue.
 	MaxQueue int
 
@@ -64,155 +90,81 @@ type TokenRing struct {
 	Rotations uint64
 }
 
-// DefaultTokenHold is the per-visit token processing latency.
-const DefaultTokenHold = 1 * sim.Microsecond
-
 // NewTokenRing wires n stations into a logical ring over switch 0 of
 // the cluster (ports must be otherwise unused).
 func NewTokenRing(k *sim.Kernel, cluster *phys.Cluster) *TokenRing {
-	tr := &TokenRing{K: k, Burst: 8, TokenHold: DefaultTokenHold, MaxQueue: 256}
-	n := cluster.NumNodes()
-	for i := 0; i < n; i++ {
-		st := &TokenStation{ID: micropacket.NodeID(i), K: k, ring: tr}
-		st.egress = cluster.NodePorts[i][0]
-		i := i
-		cluster.NodePorts[i][0].SetHandler(func(_ *phys.Port, f phys.Frame) { st.handle(f) })
-		tr.Stations = append(tr.Stations, st)
-		cluster.Switches[0].SetRoute(i, (i+1)%n)
+	tr := &TokenRing{MaxQueue: 256}
+	sts := greedyRing(k, cluster)
+	for _, st := range sts {
+		ts := &TokenStation{st: st, ring: tr}
+		ts.pass = k.NewTimer(ts.passToken)
+		st.OnDeliver = ts.deliver
+		tr.Stations = append(tr.Stations, ts)
 	}
 	return tr
 }
 
 // Start injects the token at station 0.
-func (tr *TokenRing) Start() {
-	tr.Stations[0].acquireToken()
-}
+func (tr *TokenRing) Start() { tr.Stations[0].acquireToken() }
 
-// Send queues a frame at station id; false = queue full (backpressure).
+// Send queues a packet at station id; false = queue full (backpressure).
 func (tr *TokenRing) Send(id int, p *micropacket.Packet) bool {
-	st := tr.Stations[id]
-	if len(st.sendQ) >= tr.MaxQueue {
-		st.Refused++
+	ts := tr.Stations[id]
+	if len(ts.sendQ) >= tr.MaxQueue {
+		ts.Refused++
 		return false
 	}
-	st.sendQ = append(st.sendQ, st.egress.Net().NewFrame(p))
+	ts.sendQ = append(ts.sendQ, p)
 	return true
 }
 
-// acquireToken gives the station its transmission opportunity.
-func (st *TokenStation) acquireToken() {
-	st.holding = true
-	n := st.ring.Burst
-	if n > len(st.sendQ) {
-		n = len(st.sendQ)
-	}
-	for i := 0; i < n; i++ {
-		st.egress.Send(st.sendQ[i])
-		st.Sent++
-	}
-	st.sendQ = st.sendQ[n:]
-	// Pass the token after the hold time (its wire time is modeled by
-	// the token frame itself).
-	st.K.After(st.ring.TokenHold, func() {
-		st.holding = false
-		tok := micropacket.NewDiagnostic(st.ID, micropacket.Broadcast, tokenTag)
-		st.egress.Send(st.egress.Net().NewFrame(tok))
-	})
-}
-
-// handle processes an arriving frame: token, delivery, or transit.
-func (st *TokenStation) handle(f phys.Frame) {
-	pkt := f.Pkt
-	if pkt.Type == micropacket.TypeDiagnostic && pkt.Tag == tokenTag {
-		if st.ID == 0 {
-			st.ring.Rotations++
+// deliver is the station's OnDeliver: the token, addressed to this
+// station and stripped here by the MAC, or host traffic.
+func (ts *TokenStation) deliver(p *micropacket.Packet) {
+	if p.Type == micropacket.TypeDiagnostic && p.Tag == tokenTag {
+		if ts.st.ID == 0 {
+			ts.ring.Rotations++
 		}
-		st.acquireToken()
+		ts.acquireToken()
 		return
 	}
-	switch {
-	case pkt.IsBroadcast() && pkt.Src == st.ID:
-		return // strip own broadcast
-	case pkt.IsBroadcast():
-		st.Delivered++
-		if st.OnDeliver != nil {
-			st.OnDeliver(pkt)
-		}
-		st.egress.Send(f)
-	case pkt.Dst == st.ID:
-		st.Delivered++
-		if st.OnDeliver != nil {
-			st.OnDeliver(pkt)
-		}
-	default:
-		st.egress.Send(f)
+	ts.Delivered++
+	if ts.OnDeliver != nil {
+		ts.OnDeliver(p)
 	}
+}
+
+// acquireToken gives the station its transmission opportunity.
+func (ts *TokenStation) acquireToken() {
+	n := min(TokenBurst, len(ts.sendQ))
+	for _, p := range ts.sendQ[:n] {
+		ts.st.Send(p)
+		ts.Sent++
+	}
+	ts.sendQ = ts.sendQ[n:]
+	// Pass the token after the hold time (its wire time is modeled by
+	// the token frame itself).
+	ts.pass.Reset(TokenHold)
+}
+
+// passToken sends the token to the next station.
+func (ts *TokenStation) passToken() {
+	next := micropacket.NodeID((int(ts.st.ID) + 1) % len(ts.ring.Stations))
+	ts.st.Send(ts.st.Net().Packets.Diagnostic(ts.st.ID, next, tokenTag))
 }
 
 // --- drop-tail ring ---
 
-// DropTailStation is an insertion-ring station with the flow control
-// removed: it inserts immediately, whatever its egress queue holds, so
-// egress FIFOs overflow under load and frames are dropped
-// (Acct.CongestionDrops()).
-type DropTailStation struct {
-	ID     micropacket.NodeID
-	K      *sim.Kernel
-	egress *phys.Port
-
-	OnDeliver func(*micropacket.Packet)
-
-	Inserted  uint64
-	Delivered uint64
-	TxDropped uint64 // frames refused by the full egress FIFO
-}
-
 // NewDropTailRing wires greedy stations into a ring over switch 0,
 // with deliberately small egress FIFOs (like a NIC with a shallow
-// transmit queue and no backpressure).
-func NewDropTailRing(k *sim.Kernel, cluster *phys.Cluster, fifoCap int) []*DropTailStation {
-	n := cluster.NumNodes()
-	var out []*DropTailStation
-	for i := 0; i < n; i++ {
-		st := &DropTailStation{ID: micropacket.NodeID(i), K: k}
-		st.egress = cluster.NodePorts[i][0]
-		st.egress.SetCapacity(fifoCap)
-		cluster.NodePorts[i][0].SetHandler(func(_ *phys.Port, f phys.Frame) { st.handle(f) })
-		cluster.Switches[0].SetRoute(i, (i+1)%n)
-		out = append(out, st)
+// transmit queue and no backpressure): a full FIFO drops the frame
+// (Acct.CongestionDrops()).
+func NewDropTailRing(k *sim.Kernel, cluster *phys.Cluster, fifoCap int) []*insertion.Station {
+	sts := greedyRing(k, cluster)
+	for i := range sts {
+		cluster.NodePorts[i][0].SetCapacity(fifoCap)
 	}
-	return out
-}
-
-// Send inserts immediately — no local-view check, no pacing.
-func (st *DropTailStation) Send(p *micropacket.Packet) bool {
-	if st.egress.Send(st.egress.Net().NewFrame(p)) {
-		st.Inserted++
-		return true
-	}
-	st.TxDropped++
-	return false
-}
-
-func (st *DropTailStation) handle(f phys.Frame) {
-	pkt := f.Pkt
-	switch {
-	case pkt.IsBroadcast() && pkt.Src == st.ID:
-		return
-	case pkt.IsBroadcast():
-		st.Delivered++
-		if st.OnDeliver != nil {
-			st.OnDeliver(pkt)
-		}
-		st.egress.Send(f) // may drop: that is the point
-	case pkt.Dst == st.ID:
-		st.Delivered++
-		if st.OnDeliver != nil {
-			st.OnDeliver(pkt)
-		}
-	default:
-		st.egress.Send(f)
-	}
+	return sts
 }
 
 // --- static switched network ---
@@ -228,21 +180,11 @@ type StaticNet struct {
 	// to tens of seconds; default 1 s, generous to the baseline).
 	ReconvergeDelay sim.Time
 
-	Stations []*StaticStation
+	// Stations refuse a Send with no live switch to their successor.
+	Stations []*insertion.Station
 	// Reconvergences counts repair events.
 	Reconvergences uint64
 	pending        bool
-}
-
-// StaticStation is a plain store-and-forward endpoint on the static
-// network.
-type StaticStation struct {
-	ID        micropacket.NodeID
-	net       *StaticNet
-	egress    *phys.Port
-	OnDeliver func(*micropacket.Packet)
-	Delivered uint64
-	TxFail    uint64
 }
 
 // DefaultReconverge is the default protection-switching delay.
@@ -253,20 +195,13 @@ const DefaultReconverge = 1 * sim.Second
 // failures with the same PHY detection.
 func NewStaticNet(k *sim.Kernel, cluster *phys.Cluster) *StaticNet {
 	sn := &StaticNet{K: k, Cluster: cluster, ReconvergeDelay: DefaultReconverge}
-	n := cluster.NumNodes()
-	for i := 0; i < n; i++ {
-		st := &StaticStation{ID: micropacket.NodeID(i), net: sn}
-		i := i
-		for s := 0; s < cluster.NumSwitches(); s++ {
-			p := cluster.NodePorts[i][s]
-			p.SetHandler(func(_ *phys.Port, f phys.Frame) { st.handle(f) })
-			p.SetStatusHandler(func(_ *phys.Port, up bool) {
-				if !up {
-					sn.scheduleReconverge()
-				}
-			})
+	sn.Stations = greedy(k, cluster)
+	for _, st := range sn.Stations {
+		st.OnStatus = func(_ *phys.Port, up bool) {
+			if !up {
+				sn.scheduleReconverge()
+			}
 		}
-		sn.Stations = append(sn.Stations, st)
 	}
 	sn.program()
 	return sn
@@ -275,21 +210,18 @@ func NewStaticNet(k *sim.Kernel, cluster *phys.Cluster) *StaticNet {
 // program rebuilds a ring over the lowest switch alive at every
 // consecutive pair, mimicking a manually-configured network.
 func (sn *StaticNet) program() {
-	n := sn.Cluster.NumNodes()
 	for _, sw := range sn.Cluster.Switches {
 		sw.ClearRoutes()
 	}
-	for i := 0; i < n; i++ {
-		next := (i + 1) % n
+	for i, st := range sn.Stations {
+		next := (i + 1) % len(sn.Stations)
 		cands := sn.Cluster.LiveSwitchesBetween(i, next)
-		st := sn.Stations[i]
 		if len(cands) == 0 {
-			st.egress = nil
+			st.SetEgress(-1)
 			continue
 		}
-		s := cands[0]
-		sn.Cluster.Switches[s].SetRoute(i, next)
-		st.egress = sn.Cluster.NodePorts[i][s]
+		sn.Cluster.Switches[cands[0]].SetRoute(i, next)
+		st.SetEgress(cands[0])
 	}
 }
 
@@ -304,45 +236,4 @@ func (sn *StaticNet) scheduleReconverge() {
 		sn.Reconvergences++
 		sn.program()
 	})
-}
-
-// Send transmits from station id around the static ring.
-func (sn *StaticNet) Send(id int, p *micropacket.Packet) bool {
-	st := sn.Stations[id]
-	if st.egress == nil || !st.egress.Send(st.egress.Net().NewFrame(p)) {
-		st.TxFail++
-		return false
-	}
-	return true
-}
-
-func (st *StaticStation) handle(f phys.Frame) {
-	pkt := f.Pkt
-	switch {
-	case pkt.IsBroadcast() && pkt.Src == st.ID:
-		return
-	case pkt.IsBroadcast():
-		st.Delivered++
-		if st.OnDeliver != nil {
-			st.OnDeliver(pkt)
-		}
-		st.forward(f)
-	case pkt.Dst == st.ID:
-		st.Delivered++
-		if st.OnDeliver != nil {
-			st.OnDeliver(pkt)
-		}
-	default:
-		st.forward(f)
-	}
-}
-
-func (st *StaticStation) forward(f phys.Frame) {
-	if f.Hops >= 255 {
-		return
-	}
-	f.Hops++
-	if st.egress != nil {
-		st.egress.Send(f)
-	}
 }

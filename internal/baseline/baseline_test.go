@@ -77,7 +77,7 @@ func TestTokenRingSingleTransmitter(t *testing.T) {
 	if sent == 0 {
 		t.Fatal("token ring moved nothing")
 	}
-	maxPerTour := uint64(tr.Burst * 4)
+	maxPerTour := uint64(TokenBurst * 4)
 	if sent > (tr.Rotations+2)*maxPerTour {
 		t.Fatalf("sent %d frames in %d rotations — more than one transmitter at a time?", sent, tr.Rotations)
 	}
@@ -138,7 +138,7 @@ func TestStaticNetDelivers(t *testing.T) {
 	sn := NewStaticNet(k, c)
 	got := 0
 	sn.Stations[3].OnDeliver = func(*micropacket.Packet) { got++ }
-	sn.Send(0, micropacket.NewData(0, 3, 0, nil))
+	sn.Stations[0].Send(micropacket.NewData(0, 3, 0, nil))
 	k.RunUntil(sim.Millisecond)
 	if got != 1 {
 		t.Fatalf("deliveries = %d", got)
@@ -158,7 +158,7 @@ func TestStaticNetOutageWindow(t *testing.T) {
 	// Kill the switch the ring uses (switch 0).
 	k.After(sim.Millisecond, func() { c.Switches[0].Fail() })
 	// During the outage, sends fail or vanish.
-	k.After(2*sim.Millisecond, func() { sn.Send(0, micropacket.NewData(0, 1, 1, nil)) })
+	k.After(2*sim.Millisecond, func() { sn.Stations[0].Send(micropacket.NewData(0, 1, 1, nil)) })
 	k.RunUntil(4 * sim.Millisecond)
 	if got != 0 {
 		t.Fatal("delivery during outage window")
@@ -168,7 +168,7 @@ func TestStaticNetOutageWindow(t *testing.T) {
 	if sn.Reconvergences != 1 {
 		t.Fatalf("reconvergences = %d", sn.Reconvergences)
 	}
-	k.After(0, func() { sn.Send(0, micropacket.NewData(0, 1, 2, nil)) })
+	k.After(0, func() { sn.Stations[0].Send(micropacket.NewData(0, 1, 2, nil)) })
 	k.RunUntil(10 * sim.Millisecond)
 	if got != 1 {
 		t.Fatalf("post-repair deliveries = %d", got)
@@ -186,5 +186,72 @@ func TestStaticNetMultipleFailuresSingleRepair(t *testing.T) {
 	k.RunUntil(5 * sim.Millisecond)
 	if sn.Reconvergences != 1 {
 		t.Fatalf("reconvergences = %d, want 1 (batched)", sn.Reconvergences)
+	}
+}
+
+// TestComparatorsConserveFrames: the comparators are the AmpNet MAC, so
+// every frame they launch ends in a counted fate — consumed, lost with
+// a cause, relaunched or still in flight — under saturation, drops and
+// a failure with its repair.
+func TestComparatorsConserveFrames(t *testing.T) {
+	rigs := []struct {
+		name string
+		run  func() *phys.Net
+	}{
+		{"token", func() *phys.Net {
+			k, net, c := cluster(4, 1)
+			tr := NewTokenRing(k, c)
+			for i := 0; i < 4; i++ {
+				for j := 0; j < 64; j++ {
+					tr.Send(i, micropacket.NewData(micropacket.NodeID(i), micropacket.NodeID((i+2)%4), uint8(j), nil))
+				}
+				tr.Send(i, micropacket.NewData(micropacket.NodeID(i), micropacket.Broadcast, 0, nil))
+			}
+			tr.Start()
+			k.RunUntil(2 * sim.Millisecond)
+			return net
+		}},
+		{"drop-tail", func() *phys.Net {
+			k, net, c := cluster(8, 1)
+			for i, st := range NewDropTailRing(k, c, 4) {
+				for j := 0; j < 50; j++ {
+					st.Send(micropacket.NewData(micropacket.NodeID(i), micropacket.Broadcast, uint8(j), nil))
+				}
+			}
+			k.RunUntil(10 * sim.Millisecond)
+			if l := net.Ledger(); l.CongestionDrops() == 0 {
+				t.Error("drop-tail dropped nothing")
+			}
+			return net
+		}},
+		{"static", func() *phys.Net {
+			k, net, c := cluster(4, 2)
+			sn := NewStaticNet(k, c)
+			sn.ReconvergeDelay = sim.Millisecond
+			var tick func()
+			tick = func() {
+				sn.Stations[0].Send(micropacket.NewData(0, 2, 0, nil))
+				sn.Stations[3].Send(micropacket.NewData(3, micropacket.Broadcast, 0, nil))
+				if k.Now() < 4*sim.Millisecond {
+					k.After(10*sim.Microsecond, tick)
+				}
+			}
+			k.After(0, tick)
+			k.After(sim.Millisecond, func() { c.Switches[0].Fail() })
+			k.RunUntil(5 * sim.Millisecond)
+			if sn.Reconvergences != 1 {
+				t.Errorf("reconvergences = %d", sn.Reconvergences)
+			}
+			return net
+		}},
+	}
+	for _, rig := range rigs {
+		l := rig.run().Ledger()
+		if l.Offered == 0 {
+			t.Errorf("%s: no frame offered", rig.name)
+		}
+		if !l.Conserved() {
+			t.Errorf("%s: %v", rig.name, l.Violations())
+		}
 	}
 }

@@ -217,7 +217,6 @@ func E11SelfHealVsBaseline(p Params) *Table {
 		net := phys.NewNet(k)
 		cl := phys.BuildCluster(net, 4, 2, 50)
 		sn := baseline.NewStaticNet(k, cl)
-		sn.ReconvergeDelay = baseline.DefaultReconverge // 1 s, generous
 		var lastRx, gapMax sim.Time
 		sent, got := 0, 0
 		sn.Stations[2].OnDeliver = func(*micropacket.Packet) {
@@ -230,7 +229,7 @@ func E11SelfHealVsBaseline(p Params) *Table {
 		var tick func()
 		tick = func() {
 			if k.Now() < runFor {
-				sn.Send(0, micropacket.NewData(0, 2, 0, []byte{1}))
+				sn.Stations[0].Send(micropacket.NewData(0, 2, 0, []byte{1}))
 				sent++
 				k.After(sendEvery, tick)
 			}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/frameacct"
 	"repro/internal/micropacket"
 	"repro/internal/phys"
 	"repro/internal/sim"
@@ -44,6 +45,7 @@ type md1Trace struct {
 	sent, arrived []sim.Time
 	flight        sim.Time
 	refused       int
+	ledger        frameacct.Acct // the Net's, after the run
 }
 
 // runMD1 sends frames 64-byte DMA frames at Poisson instants with mean
@@ -54,7 +56,10 @@ func runMD1(rho float64, seed uint64, frames int) *md1Trace {
 	tr := &md1Trace{rho: rho, flight: phys.PropTime(e18FiberM),
 		sent: make([]sim.Time, 0, frames), arrived: make([]sim.Time, 0, frames)}
 	a := n.NewPort("a", nil)
-	b := n.NewPort("b", func(*phys.Port, phys.Frame) { tr.arrived = append(tr.arrived, k.Now()) })
+	b := n.NewPort("b", func(*phys.Port, phys.Frame) {
+		tr.arrived = append(tr.arrived, k.Now())
+		n.Acct.Consume(frameacct.ConsumeHost)
+	})
 	n.Connect(a, b, e18FiberM)
 	a.SetCapacity(frames) // the queue is the model: it must never refuse
 	pkt := micropacket.NewDMA(1, 2, micropacket.DMAHeader{}, make([]byte, micropacket.MaxPayload))
@@ -73,6 +78,7 @@ func runMD1(rho float64, seed uint64, frames int) *md1Trace {
 	})
 	next.Reset(k.RNG().Exp(mean))
 	k.Run()
+	tr.ledger = n.Ledger()
 	return tr
 }
 

@@ -14,9 +14,7 @@ import (
 // macRing builds n insertion stations on a single-switch ring with a
 // manually programmed roster (MAC-level rig, no kernels).
 func macRing(seed uint64, n int, fiberM float64) (*sim.Kernel, *phys.Net, []*insertion.Station) {
-	k := sim.NewKernel(seed)
-	net := phys.NewNet(k)
-	c := phys.BuildCluster(net, n, 1, fiberM)
+	k, net, c := oneSwitch(seed, n, fiberM)
 	sts := make([]*insertion.Station, n)
 	for i := 0; i < n; i++ {
 		sts[i] = insertion.NewStation(k, micropacket.NodeID(i), c.NodePorts[i])
@@ -26,6 +24,20 @@ func macRing(seed uint64, n int, fiberM float64) (*sim.Kernel, *phys.Net, []*ins
 		sts[i].SetEgress(0)
 	}
 	return k, net, sts
+}
+
+// dropTailRing is macRing's rig with the drop-tail comparator's
+// stations: greedy insertion, 4-frame egress FIFOs.
+func dropTailRing(seed uint64, n int, fiberM float64) (*sim.Kernel, *phys.Net, []*insertion.Station) {
+	k, net, c := oneSwitch(seed, n, fiberM)
+	return k, net, baseline.NewDropTailRing(k, c, 4)
+}
+
+// oneSwitch builds an n-node cluster on a single switch.
+func oneSwitch(seed uint64, n int, fiberM float64) (*sim.Kernel, *phys.Net, *phys.Cluster) {
+	k := sim.NewKernel(seed)
+	net := phys.NewNet(k)
+	return k, net, phys.BuildCluster(net, n, 1, fiberM)
 }
 
 // congestionDrops reads the fabric's congestion losses off the Net's
@@ -93,9 +105,7 @@ func E3MultiStream(p Params, framesPerStream int) *Table {
 
 	// Token ring: same offered pattern, one transmitter at a time.
 	{
-		k := sim.NewKernel(p.seed())
-		net := phys.NewNet(k)
-		c := phys.BuildCluster(net, n, 1, p.FiberM)
+		k, net, c := oneSwitch(p.seed(), n, p.FiberM)
 		tr := baseline.NewTokenRing(k, c)
 		for i := 0; i < n; i++ {
 			src := micropacket.NodeID(i)
@@ -139,8 +149,14 @@ func E4AllToAll(p Params, perNode int) *Table {
 	}
 	expected := n * perNode * (n - 1)
 
-	{
-		k, net, sts := macRing(p.seed(), n, p.FiberM)
+	for _, mac := range []struct {
+		name, pass, fail string
+		ring             func(uint64, int, float64) (*sim.Kernel, *phys.Net, []*insertion.Station)
+	}{
+		{"AmpNet insertion ring", "LOSSLESS", "FAIL", macRing},
+		{"drop-tail ring (baseline)", "lossless?!", "drops frames", dropTailRing},
+	} {
+		k, net, sts := mac.ring(p.seed(), n, p.FiberM)
 		delivered := 0
 		for i := range sts {
 			sts[i].OnDeliver = func(*micropacket.Packet) { delivered++ }
@@ -152,39 +168,11 @@ func E4AllToAll(p Params, perNode int) *Table {
 			})
 		}
 		k.Run()
-		verdict := "LOSSLESS"
-		if congestionDrops(net) != 0 || delivered != expected {
-			verdict = "FAIL"
-		}
-		t.Add("AmpNet insertion ring", fmt.Sprint(n), fmt.Sprint(perNode),
-			fmt.Sprint(delivered), fmt.Sprint(expected), fmt.Sprint(congestionDrops(net)), verdict)
-	}
-
-	{
-		k := sim.NewKernel(p.seed())
-		net := phys.NewNet(k)
-		c := phys.BuildCluster(net, n, 1, p.FiberM)
-		sts := baseline.NewDropTailRing(k, c, 4)
-		delivered := 0
-		for i := range sts {
-			sts[i].OnDeliver = func(*micropacket.Packet) { delivered++ }
-		}
-		for i := 0; i < n; i++ {
-			src := micropacket.NodeID(i)
-			st := sts[i]
-			// Greedy stations do not backpressure; offer everything at once.
-			k.After(0, func() {
-				for j := 0; j < perNode; j++ {
-					st.Send(micropacket.NewData(src, micropacket.Broadcast, uint8(j), nil))
-				}
-			})
-		}
-		k.Run()
-		verdict := "drops frames"
+		verdict := mac.fail
 		if congestionDrops(net) == 0 && delivered == expected {
-			verdict = "lossless?!"
+			verdict = mac.pass
 		}
-		t.Add("drop-tail ring (baseline)", fmt.Sprint(n), fmt.Sprint(perNode),
+		t.Add(mac.name, fmt.Sprint(n), fmt.Sprint(perNode),
 			fmt.Sprint(delivered), fmt.Sprint(expected), fmt.Sprint(congestionDrops(net)), verdict)
 	}
 	t.Note("AmpNet's losslessness comes from transit priority + insert-when-idle + host backpressure")
@@ -210,34 +198,20 @@ func E4aLoadSweep(p Params) *Table {
 	for _, load := range []float64{0.25, 0.5, 0.9, 1.5} {
 		perNodeInterval := sim.Time(float64(n) / (load * capacityFPS) * 1e9)
 		run := func(ampnetMAC bool) (delivered int, drops uint64) {
-			k := sim.NewKernel(p.seed())
-			net := phys.NewNet(k)
-			c := phys.BuildCluster(net, n, 1, p.FiberM)
-			var send []func(*micropacket.Packet) bool
+			ring := dropTailRing
 			if ampnetMAC {
-				sts := make([]*insertion.Station, n)
-				for i := 0; i < n; i++ {
-					sts[i] = insertion.NewStation(k, micropacket.NodeID(i), c.NodePorts[i])
-				}
-				for i := 0; i < n; i++ {
-					c.Switches[0].SetRoute(i, (i+1)%n)
-					sts[i].SetEgress(0)
-					sts[i].OnDeliver = func(*micropacket.Packet) { delivered++ }
-					send = append(send, sts[i].Send)
-				}
-			} else {
-				sts := baseline.NewDropTailRing(k, c, 4)
-				for i := range sts {
-					sts[i].OnDeliver = func(*micropacket.Packet) { delivered++ }
-					send = append(send, sts[i].Send)
-				}
+				ring = macRing
+			}
+			k, net, sts := ring(p.seed(), n, p.FiberM)
+			for _, st := range sts {
+				st.OnDeliver = func(*micropacket.Packet) { delivered++ }
 			}
 			for i := 0; i < n; i++ {
 				i := i
 				src := micropacket.NodeID(i)
 				var tick func()
 				tick = func() {
-					send[i](micropacket.NewData(src, micropacket.Broadcast, 0, nil))
+					sts[i].Send(micropacket.NewData(src, micropacket.Broadcast, 0, nil))
 					if k.Now() < window {
 						k.After(perNodeInterval, tick)
 					}

@@ -24,6 +24,9 @@ func TestE18MatchesMD1(t *testing.T) {
 			if tr.refused != 0 || len(tr.arrived) != e18Frames(rho) {
 				t.Fatalf("seed %d ρ=%.1f: %d refused, %d of %d arrived", seed, rho, tr.refused, len(tr.arrived), e18Frames(rho))
 			}
+			if v := tr.ledger.Violations(); len(v) != 0 {
+				t.Fatalf("seed %d ρ=%.1f: %v", seed, rho, v)
+			}
 			var w sim.Time
 			for i, at := range tr.arrived {
 				if i > 0 {

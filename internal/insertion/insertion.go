@@ -47,9 +47,6 @@ const (
 	// DefaultInsertQueue is the host-side insertion queue depth; a full
 	// queue pushes back on the host (Refused), never onto the wire.
 	DefaultInsertQueue = 256
-	// DefaultBasePace is the minimum spacing between insertion attempts
-	// when the ring looks idle.
-	DefaultBasePace = 0
 	// DefaultMaxPace bounds the adaptive backoff.
 	DefaultMaxPace = 50 * sim.Microsecond
 	// paceStep is the initial backoff when the egress queue is too long.
@@ -269,9 +266,6 @@ func (s *Station) insert() {
 		}
 		// Ring looks usable from here: relax the pace.
 		s.pace /= 2
-		if s.pace < DefaultBasePace {
-			s.pace = DefaultBasePace
-		}
 		return
 	}
 	if s.paceTmr.Active() {

@@ -63,6 +63,10 @@ type Service struct {
 	pending   map[uint8][]*pendingOp
 	watchers  map[uint8]map[uint64]func(uint64)
 	watcherID uint64
+	// armed holds every timer the service has queued (request
+	// timeouts, local replies, lock retries) for Abort; after drops
+	// the ones that have fired.
+	armed []*sim.Timer
 
 	// Counters.
 	Requests  uint64 // operations issued by this node
@@ -79,6 +83,32 @@ func NewService(k *sim.Kernel, st *insertion.Station, home func() micropacket.No
 		pending:  map[uint8][]*pendingOp{},
 		watchers: map[uint8]map[uint64]func(uint64){},
 	}
+}
+
+// Abort forgets everything the node had under way, because its host
+// died: pending operations with their timeouts and callbacks, lock
+// retries and watchers. Replicas stay. An idle service schedules and
+// allocates nothing here.
+func (s *Service) Abort() {
+	for _, t := range s.armed {
+		t.Cancel()
+	}
+	s.armed = s.armed[:0]
+	clear(s.pending)
+	clear(s.watchers)
+}
+
+// after runs fn d from now on a timer Abort cancels.
+func (s *Service) after(d sim.Time, fn func()) *sim.Timer {
+	live := s.armed[:0]
+	for _, t := range s.armed {
+		if t.Active() {
+			live = append(live, t)
+		}
+	}
+	t := s.K.After(d, fn)
+	s.armed = append(live, t)
+	return t
 }
 
 // Value returns this node's replica of semaphore sem.
@@ -106,7 +136,7 @@ func (s *Service) Op(sem uint8, op micropacket.AtomicOp, operand uint64, cb func
 		old := s.execute(sem, op, operand)
 		if cb != nil {
 			// Deliver asynchronously for symmetry with the remote path.
-			s.K.After(0, func() { cb(old) })
+			s.after(0, func() { cb(old) })
 		}
 		return
 	}
@@ -123,7 +153,7 @@ func (s *Service) sendRequest(p *pendingOp) {
 	if p.timer != nil {
 		p.timer.Cancel()
 	}
-	p.timer = s.K.After(s.Timeout, func() {
+	p.timer = s.after(s.Timeout, func() {
 		// Still pending? Re-send to the (possibly re-homed) home.
 		for _, q := range s.pending[p.sem] {
 			if q == p {
@@ -247,7 +277,7 @@ func (s *Service) Lock(sem uint8, cb func()) {
 				fire()
 			}
 		})
-		tmr = s.K.After(backoff, fire)
+		tmr = s.after(backoff, fire)
 		backoff *= 2
 		if backoff > lockBackoffMax {
 			backoff = lockBackoffMax

@@ -273,3 +273,38 @@ func TestLockUncontendedLatency(t *testing.T) {
 		t.Fatalf("uncontended lock took %v", acquired)
 	}
 }
+
+// TestAbortForgetsEverything: Abort cancels every queued request
+// timeout, lock retry and local reply and drops the watchers, so nothing
+// the service had under way runs afterwards; idle, it schedules and
+// allocates nothing.
+func TestAbortForgetsEverything(t *testing.T) {
+	r := newRig(3)
+	home, svc := r.svcs[0], r.svcs[1]
+	queued := r.k.Pending()
+	if a := testing.AllocsPerRun(100, svc.Abort); a != 0 || r.k.Pending() != queued {
+		t.Fatalf("idle Abort: %.0f allocations, %d events queued", a, r.k.Pending()-queued)
+	}
+	home.Lock(4, func() {})
+	r.run()
+	ran := 0
+	// The lock is held, so the attempt comes back refused and a retry
+	// waits; the request of the Op dies at node 2 and waits to time out.
+	svc.Lock(4, func() { ran++ })
+	r.k.RunUntil(r.k.Now() + 50*sim.Microsecond)
+	r.svcs[2].St.SetEgress(-1)
+	svc.Op(6, micropacket.OpFetchAdd, 1, func(uint64) { ran++ })
+	svc.Watch(6, func(uint64) { ran++ })
+	r.k.RunUntil(r.k.Now() + 100*sim.Microsecond)
+	svc.Abort()
+	r.svcs[2].St.SetEgress(0)
+	home.Op(6, micropacket.OpWrite, 9, nil)
+	home.Unlock(4)
+	r.run()
+	if ran != 0 || svc.Retries != 0 {
+		t.Fatalf("after Abort: %d callbacks ran, %d retries", ran, svc.Retries)
+	}
+	if svc.Value(6) != 9 {
+		t.Fatalf("replica = %d, want 9: Abort keeps the replica fed", svc.Value(6))
+	}
+}
