@@ -181,6 +181,11 @@ func newFiles(svc *Services) *Files {
 
 const filesMagic = 0xF7
 
+// maxPresize is the largest file whose receive buffer is made at once
+// from the size its header claims; a larger claim grows the buffer as
+// its segments arrive, so a corrupt header cannot reserve much memory.
+const maxPresize = 16 << 20
+
 // Send transfers a named file to dst. done, if non-nil, runs when the
 // final segment has been queued to the MAC.
 func (f *Files) Send(dst micropacket.NodeID, name string, data []byte, done func()) error {
@@ -203,11 +208,19 @@ func (f *Files) Send(dst micropacket.NodeID, name string, data []byte, done func
 }
 
 func (f *Files) handleDMA(src micropacket.NodeID, hdr micropacket.DMAHeader, data []byte, last bool) {
-	f.asm[src] = append(f.asm[src], data...)
+	buf := f.asm[src]
+	if buf == nil {
+		// A first segment that carries the whole header sizes the buffer
+		// once; otherwise it grows with every segment.
+		if nameLen, size, ok := fileHeader(data); ok && size <= maxPresize {
+			buf = make([]byte, 0, 10+nameLen+int(size))
+		}
+	}
+	buf = append(buf, data...)
 	if !last {
+		f.asm[src] = buf
 		return
 	}
-	buf := f.asm[src]
 	delete(f.asm, src)
 	f.Received++
 	name, payload, ok := parseFile(buf)
@@ -219,16 +232,25 @@ func (f *Files) handleDMA(src micropacket.NodeID, hdr micropacket.DMAHeader, dat
 	}
 }
 
-func parseFile(buf []byte) (name string, data []byte, ok bool) {
+// fileHeader reads the name length and payload size of a frame; ok is
+// false until buf holds the whole header.
+func fileHeader(buf []byte) (nameLen int, size uint32, ok bool) {
 	if len(buf) < 10 || buf[0] != filesMagic {
-		return "", nil, false
+		return 0, 0, false
 	}
-	nameLen := int(buf[1])
+	nameLen = int(buf[1])
 	if len(buf) < 10+nameLen {
+		return 0, 0, false
+	}
+	return nameLen, binary.LittleEndian.Uint32(buf[2+nameLen:]), true
+}
+
+func parseFile(buf []byte) (name string, data []byte, ok bool) {
+	nameLen, size, ok := fileHeader(buf)
+	if !ok {
 		return "", nil, false
 	}
 	name = string(buf[2 : 2+nameLen])
-	size := binary.LittleEndian.Uint32(buf[2+nameLen:])
 	wantCRC := binary.LittleEndian.Uint32(buf[6+nameLen:])
 	data = buf[10+nameLen:]
 	if uint32(len(data)) != size {

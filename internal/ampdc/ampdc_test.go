@@ -2,6 +2,9 @@ package ampdc
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
+	"slices"
 	"testing"
 
 	"repro/internal/ampdk"
@@ -398,5 +401,43 @@ func TestSubscriberBorrowsItsPayload(t *testing.T) {
 	}
 	if sub.open != 0 {
 		t.Fatalf("%d assemblies open after whole messages", sub.open)
+	}
+}
+
+// TestFileHeaderCannotSizeACorruptFile: the receiver sizes a file's
+// buffer from the header in its first segment, and what the header
+// claims is still checked against what arrives. A header split over two
+// segments delivers its file; one that claims too many bytes, too few,
+// more than maxPresize, or has no magic reports Corrupt.
+func TestFileHeaderCannotSizeACorruptFile(t *testing.T) {
+	r := newRig(t, 2)
+	f := r.svcs[1].Files
+	var got []bool
+	f.OnFile = func(_ micropacket.NodeID, _ string, _ []byte, ok bool) { got = append(got, ok) }
+	payload := pattern(300)
+	frame := func(magic byte, size uint32) []byte {
+		b := []byte{magic, 4, 'f', 'i', 'l', 'e'}
+		b = binary.LittleEndian.AppendUint32(b, size)
+		b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(payload))
+		return append(b, payload...)
+	}
+	deliver := func(b []byte, cuts ...int) {
+		for i, from := range append([]int{0}, cuts...) {
+			to := len(b)
+			if i < len(cuts) {
+				to = cuts[i]
+			}
+			f.handleDMA(0, micropacket.DMAHeader{}, b[from:to], to == len(b))
+		}
+	}
+	deliver(frame(filesMagic, 300), 64, 128, 192, 256)
+	deliver(frame(filesMagic, 300), 5, 64)
+	deliver(frame(filesMagic, 1000), 64)
+	deliver(frame(filesMagic, 10), 64)
+	deliver(frame(filesMagic, maxPresize+1), 64)
+	deliver(frame(0x00, 300), 64)
+	want := []bool{true, true, false, false, false, false}
+	if !slices.Equal(got, want) || f.Corrupt != 4 {
+		t.Fatalf("verdicts %v, %d corrupt; want %v, 4 corrupt", got, f.Corrupt, want)
 	}
 }

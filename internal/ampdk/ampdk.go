@@ -197,6 +197,11 @@ type Node struct {
 	recovery     *sim.Timer
 	recoverEvery sim.Time
 	recoverSeen  uint64 // DMA gaps the last recovery round answered
+	// aborts is what halt calls after cancelling the node's own timers
+	// and semaphore service: the Abort of each service built over the
+	// node, in registration order (RegisterAbort). The node's own are
+	// not entries, because a method value is an allocation per node.
+	aborts []func()
 
 	sponsoring map[int]bool // joiners whose refresh stream is in flight
 	hbSeq      uint32
@@ -271,6 +276,13 @@ func NewNode(k *sim.Kernel, cluster *phys.Cluster, cfg Config) *Node {
 	return n
 }
 
+// RegisterAbort adds abort to what a crash or an application failure
+// ends: halt calls the registered aborts in registration order. A
+// service built over the node registers, in its constructor, the method
+// that cancels its timers and drops its pending operations, so nothing
+// of a dead incarnation retries or calls back after the node stops.
+func (n *Node) RegisterAbort(abort func()) { n.aborts = append(n.aborts, abort) }
+
 // semHome elects the semaphore home: the lowest node on the current
 // roster (every node computes the same roster, so this is consistent).
 func (n *Node) semHome() micropacket.NodeID {
@@ -296,6 +308,7 @@ func (n *Node) Boot() {
 	n.buffered = nil
 	n.sawPeers = false
 	n.joinTry = 0
+	n.DMA.ForgetSources()
 	n.Agent.Start()
 	n.solicit()
 	n.detectLoop()
@@ -370,8 +383,9 @@ func (n *Node) Crash() {
 }
 
 // halt stops the kernel: offline, no periodic activity left queued to
-// carry on beside the chains a later Boot starts, and no semaphore
-// operation of this incarnation left to retry or call back.
+// carry on beside the chains a later Boot starts, and no operation of
+// this incarnation, the node's or a registered service's, left to retry
+// or call back.
 func (n *Node) halt() {
 	n.stopped = true
 	n.State = StateOffline
@@ -381,6 +395,9 @@ func (n *Node) halt() {
 	n.certTimer.Cancel()
 	n.recovery.Cancel()
 	n.Sem.Abort()
+	for _, abort := range n.aborts {
+		abort()
+	}
 }
 
 // AppFail models an application/host failure with a healthy NIC: the

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"repro/internal/micropacket"
 	"repro/internal/netcache"
 	"repro/internal/sim"
 )
@@ -136,6 +137,38 @@ func TestAutoRecoverySurvivesCrash(t *testing.T) {
 	run(k, 10*sim.Millisecond)
 	if nodes[3].AutoRecoveries == before {
 		t.Fatal("gaps after the reboot never triggered auto-recovery")
+	}
+}
+
+// TestRebootAdoptsDMAStreams: a rebooted node has heard nothing of the
+// streams that moved while it was down, so the first frame of each
+// stream after the reboot sets what it expects next there. Keeping the
+// crashed incarnation's expectations, it counted that frame as a gap,
+// and so did a node that had adopted the source on another channel.
+func TestRebootAdoptsDMAStreams(t *testing.T) {
+	k, _, nodes := bootCluster(4, 2, nil)
+	run(k, 20*sim.Millisecond)
+	got := 0
+	nodes[3].RegionHandler[200] = func(micropacket.NodeID, micropacket.DMAHeader, []byte, bool) { got++ }
+	write := func() { nodes[0].DMA.Write(3, 3, 200, 0, []byte{1}, nil) }
+	k.After(0, write)
+	run(k, sim.Millisecond)
+	k.After(0, nodes[3].Crash)
+	k.After(0, write) // lost with node 3
+	run(k, 5*sim.Millisecond)
+	k.After(0, nodes[3].Reboot)
+	run(k, 40*sim.Millisecond)
+	if !nodes[3].Online() {
+		t.Fatal("node 3 did not come back")
+	}
+	gaps := nodes[3].DMA.Gaps
+	k.After(0, write)
+	run(k, sim.Millisecond)
+	if got != 2 {
+		t.Fatalf("node 3 received %d writes, want the one before the crash and the one after the reboot", got)
+	}
+	if n := nodes[3].DMA.Gaps - gaps; n != 0 {
+		t.Fatalf("the first frame on channel 3 after the reboot counted %d gaps", n)
 	}
 }
 

@@ -3,6 +3,7 @@ package ampip
 import (
 	"encoding/binary"
 
+	"repro/internal/detmap"
 	"repro/internal/sim"
 )
 
@@ -93,6 +94,10 @@ type opKey struct {
 	seq  uint32
 }
 
+func (k opKey) less(o opKey) bool {
+	return k.kind < o.kind || k.kind == o.kind && k.seq < o.seq
+}
+
 // opState is one op's record: what this rank has heard for it and, once
 // the rank issues it, what it owes and whom to tell. step and resend
 // switch on key.kind and on whether this rank is the op's root, so an op
@@ -179,7 +184,18 @@ func NewComm(s *Stack, nodes []int, port uint16) *Comm {
 		}
 	}
 	s.Bind(port, c.recv)
+	s.Node.RegisterAbort(c.Abort)
 	return c
+}
+
+// Abort ends every open op with the rank's incarnation: each op's retry
+// Timer is cancelled and its record dropped, so nothing is re-sent for
+// a crashed rank and no callback of the dead incarnation runs. NewComm
+// registers it with the node, whose halt calls it.
+func (c *Comm) Abort() {
+	for _, k := range detmap.SortedKeysFunc(c.ops, opKey.less) {
+		c.finish(c.ops[k])
+	}
 }
 
 // Rank returns this node's rank in the communicator.

@@ -417,3 +417,37 @@ func TestRecvStoresNothingForBadOrFinishedOps(t *testing.T) {
 		clear(c.ops)
 	}
 }
+
+// TestCrashAbortsCollectiveOps: a collective op dies with the rank that
+// issued it. While the node is down nothing is re-sent for it, and after
+// the reboot, when the other ranks join the op, the dead incarnation's
+// callback never runs.
+func TestCrashAbortsCollectiveOps(t *testing.T) {
+	r := newRig(t, 4)
+	cs := comms(r)
+	ran := false
+	r.k.After(0, func() {
+		cs[3].AllReduceSum(1, func(uint64) { ran = true })
+		r.nodes[3].Crash()
+	})
+	r.run(20 * sim.Millisecond)
+	resends := cs[3].Resends
+	r.run(20 * sim.Millisecond)
+	if cs[3].Resends != resends {
+		t.Fatalf("a crashed rank re-sent: %d resends, then %d 20 ms later", resends, cs[3].Resends)
+	}
+	r.k.After(0, r.nodes[3].Reboot)
+	r.run(40 * sim.Millisecond)
+	if !r.nodes[3].Online() {
+		t.Fatal("node 3 did not come back")
+	}
+	r.k.After(0, func() {
+		for _, c := range cs[:3] {
+			c.AllReduceSum(1, func(uint64) {})
+		}
+	})
+	r.run(20 * sim.Millisecond)
+	if ran {
+		t.Fatal("the crashed incarnation's callback ran after the reboot")
+	}
+}

@@ -27,16 +27,29 @@ const NumChannels = micropacket.MaxChannels
 // WriteHandler receives the payload of an arriving DMA packet.
 type WriteHandler func(src micropacket.NodeID, hdr micropacket.DMAHeader, data []byte, last bool)
 
-// request is one queued segment send.
+// request is one queued Write. The pump cuts its segments from data at
+// send time, the next one starting at the cursor sent, at byte position
+// hdr.Offset+sent.
 type request struct {
 	dst  micropacket.NodeID
 	hdr  micropacket.DMAHeader
 	data []byte
+	// sent counts the bytes of data already sent.
+	sent int
+	// last puts FlagLast on the entry's final segment. Write's entries
+	// always carry it; it is a field so that the tests' reference Write
+	// can queue each segment as an entry of its own.
 	last bool
 	// borrowed: data is a window onto the slice a Write still on the
 	// stack was handed, not yet onto the engine's own copy.
 	borrowed bool
 	done     func()
+}
+
+// segments returns how many segments req has yet to send: an empty
+// transfer is one.
+func (req *request) segments() int {
+	return max(1, (len(req.data)-req.sent+MaxSegment-1)/MaxSegment)
 }
 
 // Engine is one node's DMA controller.
@@ -48,10 +61,11 @@ type Engine struct {
 	// OnWrite is invoked for every arriving DMA payload.
 	OnWrite WriteHandler
 
-	// queues[c] holds pending segments for channel c.
+	// queues[c] holds channel c's pending Writes, one entry each.
 	queues [NumChannels]phys.Queue[request]
-	// slabs[c] holds the bytes of channel c's kept segments, appended in
-	// queue order (keep); it is rewound when the queue empties (rewind).
+	// slabs[c] holds the unsent bytes of channel c's kept Writes,
+	// appended in queue order (keep); it is rewound when the queue
+	// empties (rewind).
 	slabs [NumChannels][]byte
 	// rrNext is the round-robin cursor over channels.
 	rrNext int
@@ -67,18 +81,26 @@ type Engine struct {
 
 	// txSeq[c] is the next sequence number for channel c.
 	txSeq [NumChannels]uint8
-	// rxSeq[src][c] tracks the expected next sequence from src on c:
-	// indexed by source id, grown on demand, nil until src is first
-	// heard (every arriving packet looks its source up here).
-	rxSeq []*[NumChannels]uint8
+	// rxSeq[src] tracks the expected next sequence from src on each
+	// channel: indexed by source id and grown on demand (every arriving
+	// packet looks its source up here).
+	rxSeq []rxStreams
 
 	// Sent and Recv count DMA packets; Gaps counts sequence gaps
 	// observed on receive (losses to be repaired by refresh).
 	Sent uint64
 	Recv uint64
 	Gaps uint64
-	// QueueHighWater tracks the deepest any channel queue has been.
+	// QueueHighWater tracks the most segments any channel has queued.
 	QueueHighWater int
+}
+
+// rxStreams is what a receiver expects of one source's channels: bit c
+// of heard is set once channel c has been heard, and next[c] is the
+// sequence it expects there. The zero value has heard nothing.
+type rxStreams struct {
+	heard uint16
+	next  [NumChannels]uint8
 }
 
 // NewEngine creates a DMA engine bound to a station. The caller (the
@@ -107,39 +129,21 @@ func (e *Engine) Write(ch int, dst micropacket.NodeID, region uint8, off uint32,
 		panic("dma: channel out of range")
 	}
 	// The caller may reuse data once Write returns, so what outlives the
-	// call must be copied — and only that. The segments are queued as
-	// windows onto the caller's slice; a segment the pump below sends is
-	// copied once, into its packet, and whatever is still queued
+	// call must be copied — and only that. The transfer is queued as a
+	// window onto the caller's slice; a segment the pump below sends is
+	// copied once, into its packet, and whatever is still unsent
 	// afterwards moves into the channel's slab.
-	q := &e.queues[ch]
-	n := 0
-	for i := 0; ; i += MaxSegment {
-		endI := i + MaxSegment
-		if endI > len(data) {
-			endI = len(data)
-		}
-		last := endI == len(data)
-		req := request{
-			dst: dst,
-			hdr: micropacket.DMAHeader{
-				Channel: uint8(ch), Region: region, Offset: off + uint32(i),
-			},
-			data:     data[i:endI:endI],
-			last:     last,
-			borrowed: true,
-		}
-		if last {
-			req.done = done
-		}
-		q.Push(req)
-		n++
-		if q.Len() > e.QueueHighWater {
-			e.QueueHighWater = q.Len()
-		}
-		if last {
-			break
-		}
+	req := request{
+		dst:      dst,
+		hdr:      micropacket.DMAHeader{Channel: uint8(ch), Region: region, Offset: off},
+		data:     data[:len(data):len(data)],
+		last:     true,
+		borrowed: true,
+		done:     done,
 	}
+	n := req.segments()
+	e.queues[ch].Push(req)
+	e.QueueHighWater = max(e.QueueHighWater, e.depth(ch))
 	e.pump()
 	e.keep(ch)
 	return n
@@ -149,19 +153,20 @@ func (e *Engine) Write(ch int, dst micropacket.NodeID, region uint8, off uint32,
 // channel that rarely drains does not start a slab per short message.
 const slabFloor = 16 * MaxSegment
 
-// keep moves the segments still borrowed at the tail of channel ch's
-// queue into its slab. Borrowed segments are always a suffix of their
-// queue: they belong to Writes still on the stack (this one, and any
-// whose pump ran the done callback this one was called from), every
-// Write leaves its channel with none, and pushes go to the tail. Which
-// of them a pump has sent meanwhile — this call's or another's — does
-// not matter: the mark is per request.
+// keep moves the unsent bytes of the Writes still borrowed at the tail
+// of channel ch's queue into its slab. Borrowed entries are always a
+// suffix of their queue: they belong to Writes still on the stack (this
+// one, and any whose pump ran the done callback this one was called
+// from), every Write leaves its channel with none, and pushes go to the
+// tail. How far a pump has sent them meanwhile — this call's or
+// another's — does not matter: the mark and the cursor are per entry.
 func (e *Engine) keep(ch int) {
 	q := &e.queues[ch]
 	first, size := q.Len(), 0
 	for first > 0 && q.At(first-1).borrowed {
 		first--
-		size += len(q.At(first).data)
+		req := q.At(first)
+		size += len(req.data) - req.sent
 	}
 	if first == q.Len() {
 		return
@@ -169,22 +174,25 @@ func (e *Engine) keep(ch int) {
 	// Kept bytes are appended behind those still queued, which nothing
 	// overwrites before the queue empties (pump rewinds it there). A
 	// suffix that does not fit starts a new slab; the old one stays
-	// reachable until its last segment pops. (Packets carry their own
-	// payload, so nothing pins a slab beyond the queue.)
+	// reachable until its last entry pops. (Packets carry their own
+	// payload, so nothing pins a slab beyond the queue.) A kept entry
+	// starts at its first unsent byte.
 	slab := e.slabs[ch]
 	if cap(slab)-len(slab) < size {
 		slab = make([]byte, 0, max(size, slabFloor))
 	}
 	for i := first; i < q.Len(); i++ {
 		req := q.At(i)
-		slab = append(slab, req.data...)
-		req.data = slab[len(slab)-len(req.data) : len(slab) : len(slab)]
+		slab = append(slab, req.data[req.sent:]...)
+		req.data = slab[len(slab)-(len(req.data)-req.sent) : len(slab) : len(slab)]
+		req.hdr.Offset += uint32(req.sent)
+		req.sent = 0
 		req.borrowed = false
 	}
 	e.slabs[ch] = slab
 }
 
-// rewind empties channel ch's slab once no queued segment refers to its
+// rewind empties channel ch's slab once no queued entry refers to its
 // bytes: the next keep writes over them. A slab grown past the floor
 // for one long Write is dropped instead, so a file transfer does not
 // pin its size for the engine's life.
@@ -200,12 +208,22 @@ func (e *Engine) rewind(ch int) {
 func (e *Engine) Pending() int {
 	n := 0
 	for c := range e.queues {
-		n += e.queues[c].Len()
+		n += e.depth(c)
 	}
 	return n
 }
 
-// Abort forgets every queued segment and the pending retry: the NIC
+// depth returns the segments channel ch has queued.
+func (e *Engine) depth(ch int) int {
+	q := &e.queues[ch]
+	n := 0
+	for i := range q.Len() {
+		n += q.At(i).segments()
+	}
+	return n
+}
+
+// Abort forgets every queued Write and the pending retry: the NIC
 // died with them (Node.Crash). No done callback runs — what they would
 // have reported never happened — and a later Write starts on empty
 // queues and rewound slabs, so nothing of an aborted transfer is sent
@@ -218,8 +236,15 @@ func (e *Engine) Abort() {
 	e.retry.Cancel()
 }
 
-// pump drains channel queues round-robin into the station until the
-// MAC pushes back, then re-arms itself.
+// ForgetSources drops what the receiver expects of every source, in
+// place: a rebooted node has heard nothing of the streams since its
+// crash, so the first frame of each is adopted, not counted as a gap
+// against the sequence heard before it.
+func (e *Engine) ForgetSources() { clear(e.rxSeq) }
+
+// pump drains channel queues round-robin into the station, one segment
+// per turn, until the MAC pushes back, then re-arms itself. A Write
+// leaves its queue, and its done runs, after its final segment.
 func (e *Engine) pump() {
 	for {
 		ch := e.nextNonEmpty()
@@ -227,10 +252,12 @@ func (e *Engine) pump() {
 			return // all drained
 		}
 		q := &e.queues[ch]
-		req := *q.At(0)
+		req := q.At(0)
+		end := min(req.sent+MaxSegment, len(req.data))
+		final := end == len(req.data)
 		// The window test comes first: a back-pressured attempt builds
 		// no packet.
-		if e.St.QueueLen() >= e.Window || !e.send(ch, req) {
+		if e.St.QueueLen() >= e.Window || !e.send(ch, req, end, final) {
 			// Backpressure: retry shortly. The segment stays queued, so
 			// nothing is lost and per-channel order is preserved.
 			if !e.retry.Active() {
@@ -240,23 +267,31 @@ func (e *Engine) pump() {
 		}
 		e.txSeq[ch]++
 		e.Sent++
+		e.rrNext = (ch + 1) % NumChannels
+		if !final {
+			req.sent = end
+			continue
+		}
+		done := req.done
 		q.Pop()
 		if q.Len() == 0 {
 			e.rewind(ch)
 		}
-		e.rrNext = (ch + 1) % NumChannels
-		if req.done != nil {
-			req.done()
+		if done != nil {
+			done()
 		}
 	}
 }
 
-// send offers the station the MicroPacket of channel ch's head
-// segment, drawn from its Net's packet pool; a refused packet goes back.
-func (e *Engine) send(ch int, req request) bool {
-	pkt := e.St.Net().Packets.DMA(e.ID, req.dst, req.hdr, req.data)
+// send offers the station the MicroPacket of the segment req[sent:end]
+// on channel ch, drawn from its Net's packet pool; a refused packet
+// goes back.
+func (e *Engine) send(ch int, req *request, end int, final bool) bool {
+	hdr := req.hdr
+	hdr.Offset += uint32(req.sent)
+	pkt := e.St.Net().Packets.DMA(e.ID, req.dst, hdr, req.data[req.sent:end])
 	pkt.DMA.Seq = e.txSeq[ch]
-	if req.last {
+	if final && req.last {
 		pkt.Flags |= micropacket.FlagLast
 	}
 	if e.St.Send(pkt) {
@@ -297,22 +332,21 @@ func (t CacheTransport) Broadcast(region uint8, off uint32, data []byte) bool {
 func (e *Engine) HandleDMA(p *micropacket.Packet) {
 	e.Recv++
 	if int(p.Src) >= len(e.rxSeq) {
-		e.rxSeq = append(e.rxSeq, make([]*[NumChannels]uint8, int(p.Src)+1-len(e.rxSeq))...)
+		e.rxSeq = append(e.rxSeq, make([]rxStreams, int(p.Src)+1-len(e.rxSeq))...)
 	}
-	seqs := e.rxSeq[p.Src]
-	if seqs == nil {
-		seqs = new([NumChannels]uint8)
+	rx, bit := &e.rxSeq[p.Src], uint16(1)<<p.DMA.Channel
+	if rx.heard&bit == 0 {
 		// Adopt the stream at whatever sequence it is on: a node that
-		// just assimilated starts mid-stream by design (the refresh
-		// fills in what it missed).
-		seqs[p.DMA.Channel] = p.DMA.Seq
-		e.rxSeq[p.Src] = seqs
+		// just assimilated or rebooted starts mid-stream by design (the
+		// refresh fills in what it missed).
+		rx.heard |= bit
+		rx.next[p.DMA.Channel] = p.DMA.Seq
 	}
-	if seqs[p.DMA.Channel] != p.DMA.Seq {
+	if rx.next[p.DMA.Channel] != p.DMA.Seq {
 		e.Gaps++
-		seqs[p.DMA.Channel] = p.DMA.Seq // resynchronize
+		rx.next[p.DMA.Channel] = p.DMA.Seq // resynchronize
 	}
-	seqs[p.DMA.Channel]++
+	rx.next[p.DMA.Channel]++
 	if e.OnWrite != nil {
 		e.OnWrite(p.Src, p.DMA, p.Data, p.Flags&micropacket.FlagLast != 0)
 	}

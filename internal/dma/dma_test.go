@@ -192,14 +192,28 @@ func TestSequenceGapDetection(t *testing.T) {
 	}
 }
 
+// TestMidStreamAdoptionNoGap: a receiver adopts each stream, a source's
+// channel, at the sequence of the first frame heard on it, and adopts
+// them again after ForgetSources (a reboot).
 func TestMidStreamAdoptionNoGap(t *testing.T) {
 	r := newRig(2)
 	e := r.engines[1]
-	p := micropacket.NewDMA(0, 1, micropacket.DMAHeader{Channel: 0}, []byte{1})
-	p.DMA.Seq = 77 // new source starting mid-stream
-	e.HandleDMA(p)
+	mk := func(ch, seq uint8) *micropacket.Packet {
+		p := micropacket.NewDMA(0, 1, micropacket.DMAHeader{Channel: ch}, []byte{1})
+		p.DMA.Seq = seq
+		return p
+	}
+	e.HandleDMA(mk(0, 77)) // new source starting mid-stream
+	e.HandleDMA(mk(1, 200))
+	e.ForgetSources()
+	e.HandleDMA(mk(0, 90))
+	e.HandleDMA(mk(1, 230))
 	if e.Gaps != 0 {
 		t.Fatalf("gaps = %d on first contact", e.Gaps)
+	}
+	e.HandleDMA(mk(0, 92))
+	if e.Gaps != 1 {
+		t.Fatalf("gaps = %d, want 1 for a frame lost after adoption", e.Gaps)
 	}
 }
 
@@ -275,6 +289,37 @@ func TestPendingAndHighWater(t *testing.T) {
 	}
 	if r.engines[0].QueueHighWater < 10 {
 		t.Fatalf("high water = %d", r.engines[0].QueueHighWater)
+	}
+}
+
+// TestLongWriteQueuesOneEntry: a Write is one queue entry however many
+// segments it has, so a 4 KiB transfer on a back-pressured channel
+// allocates only its slab, while Pending and QueueHighWater still count
+// its 64 segments. Queued a segment an entry, it grew its channel's
+// queue array to 64 slots.
+func TestLongWriteQueuesOneEntry(t *testing.T) {
+	r := newRig(3)
+	e := r.engines[0]
+	// Every channel's queue has held one entry and drained.
+	for ch := range NumChannels {
+		e.Write(ch, 1, 0, 0, pattern(8), nil)
+	}
+	r.k.Run()
+	e.St.MaxInsertQueue = 0
+	data := pattern(64 * MaxSegment)
+	ch, pending := 0, 0
+	allocs := testing.AllocsPerRun(NumChannels-1, func() {
+		e.Write(ch, 1, 0, 0, data, nil)
+		if ch == 0 {
+			pending = e.Pending()
+		}
+		ch++
+	})
+	if allocs > 1 {
+		t.Fatalf("a 4 KiB Write on a back-pressured channel allocates %.0f times, want at most 1 (its slab)", allocs)
+	}
+	if pending != 64 || e.QueueHighWater != 64 {
+		t.Fatalf("Pending %d, QueueHighWater %d after a 4 KiB Write, want 64 segments each", pending, e.QueueHighWater)
 	}
 }
 

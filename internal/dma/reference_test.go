@@ -57,10 +57,11 @@ type writeFn func(e *Engine, ch int, dst micropacket.NodeID, region uint8, off u
 // Op streams are three bytes an op. Byte 0 picks the op in its low
 // three bits — 0 a bare write; 1 a write with done; 2 and 3 a write
 // whose done re-enters Write on the same and on another channel; 4
-// toggles the station's back-pressure; 5 advances virtual time; 6 and 7
-// are bare writes again — and one of three channels above them. Bytes 1
-// and 2 give the write's length (0…300) and the re-entrant write's
-// (0…127), or the time to advance in units of 100 ns.
+// toggles the station's back-pressure; 5 advances virtual time; 6
+// aborts every queued transfer; 7 is a bare write again — and one of
+// three channels above them. Bytes 1 and 2 give the write's length
+// (0…300) and the re-entrant write's (0…127), or the time to advance in
+// units of 100 ns.
 const (
 	opWrite = iota
 	opWriteDone
@@ -68,6 +69,7 @@ const (
 	opWriteReenterOther
 	opToggle
 	opAdvance
+	opAbort
 )
 
 func op(kind, ch, n, nested int) []byte {
@@ -116,6 +118,8 @@ func runOps(ops []byte, write writeFn) (log []string, sent uint64, highWater int
 			}
 		case opAdvance:
 			r.k.RunUntil(r.k.Now() + sim.Time(n)*100)
+		case opAbort:
+			e.Abort()
 		case opWriteDone, opWriteReenterSame, opWriteReenterOther:
 			send(id, ch, n, func() {
 				log = append(log, fmt.Sprintf("%v done %d", r.k.Now(), id))
@@ -164,8 +168,8 @@ func checkAgainstReference(t *testing.T, ops []byte) {
 }
 
 // nastyWrites are the op streams aimed at the seams of the borrowed
-// segments and of the channel slabs they are kept in; they seed the
-// fuzzer as well.
+// transfers, of the cursor the pump cuts their segments at, and of the
+// channel slabs they are kept in; they seed the fuzzer as well.
 var nastyWrites = []struct {
 	name string
 	ops  []byte
@@ -189,6 +193,20 @@ var nastyWrites = []struct {
 	{"rewound at drain, then a done re-enters Write into the slab", slices.Concat(
 		op(opToggle, 1, 0, 0), op(opWrite, 2, 100, 0), op(opWriteReenterSame, 2, 200, 127), op(opToggle, 1, 0, 0),
 		op(opAdvance, 1, 100, 0), op(opWrite, 2, 90, 0))},
+	{"kept after a partial send, then a write queued behind it", slices.Concat(
+		op(opWrite, 1, 100, 0), op(opWriteDone, 2, 300, 0), op(opWrite, 2, 130, 0), op(opAdvance, 1, 100, 0))},
+	{"kept whole, partly sent by a retry, then written behind", slices.Concat(
+		op(opToggle, 1, 0, 0), op(opWriteReenterSame, 1, 300, 127), op(opWrite, 2, 300, 0), op(opToggle, 1, 0, 0),
+		op(opAdvance, 1, 25, 0), op(opWrite, 1, 200, 0), op(opAdvance, 1, 100, 0))},
+	{"abort mid-entry, then a write on the same channel", slices.Concat(
+		op(opWrite, 1, 100, 0), op(opWriteDone, 2, 300, 0), op(opAbort, 1, 0, 0), op(opWriteDone, 2, 100, 0),
+		op(opAdvance, 1, 50, 0))},
+	{"abort after a retry sent part of a kept entry", slices.Concat(
+		op(opToggle, 1, 0, 0), op(opWrite, 1, 300, 0), op(opWriteDone, 3, 300, 0), op(opToggle, 1, 0, 0),
+		op(opAdvance, 1, 25, 0), op(opAbort, 1, 0, 0), op(opWriteDone, 3, 70, 0))},
+	{"zero-length write behind a partial one", slices.Concat(
+		op(opToggle, 1, 0, 0), op(opWrite, 1, 300, 0), op(opWrite, 2, 300, 0), op(opToggle, 1, 0, 0),
+		op(opAdvance, 1, 25, 0), op(opWrite, 2, 0, 0), op(opWriteDone, 2, 0, 0), op(opAdvance, 1, 100, 0))},
 }
 
 func TestWriteMatchesReference(t *testing.T) {

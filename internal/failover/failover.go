@@ -101,7 +101,16 @@ func NewManager(n *ampdk.Node) *Manager {
 		}
 		m.peerUp(id)
 	}
+	n.RegisterAbort(m.Abort)
 	return m
+}
+
+// Abort cancels every pending election: a node that stopped decides
+// nothing. NewManager registers it with the node, whose halt calls it.
+func (m *Manager) Abort() {
+	for _, gid := range detmap.SortedKeys(m.groups) {
+		m.groups[gid].pending.Cancel()
+	}
 }
 
 // AddGroup registers a control group. The initial primary is the best

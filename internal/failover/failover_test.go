@@ -242,3 +242,28 @@ func TestStatelessGroup(t *testing.T) {
 		t.Fatal("stateless group passed state")
 	}
 }
+
+// TestCrashCancelsPendingElection: an election dies with the node that
+// armed it. Node 1 arms its fail-over period when node 0 dies and
+// crashes inside it; the election never runs on the offline node.
+func TestCrashCancelsPendingElection(t *testing.T) {
+	r := newRig(t, 4, groupCfg(4))
+	offline := 0
+	r.grps[1].OnPrimaryChange = func(int) {
+		if !r.nodes[1].Online() {
+			offline++
+		}
+	}
+	r.k.After(0, r.nodes[0].Crash)
+	for end := r.k.Now() + 20*sim.Millisecond; !r.grps[1].pending.Active(); {
+		if r.k.Now() > end {
+			t.Fatal("node 1 never armed an election")
+		}
+		r.run(10 * sim.Microsecond)
+	}
+	r.nodes[1].Crash()
+	r.run(5 * sim.Millisecond)
+	if offline != 0 {
+		t.Fatalf("offline node 1 changed primary %d times", offline)
+	}
+}
