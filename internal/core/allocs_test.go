@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 	"testing"
@@ -150,6 +151,60 @@ func publishedMessageAllocs(t *testing.T, size int, d sim.Time) float64 {
 		t.Fatalf("%d bytes delivered, want %d", delivered, 15*size)
 	}
 	return allocsPerRun(t, c, 50, publish)
+}
+
+// TestCrossShardUnicastAllocatesNothing: a 256-byte DMA write from a
+// node on shard 0 to one on shard 1 is four pooled segments built on
+// shard 0 and freed where they end, on shard 1. The dying pool keeps
+// them as strays and the next window barrier sends them home
+// (micropacket.Pool.SendHome), so once warm the write allocates
+// nothing. It was 4, a packet per segment, when a packet that died on
+// another shard was left to the GC.
+func TestCrossShardUnicastAllocatesNothing(t *testing.T) {
+	topo := phys.Sharded(2, 4, 2, 50)
+	c := New(Options{Fabric: &topo, Shards: 2, Seed: 5,
+		HeartbeatInterval: 50 * sim.Millisecond, Regions: map[uint8]int{1: 4096}})
+	defer c.Close()
+	if err := c.Boot(0); err != nil {
+		t.Fatal(err)
+	}
+	mustRun(t, c, 5*sim.Millisecond)
+	src, dst := -1, -1
+	for n, sh := range c.Phys.Assign.NodeShard {
+		if sh == 0 && src < 0 {
+			src = n
+		}
+		if sh == 1 && dst < 0 {
+			dst = n
+		}
+	}
+	if src < 0 || dst < 0 {
+		t.Fatalf("no node on shard 0 or 1: %v", c.Phys.Assign.NodeShard)
+	}
+	msg := make([]byte, 256)
+	from := c.Nodes[src]
+	// One Timer for every send: a closure per send would allocate.
+	send := from.K.NewTimer(func() { from.DMA.Write(0, micropacket.NodeID(dst), 1, 0, msg, nil) })
+	runs := 0
+	write := func() {
+		runs++
+		for i := range msg {
+			msg[i] = byte(runs)
+		}
+		send.Reset(0)
+		c.Run(100 * sim.Microsecond)
+	}
+	applied := c.Nodes[dst].Cache.Applied
+	allocs := allocsPerRun(t, c, 20, write)
+	if got := c.Nodes[dst].Cache.Applied - applied; got != 4*uint64(runs) {
+		t.Fatalf("%d segments applied at node %d in %d writes, want %d", got, dst, runs, 4*runs)
+	}
+	if got := c.Nodes[dst].Cache.Region(1)[:256]; !bytes.Equal(got, msg) {
+		t.Fatalf("node %d region 1 holds % x, want the last write % x", dst, got[:8], msg[:8])
+	}
+	if allocs > 0 {
+		t.Fatalf("a 256 B DMA write from node %d (shard 0) to node %d (shard 1): %.0f allocations, want 0", src, dst, allocs)
+	}
 }
 
 // TestCollectiveLoadAllocatesNothing: a CollectiveLoad's driver is one

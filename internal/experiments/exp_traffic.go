@@ -68,7 +68,8 @@ func pump(k *sim.Kernel, send func(*micropacket.Packet) bool, count int, mk func
 // baseline serializes them behind one rotating transmit opportunity.
 //
 // It runs p.Nodes streams (default 4) on p.FiberM meters of fiber
-// (default 50), seeded by p.Seed.
+// (default 50), seeded by p.Seed. Each row's completion is its last
+// delivery; both have closed forms (DESIGN.md §2, TestE3ClosedForms).
 func E3MultiStream(p Params, framesPerStream int) *Table {
 	p = p.Merged(Params{Nodes: 4, FiberM: 50})
 	t := &Table{
@@ -77,63 +78,64 @@ func E3MultiStream(p Params, framesPerStream int) *Table {
 		Header: []string{"MAC", "streams", "frames/stream", "completion", "aggregate Mb/s", "drops"},
 	}
 	n := p.Nodes
-	payload := 8 // fixed Data packets
-	wireB := wirefmt.Size(wirefmt.V1, micropacket.TypeData, payload)
-
-	// AmpNet insertion ring: stream i→(i+1)%n uses a one-hop arc, so
-	// all n streams occupy disjoint segments concurrently.
-	{
-		k, net, sts := macRing(p.seed(), n, p.FiberM)
-		done := make([]int, n)
-		for i := range sts {
-			i := i
-			sts[i].OnDeliver = func(*micropacket.Packet) { done[i]++ }
-		}
-		for i := 0; i < n; i++ {
-			src := micropacket.NodeID(i)
-			dst := micropacket.NodeID((i + 1) % n)
-			pump(k, sts[i].Send, framesPerStream, func(j int) *micropacket.Packet {
-				return micropacket.NewData(src, dst, uint8(j), make([]byte, payload))
-			})
-		}
-		k.Run()
-		el := k.Now()
-		bits := float64(n*framesPerStream*wireB) * 8
-		t.Add("AmpNet insertion ring", fmt.Sprint(n), fmt.Sprint(framesPerStream),
-			el.String(), fmt.Sprintf("%.0f", bits/el.Seconds()/1e6), fmt.Sprint(congestionDrops(net)))
-	}
-
-	// Token ring: same offered pattern, one transmitter at a time.
-	{
-		k, net, c := oneSwitch(p.seed(), n, p.FiberM)
-		tr := baseline.NewTokenRing(k, c)
-		for i := 0; i < n; i++ {
-			src := micropacket.NodeID(i)
-			dst := micropacket.NodeID((i + 1) % n)
-			id := i
-			pump(k, func(p *micropacket.Packet) bool { return tr.Send(id, p) },
-				framesPerStream, func(j int) *micropacket.Packet {
-					return micropacket.NewData(src, dst, uint8(j), make([]byte, payload))
-				})
-		}
-		tr.Start()
-		// The token circulates forever; run until all queues drain.
-		for drained := false; !drained; {
-			k.RunUntil(k.Now() + sim.Millisecond)
-			drained = true
-			for _, st := range tr.Stations {
-				if st.Sent < uint64(framesPerStream) {
-					drained = false
-				}
-			}
-		}
-		el := k.Now()
-		bits := float64(n*framesPerStream*wireB) * 8
-		t.Add("token ring (baseline)", fmt.Sprint(n), fmt.Sprint(framesPerStream),
-			el.String(), fmt.Sprintf("%.0f", bits/el.Seconds()/1e6), fmt.Sprint(congestionDrops(net)))
+	bits := float64(n*framesPerStream*e3Wire) * 8
+	for _, row := range []struct {
+		name string
+		run  func(Params, int) (sim.Time, uint64)
+	}{
+		{"AmpNet insertion ring", e3Insertion},
+		{"token ring (baseline)", e3Token},
+	} {
+		el, drops := row.run(p, framesPerStream)
+		t.Add(row.name, fmt.Sprint(n), fmt.Sprint(framesPerStream),
+			el.String(), fmt.Sprintf("%.0f", bits/el.Seconds()/1e6), fmt.Sprint(drops))
 	}
 	t.Note("insertion ring wins by overlapping streams on disjoint arcs; token ring is rotation-bound")
 	return t
+}
+
+// e3Payload is the payload of E3's fixed Data packets; e3Wire is their
+// wire size.
+const e3Payload = 8
+
+var e3Wire = wirefmt.Size(wirefmt.V1, micropacket.TypeData, e3Payload)
+
+// e3Stream is stream i's j-th packet: node i to its ring successor.
+func e3Stream(i, n, j int) *micropacket.Packet {
+	return micropacket.NewData(micropacket.NodeID(i), micropacket.NodeID((i+1)%n), uint8(j), make([]byte, e3Payload))
+}
+
+// e3Insertion runs E3's streams on the AmpNet insertion ring: stream
+// i→(i+1)%n uses a one-hop arc, so all n streams occupy disjoint
+// segments concurrently. It returns the last delivery's instant.
+func e3Insertion(p Params, frames int) (last sim.Time, drops uint64) {
+	k, net, sts := macRing(p.seed(), p.Nodes, p.FiberM)
+	for i := range sts {
+		sts[i].OnDeliver = func(*micropacket.Packet) { last = k.Now() }
+		pump(k, sts[i].Send, frames, func(j int) *micropacket.Packet { return e3Stream(i, p.Nodes, j) })
+	}
+	k.Run()
+	return last, congestionDrops(net)
+}
+
+// e3Token runs the same offered pattern on the token ring, one
+// transmitter at a time. The token circulates forever, so it runs in
+// 1 ms steps until every frame is delivered; the completion is still
+// the last delivery's instant.
+func e3Token(p Params, frames int) (last sim.Time, drops uint64) {
+	k, net, c := oneSwitch(p.seed(), p.Nodes, p.FiberM)
+	tr := baseline.NewTokenRing(k, c)
+	delivered := 0
+	for i, ts := range tr.Stations {
+		ts.OnDeliver = func(*micropacket.Packet) { delivered, last = delivered+1, k.Now() }
+		pump(k, func(pk *micropacket.Packet) bool { return tr.Send(i, pk) },
+			frames, func(j int) *micropacket.Packet { return e3Stream(i, p.Nodes, j) })
+	}
+	tr.Start()
+	for delivered < p.Nodes*frames {
+		k.RunUntil(k.Now() + sim.Millisecond)
+	}
+	return last, congestionDrops(net)
 }
 
 // E4AllToAll reproduces slide 8's guarantee: "even if everyone does a

@@ -3,10 +3,13 @@ package micropacket
 // Pool recycles the DMA, Data and Diagnostic packets a node builds for
 // its sends. A packet's life ends at one place — its destination, or
 // its origin after a broadcast tour — and whoever ends it hands it to
-// Free, which takes it back only into the pool that built it: a packet
-// that dies on another pool (a sharded unicast ending on another shard)
-// is left to the GC, so one pool's free lists never fill with another's
-// packets.
+// Free. A packet Free takes on the pool that built it goes straight
+// back to that pool's free list. One that dies on another pool (a
+// sharded unicast ending on another shard) is a stray: the dying pool
+// keeps it until SendHome returns it to its builder at the next window
+// barrier. A stray is not adopted by the pool it died on: flows such as
+// a re-join refresh are one-way, so the receiving pool would hoard
+// packets it never sends while the sender kept allocating.
 //
 // A freed packet is poisoned — an invalid Type, 0xDEAD addresses, 0xDD
 // in every payload byte — so a reader that kept it past its life fails
@@ -14,9 +17,13 @@ package micropacket
 // silently, and freeing it twice panics.
 //
 // A Pool is not safe for concurrent use: like the rest of a phys.Net it
-// is touched only from its own kernel's event context.
+// is touched only from its own kernel's event context, and SendHome,
+// which writes other pools, only while every kernel is parked.
 type Pool struct {
 	free [numClasses][]*Packet
+	// strays are packets other pools built that died here, waiting
+	// for SendHome.
+	strays []*Packet
 }
 
 // Size classes of pooled packets (Packet.class); classFreed marks a
@@ -93,7 +100,8 @@ func (pl *Pool) take(c uint8) *Packet {
 
 // Free ends p's life. A packet no pool built is left alone (it may be
 // sent again, like a rostering agent's keepalive); any other is
-// poisoned, and taken back if pl built it.
+// poisoned, and taken back if pl built it or kept as a stray for
+// SendHome if another pool did.
 func (pl *Pool) Free(p *Packet) {
 	if p.home == nil {
 		return
@@ -109,5 +117,19 @@ func (pl *Pool) Free(p *Packet) {
 	p.class |= classFreed
 	if p.home == pl {
 		pl.free[c] = append(pl.free[c], p)
+	} else {
+		pl.strays = append(pl.strays, p)
 	}
+}
+
+// SendHome returns every stray to the free list of the pool that built
+// it. It writes other pools, so it may run only while every pool's
+// kernel is parked: parsim's barrier calls it.
+func (pl *Pool) SendHome() {
+	for i, p := range pl.strays {
+		c := p.class &^ classFreed
+		p.home.free[c] = append(p.home.free[c], p)
+		pl.strays[i] = nil
+	}
+	pl.strays = pl.strays[:0]
 }

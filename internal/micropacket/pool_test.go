@@ -6,7 +6,8 @@ import (
 )
 
 // TestPacketPool: a pool hands back what it took, by size class, and
-// takes back only what it built; a freed packet reads as poisoned, and
+// takes back only what it built — a packet freed on another pool waits
+// there until SendHome returns it; a freed packet reads as poisoned, and
 // freeing it twice panics.
 func TestPacketPool(t *testing.T) {
 	var a, b Pool
@@ -51,14 +52,44 @@ func TestPacketPool(t *testing.T) {
 		}
 	})
 
-	t.Run("freed on another pool is not taken", func(t *testing.T) {
+	t.Run("freed on another pool goes home at SendHome", func(t *testing.T) {
 		p := a.DMA(1, 2, DMAHeader{}, full)
 		b.Free(p)
+		if p.Type.Valid() || p.Validate() == nil || p.Src != poisonAddr {
+			t.Fatalf("a stray %+v is not poisoned", p)
+		}
 		if q := b.DMA(1, 2, DMAHeader{}, full); q == p {
 			t.Fatal("a pool took back a packet another pool built")
 		}
 		if q := a.DMA(1, 2, DMAHeader{}, full); q == p {
-			t.Fatal("a packet freed on another pool came back to its builder")
+			t.Fatal("a stray came back to its builder before SendHome")
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("freeing a stray twice did not panic")
+				}
+			}()
+			b.Free(p)
+		}()
+		b.SendHome()
+		if len(b.strays) != 0 {
+			t.Fatalf("%d strays left after SendHome", len(b.strays))
+		}
+		if q := b.DMA(1, 2, DMAHeader{}, full); q == p {
+			t.Fatal("SendHome handed a stray to the pool it died on")
+		}
+		q := a.DMA(3, 4, DMAHeader{Channel: 5}, full)
+		if q != p {
+			t.Fatal("SendHome did not return the stray to its builder")
+		}
+		if want := NewDMA(3, 4, DMAHeader{Channel: 5}, full); !q.Equal(want) || q.Validate() != nil {
+			t.Fatalf("packet back from SendHome %v, want %v", q, want)
+		}
+		ka := NewDiagnostic(1, 2, 0xA5)
+		b.Free(ka)
+		if len(b.strays) != 0 {
+			t.Fatal("a packet no pool built became a stray")
 		}
 	})
 

@@ -156,6 +156,7 @@ func (s *shard) RemoteFrame(src, dst *phys.Port, f phys.Frame, link *phys.Link, 
 // ever runs inside RunUntil, behind a window grant.
 type Engine struct {
 	Kernels []*sim.Kernel
+	nets    []*phys.Net
 	shards  []shard
 
 	lookahead sim.Time
@@ -237,6 +238,7 @@ func New(kernels []*sim.Kernel, nets []*phys.Net, lookahead sim.Time) (*Engine, 
 	}
 	e := &Engine{
 		Kernels:   kernels,
+		nets:      nets,
 		shards:    make([]shard, len(kernels)),
 		lookahead: lookahead,
 	}
@@ -352,7 +354,9 @@ func (e *Engine) DeferRoute(srcShard int, at sim.Time, op phys.RouteOp) {
 	s.routeQ = append(s.routeQ, routeRec{at: at, op: op})
 }
 
-// exchange empties every capture queue and delivers what it held:
+// exchange sends every shard's stray packets home (pooled packets that
+// died on a shard other than their builder's; see micropacket.Pool),
+// then empties every capture queue and delivers what it held:
 // deferred crossbar writes first (per source shard, FIFO), then
 // cross-shard frames in the canonical (arrival, transmit time, source
 // shard, sequence) order, each scheduled on its destination kernel at
@@ -361,6 +365,9 @@ func (e *Engine) DeferRoute(srcShard int, at sim.Time, op phys.RouteOp) {
 // single-threaded with all kernels parked. Returns the batch sizes for
 // the barrier observer.
 func (e *Engine) exchange() (nframes, nroutes int) {
+	for _, n := range e.nets {
+		n.Packets.SendHome()
+	}
 	frames := e.batch[:0]
 	for i := range e.shards {
 		s := &e.shards[i]
