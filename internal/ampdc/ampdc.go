@@ -80,8 +80,9 @@ type Subscribe struct {
 	// subs[topic] lists the topic's callbacks; indexed by topic and
 	// grown on demand (every delivery looks its topic up here).
 	subs [][]func(src micropacket.NodeID, data []byte)
-	// asm reassembles multi-segment payloads per (source, topic); open
-	// counts the entries with a message half assembled.
+	// asm reassembles multi-segment payloads per (source, topic), made
+	// on its first entry; open counts the entries with a message half
+	// assembled.
 	asm  map[asmKey]*dma.Assembly
 	open int
 
@@ -96,7 +97,7 @@ type asmKey struct {
 }
 
 func newSubscribe(svc *Services) *Subscribe {
-	return &Subscribe{svc: svc, asm: map[asmKey]*dma.Assembly{}}
+	return &Subscribe{svc: svc}
 }
 
 // Subscribe registers cb for a topic. The slice cb receives is
@@ -132,6 +133,9 @@ func (s *Subscribe) handleDMA(src micropacket.NodeID, hdr micropacket.DMAHeader,
 	k := asmKey{src, topic}
 	a := s.asm[k]
 	if a == nil {
+		if s.asm == nil {
+			s.asm = map[asmKey]*dma.Assembly{}
+		}
 		a = new(dma.Assembly)
 		s.asm[k] = a
 	}
@@ -167,7 +171,7 @@ type Files struct {
 	// framing failure (the transfer is delivered for diagnosis).
 	OnFile func(src micropacket.NodeID, name string, data []byte, ok bool)
 
-	asm map[micropacket.NodeID][]byte
+	asm map[micropacket.NodeID][]byte // made on the first multi-segment file
 
 	// Sent/Received/Corrupt count transfers.
 	Sent     uint64
@@ -176,7 +180,7 @@ type Files struct {
 }
 
 func newFiles(svc *Services) *Files {
-	return &Files{svc: svc, asm: map[micropacket.NodeID][]byte{}}
+	return &Files{svc: svc}
 }
 
 const filesMagic = 0xF7
@@ -218,6 +222,9 @@ func (f *Files) handleDMA(src micropacket.NodeID, hdr micropacket.DMAHeader, dat
 	}
 	buf = append(buf, data...)
 	if !last {
+		if f.asm == nil {
+			f.asm = map[micropacket.NodeID][]byte{}
+		}
 		f.asm[src] = buf
 		return
 	}
@@ -268,7 +275,8 @@ type Handler func(arg uint32) uint32
 // multi-threaded application processes", slide 17): the callee runs the
 // registered handler and returns the result.
 type Threads struct {
-	svc      *Services
+	svc *Services
+	// handlers and pending are made on their first write.
 	handlers map[uint8]Handler
 	pending  map[uint8]func(uint32, bool)
 	nextReq  uint8
@@ -279,11 +287,16 @@ type Threads struct {
 }
 
 func newThreads(svc *Services) *Threads {
-	return &Threads{svc: svc, handlers: map[uint8]Handler{}, pending: map[uint8]func(uint32, bool){}}
+	return &Threads{svc: svc}
 }
 
 // Register installs fn as the handler for function id.
-func (t *Threads) Register(fn uint8, h Handler) { t.handlers[fn] = h }
+func (t *Threads) Register(fn uint8, h Handler) {
+	if t.handlers == nil {
+		t.handlers = map[uint8]Handler{}
+	}
+	t.handlers[fn] = h
+}
 
 // Call invokes function fn with arg on node dst. reply receives the
 // result; ok=false means the callee had no such handler.
@@ -291,6 +304,9 @@ func (t *Threads) Call(dst micropacket.NodeID, fn uint8, arg uint32, reply func(
 	t.Calls++
 	req := t.nextReq
 	t.nextReq++
+	if t.pending == nil {
+		t.pending = map[uint8]func(uint32, bool){}
+	}
 	t.pending[req] = reply
 	var pl [8]byte
 	pl[0] = fn

@@ -187,14 +187,14 @@ type Node struct {
 	// whether somebody else is the sponsor.
 	peers       []peerSlot
 	lowerOnline int
-	// Each periodic activity owns one Timer, made unarmed by NewNode,
-	// re-armed with Reset, cancelled by halt. recovery, made by
-	// EnableAutoRecovery, ticks every recoverEvery.
-	heartbeat    *sim.Timer
-	detect       *sim.Timer
-	joinRetry    *sim.Timer
-	certTimer    *sim.Timer
-	recovery     *sim.Timer
+	// Each periodic activity owns one Timer, held by value, made unarmed
+	// by NewNode, re-armed with Reset, cancelled by halt. recovery, made
+	// by EnableAutoRecovery, ticks every recoverEvery (0 until then).
+	heartbeat    sim.Timer
+	detect       sim.Timer
+	joinRetry    sim.Timer
+	certTimer    sim.Timer
+	recovery     sim.Timer
 	recoverEvery sim.Time
 	recoverSeen  uint64 // DMA gaps the last recovery round answered
 	// aborts is what halt calls after cancelling the node's own timers
@@ -203,7 +203,7 @@ type Node struct {
 	// not entries, because a method value is an allocation per node.
 	aborts []func()
 
-	sponsoring map[int]bool // joiners whose refresh stream is in flight
+	sponsoring map[int]bool // joiners whose refresh stream is in flight; made on first write
 	hbSeq      uint32
 	stopped    bool
 	joinTry    int
@@ -249,8 +249,7 @@ func NewNode(k *sim.Kernel, cluster *phys.Cluster, cfg Config) *Node {
 	cfg.fill()
 	n := &Node{
 		Cfg: cfg, K: k, Cluster: cluster,
-		peers:      make([]peerSlot, cluster.NumNodes()),
-		sponsoring: map[int]bool{},
+		peers: make([]peerSlot, cluster.NumNodes()),
 	}
 	n.Station = insertion.NewStation(k, micropacket.NodeID(cfg.ID), cluster.NodePorts[cfg.ID])
 	// The hop budget tracks the fabric size: a broadcast must survive a
@@ -312,7 +311,7 @@ func (n *Node) Boot() {
 	n.Agent.Start()
 	n.solicit()
 	n.detectLoop()
-	if n.recovery != nil {
+	if n.recoverEvery != 0 {
 		n.recovery.Reset(n.recoverEvery)
 	}
 }
@@ -627,6 +626,9 @@ func (n *Node) handleJoinReq(p *micropacket.Packet) {
 	}
 	if n.sponsoring[src] {
 		return // refresh already streaming; the retry is redundant
+	}
+	if n.sponsoring == nil {
+		n.sponsoring = map[int]bool{}
 	}
 	n.sponsoring[src] = true
 	n.Sponsored++

@@ -79,7 +79,7 @@ func (n *Node) EnableAutoRecovery(interval sim.Time) {
 	if interval <= 0 {
 		interval = 5 * sim.Millisecond
 	}
-	if n.recovery == nil {
+	if n.recoverEvery == 0 {
 		n.recovery = n.K.NewTimer(n.autoRecover)
 	}
 	n.recoverEvery = interval

@@ -72,7 +72,7 @@ type Stack struct {
 	Node *ampdk.Node
 	IP   Addr
 
-	binds map[uint16]Handler
+	binds map[uint16]Handler // made on the first Bind
 	// asm reassembles datagrams per source: indexed by node id and grown
 	// on demand.
 	asm []dma.Assembly
@@ -90,9 +90,8 @@ type Stack struct {
 // NewStack attaches an IP stack to a node.
 func NewStack(n *ampdk.Node) *Stack {
 	s := &Stack{
-		Node:  n,
-		IP:    NodeToIP(n.Cfg.ID),
-		binds: map[uint16]Handler{},
+		Node: n,
+		IP:   NodeToIP(n.Cfg.ID),
 	}
 	n.RegionHandler[IPRegion] = s.handleDMA
 	return s
@@ -100,7 +99,12 @@ func NewStack(n *ampdk.Node) *Stack {
 
 // Bind installs a handler for a local port. Rebinding replaces. The
 // slice h receives is valid until the callback returns; copy to keep.
-func (s *Stack) Bind(port uint16, h Handler) { s.binds[port] = h }
+func (s *Stack) Bind(port uint16, h Handler) {
+	if s.binds == nil {
+		s.binds = map[uint16]Handler{}
+	}
+	s.binds[port] = h
+}
 
 // SendTo transmits a datagram; the caller may reuse data when it
 // returns. Delivery is best-effort (UDP semantics); datagrams to this

@@ -68,7 +68,7 @@ type TokenStation struct {
 	st    *insertion.Station
 	ring  *TokenRing
 	sendQ []*micropacket.Packet
-	pass  *sim.Timer
+	pass  sim.Timer
 
 	// OnDeliver receives frames addressed to (or broadcast past) this
 	// station.

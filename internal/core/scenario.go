@@ -180,23 +180,24 @@ func frameReport(c *Cluster, a *frameacct.Acct) *FrameReport {
 		InDevice:      a.InDevice,
 		Conserved:     a.Conserved(),
 	}
-	add := func(m *map[string]uint64, key string, v uint64) {
+	// A key is formatted only for a counter that is not zero.
+	add := func(m *map[string]uint64, format string, id int, v uint64) {
 		if v == 0 {
 			return
 		}
 		if *m == nil {
 			*m = map[string]uint64{}
 		}
-		(*m)[key] = v
+		(*m)[fmt.Sprintf(format, id)] = v
 	}
 	for i, nd := range c.Nodes {
-		add(&fr.NodeLosses, fmt.Sprintf("n%d/unrouted_transit", i), nd.Station.Unrouted)
-		add(&fr.NodeLosses, fmt.Sprintf("n%d/hop_expired", i), nd.Station.Expired)
+		add(&fr.NodeLosses, "n%d/unrouted_transit", i, nd.Station.Unrouted)
+		add(&fr.NodeLosses, "n%d/hop_expired", i, nd.Station.Expired)
 	}
 	for s, sw := range c.Phys.Switches {
-		add(&fr.SwitchLosses, fmt.Sprintf("sw%d/unrouted", s), sw.Unrouted)
-		add(&fr.SwitchLosses, fmt.Sprintf("sw%d/flood_expired", s), sw.FloodExpired)
-		add(&fr.SwitchLosses, fmt.Sprintf("sw%d/flood_deduped", s), sw.FloodDeduped)
+		add(&fr.SwitchLosses, "sw%d/unrouted", s, sw.Unrouted)
+		add(&fr.SwitchLosses, "sw%d/flood_expired", s, sw.FloodExpired)
+		add(&fr.SwitchLosses, "sw%d/flood_deduped", s, sw.FloodDeduped)
 	}
 	return fr
 }

@@ -71,7 +71,7 @@ type Engine struct {
 	rrNext int
 	// retry is the one backpressure retry timer, made unarmed by
 	// NewEngine and re-armed with Reset; active means a retry is pending.
-	retry *sim.Timer
+	retry sim.Timer
 	// Window bounds how many segments the engine keeps in the MAC's
 	// insertion queue at once. Keeping it shallow is what makes the
 	// multiplexing fine-grained: segments wait in their per-channel

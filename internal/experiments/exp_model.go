@@ -66,7 +66,7 @@ func runMD1(rho float64, seed uint64, frames int) *md1Trace {
 	// Exp truncates to whole nanoseconds, which shortens the mean gap by
 	// half a nanosecond: the truncated +1 puts it back.
 	mean := sim.Time(float64(e18Service)/rho + 1)
-	var next *sim.Timer
+	var next sim.Timer
 	next = k.NewTimer(func() {
 		tr.sent = append(tr.sent, k.Now())
 		if !a.Send(n.NewFrame(pkt)) {

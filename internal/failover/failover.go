@@ -75,7 +75,7 @@ func (g *Group) IsPrimary() bool { return g.primary == g.mgr.Node.Cfg.ID }
 type Manager struct {
 	Node   *ampdk.Node
 	K      *sim.Kernel
-	groups map[uint8]*Group
+	groups map[uint8]*Group // made by the first AddGroup
 
 	// Detections records failure-detection latencies observed locally
 	// (kernel verdict time minus nothing app-visible; used by E10 via
@@ -87,7 +87,7 @@ type Manager struct {
 // NewManager wraps a node. It chains onto the node's peer callbacks,
 // preserving any already installed.
 func NewManager(n *ampdk.Node) *Manager {
-	m := &Manager{Node: n, K: n.K, groups: map[uint8]*Group{}}
+	m := &Manager{Node: n, K: n.K}
 	m.prevDown, m.prevUp = n.OnPeerDown, n.OnPeerUp
 	n.OnPeerDown = func(id int) {
 		if m.prevDown != nil {
@@ -119,6 +119,9 @@ func (m *Manager) Abort() {
 func (m *Manager) AddGroup(cfg GroupConfig) *Group {
 	g := &Group{Cfg: cfg, mgr: m}
 	g.primary = m.bestQualified(g, nil)
+	if m.groups == nil {
+		m.groups = map[uint8]*Group{}
+	}
 	m.groups[cfg.ID] = g
 	return g
 }

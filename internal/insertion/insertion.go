@@ -131,7 +131,7 @@ type Station struct {
 	pace    sim.Time
 	// paceTmr is the one paced-retry timer, made unarmed by NewStation
 	// and re-armed with Reset.
-	paceTmr *sim.Timer
+	paceTmr sim.Timer
 
 	// Counters.
 	Inserted  uint64 // own frames put on the ring

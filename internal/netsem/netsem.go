@@ -59,6 +59,8 @@ type Service struct {
 	// Timeout is the per-request retry timeout.
 	Timeout sim.Time
 
+	// table, pending and watchers are made on their first write: most
+	// nodes never use a semaphore.
 	table     map[uint8]uint64
 	pending   map[uint8][]*pendingOp
 	watchers  map[uint8]map[uint64]func(uint64)
@@ -79,9 +81,6 @@ type Service struct {
 func NewService(k *sim.Kernel, st *insertion.Station, home func() micropacket.NodeID) *Service {
 	return &Service{
 		ID: st.ID, K: k, St: st, Home: home, Timeout: DefaultTimeout,
-		table:    map[uint8]uint64{},
-		pending:  map[uint8][]*pendingOp{},
-		watchers: map[uint8]map[uint64]func(uint64){},
 	}
 }
 
@@ -117,6 +116,9 @@ func (s *Service) Value(sem uint8) uint64 { return s.table[sem] }
 // Watch registers f to run whenever a replica update for sem arrives.
 // The returned function cancels the subscription.
 func (s *Service) Watch(sem uint8, f func(uint64)) (cancel func()) {
+	if s.watchers == nil {
+		s.watchers = map[uint8]map[uint64]func(uint64){}
+	}
 	if s.watchers[sem] == nil {
 		s.watchers[sem] = map[uint64]func(uint64){}
 	}
@@ -141,6 +143,9 @@ func (s *Service) Op(sem uint8, op micropacket.AtomicOp, operand uint64, cb func
 		return
 	}
 	p := &pendingOp{sem: sem, op: op, operand: operand, cb: cb}
+	if s.pending == nil {
+		s.pending = map[uint8][]*pendingOp{}
+	}
 	s.pending[sem] = append(s.pending[sem], p)
 	s.sendRequest(p)
 }
@@ -167,6 +172,9 @@ func (s *Service) sendRequest(p *pendingOp) {
 
 // execute applies an operation as home and broadcasts the new value.
 func (s *Service) execute(sem uint8, op micropacket.AtomicOp, operand uint64) (old uint64) {
+	if s.table == nil {
+		s.table = map[uint8]uint64{}
+	}
 	old = s.table[sem]
 	switch op {
 	case micropacket.OpRead:
@@ -211,6 +219,9 @@ func (s *Service) Handle(p *micropacket.Packet) {
 	case p.IsBroadcast():
 		// Authoritative replica update from the home.
 		if p.Op() == micropacket.OpWrite {
+			if s.table == nil {
+				s.table = map[uint8]uint64{}
+			}
 			s.table[sem] = p.Word64()
 			s.notify(sem, p.Word64())
 		}

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/micropacket"
 	"repro/internal/sim"
 )
 
@@ -196,6 +197,73 @@ func TestBuildFabricTrunks(t *testing.T) {
 	}
 	if tr := c.TrunkBetween(0, 3); tr != nil {
 		t.Fatalf("TrunkBetween(0,3) = %v, want nil", tr)
+	}
+}
+
+// TestShardedFabricBuildsAttachedPortsOnly: a switch makes port n when
+// node n attaches, so a sparse fabric holds O(attached) switch ports,
+// not one per node id per switch, and failing, restoring and flooding
+// through a switch skip its empty slots.
+func TestShardedFabricBuildsAttachedPortsOnly(t *testing.T) {
+	net := NewNet(sim.NewKernel(1))
+	topo := Sharded(8, 16, 1, 50)
+	c, err := BuildFabric(net, topo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for s, sw := range c.Switches {
+		nodePorts := 0
+		for n := 0; n < topo.Nodes; n++ {
+			if sw.ports[n] == nil {
+				continue
+			}
+			nodePorts++
+			if !topo.IsAttached(n, s) {
+				t.Fatalf("sw%d made port %d for unattached node %d", s, n, n)
+			}
+		}
+		if nodePorts != 16 || len(sw.ports) != topo.Nodes+2 {
+			t.Fatalf("sw%d: %d node ports and %d trunk ends, want 16 and 2", s, nodePorts, len(sw.ports)-topo.Nodes)
+		}
+	}
+	// 128 switch node ports, 16 trunk ends, 128 node-side ports; a
+	// switch with a port per node id made 1 168.
+	if got := len(net.ports); got != 272 {
+		t.Fatalf("Net holds %d ports, want 272", got)
+	}
+
+	sw := c.Switches[3]
+	var lit []*Link
+	for _, p := range sw.ports {
+		if p != nil {
+			lit = append(lit, p.link)
+		}
+	}
+	sw.Fail()
+	for i, l := range lit {
+		if l.Up() {
+			t.Fatalf("link %d of a failed switch still lit", i)
+		}
+	}
+	sw.Restore()
+	for i, l := range lit {
+		if !l.Up() {
+			t.Fatalf("link %d of a restored switch still dark", i)
+		}
+	}
+	net.K.RunUntil(net.K.Now() + 2*DefaultDetect)
+
+	live := 0
+	for _, p := range sw.ports {
+		if p != nil && p.Up() {
+			live++
+		}
+	}
+	node := 3 * 16 // the first node attached to sw3
+	c.NodePorts[node][3].SendPriority(net.NewFrame(micropacket.NewRostering(micropacket.NodeID(node), 1, [8]byte{})))
+	net.K.Run()
+	if live != 18 || sw.Flooded != uint64(live-1) {
+		t.Fatalf("flood through sw3 (%d live ports): Flooded %d, want %d", live, sw.Flooded, live-1)
 	}
 }
 

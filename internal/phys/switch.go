@@ -17,9 +17,10 @@ import (
 // to every live port except the ingress — that is what lets the
 // "modified flooding algorithm" (slide 16) explore all available paths.
 //
-// Ports come in two kinds. The first nodePorts ports face nodes (port n
-// belongs to node n, part of the ubiquitous configuration database —
-// slide 2); any further ports are inter-switch trunk ends. A frame
+// Ports come in two kinds. The first nodePorts slots face nodes (port
+// n, made when node n attaches, indexed by node id as in the ubiquitous
+// configuration database — slide 2; a slot no node reaches stays nil);
+// any further ports are inter-switch trunk ends. A frame
 // entering a node port is stamped with that port index as its virtual
 // circuit id (the hop's source node), so a frame arriving over a trunk
 // can be routed by its VC tag — several ring hops may share one trunk
@@ -66,34 +67,41 @@ const DefaultSwitchLatency = 200 * sim.Nanosecond
 // may make; it terminates floods circulating a trunk cycle.
 const MaxFloodHops = 32
 
-// NewSwitch creates a switch with nPorts unconnected node-facing ports.
+// NewSwitch creates a switch with nPorts node-facing port slots: port
+// n, made when node n attaches (the first Port(n) call).
 func (n *Net) NewSwitch(name string, nPorts int) *Switch {
-	s := &Switch{
+	return &Switch{
 		Name: name, net: n, nodePorts: nPorts,
-		xbar: newXbar(nPorts), vcRoutes: map[uint32]int{},
+		ports: make([]*Port, nPorts),
+		xbar:  newXbar(nPorts), vcRoutes: map[uint32]int{},
 		latency: DefaultSwitchLatency,
 	}
-	for i := 0; i < nPorts; i++ {
-		s.addPort(fmt.Sprintf("%s.p%d", name, i))
-	}
-	return s
 }
 
-func (s *Switch) addPort(name string) (*Port, int) {
-	idx := len(s.ports)
+// newPort makes the switch's port idx, whose handler hands arriving
+// frames to receive under that index.
+func (s *Switch) newPort(idx int, name string) *Port {
 	p := s.net.NewPort(name, nil)
 	p.SetHandler(func(_ *Port, f Frame) { s.receive(idx, f) })
-	s.ports = append(s.ports, p)
-	return p, idx
+	return p
 }
 
 // addTrunkPort appends a trunk end beyond the node-facing ports.
 func (s *Switch) addTrunkPort(tag string) (*Port, int) {
-	return s.addPort(fmt.Sprintf("%s.%s", s.Name, tag))
+	idx := len(s.ports)
+	p := s.newPort(idx, fmt.Sprintf("%s.%s", s.Name, tag))
+	s.ports = append(s.ports, p)
+	return p, idx
 }
 
-// Port returns the i-th switch port (node ports first, then trunks).
-func (s *Switch) Port(i int) *Port { return s.ports[i] }
+// Port returns the i-th switch port (node ports first, then trunks),
+// making node port i on its first call.
+func (s *Switch) Port(i int) *Port {
+	if s.ports[i] == nil {
+		s.ports[i] = s.newPort(i, fmt.Sprintf("%s.p%d", s.Name, i))
+	}
+	return s.ports[i]
+}
 
 // newXbar builds an all-unrouted crossbar for n ingress ports. The
 // crossbar is a dense slice, not a map: data forwarding hits it once
@@ -154,7 +162,7 @@ func (s *Switch) Fail() {
 	}
 	s.failed = true
 	for _, p := range s.ports {
-		if p.link != nil {
+		if p != nil && p.link != nil {
 			p.link.Fail()
 		}
 	}
@@ -167,7 +175,7 @@ func (s *Switch) Restore() {
 	}
 	s.failed = false
 	for _, p := range s.ports {
-		if p.link != nil {
+		if p != nil && p.link != nil {
 			p.link.Restore()
 		}
 	}
@@ -277,7 +285,7 @@ func (s *Switch) Emerge(arg int, f Frame) {
 		// simply means zero offspring).
 		s.net.Acct.Consume(frameacct.ConsumeFloodFanout)
 		for i, p := range s.ports {
-			if i == arg || !p.Up() {
+			if i == arg || p == nil || !p.Up() {
 				continue
 			}
 			s.Flooded++
@@ -285,7 +293,7 @@ func (s *Switch) Emerge(arg int, f Frame) {
 		}
 		return
 	}
-	if arg < len(s.ports) && s.ports[arg].Up() {
+	if arg < len(s.ports) && s.ports[arg] != nil && s.ports[arg].Up() {
 		s.CountForward()
 		s.net.Acct.Relaunch()
 		s.ports[arg].Send(f)

@@ -146,7 +146,11 @@ func BuildFabricSharded(nets []*Net, topo Topology, assign *Assignment) (*Cluste
 	}
 	var ports []*Port
 	for _, sw := range c.Switches {
-		ports = append(ports, sw.ports...)
+		for _, p := range sw.ports {
+			if p != nil {
+				ports = append(ports, p)
+			}
+		}
 	}
 	for _, np := range c.NodePorts {
 		for _, p := range np {

@@ -72,9 +72,9 @@ type Agent struct {
 	lsdb  []lsRecord
 	// Each periodic activity owns one Timer, made unarmed by NewAgent,
 	// re-armed with Reset, cancelled by Stop.
-	settle    *sim.Timer
-	keepalive *sim.Timer
-	watchdog  *sim.Timer
+	settle    sim.Timer
+	keepalive sim.Timer
+	watchdog  sim.Timer
 	// kaFrame is the keepalive to the current roster's downstream
 	// neighbor, built when an adoption changes that neighbor; Pkt is nil
 	// off the ring.

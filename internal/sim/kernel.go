@@ -79,7 +79,7 @@ func (t Time) Micros() float64 { return float64(t) / float64(Microsecond) }
 // through next, so the steady-state hot path — Do/DoPri scheduling and
 // event pop — does not allocate. Only At/After allocate, one
 // Timer handle each, and only because they hand out a cancellation
-// handle.
+// handle; NewTimer's handle is a value its owner holds.
 type entry struct {
 	at   Time
 	priT Time // primary tie-break: transmit start (scheduling time for plain events)
@@ -482,8 +482,9 @@ func (k *Kernel) After(d Time, fn func()) *Timer {
 
 // NewTimer returns an unarmed Timer for fn: nothing is queued until
 // its first Reset. It is how a periodic activity gets the one handle it
-// re-arms for the rest of its life.
-func (k *Kernel) NewTimer(fn func()) *Timer { return &Timer{k: k, fn: fn} }
+// re-arms for the rest of its life, held by value in its owner, so it
+// allocates nothing.
+func (k *Kernel) NewTimer(fn func()) Timer { return Timer{k: k, fn: fn} }
 
 // Do schedules fn at absolute time t without issuing a Timer handle.
 // It is the allocation-free fast path for fire-and-forget events (the
@@ -591,7 +592,9 @@ func (k *Kernel) Step() bool {
 
 // Timer is a handle to a scheduled event that can be cancelled or
 // rescheduled. The zero Timer and the nil *Timer are inert: Cancel,
-// Active and Reset are all safe no-ops on them.
+// Active and Reset are all safe no-ops on them. A Timer from NewTimer
+// lives where its owner put it: it must not be copied after its first
+// Reset, because the queued entry points at it.
 //
 // idx is the event's arena index, fixed while it is scheduled and
 // zeroed by the kernel the moment the event fires or is cancelled — so

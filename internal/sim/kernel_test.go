@@ -118,6 +118,60 @@ func TestTimerReset(t *testing.T) {
 	}
 }
 
+// TestNewTimerIsAValue checks that a periodic activity's handle lives
+// in its owner: making one into a struct field, arming, re-arming and
+// cancelling it allocates nothing, and the held value behaves as the
+// handle At returns.
+func TestNewTimerIsAValue(t *testing.T) {
+	k := NewKernel(1)
+	var owner struct{ tick Timer }
+	fired := 0
+	var at Time
+	fn := func() { fired++; at = k.Now() }
+	if n := testing.AllocsPerRun(100, func() {
+		owner.tick = k.NewTimer(fn)
+		owner.tick.Reset(5)
+		owner.tick.Cancel()
+	}); n != 0 {
+		t.Fatalf("NewTimer into a field, Reset and Cancel: %v allocations, want 0", n)
+	}
+	owner.tick = k.NewTimer(fn)
+	if owner.tick.Active() {
+		t.Fatal("unarmed timer reports active")
+	}
+	k.Run()
+	if fired != 0 {
+		t.Fatal("unarmed timer fired")
+	}
+	owner.tick.Reset(10)
+	owner.tick.Reset(20) // re-arming keeps one pending event
+	if !owner.tick.Active() || k.Pending() != 1 {
+		t.Fatalf("after two Resets: active=%v pending=%d, want true 1", owner.tick.Active(), k.Pending())
+	}
+	k.Run()
+	if fired != 1 || at != 20 || owner.tick.Active() {
+		t.Fatalf("fired %d times at %v (active=%v), want once at 20", fired, at, owner.tick.Active())
+	}
+	owner.tick.Reset(5) // re-arms after firing
+	k.Run()
+	if fired != 2 || at != 25 {
+		t.Fatalf("re-armed timer: fired %d times at %v, want twice, last at 25", fired, at)
+	}
+	owner.tick.Reset(5)
+	owner.tick.Cancel()
+	owner.tick.Cancel() // a second Cancel is a no-op
+	k.Run()
+	if fired != 2 || owner.tick.Active() {
+		t.Fatalf("cancelled timer: fired %d times (active=%v), want 2 and inactive", fired, owner.tick.Active())
+	}
+	var zero Timer
+	zero.Reset(1)
+	zero.Cancel()
+	if zero.Active() {
+		t.Fatal("zero Timer became active")
+	}
+}
+
 func TestStop(t *testing.T) {
 	k := NewKernel(1)
 	n := 0

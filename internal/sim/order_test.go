@@ -254,7 +254,10 @@ func (h *orderHarness) apply(op, a, b, c byte) {
 	case opNewTimer:
 		// The model's side of an unarmed handle is a timer that was
 		// never pushed: nothing pending until an opReset picks it.
-		h.timers = append(h.timers, k.NewTimer(h.callback(timerEv(0, 0, 0))))
+		// The handle is held by value, as an owner's field holds it.
+		tm := new(Timer)
+		*tm = k.NewTimer(h.callback(timerEv(0, 0, 0)))
+		h.timers = append(h.timers, tm)
 	case opDo:
 		ev := refEvent{entry: entry{at: m.now + d, priT: m.now}, id: id, timer: -1}
 		switch c & 3 {
