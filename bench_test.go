@@ -364,7 +364,7 @@ func BenchmarkSimKernelSameInstantBurst(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		k := sim.NewKernel(1)
 		for j := burst; j > 0; j-- {
-			k.DoPri(1000, sim.Time(j), 0, fn)
+			k.DoPri(1000, sim.Time(j), 0, sim.Func(fn))
 		}
 		k.Run()
 	}

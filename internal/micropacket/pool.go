@@ -16,6 +16,13 @@ package micropacket
 // Validate or moves Report bytes instead of reading a recycled packet
 // silently, and freeing it twice panics.
 //
+// Rostering packets are not recycled: every copy of a flood shares its
+// one packet, and no site sees the last copy die. Rostering cuts them
+// from a block of rosteringBlock instead and leaves each block to the
+// GC once none of its packets is reachable. Free leaves them alone, as
+// it does any packet the pool did not build, so a copy that dies on
+// another shard touches no pool there.
+//
 // A Pool is not safe for concurrent use: like the rest of a phys.Net it
 // is touched only from its own kernel's event context, and SendHome,
 // which writes other pools, only while every kernel is parked.
@@ -24,7 +31,12 @@ type Pool struct {
 	// strays are packets other pools built that died here, waiting
 	// for SendHome.
 	strays []*Packet
+	// rostering is what is left of the block Rostering cuts from.
+	rostering []Packet
 }
+
+// rosteringBlock is how many Rostering packets a pool cuts at once.
+const rosteringBlock = 32
 
 // Size classes of pooled packets (Packet.class); classFreed marks a
 // packet that is free.
@@ -83,6 +95,17 @@ func (pl *Pool) Diagnostic(src, dst NodeID, code uint8) *Packet {
 		p = new(Packet)
 	}
 	*p = Packet{Type: TypeDiagnostic, Src: src, Dst: dst, Tag: code, class: classFixed, home: pl}
+	return p
+}
+
+// Rostering is NewRostering cutting the packet from the pool's block.
+func (pl *Pool) Rostering(src NodeID, tag uint8, payload [FixedPayload]byte) *Packet {
+	if len(pl.rostering) == 0 {
+		pl.rostering = make([]Packet, rosteringBlock)
+	}
+	p := &pl.rostering[0]
+	pl.rostering = pl.rostering[1:]
+	*p = Packet{Type: TypeRostering, Src: src, Dst: Broadcast, Tag: tag, Payload: payload}
 	return p
 }
 

@@ -115,3 +115,32 @@ func TestPacketPool(t *testing.T) {
 		a.Free(p)
 	})
 }
+
+// TestRosteringBlock: Rostering cuts rosteringBlock packets from one
+// allocation, each equal to what NewRostering builds, and Free, on this
+// pool or another, leaves them alone: no copy of a flood knows it is
+// the last.
+func TestRosteringBlock(t *testing.T) {
+	var a, b Pool
+	pl := [FixedPayload]byte{1, 2, 3, 4, 5, 6, 7, 8}
+	var ps []*Packet
+	allocs := testing.AllocsPerRun(1, func() {
+		ps = ps[:0]
+		for i := range rosteringBlock {
+			ps = append(ps, a.Rostering(NodeID(i), 0, pl))
+		}
+	})
+	if allocs != 1 {
+		t.Fatalf("%d Rostering packets: %.0f allocations, want 1", rosteringBlock, allocs)
+	}
+	for i, p := range ps {
+		if want := NewRostering(NodeID(i), 0, pl); !p.Equal(want) || p.Validate() != nil {
+			t.Fatalf("packet %d is %v, want %v", i, p, want)
+		}
+		a.Free(p)
+		b.Free(p)
+		if !p.Equal(NewRostering(NodeID(i), 0, pl)) || len(a.free[classFixed]) != 0 || len(b.strays) != 0 {
+			t.Fatalf("Free took packet %d (%v)", i, p)
+		}
+	}
+}

@@ -194,10 +194,10 @@ type Net struct {
 
 	// Hot-path event pools (see pool.go). Per-Net and therefore
 	// per-shard: only ever touched from this Net's kernel context.
-	delFree    []*delivery
-	txFree     []*txDone
-	stageFree  []*stage
-	statusFree []*status
+	deliveries records[delivery]
+	txDones    records[txDone]
+	stages     records[stage]
+	statuses   records[status]
 }
 
 // NewNet creates a physical network on kernel k with default parameters.
@@ -417,7 +417,7 @@ func (p *Port) Unplan() {
 func (p *Port) arm() {
 	p.tx = txArmed
 	td := p.net.newTxDone(p, p.link, p.link.epoch)
-	p.net.K.DoPri(p.txEnd, p.txAt, p.uid, td.run)
+	p.net.K.DoPri(p.txEnd, p.txAt, p.uid, td)
 }
 
 // SetCapacity adjusts the egress FIFO capacity.
@@ -480,7 +480,7 @@ func (p *Port) follow(f Frame, start sim.Time) *delivery {
 	link := p.link
 	d := p.net.newDelivery(link.ports[1-p.end], f, link, link.epoch)
 	d.src = p
-	p.net.K.DoPri(start+SerTime(f.Wire+DefaultIFG)+link.prop, start, p.uid, d.run)
+	p.net.K.DoPri(start+SerTime(f.Wire+DefaultIFG)+link.prop, start, p.uid, d)
 	return d
 }
 

@@ -1,6 +1,8 @@
 package phys
 
 import (
+	"math/bits"
+	"runtime"
 	"testing"
 
 	"repro/internal/enc8b10b"
@@ -94,6 +96,44 @@ func TestFIFOSerializationOrder(t *testing.T) {
 		if tag != uint8(i) {
 			t.Fatalf("out of order at %d: %v", i, order)
 		}
+	}
+}
+
+// TestRecordsComeInBlocks: a fresh Net with 64 frames in flight holds a
+// delivery record for each, cut from blocks of recordBlock. Sending
+// them costs the blocks and the FIFO ring's doublings, where a record
+// made on first use cost a record and its closure a frame.
+func TestRecordsComeInBlocks(t *testing.T) {
+	const frames = 64
+	k := sim.NewKernel(1)
+	for range 2 * frames {
+		k.Do(0, func() {}) // grow the kernel's arena beforehand
+	}
+	k.Run()
+	n := NewNet(k)
+	delivered := 0
+	a := n.NewPort("a", nil)
+	b := n.NewPort("b", func(*Port, Frame) { delivered++ })
+	n.Connect(a, b, 10)
+	a.SetCapacity(frames)
+	f := dataFrame(1, 2)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range frames {
+		if !a.Send(f) {
+			t.Fatalf("send %d refused", i)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	got := after.Mallocs - before.Mallocs
+	want := uint64(frames/recordBlock + bits.Len(frames/minRing))
+	if got != want {
+		t.Fatalf("%d frames in flight on a fresh Net: %d allocations, want %d (%d record blocks, ring of %d doubled to %d)",
+			frames, got, want, frames/recordBlock, minRing, frames)
+	}
+	k.Run()
+	if delivered != frames || len(n.deliveries.free) != frames {
+		t.Fatalf("delivered %d frames, %d records back on the free list (want %d, %d)", delivered, len(n.deliveries.free), frames, frames)
 	}
 }
 

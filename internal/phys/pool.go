@@ -13,13 +13,14 @@ import (
 // scale (millions of frame hops) those allocations — and the GC scan
 // load of the closures they retain — dominate the profile next to heap
 // operations. The records below make the steady state allocation-free:
-// each Net keeps free lists of delivery / tx-done / device-latency
-// (stage) records whose dispatch closure is built once, when the record
-// is first created, and reused for the record's whole life.
-// Scheduling goes through the kernel's Do/DoPri fast path, which issues
-// no Timer.
+// each Net keeps one pool per record type — delivery, tx-done,
+// device-latency stage, port status — and each record is its own
+// sim.Event, queued through the kernel's DoPri/DoKey fast path with
+// no Timer and no closure. A pool whose free list is empty cuts its
+// next record from a block of recordBlock; blocks are never given
+// back, their records cycle through the free list for the Net's life.
 //
-// Records are recycled at the top of dispatch (fields copied to locals,
+// Records are recycled at the top of Fire (fields copied to locals,
 // record pushed back on the free list, then the work runs), so a model
 // callback that transmits more frames reuses the very record that
 // delivered to it. The pools are per-Net and therefore per-shard: they
@@ -27,6 +28,34 @@ import (
 // cross-shard injection, from the coordinator while every shard is
 // parked at a barrier), the same single-threaded discipline as the
 // rest of the Net's state.
+
+// recordBlock is how many records a pool cuts at once.
+const recordBlock = 16
+
+// records is a Net's pool of one record type: a free list, and the
+// block new records are cut from when it is empty.
+type records[T any] struct {
+	free  []*T
+	block []T
+}
+
+// get returns a free record, or a zero one cut from the block.
+func (r *records[T]) get() *T {
+	if m := len(r.free); m > 0 {
+		x := r.free[m-1]
+		r.free = r.free[:m-1]
+		return x
+	}
+	if len(r.block) == 0 {
+		r.block = make([]T, recordBlock)
+	}
+	x := &r.block[0]
+	r.block = r.block[1:]
+	return x
+}
+
+// put returns x to the free list.
+func (r *records[T]) put(x *T) { r.free = append(r.free, x) }
 
 // delivery carries one scheduled frame arrival (local hop or
 // cross-shard injection).
@@ -36,11 +65,10 @@ type delivery struct {
 	f     Frame
 	link  *Link
 	epoch uint64
-	run   func()
 
 	// src is set while a port points at the record — a plan, or the
 	// arrival of a frame waiting in a lazy train (Port.plan,
-	// Port.waiting, linked through next) — and dispatch settles that
+	// Port.waiting, linked through next) — and Fire settles that
 	// port before it recycles the record. A void arrival, taken back with
 	// its train or its plan, has neither src nor dst.
 	src  *Port
@@ -57,19 +85,13 @@ type delivery struct {
 }
 
 func (n *Net) newDelivery(dst *Port, f Frame, link *Link, epoch uint64) *delivery {
-	var d *delivery
-	if m := len(n.delFree); m > 0 {
-		d = n.delFree[m-1]
-		n.delFree = n.delFree[:m-1]
-	} else {
-		d = &delivery{n: n}
-		d.run = d.dispatch
-	}
-	d.dst, d.f, d.link, d.epoch = dst, f, link, epoch
+	d := n.deliveries.get()
+	d.n, d.dst, d.f, d.link, d.epoch = n, dst, f, link, epoch
 	return d
 }
 
-func (d *delivery) dispatch() {
+// Fire lands the frame, unless the arrival was voided.
+func (d *delivery) Fire() {
 	if d.src != nil {
 		// A frame arrives a serialization time after it started, so the
 		// settled port has let go of the record (promote, pop).
@@ -77,7 +99,7 @@ func (d *delivery) dispatch() {
 	}
 	n, dst, f, link, epoch := d.n, d.dst, d.f, d.link, d.epoch
 	d.dst, d.f, d.link = nil, Frame{}, nil
-	n.delFree = append(n.delFree, d)
+	n.deliveries.put(d)
 	if dst != nil {
 		n.CompleteDelivery(dst, f, link, epoch)
 	}
@@ -90,7 +112,7 @@ func (d *delivery) dispatch() {
 // allocations and land in the identical same-instant order.
 func (n *Net) ScheduleDelivery(arrival, txAt sim.Time, srcUID uint32, dst *Port, f Frame, link *Link, epoch uint64) {
 	d := n.newDelivery(dst, f, link, epoch)
-	n.K.DoPri(arrival, txAt, srcUID, d.run)
+	n.K.DoPri(arrival, txAt, srcUID, d)
 }
 
 // txDone carries one armed transmitter-free event (Port.arm; most
@@ -104,26 +126,19 @@ type txDone struct {
 	p     *Port
 	link  *Link
 	epoch uint64
-	run   func()
 }
 
 func (n *Net) newTxDone(p *Port, link *Link, epoch uint64) *txDone {
-	var t *txDone
-	if m := len(n.txFree); m > 0 {
-		t = n.txFree[m-1]
-		n.txFree = n.txFree[:m-1]
-	} else {
-		t = &txDone{n: n}
-		t.run = t.dispatch
-	}
-	t.p, t.link, t.epoch = p, link, epoch
+	t := n.txDones.get()
+	t.n, t.p, t.link, t.epoch = n, p, link, epoch
 	return t
 }
 
-func (t *txDone) dispatch() {
+// Fire frees the transmitter, unless a link fault came in between.
+func (t *txDone) Fire() {
 	n, p, link, epoch := t.n, t.p, t.link, t.epoch
 	t.p, t.link = nil, nil
-	n.txFree = append(n.txFree, t)
+	n.txDones.put(t)
 	if link.epoch != epoch {
 		return
 	}
@@ -156,36 +171,28 @@ type stage struct {
 	dev Device
 	arg int
 	f   Frame
-	run func()
 }
 
 // status carries one port's loss/return-of-light observation to the
 // port's status handler (Link.notify).
 type status struct {
-	p   *Port
-	up  bool
-	run func()
+	p  *Port
+	up bool
 }
 
 // statusAt queues p's status observation at time at on this Net's
-// kernel, which must be p's.
+// kernel, which must be p's, under the key a Do would have given it.
 func (n *Net) statusAt(at sim.Time, p *Port, up bool) {
-	var s *status
-	if m := len(n.statusFree); m > 0 {
-		s = n.statusFree[m-1]
-		n.statusFree = n.statusFree[:m-1]
-	} else {
-		s = &status{}
-		s.run = s.dispatch
-	}
+	s := n.statuses.get()
 	s.p, s.up = p, up
-	n.K.Do(at, s.run)
+	n.K.DoPri(at, n.K.Now(), 0, s)
 }
 
-func (s *status) dispatch() {
+// Fire hands the observation to the port's status handler.
+func (s *status) Fire() {
 	p, up := s.p, s.up
 	s.p = nil
-	p.net.statusFree = append(p.net.statusFree, s)
+	p.net.statuses.put(s)
 	if p.onStatus != nil {
 		p.onStatus(p, up)
 	}
@@ -255,22 +262,16 @@ func (n *Net) Hold(latency sim.Time, dev Device, arg int, f Frame, egress *Port)
 // stageAt queues the stage event of (dev, arg, f) under the complete
 // key (at, priT, 0, seq).
 func (n *Net) stageAt(at, priT sim.Time, seq uint64, dev Device, arg int, f Frame) {
-	var st *stage
-	if m := len(n.stageFree); m > 0 {
-		st = n.stageFree[m-1]
-		n.stageFree = n.stageFree[:m-1]
-	} else {
-		st = &stage{n: n}
-		st.run = st.dispatch
-	}
-	st.dev, st.arg, st.f = dev, arg, f
-	n.K.DoKey(at, priT, 0, seq, st.run)
+	st := n.stages.get()
+	st.n, st.dev, st.arg, st.f = n, dev, arg, f
+	n.K.DoKey(at, priT, 0, seq, st)
 }
 
-func (st *stage) dispatch() {
+// Fire hands the frame back to its device.
+func (st *stage) Fire() {
 	n, dev, arg, f := st.n, st.dev, st.arg, st.f
 	st.dev, st.f = nil, Frame{}
-	n.stageFree = append(n.stageFree, st)
+	n.stages.put(st)
 	n.Acct.Exit()
 	dev.Emerge(arg, f)
 }

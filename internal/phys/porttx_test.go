@@ -161,7 +161,7 @@ func (p *refPort) startTx() {
 	f, epoch, dst := p.fifo[0], l.epoch, l.ports[1-p.end]
 	p.txAt = n.k.Now()
 	p.txEnd = p.txAt + SerTime(f.Wire+DefaultIFG)
-	n.k.DoPri(p.txEnd+l.prop, p.txAt, p.uid, func() {
+	n.k.DoPri(p.txEnd+l.prop, p.txAt, p.uid, sim.Func(func() {
 		n.acct.Arrive()
 		if l.epoch != epoch || !l.up {
 			n.lost++
@@ -171,8 +171,8 @@ func (p *refPort) startTx() {
 		n.delivered++
 		n.acct.Deliver()
 		dst.onFrame(f)
-	})
-	n.k.DoPri(p.txEnd, p.txAt, p.uid, func() {
+	}))
+	n.k.DoPri(p.txEnd, p.txAt, p.uid, sim.Func(func() {
 		if l.epoch != epoch {
 			return
 		}
@@ -181,7 +181,7 @@ func (p *refPort) startTx() {
 		if p.hold {
 			p.onTxDone()
 		}
-	})
+	}))
 }
 
 func (l *refLink) fail() {
@@ -514,8 +514,8 @@ func (h *txHarness) apply(op, a, b, c byte) {
 		case keyAboveT:
 			priT++
 		}
-		h.real.k.DoPri(at, priT, priH, func() { h.noteEvent(act, mode); h.real.do(act); h.noteDone(act) })
-		h.ref.k.DoPri(at, priT, priH, func() { h.ref.do(act) })
+		h.real.k.DoPri(at, priT, priH, sim.Func(func() { h.noteEvent(act, mode); h.real.do(act); h.noteDone(act) }))
+		h.ref.k.DoPri(at, priT, priH, sim.Func(func() { h.ref.do(act) }))
 	case opHostQueue:
 		f := h.frame(a)
 		h.real.hostQ[a&1] = append(h.real.hostQ[a&1], f)
@@ -722,7 +722,7 @@ func (h *txHarness) check() {
 			h.t.Fatalf("port %d holds a plan it does not own", i)
 		}
 	}
-	for _, d := range h.rp[0].net.delFree {
+	for _, d := range h.rp[0].net.deliveries.free {
 		if d.src != nil || d.next != nil {
 			h.t.Fatalf("a pooled record still names a port")
 		}

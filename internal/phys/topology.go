@@ -243,7 +243,7 @@ func (c *Cluster) Land(at sim.Time, op RouteOp) {
 		op.Apply(c)
 		return
 	}
-	k.DoPri(at, -1, 0, func() { op.Apply(c) })
+	k.DoPri(at, -1, 0, sim.Func(func() { op.Apply(c) }))
 }
 
 // NumNodes returns the node count.

@@ -240,7 +240,7 @@ func (a *Agent) floodOwn() {
 	own := Announcement{Origin: a.ID, Mask: a.mask(), Seq: a.seq}
 	a.record(own)
 	a.Announced++
-	a.floodExcept(encodeAnnouncement(a.ID, a.epoch, own), nil)
+	a.floodExcept(encodeAnnouncement(&a.Station.Net().Packets, a.ID, a.epoch, own), nil)
 }
 
 // floodExcept sends the packet on every live port except skip.
@@ -428,13 +428,13 @@ func (a *Agent) adopt() {
 // the origin's high half; the frame-level format version travels in
 // the SOF format byte (internal/wire) where every layer can see it.
 
-func encodeAnnouncement(id int, epoch uint32, ann Announcement) *micropacket.Packet {
+func encodeAnnouncement(pool *micropacket.Pool, id int, epoch uint32, ann Announcement) *micropacket.Packet {
 	var pl [8]byte
 	binary.LittleEndian.PutUint16(pl[0:2], uint16(ann.Origin))
 	pl[2] = byte(ann.Mask)
 	binary.LittleEndian.PutUint32(pl[3:7], epoch)
 	pl[7] = ann.Seq
-	return micropacket.NewRostering(micropacket.NodeID(id), 0, pl)
+	return pool.Rostering(micropacket.NodeID(id), 0, pl)
 }
 
 func decodeAnnouncement(p *micropacket.Packet) (origin int, epoch uint32, ann Announcement) {

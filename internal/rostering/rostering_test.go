@@ -421,7 +421,7 @@ func TestRosterNext(t *testing.T) {
 
 func TestAnnouncementCodec(t *testing.T) {
 	ann := Announcement{Origin: 13, Mask: 0b1010, Seq: 250}
-	p := encodeAnnouncement(13, 0xDEADBEEF, ann)
+	p := encodeAnnouncement(new(micropacket.Pool), 13, 0xDEADBEEF, ann)
 	if p.Type != micropacket.TypeRostering {
 		t.Fatal("wrong type")
 	}
@@ -463,7 +463,7 @@ func TestControlFramesAllocateNothing(t *testing.T) {
 	h := newHarness(4, 2, 50)
 	h.settle()
 	a := h.agents[0]
-	dup := h.net.NewFrame(encodeAnnouncement(1, a.epoch, Announcement{Origin: 1, Mask: a.lsdb[1].mask, Seq: a.lsdb[1].seq}))
+	dup := h.net.NewFrame(encodeAnnouncement(&h.net.Packets, 1, a.epoch, Announcement{Origin: 1, Mask: a.lsdb[1].mask, Seq: a.lsdb[1].seq}))
 	port := a.Station.Ports[0]
 	before := h.net.Acct.Losses[frameacct.LossDupAnnounce]
 	if n := testing.AllocsPerRun(100, func() { a.handleControl(port, dup) }); n != 0 {

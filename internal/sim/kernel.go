@@ -56,7 +56,21 @@ func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 // Micros returns t as a floating-point number of microseconds.
 func (t Time) Micros() float64 { return float64(t) / float64(Microsecond) }
 
-// entry is a scheduled callback, stored in the kernel's event arena.
+// Event is what the kernel fires. A model's hot-path record (a frame's
+// arrival, a device's pipeline stage) implements Fire itself, so
+// queueing it through DoPri or DoKey costs nothing: a pointer in an
+// interface is not a new allocation, where a method value bound to the
+// record would be one closure per record.
+type Event interface{ Fire() }
+
+// Func adapts a plain callback to an Event. A func value is
+// pointer-shaped, so the conversion allocates nothing.
+type Func func()
+
+// Fire calls f.
+func (f Func) Fire() { f() }
+
+// entry is a scheduled event, stored in the kernel's event arena.
 // Ties at the same instant are broken by the priority key (priT, priH)
 // and then FIFO by seq, so two events scheduled for the same instant
 // fire in a deterministic order.
@@ -84,7 +98,7 @@ type entry struct {
 	at   Time
 	priT Time // primary tie-break: transmit start (scheduling time for plain events)
 	seq  uint64
-	fn   func()
+	ev   Event
 	tm   *Timer // cancellation handle, nil for Do/DoPri events
 	priH uint32 // secondary tie-break: stable port identity hash
 	// next and prev link the entry into its wheel bucket (next doubles
@@ -197,11 +211,11 @@ func (k *Kernel) RNG() *RNG { return k.rng }
 // removed from the queue eagerly, so this is an O(1) live count.
 func (k *Kernel) Pending() int { return k.n }
 
-// push queues fn at absolute time t with tie-break key (priT, priH),
+// push queues ev at absolute time t with tie-break key (priT, priH),
 // the next sequence number and optional Timer handle tm, which is
 // pointed at the new entry.
-func (k *Kernel) push(t, priT Time, priH uint32, fn func(), tm *Timer) {
-	k.pushSeq(t, priT, priH, k.Reserve(), fn, tm)
+func (k *Kernel) push(t, priT Time, priH uint32, ev Event, tm *Timer) {
+	k.pushSeq(t, priT, priH, k.Reserve(), ev, tm)
 }
 
 // Reserve takes the sequence number the next push would have had, for
@@ -214,7 +228,7 @@ func (k *Kernel) Reserve() uint64 {
 }
 
 // pushSeq is push under a sequence number the caller owns.
-func (k *Kernel) pushSeq(t, priT Time, priH uint32, seq uint64, fn func(), tm *Timer) {
+func (k *Kernel) pushSeq(t, priT Time, priH uint32, seq uint64, ev Event, tm *Timer) {
 	if t < k.now {
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", t, k.now))
 	}
@@ -226,7 +240,7 @@ func (k *Kernel) pushSeq(t, priT Time, priH uint32, seq uint64, fn func(), tm *T
 		i = int32(len(k.arena) - 1)
 	}
 	e := &k.arena[i]
-	e.at, e.priT, e.priH, e.seq, e.fn, e.tm = t, priT, priH, seq, fn, tm
+	e.at, e.priT, e.priH, e.seq, e.ev, e.tm = t, priT, priH, seq, ev, tm
 	if tm != nil {
 		tm.idx = i
 	}
@@ -238,14 +252,14 @@ func (k *Kernel) pushSeq(t, priT Time, priH uint32, seq uint64, fn func(), tm *T
 }
 
 // release returns a fired or cancelled entry's slot to the free list,
-// dropping its closure reference and deactivating its Timer handle.
+// dropping its event reference and deactivating its Timer handle.
 func (k *Kernel) release(i int32) {
 	e := &k.arena[i]
 	if e.tm != nil {
 		e.tm.idx = 0
 		e.tm = nil
 	}
-	e.fn = nil
+	e.ev = nil
 	e.next = k.free
 	k.free = i
 	k.n--
@@ -420,7 +434,7 @@ func (k *Kernel) remove(i int32) {
 // callback sees its own Timer inactive and may reuse the slot.
 func (k *Kernel) fire(i int32) {
 	e := &k.arena[i]
-	at, fn := e.at, e.fn
+	at, ev := e.at, e.ev
 	// The horizon only ever rises within an instant: an event pushed at
 	// now behind the firing position fires late, and must not pull
 	// Passed back over keys an earlier event already went beyond.
@@ -430,7 +444,7 @@ func (k *Kernel) fire(i int32) {
 	k.remove(i)
 	k.now = at
 	k.Fired++
-	fn()
+	ev.Fire()
 }
 
 // Passed reports whether the firing order has gone beyond the key
@@ -468,7 +482,7 @@ func (k *Kernel) PassedKey(t, priT Time, priH uint32, seq uint64) bool {
 // past panics: it indicates a model bug that would break causality.
 func (k *Kernel) At(t Time, fn func()) *Timer {
 	tm := &Timer{k: k, fn: fn}
-	k.push(t, k.now, 0, fn, tm)
+	k.push(t, k.now, 0, Func(fn), tm)
 	return tm
 }
 
@@ -490,22 +504,22 @@ func (k *Kernel) NewTimer(fn func()) Timer { return Timer{k: k, fn: fn} }
 // It is the allocation-free fast path for fire-and-forget events (the
 // physical layer's per-frame scheduling): same ordering semantics as
 // At, no way to cancel.
-func (k *Kernel) Do(t Time, fn func()) { k.push(t, k.now, 0, fn, nil) }
+func (k *Kernel) Do(t Time, fn func()) { k.push(t, k.now, 0, Func(fn), nil) }
 
-// DoPri schedules fn at absolute time t with an explicit same-instant
+// DoPri schedules ev at absolute time t with an explicit same-instant
 // tie-break key, without issuing a Timer handle: events at equal t run
 // in ascending (priT, priH, FIFO) order. Plain At/After/Do events carry
 // (scheduling time, 0), so an explicit key slots into the same-instant
 // order exactly where an event scheduled at priT would have — the
 // physical layer uses this to key frame deliveries by transmit start
 // and port identity, keeping the order engine-independent.
-func (k *Kernel) DoPri(t, priT Time, priH uint32, fn func()) { k.push(t, priT, priH, fn, nil) }
+func (k *Kernel) DoPri(t, priT Time, priH uint32, ev Event) { k.push(t, priT, priH, ev, nil) }
 
-// DoKey schedules fn under a complete key whose sequence number came
+// DoKey schedules ev under a complete key whose sequence number came
 // from Reserve: the event fires exactly where it would have had it been
 // pushed when the number was taken. The key must not have passed.
-func (k *Kernel) DoKey(t, priT Time, priH uint32, seq uint64, fn func()) {
-	k.pushSeq(t, priT, priH, seq, fn, nil)
+func (k *Kernel) DoKey(t, priT Time, priH uint32, seq uint64, ev Event) {
+	k.pushSeq(t, priT, priH, seq, ev, nil)
 }
 
 // Stop makes Run return after the current event completes. Pending
@@ -631,5 +645,5 @@ func (t *Timer) Reset(d Time) {
 	if d < 0 {
 		d = 0
 	}
-	t.k.push(t.k.now+d, t.k.now, 0, t.fn, t)
+	t.k.push(t.k.now+d, t.k.now, 0, Func(t.fn), t)
 }

@@ -172,6 +172,54 @@ func TestNewTimerIsAValue(t *testing.T) {
 	}
 }
 
+// pooledEvent is a record that is its own Event, as phys's hop records
+// are: it counts its firings and goes back on its pool's free list.
+type pooledEvent struct {
+	fired *int
+	free  *[]*pooledEvent
+}
+
+func (e *pooledEvent) Fire() {
+	*e.fired++
+	*e.free = append(*e.free, e)
+}
+
+// TestEventsAllocateNothing: scheduling and firing an existing func
+// through Do, and a pooled record through DoPri and DoKey, allocate
+// nothing — a func in Func and a pointer in Event are stored as they
+// are.
+func TestEventsAllocateNothing(t *testing.T) {
+	k := NewKernel(1)
+	fired := 0
+	fn := func() { fired++ }
+	var free []*pooledEvent
+	for range 2 {
+		free = append(free, &pooledEvent{fired: &fired, free: &free})
+	}
+	take := func() *pooledEvent {
+		e := free[len(free)-1]
+		free = free[:len(free)-1]
+		return e
+	}
+	// Warm the arena.
+	k.Do(1, fn)
+	k.DoPri(1, 0, 0, take())
+	k.Run()
+	runs := 0
+	if n := testing.AllocsPerRun(100, func() {
+		runs++
+		k.Do(k.Now()+1, fn)
+		k.DoPri(k.Now()+1, 0, 7, take())
+		k.DoKey(k.Now()+1, 0, 7, k.Reserve(), take())
+		k.Run()
+	}); n != 0 {
+		t.Fatalf("Do of a func, DoPri and DoKey of pooled Events: %v allocations, want 0", n)
+	}
+	if want := 2 + 3*runs; fired != want || len(free) != 2 {
+		t.Fatalf("fired %d events (want %d), %d records back in the pool (want 2)", fired, want, len(free))
+	}
+}
+
 func TestStop(t *testing.T) {
 	k := NewKernel(1)
 	n := 0
@@ -213,8 +261,8 @@ func TestStopInRunUntilKeepsClockBehindPending(t *testing.T) {
 // nothing: events at now that a Step left pending have still not passed.
 func TestPassedAfterRunUntilBehindClock(t *testing.T) {
 	k := NewKernel(1)
-	k.DoPri(10, 3, 0, func() {})
-	k.DoPri(10, 7, 0, func() {})
+	k.DoPri(10, 3, 0, Func(func() {}))
+	k.DoPri(10, 7, 0, Func(func() {}))
 	k.Step()
 	if now := k.RunUntil(5); now != 10 || k.Pending() != 1 {
 		t.Fatalf("RunUntil(5) at 10: now %v, pending %d", now, k.Pending())

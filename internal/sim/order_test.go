@@ -273,7 +273,7 @@ func (h *orderHarness) apply(op, a, b, c byte) {
 		m.push(ev)
 	case opDoPri:
 		ev := refEvent{entry: entry{at: m.now + d, priT: Time(c & 15), priH: uint32(c >> 4)}, id: id, timer: -1}
-		k.DoPri(ev.at, ev.priT, ev.priH, h.callback(ev))
+		k.DoPri(ev.at, ev.priT, ev.priH, Func(h.callback(ev)))
 		m.push(ev)
 	case opReserve:
 		// The key a Do or DoPri at this moment would have had, numbered
@@ -296,7 +296,7 @@ func (h *orderHarness) apply(op, a, b, c byte) {
 			m.reserved = slices.Delete(m.reserved, i, i+1)
 			if !m.hasPassedKey(key) {
 				ev := refEvent{entry: entry{at: key.at, priT: key.priT, priH: key.priH, seq: key.seq}, id: int(key.seq), timer: -1}
-				k.DoKey(key.at, key.priT, key.priH, key.seq, h.callback(ev))
+				k.DoKey(key.at, key.priT, key.priH, key.seq, Func(h.callback(ev)))
 				m.pushSeq(ev)
 			}
 		}

@@ -13,11 +13,11 @@ func TestDoPriOrdering(t *testing.T) {
 	// All at t=100. Keys: plain events scheduled now carry priT=0
 	// (now=0); explicit keys 50 and 20 follow; an equal key falls back
 	// to FIFO.
-	k.DoPri(100, 50, 7, mark(3))
-	k.DoPri(100, 20, 9, mark(2))
+	k.DoPri(100, 50, 7, Func(mark(3)))
+	k.DoPri(100, 20, 9, Func(mark(2)))
 	k.At(100, mark(1)) // priT = now = 0: first
-	k.DoPri(100, 50, 7, mark(4))
-	k.DoPri(100, 50, 2, mark(5)) // same priT, smaller hash: before 3/4
+	k.DoPri(100, 50, 7, Func(mark(4)))
+	k.DoPri(100, 50, 2, Func(mark(5))) // same priT, smaller hash: before 3/4
 	k.Run()
 	want := []int{1, 2, 5, 3, 4}
 	for i := range want {
