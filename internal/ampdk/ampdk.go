@@ -283,19 +283,14 @@ func NewNode(k *sim.Kernel, cluster *phys.Cluster, cfg Config) *Node {
 func (n *Node) RegisterAbort(abort func()) { n.aborts = append(n.aborts, abort) }
 
 // semHome elects the semaphore home: the lowest node on the current
-// roster (every node computes the same roster, so this is consistent).
+// roster, where every ring starts (every node computes the same roster,
+// so this is consistent).
 func (n *Node) semHome() micropacket.NodeID {
 	r := n.Agent.Roster()
 	if r == nil || r.Size() == 0 {
 		return micropacket.NodeID(n.Cfg.ID)
 	}
-	lo := r.Nodes[0]
-	for _, id := range r.Nodes {
-		if id < lo {
-			lo = id
-		}
-	}
-	return micropacket.NodeID(lo)
+	return micropacket.NodeID(r.Nodes[0])
 }
 
 // Boot self-boots the node (slide 17): the rostering agent starts

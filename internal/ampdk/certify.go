@@ -113,20 +113,12 @@ func (n *Node) handleCert(p *micropacket.Packet) {
 	}
 }
 
-// recordConfig: the lowest node of the certified roster writes the new
-// configuration into the replicated database.
+// recordConfig: the lowest node of the certified roster, where the
+// ring starts, writes the new configuration into the replicated
+// database.
 func (n *Node) recordConfig() {
 	r := n.Agent.Roster()
-	if r == nil || r.Size() == 0 {
-		return
-	}
-	lo := r.Nodes[0]
-	for _, id := range r.Nodes {
-		if id < lo {
-			lo = id
-		}
-	}
-	if lo != n.Cfg.ID {
+	if r == nil || r.Size() == 0 || r.Nodes[0] != n.Cfg.ID {
 		return
 	}
 	if n.State == StateRejected {

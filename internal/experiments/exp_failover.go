@@ -168,6 +168,13 @@ func E10Failover(p Params) *Table {
 	return t
 }
 
+// E11's rig: both networks carry a frame from node 0 to node 2 every
+// e11SendEvery, and switch 0 fails at e11FailTime, on that send grid.
+const (
+	e11SendEvery = 50 * sim.Microsecond
+	e11FailTime  = 10 * sim.Millisecond
+)
+
 // E11SelfHealVsBaseline reproduces the paper's core availability
 // argument (slides 2, 13, 18): under continuous traffic, a switch
 // failure interrupts AmpNet for ring-tour-scale microseconds, while the
@@ -178,8 +185,6 @@ func E11SelfHealVsBaseline(p Params) *Table {
 		Title:  "self-healing vs conventional network under switch failure (paper slides 2, 13, 18)",
 		Header: []string{"network", "service outage", "frames lost", "recovered"},
 	}
-	const sendEvery = 50 * sim.Microsecond
-	const failTime = 10 * sim.Millisecond
 	const runFor = 40 * sim.Millisecond
 
 	// AmpNet: full stack, a PubSubLoad stream from node 0 to node 2 and
@@ -191,7 +196,7 @@ func E11SelfHealVsBaseline(p Params) *Table {
 			t.Note("boot failed: %v", err)
 			return t
 		}
-		if err := c.Install(core.Plan{core.FailSwitch(failTime, 0)}); err != nil {
+		if err := c.Install(core.Plan{core.FailSwitch(e11FailTime, 0)}); err != nil {
 			t.Note("install failed: %v", err)
 			return t
 		}
@@ -199,8 +204,8 @@ func E11SelfHealVsBaseline(p Params) *Table {
 			Publisher:   0,
 			Topic:       1,
 			Subscribers: []int{2},
-			Every:       sendEvery,
-			Count:       int(runFor / sendEvery),
+			Every:       e11SendEvery,
+			Count:       int(runFor / e11SendEvery),
 		})
 		_ = c.WaitUntil(a.Done, runFor+10*sim.Millisecond)
 		if failed(t, c.Run(10*sim.Millisecond)) {
@@ -226,23 +231,23 @@ func E11SelfHealVsBaseline(p Params) *Table {
 			lastRx = k.Now()
 			got++
 		}
+		// The stream runs past runFor until the net has delivered
+		// again, so the row measures the whole outage.
 		var tick func()
 		tick = func() {
-			if k.Now() < runFor {
+			if k.Now() < runFor || lastRx < e11FailTime {
 				sn.Stations[0].Send(micropacket.NewData(0, 2, 0, []byte{1}))
 				sent++
-				k.After(sendEvery, tick)
+				k.After(e11SendEvery, tick)
 			}
 		}
 		k.After(0, tick)
-		k.After(failTime, func() { cl.Switches[0].Fail() })
-		// Run past the reconvergence to show it does eventually return.
-		k.RunUntil(failTime + sn.ReconvergeDelay + 20*sim.Millisecond)
-		outage := gapMax
-		if got == 0 || lastRx < failTime {
-			outage = sn.ReconvergeDelay
+		k.After(e11FailTime, func() { cl.Switches[0].Fail() })
+		k.RunUntil(e11FailTime + sn.ReconvergeDelay + 20*sim.Millisecond)
+		outage, recovered := gapMax, "after protection delay"
+		if lastRx < e11FailTime {
+			outage, recovered = k.Now()-lastRx, "no"
 		}
-		recovered := "after protection delay"
 		t.Add("static switched (baseline)", outage.String(), fmt.Sprint(sent-got), recovered)
 	}
 	t.Note("AmpNet's outage is the rostering window (µs–ms); the baseline is dark for its full protection delay (~1 s)")

@@ -53,15 +53,10 @@ func dataPkt(src, dst micropacket.NodeID) *micropacket.Packet {
 	return micropacket.NewData(src, dst, 1, []byte{0xAB})
 }
 
-// rosteringPkt builds an announcement in the documented 8-byte layout
-// (origin LE at 0..1, mask at 2, epoch LE at 3..6, seq at 7).
+// rosteringPkt builds origin's announcement on switch 0.
 func rosteringPkt(origin micropacket.NodeID, epoch uint32, seq uint8) *micropacket.Packet {
-	var pl [micropacket.FixedPayload]byte
-	pl[0], pl[1] = byte(origin), byte(origin>>8)
-	pl[2] = 0x01
-	pl[3], pl[4], pl[5], pl[6] = byte(epoch), byte(epoch>>8), byte(epoch>>16), byte(epoch>>24)
-	pl[7] = seq
-	return micropacket.NewRostering(origin, 0, pl)
+	ann := micropacket.Announcement{Origin: origin, Mask: 0x01, Epoch: epoch, Seq: seq}
+	return micropacket.NewRostering(origin, 0, ann.Payload())
 }
 
 // lossScenarios maps every cause to the smallest setup that produces

@@ -361,8 +361,8 @@ func NewAtomic(src, dst NodeID, sem uint8, op AtomicOp, operand uint64) *Packet 
 	return p
 }
 
-// NewRostering builds a Rostering packet; the 8 payload bytes carry the
-// rostering protocol fields (see internal/rostering).
+// NewRostering builds a Rostering packet; the 8 payload bytes carry an
+// Announcement.
 func NewRostering(src NodeID, tag uint8, payload [FixedPayload]byte) *Packet {
 	return &Packet{Type: TypeRostering, Src: src, Dst: Broadcast, Tag: tag, Payload: payload}
 }
@@ -375,4 +375,44 @@ func NewInterrupt(src, dst NodeID, vector uint8) *Packet {
 // NewDiagnostic builds a Diagnostic packet carrying a probe code.
 func NewDiagnostic(src, dst NodeID, code uint8) *Packet {
 	return &Packet{Type: TypeDiagnostic, Src: src, Dst: dst, Tag: code}
+}
+
+// Announcement is a rostering link-state announcement, the fixed
+// payload of a Rostering MicroPacket. Agents flood it (internal/
+// rostering); switches read its wave key to deduplicate floods
+// (internal/phys). Its layout is
+//
+//	payload[0..1] = origin node id, little endian
+//	payload[2]    = the origin's live-switch mask
+//	payload[3..6] = rostering epoch, little endian
+//	payload[7]    = the origin's announcement sequence
+//
+// The origin is as wide as a NodeID: the link-state database and the
+// switches' flood keys are built on it, so a one-byte origin would alias
+// announcements on fabrics past 255 nodes. The frame format's version
+// travels in the SOF format byte (internal/wire).
+type Announcement struct {
+	Origin NodeID
+	Mask   uint8
+	Epoch  uint32
+	Seq    uint8
+}
+
+// Payload lays the announcement out as a Rostering packet's payload.
+func (a Announcement) Payload() (pl [FixedPayload]byte) {
+	binary.LittleEndian.PutUint16(pl[0:2], uint16(a.Origin))
+	pl[2] = a.Mask
+	binary.LittleEndian.PutUint32(pl[3:7], a.Epoch)
+	pl[7] = a.Seq
+	return pl
+}
+
+// Announcement reads the packet's payload as a rostering announcement.
+func (p *Packet) Announcement() Announcement {
+	return Announcement{
+		Origin: NodeID(binary.LittleEndian.Uint16(p.Payload[0:2])),
+		Mask:   p.Payload[2],
+		Epoch:  binary.LittleEndian.Uint32(p.Payload[3:7]),
+		Seq:    p.Payload[7],
+	}
 }

@@ -140,3 +140,20 @@ func TestStringForms(t *testing.T) {
 		t.Fatal("AtomicOp.String broken")
 	}
 }
+
+// TestAnnouncementCodec pins the announcement's byte layout: origin
+// (both bytes), mask, epoch, sequence; decoding gives the fields back.
+func TestAnnouncementCodec(t *testing.T) {
+	ann := Announcement{Origin: 0x1234, Mask: 0b1010, Epoch: 0xDEADBEEF, Seq: 250}
+	want := [FixedPayload]byte{0x34, 0x12, 0x0A, 0xEF, 0xBE, 0xAD, 0xDE, 0xFA}
+	if got := ann.Payload(); got != want {
+		t.Fatalf("Payload = % x, want % x", got, want)
+	}
+	p := NewRostering(ann.Origin, 0, ann.Payload())
+	if p.Type != TypeRostering || !p.IsBroadcast() {
+		t.Fatalf("announcement packet %v", p)
+	}
+	if got := p.Announcement(); got != ann {
+		t.Fatalf("Announcement = %+v, want %+v", got, ann)
+	}
+}

@@ -1,7 +1,6 @@
 package phys
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"repro/internal/frameacct"
@@ -184,28 +183,22 @@ func (s *Switch) Restore() {
 // floodAdmit decides whether a rostering flood frame is a new wave.
 // Switches, like nodes, deduplicate floods by wave identifier (slide
 // 16's "modified flooding algorithm"): the announcement's epoch,
-// origin and sequence, read from the rostering payload layout defined
-// in internal/rostering (origin little-endian at bytes 0..1, epoch
-// little-endian at bytes 3..6, sequence at byte 7). Announcements of
-// a newer epoch empty the seen set, which keeps its storage for the
-// next round; stale epochs are dropped outright — every agent of a
-// superseded round has already moved on. In node-only topologies
-// floods cannot revisit a switch, so this logic only matters once
-// trunks create switch-layer cycles, where re-flooding duplicates
-// would multiply exponentially.
+// origin and sequence. Announcements of a newer epoch empty the seen
+// set, which keeps its storage for the next round; stale epochs are
+// dropped outright — every agent of a superseded round has already
+// moved on. In node-only topologies floods cannot revisit a switch, so
+// this logic only matters once trunks create switch-layer cycles, where
+// re-flooding duplicates would multiply exponentially.
 func (s *Switch) floodAdmit(f Frame) bool {
-	pl := f.Pkt.Payload
-	epoch := binary.LittleEndian.Uint32(pl[3:7])
+	ann := f.Pkt.Announcement()
 	switch {
-	case epoch > s.floodEpoch:
-		s.floodEpoch = epoch
+	case ann.Epoch > s.floodEpoch:
+		s.floodEpoch = ann.Epoch
 		clear(s.floodSeen)
-	case epoch < s.floodEpoch:
+	case ann.Epoch < s.floodEpoch:
 		return false
 	}
-	origin := uint64(binary.LittleEndian.Uint16(pl[0:2]))
-	seq := uint64(pl[7])
-	key := origin<<8 | seq
+	key := uint64(ann.Origin)<<8 | uint64(ann.Seq)
 	if s.floodSeen == nil {
 		s.floodSeen = map[uint64]bool{}
 	}

@@ -1,21 +1,12 @@
 package rostering
 
 import (
-	"encoding/binary"
-
 	"repro/internal/frameacct"
 	"repro/internal/insertion"
 	"repro/internal/micropacket"
 	"repro/internal/phys"
 	"repro/internal/sim"
 )
-
-// Announcement is one link-state record in the exploration database.
-type Announcement struct {
-	Origin int
-	Mask   LinkState
-	Seq    uint8
-}
 
 // lsRecord is one slot of an agent's database, which is indexed by
 // origin id: the ids of a fabric are 0..NumNodes-1, part of the
@@ -213,18 +204,18 @@ func (a *Agent) beginEpoch(e uint32) {
 	a.epoch = e
 	a.exploring = true
 	clear(a.lsdb)
-	a.record(Announcement{Origin: a.ID, Mask: a.mask(), Seq: a.seq})
+	a.record(a.ID, a.mask(), a.seq)
 	a.resetSettle()
 }
 
-// record stores an announcement in the round's database. Origins are
-// node ids below NumNodes; the table grows rather than trust a frame's
-// claim to that.
-func (a *Agent) record(ann Announcement) {
-	if ann.Origin >= len(a.lsdb) {
-		a.lsdb = append(a.lsdb, make([]lsRecord, ann.Origin+1-len(a.lsdb))...)
+// record stores origin's link state in the round's database. Origins
+// are node ids below NumNodes; the table grows rather than trust a
+// frame's claim to that.
+func (a *Agent) record(origin int, mask LinkState, seq uint8) {
+	if origin >= len(a.lsdb) {
+		a.lsdb = append(a.lsdb, make([]lsRecord, origin+1-len(a.lsdb))...)
 	}
-	a.lsdb[ann.Origin] = lsRecord{mask: ann.Mask, seq: ann.Seq, known: true}
+	a.lsdb[origin] = lsRecord{mask: mask, seq: seq, known: true}
 }
 
 // announce floods this node's link-state record out every live port.
@@ -237,10 +228,11 @@ func (a *Agent) announce() {
 // and floods it out every live port.
 func (a *Agent) floodOwn() {
 	a.seq++
-	own := Announcement{Origin: a.ID, Mask: a.mask(), Seq: a.seq}
-	a.record(own)
+	mask := a.mask()
+	a.record(a.ID, mask, a.seq)
 	a.Announced++
-	a.floodExcept(encodeAnnouncement(&a.Station.Net().Packets, a.ID, a.epoch, own), nil)
+	own := micropacket.Announcement{Origin: micropacket.NodeID(a.ID), Mask: uint8(mask), Epoch: a.epoch, Seq: a.seq}
+	a.floodExcept(a.Station.Net().Packets.Rostering(own.Origin, 0, own.Payload()), nil)
 }
 
 // floodExcept sends the packet on every live port except skip.
@@ -267,17 +259,18 @@ func (a *Agent) handleControl(port *phys.Port, f phys.Frame) {
 		acct.Lose(frameacct.LossAgentStopped)
 		return
 	}
-	origin, epoch, ann := decodeAnnouncement(f.Pkt)
+	ann := f.Pkt.Announcement()
+	origin, mask := int(ann.Origin), LinkState(ann.Mask)
 	switch {
-	case epoch < a.epoch:
+	case ann.Epoch < a.epoch:
 		acct.Lose(frameacct.LossStaleRound)
 		return // stale round
-	case epoch > a.epoch:
+	case ann.Epoch > a.epoch:
 		// Someone started a newer round: join it and contribute our
 		// own link state.
 		acct.Consume(frameacct.ConsumeControl)
-		a.beginEpoch(epoch)
-		a.record(ann)
+		a.beginEpoch(ann.Epoch)
+		a.record(origin, mask, ann.Seq)
 		a.floodExcept(f.Pkt, port)
 		a.floodOwn()
 		a.resetSettle()
@@ -291,7 +284,7 @@ func (a *Agent) handleControl(port *phys.Port, f phys.Frame) {
 		}
 	}
 	acct.Consume(frameacct.ConsumeControl)
-	a.record(ann)
+	a.record(origin, mask, ann.Seq)
 	a.floodExcept(f.Pkt, port)
 	if !a.exploring {
 		// New information for an epoch we had already adopted — a
@@ -411,35 +404,4 @@ func (a *Agent) adopt() {
 	if a.OnAdopt != nil {
 		a.OnAdopt(r)
 	}
-}
-
-// --- announcement wire encoding (8-byte Rostering payload) ---
-//
-//	payload[0..1] = origin node id, little endian
-//	payload[2]    = live-switch mask
-//	payload[3..6] = epoch, little endian
-//	payload[7]    = origin's announcement sequence
-//
-// The origin field is as wide as the MicroPacket address space
-// (uint16): it is the node identity the link-state database and the
-// switch flood-dedup keys are built on, so a one-byte origin would
-// alias announcements on >255-node fabrics even with wide wire
-// addresses. The byte that used to carry a protocol version now holds
-// the origin's high half; the frame-level format version travels in
-// the SOF format byte (internal/wire) where every layer can see it.
-
-func encodeAnnouncement(pool *micropacket.Pool, id int, epoch uint32, ann Announcement) *micropacket.Packet {
-	var pl [8]byte
-	binary.LittleEndian.PutUint16(pl[0:2], uint16(ann.Origin))
-	pl[2] = byte(ann.Mask)
-	binary.LittleEndian.PutUint32(pl[3:7], epoch)
-	pl[7] = ann.Seq
-	return pool.Rostering(micropacket.NodeID(id), 0, pl)
-}
-
-func decodeAnnouncement(p *micropacket.Packet) (origin int, epoch uint32, ann Announcement) {
-	origin = int(binary.LittleEndian.Uint16(p.Payload[0:2]))
-	epoch = binary.LittleEndian.Uint32(p.Payload[3:7])
-	ann = Announcement{Origin: origin, Mask: LinkState(p.Payload[2]), Seq: p.Payload[7]}
-	return
 }

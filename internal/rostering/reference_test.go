@@ -46,7 +46,6 @@ func refBuildRosterFabric(epoch uint32, lsdb map[int]LinkState, view *phys.Fabri
 	}
 	r := &Roster{Epoch: epoch, Nodes: ring}
 	if len(ring) >= 2 {
-		r.Via = make([]int, len(ring))
 		r.Paths = make([][]int, len(ring))
 		for i := range ring {
 			a, b := ring[i], ring[(i+1)%len(ring)]
@@ -54,7 +53,6 @@ func refBuildRosterFabric(epoch uint32, lsdb map[int]LinkState, view *phys.Fabri
 			if path == nil {
 				panic("rostering: ring edge without a switch path")
 			}
-			r.Via[i] = path[0]
 			r.Paths[i] = path
 		}
 	}
@@ -154,9 +152,9 @@ func refString(r *Roster) string {
 	}
 	s := fmt.Sprintf("epoch %d: ", r.Epoch)
 	for i, n := range r.Nodes {
-		if len(r.Via) == len(r.Nodes) {
+		if len(r.Paths) > 0 {
 			s += fmt.Sprintf("%d -s", n)
-			for j, sw := range r.hopPath(i) {
+			for j, sw := range r.Paths[i] {
 				if j > 0 {
 					s += fmt.Sprintf(":s%d", sw)
 				} else {

@@ -36,17 +36,17 @@ import (
 	"repro/internal/sim"
 )
 
-// Roster is one logical ring: the cyclic node order and, for each hop
-// Nodes[i] → Nodes[(i+1) % len], the switch path it crosses. Via[i] is
-// the first switch of hop i (the source node's egress switch); Paths[i]
-// is the full switch sequence, which has more than one entry when the
-// hop heals across inter-switch trunks because the endpoints no longer
-// share a live switch. A built roster is read-only: the rows of Paths
-// share storage (equal hops share one row).
+// Roster is one logical ring: the cyclic node order, starting at its
+// lowest node id, and for each hop Nodes[i] → Nodes[(i+1) % len] the
+// switch path it crosses. Paths[i][0] is the hop's first switch (the
+// source node's egress switch); a path has more than one entry when the
+// hop heals across inter-switch trunks because its endpoints no longer
+// share a live switch. A ring of one node has no hops and no Paths. A
+// built roster is read-only: the rows of Paths share storage (equal
+// hops share one row).
 type Roster struct {
 	Epoch uint32
 	Nodes []int
-	Via   []int
 	Paths [][]int
 }
 
@@ -54,24 +54,10 @@ type Roster struct {
 func (r *Roster) Size() int { return len(r.Nodes) }
 
 // Contains reports whether node id is on the ring.
-func (r *Roster) Contains(id int) bool {
-	for _, n := range r.Nodes {
-		if n == id {
-			return true
-		}
-	}
-	return false
-}
+func (r *Roster) Contains(id int) bool { return slices.Contains(r.Nodes, id) }
 
 // IndexOf returns node id's position on the ring, or -1.
-func (r *Roster) IndexOf(id int) int {
-	for i, n := range r.Nodes {
-		if n == id {
-			return i
-		}
-	}
-	return -1
-}
+func (r *Roster) IndexOf(id int) int { return slices.Index(r.Nodes, id) }
 
 // Next returns the downstream neighbor of node id and the first switch
 // of the hop (the node's egress switch). ok is false if id is not on
@@ -81,73 +67,31 @@ func (r *Roster) Next(id int) (next, via int, ok bool) {
 	if i < 0 || len(r.Nodes) < 2 {
 		return 0, 0, false
 	}
-	return r.Nodes[(i+1)%len(r.Nodes)], r.Via[i], true
+	return r.Nodes[(i+1)%len(r.Nodes)], r.Paths[i][0], true
 }
 
 // PathOf returns the full switch path of node id's egress hop, or nil
-// when the node is off the ring or the ring has a single node. Rosters
-// built before trunks existed carry no Paths; the single via switch is
-// returned then.
+// when the node is off the ring or the ring has a single node.
 func (r *Roster) PathOf(id int) []int {
 	i := r.IndexOf(id)
 	if i < 0 || len(r.Nodes) < 2 {
 		return nil
 	}
-	if i < len(r.Paths) && len(r.Paths[i]) > 0 {
-		return r.Paths[i]
-	}
-	return []int{r.Via[i]}
+	return r.Paths[i]
 }
 
-// Equal reports whether two rosters describe the same ring (same
-// rotation-normalized order and vias). Epoch is ignored. A ring of
-// fewer than two nodes has no hops, so only its nodes compare.
+// Equal reports whether two rosters describe the same ring: the same
+// node order and the same hop paths. Epoch is ignored. Every ring starts
+// at its lowest node, so one ring has one node order.
 func (r *Roster) Equal(o *Roster) bool {
-	if o == nil || len(r.Nodes) != len(o.Nodes) {
-		return false
-	}
-	n := len(r.Nodes)
-	if n < 2 {
-		return n == 0 || r.Nodes[0] == o.Nodes[0]
-	}
-	// Align on the smallest node id.
-	ri, oi := r.minIndex(), o.minIndex()
-	for k := 0; k < n; k++ {
-		if r.Nodes[(ri+k)%n] != o.Nodes[(oi+k)%n] || r.Via[(ri+k)%n] != o.Via[(oi+k)%n] {
-			return false
-		}
-		rp, op := r.hopPath((ri+k)%n), o.hopPath((oi+k)%n)
-		if len(rp) != len(op) {
-			return false
-		}
-		for j := range rp {
-			if rp[j] != op[j] {
-				return false
-			}
-		}
-	}
-	return true
+	return o != nil && slices.Equal(r.Nodes, o.Nodes) && slices.EqualFunc(r.Paths, o.Paths, slices.Equal[[]int])
 }
 
-// hopPath returns hop i's switch path, defaulting to the single via.
-func (r *Roster) hopPath(i int) []int {
-	if i < len(r.Paths) && len(r.Paths[i]) > 0 {
-		return r.Paths[i]
-	}
-	if i < len(r.Via) {
-		return []int{r.Via[i]}
-	}
-	return nil
-}
-
-func (r *Roster) minIndex() int {
-	mi := 0
-	for i, n := range r.Nodes {
-		if n < r.Nodes[mi] {
-			mi = i
-		}
-	}
-	return mi
+// Identical reports whether two rosters render the same String: Equal
+// with the same epoch, or both empty. It is what "every node adopted the
+// same roster" means, without building the strings.
+func (r *Roster) Identical(o *Roster) bool {
+	return r.Equal(o) && (r.Epoch == o.Epoch || len(r.Nodes) == 0)
 }
 
 // String renders "0 -s2-> 3 -s0-> 5 -s2-> (0)"; hops healing across
@@ -165,12 +109,12 @@ func (r *Roster) String() string {
 	b.WriteString(": ")
 	for i, n := range r.Nodes {
 		put(n)
-		if len(r.Via) != len(r.Nodes) {
+		if len(r.Paths) == 0 { // one node: no hops
 			b.WriteByte(' ')
 			continue
 		}
 		b.WriteString(" -s")
-		for j, sw := range r.hopPath(i) {
+		for j, sw := range r.Paths[i] {
 			if j > 0 {
 				b.WriteString(":s")
 			}
@@ -182,29 +126,6 @@ func (r *Roster) String() string {
 	put(r.Nodes[0])
 	b.WriteByte(')')
 	return b.String()
-}
-
-// Identical reports whether two rosters render the same String: the
-// same epoch, the same unrotated node order and the same hop paths. It
-// is what "every node adopted the same roster" means, without building
-// the strings.
-func (r *Roster) Identical(o *Roster) bool {
-	if o == nil || len(r.Nodes) != len(o.Nodes) {
-		return false
-	}
-	if len(r.Nodes) == 0 {
-		return true // both render "<empty roster>", whatever the epoch
-	}
-	hops := len(r.Via) == len(r.Nodes)
-	if r.Epoch != o.Epoch || hops != (len(o.Via) == len(o.Nodes)) || !slices.Equal(r.Nodes, o.Nodes) {
-		return false
-	}
-	for i := 0; hops && i < len(r.Nodes); i++ {
-		if !slices.Equal(r.hopPath(i), o.hopPath(i)) {
-			return false
-		}
-	}
-	return true
 }
 
 // LinkState is one node's live-switch bitmask: bit s set means the
@@ -223,9 +144,10 @@ func (m LinkState) lowest() int {
 }
 
 // BuildRosterFabric deterministically computes the largest logical ring
-// the link-state database and the fabric's live trunks allow: nodes are
-// inserted in ascending id order into the cycle at the first feasible
-// position (both new edges must be routable — a shared live switch, or
+// the link-state database and the fabric's live trunks allow: the ring
+// starts at the lowest live id, and the others are inserted in
+// ascending id order into the cycle at the first feasible position
+// after it (both new edges must be routable — a shared live switch, or
 // a live trunk path between a switch live at each endpoint), repeating
 // until no more nodes fit. Nodes that cannot join remain off the roster
 // — the paper's "largest possible logical ring" under damage. Every
@@ -234,8 +156,8 @@ func (m LinkState) lowest() int {
 //
 // On counter-rotating fabrics the ring orientation follows the lowest
 // live switch: when it is odd (the primary ring's switch is gone), the
-// node order is reversed, so the backup ring rotates the other way. A
-// nil view is a trunkless fabric.
+// order after the first node is reversed, so the backup ring rotates
+// the other way from the same start. A nil view is a trunkless fabric.
 func BuildRosterFabric(epoch uint32, lsdb map[int]LinkState, view *phys.FabricView) *Roster {
 	ids := detmap.SortedKeys(lsdb)
 	masks := make([]LinkState, 0, len(ids))
@@ -302,7 +224,7 @@ func (rs *Rounds) Build(epoch uint32, ids []int, masks []LinkState, view phys.Fa
 // classes is one pathTable cell: the cost is one switchPath per
 // distinct ordered pair met, and O(n²) cell reads for the insertion
 // scan. Only the result is allocated: the Roster, one array holding
-// Nodes, Via and each distinct hop path once, and Paths.
+// Nodes and each distinct hop path once, and Paths.
 func (rs *Rounds) build(epoch uint32, ids []int, masks []LinkState, view phys.FabricView) *Roster {
 	if len(ids) == 0 {
 		return &Roster{Epoch: epoch}
@@ -354,9 +276,9 @@ func (rs *Rounds) build(epoch uint32, ids []int, masks []LinkState, view phys.Fa
 	if n < 2 {
 		return &Roster{Epoch: epoch, Nodes: []int{ring[0]}}
 	}
-	// Size the one array: Nodes, Via, then each distinct hop path, which
-	// its cell's row will locate.
-	size := 2 * n
+	// Size the one array: Nodes, then each distinct hop path, which its
+	// cell's row will locate.
+	size := n
 	for i := range ring {
 		c := t.cell(rcls[i], rcls[(i+1)%n])
 		if c.n < 0 {
@@ -370,9 +292,9 @@ func (rs *Rounds) build(epoch uint32, ids []int, masks []LinkState, view phys.Fa
 		}
 	}
 	buf := make([]int, size)
-	r := &Roster{Epoch: epoch, Nodes: buf[:n:n], Via: buf[n : 2*n : 2*n], Paths: make([][]int, n)}
+	r := &Roster{Epoch: epoch, Nodes: buf[:n:n], Paths: make([][]int, n)}
 	copy(r.Nodes, ring)
-	next := 2 * n
+	next := n
 	for i := range ring {
 		c := t.cell(rcls[i], rcls[(i+1)%n])
 		if c.row < 0 {
@@ -381,7 +303,6 @@ func (rs *Rounds) build(epoch uint32, ids []int, masks []LinkState, view phys.Fa
 		}
 		end := int(c.row) + int(c.n)
 		r.Paths[i] = buf[c.row:end:end]
-		r.Via[i] = buf[c.row]
 	}
 	return r
 }
@@ -518,12 +439,12 @@ func (r *Roster) ValidInFabric(lsdb map[int]LinkState, view *phys.FabricView) bo
 	if len(r.Nodes) < 2 {
 		return true
 	}
-	if len(r.Via) != len(r.Nodes) {
+	if len(r.Paths) != len(r.Nodes) {
 		return false
 	}
 	for i, a := range r.Nodes {
 		b := r.Nodes[(i+1)%len(r.Nodes)]
-		path := r.hopPath(i)
+		path := r.Paths[i]
 		if len(path) == 0 || !lsdb[a].Has(path[0]) || !lsdb[b].Has(path[len(path)-1]) {
 			return false
 		}

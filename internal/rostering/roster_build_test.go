@@ -123,14 +123,20 @@ func dense(lsdb map[int]LinkState) (ids []int, masks []LinkState) {
 	return ids, masks
 }
 
+// checkRoster asserts got is the reference's roster, starts at its
+// lowest node (what Equal, and ampdk's semaphore home and configuration
+// writer, rely on) and is valid in the fabric.
 func checkRoster(t *testing.T, got *Roster, lsdb map[int]LinkState, view *phys.FabricView) *Roster {
 	t.Helper()
 	want := refBuildRosterFabric(7, lsdb, view)
-	if !slices.Equal(got.Nodes, want.Nodes) || !slices.Equal(got.Via, want.Via) || !reflect.DeepEqual(got.Paths, want.Paths) {
+	if !slices.Equal(got.Nodes, want.Nodes) || !reflect.DeepEqual(got.Paths, want.Paths) {
 		t.Fatalf("lsdb %v view %+v:\n got  %v\n want %v", lsdb, view, got, want)
 	}
-	if (got.Via == nil) != (want.Via == nil) || (got.Paths == nil) != (want.Paths == nil) || got.Epoch != want.Epoch {
+	if (got.Paths == nil) != (want.Paths == nil) || got.Epoch != want.Epoch {
 		t.Fatalf("lsdb %v: roster shape differs: got %#v want %#v", lsdb, got, want)
+	}
+	if len(got.Nodes) > 0 && got.Nodes[0] != slices.Min(got.Nodes) {
+		t.Fatalf("lsdb %v view %+v: ring %v does not start at its lowest node", lsdb, view, got)
 	}
 	if !got.ValidInFabric(lsdb, view) {
 		t.Fatalf("lsdb %v view %+v: invalid roster %v", lsdb, view, got)
@@ -195,17 +201,14 @@ func TestIdenticalIsStringEquality(t *testing.T) {
 			rot := &Roster{Epoch: r.Epoch}
 			for i := range r.Nodes {
 				rot.Nodes = append(rot.Nodes, r.Nodes[(i+1)%n])
-				rot.Via = append(rot.Via, r.Via[(i+1)%n])
 				rot.Paths = append(rot.Paths, r.Paths[(i+1)%n])
 			}
-			longer := &Roster{Epoch: r.Epoch, Nodes: r.Nodes, Via: r.Via, Paths: slices.Clone(r.Paths)}
+			longer := &Roster{Epoch: r.Epoch, Nodes: r.Nodes, Paths: slices.Clone(r.Paths)}
 			longer.Paths[n-1] = append(slices.Clone(r.Paths[n-1]), 7)
-			other := &Roster{Epoch: r.Epoch, Nodes: r.Nodes, Via: r.Via, Paths: slices.Clone(r.Paths)}
+			other := &Roster{Epoch: r.Epoch, Nodes: r.Nodes, Paths: slices.Clone(r.Paths)}
 			other.Paths[0] = []int{r.Paths[0][0] + 1}
-			// Hops given by Via alone render like one-switch Paths.
-			viaOnly := &Roster{Epoch: r.Epoch, Nodes: r.Nodes, Via: r.Via}
 			noHops := &Roster{Epoch: r.Epoch, Nodes: r.Nodes}
-			variants = append(variants, rot, longer, other, viaOnly, noHops)
+			variants = append(variants, rot, longer, other, noHops)
 		}
 		for _, a := range variants {
 			if got, want := a.String(), refString(a); got != want {

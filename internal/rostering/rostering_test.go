@@ -127,14 +127,14 @@ func TestHealAfterLinkFailure(t *testing.T) {
 	// Fail a link the current roster actually uses.
 	r := h.agents[0].Roster()
 	a := r.Nodes[0]
-	via := r.Via[0]
+	via := r.Paths[0][0]
 	h.k.After(0, func() { h.cluster.NodeLinks[a][via].Fail() })
 	h.settle()
 	r2 := h.requireConsistent(t, 6)
 	// The new roster must not route node a through the dead switch link.
 	for i, n := range r2.Nodes {
 		prev := r2.Nodes[(i+len(r2.Nodes)-1)%len(r2.Nodes)]
-		if (n == a || prev == a) && r2.Via[(i+len(r2.Nodes)-1)%len(r2.Nodes)] == via && prev == a {
+		if (n == a || prev == a) && r2.Paths[(i+len(r2.Nodes)-1)%len(r2.Nodes)][0] == via && prev == a {
 			t.Fatalf("healed roster still uses dead link n%d-s%d: %v", a, via, r2)
 		}
 	}
@@ -153,8 +153,8 @@ func TestQuadRedundancySurvivesThreeSwitchFailures(t *testing.T) {
 	h.settle()
 	r := h.requireConsistent(t, 6)
 	// All hops must now use the sole surviving switch.
-	for _, v := range r.Via {
-		if v != 3 {
+	for _, path := range r.Paths {
+		if path[0] != 3 {
 			t.Fatalf("hop uses failed switch: %v", r)
 		}
 	}
@@ -317,11 +317,11 @@ func TestBuildRosterExcludesIsolated(t *testing.T) {
 
 func TestBuildRosterSingleAndPair(t *testing.T) {
 	r := BuildRosterFabric(1, map[int]LinkState{7: 0b1}, nil)
-	if r.Size() != 1 || len(r.Via) != 0 {
+	if r.Size() != 1 || len(r.Paths) != 0 {
 		t.Fatalf("singleton: %v", r)
 	}
 	r = BuildRosterFabric(1, map[int]LinkState{1: 0b01, 2: 0b01}, nil)
-	if r.Size() != 2 || len(r.Via) != 2 {
+	if r.Size() != 2 || len(r.Paths) != 2 {
 		t.Fatalf("pair: %v", r)
 	}
 	if !r.ValidInFabric(map[int]LinkState{1: 0b01, 2: 0b01}, nil) {
@@ -388,24 +388,8 @@ func TestBuildRosterPropertyAlwaysValid(t *testing.T) {
 	}
 }
 
-func TestRosterEqualRotationInvariant(t *testing.T) {
-	a := &Roster{Nodes: []int{0, 1, 2}, Via: []int{0, 1, 2}}
-	b := &Roster{Nodes: []int{1, 2, 0}, Via: []int{1, 2, 0}}
-	if !a.Equal(b) {
-		t.Fatal("rotated rosters should be equal")
-	}
-	c := &Roster{Nodes: []int{1, 2, 0}, Via: []int{1, 2, 1}}
-	if a.Equal(c) {
-		t.Fatal("different vias should differ")
-	}
-	d := &Roster{Nodes: []int{0, 2, 1}, Via: []int{0, 1, 2}}
-	if a.Equal(d) {
-		t.Fatal("different order should differ")
-	}
-}
-
 func TestRosterNext(t *testing.T) {
-	r := &Roster{Nodes: []int{3, 5, 9}, Via: []int{1, 0, 2}}
+	r := &Roster{Nodes: []int{3, 5, 9}, Paths: [][]int{{1}, {0}, {2}}}
 	next, via, ok := r.Next(5)
 	if !ok || next != 9 || via != 0 {
 		t.Fatalf("Next(5) = %d,%d,%v", next, via, ok)
@@ -416,18 +400,6 @@ func TestRosterNext(t *testing.T) {
 	}
 	if _, _, ok := r.Next(4); ok {
 		t.Fatal("Next of absent node should fail")
-	}
-}
-
-func TestAnnouncementCodec(t *testing.T) {
-	ann := Announcement{Origin: 13, Mask: 0b1010, Seq: 250}
-	p := encodeAnnouncement(new(micropacket.Pool), 13, 0xDEADBEEF, ann)
-	if p.Type != micropacket.TypeRostering {
-		t.Fatal("wrong type")
-	}
-	o, e, got := decodeAnnouncement(p)
-	if o != 13 || e != 0xDEADBEEF || got != ann {
-		t.Fatalf("decode = %d %x %+v", o, e, got)
 	}
 }
 
@@ -463,7 +435,8 @@ func TestControlFramesAllocateNothing(t *testing.T) {
 	h := newHarness(4, 2, 50)
 	h.settle()
 	a := h.agents[0]
-	dup := h.net.NewFrame(encodeAnnouncement(&h.net.Packets, 1, a.epoch, Announcement{Origin: 1, Mask: a.lsdb[1].mask, Seq: a.lsdb[1].seq}))
+	ann := micropacket.Announcement{Origin: 1, Mask: uint8(a.lsdb[1].mask), Epoch: a.epoch, Seq: a.lsdb[1].seq}
+	dup := h.net.NewFrame(h.net.Packets.Rostering(1, 0, ann.Payload()))
 	port := a.Station.Ports[0]
 	before := h.net.Acct.Losses[frameacct.LossDupAnnounce]
 	if n := testing.AllocsPerRun(100, func() { a.handleControl(port, dup) }); n != 0 {
