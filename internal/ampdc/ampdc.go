@@ -50,8 +50,8 @@ func New(n *ampdk.Node) *Services {
 	s.Sub = newSubscribe(s)
 	s.Files = newFiles(s)
 	s.Threads = newThreads(s)
-	n.RegionHandler[SubRegion] = s.Sub.handleDMA
-	n.RegionHandler[FilesRegion] = s.Files.handleDMA
+	n.SetRegionHandler(SubRegion, s.Sub.handleDMA)
+	n.SetRegionHandler(FilesRegion, s.Files.handleDMA)
 	prev := n.OnMessage
 	n.OnMessage = func(src micropacket.NodeID, tag uint8, pl [8]byte) {
 		switch tag {

@@ -327,11 +327,11 @@ func TestPublisherCrashMidMessageNoSplice(t *testing.T) {
 	// segments counts what reaches the subscriber's node on the topic's
 	// region, delivered whole or not.
 	segments := 0
-	deliver := r.nodes[2].RegionHandler[SubRegion]
-	r.nodes[2].RegionHandler[SubRegion] = func(src micropacket.NodeID, hdr micropacket.DMAHeader, data []byte, last bool) {
+	deliver := r.nodes[2].RegionHandler(SubRegion)
+	r.nodes[2].SetRegionHandler(SubRegion, func(src micropacket.NodeID, hdr micropacket.DMAHeader, data []byte, last bool) {
 		segments++
 		deliver(src, hdr, data, last)
-	}
+	})
 	r.k.After(0, func() { r.svcs[0].Sub.Publish(1, msg) })
 	r.k.After(3*sim.Microsecond, func() { r.nodes[0].Crash() })
 	r.run(sim.Millisecond)

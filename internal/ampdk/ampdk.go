@@ -26,6 +26,7 @@ package ampdk
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"repro/internal/detmap"
 	"repro/internal/dma"
@@ -131,7 +132,8 @@ func (c *Config) fill() {
 	}
 }
 
-// Peer is what a node knows about another node.
+// Peer is what a node knows about another node: a snapshot of its row
+// of the node's peer table.
 type Peer struct {
 	ID      int
 	Version Version
@@ -139,11 +141,14 @@ type Peer struct {
 	Online  bool
 }
 
-// peerSlot is one row of a node's peer table; known marks the ids it
-// has heard from (a heartbeat or a join request).
-type peerSlot struct {
-	Peer
-	known bool
+// peerRow is one row of a node's peer table, 16 bytes on a 64-bit host;
+// its index is the peer's id. known marks the ids the node has heard
+// from (a heartbeat or a join request).
+type peerRow struct {
+	LastHB  sim.Time
+	Version Version
+	Online  bool
+	known   bool
 }
 
 // Node is one AmpNet node: NIC model plus distributed kernel.
@@ -174,18 +179,20 @@ type Node struct {
 	// OnRoster fires when this node adopts a roster (before the
 	// certification probe is sent).
 	OnRoster func(*rostering.Roster)
-	// RegionHandler overrides delivery of DMA writes for specific
-	// regions (registered app memory); unhandled regions apply to the
-	// cache replica. A table, not a map: every arriving DMA packet
-	// looks its region up here.
-	RegionHandler [256]dma.WriteHandler
+	// handlers are the (region, handler) pairs SetRegionHandler
+	// registered, in registration order: a region with one is app
+	// memory, every other region applies to the cache replica. Every
+	// arriving DMA packet scans them. handlerBuf holds the first few
+	// inline, and a longer list spills to the heap.
+	handlers   []regionHandler
+	handlerBuf [3]regionHandler
 
 	// peers is indexed by node id: the ids of a fabric are 0..NumNodes-1,
 	// fixed by the ubiquitous configuration database (slide 2), so the
 	// table is dense and walking it is walking ids in ascending order.
 	// lowerOnline counts the online peers with an id below this node's —
 	// whether somebody else is the sponsor.
-	peers       []peerSlot
+	peers       []peerRow
 	lowerOnline int
 	// Each periodic activity owns one Timer, held by value, made unarmed
 	// by NewNode, re-armed with Reset, cancelled by halt. recovery, made
@@ -213,7 +220,7 @@ type Node struct {
 	buffering bool
 	buffered  []bufferedWrite
 
-	// Outstanding ping callbacks, FIFO (the ring preserves order).
+	// Outstanding ping callbacks, FIFO (see Ping for when order holds).
 	pingCBs []func()
 
 	// Counters.
@@ -237,6 +244,12 @@ type Node struct {
 	CertFail  uint64 // certification timeouts (re-rostered)
 }
 
+// regionHandler is one registered app-memory region.
+type regionHandler struct {
+	region uint8
+	h      dma.WriteHandler
+}
+
 type bufferedWrite struct {
 	region uint8
 	off    uint32
@@ -249,8 +262,9 @@ func NewNode(k *sim.Kernel, cluster *phys.Cluster, cfg Config) *Node {
 	cfg.fill()
 	n := &Node{
 		Cfg: cfg, K: k, Cluster: cluster,
-		peers: make([]peerSlot, cluster.NumNodes()),
+		peers: make([]peerRow, cluster.NumNodes()),
 	}
+	n.handlers = n.handlerBuf[:0]
 	n.Station = insertion.NewStation(k, micropacket.NodeID(cfg.ID), cluster.NodePorts[cfg.ID])
 	// The hop budget tracks the fabric size: a broadcast must survive a
 	// full tour of the largest possible ring (the seed's uint8 budget
@@ -316,20 +330,21 @@ func (n *Node) Online() bool { return n.State == StateOnline }
 
 // peer returns id's row of the peer table. Ids are below NumNodes; the
 // table grows rather than trust a frame's claim to that.
-func (n *Node) peer(id int) *peerSlot {
+func (n *Node) peer(id int) *peerRow {
 	if id >= len(n.peers) {
-		n.peers = append(n.peers, make([]peerSlot, id+1-len(n.peers))...)
+		n.peers = append(n.peers, make([]peerRow, id+1-len(n.peers))...)
 	}
 	return &n.peers[id]
 }
 
-// setOnline flips a peer's liveness verdict.
-func (n *Node) setOnline(p *peerSlot, online bool) {
+// setOnline flips peer id's liveness verdict.
+func (n *Node) setOnline(id int, online bool) {
+	p := &n.peers[id]
 	if p.Online == online {
 		return
 	}
 	p.Online = online
-	if p.ID < n.Cfg.ID {
+	if id < n.Cfg.ID {
 		if online {
 			n.lowerOnline++
 		} else {
@@ -341,9 +356,9 @@ func (n *Node) setOnline(p *peerSlot, online bool) {
 // Peers returns a snapshot of known peers, in ascending id order.
 func (n *Node) Peers() []Peer {
 	out := make([]Peer, 0, len(n.peers))
-	for i := range n.peers {
-		if n.peers[i].known {
-			out = append(out, n.peers[i].Peer)
+	for id, p := range n.peers {
+		if p.known {
+			out = append(out, Peer{ID: id, Version: p.Version, LastHB: p.LastHB, Online: p.Online})
 		}
 	}
 	return out
@@ -525,7 +540,7 @@ func (n *Node) detectLoop() {
 	// elections, and any other order here would leak into the Report.
 	for id := range n.peers {
 		if p := &n.peers[id]; p.Online && now-p.LastHB > deadline {
-			n.setOnline(p, false)
+			n.setOnline(id, false)
 			if n.OnPeerDown != nil {
 				n.OnPeerDown(id)
 			}
@@ -582,11 +597,11 @@ func (n *Node) noteHeartbeat(p *micropacket.Packet) {
 	id := int(p.Src)
 	ver := Version(binary.LittleEndian.Uint16(p.Payload[0:2]))
 	pe := n.peer(id)
-	pe.ID, pe.known = id, true
+	pe.known = true
 	pe.Version = ver
 	pe.LastHB = n.K.Now()
 	if !pe.Online {
-		n.setOnline(pe, true)
+		n.setOnline(id, true)
 		if n.OnPeerUp != nil {
 			n.OnPeerUp(id)
 		}
@@ -602,7 +617,7 @@ func (n *Node) handleJoinReq(p *micropacket.Packet) {
 	}
 	// Track booting peers for the founding tiebreak.
 	if pe := n.peer(src); !pe.known {
-		*pe = peerSlot{Peer: Peer{ID: src, LastHB: n.K.Now()}, known: true}
+		*pe = peerRow{LastHB: n.K.Now(), known: true}
 	}
 	if n.State != StateOnline {
 		return
@@ -633,7 +648,10 @@ func (n *Node) handleJoinReq(p *micropacket.Packet) {
 // streamRefresh sends every cache region's contents to the joiner over
 // the refresh DMA channel, then the JoinOK marker. The marker is
 // queued to the MAC after the final refresh segment has been accepted,
-// so it cannot overtake the stream.
+// so on a stable ring it arrives after the stream. Across a ring
+// transition it may not: frames already queued on the old egress leave
+// by the old switch, and the marker can overtake them (ROADMAP item
+// 14(c)).
 func (n *Node) streamRefresh(dst micropacket.NodeID) {
 	regions := n.Cache.Regions() // ascending: a deterministic stream order
 	remaining := len(regions)
@@ -652,10 +670,40 @@ func (n *Node) streamRefresh(dst micropacket.NodeID) {
 	}
 }
 
+// SetRegionHandler makes region app memory: DMA writes to it go to h
+// instead of the cache replica. Registering a region again replaces
+// its handler, and a nil h unregisters it.
+func (n *Node) SetRegionHandler(region uint8, h dma.WriteHandler) {
+	for i := range n.handlers {
+		if n.handlers[i].region != region {
+			continue
+		}
+		if h == nil {
+			n.handlers = slices.Delete(n.handlers, i, i+1)
+		} else {
+			n.handlers[i].h = h
+		}
+		return
+	}
+	if h != nil {
+		n.handlers = append(n.handlers, regionHandler{region, h})
+	}
+}
+
+// RegionHandler returns region's registered handler, nil if it has none.
+func (n *Node) RegionHandler(region uint8) dma.WriteHandler {
+	for _, rh := range n.handlers {
+		if rh.region == region {
+			return rh.h
+		}
+	}
+	return nil
+}
+
 // dmaWrite routes arriving DMA payloads: registered app regions first,
 // then the cache replica (with assimilation buffering).
 func (n *Node) dmaWrite(src micropacket.NodeID, hdr micropacket.DMAHeader, data []byte, last bool) {
-	if h := n.RegionHandler[hdr.Region]; h != nil {
+	if h := n.RegionHandler(hdr.Region); h != nil {
 		h(src, hdr, data, last)
 		return
 	}
@@ -679,8 +727,10 @@ const (
 )
 
 // Ping sends a Diagnostic probe to dst; cb receives the round-trip
-// time. Outstanding pings resolve in FIFO order (the ring preserves
-// per-destination ordering).
+// time. Outstanding pings resolve in FIFO order, which matches the
+// pongs on a stable ring. Across a ring transition frames already
+// queued on the old egress leave by the old switch, so a later pong can
+// overtake an earlier one (ROADMAP item 14(c)).
 func (n *Node) Ping(dst micropacket.NodeID, cb func(rtt sim.Time)) {
 	start := n.K.Now()
 	n.pingCBs = append(n.pingCBs, func() { cb(n.K.Now() - start) })

@@ -1,10 +1,12 @@
 package ampdk
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"repro/internal/micropacket"
 	"repro/internal/phys"
@@ -116,5 +118,72 @@ func TestLivenessTicksAllocateNothing(t *testing.T) {
 		if got := testing.AllocsPerRun(100, tc.fn); got > tc.max {
 			t.Errorf("%s allocates %.0f times, want <= %.0f", tc.name, got, tc.max)
 		}
+	}
+}
+
+// TestPeerRowIs16Bytes: a peer table row holds what the table indexes
+// by id and nothing else, not the id itself. Every node keeps one row
+// per node of the fabric, so the row is the N² term of a cluster's
+// bytes; it was 32.
+func TestPeerRowIs16Bytes(t *testing.T) {
+	if got := unsafe.Sizeof(peerRow{}); got > 16 {
+		t.Fatalf("a peer row is %d bytes, want at most 16", got)
+	}
+}
+
+// TestRegionHandlers: a registered region's DMA writes go to its
+// handler, a second registration replaces it, a nil handler unregisters
+// the region so its writes fall through to the cache replica, a list
+// longer than the inline few spills and still dispatches, and neither a
+// lookup nor registering within the inline few allocates.
+func TestRegionHandlers(t *testing.T) {
+	_, n := loneNode()
+	var got []string
+	handler := func(name string) func(micropacket.NodeID, micropacket.DMAHeader, []byte, bool) {
+		return func(_ micropacket.NodeID, hdr micropacket.DMAHeader, _ []byte, _ bool) {
+			got = append(got, fmt.Sprintf("%s:%d", name, hdr.Region))
+		}
+	}
+	write := func(region uint8, data []byte) {
+		n.dmaWrite(1, micropacket.DMAHeader{Region: region}, data, true)
+	}
+	n.SetRegionHandler(ConfigRegion, handler("a"))
+	write(ConfigRegion, []byte{1})
+	n.SetRegionHandler(ConfigRegion, handler("b"))
+	write(ConfigRegion, []byte{2})
+	for r := uint8(200); r < 205; r++ {
+		n.SetRegionHandler(r, handler("spill"))
+	}
+	for r := uint8(200); r < 205; r++ {
+		write(r, nil)
+	}
+	n.SetRegionHandler(ConfigRegion, nil)
+	write(ConfigRegion, []byte{3, 4})
+	want := []string{"a:0", "b:0", "spill:200", "spill:201", "spill:202", "spill:203", "spill:204"}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("handlers saw %v, want %v", got, want)
+	}
+	if n.RegionHandler(ConfigRegion) != nil {
+		t.Fatal("region 0 still has a handler after a nil registration")
+	}
+	if replica := n.Cache.Region(ConfigRegion); !bytes.Equal(replica[:2], []byte{3, 4}) {
+		t.Fatalf("the unregistered region's write did not reach the replica: % x", replica[:2])
+	}
+
+	_, n = loneNode()
+	h := handler("h")
+	if allocs := testing.AllocsPerRun(100, func() {
+		for r := range uint8(3) {
+			n.SetRegionHandler(r, h)
+		}
+		_ = n.RegionHandler(9)
+		for r := range uint8(3) {
+			n.SetRegionHandler(r, nil)
+		}
+	}); allocs != 0 {
+		t.Fatalf("registering three regions, a lookup and unregistering them allocate %.0f times, want 0", allocs)
+	}
+	if len(n.handlers) != 0 {
+		t.Fatalf("%d regions still listed after every one was unregistered", len(n.handlers))
 	}
 }

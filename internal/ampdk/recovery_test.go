@@ -149,7 +149,7 @@ func TestRebootAdoptsDMAStreams(t *testing.T) {
 	k, _, nodes := bootCluster(4, 2, nil)
 	run(k, 20*sim.Millisecond)
 	got := 0
-	nodes[3].RegionHandler[200] = func(micropacket.NodeID, micropacket.DMAHeader, []byte, bool) { got++ }
+	nodes[3].SetRegionHandler(200, func(micropacket.NodeID, micropacket.DMAHeader, []byte, bool) { got++ })
 	write := func() { nodes[0].DMA.Write(3, 3, 200, 0, []byte{1}, nil) }
 	k.After(0, write)
 	run(k, sim.Millisecond)

@@ -93,7 +93,7 @@ func NewStack(n *ampdk.Node) *Stack {
 		Node: n,
 		IP:   NodeToIP(n.Cfg.ID),
 	}
-	n.RegionHandler[IPRegion] = s.handleDMA
+	n.SetRegionHandler(IPRegion, s.handleDMA)
 	return s
 }
 

@@ -368,11 +368,11 @@ func TestSenderCrashMidDatagramNoSplice(t *testing.T) {
 	// segments counts what reaches node 2 on the IP region, delivered
 	// whole or not.
 	segments := 0
-	deliver := r.nodes[2].RegionHandler[IPRegion]
-	r.nodes[2].RegionHandler[IPRegion] = func(src micropacket.NodeID, hdr micropacket.DMAHeader, data []byte, last bool) {
+	deliver := r.nodes[2].RegionHandler(IPRegion)
+	r.nodes[2].SetRegionHandler(IPRegion, func(src micropacket.NodeID, hdr micropacket.DMAHeader, data []byte, last bool) {
 		segments++
 		deliver(src, hdr, data, last)
-	}
+	})
 	r.k.After(0, send)
 	r.k.After(crashAfter, func() { r.nodes[0].Crash() })
 	r.run(sim.Millisecond)

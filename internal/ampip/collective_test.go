@@ -236,10 +236,10 @@ func TestHandleDMASingleSegmentAllocatesNothing(t *testing.T) {
 	r.stacks[0].Bind(9, func(_ Addr, _ uint16, data []byte) {})
 	// The frame SendTo would build, delivered as its one DMA segment.
 	var seg []byte
-	r.nodes[0].RegionHandler[IPRegion] = nil
-	r.nodes[1].RegionHandler[IPRegion] = func(src micropacket.NodeID, hdr micropacket.DMAHeader, data []byte, last bool) {
+	r.nodes[0].SetRegionHandler(IPRegion, nil)
+	r.nodes[1].SetRegionHandler(IPRegion, func(src micropacket.NodeID, hdr micropacket.DMAHeader, data []byte, last bool) {
 		seg = append([]byte(nil), data...)
-	}
+	})
 	r.stacks[0].SendTo(NodeToIP(1), 9, 9, body)
 	r.run(sim.Millisecond)
 	if len(seg) != dgHeader+len(body) {

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -314,5 +315,34 @@ func TestClusterAssemblyAllocations(t *testing.T) {
 	perNode := n / float64(topo.Nodes)
 	if bound := 7472.0 / 128 * 1.05; perNode > bound {
 		t.Fatalf("assembling Sharded(8, 16, 1, 50): %.0f allocations, %.1f a node, want <= %.1f a node", n, perNode, bound)
+	}
+}
+
+// TestClusterAssemblyBytesPerNode: assembling a cluster (wire v2, one
+// shard, no boot) and closing it allocates 12 160 bytes a node at 128
+// nodes (Sharded(8, 16, 1, 50)) and 29 034 at 1 024 (Sharded(8, 128, 1,
+// 50)); ROADMAP item 2(d)'s scale evidence. Every node keeps id-indexed
+// tables of every peer, so the figure grows with N. It was 17 534 and
+// 55 658 when a peer row was 32 bytes, a Frame 24 and every node held a
+// 256-entry region-handler table. The bounds are the measured figures
+// plus 5 %.
+func TestClusterAssemblyBytesPerNode(t *testing.T) {
+	for _, tc := range []struct {
+		topo  phys.Topology
+		bytes float64
+	}{
+		{phys.Sharded(8, 16, 1, 50), 12160},
+		{phys.Sharded(8, 128, 1, 50), 29034},
+	} {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		c := New(Options{Fabric: &tc.topo, Seed: 7, Shards: 1, Wire: wire.V2})
+		c.Close()
+		runtime.ReadMemStats(&after)
+		perNode := float64(after.TotalAlloc-before.TotalAlloc) / float64(tc.topo.Nodes)
+		if bound := tc.bytes * 1.05; perNode > bound {
+			t.Errorf("assembling %d nodes: %.0f bytes a node, want <= %.0f", tc.topo.Nodes, perNode, bound)
+		}
 	}
 }

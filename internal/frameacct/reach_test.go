@@ -127,7 +127,7 @@ var lossScenarios = map[frameacct.LossCause]func() *frameacct.Acct{
 		// Fail the switch while the frame is latency-staged inside it:
 		// after its receive (serialization + fiber flight) but before
 		// the cut-through forward dispatches.
-		arrival := phys.SerTime(f.Wire+phys.DefaultIFG) + phys.PropTime(50)
+		arrival := phys.SerTime(int(f.Wire)+phys.DefaultIFG) + phys.PropTime(50)
 		r.k.After(arrival+phys.DefaultSwitchLatency/2, func() { r.c.Switches[0].Fail() })
 		r.c.NodePorts[0][0].Send(f)
 		r.run(sim.Millisecond)
@@ -174,7 +174,7 @@ var lossScenarios = map[frameacct.LossCause]func() *frameacct.Acct{
 		r.c.Switches[0].SetRoute(0, 1)
 		f := r.net.NewFrame(dataPkt(0, 1))
 		// Cut the egress fiber while the frame is latency-staged.
-		arrival := phys.SerTime(f.Wire+phys.DefaultIFG) + phys.PropTime(50)
+		arrival := phys.SerTime(int(f.Wire)+phys.DefaultIFG) + phys.PropTime(50)
 		r.k.After(arrival+phys.DefaultSwitchLatency/2, func() { r.c.NodeLinks[1][0].Fail() })
 		r.c.NodePorts[0][0].Send(f)
 		r.run(sim.Millisecond)
@@ -278,7 +278,9 @@ func TestEveryLossCauseReachable(t *testing.T) {
 // lands (the flood never is): it must take them back.
 func TestFaultInsideTheDeviceGap(t *testing.T) {
 	// hop is one transmission's flight: serialization plus 50 m of fiber.
-	hop := func(r *rig, f phys.Frame) sim.Time { return phys.SerTime(f.Wire+phys.DefaultIFG) + phys.PropTime(50) }
+	hop := func(r *rig, f phys.Frame) sim.Time {
+		return phys.SerTime(int(f.Wire)+phys.DefaultIFG) + phys.PropTime(50)
+	}
 	for _, tc := range []struct {
 		name  string
 		cause frameacct.LossCause
@@ -363,7 +365,7 @@ func sameInstantPair(t *testing.T, r *rig, flood, data int) (got []micropacket.T
 	ff := r.net.NewFrame(rosteringPkt(micropacket.NodeID(flood), 1, 1))
 	df := r.net.NewFrame(dataPkt(micropacket.NodeID(data), 2))
 	// The longer frame starts earlier by the difference in serialization.
-	fser, dser := phys.SerTime(ff.Wire+phys.DefaultIFG), phys.SerTime(df.Wire+phys.DefaultIFG)
+	fser, dser := phys.SerTime(int(ff.Wire)+phys.DefaultIFG), phys.SerTime(int(df.Wire)+phys.DefaultIFG)
 	fp, dp := r.c.NodePorts[flood][0], r.c.NodePorts[data][0]
 	fAt, dAt := max(dser-fser, 0), max(fser-dser, 0)
 	r.k.Do(fAt, func() { fp.SendPriority(ff) })
@@ -418,7 +420,7 @@ func TestLedgerReadInsideAPlannedGap(t *testing.T) {
 	})
 	f := r.net.NewFrame(dataPkt(0, 1))
 	r.c.NodePorts[0][0].Send(f)
-	arrive := phys.SerTime(f.Wire+phys.DefaultIFG) + phys.PropTime(50)
+	arrive := phys.SerTime(int(f.Wire)+phys.DefaultIFG) + phys.PropTime(50)
 
 	r.k.RunUntil(arrive + phys.DefaultSwitchLatency/2)
 	a := r.ledger()

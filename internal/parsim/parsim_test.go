@@ -46,7 +46,7 @@ func newRig(t *testing.T) *rig {
 
 func frame() phys.Frame {
 	p := micropacket.NewData(1, 2, 0, []byte{1, 2, 3, 4, 5, 6, 7, 8})
-	return phys.Frame{Pkt: p, Wire: wire.Size(wire.V1, p.Type, len(p.Data))}
+	return phys.Frame{Pkt: p, Wire: uint16(wire.Size(wire.V1, p.Type, len(p.Data)))}
 }
 
 // TestCrossShardDeliveryTiming: a frame over a split link arrives at
@@ -58,7 +58,7 @@ func TestCrossShardDeliveryTiming(t *testing.T) {
 	sendAt := sim.Time(5 * sim.Microsecond)
 	r.k[0].At(sendAt, func() { r.pa.Send(f) })
 	r.e.RunUntil(20 * sim.Microsecond)
-	want := sendAt + phys.SerTime(f.Wire+phys.DefaultIFG) + phys.PropTime(200)
+	want := sendAt + phys.SerTime(int(f.Wire)+phys.DefaultIFG) + phys.PropTime(200)
 	if len(r.arrivals) != 1 || r.arrivals[0] != want {
 		t.Fatalf("arrivals = %v, want [%v]", r.arrivals, want)
 	}
@@ -325,7 +325,7 @@ func TestAssignShardsAndLookahead(t *testing.T) {
 // in the window, and after an action parked the kernels there.
 func TestLazyCompletionAtBarriers(t *testing.T) {
 	f := frame()
-	txEnd := phys.SerTime(f.Wire + phys.DefaultIFG)
+	txEnd := phys.SerTime(int(f.Wire) + phys.DefaultIFG)
 	for _, tc := range []struct {
 		name string
 		rig  func(t *testing.T) (*Engine, *phys.Port)

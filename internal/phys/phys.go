@@ -79,10 +79,13 @@ func PropTime(meters float64) sim.Time {
 // Frame is one MicroPacket in flight, with its wire size (which
 // determines serialization time) and a hop count used by the MAC to
 // expire frames that would otherwise circulate during roster
-// transitions.
+// transitions. It is 16 bytes on a 64-bit host: every egress FIFO slot,
+// MAC insert-queue slot and pooled hop record holds one.
 type Frame struct {
-	Pkt  *micropacket.Packet
-	Wire int
+	Pkt *micropacket.Packet
+	// Wire is the encoded size in bytes. The largest frame of any wire
+	// version (a full 64-byte variable payload) is under 100.
+	Wire uint16
 	// Hops counts MAC forwards. It must be wide enough for a full tour
 	// of the largest addressable ring (a broadcast crosses every hop),
 	// so it tracks the micropacket.NodeID width.
@@ -101,7 +104,7 @@ type Frame struct {
 // wire-format version (frame size sets serialization time, so the
 // version is part of the fabric's timing model).
 func (n *Net) NewFrame(p *micropacket.Packet) Frame {
-	return Frame{Pkt: p, Wire: wire.Size(n.Wire, p.Type, len(p.Data))}
+	return Frame{Pkt: p, Wire: uint16(wire.Size(n.Wire, p.Type, len(p.Data)))}
 }
 
 // Handler receives frames delivered to a port.
@@ -388,7 +391,7 @@ func (p *Port) pop() {
 		}
 		p.net.Acct.Launch()
 		p.net.Holds.TrainStarts++
-		p.txAt, p.txEnd = p.txEnd, p.txEnd+SerTime(p.fifo.At(0).Wire+DefaultIFG)
+		p.txAt, p.txEnd = p.txEnd, p.txEnd+SerTime(int(p.fifo.At(0).Wire)+DefaultIFG)
 		if !p.net.K.Passed(p.txEnd, p.txAt, p.uid) {
 			return
 		}
@@ -458,7 +461,7 @@ func (p *Port) enqueued(f Frame) {
 		p.arm()
 	case p.tx == txLazy:
 		p.wait(p.follow(f, p.tailEnd))
-		p.tailAt, p.tailEnd = p.tailEnd, p.tailEnd+SerTime(f.Wire+DefaultIFG)
+		p.tailAt, p.tailEnd = p.tailEnd, p.tailEnd+SerTime(int(f.Wire)+DefaultIFG)
 	}
 }
 
@@ -480,7 +483,7 @@ func (p *Port) follow(f Frame, start sim.Time) *delivery {
 	link := p.link
 	d := p.net.newDelivery(link.ports[1-p.end], f, link, link.epoch)
 	d.src = p
-	p.net.K.DoPri(start+SerTime(f.Wire+DefaultIFG)+link.prop, start, p.uid, d)
+	p.net.K.DoPri(start+SerTime(int(f.Wire)+DefaultIFG)+link.prop, start, p.uid, d)
 	return d
 }
 
@@ -541,7 +544,7 @@ func (p *Port) SendPriority(f Frame) bool {
 func (p *Port) startTx() {
 	p.net.Acct.Launch()
 	f := *p.fifo.At(0)
-	ser := SerTime(f.Wire + DefaultIFG)
+	ser := SerTime(int(f.Wire) + DefaultIFG)
 	link := p.link
 	epoch := link.epoch
 	dst := link.ports[1-p.end]

@@ -24,7 +24,7 @@ func dataFrame(src, dst micropacket.NodeID) Frame {
 // newFrameV1 sizes a frame under the default v1 wire format, standing
 // in for Net.NewFrame in tests that build frames before picking a net.
 func newFrameV1(p *micropacket.Packet) Frame {
-	return Frame{Pkt: p, Wire: wire.Size(wire.V1, p.Type, len(p.Data))}
+	return Frame{Pkt: p, Wire: uint16(wire.Size(wire.V1, p.Type, len(p.Data)))}
 }
 
 func TestSerTime(t *testing.T) {
@@ -64,7 +64,7 @@ func TestPointToPointDelivery(t *testing.T) {
 	if gotAt < 0 {
 		t.Fatal("frame not delivered")
 	}
-	want := SerTime(f.Wire+DefaultIFG) + PropTime(100)
+	want := SerTime(int(f.Wire)+DefaultIFG) + PropTime(100)
 	if gotAt != want {
 		t.Fatalf("delivered at %v, want %v", gotAt, want)
 	}
@@ -151,8 +151,8 @@ func TestBackToBackSpacing(t *testing.T) {
 		t.Fatalf("delivered %d", len(times))
 	}
 	gap := times[1] - times[0]
-	if gap != SerTime(f.Wire+DefaultIFG) {
-		t.Fatalf("inter-delivery gap %v, want one serialization time %v", gap, SerTime(f.Wire+DefaultIFG))
+	if gap != SerTime(int(f.Wire)+DefaultIFG) {
+		t.Fatalf("inter-delivery gap %v, want one serialization time %v", gap, SerTime(int(f.Wire)+DefaultIFG))
 	}
 }
 

@@ -332,7 +332,7 @@ func (p *Port) promote() {
 	a.Relaunch()
 	a.Offer()
 	a.Enqueue()
-	end := d.start + SerTime(d.f.Wire+DefaultIFG)
+	end := d.start + SerTime(int(d.f.Wire)+DefaultIFG)
 	switch {
 	case p.tx != txIdle:
 		p.fifo.Push(d.f)

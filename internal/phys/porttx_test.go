@@ -160,7 +160,7 @@ func (p *refPort) startTx() {
 	n.acct.Launch()
 	f, epoch, dst := p.fifo[0], l.epoch, l.ports[1-p.end]
 	p.txAt = n.k.Now()
-	p.txEnd = p.txAt + SerTime(f.Wire+DefaultIFG)
+	p.txEnd = p.txAt + SerTime(int(f.Wire)+DefaultIFG)
 	n.k.DoPri(p.txEnd+l.prop, p.txAt, p.uid, sim.Func(func() {
 		n.acct.Arrive()
 		if l.epoch != epoch || !l.up {
@@ -422,7 +422,7 @@ func unsettled(k *sim.Kernel, p *Port, acct *frameacct.Acct) (forwards uint64) {
 		for left > 0 && k.Passed(end, at, p.uid) {
 			if left--; left > 0 {
 				acct.Launch()
-				at, end = end, end+SerTime(p.fifo.At(p.fifo.Len()-left).Wire+DefaultIFG)
+				at, end = end, end+SerTime(int(p.fifo.At(p.fifo.Len()-left).Wire)+DefaultIFG)
 			}
 		}
 	}
@@ -779,7 +779,7 @@ const (
 )
 
 // txSer is the serialization time of the seeds' frames (aSend, aHold*).
-var txSer = SerTime(txFrame(0, 0).Wire + DefaultIFG)
+var txSer = SerTime(int(txFrame(0, 0).Wire) + DefaultIFG)
 
 type txOp = [4]byte
 
@@ -1019,7 +1019,7 @@ func TestUncontendedStreamFiresOneEventPerFrame(t *testing.T) {
 	n.Connect(a, b, 10)
 	const frames = 100
 	f := dataFrame(1, 2)
-	gap := SerTime(f.Wire+DefaultIFG) + 1
+	gap := SerTime(int(f.Wire)+DefaultIFG) + 1
 	for i := range frames {
 		k.Do(sim.Time(i)*gap, func() { a.Send(f) })
 	}
@@ -1065,7 +1065,7 @@ func TestPriorityIntoTrainVoidsOnce(t *testing.T) {
 	if v := n.Holds.TrainVoids; v != frames-1 {
 		t.Fatalf("a priority frame into a %d-frame train voided %d arrivals, want %d", frames, v, frames-1)
 	}
-	k.RunUntil(3 * SerTime(f.Wire+DefaultIFG))
+	k.RunUntil(3 * SerTime(int(f.Wire)+DefaultIFG))
 	a.SendPriority(dataFrame(5, 6))
 	if v := n.Holds.TrainVoids; v != frames-1 {
 		t.Fatalf("a second priority frame while the backlog drains voided %d more arrivals", v-(frames-1))

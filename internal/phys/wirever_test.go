@@ -3,7 +3,9 @@ package phys
 import (
 	"strings"
 	"testing"
+	"unsafe"
 
+	"repro/internal/micropacket"
 	"repro/internal/wire"
 )
 
@@ -80,5 +82,34 @@ func TestBuildersStampWireVersion(t *testing.T) {
 	f := net.NewFrame(dataFrame(1, 2).Pkt)
 	if f.Wire != 28 {
 		t.Fatalf("v2 fixed frame sized %d, want 28", f.Wire)
+	}
+}
+
+// TestFrameIs16Bytes: a Frame is a packet pointer and 8 bytes of
+// counts (the wire size is a uint16), so every FIFO slot, MAC queue
+// slot and pooled hop record carrying one stays small. Wire was an int
+// and the Frame 24 bytes.
+func TestFrameIs16Bytes(t *testing.T) {
+	if got := unsafe.Sizeof(Frame{}); got > 16 {
+		t.Fatalf("a Frame is %d bytes, want at most 16", got)
+	}
+}
+
+// TestLargestFrameFitsWire: the largest frame of every wire version, a
+// DMA packet with a full variable payload, keeps its encoded size in
+// Frame.Wire, and that size is the encoder's.
+func TestLargestFrameFitsWire(t *testing.T) {
+	_, net := testNet()
+	pkt := micropacket.NewDMA(1, 2, micropacket.DMAHeader{Channel: 3}, make([]byte, micropacket.MaxPayload))
+	for _, v := range wire.Versions() {
+		net.Wire = v
+		raw, err := wire.Encode(v, pkt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f := net.NewFrame(pkt)
+		if int(f.Wire) != len(raw) || int(f.Wire) != wire.Size(v, pkt.Type, len(pkt.Data)) {
+			t.Fatalf("%v: the largest frame is %d bytes on the wire, Frame.Wire says %d", v, len(raw), f.Wire)
+		}
 	}
 }

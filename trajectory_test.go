@@ -115,9 +115,10 @@ func TestBenchTrajectoryFiles(t *testing.T) {
 
 // TestTrajectoryTableQuotesFiles: EXPERIMENTS.md's "Cost trajectory"
 // table quotes the BENCH_*.json files cell for cell. A column is
-// "<metric> <pr>" for sim.events or allocs_per_iter, a row is a
-// workload, digits may be grouped with spaces, and the newest file has
-// its columns.
+// "<metric> <pr>" for sim.events, allocs_per_iter or alloc_mb_per_iter,
+// a row is a workload, counts are exact with digits grouped by spaces
+// if at all, megabytes are rounded to three decimals, and the newest
+// file has a column of each metric.
 func TestTrajectoryTableQuotesFiles(t *testing.T) {
 	doc, err := os.ReadFile("EXPERIMENTS.md")
 	if err != nil {
@@ -146,7 +147,7 @@ func TestTrajectoryTableQuotesFiles(t *testing.T) {
 	}
 	files := benchFiles(t)
 	newest := slices.Max(slices.Collect(maps.Keys(files)))
-	column := regexp.MustCompile(`^(sim\.events|allocs_per_iter) (\d+)$`)
+	column := regexp.MustCompile(`^(sim\.events|allocs_per_iter|alloc_mb_per_iter) (\d+)$`)
 	quoted := map[string]bool{}
 	for _, row := range rows[2:] {
 		if len(row) != len(rows[0]) {
@@ -155,7 +156,7 @@ func TestTrajectoryTableQuotesFiles(t *testing.T) {
 		for i, head := range rows[0][1:] {
 			m := column.FindStringSubmatch(head)
 			if m == nil {
-				t.Fatalf("column %q is not \"<sim.events|allocs_per_iter> <pr>\"", head)
+				t.Fatalf("column %q is not \"<sim.events|allocs_per_iter|alloc_mb_per_iter> <pr>\"", head)
 			}
 			pr, _ := strconv.Atoi(m[2])
 			f, ok := files[pr]
@@ -166,17 +167,23 @@ func TestTrajectoryTableQuotesFiles(t *testing.T) {
 			if at < 0 {
 				t.Fatalf("BENCH_%d.json has no workload %q", pr, row[0])
 			}
-			v := f.Workloads[at].Events
-			if m[1] == "allocs_per_iter" {
-				v = f.Workloads[at].Allocs
+			w := f.Workloads[at]
+			var want string
+			switch m[1] {
+			case "sim.events":
+				want = strconv.FormatFloat(w.Events, 'f', -1, 64)
+			case "allocs_per_iter":
+				want = strconv.FormatFloat(w.Allocs, 'f', -1, 64)
+			default:
+				want = strconv.FormatFloat(w.AllocMB, 'f', 3, 64)
 			}
-			if got, want := strings.ReplaceAll(row[i+1], " ", ""), strconv.FormatFloat(v, 'f', -1, 64); got != want {
+			if got := strings.ReplaceAll(row[i+1], " ", ""); got != want {
 				t.Errorf("%s, %s: the table says %s, BENCH_%d.json %s", row[0], head, row[i+1], pr, want)
 			}
 			quoted[head] = true
 		}
 	}
-	for _, metric := range []string{"sim.events", "allocs_per_iter"} {
+	for _, metric := range []string{"sim.events", "allocs_per_iter", "alloc_mb_per_iter"} {
 		if head := fmt.Sprintf("%s %d", metric, newest); !quoted[head] {
 			t.Errorf("the table has no column %q for the newest file", head)
 		}
