@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/alloctest"
 	"repro/internal/ampdk"
 	"repro/internal/micropacket"
 	"repro/internal/phys"
@@ -379,8 +380,8 @@ func TestSubscriberBorrowsItsPayload(t *testing.T) {
 	if len(got) != len(short) || &got[0] != &short[0] {
 		t.Fatal("a single-segment message was not handed over as the segment itself")
 	}
-	if n := testing.AllocsPerRun(100, func() { deliver(0, short, true) }); n != 0 {
-		t.Fatalf("a single-segment arrival allocates %.0f times, want 0", n)
+	if n := alloctest.Count(100, func() { deliver(0, short, true) }); n != 0 {
+		t.Fatalf("100 single-segment arrivals allocate %d times, want 0", n)
 	}
 	long := pattern(1024)
 	whole := func() {
@@ -393,8 +394,8 @@ func TestSubscriberBorrowsItsPayload(t *testing.T) {
 		t.Fatalf("1 KiB message reassembled to %d bytes", len(got))
 	}
 	first := &got[0]
-	if n := testing.AllocsPerRun(100, whole); n != 0 {
-		t.Fatalf("a 1 KiB message after the first allocates %.0f times at the receiver, want 0", n)
+	if n := alloctest.Count(100, whole); n != 0 {
+		t.Fatalf("100 1 KiB messages after the first allocate %d times at the receiver, want 0", n)
 	}
 	if &got[0] != first {
 		t.Fatal("the assembly buffer was not reused")
@@ -439,5 +440,38 @@ func TestFileHeaderCannotSizeACorruptFile(t *testing.T) {
 	want := []bool{true, true, false, false, false, false}
 	if !slices.Equal(got, want) || f.Corrupt != 4 {
 		t.Fatalf("verdicts %v, %d corrupt; want %v, 4 corrupt", got, f.Corrupt, want)
+	}
+}
+
+// TestLostSegmentDropsPublication: AmpSubscribe broadcasts, so a lost
+// segment is a DMA gap at the subscriber, and its dma.Assembly drops
+// the message it belonged to: the 300-byte publication that lost its
+// second segment is never delivered, and the next one arrives whole.
+func TestLostSegmentDropsPublication(t *testing.T) {
+	r := newRig(t, 3)
+	first, second := bytes.Repeat([]byte{1}, 300), bytes.Repeat([]byte{2}, 300)
+	var got [][]byte
+	r.svcs[1].Sub.Subscribe(4, func(_ micropacket.NodeID, data []byte) { got = append(got, bytes.Clone(data)) })
+	st := r.nodes[1].Station
+	deliver, segments := st.OnDeliver, 0
+	st.OnDeliver = func(p *micropacket.Packet) {
+		if p.Type == micropacket.TypeDMA && p.DMA.Region == SubRegion {
+			if segments++; segments == 2 {
+				return
+			}
+		}
+		deliver(p)
+	}
+	gaps := r.nodes[1].DMA.Gaps
+	r.k.After(0, func() {
+		r.svcs[0].Sub.Publish(4, first)
+		r.svcs[0].Sub.Publish(4, second)
+	})
+	r.run(5 * sim.Millisecond)
+	if len(got) != 1 || !bytes.Equal(got[0], second) {
+		t.Fatalf("delivered %d publications, want only the second, whole", len(got))
+	}
+	if n := r.nodes[1].DMA.Gaps - gaps; n != 1 {
+		t.Fatalf("a lost broadcast segment counted %d DMA gaps, want 1", n)
 	}
 }

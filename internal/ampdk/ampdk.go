@@ -229,6 +229,12 @@ type Node struct {
 	Sponsored  uint64 // refresh streams served as sponsor
 	Rejections uint64 // joins rejected for version mismatch
 	RefreshedB uint64 // refresh bytes received while assimilating
+	// The refresh check (checkRefresh): refreshGot counts the refresh
+	// bytes applied since boot, in any state; refreshWant is what the
+	// sponsor refreshFrom said it streamed, 0 once checked.
+	refreshGot  uint64
+	refreshWant uint32
+	refreshFrom micropacket.NodeID
 
 	// Smart-recovery counters (recovery.go).
 	RefreshReqs    uint64 // region refreshes requested after gaps
@@ -316,6 +322,7 @@ func (n *Node) Boot() {
 	n.buffered = nil
 	n.sawPeers = false
 	n.joinTry = 0
+	n.refreshGot, n.refreshWant = 0, 0
 	n.DMA.ForgetSources()
 	n.Agent.Start()
 	n.solicit()
@@ -504,6 +511,9 @@ func (n *Node) heartbeatLoop() {
 	if n.stopped || n.State != StateOnline {
 		return
 	}
+	if n.refreshWant != 0 {
+		n.checkRefresh()
+	}
 	n.hbSeq++
 	var pl [8]byte
 	binary.LittleEndian.PutUint16(pl[0:2], uint16(n.Cfg.Version))
@@ -577,6 +587,8 @@ func (n *Node) handleData(p *micropacket.Packet) {
 	case TagJoinOK:
 		if n.State == StateAssimilating {
 			n.goOnline()
+			n.refreshWant = binary.LittleEndian.Uint32(p.Payload[1:5])
+			n.refreshFrom = p.Src
 		}
 	case TagJoinRej:
 		if n.State == StateAssimilating {
@@ -645,8 +657,9 @@ func (n *Node) handleJoinReq(p *micropacket.Packet) {
 	n.streamRefresh(p.Src)
 }
 
-// streamRefresh sends every cache region's contents to the joiner over
-// the refresh DMA channel, then the JoinOK marker. The marker is
+// streamRefresh sends every cache region's snapshot to the joiner over
+// the refresh DMA channel, then the JoinOK marker, which says how many
+// bytes the stream held (checkRefresh). The marker is
 // queued to the MAC after the final refresh segment has been accepted,
 // so on a stable ring it arrives after the stream. Across a ring
 // transition it may not: frames already queued on the old egress leave
@@ -654,14 +667,20 @@ func (n *Node) handleJoinReq(p *micropacket.Packet) {
 // 14(c)).
 func (n *Node) streamRefresh(dst micropacket.NodeID) {
 	regions := n.Cache.Regions() // ascending: a deterministic stream order
-	remaining := len(regions)
+	streamed := 0
 	for _, id := range regions {
-		buf := n.Cache.Region(id)
-		n.DMA.Write(RefreshChannel, dst, id, 0, buf, func() {
+		streamed += len(n.Cache.Snapshot(id))
+	}
+	// total is never reassigned, so each callback holds a copy of it;
+	// only remaining is a shared variable, made once a stream.
+	total, remaining := uint32(streamed), len(regions)
+	for _, id := range regions {
+		n.DMA.WriteShared(RefreshChannel, dst, id, 0, n.Cache.Snapshot(id), func() {
 			remaining--
 			if remaining == 0 {
 				var pl [8]byte
 				pl[0] = byte(len(regions))
+				binary.LittleEndian.PutUint32(pl[1:5], total)
 				n.Station.Send(micropacket.NewData(micropacket.NodeID(n.Cfg.ID), dst, TagJoinOK, pl[:]))
 				// Allow a future re-join (reboot) to refresh again.
 				delete(n.sponsoring, int(dst))
@@ -713,8 +732,11 @@ func (n *Node) dmaWrite(src micropacket.NodeID, hdr micropacket.DMAHeader, data 
 		n.buffered = append(n.buffered, bufferedWrite{hdr.Region, hdr.Offset, cp})
 		return
 	}
-	if n.State == StateAssimilating && hdr.Channel == RefreshChannel {
-		n.RefreshedB += uint64(len(data))
+	if hdr.Channel == RefreshChannel {
+		n.refreshGot += uint64(len(data))
+		if n.State == StateAssimilating {
+			n.RefreshedB += uint64(len(data))
+		}
 	}
 	n.Cache.Apply(hdr.Region, hdr.Offset, data)
 }

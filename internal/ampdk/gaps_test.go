@@ -1,6 +1,7 @@
 package ampdk
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/micropacket"
@@ -82,4 +83,79 @@ func TestGapsAreLosses(t *testing.T) {
 		}
 		check(t, nodes, before, 0, 3)
 	})
+}
+
+// TestLostRefreshSegmentIsRefetched: a refresh is unicast, so a segment
+// lost on its way to the joiner shows as no DMA gap; the joiner notices
+// by bytes. Node 3 crashes, node 0 rewrites a record, and node 3's
+// reboot refresh loses the segment that holds it. A heartbeat interval
+// after JoinOK node 3 has fewer bytes than node 0 said it streamed,
+// asks again for every region, and ends with node 0's bytes. Losing
+// nothing, it asks for nothing, and neither does it when the segment
+// arrives a microsecond behind JoinOK, which overtook it, as JoinOK
+// can across a ring transition.
+func TestLostRefreshSegmentIsRefetched(t *testing.T) {
+	for _, tc := range []struct {
+		fault string
+		reqs  uint64
+	}{{"none", 0}, {"lost", 2}, {"overtaken", 0}} { // 2: regions 0 and 1
+		k, _, nodes := bootCluster(4, 2, func(int) Config {
+			return Config{Regions: map[uint8]int{1: 1024}}
+		})
+		run(k, 20*sim.Millisecond)
+		rec := records(16, 1)[0]
+		write := func(val byte) {
+			k.After(0, func() {
+				if err := nodes[0].CacheW.WriteRecord(rec, bytes.Repeat([]byte{val}, 16)); err != nil {
+					t.Error(err)
+				}
+			})
+			run(k, sim.Millisecond)
+		}
+		write(1)
+		k.After(0, nodes[3].Crash)
+		run(k, sim.Millisecond)
+		write(2)
+		n3 := nodes[3]
+		var held *micropacket.Packet
+		deliver := n3.Station.OnDeliver
+		n3.Station.OnDeliver = func(p *micropacket.Packet) {
+			switch {
+			case tc.fault != "none" && held == nil && n3.State == StateAssimilating && p.Type == micropacket.TypeDMA &&
+				p.DMA.Channel == RefreshChannel && p.DMA.Region == rec.Region && p.DMA.Offset == rec.Off:
+				cp := *p
+				cp.Data = bytes.Clone(p.Data)
+				held = &cp
+				return
+			case tc.fault == "overtaken" && p.Type == micropacket.TypeData && p.Tag == TagJoinOK:
+				deliver(p)
+				k.After(sim.Microsecond, func() { deliver(held) })
+				return
+			}
+			deliver(p)
+		}
+		gaps := n3.DMA.Gaps
+		k.After(0, n3.Reboot)
+		run(k, 40*sim.Millisecond)
+		if !n3.Online() {
+			t.Fatalf("%s: node 3 did not come back", tc.fault)
+		}
+		if tc.fault != "none" && held == nil {
+			t.Fatalf("%s: the rig held back no refresh segment", tc.fault)
+		}
+		if n := n3.DMA.Gaps - gaps; n != 0 {
+			t.Fatalf("%s: node 3 counted %d DMA gaps on a unicast refresh", tc.fault, n)
+		}
+		if n3.RefreshReqs != tc.reqs {
+			t.Fatalf("%s: node 3 asked for %d region refreshes, want %d", tc.fault, n3.RefreshReqs, tc.reqs)
+		}
+		if got, ok := n3.Cache.TryRead(rec); !ok || got[0] != 2 {
+			t.Fatalf("%s: node 3 reads % x (ok=%v), want the record node 0 wrote while it was down", tc.fault, got, ok)
+		}
+		for _, id := range []uint8{ConfigRegion, 1} {
+			if !bytes.Equal(n3.Cache.Snapshot(id), nodes[0].Cache.Snapshot(id)) {
+				t.Fatalf("%s: node 3's region %d differs from node 0's", tc.fault, id)
+			}
+		}
+	}
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"repro/internal/alloctest"
 	"repro/internal/micropacket"
 	"repro/internal/phys"
 	"repro/internal/sim"
@@ -109,14 +110,14 @@ func TestLivenessTicksAllocateNothing(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		fn   func()
-		max  float64
+		max  uint64 // in 100 calls
 	}{
 		{"noteHeartbeat", func() { n.noteHeartbeat(hb) }, 0},
 		{"detectLoop", n.detectLoop, 0},
-		{"heartbeatLoop", n.heartbeatLoop, 1},
+		{"heartbeatLoop", n.heartbeatLoop, 100},
 	} {
-		if got := testing.AllocsPerRun(100, tc.fn); got > tc.max {
-			t.Errorf("%s allocates %.0f times, want <= %.0f", tc.name, got, tc.max)
+		if got := alloctest.Count(100, tc.fn); got > tc.max {
+			t.Errorf("100 calls of %s allocate %d times, want <= %d", tc.name, got, tc.max)
 		}
 	}
 }
@@ -166,13 +167,13 @@ func TestRegionHandlers(t *testing.T) {
 	if n.RegionHandler(ConfigRegion) != nil {
 		t.Fatal("region 0 still has a handler after a nil registration")
 	}
-	if replica := n.Cache.Region(ConfigRegion); !bytes.Equal(replica[:2], []byte{3, 4}) {
+	if replica := n.Cache.Snapshot(ConfigRegion); !bytes.Equal(replica[:2], []byte{3, 4}) {
 		t.Fatalf("the unregistered region's write did not reach the replica: % x", replica[:2])
 	}
 
 	_, n = loneNode()
 	h := handler("h")
-	if allocs := testing.AllocsPerRun(100, func() {
+	if allocs := alloctest.Count(100, func() {
 		for r := range uint8(3) {
 			n.SetRegionHandler(r, h)
 		}
@@ -181,7 +182,7 @@ func TestRegionHandlers(t *testing.T) {
 			n.SetRegionHandler(r, nil)
 		}
 	}); allocs != 0 {
-		t.Fatalf("registering three regions, a lookup and unregistering them allocate %.0f times, want 0", allocs)
+		t.Fatalf("registering three regions, a lookup and unregistering them, 100 times, allocate %d times, want 0", allocs)
 	}
 	if len(n.handlers) != 0 {
 		t.Fatalf("%d regions still listed after every one was unregistered", len(n.handlers))

@@ -9,11 +9,13 @@ import (
 // supported by Cache Refresh; Cached Database reflects new
 // configuration").
 //
-// Frames destroyed by a failure (cut fiber, roster transition) show up
-// at receivers as DMA sequence gaps. A node that detects gaps on the
-// cache channel after a heal asks the sponsor (lowest online node) for
-// a region refresh; the sponsor streams the region exactly as it does
-// during assimilation.
+// Cache updates are DMA broadcasts, so those destroyed by a failure
+// (cut fiber, roster transition, bit errors) show up at receivers as
+// DMA sequence gaps. A node that detects gaps after a heal asks the
+// sponsor (lowest online node) for a region refresh; the sponsor
+// streams its snapshot of the region exactly as it does during
+// assimilation. A refresh is unicast, so a segment of it lost on the
+// way is noticed by bytes, not by a gap (checkRefresh).
 //
 // Consistency note: the Lamport counters keep every record readable as
 // a whole (never torn), but a record whose writer is actively updating
@@ -30,14 +32,36 @@ const TagRefreshReq uint8 = 0x06
 // contents to this node. It is a no-op if this node is the sponsor
 // itself (its replica is authoritative by construction of the request).
 func (n *Node) RequestRefresh(region uint8) {
-	sponsor := n.sponsorID()
-	if sponsor == n.Cfg.ID {
-		return
+	if sponsor := n.sponsorID(); sponsor != n.Cfg.ID {
+		n.requestRefreshFrom(micropacket.NodeID(sponsor), region)
 	}
+}
+
+// requestRefreshFrom asks sponsor to re-stream region to this node.
+func (n *Node) requestRefreshFrom(sponsor micropacket.NodeID, region uint8) {
 	var pl [8]byte
 	pl[0] = region
-	n.Station.Send(micropacket.NewData(micropacket.NodeID(n.Cfg.ID), micropacket.NodeID(sponsor), TagRefreshReq, pl[:]))
+	n.Station.Send(micropacket.NewData(micropacket.NodeID(n.Cfg.ID), sponsor, TagRefreshReq, pl[:]))
 	n.RefreshReqs++
+}
+
+// checkRefresh runs at the joiner's second heartbeat, one heartbeat
+// interval after the JoinOK that ended its assimilation. The refresh
+// stream is unicast, and the DMA layer checks sequence on broadcasts
+// alone, so a refresh segment lost on the way shows as no gap; the
+// joiner notices it by bytes instead. Fewer bytes received since boot
+// than the sponsor said it streamed asks the sponsor for every region
+// again. The interval lets through segments JoinOK overtook across a
+// ring transition, which arrive right behind it.
+func (n *Node) checkRefresh() {
+	want := uint64(n.refreshWant)
+	n.refreshWant = 0
+	if n.refreshGot >= want {
+		return
+	}
+	for _, region := range n.Cache.Regions() {
+		n.requestRefreshFrom(n.refreshFrom, region)
+	}
 }
 
 // sponsorID returns the lowest online node this node knows of
@@ -60,12 +84,12 @@ func (n *Node) handleRefreshReq(p *micropacket.Packet) {
 		return
 	}
 	region := p.Payload[0]
-	buf := n.Cache.Region(region)
-	if buf == nil {
+	snap := n.Cache.Snapshot(region)
+	if snap == nil {
 		return
 	}
 	n.RefreshServed++
-	n.DMA.Write(RefreshChannel, p.Src, region, 0, buf, nil)
+	n.DMA.WriteShared(RefreshChannel, p.Src, region, 0, snap, nil)
 }
 
 // EnableAutoRecovery arms a periodic check: whenever new DMA gaps have

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"repro/internal/alloctest"
 	"repro/internal/micropacket"
 	"repro/internal/netcache"
 	"repro/internal/sim"
@@ -37,7 +38,7 @@ func TestSmartRecoveryAfterLoss(t *testing.T) {
 	// Corrupt node 3's replica to model lost updates (the transport
 	// gap), then recover via refresh.
 	n3 := nodes[3]
-	copy(n3.Cache.Region(1), make([]byte, 1024)) // wipe
+	n3.Cache.Apply(1, 0, make([]byte, 1024)) // wipe
 	if _, ok := n3.Cache.TryRead(recs[0]); ok {
 		// wiped counters read as version 0 with zero data — "ok" but stale
 	}
@@ -192,5 +193,28 @@ func TestRefreshUnknownRegionIgnored(t *testing.T) {
 	run(k, 5*sim.Millisecond)
 	if nodes[0].RefreshServed != 0 {
 		t.Fatal("unknown region served")
+	}
+}
+
+// TestRestreamAllocatesNothing: a region refresh streams the sponsor's
+// snapshot of the region, made once per version and queued uncopied,
+// so streaming it again with no write between allocates nothing. It
+// was a 4 KiB copy a stream, kept in the refresh channel's slab.
+func TestRestreamAllocatesNothing(t *testing.T) {
+	k, _, nodes := bootCluster(4, 2, func(int) Config {
+		return Config{Regions: map[uint8]int{1: 4096}}
+	})
+	run(k, 20*sim.Millisecond)
+	req := micropacket.NewData(3, 0, TagRefreshReq, []byte{1})
+	stream := func() {
+		nodes[0].handleRefreshReq(req)
+		run(k, sim.Millisecond)
+	}
+	applied := nodes[3].Cache.Applied
+	if n := alloctest.Count(10, stream); n != 0 {
+		t.Fatalf("streaming region 1 ten times more allocates %d times, want 0", n)
+	}
+	if got := nodes[3].Cache.Applied - applied; got != 11*64 {
+		t.Fatalf("node 3 applied %d refresh segments, want 11 streams of 64", got)
 	}
 }

@@ -401,3 +401,36 @@ func TestSenderCrashMidDatagramNoSplice(t *testing.T) {
 		t.Fatalf("deliveries of %v bytes, want exactly the one %d-byte datagram", sizes, len(msg))
 	}
 }
+
+// TestLostSegmentDropsDatagram: datagrams are unicast, so a segment lost
+// on the way counts no DMA gap; the receiver's dma.Assembly notices by
+// byte position instead. The datagram that lost its third segment is
+// dropped whole, and the next one arrives intact.
+func TestLostSegmentDropsDatagram(t *testing.T) {
+	r := newRig(t, 4)
+	first, second := bytes.Repeat([]byte{1}, 600), bytes.Repeat([]byte{2}, 600)
+	var got [][]byte
+	r.stacks[2].Bind(9, func(_ Addr, _ uint16, data []byte) { got = append(got, bytes.Clone(data)) })
+	st := r.nodes[2].Station
+	deliver, segments := st.OnDeliver, 0
+	st.OnDeliver = func(p *micropacket.Packet) {
+		if p.Type == micropacket.TypeDMA && p.DMA.Region == IPRegion {
+			if segments++; segments == 3 {
+				return
+			}
+		}
+		deliver(p)
+	}
+	gaps := r.nodes[2].DMA.Gaps
+	r.k.After(0, func() {
+		r.stacks[0].SendTo(NodeToIP(2), 9, 9, first)
+		r.stacks[0].SendTo(NodeToIP(2), 9, 9, second)
+	})
+	r.run(5 * sim.Millisecond)
+	if len(got) != 1 || !bytes.Equal(got[0], second) {
+		t.Fatalf("delivered %d datagrams, want only the second, whole", len(got))
+	}
+	if n := r.nodes[2].DMA.Gaps - gaps; n != 0 {
+		t.Fatalf("a lost unicast segment counted %d DMA gaps", n)
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"testing"
 
+	"repro/internal/alloctest"
 	"repro/internal/micropacket"
 	"repro/internal/sim"
 )
@@ -216,12 +217,12 @@ func TestCollectiveAllocatesNothing(t *testing.T) {
 		}
 		r.run(100 * sim.Microsecond)
 	}
-	n := testing.AllocsPerRun(20, round) // and one warm-up round
+	n := alloctest.Count(20, round) // and one warm-up round
 	if reduced != 21*len(cs) || released != 21*len(cs) {
 		t.Fatalf("%d reduced, %d released of %d", reduced, released, 21*len(cs))
 	}
-	if n > 0 {
-		t.Fatalf("one AllReduceSum + Barrier round on 4 ranks allocates %.0f times, want 0", n)
+	if n != 0 {
+		t.Fatalf("20 AllReduceSum + Barrier rounds on 4 ranks allocate %d times, want 0", n)
 	}
 }
 
@@ -250,8 +251,8 @@ func TestHandleDMASingleSegmentAllocatesNothing(t *testing.T) {
 	if !bytes.Equal(got, body) || &got[0] != &seg[dgHeader] {
 		t.Fatal("a single-segment datagram was not handed over as the segment itself")
 	}
-	if n := testing.AllocsPerRun(100, arrive); n != 0 {
-		t.Fatalf("a single-segment arrival allocates %.0f times, want 0", n)
+	if n := alloctest.Count(100, arrive); n != 0 {
+		t.Fatalf("100 single-segment arrivals allocate %d times, want 0", n)
 	}
 }
 

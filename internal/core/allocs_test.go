@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/alloctest"
 	"repro/internal/micropacket"
 	"repro/internal/phys"
 	"repro/internal/rostering"
@@ -14,13 +15,13 @@ import (
 	"repro/internal/wire"
 )
 
-// allocsPerRun is testing.AllocsPerRun(runs, f) for an f that drives
-// c, failing the test if the engine failed while measuring: a dead
-// engine refuses to advance, so every run after a model panic would
-// measure 0 and pass.
-func allocsPerRun(t testing.TB, c *Cluster, runs int, f func()) float64 {
+// mallocs is alloctest.Count(runs, f), the allocations of runs calls
+// of f in all, for an f that drives c, failing the test if the engine
+// failed while measuring: a dead engine refuses to advance, so every
+// run after a model panic would measure 0 and pass.
+func mallocs(t testing.TB, c *Cluster, runs int, f func()) uint64 {
 	t.Helper()
-	n := testing.AllocsPerRun(runs, f)
+	n := alloctest.Count(runs, f)
 	if err := c.Err(); err != nil {
 		t.Fatalf("engine failed while measuring allocations: %v", err)
 	}
@@ -53,12 +54,12 @@ func TestAllocsPerRunFailsOnModelPanic(t *testing.T) {
 		}
 		c.Nodes[1].K.After(sim.Millisecond, func() { panic("injected model fault") })
 		rec := &fatalRecorder{TB: t}
-		n := allocsPerRun(rec, c, 10, func() { c.Run(sim.Millisecond) })
+		n := mallocs(rec, c, 10, func() { c.Run(sim.Millisecond) })
 		if !strings.Contains(rec.fatal, "injected model fault") {
-			t.Errorf("shards=%d: a model panic in the loop measured %.0f allocations and failed with %q, want the panic named", shards, n, rec.fatal)
+			t.Errorf("shards=%d: a model panic in the loop measured %d allocations and failed with %q, want the panic named", shards, n, rec.fatal)
 		}
 		if n != 0 {
-			t.Errorf("shards=%d: the dead engine's runs measured %.0f allocations, want 0", shards, n)
+			t.Errorf("shards=%d: the dead engine's runs measured %d allocations, want 0", shards, n)
 		}
 	}
 }
@@ -98,8 +99,8 @@ func TestIdleRingAllocationsPerMillisecond(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustRun(t, c, 5*sim.Millisecond)
-	if allocs := allocsPerRun(t, c, 10, func() { c.Run(sim.Millisecond) }); allocs > 0 {
-		t.Fatalf("idle 16 x 4 ring: %.0f allocations a virtual millisecond, want 0", allocs)
+	if allocs := mallocs(t, c, 10, func() { c.Run(sim.Millisecond) }); allocs != 0 {
+		t.Fatalf("idle 16 x 4 ring: %d allocations in 10 virtual milliseconds, want 0", allocs)
 	}
 }
 
@@ -112,8 +113,8 @@ func TestIdleRingAllocationsPerMillisecond(t *testing.T) {
 // delivery (19 from PubSubLoad, which made a buffer and a Timer per
 // message as well).
 func TestPublishedMessageAllocatesNothing(t *testing.T) {
-	if n := publishedMessageAllocs(t, pubSubHeader, 50*sim.Microsecond); n > 0 {
-		t.Fatalf("a published message delivered to 15 subscribers allocates %.0f times, want 0", n)
+	if n := publishedMessageAllocs(t, pubSubHeader, 50*sim.Microsecond); n != 0 {
+		t.Fatalf("50 published messages delivered to 15 subscribers allocate %d times, want 0", n)
 	}
 }
 
@@ -123,15 +124,15 @@ func TestPublishedMessageAllocatesNothing(t *testing.T) {
 // reused dma.Assembly buffer, so it allocates nothing either. It was 1
 // when every Write kept its queued segments in a buffer of their own.
 func TestPublishedKiBMessageAllocatesNothing(t *testing.T) {
-	if n := publishedMessageAllocs(t, 1<<10, 100*sim.Microsecond); n > 0 {
-		t.Fatalf("a published 1 KiB message delivered to 15 subscribers allocates %.0f times, want 0", n)
+	if n := publishedMessageAllocs(t, 1<<10, 100*sim.Microsecond); n != 0 {
+		t.Fatalf("50 published 1 KiB messages delivered to 15 subscribers allocate %d times, want 0", n)
 	}
 }
 
-// publishedMessageAllocs measures the allocations of publishing one
-// size-byte message from node 0 of a booted 16 × 4 ring and running for
-// d, by which the 15 other subscribers must have it.
-func publishedMessageAllocs(t *testing.T, size int, d sim.Time) float64 {
+// publishedMessageAllocs measures the allocations of publishing 50
+// size-byte messages from node 0 of a booted 16 × 4 ring, each followed
+// by a run of d, by which the 15 other subscribers must have it.
+func publishedMessageAllocs(t *testing.T, size int, d sim.Time) uint64 {
 	t.Helper()
 	// Heartbeats slowed so none falls into the measured windows.
 	c := New(Options{Nodes: 16, Switches: 4, Seed: 5, HeartbeatInterval: 50 * sim.Millisecond})
@@ -152,7 +153,7 @@ func publishedMessageAllocs(t *testing.T, size int, d sim.Time) float64 {
 	if delivered != 15*size {
 		t.Fatalf("%d bytes delivered, want %d", delivered, 15*size)
 	}
-	return allocsPerRun(t, c, 50, publish)
+	return mallocs(t, c, 50, publish)
 }
 
 // TestCrossShardUnicastAllocatesNothing: a 256-byte DMA write from a
@@ -197,15 +198,15 @@ func TestCrossShardUnicastAllocatesNothing(t *testing.T) {
 		c.Run(100 * sim.Microsecond)
 	}
 	applied := c.Nodes[dst].Cache.Applied
-	allocs := allocsPerRun(t, c, 20, write)
+	allocs := mallocs(t, c, 20, write)
 	if got := c.Nodes[dst].Cache.Applied - applied; got != 4*uint64(runs) {
 		t.Fatalf("%d segments applied at node %d in %d writes, want %d", got, dst, runs, 4*runs)
 	}
-	if got := c.Nodes[dst].Cache.Region(1)[:256]; !bytes.Equal(got, msg) {
+	if got := c.Nodes[dst].Cache.Snapshot(1)[:256]; !bytes.Equal(got, msg) {
 		t.Fatalf("node %d region 1 holds % x, want the last write % x", dst, got[:8], msg[:8])
 	}
-	if allocs > 0 {
-		t.Fatalf("a 256 B DMA write from node %d (shard 0) to node %d (shard 1): %.0f allocations, want 0", src, dst, allocs)
+	if allocs != 0 {
+		t.Fatalf("20 256 B DMA writes from node %d (shard 0) to node %d (shard 1): %d allocations, want 0", src, dst, allocs)
 	}
 }
 
@@ -223,12 +224,12 @@ func TestCollectiveLoadAllocatesNothing(t *testing.T) {
 	a := c.StartLoad(&CollectiveLoad{})
 	mustRun(t, c, 5*sim.Millisecond)
 	before := a.rep.Iters
-	allocs := allocsPerRun(t, c, 10, func() { c.Run(sim.Millisecond) })
+	allocs := mallocs(t, c, 10, func() { c.Run(sim.Millisecond) })
 	if a.rep.Iters == before {
 		t.Fatal("the job made no progress")
 	}
-	if allocs > 0 {
-		t.Fatalf("a 4-node CollectiveLoad: %.0f allocations a virtual millisecond, want 0", allocs)
+	if allocs != 0 {
+		t.Fatalf("a 4-node CollectiveLoad: %d allocations in 10 virtual milliseconds, want 0", allocs)
 	}
 }
 
@@ -278,7 +279,7 @@ func TestHealRoundAllocations(t *testing.T) {
 	}
 	builds = 0
 	const runs = 10
-	allocs := allocsPerRun(t, c, runs, cycle) // a warm-up cycle, then runs more
+	allocs := float64(mallocs(t, c, runs, cycle)) / runs // a warm-up cycle, then runs more
 	for _, nd := range c.Nodes {
 		floods += nd.Agent.Announced
 	}

@@ -8,10 +8,13 @@
 // transfer monopolize the ring — that is how slide 7's node inserts a
 // file stream and a message stream onto the segment simultaneously.
 //
-// Each channel is an ordered byte stream: packets carry a per-channel
-// sequence number, and receivers track expected sequence per (source,
-// channel) so that losses (ring transitions) are detected as gaps and
-// surfaced to the recovery machinery (cache refresh, slide 18).
+// Each channel is an ordered byte stream. A channel's broadcasts carry
+// its sequence number, and receivers track the sequence they expect per
+// (source, channel) on broadcast frames alone, so that a gap is a lost
+// broadcast (ring transitions, bit errors), surfaced to the recovery
+// machinery (cache refresh, slide 18). A unicast frame carries Seq 0
+// and is never checked: its consumer notices a lost segment by byte
+// position (Assembly, the refresh's byte count).
 package dma
 
 import (
@@ -41,7 +44,8 @@ type request struct {
 	// can queue each segment as an entry of its own.
 	last bool
 	// borrowed: data is a window onto the slice a Write still on the
-	// stack was handed, not yet onto the engine's own copy.
+	// stack was handed, not yet onto the engine's own copy or onto
+	// bytes WriteShared was lent for good.
 	borrowed bool
 	done     func()
 }
@@ -79,15 +83,17 @@ type Engine struct {
 	// the MAC.
 	Window int
 
-	// txSeq[c] is the next sequence number for channel c.
+	// txSeq[c] is the sequence number of channel c's next broadcast.
 	txSeq [NumChannels]uint8
-	// rxSeq[src] tracks the expected next sequence from src on each
-	// channel: indexed by source id and grown on demand (every arriving
-	// packet looks its source up here).
-	rxSeq []rxStreams
+	// rx holds a table for each channel a broadcast has been heard on,
+	// in the order first heard; rxBuf holds the first few inline (two
+	// channels broadcast: the cache's and AmpSubscribe's).
+	rx    []rxChannel
+	rxBuf [2]rxChannel
 
-	// Sent and Recv count DMA packets; Gaps counts sequence gaps
-	// observed on receive (losses to be repaired by refresh).
+	// Sent and Recv count DMA packets; Gaps counts the sequence gaps
+	// observed in arriving broadcasts, each at least one broadcast lost
+	// (to be repaired by refresh).
 	Sent uint64
 	Recv uint64
 	Gaps uint64
@@ -95,12 +101,20 @@ type Engine struct {
 	QueueHighWater int
 }
 
-// rxStreams is what a receiver expects of one source's channels: bit c
-// of heard is set once channel c has been heard, and next[c] is the
-// sequence it expects there. The zero value has heard nothing.
-type rxStreams struct {
-	heard uint16
-	next  [NumChannels]uint8
+// rxChannel is what a receiver expects of the broadcasts on channel
+// ch: from[src] for each source, indexed by source id and grown on
+// demand.
+type rxChannel struct {
+	ch   uint8
+	from []rxSeq
+}
+
+// rxSeq is what a receiver expects of one source's broadcasts on one
+// channel: next is the sequence of the next one, once heard is set.
+// The zero value has heard nothing.
+type rxSeq struct {
+	heard bool
+	next  uint8
 }
 
 // NewEngine creates a DMA engine bound to a station. The caller (the
@@ -110,6 +124,7 @@ const DefaultWindow = 4
 
 func NewEngine(k *sim.Kernel, st *insertion.Station) *Engine {
 	e := &Engine{ID: st.ID, K: k, St: st, Window: DefaultWindow}
+	e.rx = e.rxBuf[:0]
 	e.retry = k.NewTimer(e.pump)
 	return e
 }
@@ -125,27 +140,51 @@ const pumpInterval = 2 * sim.Microsecond
 // MicroPackets. done, if non-nil, runs after the final segment has been
 // accepted by the MAC. Returns the number of segments queued.
 func (e *Engine) Write(ch int, dst micropacket.NodeID, region uint8, off uint32, data []byte, done func()) int {
-	if ch < 0 || ch >= NumChannels {
-		panic("dma: channel out of range")
-	}
 	// The caller may reuse data once Write returns, so what outlives the
 	// call must be copied — and only that. The transfer is queued as a
 	// window onto the caller's slice; a segment the pump below sends is
 	// copied once, into its packet, and whatever is still unsent
 	// afterwards moves into the channel's slab.
+	checkChannel(ch)
+	n := e.queue(ch, dst, region, off, data, true, done)
+	e.keep(ch)
+	return n
+}
+
+// WriteShared is Write for bytes that never change again, such as a
+// netcache snapshot: the engine queues data itself and copies none of
+// it, however long the transfer waits, so one snapshot can stream to
+// any number of joiners at once.
+func (e *Engine) WriteShared(ch int, dst micropacket.NodeID, region uint8, off uint32, data []byte, done func()) int {
+	// Issued from a done callback, this transfer would queue behind the
+	// borrowed entries of a Write still on the stack; keep them first,
+	// so that borrowed entries stay the tail of their queue.
+	checkChannel(ch)
+	e.keep(ch)
+	return e.queue(ch, dst, region, off, data, false, done)
+}
+
+// checkChannel refuses a channel the hardware does not have.
+func checkChannel(ch int) {
+	if ch < 0 || ch >= NumChannels {
+		panic("dma: channel out of range")
+	}
+}
+
+// queue pushes one transfer onto channel ch's queue and pumps.
+func (e *Engine) queue(ch int, dst micropacket.NodeID, region uint8, off uint32, data []byte, borrowed bool, done func()) int {
 	req := request{
 		dst:      dst,
 		hdr:      micropacket.DMAHeader{Channel: uint8(ch), Region: region, Offset: off},
 		data:     data[:len(data):len(data)],
 		last:     true,
-		borrowed: true,
+		borrowed: borrowed,
 		done:     done,
 	}
 	n := req.segments()
 	e.queues[ch].Push(req)
 	e.QueueHighWater = max(e.QueueHighWater, e.depth(ch))
 	e.pump()
-	e.keep(ch)
 	return n
 }
 
@@ -157,9 +196,10 @@ const slabFloor = 16 * MaxSegment
 // of channel ch's queue into its slab. Borrowed entries are always a
 // suffix of their queue: they belong to Writes still on the stack (this
 // one, and any whose pump ran the done callback this one was called
-// from), every Write leaves its channel with none, and pushes go to the
-// tail. How far a pump has sent them meanwhile — this call's or
-// another's — does not matter: the mark and the cursor are per entry.
+// from), every Write leaves its channel with none, pushes go to the
+// tail, and WriteShared keeps them before it pushes. How far a pump
+// has sent them meanwhile — this call's or another's — does not
+// matter: the mark and the cursor are per entry.
 func (e *Engine) keep(ch int) {
 	q := &e.queues[ch]
 	first, size := q.Len(), 0
@@ -238,9 +278,13 @@ func (e *Engine) Abort() {
 
 // ForgetSources drops what the receiver expects of every source, in
 // place: a rebooted node has heard nothing of the streams since its
-// crash, so the first frame of each is adopted, not counted as a gap
-// against the sequence heard before it.
-func (e *Engine) ForgetSources() { clear(e.rxSeq) }
+// crash, so the first broadcast of each is adopted, not counted as a
+// gap against the sequence heard before it.
+func (e *Engine) ForgetSources() {
+	for i := range e.rx {
+		clear(e.rx[i].from)
+	}
+}
 
 // pump drains channel queues round-robin into the station, one segment
 // per turn, until the MAC pushes back, then re-arms itself. A Write
@@ -265,7 +309,9 @@ func (e *Engine) pump() {
 			}
 			return
 		}
-		e.txSeq[ch]++
+		if req.dst == micropacket.Broadcast {
+			e.txSeq[ch]++
+		}
 		e.Sent++
 		e.rrNext = (ch + 1) % NumChannels
 		if !final {
@@ -290,7 +336,9 @@ func (e *Engine) send(ch int, req *request, end int, final bool) bool {
 	hdr := req.hdr
 	hdr.Offset += uint32(req.sent)
 	pkt := e.St.Net().Packets.DMA(e.ID, req.dst, hdr, req.data[req.sent:end])
-	pkt.DMA.Seq = e.txSeq[ch]
+	if req.dst == micropacket.Broadcast {
+		pkt.DMA.Seq = e.txSeq[ch]
+	}
 	if final && req.last {
 		pkt.Flags |= micropacket.FlagLast
 	}
@@ -331,25 +379,38 @@ func (t CacheTransport) Broadcast(region uint8, off uint32, data []byte) bool {
 // delivery demux).
 func (e *Engine) HandleDMA(p *micropacket.Packet) {
 	e.Recv++
-	if int(p.Src) >= len(e.rxSeq) {
-		e.rxSeq = append(e.rxSeq, make([]rxStreams, int(p.Src)+1-len(e.rxSeq))...)
+	if p.Dst == micropacket.Broadcast {
+		e.checkSeq(p.Src, p.DMA.Channel, p.DMA.Seq)
 	}
-	rx, bit := &e.rxSeq[p.Src], uint16(1)<<p.DMA.Channel
-	if rx.heard&bit == 0 {
-		// Adopt the stream at whatever sequence it is on: a node that
-		// just assimilated or rebooted starts mid-stream by design (the
-		// refresh fills in what it missed).
-		rx.heard |= bit
-		rx.next[p.DMA.Channel] = p.DMA.Seq
-	}
-	if rx.next[p.DMA.Channel] != p.DMA.Seq {
-		e.Gaps++
-		rx.next[p.DMA.Channel] = p.DMA.Seq // resynchronize
-	}
-	rx.next[p.DMA.Channel]++
 	if e.OnWrite != nil {
 		e.OnWrite(p.Src, p.DMA, p.Data, p.Flags&micropacket.FlagLast != 0)
 	}
+}
+
+// checkSeq counts a gap when a broadcast from src on channel ch is not
+// the one expected next.
+func (e *Engine) checkSeq(src micropacket.NodeID, ch, seq uint8) {
+	i := 0
+	for i < len(e.rx) && e.rx[i].ch != ch {
+		i++
+	}
+	if i == len(e.rx) {
+		e.rx = append(e.rx, rxChannel{ch: ch})
+	}
+	t := &e.rx[i]
+	if int(src) >= len(t.from) {
+		t.from = append(t.from, make([]rxSeq, int(src)+1-len(t.from))...)
+	}
+	rx := &t.from[src]
+	if !rx.heard {
+		// Adopt the stream at whatever sequence it is on: a node that
+		// just assimilated or rebooted starts mid-stream by design (the
+		// refresh fills in what it missed).
+		rx.heard = true
+	} else if rx.next != seq {
+		e.Gaps++ // and resynchronize
+	}
+	rx.next = seq + 1
 }
 
 // Assembly is the receiving end of one stream of Writes: it puts a

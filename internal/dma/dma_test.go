@@ -2,8 +2,10 @@ package dma
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
+	"repro/internal/alloctest"
 	"repro/internal/insertion"
 	"repro/internal/micropacket"
 	"repro/internal/netcache"
@@ -172,48 +174,82 @@ func TestBroadcastWriteReachesAll(t *testing.T) {
 	}
 }
 
+// dmaFrame is a one-byte DMA frame from node 0 to dst on channel ch,
+// numbered seq.
+func dmaFrame(dst micropacket.NodeID, ch, seq uint8) *micropacket.Packet {
+	p := micropacket.NewDMA(0, dst, micropacket.DMAHeader{Channel: ch}, []byte{1})
+	p.DMA.Seq = seq
+	return p
+}
+
+// TestSequenceGapDetection: a broadcast that skips a sequence number is
+// a gap, and the receiver resynchronizes on it. Unicast frames are
+// never checked: the sender numbers only its broadcasts, so a unicast
+// frame to another node is no frame missed here, and a unicast
+// consumer notices a loss by byte position.
 func TestSequenceGapDetection(t *testing.T) {
-	r := newRig(2)
-	e := r.engines[1]
-	mk := func(seq uint8) *micropacket.Packet {
-		p := micropacket.NewDMA(0, 1, micropacket.DMAHeader{Channel: 3}, []byte{1})
-		p.DMA.Seq = seq
-		return p
-	}
-	e.HandleDMA(mk(0))
-	e.HandleDMA(mk(1))
-	e.HandleDMA(mk(3)) // gap: 2 missing
-	if e.Gaps != 1 {
-		t.Fatalf("gaps = %d, want 1", e.Gaps)
-	}
-	e.HandleDMA(mk(4)) // resynchronized
-	if e.Gaps != 1 {
-		t.Fatalf("gaps after resync = %d, want 1", e.Gaps)
+	for _, tc := range []struct {
+		name string
+		dst  micropacket.NodeID
+		want uint64
+	}{
+		{"broadcast", micropacket.Broadcast, 1},
+		{"unicast", 1, 0},
+	} {
+		e := newRig(2).engines[1]
+		e.HandleDMA(dmaFrame(tc.dst, 3, 0))
+		e.HandleDMA(dmaFrame(tc.dst, 3, 1))
+		e.HandleDMA(dmaFrame(tc.dst, 3, 3)) // 2 missing
+		if e.Gaps != tc.want {
+			t.Fatalf("%s: gaps = %d, want %d", tc.name, e.Gaps, tc.want)
+		}
+		e.HandleDMA(dmaFrame(tc.dst, 3, 4)) // resynchronized
+		if e.Gaps != tc.want {
+			t.Fatalf("%s: gaps after resync = %d, want %d", tc.name, e.Gaps, tc.want)
+		}
 	}
 }
 
 // TestMidStreamAdoptionNoGap: a receiver adopts each stream, a source's
-// channel, at the sequence of the first frame heard on it, and adopts
-// them again after ForgetSources (a reboot).
+// broadcasts on one channel, at the sequence of the first frame heard
+// on it, and adopts them again after ForgetSources (a reboot).
 func TestMidStreamAdoptionNoGap(t *testing.T) {
-	r := newRig(2)
-	e := r.engines[1]
-	mk := func(ch, seq uint8) *micropacket.Packet {
-		p := micropacket.NewDMA(0, 1, micropacket.DMAHeader{Channel: ch}, []byte{1})
-		p.DMA.Seq = seq
-		return p
-	}
-	e.HandleDMA(mk(0, 77)) // new source starting mid-stream
-	e.HandleDMA(mk(1, 200))
+	e := newRig(2).engines[1]
+	bc := micropacket.Broadcast
+	e.HandleDMA(dmaFrame(bc, 0, 77)) // new source starting mid-stream
+	e.HandleDMA(dmaFrame(bc, 1, 200))
 	e.ForgetSources()
-	e.HandleDMA(mk(0, 90))
-	e.HandleDMA(mk(1, 230))
+	e.HandleDMA(dmaFrame(bc, 0, 90))
+	e.HandleDMA(dmaFrame(bc, 1, 230))
 	if e.Gaps != 0 {
 		t.Fatalf("gaps = %d on first contact", e.Gaps)
 	}
-	e.HandleDMA(mk(0, 92))
+	e.HandleDMA(dmaFrame(bc, 0, 92))
 	if e.Gaps != 1 {
 		t.Fatalf("gaps = %d, want 1 for a frame lost after adoption", e.Gaps)
+	}
+}
+
+// TestOnlyBroadcastsAreNumbered: a sender numbers a channel's
+// broadcasts in order and stamps unicast frames 0, so unicast writes
+// between two broadcasts leave no hole in the broadcasts' sequence.
+func TestOnlyBroadcastsAreNumbered(t *testing.T) {
+	r := newRig(3)
+	var seqs []uint8
+	r.engines[1].OnWrite = func(_ micropacket.NodeID, hdr micropacket.DMAHeader, _ []byte, _ bool) {
+		seqs = append(seqs, hdr.Seq)
+	}
+	e := r.engines[0]
+	e.Write(2, micropacket.Broadcast, 0, 0, pattern(100), nil) // two segments
+	e.Write(2, 1, 0, 0, pattern(8), nil)
+	e.Write(2, 2, 0, 0, pattern(8), nil)
+	e.Write(2, micropacket.Broadcast, 0, 0, pattern(8), nil)
+	r.k.Run()
+	if want := []uint8{0, 1, 0, 2}; !slices.Equal(seqs, want) {
+		t.Fatalf("node 1 saw sequence numbers %v, want %v", seqs, want)
+	}
+	if r.engines[1].Gaps+r.engines[2].Gaps != 0 {
+		t.Fatalf("gaps %d and %d with nothing lost", r.engines[1].Gaps, r.engines[2].Gaps)
 	}
 }
 
@@ -332,8 +368,8 @@ func TestBackpressuredPumpAllocatesNothing(t *testing.T) {
 	if e.St.QueueLen() < e.Window || !e.retry.Active() {
 		t.Fatalf("rig is not back-pressured: MAC queue %d, window %d", e.St.QueueLen(), e.Window)
 	}
-	if n := testing.AllocsPerRun(100, e.pump); n != 0 {
-		t.Fatalf("a back-pressured pump allocates %.0f times, want 0", n)
+	if n := alloctest.Count(100, e.pump); n != 0 {
+		t.Fatalf("100 back-pressured pumps allocate %d times, want 0", n)
 	}
 	r.k.Run()
 	if e.Pending() != 0 || e.Sent != 64 {
@@ -355,8 +391,8 @@ func TestDMASendAllocatesNothing(t *testing.T) {
 		e.Write(2, 1, 0, 512, short, nil)
 		r.k.Run()
 	}
-	if n := testing.AllocsPerRun(50, send); n != 0 {
-		t.Fatalf("a 337-byte and a 27-byte Write on one channel allocate %.0f times, want 0", n)
+	if n := alloctest.Count(50, send); n != 0 {
+		t.Fatalf("50 rounds of a 337-byte and a 27-byte Write on one channel allocate %d times, want 0", n)
 	}
 	if !bytes.Equal(dst.buf[:337], long) || !bytes.Equal(dst.buf[512:539], short) {
 		t.Fatal("payload mismatch")

@@ -58,10 +58,11 @@ type writeFn func(e *Engine, ch int, dst micropacket.NodeID, region uint8, off u
 // three bits — 0 a bare write; 1 a write with done; 2 and 3 a write
 // whose done re-enters Write on the same and on another channel; 4
 // toggles the station's back-pressure; 5 advances virtual time; 6
-// aborts every queued transfer; 7 is a bare write again — and one of
-// three channels above them. Bytes 1 and 2 give the write's length
-// (0…300) and the re-entrant write's (0…127), or the time to advance in
-// units of 100 ns.
+// aborts every queued transfer; 7 a shared write (WriteShared) whose
+// done issues another on the same channel — and one of three channels
+// above them. Bytes 1 and 2 give the write's length (0…300) and the
+// re-entrant write's (0…127), or the time to advance in units of
+// 100 ns.
 const (
 	opWrite = iota
 	opWriteDone
@@ -70,6 +71,7 @@ const (
 	opToggle
 	opAdvance
 	opAbort
+	opShareReenterSame
 )
 
 func op(kind, ch, n, nested int) []byte {
@@ -86,11 +88,23 @@ func payload(id, n int) []byte {
 	return b
 }
 
+// dstOf is where the transfer of op id goes: node 1, or every node for
+// one op in three, so that the broadcasts' sequence numbers show in
+// node 1's log.
+func dstOf(id int) micropacket.NodeID {
+	if id%3 == 2 {
+		return micropacket.Broadcast
+	}
+	return 1
+}
+
 // runOps drives one engine of a fresh three-node rig through an op
-// stream with write as its Write, scribbling over every buffer the
-// moment write returns, and logs every segment node 1 receives and
-// every done, each with its instant.
-func runOps(ops []byte, write writeFn) (log []string, sent uint64, highWater int) {
+// stream with write as its Write and share as its WriteShared,
+// scribbling over every buffer the moment write returns (a shared
+// write's bytes never change), and logs every segment node 1 receives
+// and every done, each with its instant, and any borrowed entry a
+// shared write left queued ahead of a kept one.
+func runOps(ops []byte, write, share writeFn) (log []string, sent uint64, highWater int) {
 	r := newRig(3)
 	e := r.engines[0]
 	r.engines[1].OnWrite = func(src micropacket.NodeID, hdr micropacket.DMAHeader, data []byte, last bool) {
@@ -98,11 +112,24 @@ func runOps(ops []byte, write writeFn) (log []string, sent uint64, highWater int
 	}
 	send := func(id, ch, n int, done func()) {
 		buf := payload(id, n)
-		segs := write(e, ch, 1, 9, uint32(id)<<12, buf, done)
+		segs := write(e, ch, dstOf(id), 9, uint32(id)<<12, buf, done)
 		for i := range buf {
 			buf[i] = 0xEE
 		}
 		log = append(log, fmt.Sprintf("%v write %d: %d segments", r.k.Now(), id, segs))
+	}
+	shareOne := func(id, ch, n int, done func()) {
+		segs := share(e, ch, dstOf(id), 9, uint32(id)<<12, payload(id, n), done)
+		log = append(log, fmt.Sprintf("%v share %d: %d segments", r.k.Now(), id, segs))
+		if at := borrowedAhead(e); at >= 0 {
+			log = append(log, fmt.Sprintf("%v share %d: channel %d has a borrowed entry ahead of a kept one", r.k.Now(), id, at))
+		}
+	}
+	shareDone := func(id, ch, nested int) func() {
+		return func() {
+			log = append(log, fmt.Sprintf("%v done %d", r.k.Now(), id))
+			shareOne(id+1000, ch, nested, nil)
+		}
 	}
 	open := e.St.MaxInsertQueue
 	for i := 0; i+3 <= len(ops); i += 3 {
@@ -120,6 +147,8 @@ func runOps(ops []byte, write writeFn) (log []string, sent uint64, highWater int
 			r.k.RunUntil(r.k.Now() + sim.Time(n)*100)
 		case opAbort:
 			e.Abort()
+		case opShareReenterSame:
+			shareOne(id, ch, n, shareDone(id, ch, nested))
 		case opWriteDone, opWriteReenterSame, opWriteReenterOther:
 			send(id, ch, n, func() {
 				log = append(log, fmt.Sprintf("%v done %d", r.k.Now(), id))
@@ -142,14 +171,29 @@ func runOps(ops []byte, write writeFn) (log []string, sent uint64, highWater int
 	return log, e.Sent, e.QueueHighWater
 }
 
+// borrowedAhead returns a channel whose queue holds a borrowed entry
+// ahead of one that is not, -1 if none does: borrowed entries must
+// stay the tail of their queue, or keep misses them.
+func borrowedAhead(e *Engine) int {
+	for ch := range e.queues {
+		q := &e.queues[ch]
+		for i := 1; i < q.Len(); i++ {
+			if q.At(i-1).borrowed && !q.At(i).borrowed {
+				return ch
+			}
+		}
+	}
+	return -1
+}
+
 // checkAgainstReference runs ops through Write and through refWrite and
 // requires the same segments with the same Seq, FlagLast, Offset and
 // bytes in the same order at the same instants, the same done instants
 // and segment counts, and equal Sent and QueueHighWater.
 func checkAgainstReference(t *testing.T, ops []byte) {
 	t.Helper()
-	got, gotSent, gotHW := runOps(ops, (*Engine).Write)
-	want, wantSent, wantHW := runOps(ops, refWrite)
+	got, gotSent, gotHW := runOps(ops, (*Engine).Write, (*Engine).WriteShared)
+	want, wantSent, wantHW := runOps(ops, refWrite, refWrite)
 	for i := range want {
 		if i >= len(got) || got[i] != want[i] {
 			g := "nothing"
@@ -204,6 +248,13 @@ var nastyWrites = []struct {
 	{"abort after a retry sent part of a kept entry", slices.Concat(
 		op(opToggle, 1, 0, 0), op(opWrite, 1, 300, 0), op(opWriteDone, 3, 300, 0), op(opToggle, 1, 0, 0),
 		op(opAdvance, 1, 25, 0), op(opAbort, 1, 0, 0), op(opWriteDone, 3, 70, 0))},
+	{"shared write from a done, behind a borrowed entry", slices.Concat(
+		op(opToggle, 1, 0, 0), op(opShareReenterSame, 1, 100, 50), op(opToggle, 1, 0, 0), op(opWrite, 1, 300, 0),
+		op(opAdvance, 1, 100, 0))},
+	{"shared writes kept under back-pressure beside borrowed ones", slices.Concat(
+		op(opShareReenterSame, 2, 300, 127), op(opWriteReenterSame, 2, 200, 90), op(opToggle, 1, 0, 0),
+		op(opShareReenterSame, 2, 64, 0), op(opWrite, 2, 65, 0), op(opAbort, 1, 0, 0), op(opShareReenterSame, 2, 129, 1),
+		op(opToggle, 1, 0, 0), op(opAdvance, 1, 200, 0))},
 	{"zero-length write behind a partial one", slices.Concat(
 		op(opToggle, 1, 0, 0), op(opWrite, 1, 300, 0), op(opWrite, 2, 300, 0), op(opToggle, 1, 0, 0),
 		op(opAdvance, 1, 25, 0), op(opWrite, 2, 0, 0), op(opWriteDone, 2, 0, 0), op(opAdvance, 1, 100, 0))},
@@ -217,8 +268,9 @@ func TestWriteMatchesReference(t *testing.T) {
 
 // FuzzDMAWrite: Write lends the pump the caller's slice and keeps only
 // what is still queued when it returns, in a per-channel slab rewound
-// when the channel drains; none of that may show next to the engine
-// that cloned every transfer up front.
+// when the channel drains, and WriteShared queues its bytes uncopied;
+// none of that may show next to the engine that cloned every transfer
+// up front.
 func FuzzDMAWrite(f *testing.F) {
 	for _, tc := range nastyWrites {
 		f.Add(tc.ops)

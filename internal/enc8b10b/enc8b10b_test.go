@@ -9,6 +9,8 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/alloctest"
 )
 
 // decodeGolden holds one line per (entry disparity, 10-bit symbol): what
@@ -79,13 +81,13 @@ func TestDecodeTable(t *testing.T) {
 
 	d := NewDecoder()
 	for _, sym := range []Symbol{0b0011111010, 0b1001110100, 0b1110100001} { // K28.5, D0.0, D23.7
-		if got := testing.AllocsPerRun(100, func() {
+		if got := alloctest.Count(100, func() {
 			d.Reset()
 			if _, err := d.Decode(sym); err != nil {
 				t.Fatal(err)
 			}
 		}); got != 0 {
-			t.Errorf("Decode(%010b) allocates %.0f times, want 0", sym, got)
+			t.Errorf("100 Decode(%010b) calls allocate %d times, want 0", sym, got)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package insertion
 import (
 	"testing"
 
+	"repro/internal/alloctest"
 	"repro/internal/frameacct"
 	"repro/internal/micropacket"
 	"repro/internal/phys"
@@ -290,8 +291,8 @@ func TestDeviceLatencyAllocatesNothing(t *testing.T) {
 		st[0].Ports[0].SendPriority(net.NewFrame(wave))
 		k.Run()
 	}
-	if n := testing.AllocsPerRun(5, round); n != 0 {
-		t.Fatalf("a warmed-up transit + forward + flood round allocates %.1f objects, want 0", n)
+	if n := alloctest.Count(5, round); n != 0 {
+		t.Fatalf("5 warmed-up transit + forward + flood rounds allocate %d objects, want 0", n)
 	}
 	acct := net.Ledger()
 	if st[1].Forwarded == 0 || c.Switches[0].Forwarded == 0 || c.Switches[0].Flooded == 0 {

@@ -29,6 +29,7 @@ package netcache
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"repro/internal/detmap"
 )
@@ -43,6 +44,9 @@ const RecordOverhead = 2 * CounterSize
 // regions, each a flat byte array.
 type Cache struct {
 	regions map[uint8][]byte
+	// snaps holds the regions' snapshots (Snapshot), made on first use;
+	// a write to a region drops its entry.
+	snaps map[uint8][]byte
 
 	// Applied counts remote updates applied to this replica.
 	Applied uint64
@@ -57,12 +61,30 @@ func New() *Cache {
 // region re-allocates it (used by cache refresh).
 func (c *Cache) AddRegion(id uint8, size int) {
 	c.regions[id] = make([]byte, size)
+	delete(c.snaps, id)
 }
 
-// Region returns the raw bytes of a region (nil if absent). Callers
-// must use record accessors for consistency; raw access is for refresh
-// streaming and diagnostics.
-func (c *Cache) Region(id uint8) []byte { return c.regions[id] }
+// Snapshot returns a copy of region id's bytes as they stand, nil if
+// the region is absent: what a cache refresh streams. The copy is
+// shared and never written: the first Snapshot after a change to the
+// region makes it, and every later one returns the same slice until
+// Apply or AddRegion changes the region again, so a sponsor streams one
+// copy to any number of joiners.
+func (c *Cache) Snapshot(id uint8) []byte {
+	if snap, ok := c.snaps[id]; ok {
+		return snap
+	}
+	buf, ok := c.regions[id]
+	if !ok {
+		return nil
+	}
+	snap := slices.Clone(buf)
+	if c.snaps == nil {
+		c.snaps = map[uint8][]byte{}
+	}
+	c.snaps[id] = snap
+	return snap
+}
 
 // Regions returns the region ids present, in ascending order.
 func (c *Cache) Regions() []uint8 {
@@ -82,6 +104,7 @@ func (c *Cache) Apply(region uint8, off uint32, data []byte) {
 		return
 	}
 	copy(buf[off:], data)
+	delete(c.snaps, region)
 	c.Applied++
 }
 

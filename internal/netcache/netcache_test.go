@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/alloctest"
 )
 
 // fakeTP delivers broadcasts synchronously to a set of replicas,
@@ -174,8 +176,8 @@ func TestWriteRecordAllocatesNothing(t *testing.T) {
 	_, _, w := newReplicated(3, 64)
 	r := Record{Region: 1, Off: 0, Size: 8}
 	data := make([]byte, 8)
-	if n := testing.AllocsPerRun(100, func() { w.WriteRecord(r, data) }); n != 0 {
-		t.Fatalf("a record write allocates %.0f times, want 0", n)
+	if n := alloctest.Count(100, func() { w.WriteRecord(r, data) }); n != 0 {
+		t.Fatalf("100 record writes allocate %d times, want 0", n)
 	}
 }
 
@@ -246,8 +248,8 @@ func TestApplyBounds(t *testing.T) {
 	c.Apply(1, 100, []byte{1})                     // beyond region: ignored
 	c.Apply(9, 0, []byte{1})                       // absent region: ignored
 	c.Apply(1, 12, []byte{1, 2, 3, 4, 5, 6, 7, 8}) // clipped at end
-	if c.Region(1)[15] != 4 {
-		t.Fatalf("clipped apply wrong: %v", c.Region(1))
+	if c.Snapshot(1)[15] != 4 {
+		t.Fatalf("clipped apply wrong: %v", c.Snapshot(1))
 	}
 	if c.Applied != 1 {
 		t.Fatalf("applied = %d", c.Applied)
@@ -299,5 +301,38 @@ func TestQuickWriteReadAnyPayload(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSnapshotOncePerVersion: a region's snapshot is made by the first
+// Snapshot after a change and shared until the next one, so streaming
+// it again with no write between copies nothing; Apply and AddRegion
+// drop it, and a later write never shows in a snapshot already handed
+// out.
+func TestSnapshotOncePerVersion(t *testing.T) {
+	c := New()
+	c.AddRegion(1, 64)
+	if c.Snapshot(9) != nil {
+		t.Fatal("an absent region has a snapshot")
+	}
+	c.Apply(1, 0, []byte{7})
+	first := c.Snapshot(1)
+	if first[0] != 7 || len(first) != 64 {
+		t.Fatalf("snapshot % x, want the region's 64 bytes", first[:4])
+	}
+	if n := alloctest.Count(10, func() { c.Snapshot(1) }); n != 0 || &c.Snapshot(1)[0] != &first[0] {
+		t.Fatalf("Snapshots with no write between allocate %d times or return another copy", n)
+	}
+	c.Apply(1, 0, []byte{8})
+	if first[0] != 7 {
+		t.Fatal("a write reached a snapshot already handed out")
+	}
+	second := c.Snapshot(1)
+	if second[0] != 8 || &second[0] == &first[0] {
+		t.Fatal("Apply did not drop the snapshot")
+	}
+	c.AddRegion(1, 32)
+	if third := c.Snapshot(1); len(third) != 32 || third[0] != 0 {
+		t.Fatal("AddRegion did not drop the snapshot")
 	}
 }

@@ -3,6 +3,7 @@ package netsem
 import (
 	"testing"
 
+	"repro/internal/alloctest"
 	"repro/internal/insertion"
 	"repro/internal/micropacket"
 	"repro/internal/phys"
@@ -282,8 +283,8 @@ func TestAbortForgetsEverything(t *testing.T) {
 	r := newRig(3)
 	home, svc := r.svcs[0], r.svcs[1]
 	queued := r.k.Pending()
-	if a := testing.AllocsPerRun(100, svc.Abort); a != 0 || r.k.Pending() != queued {
-		t.Fatalf("idle Abort: %.0f allocations, %d events queued", a, r.k.Pending()-queued)
+	if a := alloctest.Count(100, svc.Abort); a != 0 || r.k.Pending() != queued {
+		t.Fatalf("idle Abort: %d allocations in 100 calls, %d events queued", a, r.k.Pending()-queued)
 	}
 	home.Lock(4, func() {})
 	r.run()

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"repro/internal/alloctest"
 	"repro/internal/enc8b10b"
 	"repro/internal/micropacket"
 	"repro/internal/sim"
@@ -192,8 +193,8 @@ func TestDeepPHYHopAllocations(t *testing.T) {
 			k.Run()
 		}
 		hop()
-		if got := testing.AllocsPerRun(100, hop); got > 0 {
-			t.Errorf("a DeepPHY hop of a %v frame allocates %.0f times, want 0", p.Type, got)
+		if got := alloctest.Count(100, hop); got != 0 {
+			t.Errorf("100 DeepPHY hops of a %v frame allocate %d times, want 0", p.Type, got)
 		}
 	}
 	if n.Acct.WireDelivered != 2*102 {

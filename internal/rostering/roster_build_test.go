@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/alloctest"
 	"repro/internal/phys"
 	"repro/internal/sim"
 )
@@ -241,8 +242,8 @@ func TestBuildRosterAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(20, func() { epoch++; rs.Build(epoch, ids, masks, *view) }); n > 3 {
 		t.Fatalf("Rounds.Build allocates %.0f times a new round on 8x16 rings, want <= 3", n)
 	}
-	if n := testing.AllocsPerRun(20, func() { rs.Build(epoch, ids, masks, *view) }); n > 0 {
-		t.Fatalf("Rounds.Build allocates %.0f times for the round it just built, want 0", n)
+	if n := alloctest.Count(20, func() { rs.Build(epoch, ids, masks, *view) }); n != 0 {
+		t.Fatalf("20 Rounds.Build calls for the round it just built allocate %d times, want 0", n)
 	}
 }
 

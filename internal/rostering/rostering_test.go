@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/alloctest"
 	"repro/internal/frameacct"
 	"repro/internal/insertion"
 	"repro/internal/micropacket"
@@ -439,13 +440,13 @@ func TestControlFramesAllocateNothing(t *testing.T) {
 	dup := h.net.NewFrame(h.net.Packets.Rostering(1, 0, ann.Payload()))
 	port := a.Station.Ports[0]
 	before := h.net.Acct.Losses[frameacct.LossDupAnnounce]
-	if n := testing.AllocsPerRun(100, func() { a.handleControl(port, dup) }); n != 0 {
-		t.Errorf("a duplicate announcement allocates %.0f times, want 0", n)
+	if n := alloctest.Count(100, func() { a.handleControl(port, dup) }); n != 0 {
+		t.Errorf("100 duplicate announcements allocate %d times, want 0", n)
 	}
 	if got := h.net.Acct.Losses[frameacct.LossDupAnnounce] - before; got != 101 {
 		t.Fatalf("%d of 101 announcements counted as duplicates", got)
 	}
-	if n := testing.AllocsPerRun(100, a.resetSettle); n != 0 {
-		t.Errorf("re-arming the settle timer allocates %.0f times, want 0", n)
+	if n := alloctest.Count(100, a.resetSettle); n != 0 {
+		t.Errorf("re-arming the settle timer 100 times allocates %d times, want 0", n)
 	}
 }

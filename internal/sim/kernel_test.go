@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/alloctest"
 )
 
 func TestKernelOrdering(t *testing.T) {
@@ -128,12 +130,12 @@ func TestNewTimerIsAValue(t *testing.T) {
 	fired := 0
 	var at Time
 	fn := func() { fired++; at = k.Now() }
-	if n := testing.AllocsPerRun(100, func() {
+	if n := alloctest.Count(100, func() {
 		owner.tick = k.NewTimer(fn)
 		owner.tick.Reset(5)
 		owner.tick.Cancel()
 	}); n != 0 {
-		t.Fatalf("NewTimer into a field, Reset and Cancel: %v allocations, want 0", n)
+		t.Fatalf("NewTimer into a field, Reset and Cancel, 100 times: %d allocations, want 0", n)
 	}
 	owner.tick = k.NewTimer(fn)
 	if owner.tick.Active() {
@@ -206,14 +208,14 @@ func TestEventsAllocateNothing(t *testing.T) {
 	k.DoPri(1, 0, 0, take())
 	k.Run()
 	runs := 0
-	if n := testing.AllocsPerRun(100, func() {
+	if n := alloctest.Count(100, func() {
 		runs++
 		k.Do(k.Now()+1, fn)
 		k.DoPri(k.Now()+1, 0, 7, take())
 		k.DoKey(k.Now()+1, 0, 7, k.Reserve(), take())
 		k.Run()
 	}); n != 0 {
-		t.Fatalf("Do of a func, DoPri and DoKey of pooled Events: %v allocations, want 0", n)
+		t.Fatalf("Do of a func, DoPri and DoKey of pooled Events, 100 times: %d allocations, want 0", n)
 	}
 	if want := 2 + 3*runs; fired != want || len(free) != 2 {
 		t.Fatalf("fired %d events (want %d), %d records back in the pool (want 2)", fired, want, len(free))
