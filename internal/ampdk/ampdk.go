@@ -216,9 +216,11 @@ type Node struct {
 	joinTry    int
 	sawPeers   bool // heard any heartbeat during join window
 
-	// Assimilation buffering of live updates.
+	// Assimilation buffering of live updates: buffered holds each
+	// write's place, and bufBytes their payloads, one after another.
 	buffering bool
 	buffered  []bufferedWrite
+	bufBytes  []byte
 
 	// Outstanding ping callbacks, FIFO (see Ping for when order holds).
 	pingCBs []func()
@@ -256,10 +258,12 @@ type regionHandler struct {
 	h      dma.WriteHandler
 }
 
+// bufferedWrite is one cache write held back during assimilation; its
+// size bytes follow the previous write's in bufBytes.
 type bufferedWrite struct {
 	region uint8
 	off    uint32
-	data   []byte
+	size   uint32
 }
 
 // NewNode builds a node over the cluster's ports. It does not boot it;
@@ -319,7 +323,7 @@ func (n *Node) Boot() {
 	n.stopped = false
 	n.State = StateAssimilating
 	n.buffering = true
-	n.buffered = nil
+	n.buffered, n.bufBytes = n.buffered[:0], n.bufBytes[:0]
 	n.sawPeers = false
 	n.joinTry = 0
 	n.refreshGot, n.refreshWant = 0, 0
@@ -495,10 +499,12 @@ func (n *Node) goOnline() {
 	n.State = StateOnline
 	n.buffering = false
 	// Replay updates buffered during refresh, in arrival order.
+	data := n.bufBytes
 	for _, w := range n.buffered {
-		n.Cache.Apply(w.region, w.off, w.data)
+		n.Cache.Apply(w.region, w.off, data[:w.size])
+		data = data[w.size:]
 	}
-	n.buffered = nil
+	n.buffered, n.bufBytes = n.buffered[:0], n.bufBytes[:0]
 	n.heartbeatLoop()
 	if n.OnOnline != nil {
 		n.OnOnline()
@@ -727,9 +733,13 @@ func (n *Node) dmaWrite(src micropacket.NodeID, hdr micropacket.DMAHeader, data 
 		return
 	}
 	if n.buffering && hdr.Channel == CacheChannel {
-		cp := make([]byte, len(data))
-		copy(cp, data)
-		n.buffered = append(n.buffered, bufferedWrite{hdr.Region, hdr.Offset, cp})
+		if cap(n.buffered) == 0 {
+			// A joiner in a booting cluster holds back six writes of
+			// 56 bytes in all: one block each, not a doubling series.
+			n.buffered, n.bufBytes = make([]bufferedWrite, 0, 8), make([]byte, 0, 64)
+		}
+		n.buffered = append(n.buffered, bufferedWrite{hdr.Region, hdr.Offset, uint32(len(data))})
+		n.bufBytes = append(n.bufBytes, data...)
 		return
 	}
 	if hdr.Channel == RefreshChannel {

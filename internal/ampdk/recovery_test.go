@@ -142,16 +142,19 @@ func TestAutoRecoverySurvivesCrash(t *testing.T) {
 }
 
 // TestRebootAdoptsDMAStreams: a rebooted node has heard nothing of the
-// streams that moved while it was down, so the first frame of each
-// stream after the reboot sets what it expects next there. Keeping the
-// crashed incarnation's expectations, it counted that frame as a gap,
-// and so did a node that had adopted the source on another channel.
+// broadcast streams that moved while it was down, so the first
+// broadcast of each after the reboot sets what it expects next there.
+// Node 0 broadcasts on channel 3 before node 3 crashes, while it is
+// down and after it reboots. Keeping the crashed incarnation's
+// expectation (Boot without ForgetSources), node 3 counted the first
+// broadcast after the reboot as a gap: the one it missed was lost to
+// the node, not to the ring.
 func TestRebootAdoptsDMAStreams(t *testing.T) {
 	k, _, nodes := bootCluster(4, 2, nil)
 	run(k, 20*sim.Millisecond)
 	got := 0
 	nodes[3].SetRegionHandler(200, func(micropacket.NodeID, micropacket.DMAHeader, []byte, bool) { got++ })
-	write := func() { nodes[0].DMA.Write(3, 3, 200, 0, []byte{1}, nil) }
+	write := func() { nodes[0].DMA.Write(3, micropacket.Broadcast, 200, 0, []byte{1}, nil) }
 	k.After(0, write)
 	run(k, sim.Millisecond)
 	k.After(0, nodes[3].Crash)
@@ -166,10 +169,10 @@ func TestRebootAdoptsDMAStreams(t *testing.T) {
 	k.After(0, write)
 	run(k, sim.Millisecond)
 	if got != 2 {
-		t.Fatalf("node 3 received %d writes, want the one before the crash and the one after the reboot", got)
+		t.Fatalf("node 3 received %d broadcasts, want the one before the crash and the one after the reboot", got)
 	}
 	if n := nodes[3].DMA.Gaps - gaps; n != 0 {
-		t.Fatalf("the first frame on channel 3 after the reboot counted %d gaps", n)
+		t.Fatalf("the first broadcast on channel 3 after the reboot counted %d gaps", n)
 	}
 }
 
@@ -216,5 +219,48 @@ func TestRestreamAllocatesNothing(t *testing.T) {
 	}
 	if got := nodes[3].Cache.Applied - applied; got != 11*64 {
 		t.Fatalf("node 3 applied %d refresh segments, want 11 streams of 64", got)
+	}
+}
+
+// TestBufferedWritesReplayInOrder: cache writes that reach a node while
+// it assimilates are held back, payloads packed in one slab, and
+// applied in arrival order once it is online. Node 0 rewrites one
+// record every 10 µs while node 3 assimilates after a reboot, until
+// node 3 holds eight segments back, so its last value reaches node 3 only
+// through the buffer, behind the values it replaced; node 3 ends with
+// node 0's bytes.
+func TestBufferedWritesReplayInOrder(t *testing.T) {
+	k, _, nodes := bootCluster(4, 2, func(int) Config {
+		return Config{Regions: map[uint8]int{1: 1024}}
+	})
+	run(k, 20*sim.Millisecond)
+	k.After(0, nodes[3].Crash)
+	run(k, 5*sim.Millisecond)
+	n3 := nodes[3]
+	rec := records(16, 1)[0]
+	held := 0
+	k.After(0, n3.Reboot)
+	for i := range 2000 {
+		k.After(sim.Time(i)*10*sim.Microsecond, func() {
+			held = max(held, len(n3.buffered))
+			if n3.State != StateAssimilating || held >= 8 {
+				return
+			}
+			if err := nodes[0].CacheW.WriteRecord(rec, bytes.Repeat([]byte{byte(i)}, 16)); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+	run(k, 40*sim.Millisecond)
+	if !n3.Online() {
+		t.Fatal("node 3 did not come back")
+	}
+	if held < 8 {
+		t.Fatalf("node 3 held back %d writes while assimilating; the rig needs 8", held)
+	}
+	for _, id := range []uint8{ConfigRegion, 1} {
+		if !bytes.Equal(n3.Cache.Snapshot(id), nodes[0].Cache.Snapshot(id)) {
+			t.Fatalf("node 3's region %d differs from node 0's", id)
+		}
 	}
 }

@@ -87,7 +87,10 @@ type Engine struct {
 	txSeq [NumChannels]uint8
 	// rx holds a table for each channel a broadcast has been heard on,
 	// in the order first heard; rxBuf holds the first few inline (two
-	// channels broadcast: the cache's and AmpSubscribe's).
+	// channels broadcast: the cache's and AmpSubscribe's). A list, not
+	// an array indexed by channel: sixteen slice headers are 296 bytes
+	// more an engine, measured as 0.033 MB more an iteration on
+	// scale-idle-128 (1.2 %).
 	rx    []rxChannel
 	rxBuf [2]rxChannel
 
