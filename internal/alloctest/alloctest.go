@@ -12,13 +12,27 @@ import "runtime"
 // testing.AllocsPerRun it measures with GOMAXPROCS at 1, so only what f
 // starts runs beside it.
 func Count(runs int, f func()) uint64 {
+	before, after := measure(runs, f)
+	return after.Mallocs - before.Mallocs
+}
+
+// Bytes is Count for the bytes those runs allocated (the runtime's
+// size classes and pages included), for a path whose allocations are
+// bounded by the data it moves rather than by zero.
+func Bytes(runs int, f func()) uint64 {
+	before, after := measure(runs, f)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// measure warms f up and returns the memory statistics before and
+// after runs more calls, at GOMAXPROCS 1.
+func measure(runs int, f func()) (before, after runtime.MemStats) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	f()
-	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for range runs {
 		f()
 	}
 	runtime.ReadMemStats(&after)
-	return after.Mallocs - before.Mallocs
+	return before, after
 }

@@ -21,3 +21,17 @@ func TestCountSeesRareAllocations(t *testing.T) {
 		t.Fatalf("Count reports %d allocations for an empty loop", n)
 	}
 }
+
+var buf []byte
+
+// TestBytesCountsWhatRunsAllocate: ten 1000-byte slices are ten
+// 1024-byte size-class objects, and a loop that allocates nothing
+// counts no bytes.
+func TestBytesCountsWhatRunsAllocate(t *testing.T) {
+	if n := Bytes(10, func() { buf = make([]byte, 1000) }); n != 10*1024 {
+		t.Fatalf("Bytes reports %d bytes for ten 1000-byte slices, want %d", n, 10*1024)
+	}
+	if n := Bytes(10, func() {}); n != 0 {
+		t.Fatalf("Bytes reports %d bytes for an empty loop", n)
+	}
+}

@@ -190,24 +190,23 @@ const filesMagic = 0xF7
 // its segments arrive, so a corrupt header cannot reserve much memory.
 const maxPresize = 16 << 20
 
-// Send transfers a named file to dst. done, if non-nil, runs when the
-// final segment has been queued to the MAC.
+// Send transfers a named file to dst. data is lent to the DMA engine,
+// not copied: it must not change until done, if non-nil, runs, when
+// the final segment has been queued to the MAC. (A crash forgets the
+// transfer, runs no done and lets go of data.)
 func (f *Files) Send(dst micropacket.NodeID, name string, data []byte, done func()) error {
 	if len(name) > 255 {
 		return fmt.Errorf("ampdc: file name too long")
 	}
-	// Frame: magic(1) nameLen(1) name size(4) crc(4) payload.
-	buf := make([]byte, 0, 10+len(name)+len(data))
-	buf = append(buf, filesMagic, byte(len(name)))
-	buf = append(buf, name...)
-	var u32 [4]byte
-	binary.LittleEndian.PutUint32(u32[:], uint32(len(data)))
-	buf = append(buf, u32[:]...)
-	binary.LittleEndian.PutUint32(u32[:], crc32.ChecksumIEEE(data))
-	buf = append(buf, u32[:]...)
-	buf = append(buf, data...)
+	// Frame: magic(1) nameLen(1) name size(4) crc(4), then the payload.
+	// The engine copies the header, so it is built on the stack.
+	var frame [10 + 255]byte
+	head := append(frame[:0], filesMagic, byte(len(name)))
+	head = append(head, name...)
+	head = binary.LittleEndian.AppendUint32(head, uint32(len(data)))
+	head = binary.LittleEndian.AppendUint32(head, crc32.ChecksumIEEE(data))
 	f.Sent++
-	f.svc.Node.DMA.Write(FilesChannel, dst, FilesRegion, 0, buf, done)
+	f.svc.Node.DMA.WriteFramed(FilesChannel, dst, FilesRegion, 0, head, data, done)
 	return nil
 }
 

@@ -10,6 +10,7 @@ import (
 	"repro/internal/alloctest"
 	"repro/internal/ampdk"
 	"repro/internal/micropacket"
+	"repro/internal/netcache"
 	"repro/internal/phys"
 	"repro/internal/sim"
 )
@@ -23,12 +24,19 @@ type rig struct {
 
 func newRig(t *testing.T, n int) *rig {
 	t.Helper()
+	return newRigWith(t, n, ampdk.Config{})
+}
+
+// newRigWith boots n nodes configured as cfg, each with its own ID.
+func newRigWith(t *testing.T, n int, cfg ampdk.Config) *rig {
+	t.Helper()
 	k := sim.NewKernel(1)
 	net := phys.NewNet(k)
 	c := phys.BuildCluster(net, n, 2, 50)
 	r := &rig{k: k, net: net}
 	for i := 0; i < n; i++ {
-		nd := ampdk.NewNode(k, c, ampdk.Config{ID: i})
+		cfg.ID = i
+		nd := ampdk.NewNode(k, c, cfg)
 		r.nodes = append(r.nodes, nd)
 		r.svcs = append(r.svcs, New(nd))
 	}
@@ -447,31 +455,96 @@ func TestFileHeaderCannotSizeACorruptFile(t *testing.T) {
 // segment is a DMA gap at the subscriber, and its dma.Assembly drops
 // the message it belonged to: the 300-byte publication that lost its
 // second segment is never delivered, and the next one arrives whole.
+// The gap is on AmpSubscribe's channel, where no cache write was lost,
+// so it starts no auto-recovery round; the same loss on the cache
+// channel starts one, which brings the lost write back.
 func TestLostSegmentDropsPublication(t *testing.T) {
-	r := newRig(t, 3)
-	first, second := bytes.Repeat([]byte{1}, 300), bytes.Repeat([]byte{2}, 300)
-	var got [][]byte
-	r.svcs[1].Sub.Subscribe(4, func(_ micropacket.NodeID, data []byte) { got = append(got, bytes.Clone(data)) })
-	st := r.nodes[1].Station
-	deliver, segments := st.OnDeliver, 0
-	st.OnDeliver = func(p *micropacket.Packet) {
-		if p.Type == micropacket.TypeDMA && p.DMA.Region == SubRegion {
-			if segments++; segments == 2 {
-				return
+	for _, tc := range []struct {
+		name       string
+		ch         uint8
+		published  int // publications delivered, the last one whole
+		recoveries uint64
+	}{
+		{"AmpSubscribe segment", SubChannel, 1, 0},
+		{"cache write segment", ampdk.CacheChannel, 2, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newRigWith(t, 3, ampdk.Config{Regions: map[uint8]int{1: 1024}})
+			r.nodes[1].EnableAutoRecovery(sim.Millisecond)
+			first, second := bytes.Repeat([]byte{1}, 300), bytes.Repeat([]byte{2}, 300)
+			recs := []netcache.Record{{Region: 1, Off: 0, Size: 300}, {Region: 1, Off: 400, Size: 300}}
+			var got [][]byte
+			r.svcs[1].Sub.Subscribe(4, func(_ micropacket.NodeID, data []byte) { got = append(got, bytes.Clone(data)) })
+			st := r.nodes[1].Station
+			deliver, segments := st.OnDeliver, 0
+			st.OnDeliver = func(p *micropacket.Packet) {
+				if p.Type == micropacket.TypeDMA && p.DMA.Channel == tc.ch {
+					if segments++; segments == 2 {
+						return
+					}
+				}
+				deliver(p)
 			}
+			gaps, rounds := r.nodes[1].DMA.Gaps, r.nodes[1].AutoRecoveries
+			r.k.After(0, func() {
+				r.svcs[0].Sub.Publish(4, first)
+				r.svcs[0].Sub.Publish(4, second)
+				for i, rec := range recs {
+					if err := r.nodes[0].CacheW.WriteRecord(rec, [][]byte{first, second}[i]); err != nil {
+						t.Error(err)
+					}
+				}
+			})
+			r.run(5 * sim.Millisecond)
+			if len(got) != tc.published || !bytes.Equal(got[len(got)-1], second) {
+				t.Fatalf("delivered %d publications, want %d, the last the second, whole", len(got), tc.published)
+			}
+			if n := r.nodes[1].DMA.Gaps - gaps; n != 1 {
+				t.Fatalf("a lost broadcast segment counted %d DMA gaps, want 1", n)
+			}
+			if n := r.nodes[1].AutoRecoveries - rounds; n != tc.recoveries {
+				t.Fatalf("a lost segment on channel %d started %d auto-recovery rounds, want %d", tc.ch, n, tc.recoveries)
+			}
+			for i, rec := range recs {
+				if data, ok := r.nodes[1].Cache.TryRead(rec); !ok || data[0] != byte(i+1) {
+					t.Fatalf("node 1 reads record %d (ok=%v) not as node 0 wrote it", i, ok)
+				}
+			}
+		})
+	}
+}
+
+// TestFileSendAllocatesTheReceiversCopy: a file's bytes are copied
+// once, into the packets that carry them, and once more where they
+// land. After boot, sending an S-byte file and running until it
+// arrives allocates at most S and 16 KiB: the receiver's assembled
+// copy, rounded up to the runtime's 8 KiB pages, and its name (S + 8
+// KiB + 8 bytes), with room for the runtime's own bookkeeping. Framing
+// the file in a buffer of its own and keeping its unsent bytes in the
+// DMA slab, the sender allocated about 2·S more.
+func TestFileSendAllocatesTheReceiversCopy(t *testing.T) {
+	const size, slack = 256 << 10, 16 << 10
+	r := newRig(t, 2)
+	file := pattern(size)
+	files := 0
+	r.svcs[1].Files.OnFile = func(_ micropacket.NodeID, _ string, data []byte, ok bool) {
+		if ok && bytes.Equal(data, file) {
+			files++
 		}
-		deliver(p)
 	}
-	gaps := r.nodes[1].DMA.Gaps
-	r.k.After(0, func() {
-		r.svcs[0].Sub.Publish(4, first)
-		r.svcs[0].Sub.Publish(4, second)
-	})
-	r.run(5 * sim.Millisecond)
-	if len(got) != 1 || !bytes.Equal(got[0], second) {
-		t.Fatalf("delivered %d publications, want only the second, whole", len(got))
+	send := func() {
+		if err := r.svcs[0].Files.Send(1, "file.bin", file, nil); err != nil {
+			t.Fatal(err)
+		}
+		r.run(10 * sim.Millisecond)
 	}
-	if n := r.nodes[1].DMA.Gaps - gaps; n != 1 {
-		t.Fatalf("a lost broadcast segment counted %d DMA gaps, want 1", n)
+	const runs = 4
+	n := alloctest.Bytes(runs, send)
+	if files != runs+1 {
+		t.Fatalf("%d of %d files arrived whole", files, runs+1)
+	}
+	t.Logf("%d bytes a %d-byte file", n/runs, size)
+	if n > runs*(size+slack) {
+		t.Fatalf("%d %d-byte files allocate %d bytes, %.2f·S a file; want at most S + %d", runs, size, n, float64(n)/runs/size, slack)
 	}
 }

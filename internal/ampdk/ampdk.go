@@ -203,7 +203,7 @@ type Node struct {
 	certTimer    sim.Timer
 	recovery     sim.Timer
 	recoverEvery sim.Time
-	recoverSeen  uint64 // DMA gaps the last recovery round answered
+	recoverSeen  uint64 // CacheChannel gaps the last recovery round answered
 	// aborts is what halt calls after cancelling the node's own timers
 	// and semaphore service: the Abort of each service built over the
 	// node, in registration order (RegisterAbort). The node's own are

@@ -2,9 +2,13 @@ package ampdk
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
+	"repro/internal/enc8b10b"
 	"repro/internal/micropacket"
+	"repro/internal/netcache"
+	"repro/internal/phys"
 	"repro/internal/sim"
 )
 
@@ -30,7 +34,10 @@ func tallyDMA(nodes []*Node) dmaTally {
 // it arrives whole but reordered by the re-join's ring transition.
 // Numbering frames per channel while receivers tracked them per source
 // and channel, the first counted 2 gaps at node 3 and 1 at node 2, and
-// the second 6 at node 3.
+// the second 6 at node 3. The third is examples/noisyfiber on DeepPHY
+// at a bit-error rate of 5e-5, which loses frames: there each node's
+// gaps are at most the broadcast DMA frames of the other nodes that
+// did not reach it.
 func TestGapsAreLosses(t *testing.T) {
 	check := func(t *testing.T, nodes []*Node, before dmaTally, from int, to ...int) {
 		t.Helper()
@@ -83,6 +90,93 @@ func TestGapsAreLosses(t *testing.T) {
 		}
 		check(t, nodes, before, 0, 3)
 	})
+
+	t.Run("noisy fiber", func(t *testing.T) {
+		k, _, nodes := bootCluster(4, 2, func(int) Config {
+			return Config{Regions: map[uint8]int{1: 4096}}
+		})
+		net := nodes[0].Station.Net()
+		net.DeepPHY, net.Corrupt = true, symbolErrors(1, 5e-5)
+		for _, nd := range nodes {
+			nd.EnableAutoRecovery(2 * sim.Millisecond)
+		}
+		run(k, 20*sim.Millisecond)
+		// Every broadcast DMA frame goes out through a node's cache
+		// writer, one segment for each 64 bytes or part.
+		sent, recv := make([]uint64, len(nodes)), make([]uint64, len(nodes))
+		gaps := tallyDMA(nodes).gaps
+		for i, nd := range nodes {
+			nd.CacheW.TP = countedTransport{nd.CacheW.TP, &sent[i]}
+			deliver := nd.Station.OnDeliver
+			nd.Station.OnDeliver = func(p *micropacket.Packet) {
+				if p.Type == micropacket.TypeDMA && p.Dst == micropacket.Broadcast {
+					recv[i]++
+				}
+				deliver(p)
+			}
+		}
+		rec := netcache.Record{Region: 1, Off: 0, Size: 8}
+		for i := range uint64(500) {
+			k.After(sim.Time(i)*40*sim.Microsecond, func() {
+				if nodes[0].Online() {
+					nodes[0].CacheW.WriteRecord(rec, binary.LittleEndian.AppendUint64(nil, i+1))
+				}
+			})
+		}
+		run(k, 30*sim.Millisecond)
+		ledger := net.Ledger()
+		if crc := ledger.CRCDrops(); sent[0] == 0 || crc == 0 {
+			t.Fatalf("node 0 broadcast %d frames and %d were lost to bit errors; the rig needs both", sent[0], crc)
+		}
+		var all uint64
+		for _, n := range sent {
+			all += n
+		}
+		after := tallyDMA(nodes).gaps
+		for id, nd := range nodes {
+			if p := nd.DMA.Pending(); p != 0 {
+				t.Fatalf("node %d still holds %d DMA segments", id, p)
+			}
+			if recv[id] > all-sent[id] {
+				t.Fatalf("node %d received %d broadcast DMA frames of the other nodes' %d", id, recv[id], all-sent[id])
+			}
+			lost := all - sent[id] - recv[id]
+			t.Logf("node %d: %d gaps, %d of %d broadcast frames lost", id, after[id]-gaps[id], lost, all-sent[id])
+			if n := after[id] - gaps[id]; n > lost {
+				t.Errorf("node %d counted %d DMA gaps, but %d of the other nodes' %d broadcast frames did not reach it", id, n, lost, all-sent[id])
+			}
+		}
+	})
+}
+
+// countedTransport counts the broadcast DMA segments a cache writer
+// sends through TP.
+type countedTransport struct {
+	TP   netcache.Transport
+	segs *uint64
+}
+
+func (c countedTransport) Broadcast(region uint8, off uint32, data []byte) bool {
+	*c.segs += uint64(max(1, (len(data)+micropacket.MaxPayload-1)/micropacket.MaxPayload))
+	return c.TP.Broadcast(region, off, data)
+}
+
+// symbolErrors flips one bit of each symbol with probability ber, from
+// a random stream per receiving port, as core's BER option does.
+func symbolErrors(seed uint64, ber float64) func(*phys.Port, []enc8b10b.Symbol) {
+	streams := map[uint32]*sim.RNG{}
+	return func(dst *phys.Port, syms []enc8b10b.Symbol) {
+		rng := streams[dst.UID()]
+		if rng == nil {
+			rng = sim.NewRNG(seed ^ uint64(dst.UID())<<32)
+			streams[dst.UID()] = rng
+		}
+		for i := range syms {
+			if rng.Float64() < ber {
+				syms[i] ^= 1 << rng.Intn(10)
+			}
+		}
+	}
 }
 
 // TestLostRefreshSegmentIsRefetched: a refresh is unicast, so a segment

@@ -93,8 +93,10 @@ func (n *Node) handleRefreshReq(p *micropacket.Packet) {
 }
 
 // EnableAutoRecovery arms a periodic check: whenever new DMA gaps have
-// been observed on this node (frames lost to a failure), every cache
-// region is re-requested from the sponsor. interval controls the check
+// been observed on this node's CacheChannel (cache writes lost to a
+// failure), every cache region is re-requested from the sponsor. A gap
+// on another broadcast channel, such as AmpSubscribe's, lost no cache
+// write and starts no refresh. interval controls the check
 // pace; the paper's story is that recovery follows rostering
 // automatically. The check is the node's recovery Timer, made on the
 // first call: halt cancels it, Boot re-arms it, and a later call re-arms
@@ -112,8 +114,8 @@ func (n *Node) EnableAutoRecovery(interval sim.Time) {
 
 // autoRecover is one auto-recovery check.
 func (n *Node) autoRecover() {
-	if n.State == StateOnline && n.DMA.Gaps > n.recoverSeen {
-		n.recoverSeen = n.DMA.Gaps
+	if gaps := n.DMA.ChannelGaps(CacheChannel); n.State == StateOnline && gaps > n.recoverSeen {
+		n.recoverSeen = gaps
 		for _, region := range n.Cache.Regions() {
 			n.RequestRefresh(region)
 		}

@@ -132,12 +132,35 @@ func TestAutoRecoverySurvivesCrash(t *testing.T) {
 	if !nodes[3].Online() {
 		t.Fatal("node 3 did not come back")
 	}
-	// Frames lost on the cache channel show as DMA sequence gaps.
+	// A cache write lost on its way to node 3 shows there as a gap on
+	// the cache channel when the next one arrives.
 	before := nodes[3].AutoRecoveries
-	k.After(0, func() { nodes[3].DMA.Gaps += 5 })
+	dropCacheWrites(nodes[3], 1)
+	rec := records(16, 1)[0]
+	for val := range byte(2) {
+		k.After(0, func() {
+			if err := nodes[0].CacheW.WriteRecord(rec, bytes.Repeat([]byte{val}, 16)); err != nil {
+				t.Error(err)
+			}
+		})
+		run(k, sim.Millisecond)
+	}
 	run(k, 10*sim.Millisecond)
 	if nodes[3].AutoRecoveries == before {
 		t.Fatal("gaps after the reboot never triggered auto-recovery")
+	}
+}
+
+// dropCacheWrites makes nd's station discard the next n CacheChannel
+// segments that reach it.
+func dropCacheWrites(nd *Node, n int) {
+	deliver := nd.Station.OnDeliver
+	nd.Station.OnDeliver = func(p *micropacket.Packet) {
+		if n > 0 && p.Type == micropacket.TypeDMA && p.DMA.Channel == CacheChannel {
+			n--
+			return
+		}
+		deliver(p)
 	}
 }
 

@@ -599,6 +599,9 @@ func (l *FileStream) check(c *Cluster) error {
 func (l *FileStream) begin(c *Cluster, a *ActiveLoad) {
 	size, repeat := cmp.Or(l.Size, 1<<20), cmp.Or(l.Repeat, 1) // check refused negatives
 	base := cmp.Or(l.FileName, "filestream.bin")
+	// Send lends the file to the DMA engine until the transfer's last
+	// segment is queued; nothing writes to it after this loop, so every
+	// send lends the same bytes.
 	file := make([]byte, size)
 	for i := range file {
 		file[i] = byte(uint32(i) * 2654435761)

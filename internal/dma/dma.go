@@ -30,8 +30,9 @@ const NumChannels = micropacket.MaxChannels
 // WriteHandler receives the payload of an arriving DMA packet.
 type WriteHandler func(src micropacket.NodeID, hdr micropacket.DMAHeader, data []byte, last bool)
 
-// request is one queued Write. The pump cuts its segments from data at
-// send time, the next one starting at the cursor sent, at byte position
+// request is one queued transfer, or one of the two parts of a
+// WriteFramed. The pump cuts its segments from data at send time, the
+// next one starting at the cursor sent, at byte position
 // hdr.Offset+sent.
 type request struct {
 	dst  micropacket.NodeID
@@ -39,13 +40,13 @@ type request struct {
 	data []byte
 	// sent counts the bytes of data already sent.
 	sent int
-	// last puts FlagLast on the entry's final segment. Write's entries
-	// always carry it; it is a field so that the tests' reference Write
-	// can queue each segment as an entry of its own.
+	// last puts FlagLast on the entry's final segment. Every entry but
+	// the first part of a WriteFramed carries it (and the tests'
+	// reference Write queues each segment as an entry of its own).
 	last bool
 	// borrowed: data is a window onto the slice a Write still on the
 	// stack was handed, not yet onto the engine's own copy or onto
-	// bytes WriteShared was lent for good.
+	// bytes WriteShared or WriteFramed was lent.
 	borrowed bool
 	done     func()
 }
@@ -96,7 +97,8 @@ type Engine struct {
 
 	// Sent and Recv count DMA packets; Gaps counts the sequence gaps
 	// observed in arriving broadcasts, each at least one broadcast lost
-	// (to be repaired by refresh).
+	// (to be repaired by refresh), on every channel (ChannelGaps counts
+	// one).
 	Sent uint64
 	Recv uint64
 	Gaps uint64
@@ -106,9 +108,11 @@ type Engine struct {
 
 // rxChannel is what a receiver expects of the broadcasts on channel
 // ch: from[src] for each source, indexed by source id and grown on
-// demand.
+// demand; gaps counts the gaps seen on the channel (it fits beside ch
+// in the word ch takes).
 type rxChannel struct {
 	ch   uint8
+	gaps uint32
 	from []rxSeq
 }
 
@@ -149,7 +153,10 @@ func (e *Engine) Write(ch int, dst micropacket.NodeID, region uint8, off uint32,
 	// copied once, into its packet, and whatever is still unsent
 	// afterwards moves into the channel's slab.
 	checkChannel(ch)
-	n := e.queue(ch, dst, region, off, data, true, done)
+	req := transfer(ch, dst, region, off, data, done)
+	req.borrowed = true
+	n := e.push(ch, req)
+	e.pump()
 	e.keep(ch)
 	return n
 }
@@ -164,7 +171,39 @@ func (e *Engine) WriteShared(ch int, dst micropacket.NodeID, region uint8, off u
 	// so that borrowed entries stay the tail of their queue.
 	checkChannel(ch)
 	e.keep(ch)
-	return e.queue(ch, dst, region, off, data, false, done)
+	n := e.push(ch, transfer(ch, dst, region, off, data, done))
+	e.pump()
+	return n
+}
+
+// WriteFramed is WriteShared for a transfer of head followed by data,
+// such as a file behind the frame header its sender built: the segments
+// are cut where they would be cut from the two joined in one slice.
+// head, and the bytes of data that share its last segment, are copied
+// into the channel's slab, so the caller may reuse head at once; the
+// rest of data is queued uncopied and must not change until done runs,
+// or until Abort forgets the transfer.
+func (e *Engine) WriteFramed(ch int, dst micropacket.NodeID, region uint8, off uint32, head, data []byte, done func()) int {
+	if len(head) == 0 {
+		return e.WriteShared(ch, dst, region, off, data, done)
+	}
+	checkChannel(ch)
+	e.keep(ch) // as in WriteShared
+	// The seam runs to the first segment boundary at or past the end of
+	// head, or to the end of the transfer; data queues from there.
+	cut := min(len(data), (MaxSegment-len(head)%MaxSegment)%MaxSegment)
+	slab := append(append(e.room(ch, len(head)+cut), head...), data[:cut]...)
+	e.slabs[ch] = slab
+	seam, rest := transfer(ch, dst, region, off, slab[len(slab)-len(head)-cut:], done), data[cut:]
+	if len(rest) > 0 {
+		seam.last, seam.done = false, nil
+	}
+	n := e.push(ch, seam)
+	if len(rest) > 0 {
+		n += e.push(ch, transfer(ch, dst, region, off+uint32(len(head)+cut), rest, done))
+	}
+	e.pump()
+	return n
 }
 
 // checkChannel refuses a channel the hardware does not have.
@@ -174,20 +213,23 @@ func checkChannel(ch int) {
 	}
 }
 
-// queue pushes one transfer onto channel ch's queue and pumps.
-func (e *Engine) queue(ch int, dst micropacket.NodeID, region uint8, off uint32, data []byte, borrowed bool, done func()) int {
-	req := request{
-		dst:      dst,
-		hdr:      micropacket.DMAHeader{Channel: uint8(ch), Region: region, Offset: off},
-		data:     data[:len(data):len(data)],
-		last:     true,
-		borrowed: borrowed,
-		done:     done,
+// transfer is the queue entry of one whole transfer of data to
+// (region, off) at dst on channel ch.
+func transfer(ch int, dst micropacket.NodeID, region uint8, off uint32, data []byte, done func()) request {
+	return request{
+		dst:  dst,
+		hdr:  micropacket.DMAHeader{Channel: uint8(ch), Region: region, Offset: off},
+		data: data[:len(data):len(data)],
+		last: true,
+		done: done,
 	}
+}
+
+// push appends req to channel ch's queue and returns its segments.
+func (e *Engine) push(ch int, req request) int {
 	n := req.segments()
 	e.queues[ch].Push(req)
 	e.QueueHighWater = max(e.QueueHighWater, e.depth(ch))
-	e.pump()
 	return n
 }
 
@@ -195,14 +237,27 @@ func (e *Engine) queue(ch int, dst micropacket.NodeID, region uint8, off uint32,
 // channel that rarely drains does not start a slab per short message.
 const slabFloor = 16 * MaxSegment
 
+// room returns channel ch's slab if it has room for size more bytes,
+// or else a new one. Bytes are appended behind those still queued,
+// which nothing overwrites before the queue empties (pump rewinds the
+// slab there); a replaced slab stays reachable until its last entry
+// pops. (Packets carry their own payload, so nothing pins a slab
+// beyond the queue.)
+func (e *Engine) room(ch, size int) []byte {
+	if slab := e.slabs[ch]; cap(slab)-len(slab) >= size {
+		return slab
+	}
+	return make([]byte, 0, max(size, slabFloor))
+}
+
 // keep moves the unsent bytes of the Writes still borrowed at the tail
 // of channel ch's queue into its slab. Borrowed entries are always a
 // suffix of their queue: they belong to Writes still on the stack (this
 // one, and any whose pump ran the done callback this one was called
 // from), every Write leaves its channel with none, pushes go to the
-// tail, and WriteShared keeps them before it pushes. How far a pump
-// has sent them meanwhile — this call's or another's — does not
-// matter: the mark and the cursor are per entry.
+// tail, and WriteShared and WriteFramed keep them before they push.
+// How far a pump has sent them meanwhile — this call's or another's —
+// does not matter: the mark and the cursor are per entry.
 func (e *Engine) keep(ch int) {
 	q := &e.queues[ch]
 	first, size := q.Len(), 0
@@ -214,16 +269,8 @@ func (e *Engine) keep(ch int) {
 	if first == q.Len() {
 		return
 	}
-	// Kept bytes are appended behind those still queued, which nothing
-	// overwrites before the queue empties (pump rewinds it there). A
-	// suffix that does not fit starts a new slab; the old one stays
-	// reachable until its last entry pops. (Packets carry their own
-	// payload, so nothing pins a slab beyond the queue.) A kept entry
-	// starts at its first unsent byte.
-	slab := e.slabs[ch]
-	if cap(slab)-len(slab) < size {
-		slab = make([]byte, 0, max(size, slabFloor))
-	}
+	// A kept entry starts at its first unsent byte.
+	slab := e.room(ch, size)
 	for i := first; i < q.Len(); i++ {
 		req := q.At(i)
 		slab = append(slab, req.data[req.sent:]...)
@@ -412,8 +459,20 @@ func (e *Engine) checkSeq(src micropacket.NodeID, ch, seq uint8) {
 		rx.heard = true
 	} else if rx.next != seq {
 		e.Gaps++ // and resynchronize
+		t.gaps++
 	}
 	rx.next = seq + 1
+}
+
+// ChannelGaps returns the sequence gaps counted in the broadcasts
+// arriving on channel ch.
+func (e *Engine) ChannelGaps(ch int) uint64 {
+	for i := range e.rx {
+		if int(e.rx[i].ch) == ch {
+			return uint64(e.rx[i].gaps)
+		}
+	}
+	return 0
 }
 
 // Assembly is the receiving end of one stream of Writes: it puts a

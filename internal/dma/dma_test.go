@@ -399,6 +399,37 @@ func TestDMASendAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestFramedWriteKeepsOnlyItsSeam: WriteFramed copies its head and the
+// bytes of data that share the head's last segment, and queues the
+// rest of data uncopied. On a back-pressured channel a 25-byte head
+// before 4 KiB of data keeps one segment's bytes in the slab and queues
+// the 65 segments of the two joined; the receiver gets them joined, and
+// a warm channel sends a 1 KiB transfer so framed without allocating.
+func TestFramedWriteKeepsOnlyItsSeam(t *testing.T) {
+	r := newRig(3)
+	e := r.engines[0]
+	dst := attachSink(r.engines[1], 8192)
+	head, data := pattern(25), pattern(64*MaxSegment)
+	open := e.St.MaxInsertQueue
+	e.St.MaxInsertQueue = 0
+	if n := e.WriteFramed(2, 1, 0, 0, head, data, nil); n != 65 || e.Pending() != 65 || len(e.slabs[2]) != MaxSegment {
+		t.Fatalf("a 25-byte head before 4 KiB queued %d segments (%d pending) and kept %d bytes; want 65, 65 and %d",
+			n, e.Pending(), len(e.slabs[2]), MaxSegment)
+	}
+	e.St.MaxInsertQueue = open
+	r.k.Run()
+	if want := slices.Concat(head, data); !bytes.Equal(dst.buf[:len(want)], want) || dst.lasts != 1 {
+		t.Fatalf("receiver did not get head and data joined in one transfer (%d last segments)", dst.lasts)
+	}
+	send := func() {
+		e.WriteFramed(2, 1, 0, 0, head, data[:1024], nil)
+		r.k.Run()
+	}
+	if n := alloctest.Count(50, send); n != 0 {
+		t.Fatalf("50 framed 1 KiB transfers on a warm channel allocate %d times, want 0", n)
+	}
+}
+
 // TestAbortLeavesNoStaleBytes: segments kept under back-pressure and
 // then aborted neither reach the wire nor run their done, and a Write
 // after the abort is kept over their bytes, at the start of the rewound

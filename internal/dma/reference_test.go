@@ -54,15 +54,27 @@ func refWrite(e *Engine, ch int, dst micropacket.NodeID, region uint8, off uint3
 // writeFn is Engine.Write or refWrite.
 type writeFn func(e *Engine, ch int, dst micropacket.NodeID, region uint8, off uint32, data []byte, done func()) int
 
+// framedFn is Engine.WriteFramed or refFramed.
+type framedFn func(e *Engine, ch int, dst micropacket.NodeID, region uint8, off uint32, head, data []byte, done func()) int
+
+// refFramed is WriteFramed by the reference: one refWrite of head and
+// data joined.
+func refFramed(e *Engine, ch int, dst micropacket.NodeID, region uint8, off uint32, head, data []byte, done func()) int {
+	return refWrite(e, ch, dst, region, off, slices.Concat(head, data), done)
+}
+
 // Op streams are three bytes an op. Byte 0 picks the op in its low
-// three bits — 0 a bare write; 1 a write with done; 2 and 3 a write
+// four bits — 0 a bare write; 1 a write with done; 2 and 3 a write
 // whose done re-enters Write on the same and on another channel; 4
 // toggles the station's back-pressure; 5 advances virtual time; 6
 // aborts every queued transfer; 7 a shared write (WriteShared) whose
-// done issues another on the same channel — and one of three channels
-// above them. Bytes 1 and 2 give the write's length (0…300) and the
-// re-entrant write's (0…127), or the time to advance in units of
-// 100 ns.
+// done issues another on the same channel; 8 a two-part shared write
+// (WriteFramed) whose done re-enters Write on the same channel; 9 to
+// 15 repeat 0 to 6 — and one of three channels above them. Bytes 1
+// and 2 give the write's length (0…300) and the re-entrant write's
+// (0…127), or the time to advance in units of 100 ns. A two-part
+// write's head is the re-entrant length's bytes, and the write its
+// done issues is that long again.
 const (
 	opWrite = iota
 	opWriteDone
@@ -72,10 +84,12 @@ const (
 	opAdvance
 	opAbort
 	opShareReenterSame
+	opFramedReenterSame
+	numOps
 )
 
 func op(kind, ch, n, nested int) []byte {
-	return []byte{byte(kind | (ch-1)<<3), byte(n), byte(n>>8 | nested<<1)}
+	return []byte{byte(kind | (ch-1)<<4), byte(n), byte(n>>8 | nested<<1)}
 }
 
 // payload is a transfer's bytes: a function of the op's position in the
@@ -99,12 +113,13 @@ func dstOf(id int) micropacket.NodeID {
 }
 
 // runOps drives one engine of a fresh three-node rig through an op
-// stream with write as its Write and share as its WriteShared,
-// scribbling over every buffer the moment write returns (a shared
+// stream with write as its Write, share as its WriteShared and framed
+// as its WriteFramed, scribbling over every buffer the moment write
+// returns, and over every head the moment framed returns (a shared
 // write's bytes never change), and logs every segment node 1 receives
 // and every done, each with its instant, and any borrowed entry a
 // shared write left queued ahead of a kept one.
-func runOps(ops []byte, write, share writeFn) (log []string, sent uint64, highWater int) {
+func runOps(ops []byte, write, share writeFn, framed framedFn) (log []string, sent uint64, highWater int) {
 	r := newRig(3)
 	e := r.engines[0]
 	r.engines[1].OnWrite = func(src micropacket.NodeID, hdr micropacket.DMAHeader, data []byte, last bool) {
@@ -118,12 +133,27 @@ func runOps(ops []byte, write, share writeFn) (log []string, sent uint64, highWa
 		}
 		log = append(log, fmt.Sprintf("%v write %d: %d segments", r.k.Now(), id, segs))
 	}
-	shareOne := func(id, ch, n int, done func()) {
-		segs := share(e, ch, dstOf(id), 9, uint32(id)<<12, payload(id, n), done)
-		log = append(log, fmt.Sprintf("%v share %d: %d segments", r.k.Now(), id, segs))
+	checkTail := func(id int) {
 		if at := borrowedAhead(e); at >= 0 {
 			log = append(log, fmt.Sprintf("%v share %d: channel %d has a borrowed entry ahead of a kept one", r.k.Now(), id, at))
 		}
+	}
+	shareOne := func(id, ch, n int, done func()) {
+		segs := share(e, ch, dstOf(id), 9, uint32(id)<<12, payload(id, n), done)
+		log = append(log, fmt.Sprintf("%v share %d: %d segments", r.k.Now(), id, segs))
+		checkTail(id)
+	}
+	framedOne := func(id, ch, n, nested int) {
+		head := payload(id+2000, nested)
+		segs := framed(e, ch, dstOf(id), 9, uint32(id)<<12, head, payload(id, n), func() {
+			log = append(log, fmt.Sprintf("%v done %d", r.k.Now(), id))
+			send(id+1000, ch, nested, nil)
+		})
+		for i := range head {
+			head[i] = 0xEE
+		}
+		log = append(log, fmt.Sprintf("%v framed %d: %d segments", r.k.Now(), id, segs))
+		checkTail(id)
 	}
 	shareDone := func(id, ch, nested int) func() {
 		return func() {
@@ -134,7 +164,7 @@ func runOps(ops []byte, write, share writeFn) (log []string, sent uint64, highWa
 	open := e.St.MaxInsertQueue
 	for i := 0; i+3 <= len(ops); i += 3 {
 		id := i / 3
-		kind, ch := int(ops[i]&7), 1+int(ops[i]>>3)%3
+		kind, ch := int(ops[i]&15)%numOps, 1+int(ops[i]>>4)%3
 		n, nested := (int(ops[i+1])|int(ops[i+2]&1)<<8)%301, int(ops[i+2]>>1)
 		switch kind {
 		case opToggle:
@@ -149,6 +179,8 @@ func runOps(ops []byte, write, share writeFn) (log []string, sent uint64, highWa
 			e.Abort()
 		case opShareReenterSame:
 			shareOne(id, ch, n, shareDone(id, ch, nested))
+		case opFramedReenterSame:
+			framedOne(id, ch, n, nested)
 		case opWriteDone, opWriteReenterSame, opWriteReenterOther:
 			send(id, ch, n, func() {
 				log = append(log, fmt.Sprintf("%v done %d", r.k.Now(), id))
@@ -192,8 +224,8 @@ func borrowedAhead(e *Engine) int {
 // and segment counts, and equal Sent and QueueHighWater.
 func checkAgainstReference(t *testing.T, ops []byte) {
 	t.Helper()
-	got, gotSent, gotHW := runOps(ops, (*Engine).Write, (*Engine).WriteShared)
-	want, wantSent, wantHW := runOps(ops, refWrite, refWrite)
+	got, gotSent, gotHW := runOps(ops, (*Engine).Write, (*Engine).WriteShared, (*Engine).WriteFramed)
+	want, wantSent, wantHW := runOps(ops, refWrite, refWrite, refFramed)
 	for i := range want {
 		if i >= len(got) || got[i] != want[i] {
 			g := "nothing"
@@ -258,6 +290,16 @@ var nastyWrites = []struct {
 	{"zero-length write behind a partial one", slices.Concat(
 		op(opToggle, 1, 0, 0), op(opWrite, 1, 300, 0), op(opWrite, 2, 300, 0), op(opToggle, 1, 0, 0),
 		op(opAdvance, 1, 25, 0), op(opWrite, 2, 0, 0), op(opWriteDone, 2, 0, 0), op(opAdvance, 1, 100, 0))},
+	{"framed: a short head before a long payload", op(opFramedReenterSame, 1, 300, 21)},
+	{"framed: a head of whole segments, queued under back-pressure", slices.Concat(
+		op(opToggle, 1, 0, 0), op(opFramedReenterSame, 2, 200, 64), op(opFramedReenterSame, 2, 1, 127), op(opToggle, 1, 0, 0),
+		op(opAdvance, 1, 100, 0))},
+	{"framed: the whole transfer in the seam", slices.Concat(op(opFramedReenterSame, 1, 30, 11), op(opFramedReenterSame, 1, 43, 21))},
+	{"framed: no head, no payload", slices.Concat(op(opFramedReenterSame, 1, 100, 0), op(opFramedReenterSame, 3, 0, 100))},
+	{"framed from a done, behind a borrowed entry under back-pressure", slices.Concat(
+		op(opToggle, 1, 0, 0), op(opWriteReenterSame, 1, 130, 40), op(opFramedReenterSame, 1, 250, 37), op(opWrite, 1, 70, 0),
+		op(opToggle, 1, 0, 0), op(opAdvance, 1, 20, 0), op(opFramedReenterSame, 1, 90, 100), op(opAbort, 1, 0, 0),
+		op(opFramedReenterSame, 1, 300, 5), op(opAdvance, 1, 200, 0))},
 }
 
 func TestWriteMatchesReference(t *testing.T) {
