@@ -44,8 +44,7 @@
 //	}.Run()
 //
 // Options.Shards runs any scenario on that many parallel kernels with a
-// byte-identical Report; a CollectiveLoad's ranks, or a FileStream's
-// two ends, must then share a shard, since one driver steps them all.
+// byte-identical Report.
 //
 // For finer control, assemble a Cluster yourself and drive it through
 // per-node handles, condition-based waits and installed plans:

@@ -27,7 +27,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	k := c.Nodes[0].K // every rank shares one shard, so one clock
+	k := c.Nodes[0].K // rank 0's clock: rank 0 calls OnIter
 	iterStart := k.Now()
 	job := &ampnet.CollectiveLoad{
 		Name:  "allreduce",

@@ -212,6 +212,13 @@ func (f *Files) Send(dst micropacket.NodeID, name string, data []byte, done func
 
 func (f *Files) handleDMA(src micropacket.NodeID, hdr micropacket.DMAHeader, data []byte, last bool) {
 	buf := f.asm[src]
+	if hdr.Offset == 0 && buf != nil {
+		// A segment at offset 0 starts a new file, so the one in
+		// progress lost its last segment: it is delivered as corrupt.
+		delete(f.asm, src)
+		f.deliver(src, buf, false)
+		buf = nil
+	}
 	if buf == nil {
 		// A first segment that carries the whole header sizes the buffer
 		// once; otherwise it grows with every segment.
@@ -228,9 +235,15 @@ func (f *Files) handleDMA(src micropacket.NodeID, hdr micropacket.DMAHeader, dat
 		return
 	}
 	delete(f.asm, src)
+	f.deliver(src, buf, true)
+}
+
+// deliver hands a received file to OnFile; whole is false for one
+// whose last segment never came.
+func (f *Files) deliver(src micropacket.NodeID, buf []byte, whole bool) {
 	f.Received++
 	name, payload, ok := parseFile(buf)
-	if !ok {
+	if ok = ok && whole; !ok {
 		f.Corrupt++
 	}
 	if f.OnFile != nil {

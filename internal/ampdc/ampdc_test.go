@@ -3,6 +3,7 @@ package ampdc
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"slices"
 	"testing"
@@ -436,7 +437,7 @@ func TestFileHeaderCannotSizeACorruptFile(t *testing.T) {
 			if i < len(cuts) {
 				to = cuts[i]
 			}
-			f.handleDMA(0, micropacket.DMAHeader{}, b[from:to], to == len(b))
+			f.handleDMA(0, micropacket.DMAHeader{Offset: uint32(from)}, b[from:to], to == len(b))
 		}
 	}
 	deliver(frame(filesMagic, 300), 64, 128, 192, 256)
@@ -511,6 +512,54 @@ func TestLostSegmentDropsPublication(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestLostFileSegmentDropsOnlyItsFile: AmpFiles is unicast, so a lost
+// segment is no DMA gap; the receiver sees it by byte position. When
+// file 1's last segment dies, file 2's first segment, at offset 0,
+// starts a new file: file 1 is delivered as corrupt, under its own
+// name, and file 2 arrives whole, under its own.
+func TestLostFileSegmentDropsOnlyItsFile(t *testing.T) {
+	r := newRig(t, 3)
+	first, second := pattern(300), bytes.Repeat([]byte{2}, 300)
+	type delivery struct {
+		name string
+		data []byte
+		ok   bool
+	}
+	var got []delivery
+	r.svcs[1].Files.OnFile = func(_ micropacket.NodeID, name string, data []byte, ok bool) {
+		got = append(got, delivery{name, bytes.Clone(data), ok})
+	}
+	st := r.nodes[1].Station
+	deliver, dropped := st.OnDeliver, false
+	st.OnDeliver = func(p *micropacket.Packet) {
+		if p.Type == micropacket.TypeDMA && p.DMA.Channel == FilesChannel && p.Flags&micropacket.FlagLast != 0 && !dropped {
+			dropped = true
+			return
+		}
+		deliver(p)
+	}
+	r.k.After(0, func() {
+		for i, file := range [][]byte{first, second} {
+			if err := r.svcs[0].Files.Send(1, fmt.Sprintf("file%d", i+1), file, nil); err != nil {
+				t.Error(err)
+			}
+		}
+	})
+	r.run(5 * sim.Millisecond)
+	if !dropped || len(got) != 2 {
+		t.Fatalf("dropped a last segment: %v; %d files delivered, want 2", dropped, len(got))
+	}
+	if got[0].name != "file1" || got[0].ok {
+		t.Fatalf("first delivery is %q ok=%v, want file1 reported corrupt", got[0].name, got[0].ok)
+	}
+	if got[1].name != "file2" || !got[1].ok || !bytes.Equal(got[1].data, second) {
+		t.Fatalf("second delivery is %q ok=%v, %d bytes; want file2 whole", got[1].name, got[1].ok, len(got[1].data))
+	}
+	if f := r.svcs[1].Files; f.Received != 2 || f.Corrupt != 1 {
+		t.Fatalf("receiver counts %d files, %d corrupt; want 2, 1", f.Received, f.Corrupt)
 	}
 }
 

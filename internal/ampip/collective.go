@@ -25,11 +25,6 @@ type Comm struct {
 	Nodes []int // node ids, identical order on every rank
 	Port  uint16
 
-	// Retransmit is the retry pace for unacknowledged collective
-	// traffic (lost only during ring transitions, so this is idle in
-	// steady state).
-	Retransmit sim.Time
-
 	rank int
 	seq  [numKinds]uint32 // per-kind issue counters
 	ops  map[opKey]*opState
@@ -65,8 +60,9 @@ const (
 	partAck     = 2 // acknowledgement (bcast, all-to-all)
 )
 
-// DefaultRetransmit is the retry pace for collective traffic.
-const DefaultRetransmit = 500 * sim.Microsecond
+// Retransmit is the retry pace for unacknowledged collective traffic
+// (lost only during ring transitions, so it is idle in steady state).
+const Retransmit = 500 * sim.Microsecond
 
 // completedMemory bounds the per-kind result memory: a coordinator
 // answers for the last completed op and the completedMemory before it.
@@ -174,8 +170,7 @@ func (st *opState) keepBlock(rank int, b []byte) {
 func NewComm(s *Stack, nodes []int, port uint16) *Comm {
 	c := &Comm{
 		Stack: s, Nodes: append([]int{}, nodes...), Port: port,
-		Retransmit: DefaultRetransmit,
-		ops:        map[opKey]*opState{},
+		ops: map[opKey]*opState{},
 	}
 	c.rank = -1
 	for i, id := range c.Nodes {
@@ -203,6 +198,10 @@ func (c *Comm) Rank() int { return c.rank }
 
 // Size returns the number of participants.
 func (c *Comm) Size() int { return len(c.Nodes) }
+
+// Open returns the number of ops this rank holds state for: issued and
+// not yet complete, or heard of before this rank issued them.
+func (c *Comm) Open() int { return len(c.ops) }
 
 // state fetches or creates the op state (early arrivals create it).
 func (c *Comm) state(k opKey) *opState {
@@ -250,9 +249,9 @@ func (c *Comm) sendValue(toRank int, kind uint8, seq uint32, part uint16, v uint
 // re-armed for every retry and every op the state is reused for.
 func (c *Comm) armRetry(st *opState) {
 	if st.retry == nil {
-		st.retry = c.Stack.Node.K.After(c.Retransmit, st.retransmit)
+		st.retry = c.Stack.Node.K.After(Retransmit, st.retransmit)
 	} else {
-		st.retry.Reset(c.Retransmit)
+		st.retry.Reset(Retransmit)
 	}
 }
 
@@ -260,7 +259,7 @@ func (c *Comm) armRetry(st *opState) {
 func (st *opState) retransmit() {
 	st.c.Resends++
 	st.resend()
-	st.retry.Reset(st.c.Retransmit)
+	st.retry.Reset(Retransmit)
 }
 
 // start sends what the op owes and keeps re-sending it until finish.

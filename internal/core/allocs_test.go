@@ -210,7 +210,7 @@ func TestCrossShardUnicastAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestCollectiveLoadAllocatesNothing: a CollectiveLoad's driver is one
+// TestCollectiveLoadAllocatesNothing: a CollectiveLoad's rank is one
 // record whose callbacks are built in begin, and an AmpIP op is a pooled
 // record, so a 4-node job iterating without end allocates nothing a
 // virtual millisecond once warm — with a closure per op and per

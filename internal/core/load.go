@@ -5,6 +5,7 @@ import (
 	"cmp"
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"repro/internal/ampip"
 	"repro/internal/micropacket"
@@ -33,19 +34,6 @@ type Load interface {
 func checkLoadNode(c *Cluster, kind, role string, id int) error {
 	if id < 0 || id >= len(c.Nodes) {
 		return fmt.Errorf("core: %s load: %s node %d out of range [0,%d)", kind, role, id, len(c.Nodes))
-	}
-	return nil
-}
-
-// oneShard refuses a load whose one driver steps all of nodes, sharing
-// its state between their callbacks, when they sit on more than one
-// shard: two shards would run that driver inside one window.
-func oneShard(c *Cluster, kind string, nodes []int) error {
-	for _, n := range nodes {
-		if a, b := c.Phys.ShardOfNode(nodes[0]), c.Phys.ShardOfNode(n); a != b {
-			return fmt.Errorf("core: %s load spans shards: node %d on shard %d, node %d on shard %d (its one driver steps every node)",
-				kind, nodes[0], a, n, b)
-		}
 	}
 	return nil
 }
@@ -109,6 +97,10 @@ type ActiveLoad struct {
 	done      bool
 	finalized bool
 	finalize  func()
+	// ranks are a collective's; once halted, each runs iterations up
+	// to last.
+	ranks []collectiveRank
+	last  int
 }
 
 // StartLoad installs l on the cluster and starts it at the current
@@ -140,13 +132,18 @@ func (a *ActiveLoad) Done() bool { return a.done }
 
 // Quiesce stops generating new traffic; in-flight traffic still drains
 // and is counted. Use it before a settle window so final deliveries
-// land in the report.
+// land in the report. It runs in driver context, between runs: a
+// collective's ranks each finish the highest iteration any of them has
+// in flight, so every op some rank issued completes.
 func (a *ActiveLoad) Quiesce() {
 	if a.halted {
 		return
 	}
 	a.halted = true
 	a.done = true
+	for _, r := range a.ranks {
+		a.last = max(a.last, r.iter)
+	}
 }
 
 // Report finalizes (first call) and returns the load's report.
@@ -438,6 +435,7 @@ func (l *CacheChurn) begin(c *Cluster, a *ActiveLoad) {
 // CollectiveLoad runs the inner loop of a data-parallel job over the
 // cluster's AmpIP stacks: each iteration all-reduces a global sum and
 // barriers to stay in step, exactly the slide-12 MPI-over-AmpNet story.
+// Each rank loops on its own node's kernel.
 type CollectiveLoad struct {
 	// Name labels the report (default "collective").
 	Name string
@@ -462,96 +460,70 @@ func (l *CollectiveLoad) check(c *Cluster) error {
 			return err
 		}
 	}
-	return oneShard(c, "collective", l.ranks(c))
-}
-
-// ranks resolves Ranks: empty means every node.
-func (l *CollectiveLoad) ranks(c *Cluster) []int {
-	if len(l.Ranks) > 0 {
-		return l.Ranks
-	}
-	ranks := make([]int, len(c.Nodes))
-	for i := range ranks {
-		ranks[i] = i
-	}
-	return ranks
+	return nil
 }
 
 func (l *CollectiveLoad) begin(c *Cluster, a *ActiveLoad) {
-	ranks := l.ranks(c)
+	ranks := l.Ranks
+	if len(ranks) == 0 {
+		ranks = make([]int, len(c.Nodes))
+		for i := range ranks {
+			ranks[i] = i
+		}
+	}
 	port := cmp.Or(l.Port, 7100)
-	comms := make([]*ampip.Comm, len(ranks))
-	for i, r := range ranks {
-		comms[i] = ampip.NewComm(c.Stacks[r], ranks, port)
+	a.ranks = make([]collectiveRank, len(ranks))
+	for i, node := range ranks {
+		// Each rank's local state evolves as a function of the global
+		// sum, so divergence between ranks would be visible immediately.
+		r := &a.ranks[i]
+		*r = collectiveRank{l: l, a: a, comm: ampip.NewComm(c.Stacks[node], ranks, port), local: uint64(i + 1)}
+		r.reduced, r.released = r.reduce, r.release
+		c.Nodes[node].K.After(0, r.iterate)
 	}
-	j := &collectiveJob{l: l, a: a, comms: comms, local: make([]uint64, len(ranks))}
-	// Each rank's local state evolves as a function of the global sum,
-	// so divergence between ranks would be visible immediately.
-	for i := range j.local {
-		j.local[i] = uint64(i + 1)
-	}
-	j.reduced = make([]func(uint64), len(comms))
-	for r := range j.reduced {
-		j.reduced[r] = func(total uint64) { j.reduce(r, total) }
-	}
-	j.released = j.release
-	c.Nodes[ranks[0]].K.After(0, j.iterate)
 }
 
-// collectiveJob is CollectiveLoad's driver: the iteration in flight and
-// the callbacks every iteration hands its ops, built once in begin.
-type collectiveJob struct {
-	l     *CollectiveLoad
-	a     *ActiveLoad
-	comms []*ampip.Comm
-	local []uint64 // each rank's local state
-
-	iter, pending, bar int
-	sum                uint64
-
-	reduced  []func(uint64) // rank r's AllReduceSum callback
-	released func()         // every rank's Barrier callback
+// collectiveRank is one rank's loop, stepped on its own node's kernel:
+// all-reduce, barrier, next iteration.
+type collectiveRank struct {
+	l          *CollectiveLoad
+	a          *ActiveLoad
+	comm       *ampip.Comm
+	local, sum uint64
+	iter       int
+	reduced    func(uint64) // reduce, bound once
+	released   func()       // release, bound once
 }
 
-// iterate starts iteration j.iter: every rank all-reduces its local value.
-func (j *collectiveJob) iterate() {
-	if j.a.halted || (j.l.Iters > 0 && j.iter >= j.l.Iters) {
-		j.a.genDone()
+// iterate starts iteration r.iter by all-reducing the local value.
+func (r *collectiveRank) iterate() {
+	if r.a.halted && r.iter > r.a.last || r.l.Iters > 0 && r.iter >= r.l.Iters {
+		if r.comm.Rank() == 0 {
+			r.a.genDone()
+		}
 		return
 	}
-	j.pending = len(j.comms)
-	for r, c := range j.comms {
-		c.AllReduceSum(j.local[r], j.reduced[r])
-	}
+	r.comm.AllReduceSum(r.local, r.reduced)
 }
 
-// reduce takes rank r's total; once every rank has one, all barrier.
-func (j *collectiveJob) reduce(r int, total uint64) {
-	j.sum = total
-	j.local[r] += total % 97
-	j.pending--
-	if j.pending > 0 {
-		return
-	}
-	j.bar = len(j.comms)
-	for _, c := range j.comms {
-		c.Barrier(j.released)
-	}
+// reduce takes the iteration's global sum and enters its barrier.
+func (r *collectiveRank) reduce(total uint64) {
+	r.sum = total
+	r.local += total % 97
+	r.comm.Barrier(r.released)
 }
 
-// release counts a rank out of the barrier; the last one ends the
-// iteration and starts the next.
-func (j *collectiveJob) release() {
-	j.bar--
-	if j.bar > 0 {
-		return
+// release ends the iteration on this rank and starts the next; rank 0
+// counts it.
+func (r *collectiveRank) release() {
+	if r.comm.Rank() == 0 {
+		r.a.rep.Iters++
+		if r.l.OnIter != nil {
+			r.l.OnIter(r.iter, r.sum)
+		}
 	}
-	j.a.rep.Iters++
-	if j.l.OnIter != nil {
-		j.l.OnIter(j.iter, j.sum)
-	}
-	j.iter++
-	j.iterate()
+	r.iter++
+	r.iterate()
 }
 
 // --- FileStream ---
@@ -573,7 +545,8 @@ type FileStream struct {
 	Size int
 	// Repeat is the number of files to send back to back (default 1).
 	Repeat int
-	// Gap is the pause between files.
+	// Gap is the pause between one file's last segment leaving the
+	// sender's DMA engine and the next file's send.
 	Gap sim.Time
 	// OnFile, if set, observes each completed transfer.
 	OnFile func(i int, ok bool, took sim.Time)
@@ -587,13 +560,8 @@ func (l *FileStream) check(c *Cluster) error {
 		negative("filestream", "FileStream.Gap", l.Gap)); err != nil {
 		return err
 	}
-	if err := cmp.Or(checkLoadNode(c, "filestream", "sender", l.From),
-		checkLoadNode(c, "filestream", "receiver", l.To)); err != nil {
-		return err
-	}
-	// Each completed file schedules the next send from the receiver's
-	// delivery callback.
-	return oneShard(c, "filestream", []int{l.From, l.To})
+	return cmp.Or(checkLoadNode(c, "filestream", "sender", l.From),
+		checkLoadNode(c, "filestream", "receiver", l.To))
 }
 
 func (l *FileStream) begin(c *Cluster, a *ActiveLoad) {
@@ -606,21 +574,30 @@ func (l *FileStream) begin(c *Cluster, a *ActiveLoad) {
 	for i := range file {
 		file[i] = byte(uint32(i) * 2654435761)
 	}
-	nameOf := func(i int) string {
-		if repeat == 1 {
-			return base
+	names := []string{base}
+	if repeat > 1 {
+		names = make([]string, repeat)
+		for i := range names {
+			names[i] = fmt.Sprintf("%s.%d", base, i)
 		}
-		return fmt.Sprintf("%s.%d", base, i)
 	}
+	// starts[i] is when the sender sent file i. The receiver reads it
+	// only once file i has crossed the fiber, so on another shard a
+	// window barrier lies between the write and the read.
+	starts := make([]sim.Time, repeat)
 
-	k := c.Nodes[l.From].K // To's too: check keeps both on one shard
-	var start sim.Time
-	idx := 0
-	inFlight := false
+	// The sender steps on From's kernel: a file, then the next one Gap
+	// after the last segment of this one is queued.
+	tx := c.Nodes[l.From].K
+	sent := 0
 	var send func()
+	queued := func() {
+		if sent < repeat {
+			tx.After(l.Gap, send)
+		}
+	}
 	send = func() {
-		if a.halted || idx >= repeat {
-			a.genDone()
+		if a.halted {
 			return
 		}
 		if !c.Nodes[l.From].Online() {
@@ -628,44 +605,44 @@ func (l *FileStream) begin(c *Cluster, a *ActiveLoad) {
 			a.genDone()
 			return
 		}
-		start = k.Now()
-		if err := c.Services[l.From].Files.Send(micropacket.NodeID(l.To), nameOf(idx), file, nil); err != nil {
+		i := sent
+		sent++ // before Send, which may run queued at once
+		starts[i] = tx.Now()
+		if err := c.Services[l.From].Files.Send(micropacket.NodeID(l.To), names[i], file, queued); err != nil {
 			a.rep.Errors++
 			a.genDone()
 			return
 		}
-		inFlight = true
 		a.rep.Sent++
 	}
+	tx.After(0, send)
+
+	// The receiver steps on To's kernel and counts each of this load's
+	// files that arrives, whole or not, in order: a file that never
+	// arrives is skipped, and once the last one has arrived the load
+	// matches nothing, so it never swallows a later same-name stream.
+	rx := c.Nodes[l.To].K
+	next := 0
 	prev := c.Services[l.To].Files.OnFile
 	c.Services[l.To].Files.OnFile = func(src micropacket.NodeID, name string, data []byte, ok bool) {
-		// Match only this load's own outstanding transfer, so a
-		// completed load never swallows deliveries of a later
-		// same-name stream.
-		if inFlight && int(src) == l.From && name == nameOf(idx) {
-			inFlight = false
-			took := k.Now() - start
+		if i := next + slices.Index(names[next:], name); int(src) == l.From && i >= next {
+			next = i + 1
+			took := rx.Now() - starts[i]
 			a.rep.Files++
 			if !ok {
 				a.rep.Corrupt++
 			}
 			a.rep.Bytes += uint64(len(data))
-			if int64(took) > a.rep.MaxLatencyNS {
-				a.rep.MaxLatencyNS = int64(took)
-			}
+			a.rep.MaxLatencyNS = max(a.rep.MaxLatencyNS, int64(took))
 			if l.OnFile != nil {
-				l.OnFile(idx, ok, took)
+				l.OnFile(i, ok, took)
 			}
-			idx++
-			if idx >= repeat {
+			if next == repeat {
 				a.genDone()
-			} else {
-				k.After(l.Gap, send)
 			}
 		}
 		if prev != nil {
 			prev(src, name, data, ok)
 		}
 	}
-	k.After(0, send)
 }

@@ -77,12 +77,6 @@ type Engine struct {
 	// retry is the one backpressure retry timer, made unarmed by
 	// NewEngine and re-armed with Reset; active means a retry is pending.
 	retry sim.Timer
-	// Window bounds how many segments the engine keeps in the MAC's
-	// insertion queue at once. Keeping it shallow is what makes the
-	// multiplexing fine-grained: segments wait in their per-channel
-	// queues, where round-robin applies, instead of lining up FIFO in
-	// the MAC.
-	Window int
 
 	// txSeq[c] is the sequence number of channel c's next broadcast.
 	txSeq [NumChannels]uint8
@@ -124,13 +118,16 @@ type rxSeq struct {
 	next  uint8
 }
 
+// Window bounds how many segments an engine keeps in the MAC's
+// insertion queue at once. Keeping it shallow is what makes the
+// multiplexing fine-grained: segments wait in their per-channel queues,
+// where round-robin applies, instead of lining up FIFO in the MAC.
+const Window = 4
+
 // NewEngine creates a DMA engine bound to a station. The caller (the
 // node kernel) routes arriving TypeDMA packets to HandleDMA.
-// DefaultWindow is the default in-flight segment window.
-const DefaultWindow = 4
-
 func NewEngine(k *sim.Kernel, st *insertion.Station) *Engine {
-	e := &Engine{ID: st.ID, K: k, St: st, Window: DefaultWindow}
+	e := &Engine{ID: st.ID, K: k, St: st}
 	e.rx = e.rxBuf[:0]
 	e.retry = k.NewTimer(e.pump)
 	return e
@@ -351,7 +348,7 @@ func (e *Engine) pump() {
 		final := end == len(req.data)
 		// The window test comes first: a back-pressured attempt builds
 		// no packet.
-		if e.St.QueueLen() >= e.Window || !e.send(ch, req, end, final) {
+		if e.St.QueueLen() >= Window || !e.send(ch, req, end, final) {
 			// Backpressure: retry shortly. The segment stays queued, so
 			// nothing is lost and per-channel order is preserved.
 			if !e.retry.Active() {

@@ -153,7 +153,7 @@ func TestFineGrainMultiplexing(t *testing.T) {
 	// At most Window segments of the file were already committed to the
 	// MAC when the message was queued; beyond that would mean FIFO
 	// starvation rather than round-robin multiplexing.
-	if pos > DefaultWindow+4 {
+	if pos > Window+4 {
 		t.Fatalf("message arrived at position %d — starved behind the file", pos)
 	}
 }
@@ -365,8 +365,8 @@ func TestBackpressuredPumpAllocatesNothing(t *testing.T) {
 	r := newRig(3)
 	e := r.engines[0]
 	e.Write(1, 1, 0, 0, pattern(64*MaxSegment), nil)
-	if e.St.QueueLen() < e.Window || !e.retry.Active() {
-		t.Fatalf("rig is not back-pressured: MAC queue %d, window %d", e.St.QueueLen(), e.Window)
+	if e.St.QueueLen() < Window || !e.retry.Active() {
+		t.Fatalf("rig is not back-pressured: MAC queue %d, window %d", e.St.QueueLen(), Window)
 	}
 	if n := alloctest.Count(100, e.pump); n != 0 {
 		t.Fatalf("100 back-pressured pumps allocate %d times, want 0", n)

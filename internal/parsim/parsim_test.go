@@ -113,9 +113,9 @@ func TestActionsRunBeforeInstantEvents(t *testing.T) {
 	}
 }
 
-// oneShard is the engine every unsharded cluster runs on: one kernel,
+// singleShard is the engine every unsharded cluster runs on: one kernel,
 // unbounded lookahead.
-func oneShard(t *testing.T) (*Engine, *sim.Kernel) {
+func singleShard(t *testing.T) (*Engine, *sim.Kernel) {
 	t.Helper()
 	k := sim.NewKernel(1)
 	e, err := New([]*sim.Kernel{k}, []*phys.Net{phys.NewNet(k)}, sim.MaxTime)
@@ -134,7 +134,7 @@ func oneShard(t *testing.T) (*Engine, *sim.Kernel) {
 // run with the refusal; and the MaxTime lookahead never overflows a
 // window end.
 func TestOneKernelContract(t *testing.T) {
-	e, k := oneShard(t)
+	e, k := singleShard(t)
 	var order []string
 	note := func(s string) func() {
 		return func() { order = append(order, fmt.Sprintf("%s@%d", s, k.Now())) }
@@ -161,7 +161,7 @@ func TestOneKernelContract(t *testing.T) {
 		t.Fatalf("RunUntil(MaxTime) = %v, order %v", got, order)
 	}
 
-	e, k = oneShard(t)
+	e, k = singleShard(t)
 	k.At(10, func() { _ = e.Now() })
 	k.At(11, func() { t.Error("the run went on past the refused read") })
 	e.RunUntil(100)
@@ -193,7 +193,7 @@ func TestDeferredRoutesApplyAtBarrier(t *testing.T) {
 // surface as a sticky engine error naming the shard and window — never
 // a hang, never a torn-down process, at one shard as at two.
 func TestShardPanicPropagates(t *testing.T) {
-	one, k := oneShard(t)
+	one, k := singleShard(t)
 	r := newRig(t)
 	for _, tc := range []struct {
 		e     *Engine
