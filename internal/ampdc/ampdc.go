@@ -171,7 +171,7 @@ type Files struct {
 	// framing failure (the transfer is delivered for diagnosis).
 	OnFile func(src micropacket.NodeID, name string, data []byte, ok bool)
 
-	asm map[micropacket.NodeID][]byte // made on the first multi-segment file
+	asm map[micropacket.NodeID]fileAsm // made on the first multi-segment file
 
 	// Sent/Received/Corrupt count transfers.
 	Sent     uint64
@@ -210,72 +210,112 @@ func (f *Files) Send(dst micropacket.NodeID, name string, data []byte, done func
 	return nil
 }
 
+// fileAsm is a file arriving from one source. Its header is parsed once
+// whole and kept apart, so the payload buffer is exactly the file's
+// size: a 256 KiB file takes 32 whole 8 KiB pages, not 33.
+type fileAsm struct {
+	head      []byte // the header's bytes, kept only while it spans segments
+	parsed    bool   // the header is whole
+	valid     bool   // and it opens with the magic
+	name      string
+	size, crc uint32
+	data      []byte
+}
+
+// busy reports whether a file is in progress.
+func (a *fileAsm) busy() bool { return a.parsed || len(a.head) > 0 }
+
+// headLen is how long the header that head starts will be: 2 bytes
+// until the name length is known, then 10 + the name length.
+func headLen(head []byte) int {
+	if len(head) < 2 {
+		return 2
+	}
+	return 10 + int(head[1])
+}
+
+// takeHeader takes the header's bytes from the front of data and returns
+// the rest. A header one segment holds whole is parsed where it lies;
+// one that spans segments is kept in head until it is whole. A valid
+// header sizes the payload buffer once; a file whose header claims more
+// than maxPresize grows it segment by segment.
+func (a *fileAsm) takeHeader(data []byte) []byte {
+	var h []byte
+	if len(a.head) == 0 && len(data) >= headLen(data) {
+		h, data = data[:headLen(data)], data[headLen(data):]
+	} else {
+		for len(data) > 0 && len(a.head) < headLen(a.head) {
+			n := min(len(data), headLen(a.head)-len(a.head))
+			a.head, data = append(a.head, data[:n]...), data[n:]
+		}
+		if len(a.head) < headLen(a.head) {
+			return data
+		}
+		h, a.head = a.head, nil
+	}
+	a.parsed = true
+	if nameLen, size, ok := fileHeader(h); ok {
+		a.valid, a.name, a.size, a.crc = true, string(h[2:2+nameLen]), size, binary.LittleEndian.Uint32(h[6+nameLen:])
+		if size <= maxPresize {
+			a.data = make([]byte, 0, size)
+		}
+	}
+	return data
+}
+
 func (f *Files) handleDMA(src micropacket.NodeID, hdr micropacket.DMAHeader, data []byte, last bool) {
-	buf := f.asm[src]
-	if hdr.Offset == 0 && buf != nil {
+	a := f.asm[src]
+	if hdr.Offset == 0 && a.busy() {
 		// A segment at offset 0 starts a new file, so the one in
 		// progress lost its last segment: it is delivered as corrupt.
 		delete(f.asm, src)
-		f.deliver(src, buf, false)
-		buf = nil
+		f.deliver(src, a, false)
+		a = fileAsm{}
 	}
-	if buf == nil {
-		// A first segment that carries the whole header sizes the buffer
-		// once; otherwise it grows with every segment.
-		if nameLen, size, ok := fileHeader(data); ok && size <= maxPresize {
-			buf = make([]byte, 0, 10+nameLen+int(size))
-		}
+	if !a.parsed {
+		data = a.takeHeader(data)
 	}
-	buf = append(buf, data...)
+	a.data = append(a.data, data...)
 	if !last {
 		if f.asm == nil {
-			f.asm = map[micropacket.NodeID][]byte{}
+			f.asm = map[micropacket.NodeID]fileAsm{}
 		}
-		f.asm[src] = buf
+		f.asm[src] = a
 		return
 	}
 	delete(f.asm, src)
-	f.deliver(src, buf, true)
+	f.deliver(src, a, true)
 }
 
 // deliver hands a received file to OnFile; whole is false for one
-// whose last segment never came.
-func (f *Files) deliver(src micropacket.NodeID, buf []byte, whole bool) {
+// whose last segment never came. A file without a valid header is
+// delivered with no name and no data.
+func (f *Files) deliver(src micropacket.NodeID, a fileAsm, whole bool) {
 	f.Received++
-	name, payload, ok := parseFile(buf)
-	if ok = ok && whole; !ok {
+	ok := whole && a.valid && uint32(len(a.data)) == a.size && crc32.ChecksumIEEE(a.data) == a.crc
+	if !ok {
 		f.Corrupt++
 	}
+	if !a.valid {
+		a.data = nil
+	}
 	if f.OnFile != nil {
-		f.OnFile(src, name, payload, ok)
+		f.OnFile(src, a.name, a.data, ok)
 	}
 }
 
-// fileHeader reads the name length and payload size of a frame; ok is
-// false until buf holds the whole header.
-func fileHeader(buf []byte) (nameLen int, size uint32, ok bool) {
-	if len(buf) < 10 || buf[0] != filesMagic {
+// fileHeader reads the name length and payload size of a frame header;
+// ok is false until head holds the whole header, and for one without
+// the magic.
+func fileHeader(head []byte) (nameLen int, size uint32, ok bool) {
+	if len(head) < 10 || head[0] != filesMagic {
 		return 0, 0, false
 	}
-	nameLen = int(buf[1])
-	if len(buf) < 10+nameLen {
+	nameLen = int(head[1])
+	if len(head) < 10+nameLen {
 		return 0, 0, false
 	}
-	return nameLen, binary.LittleEndian.Uint32(buf[2+nameLen:]), true
-}
-
-func parseFile(buf []byte) (name string, data []byte, ok bool) {
-	nameLen, size, ok := fileHeader(buf)
-	if !ok {
-		return "", nil, false
-	}
-	name = string(buf[2 : 2+nameLen])
-	wantCRC := binary.LittleEndian.Uint32(buf[6+nameLen:])
-	data = buf[10+nameLen:]
-	if uint32(len(data)) != size {
-		return name, data, false
-	}
-	return name, data, crc32.ChecksumIEEE(data) == wantCRC
+	return nameLen, binary.LittleEndian.Uint32(head[2+nameLen:]), true
 }
 
 // --- AmpThreads ---

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/alloctest"
@@ -179,6 +180,23 @@ func TestFileEmptyAndNameEdge(t *testing.T) {
 	}
 }
 
+// TestFileLongNameSpansSegments: a 255-byte name makes a 265-byte
+// header, which spans five segments before the payload starts; the file
+// still arrives whole, under its name.
+func TestFileLongNameSpansSegments(t *testing.T) {
+	r := newRig(t, 2)
+	name, file := strings.Repeat("n", 255), pattern(1000)
+	ok := false
+	r.svcs[1].Files.OnFile = func(_ micropacket.NodeID, got string, data []byte, good bool) {
+		ok = good && got == name && bytes.Equal(data, file)
+	}
+	r.k.After(0, func() { r.svcs[0].Files.Send(1, name, file, nil) })
+	r.run(10 * sim.Millisecond)
+	if !ok {
+		t.Fatal("a file with a 255-byte name did not arrive whole")
+	}
+}
+
 func TestFileNameTooLong(t *testing.T) {
 	r := newRig(t, 2)
 	if err := r.svcs[0].Files.Send(1, string(make([]byte, 300)), nil, nil); err == nil {
@@ -202,13 +220,13 @@ func TestFileCorruptionDetected(t *testing.T) {
 }
 
 func TestParseFileFraming(t *testing.T) {
-	if _, _, ok := parseFile(nil); ok {
+	if _, _, ok := fileHeader(nil); ok {
 		t.Fatal("nil parsed")
 	}
-	if _, _, ok := parseFile([]byte{1, 2, 3}); ok {
+	if _, _, ok := fileHeader([]byte{1, 2, 3}); ok {
 		t.Fatal("short parsed")
 	}
-	if _, _, ok := parseFile(append([]byte{filesMagic, 200}, make([]byte, 20)...)); ok {
+	if _, _, ok := fileHeader(append([]byte{filesMagic, 200}, make([]byte, 20)...)); ok {
 		t.Fatal("bad namelen parsed")
 	}
 }
@@ -415,15 +433,18 @@ func TestSubscriberBorrowsItsPayload(t *testing.T) {
 }
 
 // TestFileHeaderCannotSizeACorruptFile: the receiver sizes a file's
-// buffer from the header in its first segment, and what the header
+// buffer from its header once the header is whole, and what the header
 // claims is still checked against what arrives. A header split over two
 // segments delivers its file; one that claims too many bytes, too few,
-// more than maxPresize, or has no magic reports Corrupt.
+// more than maxPresize, or has no magic reports Corrupt, the last with
+// no data.
 func TestFileHeaderCannotSizeACorruptFile(t *testing.T) {
 	r := newRig(t, 2)
 	f := r.svcs[1].Files
-	var got []bool
-	f.OnFile = func(_ micropacket.NodeID, _ string, _ []byte, ok bool) { got = append(got, ok) }
+	var got, noData []bool
+	f.OnFile = func(_ micropacket.NodeID, _ string, data []byte, ok bool) {
+		got, noData = append(got, ok), append(noData, data == nil)
+	}
 	payload := pattern(300)
 	frame := func(magic byte, size uint32) []byte {
 		b := []byte{magic, 4, 'f', 'i', 'l', 'e'}
@@ -449,6 +470,10 @@ func TestFileHeaderCannotSizeACorruptFile(t *testing.T) {
 	want := []bool{true, true, false, false, false, false}
 	if !slices.Equal(got, want) || f.Corrupt != 4 {
 		t.Fatalf("verdicts %v, %d corrupt; want %v, 4 corrupt", got, f.Corrupt, want)
+	}
+	// Only the file without the magic has no header to read its data by.
+	if want := []bool{false, false, false, false, false, true}; !slices.Equal(noData, want) {
+		t.Fatalf("delivered without data: %v, want %v", noData, want)
 	}
 }
 
@@ -566,13 +591,14 @@ func TestLostFileSegmentDropsOnlyItsFile(t *testing.T) {
 // TestFileSendAllocatesTheReceiversCopy: a file's bytes are copied
 // once, into the packets that carry them, and once more where they
 // land. After boot, sending an S-byte file and running until it
-// arrives allocates at most S and 16 KiB: the receiver's assembled
-// copy, rounded up to the runtime's 8 KiB pages, and its name (S + 8
-// KiB + 8 bytes), with room for the runtime's own bookkeeping. Framing
-// the file in a buffer of its own and keeping its unsent bytes in the
-// DMA slab, the sender allocated about 2·S more.
+// arrives allocates at most S and 1 KiB: the receiver's payload buffer,
+// exactly S bytes, its frame header and its name, with room for the
+// runtime's own bookkeeping. With the header in the payload's buffer,
+// S + 18 bytes took another 8 KiB page; framing the file in a buffer of
+// its own and keeping its unsent bytes in the DMA slab, the sender
+// allocated about 2·S more.
 func TestFileSendAllocatesTheReceiversCopy(t *testing.T) {
-	const size, slack = 256 << 10, 16 << 10
+	const size, slack = 256 << 10, 1 << 10
 	r := newRig(t, 2)
 	file := pattern(size)
 	files := 0

@@ -11,6 +11,7 @@ package enc8b10b
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/detmap"
 )
@@ -143,15 +144,6 @@ func validK(b byte) bool {
 	return false
 }
 
-func ones(v uint16) int {
-	n := 0
-	for v != 0 {
-		n += int(v & 1)
-		v >>= 1
-	}
-	return n
-}
-
 // blockDisp returns the disparity update for a sub-block with the given
 // number of ones out of width bits: -1 means more zeros, +1 more ones,
 // 0 balanced.
@@ -218,14 +210,14 @@ func encodeAt(b byte, control bool, rd Disparity) (Symbol, Disparity, error) {
 		} else {
 			s6 = e6.pos
 		}
-		boundary := updateDisp(rd, blockDisp(ones(uint16(s6)), 6))
+		boundary := updateDisp(rd, blockDisp(bits.OnesCount16(uint16(s6)), 6))
 		e4 := kTable4[y]
 		if boundary == DispNeg {
 			s4 = e4.neg
 		} else {
 			s4 = e4.pos
 		}
-		exit := updateDisp(boundary, blockDisp(ones(uint16(s4)), 4))
+		exit := updateDisp(boundary, blockDisp(bits.OnesCount16(uint16(s4)), 4))
 		return Symbol(uint16(s6)<<4 | uint16(s4)), exit, nil
 	}
 	e6 := dataTable6[x]
@@ -234,7 +226,7 @@ func encodeAt(b byte, control bool, rd Disparity) (Symbol, Disparity, error) {
 	} else {
 		s6 = e6.pos
 	}
-	boundary := updateDisp(rd, blockDisp(ones(uint16(s6)), 6))
+	boundary := updateDisp(rd, blockDisp(bits.OnesCount16(uint16(s6)), 6))
 	e4 := dataTable4[y]
 	if y == 7 && useAlt7(x, boundary) {
 		e4 = alt7
@@ -244,7 +236,7 @@ func encodeAt(b byte, control bool, rd Disparity) (Symbol, Disparity, error) {
 	} else {
 		s4 = e4.pos
 	}
-	exit := updateDisp(boundary, blockDisp(ones(uint16(s4)), 4))
+	exit := updateDisp(boundary, blockDisp(bits.OnesCount16(uint16(s4)), 4))
 	return Symbol(uint16(s6)<<4 | uint16(s4)), exit, nil
 }
 
@@ -369,7 +361,7 @@ func (d *Decoder) decodeRules(sym Symbol) (Decoded, error) {
 	s6 := uint8(sym>>4) & 0x3F
 	s4 := uint8(sym) & 0x0F
 
-	n6 := ones(uint16(s6))
+	n6 := bits.OnesCount16(uint16(s6))
 	bd6 := blockDisp(n6, 6)
 	if bd6 != 0 && bd6 != 2 && bd6 != -2 {
 		d.Violations++
@@ -383,7 +375,7 @@ func (d *Decoder) decodeRules(sym Symbol) (Decoded, error) {
 	}
 	boundary := updateDisp(d.rd, bd6)
 
-	n4 := ones(uint16(s4))
+	n4 := bits.OnesCount16(uint16(s4))
 	bd4 := blockDisp(n4, 4)
 	if bd4 != 0 && bd4 != 2 && bd4 != -2 {
 		d.Violations++
@@ -450,7 +442,7 @@ func (d *Decoder) decodeRules(sym Symbol) (Decoded, error) {
 // resync re-anchors the running disparity after a code violation using
 // the symbol's overall bit balance, the conventional recovery rule.
 func (d *Decoder) resync(sym Symbol) {
-	if ones(uint16(sym)&0x3FF) >= 5 {
+	if bits.OnesCount16(uint16(sym)&0x3FF) >= 5 {
 		d.rd = DispPos
 	} else {
 		d.rd = DispNeg

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
+	"math/bits"
 	"os"
 	"path/filepath"
 	"strings"
@@ -14,14 +15,44 @@ import (
 )
 
 // decodeGolden holds one line per (entry disparity, 10-bit symbol): what
-// Decode returns for it and what it leaves behind. Regenerate after an
-// intentional change to the decoder with
+// Decode returns for it and what it leaves behind; encodeGolden one line
+// per (entry disparity, data byte): the symbol Encode returns and the
+// exit disparity. Regenerate after an intentional change to the decoder
+// or the encoder with
 //
-//	go test ./internal/enc8b10b -run TestDecodeTable -update
+//	go test ./internal/enc8b10b -run 'TestDecodeTable|TestEncodeTable' -update
 var (
 	decodeGolden = filepath.Join("testdata", "decode.golden")
-	updateGolden = flag.Bool("update", false, "rewrite "+decodeGolden)
+	encodeGolden = filepath.Join("testdata", "encode.golden")
+	updateGolden = flag.Bool("update", false, "rewrite "+decodeGolden+" and "+encodeGolden)
 )
+
+// checkGolden compares got with the golden file path line by line, or
+// rewrites the file under -update.
+func checkGolden(t *testing.T, path, test string, got []byte) {
+	t.Helper()
+	if *updateGolden {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("wrote %s", path)
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run `go test ./internal/enc8b10b -run %s -update` to create it)", err, test)
+	}
+	gotLines, wantLines := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+	if len(gotLines) != len(wantLines) {
+		t.Fatalf("%d lines coded, %s has %d", len(gotLines), path, len(wantLines))
+	}
+	for i, bad := 0, 0; i < len(gotLines) && bad < 10; i++ {
+		if gotLines[i] != wantLines[i] {
+			t.Errorf("%s:%d:\n got  %s\n want %s", path, i+1, gotLines[i], wantLines[i])
+			bad++
+		}
+	}
+}
 
 // decodeLine decodes sym from entry disparity rd on a fresh decoder and
 // prints the outcome as one golden line under the label lbl: decoded
@@ -57,27 +88,7 @@ func TestDecodeTable(t *testing.T) {
 			got.WriteString(line + "\n")
 		}
 	}
-	if *updateGolden {
-		if err := os.WriteFile(decodeGolden, got.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("wrote %s", decodeGolden)
-		return
-	}
-	want, err := os.ReadFile(decodeGolden)
-	if err != nil {
-		t.Fatalf("%v (run `go test ./internal/enc8b10b -run TestDecodeTable -update` to create it)", err)
-	}
-	gotLines, wantLines := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
-	if len(gotLines) != len(wantLines) {
-		t.Fatalf("%d lines decoded, %s has %d", len(gotLines), decodeGolden, len(wantLines))
-	}
-	for i, bad := 0, 0; i < len(gotLines) && bad < 10; i++ {
-		if gotLines[i] != wantLines[i] {
-			t.Errorf("%s:%d:\n got  %s\n want %s", decodeGolden, i+1, gotLines[i], wantLines[i])
-			bad++
-		}
-	}
+	checkGolden(t, decodeGolden, "TestDecodeTable", got.Bytes())
 
 	d := NewDecoder()
 	for _, sym := range []Symbol{0b0011111010, 0b1001110100, 0b1110100001} { // K28.5, D0.0, D23.7
@@ -104,6 +115,32 @@ func TestDecodeTableMatchesRules(t *testing.T) {
 			if got != want || fmt.Sprint(gerr) != fmt.Sprint(werr) || *fast != *slow {
 				t.Fatalf("rd=%+d sym=%#04x: table %+v %v %+v, rules %+v %v %+v", rd, s, got, gerr, *fast, want, werr, *slow)
 			}
+		}
+	}
+}
+
+// TestEncodeTable checks Encode on every (disparity, data byte) pair
+// against the committed golden, the oracle a table encoder must match,
+// and that encoding a byte allocates nothing.
+func TestEncodeTable(t *testing.T) {
+	var got bytes.Buffer
+	got.WriteString("# rd byte sym exit\n")
+	for _, rd := range []Disparity{DispNeg, DispPos} {
+		for b := 0; b < 256; b++ {
+			e := &Encoder{rd: rd}
+			sym, err := e.Encode(byte(b), false)
+			if err != nil {
+				t.Fatalf("rd=%+d byte %#02x: %v", rd, b, err)
+			}
+			fmt.Fprintf(&got, "%+d %02x %03x %+d\n", rd, b, sym, e.rd)
+		}
+	}
+	checkGolden(t, encodeGolden, "TestEncodeTable", got.Bytes())
+
+	e := NewEncoder()
+	for _, b := range []byte{0x00, 0xB5, 0xF1} { // D0.0, D21.5, D17.7
+		if got := alloctest.Count(100, func() { e.EncodeData(b) }); got != 0 {
+			t.Errorf("100 EncodeData(%#02x) calls allocate %d times, want 0", b, got)
 		}
 	}
 }
@@ -228,7 +265,7 @@ func TestRunningDisparityBounded(t *testing.T) {
 	r := newTestRand(1)
 	for i := 0; i < 20000; i++ {
 		sym := e.EncodeData(byte(r.next()))
-		balance += ones(uint16(sym))*2 - 10
+		balance += bits.OnesCount16(uint16(sym))*2 - 10
 		if balance < -2 || balance > 2 {
 			t.Fatalf("stream DC balance %d out of bounds at symbol %d", balance, i)
 		}
